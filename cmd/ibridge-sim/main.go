@@ -45,6 +45,14 @@ func main() {
 		seed      = flag.Uint64("seed", 1, "simulation seed")
 	)
 	flag.Parse()
+	// mpi-io-test gives every process one request per iteration, so the
+	// volume must hold at least one iteration.
+	if *procs < 1 || *size < 1 || *shift < 0 || *fileMB<<20 < int64(*procs)**size {
+		fmt.Fprintf(os.Stderr, "ibridge-sim: invalid geometry -procs %d -size %d -shift %d -file %d: need procs >= 1, size >= 1, shift >= 0 and a -file volume of at least procs*size = %d bytes (one request per process)\n",
+			*procs, *size, *shift, *fileMB, int64(*procs)**size)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	cfg := cluster.DefaultConfig()
 	switch *mode {

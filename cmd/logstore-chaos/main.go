@@ -13,12 +13,18 @@
 //   - a fully-durable-but-unacknowledged append must read back as
 //     exactly the write that was issued (idempotent re-issue).
 //
+// The store runs with 4 KB segments and a forced cleaning every 25
+// writes, and the kill counter counts the cleaner's copies too, so the
+// kills land on segment rolls and in the middle of cleaning cycles as
+// well as on user writes.
+//
 // Nothing in the loop consults a clock or a random source, so two runs
 // print byte-identical RECOVERY SUMMARY sections — `make chaos-smoke`
 // runs it twice and diffs, and CI keeps the summary as an artifact.
 // The sweep must also tear at least one tail (nonzero truncated_tails
-// overall) or the run fails: a kill loop that never produces a torn
-// frame isn't testing torn-frame recovery.
+// overall), and every K must roll a segment and clean one with live
+// copies, or the run fails: a kill loop that never produces a torn
+// frame, or never interrupts the cleaner, isn't testing their recovery.
 //
 // Usage:
 //
@@ -43,7 +49,11 @@ const (
 	objects     = 4
 	maxWriteLen = 1024
 	offsetSpan  = 8192 // small enough that writes overlap and create garbage
-	compactEach = 25   // ops between forced compactions
+	compactEach = 25   // ops between forced cleanings
+	// segmentBytes is the store's CheckpointBytes: segments of a few
+	// records, so every K in the sweep crosses rolls, periodic
+	// checkpoints with a replayed suffix, and cleanings with live copies.
+	segmentBytes = 4096
 )
 
 // tornFracs rotates across crashes: a half-written frame (the torn
@@ -119,6 +129,9 @@ type kResult struct {
 	replayedRecords    int64
 	checkpoints        int64
 	compactions        int64
+	rolls              int64
+	cleanedSegments    int64
+	copiedBytes        int64
 	verifiedBytes      int64
 	finalLogBytes      int64
 	finalLiveBytes     int64
@@ -129,8 +142,8 @@ type kResult struct {
 // accumulated recovery counters.
 func runK(dir string, seed uint64, ops, k int) kResult {
 	cfg := logstore.Config{
-		NoCompactor:     true, // compaction at deterministic op indices instead
-		CheckpointBytes: 4096, // small, so suffix replays past periodic checkpoints happen
+		NoCompactor:     true, // cleaning at deterministic op indices instead
+		CheckpointBytes: segmentBytes,
 	}
 	s, err := logstore.Open(dir, cfg)
 	if err != nil {
@@ -144,9 +157,27 @@ func runK(dir string, seed uint64, ops, k int) kResult {
 		res.replayedRecords += st.ReplayedRecords
 		res.checkpoints += st.Checkpoints
 		res.compactions += st.CompactionRuns
+		res.rolls += st.Rolls
+		res.cleanedSegments += st.CleanedSegments
+		res.copiedBytes += st.CopiedBytes
 		res.acknowledgedWrites += st.Appends
 	}
 	arm := func() { s.CrashAppend(int64(k), tornFracs[res.crashes%int64(len(tornFracs))]) }
+	// reopen reopens the store after a fired kill and byte-verifies it.
+	reopen := func() {
+		res.crashes++
+		accumulate(s.Stats())
+		if err := s.Close(); err != nil {
+			log.Fatalf("logstore-chaos: close after crash: %v", err)
+		}
+		var err error
+		s, err = logstore.Open(dir, cfg)
+		if err != nil {
+			log.Fatalf("logstore-chaos: reopen after crash %d: %v", res.crashes, err)
+		}
+		res.verifiedBytes += verify(s, sh, fmt.Sprintf("K=%d crash=%d", k, res.crashes))
+		arm()
+	}
 	arm()
 	for i := 0; i < ops; i++ {
 		file, off, data := op(seed, i)
@@ -167,21 +198,21 @@ func runK(dir string, seed uint64, ops, k int) kResult {
 			if frac >= 1.0 {
 				sh.write(file, off, data)
 			}
-			res.crashes++
-			accumulate(s.Stats())
-			if err := s.Close(); err != nil {
-				log.Fatalf("logstore-chaos: close after crash: %v", err)
-			}
-			s, err = logstore.Open(dir, cfg)
-			if err != nil {
-				log.Fatalf("logstore-chaos: reopen after crash %d: %v", res.crashes, err)
-			}
-			res.verifiedBytes += verify(s, sh, fmt.Sprintf("K=%d crash=%d", k, res.crashes))
-			arm()
+			reopen()
 		}
 		if (i+1)%compactEach == 0 {
-			if err := s.Compact(); err != nil {
-				log.Fatalf("logstore-chaos: compact at op %d: %v", i, err)
+			// A kill that lands on one of the cleaner's copies changes no
+			// object: torn or whole, the copy rewrites bytes already
+			// there. The cleaning is re-run after each until one finishes.
+			for {
+				err := s.Compact()
+				if err == nil {
+					break
+				}
+				if err != logstore.ErrCrashed {
+					log.Fatalf("logstore-chaos: compact at op %d: %v", i, err)
+				}
+				reopen()
 			}
 		}
 	}
@@ -243,12 +274,15 @@ func main() {
 	fmt.Printf("seed: %d ops: %d\n", *seed, *ops)
 	var totalTorn, totalCrashes int64
 	for _, r := range results {
-		fmt.Printf("K=%d crashes=%d replays=%d truncated_tails=%d replayed_records=%d checkpoints=%d compactions=%d acked_writes=%d verified_bytes=%d log_bytes=%d live_bytes=%d\n",
+		fmt.Printf("K=%d crashes=%d replays=%d truncated_tails=%d replayed_records=%d checkpoints=%d compactions=%d rolls=%d cleaned_segments=%d copied_bytes=%d acked_writes=%d verified_bytes=%d log_bytes=%d live_bytes=%d\n",
 			r.k, r.crashes, r.replays, r.truncatedTails, r.replayedRecords,
-			r.checkpoints, r.compactions, r.acknowledgedWrites, r.verifiedBytes,
-			r.finalLogBytes, r.finalLiveBytes)
+			r.checkpoints, r.compactions, r.rolls, r.cleanedSegments, r.copiedBytes,
+			r.acknowledgedWrites, r.verifiedBytes, r.finalLogBytes, r.finalLiveBytes)
 		totalTorn += r.truncatedTails
 		totalCrashes += r.crashes
+		if r.rolls == 0 || r.cleanedSegments == 0 || r.copiedBytes == 0 {
+			log.Fatalf("logstore-chaos: K=%d never rolled a segment or never cleaned one with live copies — segmentBytes too large for the workload", r.k)
+		}
 	}
 	fmt.Printf("total: crashes=%d truncated_tails=%d\n", totalCrashes, totalTorn)
 	if totalCrashes == 0 {

@@ -5,6 +5,7 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
+	"strings"
 )
 
 // LockIO encodes the logMu lesson from PR 3: blocking I/O performed
@@ -13,13 +14,18 @@ import (
 // defect that collapsed the concurrent pfsnet server's throughput
 // before s.mu was split. The analyzer walks each function in source
 // order, tracks sync.Mutex / sync.RWMutex acquisitions, and flags
-// method calls that perform blocking I/O (net.Conn, *os.File, bufio,
-// io interfaces, ObjectStore) made before the lock is released.
-// Deliberate holds (e.g. a flush that must be atomic with respect to
-// writers) are documented with //lint:allow lockio <reason>.
+// calls that perform blocking I/O (net.Conn, *os.File, bufio, io
+// interfaces, ObjectStore methods; the os package's file-system
+// functions) made before the lock is released. A method whose name
+// ends in "Locked" follows the repo's naming convention — its caller
+// holds the receiver's mutex — so its body is analysed as entered with
+// every mutex field of its receiver held, which carries the check
+// across same-package helpers. Deliberate holds (e.g. a flush that must
+// be atomic with respect to writers) are documented with
+// //lint:allow lockio <reason>.
 var LockIO = &Analyzer{
 	Name: "lockio",
-	Doc:  "flag blocking I/O performed while a mutex acquired in the same function is held",
+	Doc:  "flag blocking I/O performed while a mutex acquired in the same function, or held on entry by the Locked-suffix convention, is held",
 	Run:  runLockIO,
 }
 
@@ -29,7 +35,19 @@ var ioMethodNames = map[string]bool{
 	"Read": true, "Write": true, "ReadAt": true, "WriteAt": true,
 	"ReadFrom": true, "WriteTo": true, "Flush": true, "Close": true,
 	"Accept": true, "ReadString": true, "ReadBytes": true,
+	"Sync": true, "Truncate": true,
 }
+
+// osFuncNames are the os package's functions that block on the file
+// system.
+var osFuncNames = map[string]bool{
+	"Open": true, "OpenFile": true, "Create": true, "ReadFile": true,
+	"WriteFile": true, "ReadDir": true, "Rename": true, "Remove": true,
+	"RemoveAll": true, "Truncate": true, "Mkdir": true, "MkdirAll": true,
+}
+
+// lockedSuffix marks a method whose caller holds the receiver's mutex.
+const lockedSuffix = "Locked"
 
 // lockEvent is one ordered occurrence inside a function body.
 type lockEvent struct {
@@ -46,10 +64,10 @@ func runLockIO(pass *Pass) error {
 			switch fn := n.(type) {
 			case *ast.FuncDecl:
 				if fn.Body != nil {
-					checkLockIO(pass, fn.Body)
+					checkLockIO(pass, fn.Body, entryLocks(pass, fn))
 				}
 			case *ast.FuncLit:
-				checkLockIO(pass, fn.Body)
+				checkLockIO(pass, fn.Body, nil)
 			}
 			return true
 		})
@@ -57,11 +75,47 @@ func runLockIO(pass *Pass) error {
 	return nil
 }
 
+// entryLocks returns the lock keys ("s.mu") a *Locked method holds on
+// entry: one per sync.Mutex / sync.RWMutex field of its receiver's
+// struct ("s" itself for an embedded one). Nil for anything else.
+func entryLocks(pass *Pass, fn *ast.FuncDecl) []string {
+	if !strings.HasSuffix(fn.Name.Name, lockedSuffix) || fn.Recv == nil ||
+		len(fn.Recv.List) != 1 || len(fn.Recv.List[0].Names) != 1 {
+		return nil
+	}
+	recv := fn.Recv.List[0].Names[0]
+	obj := pass.TypesInfo.Defs[recv]
+	if obj == nil {
+		return nil
+	}
+	t := obj.Type()
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	st, ok := t.Underlying().(*types.Struct)
+	if !ok {
+		return nil
+	}
+	var keys []string
+	for i := 0; i < st.NumFields(); i++ {
+		f := st.Field(i)
+		if !isSyncMutexType(f.Type()) {
+			continue
+		}
+		if f.Embedded() {
+			keys = append(keys, recv.Name)
+		} else {
+			keys = append(keys, recv.Name+"."+f.Name())
+		}
+	}
+	return keys
+}
+
 // checkLockIO sweeps one function body (excluding nested function
 // literals, which run on their own goroutine or schedule) in source
 // order and reports I/O calls made between a lock acquisition and its
-// release.
-func checkLockIO(pass *Pass, body *ast.BlockStmt) {
+// release. entry lists the locks held when the body is entered.
+func checkLockIO(pass *Pass, body *ast.BlockStmt, entry []string) {
 	var events []lockEvent
 	var walk func(n ast.Node, inDefer bool)
 	walk = func(n ast.Node, inDefer bool) {
@@ -83,7 +137,12 @@ func checkLockIO(pass *Pass, body *ast.BlockStmt) {
 	walk(body, false)
 	sort.Slice(events, func(i, j int) bool { return events[i].pos < events[j].pos })
 
+	// held maps a lock key to where it was taken; token.NoPos marks one
+	// held on entry.
 	held := map[string]token.Pos{}
+	for _, key := range entry {
+		held[key] = token.NoPos
+	}
 	for _, ev := range events {
 		switch ev.kind {
 		case 0:
@@ -93,9 +152,21 @@ func checkLockIO(pass *Pass, body *ast.BlockStmt) {
 				delete(held, ev.key)
 			}
 		case 2:
+			// The caller of a *Locked method holds one of its receiver's
+			// mutexes, not all: report the candidates once.
+			var onEntry []string
 			for key, at := range held {
+				if at == token.NoPos {
+					onEntry = append(onEntry, key)
+					continue
+				}
 				pass.Reportf(ev.pos, "blocking I/O %s while %s (locked at line %d) is held; move the I/O outside the critical section or //lint:allow lockio <reason>",
 					ev.desc, key, pass.Fset.Position(at).Line)
+			}
+			if len(onEntry) > 0 {
+				sort.Strings(onEntry)
+				pass.Reportf(ev.pos, "blocking I/O %s while %s (held on entry: the function name ends in %s) is held; move the I/O to the caller, outside the critical section, or //lint:allow lockio <reason>",
+					ev.desc, strings.Join(onEntry, " or "), lockedSuffix)
 			}
 		}
 	}
@@ -124,6 +195,14 @@ func classifyCall(pass *Pass, call *ast.CallExpr, inDefer bool) (lockEvent, bool
 		}
 		return lockEvent{pos: call.Pos(), kind: kind, key: key, deferred: inDefer}, true
 	}
+	if id, ok := sel.X.(*ast.Ident); ok {
+		if pkg, ok := pass.TypesInfo.Uses[id].(*types.PkgName); ok {
+			if pkg.Imported().Path() == "os" && osFuncNames[name] {
+				return lockEvent{pos: call.Pos(), kind: 2, desc: "os." + name}, true
+			}
+			return lockEvent{}, false
+		}
+	}
 	if !ioMethodNames[name] {
 		return lockEvent{}, false
 	}
@@ -150,17 +229,7 @@ func isSyncMutexMethod(pass *Pass, sel *ast.SelectorExpr) bool {
 	if !ok || sig.Recv() == nil {
 		return false
 	}
-	t := sig.Recv().Type()
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	o := named.Obj()
-	return o.Pkg() != nil && o.Pkg().Path() == "sync" &&
-		(o.Name() == "Mutex" || o.Name() == "RWMutex")
+	return isSyncMutexType(sig.Recv().Type())
 }
 
 // lockKey names the mutex being operated on: "s.mu" for s.mu.Lock(),

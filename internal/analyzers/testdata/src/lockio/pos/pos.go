@@ -69,3 +69,58 @@ func FileUnderLock(mu *sync.RWMutex, f *os.File, p []byte) error {
 	_, err := f.ReadAt(p, 0) // want `f\.ReadAt while mu`
 	return err
 }
+
+// SyncUnderLock fsyncs and renames inside the critical section: the
+// checkpoint-install pattern logstore moved off its lock.
+func SyncUnderLock(mu *sync.Mutex, f *os.File) error {
+	mu.Lock()
+	defer mu.Unlock()
+	if err := f.Sync(); err != nil { // want `f\.Sync while mu`
+		return err
+	}
+	return os.Rename("a.tmp", "a") // want `os\.Rename while mu`
+}
+
+type store struct {
+	mu sync.RWMutex
+	f  *os.File
+}
+
+// appendLocked follows the naming convention — its caller holds s.mu —
+// so the write inside it is under the lock although no Lock call is in
+// sight.
+func (s *store) appendLocked(p []byte) error {
+	_, err := s.f.WriteAt(p, 0) // want `s\.f\.WriteAt while s\.mu \(held on entry`
+	return err
+}
+
+// swapLocked re-acquires after a release: I/O between Unlock and Lock
+// is clean, I/O after the Lock is not.
+func (s *store) swapLocked(p []byte) {
+	s.mu.Unlock()
+	s.f.Write(p)
+	s.mu.Lock()
+	s.f.Close() // want `s\.f\.Close while s\.mu \(locked at line`
+}
+
+// pruneLocked unlinks through the os package under the lock.
+func (s *store) pruneLocked(path string) error {
+	return os.Remove(path) // want `os\.Remove while s\.mu \(held on entry`
+}
+
+// writeLocked: an embedded mutex makes the receiver itself the key.
+func (e *embedded) writeLocked(w io.Writer, p []byte) {
+	w.Write(p) // want `w\.Write while e \(held on entry`
+}
+
+type twoLocks struct {
+	logMu  sync.Mutex
+	connMu sync.Mutex
+	st     pfsnet.ObjectStore
+}
+
+// flushLocked's receiver has two mutexes; the caller holds one of
+// them, and the finding names the candidates once.
+func (t *twoLocks) flushLocked(data []byte) error {
+	return t.st.WriteAt(1, 0, data) // want `t\.st\.WriteAt while t\.connMu or t\.logMu \(held on entry`
+}

@@ -2,10 +2,10 @@ package logstore
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"sort"
 	"time"
 )
 
@@ -26,13 +26,20 @@ import (
 //	  u64  logical size
 //	  u64  extent count
 //	  per extent: u64 off, u64 n, u64 seg, u64 pos, u64 gen
+//	u64  segment count
+//	per segment, ascending: u64 sequence, u64 dataBytes
 //	u32  crc32c over everything above
+//
+// The segment table restores each segment's share of dataBytes (its
+// live share follows from the extents), which is what the cleaner picks
+// victims by. It lists every segment in the log when the table was
+// encoded; the extents may reference only listed segments.
 //
 // Installation is atomic: the bytes go to checkpoint.tmp, that file is
 // fsynced, renamed over "checkpoint", and the directory is fsynced. A
 // crash at any instant leaves either the old checkpoint or the new one
 // — never a readable half of each.
-var ckptMagic = [8]byte{'I', 'B', 'L', 'O', 'G', 'C', 'K', '1'}
+var ckptMagic = [8]byte{'I', 'B', 'L', 'O', 'G', 'C', 'K', '2'}
 
 // checkpointState is a decoded checkpoint.
 type checkpointState struct {
@@ -41,25 +48,35 @@ type checkpointState struct {
 	off       int64
 	dataBytes int64
 	objects   map[uint64]*object
-	liveBytes int64
+	segData   map[uint64]int64 // payload bytes appended, per listed segment
+}
+
+// refs returns the segments the checkpoint cannot be trusted without:
+// the one it was appending to and every one an extent points into.
+func (ck *checkpointState) refs() map[uint64]bool {
+	refs := map[uint64]bool{ck.seg: true}
+	for _, o := range ck.objects {
+		for _, e := range o.ext {
+			refs[e.seg] = true
+		}
+	}
+	return refs
 }
 
 func putU64(b []byte, v uint64) { binary.BigEndian.PutUint64(b, v) }
 
 // encodeCheckpointLocked serializes the mapping table (mu held).
-// Objects and their extents are written in sorted order so the bytes —
-// and the CRC — are a pure function of the store state.
+// Objects, their extents and the segment table are written in sorted
+// order so the bytes — and the CRC — are a pure function of the store
+// state.
 func (s *LogStore) encodeCheckpointLocked() []byte {
-	ids := make([]uint64, 0, len(s.objects))
-	for id := range s.objects {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	buf := make([]byte, 0, 8+5*8+len(ids)*3*8)
+	ids := sortedKeys(s.objects)
+	seqs := sortedKeys(s.segs)
+	buf := make([]byte, 0, 8+6*8+len(ids)*3*8+len(seqs)*2*8+4)
 	buf = append(buf, ckptMagic[:]...)
 	buf = binary.BigEndian.AppendUint64(buf, s.gen)
-	buf = binary.BigEndian.AppendUint64(buf, s.active)
-	buf = binary.BigEndian.AppendUint64(buf, uint64(s.tail))
+	buf = binary.BigEndian.AppendUint64(buf, s.active.seq)
+	buf = binary.BigEndian.AppendUint64(buf, uint64(s.active.size))
 	buf = binary.BigEndian.AppendUint64(buf, uint64(s.dataBytes))
 	buf = binary.BigEndian.AppendUint64(buf, uint64(len(ids)))
 	for _, id := range ids {
@@ -75,16 +92,58 @@ func (s *LogStore) encodeCheckpointLocked() []byte {
 			buf = binary.BigEndian.AppendUint64(buf, e.gen)
 		}
 	}
+	buf = binary.BigEndian.AppendUint64(buf, uint64(len(seqs)))
+	for _, seq := range seqs {
+		buf = binary.BigEndian.AppendUint64(buf, seq)
+		buf = binary.BigEndian.AppendUint64(buf, uint64(s.segs[seq].data))
+	}
 	return binary.BigEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
 }
 
-// checkpointLocked installs a checkpoint of the current state (mu
-// held): write to the staging file, fsync, rename into place, fsync
-// the directory.
-func (s *LogStore) checkpointLocked() error {
+// checkpoint installs a checkpoint of the current state. The table is
+// encoded under mu — after dropping the cleaned segments in drop from
+// the log, so the table it encodes no longer lists them — and written,
+// fsynced and renamed into place outside it. Callers hold the
+// maintenance token (Open runs before any concurrency), which is what
+// keeps an older table from being installed over a newer one.
+func (s *LogStore) checkpoint(drop []*segment) error {
 	start := time.Now()
+	s.mu.Lock()
+	if err := s.logDownLocked(); err != nil {
+		s.mu.Unlock()
+		return err
+	}
+	for _, v := range drop {
+		if v.live != 0 {
+			panic(fmt.Sprintf("logstore: dropping segment %d with %d live bytes", v.seq, v.live))
+		}
+		delete(s.segs, v.seq)
+		s.dataBytes -= v.data
+		s.frameBytes -= v.size
+	}
 	buf := s.encodeCheckpointLocked()
-	tmp := filepath.Join(s.dir, ckptTmpName)
+	s.sinceCkpt = 0
+	s.setByteGauges()
+	s.mu.Unlock()
+	if err := writeCheckpoint(s.dir, buf); err != nil {
+		return err
+	}
+	s.mu.Lock()
+	s.st.checkpoints++
+	s.mu.Unlock()
+	if s.oc != nil {
+		s.oc.checkpoints.Inc()
+	}
+	if tr := s.cfg.Tracer; tr != nil {
+		tr.Span(tr.NewID(), tr.NewID(), 0, "logstore.checkpoint", s.cfg.Scope, start, time.Since(start))
+	}
+	return nil
+}
+
+// writeCheckpoint installs buf as dir's checkpoint: write to the
+// staging file, fsync, rename into place, fsync the directory.
+func writeCheckpoint(dir string, buf []byte) error {
+	tmp := filepath.Join(dir, ckptTmpName)
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
@@ -100,21 +159,10 @@ func (s *LogStore) checkpointLocked() error {
 	if err := f.Close(); err != nil {
 		return err
 	}
-	if err := os.Rename(tmp, filepath.Join(s.dir, ckptName)); err != nil {
+	if err := os.Rename(tmp, filepath.Join(dir, ckptName)); err != nil {
 		return err
 	}
-	if err := syncDir(s.dir); err != nil {
-		return err
-	}
-	s.sinceCkpt = 0
-	s.st.checkpoints++
-	if s.oc != nil {
-		s.oc.checkpoints.Inc()
-	}
-	if tr := s.cfg.Tracer; tr != nil {
-		tr.Span(tr.NewID(), tr.NewID(), 0, "logstore.checkpoint", s.cfg.Scope, start, time.Since(start))
-	}
-	return nil
+	return syncDir(dir)
 }
 
 // syncDir fsyncs a directory so a just-renamed entry is durable.
@@ -140,7 +188,7 @@ func loadCheckpoint(path string) (ck checkpointState, ok bool) {
 	if err != nil {
 		return ck, false
 	}
-	if len(buf) < 8+5*8+4 || [8]byte(buf[:8]) != ckptMagic {
+	if len(buf) < 8+6*8+4 || [8]byte(buf[:8]) != ckptMagic {
 		return ck, false
 	}
 	body, trailer := buf[:len(buf)-4], binary.BigEndian.Uint32(buf[len(buf)-4:])
@@ -181,14 +229,45 @@ func loadCheckpoint(path string) (ck checkpointState, ok bool) {
 			}
 			prevEnd = e.off + e.n
 			o.ext = append(o.ext, e)
-			ck.liveBytes += e.n
 		}
 		if _, dup := ck.objects[id]; dup {
 			return checkpointState{}, false
 		}
 		ck.objects[id] = o
 	}
-	if len(r) != 0 {
+	if len(r) < 8 {
+		return checkpointState{}, false
+	}
+	nSeg := u64()
+	if nSeg != uint64(len(r))/(2*8) || len(r)%(2*8) != 0 {
+		return checkpointState{}, false
+	}
+	ck.segData = make(map[uint64]int64, nSeg)
+	var prevSeq uint64
+	var total int64
+	for range nSeg {
+		seq, data := u64(), int64(u64())
+		if seq <= prevSeq || data < 0 {
+			return checkpointState{}, false
+		}
+		prevSeq = seq
+		ck.segData[seq] = data
+		total += data
+	}
+	// Every segment the table points into must be listed and hold at
+	// least the bytes the extents claim live in it.
+	live := make(map[uint64]int64, nSeg)
+	for _, o := range ck.objects {
+		for _, e := range o.ext {
+			live[e.seg] += e.n
+		}
+	}
+	for _, seq := range sortedKeys(live) {
+		if data, ok := ck.segData[seq]; !ok || live[seq] > data {
+			return checkpointState{}, false
+		}
+	}
+	if _, ok := ck.segData[ck.seg]; !ok || total != ck.dataBytes {
 		return checkpointState{}, false
 	}
 	return ck, true

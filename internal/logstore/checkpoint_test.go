@@ -114,24 +114,49 @@ func TestCheckpointRejectsInconsistentTables(t *testing.T) {
 		}
 		return b
 	}
+	// segs appends the segment table: (sequence, dataBytes) pairs.
+	segs := func(b []byte, pairs ...uint64) []byte {
+		return u64s(append(b, 0, 0, 0, 0, 0, 0, 0, byte(len(pairs)/2)), pairs...)
+	}
 	cases := []struct {
 		name string
 		raw  []byte
 	}{
-		{"coverage-below-header", seal(header(1, 1, 3, 0, 0))},
-		{"trailing-garbage", seal(append(header(1, 1, 16, 0, 0), 0xAB))},
-		{"object-count-overruns", seal(header(1, 1, 16, 0, 7))},
+		{"coverage-below-header", seal(segs(header(1, 1, 3, 0, 0), 1, 0))},
+		{"trailing-garbage", seal(append(segs(header(1, 1, 16, 0, 0), 1, 0), 0xAB))},
+		{"object-count-overruns", seal(segs(header(1, 1, 16, 0, 7), 1, 0))},
 		// One object claiming one extent but no extent bytes follow.
-		{"extent-count-overruns", seal(u64s(header(1, 1, 16, 0, 1), 5, 100, 1))},
+		{"extent-count-overruns", seal(segs(u64s(header(1, 1, 16, 0, 1), 5, 100, 1), 1, 0))},
 		// Extent end past object size.
-		{"extent-past-size", seal(u64s(header(1, 1, 16, 10, 1), 5, 50, 1, 40, 20, 1, 16, 1))},
+		{"extent-past-size", seal(segs(u64s(header(1, 1, 16, 20, 1), 5, 50, 1, 40, 20, 1, 16, 1), 1, 20))},
 		// Overlapping extents (off 0..20 then 10..30).
-		{"overlapping-extents", seal(u64s(header(1, 1, 16, 40, 1), 5, 30, 2, 0, 20, 1, 16, 1, 10, 20, 1, 44, 1))},
+		{"overlapping-extents", seal(segs(u64s(header(1, 1, 16, 40, 1), 5, 30, 2, 0, 20, 1, 16, 1, 10, 20, 1, 44, 1), 1, 40))},
 		// Extent data position inside the segment header.
-		{"pos-in-header", seal(u64s(header(1, 1, 16, 10, 1), 5, 10, 1, 0, 10, 1, 4, 1))},
+		{"pos-in-header", seal(segs(u64s(header(1, 1, 16, 10, 1), 5, 10, 1, 0, 10, 1, 4, 1), 1, 10))},
 		// Duplicate object id.
-		{"dup-object", seal(u64s(header(1, 1, 16, 0, 2), 5, 0, 0, 5, 0, 0))},
+		{"dup-object", seal(segs(u64s(header(1, 1, 16, 0, 2), 5, 0, 0, 5, 0, 0), 1, 0))},
+		// The segment table: missing, unsorted, not listing a segment an
+		// extent points into, listing fewer bytes than are live there,
+		// not listing the active segment, disagreeing with dataBytes.
+		{"no-segment-table", seal(header(1, 1, 16, 0, 0))},
+		{"segments-unsorted", seal(segs(header(1, 2, 16, 0, 0), 2, 0, 1, 0))},
+		{"extent-in-unlisted-segment", seal(segs(u64s(header(1, 2, 16, 10, 1), 5, 10, 1, 0, 10, 1, 16, 1), 2, 10))},
+		{"live-exceeds-segment-data", seal(segs(u64s(header(1, 1, 16, 5, 1), 5, 10, 1, 0, 10, 1, 16, 1), 1, 5))},
+		{"active-unlisted", seal(segs(header(1, 2, 16, 0, 0), 1, 0))},
+		{"data-bytes-disagree", seal(segs(header(1, 1, 16, 7, 0), 1, 0))},
 	}
+	// The control: the same builders produce a table loadCheckpoint
+	// accepts, so each rejection above is for the defect it names.
+	t.Run("control-accepted", func(t *testing.T) {
+		p := filepath.Join(t.TempDir(), "ck")
+		raw := seal(segs(u64s(header(1, 2, 16, 30, 1), 5, 10, 1, 0, 10, 1, 16, 1), 1, 30, 2, 0))
+		if err := os.WriteFile(p, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := loadCheckpoint(p); !ok {
+			t.Fatal("loadCheckpoint rejected a consistent table")
+		}
+	})
 	dir := t.TempDir()
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

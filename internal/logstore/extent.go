@@ -24,9 +24,10 @@ type object struct {
 }
 
 // insert splices e into the extent list, trimming or splitting any
-// older extents it overlaps, and returns the number of previously live
-// bytes the new extent superseded (they become log garbage).
-func (o *object) insert(e extent) (dead int64) {
+// older extents it overlaps, and reports each run of previously live
+// bytes the new extent superseded to dead, keyed by the segment holding
+// them (they become that segment's garbage).
+func (o *object) insert(e extent, dead func(seg uint64, n int64)) {
 	if end := e.off + e.n; end > o.size {
 		o.size = end
 	}
@@ -54,7 +55,7 @@ func (o *object) insert(e extent) (dead int64) {
 		}
 		lo := max(old.off, e.off)
 		hi := min(old.off+old.n, e.off+e.n)
-		dead += hi - lo
+		dead(old.seg, hi-lo)
 	}
 	repl := make([]extent, 0, 3)
 	if hasLeft {
@@ -65,7 +66,6 @@ func (o *object) insert(e extent) (dead int64) {
 		repl = append(repl, right)
 	}
 	o.ext = slices.Replace(o.ext, i, j, repl...)
-	return dead
 }
 
 // each calls fn for every live extent intersecting [off, off+n),
@@ -79,13 +79,4 @@ func (o *object) each(off, n int64, fn func(e extent, dst int64)) {
 		hi := min(e.off+e.n, off+n)
 		fn(extent{off: lo, n: hi - lo, seg: e.seg, pos: e.pos + (lo - e.off), gen: e.gen}, lo-off)
 	}
-}
-
-// liveBytes sums the extent lengths.
-func (o *object) liveBytes() int64 {
-	var n int64
-	for _, e := range o.ext {
-		n += e.n
-	}
-	return n
 }

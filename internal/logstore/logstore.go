@@ -8,33 +8,41 @@
 // recovery come from three mechanisms (DESIGN §14):
 //
 //   - Journal replay. Open loads the most recent durable checkpoint
-//     (the serialized mapping table) and replays the log suffix past
-//     it. The first record that fails to frame or checksum marks the
-//     torn tail: the file is truncated there, so a crash mid-append
-//     loses at most the record being written — never an acknowledged
-//     one, and never a byte of one (records are atomic).
-//   - Checkpoints. The mapping table is serialized to a staging file,
-//     fsynced, and renamed over the previous checkpoint — atomically —
-//     after every CheckpointBytes of appended log, at every clean
+//     (the serialized mapping table) and replays the log past it: the
+//     suffix of the segment it was appending to, then every newer
+//     segment in sequence order. The first record that fails to frame
+//     or checksum marks the torn tail: the file is truncated there, so
+//     a crash mid-append loses at most the record being written — never
+//     an acknowledged one, and never a byte of one (records are atomic).
+//   - Checkpoints. The mapping table is encoded under the store lock
+//     and then — outside it — written to a staging file, fsynced, and
+//     renamed over the previous checkpoint, after every CheckpointBytes
+//     of appended log, after every cleaning cycle, at every clean
 //     Close, and once per Open (which also stamps the new generation).
 //     A corrupt or missing checkpoint is never trusted: Open falls
 //     back to replaying every surviving segment from offset zero,
 //     which reconstructs the identical state (the checkpoint is an
 //     accelerator, not a source of truth).
 //   - Generation stamps. Each Open bumps the store generation and
-//     every record carries the generation that appended it. A replayed
-//     suffix must carry exactly the checkpoint's generation (full
-//     replay: non-decreasing generations); anything else is treated as
-//     corruption and truncated. Re-issued writeback after a
-//     crash/restart appends a fresh record under the new generation —
-//     applying it on top of a survivor of the old one is idempotent
-//     (last-writer-wins over identical bytes).
+//     every record carries the generation that appended it. Records
+//     replayed past a checkpoint must carry exactly the checkpoint's
+//     generation (full replay: non-decreasing generations); anything
+//     else is treated as corruption and truncated. Re-issued writeback
+//     after a crash/restart appends a fresh record under the new
+//     generation — applying it on top of a survivor of the old one is
+//     idempotent (last-writer-wins over identical bytes).
 //
-// Background compaction rewrites live extents into a fresh segment
-// once the dead-byte ratio passes Config.GarbageRatio, then installs a
-// checkpoint and deletes the old segment. The union of surviving
-// segments replayed in (sequence, offset) order always reproduces the
-// store state, whatever instant a crash interrupts compaction at.
+// The log is segmented: the active segment rolls when it reaches
+// CheckpointBytes, and sealed segments are immutable. Once the sealed
+// segments' dead-byte ratio passes Config.GarbageRatio the maintenance
+// goroutine cleans them incrementally (clean.go): the sealed segments
+// with the fewest live bytes have those bytes re-appended through the
+// ordinary append path in small batches, and are unlinked once the
+// copies are fsynced and a checkpoint that no longer references them is
+// installed. No fsync, rename, unlink or copy loop runs under the store
+// lock. The union of surviving segments replayed in (sequence, offset)
+// order always reproduces the store state, whatever instant a crash
+// interrupts cleaning at.
 //
 // The store degrades, never lies: a simulated SSD device failure
 // (FailDevice, driven by the fault plan's ssdfail clause) freezes the
@@ -43,6 +51,7 @@
 package logstore
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -62,27 +71,36 @@ import (
 // until the next Open replays the log.
 var ErrCrashed = fmt.Errorf("logstore: simulated crash; reopen to recover")
 
+// errDeviceDown aborts maintenance on a degraded store; it never
+// reaches a caller.
+var errDeviceDown = errors.New("logstore: log device failed")
+
 // Config tunes one store instance. The zero value gives usable
 // defaults.
 type Config struct {
-	// CheckpointBytes installs a mapping-table checkpoint after this
-	// many appended log bytes (default 4 MB; negative disables periodic
-	// checkpoints — Open and clean Close still install one).
+	// CheckpointBytes is the segment size: the active segment rolls
+	// once it holds this many bytes, and a mapping-table checkpoint is
+	// installed after this many appended log bytes (default 4 MB;
+	// negative keeps the default segment size and disables periodic
+	// checkpoints — Open, clean Close and the cleaner still install
+	// one).
 	CheckpointBytes int64
-	// GarbageRatio triggers background compaction when
-	// dead bytes / total data bytes exceeds it (default 0.5; must be
-	// in (0, 1)).
+	// GarbageRatio triggers background cleaning when dead bytes / total
+	// data bytes over the sealed segments exceeds it (default 0.5; must
+	// be in (0, 1)).
 	GarbageRatio float64
-	// CompactMinBytes suppresses compaction below this much appended
+	// CompactMinBytes suppresses cleaning below this much appended
 	// data, so tiny stores don't churn (default 1 MB).
 	CompactMinBytes int64
-	// NoCompactor disables the background compaction goroutine; tests
-	// and the recovery harness call Compact explicitly.
+	// NoCompactor disables the background maintenance goroutine:
+	// periodic checkpoints are installed by the write that makes them
+	// due, and cleaning runs only when tests and the recovery harness
+	// call Compact.
 	NoCompactor bool
 	// Obs, when set, receives "logstore.*" metrics (appends, log/live
-	// bytes, checkpoints, replays, truncated tails, compaction runs).
+	// bytes, checkpoints, replays, truncated tails, cleaning cycles).
 	Obs *obs.Registry
-	// Tracer, when set, records replay/checkpoint/compaction spans
+	// Tracer, when set, records replay/checkpoint/cleaning spans
 	// under Scope.
 	Tracer *obs.XTracer
 	// Scope names this store in spans and log lines (e.g. "srv0").
@@ -91,8 +109,10 @@ type Config struct {
 
 // Stats is a snapshot of store activity since Open.
 type Stats struct {
-	// Appends counts acknowledged record appends; AppendedBytes their
-	// data payload bytes.
+	// Appends counts acknowledged user record appends; AppendedBytes
+	// the payload bytes of every record appended, cleaner copies
+	// included (AppendedBytes over the user bytes written is the
+	// store's write amplification).
 	Appends, AppendedBytes int64
 	// LogBytes is the current on-disk log size (all segments, frames
 	// included); LiveBytes the data bytes still referenced by the
@@ -107,8 +127,10 @@ type Stats struct {
 	// BadCheckpoints counts checkpoints that failed validation and
 	// forced a full replay.
 	TruncatedTails, BadGenerations, BadCheckpoints int64
-	// CompactionRuns counts completed compactions.
-	CompactionRuns int64
+	// CompactionRuns counts completed cleaning cycles, CleanedSegments
+	// the sealed segments they retired, CopiedBytes the live payload
+	// bytes they re-appended; Rolls counts active-segment rolls.
+	CompactionRuns, CleanedSegments, CopiedBytes, Rolls int64
 	// Generation is the store generation stamped on new records.
 	Generation uint64
 	// DeviceFailed reports degraded (in-memory) mode.
@@ -126,33 +148,55 @@ type obsCounters struct {
 	logBytes, liveBytes                            *obs.Gauge
 }
 
+// segment is one log file. Only the active segment is appended to; a
+// sealed one is immutable until the cleaner retires it.
+type segment struct {
+	seq    uint64
+	f      *os.File
+	size   int64 // on-disk bytes, header included; the append offset while active
+	synced int64 // size the last fsync covered
+	data   int64 // payload bytes appended to it: live + dead
+	live   int64 // payload bytes the mapping table still references
+	// pins counts reads in flight outside mu. A pin is taken under mu
+	// while the segment is in segs; whoever closes the file removes the
+	// segment from segs under mu first, so its Wait sees every pin.
+	pins sync.WaitGroup
+}
+
 // LogStore implements pfsnet.ObjectStore over an append-only,
-// checksummed log with checkpointed recovery. Safe for concurrent use:
-// reads share the lock, writes and compaction serialize on it.
+// checksummed, segmented log with checkpointed recovery. Safe for
+// concurrent use: appends serialize on the lock, reads resolve their
+// extents under it and pread outside it, maintenance (checkpoints,
+// cleaning) does its file I/O outside it.
 type LogStore struct {
-	dir string
-	cfg Config
+	dir      string
+	cfg      Config
+	segBytes int64 // the active segment rolls once it holds this much
 
 	// mu guards all mutable state below. Appends write the log file
 	// inside the critical section deliberately: the log's append order
 	// IS the replay apply order, so the write cannot move outside the
-	// lock without reordering recovery. Reads hold it shared, which
-	// also pins the segment files against a concurrent compaction swap.
+	// lock without reordering recovery. Nothing else does file I/O
+	// under it (the lockio analyzer holds every *Locked helper to that).
 	mu      sync.RWMutex
-	segs    map[uint64]*os.File
-	active  uint64 // sequence of the append segment
-	tail    int64  // append offset in the active segment
+	segs    map[uint64]*segment // active and sealed segments
+	active  *segment
+	spare   *segment // created ahead of a roll by prepareSpare, not yet in segs
+	nextSeq uint64   // sequence of the next segment to create
 	objects map[uint64]*object
 	gen     uint64
 
 	liveBytes  int64 // data bytes referenced by the mapping table
-	dataBytes  int64 // data bytes appended across live segments (live+dead)
-	frameBytes int64 // on-disk bytes across live segments
-	sinceCkpt  int64 // log bytes appended since the last checkpoint
+	dataBytes  int64 // data bytes appended across segs (live+dead)
+	frameBytes int64 // on-disk bytes across segs
+	sinceCkpt  int64 // log bytes appended since the last checkpoint was encoded
 	enc        []byte
+	closed     bool
 
-	deviceDown bool
-	overlay    map[uint64][]byte // degraded-mode in-memory objects
+	deviceDown  bool
+	overlay     map[uint64][]byte // degraded-mode in-memory objects
+	overlayFill sync.WaitGroup    // open while FailDevice drains the log into overlay
+	overlayErr  error             // the drain's read error; set before overlayFill closes
 
 	// Simulated-kill injection (CrashAppend): when crashAfter counts
 	// down to zero the append writes only a prefix of its frame and the
@@ -162,17 +206,24 @@ type LogStore struct {
 	crashFrac  float64
 	crashed    bool
 
-	appends atomic.Int64 // record appends; read lock-free by pfsnet's ssdfail trigger
+	appends atomic.Int64 // user record appends; read lock-free by pfsnet's ssdfail trigger
 
 	st struct {
-		appendedBytes, checkpoints, replays, replayedRecords  int64
-		truncatedTails, badGenerations, badCheckpoints        int64
-		compactionRuns, deviceFailures                        int64
+		appendedBytes, checkpoints, replays, replayedRecords int64
+		truncatedTails, badGenerations, badCheckpoints       int64
+		compactionRuns, cleanedSegments, copiedBytes, rolls  int64
+		deviceFailures                                       int64
 	}
 	oc *obsCounters
 
+	// maint is the maintenance token: whoever installs a checkpoint or
+	// runs a cleaning cycle holds it, so checkpoints install in the
+	// order they were encoded and one cleaner owns the sealed segments.
+	// A channel, not a mutex, because its holder fsyncs and renames; no
+	// request path takes it (NoCompactor's inline checkpoint aside).
+	maint     chan struct{}
 	quit      chan struct{}
-	compactC  chan struct{}
+	kickC     chan struct{}
 	wg        sync.WaitGroup
 	closeOnce sync.Once
 	closeErr  error
@@ -184,17 +235,19 @@ const (
 	segHeaderLen = 16 // magic + sequence
 	ckptName     = "checkpoint"
 	ckptTmpName  = "checkpoint.tmp"
+
+	defaultSegBytes = 4 << 20
 )
 
 var segMagic = [8]byte{'I', 'B', 'L', 'S', 'E', 'G', '0', '1'}
 
 // Open opens (or creates) the store under dir, replaying any existing
-// journal: the checkpointed mapping table is loaded, the log suffix is
+// journal: the checkpointed mapping table is loaded, the log past it is
 // replayed, torn tails are truncated, and a fresh checkpoint is
 // installed under the bumped generation before the store serves.
 func Open(dir string, cfg Config) (*LogStore, error) {
 	if cfg.CheckpointBytes == 0 {
-		cfg.CheckpointBytes = 4 << 20
+		cfg.CheckpointBytes = defaultSegBytes
 	}
 	if cfg.GarbageRatio <= 0 || cfg.GarbageRatio >= 1 {
 		cfg.GarbageRatio = 0.5
@@ -206,10 +259,17 @@ func Open(dir string, cfg Config) (*LogStore, error) {
 		return nil, err
 	}
 	s := &LogStore{
-		dir:     dir,
-		cfg:     cfg,
-		segs:    make(map[uint64]*os.File),
-		objects: make(map[uint64]*object),
+		dir:      dir,
+		cfg:      cfg,
+		segBytes: cfg.CheckpointBytes,
+		segs:     make(map[uint64]*segment),
+		objects:  make(map[uint64]*object),
+		maint:    make(chan struct{}, 1),
+		quit:     make(chan struct{}),
+		kickC:    make(chan struct{}, 1),
+	}
+	if s.segBytes < 0 {
+		s.segBytes = defaultSegBytes
 	}
 	if reg := cfg.Obs; reg != nil {
 		s.oc = &obsCounters{
@@ -227,14 +287,12 @@ func Open(dir string, cfg Config) (*LogStore, error) {
 		}
 	}
 	if err := s.recover(); err != nil {
-		s.closeSegsLocked()
+		s.closeSegments()
 		return nil, err
 	}
-	s.quit = make(chan struct{})
-	s.compactC = make(chan struct{}, 1)
 	if !cfg.NoCompactor {
 		s.wg.Add(1)
-		go s.compactor()
+		go s.maintainer()
 	}
 	return s, nil
 }
@@ -279,19 +337,12 @@ func (s *LogStore) recover() error {
 		return err
 	}
 	hadState := ckOK || len(seqs) > 0
-	// A checkpoint usually references one segment (compaction rewrites
-	// everything into the new one before checkpointing), but a recovery
-	// checkpoint taken after a full replay can reference several. Every
-	// referenced segment must survive on disk or the checkpoint is not
+	// Every segment the table references, and the one the checkpoint
+	// was appending to, must survive on disk or the checkpoint is not
 	// trustworthy.
 	var refs map[uint64]bool
 	if ckOK {
-		refs = map[uint64]bool{ck.seg: true}
-		for _, o := range ck.objects {
-			for _, e := range o.ext {
-				refs[e.seg] = true
-			}
-		}
+		refs = ck.refs()
 		for _, seq := range sortedKeys(refs) {
 			if !containsSeq(seqs, seq) {
 				ckOK = false
@@ -306,64 +357,74 @@ func (s *LogStore) recover() error {
 		}
 	}
 	if ckOK {
-		// Unreferenced segments — compaction input already superseded
-		// by the checkpoint, or a torn compaction output that never
-		// made it into one — are deleted, not replayed: the referenced
-		// segments cover all live data.
+		// Under a valid checkpoint a segment older than the one it was
+		// appending to was already sealed when the table was encoded:
+		// unreferenced, it holds nothing live (a cleaned victim whose
+		// unlink the crash pre-empted) and is deleted. Everything newer
+		// was appended after the table was encoded and is replayed.
+		kept := seqs[:0]
 		for _, seq := range seqs {
-			if !refs[seq] {
+			if seq < ck.seg && !refs[seq] {
 				os.Remove(segPath(s.dir, seq))
+				continue
 			}
+			kept = append(kept, seq)
 		}
-		for _, seq := range sortedKeys(refs) {
-			f, tail, err := s.openSegment(seq, false)
-			if err != nil {
-				return err
-			}
-			s.segs[seq] = f
-			s.frameBytes += tail
-			if seq == ck.seg {
-				s.active, s.tail = seq, tail
-			}
-		}
+		seqs = kept
 		s.gen = ck.gen
-		s.objects, s.liveBytes = ck.objects, ck.liveBytes
-		s.dataBytes = ck.dataBytes
-		// Replay the active segment's suffix past the checkpoint.
-		// Records there must carry exactly the checkpoint's generation:
-		// the generation is re-stamped by the checkpoint every Open
-		// installs, so any other value is corruption, not history.
-		if err := s.replaySegment(ck.seg, max(ck.off, segHeaderLen), ck.gen, true); err != nil {
-			return err
-		}
-	} else {
-		// No trustworthy checkpoint: replay every surviving segment
-		// from scratch, oldest first. Generations must be
-		// non-decreasing in append order.
-		var lastGen uint64
-		for _, seq := range seqs {
-			f, tail, err := s.openSegment(seq, false)
-			if err != nil {
-				return err
-			}
-			s.segs[seq] = f
-			s.active, s.tail = seq, tail
-			s.frameBytes += tail
-			if err := s.replaySegment(seq, segHeaderLen, lastGen, false); err != nil {
-				return err
-			}
-			lastGen = s.gen
-		}
+		s.objects = ck.objects
 	}
-	if len(s.segs) == 0 {
-		s.active = 1
-		f, tail, err := s.openSegment(s.active, true)
+	for _, seq := range seqs {
+		seg, err := s.openSegment(seq)
 		if err != nil {
 			return err
 		}
-		s.segs[s.active] = f
-		s.tail, s.frameBytes = tail, tail
+		s.segs[seq] = seg
+		s.active = seg
+		s.frameBytes += seg.size
+		if ckOK && seq <= ck.seg {
+			seg.data = ck.segData[seq]
+			s.dataBytes += seg.data
+		}
 	}
+	if ckOK {
+		for _, id := range sortedKeys(s.objects) {
+			for _, e := range s.objects[id].ext {
+				s.segs[e.seg].live += e.n
+				s.liveBytes += e.n
+			}
+		}
+	}
+	// Replay in (sequence, offset) order. Past a checkpoint every record
+	// must carry exactly its generation — the generation is re-stamped
+	// by the checkpoint every Open installs, so any other value is
+	// corruption, not history. Without one, generations must be
+	// non-decreasing in append order, oldest segment first.
+	var lastGen uint64
+	for _, seq := range seqs {
+		switch {
+		case !ckOK:
+			err = s.replaySegment(s.segs[seq], segHeaderLen, lastGen, false)
+			lastGen = s.gen
+		case seq == ck.seg:
+			err = s.replaySegment(s.segs[seq], ck.off, ck.gen, true)
+		case seq > ck.seg:
+			err = s.replaySegment(s.segs[seq], segHeaderLen, ck.gen, true)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	if s.active == nil {
+		f, err := createSegment(s.dir, 1)
+		if err != nil {
+			return err
+		}
+		s.active = &segment{seq: 1, f: f, size: segHeaderLen}
+		s.segs[1] = s.active
+		s.frameBytes = segHeaderLen
+	}
+	s.nextSeq = s.active.seq + 1
 	s.gen++ // this run's generation
 	if hadState {
 		s.st.replays++
@@ -373,10 +434,9 @@ func (s *LogStore) recover() error {
 	}
 	// The recovery checkpoint stamps the new generation and makes the
 	// truncated, replayed state durable before the store serves.
-	if err := s.checkpointLocked(); err != nil {
+	if err := s.checkpoint(nil); err != nil {
 		return err
 	}
-	s.setByteGauges()
 	if tr := s.cfg.Tracer; tr != nil {
 		tr.Span(tr.NewID(), tr.NewID(), 0, "logstore.replay", s.cfg.Scope, start, time.Since(start))
 	}
@@ -389,62 +449,76 @@ func containsSeq(seqs []uint64, seq uint64) bool {
 	return i < len(seqs) && seqs[i] == seq
 }
 
-// openSegment opens segment seq, creating and stamping it when create
-// is set, and returns the handle plus its current size. An existing
-// segment whose header is torn (shorter than the header, or stamped
-// wrong) is reset to an empty stamped segment — the header write
-// itself can be the interrupted operation.
-func (s *LogStore) openSegment(seq uint64, create bool) (*os.File, int64, error) {
-	flags := os.O_RDWR
-	if create {
-		flags |= os.O_CREATE
-	}
-	f, err := os.OpenFile(segPath(s.dir, seq), flags, 0o644)
+// segHeader returns the 16-byte header of segment seq.
+func segHeader(seq uint64) (hdr [segHeaderLen]byte) {
+	copy(hdr[:8], segMagic[:])
+	putU64(hdr[8:], seq)
+	return hdr
+}
+
+// createSegment creates and stamps segment seq. It neither truncates
+// nor fails on an existing file, so two writers racing to create the
+// same spare (prepareSpare) write the same 16 bytes to the same file.
+func createSegment(dir string, seq uint64) (*os.File, error) {
+	f, err := os.OpenFile(segPath(dir, seq), os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
+	}
+	hdr := segHeader(seq)
+	if _, err := f.WriteAt(hdr[:], 0); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return f, nil
+}
+
+// openSegment opens the existing segment seq for recovery. A segment
+// whose header is torn (shorter than the header, or stamped wrong) is
+// reset to an empty stamped segment — the header write itself can be
+// the interrupted operation.
+func (s *LogStore) openSegment(seq uint64) (*segment, error) {
+	f, err := os.OpenFile(segPath(s.dir, seq), os.O_RDWR, 0o644)
+	if err != nil {
+		return nil, err
 	}
 	st, err := f.Stat()
 	if err != nil {
 		f.Close()
-		return nil, 0, err
+		return nil, err
 	}
 	size := st.Size()
-	var hdr [segHeaderLen]byte
+	var magic [8]byte
 	ok := size >= segHeaderLen
 	if ok {
-		if _, err := f.ReadAt(hdr[:8], 0); err != nil || [8]byte(hdr[:8]) != segMagic {
+		if _, err := f.ReadAt(magic[:], 0); err != nil || magic != segMagic {
 			ok = false
 		}
 	}
 	if !ok {
-		copy(hdr[:8], segMagic[:])
-		putU64(hdr[8:], seq)
+		hdr := segHeader(seq)
 		if _, err := f.WriteAt(hdr[:], 0); err != nil {
 			f.Close()
-			return nil, 0, err
+			return nil, err
 		}
 		if err := f.Truncate(segHeaderLen); err != nil {
 			f.Close()
-			return nil, 0, err
+			return nil, err
 		}
 		size = segHeaderLen
 	}
-	return f, size, nil
+	return &segment{seq: seq, f: f, size: size}, nil
 }
 
-// replaySegment applies the records of segment seq from byte offset
-// from to the current tail. strict pins every record's generation to
-// wantGen (suffix replay under a checkpoint); otherwise generations
-// must be non-decreasing starting at wantGen and s.gen tracks the
-// highest seen. The first framing, checksum, or generation violation
-// truncates the segment there (the torn tail) and ends its replay.
-func (s *LogStore) replaySegment(seq uint64, from int64, wantGen uint64, strict bool) error {
-	f := s.segs[seq]
-	if from > s.tail {
-		from = s.tail
-	}
-	buf := make([]byte, s.tail-from)
-	if _, err := f.ReadAt(buf, from); err != nil && err != io.EOF {
+// replaySegment applies the records of seg from byte offset from to
+// its end. strict pins every record's generation to wantGen (replay
+// past a checkpoint); otherwise generations must be non-decreasing
+// starting at wantGen and s.gen tracks the highest seen. The first
+// framing, checksum, or generation violation truncates the segment
+// there (the torn tail) and ends its replay.
+func (s *LogStore) replaySegment(seg *segment, from int64, wantGen uint64, strict bool) error {
+	from = min(max(from, segHeaderLen), seg.size)
+	buf := make([]byte, seg.size-from)
+	if _, err := seg.f.ReadAt(buf, from); err != nil && err != io.EOF {
 		return err
 	}
 	pos := from
@@ -466,28 +540,21 @@ func (s *LogStore) replaySegment(seq uint64, from int64, wantGen uint64, strict 
 		}
 		if err != nil {
 			// Torn tail: everything from pos on never happened.
-			if terr := f.Truncate(pos); terr != nil {
+			if terr := seg.f.Truncate(pos); terr != nil {
 				return terr
 			}
-			s.frameBytes -= s.tail - pos
-			s.tail = pos
+			s.frameBytes -= seg.size - pos
+			seg.size = pos
 			s.st.truncatedTails++
 			if s.oc != nil {
 				s.oc.truncatedTails.Inc()
 			}
 			return nil
 		}
-		o := s.objects[rec.file]
-		if o == nil {
-			o = &object{}
-			s.objects[rec.file] = o
-		}
-		dead := o.insert(extent{
+		s.applyLocked(rec.file, extent{
 			off: rec.off, n: int64(len(rec.data)),
-			seg: seq, pos: pos + recOverhead, gen: rec.gen,
+			seg: seg.seq, pos: pos + recOverhead, gen: rec.gen,
 		})
-		s.liveBytes += int64(len(rec.data)) - dead
-		s.dataBytes += int64(len(rec.data))
 		lastGen = rec.gen
 		if !strict && rec.gen > s.gen {
 			s.gen = rec.gen
@@ -500,6 +567,47 @@ func (s *LogStore) replaySegment(seq uint64, from int64, wantGen uint64, strict 
 		pos += int64(n)
 	}
 	return nil
+}
+
+// applyLocked publishes one appended record in the mapping table and
+// moves the byte accounting with it: the record's bytes are live in
+// its segment, the bytes it supersedes become garbage in theirs.
+func (s *LogStore) applyLocked(file uint64, e extent) {
+	o := s.objects[file]
+	if o == nil {
+		o = &object{}
+		s.objects[file] = o
+	}
+	o.insert(e, func(seg uint64, n int64) {
+		s.segs[seg].live -= n
+		s.liveBytes -= n
+	})
+	seg := s.segs[e.seg]
+	seg.data += e.n
+	seg.live += e.n
+	s.dataBytes += e.n
+	s.liveBytes += e.n
+}
+
+// deadLocked reports why the store serves nothing any more: a fired
+// simulated kill, or Close.
+func (s *LogStore) deadLocked() error {
+	switch {
+	case s.crashed:
+		return ErrCrashed
+	case s.closed:
+		return os.ErrClosed
+	}
+	return nil
+}
+
+// logDownLocked reports why maintenance must leave the log alone: the
+// store is dead, or degraded to its in-memory overlay.
+func (s *LogStore) logDownLocked() error {
+	if s.deviceDown {
+		return errDeviceDown
+	}
+	return s.deadLocked()
 }
 
 // WriteAt implements pfsnet.ObjectStore: the write becomes one
@@ -515,67 +623,123 @@ func (s *LogStore) WriteAt(file uint64, off int64, data []byte) error {
 	if len(data) == 0 {
 		return nil
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.crashed {
-		return ErrCrashed
-	}
-	if s.deviceDown {
-		s.overlayWriteLocked(file, off, data)
+	for {
+		s.mu.Lock()
+		if err := s.deadLocked(); err != nil {
+			s.mu.Unlock()
+			return err
+		}
+		if s.deviceDown {
+			s.overlayFill.Wait()
+			err := s.overlayErr
+			if err == nil {
+				s.overlayWriteLocked(file, off, data)
+			}
+			s.mu.Unlock()
+			return err
+		}
+		needSeg, err := s.appendLocked(file, off, data, true)
+		ckpt, clean := s.ckptDueLocked(), s.needCleanLocked()
+		s.mu.Unlock()
+		switch {
+		case needSeg:
+			if err := s.prepareSpare(); err != nil {
+				return err
+			}
+			continue
+		case err != nil:
+			return err
+		case s.cfg.NoCompactor:
+			if ckpt {
+				return s.maintain(false)
+			}
+		case ckpt || clean:
+			select {
+			case s.kickC <- struct{}{}:
+			default:
+			}
+		}
 		return nil
+	}
+}
+
+// appendLocked appends one record to the active segment and publishes
+// it. user distinguishes an acknowledged caller write from a cleaner
+// copy: only the former counts toward RecordAppends. needSeg reports
+// that the active segment is full and no spare is ready — nothing was
+// written; the caller drops the lock, runs prepareSpare and retries.
+func (s *LogStore) appendLocked(file uint64, off int64, data []byte, user bool) (needSeg bool, err error) {
+	if s.active.size >= s.segBytes {
+		if s.spare == nil {
+			return true, nil
+		}
+		s.rollLocked()
 	}
 	s.enc = appendRecord(s.enc[:0], record{kind: recKindWrite, gen: s.gen, file: file, off: off, data: data})
 	frame := s.enc
-	f := s.segs[s.active]
 	if s.crashAfter > 0 {
 		if s.crashAfter--; s.crashAfter == 0 {
-			// The simulated kill lands mid-pwrite: a prefix of the
-			// frame reaches the log, the caller never gets its ack, and
-			// the store is dead until the next Open truncates the tear.
+			// The simulated kill lands mid-pwrite: a prefix of the frame
+			// reaches the log, the caller never gets its ack, and the
+			// store is dead until the next Open truncates the tear.
 			torn := int(float64(len(frame)) * s.crashFrac)
-			torn = min(max(torn, 0), len(frame))
-			if torn > 0 {
-				//lint:allow lockio the log append is the critical section: append order is replay order
-				f.WriteAt(frame[:torn], s.tail)
-			}
+			frame = frame[:min(max(torn, 0), len(frame))]
 			s.crashed = true
-			return ErrCrashed
 		}
 	}
-	//lint:allow lockio the log append is the critical section: append order is replay order
-	if _, err := f.WriteAt(frame, s.tail); err != nil {
-		return err
+	if len(frame) > 0 {
+		//lint:allow lockio the log append is the critical section: append order is replay order
+		if _, err := s.active.f.WriteAt(frame, s.active.size); err != nil {
+			return false, err
+		}
 	}
-	o := s.objects[file]
-	if o == nil {
-		o = &object{}
-		s.objects[file] = o
+	if s.crashed {
+		return false, ErrCrashed
 	}
-	dead := o.insert(extent{
+	s.applyLocked(file, extent{
 		off: off, n: int64(len(data)),
-		seg: s.active, pos: s.tail + recOverhead, gen: s.gen,
+		seg: s.active.seq, pos: s.active.size + recOverhead, gen: s.gen,
 	})
-	s.liveBytes += int64(len(data)) - dead
-	s.dataBytes += int64(len(data))
-	s.tail += int64(len(frame))
+	s.active.size += int64(len(frame))
 	s.frameBytes += int64(len(frame))
 	s.sinceCkpt += int64(len(frame))
 	s.st.appendedBytes += int64(len(data))
-	s.appends.Add(1)
-	if s.oc != nil {
-		s.oc.appends.Inc()
-		s.setByteGauges()
-	}
-	if s.cfg.CheckpointBytes > 0 && s.sinceCkpt >= s.cfg.CheckpointBytes {
-		if err := s.checkpointLocked(); err != nil {
-			return err
+	if user {
+		s.appends.Add(1)
+		if s.oc != nil {
+			s.oc.appends.Inc()
 		}
+	} else {
+		s.st.copiedBytes += int64(len(data))
 	}
-	if s.needCompactLocked() {
-		select {
-		case s.compactC <- struct{}{}:
-		default:
-		}
+	s.setByteGauges()
+	return false, nil
+}
+
+// prepareSpare creates the next segment outside mu so the roll itself
+// (appendLocked) is a pointer swap. Racing callers create the same file
+// (createSegment is idempotent); one installs its handle, the rest
+// close theirs.
+func (s *LogStore) prepareSpare() error {
+	s.mu.RLock()
+	seq, have := s.nextSeq, s.spare != nil
+	s.mu.RUnlock()
+	if have {
+		return nil
+	}
+	f, err := createSegment(s.dir, seq)
+	if err != nil {
+		return err
+	}
+	s.mu.Lock()
+	won := s.spare == nil && s.nextSeq == seq && s.deadLocked() == nil
+	if won {
+		s.spare = &segment{seq: seq, f: f, size: segHeaderLen}
+		s.nextSeq++
+	}
+	s.mu.Unlock()
+	if !won {
+		return f.Close()
 	}
 	return nil
 }
@@ -597,45 +761,74 @@ func (s *LogStore) overlayWriteLocked(file uint64, off int64, data []byte) {
 	s.overlay[file] = o
 }
 
+// readOp is one pread a resolved read still owes: n bytes at pos of a
+// pinned segment into the caller's buffer at dst.
+type readOp struct {
+	seg         *segment
+	pos, n, dst int64
+}
+
 // ReadAt implements pfsnet.ObjectStore with sparse semantics: ranges
-// no record ever wrote read as zeros. Readers share the lock, so
-// concurrent reads (same or different objects) do not serialize.
+// no record ever wrote read as zeros. The extents are resolved (and
+// their segments pinned) under the shared lock; the preads run outside
+// it, so a read never holds up an append and sees the store as of the
+// instant it resolved.
 func (s *LogStore) ReadAt(file uint64, off int64, p []byte) error {
 	if off < 0 {
 		return fmt.Errorf("logstore: negative offset %d", off)
 	}
+	var few [4]readOp
 	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.crashed {
-		return ErrCrashed
+	if err := s.deadLocked(); err != nil {
+		s.mu.RUnlock()
+		return err
 	}
-	clear(p)
 	if s.deviceDown {
+		s.overlayFill.Wait()
+		var n int
 		if o := s.overlay[file]; off < int64(len(o)) {
-			copy(p, o[off:])
+			n = copy(p, o[off:])
 		}
-		return nil
+		err := s.overlayErr
+		s.mu.RUnlock()
+		clear(p[n:])
+		return err
 	}
-	return s.readLocked(file, off, p)
+	ops := s.resolveLocked(few[:0], file, off, int64(len(p)))
+	s.mu.RUnlock()
+	return readOps(ops, p)
 }
 
-// readLocked fills p from the mapping table and segment files (mu held
-// at least shared — the hold is what pins the segments against a
-// compaction swap).
-func (s *LogStore) readLocked(file uint64, off int64, p []byte) error {
+// resolveLocked appends to ops the preads that fill [off, off+n) of
+// file, in ascending buffer order, pinning each one's segment (mu held
+// at least shared).
+func (s *LogStore) resolveLocked(ops []readOp, file uint64, off, n int64) []readOp {
 	o := s.objects[file]
 	if o == nil {
-		return nil
+		return ops
 	}
-	var err error
-	o.each(off, int64(len(p)), func(e extent, dst int64) {
-		if err != nil {
-			return
-		}
-		if _, rerr := s.segs[e.seg].ReadAt(p[dst:dst+e.n], e.pos); rerr != nil {
-			err = rerr
-		}
+	o.each(off, n, func(e extent, dst int64) {
+		seg := s.segs[e.seg]
+		seg.pins.Add(1)
+		ops = append(ops, readOp{seg: seg, pos: e.pos, n: e.n, dst: dst})
 	})
+	return ops
+}
+
+// readOps runs resolved preads into p, zero-fills the gaps between and
+// after them (the ranges no record covers), and releases the pins.
+func readOps(ops []readOp, p []byte) error {
+	var err error
+	var done int64
+	for _, op := range ops {
+		clear(p[done:op.dst])
+		if err == nil {
+			_, err = op.seg.f.ReadAt(p[op.dst:op.dst+op.n], op.pos)
+		}
+		op.seg.pins.Done()
+		done = op.dst + op.n
+	}
+	clear(p[done:])
 	return err
 }
 
@@ -644,11 +837,12 @@ func (s *LogStore) readLocked(file uint64, off int64, p []byte) error {
 func (s *LogStore) Size(file uint64) (int64, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if s.crashed {
-		return 0, ErrCrashed
+	if err := s.deadLocked(); err != nil {
+		return 0, err
 	}
 	if s.deviceDown {
-		return int64(len(s.overlay[file])), nil
+		s.overlayFill.Wait()
+		return int64(len(s.overlay[file])), s.overlayErr
 	}
 	if o := s.objects[file]; o != nil {
 		return o.size, nil
@@ -656,48 +850,57 @@ func (s *LogStore) Size(file uint64) (int64, error) {
 	return 0, nil
 }
 
-// Close stops the compactor, makes the log durable (fsync), installs a
+// Close stops maintenance, makes the log durable (fsync), installs a
 // final checkpoint, and closes the segment files. After a simulated
 // crash Close only releases handles: nothing more reaches the disk,
 // exactly like the process it models. Idempotent.
 func (s *LogStore) Close() error {
 	s.closeOnce.Do(func() {
-		if s.quit != nil {
-			close(s.quit)
-			s.wg.Wait()
-		}
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if !s.crashed && !s.deviceDown {
-			if err := s.segs[s.active].Sync(); err != nil && s.closeErr == nil {
+		close(s.quit)
+		s.wg.Wait()
+		s.maint <- struct{}{} // waits out a Compact in flight
+		defer func() { <-s.maint }()
+		s.mu.RLock()
+		flush := !s.crashed && !s.deviceDown
+		s.mu.RUnlock()
+		if flush {
+			if err := s.syncLog(0); err != nil {
 				s.closeErr = err
 			}
-			if err := s.checkpointLocked(); err != nil && s.closeErr == nil {
+			if err := s.checkpoint(nil); err != nil && s.closeErr == nil {
 				s.closeErr = err
 			}
 		}
-		if err := s.closeSegsLocked(); err != nil && s.closeErr == nil {
+		if err := s.closeSegments(); err != nil && s.closeErr == nil {
 			s.closeErr = err
 		}
 	})
 	return s.closeErr
 }
 
-// closeSegsLocked closes every segment handle in sequence order (so
-// which close error wins is deterministic) and clears the map.
-func (s *LogStore) closeSegsLocked() error {
-	seqs := make([]uint64, 0, len(s.segs))
-	for seq := range s.segs {
-		seqs = append(seqs, seq)
+// closeSegments marks the store closed and closes every segment handle
+// in sequence order (so which close error wins is deterministic), each
+// once the reads pinning it have drained.
+func (s *LogStore) closeSegments() error {
+	s.mu.Lock()
+	s.closed = true
+	segs := make([]*segment, 0, len(s.segs)+1)
+	for _, seq := range sortedKeys(s.segs) {
+		segs = append(segs, s.segs[seq])
 	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
+	if s.spare != nil {
+		segs = append(segs, s.spare)
+	}
+	clear(s.segs)
+	s.spare = nil
+	s.mu.Unlock()
 	var first error
-	for _, seq := range seqs {
-		if err := s.segs[seq].Close(); err != nil && first == nil {
+	for _, seg := range segs {
+		seg.pins.Wait()
+		if err := seg.f.Close(); err != nil && first == nil {
 			first = err
 		}
 	}
-	clear(s.segs)
 	return first
 }
 
@@ -706,34 +909,45 @@ func (s *LogStore) closeSegsLocked() error {
 // memory while the device still answers, and every subsequent
 // operation is served from that snapshot — graceful degradation per
 // DESIGN §10, losing durability but never an acknowledged byte within
-// the process lifetime. Safe to call more than once.
+// the process lifetime. The log freezes under the lock; the drain that
+// fills the snapshot runs outside it, and operations arriving meanwhile
+// wait for it (every one of them needs the snapshot). Safe to call more
+// than once.
 func (s *LogStore) FailDevice() error {
+	type drain struct {
+		ops []readOp
+		buf []byte
+	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.deviceDown || s.crashed {
+	if s.logDownLocked() != nil {
+		s.mu.Unlock()
 		return nil
 	}
-	ids := make([]uint64, 0, len(s.objects))
-	for id := range s.objects {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	ids := sortedKeys(s.objects)
 	overlay := make(map[uint64][]byte, len(ids))
+	drains := make([]drain, 0, len(ids))
 	for _, id := range ids {
-		o := s.objects[id]
-		buf := make([]byte, o.size)
-		if err := s.readLocked(id, 0, buf); err != nil {
-			return err
-		}
+		buf := make([]byte, s.objects[id].size)
 		overlay[id] = buf
+		drains = append(drains, drain{s.resolveLocked(nil, id, 0, int64(len(buf))), buf})
 	}
 	s.overlay = overlay
 	s.deviceDown = true
+	s.overlayFill.Add(1)
 	s.st.deviceFailures++
 	if s.oc != nil {
 		s.oc.deviceFailures.Inc()
 	}
-	return nil
+	s.mu.Unlock()
+	var err error
+	for _, d := range drains {
+		if rerr := readOps(d.ops, d.buf); rerr != nil && err == nil {
+			err = rerr
+		}
+	}
+	s.overlayErr = err
+	s.overlayFill.Done()
+	return err
 }
 
 // DeviceFailed reports degraded (in-memory) mode.
@@ -744,12 +958,13 @@ func (s *LogStore) DeviceFailed() bool {
 }
 
 // CrashAppend arms a simulated process kill: the n-th subsequent
-// record append (1-based) writes only the first frac (0..1) of its
-// on-disk frame and the store latches dead — every later operation
-// returns ErrCrashed, and Close neither syncs nor checkpoints. The
-// next Open replays the log and truncates the torn frame, exactly as
-// after a real SIGKILL between two pwrites. The recovery harness
-// (cmd/logstore-chaos) drives its kill-at-every-Kth-op loop with this.
+// record append (1-based, cleaner copies included) writes only the
+// first frac (0..1) of its on-disk frame and the store latches dead —
+// every later operation returns ErrCrashed, and Close neither syncs
+// nor checkpoints. The next Open replays the log and truncates the
+// torn frame, exactly as after a real SIGKILL between two pwrites. The
+// recovery harness (cmd/logstore-chaos) drives its
+// kill-at-every-Kth-op loop with this.
 func (s *LogStore) CrashAppend(n int64, frac float64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -764,10 +979,11 @@ func (s *LogStore) Crashed() bool {
 	return s.crashed
 }
 
-// RecordAppends returns the number of acknowledged record appends
-// since Open. pfsnet's data server counts these toward the fault
-// plan's ssdfail trigger, so write-count fault specs apply to the
-// logstore exactly as to the legacy fragment log.
+// RecordAppends returns the number of acknowledged user record appends
+// since Open (cleaner copies are not counted). pfsnet's data server
+// counts these toward the fault plan's ssdfail trigger, so write-count
+// fault specs apply to the logstore exactly as to the legacy fragment
+// log.
 func (s *LogStore) RecordAppends() int64 { return s.appends.Load() }
 
 // Generation returns the store generation stamped on new records.
@@ -793,6 +1009,9 @@ func (s *LogStore) Stats() Stats {
 		BadGenerations:  s.st.badGenerations,
 		BadCheckpoints:  s.st.badCheckpoints,
 		CompactionRuns:  s.st.compactionRuns,
+		CleanedSegments: s.st.cleanedSegments,
+		CopiedBytes:     s.st.copiedBytes,
+		Rolls:           s.st.rolls,
 		Generation:      s.gen,
 		DeviceFailed:    s.deviceDown,
 		Crashed:         s.crashed,

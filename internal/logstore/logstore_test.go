@@ -452,12 +452,14 @@ func TestCompaction(t *testing.T) {
 	sh.verify(t, s)
 }
 
-// TestCompactionThreshold drives the garbage ratio over the trigger
-// via the public write path and checks needCompact fires the
-// background signal path (explicitly, compactor disabled).
+// TestCompactionThreshold drives the sealed segments' garbage ratio
+// over the trigger via the public write path and checks the
+// maintenance pass the background signal would run (explicitly,
+// compactor disabled) cleans until the ratio is back under the bound.
 func TestCompactionThreshold(t *testing.T) {
 	dir := t.TempDir()
 	cfg := testConfig()
+	cfg.CheckpointBytes = 1024 // segments of two records
 	cfg.CompactMinBytes = 1024
 	cfg.GarbageRatio = 0.5
 	s, err := Open(dir, cfg)
@@ -465,60 +467,111 @@ func TestCompactionThreshold(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	for range 10 {
-		if err := s.WriteAt(1, 0, fill(512, 3)); err != nil {
+	sh := shadow{}
+	for i := range 10 {
+		data := fill(512, byte(i))
+		if err := s.WriteAt(1, 0, data); err != nil {
 			t.Fatal(err)
 		}
+		sh.write(1, 0, data)
 	}
 	s.mu.Lock()
-	need := s.needCompactLocked()
+	need := s.needCleanLocked()
 	s.mu.Unlock()
 	if !need {
-		t.Fatal("needCompactLocked = false after 90% garbage")
+		t.Fatal("needCleanLocked = false with every sealed segment dead")
 	}
-	s.maybeCompact()
-	if st := s.Stats(); st.CompactionRuns != 1 {
-		t.Fatalf("CompactionRuns = %d, want 1", st.CompactionRuns)
+	if err := s.maintain(true); err != nil {
+		t.Fatal(err)
 	}
+	st := s.Stats()
+	if st.CompactionRuns != 1 || st.CleanedSegments != 4 || st.CopiedBytes != 0 {
+		t.Fatalf("runs=%d cleaned=%d copied=%d, want 1 cycle retiring the 4 dead segments without a copy",
+			st.CompactionRuns, st.CleanedSegments, st.CopiedBytes)
+	}
+	s.mu.Lock()
+	need = s.needCleanLocked()
+	s.mu.Unlock()
+	if need {
+		t.Fatal("needCleanLocked still true after the cycle")
+	}
+	sh.verify(t, s)
 }
 
-// TestOrphanSegmentDeleted models a compaction killed before its
-// checkpoint: the half-written output segment is unreferenced and must
-// be deleted on the next Open, with state intact.
-func TestOrphanSegmentDeleted(t *testing.T) {
+// TestRecoveryUnreferencedSegments pins the recovery rule for segments
+// a valid checkpoint does not reference: one older than the segment the
+// checkpoint was appending to is a cleaned victim whose unlink never
+// happened and is deleted; one newer was rolled into after the
+// checkpoint and is replayed, in sequence order.
+func TestRecoveryUnreferencedSegments(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, testConfig())
+	cfg := testConfig()
+	cfg.CheckpointBytes = 1024
+	s, err := Open(dir, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sh := shadow{}
-	for i := range 6 {
-		data := fill(100, byte(i))
-		if err := s.WriteAt(1, int64(i*100), data); err != nil {
+	write := func(file uint64, off int64, n int, seed byte) {
+		t.Helper()
+		data := fill(n, seed)
+		if err := s.WriteAt(file, off, data); err != nil {
 			t.Fatal(err)
 		}
-		sh.write(1, int64(i*100), data)
+		sh.write(file, off, data)
 	}
+	// Segment 1 ends up wholly dead, segment 2 partly live.
+	write(1, 0, 600, 1)
+	write(1, 600, 600, 2)
+	write(1, 0, 600, 3)
+	write(1, 600, 600, 4)
+	write(2, 0, 300, 5)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Fake the torn compaction output.
-	if err := os.WriteFile(segPath(dir, 2), append(append([]byte{}, segMagic[:]...), 0, 0, 0, 0, 0, 0, 0, 2, 0xDE, 0xAD), 0o644); err != nil {
-		t.Fatal(err)
+	seqs, _ := listSegments(dir)
+	ck, ok := loadCheckpoint(filepath.Join(dir, ckptName))
+	if !ok || len(seqs) != 3 || ck.seg != 3 || ck.refs()[1] {
+		t.Fatalf("setup: segments %v, checkpoint ok=%v seg=%d refs=%v; want [1 2 3], seg 3, seg 1 unreferenced", seqs, ok, ck.seg, ck.refs())
 	}
-	s, err = Open(dir, testConfig())
+	// Hand-roll what a crash right after the checkpoint leaves behind:
+	// newer segments 4 and 5 holding records of the checkpoint's
+	// generation, 5 overwriting part of what 4 wrote.
+	newer := func(seq uint64, off int64, n int, seed byte) {
+		t.Helper()
+		data := fill(n, seed)
+		hdr := segHeader(seq)
+		frame := appendRecord(hdr[:], record{kind: recKindWrite, gen: ck.gen, file: 2, off: off, data: data})
+		if err := os.WriteFile(segPath(dir, seq), frame, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		sh.write(2, off, data)
+	}
+	newer(4, 100, 400, 6)
+	newer(5, 200, 100, 7)
+	s, err = Open(dir, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
 	sh.verify(t, s)
-	seqs, err := listSegments(dir)
+	if st := s.Stats(); st.BadCheckpoints != 0 || st.ReplayedRecords != 2 {
+		t.Fatalf("BadCheckpoints=%d ReplayedRecords=%d, want the checkpoint trusted and the 2 newer records replayed", st.BadCheckpoints, st.ReplayedRecords)
+	}
+	seqs, err = listSegments(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(seqs) != 1 || seqs[0] != 1 {
-		t.Fatalf("segments = %v, want orphan seg-2 deleted", seqs)
+	if fmt.Sprint(seqs) != "[2 3 4 5]" {
+		t.Fatalf("segments = %v, want older unreferenced seg-1 deleted and newer 4, 5 kept", seqs)
 	}
+	// Appends continue in the newest segment, so log order stays
+	// (sequence, offset) order.
+	write(2, 0, 50, 8)
+	if s.active.seq != 5 {
+		t.Fatalf("active segment = %d, want 5", s.active.seq)
+	}
+	sh.verify(t, s)
 }
 
 func TestFailDeviceDegradesGracefully(t *testing.T) {

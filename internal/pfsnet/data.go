@@ -328,6 +328,7 @@ func (s *DataServer) flushLocked(file uint64, all bool) error {
 	})
 	for _, h := range hits {
 		data := s.logData[h.v.logOff : h.v.logOff+h.v.length]
+		//lint:allow lockio writeback under logMu goes when ROADMAP item 1 ("One iBridge, not three") replaces logData/table with a logstore instance
 		if err := s.store.WriteAt(h.k.file, h.k.off, data); err != nil {
 			return err
 		}
@@ -760,6 +761,7 @@ func (s *DataServer) invalidateLocked(file uint64, off, n int64) error {
 	sort.Slice(hits, func(i, j int) bool { return hits[i].k.off < hits[j].k.off })
 	for _, h := range hits {
 		data := s.logData[h.v.logOff : h.v.logOff+h.v.length]
+		//lint:allow lockio writeback under logMu goes when ROADMAP item 1 ("One iBridge, not three") replaces logData/table with a logstore instance
 		if err := s.store.WriteAt(h.k.file, h.k.off, data); err != nil {
 			return err
 		}

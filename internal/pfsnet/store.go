@@ -132,16 +132,22 @@ func (s *FileStore) handle(file uint64) (*os.File, error) {
 	if ok {
 		return f, nil
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if f, ok := s.files[file]; ok { // lost an open race
-		return f, nil
-	}
+	// Opened outside the lock; racing openers reach the same file and
+	// all but the first to install its handle close theirs.
 	f, err := os.OpenFile(filepath.Join(s.dir, fmt.Sprintf("obj-%d.dat", file)), os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	s.files[file] = f
+	s.mu.Lock()
+	cur, lost := s.files[file]
+	if !lost {
+		s.files[file] = f
+	}
+	s.mu.Unlock()
+	if lost {
+		f.Close()
+		return cur, nil
+	}
 	return f, nil
 }
 
