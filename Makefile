@@ -1,14 +1,26 @@
 GO ?= go
 
-.PHONY: all build test race vet lint lint-tools bench-smoke bench-json bench-check chaos-smoke cover ci
+.PHONY: all build test test-fast test-slow race vet lint lint-tools bench-smoke bench-json bench-check chaos-smoke cover ci
 
 all: build test vet lint
 
 build:
 	$(GO) build ./...
 
-test:
-	$(GO) test ./...
+# The suite in two tiers. test-slow is the two packages that dominate the
+# wall clock — the analyzer suite type-checks the tree once per analyzer,
+# the experiments suite runs the smoke evaluation several times over —
+# and test-fast is everything else: the tier to run while editing.
+# `make test` (and `go test ./...`) is both.
+SLOW_PKGS = repro/internal/analyzers repro/internal/experiments
+
+test: test-fast test-slow
+
+test-fast:
+	$(GO) test $(filter-out $(SLOW_PKGS),$(shell $(GO) list ./...))
+
+test-slow:
+	$(GO) test $(SLOW_PKGS)
 
 # Race-check every internal package. The concurrency-bearing ones (the
 # parallel experiment runner, the simulation engine it fans out, the
@@ -135,8 +147,8 @@ cover:
 	$(GO) tool cover -func=cover.out | tail -1
 
 # The full gate: vet, the invariant lint suite, race on the
-# concurrency-bearing packages, the regular test suite (which includes
-# the engine alloc-regression guard), the hot-path bench smoke, the
+# concurrency-bearing packages, the test suite in its two tiers (the fast
+# one includes the engine alloc-regression guard), the hot-path bench smoke, the
 # committed-benchmark regression gate, and the chaos smoke
 # (fault-injected live cluster, reproducible summary).
-ci: vet lint race test bench-smoke bench-check chaos-smoke
+ci: vet lint race test-fast test-slow bench-smoke bench-check chaos-smoke

@@ -8,6 +8,7 @@
 //	ibridge-bench -exp fig4,fig5,table3 -scale medium
 //	ibridge-bench -exp all -scale small -jobs 8
 //	ibridge-bench -exp fig12 -metrics -trace trace.json -v
+//	ibridge-bench -exp all -scale smoke -cpuprofile bench.prof
 //
 // Experiments run concurrently: every experiment fans its data-point grid
 // (independent cluster simulations) out across -jobs host goroutines, and
@@ -34,6 +35,7 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/faults"
+	"repro/internal/hostprof"
 	"repro/internal/obs"
 	"repro/internal/runner"
 	"repro/internal/sim"
@@ -49,6 +51,7 @@ func main() {
 		metrics   = flag.Bool("metrics", false, "print the metrics registry and T_i telemetry to stderr")
 		traceTo   = flag.String("trace", "", "write a Chrome trace_event JSON request-flow trace to this file")
 		obsMS     = flag.Int("obs-sample-ms", 0, "minimum virtual ms between T_i samples (0: every broadcast tick)")
+		cpuProf   = flag.String("cpuprofile", "", "write a host CPU profile (go tool pprof) of the whole run to this file")
 		debugAddr = flag.String("debug-addr", "", "serve the live metrics registry over HTTP at this address (/debug/vars); implies -metrics")
 		faultArg  = flag.String("faults", "", "fault plan applied to every experiment cluster (see internal/faults; only ssdfail=srvN@DUR clauses act in simulation)")
 		verbose   = flag.Bool("v", false, "verbose: per-experiment host timings on stderr")
@@ -60,6 +63,18 @@ func main() {
 			fmt.Println(id)
 		}
 		return
+	}
+	if *cpuProf != "" {
+		stop, err := hostprof.StartCPU(*cpuProf)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
+		defer func() {
+			if err := stop(); err != nil {
+				fmt.Fprintln(os.Stderr, err)
+			}
+		}()
 	}
 	logLevel := obs.LevelInfo
 	if *verbose {

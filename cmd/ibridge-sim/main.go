@@ -8,6 +8,7 @@
 //	ibridge-sim -mode stock -size 65536 -shift 10240 -servers 4
 //	ibridge-sim -mode ibridge -threshold 40960 -ssd 2147483648 -blktrace
 //	ibridge-sim -mode ibridge -metrics -trace trace.json -obs-sample-ms 500
+//	ibridge-sim -mode ibridge -size 66560 -warm -cpuprofile sim.prof
 package main
 
 import (
@@ -17,6 +18,7 @@ import (
 	"os"
 
 	"repro/internal/cluster"
+	"repro/internal/hostprof"
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -41,6 +43,7 @@ func main() {
 		metrics   = flag.Bool("metrics", false, "print the metrics registry and T_i time series after the run")
 		traceTo   = flag.String("trace", "", "write a Chrome trace_event JSON request-flow trace to this file")
 		obsMS     = flag.Int("obs-sample-ms", 0, "minimum virtual ms between T_i samples (0: every broadcast tick)")
+		cpuProf   = flag.String("cpuprofile", "", "write a host CPU profile (go tool pprof) of the run to this file")
 		jitterUS  = flag.Int64("jitter", 2000, "per-rank think time bound in microseconds")
 		seed      = flag.Uint64("seed", 1, "simulation seed")
 	)
@@ -52,6 +55,18 @@ func main() {
 			*procs, *size, *shift, *fileMB, int64(*procs)**size)
 		flag.Usage()
 		os.Exit(2)
+	}
+
+	if *cpuProf != "" {
+		stop, err := hostprof.StartCPU(*cpuProf)
+		if err != nil {
+			log.Fatal(err)
+		}
+		defer func() {
+			if err := stop(); err != nil {
+				log.Fatal(err)
+			}
+		}()
 	}
 
 	cfg := cluster.DefaultConfig()

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -71,5 +72,26 @@ func TestSmallestGeometryRuns(t *testing.T) {
 	}
 	if !strings.Contains(stdout, "requests:       16,") {
 		t.Fatalf("want 16 requests reported:\n%s", stdout)
+	}
+}
+
+// TestCPUProfileFlag: -cpuprofile writes a non-empty pprof file and does
+// not change a byte of standard output.
+func TestCPUProfileFlag(t *testing.T) {
+	args := []string{"-mode", "ibridge", "-file", "16", "-size", "66560", "-write"}
+	code, plain, stderr := runSim(t, args...)
+	if code != 0 {
+		t.Fatalf("exit %d\nstderr: %s", code, stderr)
+	}
+	prof := filepath.Join(t.TempDir(), "sim.prof")
+	code, profiled, stderr := runSim(t, append(args, "-cpuprofile", prof)...)
+	if code != 0 {
+		t.Fatalf("-cpuprofile: exit %d\nstderr: %s", code, stderr)
+	}
+	if profiled != plain {
+		t.Errorf("-cpuprofile changed stdout:\n--- plain ---\n%s--- profiled ---\n%s", plain, profiled)
+	}
+	if fi, err := os.Stat(prof); err != nil || fi.Size() == 0 {
+		t.Errorf("profile %s: %v, size %d; want a non-empty file", prof, err, fi.Size())
 	}
 }

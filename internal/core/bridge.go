@@ -405,7 +405,7 @@ func (b *Bridge) dropEntry(e *entry) {
 func (b *Bridge) writebackEntry(p *sim.Proc, e *entry) {
 	b.ssdQ.Submit(p, device.Request{Op: device.Read, LBN: e.ssdLBN, Sectors: e.sectors})
 	b.diskQ.Submit(p, device.Request{Op: device.Write, LBN: e.lbn, Sectors: e.sectors})
-	e.dirty = false
+	b.table.markClean(e)
 	b.journal.clean(e)
 	b.stats.WritebackBytes += e.sectors * device.SectorSize
 	if b.m != nil {
@@ -421,15 +421,27 @@ func (b *Bridge) idle(now sim.Time) bool {
 		b.disk.IdleSince() <= quiet
 }
 
+// maintenanceDue reports whether a maintenance tick at the current
+// instant has anything to do: the SSD is alive, both devices are idle,
+// and read data is queued for staging or dirty pressure calls for
+// writeback. It reads state only, so the engine can evaluate it without
+// waking the daemon.
+func (b *Bridge) maintenanceDue() bool {
+	if b.ssdFailed || !b.idle(b.e.Now()) {
+		return false
+	}
+	return len(b.stage) > 0 ||
+		float64(b.DirtySectors()) >= b.cfg.WritebackMinDirty*float64(b.capSectors())
+}
+
 // maintain is the background daemon: during idle device periods it first
 // stages queued read data into the SSD, then writes dirty data back to
-// the disk in LBN order (long sequential runs).
+// the disk in LBN order (long sequential runs). It polls every IdleCheck
+// and is resumed only at a tick that finds work.
 func (b *Bridge) maintain(p *sim.Proc) {
+	due := b.maintenanceDue
 	for {
-		p.Sleep(b.cfg.IdleCheck)
-		if b.ssdFailed {
-			continue // no cache left to maintain
-		}
+		p.Poll(b.cfg.IdleCheck, due)
 		// Stage queued read data while the devices stay quiet.
 		for len(b.stage) > 0 && b.idle(p.Now()) {
 			it := b.stage[0]
@@ -484,13 +496,7 @@ func (b *Bridge) stageOne(p *sim.Proc, it stageItem) {
 func (b *Bridge) writebackPass(p *sim.Proc, batch int) int {
 	n := 0
 	for n < batch {
-		var victim *entry
-		for _, e := range b.table.entries {
-			if e.dirty {
-				victim = e
-				break
-			}
-		}
+		victim := b.table.firstDirty()
 		if victim == nil {
 			return n
 		}
@@ -539,15 +545,9 @@ func (b *Bridge) FailSSD(p *sim.Proc) {
 // SSDFailed reports whether this bridge's SSD device has failed.
 func (b *Bridge) SSDFailed() bool { return b.ssdFailed }
 
-// DirtySectors returns the number of dirty cached sectors (for tests).
-func (b *Bridge) DirtySectors() int64 {
-	var n int64
-	for _, e := range b.table.entries {
-		if e.dirty {
-			n += e.sectors
-		}
-	}
-	return n
-}
+// DirtySectors returns the number of dirty cached sectors: the running
+// total the mapping table keeps, equal at every instant to the sum over
+// its dirty entries (Snapshot recomputes that sum the long way).
+func (b *Bridge) DirtySectors() int64 { return b.table.dirtySectors }
 
 var _ pfs.Store = (*Bridge)(nil)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"sort"
 
 	"repro/internal/sim"
@@ -13,8 +14,12 @@ type entry struct {
 	sectors int64
 	ssdLBN  int64 // first sector in the SSD cache region
 	dirty   bool
-	class   Class
-	ret     float64 // recorded return value at admission
+	// mapped is true while the entry is in the extent map. indexOf
+	// cannot answer that: admissions that overlap in virtual time can
+	// leave two entries at one lbn, and it finds only the first.
+	mapped bool
+	class  Class
+	ret    float64 // recorded return value at admission
 	// spanAt/spanN record the allocator span this entry owns (the data
 	// plus any journalled table record); split remnants own no span —
 	// the original left-hand entry keeps it until fully dropped.
@@ -152,6 +157,14 @@ func (a *logAlloc) Used() int64 { return a.used }
 // reads and punch-out (with splitting) for overwrites.
 type extentMap struct {
 	entries []*entry // sorted by lbn, non-overlapping
+	// dirtySectors is the sum of sectors over dirty entries, kept current
+	// at every transition (insert, removal, trim, split, markClean) so
+	// dirty-pressure checks cost nothing per entry.
+	dirtySectors int64
+	// dirtyFrom is a lower bound on the lbn of every dirty entry: the
+	// place firstDirty resumes from. A dirty insert lowers it;
+	// firstDirty raises it to what it found.
+	dirtyFrom int64
 }
 
 // overlapRange returns the index range [lo, hi) of entries overlapping
@@ -172,11 +185,53 @@ func (m *extentMap) insert(e *entry) {
 	m.entries = append(m.entries, nil)
 	copy(m.entries[i+1:], m.entries[i:])
 	m.entries[i] = e
+	e.mapped = true
+	if e.dirty {
+		m.dirtySectors += e.sectors
+		m.dirtyFrom = min(m.dirtyFrom, e.lbn)
+	}
 }
 
 // removeAt deletes the entry at index i.
 func (m *extentMap) removeAt(i int) {
+	e := m.entries[i]
+	e.mapped = false
+	if e.dirty {
+		m.dirtySectors -= e.sectors
+	}
 	m.entries = append(m.entries[:i], m.entries[i+1:]...)
+}
+
+// shrink takes cut sectors off e, which stays in the map.
+func (m *extentMap) shrink(e *entry, cut int64) {
+	e.sectors -= cut
+	if e.dirty {
+		m.dirtySectors -= cut
+	}
+}
+
+// markClean clears e's dirty flag. e may have left the map while its
+// writeback was in flight; its sectors were uncounted when it left.
+func (m *extentMap) markClean(e *entry) {
+	if e.dirty && e.mapped {
+		m.dirtySectors -= e.sectors
+	}
+	e.dirty = false
+}
+
+// firstDirty returns the dirty entry with the lowest lbn, or nil. It
+// resumes from dirtyFrom, so a writeback pass walks the table once
+// however many victims it takes.
+func (m *extentMap) firstDirty() *entry {
+	i := sort.Search(len(m.entries), func(i int) bool { return m.entries[i].lbn >= m.dirtyFrom })
+	for ; i < len(m.entries); i++ {
+		if e := m.entries[i]; e.dirty {
+			m.dirtyFrom = e.lbn
+			return e
+		}
+	}
+	m.dirtyFrom = math.MaxInt64
+	return nil
 }
 
 // indexOf returns the index of e, or -1.
@@ -280,7 +335,7 @@ func (m *extentMap) punch(lbn, sectors int64, addMRU func(*entry)) punched {
 			}
 			out.freed = append(out.freed, span{at: e.ssdLBN + leftN, n: cut})
 			out.freedSectors[e.class] += cut
-			e.sectors = leftN
+			m.shrink(e, cut+rightN)
 			m.insert(right)
 			addMRU(right)
 			return out // nothing else can overlap
@@ -289,7 +344,7 @@ func (m *extentMap) punch(lbn, sectors int64, addMRU func(*entry)) punched {
 			cut := e.end() - lbn
 			out.freed = append(out.freed, span{at: e.ssdLBN + e.sectors - cut, n: cut})
 			out.freedSectors[e.class] += cut
-			e.sectors -= cut
+			m.shrink(e, cut)
 			i++
 		default:
 			// Punch cuts e's head.
@@ -298,7 +353,7 @@ func (m *extentMap) punch(lbn, sectors int64, addMRU func(*entry)) punched {
 			out.freedSectors[e.class] += cut
 			e.lbn += cut
 			e.ssdLBN += cut
-			e.sectors -= cut
+			m.shrink(e, cut)
 			i++
 		}
 	}
@@ -307,5 +362,3 @@ func (m *extentMap) punch(lbn, sectors int64, addMRU func(*entry)) punched {
 
 // Len returns the number of cached extents.
 func (m *extentMap) Len() int { return len(m.entries) }
-
-

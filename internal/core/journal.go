@@ -97,26 +97,26 @@ func (j *journal) Recover() RecoveredState {
 		case jClean:
 			lo, hi := m.overlapRange(r.lbn, r.sectors)
 			for i := lo; i < hi; i++ {
-				m.entries[i].dirty = false
+				m.markClean(m.entries[i])
 			}
 		case jDrop:
 			m.punch(r.lbn, r.sectors, func(e *entry) {})
 		}
 	}
-	var out RecoveredState
+	// The replayed map's own running total: a recovered server resumes
+	// dirty-pressure accounting from it.
+	out := RecoveredState{DirtySectors: m.dirtySectors}
 	for _, e := range m.entries {
 		out.Extents = append(out.Extents, RecoveredExtent{
 			LBN: e.lbn, Sectors: e.sectors, SSDLBN: e.ssdLBN, Dirty: e.dirty, Class: e.class,
 		})
-		if e.dirty {
-			out.DirtySectors += e.sectors
-		}
 	}
 	return out
 }
 
 // Snapshot returns the live table in the same form, for comparison with
-// a recovery.
+// a recovery. Its DirtySectors is summed entry by entry — the reference
+// the running totals are tested against.
 func (b *Bridge) Snapshot() RecoveredState {
 	var out RecoveredState
 	for _, e := range b.table.entries {

@@ -77,7 +77,9 @@ func TestRenderDeterministicUnderObservability(t *testing.T) {
 			t.Fatalf("%s: WriteChrome: %v", id, err)
 		}
 		var chrome struct {
-			TraceEvents []map[string]interface{} `json:"traceEvents"`
+			// Raw: the whole document is still validated, without
+			// building a map per event of a million-event trace.
+			TraceEvents []json.RawMessage `json:"traceEvents"`
 		}
 		if err := json.Unmarshal(buf.Bytes(), &chrome); err != nil {
 			t.Fatalf("%s: trace output is not valid JSON: %v", id, err)

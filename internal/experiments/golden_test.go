@@ -1,0 +1,174 @@
+package experiments
+
+import (
+	"crypto/sha256"
+	"flag"
+	"fmt"
+	"os"
+	"strings"
+	"testing"
+
+	"repro/internal/cluster"
+	"repro/internal/runner"
+	"repro/internal/sim"
+	"repro/internal/workload"
+)
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/golden.sha256 from this build's output")
+
+const goldenFile = "testdata/golden.sha256"
+
+// goldenTables are the experiments whose rendered smoke-scale tables are
+// pinned: a write figure, a warmed-read figure with staging, the
+// writeback ablation (TablePersist and idle writeback active), the
+// eviction-heavy SSD capacity sweep, the SSD-failure drain, and the trace
+// replay (regular random requests).
+var goldenTables = []string{"fig13", "fig5", "ablation-writeback", "fig11", "ssdfail", "table3"}
+
+// goldenPoint runs grid point i of the benchmark's sim-eval workload
+// (bench/sim.go's simGrid: the six Fig. 4 cases × stock/iBridge ×
+// write/warmed read, 64 processes, 48 MiB) as cmd/ibridge-sim configures
+// it, at seed 1000+i, and renders every simulated quantity of the
+// result at full precision.
+func goldenPoint(i int) (string, string, error) {
+	cs := fig4Cases()[i/4]
+	mode := []cluster.Mode{cluster.Stock, cluster.IBridge}[(i/2)%2]
+	write := i%2 == 0
+	seed := uint64(1000 + i)
+
+	cfg := cluster.DefaultConfig()
+	cfg.Mode = mode
+	cfg.Seed = seed
+	cfg.IBridge.SSDCapacity = 1 << 30
+	c, err := cluster.New(cfg)
+	if err != nil {
+		return "", "", err
+	}
+	rep := &workload.Report{}
+	res, err := c.Run(workload.MPIIOTest(workload.MPIIOTestConfig{
+		Procs: 64, RequestSize: cs.size, Shift: cs.shift, FileBytes: 48 * workload.MB,
+		Write: write, Warm: !write, Jitter: workload.DefaultJitter, Seed: seed, Report: rep,
+	}))
+	if err != nil {
+		return "", "", err
+	}
+	op := "read"
+	if write {
+		op = "write"
+	}
+	return fmt.Sprintf("point/%s/%s/%s", cs.name, mode, op), renderRun(c, res, rep), nil
+}
+
+// renderRun prints every simulated quantity of a finished run at full
+// precision: the result, the measured window, and the disks' statistics
+// (which include what the engine's shutdown order leaves behind).
+func renderRun(c *cluster.Cluster, res cluster.Result, rep *workload.Report) string {
+	ds := c.DiskStats()
+	return fmt.Sprintf("run: elapsed=%d flush=%d bytes=%d requests=%d service=%d ssdfrac=%v peak=%d\n"+
+		"measured: start=%d end=%d bytes=%d\nbridge: %+v\n"+
+		"disks: ops=%v bytes=%v seq=%v busy=%d seek=%d seeks=%d\n",
+		int64(res.Elapsed), int64(res.FlushTime), res.Bytes, res.Requests, int64(res.AvgServiceTime),
+		res.SSDFraction, res.PeakSSDUsage, int64(rep.Start), int64(rep.End), rep.Bytes, res.Bridge,
+		ds.Ops, ds.Bytes, ds.SeqOps, int64(ds.BusyTime), int64(ds.SeekTime), ds.Seeks)
+}
+
+// goldenBTIO is fig11's tightest cache at medium scale: BTIO's 64
+// processes rewriting small records through an SSD an eighth the size of
+// the data. It is the regime the smoke tables do not reach — constant
+// eviction with writebacks in flight, and admissions of one extent that
+// overlap in virtual time and leave two entries at one LBN.
+func goldenBTIO() (string, string, error) {
+	s := Medium
+	cfg := cluster.DefaultConfig()
+	cfg.Mode = cluster.IBridge
+	cfg.IBridge.SSDCapacity = s.BTIOBytes / 8
+	c, err := cluster.New(cfg)
+	if err != nil {
+		return "", "", err
+	}
+	var bt workload.BTIOResult
+	res, err := c.Run(workload.BTIO(workload.BTIOConfig{
+		Procs: 64, DataBytes: s.BTIOBytes, Steps: s.BTIOSteps,
+		ComputePerStep: s.BTIOCompute / sim.Duration(s.BTIOSteps),
+	}, &bt))
+	if err != nil {
+		return "", "", err
+	}
+	out := fmt.Sprintf("btio: total=%d io=%d\n", int64(bt.TotalTime), int64(bt.IOTime)) +
+		renderRun(c, res, &workload.Report{})
+	return "btio/medium/ssd=12%", out, nil
+}
+
+// TestGoldenDigests pins the simulator's output bit for bit: the SHA-256
+// of every sim-eval grid point's result, of the goldenBTIO run and of the
+// rendered tables of goldenTables must equal the digests committed in
+// testdata, which were generated on the commit before the engine moved
+// to coroutine switches.
+// A change to the engine, the cache bookkeeping or the client that is
+// meant to be a pure host-time optimisation must leave this test green;
+// a change that means to move simulated numbers regenerates the file
+// with -update and says so.
+func TestGoldenDigests(t *testing.T) {
+	if raceEnabled {
+		t.Skip("some fifty full simulations; the race gate covers the engine and harness elsewhere")
+	}
+	defer runner.SetJobs(0)
+	runner.SetJobs(0)
+
+	type digest struct{ name, sum string }
+	points, err := runner.Map(25, func(i int) (digest, error) {
+		run := goldenBTIO
+		if i < 24 {
+			run = func() (string, string, error) { return goldenPoint(i) }
+		}
+		name, out, err := run()
+		return digest{name, fmt.Sprintf("%x", sha256.Sum256([]byte(out)))}, err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := points
+	for _, id := range goldenTables {
+		tbl, err := Run(id, Smoke)
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		got = append(got, digest{"table/" + id, fmt.Sprintf("%x", sha256.Sum256([]byte(tbl.Render())))})
+	}
+
+	if *updateGolden {
+		var b strings.Builder
+		for _, d := range got {
+			fmt.Fprintf(&b, "%s  %s\n", d.sum, d.name)
+		}
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(goldenFile, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %d digests to %s", len(got), goldenFile)
+		return
+	}
+
+	data, err := os.ReadFile(goldenFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		sum, name, ok := strings.Cut(line, "  ")
+		if !ok {
+			t.Fatalf("%s: malformed line %q", goldenFile, line)
+		}
+		want[name] = sum
+	}
+	if len(want) != len(got) {
+		t.Errorf("%s holds %d digests, this build produces %d", goldenFile, len(want), len(got))
+	}
+	for _, d := range got {
+		if want[d.name] != d.sum {
+			t.Errorf("%s: simulated output changed: digest %s, golden %s", d.name, d.sum, want[d.name])
+		}
+	}
+}

@@ -135,15 +135,18 @@ func (s *Stats) AvgWait() sim.Duration {
 type unit struct {
 	req     device.Request
 	waiters []*sim.Proc
-	done    bool
-	seq     uint64 // arrival order, for FIFO dispatch and fairness
-	origin  int32  // issuing process context, for CFQ grouping
+	// first backs waiters until a merge adds a second submitter.
+	first  [1]*sim.Proc
+	done   bool
+	seq    uint64 // arrival order, for FIFO dispatch and fairness
+	origin int32  // issuing process context, for CFQ grouping
 }
 
 // Queue is a scheduler instance bound to one device.
 type Queue struct {
 	e        *sim.Engine
 	dev      device.Device
+	name     string // of the drain process
 	cfg      Config
 	tracer   Tracer
 	pending  []*unit // sorted by LBN
@@ -169,7 +172,7 @@ func New(e *sim.Engine, dev device.Device, cfg Config, tracer Tracer) *Queue {
 	if cfg.MaxSectors <= 0 {
 		cfg.MaxSectors = 256
 	}
-	return &Queue{e: e, dev: dev, cfg: cfg, tracer: tracer}
+	return &Queue{e: e, dev: dev, name: "iosched:" + dev.Name(), cfg: cfg, tracer: tracer}
 }
 
 // Stats returns accumulated scheduler statistics.
@@ -194,7 +197,7 @@ func (q *Queue) Submit(p *sim.Proc, r device.Request) sim.Duration {
 	u.waiters = append(u.waiters, p)
 	if !q.draining {
 		q.draining = true
-		q.e.Go("iosched:"+q.dev.Name(), q.drain)
+		q.e.Go(q.name, q.drain)
 	}
 	p.Block()
 	lat := p.Now().Sub(start)
@@ -235,6 +238,7 @@ func (q *Queue) place(r device.Request) *unit {
 	}
 	q.seq++
 	u := &unit{req: r, seq: q.seq, origin: r.Origin}
+	u.waiters = u.first[:0]
 	// Insert in LBN order (stable for equal LBNs: after existing ones,
 	// preserving arrival order for FIFO fairness at the same location).
 	i := len(q.pending)

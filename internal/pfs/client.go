@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/device"
 	"repro/internal/sim"
+	"repro/internal/stripe"
 )
 
 // Client issues file requests against a FileSystem. It performs the
@@ -68,9 +69,11 @@ func (c *Client) request(p *sim.Proc, f *File, op device.Op, off, length int64) 
 	}
 	start := p.Now()
 	layout := c.fs.layout
-	var subs = layout.Decompose(off, length)
+	var subs []stripe.Sub
 	if c.FragmentThreshold > 0 {
 		subs = layout.DecomposeFlagged(off, length, c.FragmentThreshold)
+	} else {
+		subs = layout.Decompose(off, length)
 	}
 	random := c.RandomThreshold > 0 && length < c.RandomThreshold
 
@@ -80,11 +83,17 @@ func (c *Client) request(p *sim.Proc, f *File, op device.Op, off, length int64) 
 		reqID = c.fs.nextReq
 	}
 
-	done := sim.NewCounter(c.fs.e, len(subs))
+	// All sub-requests of the parent share one allocation, and each
+	// carries its own completion state (see job).
+	par := &parent{waiter: p, remaining: len(subs)}
+	jobs := make([]job, len(subs))
 	net := c.fs.net
 	for i := range subs {
-		sub := subs[i]
-		req := &IORequest{
+		sub := &subs[i]
+		j := &jobs[i]
+		j.parent = par
+		j.srv = c.fs.servers[sub.Server]
+		j.req = IORequest{
 			Op:       op,
 			FileID:   f.ID,
 			ID:       reqID,
@@ -99,28 +108,23 @@ func (c *Client) request(p *sim.Proc, f *File, op device.Op, off, length int64) 
 		// file's extent at that server.
 		base := f.bases[sub.Server]
 		startOff := sub.ServerOff
-		req.LBN = base + startOff/device.SectorSize
+		j.req.LBN = base + startOff/device.SectorSize
 		endOff := startOff + sub.Length
-		req.Sectors = (endOff+device.SectorSize-1)/device.SectorSize - startOff/device.SectorSize
+		j.req.Sectors = (endOff+device.SectorSize-1)/device.SectorSize - startOff/device.SectorSize
 
-		// Request message: writes carry the data to the server.
-		sendPayload := int64(64)
+		// Request message: writes carry the data to the server; the
+		// reply carries it back for reads.
+		sendPayload, replyPayload := int64(64), int64(64)
 		if op == device.Write {
 			sendPayload += sub.Length
-		}
-		srv := c.fs.servers[sub.Server]
-		replyPayload := int64(64)
-		if op == device.Read {
+		} else {
 			replyPayload += sub.Length
 		}
-		c.fs.e.After(net.Delay(sendPayload), func() {
-			srv.enqueue(req, func() {
-				// Reply travels back to the client.
-				c.fs.e.After(net.Delay(replyPayload), done.Done)
-			})
-		})
+		j.replyDelay = net.Delay(replyPayload)
+		j.step = j.advance
+		c.fs.e.After(net.Delay(sendPayload), j.step)
 	}
-	done.Wait(p)
+	p.Block() // until the last reply wakes us
 
 	lat := p.Now().Sub(start)
 	st := &c.fs.stats

@@ -33,9 +33,40 @@ type Server struct {
 	comp string
 }
 
+// parent is the client's view of one file request in flight: the
+// process blocked on it and how many sub-request replies are still due.
+type parent struct {
+	waiter    *sim.Proc
+	remaining int
+}
+
+// job is one sub-request in flight, from the client's send to the
+// server's reply. It holds the block request the store sees and every
+// piece of completion state, so a sub-request costs no allocation beyond
+// its slot in the parent's job slice and the one bound step callback.
 type job struct {
-	req  *IORequest
-	done func()
+	req        IORequest
+	parent     *parent
+	srv        *Server
+	replyDelay sim.Duration
+	served     bool
+	// step is advance bound once, reused for both network legs.
+	step func()
+}
+
+// advance is the engine callback of both network legs: the request
+// message reaching the server (queue the job), then the reply reaching
+// the client (count it; the last one resumes the waiting process).
+func (j *job) advance() {
+	if !j.served {
+		j.srv.jobs.Push(j)
+		return
+	}
+	par := j.parent
+	par.remaining--
+	if par.remaining == 0 {
+		j.srv.e.Wake(par.waiter)
+	}
 }
 
 // allocGap is the spacing in sectors between consecutive file extents,
@@ -80,12 +111,6 @@ func (s *Server) allocate(bytes int64) (int64, error) {
 	return base, nil
 }
 
-// enqueue submits a job to the server; done runs (in engine-callback
-// context) when the job's I/O completes.
-func (s *Server) enqueue(req *IORequest, done func()) {
-	s.jobs.Push(&job{req: req, done: done})
-}
-
 // handle is one handler process: it drains the job queue forever (the
 // process is terminated by the engine at the end of the simulation).
 func (s *Server) handle(p *sim.Proc) {
@@ -95,15 +120,17 @@ func (s *Server) handle(p *sim.Proc) {
 			return
 		}
 		start := p.Now()
-		s.store.Serve(p, j.req)
+		s.store.Serve(p, &j.req)
 		if s.m != nil {
 			s.m.SubServe.ObserveDur(p.Now().Sub(start))
 		}
 		if s.tr != nil {
-			s.tr.Span(start, p.Now().Sub(start), s.run, s.comp, flowName(j.req), j.req.ID)
+			s.tr.Span(start, p.Now().Sub(start), s.run, s.comp, flowName(&j.req), j.req.ID)
 		}
 		s.served++
-		j.done()
+		// The reply travels back to the client.
+		j.served = true
+		s.e.After(j.replyDelay, j.step)
 	}
 }
 

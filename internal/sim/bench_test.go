@@ -72,9 +72,10 @@ func BenchmarkEngineProcPingPong(b *testing.B) {
 
 // TestEngineHotPathAllocFree is the alloc regression guard for the
 // zero-cost-when-off observability contract: with no probe installed the
-// event loop must not allocate per event. It runs the timer-wheel and
-// many-procs benchmarks through testing.Benchmark and fails on any
-// reported allocation.
+// event loop must not allocate per event, and neither may a process
+// switch — Sleep (many-procs), Wake/Block (ping-pong) or Yield. It runs
+// the benchmarks through testing.Benchmark and fails on any reported
+// allocation.
 func TestEngineHotPathAllocFree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark-backed; skipped in -short")
@@ -85,6 +86,8 @@ func TestEngineHotPathAllocFree(t *testing.T) {
 	}{
 		{"TimerWheel", BenchmarkEngineTimerWheel},
 		{"ManyProcs", BenchmarkEngineManyProcs},
+		{"ProcPingPong", BenchmarkEngineProcPingPong},
+		{"Yield", BenchmarkEngineYield},
 	} {
 		res := testing.Benchmark(bm.fn)
 		if allocs := res.AllocsPerOp(); allocs != 0 {
@@ -108,6 +111,29 @@ func BenchmarkEngineManyProcs(b *testing.B) {
 		e.Go("p", func(p *Proc) {
 			for j := 0; j < perProc; j++ {
 				p.Sleep(r.Duration(Microsecond, Millisecond))
+				total++
+			}
+		})
+	}
+	b.ResetTimer()
+	if err := e.Run(); err != nil {
+		b.Fatal(err)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "events/sec")
+}
+
+// BenchmarkEngineYield measures the same-instant switch: four processes
+// yielding to each other in turn, every resume through the now-ring.
+func BenchmarkEngineYield(b *testing.B) {
+	const procs = 4
+	e := New()
+	total := 0
+	perProc := b.N/procs + 1
+	for i := 0; i < procs; i++ {
+		e.Go("y", func(p *Proc) {
+			for j := 0; j < perProc; j++ {
+				p.Yield()
 				total++
 			}
 		})

@@ -3,6 +3,8 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"iter"
+	"runtime/debug"
 	"sort"
 )
 
@@ -14,10 +16,11 @@ var ErrDeadlock = errors.New("sim: deadlock: no pending events but processes rem
 // virtual clock and orchestrates the simulated processes so that exactly
 // one runs at a time. An Engine must be created with New and is not safe
 // for use by multiple host goroutines; all access happens either from the
-// goroutine calling Run or from the single simulated process the engine is
-// currently running. Distinct Engines share nothing, so independent
-// simulations may run concurrently on separate host goroutines (the basis
-// of internal/runner's parallel experiment harness).
+// goroutine calling Run or from the single simulated process that
+// goroutine has switched into. Distinct Engines share nothing, so
+// independent simulations may run concurrently on separate host
+// goroutines (the basis of internal/runner's parallel experiment
+// harness).
 type Engine struct {
 	now    Time
 	events eventHeap
@@ -28,28 +31,20 @@ type Engine struct {
 	// FIFO order preserves the global (at, seq) order without paying a
 	// heap sift for the common Wake/Yield/After(0) case. The ring's
 	// backing array is reused across drains — the event freelist.
-	nowq    eventRing
-	seq     uint64
-	ctl     chan parkKind
-	procs   map[int]*Proc
-	nextID  int
-	running *Proc
+	nowq   eventRing
+	seq    uint64
+	procs  map[int]*Proc
+	nextID int
+	// idle holds coroutines whose process body has returned, for Go to
+	// reuse: starting a process on one costs no coroutine creation,
+	// which is what the cluster's short-lived processes (a dispatcher
+	// per busy period of every device queue) would otherwise pay.
+	idle    []*coro
 	halted  bool
 	started bool
 	// probe, when non-nil, observes each event (see Probe). The nil
 	// check is the entire disabled-path cost.
 	probe Probe
-}
-
-type parkKind int
-
-const (
-	parkBlocked parkKind = iota
-	parkExited
-)
-
-type resumeMsg struct {
-	kill bool
 }
 
 // event is stored by value in the heap and ring; scheduling an event
@@ -146,27 +141,64 @@ func (r *eventRing) pop() event {
 	return ev
 }
 
-// Proc is a simulated process. Each Proc is backed by a goroutine that the
-// engine resumes one at a time; while a Proc is running it may freely read
-// and mutate engine-owned state (devices, queues, ...) without locking.
+// Proc is a simulated process. Each Proc runs on a coroutine (iter.Pull)
+// that the engine switches into one at a time; while a Proc is running
+// it may freely read and mutate engine-owned state (devices, queues, ...)
+// without locking. A switch is a direct runtime handoff between the
+// engine's goroutine and the process's — no scheduler pass — and the
+// engine's goroutine is suspended for exactly as long as the process
+// runs, so there is never more than one thread of control per Engine.
 type Proc struct {
-	e      *Engine
-	id     int
-	name   string
-	resume chan resumeMsg
-	dead   bool
+	e    *Engine
+	id   int
+	name string
+	c    *coro
+	dead bool
 }
 
-// killed is the panic sentinel used to unwind a process goroutine when the
-// engine shuts down with processes still blocked.
+// coro is the coroutine a process runs on. It outlives the process: when
+// a body returns, the coroutine parks on the engine's idle list until Go
+// hands it the next one.
+type coro struct {
+	// next switches into the coroutine until it parks; stop unwinds a
+	// parked one, or finishes one that never started without running
+	// anything. yield is the coroutine's side of the switch: it parks,
+	// and reports false when the engine is shutting it down.
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+	// p and fn are the process the coroutine is running or will run at
+	// its next resume.
+	p  *Proc
+	fn func(*Proc)
+}
+
+// killed is the panic sentinel used to unwind a parked process when the
+// engine shuts down.
 type killed struct{}
+
+// PanicError is the value Run panics with when a simulated process
+// panicked: the original panic value, labelled with the process that
+// raised it and the stack it was raised on.
+type PanicError struct {
+	Proc  string
+	Value any
+	Stack []byte
+}
+
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("sim: process %q panicked: %v\n%s", e.Proc, e.Value, e.Stack)
+}
+
+// Unwrap exposes a panic value that was itself an error.
+func (e *PanicError) Unwrap() error {
+	err, _ := e.Value.(error)
+	return err
+}
 
 // New returns a fresh Engine with the clock at zero.
 func New() *Engine {
-	return &Engine{
-		ctl:   make(chan parkKind),
-		procs: make(map[int]*Proc),
-	}
+	return &Engine{procs: make(map[int]*Proc)}
 }
 
 // Now returns the current virtual time.
@@ -187,43 +219,60 @@ func (e *Engine) Procs() int { return len(e.procs) }
 func (e *Engine) pending() int { return len(e.events) + e.nowq.len() }
 
 // Go creates a new simulated process named name and schedules it to start
-// at the current virtual time. It may be called before Run or from within
-// a running process.
+// at the current virtual time. It may be called before Run, from within
+// a running process, or from an After callback.
 func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{
-		e:      e,
-		id:     e.nextID,
-		name:   name,
-		resume: make(chan resumeMsg, 1),
-	}
+	p := &Proc{e: e, id: e.nextID, name: name}
 	e.nextID++
 	e.procs[p.id] = p
-	go p.main(fn)
+	if n := len(e.idle); n > 0 {
+		p.c, e.idle = e.idle[n-1], e.idle[:n-1]
+	} else {
+		p.c = e.newCoro()
+	}
+	p.c.p, p.c.fn = p, fn
 	e.schedule(e.now, p, nil)
 	return p
 }
 
-func (p *Proc) main(fn func(p *Proc)) {
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(killed); ok {
-				// Engine-initiated shutdown: report exit and stop quietly.
-				p.dead = true
-				delete(p.e.procs, p.id)
-				p.e.ctl <- parkExited
+func (e *Engine) newCoro() *coro {
+	c := &coro{}
+	c.next, c.stop = iter.Pull(func(yield func(struct{}) bool) {
+		c.yield = yield
+		for c.run() {
+			e.idle = append(e.idle, c)
+			if !yield(struct{}{}) {
 				return
 			}
-			panic(r)
+		}
+	})
+	return c
+}
+
+// run executes the process the coroutine was handed and reports whether
+// the body returned, leaving the coroutine reusable. It swallows the
+// killed sentinel of an engine-initiated shutdown; any other panic
+// leaves through next (or stop) on the goroutine that called Run,
+// labelled with the process.
+func (c *coro) run() (returned bool) {
+	p := c.p
+	defer func() {
+		p.retire()
+		c.p, c.fn = nil, nil
+		if r := recover(); r != nil {
+			if _, ok := r.(killed); !ok {
+				panic(&PanicError{Proc: p.name, Value: r, Stack: debug.Stack()})
+			}
 		}
 	}()
-	msg := <-p.resume
-	if msg.kill {
-		panic(killed{})
-	}
-	fn(p)
+	c.fn(p)
+	return true
+}
+
+// retire removes p from the live set.
+func (p *Proc) retire() {
 	p.dead = true
 	delete(p.e.procs, p.id)
-	p.e.ctl <- parkExited
 }
 
 // Name returns the process name given to Go.
@@ -260,11 +309,10 @@ func (e *Engine) After(d Duration, fn func()) {
 	e.schedule(e.now.Add(d), nil, fn)
 }
 
-// park hands control back to the engine and blocks until resumed.
+// park switches back to the engine until the process is resumed. A false
+// yield means the engine is shutting down: unwind the process.
 func (p *Proc) park() {
-	p.e.ctl <- parkBlocked
-	msg := <-p.resume
-	if msg.kill {
+	if !p.c.yield(struct{}{}) {
 		panic(killed{})
 	}
 }
@@ -276,6 +324,38 @@ func (p *Proc) Sleep(d Duration) {
 		d = 0
 	}
 	p.e.schedule(p.e.now.Add(d), p, nil)
+	p.park()
+}
+
+// Poll suspends the process and evaluates ready after every period of
+// virtual time, returning at the first evaluation that reports true. It
+// is, event for event,
+//
+//	for {
+//		p.Sleep(period)
+//		if ready() {
+//			return
+//		}
+//	}
+//
+// except that the engine evaluates ready inline, as a timer callback,
+// and switches into the process only when it reports true: an idle poll
+// costs one callback instead of two switches. ready must only read
+// simulation state — it may not block or schedule.
+func (p *Proc) Poll(period Duration, ready func() bool) {
+	if period < 0 {
+		period = 0
+	}
+	e := p.e
+	var tick func()
+	tick = func() {
+		if ready() {
+			p.c.next()
+			return
+		}
+		e.schedule(e.now.Add(period), nil, tick)
+	}
+	e.schedule(e.now.Add(period), nil, tick)
 	p.park()
 }
 
@@ -320,12 +400,14 @@ func (e *Engine) next() event {
 // Run processes events until the engine is halted or the event queue
 // drains. On return all remaining live processes have been terminated.
 // It returns ErrDeadlock if the queue drained with processes still blocked
-// and no explicit Halt, and nil otherwise.
+// and no explicit Halt, and nil otherwise. A panic in a simulated process
+// terminates the others and leaves Run as a *PanicError.
 func (e *Engine) Run() error {
 	if e.started {
 		panic("sim: Engine.Run called twice")
 	}
 	e.started = true
+	defer e.killAll()
 	for !e.halted && e.pending() > 0 {
 		ev := e.next()
 		e.now = ev.at
@@ -339,24 +421,20 @@ func (e *Engine) Run() error {
 		if ev.p.dead {
 			continue
 		}
-		e.running = ev.p
-		ev.p.resume <- resumeMsg{}
-		<-e.ctl
-		e.running = nil
+		ev.p.c.next()
 	}
-	deadlocked := !e.halted && len(e.procs) > 0
-	e.killAll()
-	if deadlocked {
+	if !e.halted && len(e.procs) > 0 {
 		return ErrDeadlock
 	}
 	return nil
 }
 
 // killAll terminates every remaining live process by unwinding its
-// goroutine, so that repeated simulations do not leak goroutines.
+// coroutine, so that repeated simulations do not leak goroutines.
 // Processes are killed in ascending id (creation) order so that any
 // shutdown-order-sensitive accounting — post-halt device stats, unwind
-// side effects — is reproducible run to run.
+// side effects — is reproducible run to run. A process that never
+// started has no body to unwind, so the engine retires it itself.
 func (e *Engine) killAll() {
 	for len(e.procs) > 0 {
 		ids := make([]int, 0, len(e.procs))
@@ -370,8 +448,12 @@ func (e *Engine) killAll() {
 				// Already unwound by a side effect of a prior kill.
 				continue
 			}
-			victim.resume <- resumeMsg{kill: true}
-			<-e.ctl
+			victim.c.stop()
+			victim.retire()
 		}
 	}
+	for _, c := range e.idle {
+		c.stop()
+	}
+	e.idle = nil
 }

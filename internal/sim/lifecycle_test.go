@@ -1,0 +1,219 @@
+package sim
+
+import (
+	"errors"
+	"fmt"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+)
+
+// TestProcPanicLeavesRun: a panic inside a simulated process comes out of
+// Run on the caller's goroutine — where a deferred recover (the parallel
+// runner's, a test's) can attribute it to a data point — labelled with
+// the process that raised it, and the other processes are shut down.
+func TestProcPanicLeavesRun(t *testing.T) {
+	base := runtime.NumGoroutine()
+	cause := errors.New("disk on fire")
+	e := New()
+	e.Go("bystander", func(p *Proc) { p.Block() })
+	e.Go("unlucky", func(p *Proc) {
+		p.Sleep(Millisecond)
+		panic(cause)
+	})
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		e.Run()
+	}()
+	pe, ok := got.(*PanicError)
+	if !ok {
+		t.Fatalf("Run panicked with %T (%v), want *PanicError", got, got)
+	}
+	if pe.Proc != "unlucky" || pe.Value != cause || !errors.Is(pe, cause) {
+		t.Errorf("PanicError{Proc: %q, Value: %v}, want unlucky / %v", pe.Proc, pe.Value, cause)
+	}
+	if !strings.Contains(pe.Error(), `process "unlucky" panicked: disk on fire`) ||
+		!strings.Contains(string(pe.Stack), "TestProcPanicLeavesRun") {
+		t.Errorf("message does not name the process and the raising frame:\n%s", pe.Error())
+	}
+	if e.Procs() != 0 {
+		t.Errorf("%d processes survived the panic", e.Procs())
+	}
+	waitGoroutines(t, base)
+}
+
+// waitGoroutines fails the test unless the goroutine count returns to
+// base. A finished coroutine's goroutine is torn down by the runtime
+// just after the switch back, so the count is polled briefly.
+func waitGoroutines(t *testing.T, base int) {
+	t.Helper()
+	var n int
+	for i := 0; i < 200; i++ {
+		if n = runtime.NumGoroutine(); n <= base {
+			return
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Errorf("%d goroutines after Run, %d before: the engine leaked coroutines", n, base)
+}
+
+// TestRunLeavesNoGoroutines: however Run ends — Halt, a drained queue, a
+// deadlock — every coroutine is gone when it returns, whether its process
+// never started, finished (and was pooled), sits in a primitive, or is
+// mid-Sleep or mid-Poll.
+func TestRunLeavesNoGoroutines(t *testing.T) {
+	// populate starts one process in every state a shutdown can find.
+	populate := func(e *Engine) {
+		sem := NewSemaphore(e, 1)
+		q := NewQueue[int](e)
+		bar := NewBarrier(e, 2)
+		cnt := NewCounter(e, 1)
+		ev := NewEvent(e)
+		e.Go("holder", func(p *Proc) { sem.Acquire(p); p.Block() })
+		e.Go("sem", func(p *Proc) { sem.Acquire(p) })
+		e.Go("queue", func(p *Proc) { q.Pop(p) })
+		e.Go("barrier", func(p *Proc) { bar.Wait(p) })
+		e.Go("counter", func(p *Proc) { cnt.Wait(p) })
+		e.Go("event", func(p *Proc) { ev.Wait(p) })
+		e.Go("finished", func(p *Proc) {})
+		e.Go("reuser", func(p *Proc) {
+			p.Sleep(Microsecond) // runs on a fresh coroutine; its child reuses "finished"'s
+			e.Go("child", func(p *Proc) { p.Block() })
+		})
+	}
+	for _, end := range []struct {
+		name  string
+		setup func(e *Engine)
+		want  error
+	}{
+		{"halt", func(e *Engine) {
+			e.Go("sleeper", func(p *Proc) { p.Sleep(Second) })
+			e.Go("poller", func(p *Proc) { p.Poll(Millisecond, func() bool { return false }) })
+			e.Go("halter", func(p *Proc) {
+				p.Sleep(10 * Millisecond)
+				for i := 0; i < 2; i++ { // one on a reused coroutine, one on a fresh one
+					e.Go("never-started", func(p *Proc) { t.Error("a process created at the halting instant ran") })
+				}
+				e.Halt()
+			})
+		}, nil},
+		{"deadlock", func(e *Engine) {}, ErrDeadlock},
+	} {
+		t.Run(end.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			e := New()
+			populate(e)
+			end.setup(e)
+			if err := e.Run(); err != end.want {
+				t.Fatalf("Run: %v, want %v", err, end.want)
+			}
+			if e.Procs() != 0 {
+				t.Errorf("%d processes alive after Run", e.Procs())
+			}
+			waitGoroutines(t, base)
+		})
+	}
+	t.Run("drain", func(t *testing.T) {
+		base := runtime.NumGoroutine()
+		e := New()
+		for i := 0; i < 8; i++ {
+			e.Go("worker", func(p *Proc) {
+				p.Sleep(Millisecond)
+				e.Go("short", func(p *Proc) { p.Yield() })
+			})
+		}
+		if err := e.Run(); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		waitGoroutines(t, base)
+	})
+}
+
+// TestGoStartsAtCurrentInstantInCreationOrder: a process created from
+// inside a running process or an After callback starts at the instant of
+// its creation, after everything already scheduled for that instant and
+// in creation order — on a fresh coroutine or a reused one alike.
+func TestGoStartsAtCurrentInstantInCreationOrder(t *testing.T) {
+	e := New()
+	var log []string
+	note := func(who string) { log = append(log, fmt.Sprintf("%s@%v", who, e.Now())) }
+	spawn := func(name string) {
+		e.Go(name, func(p *Proc) { note(name) })
+	}
+	e.Go("early", func(p *Proc) {}) // finishes at 0: leaves a coroutine to reuse
+	e.Go("parent", func(p *Proc) {
+		p.Sleep(Millisecond)
+		e.After(0, func() { note("queued-before") })
+		spawn("a") // reuses early's coroutine
+		spawn("b") // fresh coroutine
+		note("parent")
+		p.Yield()
+		note("parent-after-yield")
+	})
+	e.After(2*Millisecond, func() {
+		note("callback")
+		spawn("c")
+		spawn("d")
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := "parent@1.000ms queued-before@1.000ms a@1.000ms b@1.000ms parent-after-yield@1.000ms " +
+		"callback@2.000ms c@2.000ms d@2.000ms"
+	if got := strings.Join(log, " "); got != want {
+		t.Errorf("order:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestPollIsTheSleepLoop: Poll must be indistinguishable, event for
+// event, from the Sleep loop it replaces — same wake instant, same order
+// among same-instant events — while evaluating its predicate without
+// running the process.
+func TestPollIsTheSleepLoop(t *testing.T) {
+	run := func(poll bool) (string, uint64) {
+		e := New()
+		var log []string
+		note := func(who string) { log = append(log, fmt.Sprintf("%s@%v", who, e.Now())) }
+		work := 0
+		for i := 0; i < 3; i++ {
+			name := fmt.Sprintf("daemon%d", i)
+			e.Go(name, func(p *Proc) {
+				ready := func() bool { return work > 0 }
+				for {
+					if poll {
+						p.Poll(2*Millisecond, ready)
+					} else {
+						for p.Sleep(2 * Millisecond); !ready(); p.Sleep(2 * Millisecond) {
+						}
+					}
+					work--
+					note(name)
+					p.Sleep(500 * Microsecond)
+				}
+			})
+		}
+		e.Go("producer", func(p *Proc) {
+			for i := 0; i < 6; i++ {
+				p.Sleep(3 * Millisecond) // every other one lands on a poll tick
+				work += 2
+				note("produce")
+			}
+			p.Sleep(10 * Millisecond)
+			e.Halt()
+		})
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return strings.Join(log, " "), e.seq
+	}
+	sleepLog, sleepSeq := run(false)
+	pollLog, pollSeq := run(true)
+	if sleepLog != pollLog || sleepSeq != pollSeq {
+		t.Errorf("Poll diverged from the Sleep loop (seq %d vs %d):\nsleep: %s\n poll: %s", sleepSeq, pollSeq, sleepLog, pollLog)
+	}
+	if !strings.Contains(sleepLog, "daemon2") {
+		t.Fatalf("scenario never ran a daemon: %s", sleepLog)
+	}
+}

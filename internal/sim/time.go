@@ -2,11 +2,12 @@
 // simulation engine used to model the iBridge storage cluster in virtual
 // time.
 //
-// Simulated processes are ordinary goroutines that run one at a time under
-// control of an Engine: a process runs until it blocks (Sleep, semaphore,
-// queue, barrier, ...), at which point control returns to the engine, which
-// advances the virtual clock to the next scheduled event. Runs are fully
-// deterministic: events with equal timestamps fire in scheduling order.
+// Simulated processes are coroutines that run one at a time under control
+// of an Engine: a process runs until it blocks (Sleep, semaphore, queue,
+// barrier, ...), at which point it switches back to the engine, which
+// advances the virtual clock to the next scheduled event and switches
+// into the process that event resumes. Runs are fully deterministic:
+// events with equal timestamps fire in scheduling order.
 package sim
 
 import "fmt"
