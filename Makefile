@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-fast test-slow race vet lint lint-tools bench-smoke bench-json bench-check chaos-smoke cover ci
+.PHONY: all build test test-fast test-slow race vet lint lint-tools bench-smoke chaos-smoke cover ci
 
 all: build test vet lint
 
@@ -68,31 +68,6 @@ lint:
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkEngine' -benchmem ./internal/sim/
 
-# Benchmark trajectory artifact: run the loopback wire benchmarks plus
-# the logstore append/replay pair, time a full (smoke-scale) paper
-# evaluation, and snapshot everything into BENCH_$(PR).json for
-# committing. Each perf-focused PR bumps PR= and commits its own
-# snapshot; bench-check then gates the trajectory.
-PR ?= 10
-bench-json:
-	$(GO) test -run '^$$' -bench 'BenchmarkPfsnet' -benchmem -benchtime 2s ./internal/pfsnet/ | tee bench-raw.txt
-	$(GO) test -run '^$$' -bench 'BenchmarkLogStore' -benchmem -benchtime 2s ./internal/logstore/ | tee -a bench-raw.txt
-	$(GO) run ./cmd/ibridge-benchdiff -emit -pr $(PR) \
-		-wallcmd '$(GO) run ./cmd/ibridge-bench -exp all -scale smoke' \
-		< bench-raw.txt > BENCH_$(PR).json
-	@rm -f bench-raw.txt
-	@echo "wrote BENCH_$(PR).json"
-
-# Regression gate over the committed snapshots: the newest BENCH_*.json
-# must stay within 5% of its predecessor on allocs/op (exactly
-# reproducible anywhere) and within the 40% noise threshold on the
-# timing-bound metrics (ns/op, MB/s, B/op, wall clock — shared CI hosts
-# swing these ±30% with zero code change, so the timing gate catches
-# catastrophes while the alloc gate stays tight). A no-op until two
-# snapshots are committed.
-bench-check:
-	$(GO) run ./cmd/ibridge-benchdiff -compare $(wildcard BENCH_*.json)
-
 # Chaos gate: the live TCP cluster under a canned fault plan (one server
 # crash+restart plus 1% connection resets) must complete with every byte
 # verified, and two runs of the same plan must print an identical chaos
@@ -148,7 +123,8 @@ cover:
 
 # The full gate: vet, the invariant lint suite, race on the
 # concurrency-bearing packages, the test suite in its two tiers (the fast
-# one includes the engine alloc-regression guard), the hot-path bench smoke, the
-# committed-benchmark regression gate, and the chaos smoke
-# (fault-injected live cluster, reproducible summary).
-ci: vet lint race test-fast test-slow bench-smoke bench-check chaos-smoke
+# one includes the engine alloc-regression guard), the hot-path bench smoke
+# and the chaos smoke (fault-injected live cluster, reproducible
+# summary). Performance is measured by bench/ (see bench/README.md), in
+# paired runs against the parent commit, not by this gate.
+ci: vet lint race test-fast test-slow bench-smoke chaos-smoke

@@ -27,7 +27,9 @@
 // GET http://<debug-addr>/debug/vars returns a JSON map holding the
 // standard expvar keys plus "pfs" (the live server counters and the
 // "pfsnet.server.*" wire metrics: frames, bytes, in-flight depth,
-// queue wait).
+// queue wait, and the fragment log's pfsnet.server.bridge.{live_bytes,
+// held_bytes,extents} gauges). -stats prints the same three gauges next
+// to the counters.
 //
 // With -span-file the server arms an obs.XTracer named after its fault
 // scope: traced v2 clients propagate {traceID, parentSpanID} on the
@@ -181,8 +183,9 @@ func main() {
 		go func() {
 			for range time.Tick(*stats) {
 				s := ds.Stats()
-				log.Printf("pfs-server: reads=%d writes=%d fragWrites=%d fragReads=%d logBytes=%d",
-					s.Reads, s.Writes, s.FragmentWrites, s.FragmentReads, s.LogBytes)
+				log.Printf("pfs-server: reads=%d writes=%d fragWrites=%d fragReads=%d logBytes=%d bridge: live=%d held=%d extents=%d",
+					s.Reads, s.Writes, s.FragmentWrites, s.FragmentReads, s.LogBytes,
+					s.BridgeLiveBytes, s.BridgeHeldBytes, s.BridgeExtents)
 			}
 		}()
 	}

@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"time"
+
+	"repro/internal/extent"
 )
 
 // Checkpoint file format. The checkpoint is the serialized mapping
@@ -57,7 +59,7 @@ func (ck *checkpointState) refs() map[uint64]bool {
 	refs := map[uint64]bool{ck.seg: true}
 	for _, o := range ck.objects {
 		for _, e := range o.ext {
-			refs[e.seg] = true
+			refs[e.Seg] = true
 		}
 	}
 	return refs
@@ -85,11 +87,11 @@ func (s *LogStore) encodeCheckpointLocked() []byte {
 		buf = binary.BigEndian.AppendUint64(buf, uint64(o.size))
 		buf = binary.BigEndian.AppendUint64(buf, uint64(len(o.ext)))
 		for _, e := range o.ext {
-			buf = binary.BigEndian.AppendUint64(buf, uint64(e.off))
-			buf = binary.BigEndian.AppendUint64(buf, uint64(e.n))
-			buf = binary.BigEndian.AppendUint64(buf, e.seg)
-			buf = binary.BigEndian.AppendUint64(buf, uint64(e.pos))
-			buf = binary.BigEndian.AppendUint64(buf, e.gen)
+			buf = binary.BigEndian.AppendUint64(buf, uint64(e.Off))
+			buf = binary.BigEndian.AppendUint64(buf, uint64(e.N))
+			buf = binary.BigEndian.AppendUint64(buf, e.Seg)
+			buf = binary.BigEndian.AppendUint64(buf, uint64(e.Pos))
+			buf = binary.BigEndian.AppendUint64(buf, e.Gen)
 		}
 	}
 	buf = binary.BigEndian.AppendUint64(buf, uint64(len(seqs)))
@@ -220,14 +222,14 @@ func loadCheckpoint(path string) (ck checkpointState, ok bool) {
 		if size < 0 || nExt > uint64(len(r))/(5*8) {
 			return checkpointState{}, false
 		}
-		o := &object{size: size, ext: make([]extent, 0, nExt)}
+		o := &object{size: size, ext: make(extent.List, 0, nExt)}
 		var prevEnd int64
 		for range nExt {
-			e := extent{off: int64(u64()), n: int64(u64()), seg: u64(), pos: int64(u64()), gen: u64()}
-			if e.off < prevEnd || e.n <= 0 || e.pos < segHeaderLen || e.off+e.n > size {
+			e := extent.Extent{Off: int64(u64()), N: int64(u64()), Seg: u64(), Pos: int64(u64()), Gen: u64()}
+			if e.Off < prevEnd || e.N <= 0 || e.Pos < segHeaderLen || e.Off+e.N > size {
 				return checkpointState{}, false
 			}
-			prevEnd = e.off + e.n
+			prevEnd = e.Off + e.N
 			o.ext = append(o.ext, e)
 		}
 		if _, dup := ck.objects[id]; dup {
@@ -259,7 +261,7 @@ func loadCheckpoint(path string) (ck checkpointState, ok bool) {
 	live := make(map[uint64]int64, nSeg)
 	for _, o := range ck.objects {
 		for _, e := range o.ext {
-			live[e.seg] += e.n
+			live[e.Seg] += e.N
 		}
 	}
 	for _, seq := range sortedKeys(live) {

@@ -4,6 +4,8 @@ import (
 	"os"
 	"sort"
 	"time"
+
+	"repro/internal/extent"
 )
 
 const (
@@ -210,7 +212,7 @@ func (s *LogStore) pickVictims(force bool) (victims []*segment, first uint64) {
 // victim, as of the scan that found it.
 type liveExtent struct {
 	file uint64
-	e    extent
+	e    extent.Extent
 }
 
 // liveExtents scans the mapping table once for the extents that point
@@ -224,8 +226,8 @@ func (s *LogStore) liveExtents(victims []*segment) map[uint64][]liveExtent {
 	defer s.mu.RUnlock()
 	for _, id := range sortedKeys(s.objects) {
 		for _, e := range s.objects[id].ext {
-			if _, ok := work[e.seg]; ok {
-				work[e.seg] = append(work[e.seg], liveExtent{id, e})
+			if _, ok := work[e.Seg]; ok {
+				work[e.Seg] = append(work[e.Seg], liveExtent{id, e})
 			}
 		}
 	}
@@ -243,8 +245,8 @@ func (s *LogStore) evacuate(v *segment, work []liveExtent) (copied int64, err er
 	var buf []byte
 	for len(work) > 0 {
 		n, size := 0, int64(0)
-		for n < len(work) && (n == 0 || size+work[n].e.n <= cleanBatchBytes) {
-			size += work[n].e.n
+		for n < len(work) && (n == 0 || size+work[n].e.N <= cleanBatchBytes) {
+			size += work[n].e.N
 			n++
 		}
 		batch := work[:n]
@@ -255,10 +257,10 @@ func (s *LogStore) evacuate(v *segment, work []liveExtent) (copied int64, err er
 		buf = buf[:size]
 		at := int64(0)
 		for _, w := range batch {
-			if _, err := v.f.ReadAt(buf[at:at+w.e.n], w.e.pos); err != nil {
+			if _, err := v.f.ReadAt(buf[at:at+w.e.N], w.e.Pos); err != nil {
 				return copied, err
 			}
-			at += w.e.n
+			at += w.e.N
 		}
 		for {
 			s.mu.Lock()
@@ -288,24 +290,17 @@ func (s *LogStore) copyLocked(v *segment, batch []liveExtent, buf []byte) (copie
 	if err := s.logDownLocked(); err != nil {
 		return 0, false, err
 	}
-	var still []extent
+	var still []extent.Extent
 	for _, w := range batch {
-		// Collected first: the append below rewrites the extent list
-		// each is walking.
-		still = still[:0]
-		s.objects[w.file].each(w.e.off, w.e.n, func(e extent, dst int64) {
-			if e.seg == v.seq && e.pos == w.e.pos+dst {
-				still = append(still, e)
-			}
-		})
+		still = s.objects[w.file].ext.PointingAt(w.e.Off, w.e.N, v.seq, w.e.Pos, still[:0])
 		for _, e := range still {
-			at := e.off - w.e.off
-			if needSeg, err := s.appendLocked(w.file, e.off, buf[at:at+e.n], false); needSeg || err != nil {
+			at := e.Off - w.e.Off
+			if needSeg, err := s.appendLocked(w.file, e.Off, buf[at:at+e.N], false); needSeg || err != nil {
 				return copied, needSeg, err
 			}
-			copied += e.n
+			copied += e.N
 		}
-		buf = buf[w.e.n:]
+		buf = buf[w.e.N:]
 	}
 	return copied, false, nil
 }

@@ -63,6 +63,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/extent"
 	"repro/internal/obs"
 )
 
@@ -390,8 +391,8 @@ func (s *LogStore) recover() error {
 	if ckOK {
 		for _, id := range sortedKeys(s.objects) {
 			for _, e := range s.objects[id].ext {
-				s.segs[e.seg].live += e.n
-				s.liveBytes += e.n
+				s.segs[e.Seg].live += e.N
+				s.liveBytes += e.N
 			}
 		}
 	}
@@ -551,9 +552,9 @@ func (s *LogStore) replaySegment(seg *segment, from int64, wantGen uint64, stric
 			}
 			return nil
 		}
-		s.applyLocked(rec.file, extent{
-			off: rec.off, n: int64(len(rec.data)),
-			seg: seg.seq, pos: pos + recOverhead, gen: rec.gen,
+		s.applyLocked(rec.file, extent.Extent{
+			Off: rec.off, N: int64(len(rec.data)),
+			Seg: seg.seq, Pos: pos + recOverhead, Gen: rec.gen,
 		})
 		lastGen = rec.gen
 		if !strict && rec.gen > s.gen {
@@ -569,24 +570,32 @@ func (s *LogStore) replaySegment(seg *segment, from int64, wantGen uint64, stric
 	return nil
 }
 
+// object is the in-memory index of one stored object: its logical size
+// (monotone, sparse-write semantics) and the extent list over the log.
+type object struct {
+	size int64
+	ext  extent.List
+}
+
 // applyLocked publishes one appended record in the mapping table and
 // moves the byte accounting with it: the record's bytes are live in
 // its segment, the bytes it supersedes become garbage in theirs.
-func (s *LogStore) applyLocked(file uint64, e extent) {
+func (s *LogStore) applyLocked(file uint64, e extent.Extent) {
 	o := s.objects[file]
 	if o == nil {
 		o = &object{}
 		s.objects[file] = o
 	}
-	o.insert(e, func(seg uint64, n int64) {
+	o.size = max(o.size, e.Off+e.N)
+	o.ext.Insert(e, func(seg uint64, n int64) {
 		s.segs[seg].live -= n
 		s.liveBytes -= n
 	})
-	seg := s.segs[e.seg]
-	seg.data += e.n
-	seg.live += e.n
-	s.dataBytes += e.n
-	s.liveBytes += e.n
+	seg := s.segs[e.Seg]
+	seg.data += e.N
+	seg.live += e.N
+	s.dataBytes += e.N
+	s.liveBytes += e.N
 }
 
 // deadLocked reports why the store serves nothing any more: a fired
@@ -696,9 +705,9 @@ func (s *LogStore) appendLocked(file uint64, off int64, data []byte, user bool) 
 	if s.crashed {
 		return false, ErrCrashed
 	}
-	s.applyLocked(file, extent{
-		off: off, n: int64(len(data)),
-		seg: s.active.seq, pos: s.active.size + recOverhead, gen: s.gen,
+	s.applyLocked(file, extent.Extent{
+		Off: off, N: int64(len(data)),
+		Seg: s.active.seq, Pos: s.active.size + recOverhead, Gen: s.gen,
 	})
 	s.active.size += int64(len(frame))
 	s.frameBytes += int64(len(frame))
@@ -807,10 +816,10 @@ func (s *LogStore) resolveLocked(ops []readOp, file uint64, off, n int64) []read
 	if o == nil {
 		return ops
 	}
-	o.each(off, n, func(e extent, dst int64) {
-		seg := s.segs[e.seg]
+	o.ext.Each(off, n, func(e extent.Extent, dst int64) {
+		seg := s.segs[e.Seg]
 		seg.pins.Add(1)
-		ops = append(ops, readOp{seg: seg, pos: e.pos, n: e.n, dst: dst})
+		ops = append(ops, readOp{seg: seg, pos: e.Pos, n: e.N, dst: dst})
 	})
 	return ops
 }

@@ -7,7 +7,6 @@ import (
 	"log"
 	"net"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,19 +15,6 @@ import (
 	"repro/internal/obs"
 )
 
-// DataServer stores the per-server striped objects and serves read/write
-// sub-requests over TCP. When Bridge is enabled, flagged sub-requests
-// (fragments and regular random requests) are written to a log region
-// with a mapping table — the functional analogue of iBridge's SSD cache —
-// and drained back to the object store on Flush or overwrite.
-//
-// Each v2 connection runs a small pipeline: the connection goroutine
-// demuxes tagged frames into a bounded worker pool, the workers execute
-// handlers concurrently, and a single response-writer goroutine streams
-// the tagged replies back through a corked bufio.Writer. Server state is
-// split so independent requests do not serialize behind one lock: the
-// fragment log and its mapping table are guarded by logMu, counters are
-// atomic, and object-store I/O runs outside both.
 // DurableStore is the optional crash-consistency extension of
 // ObjectStore that logstore.LogStore implements. A data server whose
 // store satisfies it folds the store's record appends into the fault
@@ -46,9 +32,22 @@ type DurableStore interface {
 	FailDevice() error
 }
 
+// DataServer stores the per-server striped objects and serves read/write
+// sub-requests over TCP. When Bridge is enabled, flagged sub-requests
+// (fragments and regular random requests) are appended to the fragment
+// log (bridge.go) — the functional analogue of iBridge's SSD cache — and
+// drained back to the object store on Flush.
+//
+// Each v2 connection runs a small pipeline: the connection goroutine
+// demuxes tagged frames into a bounded worker pool, the workers execute
+// handlers concurrently, and a single response-writer goroutine streams
+// the tagged replies back through a corked bufio.Writer. Server state is
+// split so independent requests do not serialize behind one lock: the
+// fragment log has its own (logMu, in the bridge), counters are atomic,
+// and object-store I/O runs outside both.
 type DataServer struct {
 	ln        net.Listener
-	bridge    bool
+	bridge    *bridge // the fragment log; never nil, inert when the server runs without iBridge
 	store     ObjectStore
 	durable   DurableStore // non-nil when store is crash-consistent (logstore)
 	workers   int
@@ -60,20 +59,13 @@ type DataServer struct {
 	features  uint32       // feature bits advertised during hello
 	connSeq   atomic.Int64 // per-connection trace-scope numbering
 
-	// SSD-device failure state: when the fault plan schedules a device
-	// failure for this server (or FailSSD is called), the fragment log is
+	// SSD-device failure: when the fault plan schedules a device failure
+	// for this server (or FailSSD is called), the fragment log is
 	// drained once and the server degrades gracefully to the direct
 	// store path — iBridge's cache is an accelerator, so losing it must
 	// cost performance, never bytes.
 	plan         *faults.Plan
-	ssdDown      atomic.Bool
 	ssdFailAfter int64 // fragment-log writes until the device fails; 0 = never
-
-	// logMu guards the iBridge log region and its mapping table only;
-	// object-store reads and writes happen outside it.
-	logMu   sync.Mutex
-	logData []byte // the "SSD" log region
-	table   map[extKey]extVal
 
 	ctr       dataCounters
 	wg        sync.WaitGroup
@@ -147,6 +139,12 @@ type DataStats struct {
 	CancelsReceived int64
 	CancelsHonored  int64
 	DirectReads     int64
+	// The fragment log right now (gauges, unlike the counters above):
+	// bytes the index maps, bytes appended into chunks the log still
+	// holds, and index entries. LogBytes above is every byte ever logged.
+	BridgeLiveBytes int64
+	BridgeHeldBytes int64
+	BridgeExtents   int64
 }
 
 // dataCounters is the lock-free mirror of DataStats: handlers running in
@@ -162,16 +160,6 @@ type dataCounters struct {
 	cancelsReceived    atomic.Int64
 	cancelsHonored     atomic.Int64
 	directReads        atomic.Int64
-}
-
-type extKey struct {
-	file uint64
-	off  int64
-}
-
-type extVal struct {
-	logOff int64
-	length int64
 }
 
 // NewDataServer starts a data server listening on addr (use
@@ -220,7 +208,7 @@ func NewDataServerConfig(addr string, cfg ServerConfig) (*DataServer, error) {
 	}
 	s := &DataServer{
 		ln:        cfg.FaultPlan.WrapListener(ln, cfg.FaultScope),
-		bridge:    cfg.Bridge,
+		bridge:    newBridge(cfg.Bridge),
 		store:     store,
 		workers:   workers,
 		maxProto:  maxProto,
@@ -230,9 +218,11 @@ func NewDataServerConfig(addr string, cfg ServerConfig) (*DataServer, error) {
 		tracer:    cfg.Tracer,
 		features:  features,
 		plan:      cfg.FaultPlan,
-		table:     make(map[extKey]extVal),
 		quit:      make(chan struct{}),
 		conns:     make(map[net.Conn]struct{}),
+	}
+	if cfg.Obs != nil {
+		s.bridge.register(cfg.Obs, "pfsnet.server.bridge.")
 	}
 	if ds, ok := store.(DurableStore); ok {
 		s.durable = ds
@@ -263,6 +253,9 @@ func (s *DataServer) Stats() DataStats {
 		CancelsReceived: s.ctr.cancelsReceived.Load(),
 		CancelsHonored:  s.ctr.cancelsHonored.Load(),
 		DirectReads:     s.ctr.directReads.Load(),
+		BridgeLiveBytes: s.bridge.liveBytes.Load(),
+		BridgeHeldBytes: s.bridge.heldBytes.Load(),
+		BridgeExtents:   s.bridge.extents.Load(),
 	}
 }
 
@@ -302,44 +295,19 @@ func (s *DataServer) Close() error {
 // FlushLog drains every mapped log extent back to the object store, in
 // (file, offset) order — the iBridge writeback at program termination.
 func (s *DataServer) FlushLog() error {
-	s.logMu.Lock()
-	defer s.logMu.Unlock()
-	return s.flushLocked(0, true)
+	_, err := s.flush(0, true)
+	return err
 }
 
-// flushLocked writes back mapped extents (logMu held). If all is false,
-// only extents of the given file are drained.
-func (s *DataServer) flushLocked(file uint64, all bool) error {
-	type hit struct {
-		k extKey
-		v extVal
+// flush writes the fragments of file (of every file when all is set)
+// back to the store and returns the bytes written.
+func (s *DataServer) flush(file uint64, all bool) (int64, error) {
+	n, err := s.bridge.drain(s.store, file, all)
+	s.ctr.flushedBytes.Add(n)
+	if err == nil {
+		s.ctr.flushes.Add(1)
 	}
-	var hits []hit
-	for k, v := range s.table {
-		if all || k.file == file {
-			hits = append(hits, hit{k, v})
-		}
-	}
-	sort.Slice(hits, func(i, j int) bool {
-		if hits[i].k.file != hits[j].k.file {
-			return hits[i].k.file < hits[j].k.file
-		}
-		return hits[i].k.off < hits[j].k.off
-	})
-	for _, h := range hits {
-		data := s.logData[h.v.logOff : h.v.logOff+h.v.length]
-		//lint:allow lockio writeback under logMu goes when ROADMAP item 1 ("One iBridge, not three") replaces logData/table with a logstore instance
-		if err := s.store.WriteAt(h.k.file, h.k.off, data); err != nil {
-			return err
-		}
-		delete(s.table, h.k)
-		s.ctr.flushedBytes.Add(h.v.length)
-	}
-	if all && len(s.table) == 0 {
-		s.logData = s.logData[:0] // log reclaimed
-	}
-	s.ctr.flushes.Add(1)
-	return nil
+	return n, err
 }
 
 func (s *DataServer) accept() {
@@ -650,37 +618,22 @@ func (s *DataServer) handleWrite(payload []byte) ([]byte, error) {
 	}
 	s.ctr.writes.Add(1)
 	s.ctr.wrBytes.Add(int64(len(data)))
-	if s.bridge && flags&1 != 0 && !s.ssdDown.Load() {
-		// iBridge path: append to the log, record the mapping, and
-		// invalidate overlapped older mappings.
-		s.logMu.Lock()
-		defer s.logMu.Unlock()
-		if err := s.invalidateLocked(file, off, int64(len(data))); err != nil {
-			return nil, err
-		}
-		logOff := int64(len(s.logData))
-		s.logData = append(s.logData, data...)
-		s.table[extKey{file, off}] = extVal{logOff: logOff, length: int64(len(data))}
+	if flags&1 != 0 && s.bridge.write(file, off, data) {
+		// iBridge path: the write is in the fragment log, mapped over
+		// whatever older fragments it overlapped.
 		s.ctr.fragmentWrites.Add(1)
 		s.ctr.logBytes.Add(int64(len(data)))
 		if s.ssdFailAfter > 0 && s.ssdWriteCount() >= s.ssdFailAfter {
 			// The scheduled device failure trips on this write: drain the
 			// log (this write included) and degrade to the direct path.
-			if err := s.failSSDLocked(); err != nil {
-				return nil, err
-			}
+			return nil, s.FailSSD()
 		}
 		return nil, nil
 	}
-	// Direct path; the write also supersedes any cached mapping. The
-	// store write itself runs outside logMu so independent files don't
-	// serialize behind the log lock.
-	s.logMu.Lock()
-	err := s.invalidateLocked(file, off, int64(len(data)))
-	s.logMu.Unlock()
-	if err != nil {
-		return nil, err
-	}
+	// Direct path: the write supersedes any fragment mapped in its range
+	// (and waits out a write-back of that range already in flight, so
+	// older bytes cannot land over it).
+	s.bridge.punch(file, off, int64(len(data)))
 	if err := s.store.WriteAt(file, off, data); err != nil {
 		return nil, err
 	}
@@ -688,7 +641,7 @@ func (s *DataServer) handleWrite(payload []byte) ([]byte, error) {
 	// count toward the scheduled device failure exactly like legacy
 	// fragment-log writes — `ssdfail=srvN@K` fault specs apply
 	// unchanged whichever store backs the server.
-	if s.durable != nil && s.ssdFailAfter > 0 && !s.ssdDown.Load() && s.ssdWriteCount() >= s.ssdFailAfter {
+	if s.durable != nil && s.ssdFailAfter > 0 && !s.SSDFailed() && s.ssdWriteCount() >= s.ssdFailAfter {
 		if err := s.FailSSD(); err != nil {
 			return nil, err
 		}
@@ -707,17 +660,17 @@ func (s *DataServer) ssdWriteCount() int64 {
 	return n
 }
 
-// failSSDLocked executes the SSD-device failure (logMu held): the
-// fragment log is written back once and the server switches to the
-// direct store path for all subsequent flagged writes — graceful
+// FailSSD fails this server's SSD (fragment log) device immediately:
+// the log takes no more writes, is drained back to the object store
+// once, and all further flagged writes take the direct path — graceful
 // degradation, the pfsnet analogue of the sim bridge handing fragments
-// back to the HDD.
-func (s *DataServer) failSSDLocked() error {
-	if s.ssdDown.Swap(true) {
+// back to the HDD. Safe to call more than once.
+func (s *DataServer) FailSSD() error {
+	if !s.bridge.fail() {
 		return nil
 	}
 	s.plan.NoteSSDFail()
-	if err := s.flushLocked(0, true); err != nil {
+	if _, err := s.flush(0, true); err != nil {
 		return err
 	}
 	if s.durable != nil {
@@ -731,44 +684,9 @@ func (s *DataServer) failSSDLocked() error {
 	return nil
 }
 
-// FailSSD fails this server's SSD (fragment log) device immediately:
-// the log is drained back to the object store and all further flagged
-// writes take the direct path. Safe to call more than once.
-func (s *DataServer) FailSSD() error {
-	s.logMu.Lock()
-	defer s.logMu.Unlock()
-	return s.failSSDLocked()
-}
-
 // SSDFailed reports whether the SSD device has failed (by schedule or
 // FailSSD) and the server is running degraded.
-func (s *DataServer) SSDFailed() bool { return s.ssdDown.Load() }
-
-// invalidateLocked drops log mappings overlapping [off, off+n), first
-// writing their current content back to the object so no data is lost
-// when a partial overwrite arrives through the direct path. logMu held.
-func (s *DataServer) invalidateLocked(file uint64, off, n int64) error {
-	type hit struct {
-		k extKey
-		v extVal
-	}
-	var hits []hit
-	for k, v := range s.table {
-		if k.file == file && k.off < off+n && off < k.off+v.length {
-			hits = append(hits, hit{k, v})
-		}
-	}
-	sort.Slice(hits, func(i, j int) bool { return hits[i].k.off < hits[j].k.off })
-	for _, h := range hits {
-		data := s.logData[h.v.logOff : h.v.logOff+h.v.length]
-		//lint:allow lockio writeback under logMu goes when ROADMAP item 1 ("One iBridge, not three") replaces logData/table with a logstore instance
-		if err := s.store.WriteAt(h.k.file, h.k.off, data); err != nil {
-			return err
-		}
-		delete(s.table, h.k)
-	}
-	return nil
-}
+func (s *DataServer) SSDFailed() bool { return s.bridge.down.Load() }
 
 // cancelSet is the per-connection set of cancelled request tags
 // (featCancel). The demux goroutine adds, workers take; the map is
@@ -836,29 +754,27 @@ func (s *DataServer) handleRead(payload []byte) ([]byte, error) {
 	reply := getBuf(4 + int(length))
 	binary.BigEndian.PutUint32(reply[:4], uint32(length))
 	out := reply[4:]
+	// The mapped log extents are newer than the object. Their snapshot
+	// is taken before the store read and laid over it after (see
+	// bridge.overlay for why the order matters).
+	var few [4]patch
+	patches := s.bridge.overlay(file, off, length, few[:0])
 	if err := s.store.ReadAt(file, off, out); err != nil {
 		putBuf(reply)
 		return nil, err
 	}
-	// Overlay any mapped log extents (they are newer than the object).
-	if s.bridge {
-		s.logMu.Lock()
-		for k, v := range s.table {
-			if k.file != file || k.off >= off+length || off >= k.off+v.length {
-				continue
-			}
-			from := max(k.off, off)
-			to := min(k.off+v.length, off+length)
-			copy(out[from-off:to-off], s.logData[v.logOff+(from-k.off):v.logOff+(to-k.off)])
-			s.ctr.fragmentReads.Add(1)
+	if len(patches) > 0 {
+		for _, p := range patches {
+			copy(out[p.dst:], p.src)
 		}
-		s.logMu.Unlock()
+		s.ctr.fragmentReads.Add(int64(len(patches)))
 	}
 	return reply, nil
 }
 
-// handleStat payload: file u64. Reply: objectLen i64, mappedExtents u32,
-// logBytes i64.
+// handleStat payload: file u64. Reply: objectLen i64, mappedExtents u32
+// (fragment-index entries of this file), logBytes i64 (bytes the
+// fragment log holds, across all files — what a full flush would free).
 func (s *DataServer) handleStat(payload []byte) ([]byte, error) {
 	d := dec{b: payload}
 	file := d.u64()
@@ -869,19 +785,11 @@ func (s *DataServer) handleStat(payload []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.logMu.Lock()
-	var mapped uint32
-	for k := range s.table {
-		if k.file == file {
-			mapped++
-		}
-	}
-	logLen := int64(len(s.logData))
-	s.logMu.Unlock()
+	mapped, held := s.bridge.stats(file)
 	e := newEnc()
 	e.i64(objLen)
-	e.u32(mapped)
-	e.i64(logLen)
+	e.u32(uint32(mapped))
+	e.i64(held)
 	return e.b, nil
 }
 
@@ -892,13 +800,11 @@ func (s *DataServer) handleFlush(payload []byte) ([]byte, error) {
 	if d.err != nil {
 		return nil, d.err
 	}
-	s.logMu.Lock()
-	defer s.logMu.Unlock()
-	before := s.ctr.flushedBytes.Load()
-	if err := s.flushLocked(file, file == 0); err != nil {
+	flushed, err := s.flush(file, file == 0)
+	if err != nil {
 		return nil, err
 	}
 	e := newEnc()
-	e.i64(s.ctr.flushedBytes.Load() - before)
+	e.i64(flushed)
 	return e.b, nil
 }

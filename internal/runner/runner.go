@@ -28,7 +28,9 @@
 package runner
 
 import (
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
@@ -70,7 +72,8 @@ func pool() chan struct{} {
 // concurrently — across all concurrent Map calls — and returns the
 // results in index order. If any unit returns an error, Map returns the
 // error of the lowest-indexed failing unit (the same failure a serial
-// loop would have reported); all units are run regardless.
+// loop would have reported); all units are run regardless. A unit that
+// panics fails with an error naming its index (see call).
 //
 // With Jobs() == 1 the units run strictly one at a time on the calling
 // goroutine, an exact serial execution: the determinism regression tests
@@ -78,13 +81,32 @@ func pool() chan struct{} {
 func Map[T any](n int, fn func(i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
 	errs := make([]error, n)
-	mapRun(n, func(i int) { out[i], errs[i] = fn(i) })
+	mapRun(n, func(i int) { out[i], errs[i] = call(i, fn) })
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
 	}
 	return out, nil
+}
+
+// call runs one unit, turning a panic into that unit's error: a panic on
+// a worker goroutine would otherwise kill the process without saying
+// which of the grid's points blew up, and the other units' results with
+// it. A simulated process that panics reaches here as a *sim.PanicError
+// (it is re-raised on the goroutine that called Run), which the returned
+// error wraps; any other value is reported with the stack it came from.
+func call[T any](i int, fn func(i int) (T, error)) (v T, err error) {
+	defer func() {
+		switch r := recover().(type) {
+		case nil:
+		case error:
+			err = fmt.Errorf("runner: unit %d panicked: %w", i, r)
+		default:
+			err = fmt.Errorf("runner: unit %d panicked: %v\n%s", i, r, debug.Stack())
+		}
+	}()
+	return fn(i)
 }
 
 // mapRun executes fn(0..n-1) on worker goroutines. Each data point holds
@@ -137,8 +159,9 @@ func mapRun(n int, fn func(i int)) {
 // the caller's goroutine. Units hold no pool token — they are expected to
 // issue their simulations through Map, which throttles globally.
 //
-// If a unit fails, Stream stops emitting at the first (lowest-indexed)
-// error and returns it after all in-flight units finish. If emit returns
+// If a unit fails — or panics, which call turns into an error naming its
+// index — Stream stops emitting at the first (lowest-indexed) error and
+// returns it after all in-flight units finish. If emit returns
 // an error, remaining results are discarded but units still run to
 // completion. With Jobs() == 1, units run strictly serially, each emitted
 // before the next starts.
@@ -148,7 +171,7 @@ func Stream[T any](n int, fn func(i int) (T, error), emit func(i int, v T) error
 	}
 	if Jobs() == 1 {
 		for i := 0; i < n; i++ {
-			v, err := fn(i)
+			v, err := call(i, fn)
 			if err != nil {
 				return err
 			}
@@ -166,7 +189,7 @@ func Stream[T any](n int, fn func(i int) (T, error), emit func(i int, v T) error
 		ready[i] = make(chan struct{})
 		go func() {
 			defer close(ready[i])
-			out[i], errs[i] = fn(i)
+			out[i], errs[i] = call(i, fn)
 		}()
 	}
 	var emitErr error

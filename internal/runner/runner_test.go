@@ -3,6 +3,7 @@ package runner
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -232,5 +233,58 @@ func TestDeterministicAcrossJobs(t *testing.T) {
 		if runs[0][i] != runs[1][i] {
 			t.Fatalf("jobs=1 and jobs=8 diverge at %d: %d vs %d", i, runs[0][i], runs[1][i])
 		}
+	}
+}
+
+// TestPanickingUnitBecomesIndexedError: a unit that panics — on a worker
+// goroutine or inline at jobs=1 — does not take the process down; Map
+// and Stream return an error that names the unit and wraps an error
+// panic value, and the other units still run.
+func TestPanickingUnitBecomesIndexedError(t *testing.T) {
+	cause := errors.New("model invariant broken")
+	unit := func(ran *atomic.Int64) func(int) (int, error) {
+		return func(i int) (int, error) {
+			ran.Add(1)
+			switch i {
+			case 4:
+				panic(cause)
+			case 6:
+				panic("not an error value")
+			}
+			return i, nil
+		}
+	}
+	for _, jobs := range []int{1, 8} {
+		withJobs(t, jobs, func() {
+			var ran atomic.Int64
+			_, err := Map(10, unit(&ran))
+			if err == nil || !errors.Is(err, cause) || !strings.Contains(err.Error(), "unit 4 panicked") {
+				t.Fatalf("jobs=%d: Map err = %v, want unit 4's panic wrapping the cause", jobs, err)
+			}
+			if ran.Load() != 10 {
+				t.Fatalf("jobs=%d: Map ran %d of 10 units", jobs, ran.Load())
+			}
+			ran.Store(0)
+			var emitted []int
+			err = Stream(10, unit(&ran), func(i, v int) error {
+				emitted = append(emitted, v)
+				return nil
+			})
+			if err == nil || !errors.Is(err, cause) || !strings.Contains(err.Error(), "unit 4 panicked") {
+				t.Fatalf("jobs=%d: Stream err = %v, want unit 4's panic wrapping the cause", jobs, err)
+			}
+			if len(emitted) != 4 {
+				t.Fatalf("jobs=%d: Stream emitted %v before the failing unit, want 0..3", jobs, emitted)
+			}
+		})
+	}
+	_, err := Map(7, func(i int) (int, error) {
+		if i == 6 {
+			panic("not an error value")
+		}
+		return i, nil
+	})
+	if err == nil || !strings.Contains(err.Error(), "unit 6 panicked: not an error value") || !strings.Contains(err.Error(), "runner_test.go") {
+		t.Fatalf("non-error panic: err = %v, want the value and the stack it came from", err)
 	}
 }
