@@ -1,4 +1,5 @@
 GO ?= go
+GOFMT ?= gofmt
 
 .PHONY: all build test test-fast test-slow race vet lint lint-tools bench-smoke chaos-smoke cover ci
 
@@ -50,8 +51,12 @@ lint-tools:
 # installed (at the pinned versions above, via `make lint-tools`). The
 # multichecker is the hard gate; the external tools are best-effort so
 # the target works on a bare toolchain. `ibridge-vet -json` emits the
-# same findings machine-readably for CI annotation.
+# same findings machine-readably for CI annotation. First of all, every
+# Go file must be gofmt-clean: a non-empty `gofmt -l` fails the target.
 lint:
+	@unformatted=$$($(GOFMT) -l .); if [ -n "$$unformatted" ]; then \
+		echo "lint: gofmt would reformat (run 'gofmt -w' on them):"; echo "$$unformatted"; exit 1; \
+	fi
 	$(GO) run ./cmd/ibridge-vet ./...
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \

@@ -3,7 +3,6 @@
 // Usage:
 //
 //	pfs-server -listen 127.0.0.1:7001 -ibridge
-//	pfs-server -listen 127.0.0.1:7001 -workers 16
 //	pfs-server -listen 127.0.0.1:7001 -store log -store-dir /data/srv0
 //	pfs-server -listen 127.0.0.1:7001 -debug-addr 127.0.0.1:7071
 //	pfs-server -listen 127.0.0.1:7001 -span-file srv0.spans
@@ -19,9 +18,11 @@
 // log store.
 //
 // The server speaks wire protocol v2 (pipelined, multiplexed tagged
-// frames) with v2 clients and falls back to v1 per connection; -workers
-// bounds the per-connection handler pool for pipelined connections, and
-// -max-proto 1 forces legacy single-round-trip behaviour.
+// frames) with v2 clients and falls back to v1 per connection; -max-proto
+// 1 forces legacy single-round-trip behaviour. Each connection is served
+// by one goroutine that executes its requests in arrival order and
+// answers a pipelined burst with one writev, so a server's concurrency is
+// its clients' connection count (DESIGN §8).
 //
 // With -debug-addr the server exposes its metrics registry over expvar:
 // GET http://<debug-addr>/debug/vars returns a JSON map holding the
@@ -61,7 +62,6 @@ func main() {
 		storeKind  = flag.String("store", "", "backing store: mem (default), file, or log (crash-consistent; see DESIGN §14)")
 		storeDir   = flag.String("store-dir", "", "directory for the file or log store")
 		ckptBytes  = flag.Int64("checkpoint-bytes", 0, "log store: install a mapping-table checkpoint after this many appended log bytes (0 = default 4MiB, <0 = only on open/close)")
-		workers    = flag.Int("workers", 0, "per-connection handler pool size for pipelined (v2) connections (0 = default)")
 		maxProto   = flag.Int("max-proto", 0, "highest wire protocol version to negotiate (0 = latest, 1 = legacy)")
 		noVec      = flag.Bool("no-vectored", false, "respond through the corked bufio path instead of vectored (writev) submission")
 		noCancel   = flag.Bool("no-cancel", false, "do not advertise featCancel: hedging clients fall back to plain re-issue without loser cancellation")
@@ -143,7 +143,6 @@ func main() {
 	ds, err := pfsnet.NewDataServerConfig(*listen, pfsnet.ServerConfig{
 		Bridge:          *ibridge,
 		Store:           store,
-		Workers:         *workers,
 		MaxProto:        *maxProto,
 		DisableVectored: *noVec,
 		DisableCancel:   *noCancel,

@@ -234,15 +234,12 @@ func hedged(plan *faults.Plan, ops int, delay time.Duration, quantile float64, b
 
 	// Timing-dependent numbers print above the summary marker: injected
 	// latency counts depend on how many primary conn ops ran before their
-	// cancels landed, and per-server cancels-honored depends on whether a
-	// cancel beat its request out of the worker queue.
-	var honored, direct int64
+	// cancels landed.
+	var direct int64
 	for _, ds := range servers {
-		st := ds.Stats()
-		honored += st.CancelsHonored
-		direct += st.DirectReads
+		direct += ds.Stats().DirectReads
 	}
-	fmt.Printf("server totals (timing-dependent): direct reads %d, cancels honored %d\n", direct, honored)
+	fmt.Printf("server totals (timing-dependent): direct reads %d\n", direct)
 	fmt.Printf("faults injected (timing-dependent): %s\n", plan.CountsString())
 
 	// The summary below is the reproducibility contract: a second run of

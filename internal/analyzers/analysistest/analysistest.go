@@ -21,6 +21,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/analyzers"
@@ -28,6 +29,29 @@ import (
 
 var wantRe = regexp.MustCompile(`//\s*want\s+(.*)$`)
 var quotedRe = regexp.MustCompile(`"((?:[^"\\]|\\.)*)"|` + "`([^`]*)`")
+
+// One loader serves every Run in a test binary, so the source importer
+// type-checks the standard library and the module's own dependencies
+// once rather than once per fixture. A Loader is not safe for concurrent
+// use; loaderMu serializes the loads.
+var (
+	loaderMu sync.Mutex
+	loader   *analyzers.Loader
+)
+
+// load parses and type-checks the fixture in abs with the shared loader.
+func load(abs, asPath string) (*analyzers.Package, error) {
+	loaderMu.Lock()
+	defer loaderMu.Unlock()
+	if loader == nil {
+		l, err := analyzers.NewLoader(".")
+		if err != nil {
+			return nil, err
+		}
+		loader = l
+	}
+	return loader.LoadDir(abs, asPath)
+}
 
 // Run loads the single fixture package in dir (relative to the test's
 // working directory), attributes it to import path asPath (which
@@ -39,11 +63,7 @@ func Run(t *testing.T, a *analyzers.Analyzer, dir, asPath string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loader, err := analyzers.NewLoader(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkg, err := loader.LoadDir(abs, asPath)
+	pkg, err := load(abs, asPath)
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", dir, err)
 	}

@@ -28,11 +28,11 @@ type Package struct {
 // dependencies resolve through the source importer, so no external
 // analysis framework is needed.
 type Loader struct {
-	fset     *token.FileSet
-	imp      types.Importer
-	ModRoot  string // module root directory (where go.mod lives)
-	ModPath  string // module path from go.mod
-	TestGoFiles bool // also load _test.go files of the package itself
+	fset        *token.FileSet
+	imp         types.Importer
+	ModRoot     string // module root directory (where go.mod lives)
+	ModPath     string // module path from go.mod
+	TestGoFiles bool   // also load _test.go files of the package itself
 }
 
 // NewLoader locates the enclosing module starting from dir (walking up

@@ -146,8 +146,8 @@ func (lo *lockOrder) collectOps(body *ast.BlockStmt) []lockOp {
 	var walk func(n ast.Node, inDefer bool, deferEnd token.Pos)
 	walk = func(n ast.Node, inDefer bool, deferEnd token.Pos) {
 		blockEnd := body.End()
-		var nodes []ast.Node  // descended-into ancestors
-		var ends []token.Pos  // blockEnd to restore when leaving a block
+		var nodes []ast.Node // descended-into ancestors
+		var ends []token.Pos // blockEnd to restore when leaving a block
 		ast.Inspect(n, func(m ast.Node) bool {
 			if m == nil {
 				top := nodes[len(nodes)-1]

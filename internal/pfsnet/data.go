@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"log"
 	"net"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -38,11 +37,12 @@ type DurableStore interface {
 // log (bridge.go) — the functional analogue of iBridge's SSD cache — and
 // drained back to the object store on Flush.
 //
-// Each v2 connection runs a small pipeline: the connection goroutine
-// demuxes tagged frames into a bounded worker pool, the workers execute
-// handlers concurrently, and a single response-writer goroutine streams
-// the tagged replies back through a corked bufio.Writer. Server state is
-// split so independent requests do not serialize behind one lock: the
+// Each v2 connection runs to completion on the one goroutine that reads
+// it: read a frame, execute it, queue the tagged reply, and put the
+// queued replies on the wire in one writev only when the next read could
+// block. Requests on one connection therefore execute in arrival order;
+// concurrency comes from connections. Server state is split so requests
+// on different connections do not serialize behind one lock: the
 // fragment log has its own (logMu, in the bridge), counters are atomic,
 // and object-store I/O runs outside both.
 type DataServer struct {
@@ -50,7 +50,6 @@ type DataServer struct {
 	bridge    *bridge // the fragment log; never nil, inert when the server runs without iBridge
 	store     ObjectStore
 	durable   DurableStore // non-nil when store is crash-consistent (logstore)
-	workers   int
 	maxProto  int
 	noVec     bool
 	ioTimeout time.Duration
@@ -82,17 +81,13 @@ type ServerConfig struct {
 	Bridge bool
 	// Store is the backing object store (default: in-memory).
 	Store ObjectStore
-	// Workers bounds the per-connection handler pool for pipelined (v2)
-	// connections. Default: max(4, GOMAXPROCS).
-	Workers int
 	// MaxProto caps the wire protocol the server will negotiate
 	// (0 means the latest; 1 makes the server behave like a legacy v1
 	// peer, rejecting the hello opcode).
 	MaxProto int
-	// DisableVectored forces the pipelined response writer onto the
-	// legacy corked bufio path instead of vectored (writev) submission —
-	// the interop escape hatch, and the A/B knob for the wire
-	// benchmarks.
+	// DisableVectored forces v2 replies onto the legacy corked bufio
+	// path instead of vectored (writev) submission — the interop escape
+	// hatch, and the A/B knob for the wire benchmarks.
 	DisableVectored bool
 	// Obs, when set, receives wire-level metrics under
 	// "pfsnet.server.*".
@@ -111,9 +106,9 @@ type ServerConfig struct {
 	// hedged-read cancellation extension. Hedging clients degrade to
 	// plain re-issue without cancellation against such a peer.
 	DisableCancel bool
-	// IOTimeout, when positive, bounds each frame read and reply write
-	// on every connection so a stalled or half-open peer cannot pin a
-	// handler goroutine forever. 0 (the default) disables deadlines.
+	// IOTimeout, when positive, bounds each frame read and reply flush
+	// on every connection so a stalled or half-open peer cannot pin its
+	// connection goroutine forever. 0 (the default) disables deadlines.
 	IOTimeout time.Duration
 	// FaultPlan, when set, wraps the listener with the plan's connection
 	// faults and arms the plan's SSD-device failure for FaultScope.
@@ -131,13 +126,12 @@ type DataStats struct {
 	Flushes            int64
 	FlushedBytes       int64
 	ReadBytes, WrBytes int64
-	// CancelsReceived counts opCancel frames the demux accepted;
-	// CancelsHonored counts queued requests dropped before dispatch
-	// because an opCancel for their tag arrived first (the difference is
-	// cancels that lost the race with their own request); DirectReads
-	// counts opReadDirect requests (hedge re-issues).
+	// CancelsReceived counts well-formed opCancel frames read on
+	// connections that negotiated featCancel. They are dropped: a
+	// connection executes in arrival order, so the request a cancel
+	// names has always run by then. DirectReads counts opReadDirect
+	// requests (hedge re-issues).
 	CancelsReceived int64
-	CancelsHonored  int64
 	DirectReads     int64
 	// The fragment log right now (gauges, unlike the counters above):
 	// bytes the index maps, bytes appended into chunks the log still
@@ -158,7 +152,6 @@ type dataCounters struct {
 	flushedBytes       atomic.Int64
 	readBytes, wrBytes atomic.Int64
 	cancelsReceived    atomic.Int64
-	cancelsHonored     atomic.Int64
 	directReads        atomic.Int64
 }
 
@@ -185,10 +178,6 @@ func NewDataServerConfig(addr string, cfg ServerConfig) (*DataServer, error) {
 	if store == nil {
 		store = NewMemStore()
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = max(4, runtime.GOMAXPROCS(0))
-	}
 	maxProto := cfg.MaxProto
 	if maxProto <= 0 || maxProto > maxProtoVersion {
 		maxProto = maxProtoVersion
@@ -200,9 +189,9 @@ func NewDataServerConfig(addr string, cfg ServerConfig) (*DataServer, error) {
 	if !cfg.DisableTracing {
 		features = featTrace
 	}
-	// featCancel is advertised by default for the same reason: dropping
-	// cancelled work is harmless, and a client that never hedges simply
-	// never sends opCancel.
+	// featCancel is advertised by default for the same reason: consuming
+	// a cancel is harmless, and a client that never hedges simply never
+	// sends opCancel.
 	if !cfg.DisableCancel {
 		features |= featCancel
 	}
@@ -210,7 +199,6 @@ func NewDataServerConfig(addr string, cfg ServerConfig) (*DataServer, error) {
 		ln:        cfg.FaultPlan.WrapListener(ln, cfg.FaultScope),
 		bridge:    newBridge(cfg.Bridge),
 		store:     store,
-		workers:   workers,
 		maxProto:  maxProto,
 		noVec:     cfg.DisableVectored,
 		ioTimeout: cfg.IOTimeout,
@@ -251,7 +239,6 @@ func (s *DataServer) Stats() DataStats {
 		ReadBytes:       s.ctr.readBytes.Load(),
 		WrBytes:         s.ctr.wrBytes.Load(),
 		CancelsReceived: s.ctr.cancelsReceived.Load(),
-		CancelsHonored:  s.ctr.cancelsHonored.Load(),
 		DirectReads:     s.ctr.directReads.Load(),
 		BridgeLiveBytes: s.bridge.liveBytes.Load(),
 		BridgeHeldBytes: s.bridge.heldBytes.Load(),
@@ -361,85 +348,35 @@ func (s *DataServer) serveConn(conn net.Conn) {
 	})
 }
 
-// servePipelined runs the v2 per-connection pipeline: this goroutine
-// demuxes frames into the bounded worker pool, the workers execute
-// handlers concurrently, and one response-writer goroutine streams the
-// tagged replies back, flushing only when its queue runs dry — through
-// the vectored writer by default, so a burst of small acks and read
-// replies coalesces into one writev submission.
+// servePipelined serves a v2 connection to completion on this goroutine:
+// read a frame, dispatch it inline, queue its tagged reply, and put the
+// queued replies on the wire only when the next read could block. A
+// pipelined burst — a striped parent's chain, or many callers' requests
+// sharing the connection — is read with one read(2), executed in order
+// and answered with one writev (or one bufio flush under
+// DisableVectored).
 func (s *DataServer) servePipelined(conn net.Conn, br *bufio.Reader, bw *bufio.Writer, feats uint32, scope string) {
-	jobs := make(chan frame, s.workers*2)
-	resp := make(chan frame, s.workers*2)
-
-	// Cancellation set (featCancel): the demux intercepts opCancel frames
-	// and records the target tags here; workers consult it right before
-	// dispatch and drop cancelled work without a reply (safe because a
-	// client only cancels tags it has already abandoned). Frame order on
-	// the wire guarantees the target request was demuxed — and is queued
-	// or done — before its cancel arrives.
-	var cancels *cancelSet
-	if feats&featCancel != 0 {
-		cancels = &cancelSet{tags: make(map[uint64]struct{})}
+	var vw *vecWriter
+	if !s.noVec {
+		vw = newVecWriter(conn, s.wm)
+		defer vw.abandon()
 	}
-
-	var writerWG sync.WaitGroup
-	writerWG.Add(1)
-	go func() {
-		defer writerWG.Done()
-		if s.noVec {
-			s.respondBuffered(conn, bw, resp, scope)
-		} else {
-			s.respondVectored(conn, resp, scope)
-		}
-	}()
-
-	var workerWG sync.WaitGroup
-	for i := 0; i < s.workers; i++ {
-		workerWG.Add(1)
-		go func() {
-			defer workerWG.Done()
-			for fr := range jobs {
-				if cancels != nil && cancels.take(fr.tag) {
-					// Cancelled while queued: drop without executing or
-					// replying — the client abandoned this tag before it
-					// sent the cancel.
-					s.ctr.cancelsHonored.Add(1)
-					fr.release()
-					continue
-				}
-				s.wm.observeQueueWait(fr.enq)
-				traced := s.tracer != nil && fr.traced && !fr.enq.IsZero()
-				var t0 time.Time
-				if traced {
-					t0 = time.Now()
-					s.tracer.Span(fr.tcID, s.tracer.NewID(), fr.tcSpan, "queue-wait", scope, fr.enq, t0.Sub(fr.enq))
-				}
-				op, reply := s.dispatch(feats, fr.op, fr.body())
-				out := frame{tag: fr.tag, op: op, payload: reply}
-				if traced {
-					now := time.Now()
-					s.tracer.Span(fr.tcID, s.tracer.NewID(), fr.tcSpan, "store", scope, t0, now.Sub(t0))
-					// The reply frame reuses the trace fields so the
-					// response writer can close a "respond" span when the
-					// flush that carries this reply completes.
-					out.traced = true
-					out.tcID, out.tcSpan = fr.tcID, fr.tcSpan
-					out.enq = now
-				}
-				fr.release()
-				resp <- out
-			}
-		}()
-	}
-
+	var pending []respCtx // traced replies queued since the last flush
 	for {
-		if s.ioTimeout > 0 {
-			conn.SetReadDeadline(time.Now().Add(s.ioTimeout))
+		if !frameBuffered(br) {
+			if s.flushReplies(conn, vw, bw) != nil {
+				return
+			}
+			pending = s.flushRespSpans(pending, scope)
+			if s.ioTimeout > 0 {
+				conn.SetReadDeadline(time.Now().Add(s.ioTimeout))
+			}
 		}
 		fr, err := readFrame(br, ProtoV2)
 		if err != nil {
-			break
+			return
 		}
+		var parsed time.Time
 		if fr.tag&tagTraceFlag != 0 {
 			fr.tag &^= tagTraceFlag
 			if feats&featTrace == 0 || len(fr.payload) < traceCtxSize {
@@ -447,41 +384,90 @@ func (s *DataServer) servePipelined(conn net.Conn, br *bufio.Reader, bw *bufio.W
 				// too short to exist) is a protocol violation, not a
 				// request — drop the connection.
 				fr.release()
-				break
+				return
 			}
 			fr.traced = true
 			fr.tcID = binary.BigEndian.Uint64(fr.payload[:8])
 			fr.tcSpan = binary.BigEndian.Uint64(fr.payload[8:16])
+			parsed = time.Now()
 		}
 		s.wm.onRx(len(fr.payload))
 		if fr.op == opCancel {
-			// Fire-and-forget by contract: never enters the worker pool,
-			// never generates a reply. Honored only when featCancel was
-			// negotiated — a stray cancel on an ungated connection cannot
-			// reference queued work and is dropped on the floor.
+			// Fire-and-forget: counted, never dispatched, never answered.
+			// The request it names arrived first on this connection and
+			// has already run, so there is nothing left to drop.
 			if feats&featCancel != 0 {
 				d := dec{b: fr.body()}
-				if target := d.u64(); d.err == nil {
+				if d.u64(); d.err == nil {
 					s.ctr.cancelsReceived.Add(1)
-					cancels.add(target)
 				}
 			}
 			fr.release()
 			continue
 		}
-		if s.wm != nil || (s.tracer != nil && fr.traced) {
-			fr.enq = time.Now()
+		traced := s.tracer != nil && fr.traced
+		var t0 time.Time
+		if traced {
+			t0 = time.Now()
+			s.tracer.Span(fr.tcID, s.tracer.NewID(), fr.tcSpan, "queue-wait", scope, parsed, t0.Sub(parsed))
 		}
-		jobs <- fr // bounded: backpressure falls back onto TCP
+		op, reply := s.dispatch(feats, fr.op, fr.body())
+		fr.release()
+		if traced {
+			now := time.Now()
+			s.tracer.Span(fr.tcID, s.tracer.NewID(), fr.tcSpan, "store", scope, t0, now.Sub(t0))
+			pending = append(pending, respCtx{fr.tcID, fr.tcSpan, now})
+		}
+		n := len(reply)
+		if vw != nil {
+			err = vw.writeFrame(ProtoV2, fr.tag, op, reply)
+		} else {
+			// bufio flushes by itself when its buffer fills, so the write
+			// deadline is armed per reply on this path.
+			if s.ioTimeout > 0 {
+				conn.SetWriteDeadline(time.Now().Add(s.ioTimeout))
+			}
+			err = writeFrame(bw, ProtoV2, fr.tag, op, reply)
+			putBuf(reply)
+		}
+		if err != nil {
+			return
+		}
+		s.wm.onTx(n)
 	}
-	close(jobs)
-	workerWG.Wait()
-	close(resp)
-	writerWG.Wait()
 }
 
-// respCtx is the trace context a response writer holds between queueing
-// a traced reply and the flush that actually puts it on the wire.
+// frameBuffered reports whether br already holds the whole next v2
+// frame, so reading it cannot block on the socket. Part of a frame does
+// not count: its rest may be slow to arrive, and the replies queued so
+// far must not wait for it.
+func frameBuffered(br *bufio.Reader) bool {
+	n := br.Buffered()
+	if n < 4 {
+		return false
+	}
+	hdr, _ := br.Peek(4) // buffered: no I/O, no error
+	return n-4 >= int(binary.BigEndian.Uint32(hdr))
+}
+
+// flushReplies puts every reply queued on the connection on the wire in
+// one submission, under the per-flush write deadline. A no-op when
+// nothing is queued.
+func (s *DataServer) flushReplies(conn net.Conn, vw *vecWriter, bw *bufio.Writer) error {
+	if vw != nil && vw.frames == 0 || vw == nil && bw.Buffered() == 0 {
+		return nil
+	}
+	if s.ioTimeout > 0 {
+		conn.SetWriteDeadline(time.Now().Add(s.ioTimeout))
+	}
+	if vw != nil {
+		return vw.flush()
+	}
+	return bw.Flush()
+}
+
+// respCtx is the trace context of a queued reply, held until the flush
+// that actually puts it on the wire.
 type respCtx struct {
 	tcID, tcSpan uint64
 	start        time.Time
@@ -498,77 +484,6 @@ func (s *DataServer) flushRespSpans(pending []respCtx, scope string) []respCtx {
 		s.tracer.Span(rc.tcID, s.tracer.NewID(), rc.tcSpan, "respond", scope, rc.start, now.Sub(rc.start))
 	}
 	return pending[:0]
-}
-
-// respondVectored streams tagged replies back through the vectored
-// writer: ownership of each reply payload transfers to the writer
-// (DESIGN §11), small acks pack into arena chunks, large read replies
-// ride as their own iovec, and the accumulated batch reaches the kernel
-// in one writev when the queue runs dry.
-func (s *DataServer) respondVectored(conn net.Conn, resp chan frame, scope string) {
-	vw := newVecWriter(conn, s.wm)
-	defer vw.abandon()
-	broken := false
-	var pending []respCtx
-	for fr := range resp {
-		if broken {
-			putBuf(fr.payload)
-			continue
-		}
-		n := len(fr.payload)
-		if s.tracer != nil && fr.traced {
-			pending = append(pending, respCtx{fr.tcID, fr.tcSpan, fr.enq})
-		}
-		if vw.writeFrame(ProtoV2, fr.tag, fr.op, fr.payload) != nil {
-			broken = true
-			conn.Close() // unblock the demux reader promptly
-			continue
-		}
-		s.wm.onTx(n)
-		if len(resp) == 0 {
-			if s.ioTimeout > 0 {
-				conn.SetWriteDeadline(time.Now().Add(s.ioTimeout))
-			}
-			if vw.flush() != nil {
-				broken = true
-				conn.Close()
-				continue
-			}
-			pending = s.flushRespSpans(pending, scope)
-		}
-	}
-}
-
-// respondBuffered is the legacy corked bufio response path
-// (DisableVectored).
-func (s *DataServer) respondBuffered(conn net.Conn, bw *bufio.Writer, resp chan frame, scope string) {
-	broken := false
-	var pending []respCtx
-	for fr := range resp {
-		if !broken {
-			if s.ioTimeout > 0 {
-				conn.SetWriteDeadline(time.Now().Add(s.ioTimeout))
-			}
-			if s.tracer != nil && fr.traced {
-				pending = append(pending, respCtx{fr.tcID, fr.tcSpan, fr.enq})
-			}
-			if writeFrame(bw, ProtoV2, fr.tag, fr.op, fr.payload) != nil {
-				broken = true
-				conn.Close() // unblock the demux reader promptly
-			} else {
-				s.wm.onTx(len(fr.payload))
-			}
-		}
-		putBuf(fr.payload)
-		if !broken && len(resp) == 0 {
-			if bw.Flush() != nil {
-				broken = true
-				conn.Close()
-			} else {
-				pending = s.flushRespSpans(pending, scope)
-			}
-		}
-	}
 }
 
 // dispatch executes one request and returns the reply opcode and pooled
@@ -687,40 +602,6 @@ func (s *DataServer) FailSSD() error {
 // SSDFailed reports whether the SSD device has failed (by schedule or
 // FailSSD) and the server is running degraded.
 func (s *DataServer) SSDFailed() bool { return s.bridge.down.Load() }
-
-// cancelSet is the per-connection set of cancelled request tags
-// (featCancel). The demux goroutine adds, workers take; the map is
-// bounded because honored cancels delete their entry and the set is
-// cleared wholesale past cancelSetMax — by then the targets have long
-// left the worker queue, so stale entries only waste memory. Tag reuse
-// is impossible within a connection (tags are a monotonic u64).
-type cancelSet struct {
-	mu   sync.Mutex
-	tags map[uint64]struct{}
-}
-
-// cancelSetMax bounds a connection's cancelled-tag set; see cancelSet.
-const cancelSetMax = 1024
-
-func (cs *cancelSet) add(tag uint64) {
-	cs.mu.Lock()
-	if len(cs.tags) >= cancelSetMax {
-		clear(cs.tags)
-	}
-	cs.tags[tag] = struct{}{}
-	cs.mu.Unlock()
-}
-
-// take reports whether tag was cancelled, consuming the entry.
-func (cs *cancelSet) take(tag uint64) bool {
-	cs.mu.Lock()
-	_, ok := cs.tags[tag]
-	if ok {
-		delete(cs.tags, tag)
-	}
-	cs.mu.Unlock()
-	return ok
-}
 
 // handleReadDirect is opRead with the hedge routing hint: a re-issued
 // read racing a cancelled (or straggling) primary. Semantically

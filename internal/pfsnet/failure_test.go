@@ -124,9 +124,9 @@ func TestPipelinedInFlightFailure(t *testing.T) {
 		}(i)
 	}
 
-	// Let the requests reach the server's worker pool, then sever every
-	// connection mid-flight. Close blocks until workers drain, so run it
-	// off to the side.
+	// Let the requests reach the server, then sever every connection
+	// mid-flight. Close blocks until the connection goroutines finish
+	// their current requests, so run it off to the side.
 	time.Sleep(10 * time.Millisecond)
 	closed := make(chan error, 1)
 	go func() { closed <- ds.Close() }()

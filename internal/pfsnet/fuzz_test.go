@@ -25,10 +25,10 @@ func FuzzReadMessage(f *testing.F) {
 	var v2 bytes.Buffer
 	writeFrame(&v2, ProtoV2, 42, opWrite, []byte("payload"))
 	f.Add(v2.Bytes())
-	f.Add([]byte{0, 0})                            // truncated length prefix
-	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, opRead})  // oversize length
-	f.Add([]byte{0, 0, 0, 100, opRead, 1, 2})      // short payload
-	f.Add([]byte{0, 0, 0, 2, 0xEE, 9})             // unknown opcode
+	f.Add([]byte{0, 0})                           // truncated length prefix
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, opRead}) // oversize length
+	f.Add([]byte{0, 0, 0, 100, opRead, 1, 2})     // short payload
+	f.Add([]byte{0, 0, 0, 2, 0xEE, 9})            // unknown opcode
 	f.Fuzz(func(t *testing.T, data []byte) {
 		msg, err := readMessage(bytes.NewReader(data))
 		if err == nil {

@@ -19,8 +19,7 @@ import (
 // primary stays in flight. The first reply wins; the loser is
 // abandoned (its tag removed from the conn's pending map, so its late
 // reply takes the readLoop's pooled-discard path) and, when the wire
-// supports it, cancelled server-side with a fire-and-forget opCancel so
-// queued work is dropped instead of executed.
+// supports it, announced to the server with a fire-and-forget opCancel.
 //
 // Buffer ownership under races (DESIGN §11): a hedge never scatters —
 // its reply always lands in a pooled buffer — so the primary remains
@@ -255,8 +254,8 @@ func (c *conn) abandon(w *wireCall) bool {
 	return ok
 }
 
-// sendCancel asks the peer to drop the queued request with the given
-// tag. Fire-and-forget: opCancel never gets a reply, so the call is not
+// sendCancel tells the peer the request with the given tag was
+// abandoned. Fire-and-forget: opCancel never gets a reply, so the call is not
 // registered in pending — it just rides the send queue. Only meaningful
 // on a conn that negotiated featCancel; silently a no-op otherwise.
 // Returns whether the cancel was handed to the writer.

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"sort"
-	"sync"
 	"testing"
 	"time"
 
@@ -180,110 +179,57 @@ func TestHedgeP99Reduction(t *testing.T) {
 		p99Plain, p99Hedged, 100*(1-p99Hedged/p99Plain))
 }
 
-// gateStore blocks the first ReadAt until released — it pins one
-// single-worker server connection mid-request so work queues behind it.
-type gateStore struct {
-	ObjectStore
-	once    sync.Once
-	release chan struct{}
-}
-
-func (g *gateStore) ReadAt(file uint64, off int64, p []byte) error {
-	blocked := false
-	g.once.Do(func() { blocked = true })
-	if blocked {
-		<-g.release
-	}
-	return g.ObjectStore.ReadAt(file, off, p)
-}
-
-// TestHedgeCancelHonored drives an opCancel all the way to a dropped
-// queued request: the single worker on the primary connection blocks on
-// its first read, a second read queues behind it, both hedge and win on
-// the hedge connection (which has its own worker pool), and the cancel
-// for the still-queued second read must be honored — dropped before
-// dispatch, no reply.
-func TestHedgeCancelHonored(t *testing.T) {
-	gate := &gateStore{ObjectStore: NewMemStore(), release: make(chan struct{})}
-	ds, err := NewDataServerConfig("127.0.0.1:0", ServerConfig{Store: gate, Workers: 1})
+// TestHedgeCancelConsumed pins what opCancel does on a data server that
+// executes each connection in arrival order: the request a cancel names
+// has already run, so the cancel is consumed and counted in
+// CancelsReceived, produces no reply, and leaves the connection serving.
+// On a connection that never negotiated featCancel it is consumed
+// without being counted.
+func TestHedgeCancelConsumed(t *testing.T) {
+	ds, err := NewDataServerConfig("127.0.0.1:0", ServerConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ds.Close()
-	// ds.Close waits for the gated worker; release the gate first even if
-	// the test fails midway (defers run LIFO, so this precedes ds.Close).
-	releaseGate := sync.OnceFunc(func() { close(gate.release) })
-	defer releaseGate()
-	ms, err := NewMetaServer("127.0.0.1:0", 4096, []string{ds.Addr()})
-	if err != nil {
-		t.Fatal(err)
+	cancel := func(target uint64) []byte {
+		var e enc
+		e.u64(target)
+		return rawFrame(0, opCancel, e.b)
 	}
-	defer ms.Close()
-
-	payload := make([]byte, 8192)
-	hedgeTestPattern(payload)
-	setup := NewClient(ms.Addr())
-	f, err := setup.Create("gate", 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := setup.WriteAt(f, 0, payload); err != nil {
-		t.Fatal(err)
-	}
-	setup.Close()
-
-	c := NewClient(ms.Addr())
-	c.Hedge = true
-	c.HedgeDelay = 10 * time.Millisecond
-	defer c.Close()
-	f, err = c.Open("gate")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Read 1's primary blocks in the gated store and its hedge wins; its
-	// cancel arrives too late (the worker is already executing). Read 2's
-	// primary then queues behind the stuck worker, its hedge wins too,
-	// and its cancel tags a frame that is still queued.
-	got := make([]byte, 4096)
-	for i := int64(0); i < 2; i++ {
-		if err := c.ReadAt(f, i*4096, got); err != nil {
-			t.Fatalf("read %d: %v", i, err)
-		}
-		if !bytes.Equal(got, payload[i*4096:(i+1)*4096]) {
-			t.Fatalf("read %d: wrong bytes", i)
-		}
-	}
-	st := c.HedgeStats()
-	if st.Won != 2 || st.CancelsSent != 2 {
-		t.Fatalf("hedge summary = %+v, want 2 wins and 2 cancels", st)
-	}
-	// Cancels are fire-and-forget: ReadAt returns as soon as the hedge
-	// reply lands, possibly before the cancel's bytes reach the server.
-	// Wait for the demux to log both before releasing the worker, or it
-	// could dequeue the second read ahead of its cancel.
-	deadline := time.Now().Add(2 * time.Second)
-	for ds.Stats().CancelsReceived < 2 {
-		if time.Now().After(deadline) {
-			t.Fatalf("cancels never reached the server: %+v", ds.Stats())
-		}
-		time.Sleep(time.Millisecond)
-	}
-	// Unblock the primary worker; it finishes the first read (whose
-	// reply the client discards as abandoned), picks the second off the
-	// queue, and must drop it as cancelled.
-	releaseGate()
-	for {
-		s := ds.Stats()
-		if s.CancelsHonored >= 1 {
-			if s.DirectReads < 2 {
-				t.Fatalf("server stats = %+v, want both hedges as direct reads", s)
+	for _, tc := range []struct {
+		name    string
+		feats   uint32
+		counted int64
+	}{
+		{"featCancel", featCancel, 2},
+		{"no featCancel", 0, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			nc, br := dialV2(t, ds.Addr(), tc.feats)
+			tag := seedBlocks(t, nc, br, 5, 2)
+			before := ds.Stats().CancelsReceived
+			// Read, a cancel for it, a cancel for a tag never issued, then
+			// another read: only the two reads are answered, in order.
+			var burst []byte
+			burst = append(burst, rawFrame(tag, opRead, readReq(5, 0, 512))...)
+			burst = append(burst, cancel(tag)...)
+			burst = append(burst, cancel(tag+100)...)
+			burst = append(burst, rawFrame(tag+1, opRead, readReq(5, 512, 512))...)
+			if _, err := nc.Write(burst); err != nil {
+				t.Fatal(err)
 			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("cancel never honored: server stats = %+v", s)
-		}
-		time.Sleep(2 * time.Millisecond)
+			checkBlock(t, expectReply(t, nc, br, 5*time.Second, tag), 0)
+			checkBlock(t, expectReply(t, nc, br, 5*time.Second, tag+1), 1)
+			if d := ds.Stats().CancelsReceived - before; d != tc.counted {
+				t.Fatalf("CancelsReceived rose by %d, want %d", d, tc.counted)
+			}
+			// Still usable: a later request is answered and nothing else
+			// (no late reply to a cancel) arrives first.
+			if _, err := nc.Write(rawFrame(tag+2, opRead, readReq(5, 0, 512))); err != nil {
+				t.Fatal(err)
+			}
+			checkBlock(t, expectReply(t, nc, br, 5*time.Second, tag+2), 0)
+		})
 	}
 }
 

@@ -65,12 +65,15 @@ const (
 	opOK
 	opError
 	opHello
-	// opCancel asks a v2 data server to drop a queued request (payload:
-	// target tag u64). Fire-and-forget: it never receives a reply, and a
-	// client only sends it for a tag it has already abandoned, so the
-	// server honouring it (by never replying to the target) is
-	// indistinguishable from the reply losing the race. Only valid on
-	// connections that negotiated featCancel.
+	// opCancel tells a v2 data server that the requester abandoned a
+	// tag (payload: target tag u64). Fire-and-forget: it never receives
+	// a reply, and a client only sends it for a tag it has already
+	// abandoned, so a server that dropped the target unanswered would be
+	// indistinguishable from the reply losing the race. This server
+	// executes each connection in arrival order, so the target has
+	// always run when the cancel is read: the frame is counted and
+	// consumed (DESIGN §13). Only valid on connections that negotiated
+	// featCancel.
 	opCancel
 	// opReadDirect is opRead with a routing hint: the requester is a
 	// hedge re-issue and the server should prefer its direct (store)
@@ -107,13 +110,12 @@ const (
 	featTrace uint32 = 1 << 0
 
 	// featCancel enables the hedged-read wire extension: the opCancel
-	// fire-and-forget frame (the server drops the named queued request
-	// without replying) and the opReadDirect routing hint. Hedging
-	// clients advertise it; servers accept it unless configured as
-	// legacy peers (ServerConfig.DisableCancel). Against a peer that
-	// did not negotiate it the client degrades to plain re-issued
-	// opRead hedges with no cancellation, and against v1 peers to no
-	// hedging at all.
+	// fire-and-forget frame (never answered) and the opReadDirect routing
+	// hint. Hedging clients advertise it; servers accept it unless
+	// configured as legacy peers (ServerConfig.DisableCancel). Against a
+	// peer that did not negotiate it the client degrades to plain
+	// re-issued opRead hedges with no cancellation, and against v1 peers
+	// to no hedging at all.
 	featCancel uint32 = 1 << 1
 )
 
@@ -188,13 +190,11 @@ type frame struct {
 	tag     uint64
 	op      byte
 	payload []byte
-	enq     time.Time // set by servers when queue-wait metrics or tracing are on
 
-	// Trace context carried by a tagTraceFlag-marked request (and
-	// propagated onto the matching response frame so the respond span
-	// can be attributed). The context bytes stay inside payload — body
-	// strips them as a view — because putBuf only accepts buffers with
-	// their original pooled capacity.
+	// Trace context carried by a tagTraceFlag-marked request; the server
+	// attributes its spans to it. The context bytes stay inside payload —
+	// body strips them as a view — because putBuf only accepts buffers
+	// with their original pooled capacity.
 	traced bool
 	tcID   uint64
 	tcSpan uint64

@@ -30,8 +30,8 @@ type ObjectStore interface {
 }
 
 // MemStore is the default in-memory object store. Reads take the lock
-// shared, so concurrent server workers reading different (or the same)
-// objects do not serialize.
+// shared, so server connections reading different (or the same) objects
+// concurrently do not serialize.
 type MemStore struct {
 	mu      sync.RWMutex
 	objects map[uint64][]byte

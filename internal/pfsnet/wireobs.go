@@ -17,17 +17,17 @@ type wireMetrics struct {
 	bytesTx  *obs.Counter // payload bytes written
 	bytesRx  *obs.Counter // payload bytes read
 	inflight *obs.Gauge   // requests issued and not yet completed
-	qwait    *obs.Hist    // ms from enqueue to wire write / worker start
+	qwait    *obs.Hist    // ms from enqueue to wire write (client send queue)
 
 	// Vectored-path metrics: how well the writev batching amortizes
 	// syscalls, and how many payload bytes crossed the wire without an
 	// intermediate stream-buffer copy (large iovec payloads on the send
 	// side, scatter reads on the receive side).
-	writevCalls    *obs.Counter // vectored flushes submitted
-	writevFrames   *obs.Counter // frames carried by those flushes
-	writevBatch    *obs.Hist    // frames per vectored flush
-	copyAvoided    *obs.Counter // payload bytes moved with no intermediate copy
-	scatterReads   *obs.Counter // replies scattered straight into caller buffers
+	writevCalls  *obs.Counter // vectored flushes submitted
+	writevFrames *obs.Counter // frames carried by those flushes
+	writevBatch  *obs.Hist    // frames per vectored flush
+	copyAvoided  *obs.Counter // payload bytes moved with no intermediate copy
+	scatterReads *obs.Counter // replies scattered straight into caller buffers
 }
 
 // newWireMetrics resolves the endpoint's metrics in reg under prefix

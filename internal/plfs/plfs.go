@@ -153,5 +153,3 @@ func (m *Mount) ReadAt(p *sim.Proc, off, length int64) (pieces int, err error) {
 	}
 	return pieces, nil
 }
-
-
