@@ -46,7 +46,7 @@ lint-tools:
 
 # Repo-specific invariants (determinism, obs nil-sink discipline, no
 # blocking I/O under locks, atomic/plain mixing, lock ordering,
-# goroutine shutdown paths, feature-gated protocol ops) enforced by the
+# goroutine shutdown paths) enforced by the
 # custom multichecker, plus staticcheck and govulncheck when they are
 # installed (at the pinned versions above, via `make lint-tools`). The
 # multichecker is the hard gate; the external tools are best-effort so

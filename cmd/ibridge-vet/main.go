@@ -1,6 +1,6 @@
 // ibridge-vet is the repo's invariant multichecker: it runs the custom
 // static analyzers in internal/analyzers (detclock, detmaprange,
-// obsnil, lockio, bufown, atomicmix, lockorder, gospawn, featgate)
+// obsnil, lockio, bufown, atomicmix, lockorder, gospawn)
 // over the module and exits non-zero on findings.
 //
 // Usage:

@@ -5,15 +5,14 @@
 //	pfs-meta -listen 127.0.0.1:7000 -unit 65536 \
 //	    -servers 127.0.0.1:7001,127.0.0.1:7002
 //
-// The server negotiates wire protocol v2 (tagged frames) with v2
-// clients automatically and keeps speaking v1 with legacy clients; no
-// flag is needed — metadata traffic is a handful of round trips per
-// file, so both versions are served by the same sequential loop.
+// The server speaks wire protocol v2 (tagged frames) and refuses any
+// other version at the hello. Metadata traffic is a handful of round
+// trips per file, so each connection is served by one sequential loop.
 //
 // With -debug-addr the server exposes its metrics registry over expvar:
 // GET http://<debug-addr>/debug/vars returns a JSON map holding the
 // standard expvar keys plus "pfs" (the "pfsnet.meta.*" wire metrics:
-// frames, bytes, in-flight depth, queue wait).
+// frames and bytes).
 package main
 
 import (

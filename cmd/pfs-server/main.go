@@ -18,22 +18,20 @@
 // log store.
 //
 // The server speaks wire protocol v2 (pipelined, multiplexed tagged
-// frames) with v2 clients and falls back to v1 per connection; -max-proto
-// 1 forces legacy single-round-trip behaviour. Each connection is served
-// by one goroutine that executes its requests in arrival order and
-// answers a pipelined burst with one writev, so a server's concurrency is
-// its clients' connection count (DESIGN §8).
+// frames) and refuses any other version at the hello. Each connection is
+// served by one goroutine that executes its requests in arrival order
+// and answers a pipelined burst with one writev, so a server's
+// concurrency is its clients' connection count (DESIGN §8).
 //
 // With -debug-addr the server exposes its metrics registry over expvar:
 // GET http://<debug-addr>/debug/vars returns a JSON map holding the
 // standard expvar keys plus "pfs" (the live server counters and the
-// "pfsnet.server.*" wire metrics: frames, bytes, in-flight depth,
-// queue wait, and the fragment log's pfsnet.server.bridge.{live_bytes,
-// held_bytes,extents} gauges). -stats prints the same three gauges next
-// to the counters.
+// "pfsnet.server.*" wire metrics: frames, bytes, writev batching, and
+// the fragment log's pfsnet.server.bridge.{live_bytes,held_bytes,extents}
+// gauges). -stats prints the same three gauges next to the counters.
 //
 // With -span-file the server arms an obs.XTracer named after its fault
-// scope: traced v2 clients propagate {traceID, parentSpanID} on the
+// scope: traced clients propagate {traceID, parentSpanID} on the
 // wire, and the per-request queue-wait/store/respond spans land in the
 // span file at shutdown. Merge the per-process files with
 // `ibridge-trace -merge`.
@@ -58,13 +56,9 @@ func main() {
 	var (
 		listen     = flag.String("listen", "127.0.0.1:7001", "address to listen on")
 		ibridge    = flag.Bool("ibridge", false, "enable the iBridge fragment log")
-		dir        = flag.String("dir", "", "store objects in files under this directory (deprecated alias for -store file -store-dir DIR)")
-		storeKind  = flag.String("store", "", "backing store: mem (default), file, or log (crash-consistent; see DESIGN §14)")
+		storeKind  = flag.String("store", "mem", "backing store: mem, file, or log (crash-consistent; see DESIGN §14)")
 		storeDir   = flag.String("store-dir", "", "directory for the file or log store")
 		ckptBytes  = flag.Int64("checkpoint-bytes", 0, "log store: install a mapping-table checkpoint after this many appended log bytes (0 = default 4MiB, <0 = only on open/close)")
-		maxProto   = flag.Int("max-proto", 0, "highest wire protocol version to negotiate (0 = latest, 1 = legacy)")
-		noVec      = flag.Bool("no-vectored", false, "respond through the corked bufio path instead of vectored (writev) submission")
-		noCancel   = flag.Bool("no-cancel", false, "do not advertise featCancel: hedging clients fall back to plain re-issue without loser cancellation")
 		stats      = flag.Duration("stats", 0, "print server statistics at this interval (0 = never)")
 		debugAddr  = flag.String("debug-addr", "", "serve expvar metrics over HTTP at this address (/debug/vars)")
 		spanFile   = flag.String("span-file", "", "write this server's trace spans (JSON lines) to this file at shutdown; merge with 'ibridge-trace -merge'")
@@ -93,19 +87,7 @@ func main() {
 		tracer.SetDropCounter(reg.Counter("obs.trace.dropped_events"))
 		plan.SetTracer(tracer)
 	}
-	// Store selection: -store {mem,file,log}; the older -dir flag is an
-	// alias for the file store so existing invocations keep working.
 	kind, sdir := *storeKind, *storeDir
-	if sdir == "" {
-		sdir = *dir
-	}
-	if kind == "" {
-		if sdir != "" {
-			kind = "file"
-		} else {
-			kind = "mem"
-		}
-	}
 	var store pfsnet.ObjectStore
 	var logStore *logstore.LogStore
 	switch kind {
@@ -141,16 +123,13 @@ func main() {
 		log.Fatalf("pfs-server: unknown -store %q (want mem, file, or log)", kind)
 	}
 	ds, err := pfsnet.NewDataServerConfig(*listen, pfsnet.ServerConfig{
-		Bridge:          *ibridge,
-		Store:           store,
-		MaxProto:        *maxProto,
-		DisableVectored: *noVec,
-		DisableCancel:   *noCancel,
-		Obs:             reg,
-		Tracer:          tracer,
-		IOTimeout:       *ioTimeout,
-		FaultPlan:       plan,
-		FaultScope:      *faultScope,
+		Bridge:     *ibridge,
+		Store:      store,
+		Obs:        reg,
+		Tracer:     tracer,
+		IOTimeout:  *ioTimeout,
+		FaultPlan:  plan,
+		FaultScope: *faultScope,
 	})
 	if err != nil {
 		log.Fatalf("pfs-server: %v", err)

@@ -19,7 +19,7 @@
 // With -spans-dir the chaos run also records cross-process trace spans:
 // the client and every data server get their own obs.XTracer (the same
 // wiring a real deployment gets from pfs-server -span-file), trace
-// contexts propagate over the negotiated v2 wire extension, and one
+// contexts propagate on the wire behind flagged frame headers, and one
 // span file per logical process lands in the directory. Merge them with
 //
 //	ibridge-trace -merge -o chaos-trace.json dir/client.spans dir/srv*.spans
@@ -113,9 +113,8 @@ func demo() {
 	fmt.Printf("metadata server on %s\n\n", ms.Addr())
 
 	// An iBridge client: sub-requests below 20 KB that belong to larger
-	// striped parents are flagged as fragments on the wire. All
-	// connections negotiate wire protocol v2, so sub-requests multiplex
-	// over pipelined connections; the obs registry collects the
+	// striped parents are flagged as fragments on the wire. Sub-requests
+	// multiplex over pipelined connections; the obs registry collects the
 	// client-side wire metrics (frames, bytes, in-flight depth).
 	reg := obs.NewRegistry()
 	client := pfsnet.NewIBridgeClient(ms.Addr(), 20*1024, 20*1024)

@@ -127,19 +127,6 @@ func TestGoSpawn(t *testing.T) {
 	})
 }
 
-// TestFeatGate exercises the negotiated-feature gating check: ungated
-// encodes, wrong-bit gates, ungated dispatch/comparison forms, and the
-// licensed shapes (if-body gates, ||-early-exits, && same-expression
-// gates, helper predicates, decode-side masks/strips, waivers).
-func TestFeatGate(t *testing.T) {
-	t.Run("pos", func(t *testing.T) {
-		analysistest.Run(t, analyzers.FeatGate, "testdata/src/featgate/pos", "repro/internal/fixture/featfix")
-	})
-	t.Run("neg", func(t *testing.T) {
-		analysistest.Run(t, analyzers.FeatGate, "testdata/src/featgate/neg", "repro/internal/fixture/featfix")
-	})
-}
-
 // TestStaleWaiver: a //lint:allow that suppresses nothing is reported
 // as stale, one naming an unknown analyzer is reported
 // unconditionally, and a used one stays silent.
@@ -208,12 +195,12 @@ func TestStaleWaiverScopedToRunSet(t *testing.T) {
 // whose fields match the plain-text format field for field.
 func TestVetJSON(t *testing.T) {
 	var buf bytes.Buffer
-	n, err := analyzers.VetJSON(".", []string{"./internal/analyzers/testdata/src/featgate/pos"}, []*analyzers.Analyzer{analyzers.FeatGate}, &buf)
+	n, err := analyzers.VetJSON(".", []string{"./internal/analyzers/testdata/src/bufown/pos"}, []*analyzers.Analyzer{analyzers.BufOwn}, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n == 0 {
-		t.Fatal("want findings from the featgate pos fixture, got none")
+		t.Fatal("want findings from the bufown pos fixture, got none")
 	}
 	var fs []analyzers.Finding
 	if err := json.Unmarshal(buf.Bytes(), &fs); err != nil {
@@ -223,7 +210,7 @@ func TestVetJSON(t *testing.T) {
 		t.Fatalf("returned count %d != decoded findings %d", n, len(fs))
 	}
 	for _, f := range fs {
-		if f.Analyzer != "featgate" || f.File == "" || f.Line <= 0 || f.Col <= 0 || f.Message == "" {
+		if f.Analyzer != "bufown" || f.File == "" || f.Line <= 0 || f.Col <= 0 || f.Message == "" {
 			t.Fatalf("incomplete finding: %+v", f)
 		}
 		if filepath.IsAbs(f.File) || strings.Contains(f.File, `\`) {
@@ -232,7 +219,7 @@ func TestVetJSON(t *testing.T) {
 	}
 	// A clean run must still emit a JSON array, not empty output.
 	buf.Reset()
-	n, err = analyzers.VetJSON(".", []string{"./internal/analyzers/testdata/src/featgate/neg"}, []*analyzers.Analyzer{analyzers.FeatGate}, &buf)
+	n, err = analyzers.VetJSON(".", []string{"./internal/analyzers/testdata/src/bufown/neg"}, []*analyzers.Analyzer{analyzers.BufOwn}, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}

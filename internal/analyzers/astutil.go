@@ -3,6 +3,7 @@ package analyzers
 import (
 	"go/ast"
 	"go/token"
+	"go/types"
 )
 
 // exprKey renders a guardable expression (a chain of identifiers and
@@ -182,4 +183,22 @@ func nilGuarded(pm parentMap, n ast.Node, key string) bool {
 		}
 	}
 	return false
+}
+
+// packageFuncDecls indexes every function/method declaration in the
+// package by its type-checker object, for callee resolution.
+func packageFuncDecls(pass *Pass) map[*types.Func]*ast.FuncDecl {
+	decls := map[*types.Func]*ast.FuncDecl{}
+	for _, f := range pass.Files {
+		for _, d := range f.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			if fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func); ok {
+				decls[fn] = fd
+			}
+		}
+	}
+	return decls
 }

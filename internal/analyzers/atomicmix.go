@@ -35,7 +35,7 @@ func runAtomicMix(pass *Pass) error {
 			if !ok || !isAtomicCall(pass, call) || len(call.Args) == 0 {
 				return true
 			}
-			addr, ok := unparen(call.Args[0]).(*ast.UnaryExpr)
+			addr, ok := ast.Unparen(call.Args[0]).(*ast.UnaryExpr)
 			if !ok || addr.Op != token.AND {
 				return true
 			}
@@ -92,7 +92,7 @@ func runAtomicMix(pass *Pass) error {
 // isAtomicCall reports whether call invokes a function of sync/atomic
 // (AddInt64, LoadUint32, StoreInt64, SwapPointer, CompareAndSwap...).
 func isAtomicCall(pass *Pass, call *ast.CallExpr) bool {
-	sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
 		return false
 	}
@@ -108,7 +108,7 @@ func isAtomicCall(pass *Pass, call *ast.CallExpr) bool {
 // object it addresses (a struct field through any selector chain, or a
 // plain variable) plus the identifier naming it.
 func accessedVar(pass *Pass, e ast.Expr) (types.Object, *ast.Ident) {
-	switch e := unparen(e).(type) {
+	switch e := ast.Unparen(e).(type) {
 	case *ast.Ident:
 		if v, ok := pass.TypesInfo.Uses[e].(*types.Var); ok {
 			return v, e

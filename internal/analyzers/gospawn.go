@@ -53,7 +53,7 @@ func runGoSpawn(pass *Pass) error {
 // checkSpawn resolves the spawned callee and verifies a shutdown path.
 func checkSpawn(pass *Pass, decls map[*types.Func]*ast.FuncDecl, g *ast.GoStmt) {
 	sd := &shutdownScan{pass: pass, decls: decls, visited: map[*types.Func]bool{}}
-	if lit, ok := unparen(g.Call.Fun).(*ast.FuncLit); ok {
+	if lit, ok := ast.Unparen(g.Call.Fun).(*ast.FuncLit); ok {
 		if !sd.bodyHasShutdown(lit.Body, 0) {
 			pass.Reportf(g.Pos(), "goroutine has no provable shutdown path: no channel op, select, WaitGroup join, context, or close hook reachable from the spawned body")
 		}
@@ -71,7 +71,7 @@ func checkSpawn(pass *Pass, decls map[*types.Func]*ast.FuncDecl, g *ast.GoStmt) 
 
 // calleeFunc resolves a call's static callee, when it has one.
 func calleeFunc(pass *Pass, call *ast.CallExpr) *types.Func {
-	switch fun := unparen(call.Fun).(type) {
+	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
 		fn, _ := pass.TypesInfo.Uses[fun].(*types.Func)
 		return fn
@@ -144,7 +144,7 @@ func (sd *shutdownScan) bodyHasShutdown(body *ast.BlockStmt, depth int) bool {
 // WaitGroup Done/Wait, ctx.Done(), or a same-package callee that has a
 // shutdown path of its own.
 func (sd *shutdownScan) callIsShutdown(call *ast.CallExpr, depth int) bool {
-	switch fun := unparen(call.Fun).(type) {
+	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
 		if fun.Name == "close" {
 			if _, ok := sd.pass.TypesInfo.Uses[fun].(*types.Builtin); ok {
@@ -157,7 +157,7 @@ func (sd *shutdownScan) callIsShutdown(call *ast.CallExpr, depth int) bool {
 			if recvIsType(sd.pass, fun, "sync", "WaitGroup") {
 				return true // joined by an owner's Wait
 			}
-			if name == "Done" && recvIsContext(sd.pass, fun) {
+			if name == "Done" && recvIsType(sd.pass, fun, "context", "Context") {
 				return true
 			}
 		}
@@ -188,18 +188,4 @@ func recvIsType(pass *Pass, sel *ast.SelectorExpr, pkg, name string) bool {
 	}
 	o := named.Obj()
 	return o.Pkg() != nil && o.Pkg().Path() == pkg && o.Name() == name
-}
-
-// recvIsContext reports whether sel's receiver is a context.Context.
-func recvIsContext(pass *Pass, sel *ast.SelectorExpr) bool {
-	t := pass.TypesInfo.TypeOf(sel.X)
-	if t == nil {
-		return false
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	o := named.Obj()
-	return o.Pkg() != nil && o.Pkg().Path() == "context" && o.Name() == "Context"
 }

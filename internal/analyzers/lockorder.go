@@ -189,20 +189,12 @@ func (lo *lockOrder) collectOps(body *ast.BlockStmt) []lockOp {
 // classify decides whether call is a mutex operation or a resolvable
 // same-package call worth summarizing.
 func (lo *lockOrder) classify(call *ast.CallExpr, inDefer bool) (lockOp, bool) {
-	sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		// Plain function call f(...): summarize if declared here.
-		if id, ok := unparen(call.Fun).(*ast.Ident); ok {
-			if fn, ok := lo.pass.TypesInfo.Uses[id].(*types.Func); ok && lo.decls[fn] != nil {
-				return lockOp{pos: call.Pos(), kind: 2, callee: fn}, true
+	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
+		switch name := sel.Sel.Name; name {
+		case "Lock", "RLock", "Unlock", "RUnlock":
+			if !isSyncMutexMethod(lo.pass, sel) {
+				break
 			}
-		}
-		return lockOp{}, false
-	}
-	name := sel.Sel.Name
-	switch name {
-	case "Lock", "RLock", "Unlock", "RUnlock":
-		if isSyncMutexMethod(lo.pass, sel) {
 			key := lo.lockClass(sel)
 			if key == "" {
 				return lockOp{}, false
@@ -214,7 +206,8 @@ func (lo *lockOrder) classify(call *ast.CallExpr, inDefer bool) (lockOp, bool) {
 			return lockOp{pos: call.Pos(), kind: kind, key: key, deferred: inDefer}, true
 		}
 	}
-	if fn, ok := lo.pass.TypesInfo.Uses[sel.Sel].(*types.Func); ok && lo.decls[fn] != nil {
+	// A plain or method call: summarize it if it is declared here.
+	if fn := calleeFunc(lo.pass, call); fn != nil && lo.decls[fn] != nil {
 		return lockOp{pos: call.Pos(), kind: 2, callee: fn}, true
 	}
 	return lockOp{}, false
@@ -227,7 +220,7 @@ func (lo *lockOrder) classify(call *ast.CallExpr, inDefer bool) (lockOp, bool) {
 // mutex locked through its owner, and the lexical expression as a last
 // resort.
 func (lo *lockOrder) lockClass(sel *ast.SelectorExpr) string {
-	switch x := unparen(sel.X).(type) {
+	switch x := ast.Unparen(sel.X).(type) {
 	case *ast.Ident:
 		obj, ok := lo.pass.TypesInfo.Uses[x].(*types.Var)
 		if !ok {

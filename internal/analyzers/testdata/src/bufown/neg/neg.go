@@ -11,17 +11,13 @@ func cond() bool          { return false }
 
 type vecWriter struct{}
 
-func (w *vecWriter) writeFrame(ver int, tag uint64, op byte, payload []byte) error { return nil }
-
-type conn struct{}
-
-func (c *conn) callV1(op byte, payload []byte) ([]byte, error) { return nil, nil }
+func (w *vecWriter) writeFrame(tag uint64, op byte, payload []byte) error { return nil }
 
 // CaptureThenHandoff snapshots what it needs before the transfer — the
 // writeLoop pattern (n := len(w.payload) before writeFrame).
 func CaptureThenHandoff(w *vecWriter, payload []byte) {
 	n := len(payload)
-	w.writeFrame(2, 1, 3, payload)
+	w.writeFrame(1, 3, payload)
 	sink(n)
 }
 
@@ -36,8 +32,8 @@ func RebindRevives() {
 }
 
 // DeferredRelease runs at function exit: uses between the defer
-// statement and the return are the whole point (the callV1 pattern).
-func DeferredRelease(c *conn, payload []byte) {
+// statement and the return are the whole point.
+func DeferredRelease(payload []byte) {
 	defer putBuf(payload)
 	sink(len(payload))
 }

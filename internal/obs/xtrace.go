@@ -19,7 +19,7 @@ import (
 // pfsnet client and by every data server it fans out to can be written
 // to per-process span files and later aligned into one Chrome trace
 // (cmd/ibridge-trace -merge). The trace context itself travels on the
-// v2 wire as an opHello-negotiated frame extension (DESIGN §12).
+// wire between a flagged frame header and the payload (DESIGN §12).
 
 // XEvent is one cross-process trace record: a completed span when
 // Dur > 0, an instant marker when Dur == 0. Start is wall-clock

@@ -37,7 +37,7 @@ type DurableStore interface {
 // log (bridge.go) — the functional analogue of iBridge's SSD cache — and
 // drained back to the object store on Flush.
 //
-// Each v2 connection runs to completion on the one goroutine that reads
+// Each connection runs to completion on the one goroutine that reads
 // it: read a frame, execute it, queue the tagged reply, and put the
 // queued replies on the wire in one writev only when the next read could
 // block. Requests on one connection therefore execute in arrival order;
@@ -50,12 +50,9 @@ type DataServer struct {
 	bridge    *bridge // the fragment log; never nil, inert when the server runs without iBridge
 	store     ObjectStore
 	durable   DurableStore // non-nil when store is crash-consistent (logstore)
-	maxProto  int
-	noVec     bool
 	ioTimeout time.Duration
 	wm        *wireMetrics
 	tracer    *obs.XTracer
-	features  uint32       // feature bits advertised during hello
 	connSeq   atomic.Int64 // per-connection trace-scope numbering
 
 	// SSD-device failure: when the fault plan schedules a device failure
@@ -81,31 +78,13 @@ type ServerConfig struct {
 	Bridge bool
 	// Store is the backing object store (default: in-memory).
 	Store ObjectStore
-	// MaxProto caps the wire protocol the server will negotiate
-	// (0 means the latest; 1 makes the server behave like a legacy v1
-	// peer, rejecting the hello opcode).
-	MaxProto int
-	// DisableVectored forces v2 replies onto the legacy corked bufio
-	// path instead of vectored (writev) submission — the interop escape
-	// hatch, and the A/B knob for the wire benchmarks.
-	DisableVectored bool
 	// Obs, when set, receives wire-level metrics under
 	// "pfsnet.server.*".
 	Obs *obs.Registry
 	// Tracer, when set, records server-side spans (queue-wait, store,
 	// respond) under the trace context of requests that carry one on
-	// the wire. Tracing only activates on connections whose hello
-	// negotiated featTrace; a nil tracer costs one pointer test.
+	// the wire; a nil tracer costs one pointer test.
 	Tracer *obs.XTracer
-	// DisableTracing stops the server from advertising featTrace during
-	// hello negotiation — the interop knob modelling an older v2 peer
-	// that predates the trace extension.
-	DisableTracing bool
-	// DisableCancel stops the server from advertising featCancel — the
-	// interop knob modelling an older v2 peer that predates the
-	// hedged-read cancellation extension. Hedging clients degrade to
-	// plain re-issue without cancellation against such a peer.
-	DisableCancel bool
 	// IOTimeout, when positive, bounds each frame read and reply flush
 	// on every connection so a stalled or half-open peer cannot pin its
 	// connection goroutine forever. 0 (the default) disables deadlines.
@@ -126,10 +105,9 @@ type DataStats struct {
 	Flushes            int64
 	FlushedBytes       int64
 	ReadBytes, WrBytes int64
-	// CancelsReceived counts well-formed opCancel frames read on
-	// connections that negotiated featCancel. They are dropped: a
-	// connection executes in arrival order, so the request a cancel
-	// names has always run by then. DirectReads counts opReadDirect
+	// CancelsReceived counts well-formed opCancel frames. They are
+	// dropped: a connection executes in arrival order, so the request a
+	// cancel names has always run by then. DirectReads counts opReadDirect
 	// requests (hedge re-issues).
 	CancelsReceived int64
 	DirectReads     int64
@@ -178,33 +156,13 @@ func NewDataServerConfig(addr string, cfg ServerConfig) (*DataServer, error) {
 	if store == nil {
 		store = NewMemStore()
 	}
-	maxProto := cfg.MaxProto
-	if maxProto <= 0 || maxProto > maxProtoVersion {
-		maxProto = maxProtoVersion
-	}
-	// Advertise featTrace unless explicitly disabled: stripping the
-	// trace context off flagged frames is harmless without a tracer,
-	// and always advertising keeps the negotiation matrix small.
-	var features uint32
-	if !cfg.DisableTracing {
-		features = featTrace
-	}
-	// featCancel is advertised by default for the same reason: consuming
-	// a cancel is harmless, and a client that never hedges simply never
-	// sends opCancel.
-	if !cfg.DisableCancel {
-		features |= featCancel
-	}
 	s := &DataServer{
 		ln:        cfg.FaultPlan.WrapListener(ln, cfg.FaultScope),
 		bridge:    newBridge(cfg.Bridge),
 		store:     store,
-		maxProto:  maxProto,
-		noVec:     cfg.DisableVectored,
 		ioTimeout: cfg.IOTimeout,
 		wm:        newWireMetrics(cfg.Obs, "pfsnet.server."),
 		tracer:    cfg.Tracer,
-		features:  features,
 		plan:      cfg.FaultPlan,
 		quit:      make(chan struct{}),
 		conns:     make(map[net.Conn]struct{}),
@@ -327,44 +285,25 @@ func (s *DataServer) serveConn(conn net.Conn) {
 		conn.Close()
 	}()
 	br := bufio.NewReaderSize(conn, connBufSize)
-	bw := bufio.NewWriterSize(conn, connBufSize)
-	ver, feats, first, hasFirst, err := serverHandshake(br, bw, s.maxProto, s.features)
-	if err != nil {
+	if serverHandshake(conn, br) != nil {
 		return
 	}
-	if ver >= ProtoV2 {
-		scope := fmt.Sprintf("conn%d", s.connSeq.Add(1))
-		s.servePipelined(conn, br, bw, feats, scope)
-		return
-	}
-	var firstp *frame
-	if hasFirst {
-		firstp = &first
-	}
-	// A v1 peer negotiated no features: dispatch with an empty feature
-	// set so feature-gated opcodes are rejected, not silently served.
-	serveFrames(conn, br, bw, ProtoV1, firstp, s.wm, s.ioTimeout, func(op byte, payload []byte) (byte, []byte) {
-		return s.dispatch(0, op, payload)
-	})
+	s.servePipelined(conn, br, fmt.Sprintf("conn%d", s.connSeq.Add(1)))
 }
 
-// servePipelined serves a v2 connection to completion on this goroutine:
+// servePipelined serves a connection to completion on this goroutine:
 // read a frame, dispatch it inline, queue its tagged reply, and put the
 // queued replies on the wire only when the next read could block. A
 // pipelined burst — a striped parent's chain, or many callers' requests
 // sharing the connection — is read with one read(2), executed in order
-// and answered with one writev (or one bufio flush under
-// DisableVectored).
-func (s *DataServer) servePipelined(conn net.Conn, br *bufio.Reader, bw *bufio.Writer, feats uint32, scope string) {
-	var vw *vecWriter
-	if !s.noVec {
-		vw = newVecWriter(conn, s.wm)
-		defer vw.abandon()
-	}
+// and answered with one writev.
+func (s *DataServer) servePipelined(conn net.Conn, br *bufio.Reader, scope string) {
+	vw := newVecWriter(conn, s.wm)
+	defer vw.abandon()
 	var pending []respCtx // traced replies queued since the last flush
 	for {
 		if !frameBuffered(br) {
-			if s.flushReplies(conn, vw, bw) != nil {
+			if s.flushReplies(conn, vw) != nil {
 				return
 			}
 			pending = s.flushRespSpans(pending, scope)
@@ -372,17 +311,16 @@ func (s *DataServer) servePipelined(conn net.Conn, br *bufio.Reader, bw *bufio.W
 				conn.SetReadDeadline(time.Now().Add(s.ioTimeout))
 			}
 		}
-		fr, err := readFrame(br, ProtoV2)
+		fr, err := readFrame(br)
 		if err != nil {
 			return
 		}
 		var parsed time.Time
 		if fr.tag&tagTraceFlag != 0 {
 			fr.tag &^= tagTraceFlag
-			if feats&featTrace == 0 || len(fr.payload) < traceCtxSize {
-				// A trace flag the hello never negotiated (or a context
-				// too short to exist) is a protocol violation, not a
-				// request — drop the connection.
+			if len(fr.payload) < traceCtxSize {
+				// A context too short to exist is a protocol violation,
+				// not a request — drop the connection.
 				fr.release()
 				return
 			}
@@ -396,11 +334,9 @@ func (s *DataServer) servePipelined(conn net.Conn, br *bufio.Reader, bw *bufio.W
 			// Fire-and-forget: counted, never dispatched, never answered.
 			// The request it names arrived first on this connection and
 			// has already run, so there is nothing left to drop.
-			if feats&featCancel != 0 {
-				d := dec{b: fr.body()}
-				if d.u64(); d.err == nil {
-					s.ctr.cancelsReceived.Add(1)
-				}
+			d := dec{b: fr.body()}
+			if d.u64(); d.err == nil {
+				s.ctr.cancelsReceived.Add(1)
 			}
 			fr.release()
 			continue
@@ -411,7 +347,7 @@ func (s *DataServer) servePipelined(conn net.Conn, br *bufio.Reader, bw *bufio.W
 			t0 = time.Now()
 			s.tracer.Span(fr.tcID, s.tracer.NewID(), fr.tcSpan, "queue-wait", scope, parsed, t0.Sub(parsed))
 		}
-		op, reply := s.dispatch(feats, fr.op, fr.body())
+		op, reply := s.dispatch(fr.op, fr.body())
 		fr.release()
 		if traced {
 			now := time.Now()
@@ -419,28 +355,17 @@ func (s *DataServer) servePipelined(conn net.Conn, br *bufio.Reader, bw *bufio.W
 			pending = append(pending, respCtx{fr.tcID, fr.tcSpan, now})
 		}
 		n := len(reply)
-		if vw != nil {
-			err = vw.writeFrame(ProtoV2, fr.tag, op, reply)
-		} else {
-			// bufio flushes by itself when its buffer fills, so the write
-			// deadline is armed per reply on this path.
-			if s.ioTimeout > 0 {
-				conn.SetWriteDeadline(time.Now().Add(s.ioTimeout))
-			}
-			err = writeFrame(bw, ProtoV2, fr.tag, op, reply)
-			putBuf(reply)
-		}
-		if err != nil {
+		if err := vw.writeFrame(fr.tag, op, reply); err != nil {
 			return
 		}
 		s.wm.onTx(n)
 	}
 }
 
-// frameBuffered reports whether br already holds the whole next v2
-// frame, so reading it cannot block on the socket. Part of a frame does
-// not count: its rest may be slow to arrive, and the replies queued so
-// far must not wait for it.
+// frameBuffered reports whether br already holds the whole next frame,
+// so reading it cannot block on the socket. Part of a frame does not
+// count: its rest may be slow to arrive, and the replies queued so far
+// must not wait for it.
 func frameBuffered(br *bufio.Reader) bool {
 	n := br.Buffered()
 	if n < 4 {
@@ -453,17 +378,14 @@ func frameBuffered(br *bufio.Reader) bool {
 // flushReplies puts every reply queued on the connection on the wire in
 // one submission, under the per-flush write deadline. A no-op when
 // nothing is queued.
-func (s *DataServer) flushReplies(conn net.Conn, vw *vecWriter, bw *bufio.Writer) error {
-	if vw != nil && vw.frames == 0 || vw == nil && bw.Buffered() == 0 {
+func (s *DataServer) flushReplies(conn net.Conn, vw *vecWriter) error {
+	if vw.frames == 0 {
 		return nil
 	}
 	if s.ioTimeout > 0 {
 		conn.SetWriteDeadline(time.Now().Add(s.ioTimeout))
 	}
-	if vw != nil {
-		return vw.flush()
-	}
-	return bw.Flush()
+	return vw.flush()
 }
 
 // respCtx is the trace context of a queued reply, held until the flush
@@ -487,10 +409,8 @@ func (s *DataServer) flushRespSpans(pending []respCtx, scope string) []respCtx {
 }
 
 // dispatch executes one request and returns the reply opcode and pooled
-// payload. feats is the connection's negotiated feature set: opcodes
-// that ride a feature bit (opReadDirect rides featCancel, DESIGN §13)
-// are protocol errors on a connection that never negotiated it.
-func (s *DataServer) dispatch(feats uint32, op byte, payload []byte) (byte, []byte) {
+// payload.
+func (s *DataServer) dispatch(op byte, payload []byte) (byte, []byte) {
 	var reply []byte
 	var err error
 	switch op {
@@ -499,11 +419,7 @@ func (s *DataServer) dispatch(feats uint32, op byte, payload []byte) (byte, []by
 	case opRead:
 		reply, err = s.handleRead(payload)
 	case opReadDirect:
-		if feats&featCancel == 0 {
-			err = fmt.Errorf("pfsnet data: opReadDirect without negotiated featCancel")
-		} else {
-			reply, err = s.handleReadDirect(payload)
-		}
+		reply, err = s.handleReadDirect(payload)
 	case opStat:
 		reply, err = s.handleStat(payload)
 	case opFlush:

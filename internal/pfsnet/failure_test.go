@@ -180,78 +180,6 @@ func TestPipelinedInFlightFailure(t *testing.T) {
 	}
 }
 
-// TestProtoInterop checks version negotiation in all four pairings:
-// capped (legacy-behaving) and current clients against capped and
-// current servers, with data round-tripping in each.
-func TestProtoInterop(t *testing.T) {
-	cases := []struct {
-		name                 string
-		clientMax, serverMax int
-		wantVer              int
-	}{
-		{"v2 client, v2 server", 0, 0, ProtoV2},
-		{"v2 client, v1 server", 0, 1, ProtoV1},
-		{"v1 client, v2 server", 1, 0, ProtoV1},
-		{"v1 client, v1 server", 1, 1, ProtoV1},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			ds, err := NewDataServerConfig("127.0.0.1:0", ServerConfig{
-				Bridge:   true,
-				MaxProto: tc.serverMax,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer ds.Close()
-			ms, err := NewMetaServer("127.0.0.1:0", 64*1024, []string{ds.Addr()})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer ms.Close()
-			c := NewIBridgeClient(ms.Addr(), 20*1024, 20*1024)
-			c.MaxProto = tc.clientMax
-			defer c.Close()
-
-			f, err := c.Create("interop", 1<<20)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// An unaligned span exercises the fragment path too.
-			payload := make([]byte, 65*1024)
-			for i := range payload {
-				payload[i] = byte(i)
-			}
-			if err := c.WriteAt(f, 0, payload); err != nil {
-				t.Fatal(err)
-			}
-			got := make([]byte, len(payload))
-			if err := c.ReadAt(f, 0, got); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, payload) {
-				t.Fatal("data mismatch")
-			}
-
-			// The pooled data connections must have negotiated exactly
-			// the expected version.
-			c.mu.Lock()
-			defer c.mu.Unlock()
-			if len(c.data[ds.Addr()]) == 0 {
-				t.Fatal("no pooled data connections")
-			}
-			for i, cn := range c.data[ds.Addr()] {
-				if cn.ver != tc.wantVer {
-					t.Fatalf("conn %d negotiated v%d, want v%d", i, cn.ver, tc.wantVer)
-				}
-				if (cn.ver >= ProtoV2) != (cn.sendq != nil) {
-					t.Fatalf("conn %d: pipeline state inconsistent with v%d", i, cn.ver)
-				}
-			}
-		})
-	}
-}
-
 // TestConcurrentMixedLoad hammers one bridge server with concurrent
 // reads, fragment writes, and direct writes — the lock-split server must
 // keep every interleaving coherent (run with -race to check the

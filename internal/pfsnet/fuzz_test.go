@@ -3,7 +3,6 @@ package pfsnet
 import (
 	"bufio"
 	"bytes"
-	"encoding/binary"
 	"io"
 	"net"
 	"testing"
@@ -12,52 +11,55 @@ import (
 	"repro/internal/faults"
 )
 
-// FuzzReadMessage feeds arbitrary byte streams through the framing layer
-// at both protocol versions: the decoders must return an error or a
-// well-formed frame, never panic, and any frame that survives a decode
-// must re-encode to a stream the decoder accepts again.
-func FuzzReadMessage(f *testing.F) {
-	// Seeds: a valid v1 frame, a valid v2 frame, and the malformed
-	// shapes from the table test.
-	var v1 bytes.Buffer
-	writeMessage(&v1, opRead, []byte{1, 2, 3})
-	f.Add(v1.Bytes())
-	var v2 bytes.Buffer
-	writeFrame(&v2, ProtoV2, 42, opWrite, []byte("payload"))
-	f.Add(v2.Bytes())
-	f.Add([]byte{0, 0})                           // truncated length prefix
+// FuzzReadFrame feeds arbitrary byte streams through the frame reader:
+// it must return an error or a well-formed frame, never panic, and any
+// frame that survives a decode must re-encode to a stream the reader
+// accepts again.
+func FuzzReadFrame(f *testing.F) {
+	var hello bytes.Buffer
+	writeHello(&hello, opHello)
+	f.Add(hello.Bytes())
+	var plain bytes.Buffer
+	writeFrame(&plain, 42, opWrite, []byte("payload"))
+	f.Add(plain.Bytes())
+	var traced bytes.Buffer
+	vw := newVecWriter(&traced, nil)
+	vw.writeFrameCtx(7, opRead, 1, 2, readReq(1, 0, 512))
+	vw.flush()
+	f.Add(traced.Bytes())
+	f.Add(plain.Bytes()[:plain.Len()-3])          // truncated payload
+	f.Add([]byte{0, 0, 0, 5, opHello, 0, 0, 0})   // length below 9
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, opRead}) // oversize length
-	f.Add([]byte{0, 0, 0, 100, opRead, 1, 2})     // short payload
-	f.Add([]byte{0, 0, 0, 2, 0xEE, 9})            // unknown opcode
 	f.Fuzz(func(t *testing.T, data []byte) {
-		msg, err := readMessage(bytes.NewReader(data))
-		if err == nil {
-			// Whatever decoded must round-trip.
-			var buf bytes.Buffer
-			if werr := writeMessage(&buf, msg.op, msg.payload); werr != nil {
-				t.Fatalf("decoded frame does not re-encode: %v", werr)
-			}
-			again, rerr := readMessage(&buf)
-			if rerr != nil || again.op != msg.op || !bytes.Equal(again.payload, msg.payload) {
-				t.Fatalf("re-decode mismatch: %v", rerr)
-			}
+		fr, err := readFrame(bufio.NewReader(bytes.NewReader(data)))
+		if err != nil {
+			return
 		}
-		for _, ver := range []int{ProtoV1, ProtoV2} {
-			fr, err := readFrame(bufio.NewReader(bytes.NewReader(data)), ver)
-			if err == nil {
-				var buf bytes.Buffer
-				if werr := writeFrame(&buf, ver, fr.tag, fr.op, fr.payload); werr != nil {
-					t.Fatalf("v%d frame does not re-encode: %v", ver, werr)
-				}
-				again, rerr := readFrame(bufio.NewReader(&buf), ver)
-				if rerr != nil || again.tag != fr.tag || again.op != fr.op || !bytes.Equal(again.payload, fr.payload) {
-					t.Fatalf("v%d re-decode mismatch: %v", ver, rerr)
-				}
-				again.release()
-				fr.release()
-			}
+		defer fr.release()
+		var buf bytes.Buffer
+		if werr := writeFrame(&buf, fr.tag, fr.op, fr.payload); werr != nil {
+			t.Fatalf("decoded frame does not re-encode: %v", werr)
 		}
+		again, rerr := readFrame(&buf)
+		if rerr != nil || again.tag != fr.tag || again.op != fr.op || !bytes.Equal(again.payload, fr.payload) {
+			t.Fatalf("re-decode mismatch: %v", rerr)
+		}
+		again.release()
 	})
+}
+
+// malformedFrames are byte streams no well-formed peer sends: bad
+// length words, a truncated frame and an unknown opcode.
+var malformedFrames = []struct {
+	name      string
+	raw       []byte
+	wantReply bool // opError reply expected; otherwise a clean close
+}{
+	{"truncated length prefix", []byte{0, 0}, false},
+	{"oversize frame", []byte{0xFF, 0xFF, 0xFF, 0xFF, opRead}, false},
+	{"zero-length frame", []byte{0, 0, 0, 0}, false},
+	{"short payload", []byte{0, 0, 0, 100, 0, 0, 0, 0, 0, 0, 0, 1, opRead, 1, 2, 3}, false},
+	{"unknown opcode", rawFrame(1, 0xEE, []byte{9}), true},
 }
 
 // TestServerRejectsMalformedFrames drives raw malformed byte streams at
@@ -71,24 +73,9 @@ func TestServerRejectsMalformedFrames(t *testing.T) {
 	}
 	defer ds.Close()
 
-	cases := []struct {
-		name      string
-		raw       []byte
-		wantReply bool // opError reply expected; otherwise a clean close
-	}{
-		{"truncated length prefix", []byte{0, 0}, false},
-		{"oversize frame", []byte{0xFF, 0xFF, 0xFF, 0xFF, opRead}, false},
-		{"zero-length frame", []byte{0, 0, 0, 0}, false},
-		{"short payload", append([]byte{0, 0, 0, 100, opRead}, 1, 2, 3), false},
-		{"unknown opcode", []byte{0, 0, 0, 2, 0xEE, 9}, true},
-	}
-	for _, tc := range cases {
+	for _, tc := range malformedFrames {
 		t.Run(tc.name, func(t *testing.T) {
-			nc, err := net.Dial("tcp", ds.Addr())
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer nc.Close()
+			nc, br := dialV2(t, ds.Addr())
 			if _, err := nc.Write(tc.raw); err != nil {
 				t.Fatal(err)
 			}
@@ -98,26 +85,26 @@ func TestServerRejectsMalformedFrames(t *testing.T) {
 				nc.(*net.TCPConn).CloseWrite()
 			}
 			nc.SetReadDeadline(time.Now().Add(5 * time.Second))
-			msg, err := readMessage(nc)
+			fr, err := readFrame(br)
 			if tc.wantReply {
 				if err != nil {
 					t.Fatalf("want opError reply, got %v", err)
 				}
-				if msg.op != opError {
-					t.Fatalf("reply opcode = %d, want opError", msg.op)
+				if fr.op != opError {
+					t.Fatalf("reply opcode = %d, want opError", fr.op)
 				}
 				// The connection must still be usable after the error.
 				var e enc
 				e.u64(1)
-				if err := writeMessage(nc, opStat, e.b); err != nil {
+				if _, err := nc.Write(rawFrame(2, opStat, e.b)); err != nil {
 					t.Fatalf("write after error: %v", err)
 				}
-				msg, err = readMessage(nc)
-				if err != nil || msg.op != opOK {
-					t.Fatalf("opStat after opError: %v op=%d", err, msg.op)
+				fr, err = readFrame(br)
+				if err != nil || fr.op != opOK {
+					t.Fatalf("opStat after opError: %v op=%d", err, fr.op)
 				}
 			} else if err == nil {
-				t.Fatalf("want clean close, got reply op=%d", msg.op)
+				t.Fatalf("want clean close, got reply op=%d", fr.op)
 			} else if err != io.EOF && err != io.ErrUnexpectedEOF {
 				// A reset is acceptable too; a deadline timeout is not —
 				// that means the server neither replied nor closed.
@@ -173,22 +160,15 @@ func TestMalformedFramesThroughFaultyConns(t *testing.T) {
 	defer ds.Close()
 	plan := faults.MustParse("seed=13; partial=1/4; corrupt=1/3; latency=1ms@1/2")
 
-	raws := [][]byte{
-		{0, 0},                           // truncated length prefix
-		{0xFF, 0xFF, 0xFF, 0xFF, opRead}, // oversize frame
-		{0, 0, 0, 0},                     // zero-length frame
-		append([]byte{0, 0, 0, 100, opRead}, 1, 2, 3), // short payload
-		{0, 0, 0, 2, 0xEE, 9},                         // unknown opcode
-	}
 	for round := 0; round < 4; round++ {
-		for _, raw := range raws {
+		for _, tc := range malformedFrames {
 			nc, err := plan.Dial("fuzz", "tcp", ds.Addr(), time.Second)
 			if err != nil {
 				continue // injected dial fault; the point is server health
 			}
-			nc.Write(raw) // may be cut short or mangled by the plan
+			nc.Write(tc.raw) // may be cut short or mangled by the plan
 			nc.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
-			readMessage(nc) // drain a reply if one comes; errors are fine
+			readFrame(nc) // drain a reply if one comes; errors are fine
 			nc.Close()
 		}
 	}
@@ -229,8 +209,9 @@ func TestMalformedFramesThroughFaultyConns(t *testing.T) {
 	}
 }
 
-// TestMalformedHello sends a corrupt hello payload: the handshake must
-// fail the connection without panicking and without wedging the server.
+// TestMalformedHello sends a hello whose payload is too short to hold a
+// version: the server must refuse it with opError and close, without
+// panicking and without wedging the server.
 func TestMalformedHello(t *testing.T) {
 	ds, err := NewDataServer("127.0.0.1:0", false)
 	if err != nil {
@@ -243,33 +224,17 @@ func TestMalformedHello(t *testing.T) {
 	}
 	defer nc.Close()
 	// opHello with a 2-byte payload (u32 required).
-	hdr := []byte{0, 0, 0, 3, opHello, 1, 2}
-	if _, err := nc.Write(hdr); err != nil {
+	if _, err := nc.Write(rawFrame(0, opHello, []byte{1, 2})); err != nil {
 		t.Fatal(err)
 	}
 	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
-	buf := make([]byte, 16)
-	if _, err := nc.Read(buf); err == nil {
-		t.Fatal("server answered a corrupt hello")
+	br := bufio.NewReader(nc)
+	if fr, err := readFrame(br); err != nil || fr.op != opError {
+		t.Fatalf("corrupt hello: reply op %d (%v), want opError", fr.op, err)
+	}
+	if _, err := readFrame(br); err != io.EOF {
+		t.Fatalf("corrupt hello: connection not closed after opError: %v", err)
 	}
 	// Server still accepts valid traffic.
-	nc2, err := net.Dial("tcp", ds.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc2.Close()
-	var e enc
-	e.u32(uint32(ProtoV2))
-	if err := writeMessage(nc2, opHello, e.b); err != nil {
-		t.Fatal(err)
-	}
-	msg, err := readMessage(nc2)
-	if err != nil || msg.op != opOK {
-		t.Fatalf("hello after corrupt hello: %v op=%d", err, msg.op)
-	}
-	var agreed [4]byte
-	copy(agreed[:], msg.payload)
-	if v := binary.BigEndian.Uint32(agreed[:]); v != ProtoV2 {
-		t.Fatalf("agreed version = %d, want %d", v, ProtoV2)
-	}
+	dialV2(t, ds.Addr())
 }

@@ -14,12 +14,11 @@ import (
 // predicted-slowest server group first (orderGroups), and it arms a
 // per-sub-request hedge timer at a sketch quantile of that server's
 // recent read latency (awaitHedged). A timer that fires re-issues the
-// read on a dedicated hedge connection — as opReadDirect when the
-// server negotiated featCancel, a plain opRead otherwise — while the
-// primary stays in flight. The first reply wins; the loser is
-// abandoned (its tag removed from the conn's pending map, so its late
-// reply takes the readLoop's pooled-discard path) and, when the wire
-// supports it, announced to the server with a fire-and-forget opCancel.
+// read on a dedicated hedge connection as opReadDirect while the
+// primary stays in flight. The first reply wins; the loser is abandoned
+// (its tag removed from the conn's pending map, so its late reply takes
+// the readLoop's pooled-discard path) and announced to the server with
+// a fire-and-forget opCancel.
 //
 // Buffer ownership under races (DESIGN §11): a hedge never scatters —
 // its reply always lands in a pooled buffer — so the primary remains
@@ -41,14 +40,6 @@ const (
 	// roughly mimics a p95 trigger without latency history.
 	hedgeHintMultiplier = 2
 )
-
-// hedgeEligible reports whether this attempt should run under a hedge
-// timer: hedging on, a read (writes are not idempotent under duplicated
-// execution order), and a pipelined conn (a v1 peer has no tags to
-// abandon, so it degrades to the plain unhedged path).
-func (c *Client) hedgeEligible(op byte, cn *conn) bool {
-	return c.Hedge && op == opRead && cn.ver >= ProtoV2
-}
 
 // hedgeMetricsRef lazily resolves the client's hedge metrics. Unlike
 // resMetrics it exists without a registry — the local atomics feed
@@ -91,14 +82,11 @@ func (c *Client) HedgeStats() HedgeStats {
 	}
 }
 
-// hedgedExchange is conn.exchange for an eligible read: it starts the
-// primary call (scattering into dst as usual) and waits under a hedge
-// timer.
+// hedgedExchange is conn.exchange for a read under hedging: it starts
+// the primary call (scattering into dst as usual) and waits under a
+// hedge timer.
 func (c *Client) hedgedExchange(addr string, cn *conn, encode func() []byte, dst []byte, tcID, tcSpan uint64, pr *parentReq) ([]byte, int, error) {
-	w := &wireCall{op: opRead, payload: encode(), scatter: dst, done: make(chan struct{})}
-	if tcID != 0 && cn.features&featTrace != 0 {
-		w.tcID, w.tcSpan = tcID, tcSpan
-	}
+	w := &wireCall{op: opRead, payload: encode(), scatter: dst, tcID: tcID, tcSpan: tcSpan, done: make(chan struct{})}
 	if err := cn.start(w); err != nil {
 		return nil, 0, err
 	}
@@ -128,21 +116,16 @@ func (c *Client) awaitHedged(cn *conn, w *wireCall, addr string, encode func() [
 	}
 	defer c.releaseHedge()
 	hc, err := c.hedgeConn(addr)
-	if err != nil || hc.ver < ProtoV2 {
-		// No hedge path (dial failed, or the server fell back to v1):
-		// degrade to waiting on the primary.
+	if err != nil {
+		// No hedge path: degrade to waiting on the primary.
 		<-w.done
 		return
-	}
-	op := byte(opRead)
-	if hc.features&featCancel != 0 {
-		op = opReadDirect
 	}
 	// The hedge never scatters: its reply lands in a pooled buffer so
 	// the primary stays the sole writer into the caller's destination
 	// even when both replies arrive.
-	w2 := &wireCall{op: op, payload: encode(), done: make(chan struct{})}
-	if pr != nil && pr.trace != 0 && hc.features&featTrace != 0 {
+	w2 := &wireCall{op: opReadDirect, payload: encode(), done: make(chan struct{})}
+	if pr != nil {
 		w2.tcID, w2.tcSpan = pr.trace, pr.span
 	}
 	traced := c.Tracer != nil && pr != nil
@@ -198,9 +181,8 @@ func (c *Client) awaitHedged(cn *conn, w *wireCall, addr string, encode func() [
 		return
 	}
 	if w2.replyOp != opOK {
-		// Remote error on the hedge path (e.g. a v2 server without the
-		// read-direct handler): release its payload and wait out the
-		// primary, which remains authoritative.
+		// Remote error on the hedge path: release its payload and wait
+		// out the primary, which remains authoritative.
 		putBuf(w2.reply)
 		w2.reply = nil
 		<-w.done
@@ -255,14 +237,10 @@ func (c *conn) abandon(w *wireCall) bool {
 }
 
 // sendCancel tells the peer the request with the given tag was
-// abandoned. Fire-and-forget: opCancel never gets a reply, so the call is not
-// registered in pending — it just rides the send queue. Only meaningful
-// on a conn that negotiated featCancel; silently a no-op otherwise.
-// Returns whether the cancel was handed to the writer.
+// abandoned. Fire-and-forget: opCancel never gets a reply, so the call
+// is not registered in pending — it just rides the send queue. Returns
+// whether the cancel was handed to the writer.
 func (c *conn) sendCancel(target uint64) bool {
-	if c.ver < ProtoV2 || c.features&featCancel == 0 {
-		return false
-	}
 	e := newEncN(8)
 	e.u64(target)
 	w := &wireCall{op: opCancel, payload: e.b}

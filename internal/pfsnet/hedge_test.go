@@ -183,8 +183,6 @@ func TestHedgeP99Reduction(t *testing.T) {
 // executes each connection in arrival order: the request a cancel names
 // has already run, so the cancel is consumed and counted in
 // CancelsReceived, produces no reply, and leaves the connection serving.
-// On a connection that never negotiated featCancel it is consumed
-// without being counted.
 func TestHedgeCancelConsumed(t *testing.T) {
 	ds, err := NewDataServerConfig("127.0.0.1:0", ServerConfig{})
 	if err != nil {
@@ -196,41 +194,86 @@ func TestHedgeCancelConsumed(t *testing.T) {
 		e.u64(target)
 		return rawFrame(0, opCancel, e.b)
 	}
-	for _, tc := range []struct {
-		name    string
-		feats   uint32
-		counted int64
-	}{
-		{"featCancel", featCancel, 2},
-		{"no featCancel", 0, 0},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			nc, br := dialV2(t, ds.Addr(), tc.feats)
-			tag := seedBlocks(t, nc, br, 5, 2)
-			before := ds.Stats().CancelsReceived
-			// Read, a cancel for it, a cancel for a tag never issued, then
-			// another read: only the two reads are answered, in order.
-			var burst []byte
-			burst = append(burst, rawFrame(tag, opRead, readReq(5, 0, 512))...)
-			burst = append(burst, cancel(tag)...)
-			burst = append(burst, cancel(tag+100)...)
-			burst = append(burst, rawFrame(tag+1, opRead, readReq(5, 512, 512))...)
-			if _, err := nc.Write(burst); err != nil {
-				t.Fatal(err)
-			}
-			checkBlock(t, expectReply(t, nc, br, 5*time.Second, tag), 0)
-			checkBlock(t, expectReply(t, nc, br, 5*time.Second, tag+1), 1)
-			if d := ds.Stats().CancelsReceived - before; d != tc.counted {
-				t.Fatalf("CancelsReceived rose by %d, want %d", d, tc.counted)
-			}
-			// Still usable: a later request is answered and nothing else
-			// (no late reply to a cancel) arrives first.
-			if _, err := nc.Write(rawFrame(tag+2, opRead, readReq(5, 0, 512))); err != nil {
-				t.Fatal(err)
-			}
-			checkBlock(t, expectReply(t, nc, br, 5*time.Second, tag+2), 0)
-		})
+	nc, br := dialV2(t, ds.Addr())
+	tag := seedBlocks(t, nc, br, 5, 2)
+	// Read, a cancel for it, a cancel for a tag never issued, then
+	// another read: only the two reads are answered, in order.
+	var burst []byte
+	burst = append(burst, rawFrame(tag, opRead, readReq(5, 0, 512))...)
+	burst = append(burst, cancel(tag)...)
+	burst = append(burst, cancel(tag+100)...)
+	burst = append(burst, rawFrame(tag+1, opRead, readReq(5, 512, 512))...)
+	if _, err := nc.Write(burst); err != nil {
+		t.Fatal(err)
 	}
+	checkBlock(t, expectReply(t, nc, br, 5*time.Second, tag), 0)
+	checkBlock(t, expectReply(t, nc, br, 5*time.Second, tag+1), 1)
+	if n := ds.Stats().CancelsReceived; n != 2 {
+		t.Fatalf("CancelsReceived = %d, want 2", n)
+	}
+	// Still usable: a later request is answered and nothing else (no late
+	// reply to a cancel) arrives first.
+	if _, err := nc.Write(rawFrame(tag+2, opRead, readReq(5, 0, 512))); err != nil {
+		t.Fatal(err)
+	}
+	checkBlock(t, expectReply(t, nc, br, 5*time.Second, tag+2), 0)
+}
+
+// TestHedgeInteropMatrix checks the opCancel/opReadDirect wire frames
+// end to end: every straggling read of a hedging client is re-issued as
+// opReadDirect, wins, and cancels its primary with opCancel.
+func TestHedgeInteropMatrix(t *testing.T) {
+	t.Run("v2-vectored", func(t *testing.T) {
+		payload := make([]byte, 16*1024)
+		hedgeTestPattern(payload)
+		ds, err := NewDataServerConfig("127.0.0.1:0", ServerConfig{Store: NewMemStore()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ds.Close()
+		ms, err := NewMetaServer("127.0.0.1:0", 4096, []string{ds.Addr()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ms.Close()
+		setup := NewClient(ms.Addr())
+		f, err := setup.Create("interop", 1<<20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := setup.WriteAt(f, 0, payload); err != nil {
+			t.Fatal(err)
+		}
+		setup.Close()
+
+		c := NewClient(ms.Addr())
+		c.FaultPlan = faults.MustParse("seed=5; latency=client:150ms")
+		c.Hedge = true
+		c.HedgeDelay = 5 * time.Millisecond
+		defer c.Close()
+		f, err = c.Open("interop")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([]byte, 1024)
+		const reads = 3
+		for i := 0; i < reads; i++ {
+			off := int64(i) * 2048
+			if err := c.ReadAt(f, off, got); err != nil {
+				t.Fatalf("read %d: %v", i, err)
+			}
+			if !bytes.Equal(got, payload[off:off+1024]) {
+				t.Fatalf("read %d: bytes differ", i)
+			}
+		}
+		st := c.HedgeStats()
+		if st.Won != reads {
+			t.Fatalf("hedge summary = %+v, want %d wins", st, reads)
+		}
+		if srv := ds.Stats(); st.CancelsSent != reads || srv.DirectReads != reads {
+			t.Fatalf("cancels=%d directReads=%d, want %d/%d", st.CancelsSent, srv.DirectReads, reads, reads)
+		}
+	})
 }
 
 // TestHedgeDoubleReplyBufferSafety races primaries against hedges with
@@ -279,97 +322,6 @@ func TestHedgeDoubleReplyBufferSafety(t *testing.T) {
 	st := c.HedgeStats()
 	if st.Fired == 0 {
 		t.Fatalf("immediate hedge timer never fired: %+v", st)
-	}
-}
-
-// TestHedgeInteropMatrix checks the opCancel/opReadDirect wire
-// extension across the protocol matrix: a hedging client against v1
-// (degrades to no hedging at all), v2 without featCancel (hedges via
-// plain re-issue, no cancels), and full v2 in both writer modes.
-func TestHedgeInteropMatrix(t *testing.T) {
-	cases := []struct {
-		name      string
-		proto     int
-		noVec     bool
-		noCancel  bool
-		wantHedge bool
-	}{
-		{name: "v1", proto: ProtoV1, wantHedge: false},
-		{name: "v2-bufio", proto: 0, noVec: true, wantHedge: true},
-		{name: "v2-vectored", proto: 0, wantHedge: true},
-		{name: "v2-no-cancel", proto: 0, noCancel: true, wantHedge: true},
-	}
-	payload := make([]byte, 16*1024)
-	hedgeTestPattern(payload)
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			ds, err := NewDataServerConfig("127.0.0.1:0", ServerConfig{
-				Store:           NewMemStore(),
-				MaxProto:        tc.proto,
-				DisableVectored: tc.noVec,
-				DisableCancel:   tc.noCancel,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer ds.Close()
-			ms, err := NewMetaServer("127.0.0.1:0", 4096, []string{ds.Addr()})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer ms.Close()
-			setup := NewClient(ms.Addr())
-			f, err := setup.Create("interop", 1<<20)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := setup.WriteAt(f, 0, payload); err != nil {
-				t.Fatal(err)
-			}
-			setup.Close()
-
-			c := NewClient(ms.Addr())
-			c.FaultPlan = faults.MustParse("seed=5; latency=client:150ms")
-			c.Hedge = true
-			c.HedgeDelay = 5 * time.Millisecond
-			defer c.Close()
-			f, err = c.Open("interop")
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := make([]byte, 1024)
-			const reads = 3
-			for i := 0; i < reads; i++ {
-				off := int64(i) * 2048
-				if err := c.ReadAt(f, off, got); err != nil {
-					t.Fatalf("read %d: %v", i, err)
-				}
-				if !bytes.Equal(got, payload[off:off+1024]) {
-					t.Fatalf("read %d: bytes differ", i)
-				}
-			}
-			st := c.HedgeStats()
-			srv := ds.Stats()
-			if !tc.wantHedge {
-				if st.Fired != 0 {
-					t.Fatalf("v1 peer: hedges fired = %d, want 0 (must degrade to no-hedge)", st.Fired)
-				}
-				return
-			}
-			if st.Won != reads {
-				t.Fatalf("hedge summary = %+v, want %d wins", st, reads)
-			}
-			if tc.noCancel {
-				if st.CancelsSent != 0 || srv.DirectReads != 0 {
-					t.Fatalf("featCancel off: cancels=%d directReads=%d, want 0/0 (plain re-issue only)",
-						st.CancelsSent, srv.DirectReads)
-				}
-			} else {
-				if st.CancelsSent != reads || srv.DirectReads != reads {
-					t.Fatalf("cancels=%d directReads=%d, want %d/%d", st.CancelsSent, srv.DirectReads, reads, reads)
-				}
-			}
-		})
 	}
 }
 

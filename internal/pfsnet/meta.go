@@ -151,22 +151,13 @@ func (s *MetaServer) serveConn(conn net.Conn) {
 		conn.Close()
 	}()
 	br := bufio.NewReaderSize(conn, connBufSize)
-	bw := bufio.NewWriterSize(conn, connBufSize)
-	// Metadata traffic is a handful of round trips per file, so the
-	// sequential loop serves both protocol versions; v2 peers still get
-	// tagged replies (in order, which v2 permits).
-	// The meta server never negotiates featTrace (features = 0): clients
-	// therefore never flag metadata frames, and the sequential loop can
-	// stay ignorant of trace contexts.
-	ver, _, first, hasFirst, err := serverHandshake(br, bw, maxProtoVersion, 0)
-	if err != nil {
+	if serverHandshake(conn, br) != nil {
 		return
 	}
-	var firstp *frame
-	if hasFirst {
-		firstp = &first
-	}
-	serveFrames(conn, br, bw, ver, firstp, s.wm, s.ioTimeout, s.dispatch)
+	// Metadata traffic is a handful of round trips per file, so one
+	// sequential loop serves it: replies go out tagged, in order. Clients
+	// never trace metadata frames, so the loop ignores trace contexts.
+	serveFrames(conn, br, s.wm, s.ioTimeout, s.dispatch)
 }
 
 // dispatch executes one metadata request.

@@ -4,46 +4,44 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
-	"fmt"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/obs"
 )
 
-// dialV2 opens a raw connection to addr and negotiates protocol v2 with
-// the feature set feats, returning the conn and a reader for its replies.
-func dialV2(t *testing.T, addr string, feats uint32) (net.Conn, *bufio.Reader) {
+// dialV2 opens a raw connection to addr and runs the hello, returning
+// the conn and a reader for its replies.
+func dialV2(t *testing.T, addr string) (net.Conn, *bufio.Reader) {
 	t.Helper()
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { nc.Close() })
-	var e enc
-	e.u32(ProtoV2)
-	e.u32(feats)
-	if err := writeMessage(nc, opHello, e.b); err != nil {
+	if err := writeHello(nc, opHello); err != nil {
 		t.Fatal(err)
 	}
 	br := bufio.NewReader(nc)
 	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
-	msg, err := readMessage(br)
-	if err != nil || msg.op != opOK {
-		t.Fatalf("hello: %v op=%d", err, msg.op)
+	fr, err := readFrame(br)
+	if err != nil || fr.op != opOK {
+		t.Fatalf("hello: %v op=%d", err, fr.op)
 	}
-	d := dec{b: msg.payload}
-	if ver, got := d.u32(), d.u32(); d.err != nil || ver != ProtoV2 || got != feats {
-		t.Fatalf("hello reply: version %d features %#x (%v), want %d and %#x", ver, got, d.err, ProtoV2, feats)
+	defer fr.release()
+	d := dec{b: fr.payload}
+	if ver := d.u32(); d.err != nil || ver != ProtoV2 {
+		t.Fatalf("hello reply: version %d (%v), want %d", ver, d.err, ProtoV2)
 	}
 	return nc, br
 }
 
-// rawFrame encodes one v2 request frame.
+// rawFrame encodes one request frame.
 func rawFrame(tag uint64, op byte, payload []byte) []byte {
 	var b bytes.Buffer
-	writeFrame(&b, ProtoV2, tag, op, payload)
+	writeFrame(&b, tag, op, payload)
 	return b.Bytes()
 }
 
@@ -61,7 +59,7 @@ func readReq(file uint64, off, n int64) []byte {
 func expectReply(t *testing.T, nc net.Conn, br *bufio.Reader, timeout time.Duration, tag uint64) []byte {
 	t.Helper()
 	nc.SetReadDeadline(time.Now().Add(timeout))
-	fr, err := readFrame(br, ProtoV2)
+	fr, err := readFrame(br)
 	if err != nil {
 		t.Fatalf("reply for tag %d: %v", tag, err)
 	}
@@ -111,7 +109,7 @@ func TestServerCorksPipelinedBurst(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ds.Close()
-	nc, br := dialV2(t, ds.Addr(), 0)
+	nc, br := dialV2(t, ds.Addr())
 	const n = 16
 	tag := seedBlocks(t, nc, br, 7, n)
 
@@ -155,30 +153,71 @@ func waitCounter(t *testing.T, c *obs.Counter, want int64) {
 
 // TestServerNoHostageReply: a reply is flushed before the server blocks
 // on a partially arrived frame. Frame A and the first half of frame B
-// arrive together; A's reply must come back while B is still incomplete,
-// on both reply paths.
+// arrive together; A's reply must come back while B is still incomplete.
 func TestServerNoHostageReply(t *testing.T) {
-	for _, noVec := range []bool{false, true} {
-		t.Run(fmt.Sprintf("noVectored=%v", noVec), func(t *testing.T) {
-			ds, err := NewDataServerConfig("127.0.0.1:0", ServerConfig{DisableVectored: noVec})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer ds.Close()
-			nc, br := dialV2(t, ds.Addr(), 0)
-			tag := seedBlocks(t, nc, br, 3, 2)
+	t.Run("noVectored=false", func(t *testing.T) {
+		ds, err := NewDataServerConfig("127.0.0.1:0", ServerConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ds.Close()
+		nc, br := dialV2(t, ds.Addr())
+		tag := seedBlocks(t, nc, br, 3, 2)
 
-			a := rawFrame(tag, opRead, readReq(3, 0, 512))
-			b := rawFrame(tag+1, opRead, readReq(3, 512, 512))
-			half := len(b) / 2 // past the length word: B's header is visible
-			if _, err := nc.Write(append(a, b[:half]...)); err != nil {
-				t.Fatal(err)
+		a := rawFrame(tag, opRead, readReq(3, 0, 512))
+		b := rawFrame(tag+1, opRead, readReq(3, 512, 512))
+		half := len(b) / 2 // past the length word: B's header is visible
+		if _, err := nc.Write(append(a, b[:half]...)); err != nil {
+			t.Fatal(err)
+		}
+		checkBlock(t, expectReply(t, nc, br, 2*time.Second, tag), 0)
+		if _, err := nc.Write(b[half:]); err != nil {
+			t.Fatal(err)
+		}
+		checkBlock(t, expectReply(t, nc, br, 5*time.Second, tag+1), 1)
+	})
+}
+
+// TestServerMetricsOmitClientOnly: in-flight depth, send-queue wait and
+// scatter reads are client-side mechanisms, so neither a data server nor
+// a metadata server publishes them, while a client does.
+func TestServerMetricsOmitClientOnly(t *testing.T) {
+	srvReg, cliReg := obs.NewRegistry(), obs.NewRegistry()
+	ds, err := NewDataServerConfig("127.0.0.1:0", ServerConfig{Obs: srvReg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Close()
+	ms, err := NewMetaServerConfig("127.0.0.1:0", 4096, []string{ds.Addr()}, MetaConfig{Obs: srvReg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ms.Close()
+	c := NewClient(ms.Addr())
+	c.Obs = cliReg
+	defer c.Close()
+	f, err := c.Create("metrics", 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.WriteAt(f, 0, make([]byte, 3*4096)); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.ReadAt(f, 0, make([]byte, 3*4096)); err != nil {
+		t.Fatal(err)
+	}
+	clientOnly := []string{"inflight", "queue_wait_ms", "scatter_reads"}
+	for name := range srvReg.Snapshot() {
+		for _, m := range clientOnly {
+			if strings.Contains(name, "."+m) {
+				t.Errorf("server registry publishes client-only metric %s", name)
 			}
-			checkBlock(t, expectReply(t, nc, br, 2*time.Second, tag), 0)
-			if _, err := nc.Write(b[half:]); err != nil {
-				t.Fatal(err)
-			}
-			checkBlock(t, expectReply(t, nc, br, 5*time.Second, tag+1), 1)
-		})
+		}
+	}
+	cli := cliReg.Snapshot()
+	for _, name := range []string{"pfsnet.client.inflight", "pfsnet.client.queue_wait_ms.count", "pfsnet.client.scatter_reads"} {
+		if _, ok := cli[name]; !ok {
+			t.Errorf("client registry lacks %s", name)
+		}
 	}
 }

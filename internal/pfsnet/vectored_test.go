@@ -14,94 +14,45 @@ import (
 	"repro/internal/sim"
 )
 
-// wireMode is one side of the interop matrix.
-type wireMode struct {
-	name  string
-	proto int  // MaxProto cap (0 = latest)
-	noVec bool // disable vectored submission
-}
-
-var wireModes = []wireMode{
-	{name: "v1", proto: ProtoV1},
-	{name: "v2-bufio", proto: 0, noVec: true},
-	{name: "v2-vectored", proto: 0},
-}
-
-// TestInteropMatrix drives every {v1, v2-bufio, v2-vectored} client ×
-// server pairing through the same unaligned multi-server workload and
-// asserts byte-identical readback everywhere: the vectored zero-copy
-// path must be invisible at the payload level.
+// TestInteropMatrix drives one striped write over four servers (batched
+// per server) plus a small unaligned overwrite that rides the single-sub
+// path, then reads the whole range back and an unaligned span crossing a
+// server boundary mid-read.
 func TestInteropMatrix(t *testing.T) {
-	const unit = 4096
-	rng := sim.NewRNG(42)
-	ref := make([]byte, 10*unit+517) // ~10 units over 4 servers, unaligned tail
-	for i := range ref {
-		ref[i] = byte(rng.Uint64())
-	}
-	var golden []byte
-	for _, sm := range wireModes {
-		for _, cm := range wireModes {
-			t.Run(fmt.Sprintf("server=%s/client=%s", sm.name, cm.name), func(t *testing.T) {
-				var addrs []string
-				for i := 0; i < 4; i++ {
-					ds, err := NewDataServerConfig("127.0.0.1:0", ServerConfig{
-						MaxProto:        sm.proto,
-						DisableVectored: sm.noVec,
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					t.Cleanup(func() { ds.Close() })
-					addrs = append(addrs, ds.Addr())
-				}
-				ms, err := NewMetaServer("127.0.0.1:0", unit, addrs)
-				if err != nil {
-					t.Fatal(err)
-				}
-				t.Cleanup(func() { ms.Close() })
-				c := NewClient(ms.Addr())
-				c.MaxProto = cm.proto
-				c.DisableVectored = cm.noVec
-				t.Cleanup(func() { c.Close() })
-
-				f, err := c.Create("interop", 1<<20)
-				if err != nil {
-					t.Fatal(err)
-				}
-				// One striped write (batched per server on v2) plus small
-				// unaligned overwrites that ride the single-sub path.
-				if err := c.WriteAt(f, 333, ref); err != nil {
-					t.Fatalf("WriteAt: %v", err)
-				}
-				if err := c.WriteAt(f, 333+unit-7, ref[unit-7:unit+13]); err != nil {
-					t.Fatalf("overwrite: %v", err)
-				}
-				got := make([]byte, len(ref))
-				if err := c.ReadAt(f, 333, got); err != nil {
-					t.Fatalf("ReadAt: %v", err)
-				}
-				if !bytes.Equal(got, ref) {
-					t.Fatal("full readback differs from written data")
-				}
-				// Unaligned span crossing a server boundary mid-read.
-				span := make([]byte, 2*unit)
-				if err := c.ReadAt(f, 333+unit/2, span); err != nil {
-					t.Fatalf("span ReadAt: %v", err)
-				}
-				if !bytes.Equal(span, ref[unit/2:unit/2+2*unit]) {
-					t.Fatal("span readback differs")
-				}
-				// Cross-pairing check: every combination must return the
-				// same bytes, not merely internally consistent ones.
-				all := append(append([]byte{}, got...), span...)
-				if golden == nil {
-					golden = all
-				} else if !bytes.Equal(all, golden) {
-					t.Fatal("readback differs from other matrix pairings")
-				}
-			})
+	t.Run("server=v2-vectored/client=v2-vectored", func(t *testing.T) {
+		const unit = 4096
+		rng := sim.NewRNG(42)
+		ref := make([]byte, 10*unit+517) // ~10 units over 4 servers, unaligned tail
+		for i := range ref {
+			ref[i] = byte(rng.Uint64())
 		}
-	}
+		c := NewClient(testCluster(t, 4, unit, false))
+		t.Cleanup(func() { c.Close() })
+		f, err := c.Create("interop", 1<<20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.WriteAt(f, 333, ref); err != nil {
+			t.Fatalf("WriteAt: %v", err)
+		}
+		if err := c.WriteAt(f, 333+unit-7, ref[unit-7:unit+13]); err != nil {
+			t.Fatalf("overwrite: %v", err)
+		}
+		got := make([]byte, len(ref))
+		if err := c.ReadAt(f, 333, got); err != nil {
+			t.Fatalf("ReadAt: %v", err)
+		}
+		if !bytes.Equal(got, ref) {
+			t.Fatal("full readback differs from written data")
+		}
+		span := make([]byte, 2*unit)
+		if err := c.ReadAt(f, 333+unit/2, span); err != nil {
+			t.Fatalf("span ReadAt: %v", err)
+		}
+		if !bytes.Equal(span, ref[unit/2:unit/2+2*unit]) {
+			t.Fatal("span readback differs")
+		}
+	})
 }
 
 // partialSeed finds a plan seed whose partial-write stride (at 1/2)
@@ -220,7 +171,7 @@ func TestWritePathNoForeignChurn(t *testing.T) {
 	}
 }
 
-// Alloc-regression guards on the v2 hot paths. The bounds are loose
+// Alloc-regression guards on the hot paths. The bounds are loose
 // enough for scheduler noise but tight enough that reintroducing a
 // per-call payload copy or a per-frame buffer allocation trips them.
 // Each measured op is a full client round trip with the in-process

@@ -2,6 +2,7 @@ package pfsnet
 
 import (
 	"encoding/binary"
+	"io"
 	"net"
 )
 
@@ -45,7 +46,7 @@ const (
 // flush (or abandon) that disposes of the iovec list. A vecWriter is
 // single-owner: exactly one goroutine may use it.
 type vecWriter struct {
-	nc     net.Conn
+	nc     io.Writer
 	wm     *wireMetrics
 	chunks [][]byte // pooled arena chunks; the last one is active
 	used   int      // bytes used in the active chunk
@@ -55,7 +56,7 @@ type vecWriter struct {
 	frames int      // frames queued since the last flush
 }
 
-func newVecWriter(nc net.Conn, wm *wireMetrics) *vecWriter {
+func newVecWriter(nc io.Writer, wm *wireMetrics) *vecWriter {
 	return &vecWriter{nc: nc, wm: wm}
 }
 
@@ -82,44 +83,27 @@ func (w *vecWriter) ensure(n int) {
 // writeFrame queues one frame for the next flush. Ownership of payload
 // transfers to the writer on entry — error included — and the writer
 // releases it exactly once.
-func (w *vecWriter) writeFrame(ver int, tag uint64, op byte, payload []byte) error {
-	var hdr [13]byte
-	var hn int
-	if ver >= ProtoV2 {
-		if len(payload)+9 > MaxMessage {
-			putBuf(payload)
-			return ErrTooLarge
-		}
-		binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)+9))
-		binary.BigEndian.PutUint64(hdr[4:12], tag)
-		hdr[12] = op
-		hn = 13
-	} else {
-		if len(payload)+1 > MaxMessage {
-			putBuf(payload)
-			return ErrTooLarge
-		}
-		binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)+1))
-		hdr[4] = op
-		hn = 5
+func (w *vecWriter) writeFrame(tag uint64, op byte, payload []byte) error {
+	if len(payload)+9 > MaxMessage {
+		putBuf(payload)
+		return ErrTooLarge
 	}
-	return w.enqueue(hdr[:hn], payload)
+	var hdr [13]byte
+	putHeader(hdr[:], len(payload), tag, op)
+	return w.enqueue(hdr[:], payload)
 }
 
-// writeFrameCtx queues one v2 request frame carrying a trace context:
-// tagTraceFlag set on the tag, {traceID, parentSpanID} written into
-// the arena right behind the header so the context always travels in
-// the same iovec as the header. Same ownership contract as writeFrame.
+// writeFrameCtx queues one request frame carrying a trace context:
+// tagTraceFlag set on the tag, {traceID, parentSpanID} written into the
+// arena right behind the header so the context always travels in the
+// same iovec as the header. Same ownership contract as writeFrame.
 func (w *vecWriter) writeFrameCtx(tag uint64, op byte, tcID, tcSpan uint64, payload []byte) error {
-	var hdr [13 + traceCtxSize]byte
 	if len(payload)+9+traceCtxSize > MaxMessage {
 		putBuf(payload)
 		return ErrTooLarge
 	}
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)+9+traceCtxSize))
-	//lint:allow featgate encode helper below the gate: callers reach writeFrameCtx only with a tcID set under a featTrace check (DESIGN §12)
-	binary.BigEndian.PutUint64(hdr[4:12], tag|tagTraceFlag)
-	hdr[12] = op
+	var hdr [13 + traceCtxSize]byte
+	putHeader(hdr[:], len(payload)+traceCtxSize, tag|tagTraceFlag, op)
 	binary.BigEndian.PutUint64(hdr[13:21], tcID)
 	binary.BigEndian.PutUint64(hdr[21:29], tcSpan)
 	return w.enqueue(hdr[:], payload)

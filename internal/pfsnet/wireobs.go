@@ -16,8 +16,12 @@ type wireMetrics struct {
 	framesRx *obs.Counter // frames read
 	bytesTx  *obs.Counter // payload bytes written
 	bytesRx  *obs.Counter // payload bytes read
-	inflight *obs.Gauge   // requests issued and not yet completed
-	qwait    *obs.Hist    // ms from enqueue to wire write (client send queue)
+
+	// Client-only metrics (newClientWireMetrics); nil on a server, which
+	// never calls their hooks.
+	inflight     *obs.Gauge   // requests issued and not yet completed
+	qwait        *obs.Hist    // ms from enqueue to wire write (send queue)
+	scatterReads *obs.Counter // replies scattered straight into caller buffers
 
 	// Vectored-path metrics: how well the writev batching amortizes
 	// syscalls, and how many payload bytes crossed the wire without an
@@ -27,11 +31,10 @@ type wireMetrics struct {
 	writevFrames *obs.Counter // frames carried by those flushes
 	writevBatch  *obs.Hist    // frames per vectored flush
 	copyAvoided  *obs.Counter // payload bytes moved with no intermediate copy
-	scatterReads *obs.Counter // replies scattered straight into caller buffers
 }
 
-// newWireMetrics resolves the endpoint's metrics in reg under prefix
-// (e.g. "pfsnet.client."). Returns nil when reg is nil.
+// newWireMetrics resolves a server endpoint's metrics in reg under
+// prefix (e.g. "pfsnet.server."). Returns nil when reg is nil.
 func newWireMetrics(reg *obs.Registry, prefix string) *wireMetrics {
 	if reg == nil {
 		return nil
@@ -42,14 +45,24 @@ func newWireMetrics(reg *obs.Registry, prefix string) *wireMetrics {
 		framesRx:     reg.Counter(prefix + "frames_rx"),
 		bytesTx:      reg.Counter(prefix + "bytes_tx"),
 		bytesRx:      reg.Counter(prefix + "bytes_rx"),
-		inflight:     reg.Gauge(prefix + "inflight"),
-		qwait:        reg.Hist(prefix + "queue_wait_ms"),
 		writevCalls:  reg.Counter(prefix + "writev_calls"),
 		writevFrames: reg.Counter(prefix + "writev_frames"),
 		writevBatch:  reg.Hist(prefix + "writev_frames_per_call"),
 		copyAvoided:  reg.Counter(prefix + "copy_avoided_bytes"),
-		scatterReads: reg.Counter(prefix + "scatter_reads"),
 	}
+}
+
+// newClientWireMetrics is newWireMetrics under "pfsnet.client." plus the
+// metrics only a client moves: in-flight depth, send-queue wait and
+// scatter reads.
+func newClientWireMetrics(reg *obs.Registry) *wireMetrics {
+	m := newWireMetrics(reg, "pfsnet.client.")
+	if m != nil {
+		m.inflight = reg.Gauge("pfsnet.client.inflight")
+		m.qwait = reg.Hist("pfsnet.client.queue_wait_ms")
+		m.scatterReads = reg.Counter("pfsnet.client.scatter_reads")
+	}
+	return m
 }
 
 func (m *wireMetrics) onWritev(frames int) {
