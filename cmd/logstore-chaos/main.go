@@ -22,9 +22,11 @@
 // print byte-identical RECOVERY SUMMARY sections — `make chaos-smoke`
 // runs it twice and diffs, and CI keeps the summary as an artifact.
 // The sweep must also tear at least one tail (nonzero truncated_tails
-// overall), and every K must roll a segment and clean one with live
-// copies, or the run fails: a kill loop that never produces a torn
-// frame, or never interrupts the cleaner, isn't testing their recovery.
+// overall), and every K must roll a segment, clean one with live
+// copies, and reuse a cleaned segment's file, or the run fails: a kill
+// loop that never produces a torn frame, never interrupts the cleaner,
+// or never kills over a reused file's old records isn't testing their
+// recovery.
 //
 // Usage:
 //
@@ -131,6 +133,7 @@ type kResult struct {
 	compactions        int64
 	rolls              int64
 	cleanedSegments    int64
+	recycledSegments   int64
 	copiedBytes        int64
 	verifiedBytes      int64
 	finalLogBytes      int64
@@ -159,6 +162,7 @@ func runK(dir string, seed uint64, ops, k int) kResult {
 		res.compactions += st.CompactionRuns
 		res.rolls += st.Rolls
 		res.cleanedSegments += st.CleanedSegments
+		res.recycledSegments += st.RecycledSegments
 		res.copiedBytes += st.CopiedBytes
 		res.acknowledgedWrites += st.Appends
 	}
@@ -274,14 +278,17 @@ func main() {
 	fmt.Printf("seed: %d ops: %d\n", *seed, *ops)
 	var totalTorn, totalCrashes int64
 	for _, r := range results {
-		fmt.Printf("K=%d crashes=%d replays=%d truncated_tails=%d replayed_records=%d checkpoints=%d compactions=%d rolls=%d cleaned_segments=%d copied_bytes=%d acked_writes=%d verified_bytes=%d log_bytes=%d live_bytes=%d\n",
+		fmt.Printf("K=%d crashes=%d replays=%d truncated_tails=%d replayed_records=%d checkpoints=%d compactions=%d rolls=%d cleaned_segments=%d recycled_segments=%d copied_bytes=%d acked_writes=%d verified_bytes=%d log_bytes=%d live_bytes=%d\n",
 			r.k, r.crashes, r.replays, r.truncatedTails, r.replayedRecords,
-			r.checkpoints, r.compactions, r.rolls, r.cleanedSegments, r.copiedBytes,
+			r.checkpoints, r.compactions, r.rolls, r.cleanedSegments, r.recycledSegments, r.copiedBytes,
 			r.acknowledgedWrites, r.verifiedBytes, r.finalLogBytes, r.finalLiveBytes)
 		totalTorn += r.truncatedTails
 		totalCrashes += r.crashes
 		if r.rolls == 0 || r.cleanedSegments == 0 || r.copiedBytes == 0 {
 			log.Fatalf("logstore-chaos: K=%d never rolled a segment or never cleaned one with live copies — segmentBytes too large for the workload", r.k)
+		}
+		if r.recycledSegments == 0 {
+			log.Fatalf("logstore-chaos: K=%d never reused a cleaned segment's file — recovery over a reused file's old records went unexercised", r.k)
 		}
 	}
 	fmt.Printf("total: crashes=%d truncated_tails=%d\n", totalCrashes, totalTorn)

@@ -15,7 +15,8 @@ const (
 	cleanBatchBytes = 256 << 10
 	// cleanCycleSegments bounds the victims one background cycle takes,
 	// so its fsync and checkpoint are amortized over several segments
-	// while the space a cycle holds back stays a few segments.
+	// while the space a cycle holds back stays a few segments. It bounds
+	// the free list of retired files awaiting reuse the same way.
 	cleanCycleSegments = 8
 )
 
@@ -99,7 +100,7 @@ func (s *LogStore) maintain(clean bool) error {
 // Compact runs the cleaner to completion regardless of the garbage
 // ratio: the active segment is sealed if it holds garbage, and every
 // sealed segment that does has its live bytes re-appended and is
-// unlinked, in one cycle. No-op on a crashed or degraded store; a
+// retired, in one cycle. No-op on a crashed or degraded store; a
 // simulated kill that fires on one of its copies returns ErrCrashed.
 func (s *LogStore) Compact() error {
 	s.maint <- struct{}{}
@@ -130,7 +131,7 @@ func (s *LogStore) Compact() error {
 
 // cleanCycle is one pass of the cleaner: pick victims, copy their live
 // bytes forward, fsync the segments that took the copies, install a
-// checkpoint that no longer lists the victims, and only then unlink
+// checkpoint that no longer lists the victims, and only then retire
 // them. It returns the number of segments retired. Each step leaves a
 // log whose surviving segments replay to the current state (DESIGN
 // §14), so the cycle may die between any two of them. The caller holds
@@ -343,13 +344,27 @@ func (s *LogStore) syncLog(first uint64) error {
 	return nil
 }
 
-// retire closes and unlinks segments a durable checkpoint no longer
-// lists (checkpoint dropped them from segs), each once the reads still
-// pinning it have drained. A crash before an unlink leaves an
-// unreferenced segment older than the checkpoint's, which Open deletes.
+// retire takes segments a durable checkpoint no longer lists
+// (checkpoint dropped them from segs) out of the log, each once the
+// reads still pinning it have drained: renamed to its free path onto the
+// free list, handle open, for prepareSpare to reuse — or, with the list
+// full, closed and unlinked. A crash before the rename leaves an
+// unreferenced segment older than the checkpoint's, and one after it a
+// free file; Open deletes both. Only the holder of the maintenance token
+// retires, so the list cannot outgrow its bound between the check and
+// the append.
 func (s *LogStore) retire(victims []*segment) {
 	for _, v := range victims {
 		v.pins.Wait()
+		s.mu.RLock()
+		keep := len(s.free) < cleanCycleSegments
+		s.mu.RUnlock()
+		if keep && os.Rename(segPath(s.dir, v.seq), freePath(s.dir, v.seq)) == nil {
+			s.mu.Lock()
+			s.free = append(s.free, v)
+			s.mu.Unlock()
+			continue
+		}
 		v.f.Close()
 		os.Remove(segPath(s.dir, v.seq))
 	}

@@ -84,7 +84,8 @@ func reopenVerify(t *testing.T, dir string, sh shadow, corrupt bool) *LogStore {
 
 // TestCleanerCrashMatrix kills a forced cleaning cycle at every one of
 // its appends (torn at 0, half and the whole frame) and between each
-// two of its steps, reopens — trusting the checkpoint, and again with
+// two of its steps — through retiring a victim onto the free list and
+// the two steps of reusing its file as the next segment — reopens — trusting the checkpoint, and again with
 // the checkpoint corrupted so every surviving segment is replayed — and
 // requires the shadow's bytes each time. A copy changes no object, so
 // the shadow is the same whatever the kill left of the cycle.
@@ -144,7 +145,18 @@ func TestCleanerCrashMatrix(t *testing.T) {
 			{"all-copies", func(s *LogStore, victims []*segment, _ uint64) error { return copyOut(s, victims[1:]) }},
 			{"fsync", func(s *LogStore, _ []*segment, first uint64) error { return s.syncLog(first) }},
 			{"checkpoint", func(s *LogStore, victims []*segment, _ uint64) error { return s.checkpoint(victims) }},
-			{"first-unlink", func(s *LogStore, victims []*segment, _ uint64) error { s.retire(victims[:1]); return nil }},
+			{"first-retire", func(s *LogStore, victims []*segment, _ uint64) error {
+				s.retire(victims[:1])
+				if len(s.free) != 1 {
+					return fmt.Errorf("free list holds %d files after retiring one victim, want 1", len(s.free))
+				}
+				return nil
+			}},
+			// What prepareSpare does with the free file, one step at a time.
+			{"free-header", func(s *LogStore, _ []*segment, _ uint64) error { return stampSegment(s.free[0].f, s.nextSeq) }},
+			{"free-rename", func(s *LogStore, _ []*segment, _ uint64) error {
+				return os.Rename(freePath(s.dir, s.free[0].seq), segPath(s.dir, s.nextSeq))
+			}},
 		}
 		const checkpointStep = 3 // from here on the victims are dropped from the installed table
 		for last, step := range steps {
@@ -172,11 +184,14 @@ func TestCleanerCrashMatrix(t *testing.T) {
 					t.Fatal(err)
 				}
 				// Under the checkpoint that dropped them, Open deletes the
-				// victims the kill left linked.
+				// victims the kill left linked, and every free file.
 				for _, v := range victims {
 					if last >= checkpointStep && !corrupt && containsSeq(seqs, v.seq) {
 						t.Fatalf("victim seg-%d survived an Open under the checkpoint that dropped it (segments %v)", v.seq, seqs)
 					}
+				}
+				if free, _ := filepath.Glob(filepath.Join(dir, freePrefix+"*")); len(free) != 0 {
+					t.Fatalf("free files %v survived an Open", free)
 				}
 			})
 		}
@@ -406,5 +421,168 @@ func TestForegroundProgressDuringCleaning(t *testing.T) {
 	// margin if a call waits out the cycle.
 	if w := time.Duration(worst.Load()); w > cycle/3 {
 		t.Fatalf("a foreground call took %v of a %v cycle (%d batches)", w, cycle, batches)
+	}
+}
+
+// TestRecycledSegmentStaleRecordsNeverReplay fills a segment with many
+// records, cleans it, and reuses its file as a segment that takes only
+// a few records of the same size before a kill — so the old records sit
+// behind the new tail exactly frame-aligned, stamped with the current
+// generation, each a write the model has since overwritten. Reopened
+// with the checkpoint trusted and again with it corrupted, the store
+// must equal the model: only the checksum seed tells those records
+// apart from the new segment's own.
+func TestRecycledSegmentStaleRecordsNeverReplay(t *testing.T) {
+	const (
+		rec   = 40   // payload bytes per record
+		old   = 28   // records that fill the first 2 KB segment
+		fresh = 3    // records the reused segment takes before the kill
+		span  = 4096 // object 2's filler range
+	)
+	for _, corrupt := range []bool{false, true} {
+		for _, frac := range []float64{0, 0.5, 1.0} {
+			t.Run(fmt.Sprintf("corrupt=%v/frac=%v", corrupt, frac), func(t *testing.T) {
+				dir := t.TempDir()
+				cfg := Config{NoCompactor: true, CheckpointBytes: 2048}
+				s, err := Open(dir, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sh := shadow{}
+				write := func(file uint64, off int64, seed byte) {
+					t.Helper()
+					data := fill(rec, seed)
+					if err := s.WriteAt(file, off, data); err != nil {
+						t.Fatal(err)
+					}
+					sh.write(file, off, data)
+				}
+				for i := range old {
+					write(1, int64(i)*rec, byte(i))
+				}
+				// Overwriting every record leaves segment 1 wholly dead.
+				for i := range old {
+					write(1, int64(i)*rec, byte(100+i))
+				}
+				if err := s.Compact(); err != nil {
+					t.Fatal(err)
+				}
+				if st := s.Stats(); st.CleanedSegments == 0 || len(s.free) == 0 {
+					t.Fatalf("cleaned %d segments, %d free files; want segment 1 on the free list", st.CleanedSegments, len(s.free))
+				}
+				// Fill the active segment until the roll takes the free file.
+				for i := 0; s.Stats().RecycledSegments == 0; i++ {
+					if i == span/rec {
+						t.Fatal("no roll reused the free file")
+					}
+					write(2, int64(i)*rec, byte(200+i))
+				}
+				for i := range fresh - 1 {
+					write(1, int64(i)*rec, byte(50+i))
+				}
+				if fi, err := s.active.f.Stat(); err != nil || fi.Size() <= s.active.size {
+					t.Fatalf("reused segment: file %v bytes, tail %d (%v); want old records past the tail", fi.Size(), s.active.size, err)
+				}
+				s.CrashAppend(1, frac)
+				data := fill(rec, 77)
+				if err := s.WriteAt(1, (fresh-1)*rec, data); err != ErrCrashed {
+					t.Fatalf("armed WriteAt = %v, want ErrCrashed", err)
+				}
+				if frac >= 1 {
+					sh.write(1, (fresh-1)*rec, data)
+				}
+				s.Close()
+				s = reopenVerify(t, dir, sh, corrupt)
+				// A clean reopen after the recovery finds the same state.
+				s.Close()
+				reopenVerify(t, dir, sh, false).Close()
+			})
+		}
+	}
+}
+
+// TestConcurrentWritersAcrossRolls runs four writers over overlapping
+// ranges of two objects, with 4 KB segments and the background cleaner
+// on, so rolls race each other for the spare and reuse cleaned files
+// throughout; then it closes, reopens and byte-verifies the store. The
+// writers move in rounds: within one every write of a byte carries the
+// same value, so the model holds whatever order the writes landed in,
+// and a stale record replayed from an earlier round shows.
+func TestConcurrentWritersAcrossRolls(t *testing.T) {
+	const (
+		writers  = 4
+		rounds   = 60
+		perRound = 4 // writes per writer per round
+		objects  = 2
+		span     = 8 << 10
+	)
+	content := func(round int, off int64, n int) []byte {
+		b := make([]byte, n)
+		for i := range b {
+			o := off + int64(i)
+			b[i] = byte(o*7 + int64(round)*13 + o>>8)
+		}
+		return b
+	}
+	dir := t.TempDir()
+	cfg := Config{CheckpointBytes: 4096, CompactMinBytes: 16 << 10}
+	s, err := Open(dir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh := shadow{}
+	for round := range rounds {
+		type w struct {
+			file uint64
+			off  int64
+			n    int
+		}
+		var plan [writers][perRound]w
+		rng := rand.New(rand.NewPCG(uint64(round), 0x5eed))
+		for g := range writers {
+			for i := range perRound {
+				plan[g][i] = w{uint64(rng.IntN(objects)), int64(rng.IntN(span)), 256 + rng.IntN(1024)}
+			}
+		}
+		var wg sync.WaitGroup
+		for g := range writers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for _, x := range plan[g] {
+					if err := s.WriteAt(x.file, x.off, content(round, x.off, x.n)); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		if t.Failed() {
+			t.FailNow()
+		}
+		for g := range writers {
+			for _, x := range plan[g] {
+				sh.write(x.file, x.off, content(round, x.off, x.n))
+			}
+		}
+	}
+	sh.verify(t, s)
+	st := s.Stats()
+	t.Logf("rolls %d, cleaning cycles %d, cleaned %d, recycled %d", st.Rolls, st.CompactionRuns, st.CleanedSegments, st.RecycledSegments)
+	if st.Rolls < 50 || st.RecycledSegments == 0 {
+		t.Fatalf("rolls=%d recycled=%d; want at least 50 rolls, some onto reused files", st.Rolls, st.RecycledSegments)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if s, err = Open(dir, cfg); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	sh.verify(t, s)
+	// Close trimmed the reused files' old records: no torn tail.
+	if st := s.Stats(); st.TruncatedTails != 0 {
+		t.Fatalf("TruncatedTails = %d after a clean close", st.TruncatedTails)
 	}
 }

@@ -3,7 +3,8 @@
 // the paper's on-SSD fragment log and mapping table (PAPER.md §4).
 //
 // Every write appends one checksummed, length-prefixed record to the
-// active log segment; an in-memory mapping table (per-object sorted
+// active log segment (the checksum seeded with the segment's sequence,
+// record.go); an in-memory mapping table (per-object sorted
 // extent index over log offsets) resolves reads. Durability and
 // recovery come from three mechanisms (DESIGN §14):
 //
@@ -37,12 +38,17 @@
 // segments' dead-byte ratio passes Config.GarbageRatio the maintenance
 // goroutine cleans them incrementally (clean.go): the sealed segments
 // with the fewest live bytes have those bytes re-appended through the
-// ordinary append path in small batches, and are unlinked once the
-// copies are fsynced and a checkpoint that no longer references them is
-// installed. No fsync, rename, unlink or copy loop runs under the store
-// lock. The union of surviving segments replayed in (sequence, offset)
-// order always reproduces the store state, whatever instant a crash
-// interrupts cleaning at.
+// ordinary append path in small batches, and once the copies are
+// fsynced and a checkpoint that no longer references them is installed
+// they are renamed onto a free list (unlinked past its bound). The next
+// segment reuses a free file when there is one — new header, new name,
+// old records left in place behind the tail, where their checksums'
+// seeds keep replay from taking them — so appends overwrite pages the
+// page cache already holds instead of allocating fresh ones. No fsync,
+// rename, unlink or copy loop runs under the store lock. The union of
+// surviving segments replayed in (sequence, offset) order always
+// reproduces the store state, whatever instant a crash interrupts
+// cleaning at.
 //
 // The store degrades, never lies: a simulated SSD device failure
 // (FailDevice, driven by the fault plan's ssdfail clause) freezes the
@@ -130,8 +136,10 @@ type Stats struct {
 	TruncatedTails, BadGenerations, BadCheckpoints int64
 	// CompactionRuns counts completed cleaning cycles, CleanedSegments
 	// the sealed segments they retired, CopiedBytes the live payload
-	// bytes they re-appended; Rolls counts active-segment rolls.
+	// bytes they re-appended; Rolls counts active-segment rolls, and
+	// RecycledSegments the segments that reused a retired one's file.
 	CompactionRuns, CleanedSegments, CopiedBytes, Rolls int64
+	RecycledSegments                                    int64
 	// Generation is the store generation stamped on new records.
 	Generation uint64
 	// DeviceFailed reports degraded (in-memory) mode.
@@ -146,6 +154,7 @@ type obsCounters struct {
 	appends, checkpoints, replays, replayedRecords *obs.Counter
 	truncatedTails, badGenerations, badCheckpoints *obs.Counter
 	compactionRuns, deviceFailures                 *obs.Counter
+	recycledSegments                               *obs.Counter
 	logBytes, liveBytes                            *obs.Gauge
 }
 
@@ -153,15 +162,25 @@ type obsCounters struct {
 // sealed one is immutable until the cleaner retires it.
 type segment struct {
 	seq    uint64
+	seed   uint32 // crcSeed(seq): the checksum state every record here starts from
 	f      *os.File
 	size   int64 // on-disk bytes, header included; the append offset while active
 	synced int64 // size the last fsync covered
 	data   int64 // payload bytes appended to it: live + dead
 	live   int64 // payload bytes the mapping table still references
+	// reused marks a segment that took over a retired one's file: past
+	// size it may still hold that segment's records, until a clean Close
+	// trims them.
+	reused bool
 	// pins counts reads in flight outside mu. A pin is taken under mu
 	// while the segment is in segs; whoever closes the file removes the
 	// segment from segs under mu first, so its Wait sees every pin.
 	pins sync.WaitGroup
+}
+
+// newSegment returns the segment seq over f, size bytes long.
+func newSegment(seq uint64, f *os.File, size int64) *segment {
+	return &segment{seq: seq, seed: crcSeed(seq), f: f, size: size}
 }
 
 // LogStore implements pfsnet.ObjectStore over an append-only,
@@ -184,6 +203,12 @@ type LogStore struct {
 	active  *segment
 	spare   *segment // created ahead of a roll by prepareSpare, not yet in segs
 	nextSeq uint64   // sequence of the next segment to create
+	// preparing is closed when the prepareSpare in flight ends; nil
+	// when none is.
+	preparing chan struct{}
+	// free holds retired segments renamed to their free path, handles
+	// open, for prepareSpare to reuse; at most cleanCycleSegments.
+	free    []*segment
 	objects map[uint64]*object
 	gen     uint64
 
@@ -213,7 +238,7 @@ type LogStore struct {
 		appendedBytes, checkpoints, replays, replayedRecords int64
 		truncatedTails, badGenerations, badCheckpoints       int64
 		compactionRuns, cleanedSegments, copiedBytes, rolls  int64
-		deviceFailures                                       int64
+		deviceFailures, recycledSegments                     int64
 	}
 	oc *obsCounters
 
@@ -232,6 +257,7 @@ type LogStore struct {
 
 const (
 	segPrefix    = "seg-"
+	freePrefix   = "free-"
 	segSuffix    = ".log"
 	segHeaderLen = 16 // magic + sequence
 	ckptName     = "checkpoint"
@@ -240,7 +266,12 @@ const (
 	defaultSegBytes = 4 << 20
 )
 
-var segMagic = [8]byte{'I', 'B', 'L', 'S', 'E', 'G', '0', '1'}
+var segMagic = [8]byte{'I', 'B', 'L', 'S', 'E', 'G', '0', '2'}
+
+// segMagicV1 stamps the previous segment format, whose record
+// checksums carry no seed: this build would read every one of its
+// records as a torn tail, so Open refuses such a store instead.
+var segMagicV1 = [8]byte{'I', 'B', 'L', 'S', 'E', 'G', '0', '1'}
 
 // Open opens (or creates) the store under dir, replaying any existing
 // journal: the checkpointed mapping table is loaded, the log past it is
@@ -274,17 +305,18 @@ func Open(dir string, cfg Config) (*LogStore, error) {
 	}
 	if reg := cfg.Obs; reg != nil {
 		s.oc = &obsCounters{
-			appends:         reg.Counter("logstore.appends"),
-			checkpoints:     reg.Counter("logstore.checkpoints"),
-			replays:         reg.Counter("logstore.replays"),
-			replayedRecords: reg.Counter("logstore.replayed_records"),
-			truncatedTails:  reg.Counter("logstore.truncated_tails"),
-			badGenerations:  reg.Counter("logstore.bad_generations"),
-			badCheckpoints:  reg.Counter("logstore.bad_checkpoints"),
-			compactionRuns:  reg.Counter("logstore.compaction_runs"),
-			deviceFailures:  reg.Counter("logstore.device_failures"),
-			logBytes:        reg.Gauge("logstore.log_bytes"),
-			liveBytes:       reg.Gauge("logstore.live_bytes"),
+			appends:          reg.Counter("logstore.appends"),
+			checkpoints:      reg.Counter("logstore.checkpoints"),
+			replays:          reg.Counter("logstore.replays"),
+			replayedRecords:  reg.Counter("logstore.replayed_records"),
+			truncatedTails:   reg.Counter("logstore.truncated_tails"),
+			badGenerations:   reg.Counter("logstore.bad_generations"),
+			badCheckpoints:   reg.Counter("logstore.bad_checkpoints"),
+			compactionRuns:   reg.Counter("logstore.compaction_runs"),
+			deviceFailures:   reg.Counter("logstore.device_failures"),
+			recycledSegments: reg.Counter("logstore.recycled_segments"),
+			logBytes:         reg.Gauge("logstore.log_bytes"),
+			liveBytes:        reg.Gauge("logstore.live_bytes"),
 		}
 	}
 	if err := s.recover(); err != nil {
@@ -301,6 +333,23 @@ func Open(dir string, cfg Config) (*LogStore, error) {
 // segPath returns the path of segment seq.
 func segPath(dir string, seq uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("%s%016d%s", segPrefix, seq, segSuffix))
+}
+
+// freePath returns the path retired segment seq waits under for reuse.
+func freePath(dir string, seq uint64) string {
+	return filepath.Join(dir, fmt.Sprintf("%s%016d%s", freePrefix, seq, segSuffix))
+}
+
+// removeFreeFiles deletes the free files a killed run left under dir:
+// they hold nothing live, and a free list lasts one run.
+func removeFreeFiles(dir string) error {
+	paths, err := filepath.Glob(filepath.Join(dir, freePrefix+"*"+segSuffix))
+	for _, p := range paths {
+		if rerr := os.Remove(p); rerr != nil && err == nil {
+			err = rerr
+		}
+	}
+	return err
 }
 
 // listSegments returns the sequence numbers of the segment files under
@@ -332,6 +381,9 @@ func listSegments(dir string) ([]uint64, error) {
 // recovery checkpoint. Called from Open, before any concurrency.
 func (s *LogStore) recover() error {
 	start := time.Now()
+	if err := removeFreeFiles(s.dir); err != nil {
+		return err
+	}
 	ck, ckOK := loadCheckpoint(filepath.Join(s.dir, ckptName))
 	seqs, err := listSegments(s.dir)
 	if err != nil {
@@ -361,7 +413,7 @@ func (s *LogStore) recover() error {
 		// Under a valid checkpoint a segment older than the one it was
 		// appending to was already sealed when the table was encoded:
 		// unreferenced, it holds nothing live (a cleaned victim whose
-		// unlink the crash pre-empted) and is deleted. Everything newer
+		// retirement the crash pre-empted) and is deleted. Everything newer
 		// was appended after the table was encoded and is replayed.
 		kept := seqs[:0]
 		for _, seq := range seqs {
@@ -421,7 +473,7 @@ func (s *LogStore) recover() error {
 		if err != nil {
 			return err
 		}
-		s.active = &segment{seq: 1, f: f, size: segHeaderLen}
+		s.active = newSegment(1, f, segHeaderLen)
 		s.segs[1] = s.active
 		s.frameBytes = segHeaderLen
 	}
@@ -457,28 +509,55 @@ func segHeader(seq uint64) (hdr [segHeaderLen]byte) {
 	return hdr
 }
 
-// createSegment creates and stamps segment seq. It neither truncates
-// nor fails on an existing file, so two writers racing to create the
-// same spare (prepareSpare) write the same 16 bytes to the same file.
+// stampSegment writes segment seq's header over the head of f.
+func stampSegment(f *os.File, seq uint64) error {
+	hdr := segHeader(seq)
+	_, err := f.WriteAt(hdr[:], 0)
+	return err
+}
+
+// createSegment creates and stamps segment seq.
 func createSegment(dir string, seq uint64) (*os.File, error) {
 	f, err := os.OpenFile(segPath(dir, seq), os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	hdr := segHeader(seq)
-	if _, err := f.WriteAt(hdr[:], 0); err != nil {
+	if err := stampSegment(f, seq); err != nil {
 		f.Close()
 		return nil, err
 	}
 	return f, nil
 }
 
+// reuseSegment turns the free file of retired segment old into segment
+// seq: it stamps the new header, then renames the file onto seq's path,
+// leaving the old records past the header in place. A kill between the
+// two leaves a free file, which Open deletes; one after leaves segment
+// seq holding only records checksummed under other sequences, which
+// replay rejects and truncates. On error the file is closed and
+// removed.
+func reuseSegment(dir string, old *segment, seq uint64) (*os.File, error) {
+	err := stampSegment(old.f, seq)
+	if err == nil {
+		err = os.Rename(freePath(dir, old.seq), segPath(dir, seq))
+	}
+	if err != nil {
+		old.f.Close()
+		os.Remove(freePath(dir, old.seq))
+		return nil, err
+	}
+	return old.f, nil
+}
+
 // openSegment opens the existing segment seq for recovery. A segment
 // whose header is torn (shorter than the header, or stamped wrong) is
 // reset to an empty stamped segment — the header write itself can be
-// the interrupted operation.
+// the interrupted operation. A segment stamped in the previous format
+// is an error, not a torn header: resetting it would silently drop the
+// store's data.
 func (s *LogStore) openSegment(seq uint64) (*segment, error) {
-	f, err := os.OpenFile(segPath(s.dir, seq), os.O_RDWR, 0o644)
+	path := segPath(s.dir, seq)
+	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, err
 	}
@@ -494,10 +573,13 @@ func (s *LogStore) openSegment(seq uint64) (*segment, error) {
 		if _, err := f.ReadAt(magic[:], 0); err != nil || magic != segMagic {
 			ok = false
 		}
+		if magic == segMagicV1 {
+			f.Close()
+			return nil, fmt.Errorf("logstore: %s is in the %s segment format, which this build cannot replay; the store was written by an older build", path, segMagicV1[:])
+		}
 	}
 	if !ok {
-		hdr := segHeader(seq)
-		if _, err := f.WriteAt(hdr[:], 0); err != nil {
+		if err := stampSegment(f, seq); err != nil {
 			f.Close()
 			return nil, err
 		}
@@ -507,7 +589,7 @@ func (s *LogStore) openSegment(seq uint64) (*segment, error) {
 		}
 		size = segHeaderLen
 	}
-	return &segment{seq: seq, f: f, size: size}, nil
+	return newSegment(seq, f, size), nil
 }
 
 // replaySegment applies the records of seg from byte offset from to
@@ -525,7 +607,7 @@ func (s *LogStore) replaySegment(seg *segment, from int64, wantGen uint64, stric
 	pos := from
 	lastGen := wantGen
 	for len(buf) > 0 {
-		rec, n, err := decodeRecord(buf)
+		rec, n, err := decodeRecord(buf, seg.seed)
 		if err == nil {
 			if strict && rec.gen != wantGen {
 				err = fmt.Errorf("logstore: generation %d, checkpoint stamped %d", rec.gen, wantGen)
@@ -684,7 +766,7 @@ func (s *LogStore) appendLocked(file uint64, off int64, data []byte, user bool) 
 		}
 		s.rollLocked()
 	}
-	s.enc = appendRecord(s.enc[:0], record{kind: recKindWrite, gen: s.gen, file: file, off: off, data: data})
+	s.enc = appendRecord(s.enc[:0], s.active.seed, record{kind: recKindWrite, gen: s.gen, file: file, off: off, data: data})
 	frame := s.enc
 	if s.crashAfter > 0 {
 		if s.crashAfter--; s.crashAfter == 0 {
@@ -725,32 +807,59 @@ func (s *LogStore) appendLocked(file uint64, off int64, data []byte, user bool) 
 	return false, nil
 }
 
-// prepareSpare creates the next segment outside mu so the roll itself
-// (appendLocked) is a pointer swap. Racing callers create the same file
-// (createSegment is idempotent); one installs its handle, the rest
-// close theirs.
+// prepareSpare makes the next segment ready outside mu, so the roll
+// itself (appendLocked) is a pointer swap: a free file when there is
+// one (reuseSegment), else a new one. It is single-flight — claimed
+// under mu, the file work done outside it — because two preparers
+// renaming free files onto one path would leave the winner appending to
+// an orphaned inode: a caller that finds a preparation in flight waits
+// for it and returns, and retries its append like any other.
 func (s *LogStore) prepareSpare() error {
-	s.mu.RLock()
-	seq, have := s.nextSeq, s.spare != nil
-	s.mu.RUnlock()
-	if have {
+	s.mu.Lock()
+	if s.spare != nil || s.deadLocked() != nil {
+		s.mu.Unlock()
 		return nil
 	}
-	f, err := createSegment(s.dir, seq)
-	if err != nil {
-		return err
+	if wait := s.preparing; wait != nil {
+		s.mu.Unlock()
+		<-wait
+		return nil
 	}
-	s.mu.Lock()
-	won := s.spare == nil && s.nextSeq == seq && s.deadLocked() == nil
-	if won {
-		s.spare = &segment{seq: seq, f: f, size: segHeaderLen}
-		s.nextSeq++
+	done := make(chan struct{})
+	s.preparing = done
+	seq := s.nextSeq
+	var old *segment
+	if n := len(s.free); n > 0 {
+		old, s.free = s.free[n-1], s.free[:n-1]
 	}
 	s.mu.Unlock()
-	if !won {
+	var f *os.File
+	var err error
+	if old != nil {
+		f, err = reuseSegment(s.dir, old, seq)
+	} else {
+		f, err = createSegment(s.dir, seq)
+	}
+	s.mu.Lock()
+	s.preparing = nil
+	close(done)
+	won := err == nil && s.deadLocked() == nil
+	if won {
+		s.spare = newSegment(seq, f, segHeaderLen)
+		s.spare.reused = old != nil
+		s.nextSeq++
+		if old != nil {
+			s.st.recycledSegments++
+			if s.oc != nil {
+				s.oc.recycledSegments.Inc()
+			}
+		}
+	}
+	s.mu.Unlock()
+	if err == nil && !won {
 		return f.Close()
 	}
-	return nil
+	return err
 }
 
 // overlayWriteLocked applies a degraded-mode write to the in-memory
@@ -889,10 +998,16 @@ func (s *LogStore) Close() error {
 
 // closeSegments marks the store closed and closes every segment handle
 // in sequence order (so which close error wins is deterministic), each
-// once the reads pinning it have drained.
+// once the reads pinning it have drained. Free files are closed and,
+// unless a simulated kill left the store for dead, deleted; and unless
+// the log is down, a segment that reused a retired file is first
+// truncated to its own length — with the store closed no append can
+// race that — so the next Open meets no earlier segment's records.
 func (s *LogStore) closeSegments() error {
 	s.mu.Lock()
 	s.closed = true
+	free, unlink, trim := s.free, !s.crashed, !s.crashed && !s.deviceDown
+	s.free = nil
 	segs := make([]*segment, 0, len(s.segs)+1)
 	for _, seq := range sortedKeys(s.segs) {
 		segs = append(segs, s.segs[seq])
@@ -906,8 +1021,19 @@ func (s *LogStore) closeSegments() error {
 	var first error
 	for _, seg := range segs {
 		seg.pins.Wait()
+		if trim && seg.reused {
+			if err := seg.f.Truncate(seg.size); err != nil && first == nil {
+				first = err
+			}
+		}
 		if err := seg.f.Close(); err != nil && first == nil {
 			first = err
+		}
+	}
+	for _, v := range free {
+		v.f.Close()
+		if unlink {
+			os.Remove(freePath(s.dir, v.seq))
 		}
 	}
 	return first
@@ -1007,23 +1133,24 @@ func (s *LogStore) Stats() Stats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return Stats{
-		Appends:         s.appends.Load(),
-		AppendedBytes:   s.st.appendedBytes,
-		LogBytes:        s.frameBytes,
-		LiveBytes:       s.liveBytes,
-		Checkpoints:     s.st.checkpoints,
-		Replays:         s.st.replays,
-		ReplayedRecords: s.st.replayedRecords,
-		TruncatedTails:  s.st.truncatedTails,
-		BadGenerations:  s.st.badGenerations,
-		BadCheckpoints:  s.st.badCheckpoints,
-		CompactionRuns:  s.st.compactionRuns,
-		CleanedSegments: s.st.cleanedSegments,
-		CopiedBytes:     s.st.copiedBytes,
-		Rolls:           s.st.rolls,
-		Generation:      s.gen,
-		DeviceFailed:    s.deviceDown,
-		Crashed:         s.crashed,
+		Appends:          s.appends.Load(),
+		AppendedBytes:    s.st.appendedBytes,
+		LogBytes:         s.frameBytes,
+		LiveBytes:        s.liveBytes,
+		Checkpoints:      s.st.checkpoints,
+		Replays:          s.st.replays,
+		ReplayedRecords:  s.st.replayedRecords,
+		TruncatedTails:   s.st.truncatedTails,
+		BadGenerations:   s.st.badGenerations,
+		BadCheckpoints:   s.st.badCheckpoints,
+		CompactionRuns:   s.st.compactionRuns,
+		CleanedSegments:  s.st.cleanedSegments,
+		CopiedBytes:      s.st.copiedBytes,
+		Rolls:            s.st.rolls,
+		RecycledSegments: s.st.recycledSegments,
+		Generation:       s.gen,
+		DeviceFailed:     s.deviceDown,
+		Crashed:          s.crashed,
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/obs"
@@ -207,7 +208,7 @@ func TestTornTailTruncated(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Hand-append a torn record past the clean tail.
-			frame := appendRecord(nil, record{kind: recKindWrite, gen: gen, file: 1, off: 800, data: fill(80, 99)})
+			frame := appendRecord(nil, crcSeed(1), record{kind: recKindWrite, gen: gen, file: 1, off: 800, data: fill(80, 99)})
 			frame = tear.mut(frame)
 			seg := segPath(dir, 1)
 			f, err := os.OpenFile(seg, os.O_WRONLY|os.O_APPEND, 0)
@@ -318,7 +319,7 @@ func TestWrongGenerationTruncated(t *testing.T) {
 	}
 	// A well-formed record with the wrong generation after the
 	// checkpointed tail: suffix replay (strict) must reject it.
-	frame := appendRecord(nil, record{kind: recKindWrite, gen: gen + 5, file: 2, off: 0, data: fill(40, 200)})
+	frame := appendRecord(nil, crcSeed(1), record{kind: recKindWrite, gen: gen + 5, file: 2, off: 0, data: fill(40, 200)})
 	f, err := os.OpenFile(segPath(dir, 1), os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -500,7 +501,7 @@ func TestCompactionThreshold(t *testing.T) {
 
 // TestRecoveryUnreferencedSegments pins the recovery rule for segments
 // a valid checkpoint does not reference: one older than the segment the
-// checkpoint was appending to is a cleaned victim whose unlink never
+// checkpoint was appending to is a cleaned victim whose retirement never
 // happened and is deleted; one newer was rolled into after the
 // checkpoint and is replayed, in sequence order.
 func TestRecoveryUnreferencedSegments(t *testing.T) {
@@ -541,7 +542,7 @@ func TestRecoveryUnreferencedSegments(t *testing.T) {
 		t.Helper()
 		data := fill(n, seed)
 		hdr := segHeader(seq)
-		frame := appendRecord(hdr[:], record{kind: recKindWrite, gen: ck.gen, file: 2, off: off, data: data})
+		frame := appendRecord(hdr[:], crcSeed(seq), record{kind: recKindWrite, gen: ck.gen, file: 2, off: off, data: data})
 		if err := os.WriteFile(segPath(dir, seq), frame, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -572,6 +573,81 @@ func TestRecoveryUnreferencedSegments(t *testing.T) {
 		t.Fatalf("active segment = %d, want 5", s.active.seq)
 	}
 	sh.verify(t, s)
+}
+
+// TestSegmentMagic pins how Open treats a segment's magic: a segment
+// stamped in the previous format (unseeded checksums) fails Open with
+// an error naming that format and is left untouched, while any other
+// wrong magic is a torn header, reset to an empty segment.
+func TestSegmentMagic(t *testing.T) {
+	setup := func(t *testing.T) (string, shadow) {
+		t.Helper()
+		dir := t.TempDir()
+		s, err := Open(dir, testConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		sh := shadow{}
+		for i := range 6 {
+			data := fill(50, byte(i))
+			if err := s.WriteAt(4, int64(i*50), data); err != nil {
+				t.Fatal(err)
+			}
+			sh.write(4, int64(i*50), data)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return dir, sh
+	}
+	t.Run("previous-format", func(t *testing.T) {
+		dir, _ := setup(t)
+		p := segPath(dir, 1)
+		b, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		copy(b, segMagicV1[:])
+		if err := os.WriteFile(p, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(dir, testConfig())
+		if err == nil {
+			s.Close()
+			t.Fatal("Open accepted a segment in the previous format")
+		}
+		if !strings.Contains(err.Error(), "IBLSEG01") {
+			t.Fatalf("Open error %q does not name the format", err)
+		}
+		if after, _ := os.ReadFile(p); !bytes.Equal(after, b) {
+			t.Fatal("the refused segment was modified")
+		}
+	})
+	t.Run("torn-header", func(t *testing.T) {
+		dir, sh := setup(t)
+		// A spare whose header write was cut short: wrong magic, then
+		// junk.
+		torn := append([]byte("IBLSEG9"), bytes.Repeat([]byte{0xA5}, 30)...)
+		if err := os.WriteFile(segPath(dir, 2), torn, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(dir, testConfig())
+		if err != nil {
+			t.Fatalf("Open with a torn header: %v", err)
+		}
+		defer s.Close()
+		sh.verify(t, s)
+		hdr := segHeader(2)
+		if got, _ := os.ReadFile(segPath(dir, 2)); !bytes.Equal(got, hdr[:]) {
+			t.Fatalf("torn segment reads %x after Open, want the bare header %x", got, hdr)
+		}
+		data := fill(50, 99)
+		if err := s.WriteAt(4, 10, data); err != nil {
+			t.Fatal(err)
+		}
+		sh.write(4, 10, data)
+		sh.verify(t, s)
+	})
 }
 
 func TestFailDeviceDegradesGracefully(t *testing.T) {

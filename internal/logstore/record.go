@@ -12,7 +12,8 @@ import (
 // segment:
 //
 //	u32  length   — bytes that follow the crc field (body length)
-//	u32  crc32c   — Castagnoli checksum over the body
+//	u32  crc32c   — Castagnoli checksum over the segment's sequence
+//	                (u64) followed by the body
 //	body:
 //	  u8   kind       — recKindWrite
 //	  u64  generation — the store generation that appended the record
@@ -26,6 +27,12 @@ import (
 // it never happened (the file is truncated there). A record is
 // therefore atomic: a crash mid-append loses the whole record, never a
 // prefix of its bytes.
+//
+// The checksum is seeded with the sequence of the segment the record is
+// appended to. The cleaner's victims are reused as later segments
+// without being truncated, so a file holds its earlier records past the
+// new tail; seeded with the old sequence, none of them can pass for a
+// record of the new one, and replay stops at the tail.
 const (
 	recKindWrite = 1
 
@@ -52,6 +59,15 @@ var (
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
+// crcSeed returns the checksum state after segment seq's sequence
+// number, which every record appended to that segment continues from.
+// Segments compute it once, so an append hashes only its own frame.
+func crcSeed(seq uint64) uint32 {
+	var b [8]byte
+	putU64(b[:], seq)
+	return crc32.Checksum(b[:], castagnoli)
+}
+
 // record is one decoded log record.
 type record struct {
 	kind byte
@@ -64,9 +80,10 @@ type record struct {
 // frameLen returns the on-disk size of rec's frame.
 func (r record) frameLen() int { return recOverhead + len(r.data) }
 
-// appendRecord appends rec's wire frame to dst and returns the
-// extended slice.
-func appendRecord(dst []byte, rec record) []byte {
+// appendRecord appends rec's wire frame, checksummed from seed (the
+// crcSeed of the segment it goes to), to dst and returns the extended
+// slice.
+func appendRecord(dst []byte, seed uint32, rec record) []byte {
 	body := recBodyFixed + len(rec.data)
 	dst = binary.BigEndian.AppendUint32(dst, uint32(body))
 	crcAt := len(dst)
@@ -77,16 +94,18 @@ func appendRecord(dst []byte, rec record) []byte {
 	dst = binary.BigEndian.AppendUint64(dst, rec.file)
 	dst = binary.BigEndian.AppendUint64(dst, uint64(rec.off))
 	dst = append(dst, rec.data...)
-	binary.BigEndian.PutUint32(dst[crcAt:], crc32.Checksum(dst[bodyAt:], castagnoli))
+	binary.BigEndian.PutUint32(dst[crcAt:], crc32.Update(seed, castagnoli, dst[bodyAt:]))
 	return dst
 }
 
-// decodeRecord parses one record from the head of b. It returns the
-// record, the number of frame bytes consumed, and an error when the
-// head of b is not a complete, well-formed record. The returned
+// decodeRecord parses one record from the head of b, checking its
+// checksum from seed (the crcSeed of the segment b was read from). It
+// returns the record, the number of frame bytes consumed, and an error
+// when the head of b is not a complete, well-formed record of that
+// segment. The returned
 // record's data aliases b. decodeRecord never panics on arbitrary
 // input (FuzzLogRecord pins this).
-func decodeRecord(b []byte) (record, int, error) {
+func decodeRecord(b []byte, seed uint32) (record, int, error) {
 	if len(b) < recHeaderLen {
 		return record{}, 0, errShortRecord
 	}
@@ -100,7 +119,7 @@ func decodeRecord(b []byte) (record, int, error) {
 	}
 	crc := binary.BigEndian.Uint32(b[4:])
 	payload := b[recHeaderLen:total]
-	if crc32.Checksum(payload, castagnoli) != crc {
+	if crc32.Update(seed, castagnoli, payload) != crc {
 		return record{}, 0, errBadCRC
 	}
 	rec := record{
