@@ -55,25 +55,7 @@ func main() {
 	ops := flag.Int("ops", 200, "chaos mode: number of sequential block writes")
 	storeKind := flag.String("store", "file", "chaos mode: per-server backing store, file or log (crash-consistent logstore; DESIGN §14)")
 	spansDir := flag.String("spans-dir", "", "chaos mode: write per-process span files (client.spans, srvN.spans) here; merge with 'ibridge-trace -merge'")
-	hedge := flag.Bool("hedge", false, "run the hedged-read walkthrough instead: straggling primaries, hedged re-issues, loser cancellation")
-	hedgeDelay := flag.Duration("hedge-delay", 5*time.Millisecond, "hedge mode: fixed hedge timer (0 = adaptive from the latency sketch)")
-	hedgeQuantile := flag.Float64("hedge-quantile", 0, "hedge mode: sketch quantile arming the adaptive hedge timer (0 = default 0.95)")
-	hedgeBudget := flag.Int("hedge-budget", 0, "hedge mode: max outstanding hedges (0 = default 16, negative = uncapped)")
 	flag.Parse()
-	if *hedge {
-		spec := *faultSpec
-		if spec == "" {
-			// Every primary-conn op sleeps; hedge conns (scope
-			// "client-hedge") stay fast, so every read hedges and wins.
-			spec = "seed=1; latency=client:150ms"
-		}
-		plan, err := faults.Parse(spec)
-		if err != nil {
-			log.Fatal(err)
-		}
-		hedged(plan, *ops, *hedgeDelay, *hedgeQuantile, *hedgeBudget)
-		return
-	}
 	if *faultSpec == "" {
 		demo()
 		return
@@ -154,105 +136,6 @@ func demo() {
 
 	fmt.Println("\nclient wire metrics:")
 	fmt.Print(reg.Render())
-}
-
-// hedged is the straggler walkthrough: the plan's client-scoped latency
-// slows every primary data connection while the hedge connections
-// (fault scope "client-hedge") stay fast, so each sub-read's hedge
-// timer fires, the re-issue wins, and the straggling primary is
-// cancelled. Data is seeded through an unplanned client, read back
-// hedged, and verified byte-for-byte; the HEDGE SUMMARY it prints is
-// reproducible from the plan seed.
-func hedged(plan *faults.Plan, ops int, delay time.Duration, quantile float64, budget int) {
-	fmt.Printf("hedge plan: %s (seed %d)\n", plan.String(), plan.Seed())
-	var dataAddrs []string
-	var servers []*pfsnet.DataServer
-	for i := 0; i < nServers; i++ {
-		ds, err := pfsnet.NewDataServer("127.0.0.1:0", true)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer ds.Close()
-		servers = append(servers, ds)
-		dataAddrs = append(dataAddrs, ds.Addr())
-		fmt.Printf("data server %d on %s\n", i, ds.Addr())
-	}
-	ms, err := pfsnet.NewMetaServer("127.0.0.1:0", stripeUnit, dataAddrs)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer ms.Close()
-
-	// Seed through an unplanned client: setup writes skip the latency.
-	seeder := pfsnet.NewClient(ms.Addr())
-	f, err := seeder.Create("hedge", int64(ops)*blockLen+stripeUnit)
-	if err != nil {
-		log.Fatal(err)
-	}
-	block := func(i int) []byte {
-		b := make([]byte, blockLen)
-		x := faults.Mix64(plan.Seed() ^ uint64(i))
-		for j := range b {
-			b[j] = byte(faults.Mix64(x+uint64(j>>3)) >> uint(8*(j&7)))
-		}
-		return b
-	}
-	for i := 0; i < ops; i++ {
-		if err := seeder.WriteAt(f, int64(i)*blockLen, block(i)); err != nil {
-			log.Fatalf("hedge: seed write %d: %v", i, err)
-		}
-	}
-	seeder.Close()
-	fmt.Printf("seeded %d blocks (%d MB)\n", ops, int64(ops)*blockLen>>20)
-
-	reg := obs.NewRegistry()
-	plan.SetObs(reg)
-	client := pfsnet.NewClient(ms.Addr())
-	client.Obs = reg
-	client.FaultPlan = plan
-	client.FaultScope = "client"
-	client.Hedge = true
-	client.HedgeDelay = delay
-	client.HedgeQuantile = quantile
-	client.HedgeBudget = budget
-	defer client.Close()
-	f, err = client.Open("hedge")
-	if err != nil {
-		log.Fatal(err)
-	}
-	got := make([]byte, blockLen)
-	for i := 0; i < ops; i++ {
-		if err := client.ReadAt(f, int64(i)*blockLen, got); err != nil {
-			log.Fatalf("hedge: read %d: %v", i, err)
-		}
-		if !bytes.Equal(got, block(i)) {
-			log.Fatalf("hedge: block %d corrupted", i)
-		}
-	}
-	fmt.Printf("read back %d blocks hedged, verified byte-for-byte\n", ops)
-
-	// Timing-dependent numbers print above the summary marker: injected
-	// latency counts depend on how many primary conn ops ran before their
-	// cancels landed.
-	var direct int64
-	for _, ds := range servers {
-		direct += ds.Stats().DirectReads
-	}
-	fmt.Printf("server totals (timing-dependent): direct reads %d\n", direct)
-	fmt.Printf("faults injected (timing-dependent): %s\n", plan.CountsString())
-
-	// The summary below is the reproducibility contract: a second run of
-	// the same plan and flags must print identical lines.
-	st := client.HedgeStats()
-	fmt.Println("\nHEDGE SUMMARY")
-	fmt.Printf("plan: %s\n", plan.String())
-	fmt.Printf("hedges_armed: %d\n", st.Armed)
-	fmt.Printf("hedges_fired: %d\n", st.Fired)
-	fmt.Printf("hedges_won: %d\n", st.Won)
-	fmt.Printf("hedges_wasted: %d\n", st.Wasted)
-	fmt.Printf("hedges_suppressed: %d\n", st.Suppressed)
-	fmt.Printf("cancels_sent: %d\n", st.CancelsSent)
-	fmt.Println("hedge: completed, data verified")
 }
 
 // chaosServer is one data server slot the crash schedule can stop and

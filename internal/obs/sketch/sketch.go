@@ -3,8 +3,8 @@
 // schedule, with quantiles computed by merging the live windows on
 // read. Old observations age out as their window is recycled, so the
 // estimate tracks "how slow is this server *now*", not cumulatively
-// since boot — exactly the signal a straggler-aware hedging scheduler
-// needs (ROADMAP: hedged fragment reads; Tavakoli et al., PAPERS.md).
+// since boot — the signal straggler-aware issue ordering ranks servers
+// by (Tavakoli et al., PAPERS.md).
 //
 // The pfsnet client keeps one Sketch per (server, op class); see
 // pfsnet.Client.LatencySnapshot. Recording is a mutex plus a histogram

@@ -1,12 +1,8 @@
 package pfsnet
 
 import (
-	"sort"
 	"sync/atomic"
 	"testing"
-	"time"
-
-	"repro/internal/faults"
 )
 
 // benchCluster starts a meta server and n data servers on loopback and
@@ -146,68 +142,4 @@ func BenchmarkPfsnetMixedFragmentAligned(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkPfsnetHedgedP99 measures tail latency under a canned skew
-// plan: one primary-conn op in four sleeps 8ms, emulating a straggling
-// server. The unhedged variant eats the delay; the hedged variant
-// re-issues through a fault-free hedge connection after 2ms. Each
-// measured op is one 1 KB read; the benchmark reports the sorted p99
-// across all measured reads as "p99-ms" alongside ns/op.
-func BenchmarkPfsnetHedgedP99(b *testing.B) {
-	for _, hedged := range []bool{false, true} {
-		name := "unhedged"
-		if hedged {
-			name = "hedged"
-		}
-		b.Run(name, func(b *testing.B) {
-			const reqSize = 1024
-			meta := benchCluster(b, 1, 64*1024, false)
-			setup := NewClient(meta)
-			f, err := setup.Create("p99", 1<<20)
-			if err != nil {
-				b.Fatal(err)
-			}
-			seed := make([]byte, 64*1024)
-			for i := range seed {
-				seed[i] = byte(i)
-			}
-			if err := setup.WriteAt(f, 0, seed); err != nil {
-				b.Fatal(err)
-			}
-			setup.Close()
-
-			c := NewClient(meta)
-			c.FaultPlan = faults.MustParse("seed=11; latency=client:8ms@1/4")
-			if hedged {
-				c.Hedge = true
-				c.HedgeDelay = 2 * time.Millisecond
-			}
-			defer c.Close()
-			f, err = c.Open("p99")
-			if err != nil {
-				b.Fatal(err)
-			}
-			buf := make([]byte, reqSize)
-			// Untimed warm-up: the data-conn dial and handshake also ride
-			// the fault plan and hedging cannot rescue them.
-			if err := c.ReadAt(f, 0, buf); err != nil {
-				b.Fatal(err)
-			}
-			lats := make([]float64, 0, b.N)
-			b.SetBytes(reqSize)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				off := int64(i) * 4096 % int64(len(seed)-reqSize)
-				t0 := time.Now()
-				if err := c.ReadAt(f, off, buf); err != nil {
-					b.Fatal(err)
-				}
-				lats = append(lats, float64(time.Since(t0))/1e6)
-			}
-			b.StopTimer()
-			sort.Float64s(lats)
-			b.ReportMetric(lats[len(lats)*99/100], "p99-ms")
-		})
-	}
 }

@@ -63,7 +63,8 @@ type Client struct {
 	Tracer *obs.XTracer
 	// TrackLatency arms the per-server windowed latency sketches even
 	// without a metrics registry, so LatencySnapshot works standalone
-	// (the straggler-aware read path's input).
+	// and issue ordering, once load hints arm it, ranks servers by
+	// observed p95 rather than by hint alone.
 	TrackLatency bool
 	// SlowLog, when set before the first request, receives one JSON
 	// line per ReadAt/WriteAt whose latency exceeds the op class's
@@ -103,61 +104,26 @@ type Client struct {
 	Seed uint64
 	// FaultPlan, when set before the first request, injects the plan's
 	// connection faults into every connection this client dials;
-	// FaultScope labels them (default "client"). Hedge connections are
-	// labelled FaultScope+"-hedge", so a scoped latency clause can slow
-	// the primary path while the hedge path stays fast — the
-	// deterministic straggler for the A/B experiments.
+	// FaultScope labels them (default "client"), so a scoped clause can
+	// target this client's connections and leave the servers' alone.
 	FaultPlan  *faults.Plan
 	FaultScope string
-
-	// Hedge enables straggler-aware hedged reads (set before the first
-	// request): each read sub-request arms a timer at the (server, read)
-	// sketch's HedgeQuantile; if the primary has not answered by then,
-	// the read is re-issued on a separate hedge connection as
-	// opReadDirect, the first reply wins, and the loser is abandoned and
-	// cancelled server-side with opCancel. Writes never hedge — only
-	// reads are idempotent under duplicated execution order.
-	// Disabled, the read path is bit-identical to the unhedged client.
-	Hedge bool
-	// HedgeQuantile is the sketch quantile the hedge timer fires at
-	// (default 0.95). The delay is clamped to
-	// [HedgeDelayFloor, HedgeDelayCap].
-	HedgeQuantile float64
-	// HedgeDelay, when positive, fixes the hedge timer outright,
-	// bypassing the sketch — the knob that makes hedge timing
-	// deterministic in tests and chaos runs.
-	HedgeDelay time.Duration
-	// HedgeDelayFloor/HedgeDelayCap bound the sketch-derived hedge delay
-	// (defaults 2ms and 1s). A cold sketch falls back to the server's
-	// T_i load hint scaled conservatively, or to the cap.
-	HedgeDelayFloor time.Duration
-	HedgeDelayCap   time.Duration
-	// HedgeBudget caps hedges in flight across the whole client
-	// (default 16) so a cluster-wide slowdown cannot double offered
-	// load: with no token available the read falls open to a plain
-	// unhedged wait and hedges_suppressed counts it. -1 removes the cap.
-	HedgeBudget int
 
 	attempts  atomic.Uint64 // retry-jitter sequence
 	openCount atomic.Int64  // breakers currently open, for the gauge
 
-	hedgeOnce sync.Once    // arms the token bucket from HedgeBudget
-	hedgeTok  atomic.Int64 // hedge tokens currently available
-
 	mu       sync.Mutex
 	wm       *wireMetrics
 	rm       *resilienceMetrics
-	hm       *hedgeMetrics
 	meta     *conn
 	data     map[string][]*conn
-	hdata    map[string]*conn // hedge connections, one per server
 	next     map[string]int
 	breakers map[string]*breaker
 
 	// hintMu guards the T_i load-hint vector (server address → expected
 	// service time, milliseconds) the metadata server broadcasts on
-	// Create/Open replies; cold sketches fall back to it for issue
-	// ordering and hedge delays.
+	// Create/Open replies; installed hints arm issue ordering, and cold
+	// sketches fall back to them for its cost estimate.
 	hintMu sync.Mutex
 	hints  map[string]float64
 
@@ -448,7 +414,7 @@ func (c *conn) readLoop() {
 		}
 		c.wm.onRx(plen)
 		if w == nil {
-			putBuf(payload) // reply for an abandoned tag
+			putBuf(payload) // reply to a tag nothing waits on
 			continue
 		}
 		c.wm.setInflight(np)
@@ -523,28 +489,18 @@ func (c *conn) call(op byte, payload []byte) ([]byte, error) {
 // exchange is call with an optional scatter destination (a non-nil dst
 // asks for a successful read reply's data to land directly in dst, in
 // which case the reply is nil and the int result is the byte count) and
-// an optional trace context (tcID nonzero).
+// an optional trace context (tcID nonzero). It registers the call and
+// hands it (payload ownership included) to the writer; on a failed conn
+// the payload is released and the conn's terminal error returned.
 func (c *conn) exchange(op byte, payload, dst []byte, tcID, tcSpan uint64) ([]byte, int, error) {
 	w := &wireCall{op: op, payload: payload, scatter: dst, tcID: tcID, tcSpan: tcSpan, done: make(chan struct{})}
-	if err := c.start(w); err != nil {
-		return nil, 0, err
-	}
-	<-w.done
-	return c.finishCall(w)
-}
-
-// start registers w and hands it (payload ownership included) to the
-// writer. On a failed conn the payload is released and the conn's
-// terminal error returned; otherwise w.done will be closed by the
-// reader or by kill.
-func (c *conn) start(w *wireCall) error {
 	c.pendMu.Lock()
 	if c.failed != nil {
 		err := c.failed
 		c.pendMu.Unlock()
 		putBuf(w.payload)
 		w.payload = nil
-		return err
+		return nil, 0, err
 	}
 	c.nextTag++
 	w.tag = c.nextTag
@@ -565,7 +521,8 @@ func (c *conn) start(w *wireCall) error {
 		w.payload = nil
 	}
 	c.armReadDeadline()
-	return nil
+	<-w.done
+	return c.finishCall(w)
 }
 
 // startBatch registers a whole batch of calls and hands the chain to
@@ -697,10 +654,6 @@ func (c *Client) Close() error {
 		}
 		delete(c.data, addr)
 	}
-	for addr, cn := range c.hdata {
-		cn.close()
-		delete(c.hdata, addr)
-	}
 	return nil
 }
 
@@ -782,8 +735,7 @@ func opClass(op byte) string {
 
 // latArmed reports whether per-server latency sketches are on. Reads
 // fields set before the first request, so it is race-free unlocked.
-// Hedging arms them implicitly: the hedge timer is a sketch quantile.
-func (c *Client) latArmed() bool { return c.TrackLatency || c.Obs != nil || c.Hedge }
+func (c *Client) latArmed() bool { return c.TrackLatency || c.Obs != nil }
 
 // sketchFor returns the windowed latency sketch for (addr, class),
 // creating it — and, when a registry is attached, its three quantile
@@ -848,8 +800,8 @@ type ServerLatency struct {
 }
 
 // LatencySnapshot returns the client's current per-server latency
-// estimates, sorted by (Server, Class). The straggler-aware read path
-// consumes this to pick hedging targets; tests use it to see a skewed
+// estimates, sorted by (Server, Class): the same sketches issue
+// ordering ranks servers by. Tests use it to see a skewed
 // server separate from its peers.
 func (c *Client) LatencySnapshot() []ServerLatency {
 	c.latMu.Lock()
@@ -901,25 +853,8 @@ type parentReq struct {
 	span  uint64
 	start time.Time
 
-	hedgesFired atomic.Int64
-	hedgesWon   atomic.Int64
-
 	mu    sync.Mutex
 	frags []FragTiming
-}
-
-// noteHedge records a hedge fired under this parent request (won=false
-// at issue time, won=true when the hedge reply beats the primary) for
-// the slow-log wide event.
-func (pr *parentReq) noteHedge(won bool) {
-	if pr == nil {
-		return
-	}
-	if won {
-		pr.hedgesWon.Add(1)
-	} else {
-		pr.hedgesFired.Add(1)
-	}
 }
 
 func (pr *parentReq) addFrag(server string, sub stripe.Sub, d time.Duration, err error) {
@@ -951,19 +886,15 @@ func (c *Client) startParent(op, class string) *parentReq {
 
 // slowEvent is the JSON shape of one slow-request wide event.
 type slowEvent struct {
-	TS    string  `json:"ts"`
-	Op    string  `json:"op"`
-	Trace string  `json:"trace,omitempty"`
-	Off   int64   `json:"off"`
-	Len   int64   `json:"len"`
-	MS    float64 `json:"ms"`
-	P99MS float64 `json:"p99_ms"`
-	Err   string  `json:"err,omitempty"`
-	// Hedge counters for this request: fired counts every hedge issued,
-	// won those whose reply beat the primary.
-	HedgesFired int64        `json:"hedges_fired,omitempty"`
-	HedgesWon   int64        `json:"hedges_won,omitempty"`
-	Frags       []FragTiming `json:"frags,omitempty"`
+	TS    string       `json:"ts"`
+	Op    string       `json:"op"`
+	Trace string       `json:"trace,omitempty"`
+	Off   int64        `json:"off"`
+	Len   int64        `json:"len"`
+	MS    float64      `json:"ms"`
+	P99MS float64      `json:"p99_ms"`
+	Err   string       `json:"err,omitempty"`
+	Frags []FragTiming `json:"frags,omitempty"`
 }
 
 // finishParent closes the per-request context: it emits the client
@@ -1001,8 +932,6 @@ func (c *Client) finishParent(pr *parentReq, off, length int64, err error) {
 		TS: time.Now().UTC().Format(time.RFC3339Nano),
 		Op: pr.op, Off: off, Len: length,
 		MS: ms, P99MS: p99, Frags: frags,
-		HedgesFired: pr.hedgesFired.Load(),
-		HedgesWon:   pr.hedgesWon.Load(),
 	}
 	if pr.trace != 0 {
 		ev.Trace = fmt.Sprintf("%016x", pr.trace)
@@ -1181,15 +1110,7 @@ func (c *Client) tryDataCall(addr string, op byte, encode func() []byte, dst []b
 	if pr != nil {
 		tcID, tcSpan = pr.trace, pr.span
 	}
-	var reply []byte
-	var n int
-	if c.Hedge && op == opRead {
-		// Reads hedge; writes never do, since they are not idempotent
-		// under duplicated execution order.
-		reply, n, err = c.hedgedExchange(addr, cn, encode, dst, tcID, tcSpan, pr)
-	} else {
-		reply, n, err = cn.exchange(op, encode(), dst, tcID, tcSpan)
-	}
+	reply, n, err := cn.exchange(op, encode(), dst, tcID, tcSpan)
 	if err != nil {
 		if _, isRemote := err.(remoteError); !isRemote {
 			c.dropDataConn(addr, cn)
@@ -1659,11 +1580,7 @@ func (c *Client) readGroup(f *File, off int64, p []byte, subs []stripe.Sub, pr *
 	var first error
 	for i, w := range calls {
 		sub := subs[i]
-		if c.Hedge {
-			c.awaitHedged(cn, w, addr, func() []byte { return encodeRead(f, sub) }, pr)
-		} else {
-			<-w.done
-		}
+		<-w.done
 		reply, n, err := cn.finishCall(w)
 		var el time.Duration
 		if sk != nil || pr != nil {

@@ -105,12 +105,6 @@ type DataStats struct {
 	Flushes            int64
 	FlushedBytes       int64
 	ReadBytes, WrBytes int64
-	// CancelsReceived counts well-formed opCancel frames. They are
-	// dropped: a connection executes in arrival order, so the request a
-	// cancel names has always run by then. DirectReads counts opReadDirect
-	// requests (hedge re-issues).
-	CancelsReceived int64
-	DirectReads     int64
 	// The fragment log right now (gauges, unlike the counters above):
 	// bytes the index maps, bytes appended into chunks the log still
 	// holds, and index entries. LogBytes above is every byte ever logged.
@@ -129,8 +123,6 @@ type dataCounters struct {
 	flushes            atomic.Int64
 	flushedBytes       atomic.Int64
 	readBytes, wrBytes atomic.Int64
-	cancelsReceived    atomic.Int64
-	directReads        atomic.Int64
 }
 
 // NewDataServer starts a data server listening on addr (use
@@ -196,8 +188,6 @@ func (s *DataServer) Stats() DataStats {
 		FlushedBytes:    s.ctr.flushedBytes.Load(),
 		ReadBytes:       s.ctr.readBytes.Load(),
 		WrBytes:         s.ctr.wrBytes.Load(),
-		CancelsReceived: s.ctr.cancelsReceived.Load(),
-		DirectReads:     s.ctr.directReads.Load(),
 		BridgeLiveBytes: s.bridge.liveBytes.Load(),
 		BridgeHeldBytes: s.bridge.heldBytes.Load(),
 		BridgeExtents:   s.bridge.extents.Load(),
@@ -330,17 +320,6 @@ func (s *DataServer) servePipelined(conn net.Conn, br *bufio.Reader, scope strin
 			parsed = time.Now()
 		}
 		s.wm.onRx(len(fr.payload))
-		if fr.op == opCancel {
-			// Fire-and-forget: counted, never dispatched, never answered.
-			// The request it names arrived first on this connection and
-			// has already run, so there is nothing left to drop.
-			d := dec{b: fr.body()}
-			if d.u64(); d.err == nil {
-				s.ctr.cancelsReceived.Add(1)
-			}
-			fr.release()
-			continue
-		}
 		traced := s.tracer != nil && fr.traced
 		var t0 time.Time
 		if traced {
@@ -418,8 +397,6 @@ func (s *DataServer) dispatch(op byte, payload []byte) (byte, []byte) {
 		reply, err = s.handleWrite(payload)
 	case opRead:
 		reply, err = s.handleRead(payload)
-	case opReadDirect:
-		reply, err = s.handleReadDirect(payload)
 	case opStat:
 		reply, err = s.handleStat(payload)
 	case opFlush:
@@ -518,17 +495,6 @@ func (s *DataServer) FailSSD() error {
 // SSDFailed reports whether the SSD device has failed (by schedule or
 // FailSSD) and the server is running degraded.
 func (s *DataServer) SSDFailed() bool { return s.bridge.down.Load() }
-
-// handleReadDirect is opRead with the hedge routing hint: a re-issued
-// read racing a cancelled (or straggling) primary. Semantically
-// identical to a plain read — the fragment-log overlay still applies,
-// so hedged reads return exactly the bytes the primary would have.
-// The hint only feeds the direct-read counter today; a future elastic
-// layer can use it to prefer a replica or the HDD path.
-func (s *DataServer) handleReadDirect(payload []byte) ([]byte, error) {
-	s.ctr.directReads.Add(1)
-	return s.handleRead(payload)
-}
 
 // handleRead payload: file u64, off i64, length i64.
 // Reply: data bytes.

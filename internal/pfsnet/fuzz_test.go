@@ -49,7 +49,8 @@ func FuzzReadFrame(f *testing.F) {
 }
 
 // malformedFrames are byte streams no well-formed peer sends: bad
-// length words, a truncated frame and an unknown opcode.
+// length words, a truncated frame, an unknown opcode and the two retired
+// opcodes, each carrying the body it once had.
 var malformedFrames = []struct {
 	name      string
 	raw       []byte
@@ -60,12 +61,15 @@ var malformedFrames = []struct {
 	{"zero-length frame", []byte{0, 0, 0, 0}, false},
 	{"short payload", []byte{0, 0, 0, 100, 0, 0, 0, 0, 0, 0, 0, 1, opRead, 1, 2, 3}, false},
 	{"unknown opcode", rawFrame(1, 0xEE, []byte{9}), true},
+	{"retired opcode 10", rawFrame(1, 10, []byte{0, 0, 0, 0, 0, 0, 0, 1}), true},
+	{"retired opcode 11", rawFrame(1, 11, readReq(1, 0, 512)), true},
 }
 
 // TestServerRejectsMalformedFrames drives raw malformed byte streams at
-// a live data server: the server must reply opError (unknown opcode) or
-// close the connection cleanly (corrupt framing), never panic, and never
-// leak the connection or wedge the listener.
+// a live data server: the server must reply opError (unknown or retired
+// opcode) and go on serving reads, or close the connection cleanly
+// (corrupt framing), never panic, and never leak the connection or wedge
+// the listener.
 func TestServerRejectsMalformedFrames(t *testing.T) {
 	ds, err := NewDataServer("127.0.0.1:0", true)
 	if err != nil {
@@ -93,15 +97,13 @@ func TestServerRejectsMalformedFrames(t *testing.T) {
 				if fr.op != opError {
 					t.Fatalf("reply opcode = %d, want opError", fr.op)
 				}
-				// The connection must still be usable after the error.
-				var e enc
-				e.u64(1)
-				if _, err := nc.Write(rawFrame(2, opStat, e.b)); err != nil {
+				// The connection must still serve a read after the error.
+				if _, err := nc.Write(rawFrame(2, opRead, readReq(1, 0, 512))); err != nil {
 					t.Fatalf("write after error: %v", err)
 				}
 				fr, err = readFrame(br)
-				if err != nil || fr.op != opOK {
-					t.Fatalf("opStat after opError: %v op=%d", err, fr.op)
+				if err != nil || fr.tag != 2 || fr.op != opOK {
+					t.Fatalf("read after opError: %v tag=%d op=%d", err, fr.tag, fr.op)
 				}
 			} else if err == nil {
 				t.Fatalf("want clean close, got reply op=%d", fr.op)

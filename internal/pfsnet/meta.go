@@ -29,7 +29,7 @@ type MetaServer struct {
 	// loadHints is the T_i broadcast vector (expected service time per
 	// data server, milliseconds, stripe order). When set, Create/Open
 	// replies carry it as trailing payload bytes old clients ignore;
-	// hedging clients consume it for cold-start issue ordering.
+	// clients install it, which arms issue ordering (order.go).
 	loadHints []float64
 
 	wg        sync.WaitGroup

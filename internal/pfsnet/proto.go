@@ -26,8 +26,8 @@
 // 0, payload u32 ProtoV2), and the server answers opOK carrying the same
 // version. Any other first frame, or any other version, is answered with
 // opError and the connection is closed. There is nothing to negotiate:
-// the trace context (tagTraceFlag) and opCancel/opReadDirect are plain
-// parts of the protocol (DESIGN §8).
+// the trace context (tagTraceFlag) is a plain part of the protocol
+// (DESIGN §8).
 package pfsnet
 
 import (
@@ -53,21 +53,8 @@ const (
 	opOK
 	opError
 	opHello
-	// opCancel tells a data server that the requester abandoned a tag
-	// (payload: target tag u64). Fire-and-forget: it never receives a
-	// reply, and a client only sends it for a tag it has already
-	// abandoned, so a server that dropped the target unanswered would be
-	// indistinguishable from the reply losing the race. This server
-	// executes each connection in arrival order, so the target has
-	// always run when the cancel is read: the frame is counted and
-	// consumed (DESIGN §13).
-	opCancel
-	// opReadDirect is opRead with a routing hint: the requester is a
-	// hedge re-issue and the server should prefer its direct (store)
-	// path over any queue-optimised handling. Semantically identical to
-	// opRead — the fragment-log overlay still applies, because hedged
-	// reads must return the same bytes as the original.
-	opReadDirect
+	// Values 10 and 11 are retired: a data server answers them with
+	// opError, like any opcode it does not know.
 )
 
 // ProtoV2 is the wire protocol version, the one a hello carries. Every

@@ -94,8 +94,8 @@ func TestWriteMessageRejectsOversize(t *testing.T) {
 // Frozen wire bytes. Every peer is built from this tree, so nothing
 // negotiates around a layout change: these literals are the protocol.
 // They cover the 13-byte header (length counting the bytes after itself,
-// tag, opcode), the opcode numbering, the hello, the trace context
-// behind a flagged tag, and opCancel.
+// tag, opcode), the opcode numbering, the hello, and the trace context
+// behind a flagged tag.
 const (
 	goldenHello      = "0000000d" + "0000000000000000" + "09" + "00000002"
 	goldenHelloReply = "0000000d" + "0000000000000000" + "07" + "00000002"
@@ -103,7 +103,6 @@ const (
 	goldenRead       = "00000021" + "0102030405060708" + "03" + goldenReadBody
 	goldenTracedRead = "00000031" + "8000000000000009" + "03" +
 		"1111111111111111" + "2222222222222222" + goldenReadBody
-	goldenCancel = "00000011" + "000000000000000a" + "0a" + "0000000000000009"
 )
 
 // unhex decodes a golden literal.
@@ -131,17 +130,14 @@ func vecBytes(t *testing.T, queue func(vw *vecWriter) error) string {
 	return hex.EncodeToString(buf.Bytes())
 }
 
-// TestWireGolden pins the byte layout of the hello, a plain request, a
-// traced request and an opCancel frame against the encoders that write
-// them, then drives the same literals at a live data server: it must
-// answer the hello with the golden reply, serve the plain and traced
-// reads, and count the cancel.
+// TestWireGolden pins the byte layout of the hello, a plain request and
+// a traced request against the encoders that write them, then drives
+// the same literals at a live data server: it must answer the hello with
+// the golden reply and serve the plain and traced reads.
 func TestWireGolden(t *testing.T) {
 	var hello, reply bytes.Buffer
 	writeHello(&hello, opHello)
 	writeHello(&reply, opOK)
-	cancel := newEncN(8)
-	cancel.u64(9)
 	for _, tc := range []struct{ name, got, want string }{
 		{"hello", hex.EncodeToString(hello.Bytes()), goldenHello},
 		{"hello reply", hex.EncodeToString(reply.Bytes()), goldenHelloReply},
@@ -151,9 +147,6 @@ func TestWireGolden(t *testing.T) {
 		{"traced read", vecBytes(t, func(vw *vecWriter) error {
 			return vw.writeFrameCtx(9, opRead, 0x1111111111111111, 0x2222222222222222, readReq(7, 512, 512))
 		}), goldenTracedRead},
-		{"cancel", vecBytes(t, func(vw *vecWriter) error {
-			return vw.writeFrame(10, opCancel, cancel.b)
-		}), goldenCancel},
 	} {
 		if tc.got != tc.want {
 			t.Errorf("%s frame:\n got %s\nwant %s", tc.name, tc.got, tc.want)
@@ -181,7 +174,7 @@ func TestWireGolden(t *testing.T) {
 	br := bufio.NewReader(nc)
 	seedBlocks(t, nc, br, 7, 2)
 	var burst []byte
-	for _, g := range []string{goldenRead, goldenCancel, goldenTracedRead} {
+	for _, g := range []string{goldenRead, goldenTracedRead} {
 		burst = append(burst, unhex(t, g)...)
 	}
 	if _, err := nc.Write(burst); err != nil {
@@ -189,9 +182,6 @@ func TestWireGolden(t *testing.T) {
 	}
 	checkBlock(t, expectReply(t, nc, br, 5*time.Second, 0x0102030405060708), 1)
 	checkBlock(t, expectReply(t, nc, br, 5*time.Second, 9), 1)
-	if n := ds.Stats().CancelsReceived; n != 1 {
-		t.Fatalf("CancelsReceived = %d, want 1", n)
-	}
 }
 
 // helloFrame encodes a hello asking for protocol version ver.

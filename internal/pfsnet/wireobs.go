@@ -206,84 +206,3 @@ func (m *resilienceMetrics) onClose(nowOpen int64) {
 	}
 	m.breakersOpen.Set(nowOpen)
 }
-
-// hedgeMetrics tracks the hedged-read machinery. Unlike wireMetrics it
-// keeps local atomics alongside the optional registry mirrors: hedge
-// counts feed deterministic test/chaos summaries via HedgeStats even
-// when no registry is attached. A nil receiver (hedging never armed) is
-// a no-op.
-type hedgeMetrics struct {
-	armed       atomic.Int64 // hedge timers started
-	fired       atomic.Int64 // hedges actually issued to the wire
-	won         atomic.Int64 // hedge replies that beat the primary
-	wasted      atomic.Int64 // hedges fired whose primary won anyway
-	suppressed  atomic.Int64 // hedges skipped for lack of a budget token
-	cancelsSent atomic.Int64 // opCancel frames issued for losers
-
-	// Registry mirrors; nil without an obs registry.
-	cArmed, cFired, cWon, cWasted, cSuppressed, cCancels *obs.Counter
-}
-
-// newHedgeMetrics builds the client's hedge metrics; reg may be nil, in
-// which case only the local atomics count.
-func newHedgeMetrics(reg *obs.Registry) *hedgeMetrics {
-	m := &hedgeMetrics{}
-	if reg != nil {
-		m.cArmed = reg.Counter("pfsnet.client.hedges_armed")
-		m.cFired = reg.Counter("pfsnet.client.hedges_fired")
-		m.cWon = reg.Counter("pfsnet.client.hedges_won")
-		m.cWasted = reg.Counter("pfsnet.client.hedges_wasted")
-		m.cSuppressed = reg.Counter("pfsnet.client.hedges_suppressed")
-		m.cCancels = reg.Counter("pfsnet.client.cancels_sent")
-	}
-	return m
-}
-
-func bump(local *atomic.Int64, mirror *obs.Counter) {
-	local.Add(1)
-	if mirror != nil {
-		mirror.Inc()
-	}
-}
-
-func (m *hedgeMetrics) onArmed() {
-	if m == nil {
-		return
-	}
-	bump(&m.armed, m.cArmed)
-}
-
-func (m *hedgeMetrics) onFired() {
-	if m == nil {
-		return
-	}
-	bump(&m.fired, m.cFired)
-}
-
-func (m *hedgeMetrics) onWon() {
-	if m == nil {
-		return
-	}
-	bump(&m.won, m.cWon)
-}
-
-func (m *hedgeMetrics) onWasted() {
-	if m == nil {
-		return
-	}
-	bump(&m.wasted, m.cWasted)
-}
-
-func (m *hedgeMetrics) onSuppressed() {
-	if m == nil {
-		return
-	}
-	bump(&m.suppressed, m.cSuppressed)
-}
-
-func (m *hedgeMetrics) onCancelSent() {
-	if m == nil {
-		return
-	}
-	bump(&m.cancelsSent, m.cCancels)
-}
