@@ -10,8 +10,9 @@ build:
 
 # The suite in two tiers. test-slow is the two packages that dominate the
 # wall clock — the analyzer suite type-checks the tree once per analyzer,
-# the experiments suite runs the smoke evaluation several times over —
-# and test-fast is everything else: the tier to run while editing.
+# the experiments suite reruns the pinned golden simulations once, with
+# tracing on, and exports the trace — and test-fast is everything else:
+# the tier to run while editing.
 # `make test` (and `go test ./...`) is both.
 SLOW_PKGS = repro/internal/analyzers repro/internal/experiments
 

@@ -153,7 +153,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := tr.WriteChrome(f); err != nil {
+		if err := obs.WriteChromeX(f, tr.Events()); err != nil {
 			log.Fatal(err)
 		}
 		if err := f.Close(); err != nil {

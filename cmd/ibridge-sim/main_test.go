@@ -2,10 +2,12 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -94,4 +96,79 @@ func TestCPUProfileFlag(t *testing.T) {
 	if fi, err := os.Stat(prof); err != nil || fi.Size() == 0 {
 		t.Errorf("profile %s: %v, size %d; want a non-empty file", prof, err, fi.Size())
 	}
+}
+
+// TestTraceFlag: -trace writes a Chrome trace of the run without
+// changing a byte of standard output. The trace is one process, "sim",
+// with a lane per component named run<N>/<comp>; no event precedes the
+// origin; and a bridge decision carries the trace id of the client
+// request it served.
+func TestTraceFlag(t *testing.T) {
+	args := []string{"-mode", "ibridge", "-file", "16", "-size", "66560", "-write"}
+	code, plain, stderr := runSim(t, args...)
+	if code != 0 {
+		t.Fatalf("exit %d\nstderr: %s", code, stderr)
+	}
+	path := filepath.Join(t.TempDir(), "trace.json")
+	code, traced, stderr := runSim(t, append(args, "-trace", path)...)
+	if code != 0 {
+		t.Fatalf("-trace: exit %d\nstderr: %s", code, stderr)
+	}
+	if traced != plain {
+		t.Errorf("-trace changed stdout:\n--- plain ---\n%s--- traced ---\n%s", plain, traced)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name  string            `json:"name"`
+			Phase string            `json:"ph"`
+			TS    float64           `json:"ts"`
+			Pid   int               `json:"pid"`
+			Tid   int               `json:"tid"`
+			Args  map[string]string `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatalf("trace is not Chrome JSON: %v", err)
+	}
+	lanePat := regexp.MustCompile(`^run[0-9]+/(client|srv[0-9]+|bridge[0-9]+)$`)
+	lanes := map[[2]int]string{}
+	clientTraces := map[string]bool{}
+	var bridgeTraces []string
+	for _, ev := range doc.TraceEvents {
+		if ev.TS < 0 {
+			t.Errorf("%s at ts=%v µs, before the trace origin", ev.Name, ev.TS)
+		}
+		switch {
+		case ev.Phase == "M" && ev.Name == "process_name":
+			if ev.Args["name"] != "sim" {
+				t.Errorf("process %q, want the one process \"sim\"", ev.Args["name"])
+			}
+		case ev.Phase == "M":
+			if !lanePat.MatchString(ev.Args["name"]) {
+				t.Errorf("lane %q is not named run<N>/<comp>", ev.Args["name"])
+			}
+			lanes[[2]int{ev.Pid, ev.Tid}] = ev.Args["name"]
+		default:
+			lane := lanes[[2]int{ev.Pid, ev.Tid}]
+			if ev.Phase == "X" && strings.HasSuffix(lane, "/client") {
+				clientTraces[ev.Args["trace"]] = true
+			}
+			if ev.Phase == "i" && strings.Contains(lane, "/bridge") && ev.Args["trace"] != "" {
+				bridgeTraces = append(bridgeTraces, ev.Args["trace"])
+			}
+		}
+	}
+	if len(clientTraces) == 0 || len(bridgeTraces) == 0 {
+		t.Fatalf("trace has %d client request traces and %d attributed bridge instants; want both", len(clientTraces), len(bridgeTraces))
+	}
+	for _, id := range bridgeTraces {
+		if clientTraces[id] {
+			return
+		}
+	}
+	t.Errorf("no bridge instant shares its trace arg with a client span")
 }

@@ -44,9 +44,9 @@ func TestDetMapRange(t *testing.T) {
 	})
 }
 
-// TestObsNil exercises the nil-sink contract: unguarded bundle and
-// tracer dereferences (including through closures and unguardable call
-// chains) versus every guarded idiom used in the tree.
+// TestObsNil exercises the nil-sink contract: unguarded metric-bundle
+// dereferences (including through closures and unguardable call chains)
+// versus every guarded idiom used in the tree.
 func TestObsNil(t *testing.T) {
 	t.Run("pos", func(t *testing.T) {
 		analysistest.Run(t, analyzers.ObsNil, "testdata/src/obsnil/pos", "repro/internal/fixture/obsfix")

@@ -6,7 +6,7 @@ import "repro/internal/obs"
 
 type comp struct {
 	m  *obs.PFSMetrics
-	tr *obs.Tracer
+	bm *obs.BridgeMetrics
 }
 
 // Guarded is the canonical probe site: one branch per bundle.
@@ -15,8 +15,8 @@ func (c *comp) Guarded(n int64) {
 		c.m.Requests.Inc()
 		c.m.SubRequests.Add(n)
 	}
-	if c.tr != nil {
-		c.tr.Instant(0, 0, "c", "x", 0)
+	if c.bm != nil {
+		c.bm.Hits.Inc()
 	}
 }
 
@@ -24,11 +24,11 @@ func (c *comp) Guarded(n int64) {
 // the || form whose fallthrough still implies both pointers are
 // non-nil.
 func (c *comp) EarlyReturn() {
-	if c.m == nil || c.tr == nil {
+	if c.m == nil || c.bm == nil {
 		return
 	}
 	c.m.Requests.Inc()
-	c.tr.Instant(0, 0, "c", "y", 0)
+	c.bm.Misses.Inc()
 }
 
 // ElseBranch guards through the else arm of an == nil test.
@@ -50,8 +50,8 @@ func Param(m *obs.PFSMetrics) {
 
 // Bound binds an accessor result and guards it in the if-init form.
 func Bound(s *obs.Set) {
-	if tr := s.Tracer(); tr != nil {
-		tr.Instant(0, 0, "c", "z", 0)
+	if bm := s.BridgeMetrics(); bm != nil {
+		bm.Stages.Inc()
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/device"
 	"repro/internal/hdd"
@@ -48,19 +49,24 @@ type Bridge struct {
 
 	// Observability sinks; all nil when disabled, so the hot path pays
 	// one branch per decision point.
-	m    *obs.BridgeMetrics
-	tr   *obs.Tracer
-	run  int32
-	comp string
+	m     *obs.BridgeMetrics
+	tr    *obs.XTracer
+	scope string
 }
 
 // SetObs installs the observability sinks (either may be nil). run
-// labels the cluster instance in trace output. Call before the
-// simulation runs.
-func (b *Bridge) SetObs(m *obs.BridgeMetrics, tr *obs.Tracer, run int32) {
+// labels the cluster instance: the bridge's trace lane is
+// "run<N>/bridge<i>". Call before the simulation runs.
+func (b *Bridge) SetObs(m *obs.BridgeMetrics, tr *obs.XTracer, run int32) {
 	b.m = m
 	b.tr = tr
-	b.run = run
+	b.scope = fmt.Sprintf("run%d/bridge%d", run, b.server)
+}
+
+// instant records a decision at the current virtual time under parent
+// request id (0: not request-scoped). Callers guard on b.tr != nil.
+func (b *Bridge) instant(p *sim.Proc, name string, id int64) {
+	b.tr.Instant(uint64(id), 0, name, b.scope, time.Unix(0, int64(p.Now())))
 }
 
 type stageItem struct {
@@ -90,7 +96,6 @@ func NewBridge(e *sim.Engine, cfg Config, serverID int, disk *hdd.Disk, diskQ, s
 		trk:    newTracker(disk, cfg.EWMAOld, cfg.EWMANew),
 		exch:   exch,
 		alloc:  newLogAlloc(cfg.SSDCapacity/device.SectorSize, cfg.LogStructured, rng),
-		comp:   fmt.Sprintf("bridge%d", serverID),
 	}
 	if exch != nil {
 		exch.Register(b)
@@ -204,7 +209,7 @@ func (b *Bridge) serveRead(p *sim.Proc, r *pfs.IORequest) {
 			b.m.Hits.Inc()
 		}
 		if b.tr != nil {
-			b.tr.Instant(p.Now(), b.run, b.comp, "ssd-hit", r.ID)
+			b.instant(p, "ssd-hit", r.ID)
 		}
 		return
 	}
@@ -226,7 +231,7 @@ func (b *Bridge) serveRead(p *sim.Proc, r *pfs.IORequest) {
 	b.trk.servedAtDisk(req)
 	b.stats.DiskReadBytes += r.Bytes
 	if b.tr != nil {
-		b.tr.Instant(p.Now(), b.run, b.comp, "disk-read", r.ID)
+		b.instant(p, "disk-read", r.ID)
 	}
 	// The data is now in memory; if redirecting it would have paid off,
 	// stage it into the SSD during the next idle period so future runs
@@ -235,7 +240,7 @@ func (b *Bridge) serveRead(p *sim.Proc, r *pfs.IORequest) {
 		b.stage = append(b.stage, stageItem{lbn: r.LBN, sectors: r.Sectors, ret: ret, class: classify(r)})
 		b.countOffload(ret, boost)
 		if b.tr != nil {
-			b.tr.Instant(p.Now(), b.run, b.comp, "stage-queued", r.ID)
+			b.instant(p, "stage-queued", r.ID)
 		}
 	}
 }
@@ -253,7 +258,7 @@ func (b *Bridge) serveWrite(p *sim.Proc, r *pfs.IORequest) {
 					if boost > 0 {
 						name = "ssd-offload-boosted"
 					}
-					b.tr.Instant(p.Now(), b.run, b.comp, name, r.ID)
+					b.instant(p, name, r.ID)
 				}
 				return
 			}
@@ -262,7 +267,7 @@ func (b *Bridge) serveWrite(p *sim.Proc, r *pfs.IORequest) {
 				b.m.Rejections.Inc()
 			}
 			if b.tr != nil {
-				b.tr.Instant(p.Now(), b.run, b.comp, "ssd-reject", r.ID)
+				b.instant(p, "ssd-reject", r.ID)
 			}
 		}
 	}
@@ -273,7 +278,7 @@ func (b *Bridge) serveWrite(p *sim.Proc, r *pfs.IORequest) {
 	b.trk.servedAtDisk(req)
 	b.stats.DiskWriteBytes += r.Bytes
 	if b.tr != nil {
-		b.tr.Instant(p.Now(), b.run, b.comp, "disk-write", r.ID)
+		b.instant(p, "disk-write", r.ID)
 	}
 }
 
@@ -485,7 +490,7 @@ func (b *Bridge) stageOne(p *sim.Proc, it stageItem) {
 		b.m.Stages.Inc()
 	}
 	if b.tr != nil {
-		b.tr.Instant(p.Now(), b.run, b.comp, "staged", 0)
+		b.instant(p, "staged", 0)
 	}
 }
 
@@ -538,7 +543,7 @@ func (b *Bridge) FailSSD(p *sim.Proc) {
 	b.ssdFailed = true
 	b.stats.SSDFailures++
 	if b.tr != nil {
-		b.tr.Instant(p.Now(), b.run, b.comp, "ssd-failed", 0)
+		b.instant(p, "ssd-failed", 0)
 	}
 }
 

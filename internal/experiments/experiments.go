@@ -139,7 +139,7 @@ var currentObs atomic.Pointer[obs.Set]
 
 // SetObs installs the observability sink used by all subsequently built
 // experiment clusters (nil disables). Probes only read state, so results
-// are byte-identical with or without a sink (see determinism_test.go).
+// are byte-identical with or without a sink (see TestGoldenDigests).
 func SetObs(s *obs.Set) { currentObs.Store(s) }
 
 // CurrentObs returns the installed observability sink, or nil.

@@ -1,7 +1,9 @@
-// Package obs is the simulation observability layer: a metrics registry
-// (counters, gauges, fixed-bucket latency histograms), a span-based
-// request-flow tracer that exports Chrome trace_event JSON, and T_i
-// telemetry sampled at the metadata-server broadcast tick.
+// Package obs is the observability layer: a metrics registry (counters,
+// gauges, fixed-bucket latency histograms), one request-flow tracer
+// (XTracer) that exports Chrome trace_event JSON, and T_i telemetry
+// sampled at the metadata-server broadcast tick. The simulator stamps
+// its trace events with virtual time and the live cluster with the wall
+// clock; both record the same XEvent into the same bounded buffer.
 //
 // The package is built around a zero-cost-when-off contract. A nil *Set
 // disables everything: components receive nil metric structs and a nil
@@ -18,7 +20,7 @@
 //
 // Observability never perturbs the simulation: probes only read state
 // and record, so a traced run is byte-identical to an untraced one
-// (enforced by internal/experiments' determinism tests).
+// (enforced by internal/experiments' TestGoldenDigests).
 package obs
 
 import (
@@ -33,14 +35,11 @@ import (
 type Config struct {
 	// Metrics enables the registry (counters, gauges, histograms).
 	Metrics bool
-	// Trace enables the request-flow tracer.
+	// Trace enables the request-flow tracer (DefaultMaxEvents bound).
 	Trace bool
 	// SampleEvery throttles T_i sampling: samples closer together than
 	// this are dropped. 0 samples at every metadata broadcast tick.
 	SampleEvery sim.Duration
-	// MaxTraceEvents bounds the tracer's in-memory event buffer
-	// (default 1<<20); later events are counted as dropped.
-	MaxTraceEvents int
 }
 
 // Set is one observability instance: the registry, the tracer, and the
@@ -49,7 +48,7 @@ type Config struct {
 type Set struct {
 	cfg     Config
 	reg     *Registry
-	tr      *Tracer
+	tr      *XTracer
 	nextRun atomic.Int32
 	ti      tiList
 }
@@ -65,7 +64,7 @@ func New(cfg Config) *Set {
 		s.reg = NewRegistry()
 	}
 	if cfg.Trace {
-		s.tr = NewTracer(cfg.MaxTraceEvents)
+		s.tr = NewXTracer("sim", 0)
 		if s.reg != nil {
 			// Surface overflow in the metrics: a truncated trace should
 			// show up in the registry, not be discovered by its absence.
@@ -84,7 +83,9 @@ func (s *Set) Registry() *Registry {
 }
 
 // Tracer returns the request-flow tracer, or nil when tracing is off.
-func (s *Set) Tracer() *Tracer {
+// It is one tracer, process "sim", shared by every run the Set observes;
+// components lay their events out in lanes "run<N>/<comp>".
+func (s *Set) Tracer() *XTracer {
 	if s == nil {
 		return nil
 	}
@@ -92,7 +93,7 @@ func (s *Set) Tracer() *Tracer {
 }
 
 // NextRun allocates a run id, labelling one cluster instance in the
-// trace (the Chrome trace pid) and the T_i sampler list.
+// trace lanes and the T_i sampler list.
 func (s *Set) NextRun() int32 {
 	if s == nil {
 		return 0
@@ -111,5 +112,5 @@ func (s *Set) WriteMetrics(w io.Writer) {
 	s.ti.render(w)
 }
 
-// fmtDur formats a millisecond quantity for metric output.
+// fmtMS formats a millisecond quantity for metric output.
 func fmtMS(ms float64) string { return fmt.Sprintf("%.3fms", ms) }

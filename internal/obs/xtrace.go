@@ -2,29 +2,31 @@ package obs
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
 	"log"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// This file is the cross-process half of the tracing story. The sim
-// Tracer above stamps events with virtual time inside one process; an
-// XTracer stamps wall-clock spans that carry an explicit
-// {traceID, spanID, parentSpanID} context, so spans emitted by the
-// pfsnet client and by every data server it fans out to can be written
-// to per-process span files and later aligned into one Chrome trace
-// (cmd/ibridge-trace -merge). The trace context itself travels on the
-// wire between a flagged frame header and the payload (DESIGN §12).
+// XTracer is the one request-flow tracer. Every event carries an
+// explicit {traceID, spanID, parentSpanID} context and a caller-supplied
+// timestamp: the live pfsnet client and data servers stamp wall-clock
+// time and write per-process span files that are later aligned into one
+// Chrome trace (cmd/ibridge-trace -merge; the context travels on the
+// wire, DESIGN §12); the simulator stamps virtual time into the single
+// "sim" tracer of an obs.Set.
 
-// XEvent is one cross-process trace record: a completed span when
-// Dur > 0, an instant marker when Dur == 0. Start is wall-clock
-// UnixNano; Proc names the emitting logical process (e.g. "client",
-// "srv0") and Scope the lane within it (op class, connection, ...).
+// XEvent is one trace record: a completed span when Dur > 0, an instant
+// marker when Dur == 0. Start is UnixNano (wall clock, or virtual time
+// from 0 in the simulator); Proc names the emitting logical process
+// (e.g. "client", "srv0", "sim") and Scope the lane within it (op class,
+// connection, "run3/bridge0", ...).
 type XEvent struct {
 	Trace  uint64 `json:"trace,omitempty"`
 	Span   uint64 `json:"span,omitempty"`
@@ -51,6 +53,9 @@ type XTracer struct {
 	ids     atomic.Uint64
 	seed    uint64
 }
+
+// DefaultMaxEvents bounds a tracer's buffer when NewXTracer is given 0.
+const DefaultMaxEvents = 1 << 20
 
 // NewXTracer returns a tracer for the named logical process, buffering
 // up to max events (0 uses DefaultMaxEvents).
@@ -106,8 +111,9 @@ func (t *XTracer) SetDropCounter(c *Counter) {
 	t.mu.Unlock()
 }
 
-// Span records a completed span. span must come from NewID; parent is
-// 0 for a root span.
+// Span records a completed span. span comes from NewID, or is 0 for a
+// span no other event names as parent (the simulator's); parent is 0
+// for a root span.
 func (t *XTracer) Span(trace, span, parent uint64, name, scope string, start time.Time, dur time.Duration) {
 	if t == nil {
 		return
@@ -180,8 +186,7 @@ func (t *XTracer) Dropped() int64 {
 	return t.dropped
 }
 
-// Events returns a copy of the buffered events sorted by
-// (Start, Span, Name) — stable regardless of recording interleave.
+// Events returns a copy of the buffered events in sortXEvents order.
 func (t *XTracer) Events() []XEvent {
 	if t == nil {
 		return nil
@@ -194,15 +199,16 @@ func (t *XTracer) Events() []XEvent {
 	return evs
 }
 
+// sortXEvents orders events by time, then by every other field: a total
+// order, so the result does not depend on how recorders interleaved.
 func sortXEvents(evs []XEvent) {
-	sort.SliceStable(evs, func(i, j int) bool {
-		if evs[i].Start != evs[j].Start {
-			return evs[i].Start < evs[j].Start
+	slices.SortFunc(evs, func(a, b XEvent) int {
+		if c := cmp.Compare(a.Start, b.Start); c != 0 {
+			return c
 		}
-		if evs[i].Span != evs[j].Span {
-			return evs[i].Span < evs[j].Span
-		}
-		return evs[i].Name < evs[j].Name
+		return cmp.Or(cmp.Compare(a.Span, b.Span), strings.Compare(a.Name, b.Name),
+			strings.Compare(a.Proc, b.Proc), strings.Compare(a.Scope, b.Scope),
+			cmp.Compare(a.Trace, b.Trace), cmp.Compare(a.Parent, b.Parent), cmp.Compare(a.Dur, b.Dur))
 	})
 }
 
@@ -237,8 +243,37 @@ func ReadSpans(r io.Reader) ([]XEvent, error) {
 	}
 }
 
-// WriteChromeX merges XEvents — typically read from several
-// per-process span files — into one Chrome trace_event JSON document.
+// chromeEvent is one entry of the Chrome trace_event JSON format,
+// consumable by chrome://tracing and Perfetto.
+type chromeEvent struct {
+	Name  string      `json:"name"`
+	Phase string      `json:"ph"`
+	TS    float64     `json:"ts"` // microseconds
+	Dur   *float64    `json:"dur,omitempty"`
+	Pid   int32       `json:"pid"`
+	Tid   int32       `json:"tid"`
+	Scope string      `json:"s,omitempty"`
+	Args  *chromeArgs `json:"args,omitempty"`
+}
+
+// chromeArgs names a metadata event's process or lane, or carries an
+// event's ids in hex (fields in the order a map would sort them).
+type chromeArgs struct {
+	Name   string `json:"name,omitempty"`
+	Parent string `json:"parent,omitempty"`
+	Span   string `json:"span,omitempty"`
+	Trace  string `json:"trace,omitempty"`
+}
+
+func hexID(id uint64) string {
+	if id == 0 {
+		return ""
+	}
+	return fmt.Sprintf("%016x", id)
+}
+
+// WriteChromeX writes XEvents — one tracer's, or several per-process
+// span files merged — as one Chrome trace_event JSON document.
 // Processes map to pids (sorted by name) and scopes within a process
 // to tids; timestamps are normalized so the earliest event across all
 // processes sits at t=0, which is what visually aligns a client's
@@ -249,18 +284,18 @@ func WriteChromeX(w io.Writer, evs []XEvent) error {
 	sortXEvents(evs)
 
 	var t0 int64
+	if len(evs) > 0 {
+		t0 = evs[0].Start
+	}
 	procs := map[string]int32{}
 	var procNames []string
 	for _, ev := range evs {
-		if t0 == 0 || ev.Start < t0 {
-			t0 = ev.Start
-		}
 		if _, ok := procs[ev.Proc]; !ok {
 			procs[ev.Proc] = 0
 			procNames = append(procNames, ev.Proc)
 		}
 	}
-	sort.Strings(procNames)
+	slices.Sort(procNames)
 	for i, name := range procNames {
 		procs[name] = int32(i + 1)
 	}
@@ -276,7 +311,7 @@ func WriteChromeX(w io.Writer, evs []XEvent) error {
 	for _, name := range procNames {
 		out.TraceEvents = append(out.TraceEvents, chromeEvent{
 			Name: "process_name", Phase: "M", Pid: procs[name],
-			Args: map[string]interface{}{"name": name},
+			Args: &chromeArgs{Name: name},
 		})
 	}
 	for _, ev := range evs {
@@ -292,7 +327,7 @@ func WriteChromeX(w io.Writer, evs []XEvent) error {
 			tids[l] = tid
 			out.TraceEvents = append(out.TraceEvents, chromeEvent{
 				Name: "thread_name", Phase: "M", Pid: pid, Tid: tid,
-				Args: map[string]interface{}{"name": scope},
+				Args: &chromeArgs{Name: scope},
 			})
 		}
 		ce := chromeEvent{
@@ -301,18 +336,8 @@ func WriteChromeX(w io.Writer, evs []XEvent) error {
 			Pid:  pid,
 			Tid:  tid,
 		}
-		args := map[string]interface{}{}
-		if ev.Trace != 0 {
-			args["trace"] = fmt.Sprintf("%016x", ev.Trace)
-		}
-		if ev.Span != 0 {
-			args["span"] = fmt.Sprintf("%016x", ev.Span)
-		}
-		if ev.Parent != 0 {
-			args["parent"] = fmt.Sprintf("%016x", ev.Parent)
-		}
-		if len(args) > 0 {
-			ce.Args = args
+		if ev.Trace|ev.Span|ev.Parent != 0 {
+			ce.Args = &chromeArgs{Parent: hexID(ev.Parent), Span: hexID(ev.Span), Trace: hexID(ev.Trace)}
 		}
 		if ev.Dur > 0 {
 			ce.Phase = "X"

@@ -142,14 +142,81 @@ func TestXTracerDropCounter(t *testing.T) {
 	}
 }
 
-// The sim tracer's overflow must be mirrored the same way when a Set
-// enables both metrics and tracing.
+// TestTracerChromeJSON exports a simulator-style trace: lanes named
+// run<N>/<comp> in the one process "sim", the parent request id in the
+// trace arg, and the time origin at the earliest event even when that
+// event starts at 0, as every simulator trace does — events at 0, 5 µs
+// and 9 µs render at exactly those offsets, never shifted.
+func TestTracerChromeJSON(t *testing.T) {
+	tr := NewXTracer("sim", 0)
+	at := func(us int64) time.Time { return time.Unix(0, us*1000) }
+	tr.Span(7, 0, 0, "write", "run1/client", at(0), 9*time.Microsecond)
+	tr.Instant(7, 0, "ssd-offload", "run1/bridge0", at(5))
+	tr.Instant(0, 0, "staged", "run1/bridge0", at(9))
+
+	var buf bytes.Buffer
+	if err := WriteChromeX(&buf, tr.Events()); err != nil {
+		t.Fatalf("WriteChromeX: %v", err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name  string            `json:"name"`
+			Phase string            `json:"ph"`
+			TS    float64           `json:"ts"`
+			Args  map[string]string `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatalf("output is not JSON: %v", err)
+	}
+	want := map[string]float64{"write": 0, "ssd-offload": 5, "staged": 9}
+	lanes := map[string]bool{}
+	for _, ev := range doc.TraceEvents {
+		if ev.Phase == "M" {
+			lanes[ev.Args["name"]] = true
+			continue
+		}
+		if ts, ok := want[ev.Name]; !ok || ev.TS != ts {
+			t.Errorf("%s at ts=%v µs, want %v", ev.Name, ev.TS, ts)
+		}
+		if ev.Name != "staged" && ev.Args["trace"] != "0000000000000007" {
+			t.Errorf("%s lost its trace arg: %v", ev.Name, ev.Args)
+		}
+	}
+	for _, name := range []string{"sim", "run1/client", "run1/bridge0"} {
+		if !lanes[name] {
+			t.Errorf("no metadata event names %q (have %v)", name, lanes)
+		}
+	}
+}
+
+// TestTracerBufferBound: the Set's tracer is the one "sim" XTracer,
+// bounded at DefaultMaxEvents; past the bound it counts drops instead of
+// growing, with no registry attached.
+func TestTracerBufferBound(t *testing.T) {
+	tr := New(Config{Trace: true}).Tracer()
+	if tr.Proc() != "sim" || tr.max != DefaultMaxEvents {
+		t.Fatalf("Set tracer = %q bounded at %d, want \"sim\" at %d", tr.Proc(), tr.max, DefaultMaxEvents)
+	}
+	tr.max = 2 // shrink the bound rather than record a million events
+	for i := 0; i < 5; i++ {
+		tr.Instant(uint64(i), 0, "e", "run1/c", time.Unix(0, int64(i)))
+	}
+	if tr.Len() != 2 || tr.Dropped() != 3 {
+		t.Fatalf("Len/Dropped = %d/%d, want 2/3", tr.Len(), tr.Dropped())
+	}
+}
+
+// The Set's tracer mirrors its overflow into the registry when metrics
+// are on too.
 func TestTracerDropCounterWired(t *testing.T) {
-	s := New(Config{Metrics: true, Trace: true, MaxTraceEvents: 1})
-	s.Tracer().Instant(0, 1, "c", "a", 1)
-	s.Tracer().Instant(0, 1, "c", "b", 2)
-	s.Tracer().Instant(0, 1, "c", "c", 3)
-	if d := s.Tracer().Dropped(); d != 2 {
+	s := New(Config{Metrics: true, Trace: true})
+	tr := s.Tracer()
+	tr.max = 1
+	for _, name := range []string{"a", "b", "c"} {
+		tr.Instant(0, 0, name, "run1/c", time.Unix(0, 0))
+	}
+	if d := tr.Dropped(); d != 2 {
 		t.Fatalf("Dropped = %d, want 2", d)
 	}
 	if got := s.Registry().Counter("obs.trace.dropped_events").Value(); got != 2 {

@@ -2,6 +2,7 @@ package pfs
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/device"
 	"repro/internal/sim"
@@ -146,7 +147,7 @@ func (c *Client) request(p *sim.Proc, f *File, op device.Op, off, length int64) 
 		c.fs.m.Parent.ObserveDur(lat)
 	}
 	if c.fs.tr != nil {
-		c.fs.tr.Span(start, lat, c.fs.run, "client", opName(op), reqID)
+		c.fs.tr.Span(uint64(reqID), 0, 0, opName(op), c.fs.scope, time.Unix(0, int64(start)), time.Duration(lat))
 	}
 	return lat
 }

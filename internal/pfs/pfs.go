@@ -119,23 +119,24 @@ type FileSystem struct {
 	stats   Stats
 
 	// Observability (nil when off): request counters/latency histograms,
-	// request-flow tracer, and the run id tagging trace events.
+	// request-flow tracer, and the client's trace lane ("run<N>/client").
 	m       *obs.PFSMetrics
-	tr      *obs.Tracer
-	run     int32
+	tr      *obs.XTracer
+	scope   string
 	nextReq int64 // parent request id source (only advanced when tracing)
 }
 
-// SetObs installs the observability sinks (any may be nil). Call before
-// issuing requests; it propagates the tracer to the data servers.
-func (fs *FileSystem) SetObs(m *obs.PFSMetrics, tr *obs.Tracer, run int32) {
+// SetObs installs the observability sinks (either may be nil); run
+// names the trace lanes "run<N>/client" and "run<N>/srv<i>". Call before
+// issuing requests; it propagates the sinks to the data servers.
+func (fs *FileSystem) SetObs(m *obs.PFSMetrics, tr *obs.XTracer, run int32) {
 	fs.m = m
 	fs.tr = tr
-	fs.run = run
+	fs.scope = fmt.Sprintf("run%d/client", run)
 	for _, srv := range fs.servers {
 		srv.m = m
 		srv.tr = tr
-		srv.run = run
+		srv.scope = fmt.Sprintf("run%d/srv%d", run, srv.id)
 	}
 }
 

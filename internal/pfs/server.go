@@ -2,6 +2,7 @@ package pfs
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/device"
 	"repro/internal/obs"
@@ -27,10 +28,9 @@ type Server struct {
 	served int64
 
 	// Observability sinks, installed by FileSystem.SetObs (nil when off).
-	m    *obs.PFSMetrics
-	tr   *obs.Tracer
-	run  int32
-	comp string
+	m     *obs.PFSMetrics
+	tr    *obs.XTracer
+	scope string
 }
 
 // parent is the client's view of one file request in flight: the
@@ -82,7 +82,6 @@ func newServer(e *sim.Engine, id int, store Store, handlers int) *Server {
 		handlers: handlers,
 		nextLBN:  allocGap,
 		capacity: 1 << 31, // sectors; 1 TB per server
-		comp:     fmt.Sprintf("srv%d", id),
 	}
 	for h := 0; h < handlers; h++ {
 		e.Go(fmt.Sprintf("srv%d-h%d", id, h), s.handle)
@@ -125,7 +124,7 @@ func (s *Server) handle(p *sim.Proc) {
 			s.m.SubServe.ObserveDur(p.Now().Sub(start))
 		}
 		if s.tr != nil {
-			s.tr.Span(start, p.Now().Sub(start), s.run, s.comp, flowName(&j.req), j.req.ID)
+			s.tr.Span(uint64(j.req.ID), 0, 0, flowName(&j.req), s.scope, time.Unix(0, int64(start)), time.Duration(p.Now().Sub(start)))
 		}
 		s.served++
 		// The reply travels back to the client.

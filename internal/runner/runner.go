@@ -76,8 +76,8 @@ func pool() chan struct{} {
 // panics fails with an error naming its index (see call).
 //
 // With Jobs() == 1 the units run strictly one at a time on the calling
-// goroutine, an exact serial execution: the determinism regression tests
-// compare its output against jobs=8 byte for byte.
+// goroutine, an exact serial execution: the experiments' golden digests
+// are written at jobs=1 and checked at jobs=8, byte for byte.
 func Map[T any](n int, fn func(i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
 	errs := make([]error, n)
