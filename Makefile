@@ -1,28 +1,15 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all build test test-fast test-slow race vet lint lint-tools bench-smoke chaos-smoke cover ci
+.PHONY: all build test race vet lint lint-tools bench-smoke chaos-smoke cover ci
 
 all: build test vet lint
 
 build:
 	$(GO) build ./...
 
-# The suite in two tiers. test-slow is the two packages that dominate the
-# wall clock — the analyzer suite type-checks the tree once per analyzer,
-# the experiments suite reruns the pinned golden simulations once, with
-# tracing on, and exports the trace — and test-fast is everything else:
-# the tier to run while editing.
-# `make test` (and `go test ./...`) is both.
-SLOW_PKGS = repro/internal/analyzers repro/internal/experiments
-
-test: test-fast test-slow
-
-test-fast:
-	$(GO) test $(filter-out $(SLOW_PKGS),$(shell $(GO) list ./...))
-
-test-slow:
-	$(GO) test $(SLOW_PKGS)
+test:
+	$(GO) test ./...
 
 # Race-check every internal package. The concurrency-bearing ones (the
 # parallel experiment runner, the simulation engine it fans out, the
@@ -45,10 +32,11 @@ lint-tools:
 	$(GO) install honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION)
 	$(GO) install golang.org/x/vuln/cmd/govulncheck@$(GOVULNCHECK_VERSION)
 
-# Repo-specific invariants (determinism, obs nil-sink discipline, no
-# blocking I/O under locks, atomic/plain mixing, lock ordering,
-# goroutine shutdown paths) enforced by the
-# custom multichecker, plus staticcheck and govulncheck when they are
+# Repo-specific invariants (wall clock and map order in the
+# deterministic packages, obs nil-sink discipline, no blocking I/O under
+# locks, pooled-buffer ownership, no sync/atomic package functions, lock
+# ordering, goroutine shutdown paths) enforced by the custom
+# multichecker, plus staticcheck and govulncheck when they are
 # installed (at the pinned versions above, via `make lint-tools`). The
 # multichecker is the hard gate; the external tools are best-effort so
 # the target works on a bare toolchain. `ibridge-vet -json` emits the
@@ -117,9 +105,9 @@ cover:
 	$(GO) tool cover -func=cover.out | tail -1
 
 # The full gate: vet, the invariant lint suite, race on the
-# concurrency-bearing packages, the test suite in its two tiers (the fast
-# one includes the engine alloc-regression guard), the hot-path bench smoke
+# concurrency-bearing packages, the test suite (it includes the engine
+# alloc-regression guard), the hot-path bench smoke
 # and the chaos smoke (fault-injected live cluster, reproducible
 # summary). Performance is measured by bench/ (see bench/README.md), in
 # paired runs against the parent commit, not by this gate.
-ci: vet lint race test-fast test-slow bench-smoke chaos-smoke
+ci: vet lint race test bench-smoke chaos-smoke

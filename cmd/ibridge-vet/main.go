@@ -1,7 +1,15 @@
 // ibridge-vet is the repo's invariant multichecker: it runs the custom
-// static analyzers in internal/analyzers (detclock, detmaprange,
-// obsnil, lockio, bufown, atomicmix, lockorder, gospawn)
-// over the module and exits non-zero on findings.
+// static analyzers in internal/analyzers over the module and exits
+// non-zero on findings:
+//
+//	detclock     no wall clock or math/rand in the deterministic packages
+//	detmaprange  no map iteration order escaping unsorted
+//	obsnil       a nil check before every obs metric-bundle dereference
+//	lockio       no blocking I/O while a mutex is held
+//	bufown       no use of a pooled buffer after its ownership is handed off
+//	atomicmix    no sync/atomic package-level functions; typed wrappers only
+//	lockorder    no cycle in the lock-acquisition order
+//	gospawn      a shutdown path for every goroutine in the live packages
 //
 // Usage:
 //

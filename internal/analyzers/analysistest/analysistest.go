@@ -30,46 +30,69 @@ import (
 var wantRe = regexp.MustCompile(`//\s*want\s+(.*)$`)
 var quotedRe = regexp.MustCompile(`"((?:[^"\\]|\\.)*)"|` + "`([^`]*)`")
 
-// One loader serves every Run in a test binary, so the source importer
-// type-checks the standard library and the module's own dependencies
-// once rather than once per fixture. A Loader is not safe for concurrent
-// use; loaderMu serializes the loads.
+// One loader serves every load in a test binary, so the source importer
+// type-checks the standard library once and each module package a
+// fixture imports is type-checked once. A Loader is not safe for
+// concurrent use; loaderMu serializes the loads.
 var (
 	loaderMu sync.Mutex
 	loader   *analyzers.Loader
 )
 
-// load parses and type-checks the fixture in abs with the shared loader.
-func load(abs, asPath string) (*analyzers.Package, error) {
+// withLoader runs fn with the shared loader held.
+func withLoader(t *testing.T, fn func(*analyzers.Loader)) {
+	t.Helper()
 	loaderMu.Lock()
 	defer loaderMu.Unlock()
 	if loader == nil {
 		l, err := analyzers.NewLoader(".")
 		if err != nil {
-			return nil, err
+			t.Fatal(err)
 		}
 		loader = l
 	}
-	return loader.LoadDir(abs, asPath)
+	fn(loader)
 }
 
-// Run loads the single fixture package in dir (relative to the test's
-// working directory), attributes it to import path asPath (which
-// controls path-scoped analyzers like detclock), runs a, and compares
-// diagnostics against the fixture's want comments.
-func Run(t *testing.T, a *analyzers.Analyzer, dir, asPath string) {
+// Load parses and type-checks the fixture package in dir (relative to
+// the test's working directory) as import path asPath, which controls
+// path-scoped analyzers like detclock. The fixture is type-checked
+// afresh on every call; its imports come from the shared loader.
+func Load(t *testing.T, dir, asPath string) *analyzers.Package {
 	t.Helper()
 	abs, err := filepath.Abs(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkg, err := load(abs, asPath)
+	var pkg *analyzers.Package
+	withLoader(t, func(l *analyzers.Loader) { pkg, err = l.LoadDir(abs, asPath) })
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", dir, err)
 	}
 	if pkg == nil {
 		t.Fatalf("fixture %s has no Go files", dir)
 	}
+	return pkg
+}
+
+// Findings runs as over the module packages matching patterns with the
+// shared loader, as analyzers.Findings does with a fresh one.
+func Findings(t *testing.T, as []*analyzers.Analyzer, patterns ...string) []analyzers.Finding {
+	t.Helper()
+	var fs []analyzers.Finding
+	var err error
+	withLoader(t, func(l *analyzers.Loader) { fs, err = l.Findings(patterns, as) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fs
+}
+
+// Run loads the fixture in dir as asPath, runs a, and compares
+// diagnostics against the fixture's want comments.
+func Run(t *testing.T, a *analyzers.Analyzer, dir, asPath string) {
+	t.Helper()
+	pkg := Load(t, dir, asPath)
 	diags, err := analyzers.RunAnalyzers([]*analyzers.Analyzer{a}, []*analyzers.Package{pkg})
 	if err != nil {
 		t.Fatalf("running %s on %s: %v", a.Name, dir, err)

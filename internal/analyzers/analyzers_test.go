@@ -57,9 +57,10 @@ func TestObsNil(t *testing.T) {
 }
 
 // TestLockIO exercises the no-I/O-under-lock discipline: socket, file,
-// and ObjectStore calls inside critical sections versus
-// snapshot-then-act, in-memory-only, and documented serial-by-design
-// holds.
+// and ObjectStore calls inside critical sections (including after a
+// locking branch that falls through) versus snapshot-then-act,
+// in-memory-only, spawned, early-returning-branch, and documented
+// serial-by-design holds.
 func TestLockIO(t *testing.T) {
 	t.Run("pos", func(t *testing.T) {
 		analysistest.Run(t, analyzers.LockIO, "testdata/src/lockio/pos", "repro/internal/fixture/lockfix")
@@ -83,10 +84,10 @@ func TestBufOwn(t *testing.T) {
 	})
 }
 
-// TestAtomicMix exercises the atomic/plain mixing check: promoted and
-// explicit spellings of an atomically-accessed field, package-level
-// variables, same-named fields of distinct structs, composite-literal
-// initialization, atomic wrapper types, and a documented waiver.
+// TestAtomicMix exercises the sync/atomic function ban: calls on
+// promoted and explicit fields and on package variables, loads, swaps,
+// compare-and-swaps and a function value, versus the typed wrappers, a
+// same-named local function, and a documented waiver.
 func TestAtomicMix(t *testing.T) {
 	t.Run("pos", func(t *testing.T) {
 		analysistest.Run(t, analyzers.AtomicMix, "testdata/src/atomicmix/pos", "repro/internal/fixture/atomfix")
@@ -98,9 +99,10 @@ func TestAtomicMix(t *testing.T) {
 
 // TestLockOrder exercises the lock-acquisition-order check: a direct
 // two-mutex cycle, an interprocedural cycle through a helper, a
-// self-deadlock, and the negative shapes (consistent order,
-// release-before-next, block-scoped deferred unlocks, goroutine
-// boundaries, fully-releasing helpers).
+// self-deadlock, a cycle through a locking branch that falls through,
+// and the negative shapes (consistent order, release-before-next,
+// deferred unlocks in early-returning branches, goroutine boundaries,
+// fully-releasing helpers).
 func TestLockOrder(t *testing.T) {
 	t.Run("pos", func(t *testing.T) {
 		analysistest.Run(t, analyzers.LockOrder, "testdata/src/lockorder/pos", "repro/internal/fixture/lockordfix")
@@ -114,7 +116,7 @@ func TestLockOrder(t *testing.T) {
 // spawns and opaque callees versus every accepted evidence form
 // (select, channel ops, WaitGroup joins, context, close hooks through
 // callee chains and deferred Closes), plus path scoping — a package
-// outside internal/{pfsnet,faults,runner} is not checked.
+// outside internal/{pfsnet,faults,runner,logstore} is not checked.
 func TestGoSpawn(t *testing.T) {
 	t.Run("pos", func(t *testing.T) {
 		analysistest.Run(t, analyzers.GoSpawn, "testdata/src/gospawn/pos", "repro/internal/pfsnet")
@@ -131,18 +133,7 @@ func TestGoSpawn(t *testing.T) {
 // as stale, one naming an unknown analyzer is reported
 // unconditionally, and a used one stays silent.
 func TestStaleWaiver(t *testing.T) {
-	loader, err := analyzers.NewLoader(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	abs, err := filepath.Abs("testdata/src/stale")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkg, err := loader.LoadDir(abs, "repro/internal/hdd")
-	if err != nil {
-		t.Fatal(err)
-	}
+	pkg := analysistest.Load(t, "testdata/src/stale", "repro/internal/hdd")
 	diags, err := analyzers.RunAnalyzers([]*analyzers.Analyzer{analyzers.DetClock}, []*analyzers.Package{pkg})
 	if err != nil {
 		t.Fatal(err)
@@ -168,18 +159,7 @@ func TestStaleWaiver(t *testing.T) {
 // known but NOT in the run set is neither stale nor unknown — single-
 // analyzer runs must not flag the other analyzers' waivers.
 func TestStaleWaiverScopedToRunSet(t *testing.T) {
-	loader, err := analyzers.NewLoader(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	abs, err := filepath.Abs("testdata/src/stale")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkg, err := loader.LoadDir(abs, "repro/internal/hdd")
-	if err != nil {
-		t.Fatal(err)
-	}
+	pkg := analysistest.Load(t, "testdata/src/stale", "repro/internal/hdd")
 	// lockio never fires here and the detclock directives are out of its
 	// run set; only the unknown-analyzer report must survive.
 	diags, err := analyzers.RunAnalyzers([]*analyzers.Analyzer{analyzers.LockIO}, []*analyzers.Package{pkg})
@@ -232,22 +212,11 @@ func TestVetJSON(t *testing.T) {
 }
 
 // TestDeterministicOutput: lockorder and gospawn render byte-identical
-// diagnostics across two independent loads — the graph walks and
-// report ordering must not leak map iteration order.
+// diagnostics across independent type-checks of their fixtures — the
+// graph walks and report ordering must not leak map iteration order.
 func TestDeterministicOutput(t *testing.T) {
 	render := func(a *analyzers.Analyzer, dir, asPath string) string {
-		loader, err := analyzers.NewLoader(".")
-		if err != nil {
-			t.Fatal(err)
-		}
-		abs, err := filepath.Abs(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pkg, err := loader.LoadDir(abs, asPath)
-		if err != nil {
-			t.Fatal(err)
-		}
+		pkg := analysistest.Load(t, dir, asPath)
 		diags, err := analyzers.RunAnalyzers([]*analyzers.Analyzer{a}, []*analyzers.Package{pkg})
 		if err != nil {
 			t.Fatal(err)
@@ -283,18 +252,7 @@ func TestDeterministicOutput(t *testing.T) {
 // TestMalformedDirective: a //lint:allow with no reason is itself
 // reported and does not suppress the finding under it.
 func TestMalformedDirective(t *testing.T) {
-	loader, err := analyzers.NewLoader(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	abs, err := filepath.Abs("testdata/src/detclock/malformed")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkg, err := loader.LoadDir(abs, "repro/internal/hdd")
-	if err != nil {
-		t.Fatal(err)
-	}
+	pkg := analysistest.Load(t, "testdata/src/detclock/malformed", "repro/internal/hdd")
 	diags, err := analyzers.RunAnalyzers([]*analyzers.Analyzer{analyzers.DetClock}, []*analyzers.Package{pkg})
 	if err != nil {
 		t.Fatal(err)
@@ -335,17 +293,40 @@ func TestByName(t *testing.T) {
 
 // TestVetCleanOnTree is the repo gate in test form: the whole invariant
 // suite must run clean over every package, exactly as `make lint` (via
-// cmd/ibridge-vet ./...) requires.
+// cmd/ibridge-vet ./...) requires. It shares the fixtures' loader, so
+// the packages they import are not type-checked twice.
 func TestVetCleanOnTree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module; skipped in -short")
 	}
-	var buf bytes.Buffer
-	n, err := analyzers.Vet(".", []string{"./..."}, analyzers.All(), &buf)
+	fs := analysistest.Findings(t, analyzers.All(), "./...")
+	if len(fs) != 0 {
+		var sb strings.Builder
+		for _, f := range fs {
+			fmt.Fprintln(&sb, f)
+		}
+		t.Fatalf("invariant suite found %d finding(s) on the tree:\n%s", len(fs), sb.String())
+	}
+}
+
+// TestLoaderImportsLoadedPackage: a module package imported by another
+// is the very *types.Package the loader returned for it, so each import
+// path is type-checked once per loader.
+func TestLoaderImportsLoadedPackage(t *testing.T) {
+	loader, err := analyzers.NewLoader(".")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 0 {
-		t.Fatalf("invariant suite found %d finding(s) on the tree:\n%s", n, buf.String())
+	pkgs, err := loader.Load("./internal/analyzers/testdata/src/loader/use", "./internal/analyzers/testdata/src/loader/dep")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pkgs) != 2 {
+		t.Fatalf("want 2 packages, got %d", len(pkgs))
+	}
+	dep, use := pkgs[0], pkgs[1] // sorted by directory
+	imports := use.Types.Imports()
+	if len(imports) != 1 || imports[0] != dep.Types {
+		t.Fatalf("%s imports %v; want exactly the loaded %s (%p)", use.Path, imports, dep.Path, dep.Types)
 	}
 }

@@ -8,18 +8,18 @@ import (
 
 // GoSpawn enforces the goroutine-lifecycle discipline of the live wire
 // packages: every `go` statement in internal/pfsnet, internal/faults,
-// and internal/runner must have a provable shutdown path — the spawned
-// body (or a same-package callee reachable from it) must block on a
-// channel (receive, send, select, range), join a sync.WaitGroup
-// (Done/Wait), watch a context (ctx.Done()), or reach a close(ch) hook
-// so an owner closing the channel releases it. Per-connection readers,
+// internal/runner and internal/logstore must have a provable shutdown
+// path — the spawned body (or a same-package callee reachable from it)
+// must block on a channel (receive, send, select, range), join a
+// sync.WaitGroup (Done/Wait), watch a context (ctx.Done()), or reach a
+// close(ch) hook so an owner closing the channel releases it. Per-connection readers,
 // writers and handlers make fire-and-forget goroutines cheap to write;
 // this catches the class that leaks them. The heuristic proves liveness
 // of a shutdown *path*, not its use — but a goroutine with no channel,
 // context, or join anywhere in reach has no way to be stopped at all.
 var GoSpawn = &Analyzer{
 	Name: "gospawn",
-	Doc:  "every go statement in internal/{pfsnet,faults,runner} must have a provable shutdown path",
+	Doc:  "every go statement in internal/{pfsnet,faults,runner,logstore} must have a provable shutdown path",
 	Run:  runGoSpawn,
 }
 

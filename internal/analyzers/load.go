@@ -24,15 +24,17 @@ type Package struct {
 }
 
 // A Loader parses and type-checks packages of the enclosing module
-// using only the standard library: file sets come from go/parser and
-// dependencies resolve through the source importer, so no external
-// analysis framework is needed.
+// using only the standard library. Each module package is type-checked
+// once: LoadDir memoizes it by directory, and the Loader is itself the
+// importer that resolves one module package's imports of another, so
+// every import path has one *types.Package. Standard-library imports go
+// to the source importer. A Loader is not safe for concurrent use.
 type Loader struct {
-	fset        *token.FileSet
-	imp         types.Importer
-	ModRoot     string // module root directory (where go.mod lives)
-	ModPath     string // module path from go.mod
-	TestGoFiles bool   // also load _test.go files of the package itself
+	fset    *token.FileSet
+	std     types.Importer
+	pkgs    map[string]*Package // LoadDir results by directory (nil: no Go files)
+	ModRoot string              // module root directory (where go.mod lives)
+	ModPath string              // module path from go.mod
 }
 
 // NewLoader locates the enclosing module starting from dir (walking up
@@ -71,7 +73,8 @@ func NewLoader(dir string) (*Loader, error) {
 	fset := token.NewFileSet()
 	return &Loader{
 		fset:    fset,
-		imp:     importer.ForCompiler(fset, "source", nil),
+		std:     importer.ForCompiler(fset, "source", nil),
+		pkgs:    map[string]*Package{},
 		ModRoot: root,
 		ModPath: modPath,
 	}, nil
@@ -137,10 +140,43 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 	return pkgs, nil
 }
 
-// LoadDir parses and type-checks the single package in dir. When asPath
-// is empty the import path is derived from the module layout. Dirs with
-// no buildable Go files yield (nil, nil).
+// Import makes the Loader the types.Importer of the packages it
+// checks: a module package resolves through LoadDir, anything else
+// through the source importer.
+func (l *Loader) Import(path string) (*types.Package, error) {
+	rel, ok := strings.CutPrefix(path, l.ModPath)
+	if !ok || (rel != "" && rel[0] != '/') {
+		return l.std.Import(path)
+	}
+	pkg, err := l.LoadDir(filepath.Join(l.ModRoot, filepath.FromSlash(rel)), "")
+	if err != nil {
+		return nil, err
+	}
+	if pkg == nil {
+		return nil, fmt.Errorf("analyzers: no Go files for %s", path)
+	}
+	return pkg.Types, nil
+}
+
+// LoadDir parses and type-checks the single package in dir, skipping
+// _test.go files. When asPath is empty the import path is derived from
+// the module layout and the result is memoized; a package attributed to
+// another path (a test fixture) is type-checked afresh on every call.
+// Dirs with no buildable Go files yield (nil, nil).
 func (l *Loader) LoadDir(dir, asPath string) (*Package, error) {
+	if asPath == "" {
+		if pkg, ok := l.pkgs[dir]; ok {
+			return pkg, nil
+		}
+	}
+	pkg, err := l.check(dir, asPath)
+	if err == nil && asPath == "" {
+		l.pkgs[dir] = pkg
+	}
+	return pkg, err
+}
+
+func (l *Loader) check(dir, asPath string) (*Package, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -148,10 +184,8 @@ func (l *Loader) LoadDir(dir, asPath string) (*Package, error) {
 	var files []*ast.File
 	for _, e := range ents {
 		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
-			continue
-		}
-		if !l.TestGoFiles && strings.HasSuffix(name, "_test.go") {
+		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") ||
+			strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
 			continue
 		}
 		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
@@ -162,24 +196,6 @@ func (l *Loader) LoadDir(dir, asPath string) (*Package, error) {
 	}
 	if len(files) == 0 {
 		return nil, nil
-	}
-	// External test packages (package foo_test) share the directory;
-	// keep only the dominant (non _test suffixed) package.
-	if l.TestGoFiles {
-		base := files[0].Name.Name
-		for _, f := range files {
-			if !strings.HasSuffix(f.Name.Name, "_test") {
-				base = f.Name.Name
-				break
-			}
-		}
-		kept := files[:0]
-		for _, f := range files {
-			if f.Name.Name == base {
-				kept = append(kept, f)
-			}
-		}
-		files = kept
 	}
 	path := asPath
 	if path == "" {
@@ -198,9 +214,8 @@ func (l *Loader) LoadDir(dir, asPath string) (*Package, error) {
 		Defs:       map[*ast.Ident]types.Object{},
 		Uses:       map[*ast.Ident]types.Object{},
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Implicits:  map[ast.Node]types.Object{},
 	}
-	conf := types.Config{Importer: l.imp}
+	conf := types.Config{Importer: l}
 	tpkg, err := conf.Check(path, l.fset, files, info)
 	if err != nil {
 		return nil, fmt.Errorf("typecheck %s: %w", path, err)

@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 )
 
@@ -12,11 +11,12 @@ import (
 // while a mutex acquired in the same function is still held serializes
 // every other path through that lock behind the kernel — the exact
 // defect that collapsed the concurrent pfsnet server's throughput
-// before s.mu was split. The analyzer walks each function in source
-// order, tracks sync.Mutex / sync.RWMutex acquisitions, and flags
-// calls that perform blocking I/O (net.Conn, *os.File, bufio, io
-// interfaces, ObjectStore methods; the os package's file-system
-// functions) made before the lock is released. A method whose name
+// before s.mu was split. The analyzer replays each function's lock
+// sweep (lockEvents, shared with lockorder: go statements skipped, a
+// deferred unlock held to function end unless its block terminates)
+// and flags calls that perform blocking I/O (net.Conn, *os.File, bufio,
+// io interfaces, ObjectStore methods; the os package's file-system
+// functions) made while a lock is held. A method whose name
 // ends in "Locked" follows the repo's naming convention — its caller
 // holds the receiver's mutex — so its body is analysed as entered with
 // every mutex field of its receiver held, which carries the check
@@ -48,15 +48,6 @@ var osFuncNames = map[string]bool{
 
 // lockedSuffix marks a method whose caller holds the receiver's mutex.
 const lockedSuffix = "Locked"
-
-// lockEvent is one ordered occurrence inside a function body.
-type lockEvent struct {
-	pos      token.Pos
-	kind     int    // 0 lock, 1 unlock, 2 io call
-	key      string // lock expression ("s.mu"), for kinds 0/1
-	deferred bool   // kind 1: defer mu.Unlock() holds to function end
-	desc     string // kind 2: human-readable call description
-}
 
 func runLockIO(pass *Pass) error {
 	for _, f := range pass.Files {
@@ -111,131 +102,63 @@ func entryLocks(pass *Pass, fn *ast.FuncDecl) []string {
 	return keys
 }
 
-// checkLockIO sweeps one function body (excluding nested function
-// literals, which run on their own goroutine or schedule) in source
-// order and reports I/O calls made between a lock acquisition and its
-// release. entry lists the locks held when the body is entered.
+// checkLockIO sweeps one function body (nested function literals are
+// checked as bodies of their own) and reports blocking I/O calls made
+// while a lock is held. entry lists the locks held when the body is
+// entered.
 func checkLockIO(pass *Pass, body *ast.BlockStmt, entry []string) {
-	var events []lockEvent
-	var walk func(n ast.Node, inDefer bool)
-	walk = func(n ast.Node, inDefer bool) {
-		ast.Inspect(n, func(m ast.Node) bool {
-			switch m := m.(type) {
-			case *ast.FuncLit:
-				return false // analyzed separately
-			case *ast.DeferStmt:
-				walk(m.Call, true)
-				return false
-			case *ast.CallExpr:
-				if ev, ok := classifyCall(pass, m, inDefer); ok {
-					events = append(events, ev)
-				}
-			}
-			return true
-		})
-	}
-	walk(body, false)
-	sort.Slice(events, func(i, j int) bool { return events[i].pos < events[j].pos })
-
-	// held maps a lock key to where it was taken; token.NoPos marks one
-	// held on entry.
-	held := map[string]token.Pos{}
-	for _, key := range entry {
-		held[key] = token.NoPos
-	}
-	for _, ev := range events {
-		switch ev.kind {
-		case 0:
-			held[ev.key] = ev.pos
-		case 1:
-			if !ev.deferred {
-				delete(held, ev.key)
-			}
-		case 2:
-			// The caller of a *Locked method holds one of its receiver's
-			// mutexes, not all: report the candidates once.
-			var onEntry []string
-			for key, at := range held {
-				if at == token.NoPos {
-					onEntry = append(onEntry, key)
-					continue
-				}
-				pass.Reportf(ev.pos, "blocking I/O %s while %s (locked at line %d) is held; move the I/O outside the critical section or //lint:allow lockio <reason>",
-					ev.desc, key, pass.Fset.Position(at).Line)
-			}
-			if len(onEntry) > 0 {
-				sort.Strings(onEntry)
-				pass.Reportf(ev.pos, "blocking I/O %s while %s (held on entry: the function name ends in %s) is held; move the I/O to the caller, outside the critical section, or //lint:allow lockio <reason>",
-					ev.desc, strings.Join(onEntry, " or "), lockedSuffix)
-			}
+	sweepLocks(lockEvents(pass, body), entry, exprKey, func(ev lockEvent, _ string, held []heldLock) {
+		desc := blockingIO(pass, ev)
+		if desc == "" {
+			return
 		}
-	}
+		// The caller of a *Locked method holds one of its receiver's
+		// mutexes, not all: report the candidates once.
+		var onEntry []string
+		for _, h := range held {
+			if h.at == token.NoPos {
+				onEntry = append(onEntry, h.key)
+				continue
+			}
+			pass.Reportf(ev.call.Pos(), "blocking I/O %s while %s (locked at line %d) is held; move the I/O outside the critical section or //lint:allow lockio <reason>",
+				desc, h.key, pass.Fset.Position(h.at).Line)
+		}
+		if len(onEntry) > 0 {
+			pass.Reportf(ev.call.Pos(), "blocking I/O %s while %s (held on entry: the function name ends in %s) is held; move the I/O to the caller, outside the critical section, or //lint:allow lockio <reason>",
+				desc, strings.Join(onEntry, " or "), lockedSuffix)
+		}
+	})
 }
 
-// classifyCall decides whether call is a lock operation or a blocking
-// I/O method call.
-func classifyCall(pass *Pass, call *ast.CallExpr, inDefer bool) (lockEvent, bool) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
+// blockingIO describes ev's call ("c.Read", "os.Rename") when it is
+// blocking I/O, and returns "" for anything else.
+func blockingIO(pass *Pass, ev lockEvent) string {
+	if ev.mutex != nil {
+		return ""
+	}
+	sel, ok := ast.Unparen(ev.call.Fun).(*ast.SelectorExpr)
 	if !ok {
-		return lockEvent{}, false
+		return ""
 	}
 	name := sel.Sel.Name
-	switch name {
-	case "Lock", "RLock", "Unlock", "RUnlock":
-		if !isSyncMutexMethod(pass, sel) {
-			return lockEvent{}, false
-		}
-		key := lockKey(sel)
-		if key == "" {
-			return lockEvent{}, false
-		}
-		kind := 0
-		if name == "Unlock" || name == "RUnlock" {
-			kind = 1
-		}
-		return lockEvent{pos: call.Pos(), kind: kind, key: key, deferred: inDefer}, true
-	}
 	if id, ok := sel.X.(*ast.Ident); ok {
 		if pkg, ok := pass.TypesInfo.Uses[id].(*types.PkgName); ok {
 			if pkg.Imported().Path() == "os" && osFuncNames[name] {
-				return lockEvent{pos: call.Pos(), kind: 2, desc: "os." + name}, true
+				return "os." + name
 			}
-			return lockEvent{}, false
+			return ""
 		}
 	}
 	if !ioMethodNames[name] {
-		return lockEvent{}, false
+		return ""
 	}
-	recvType := pass.TypesInfo.TypeOf(sel.X)
-	if recvType == nil || !isBlockingIOReceiver(recvType, name) {
-		return lockEvent{}, false
+	if t := pass.TypesInfo.TypeOf(sel.X); t == nil || !isBlockingIOReceiver(t, name) {
+		return ""
 	}
-	desc := name
 	if k := exprKey(sel.X); k != "" {
-		desc = k + "." + name
+		return k + "." + name
 	}
-	return lockEvent{pos: call.Pos(), kind: 2, desc: desc}, true
-}
-
-// isSyncMutexMethod reports whether sel resolves to a method of
-// sync.Mutex or sync.RWMutex (directly or through embedding).
-func isSyncMutexMethod(pass *Pass, sel *ast.SelectorExpr) bool {
-	obj := pass.TypesInfo.Uses[sel.Sel]
-	fn, ok := obj.(*types.Func)
-	if !ok {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	return isSyncMutexType(sig.Recv().Type())
-}
-
-// lockKey names the mutex being operated on: "s.mu" for s.mu.Lock(),
-// or the receiver itself ("s") for an embedded mutex's s.Lock().
-func lockKey(sel *ast.SelectorExpr) string {
-	return exprKey(sel.X)
+	return name
 }
 
 // ioPkgAllowlist are packages whose named types do I/O when their

@@ -15,11 +15,12 @@ import (
 // B is acquired — directly or anywhere inside a callee reached without
 // releasing — while A is held. Any strongly-connected component (or a
 // self-edge, which is an immediate sync.Mutex self-deadlock) is
-// reported once per participating acquisition site. Goroutine bodies
-// are excluded (a spawned goroutine does not hold its parent's locks);
-// deferred unlocks hold to function end, exactly as lockio models
-// them. Output is deterministic: nodes, edges, and cycles are sorted,
-// so two runs over the same tree are byte-identical.
+// reported once per participating acquisition site. The held sets come
+// from the lock sweep lockio shares (lockEvents): goroutine bodies are
+// excluded (a spawned goroutine does not hold its parent's locks), and
+// a deferred unlock holds to function end unless its block terminates.
+// Output is deterministic: nodes, edges, and cycles are sorted, so two
+// runs over the same tree are byte-identical.
 var LockOrder = &Analyzer{
 	Name: "lockorder",
 	Doc:  "interprocedural lock-acquisition graph over named mutexes; any cycle is a potential deadlock",
@@ -60,157 +61,26 @@ type lockOrder struct {
 	summaries map[*types.Func][]string
 }
 
-// lockOp is one ordered lock/unlock/call occurrence in a function body.
-type lockOp struct {
-	pos      token.Pos
-	kind     int // 0 lock, 1 unlock, 2 call
-	key      string
-	deferred bool
-	until    token.Pos // deferred unlock: end of the defer's enclosing block
-	callee   *types.Func
-}
-
-// heldLock is one entry of the sweep's held set, kept as a key-sorted
-// slice so edge emission order is deterministic.
-type heldLock struct {
-	key   string
-	until token.Pos // non-zero: released when the sweep passes this position
-}
-
-// sweep walks one function body in source order, maintaining the held
-// set, and returns the lock-order edges it witnesses. Nested function
-// literals and go statements are excluded — they run on their own
-// schedule. A deferred unlock holds its lock to the end of the block
-// the defer sits in: for the whole function when deferred at the top,
-// but not past an early-returning branch (`if x { mu.Lock(); defer
-// mu.Unlock(); ...; return }` does not hold mu over the code below).
+// sweep returns the lock-order edges one function body witnesses: every
+// acquisition, direct or inside a same-package callee, while other
+// locks are held.
 func (lo *lockOrder) sweep(body *ast.BlockStmt) []lockEdge {
-	ops := lo.collectOps(body)
 	var edges []lockEdge
-	var held []heldLock
-	find := func(key string) int {
-		for i := range held {
-			if held[i].key == key {
-				return i
-			}
+	sweepLocks(lockEvents(lo.pass, body), nil, lo.lockClass, func(ev lockEvent, k string, held []heldLock) {
+		if len(held) == 0 {
+			return
 		}
-		return -1
-	}
-	for _, op := range ops {
-		// Expire deferred releases whose block ended before this op.
-		kept := held[:0]
-		for _, h := range held {
-			if h.until == 0 || h.until >= op.pos {
-				kept = append(kept, h)
-			}
+		tos := []string{k}
+		if ev.mutex == nil {
+			tos = lo.summary(calleeFunc(lo.pass, ev.call), nil)
 		}
-		held = kept
-		switch op.kind {
-		case 0:
+		for _, to := range tos {
 			for _, h := range held {
-				edges = append(edges, lockEdge{from: h.key, to: op.key, pos: op.pos})
-			}
-			if find(op.key) < 0 {
-				held = append(held, heldLock{key: op.key})
-				sort.Slice(held, func(i, j int) bool { return held[i].key < held[j].key })
-			}
-		case 1:
-			i := find(op.key)
-			if i < 0 {
-				continue
-			}
-			if op.deferred {
-				held[i].until = op.until
-			} else {
-				held = append(held[:i], held[i+1:]...)
-			}
-		case 2:
-			if len(held) == 0 {
-				continue
-			}
-			for _, to := range lo.summary(op.callee, nil) {
-				for _, h := range held {
-					edges = append(edges, lockEdge{from: h.key, to: to, pos: op.pos})
-				}
+				edges = append(edges, lockEdge{from: h.key, to: to, pos: ev.call.Pos()})
 			}
 		}
-	}
+	})
 	return edges
-}
-
-// collectOps gathers the ordered lock events and same-package calls of
-// one body. enclosingBlockEnd tracks the innermost block around each
-// defer so deferred unlocks can expire with their branch.
-func (lo *lockOrder) collectOps(body *ast.BlockStmt) []lockOp {
-	var ops []lockOp
-	var walk func(n ast.Node, inDefer bool, deferEnd token.Pos)
-	walk = func(n ast.Node, inDefer bool, deferEnd token.Pos) {
-		blockEnd := body.End()
-		var nodes []ast.Node // descended-into ancestors
-		var ends []token.Pos // blockEnd to restore when leaving a block
-		ast.Inspect(n, func(m ast.Node) bool {
-			if m == nil {
-				top := nodes[len(nodes)-1]
-				nodes = nodes[:len(nodes)-1]
-				if _, ok := top.(*ast.BlockStmt); ok {
-					blockEnd = ends[len(ends)-1]
-					ends = ends[:len(ends)-1]
-				}
-				return true
-			}
-			switch m := m.(type) {
-			case *ast.BlockStmt:
-				ends = append(ends, blockEnd)
-				blockEnd = m.End()
-			case *ast.FuncLit:
-				return false // runs on its own schedule
-			case *ast.GoStmt:
-				return false // spawned goroutine does not hold our locks
-			case *ast.DeferStmt:
-				walk(m.Call, true, blockEnd)
-				return false
-			case *ast.CallExpr:
-				if op, ok := lo.classify(m, inDefer); ok {
-					if inDefer {
-						op.until = deferEnd
-					}
-					ops = append(ops, op)
-				}
-			}
-			nodes = append(nodes, m)
-			return true
-		})
-	}
-	walk(body, false, body.End())
-	sort.Slice(ops, func(i, j int) bool { return ops[i].pos < ops[j].pos })
-	return ops
-}
-
-// classify decides whether call is a mutex operation or a resolvable
-// same-package call worth summarizing.
-func (lo *lockOrder) classify(call *ast.CallExpr, inDefer bool) (lockOp, bool) {
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-		switch name := sel.Sel.Name; name {
-		case "Lock", "RLock", "Unlock", "RUnlock":
-			if !isSyncMutexMethod(lo.pass, sel) {
-				break
-			}
-			key := lo.lockClass(sel)
-			if key == "" {
-				return lockOp{}, false
-			}
-			kind := 0
-			if name == "Unlock" || name == "RUnlock" {
-				kind = 1
-			}
-			return lockOp{pos: call.Pos(), kind: kind, key: key, deferred: inDefer}, true
-		}
-	}
-	// A plain or method call: summarize it if it is declared here.
-	if fn := calleeFunc(lo.pass, call); fn != nil && lo.decls[fn] != nil {
-		return lockOp{pos: call.Pos(), kind: 2, callee: fn}, true
-	}
-	return lockOp{}, false
 }
 
 // lockClass names the lock a `<recv>.mu.Lock()` call operates on so
@@ -219,8 +89,8 @@ func (lo *lockOrder) classify(call *ast.CallExpr, inDefer bool) (lockOp, bool) {
 // the variable name for a package-level mutex, "Type" for an embedded
 // mutex locked through its owner, and the lexical expression as a last
 // resort.
-func (lo *lockOrder) lockClass(sel *ast.SelectorExpr) string {
-	switch x := ast.Unparen(sel.X).(type) {
+func (lo *lockOrder) lockClass(mutex ast.Expr) string {
+	switch x := ast.Unparen(mutex).(type) {
 	case *ast.Ident:
 		obj, ok := lo.pass.TypesInfo.Uses[x].(*types.Var)
 		if !ok {
@@ -247,7 +117,7 @@ func (lo *lockOrder) lockClass(sel *ast.SelectorExpr) string {
 		}
 		return exprKey(x)
 	}
-	return exprKey(sel.X)
+	return exprKey(mutex)
 }
 
 // summary returns the sorted set of lock classes fn may acquire
@@ -277,12 +147,14 @@ func (lo *lockOrder) summary(fn *types.Func, visiting map[*types.Func]bool) []st
 			acq = append(acq, k)
 		}
 	}
-	for _, op := range lo.collectOps(decl.Body) {
-		switch op.kind {
-		case 0:
-			add(op.key)
-		case 2:
-			for _, k := range lo.summary(op.callee, visiting) {
+	for _, ev := range lockEvents(lo.pass, decl.Body) {
+		switch {
+		case ev.mutex == nil:
+			for _, k := range lo.summary(calleeFunc(lo.pass, ev.call), visiting) {
+				add(k)
+			}
+		case !ev.unlock:
+			if k := lo.lockClass(ev.mutex); k != "" {
 				add(k)
 			}
 		}
@@ -439,19 +311,4 @@ func tarjanSCC(nodes []string, adj map[string][]string) [][]string {
 		}
 	}
 	return out
-}
-
-// isSyncMutexType reports whether t (after one pointer deref) is
-// sync.Mutex or sync.RWMutex itself.
-func isSyncMutexType(t types.Type) bool {
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	o := named.Obj()
-	return o.Pkg() != nil && o.Pkg().Path() == "sync" &&
-		(o.Name() == "Mutex" || o.Name() == "RWMutex")
 }

@@ -55,6 +55,12 @@ type Finding struct {
 	Message  string `json:"message"`
 }
 
+// String renders f as `file:line:col: [analyzer] message`, the line
+// ibridge-vet prints.
+func (f Finding) String() string {
+	return fmt.Sprintf("%s:%d:%d: [%s] %s", f.File, f.Line, f.Col, f.Analyzer, f.Message)
+}
+
 // Findings loads patterns (resolved against the enclosing module of
 // startDir) and runs the selected analyzers, returning resolved
 // findings in stable position order.
@@ -63,10 +69,16 @@ func Findings(startDir string, patterns []string, as []*Analyzer) ([]Finding, er
 	if err != nil {
 		return nil, err
 	}
+	return loader.Findings(patterns, as)
+}
+
+// Findings is the package-level Findings on this loader's packages;
+// patterns default to "./...".
+func (l *Loader) Findings(patterns []string, as []*Analyzer) ([]Finding, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	pkgs, err := loader.Load(patterns...)
+	pkgs, err := l.Load(patterns...)
 	if err != nil {
 		return nil, err
 	}
@@ -76,9 +88,9 @@ func Findings(startDir string, patterns []string, as []*Analyzer) ([]Finding, er
 	}
 	out := make([]Finding, 0, len(diags))
 	for _, d := range diags {
-		pos := loader.fset.Position(d.Pos)
+		pos := l.fset.Position(d.Pos)
 		file := pos.Filename
-		if rel, err := filepath.Rel(loader.ModRoot, file); err == nil && !strings.HasPrefix(rel, "..") {
+		if rel, err := filepath.Rel(l.ModRoot, file); err == nil && !strings.HasPrefix(rel, "..") {
 			file = filepath.ToSlash(rel)
 		}
 		out = append(out, Finding{
@@ -101,7 +113,7 @@ func Vet(startDir string, patterns []string, as []*Analyzer, w io.Writer) (int, 
 		return 0, err
 	}
 	for _, f := range fs {
-		fmt.Fprintf(w, "%s:%d:%d: [%s] %s\n", f.File, f.Line, f.Col, f.Analyzer, f.Message)
+		fmt.Fprintln(w, f)
 	}
 	return len(fs), nil
 }

@@ -1,58 +1,41 @@
-// Negative atomicmix cases: consistent atomic use, same-named fields
-// of distinct structs, construction-time initialization, wrapper
-// types, and a documented waiver.
+// Negative atomicmix cases: the typed wrappers and their methods, a
+// local function that shares a sync/atomic name, and a documented
+// waiver.
 package atomfix
 
 import "sync/atomic"
 
-type inner struct{ n int64 }
-
-// stats declares a field with the same name as inner's: a different
-// object entirely, so plain access to it must not be confused with the
-// atomic one escaping through the embedded struct.
-type stats struct{ n int64 }
-
-type owner struct {
-	inner
-	st stats
+type stats struct {
+	n     atomic.Int64
+	ready atomic.Bool
+	last  atomic.Pointer[string]
+	any   atomic.Value
 }
 
-// Both the promoted and the explicit spelling are atomic: consistent.
-func (o *owner) bump() {
-	atomic.AddInt64(&o.n, 1)
+// Wrapper methods are the sanctioned access path: no plain field to mix
+// on.
+func (s *stats) bump() int64 {
+	s.ready.Store(true)
+	s.any.Store(1)
+	if s.n.CompareAndSwap(0, 1) {
+		return 1
+	}
+	return s.n.Add(1) + s.n.Load()
 }
 
-func (o *owner) bumpExplicit() {
-	atomic.AddInt64(&o.inner.n, 1)
+// A method value of a wrapper is not a package-level function.
+func (s *stats) loader() func() *string { return s.last.Load }
+
+// AddInt64 is this package's own function, not sync/atomic's.
+func AddInt64(p *int64, d int64) int64 { *p += d; return *p }
+
+func local() int64 {
+	var n int64
+	return AddInt64(&n, 1)
 }
 
-func (o *owner) load() int64 {
-	return atomic.LoadInt64(&o.n)
-}
-
-// stats.n is a distinct field object — plain access is fine.
-func (o *owner) readOther() int64 {
-	return o.st.n
-}
-
-// Composite-literal initialization happens before the value is shared.
-func newOwner() *owner {
-	return &owner{inner: inner{n: 0}, st: stats{n: 7}}
-}
-
-// atomic wrapper types never hand out a plain field to mix on.
-type wrapped struct{ v atomic.Int64 }
-
-func (w *wrapped) ok() int64 { return w.v.Load() }
-
-// A documented waiver silences a deliberate quiesced-state read.
-type gauge struct{ g int64 }
-
-func (x *gauge) bump() {
-	atomic.AddInt64(&x.g, 1)
-}
-
-func (x *gauge) snapshot() int64 {
-	//lint:allow atomicmix quiesced read; all writers joined before snapshot
-	return x.g
+// A documented waiver silences a deliberate use.
+func waived(p *uint32) uint32 {
+	//lint:allow atomicmix fixture: the waiver mechanism applies to this analyzer too
+	return atomic.AddUint32(p, 1)
 }

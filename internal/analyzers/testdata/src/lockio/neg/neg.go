@@ -49,6 +49,26 @@ func (s *srv) Spawned(c net.Conn, p []byte) {
 	s.mu.Unlock()
 }
 
+// SpawnedClose closes on a goroutine of its own, which does not hold
+// the spawner's lock.
+func (s *srv) SpawnedClose(c net.Conn) {
+	s.mu.Lock()
+	go c.Close()
+	s.mu.Unlock()
+}
+
+// EarlyReturn locks only in a branch that returns: the deferred unlock
+// ends that path, so the write after the branch is never under s.mu.
+func (s *srv) EarlyReturn(c net.Conn, p []byte, buffered bool) {
+	if buffered {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		s.buf.Write(p)
+		return
+	}
+	c.Write(p)
+}
+
 // SerialByDesign documents an intentional hold, v1-wire style.
 func (s *srv) SerialByDesign(c net.Conn, p []byte) error {
 	s.mu.Lock()

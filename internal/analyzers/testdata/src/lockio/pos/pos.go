@@ -124,3 +124,14 @@ type twoLocks struct {
 func (t *twoLocks) flushLocked(data []byte) error {
 	return t.st.WriteAt(1, 0, data) // want `t\.st\.WriteAt while t\.connMu or t\.logMu \(held on entry`
 }
+
+// BranchHold locks in a branch that falls through: its deferred unlock
+// runs at function end, so the write below is under the lock whenever
+// the branch was taken.
+func (s *srv) BranchHold(f *os.File, lock bool) {
+	if lock {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+	}
+	f.Write(nil) // want `f\.Write while s\.mu`
+}

@@ -1,5 +1,6 @@
 // Positive lockorder cases: a direct two-mutex cycle, an
-// interprocedural cycle through a helper, and a self-deadlock.
+// interprocedural cycle through a helper, a self-deadlock, and a cycle
+// through a deferred unlock in a branch that falls through.
 package lockordfix
 
 import "sync"
@@ -62,4 +63,32 @@ func doubleLock() {
 	selfMu.Lock() // want "self-deadlock"
 	selfMu.Unlock()
 	selfMu.Unlock()
+}
+
+type C struct{ mu sync.Mutex }
+type D struct{ mu sync.Mutex }
+
+var (
+	c    C
+	d    D
+	cond bool
+)
+
+// branchHold locks C.mu in a branch that falls through: its deferred
+// unlock runs at function end, so D.mu is taken while C.mu is held.
+func branchHold() {
+	if cond {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+	}
+	d.mu.Lock() // want "lock-order cycle"
+	d.mu.Unlock()
+}
+
+// lockDC takes them in the opposite order: a cycle with branchHold.
+func lockDC() {
+	d.mu.Lock()
+	c.mu.Lock() // want "lock-order cycle"
+	c.mu.Unlock()
+	d.mu.Unlock()
 }

@@ -133,13 +133,13 @@ func mapRun(n int, fn func(i int)) {
 		workers = n
 	}
 	var wg sync.WaitGroup
-	var next int64 = -1
+	var next atomic.Int64
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for {
-				i := int(atomic.AddInt64(&next, 1))
+				i := int(next.Add(1) - 1)
 				if i >= n {
 					return
 				}
