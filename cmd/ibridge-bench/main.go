@@ -91,7 +91,7 @@ func main() {
 		// Scraping mid-run reads the live registry: simulation counters
 		// and any registered gauges (e.g. pfsnet client latency-sketch
 		// quantiles when a cluster experiment wires a registry through).
-		set.Registry().PublishExpvar("bench")
+		expvar.Publish("bench", expvar.Func(func() any { return set.Registry().Snapshot() }))
 		go func() {
 			mux := http.NewServeMux()
 			mux.Handle("/debug/vars", expvar.Handler())

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"go/build"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -171,4 +172,54 @@ func TestTraceFlag(t *testing.T) {
 		}
 	}
 	t.Errorf("no bridge instant shares its trace arg with a client span")
+}
+
+// TestNoNetHTTP: the simulator serves nothing over the network, so it
+// must not link net/http (and with it crypto/tls), which would double
+// the binary and the start-up memory every simulation child pays. It
+// walks the command's transitive non-test imports with go/build.
+func TestNoNetHTTP(t *testing.T) {
+	const module = "repro/"
+	root, err := filepath.Abs(filepath.Join("..", ".."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]string{} // import path -> an importer
+	var walk func(dir string, pkg *build.Package)
+	walk = func(dir string, pkg *build.Package) {
+		for _, path := range pkg.Imports {
+			if _, ok := seen[path]; ok || path == "C" || path == "unsafe" {
+				continue
+			}
+			seen[path] = pkg.ImportPath
+			var dep *build.Package
+			var err error
+			if strings.HasPrefix(path, module) {
+				dep, err = build.ImportDir(filepath.Join(root, strings.TrimPrefix(path, module)), 0)
+			} else {
+				dep, err = build.Import(path, dir, 0)
+			}
+			if err != nil {
+				t.Fatalf("import %s (from %s): %v", path, pkg.ImportPath, err)
+			}
+			dep.ImportPath = path
+			walk(dep.Dir, dep)
+		}
+	}
+	self, err := build.ImportDir(".", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	self.ImportPath = module + "cmd/ibridge-sim"
+	walk(self.Dir, self)
+	if len(seen) < 20 {
+		t.Fatalf("walked only %d imports: %v", len(seen), seen)
+	}
+	if by, ok := seen["net/http"]; ok {
+		chain := []string{"net/http"}
+		for p := by; p != ""; p = seen[p] {
+			chain = append(chain, p)
+		}
+		t.Errorf("ibridge-sim links net/http: imported via %s", strings.Join(chain, " <- "))
+	}
 }

@@ -81,7 +81,7 @@ func main() {
 	}
 	log.Printf("pfs-meta: serving on %s (unit %d, %d data servers)", ms.Addr(), *unit, len(addrs))
 	if *debugAddr != "" {
-		reg.PublishExpvar("pfs")
+		expvar.Publish("pfs", expvar.Func(func() any { return reg.Snapshot() }))
 		go func() {
 			mux := http.NewServeMux()
 			mux.Handle("/debug/vars", expvar.Handler())

@@ -147,7 +147,7 @@ func main() {
 			// only Stats exposes.
 			reg.RegisterFunc("logstore.generation", func() float64 { return float64(logStore.Stats().Generation) })
 		}
-		reg.PublishExpvar("pfs")
+		expvar.Publish("pfs", expvar.Func(func() any { return reg.Snapshot() }))
 		go func() {
 			mux := http.NewServeMux()
 			mux.Handle("/debug/vars", expvar.Handler())

@@ -110,30 +110,73 @@ func TestCFQAnticipationWaitsForActiveOrigin(t *testing.T) {
 	}
 }
 
+// dispatches records the instants each origin's requests reached the
+// device, in dispatch order.
+type dispatches map[int32][]sim.Time
+
+func (d dispatches) Dispatch(now sim.Time, r device.Request) {
+	d[r.Origin] = append(d[r.Origin], now)
+}
+
 func TestCFQIdleWindowExpires(t *testing.T) {
 	// If the active origin never returns, the idle window ends and the
-	// next origin is served — the disk is not held hostage.
+	// next origin is served — the disk is not held hostage. The window
+	// is exactly SliceIdle long, counted from o1's completion.
 	e := sim.New()
-	q, _ := newCFQQueue(e, cfqConfig())
-	var done2 sim.Time
+	cfg := cfqConfig()
+	log := dispatches{}
+	q := New(e, hdd.New(e, "hdd0", hdd.DefaultSpec(), sim.NewRNG(1)), cfg, log)
+	var done1 sim.Time
 	e.Go("o1", func(p *sim.Proc) {
 		q.Submit(p, device.Request{Op: device.Read, LBN: 1 << 20, Sectors: 8, Origin: 1})
+		done1 = p.Now()
 	})
 	e.Go("o2", func(p *sim.Proc) {
 		p.Sleep(sim.Microsecond)
 		q.Submit(p, device.Request{Op: device.Read, LBN: 1 << 25, Sectors: 8, Origin: 2})
-		done2 = p.Now()
 	})
 	if err := e.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if done2 == 0 {
-		t.Fatal("origin 2 never served")
+	if len(log[2]) != 1 {
+		t.Fatalf("origin 2 dispatched %d times, want 1", len(log[2]))
 	}
-	// Served after roughly: o1 service + idle window + o2 service,
-	// bounded well under 100ms.
-	if done2 > sim.Time(100*sim.Millisecond) {
-		t.Fatalf("origin 2 served only at %v", done2)
+	if want := done1.Add(cfg.SliceIdle); log[2][0] != want {
+		t.Fatalf("origin 2 dispatched at %v, want o1's completion %v + SliceIdle = %v", log[2][0], done1, want)
+	}
+}
+
+func TestCFQIdleWindowEndsAtTickBoundary(t *testing.T) {
+	// The idle window is checked every SliceIdle/8: an active origin
+	// that returns between two checks (here +300µs) is dispatched at
+	// the next one (+500µs), ahead of the waiting origin 2.
+	e := sim.New()
+	cfg := cfqConfig()
+	step := cfg.SliceIdle / 8
+	log := dispatches{}
+	q := New(e, hdd.New(e, "hdd0", hdd.DefaultSpec(), sim.NewRNG(1)), cfg, log)
+	var done1 sim.Time
+	e.Go("o1", func(p *sim.Proc) {
+		q.Submit(p, device.Request{Op: device.Read, LBN: 1 << 20, Sectors: 8, Origin: 1})
+		done1 = p.Now()
+		p.Sleep(step + step/5)
+		q.Submit(p, device.Request{Op: device.Read, LBN: 1<<20 + 8, Sectors: 8, Origin: 1})
+	})
+	e.Go("o2", func(p *sim.Proc) {
+		p.Sleep(sim.Microsecond)
+		q.Submit(p, device.Request{Op: device.Read, LBN: 1 << 25, Sectors: 8, Origin: 2})
+	})
+	if err := e.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if len(log[1]) != 2 || len(log[2]) != 1 {
+		t.Fatalf("dispatches %v, want two of origin 1 and one of origin 2", log)
+	}
+	if want := done1.Add(2 * step); log[1][1] != want {
+		t.Fatalf("o1's follow-up dispatched at %v, want the second tick after its completion %v: %v", log[1][1], done1, want)
+	}
+	if log[2][0] < log[1][1] {
+		t.Fatalf("origin 2 dispatched at %v, before o1's follow-up at %v", log[2][0], log[1][1])
 	}
 }
 

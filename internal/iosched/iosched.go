@@ -131,15 +131,13 @@ func (s *Stats) AvgWait() sim.Duration {
 
 // unit is one queued block request, possibly the merge of several
 // submitted requests; every submitter parks on the unit until it is
-// served.
+// served. A served unit goes back on its queue's free list, waiters
+// backing array and all.
 type unit struct {
 	req     device.Request
 	waiters []*sim.Proc
-	// first backs waiters until a merge adds a second submitter.
-	first  [1]*sim.Proc
-	done   bool
-	seq    uint64 // arrival order, for FIFO dispatch and fairness
-	origin int32  // issuing process context, for CFQ grouping
+	seq     uint64 // arrival order, for FIFO dispatch and fairness
+	origin  int32  // issuing process context, for CFQ grouping
 }
 
 // Queue is a scheduler instance bound to one device.
@@ -150,14 +148,21 @@ type Queue struct {
 	cfg      Config
 	tracer   Tracer
 	pending  []*unit // sorted by LBN
+	free     []*unit // served units, for place to reuse
 	draining bool
 	pos      int64  // LBN after the last dispatched request
 	seq      uint64 // arrival sequence for FIFO dispatch
-	// CFQ slice state.
+	// CFQ slice state. idleFrom is when the current anticipation
+	// window opened; idleOver is idleDone bound once, the predicate
+	// the drain process polls through the window.
 	active     int32
 	sliceCount int
 	idled      bool
-	stats      Stats
+	idleFrom   sim.Time
+	idleOver   func() bool
+	// drainFn is drain bound once, for starting the drain process.
+	drainFn func(*sim.Proc)
+	stats   Stats
 	// m, when non-nil, mirrors the scheduler statistics into the
 	// observability registry (latency histogram, depth gauge). The nil
 	// check per update is the entire disabled-path cost.
@@ -172,7 +177,9 @@ func New(e *sim.Engine, dev device.Device, cfg Config, tracer Tracer) *Queue {
 	if cfg.MaxSectors <= 0 {
 		cfg.MaxSectors = 256
 	}
-	return &Queue{e: e, dev: dev, name: "iosched:" + dev.Name(), cfg: cfg, tracer: tracer}
+	q := &Queue{e: e, dev: dev, name: "iosched:" + dev.Name(), cfg: cfg, tracer: tracer}
+	q.idleOver, q.drainFn = q.idleDone, q.drain
+	return q
 }
 
 // Stats returns accumulated scheduler statistics.
@@ -197,7 +204,7 @@ func (q *Queue) Submit(p *sim.Proc, r device.Request) sim.Duration {
 	u.waiters = append(u.waiters, p)
 	if !q.draining {
 		q.draining = true
-		q.e.Go(q.name, q.drain)
+		q.e.Go(q.name, q.drainFn)
 	}
 	p.Block()
 	lat := p.Now().Sub(start)
@@ -237,8 +244,13 @@ func (q *Queue) place(r device.Request) *unit {
 		}
 	}
 	q.seq++
-	u := &unit{req: r, seq: q.seq, origin: r.Origin}
-	u.waiters = u.first[:0]
+	var u *unit
+	if n := len(q.free); n > 0 {
+		u, q.free = q.free[n-1], q.free[:n-1]
+	} else {
+		u = &unit{}
+	}
+	u.req, u.seq, u.origin = r, q.seq, r.Origin
 	// Insert in LBN order (stable for equal LBNs: after existing ones,
 	// preserving arrival order for FIFO fairness at the same location).
 	i := len(q.pending)
@@ -344,11 +356,12 @@ func (q *Queue) drain(p *sim.Proc) {
 		}
 		q.dev.Serve(p, u.req)
 		q.pos = u.req.End()
-		u.done = true
 		for _, w := range u.waiters {
 			q.e.Wake(w)
 		}
-		u.waiters = nil
+		clear(u.waiters)
+		u.waiters = u.waiters[:0]
+		q.free = append(q.free, u)
 	}
 }
 
@@ -390,19 +403,15 @@ func (q *Queue) selectCFQ(p *sim.Proc) *unit {
 		if best < 0 && !q.idled && q.cfg.SliceIdle > 0 {
 			// End of the active origin's queue: anticipate its next
 			// request before giving the disk away (cfq slice_idle).
-			// Poll in sub-window steps so an early arrival is picked
-			// up promptly.
+			// Check in sub-window steps so an early arrival is picked
+			// up promptly; the engine runs the checks inline.
 			q.idled = true
 			step := q.cfg.SliceIdle / 8
 			if step <= 0 {
 				step = q.cfg.SliceIdle
 			}
-			for waited := sim.Duration(0); waited < q.cfg.SliceIdle; waited += step {
-				p.Sleep(step)
-				if q.hasPending(q.active) {
-					break
-				}
-			}
+			q.idleFrom = p.Now()
+			p.Poll(step, q.idleOver)
 			continue
 		}
 		// Slice over: rotate to the origin that has waited longest,
@@ -425,6 +434,14 @@ func (q *Queue) selectCFQ(p *sim.Proc) *unit {
 		q.sliceCount = 0
 		q.idled = false
 	}
+}
+
+// idleDone reports whether the anticipation window is over: the active
+// origin has a request pending, or the window has run its full length.
+// It reads state only, so the engine evaluates it without switching into
+// the drain process.
+func (q *Queue) idleDone() bool {
+	return q.hasPending(q.active) || q.e.Now().Sub(q.idleFrom) >= q.cfg.SliceIdle
 }
 
 // hasPending reports whether any pending unit belongs to origin.

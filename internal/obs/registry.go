@@ -167,7 +167,8 @@ func (r *Registry) RegisterFunc(name string, fn func() float64) {
 
 // Snapshot returns every metric's current value keyed by name, with
 // histograms expanded into count/mean/p50/p95/p99/max sub-keys. The
-// result is expvar-friendly (only strings and float64s).
+// result holds only strings and float64s, so it encodes as flat JSON;
+// the servers' -debug-addr endpoints publish it through expvar.Func.
 func (r *Registry) Snapshot() map[string]interface{} {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/device"
 	"repro/internal/sim"
-	"repro/internal/stripe"
 )
 
 // Client issues file requests against a FileSystem. It performs the
@@ -69,13 +68,14 @@ func (c *Client) request(p *sim.Proc, f *File, op device.Op, off, length int64) 
 		panic(fmt.Sprintf("pfs: request [%d,%d) outside file %q of size %d", off, off+length, f.Name, f.Size))
 	}
 	start := p.Now()
+	par := c.fs.newParent(p)
 	layout := c.fs.layout
-	var subs []stripe.Sub
 	if c.FragmentThreshold > 0 {
-		subs = layout.DecomposeFlagged(off, length, c.FragmentThreshold)
+		par.subs, par.sibs = layout.AppendDecomposeFlagged(par.subs[:0], par.sibs[:0], off, length, c.FragmentThreshold)
 	} else {
-		subs = layout.Decompose(off, length)
+		par.subs = layout.AppendDecompose(par.subs[:0], off, length)
 	}
+	subs := par.subs
 	random := c.RandomThreshold > 0 && length < c.RandomThreshold
 
 	var reqID int64
@@ -84,16 +84,14 @@ func (c *Client) request(p *sim.Proc, f *File, op device.Op, off, length int64) 
 		reqID = c.fs.nextReq
 	}
 
-	// All sub-requests of the parent share one allocation, and each
-	// carries its own completion state (see job).
-	par := &parent{waiter: p, remaining: len(subs)}
-	jobs := make([]job, len(subs))
+	// Each sub-request carries its own completion state (see job).
+	jobs := par.setJobs(len(subs))
 	net := c.fs.net
 	for i := range subs {
 		sub := &subs[i]
 		j := &jobs[i]
-		j.parent = par
 		j.srv = c.fs.servers[sub.Server]
+		j.served = false
 		j.req = IORequest{
 			Op:       op,
 			FileID:   f.ID,
@@ -122,7 +120,6 @@ func (c *Client) request(p *sim.Proc, f *File, op device.Op, off, length int64) 
 			replyPayload += sub.Length
 		}
 		j.replyDelay = net.Delay(replyPayload)
-		j.step = j.advance
 		c.fs.e.After(net.Delay(sendPayload), j.step)
 	}
 	p.Block() // until the last reply wakes us
@@ -149,6 +146,7 @@ func (c *Client) request(p *sim.Proc, f *File, op device.Op, off, length int64) 
 	if c.fs.tr != nil {
 		c.fs.tr.Span(uint64(reqID), 0, 0, opName(op), c.fs.scope, time.Unix(0, int64(start)), time.Duration(lat))
 	}
+	c.fs.freeParent(par)
 	return lat
 }
 

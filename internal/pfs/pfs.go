@@ -66,7 +66,10 @@ func (r *IORequest) String() string {
 // Store is a data server's storage stack: it serves block-level requests,
 // blocking the calling process in virtual time.
 type Store interface {
-	// Serve executes r to completion.
+	// Serve executes r to completion. r and its Siblings belong to the
+	// client's request state, which is reused once the request
+	// completes: a store must not retain r, or r.Siblings, after Serve
+	// returns (copy what it needs to keep).
 	Serve(p *sim.Proc, r *IORequest)
 	// Flush writes out any buffered dirty state (iBridge's SSD cache);
 	// the stock stores are write-through and Flush is a no-op. The
@@ -117,6 +120,9 @@ type FileSystem struct {
 	files   map[string]*File
 	nextID  int
 	stats   Stats
+	// free holds parents whose request completed, for the next request
+	// to reuse (the engine is single-threaded: a plain list suffices).
+	free []*parent
 
 	// Observability (nil when off): request counters/latency histograms,
 	// request-flow tracer, and the client's trace lane ("run<N>/client").

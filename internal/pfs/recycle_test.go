@@ -1,0 +1,175 @@
+package pfs
+
+import (
+	"fmt"
+	"slices"
+	"testing"
+
+	"repro/internal/device"
+	"repro/internal/hdd"
+	"repro/internal/iosched"
+	"repro/internal/sim"
+	"repro/internal/stripe"
+)
+
+// checkStore serves through a disk queue and checks every request it is
+// handed twice: on arrival, against the layout (which sub-request of
+// which parent it must be), and after its service, that nothing in it
+// changed while it was in flight. A parent recycled before its last
+// reply fails one of the two.
+type checkStore struct {
+	t      *testing.T
+	inner  Store
+	expect func(r *IORequest) error
+	served int
+}
+
+func (s *checkStore) Serve(p *sim.Proc, r *IORequest) {
+	if err := s.expect(r); err != nil {
+		s.t.Errorf("at %v: %v: %v", p.Now(), r, err)
+	}
+	before := *r
+	before.Siblings = slices.Clone(r.Siblings)
+	s.inner.Serve(p, r)
+	if !equalRequests(*r, before) {
+		s.t.Errorf("at %v: request changed while in flight: %+v, was %+v", p.Now(), *r, before)
+	}
+	s.served++
+}
+
+func (s *checkStore) Flush(*sim.Proc) {}
+
+func equalRequests(a, b IORequest) bool {
+	return a.Op == b.Op && a.FileID == b.FileID && a.ID == b.ID && a.LBN == b.LBN &&
+		a.Sectors == b.Sectors && a.Bytes == b.Bytes && a.Fragment == b.Fragment &&
+		slices.Equal(a.Siblings, b.Siblings) && a.Random == b.Random && a.Server == b.Server &&
+		a.Origin == b.Origin
+}
+
+// TestRecycledParentsNeverAlias: many ranks issue concurrent striped
+// iBridge requests of two sizes (so recycled parents change their
+// sub-request count both ways) with seeded think times in between. Every
+// sub-request a store sees must be exactly the one the layout derives
+// from its parent, for as long as the store holds it.
+func TestRecycledParentsNeverAlias(t *testing.T) {
+	const (
+		servers   = 8
+		ranks     = 12
+		perRank   = 40
+		threshold = 40 * 1024
+	)
+	layout := stripe.Layout{Unit: 64 * 1024, Servers: servers}
+	sizes := []int64{65 * 1024, 200 * 1024} // multiples of a sector, one file each
+
+	e := sim.New()
+	rng := sim.NewRNG(3)
+	stores := make([]*checkStore, servers)
+	fsStores := make([]Store, servers)
+	var files []*File
+	for i := range stores {
+		d := hdd.New(e, "hdd", hdd.DefaultSpec(), rng.Fork())
+		stores[i] = &checkStore{t: t, inner: NewDiskStore(iosched.New(e, d, iosched.DiskDefaults(), nil))}
+		stores[i].expect = func(r *IORequest) error {
+			f := files[r.FileID]
+			size := sizes[r.FileID]
+			serverOff := (r.LBN - f.bases[r.Server]) * device.SectorSize
+			unit := (serverOff/layout.Unit)*servers + int64(r.Server)
+			parent := (unit*layout.Unit + serverOff%layout.Unit) / size
+			if parent%ranks != int64(r.Origin) {
+				return fmt.Errorf("parent %d belongs to rank %d, not origin %d", parent, parent%ranks, r.Origin)
+			}
+			for _, sub := range layout.DecomposeFlagged(parent*size, size, threshold) {
+				if sub.Server != r.Server {
+					continue
+				}
+				want := IORequest{Op: r.Op, FileID: r.FileID, Bytes: sub.Length, Fragment: sub.Fragment,
+					Siblings: sub.Siblings, Server: sub.Server, Origin: r.Origin,
+					LBN: f.bases[r.Server] + sub.ServerOff/device.SectorSize, Sectors: sub.Length / device.SectorSize}
+				if !equalRequests(*r, want) {
+					return fmt.Errorf("want %+v (siblings %v)", want, want.Siblings)
+				}
+				return nil
+			}
+			return fmt.Errorf("parent %d has no sub-request on server %d", parent, r.Server)
+		}
+		fsStores[i] = stores[i]
+	}
+	fs, err := NewFileSystem(e, Config{Layout: layout}, fsStores)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, size := range sizes {
+		f, err := fs.Create(fmt.Sprintf("f%d", i), size*ranks*perRank)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, f)
+	}
+	base := NewIBridgeClient(fs, threshold, 20*1024)
+	done := sim.NewCounter(e, ranks)
+	for r := 0; r < ranks; r++ {
+		c, think := base.WithOrigin(int32(r)), rng.Fork()
+		e.Go("rank", func(p *sim.Proc) {
+			for k := 0; k < perRank; k++ {
+				i := (k + r) % len(sizes)
+				off := int64(k*ranks+r) * sizes[i]
+				if k%3 == 0 {
+					c.Read(p, files[i], off, sizes[i])
+				} else {
+					c.Write(p, files[i], off, sizes[i])
+				}
+				p.Sleep(think.Duration(0, 2*sim.Millisecond))
+			}
+			done.Done()
+		})
+	}
+	e.Go("main", func(p *sim.Proc) {
+		done.Wait(p)
+		e.Halt()
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	served := 0
+	for _, s := range stores {
+		served += s.served
+	}
+	if st := fs.Stats(); st.Requests != ranks*perRank || int64(served) != st.SubCount {
+		t.Fatalf("%d requests, %d sub-requests served of %d", st.Requests, served, st.SubCount)
+	}
+	// Every parent came back, and no more were made than were ever in
+	// flight at once.
+	if n := len(fs.free); n == 0 || n > ranks {
+		t.Fatalf("%d parents on the free list, want 1..%d", n, ranks)
+	}
+}
+
+// TestWarmRequestAllocations bounds what a striped 65 KB iBridge request
+// allocates once the file system is warm: its parent, sub-requests,
+// sibling lists, scheduler units and job queue slots are all recycled,
+// so what is left is the engine's Proc for each device queue's busy
+// period: one per server the request touches, two here.
+func TestWarmRequestAllocations(t *testing.T) {
+	const maxAllocs = 2
+	e := sim.New()
+	fs, _ := testFS(t, e, 8)
+	const size = 65 * 1024
+	f, _ := fs.Create("data", 64*size)
+	c := NewIBridgeClient(fs, 40*1024, 20*1024)
+	k := 0
+	request := func(p *sim.Proc) {
+		c.Write(p, f, int64(k%64)*size, size)
+		k++
+	}
+	var allocs float64
+	run(t, e, func(p *sim.Proc) {
+		for i := 0; i < 64; i++ {
+			request(p)
+		}
+		allocs = testing.AllocsPerRun(200, func() { request(p) })
+	})
+	t.Logf("%.1f allocs per warm request", allocs)
+	if allocs > maxAllocs {
+		t.Errorf("%.1f allocs per warm 65 KB request, want <= %d", allocs, maxAllocs)
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"repro/internal/device"
 	"repro/internal/obs"
 	"repro/internal/sim"
+	"repro/internal/stripe"
 )
 
 // Server is one data server: a job queue drained by a pool of handler
@@ -35,22 +36,70 @@ type Server struct {
 
 // parent is the client's view of one file request in flight: the
 // process blocked on it and how many sub-request replies are still due.
+// It owns the request's decomposition (subs, and the sibling lists of
+// its fragments in sibs) and one job per sub-request. Parents are
+// recycled through the FileSystem's free list, so a request in steady
+// state allocates nothing.
 type parent struct {
 	waiter    *sim.Proc
 	remaining int
+	subs      []stripe.Sub
+	sibs      []int
+	jobs      []job
+}
+
+// newParent returns a parent for a request issued by p, off the free
+// list when one is there.
+func (fs *FileSystem) newParent(p *sim.Proc) *parent {
+	var par *parent
+	if n := len(fs.free); n > 0 {
+		par, fs.free = fs.free[n-1], fs.free[:n-1]
+	} else {
+		par = &parent{}
+	}
+	par.waiter = p
+	return par
+}
+
+// freeParent puts par back on the free list. Only after its waiter has
+// been woken by the last reply: by then no job of par is in a server
+// queue, a store or the event queue, and no store still holds one of
+// its IORequests (see Store).
+func (fs *FileSystem) freeParent(par *parent) {
+	par.waiter = nil
+	fs.free = append(fs.free, par)
+}
+
+// setJobs sizes the job slots for n sub-requests and arms the reply
+// countdown. A slot keeps its parent link and bound step callback for
+// the parent's lifetime; the slots are replaced only when n outgrows
+// them.
+func (par *parent) setJobs(n int) []job {
+	if cap(par.jobs) < n {
+		par.jobs = make([]job, n)
+		for i := range par.jobs {
+			j := &par.jobs[i]
+			j.parent = par
+			j.step = j.advance
+		}
+	}
+	par.jobs = par.jobs[:n]
+	par.remaining = n
+	return par.jobs
 }
 
 // job is one sub-request in flight, from the client's send to the
 // server's reply. It holds the block request the store sees and every
-// piece of completion state, so a sub-request costs no allocation beyond
-// its slot in the parent's job slice and the one bound step callback.
+// piece of completion state, so a sub-request costs no allocation once
+// its parent's slots exist.
 type job struct {
 	req        IORequest
 	parent     *parent
 	srv        *Server
 	replyDelay sim.Duration
 	served     bool
-	// step is advance bound once, reused for both network legs.
+	// step is advance bound once per slot, reused for both network
+	// legs of every sub-request the slot carries.
 	step func()
 }
 

@@ -70,10 +70,36 @@ func BenchmarkEngineProcPingPong(b *testing.B) {
 	b.ReportMetric(float64(4*rounds)/b.Elapsed().Seconds(), "events/sec")
 }
 
+// BenchmarkEnginePoll measures an anticipation-style poll: one process
+// polls every microsecond for a predicate that turns true four ticks
+// later, the shape of the CFQ idle window. Each op is four inline
+// predicate evaluations and one resume.
+func BenchmarkEnginePoll(b *testing.B) {
+	const ticks = 4
+	e := New()
+	var deadline Time
+	due := func() bool { return e.Now() >= deadline }
+	polls := 0
+	e.Go("poller", func(p *Proc) {
+		for polls < b.N {
+			polls++
+			deadline = p.Now().Add(ticks * Microsecond)
+			p.Poll(Microsecond, due)
+		}
+		e.Halt()
+	})
+	b.ResetTimer()
+	if err := e.Run(); err != nil {
+		b.Fatal(err)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(ticks*polls)/b.Elapsed().Seconds(), "events/sec")
+}
+
 // TestEngineHotPathAllocFree is the alloc regression guard for the
 // zero-cost-when-off observability contract: with no probe installed the
 // event loop must not allocate per event, and neither may a process
-// switch — Sleep (many-procs), Wake/Block (ping-pong) or Yield. It runs
+// switch — Sleep (many-procs), Wake/Block (ping-pong), Yield or Poll. It runs
 // the benchmarks through testing.Benchmark and fails on any reported
 // allocation.
 func TestEngineHotPathAllocFree(t *testing.T) {
@@ -88,6 +114,7 @@ func TestEngineHotPathAllocFree(t *testing.T) {
 		{"ManyProcs", BenchmarkEngineManyProcs},
 		{"ProcPingPong", BenchmarkEngineProcPingPong},
 		{"Yield", BenchmarkEngineYield},
+		{"Poll", BenchmarkEnginePoll},
 	} {
 		res := testing.Benchmark(bm.fn)
 		if allocs := res.AllocsPerOp(); allocs != 0 {

@@ -31,7 +31,7 @@ type Engine struct {
 	// FIFO order preserves the global (at, seq) order without paying a
 	// heap sift for the common Wake/Yield/After(0) case. The ring's
 	// backing array is reused across drains — the event freelist.
-	nowq   eventRing
+	nowq   ring[event]
 	seq    uint64
 	procs  map[int]*Proc
 	nextID int
@@ -117,28 +117,39 @@ func (h *eventHeap) pop() event {
 	return top
 }
 
-// eventRing is a FIFO of same-instant events backed by a reusable slice:
-// head/tail indices walk the array and reset to zero whenever the ring
-// drains, so steady-state operation performs no allocation at all.
-type eventRing struct {
-	buf  []event
+// ring is a FIFO backed by a reusable slice: the read index walks the
+// array and rewinds to zero whenever the ring drains, and a push that
+// finds the array full moves the unread tail to the front before it
+// would grow, so steady-state operation performs no allocation at all.
+// It carries the engine's same-instant events and Queue's items and
+// waiters.
+type ring[T any] struct {
+	buf  []T
 	head int
 }
 
-func (r *eventRing) push(ev event) { r.buf = append(r.buf, ev) }
+func (r *ring[T]) push(v T) {
+	if r.head > 0 && len(r.buf) == cap(r.buf) {
+		n := copy(r.buf, r.buf[r.head:])
+		clear(r.buf[n:])
+		r.buf, r.head = r.buf[:n], 0
+	}
+	r.buf = append(r.buf, v)
+}
 
-func (r *eventRing) len() int { return len(r.buf) - r.head }
+func (r *ring[T]) len() int { return len(r.buf) - r.head }
 
-func (r *eventRing) pop() event {
-	ev := r.buf[r.head]
-	r.buf[r.head] = event{} // release references
+func (r *ring[T]) pop() T {
+	var zero T
+	v := r.buf[r.head]
+	r.buf[r.head] = zero // release references
 	r.head++
 	if r.head == len(r.buf) {
 		// Drained: rewind onto the same backing array.
 		r.buf = r.buf[:0]
 		r.head = 0
 	}
-	return ev
+	return v
 }
 
 // Proc is a simulated process. Each Proc runs on a coroutine (iter.Pull)
@@ -171,6 +182,12 @@ type coro struct {
 	// its next resume.
 	p  *Proc
 	fn func(*Proc)
+	// period and ready are the arguments of the Poll the process is
+	// parked in, and tick is pollTick bound once, so that a poll
+	// allocates nothing.
+	period Duration
+	ready  func() bool
+	tick   func()
 }
 
 // killed is the panic sentinel used to unwind a parked process when the
@@ -237,6 +254,7 @@ func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
 
 func (e *Engine) newCoro() *coro {
 	c := &coro{}
+	c.tick = c.pollTick
 	c.next, c.stop = iter.Pull(func(yield func(struct{}) bool) {
 		c.yield = yield
 		for c.run() {
@@ -340,23 +358,29 @@ func (p *Proc) Sleep(d Duration) {
 //
 // except that the engine evaluates ready inline, as a timer callback,
 // and switches into the process only when it reports true: an idle poll
-// costs one callback instead of two switches. ready must only read
-// simulation state — it may not block or schedule.
+// costs one callback instead of two switches, and no allocation. ready
+// reads simulation state only — it may not block, schedule or mutate —
+// so it may be a method value bound once and passed to every Poll.
 func (p *Proc) Poll(period Duration, ready func() bool) {
 	if period < 0 {
 		period = 0
 	}
-	e := p.e
-	var tick func()
-	tick = func() {
-		if ready() {
-			p.c.next()
-			return
-		}
-		e.schedule(e.now.Add(period), nil, tick)
-	}
-	e.schedule(e.now.Add(period), nil, tick)
+	c := p.c
+	c.period, c.ready = period, ready
+	p.e.schedule(p.e.now.Add(period), nil, c.tick)
 	p.park()
+}
+
+// pollTick is one evaluation of the parked Poll's predicate: resume the
+// process if it holds, otherwise check again a period later.
+func (c *coro) pollTick() {
+	if c.ready() {
+		c.ready = nil
+		c.next()
+		return
+	}
+	e := c.p.e
+	e.schedule(e.now.Add(c.period), nil, c.tick)
 }
 
 // Yield gives other processes scheduled at the current instant a chance to

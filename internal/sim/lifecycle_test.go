@@ -170,9 +170,16 @@ func TestGoStartsAtCurrentInstantInCreationOrder(t *testing.T) {
 // TestPollIsTheSleepLoop: Poll must be indistinguishable, event for
 // event, from the Sleep loop it replaces — same wake instant, same order
 // among same-instant events — while evaluating its predicate without
-// running the process.
+// running the process. Two predicate shapes: plain "work arrived", and
+// the deadline-bounded one of an anticipation window (CFQ's slice idle),
+// "work arrived or the window has passed", against the bounded loop
+// `for waited < window { Sleep(step); if work { break } }`.
 func TestPollIsTheSleepLoop(t *testing.T) {
-	run := func(poll bool) (string, uint64) {
+	const (
+		step   = 2 * Millisecond
+		window = 7 * Millisecond // not a multiple of step: the last tick overshoots
+	)
+	run := func(poll, bounded bool) (string, uint64) {
 		e := New()
 		var log []string
 		note := func(who string) { log = append(log, fmt.Sprintf("%s@%v", who, e.Now())) }
@@ -180,13 +187,30 @@ func TestPollIsTheSleepLoop(t *testing.T) {
 		for i := 0; i < 3; i++ {
 			name := fmt.Sprintf("daemon%d", i)
 			e.Go(name, func(p *Proc) {
+				var start Time
 				ready := func() bool { return work > 0 }
+				if bounded {
+					ready = func() bool { return work > 0 || e.Now().Sub(start) >= window }
+				}
 				for {
-					if poll {
-						p.Poll(2*Millisecond, ready)
-					} else {
-						for p.Sleep(2 * Millisecond); !ready(); p.Sleep(2 * Millisecond) {
+					start = p.Now()
+					switch {
+					case poll:
+						p.Poll(step, ready)
+					case bounded:
+						for waited := Duration(0); waited < window; waited += step {
+							p.Sleep(step)
+							if work > 0 {
+								break
+							}
 						}
+					default:
+						for p.Sleep(step); !ready(); p.Sleep(step) {
+						}
+					}
+					if work == 0 {
+						note(name + "-idle")
+						continue
 					}
 					work--
 					note(name)
@@ -195,8 +219,10 @@ func TestPollIsTheSleepLoop(t *testing.T) {
 			})
 		}
 		e.Go("producer", func(p *Proc) {
-			for i := 0; i < 6; i++ {
-				p.Sleep(3 * Millisecond) // every other one lands on a poll tick
+			// Gaps both shorter and longer than the window; every other
+			// one lands on a poll tick.
+			for _, gap := range []Duration{3, 9, 1, 12, 3, 8} {
+				p.Sleep(gap * Millisecond)
 				work += 2
 				note("produce")
 			}
@@ -208,12 +234,18 @@ func TestPollIsTheSleepLoop(t *testing.T) {
 		}
 		return strings.Join(log, " "), e.seq
 	}
-	sleepLog, sleepSeq := run(false)
-	pollLog, pollSeq := run(true)
-	if sleepLog != pollLog || sleepSeq != pollSeq {
-		t.Errorf("Poll diverged from the Sleep loop (seq %d vs %d):\nsleep: %s\n poll: %s", sleepSeq, pollSeq, sleepLog, pollLog)
-	}
-	if !strings.Contains(sleepLog, "daemon2") {
-		t.Fatalf("scenario never ran a daemon: %s", sleepLog)
+	for _, bounded := range []bool{false, true} {
+		sleepLog, sleepSeq := run(false, bounded)
+		pollLog, pollSeq := run(true, bounded)
+		if sleepLog != pollLog || sleepSeq != pollSeq {
+			t.Errorf("bounded=%v: Poll diverged from the Sleep loop (seq %d vs %d):\nsleep: %s\n poll: %s",
+				bounded, sleepSeq, pollSeq, sleepLog, pollLog)
+		}
+		if !strings.Contains(sleepLog, "daemon2@") {
+			t.Fatalf("bounded=%v: scenario never ran a daemon: %s", bounded, sleepLog)
+		}
+		if bounded && !strings.Contains(sleepLog, "-idle@") {
+			t.Fatalf("scenario never let a window expire: %s", sleepLog)
+		}
 	}
 }

@@ -5,6 +5,8 @@ package sim
 // primitives need no host-level locking; they only park and wake simulated
 // processes deterministically (FIFO order).
 
+import "slices"
+
 // Semaphore is a counting semaphore for simulated processes. Waiters are
 // served in FIFO order. A Semaphore with capacity 1 is a mutex.
 type Semaphore struct {
@@ -65,11 +67,13 @@ func (s *Semaphore) Held() int { return s.held }
 // Waiting returns the number of processes blocked in Acquire.
 func (s *Semaphore) Waiting() int { return len(s.waiters) }
 
-// Queue is an unbounded FIFO channel between simulated processes.
+// Queue is an unbounded FIFO channel between simulated processes. Its
+// items and waiters live in rings, so a queue in steady use allocates
+// nothing.
 type Queue[T any] struct {
 	e       *Engine
-	items   []T
-	waiters []*Proc
+	items   ring[T]
+	waiters ring[*Proc]
 	closed  bool
 }
 
@@ -83,7 +87,7 @@ func (q *Queue[T]) Push(v T) {
 	if q.closed {
 		panic("sim: push on closed queue")
 	}
-	q.items = append(q.items, v)
+	q.items.push(v)
 	q.wakeOne()
 }
 
@@ -92,47 +96,46 @@ func (q *Queue[T]) PushFront(v T) {
 	if q.closed {
 		panic("sim: push on closed queue")
 	}
-	q.items = append([]T{v}, q.items...)
+	if it := &q.items; it.head > 0 {
+		it.head--
+		it.buf[it.head] = v
+	} else {
+		it.buf = slices.Insert(it.buf, 0, v)
+	}
 	q.wakeOne()
 }
 
 func (q *Queue[T]) wakeOne() {
-	if len(q.waiters) > 0 {
-		w := q.waiters[0]
-		q.waiters = q.waiters[1:]
-		q.e.Wake(w)
+	if q.waiters.len() > 0 {
+		q.e.Wake(q.waiters.pop())
 	}
 }
 
 // Pop removes and returns the oldest item, blocking p while the queue is
 // empty. The second result is false if the queue was closed and drained.
 func (q *Queue[T]) Pop(p *Proc) (T, bool) {
-	for len(q.items) == 0 {
+	for q.items.len() == 0 {
 		if q.closed {
 			var zero T
 			return zero, false
 		}
-		q.waiters = append(q.waiters, p)
+		q.waiters.push(p)
 		p.Block()
 	}
-	v := q.items[0]
-	q.items = q.items[1:]
-	return v, true
+	return q.items.pop(), true
 }
 
 // TryPop removes and returns the oldest item without blocking.
 func (q *Queue[T]) TryPop() (T, bool) {
-	if len(q.items) == 0 {
+	if q.items.len() == 0 {
 		var zero T
 		return zero, false
 	}
-	v := q.items[0]
-	q.items = q.items[1:]
-	return v, true
+	return q.items.pop(), true
 }
 
 // Len returns the number of queued items.
-func (q *Queue[T]) Len() int { return len(q.items) }
+func (q *Queue[T]) Len() int { return q.items.len() }
 
 // Close marks the queue closed and wakes all waiting consumers, whose Pop
 // calls will return ok=false once the queue drains.
@@ -141,10 +144,9 @@ func (q *Queue[T]) Close() {
 		return
 	}
 	q.closed = true
-	for _, w := range q.waiters {
-		q.e.Wake(w)
+	for q.waiters.len() > 0 {
+		q.e.Wake(q.waiters.pop())
 	}
-	q.waiters = nil
 }
 
 // Barrier synchronizes a fixed group of n processes, as the MPI_Barrier of

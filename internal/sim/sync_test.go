@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 func TestSemaphoreMutex(t *testing.T) {
 	e := New()
@@ -180,8 +183,11 @@ func TestQueuePushFront(t *testing.T) {
 	e := New()
 	q := NewQueue[int](e)
 	q.Push(2)
-	q.PushFront(1)
-	var got []int
+	q.Push(3)
+	q.PushFront(1) // onto an unread queue
+	first, _ := q.TryPop()
+	q.PushFront(0) // into the slot the pop freed
+	got := []int{first}
 	e.Go("c", func(p *Proc) {
 		for q.Len() > 0 {
 			v, _ := q.Pop(p)
@@ -191,8 +197,8 @@ func TestQueuePushFront(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("got %v, want [1 2]", got)
+	if !slices.Equal(got, []int{1, 0, 2, 3}) {
+		t.Fatalf("got %v, want [1 0 2 3]", got)
 	}
 }
 
@@ -310,5 +316,34 @@ func TestEventBroadcast(t *testing.T) {
 	}
 	if released != 6 {
 		t.Fatalf("released %d, want 6", released)
+	}
+}
+
+// TestRingStaysBoundedAndFIFO: a ring that never drains — a queue with a
+// standing backlog, or the same-instant ring under a run of yields —
+// keeps FIFO order and reuses its array instead of growing without end.
+func TestRingStaysBoundedAndFIFO(t *testing.T) {
+	var r ring[int]
+	next, want := 0, 0
+	for i := 0; i < 4; i++ {
+		r.push(next)
+		next++
+	}
+	for round := 0; round < 10000; round++ {
+		// Push one or two, pop one or two: the backlog wanders between
+		// 1 and 8 and never reaches zero.
+		for n := round%2 + 1; n > 0 && r.len() < 8; n-- {
+			r.push(next)
+			next++
+		}
+		for n := (round/3)%2 + 1; n > 0 && r.len() > 1; n-- {
+			if got := r.pop(); got != want {
+				t.Fatalf("round %d: popped %d, want %d", round, got, want)
+			}
+			want++
+		}
+	}
+	if c := cap(r.buf); c > 16 {
+		t.Fatalf("backing array grew to %d for a backlog of at most 8", c)
 	}
 }

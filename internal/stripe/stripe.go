@@ -12,6 +12,7 @@ package stripe
 
 import (
 	"fmt"
+	"slices"
 )
 
 // Layout describes how a file is striped.
@@ -101,13 +102,17 @@ func (l Layout) ServerBytes(fileLen int64) []int64 {
 // server are merged, matching how PVFS2 builds one contiguous region per
 // server per request when possible.
 func (l Layout) Decompose(off, length int64) []Sub {
+	return l.AppendDecompose(nil, off, length)
+}
+
+// AppendDecompose is Decompose appending the sub-requests to dst, so a
+// caller that decomposes request after request can reuse one buffer
+// (pass dst[:0]).
+func (l Layout) AppendDecompose(dst []Sub, off, length int64) []Sub {
 	if err := l.Validate(); err != nil {
 		panic(err)
 	}
-	if length <= 0 {
-		return nil
-	}
-	var subs []Sub
+	first := len(dst)
 	pos := off
 	remaining := length
 	for remaining > 0 {
@@ -121,11 +126,11 @@ func (l Layout) Decompose(off, length int64) []Sub {
 		// server (happens when Servers == 1, or when a request wraps a
 		// full stripe and returns to the same server at the adjacent
 		// server-local offset).
-		if k := len(subs) - 1; k >= 0 && subs[k].Server == server &&
-			subs[k].ServerOff+subs[k].Length == serverOff {
-			subs[k].Length += n
+		if k := len(dst) - 1; k >= first && dst[k].Server == server &&
+			dst[k].ServerOff+dst[k].Length == serverOff {
+			dst[k].Length += n
 		} else {
-			subs = append(subs, Sub{
+			dst = append(dst, Sub{
 				Server:    server,
 				ServerOff: serverOff,
 				FileOff:   pos,
@@ -135,7 +140,7 @@ func (l Layout) Decompose(off, length int64) []Sub {
 		pos += n
 		remaining -= n
 	}
-	return subs
+	return dst
 }
 
 // DecomposeFlagged decomposes like Decompose and additionally applies the
@@ -144,27 +149,44 @@ func (l Layout) Decompose(off, length int64) []Sub {
 // is smaller than threshold bytes. Flagged subs carry the identifiers of
 // the servers holding their siblings.
 func (l Layout) DecomposeFlagged(off, length int64, threshold int64) []Sub {
-	subs := l.Decompose(off, length)
+	subs, _ := l.AppendDecomposeFlagged(nil, nil, off, length, threshold)
+	return subs
+}
+
+// AppendDecomposeFlagged is DecomposeFlagged appending the sub-requests
+// to dst and every fragment's sibling list to sibs; it returns both
+// grown buffers for the caller to reuse (pass dst[:0], sibs[:0]). Each
+// fragment's Siblings is a capacity-clipped window of sibs, so appending
+// to one never writes into another's; they stay valid until the caller
+// reuses sibs.
+func (l Layout) AppendDecomposeFlagged(dst []Sub, sibs []int, off, length int64, threshold int64) ([]Sub, []int) {
+	first := len(dst)
+	dst = l.AppendDecompose(dst, off, length)
+	subs := dst[first:]
 	if len(subs) < 2 {
-		return subs
+		return dst, sibs
 	}
-	servers := make([]int, len(subs))
-	for i, s := range subs {
-		servers[i] = s.Server
-	}
-	for i := range subs {
-		if subs[i].Length < threshold {
-			subs[i].Fragment = true
-			sib := make([]int, 0, len(subs)-1)
-			for j, srv := range servers {
-				if j != i {
-					sib = append(sib, srv)
-				}
-			}
-			subs[i].Siblings = sib
+	frags := 0
+	for _, s := range subs {
+		if s.Length < threshold {
+			frags++
 		}
 	}
-	return subs
+	sibs = slices.Grow(sibs, frags*(len(subs)-1))
+	for i := range subs {
+		if subs[i].Length >= threshold {
+			continue
+		}
+		subs[i].Fragment = true
+		from := len(sibs)
+		for j, s := range subs {
+			if j != i {
+				sibs = append(sibs, s.Server)
+			}
+		}
+		subs[i].Siblings = sibs[from:len(sibs):len(sibs)]
+	}
+	return dst, sibs
 }
 
 // Aligned reports whether the request [off, off+length) is aligned with

@@ -1,6 +1,7 @@
 package stripe
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -165,6 +166,75 @@ func TestDecomposeSubsWithinUnitBounds(t *testing.T) {
 		}
 		return true
 	}, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// equalSubs compares sub lists field by field (a nil and an empty
+// Siblings list are equal).
+func equalSubs(a, b []Sub) bool {
+	return slices.EqualFunc(a, b, func(x, y Sub) bool {
+		return x.Server == y.Server && x.ServerOff == y.ServerOff && x.FileOff == y.FileOff &&
+			x.Length == y.Length && x.Fragment == y.Fragment && slices.Equal(x.Siblings, y.Siblings)
+	})
+}
+
+// TestAppendDecomposeReusesDirtyBuffers: decomposing into buffers left
+// over from earlier requests — fragments, sibling lists and all — gives
+// exactly what Decompose and DecomposeFlagged give, leaves a kept prefix
+// untouched, and no fragment's Siblings shares room with another's.
+func TestAppendDecomposeReusesDirtyBuffers(t *testing.T) {
+	var dst []Sub
+	var sibs []int
+	if err := quick.Check(func(unit uint32, servers uint8, off, length, threshold int64, keep uint8, reuse bool) bool {
+		l := Layout{Unit: int64(unit)%(256*kb) + 1, Servers: int(servers)%16 + 1}
+		off = abs(off) % (64 << 20)
+		length = abs(length) % (2*l.Unit*int64(l.Servers) + l.Unit)
+		threshold = abs(threshold) % (2 * l.Unit)
+
+		// Reuse (the per-request pattern) restarts both buffers; append
+		// keeps a prefix of each, whose contents must survive.
+		k, j := 0, 0
+		if !reuse {
+			k, j = int(keep)%(len(dst)+1), len(sibs)
+		}
+		prefix := slices.Clone(dst[:k])
+		for i := range prefix {
+			prefix[i].Siblings = slices.Clone(prefix[i].Siblings)
+		}
+
+		plain := l.AppendDecompose(slices.Clone(dst[:k]), off, length)
+		if !equalSubs(plain[:k], prefix) || !equalSubs(plain[k:], l.Decompose(off, length)) {
+			t.Logf("AppendDecompose(%+v, %d, %d) = %v", l, off, length, plain[k:])
+			return false
+		}
+		// A kept sub that ends where the new request starts, on the
+		// same server, stays a separate sub.
+		before := l.Decompose(off-min(off, 512), min(off, 512))
+		joined := l.AppendDecompose(slices.Clone(before), off, length)
+		if !equalSubs(joined[:len(before)], before) || !equalSubs(joined[len(before):], l.Decompose(off, length)) {
+			t.Logf("AppendDecompose after %v = %v", before, joined)
+			return false
+		}
+
+		want := l.DecomposeFlagged(off, length, threshold)
+		dst, sibs = l.AppendDecomposeFlagged(dst[:k], sibs[:j], off, length, threshold)
+		if !equalSubs(dst[:k], prefix) || !equalSubs(dst[k:], want) {
+			t.Logf("AppendDecomposeFlagged(%+v, %d, %d, %d) = %v, want %v", l, off, length, threshold, dst[k:], want)
+			return false
+		}
+		for i := k; i < len(dst); i++ {
+			if !dst[i].Fragment {
+				continue
+			}
+			_ = append(dst[i].Siblings, -1)
+			if !equalSubs(dst[:k], prefix) || !equalSubs(dst[k:], want) {
+				t.Logf("appending to sub %d's Siblings changed another sub", i-k)
+				return false
+			}
+		}
+		return true
+	}, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
 	}
 }
