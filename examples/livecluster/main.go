@@ -252,7 +252,6 @@ func chaos(plan *faults.Plan, ops int, spansDir, storeKind string) {
 	client := pfsnet.NewIBridgeClient(ms.Addr(), 20*1024, 20*1024)
 	client.Obs = reg
 	client.Tracer = clientTracer
-	client.TrackLatency = true
 	client.FaultPlan = plan
 	client.FaultScope = "client"
 	client.Seed = plan.Seed()

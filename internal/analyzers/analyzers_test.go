@@ -71,7 +71,7 @@ func TestLockIO(t *testing.T) {
 }
 
 // TestBufOwn exercises the pooled-buffer ownership contract: uses
-// after putBuf / writeFrame / exchange / metaCall handoffs (including
+// after putBuf / writeFrame / call / metaCall handoffs (including
 // branch joins and loop-carried uses) versus capture-before-handoff,
 // rebinding, deferred release, terminating branches, and a documented
 // waiver.

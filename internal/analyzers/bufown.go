@@ -34,7 +34,6 @@ var BufOwn = &Analyzer{
 // the contract points documented in DESIGN §11.
 var bufOwnMethods = map[[2]string]int{
 	{"vecWriter", "writeFrame"}: 2,
-	{"conn", "exchange"}:        1,
 	{"conn", "call"}:            1,
 	{"Client", "metaCall"}:      1,
 }

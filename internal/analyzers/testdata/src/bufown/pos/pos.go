@@ -14,8 +14,7 @@ func (w *vecWriter) writeFrame(tag uint64, op byte, payload []byte) error { retu
 
 type conn struct{}
 
-func (c *conn) exchange(op byte, payload, dst []byte) ([]byte, int, error) { return nil, 0, nil }
-func (c *conn) call(op byte, payload []byte) ([]byte, error)               { return nil, nil }
+func (c *conn) call(op byte, payload []byte) ([]byte, error) { return nil, nil }
 
 type Client struct{}
 
@@ -36,12 +35,12 @@ func UseAfterWriteFrame(w *vecWriter, payload []byte) {
 	sink(payload[0]) // want `payload used after its ownership was handed to vecWriter\.writeFrame`
 }
 
-// UseAfterExchange reads the request buffer after the conn's writer
+// UseAfterCall reads the request buffer after the conn's writer
 // goroutine took it.
-func UseAfterExchange(c *conn, payload []byte) error {
-	_, _, err := c.exchange(3, payload, nil)
+func UseAfterCall(c *conn, payload []byte) error {
+	_, err := c.call(3, payload)
 	if err != nil {
-		sink(len(payload)) // want `payload used after its ownership was handed to conn\.exchange`
+		sink(len(payload)) // want `payload used after its ownership was handed to conn\.call`
 	}
 	return err
 }

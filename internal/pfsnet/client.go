@@ -9,6 +9,7 @@ import (
 	"io"
 	"math"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -23,31 +24,25 @@ import (
 // Client accesses a pfsnet file system: it asks the metadata server for
 // file placement, decomposes reads and writes into per-server
 // sub-requests (flagging fragments when a threshold is configured), and
-// issues the sub-requests concurrently over a small per-server
-// connection pool.
+// issues each server's sub-requests as one batch over the single
+// connection it keeps to that server, all servers concurrently.
 //
-// Every pooled connection is pipelined: a single writer goroutine drains
-// a send queue into a vectored writer — frame headers and small payloads
+// Every connection is pipelined: a single writer goroutine drains a
+// send queue into a vectored writer — frame headers and small payloads
 // packed into pooled arena chunks, large payloads referenced in place —
 // and submits each burst with one writev, while a single reader
 // goroutine demuxes tagged replies to the waiting callers (scattering
-// read data straight into the caller's buffer). Payload buffers follow
-// the wire ownership contract (DESIGN §11): the caller encodes into a
-// pooled buffer and hands it to the connection, which releases it
-// exactly once.
+// read data straight into the caller's buffer). Sharing the connection
+// is what lets the corked writer batch concurrent requests into single
+// writev submissions. Payload buffers follow the wire ownership
+// contract (DESIGN §11): the caller encodes into a pooled buffer and
+// hands it to the connection, which releases it exactly once.
 type Client struct {
 	metaAddr string
 	// FragmentThreshold enables iBridge client-side flagging when > 0.
 	FragmentThreshold int64
 	// RandomThreshold flags whole small requests as regular random.
 	RandomThreshold int64
-	// PoolSize is the number of connections kept per data server
-	// (default 1). With pipelining one connection multiplexes many
-	// requests, and sharing it lets the corked vectored writer batch
-	// concurrent sub-requests into single writev submissions — on small
-	// requests the syscall count, not bandwidth, is the bottleneck.
-	// Raising it can help very large transfers spread TCP windows.
-	PoolSize int
 	// Obs, when set before the first request, receives wire-level
 	// metrics under "pfsnet.client.*" (frames, bytes, in-flight depth,
 	// send-queue wait, writev batching) and the resilience metrics
@@ -61,11 +56,6 @@ type Client struct {
 	// a tracer no frame carries a context. Nil costs one pointer test per
 	// request.
 	Tracer *obs.XTracer
-	// TrackLatency arms the per-server windowed latency sketches even
-	// without a metrics registry, so LatencySnapshot works standalone
-	// and issue ordering, once load hints arm it, ranks servers by
-	// observed p95 rather than by hint alone.
-	TrackLatency bool
 	// SlowLog, when set before the first request, receives one JSON
 	// line per ReadAt/WriteAt whose latency exceeds the op class's
 	// sketch-derived p99 (after slowLogMinSamples observations warm the
@@ -80,12 +70,12 @@ type Client struct {
 	// pending reply may remain unanswered before the connection is
 	// declared dead with ErrDeadline. 0 disables I/O deadlines.
 	IOTimeout time.Duration
-	// RequestTimeout bounds one data sub-request across all retry
-	// attempts (0 = no bound beyond the per-attempt IOTimeout).
+	// RequestTimeout bounds one server's share of a request across all
+	// retry attempts (0 = no bound beyond the per-attempt IOTimeout).
 	RequestTimeout time.Duration
-	// MaxRetries is the number of additional attempts after a transport
-	// failure of an idempotent data sub-request. NewClient defaults it
-	// to 2; set -1 to disable retries.
+	// MaxRetries is the number of resends of a server's group of
+	// idempotent data sub-requests after transport failures. NewClient
+	// defaults it to 2; set -1 to disable retries.
 	MaxRetries int
 	// RetryBackoff is the base pause before the first retry; each
 	// further attempt doubles it up to RetryBackoffMax, plus
@@ -116,8 +106,7 @@ type Client struct {
 	wm       *wireMetrics
 	rm       *resilienceMetrics
 	meta     *conn
-	data     map[string][]*conn
-	next     map[string]int
+	data     map[string]*conn
 	breakers map[string]*breaker
 
 	// hintMu guards the T_i load-hint vector (server address → expected
@@ -147,7 +136,7 @@ const (
 
 var errConnClosed = errors.New("pfsnet: connection closed")
 
-// conn is one pooled connection. After the hello it runs a writer and a
+// conn is one client connection. After the hello it runs a writer and a
 // reader goroutine and multiplexes tagged calls.
 type conn struct {
 	nc        net.Conn
@@ -163,15 +152,15 @@ type conn struct {
 	failed  error // set once, under pendMu, when the conn dies
 }
 
-// wireCall is one in-flight tagged request. Batch submission links
-// calls through next: the chain is registered as a unit and the head
-// alone crosses the send queue, so a striped request costs one channel
-// operation and one flush however many sub-requests it fans into.
+// wireCall is one in-flight tagged request. start links calls through
+// next: the chain is registered as a unit and the head alone crosses
+// the send queue, so a server's group costs one channel operation and
+// one flush however many sub-requests it holds.
 type wireCall struct {
 	tag     uint64
 	op      byte
 	payload []byte    // pooled; owned by the conn once started
-	next    *wireCall // rest of a batch chain
+	next    *wireCall // rest of the chain
 	enq     time.Time // for the queue-wait metric; zero when obs is off
 	done    chan struct{}
 
@@ -269,7 +258,7 @@ func (c *conn) hello() error {
 	return err
 }
 
-// releaseChain returns every payload of a batch chain to the pool.
+// releaseChain returns every payload of a call chain to the pool.
 func releaseChain(w *wireCall) {
 	for ; w != nil; w = w.next {
 		putBuf(w.payload)
@@ -296,7 +285,7 @@ func drainSendq(sendq chan *wireCall) {
 // packed into arena chunks, large payloads referenced zero-copy) and
 // each burst goes to the kernel in a single writev when the queue runs
 // dry. The loop owns each queued call's payload (ownership transferred
-// at start/startBatch) and releases it exactly once — after the write,
+// at start) and releases it exactly once — after the write,
 // or on exit for calls still queued when the conn dies.
 func (c *conn) writeLoop() {
 	vw := newVecWriter(c.nc, c.wm)
@@ -482,87 +471,52 @@ func (c *conn) close() { c.kill(errConnClosed) }
 // exactly once, on every path. The pooled reply belongs to the caller,
 // who putBufs it once decoded.
 func (c *conn) call(op byte, payload []byte) ([]byte, error) {
-	reply, _, err := c.exchange(op, payload, nil, 0, 0)
+	w := &wireCall{op: op, payload: payload, done: make(chan struct{})}
+	c.start(w)
+	<-w.done
+	reply, _, err := finishCall(w)
 	return reply, err
 }
 
-// exchange is call with an optional scatter destination (a non-nil dst
-// asks for a successful read reply's data to land directly in dst, in
-// which case the reply is nil and the int result is the byte count) and
-// an optional trace context (tcID nonzero). It registers the call and
-// hands it (payload ownership included) to the writer; on a failed conn
-// the payload is released and the conn's terminal error returned.
-func (c *conn) exchange(op byte, payload, dst []byte, tcID, tcSpan uint64) ([]byte, int, error) {
-	w := &wireCall{op: op, payload: payload, scatter: dst, tcID: tcID, tcSpan: tcSpan, done: make(chan struct{})}
-	c.pendMu.Lock()
-	if c.failed != nil {
-		err := c.failed
-		c.pendMu.Unlock()
-		putBuf(w.payload)
-		w.payload = nil
-		return nil, 0, err
-	}
-	c.nextTag++
-	w.tag = c.nextTag
-	c.pending[w.tag] = w
-	n := len(c.pending)
-	c.pendMu.Unlock()
-	c.wm.setInflight(n)
-	if c.wm != nil {
-		w.enq = time.Now()
-	}
-	select {
-	case c.sendq <- w:
-		// The writer (or its exit drain) now owns w.payload.
-	case <-c.dead:
-		// kill covers every registered call, including this one; the
-		// payload never reached the writer.
-		putBuf(w.payload)
-		w.payload = nil
-	}
-	c.armReadDeadline()
-	<-w.done
-	return c.finishCall(w)
-}
-
-// startBatch registers a whole batch of calls and hands the chain to
+// start registers a chain of calls (linked through next) and hands it to
 // the writer through a single send-queue operation, so every frame of a
-// striped request lands in one corked flush. Ownership of every payload
-// transfers on entry, success or failure.
-func (c *conn) startBatch(calls []*wireCall) error {
+// server's group lands in one corked flush. Ownership of every payload
+// transfers on entry. Every call's done closes exactly once: on its
+// reply, or with the conn's terminal error — at once when the conn has
+// already failed.
+func (c *conn) start(head *wireCall) {
 	c.pendMu.Lock()
-	if c.failed != nil {
-		err := c.failed
+	if err := c.failed; err != nil {
 		c.pendMu.Unlock()
-		for _, w := range calls {
-			putBuf(w.payload)
-			w.payload = nil
+		releaseChain(head)
+		for w := head; w != nil; w = w.next {
+			w.err = err
+			close(w.done)
 		}
-		return err
+		return
 	}
 	var enq time.Time
 	if c.wm != nil {
 		enq = time.Now()
 	}
-	for i, w := range calls {
+	for w := head; w != nil; w = w.next {
 		c.nextTag++
 		w.tag = c.nextTag
 		w.enq = enq
 		c.pending[w.tag] = w
-		if i+1 < len(calls) {
-			w.next = calls[i+1]
-		}
 	}
 	n := len(c.pending)
 	c.pendMu.Unlock()
 	c.wm.setInflight(n)
 	select {
-	case c.sendq <- calls[0]:
+	case c.sendq <- head:
+		// The writer (or its exit drain) now owns the payloads.
 	case <-c.dead:
-		releaseChain(calls[0])
+		// kill covers every registered call; the payloads never reached
+		// the writer.
+		releaseChain(head)
 	}
 	c.armReadDeadline()
-	return nil
 }
 
 // armReadDeadline pushes the reader's deadline out to cover a freshly
@@ -575,7 +529,7 @@ func (c *conn) armReadDeadline() {
 }
 
 // finishCall maps a completed wireCall to (reply, scatteredBytes, error).
-func (c *conn) finishCall(w *wireCall) ([]byte, int, error) {
+func finishCall(w *wireCall) ([]byte, int, error) {
 	if w.err != nil {
 		return nil, 0, w.err
 	}
@@ -620,13 +574,11 @@ func (f *File) Layout() stripe.Layout { return f.layout }
 func NewClient(metaAddr string) *Client {
 	return &Client{
 		metaAddr:         metaAddr,
-		PoolSize:         1,
 		MaxRetries:       defaultMaxRetries,
 		RetryBackoff:     defaultRetryBackoff,
 		RetryBackoffMax:  defaultRetryBackoffMax,
 		BreakerThreshold: defaultBreakerThreshold,
-		data:             make(map[string][]*conn),
-		next:             make(map[string]int),
+		data:             make(map[string]*conn),
 		breakers:         make(map[string]*breaker),
 	}
 }
@@ -640,7 +592,7 @@ func NewIBridgeClient(metaAddr string, fragmentThreshold, randomThreshold int64)
 	return c
 }
 
-// Close closes all pooled connections. It always returns nil.
+// Close closes all connections. It always returns nil.
 func (c *Client) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -648,10 +600,8 @@ func (c *Client) Close() error {
 		c.meta.close()
 		c.meta = nil
 	}
-	for addr, pool := range c.data {
-		for _, cn := range pool {
-			cn.close()
-		}
+	for addr, cn := range c.data {
+		cn.close()
 		delete(c.data, addr)
 	}
 	return nil
@@ -733,16 +683,13 @@ func opClass(op byte) string {
 	}
 }
 
-// latArmed reports whether per-server latency sketches are on. Reads
-// fields set before the first request, so it is race-free unlocked.
-func (c *Client) latArmed() bool { return c.TrackLatency || c.Obs != nil }
-
 // sketchFor returns the windowed latency sketch for (addr, class),
-// creating it — and, when a registry is attached, its three quantile
-// gauges — on first use. Nil when latency tracking is off: the hot
-// path pays two pointer tests and nothing else.
+// creating it and its three quantile gauges on first use. Nil without
+// a registry (Obs is set before the first request, so reading it
+// unlocked is race-free): the hot path pays a pointer test and nothing
+// else.
 func (c *Client) sketchFor(addr, class string) *sketch.Sketch {
-	if !c.latArmed() {
+	if c.Obs == nil {
 		return nil
 	}
 	k := latKey{addr, class}
@@ -755,15 +702,13 @@ func (c *Client) sketchFor(addr, class string) *sketch.Sketch {
 	if sk == nil {
 		sk = sketch.New(0, 0)
 		c.sketches[k] = sk
-		if c.Obs != nil {
-			prefix := "pfsnet.client.server." + addr + "." + class + "."
-			for _, g := range []struct {
-				name string
-				q    float64
-			}{{"p50", 0.50}, {"p95", 0.95}, {"p99", 0.99}} {
-				q := g.q
-				c.Obs.RegisterFunc(prefix+g.name, func() float64 { return sk.Quantile(q) })
-			}
+		prefix := "pfsnet.client.server." + addr + "." + class + "."
+		for _, g := range []struct {
+			name string
+			q    float64
+		}{{"p50", 0.50}, {"p95", 0.95}, {"p99", 0.99}} {
+			q := g.q
+			c.Obs.RegisterFunc(prefix+g.name, func() float64 { return sk.Quantile(q) })
 		}
 	}
 	return sk
@@ -973,151 +918,165 @@ func (c *Client) metaConn() (*conn, error) {
 	return cn, nil
 }
 
-// dataConn returns a pooled connection to addr, dialling lazily and
-// rotating round-robin through the pool.
+// dataConn returns the connection to data server addr, dialling it
+// lazily outside the lock (the hello is a network round trip).
 func (c *Client) dataConn(addr string) (*conn, error) {
 	c.mu.Lock()
-	size := c.PoolSize
-	if size <= 0 {
-		size = 1
-	}
-	pool := c.data[addr]
-	if len(pool) >= size {
-		i := c.next[addr] % len(pool)
-		c.next[addr] = i + 1
-		cn := pool[i]
+	if cn := c.data[addr]; cn != nil {
 		c.mu.Unlock()
 		return cn, nil
 	}
 	wm := c.wireMetricsLocked()
 	c.mu.Unlock()
 	cn, err := dialConn(addr, c.dialOpts(wm))
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	pool = c.data[addr]
 	if err != nil {
-		if len(pool) > 0 {
-			return pool[0], nil // degrade to what we have
-		}
 		return nil, err
 	}
-	if len(pool) >= size { // lost a dial race and the pool filled up
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if have := c.data[addr]; have != nil { // lost a dial race; keep the winner
 		cn.close()
-		i := c.next[addr] % len(pool)
-		c.next[addr] = i + 1
-		return pool[i], nil
+		return have, nil
 	}
-	c.data[addr] = append(pool, cn)
+	c.data[addr] = cn
 	return cn, nil
 }
 
-// dropDataConn discards a broken pooled connection so the next call
-// redials.
+// dropDataConn discards a broken connection so the next attempt redials.
 func (c *Client) dropDataConn(addr string, cn *conn) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	pool := c.data[addr]
-	for i, have := range pool {
-		if have == cn {
-			cn.close()
-			c.data[addr] = append(pool[:i], pool[i+1:]...)
-			return
-		}
+	if c.data[addr] == cn {
+		delete(c.data, addr)
 	}
+	c.mu.Unlock()
+	cn.close()
 }
 
-// dataCall performs one request against a data server under the client's
-// resilience policy: up to MaxRetries additional attempts on transport
-// failures (read and write sub-requests are idempotent, so retries are
-// safe), bounded exponential backoff with deterministic jitter between
-// attempts, a RequestTimeout budget across the whole sequence, and a
-// per-server breaker that fails fast with ErrServerDown once addr has
-// accumulated consecutive transport failures. Server-reported (remote)
-// errors are never retried — the request reached the server, which also
-// proves the server alive, so they count as breaker successes.
+// dataReq is one request of a server's group. A read's reply data lands
+// in dst; any other request's pooled reply is left in reply, which the
+// caller owns and releases whatever send returns. done marks a request
+// answered (or refused by the server), so no later attempt resends it.
+type dataReq struct {
+	sub   stripe.Sub
+	dst   []byte
+	reply []byte
+	done  bool
+}
+
+// send issues one data server's group of requests — a lone request is a
+// group of one — under the client's resilience policy. Each attempt
+// registers every still-unanswered request as one chain on the server's
+// connection (one send-queue operation, one corked flush) and waits for
+// all of them. A transport failure drops the connection, backs off
+// (bounded exponential, deterministic jitter) and resends only the
+// requests it failed, up to MaxRetries resends within RequestTimeout;
+// read and write sub-requests are idempotent, so resending is safe.
+// Server-reported (remote) errors are never resent: the server
+// answered, which proves it alive. The breaker sees one outcome per
+// attempt, so while it is open one caller's whole group is the probe
+// and the other callers fail fast with ErrServerDown.
 //
-// encode builds the request payload; it runs once per attempt because
-// ownership of the encoded buffer transfers to the connection (DESIGN
-// §11), so a retry needs a fresh one. dst, when non-nil, enables the
-// scatter-read path of conn.exchange.
-func (c *Client) dataCall(addr string, op byte, encode func() []byte, dst []byte, pr *parentReq) ([]byte, int, error) {
+// encode builds a request's payload; it runs once per attempt because
+// ownership of the payload transfers to the connection (DESIGN §11), so
+// a resend needs a fresh one.
+func (c *Client) send(addr string, op byte, reqs []dataReq, encode func(stripe.Sub) []byte, pr *parentReq) error {
 	rm := c.resMetrics()
 	b := c.breakerFor(addr)
 	sk := c.sketchFor(addr, opClass(op))
-	retries := c.MaxRetries
-	if retries < 0 {
-		retries = 0
+	retries := max(c.MaxRetries, 0)
+	var start, deadline time.Time
+	if pr != nil || c.RequestTimeout > 0 {
+		start = time.Now()
 	}
-	var deadline time.Time
 	if c.RequestTimeout > 0 {
-		deadline = time.Now().Add(c.RequestTimeout)
+		deadline = start.Add(c.RequestTimeout)
 	}
-	var lastErr error
+	var tcID, tcSpan uint64
+	if pr != nil {
+		tcID, tcSpan = pr.trace, pr.span
+	}
+	var first, lastErr error // first remote or decode error; last transport failure
 	for attempt := 0; ; attempt++ {
 		probe, err := b.acquire(addr)
 		if err != nil {
 			rm.onFastFail()
-			return nil, 0, err
+			lastErr = err
+			break
 		}
 		var t0 time.Time
 		if sk != nil {
 			t0 = time.Now()
 		}
-		reply, n, err := c.tryDataCall(addr, op, encode, dst, pr)
+		cn, err := c.dataConn(addr)
 		if err == nil {
-			if sk != nil {
-				// One observation per successful attempt: what this server
-				// actually delivered, not the whole retry sequence.
-				sk.Observe(float64(time.Since(t0)) / 1e6)
+			var head *wireCall // the unanswered requests, in order
+			for i := len(reqs) - 1; i >= 0; i-- {
+				if !reqs[i].done {
+					head = &wireCall{op: op, payload: encode(reqs[i].sub), scatter: reqs[i].dst,
+						tcID: tcID, tcSpan: tcSpan, next: head, done: make(chan struct{})}
+				}
 			}
-			c.recordOutcome(b, rm, probe, true)
-			return reply, n, nil
+			cn.start(head)
+			for i, w := 0, head; w != nil; i++ {
+				if reqs[i].done {
+					continue
+				}
+				<-w.done
+				reply, n, cerr := finishCall(w)
+				w = w.next
+				if _, isRemote := cerr.(remoteError); cerr != nil && !isRemote {
+					err = cerr // transport failure: resend on the next attempt
+					continue
+				}
+				reqs[i].done = true
+				if cerr == nil && sk != nil {
+					sk.Observe(float64(time.Since(t0)) / 1e6)
+				}
+				if pr != nil {
+					pr.addFrag(addr, reqs[i].sub, time.Since(start), cerr)
+				}
+				if cerr == nil && reqs[i].dst != nil {
+					cerr = finishRead(reply, n, reqs[i].dst, reqs[i].sub.Length)
+				} else if cerr == nil {
+					reqs[i].reply = reply
+				}
+				if cerr != nil && first == nil {
+					first = cerr
+				}
+			}
+			if err != nil {
+				c.dropDataConn(addr, cn)
+			}
 		}
-		if _, isRemote := err.(remoteError); isRemote {
-			c.recordOutcome(b, rm, probe, true)
-			return nil, 0, err
+		c.recordOutcome(b, rm, probe, err == nil)
+		if err == nil {
+			return first
 		}
-		c.recordOutcome(b, rm, probe, false)
 		if errors.Is(err, ErrDeadline) {
 			rm.onDeadline()
 		}
 		lastErr = err
 		if attempt >= retries {
-			return nil, 0, lastErr
+			break
 		}
 		d := c.backoffDelay(attempt)
 		if !deadline.IsZero() && time.Now().Add(d).After(deadline) {
 			rm.onDeadline()
-			return nil, 0, fmt.Errorf("pfsnet: %s: request budget exhausted after %d attempts (%w): %v",
+			lastErr = fmt.Errorf("pfsnet: %s: request budget exhausted after %d attempts (%w): %v",
 				addr, attempt+1, ErrDeadline, lastErr)
+			break
 		}
 		rm.onRetry()
 		if d > 0 {
 			time.Sleep(d)
 		}
 	}
-}
-
-// tryDataCall is one attempt of a data request: take a pooled conn,
-// exchange, and drop the conn from the pool if the transport failed
-// under it so the next attempt redials.
-func (c *Client) tryDataCall(addr string, op byte, encode func() []byte, dst []byte, pr *parentReq) ([]byte, int, error) {
-	cn, err := c.dataConn(addr)
-	if err != nil {
-		return nil, 0, err
-	}
-	var tcID, tcSpan uint64
-	if pr != nil {
-		tcID, tcSpan = pr.trace, pr.span
-	}
-	reply, n, err := cn.exchange(op, encode(), dst, tcID, tcSpan)
-	if err != nil {
-		if _, isRemote := err.(remoteError); !isRemote {
-			c.dropDataConn(addr, cn)
+	for i := range reqs {
+		if pr != nil && !reqs[i].done {
+			pr.addFrag(addr, reqs[i].sub, time.Since(start), lastErr)
 		}
-		return nil, 0, err
 	}
-	return reply, n, nil
+	return lastErr
 }
 
 // recordOutcome feeds an attempt result to the breaker and keeps the
@@ -1295,171 +1254,49 @@ func encodeRead(f *File, sub stripe.Sub) []byte {
 	return e.b
 }
 
-// writeSub issues one write sub-request through the resilient path.
-func (c *Client) writeSub(f *File, off int64, p []byte, sub stripe.Sub, random bool, pr *parentReq) error {
-	addr := f.servers[sub.Server]
-	var t0 time.Time
-	if pr != nil {
-		t0 = time.Now()
-	}
-	reply, _, err := c.dataCall(addr, opWrite, func() []byte {
-		return encodeWrite(f, off, p, sub, random)
-	}, nil, pr)
-	putBuf(reply)
-	if pr != nil {
-		pr.addFrag(addr, sub, time.Since(t0), err)
-	}
-	return err
-}
-
-// writeSubs runs write sub-requests through the resilient per-sub path,
-// concurrently when there are several.
-func (c *Client) writeSubs(f *File, off int64, p []byte, subs []stripe.Sub, random bool, pr *parentReq) error {
-	if len(subs) == 1 {
-		return c.writeSub(f, off, p, subs[0], random, pr)
-	}
-	errs := make(chan error, len(subs))
-	for _, sub := range subs {
-		sub := sub
-		go func() {
-			errs <- c.writeSub(f, off, p, sub, random, pr)
-		}()
-	}
-	var first error
-	for range subs {
-		if err := <-errs; err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
-// batchConn returns a pipelined conn to addr for batch submission, with
-// addr's breaker. A nil conn means batching does not apply — breaker
-// open (the per-sub path owns the probe/fail-fast semantics) or dial
-// failure — and the caller falls back to per-sub calls.
-func (c *Client) batchConn(addr string) (*conn, *breaker) {
-	b := c.breakerFor(addr)
-	if b.isOpen() {
-		return nil, b
-	}
-	cn, err := c.dataConn(addr)
-	if err != nil {
-		return nil, b
-	}
-	return cn, b
-}
-
-// writeGroup issues one server's write sub-requests. On a pipelined
-// connection with a healthy breaker the whole group is registered as
-// one chain and flushed in a single vectored write; subs whose batched
-// attempt hit a transport failure are retried through the fully
-// resilient per-sub path.
-func (c *Client) writeGroup(f *File, off int64, p []byte, subs []stripe.Sub, random bool, pr *parentReq) error {
-	if len(subs) == 1 {
-		return c.writeSub(f, off, p, subs[0], random, pr)
-	}
-	addr := f.servers[subs[0].Server]
-	cn, b := c.batchConn(addr)
-	if cn == nil {
-		return c.writeSubs(f, off, p, subs, random, pr)
-	}
-	sk := c.sketchFor(addr, "write")
-	var tcID, tcSpan uint64
-	if pr != nil {
-		tcID, tcSpan = pr.trace, pr.span
-	}
-	calls := make([]*wireCall, len(subs))
-	for i, sub := range subs {
-		calls[i] = &wireCall{
-			op:      opWrite,
-			payload: encodeWrite(f, off, p, sub, random),
-			done:    make(chan struct{}),
-			tcID:    tcID,
-			tcSpan:  tcSpan,
-		}
-	}
-	var t0 time.Time
-	if sk != nil || pr != nil {
-		t0 = time.Now()
-	}
-	if err := cn.startBatch(calls); err != nil {
-		return c.writeSubs(f, off, p, subs, random, pr)
-	}
-	rm := c.resMetrics()
-	var retry []stripe.Sub
-	var first error
-	for i, w := range calls {
-		<-w.done
-		reply, _, err := cn.finishCall(w)
-		var el time.Duration
-		if sk != nil || pr != nil {
-			el = time.Since(t0)
-		}
-		if err == nil {
-			putBuf(reply)
-			if sk != nil {
-				sk.Observe(float64(el) / 1e6)
-			}
-			pr.addFrag(addr, subs[i], el, nil)
-			c.recordOutcome(b, rm, false, true)
-			continue
-		}
-		if _, isRemote := err.(remoteError); isRemote {
-			pr.addFrag(addr, subs[i], el, err)
-			c.recordOutcome(b, rm, false, true)
-			if first == nil {
-				first = err
-			}
-			continue
-		}
-		// Transport failure: the per-sub retry path records this sub's
-		// fragment timing, so don't double-count it here.
-		retry = append(retry, subs[i])
-	}
-	if len(retry) > 0 {
-		c.dropDataConn(addr, cn)
-		c.recordOutcome(b, rm, false, false)
-		if err := c.writeSubs(f, off, p, retry, random, pr); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
 // WriteAt writes p at offset off, striping it over the data servers. It
 // is synchronous: it returns once every data server has acknowledged its
-// sub-request. Each server's sub-requests go out as one batched flush;
-// servers proceed in parallel.
+// sub-requests.
 func (c *Client) WriteAt(f *File, off int64, p []byte) error {
-	if err := c.checkRange(f, off, int64(len(p))); err != nil {
+	if err := c.checkRange(f, off, int64(len(p))); err != nil || len(p) == 0 {
 		return err
 	}
-	if len(p) == 0 {
-		return nil
-	}
 	pr := c.startParent("WriteAt", "write")
-	err := c.writeAt(f, off, p, pr)
+	err := c.do(f, opWrite, off, p, pr)
 	c.finishParent(pr, off, int64(len(p)), err)
 	return err
 }
 
-func (c *Client) writeAt(f *File, off int64, p []byte, pr *parentReq) error {
-	random := c.RandomThreshold > 0 && int64(len(p)) < c.RandomThreshold
+// ReadAt reads len(p) bytes at offset off into p; the replies scatter
+// directly into p.
+func (c *Client) ReadAt(f *File, off int64, p []byte) error {
+	if err := c.checkRange(f, off, int64(len(p))); err != nil || len(p) == 0 {
+		return err
+	}
+	pr := c.startParent("ReadAt", "read")
+	err := c.do(f, opRead, off, p, pr)
+	c.finishParent(pr, off, int64(len(p)), err)
+	return err
+}
+
+// do fans one ReadAt/WriteAt out: the request splits into per-server
+// groups, each group goes to its server as one send, the servers
+// proceed in parallel, and the parent waits for every group.
+func (c *Client) do(f *File, op byte, off int64, p []byte, pr *parentReq) error {
+	random := op == opWrite && c.RandomThreshold > 0 && int64(len(p)) < c.RandomThreshold
 	subs := c.subs(f, off, int64(len(p)))
 	if len(subs) == 1 {
-		return c.writeSub(f, off, p, subs[0], random, pr)
+		return c.sendGroup(f, op, off, p, subs, random, pr)
 	}
 	groups := groupByServer(subs, len(f.servers))
 	if len(groups) == 1 {
-		return c.writeGroup(f, off, p, groups[0], random, pr)
+		return c.sendGroup(f, op, off, p, groups[0], random, pr)
 	}
-	c.orderGroups(f, groups, "write")
+	c.orderGroups(f, groups, opClass(op))
 	errs := make(chan error, len(groups))
 	for _, g := range groups {
-		g := g
 		go func() {
-			errs <- c.writeGroup(f, off, p, g, random, pr)
+			errs <- c.sendGroup(f, op, off, p, g, random, pr)
 		}()
 	}
 	var first error
@@ -1469,6 +1306,32 @@ func (c *Client) writeAt(f *File, off int64, p []byte, pr *parentReq) error {
 		}
 	}
 	return first
+}
+
+// sendGroup sends one server's sub-requests of the ReadAt/WriteAt of p
+// at off: read replies scatter into p, write acks are released.
+func (c *Client) sendGroup(f *File, op byte, off int64, p []byte, subs []stripe.Sub, random bool, pr *parentReq) error {
+	var buf [4]dataReq
+	reqs := slices.Grow(buf[:0], len(subs))
+	for _, sub := range subs {
+		r := dataReq{sub: sub}
+		if op == opRead {
+			r.dst = p[sub.FileOff-off : sub.FileOff-off+sub.Length]
+		}
+		reqs = append(reqs, r)
+	}
+	err := c.send(f.servers[subs[0].Server], op, reqs, func(sub stripe.Sub) []byte {
+		if op == opRead {
+			return encodeRead(f, sub)
+		}
+		return encodeWrite(f, off, p, sub, random)
+	}, pr)
+	for _, r := range reqs {
+		if r.reply != nil { // reads leave none; putBuf(nil) would still allocate
+			putBuf(r.reply)
+		}
+	}
+	return err
 }
 
 // finishRead validates a read result: either n bytes were already
@@ -1496,172 +1359,6 @@ func finishRead(reply []byte, n int, dst []byte, want int64) error {
 	return nil
 }
 
-// readSub issues one read sub-request through the resilient path,
-// scattering the reply directly into p on pipelined connections.
-func (c *Client) readSub(f *File, off int64, p []byte, sub stripe.Sub, pr *parentReq) error {
-	addr := f.servers[sub.Server]
-	dst := p[sub.FileOff-off : sub.FileOff-off+sub.Length]
-	var t0 time.Time
-	if pr != nil {
-		t0 = time.Now()
-	}
-	reply, n, err := c.dataCall(addr, opRead, func() []byte {
-		return encodeRead(f, sub)
-	}, dst, pr)
-	if pr != nil {
-		pr.addFrag(addr, sub, time.Since(t0), err)
-	}
-	if err != nil {
-		return err
-	}
-	return finishRead(reply, n, dst, sub.Length)
-}
-
-// readSubs runs read sub-requests through the resilient per-sub path,
-// concurrently when there are several.
-func (c *Client) readSubs(f *File, off int64, p []byte, subs []stripe.Sub, pr *parentReq) error {
-	if len(subs) == 1 {
-		return c.readSub(f, off, p, subs[0], pr)
-	}
-	errs := make(chan error, len(subs))
-	for _, sub := range subs {
-		sub := sub
-		go func() {
-			errs <- c.readSub(f, off, p, sub, pr)
-		}()
-	}
-	var first error
-	for range subs {
-		if err := <-errs; err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
-// readGroup issues one server's read sub-requests, batched over one
-// pipelined connection when possible (replies scatter straight into p);
-// subs whose batched attempt hit a transport failure are retried
-// through the fully resilient per-sub path.
-func (c *Client) readGroup(f *File, off int64, p []byte, subs []stripe.Sub, pr *parentReq) error {
-	if len(subs) == 1 {
-		return c.readSub(f, off, p, subs[0], pr)
-	}
-	addr := f.servers[subs[0].Server]
-	cn, b := c.batchConn(addr)
-	if cn == nil {
-		return c.readSubs(f, off, p, subs, pr)
-	}
-	sk := c.sketchFor(addr, "read")
-	var tcID, tcSpan uint64
-	if pr != nil {
-		tcID, tcSpan = pr.trace, pr.span
-	}
-	calls := make([]*wireCall, len(subs))
-	for i, sub := range subs {
-		calls[i] = &wireCall{
-			op:      opRead,
-			payload: encodeRead(f, sub),
-			scatter: p[sub.FileOff-off : sub.FileOff-off+sub.Length],
-			done:    make(chan struct{}),
-			tcID:    tcID,
-			tcSpan:  tcSpan,
-		}
-	}
-	var t0 time.Time
-	if sk != nil || pr != nil {
-		t0 = time.Now()
-	}
-	if err := cn.startBatch(calls); err != nil {
-		return c.readSubs(f, off, p, subs, pr)
-	}
-	rm := c.resMetrics()
-	var retry []stripe.Sub
-	var first error
-	for i, w := range calls {
-		sub := subs[i]
-		<-w.done
-		reply, n, err := cn.finishCall(w)
-		var el time.Duration
-		if sk != nil || pr != nil {
-			el = time.Since(t0)
-		}
-		if err != nil {
-			if _, isRemote := err.(remoteError); isRemote {
-				pr.addFrag(addr, sub, el, err)
-				c.recordOutcome(b, rm, false, true)
-				if first == nil {
-					first = err
-				}
-			} else {
-				// Transport failure: the per-sub retry path records this
-				// sub's fragment timing, so don't double-count it here.
-				retry = append(retry, sub)
-			}
-			continue
-		}
-		if sk != nil {
-			sk.Observe(float64(el) / 1e6)
-		}
-		pr.addFrag(addr, sub, el, nil)
-		c.recordOutcome(b, rm, false, true)
-		dst := p[sub.FileOff-off : sub.FileOff-off+sub.Length]
-		if err := finishRead(reply, n, dst, sub.Length); err != nil && first == nil {
-			first = err
-		}
-	}
-	if len(retry) > 0 {
-		c.dropDataConn(addr, cn)
-		c.recordOutcome(b, rm, false, false)
-		if err := c.readSubs(f, off, p, retry, pr); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
-// ReadAt reads len(p) bytes at offset off into p. Each server's
-// sub-requests go out as one batched flush and their replies scatter
-// directly into p; servers proceed in parallel.
-func (c *Client) ReadAt(f *File, off int64, p []byte) error {
-	if err := c.checkRange(f, off, int64(len(p))); err != nil {
-		return err
-	}
-	if len(p) == 0 {
-		return nil
-	}
-	pr := c.startParent("ReadAt", "read")
-	err := c.readAt(f, off, p, pr)
-	c.finishParent(pr, off, int64(len(p)), err)
-	return err
-}
-
-func (c *Client) readAt(f *File, off int64, p []byte, pr *parentReq) error {
-	subs := c.subs(f, off, int64(len(p)))
-	if len(subs) == 1 {
-		return c.readSub(f, off, p, subs[0], pr)
-	}
-	groups := groupByServer(subs, len(f.servers))
-	if len(groups) == 1 {
-		return c.readGroup(f, off, p, groups[0], pr)
-	}
-	c.orderGroups(f, groups, "read")
-	errs := make(chan error, len(groups))
-	for _, g := range groups {
-		g := g
-		go func() {
-			errs <- c.readGroup(f, off, p, g, pr)
-		}()
-	}
-	var first error
-	for range groups {
-		if err := <-errs; err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
 // Flush asks every data server to drain its fragment log for f back to
 // the object store (pass nil to flush everything on every server).
 // Returns the total bytes written back.
@@ -1685,17 +1382,18 @@ func (c *Client) Flush(f *File) (int64, error) {
 	}
 	var total int64
 	for _, addr := range servers {
-		reply, _, err := c.dataCall(addr, opFlush, func() []byte {
+		var req [1]dataReq
+		err := c.send(addr, opFlush, req[:], func(stripe.Sub) []byte {
 			e := newEnc()
 			e.u64(id)
 			return e.b
-		}, nil, nil)
+		}, nil)
 		if err != nil {
 			return total, err
 		}
-		d := dec{b: reply}
+		d := dec{b: req[0].reply}
 		total += d.i64()
-		putBuf(reply)
+		putBuf(req[0].reply)
 		if d.err != nil {
 			return total, d.err
 		}

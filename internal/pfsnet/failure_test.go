@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/stripe"
 )
 
 // TestClientSurvivesServerRestart kills a data server mid-session and
@@ -263,13 +265,13 @@ func TestRemoteErrorNotRetried(t *testing.T) {
 	}
 	readsBefore := ds.Stats().Reads
 	// A negative-length read triggers a server-side error exactly once.
-	_, _, err = c.dataCall(ds.Addr(), opRead, func() []byte {
+	err = c.send(ds.Addr(), opRead, make([]dataReq, 1), func(stripe.Sub) []byte {
 		var e enc
 		e.u64(1)
 		e.i64(0)
 		e.i64(-5)
 		return e.b
-	}, nil, nil)
+	}, nil)
 	if err == nil {
 		t.Fatal("bad read accepted")
 	}

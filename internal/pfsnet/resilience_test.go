@@ -11,16 +11,31 @@ import (
 	"repro/internal/obs"
 )
 
-// testCluster starts one data server and a metadata server over it and
-// returns a configured client plus the data server's address.
+// resilienceCluster starts one data server and a metadata server over it
+// and returns a configured client plus the servers.
 func resilienceCluster(t *testing.T, cfg ServerConfig, tune func(*Client)) (*Client, *DataServer, *MetaServer) {
 	t.Helper()
-	ds, err := NewDataServerConfig("127.0.0.1:0", cfg)
-	if err != nil {
-		t.Fatal(err)
+	c, dss, ms := stripedCluster(t, 1, cfg, tune)
+	return c, dss[0], ms
+}
+
+// stripedCluster starts n data servers striped at 64 KiB and a metadata
+// server over them, and returns a configured client plus the servers.
+// Every server gets cfg, so a cfg.Store would be shared among them.
+func stripedCluster(t *testing.T, n int, cfg ServerConfig, tune func(*Client)) (*Client, []*DataServer, *MetaServer) {
+	t.Helper()
+	var dss []*DataServer
+	var addrs []string
+	for i := 0; i < n; i++ {
+		ds, err := NewDataServerConfig("127.0.0.1:0", cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ds.Close() })
+		dss = append(dss, ds)
+		addrs = append(addrs, ds.Addr())
 	}
-	t.Cleanup(func() { ds.Close() })
-	ms, err := NewMetaServer("127.0.0.1:0", 64*1024, []string{ds.Addr()})
+	ms, err := NewMetaServer("127.0.0.1:0", 64*1024, addrs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +45,7 @@ func resilienceCluster(t *testing.T, cfg ServerConfig, tune func(*Client)) (*Cli
 		tune(c)
 	}
 	t.Cleanup(func() { c.Close() })
-	return c, ds, ms
+	return c, dss, ms
 }
 
 // TestBreakerStateMachine unit-tests the count-based breaker: it opens
@@ -171,46 +186,119 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 }
 
 // TestRetriesRecoverFromInjectedResets arms a connection-reset plan on
-// the client side: every reset kills a pooled connection mid-request,
-// and the retry loop must still deliver every byte.
+// the client side: every reset kills a client connection mid-request,
+// and the retry loop must still deliver every byte. With one server
+// each request is a lone sub-request; with two, 192 KiB requests give
+// the servers groups of two sub-requests, which a reset fails and the
+// retry resends as a group.
 func TestRetriesRecoverFromInjectedResets(t *testing.T) {
-	plan := faults.MustParse("seed=3; reset=1/6")
+	for _, tc := range []struct {
+		name    string
+		servers int
+		size    int
+	}{
+		{"1 server", 1, 4096},
+		{"2 servers striped", 2, 192 * 1024},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			plan := faults.MustParse("seed=3; reset=1/6")
+			reg := obs.NewRegistry()
+			plan.SetObs(reg)
+			c, _, _ := stripedCluster(t, tc.servers, ServerConfig{}, func(c *Client) {
+				c.FaultPlan = plan
+				c.MaxRetries = 4
+				c.RetryBackoff = time.Millisecond
+				c.Obs = reg
+			})
+			const rounds = 40
+			f, err := c.Create("resets", rounds*int64(tc.size))
+			if err != nil {
+				t.Fatal(err)
+			}
+			payload := make([]byte, tc.size)
+			for i := 0; i < rounds; i++ {
+				for j := range payload {
+					payload[j] = byte(i + j)
+				}
+				off := int64(i) * int64(tc.size)
+				if err := c.WriteAt(f, off, payload); err != nil {
+					t.Fatalf("write %d: %v", i, err)
+				}
+				got := make([]byte, len(payload))
+				if err := c.ReadAt(f, off, got); err != nil {
+					t.Fatalf("read %d: %v", i, err)
+				}
+				if !bytes.Equal(got, payload) {
+					t.Fatalf("round %d: data mismatch under resets", i)
+				}
+			}
+			if n := plan.Counts()["reset"]; n == 0 {
+				t.Fatal("plan injected no resets over 80 requests")
+			}
+			if v := reg.Counter("pfsnet.client.retries").Value(); v == 0 {
+				t.Fatal("no retries recorded despite injected resets")
+			}
+			if v := reg.Counter("faults.injected.reset").Value(); v != plan.Counts()["reset"] {
+				t.Fatalf("obs mirror %d != plan count %d", v, plan.Counts()["reset"])
+			}
+		})
+	}
+}
+
+// TestStripedProbeAfterRestart pins that an open breaker's probe is one
+// caller's whole group. Server 0 dies and fails enough writes to open
+// its breaker; after a restart on the same address, a 3-unit write
+// sends two sub-requests to server 0. Both ride the one probe attempt,
+// so the write succeeds and nothing fails fast.
+func TestStripedProbeAfterRestart(t *testing.T) {
 	reg := obs.NewRegistry()
-	plan.SetObs(reg)
-	c, _, _ := resilienceCluster(t, ServerConfig{}, func(c *Client) {
-		c.FaultPlan = plan
-		c.MaxRetries = 4
-		c.RetryBackoff = time.Millisecond
+	c, dss, _ := stripedCluster(t, 2, ServerConfig{}, func(c *Client) {
+		c.BreakerThreshold = 2
+		c.MaxRetries = -1
 		c.Obs = reg
 	})
-	f, err := c.Create("resets", 1<<20)
+	const unit = 64 * 1024
+	f, err := c.Create("probe", 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload := make([]byte, 4096)
-	for i := 0; i < 40; i++ {
-		for j := range payload {
-			payload[j] = byte(i + j)
-		}
-		if err := c.WriteAt(f, int64(i)*4096, payload); err != nil {
-			t.Fatalf("write %d: %v", i, err)
-		}
-		got := make([]byte, len(payload))
-		if err := c.ReadAt(f, int64(i)*4096, got); err != nil {
-			t.Fatalf("read %d: %v", i, err)
-		}
-		if !bytes.Equal(got, payload) {
-			t.Fatalf("round %d: data mismatch under resets", i)
+	addr := dss[0].Addr()
+	if err := dss[0].Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ { // unit 0 lives on server 0
+		if err := c.WriteAt(f, 0, []byte("down")); err == nil {
+			t.Fatalf("write %d against dead server succeeded", i)
 		}
 	}
-	if n := plan.Counts()["reset"]; n == 0 {
-		t.Fatal("plan injected no resets over 80 requests")
+	if !c.ServerDegraded(addr) {
+		t.Fatal("breaker did not open")
 	}
-	if v := reg.Counter("pfsnet.client.retries").Value(); v == 0 {
-		t.Fatal("no retries recorded despite injected resets")
+	ds, err := NewDataServerConfig(addr, ServerConfig{})
+	if err != nil {
+		t.Fatalf("restart on %s: %v", addr, err)
 	}
-	if v := reg.Counter("faults.injected.reset").Value(); v != plan.Counts()["reset"] {
-		t.Fatalf("obs mirror %d != plan count %d", v, plan.Counts()["reset"])
+	defer ds.Close()
+
+	payload := make([]byte, 3*unit) // units 0 and 2 on server 0, unit 1 on server 1
+	for i := range payload {
+		payload[i] = byte(i * 7)
+	}
+	if err := c.WriteAt(f, 0, payload); err != nil {
+		t.Fatalf("striped write after restart: %v", err)
+	}
+	if v := reg.Counter("pfsnet.client.breaker_fastfails").Value(); v != 0 {
+		t.Fatalf("breaker_fastfails = %d, want 0: the probe must carry the whole group", v)
+	}
+	if c.ServerDegraded(addr) {
+		t.Fatal("breaker still open after the successful probe")
+	}
+	got := make([]byte, len(payload))
+	if err := c.ReadAt(f, 0, got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, payload) {
+		t.Fatal("striped write did not read back exactly")
 	}
 }
 

@@ -187,7 +187,7 @@ func TestLatencySketchSeparation(t *testing.T) {
 	}
 	defer ms.Close()
 	c := NewClient(ms.Addr())
-	c.TrackLatency = true
+	c.Obs = obs.NewRegistry()
 	defer c.Close()
 
 	f, err := c.Create("skew", 1<<20)
@@ -274,7 +274,7 @@ func TestTraceNilPathAllocs(t *testing.T) {
 		pr.addFrag("x", stripe.Sub{}, 0, nil)
 		c.finishParent(pr, 0, 0, nil)
 		if c.sketchFor("x", "read") != nil {
-			t.Fatal("sketchFor armed without a registry or TrackLatency")
+			t.Fatal("sketchFor armed without a registry")
 		}
 	})
 	if allocs != 0 {

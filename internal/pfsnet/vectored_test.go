@@ -204,7 +204,7 @@ func TestV2HotPathAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	const maxWrite, maxRead = 20, 20
+	const maxWrite, maxRead = 15, 15
 	if writeAllocs > maxWrite {
 		t.Errorf("v2 write path: %.1f allocs/op, want <= %d", writeAllocs, maxWrite)
 	}

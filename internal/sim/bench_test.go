@@ -7,10 +7,29 @@ import "testing"
 // 4-ary heap, same-instant fast path): run them before and after any
 // engine change.
 
+// An engineLoad builds an engine that, when Run, performs n operations
+// of one hot path, and returns it with a func reporting the events the
+// run processed.
+type engineLoad func(n int) (e *Engine, events func() int)
+
+// benchEngine runs load at b.N operations and reports events per host
+// second.
+func benchEngine(b *testing.B, load engineLoad) {
+	e, events := load(b.N)
+	b.ResetTimer()
+	if err := e.Run(); err != nil {
+		b.Fatal(err)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(events())/b.Elapsed().Seconds(), "events/sec")
+}
+
 // BenchmarkEngineTimerWheel stresses the timer path: a single chain of
 // After callbacks, each rescheduling itself at a later instant, plus a
 // background population of pending timers so the heap has depth.
-func BenchmarkEngineTimerWheel(b *testing.B) {
+func BenchmarkEngineTimerWheel(b *testing.B) { benchEngine(b, timerWheel) }
+
+func timerWheel(ops int) (*Engine, func() int) {
 	const pending = 1024
 	e := New()
 	// Background timers far in the future give the heap realistic depth.
@@ -21,25 +40,22 @@ func BenchmarkEngineTimerWheel(b *testing.B) {
 	var tick func()
 	tick = func() {
 		n++
-		if n < b.N {
+		if n < ops {
 			e.After(Microsecond, tick)
 		} else {
 			e.Halt()
 		}
 	}
-	b.ResetTimer()
 	e.After(Microsecond, tick)
-	if err := e.Run(); err != nil {
-		b.Fatal(err)
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(n)/b.Elapsed().Seconds(), "events/sec")
+	return e, func() int { return n }
 }
 
 // BenchmarkEngineProcPingPong measures the process-resume handoff: two
 // processes alternately waking each other at the current instant, the
 // pattern underlying every queue push/pop pair in the cluster.
-func BenchmarkEngineProcPingPong(b *testing.B) {
+func BenchmarkEngineProcPingPong(b *testing.B) { benchEngine(b, procPingPong) }
+
+func procPingPong(ops int) (*Engine, func() int) {
 	e := New()
 	var ping, pong *Proc
 	rounds := 0
@@ -54,72 +70,75 @@ func BenchmarkEngineProcPingPong(b *testing.B) {
 	})
 	e.Go("ping", func(p *Proc) {
 		ping = p
-		for rounds < b.N {
+		for rounds < ops {
 			rounds++
 			e.Wake(pong)
 			p.Block()
 		}
 		e.Halt()
 	})
-	b.ResetTimer()
-	if err := e.Run(); err != nil {
-		b.Fatal(err)
-	}
-	b.StopTimer()
 	// Each round is two wakes and two resumes: four events.
-	b.ReportMetric(float64(4*rounds)/b.Elapsed().Seconds(), "events/sec")
+	return e, func() int { return 4 * rounds }
 }
 
 // BenchmarkEnginePoll measures an anticipation-style poll: one process
 // polls every microsecond for a predicate that turns true four ticks
 // later, the shape of the CFQ idle window. Each op is four inline
 // predicate evaluations and one resume.
-func BenchmarkEnginePoll(b *testing.B) {
+func BenchmarkEnginePoll(b *testing.B) { benchEngine(b, enginePoll) }
+
+func enginePoll(ops int) (*Engine, func() int) {
 	const ticks = 4
 	e := New()
 	var deadline Time
 	due := func() bool { return e.Now() >= deadline }
 	polls := 0
 	e.Go("poller", func(p *Proc) {
-		for polls < b.N {
+		for polls < ops {
 			polls++
 			deadline = p.Now().Add(ticks * Microsecond)
 			p.Poll(Microsecond, due)
 		}
 		e.Halt()
 	})
-	b.ResetTimer()
-	if err := e.Run(); err != nil {
-		b.Fatal(err)
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(ticks*polls)/b.Elapsed().Seconds(), "events/sec")
+	return e, func() int { return ticks * polls }
 }
 
 // TestEngineHotPathAllocFree is the alloc regression guard for the
 // zero-cost-when-off observability contract: with no probe installed the
 // event loop must not allocate per event, and neither may a process
-// switch — Sleep (many-procs), Wake/Block (ping-pong), Yield or Poll. It runs
-// the benchmarks through testing.Benchmark and fails on any reported
-// allocation.
+// switch — Sleep (many-procs), Wake/Block (ping-pong), Yield or Poll. It
+// runs each benchmark's load at a fixed operation count and fails on any
+// allocation per operation (mallocs over the run divided by the count,
+// rounded down as testing.B reports it).
 func TestEngineHotPathAllocFree(t *testing.T) {
-	if testing.Short() {
-		t.Skip("benchmark-backed; skipped in -short")
-	}
-	for _, bm := range []struct {
+	const ops = 1 << 14
+	for _, l := range []struct {
 		name string
-		fn   func(*testing.B)
+		load engineLoad
 	}{
-		{"TimerWheel", BenchmarkEngineTimerWheel},
-		{"ManyProcs", BenchmarkEngineManyProcs},
-		{"ProcPingPong", BenchmarkEngineProcPingPong},
-		{"Yield", BenchmarkEngineYield},
-		{"Poll", BenchmarkEnginePoll},
+		{"TimerWheel", timerWheel},
+		{"ManyProcs", manyProcs},
+		{"ProcPingPong", procPingPong},
+		{"Yield", engineYield},
+		{"Poll", enginePoll},
 	} {
-		res := testing.Benchmark(bm.fn)
-		if allocs := res.AllocsPerOp(); allocs != 0 {
+		// AllocsPerRun makes one warm-up run before the measured one, and
+		// an engine runs once, so build both up front.
+		var runs [2]*Engine
+		for i := range runs {
+			runs[i], _ = l.load(ops)
+		}
+		next := 0
+		mallocs := testing.AllocsPerRun(1, func() {
+			if err := runs[next].Run(); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		})
+		if perOp := int(mallocs) / ops; perOp != 0 {
 			t.Errorf("%s: %d allocs/op, want 0 (engine hot path must stay allocation-free with observability off)",
-				bm.name, allocs)
+				l.name, perOp)
 		}
 	}
 }
@@ -127,12 +146,14 @@ func TestEngineHotPathAllocFree(t *testing.T) {
 // BenchmarkEngineManyProcs measures heap-ordered resume with a realistic
 // process population: 256 processes sleeping deterministic pseudo-random
 // durations, as the cluster's rank/handler/daemon mix does.
-func BenchmarkEngineManyProcs(b *testing.B) {
+func BenchmarkEngineManyProcs(b *testing.B) { benchEngine(b, manyProcs) }
+
+func manyProcs(ops int) (*Engine, func() int) {
 	const procs = 256
 	e := New()
 	rng := NewRNG(1)
 	total := 0
-	perProc := b.N/procs + 1
+	perProc := ops/procs + 1
 	for i := 0; i < procs; i++ {
 		r := rng.Fork()
 		e.Go("p", func(p *Proc) {
@@ -142,21 +163,18 @@ func BenchmarkEngineManyProcs(b *testing.B) {
 			}
 		})
 	}
-	b.ResetTimer()
-	if err := e.Run(); err != nil {
-		b.Fatal(err)
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "events/sec")
+	return e, func() int { return total }
 }
 
 // BenchmarkEngineYield measures the same-instant switch: four processes
 // yielding to each other in turn, every resume through the now-ring.
-func BenchmarkEngineYield(b *testing.B) {
+func BenchmarkEngineYield(b *testing.B) { benchEngine(b, engineYield) }
+
+func engineYield(ops int) (*Engine, func() int) {
 	const procs = 4
 	e := New()
 	total := 0
-	perProc := b.N/procs + 1
+	perProc := ops/procs + 1
 	for i := 0; i < procs; i++ {
 		e.Go("y", func(p *Proc) {
 			for j := 0; j < perProc; j++ {
@@ -165,10 +183,5 @@ func BenchmarkEngineYield(b *testing.B) {
 			}
 		})
 	}
-	b.ResetTimer()
-	if err := e.Run(); err != nil {
-		b.Fatal(err)
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "events/sec")
+	return e, func() int { return total }
 }
