@@ -58,9 +58,10 @@ lint:
 		echo "lint: govulncheck not installed; run 'make lint-tools' to install $(GOVULNCHECK_VERSION); skipping"; \
 	fi
 
-# Quick engine hot-path numbers (events/sec, allocs/op).
+# Quick hot-path numbers: the engine (events/sec, allocs/op) and the
+# cache table's per-tick cost at 1,000 and 10,000 entries.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkEngine' -benchmem ./internal/sim/
+	$(GO) test -run '^$$' -bench 'BenchmarkEngine|BenchmarkDirtyAccounting' -benchmem ./internal/sim/ ./internal/core/
 
 # Chaos gate: the live TCP cluster under a canned fault plan (one server
 # crash+restart plus 1% connection resets) must complete with every byte

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/device"
+	"repro/internal/extent"
 	"repro/internal/hdd"
 	"repro/internal/iosched"
 	"repro/internal/obs"
@@ -27,14 +28,8 @@ type Bridge struct {
 	trk  *tracker
 	exch *Exchange
 
-	table extentMap
-	lru   [2]lruList
-	usage [2]int64 // cached sectors per class
-	// Running sums of recorded return values over cached entries, for
-	// the dynamic partition (averages per class).
-	retSum [2]float64
-	retCnt [2]int64
-	alloc  *logAlloc
+	table *table
+	alloc *logAlloc
 
 	stage []stageItem
 
@@ -97,6 +92,7 @@ func NewBridge(e *sim.Engine, cfg Config, serverID int, disk *hdd.Disk, diskQ, s
 		exch:   exch,
 		alloc:  newLogAlloc(cfg.SSDCapacity/device.SectorSize, cfg.LogStructured, rng),
 	}
+	b.table = newTable(b.alloc)
 	if exch != nil {
 		exch.Register(b)
 	}
@@ -112,7 +108,7 @@ func (b *Bridge) Stats() *Stats { return &b.stats }
 
 // Usage returns the cache occupancy in bytes per class.
 func (b *Bridge) Usage() (random, fragment int64) {
-	return b.usage[ClassRandom] * device.SectorSize, b.usage[ClassFragment] * device.SectorSize
+	return b.table.usage[ClassRandom] * device.SectorSize, b.table.usage[ClassFragment] * device.SectorSize
 }
 
 // allocFor returns the partition size in sectors for the given class:
@@ -124,8 +120,8 @@ func (b *Bridge) allocFor(c Class) int64 {
 	if b.cfg.DynamicPartition {
 		avg := [2]float64{}
 		for i := range avg {
-			if b.retCnt[i] > 0 {
-				avg[i] = b.retSum[i] / float64(b.retCnt[i])
+			if n := b.table.retCnt[i]; n > 0 {
+				avg[i] = b.table.retSum[i] / float64(n)
 			}
 		}
 		switch {
@@ -198,9 +194,11 @@ func (b *Bridge) Serve(p *sim.Proc, r *pfs.IORequest) {
 func (b *Bridge) serveRead(p *sim.Proc, r *pfs.IORequest) {
 	// Cache lookup: fully covered reads are served from the SSD.
 	if segs, ok := b.table.covered(r.LBN, r.Sectors); ok && !b.ssdFailed {
-		for _, s := range segs {
-			b.ssdQ.Submit(p, device.Request{Op: device.Read, LBN: s.ssdLBN, Sectors: s.n})
-			b.lru[s.e.class].touch(s.e)
+		for _, x := range segs {
+			b.ssdQ.Submit(p, device.Request{Op: device.Read, LBN: x.Pos, Sectors: x.N})
+			if e := b.table.entries[x.Seg]; e != nil { // not gone during the read
+				b.table.lru[e.class].touch(e)
+			}
 		}
 		b.stats.Hits++
 		b.stats.SSDReadBytes += r.Bytes
@@ -218,8 +216,8 @@ func (b *Bridge) serveRead(p *sim.Proc, r *pfs.IORequest) {
 		b.m.Misses.Inc()
 	}
 	// Any dirty cached pieces must come from the SSD even on a miss.
-	for _, s := range b.table.dirtyOverlaps(r.LBN, r.Sectors) {
-		b.ssdQ.Submit(p, device.Request{Op: device.Read, LBN: s.ssdLBN, Sectors: s.n})
+	for _, x := range b.table.dirtyOverlaps(r.LBN, r.Sectors) {
+		b.ssdQ.Submit(p, device.Request{Op: device.Read, LBN: x.Pos, Sectors: x.N})
 	}
 	candidate := (r.Fragment || r.Random) && !b.ssdFailed
 	var ret, boost float64
@@ -302,24 +300,19 @@ func (b *Bridge) writeToSSD(p *sim.Proc, r *pfs.IORequest, ret float64, c Class)
 	b.ssdQ.Submit(p, device.Request{Op: device.Write, LBN: at, Sectors: need})
 	// The mapping covers the data sectors only; the journalled table
 	// record (if any) is allocator overhead owned by the entry's span.
-	e := &entry{lbn: r.LBN, sectors: r.Sectors, ssdLBN: at, dirty: true, class: c, ret: ret}
-	e.spanAt, e.spanN = at, need
-	b.admit(e)
+	// Admissions of the range that landed during the write are older
+	// than this one: the insert supersedes them.
+	b.admit(&entry{lbn: r.LBN, sectors: r.Sectors, dirty: true, class: c, ret: ret, spanAt: at, spanN: need})
 	return true
 }
 
-// admit links a fully initialized entry into the table, LRU list, and
-// accounting, journalling the mapping (the paper's immediate table
-// persistence).
+// admit links a fully initialized entry into the table and accounting,
+// journalling the mapping (the paper's immediate table persistence).
 func (b *Bridge) admit(e *entry) {
-	b.journal.insert(e)
 	b.table.insert(e)
-	b.lru[e.class].pushMRU(e)
-	b.usage[e.class] += e.sectors
-	b.retSum[e.class] += e.ret
-	b.retCnt[e.class]++
+	b.journal.insert(e)
 	b.stats.Admissions[e.class]++
-	u := (b.usage[0] + b.usage[1]) * device.SectorSize
+	u := (b.table.usage[0] + b.table.usage[1]) * device.SectorSize
 	if u > b.stats.PeakUsage {
 		b.stats.PeakUsage = u
 	}
@@ -335,84 +328,53 @@ func (b *Bridge) makeRoom(p *sim.Proc, c Class, need int64) bool {
 	if need > limit {
 		return false
 	}
-	for b.usage[c]+need > limit {
-		victim := b.lru[c].head
+	for b.table.usage[c]+need > limit {
+		victim := b.table.lru[c].head
 		if victim == nil {
 			return false
 		}
 		if victim.dirty {
 			b.writebackEntry(p, victim)
 		}
-		b.dropEntry(victim)
-		b.stats.Evictions++
-		if b.m != nil {
-			b.m.Evictions.Inc()
+		// A write during the writeback may have superseded the victim.
+		if b.table.evict(victim) {
+			b.journal.mark(jEvict, victim)
+			b.stats.Evictions++
+			if b.m != nil {
+				b.m.Evictions.Inc()
+			}
 		}
 	}
 	return true
 }
 
 // invalidate punches [lbn, lbn+sectors) out of the cache, dropping
-// superseded data without writeback.
+// superseded data without writeback. Trimmed entries keep their whole
+// allocator span until their last sector goes; the usage counters govern
+// partition pressure.
 func (b *Bridge) invalidate(lbn, sectors int64) {
-	// Only journal drops that touch existing mappings.
-	if lo, hi := b.table.overlapRange(lbn, sectors); hi > lo {
+	if b.table.punch(lbn, sectors) {
 		b.journal.drop(lbn, sectors)
 	}
-	out := b.table.punch(lbn, sectors, func(e *entry) {
-		// A split created a new right-hand entry: link it and account
-		// for it. Its span bookkeeping stays with the original entry's
-		// allocator span, so mark it spanless.
-		b.lru[e.class].pushMRU(e)
-		b.usage[e.class] += e.sectors
-		b.retSum[e.class] += e.ret
-		b.retCnt[e.class]++
-	})
-	for _, e := range out.removed {
-		b.lru[e.class].remove(e)
-		b.usage[e.class] -= e.sectors
-		b.retSum[e.class] -= e.ret
-		b.retCnt[e.class]--
-		if e.spanN > 0 {
-			b.alloc.release(e.spanAt, e.spanN)
-			e.spanN = 0
-		}
-	}
-	for cls, n := range out.freedSectors {
-		b.usage[cls] -= n
-	}
-	// Note: trimmed portions of surviving entries keep their allocator
-	// span until the whole entry is dropped; the usage counters above
-	// govern partition pressure.
 }
 
-// dropEntry removes e from the table, LRU, and accounting, releasing its
-// allocator span.
-func (b *Bridge) dropEntry(e *entry) {
-	b.journal.drop(e.lbn, e.sectors)
-	if i := b.table.indexOf(e); i >= 0 {
-		b.table.removeAt(i)
-	}
-	b.lru[e.class].remove(e)
-	b.usage[e.class] -= e.sectors
-	b.retSum[e.class] -= e.ret
-	b.retCnt[e.class]--
-	if e.spanN > 0 {
-		b.alloc.release(e.spanAt, e.spanN)
-		e.spanN = 0
-	}
-}
-
-// writebackEntry copies one dirty extent from the SSD back to the disk
-// (SSD read + disk write) and marks it clean. Writeback traffic does not
-// update the tracker: the paper's T averages over requests *arriving* at
-// the server, not the internal cache maintenance.
+// writebackEntry copies the live pieces of one dirty entry from the SSD
+// back to the disk (SSD read + disk write each) and marks it clean.
+// Writeback traffic does not update the tracker: the paper's T averages
+// over requests *arriving* at the server, not the internal cache
+// maintenance.
 func (b *Bridge) writebackEntry(p *sim.Proc, e *entry) {
-	b.ssdQ.Submit(p, device.Request{Op: device.Read, LBN: e.ssdLBN, Sectors: e.sectors})
-	b.diskQ.Submit(p, device.Request{Op: device.Write, LBN: e.lbn, Sectors: e.sectors})
-	b.table.markClean(e)
-	b.journal.clean(e)
-	b.stats.WritebackBytes += e.sectors * device.SectorSize
+	// Not the table's buffer: evictions made while the Submits below
+	// block reuse it.
+	var buf [2]extent.Extent
+	for _, x := range b.table.livePieces(e, buf[:0]) {
+		b.ssdQ.Submit(p, device.Request{Op: device.Read, LBN: x.Pos, Sectors: x.N})
+		b.diskQ.Submit(p, device.Request{Op: device.Write, LBN: x.Off, Sectors: x.N})
+		b.stats.WritebackBytes += x.N * device.SectorSize
+	}
+	if b.table.markClean(e) {
+		b.journal.mark(jClean, e)
+	}
 	if b.m != nil {
 		b.m.Writebacks.Inc()
 	}
@@ -482,9 +444,13 @@ func (b *Bridge) stageOne(p *sim.Proc, it stageItem) {
 		return
 	}
 	b.ssdQ.Submit(p, device.Request{Op: device.Write, LBN: at, Sectors: need})
-	e := &entry{lbn: it.lbn, sectors: it.sectors, ssdLBN: at, class: it.class, ret: it.ret}
-	e.spanAt, e.spanN = at, need
-	b.admit(e)
+	if len(b.table.dirtyOverlaps(it.lbn, it.sectors)) > 0 {
+		// A write admitted during the staging write is newer than the
+		// staged data; the insert must not supersede it.
+		b.alloc.release(at, need)
+		return
+	}
+	b.admit(&entry{lbn: it.lbn, sectors: it.sectors, class: it.class, ret: it.ret, spanAt: at, spanN: need})
 	b.stats.StagedBytes += it.sectors * device.SectorSize
 	if b.m != nil {
 		b.m.Stages.Inc()
@@ -536,8 +502,10 @@ func (b *Bridge) FailSSD(p *sim.Proc) {
 		return
 	}
 	b.Flush(p)
-	for len(b.table.entries) > 0 {
-		b.dropEntry(b.table.entries[0])
+	for len(b.table.list) > 0 {
+		e := b.table.entries[b.table.list[0].Seg]
+		b.table.evict(e)
+		b.journal.mark(jEvict, e)
 	}
 	b.stage = b.stage[:0]
 	b.ssdFailed = true

@@ -302,10 +302,10 @@ func TestDynamicPartitionFollowsReturns(t *testing.T) {
 		driveT(p, b)
 		// Admit fragments with large recorded returns by hand-tuning
 		// the accounting, then check allocFor.
-		b.retSum[ClassFragment] = 0.9
-		b.retCnt[ClassFragment] = 1
-		b.retSum[ClassRandom] = 0.1
-		b.retCnt[ClassRandom] = 1
+		b.table.retSum[ClassFragment] = 0.9
+		b.table.retCnt[ClassFragment] = 1
+		b.table.retSum[ClassRandom] = 0.1
+		b.table.retCnt[ClassRandom] = 1
 		fragAlloc := b.allocFor(ClassFragment)
 		randAlloc := b.allocFor(ClassRandom)
 		if fragAlloc <= randAlloc {

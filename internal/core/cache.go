@@ -4,31 +4,27 @@ import (
 	"math"
 	"sort"
 
+	"repro/internal/extent"
 	"repro/internal/sim"
 )
 
-// entry is one cached disk extent: a contiguous sector range of the disk
-// mirrored at a location in the SSD cache region.
+// entry is one admission into the SSD cache: a disk extent written (or
+// staged) to the SSD log in one piece. Later overwrites trim or split
+// its mapping; it stays cached while any of its sectors is still mapped.
 type entry struct {
-	lbn     int64 // first disk sector
+	id      uint64 // Seg of its extents in the table
+	lbn     int64  // admitted disk range [lbn, lbn+sectors)
 	sectors int64
-	ssdLBN  int64 // first sector in the SSD cache region
+	live    int64 // sectors of the range still mapped to it
 	dirty   bool
-	// mapped is true while the entry is in the extent map. indexOf
-	// cannot answer that: admissions that overlap in virtual time can
-	// leave two entries at one lbn, and it finds only the first.
-	mapped bool
-	class  Class
-	ret    float64 // recorded return value at admission
-	// spanAt/spanN record the allocator span this entry owns (the data
-	// plus any journalled table record); split remnants own no span —
-	// the original left-hand entry keeps it until fully dropped.
+	class   Class
+	ret     float64 // recorded return value at admission
+	// spanAt/spanN record the allocator span the entry owns: its data
+	// at spanAt, plus any journalled table record.
 	spanAt, spanN int64
 	// LRU links (nil-terminated, per class).
 	prev, next *entry
 }
-
-func (e *entry) end() int64 { return e.lbn + e.sectors }
 
 // lruList is an intrusive doubly-linked LRU list; head is least recently
 // used, tail most recently used.
@@ -152,213 +148,159 @@ func (a *logAlloc) release(at, n int64) {
 // Used returns allocated sectors.
 func (a *logAlloc) Used() int64 { return a.used }
 
-// extentMap is the iBridge mapping table: an ordered set of
-// non-overlapping cached disk extents, supporting coverage queries for
-// reads and punch-out (with splitting) for overwrites.
-type extentMap struct {
-	entries []*entry // sorted by lbn, non-overlapping
-	// dirtySectors is the sum of sectors over dirty entries, kept current
-	// at every transition (insert, removal, trim, split, markClean) so
-	// dirty-pressure checks cost nothing per entry.
+// table is the iBridge mapping table: one extent.List from disk sectors
+// to SSD sectors (Off and N in sectors, Seg the owning entry's id, Pos
+// its SSD sector), the entries it names, their per-class LRU lists, and
+// the running totals partition and dirty pressure read. The list's dead
+// callback keeps the totals current and lets an entry go with its last
+// mapped sector, so an insert supersedes whatever it overlaps and a trim
+// or split needs no case analysis here.
+type table struct {
+	list    extent.List
+	entries map[uint64]*entry
+	lastID  uint64
+	lru     [2]lruList
+	usage   [2]int64 // mapped sectors per class
+	// Running sums of recorded return values over cached entries, for
+	// the dynamic partition (averages per class).
+	retSum [2]float64
+	retCnt [2]int64
+	// dirtySectors is the sum of mapped sectors over dirty entries.
 	dirtySectors int64
-	// dirtyFrom is a lower bound on the lbn of every dirty entry: the
-	// place firstDirty resumes from. A dirty insert lowers it;
-	// firstDirty raises it to what it found.
+	// dirtyFrom is a lower bound on the disk sector of every dirty
+	// extent: the place firstDirty resumes from. A dirty insert lowers
+	// it; firstDirty raises it to what it found.
 	dirtyFrom int64
+	// alloc takes back an entry's span when the entry goes; nil when
+	// the table is a journal replay.
+	alloc  *logAlloc
+	onDead extent.Dead     // t.unmapped, bound once
+	pieces []extent.Extent // evict's buffer
 }
 
-// overlapRange returns the index range [lo, hi) of entries overlapping
-// [lbn, lbn+sectors).
-func (m *extentMap) overlapRange(lbn, sectors int64) (int, int) {
-	end := lbn + sectors
-	lo := sort.Search(len(m.entries), func(i int) bool { return m.entries[i].end() > lbn })
-	hi := lo
-	for hi < len(m.entries) && m.entries[hi].lbn < end {
-		hi++
-	}
-	return lo, hi
+func newTable(alloc *logAlloc) *table {
+	t := &table{entries: make(map[uint64]*entry), alloc: alloc}
+	t.onDead = t.unmapped
+	return t
 }
 
-// insert adds e; the caller guarantees no overlap with existing entries.
-func (m *extentMap) insert(e *entry) {
-	i := sort.Search(len(m.entries), func(i int) bool { return m.entries[i].lbn > e.lbn })
-	m.entries = append(m.entries, nil)
-	copy(m.entries[i+1:], m.entries[i:])
-	m.entries[i] = e
-	e.mapped = true
+// insert maps e's whole range to its span, superseding whatever the
+// table mapped there, and links e as its class's most recently used.
+func (t *table) insert(e *entry) {
+	t.lastID++
+	e.id, e.live = t.lastID, e.sectors
+	t.list.Insert(extent.Extent{Off: e.lbn, N: e.sectors, Seg: e.id, Pos: e.spanAt}, t.onDead)
+	t.entries[e.id] = e
+	t.lru[e.class].pushMRU(e)
+	t.usage[e.class] += e.sectors
+	t.retSum[e.class] += e.ret
+	t.retCnt[e.class]++
 	if e.dirty {
-		m.dirtySectors += e.sectors
-		m.dirtyFrom = min(m.dirtyFrom, e.lbn)
+		t.dirtySectors += e.sectors
+		t.dirtyFrom = min(t.dirtyFrom, e.lbn)
 	}
 }
 
-// removeAt deletes the entry at index i.
-func (m *extentMap) removeAt(i int) {
-	e := m.entries[i]
-	e.mapped = false
+// unmapped is the list's dead callback: n sectors of entry id are no
+// longer mapped. The entry leaves the table with its last sector.
+func (t *table) unmapped(id uint64, n int64) {
+	e := t.entries[id]
+	e.live -= n
+	t.usage[e.class] -= n
 	if e.dirty {
-		m.dirtySectors -= e.sectors
+		t.dirtySectors -= n
 	}
-	m.entries = append(m.entries[:i], m.entries[i+1:]...)
+	if e.live > 0 {
+		return
+	}
+	delete(t.entries, id)
+	t.lru[e.class].remove(e)
+	t.retSum[e.class] -= e.ret
+	t.retCnt[e.class]--
+	if t.alloc != nil {
+		t.alloc.release(e.spanAt, e.spanN)
+	}
 }
 
-// shrink takes cut sectors off e, which stays in the map.
-func (m *extentMap) shrink(e *entry, cut int64) {
-	e.sectors -= cut
-	if e.dirty {
-		m.dirtySectors -= cut
-	}
+// punch unmaps [lbn, lbn+sectors) and reports whether anything was
+// mapped there.
+func (t *table) punch(lbn, sectors int64) bool {
+	before := t.usage[0] + t.usage[1]
+	t.list.Punch(lbn, sectors, t.onDead)
+	return t.usage[0]+t.usage[1] != before
 }
 
-// markClean clears e's dirty flag. e may have left the map while its
-// writeback was in flight; its sectors were uncounted when it left.
-func (m *extentMap) markClean(e *entry) {
-	if e.dirty && e.mapped {
-		m.dirtySectors -= e.sectors
+// livePieces appends to buf the extents still mapped to e, in disk
+// order.
+func (t *table) livePieces(e *entry, buf []extent.Extent) []extent.Extent {
+	return t.list.PointingAt(e.lbn, e.sectors, e.id, e.spanAt, buf)
+}
+
+// evict unmaps what is left of e and reports whether anything was.
+func (t *table) evict(e *entry) bool {
+	if e.live == 0 {
+		return false
+	}
+	t.pieces = t.livePieces(e, t.pieces[:0])
+	for _, x := range t.pieces {
+		t.list.Punch(x.Off, x.N, t.onDead)
+	}
+	return true
+}
+
+// markClean clears e's dirty flag and reports whether e was dirty and
+// still cached.
+func (t *table) markClean(e *entry) bool {
+	if !e.dirty || e.live == 0 {
+		return false
 	}
 	e.dirty = false
+	t.dirtySectors -= e.live
+	return true
 }
 
-// firstDirty returns the dirty entry with the lowest lbn, or nil. It
-// resumes from dirtyFrom, so a writeback pass walks the table once
-// however many victims it takes.
-func (m *extentMap) firstDirty() *entry {
-	i := sort.Search(len(m.entries), func(i int) bool { return m.entries[i].lbn >= m.dirtyFrom })
-	for ; i < len(m.entries); i++ {
-		if e := m.entries[i]; e.dirty {
-			m.dirtyFrom = e.lbn
+// firstDirty returns the entry owning the dirty extent with the lowest
+// disk sector, or nil. It resumes from dirtyFrom, so a writeback pass
+// walks the table once however many victims it takes.
+func (t *table) firstDirty() *entry {
+	l := t.list
+	i := sort.Search(len(l), func(i int) bool { return l[i].Off >= t.dirtyFrom })
+	for ; i < len(l); i++ {
+		if e := t.entries[l[i].Seg]; e.dirty {
+			t.dirtyFrom = l[i].Off
 			return e
 		}
 	}
-	m.dirtyFrom = math.MaxInt64
+	t.dirtyFrom = math.MaxInt64
 	return nil
 }
 
-// indexOf returns the index of e, or -1.
-func (m *extentMap) indexOf(e *entry) int {
-	i := sort.Search(len(m.entries), func(i int) bool { return m.entries[i].lbn >= e.lbn })
-	if i < len(m.entries) && m.entries[i] == e {
-		return i
-	}
-	return -1
-}
-
-// segment is a piece of a coverage query: n sectors to read at ssdLBN,
-// touching entry e.
-type segment struct {
-	ssdLBN int64
-	n      int64
-	e      *entry
-}
-
-// covered reports whether [lbn, lbn+sectors) is fully covered by cached
-// extents, and if so returns the SSD segments to read, in disk order.
-func (m *extentMap) covered(lbn, sectors int64) ([]segment, bool) {
-	lo, hi := m.overlapRange(lbn, sectors)
-	cur := lbn
-	end := lbn + sectors
-	var segs []segment
-	for i := lo; i < hi; i++ {
-		e := m.entries[i]
-		if e.lbn > cur {
-			return nil, false // gap
+// covered reports whether [lbn, lbn+sectors) is fully mapped, and if so
+// returns the extents to read from the SSD, in disk order.
+func (t *table) covered(lbn, sectors int64) ([]extent.Extent, bool) {
+	var segs []extent.Extent
+	next := lbn
+	t.list.Each(lbn, sectors, func(x extent.Extent, _ int64) {
+		if x.Off == next { // past a gap, next stays short of the end
+			segs = append(segs, x)
+			next += x.N
 		}
-		from := cur
-		to := min(e.end(), end)
-		segs = append(segs, segment{ssdLBN: e.ssdLBN + (from - e.lbn), n: to - from, e: e})
-		cur = to
-		if cur >= end {
-			return segs, true
-		}
+	})
+	if next != lbn+sectors {
+		return nil, false
 	}
-	return nil, false
+	return segs, true
 }
 
-// dirtyOverlaps returns the SSD segments of dirty entries intersecting
+// dirtyOverlaps returns the extents of dirty entries intersecting
 // [lbn, lbn+sectors) (a partially cached read must still fetch dirty
 // pieces from the SSD for correctness).
-func (m *extentMap) dirtyOverlaps(lbn, sectors int64) []segment {
-	lo, hi := m.overlapRange(lbn, sectors)
-	end := lbn + sectors
-	var segs []segment
-	for i := lo; i < hi; i++ {
-		e := m.entries[i]
-		if !e.dirty {
-			continue
+func (t *table) dirtyOverlaps(lbn, sectors int64) []extent.Extent {
+	var segs []extent.Extent
+	t.list.Each(lbn, sectors, func(x extent.Extent, _ int64) {
+		if t.entries[x.Seg].dirty {
+			segs = append(segs, x)
 		}
-		from := max(e.lbn, lbn)
-		to := min(e.end(), end)
-		segs = append(segs, segment{ssdLBN: e.ssdLBN + (from - e.lbn), n: to - from, e: e})
-	}
+	})
 	return segs
 }
-
-// punched describes the outcome of a punch: entries removed entirely and
-// freed SSD spans (per class, for usage accounting).
-type punched struct {
-	removed []*entry
-	freed   []span
-	// freedSectors[class] accumulates sectors trimmed off surviving
-	// (split/shrunk) entries, which stay in their LRU lists.
-	freedSectors [2]int64
-}
-
-// punch removes the range [lbn, lbn+sectors) from the map, splitting or
-// shrinking entries that partially overlap. New entries created by splits
-// are returned via addMRU so the bridge can link them into its LRU lists.
-func (m *extentMap) punch(lbn, sectors int64, addMRU func(*entry)) punched {
-	var out punched
-	end := lbn + sectors
-	lo, hi := m.overlapRange(lbn, sectors)
-	i := lo
-	for i < hi {
-		e := m.entries[i]
-		switch {
-		case e.lbn >= lbn && e.end() <= end:
-			// Entirely inside: remove.
-			out.removed = append(out.removed, e)
-			out.freed = append(out.freed, span{at: e.ssdLBN, n: e.sectors})
-			m.removeAt(i)
-			hi--
-		case e.lbn < lbn && e.end() > end:
-			// Punch strictly inside e: split into left and right.
-			leftN := lbn - e.lbn
-			rightN := e.end() - end
-			cut := e.sectors - leftN - rightN
-			right := &entry{
-				lbn:     end,
-				sectors: rightN,
-				ssdLBN:  e.ssdLBN + leftN + cut,
-				dirty:   e.dirty,
-				class:   e.class,
-				ret:     e.ret,
-			}
-			out.freed = append(out.freed, span{at: e.ssdLBN + leftN, n: cut})
-			out.freedSectors[e.class] += cut
-			m.shrink(e, cut+rightN)
-			m.insert(right)
-			addMRU(right)
-			return out // nothing else can overlap
-		case e.lbn < lbn:
-			// Punch cuts e's tail.
-			cut := e.end() - lbn
-			out.freed = append(out.freed, span{at: e.ssdLBN + e.sectors - cut, n: cut})
-			out.freedSectors[e.class] += cut
-			m.shrink(e, cut)
-			i++
-		default:
-			// Punch cuts e's head.
-			cut := end - e.lbn
-			out.freed = append(out.freed, span{at: e.ssdLBN, n: cut})
-			out.freedSectors[e.class] += cut
-			e.lbn += cut
-			e.ssdLBN += cut
-			m.shrink(e, cut)
-			i++
-		}
-	}
-	return out
-}
-
-// Len returns the number of cached extents.
-func (m *extentMap) Len() int { return len(m.entries) }

@@ -9,11 +9,11 @@ import (
 )
 
 // scanDirty is the full scan the running totals replaced: the dirty
-// sector sum and the lowest-LBN dirty entry, entry by entry.
-func scanDirty(m *extentMap) (sum int64, first *entry) {
-	for _, e := range m.entries {
-		if e.dirty {
-			sum += e.sectors
+// sector sum and the owner of the lowest dirty extent, extent by extent.
+func scanDirty(m *table) (sum int64, first *entry) {
+	for _, x := range m.list {
+		if e := m.entries[x.Seg]; e.dirty {
+			sum += x.N
 			if first == nil {
 				first = e
 			}
@@ -22,37 +22,72 @@ func scanDirty(m *extentMap) (sum int64, first *entry) {
 	return sum, first
 }
 
-// checkDirty asserts the O(1) accounting against the scan.
+// checkDirty asserts the O(1) accounting against a scan of the table:
+// the dirty total and the writeback cursor; per class, the usage against
+// the mapped sectors, and the LRU walk, its count and the cached entries
+// against each other; per entry, its live count against its extents.
 func checkDirty(t *testing.T, b *Bridge, step string) {
 	t.Helper()
-	sum, first := scanDirty(&b.table)
+	m := b.table
+	sum, first := scanDirty(m)
 	if got := b.DirtySectors(); got != sum {
 		t.Fatalf("%s: DirtySectors() = %d, scan says %d", step, got, sum)
 	}
-	if got := b.table.firstDirty(); got != first {
+	if got := m.firstDirty(); got != first {
 		t.Fatalf("%s: firstDirty() = %+v, scan says %+v", step, got, first)
+	}
+	var mapped [2]int64
+	live := map[*entry]int64{}
+	for _, x := range m.list {
+		e := m.entries[x.Seg]
+		mapped[e.class] += x.N
+		live[e] += x.N
+	}
+	var cached [2]int
+	for e, n := range live {
+		cached[e.class]++
+		if e.live != n {
+			t.Fatalf("%s: entry %d counts %d live sectors, the table maps %d", step, e.id, e.live, n)
+		}
+	}
+	if len(live) != len(m.entries) {
+		t.Fatalf("%s: %d entries kept, %d mapped", step, len(m.entries), len(live))
+	}
+	for c := range mapped {
+		if m.usage[c] != mapped[c] {
+			t.Fatalf("%s: class %d usage %d, the table maps %d", step, c, m.usage[c], mapped[c])
+		}
+		walked := 0
+		for e := m.lru[c].head; e != nil && walked <= len(m.entries); e = e.next {
+			walked++
+		}
+		if walked != m.lru[c].count || walked != cached[c] {
+			t.Fatalf("%s: class %d LRU walk %d, count %d, cached entries %d", step, c, walked, m.lru[c].count, cached[c])
+		}
 	}
 }
 
-// dirtyLBNs lists the table's dirty extents in table (ascending LBN)
-// order.
-func dirtyLBNs(m *extentMap) []int64 {
-	var out []int64
-	for _, e := range m.entries {
-		if e.dirty {
-			out = append(out, e.lbn)
+// dirtyOrder lists the ids of the table's dirty entries in the order of
+// their lowest mapped extent: the order writeback must visit them in.
+func dirtyOrder(m *table) []uint64 {
+	var out []uint64
+	seen := map[uint64]bool{}
+	for _, x := range m.list {
+		if m.entries[x.Seg].dirty && !seen[x.Seg] {
+			seen[x.Seg] = true
+			out = append(out, x.Seg)
 		}
 	}
 	return out
 }
 
-// cleanedSince lists the LBNs of the journal's clean records from index
-// from on: the order in which writeback visited extents.
-func cleanedSince(j *journal, from int) []int64 {
-	var out []int64
+// cleanedSince lists the entries named by the journal's clean records
+// from index from on: the order in which writeback visited them.
+func cleanedSince(j *journal, from int) []uint64 {
+	var out []uint64
 	for _, r := range j.records[from:] {
 		if r.op == jClean {
-			out = append(out, r.lbn)
+			out = append(out, r.id)
 		}
 	}
 	return out
@@ -61,10 +96,11 @@ func cleanedSince(j *journal, from int) []int64 {
 // TestDirtyAccountingProperty drives random admit / overwrite / bulk
 // write / read / writeback / evict / SSD-failure sequences against a
 // small bridge and asserts after every step that the running dirty total
-// and the firstDirty cursor agree with a full scan of the table, that a
-// writeback pass visits exactly the dirty extents the scan lists, in
-// ascending LBN order, and that a journal replay arrives at the same
-// total.
+// and the firstDirty cursor agree with a full scan of the table, that the
+// per-class usage and LRU lists match the entries the table maps, that a
+// writeback pass visits exactly the dirty entries the scan lists, in the
+// order of their lowest extent, and that a journal replay arrives at the
+// same table.
 func TestDirtyAccountingProperty(t *testing.T) {
 	for seed := uint64(1); seed <= 12; seed++ {
 		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
@@ -108,7 +144,7 @@ func TestDirtyAccountingProperty(t *testing.T) {
 						step = "stage"
 					case k < 99:
 						batch := int(rng.Range(1, 6))
-						want := dirtyLBNs(&b.table)
+						want := dirtyOrder(b.table)
 						want = want[:min(batch, len(want))]
 						from := b.journal.Len()
 						b.writebackPass(p, batch)
@@ -142,24 +178,23 @@ func TestDirtyAccountingProperty(t *testing.T) {
 // TestDirtyAccountingUnderConcurrency checks the same invariants with the
 // table changing under in-flight writebacks: eight foreground processes
 // overwrite the range the eager maintenance daemon is writing back, so
-// entries are trimmed, split, evicted and dropped between a writeback's
-// SSD read and its markClean. Every 30 steps the writers meet at a
+// entries are trimmed, split, evicted and superseded between an
+// eviction's writeback and its drop. Every 10 steps the writers meet at a
 // barrier and all write one fresh extent at the same instant: the
-// admissions overlap in virtual time and all land in the table at one
-// lbn — the state in which indexOf finds only the first (BTIO at medium
-// scale gets there; this is its miniature) — and the idle gap that
-// follows has the daemon write the twins back.
+// admissions overlap in virtual time, each later one superseding the one
+// before (BTIO at medium scale gets there; this is its miniature), and
+// the idle gap that follows has the daemon write the survivor back.
 func TestDirtyAccountingUnderConcurrency(t *testing.T) {
 	e := sim.New()
 	b, _ := testBridge(e, func(c *Config) {
-		c.SSDCapacity = 192 * device.SectorSize
+		c.SSDCapacity = 64 * device.SectorSize
 		c.WritebackMinDirty = 0 // write back at every idle tick
 	})
 	const (
 		base    = 1 << 26
+		barrier = base + 1024 // above every other write's range
 		writers = 8
 	)
-	twins := 0
 	meet := sim.NewBarrier(e, writers)
 	done := sim.NewCounter(e, writers)
 	for w := 0; w < writers; w++ {
@@ -169,9 +204,9 @@ func TestDirtyAccountingUnderConcurrency(t *testing.T) {
 				lbn := base + int64(rng.Range(0, 48))*8 + int64(rng.Range(0, 8))
 				n := int64(rng.Range(1, 21))
 				switch {
-				case i%30 == 29:
+				case i%10 == 9:
 					meet.Wait(p)
-					b.Serve(p, frag(device.Write, base+1024+int64(i)*32, 4))
+					b.Serve(p, frag(device.Write, barrier+int64(i)*32, 4))
 				case rng.Range(0, 10) == 0:
 					b.Serve(p, large(device.Write, lbn, 4*n))
 				default:
@@ -179,11 +214,6 @@ func TestDirtyAccountingUnderConcurrency(t *testing.T) {
 				}
 				b.trk.prevLBN = 0
 				checkDirty(t, b, fmt.Sprintf("writer step %d", i))
-				for j := 1; j < len(b.table.entries); j++ {
-					if b.table.entries[j].lbn == b.table.entries[j-1].lbn {
-						twins++
-					}
-				}
 				p.Sleep(rng.Duration(0, 6*sim.Millisecond)) // idle gaps let the daemon in
 			}
 			done.Done()
@@ -194,9 +224,63 @@ func TestDirtyAccountingUnderConcurrency(t *testing.T) {
 		b.Flush(p)
 		checkDirty(t, b, "flush")
 	})
-	if b.Stats().WritebackBytes == 0 || b.Stats().Evictions == 0 || twins == 0 {
-		t.Errorf("scenario too tame: writeback %d bytes, %d evictions, %d same-lbn pairs seen",
-			b.Stats().WritebackBytes, b.Stats().Evictions, twins)
+	if !statesEqual(b.Snapshot(), b.Recover()) {
+		t.Fatal("journal replay diverged from the live table")
+	}
+	// Barrier rounds in which at least two same-instant admissions of
+	// the round's extent landed.
+	landed := map[int64]int{}
+	for _, r := range b.journal.records {
+		if r.op == jInsert && r.lbn >= barrier {
+			landed[r.lbn]++
+		}
+	}
+	overlapped := 0
+	for _, n := range landed {
+		if n >= 2 {
+			overlapped++
+		}
+	}
+	if b.Stats().WritebackBytes == 0 || b.Stats().Evictions == 0 || overlapped == 0 {
+		t.Errorf("scenario too tame: writeback %d bytes, %d evictions, %d rounds with overlapping admissions",
+			b.Stats().WritebackBytes, b.Stats().Evictions, overlapped)
+	}
+}
+
+// TestSameInstantAdmissionsLeaveOneMapping has eight processes write one
+// 4-sector fragment extent at the same instant. Every admission lands,
+// each superseding the one before, so the table keeps one mapping: 4
+// dirty sectors and 2 KiB of usage for 2 KiB of data, and a journal
+// replay rebuilds the same table.
+func TestSameInstantAdmissionsLeaveOneMapping(t *testing.T) {
+	e := sim.New()
+	b, _ := testBridge(e, func(c *Config) { c.IdleCheck = sim.Second })
+	const writers = 8
+	meet := sim.NewBarrier(e, writers)
+	done := sim.NewCounter(e, writers)
+	runSim(t, e, func(p *sim.Proc) {
+		driveT(p, b)
+		for w := 0; w < writers; w++ {
+			e.Go(fmt.Sprint("writer", w), func(p *sim.Proc) {
+				meet.Wait(p)
+				b.Serve(p, frag(device.Write, 1<<27, 4))
+				done.Done()
+			})
+		}
+		done.Wait(p)
+	})
+	if got := b.Stats().Admissions[ClassFragment]; got != writers {
+		t.Fatalf("%d of %d writes admitted", got, writers)
+	}
+	snap := b.Snapshot()
+	if len(snap.Extents) != 1 || b.DirtySectors() != 4 {
+		t.Fatalf("%d mappings, %d dirty sectors; want 1 and 4: %+v", len(snap.Extents), b.DirtySectors(), snap.Extents)
+	}
+	if random, fragment := b.Usage(); random != 0 || fragment != 2<<10 {
+		t.Fatalf("usage random %d fragment %d, want 0 and 2 KiB", random, fragment)
+	}
+	if !statesEqual(snap, b.Recover()) {
+		t.Fatalf("recovery diverged:\nlive:      %+v\nrecovered: %+v", snap, b.Recover())
 	}
 }
 
@@ -215,7 +299,7 @@ func BenchmarkDirtyAccounting(b *testing.B) {
 			b.Fatal("bridge not idle: the tick would stop before the dirty check")
 		}
 		for i := 0; i < entries; i++ {
-			br.table.insert(&entry{lbn: int64(i) * 16, sectors: 8, ssdLBN: int64(i) * 8})
+			br.table.insert(&entry{lbn: int64(i) * 16, sectors: 8, spanAt: int64(i) * 8})
 		}
 		br.table.insert(&entry{lbn: int64(entries) * 16, sectors: 8, dirty: true})
 		var sink int64
@@ -237,5 +321,38 @@ func BenchmarkDirtyAccounting(b *testing.B) {
 			}
 		})
 		_ = sink
+	}
+}
+
+// TestStagingNeverSupersedesNewerWrite stages a read-missed extent while
+// a write of the same extent is admitted during the staging write: the
+// dirty data stays cached, and the older staged copy is dropped.
+func TestStagingNeverSupersedesNewerWrite(t *testing.T) {
+	e := sim.New()
+	b, _ := testBridge(e, func(c *Config) { c.IdleCheck = sim.Second })
+	const lbn = 1 << 27
+	runSim(t, e, func(p *sim.Proc) {
+		driveT(p, b)
+		b.Serve(p, frag(device.Read, lbn, 4)) // a miss worth staging
+		b.trk.prevLBN = 0
+		if len(b.stage) != 1 {
+			t.Fatalf("%d items queued for staging, want 1", len(b.stage))
+		}
+		it := b.stage[0]
+		b.stage = b.stage[:0]
+		done := sim.NewCounter(e, 2)
+		// Same instant, writer first: its SSD write completes first.
+		e.Go("writer", func(p *sim.Proc) { b.Serve(p, frag(device.Write, lbn, 4)); done.Done() })
+		e.Go("stager", func(p *sim.Proc) { b.stageOne(p, it); done.Done() })
+		done.Wait(p)
+	})
+	if b.Stats().SSDWriteBytes == 0 || b.DirtySectors() != 4 {
+		t.Fatalf("written %d bytes to the SSD, %d dirty sectors cached; want the 4 written", b.Stats().SSDWriteBytes, b.DirtySectors())
+	}
+	if b.alloc.Used() != 5 {
+		t.Fatalf("%d sectors allocated, want the write's 5", b.alloc.Used())
+	}
+	if !statesEqual(b.Snapshot(), b.Recover()) {
+		t.Fatal("journal replay diverged from the live table")
 	}
 }

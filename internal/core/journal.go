@@ -19,23 +19,25 @@ type journalOp uint8
 const (
 	// jInsert records a new mapping (admission or staging).
 	jInsert journalOp = iota
-	// jClean marks an extent written back to the disk.
+	// jClean marks an entry written back to the disk.
 	jClean
-	// jDrop records an invalidation or eviction of a disk-extent range.
+	// jEvict records the eviction of what is left of an entry.
+	jEvict
+	// jDrop records an invalidation of a disk-extent range.
 	jDrop
 )
 
-// journalRecord is one persisted table mutation.
+// journalRecord is one persisted table mutation. An insert carries the
+// whole entry; a clean or an evict names it by id (replay assigns ids
+// in insert order, as the live table did); a drop carries its range.
 type journalRecord struct {
-	op      journalOp
-	lbn     int64
-	sectors int64
-	ssdLBN  int64
-	dirty   bool
-	class   Class
-	ret     float64
-	spanAt  int64
-	spanN   int64
+	op            journalOp
+	dirty         bool
+	id            uint64
+	lbn, sectors  int64
+	class         Class
+	ret           float64
+	spanAt, spanN int64
 }
 
 // journal accumulates records; a real system would write each record
@@ -46,13 +48,14 @@ type journal struct {
 
 func (j *journal) insert(e *entry) {
 	j.records = append(j.records, journalRecord{
-		op: jInsert, lbn: e.lbn, sectors: e.sectors, ssdLBN: e.ssdLBN,
+		op: jInsert, id: e.id, lbn: e.lbn, sectors: e.sectors,
 		dirty: e.dirty, class: e.class, ret: e.ret, spanAt: e.spanAt, spanN: e.spanN,
 	})
 }
 
-func (j *journal) clean(e *entry) {
-	j.records = append(j.records, journalRecord{op: jClean, lbn: e.lbn, sectors: e.sectors})
+// mark records a clean or an evict of e.
+func (j *journal) mark(op journalOp, e *entry) {
+	j.records = append(j.records, journalRecord{op: op, id: e.id})
 }
 
 func (j *journal) drop(lbn, sectors int64) {
@@ -79,52 +82,53 @@ type RecoveredExtent struct {
 	Class   Class
 }
 
-// Recover replays the journal into a fresh extent map — the crash
-// recovery path. The rebuilt state must match the live table; tests
-// assert this invariant after arbitrary workloads.
+// Recover replays the journal into a fresh table — the crash recovery
+// path. The rebuilt state must match the live table; tests assert this
+// invariant after arbitrary workloads.
 func (j *journal) Recover() RecoveredState {
-	var m extentMap
+	t := newTable(nil)
 	for _, r := range j.records {
 		switch r.op {
 		case jInsert:
-			m.punch(r.lbn, r.sectors, func(e *entry) {})
-			e := &entry{
-				lbn: r.lbn, sectors: r.sectors, ssdLBN: r.ssdLBN,
-				dirty: r.dirty, class: r.class, ret: r.ret,
-				spanAt: r.spanAt, spanN: r.spanN,
-			}
-			m.insert(e)
+			t.insert(&entry{
+				lbn: r.lbn, sectors: r.sectors, dirty: r.dirty,
+				class: r.class, ret: r.ret, spanAt: r.spanAt, spanN: r.spanN,
+			})
 		case jClean:
-			lo, hi := m.overlapRange(r.lbn, r.sectors)
-			for i := lo; i < hi; i++ {
-				m.markClean(m.entries[i])
-			}
+			t.markClean(t.entries[r.id])
+		case jEvict:
+			t.evict(t.entries[r.id])
 		case jDrop:
-			m.punch(r.lbn, r.sectors, func(e *entry) {})
+			t.punch(r.lbn, r.sectors)
 		}
 	}
-	// The replayed map's own running total: a recovered server resumes
-	// dirty-pressure accounting from it.
-	out := RecoveredState{DirtySectors: m.dirtySectors}
-	for _, e := range m.entries {
+	// The replayed table's own running total: a recovered server
+	// resumes dirty-pressure accounting from it.
+	out := t.state()
+	out.DirtySectors = t.dirtySectors
+	return out
+}
+
+// state returns the table's extents in recovered form.
+func (t *table) state() RecoveredState {
+	var out RecoveredState
+	for _, x := range t.list {
+		e := t.entries[x.Seg]
 		out.Extents = append(out.Extents, RecoveredExtent{
-			LBN: e.lbn, Sectors: e.sectors, SSDLBN: e.ssdLBN, Dirty: e.dirty, Class: e.class,
+			LBN: x.Off, Sectors: x.N, SSDLBN: x.Pos, Dirty: e.dirty, Class: e.class,
 		})
 	}
 	return out
 }
 
 // Snapshot returns the live table in the same form, for comparison with
-// a recovery. Its DirtySectors is summed entry by entry — the reference
-// the running totals are tested against.
+// a recovery. Its DirtySectors is summed extent by extent — the
+// reference the running totals are tested against.
 func (b *Bridge) Snapshot() RecoveredState {
-	var out RecoveredState
-	for _, e := range b.table.entries {
-		out.Extents = append(out.Extents, RecoveredExtent{
-			LBN: e.lbn, Sectors: e.sectors, SSDLBN: e.ssdLBN, Dirty: e.dirty, Class: e.class,
-		})
-		if e.dirty {
-			out.DirtySectors += e.sectors
+	out := b.table.state()
+	for _, x := range out.Extents {
+		if x.Dirty {
+			out.DirtySectors += x.Sectors
 		}
 	}
 	return out

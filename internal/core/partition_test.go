@@ -52,10 +52,10 @@ func TestDynamicPartitionFloors(t *testing.T) {
 	b, _ := testBridge(e, nil)
 	runSim(t, e, func(p *sim.Proc) {})
 	// Extreme imbalance clamps at the 10%/90% floors.
-	b.retSum[ClassFragment] = 100
-	b.retCnt[ClassFragment] = 1
-	b.retSum[ClassRandom] = 1e-9
-	b.retCnt[ClassRandom] = 1
+	b.table.retSum[ClassFragment] = 100
+	b.table.retCnt[ClassFragment] = 1
+	b.table.retSum[ClassRandom] = 1e-9
+	b.table.retCnt[ClassRandom] = 1
 	total := b.capSectors()
 	if f := b.allocFor(ClassFragment); f > total*9/10+1 {
 		t.Fatalf("fragment share %d exceeds 90%% cap", f)
@@ -64,8 +64,8 @@ func TestDynamicPartitionFloors(t *testing.T) {
 		t.Fatalf("random share %d below 10%% floor", r)
 	}
 	// No data at all: even split.
-	b.retCnt = [2]int64{}
-	b.retSum = [2]float64{}
+	b.table.retCnt = [2]int64{}
+	b.table.retSum = [2]float64{}
 	if f := b.allocFor(ClassFragment); f != total/2 {
 		t.Fatalf("empty-cache fragment share = %d, want %d", f, total/2)
 	}

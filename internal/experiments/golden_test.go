@@ -79,7 +79,7 @@ func renderRun(c *cluster.Cluster, res cluster.Result, rep *workload.Report) str
 // processes rewriting small records through an SSD an eighth the size of
 // the data. It is the regime the smoke tables do not reach — constant
 // eviction with writebacks in flight, and admissions of one extent that
-// overlap in virtual time and leave two entries at one LBN.
+// overlap in virtual time, each superseding the one before.
 func goldenBTIO() (string, string, error) {
 	s := Medium
 	cfg := cluster.DefaultConfig()

@@ -1,10 +1,12 @@
-// Package extent is the one extent map the repository's append logs
-// share: a sorted, non-overlapping list that maps logical byte ranges of
-// one object to the log bytes holding their current contents. The
-// crash-consistent object store (internal/logstore) indexes its on-disk
-// segments with it, and the live data server (internal/pfsnet) indexes
-// its in-memory fragment chunks with it — same trim/split rules, same
-// garbage accounting through the dead callback.
+// Package extent is the repository's one extent map: a sorted,
+// non-overlapping list that maps logical ranges of one object to the log
+// positions holding their current contents, in a unit the caller picks.
+// The crash-consistent object store (internal/logstore) indexes its
+// on-disk segments with it and the live data server (internal/pfsnet)
+// its in-memory fragment chunks, both in bytes; the simulator's SSD
+// cache (internal/core) keeps its mapping table in it, in sectors, with
+// Seg naming the admission that owns an extent. All three get the same
+// trim/split rules and the same accounting through the dead callback.
 package extent
 
 import (
@@ -12,13 +14,13 @@ import (
 	"sort"
 )
 
-// Extent maps one live logical byte range of an object to the log
-// bytes holding its current contents.
+// Extent maps one live logical range of an object to the log positions
+// holding its current contents. Off, N and Pos share the caller's unit.
 type Extent struct {
 	Off int64  // logical object offset
-	N   int64  // length in bytes
-	Seg uint64 // log unit (segment or chunk) holding the data
-	Pos int64  // offset of the first data byte inside Seg
+	N   int64  // length
+	Seg uint64 // log unit (segment, chunk or cache entry) holding the data
+	Pos int64  // log position of the first data unit (inside Seg for the stores)
 	Gen uint64 // generation of the record that wrote it (0 where unused)
 }
 
