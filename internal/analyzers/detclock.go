@@ -12,6 +12,7 @@ import (
 // that jobs=1 and jobs=8 runs stay byte-identical (PR 1's guarantee).
 var detPackages = map[string]bool{
 	"repro/internal/sim":         true,
+	"repro/internal/vtime":       true,
 	"repro/internal/core":        true,
 	"repro/internal/hdd":         true,
 	"repro/internal/ssd":         true,

@@ -88,7 +88,7 @@ func NewBridge(e *sim.Engine, cfg Config, serverID int, disk *hdd.Disk, diskQ, s
 		diskQ:  diskQ,
 		disk:   disk,
 		ssdQ:   ssdQ,
-		trk:    newTracker(disk, cfg.EWMAOld, cfg.EWMANew),
+		trk:    newTracker(disk.Spec(), cfg.EWMAOld, cfg.EWMANew),
 		exch:   exch,
 		alloc:  newLogAlloc(cfg.SSDCapacity/device.SectorSize, cfg.LogStructured, rng),
 	}

@@ -10,21 +10,21 @@ import (
 // and (2) for one data server's disk, together with the location λ of the
 // previous disk-served request.
 type tracker struct {
-	disk    *hdd.Disk
+	spec    hdd.Spec
 	wOld    float64
 	wNew    float64
 	tAvg    float64 // seconds
 	prevLBN int64
 }
 
-func newTracker(disk *hdd.Disk, wOld, wNew float64) *tracker {
-	return &tracker{disk: disk, wOld: wOld, wNew: wNew}
+func newTracker(spec hdd.Spec, wOld, wNew float64) *tracker {
+	return &tracker{spec: spec, wOld: wOld, wNew: wNew}
 }
 
 // sample returns the Eq. (1) service-time sample for request r arriving
 // now: D_to_T(λ_i − λ_{i-1}) + R + size/B, in seconds.
 func (t *tracker) sample(r device.Request) float64 {
-	return t.disk.EstimateFrom(t.prevLBN, r).Seconds()
+	return t.spec.Estimate(t.prevLBN, r).Seconds()
 }
 
 // hypothetical returns what T would become if r were served at the disk

@@ -1,6 +1,8 @@
-// Package device defines the abstractions shared by the simulated storage
-// devices (internal/hdd, internal/ssd): block-level requests, device specs
-// in the style of the paper's Table II, and service statistics.
+// Package device defines the data shared by the simulated storage devices
+// (internal/hdd, internal/ssd) and their observers: block-level requests,
+// the per-request probe, and service statistics. It is pure data on the
+// virtual clock (internal/vtime) and does not link the simulation engine;
+// the serving interface lives with its caller, internal/iosched.
 //
 // Devices operate on a logical-block-number (LBN) address space measured in
 // 512-byte sectors, matching the granularity the paper uses for its
@@ -10,7 +12,7 @@ package device
 import (
 	"fmt"
 
-	"repro/internal/sim"
+	"repro/internal/vtime"
 )
 
 // SectorSize is the size in bytes of one logical block (disk sector).
@@ -58,29 +60,6 @@ func (r Request) Contiguous(s Request) bool {
 	return r.Op == s.Op && r.End() == s.LBN
 }
 
-// Device is a simulated block storage device. Serve blocks the calling
-// simulated process for the virtual duration of the request and returns
-// that duration. Devices serialize internally: concurrent Serve calls
-// queue at the medium.
-type Device interface {
-	// Serve executes r, blocking p in virtual time.
-	Serve(p *sim.Proc, r Request) sim.Duration
-	// EstimateService predicts the service time of r if it were issued
-	// right now, without executing it. Used by the iBridge return-value
-	// model (Eq. 1 of the paper).
-	EstimateService(r Request) sim.Duration
-	// Name identifies the device in traces and logs.
-	Name() string
-	// Stats returns accumulated service statistics.
-	Stats() *Stats
-	// IdleSince returns the virtual time at which the device last
-	// completed a request with an empty queue, for idle detection by
-	// the writeback daemon. A busy device returns the current time.
-	IdleSince() sim.Time
-	// Capacity returns the device capacity in bytes.
-	Capacity() int64
-}
-
 // Probe observes completed device requests with the service time split
 // into its positioning and transfer components (the seek-vs-transfer
 // decomposition behind the paper's Eq. 1). Implemented by
@@ -90,17 +69,17 @@ type Device interface {
 // Probes run inline in the serving process after the request's virtual
 // time has elapsed; they must not block or mutate simulation state.
 type Probe interface {
-	ObserveIO(r Request, position, transfer sim.Duration)
+	ObserveIO(r Request, position, transfer vtime.Duration)
 }
 
 // Stats accumulates device service statistics.
 type Stats struct {
-	Ops      [2]int64     // per Op
-	Bytes    [2]int64     // per Op
-	BusyTime sim.Duration // total time the medium was busy
-	SeekTime sim.Duration // time spent positioning (HDD only)
-	Seeks    int64        // repositioning operations (HDD only)
-	SeqOps   [2]int64     // requests served without repositioning
+	Ops      [2]int64       // per Op
+	Bytes    [2]int64       // per Op
+	BusyTime vtime.Duration // total time the medium was busy
+	SeekTime vtime.Duration // time spent positioning (HDD only)
+	Seeks    int64          // repositioning operations (HDD only)
+	SeqOps   [2]int64       // requests served without repositioning
 }
 
 // TotalOps returns the total number of requests served.
@@ -108,21 +87,3 @@ func (s *Stats) TotalOps() int64 { return s.Ops[Read] + s.Ops[Write] }
 
 // TotalBytes returns the total number of bytes moved.
 func (s *Stats) TotalBytes() int64 { return s.Bytes[Read] + s.Bytes[Write] }
-
-// Throughput returns the average device throughput in bytes per second of
-// virtual time over elapsed.
-func (s *Stats) Throughput(elapsed sim.Duration) float64 {
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(s.TotalBytes()) / elapsed.Seconds()
-}
-
-// Utilization returns the fraction of elapsed virtual time the medium was
-// busy.
-func (s *Stats) Utilization(elapsed sim.Duration) float64 {
-	if elapsed <= 0 {
-		return 0
-	}
-	return s.BusyTime.Seconds() / elapsed.Seconds()
-}

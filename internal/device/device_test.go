@@ -3,8 +3,6 @@ package device
 import (
 	"testing"
 	"testing/quick"
-
-	"repro/internal/sim"
 )
 
 func TestRequestBytes(t *testing.T) {
@@ -63,17 +61,7 @@ func TestStatsAggregation(t *testing.T) {
 	s.Ops[Write] = 2
 	s.Bytes[Read] = 3000
 	s.Bytes[Write] = 2000
-	s.BusyTime = sim.Duration(sim.Second / 2)
 	if s.TotalOps() != 5 || s.TotalBytes() != 5000 {
 		t.Fatalf("totals = %d ops, %d bytes", s.TotalOps(), s.TotalBytes())
-	}
-	if got := s.Throughput(sim.Second); got != 5000 {
-		t.Fatalf("Throughput = %v", got)
-	}
-	if got := s.Utilization(sim.Second); got != 0.5 {
-		t.Fatalf("Utilization = %v", got)
-	}
-	if s.Throughput(0) != 0 || s.Utilization(0) != 0 {
-		t.Fatal("zero-elapsed stats not zero")
 	}
 }

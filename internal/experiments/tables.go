@@ -6,6 +6,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/device"
 	"repro/internal/hdd"
+	"repro/internal/iosched"
 	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/ssd"
@@ -86,11 +87,11 @@ func table2(Scale) (*stats.Table, error) {
 		pt := patterns[i/2]
 		e := sim.New()
 		if i%2 == 0 {
-			dev := ssd.New(e, "ssd", ssd.DefaultSpec())
-			return deviceBench(e, dev, pt.op, pt.random, dev.Capacity()), nil
+			spec := ssd.DefaultSpec()
+			return deviceBench(e, ssd.New(e, "ssd", spec), pt.op, pt.random, spec.CapacityBytes), nil
 		}
-		dev := hdd.New(e, "hdd", hdd.DefaultSpec(), sim.NewRNG(1))
-		return deviceBench(e, dev, pt.op, pt.random, dev.Capacity()), nil
+		spec := hdd.DefaultSpec()
+		return deviceBench(e, hdd.New(e, "hdd", spec, sim.NewRNG(1)), pt.op, pt.random, spec.CapacityBytes), nil
 	})
 	if err != nil {
 		return nil, err
@@ -106,7 +107,7 @@ func table2(Scale) (*stats.Table, error) {
 }
 
 // deviceBench runs 500 4KB requests on a device and returns MB/s.
-func deviceBench(e *sim.Engine, dev device.Device, op device.Op, random bool, capacity int64) float64 {
+func deviceBench(e *sim.Engine, dev iosched.Device, op device.Op, random bool, capacity int64) float64 {
 	rng := sim.NewRNG(7)
 	const n = 500
 	e.Go("bench", func(p *sim.Proc) {

@@ -351,59 +351,6 @@ func TestSSDFailTriggers(t *testing.T) {
 	}
 }
 
-// memStore is a minimal Store for exercising WrapStore.
-type memStore struct{ data map[uint64][]byte }
-
-func (m *memStore) WriteAt(id uint64, off int64, data []byte) error {
-	b := m.data[id]
-	for int64(len(b)) < off+int64(len(data)) {
-		b = append(b, 0)
-	}
-	copy(b[off:], data)
-	m.data[id] = b
-	return nil
-}
-
-func (m *memStore) ReadAt(id uint64, off int64, n int64) ([]byte, error) {
-	b := m.data[id]
-	if off+n > int64(len(b)) {
-		return nil, io.ErrUnexpectedEOF
-	}
-	return append([]byte(nil), b[off:off+n]...), nil
-}
-
-func (m *memStore) Size(id uint64) (int64, error) { return int64(len(m.data[id])), nil }
-func (m *memStore) Close() error                  { return nil }
-
-func TestWrapStoreFailsAfterN(t *testing.T) {
-	p := MustParse("ssdfail=srv0@3")
-	var drained bool
-	s := p.WrapStore(&memStore{data: map[uint64][]byte{}}, "srv0", func() { drained = true })
-	if s.WriteAt(1, 0, []byte("a")) != nil || s.WriteAt(1, 1, []byte("b")) != nil {
-		t.Fatalf("writes before the trigger must succeed")
-	}
-	if err := s.WriteAt(1, 2, []byte("c")); !errors.Is(err, ErrSSDFailed) {
-		t.Fatalf("3rd write: want ErrSSDFailed, got %v", err)
-	}
-	if !drained {
-		t.Fatalf("onFail hook did not run")
-	}
-	if _, err := s.ReadAt(1, 0, 1); !errors.Is(err, ErrSSDFailed) {
-		t.Fatalf("post-failure read: want ErrSSDFailed, got %v", err)
-	}
-	if !errors.Is(ErrSSDFailed, ErrInjected) {
-		t.Fatalf("ErrSSDFailed must wrap ErrInjected")
-	}
-	if p.Counts()["ssdfail"] != 1 {
-		t.Fatalf("counts = %v", p.Counts())
-	}
-	// Unscoped stores pass through unwrapped.
-	base := &memStore{data: map[uint64][]byte{}}
-	if got := p.WrapStore(base, "srv9", nil); got != Store(base) {
-		t.Fatalf("unscheduled scope got wrapped")
-	}
-}
-
 func TestObsMirroring(t *testing.T) {
 	p := MustParse("reset=1/1")
 	reg := obs.NewRegistry()

@@ -49,7 +49,7 @@ type Spec struct {
 // forwardSkip returns the cost of letting the platter rotate forward past
 // dist sectors (read-through at media rate): a short forward hop costs
 // only the angular wait for the skipped sectors to pass under the head.
-func (s Spec) forwardSkip(dist int64) sim.Duration {
+func (s *Spec) forwardSkip(dist int64) sim.Duration {
 	return sim.Duration(float64(dist*device.SectorSize) / s.SeqReadBW * float64(sim.Second))
 }
 
@@ -66,6 +66,69 @@ func DefaultSpec() Spec {
 		WriteSettle:    1200 * sim.Microsecond,
 		NearSectors:    16, // 8 KB: longer hops miss the rotation
 	}
+}
+
+// SeekTime is the paper's D_to_T function: it converts a seek distance in
+// sectors to a seek time using the square-root curve of the spec.
+func (s *Spec) SeekTime(distance int64) sim.Duration {
+	if distance < 0 {
+		distance = -distance
+	}
+	if distance == 0 {
+		return 0
+	}
+	if distance <= s.NearSectors {
+		return s.MinSeek
+	}
+	maxDist := float64(s.CapacityBytes / device.SectorSize)
+	frac := math.Sqrt(float64(distance) / maxDist)
+	return s.MinSeek + sim.Duration(frac*float64(s.MaxSeek-s.MinSeek))
+}
+
+// TransferTime returns size/B for the given operation.
+func (s *Spec) TransferTime(bytes int64, op device.Op) sim.Duration {
+	bw := s.SeqReadBW
+	if op == device.Write {
+		bw = s.SeqWriteBW
+	}
+	return sim.Duration(float64(bytes) / bw * float64(sim.Second))
+}
+
+// positionCost returns the positioning time from prev to r, using rot for
+// the rotational component (a drawn or average value). A forward hop may
+// be served by letting the platter rotate past the skipped sectors
+// (read-through at media rate) when that beats a seek; a backward hop
+// always seeks and pays the rotational miss.
+func (s *Spec) positionCost(prev int64, r device.Request, rot sim.Duration) sim.Duration {
+	dist := r.LBN - prev
+	if dist == 0 {
+		return 0
+	}
+	forward := dist > 0
+	if dist < 0 {
+		dist = -dist
+	}
+	cost := s.SeekTime(dist)
+	if dist > s.NearSectors {
+		cost += rot
+		if r.Op == device.Write {
+			cost += s.WriteSettle
+		}
+	}
+	if forward {
+		if skip := s.forwardSkip(dist); skip < cost {
+			return skip
+		}
+	}
+	return cost
+}
+
+// Estimate is the paper's Eq. (1) sample for r following an access that
+// ended at sector prev: D_to_T(Δλ) + R + size/B, with R the expected
+// rotational latency (half a revolution). It depends on the spec alone,
+// so a caller can track its own λ_{i-1} apart from any disk's head.
+func (s *Spec) Estimate(prev int64, r device.Request) sim.Duration {
+	return s.positionCost(prev, r, s.RotationPeriod/2) + s.TransferTime(r.Bytes(), r.Op)
 }
 
 // Disk is a simulated hard disk. The medium serves one request at a time;
@@ -100,22 +163,18 @@ func New(e *sim.Engine, name string, spec Spec, rng *sim.RNG) *Disk {
 	}
 }
 
-// Name implements device.Device.
+// Name implements iosched.Device.
 func (d *Disk) Name() string { return d.name }
 
 // Spec returns the disk's model parameters.
 func (d *Disk) Spec() Spec { return d.spec }
 
-// Stats implements device.Device.
+// Stats returns the disk's accumulated service statistics.
 func (d *Disk) Stats() *device.Stats { return &d.stats }
 
-// Capacity implements device.Device.
-func (d *Disk) Capacity() int64 { return d.spec.CapacityBytes }
-
-// Head returns the current head position (sector after the last access).
-func (d *Disk) Head() int64 { return d.head }
-
-// IdleSince implements device.Device.
+// IdleSince returns the virtual time at which the disk last completed a
+// request with an empty queue, for the writeback daemon's idle detection.
+// A busy disk returns the current time.
 func (d *Disk) IdleSince() sim.Time {
 	if d.inFlight > 0 {
 		return d.e.Now()
@@ -123,80 +182,7 @@ func (d *Disk) IdleSince() sim.Time {
 	return d.idleSince
 }
 
-// SeekTime is the paper's D_to_T function: it converts a seek distance in
-// sectors to a seek time using the square-root curve of the spec.
-func (d *Disk) SeekTime(distance int64) sim.Duration {
-	if distance < 0 {
-		distance = -distance
-	}
-	if distance == 0 {
-		return 0
-	}
-	if distance <= d.spec.NearSectors {
-		return d.spec.MinSeek
-	}
-	maxDist := float64(d.spec.CapacityBytes / device.SectorSize)
-	frac := math.Sqrt(float64(distance) / maxDist)
-	return d.spec.MinSeek + sim.Duration(frac*float64(d.spec.MaxSeek-d.spec.MinSeek))
-}
-
-// AvgRotation returns the expected rotational latency R of Eq. (1): half a
-// revolution.
-func (d *Disk) AvgRotation() sim.Duration { return d.spec.RotationPeriod / 2 }
-
-// TransferTime returns size/B for the given operation.
-func (d *Disk) TransferTime(bytes int64, op device.Op) sim.Duration {
-	bw := d.spec.SeqReadBW
-	if op == device.Write {
-		bw = d.spec.SeqWriteBW
-	}
-	return sim.Duration(float64(bytes) / bw * float64(sim.Second))
-}
-
-// positionCost returns the positioning time from prev to r, using rot for
-// the rotational component (a drawn or average value). A forward hop may
-// be served by letting the platter rotate past the skipped sectors
-// (read-through at media rate) when that beats a seek; a backward hop
-// always seeks and pays the rotational miss.
-func (d *Disk) positionCost(prev int64, r device.Request, rot sim.Duration) sim.Duration {
-	dist := r.LBN - prev
-	if dist == 0 {
-		return 0
-	}
-	forward := dist > 0
-	if dist < 0 {
-		dist = -dist
-	}
-	cost := d.SeekTime(dist)
-	if dist > d.spec.NearSectors {
-		cost += rot
-		if r.Op == device.Write {
-			cost += d.spec.WriteSettle
-		}
-	}
-	if forward {
-		if skip := d.spec.forwardSkip(dist); skip < cost {
-			return skip
-		}
-	}
-	return cost
-}
-
-// EstimateService implements device.Device: the service time r would see
-// if dispatched now, using the average rotational latency (this is exactly
-// the Eq. (1) sample D_to_T(Δλ) + R + size/B).
-func (d *Disk) EstimateService(r device.Request) sim.Duration {
-	return d.positionCost(d.head, r, d.AvgRotation()) + d.TransferTime(r.Bytes(), r.Op)
-}
-
-// EstimateFrom is EstimateService with an explicit previous location,
-// used by the iBridge return model which tracks its own λ_{i-1} that may
-// differ from the physical head position.
-func (d *Disk) EstimateFrom(prevLBN int64, r device.Request) sim.Duration {
-	return d.positionCost(prevLBN, r, d.AvgRotation()) + d.TransferTime(r.Bytes(), r.Op)
-}
-
-// Serve implements device.Device. It blocks p for the full positioning and
+// Serve implements iosched.Device. It blocks p for the full positioning and
 // transfer time of r and moves the head.
 func (d *Disk) Serve(p *sim.Proc, r device.Request) sim.Duration {
 	if r.Sectors <= 0 {
@@ -205,8 +191,8 @@ func (d *Disk) Serve(p *sim.Proc, r device.Request) sim.Duration {
 	d.inFlight++
 	d.mu.Acquire(p)
 	rot := d.rng.Duration(0, d.spec.RotationPeriod)
-	pos := d.positionCost(d.head, r, rot)
-	xfer := d.TransferTime(r.Bytes(), r.Op)
+	pos := d.spec.positionCost(d.head, r, rot)
+	xfer := d.spec.TransferTime(r.Bytes(), r.Op)
 	t := pos + xfer
 	p.Sleep(t)
 

@@ -65,7 +65,7 @@ func TestRandomMuchSlowerThanSequential(t *testing.T) {
 			lbn := int64(0)
 			for i := 0; i < nReq; i++ {
 				if random {
-					lbn = rng.Range(0, d.Capacity()/device.SectorSize-8)
+					lbn = rng.Range(0, DefaultSpec().CapacityBytes/device.SectorSize-8)
 				}
 				d.Serve(p, device.Request{Op: device.Read, LBN: lbn, Sectors: 8})
 				lbn += 8
@@ -91,7 +91,7 @@ func TestRandomWriteSlowerThanRandomRead(t *testing.T) {
 		const nReq = 200
 		e.Go("io", func(p *sim.Proc) {
 			for i := 0; i < nReq; i++ {
-				lbn := rng.Range(0, d.Capacity()/device.SectorSize-8)
+				lbn := rng.Range(0, DefaultSpec().CapacityBytes/device.SectorSize-8)
 				d.Serve(p, device.Request{Op: op, LBN: lbn, Sectors: 8})
 			}
 		})
@@ -107,54 +107,54 @@ func TestRandomWriteSlowerThanRandomRead(t *testing.T) {
 }
 
 func TestSeekTimeMonotone(t *testing.T) {
-	e := sim.New()
-	d := newDisk(e)
+	spec := DefaultSpec()
+	maxDist := spec.CapacityBytes / device.SectorSize
 	prev := sim.Duration(0)
-	for dist := int64(1); dist < d.Capacity()/device.SectorSize; dist *= 4 {
-		st := d.SeekTime(dist)
+	for dist := int64(1); dist < maxDist; dist *= 4 {
+		st := spec.SeekTime(dist)
 		if st < prev {
 			t.Fatalf("seek time not monotone at distance %d: %v < %v", dist, st, prev)
 		}
 		prev = st
 	}
-	if d.SeekTime(0) != 0 {
+	if spec.SeekTime(0) != 0 {
 		t.Fatal("zero-distance seek should cost nothing")
 	}
-	spec := DefaultSpec()
-	maxDist := spec.CapacityBytes / device.SectorSize
-	if st := d.SeekTime(maxDist); st < spec.MaxSeek-sim.Millisecond/10 {
+	if st := spec.SeekTime(maxDist); st < spec.MaxSeek-sim.Millisecond/10 {
 		t.Fatalf("full-stroke seek %v, want ≈%v", st, spec.MaxSeek)
 	}
 }
 
 func TestSeekTimeSymmetric(t *testing.T) {
-	e := sim.New()
-	d := newDisk(e)
+	spec := DefaultSpec()
 	if err := quick.Check(func(dist int64) bool {
 		if dist < 0 {
 			dist = -dist
 		}
-		dist %= d.Capacity() / device.SectorSize
-		return d.SeekTime(dist) == d.SeekTime(-dist)
+		dist %= spec.CapacityBytes / device.SectorSize
+		return spec.SeekTime(dist) == spec.SeekTime(-dist)
 	}, nil); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestEstimateMatchesAvgServe(t *testing.T) {
-	// EstimateService uses average rotation; actual Serve draws uniform
+	// Estimate uses average rotation; actual Serve draws uniform
 	// rotation. Over many requests the mean service time must agree.
 	e := sim.New()
 	d := newDisk(e)
+	spec := DefaultSpec()
 	rng := sim.NewRNG(3)
 	var estimated, actual sim.Duration
 	const nReq = 2000
 	e.Go("io", func(p *sim.Proc) {
+		prev := int64(0) // a fresh disk's head
 		for i := 0; i < nReq; i++ {
-			lbn := rng.Range(0, d.Capacity()/device.SectorSize-128)
+			lbn := rng.Range(0, spec.CapacityBytes/device.SectorSize-128)
 			r := device.Request{Op: device.Read, LBN: lbn, Sectors: 128}
-			estimated += d.EstimateService(r)
+			estimated += spec.Estimate(prev, r)
 			actual += d.Serve(p, r)
+			prev = r.End()
 		}
 	})
 	if err := e.Run(); err != nil {
@@ -167,16 +167,15 @@ func TestEstimateMatchesAvgServe(t *testing.T) {
 }
 
 func TestEstimateFromUsesGivenLocation(t *testing.T) {
-	e := sim.New()
-	d := newDisk(e)
+	spec := DefaultSpec()
 	r := device.Request{Op: device.Read, LBN: 1 << 20, Sectors: 128}
-	near := d.EstimateFrom(1<<20, r) // contiguous: transfer only
-	far := d.EstimateFrom(1<<30, r)  // long seek
+	near := spec.Estimate(1<<20, r) // contiguous: transfer only
+	far := spec.Estimate(1<<30, r)  // long seek
 	if near >= far {
 		t.Fatalf("contiguous estimate %v not cheaper than far estimate %v", near, far)
 	}
-	if near != d.TransferTime(r.Bytes(), device.Read) {
-		t.Fatalf("contiguous estimate %v, want pure transfer %v", near, d.TransferTime(r.Bytes(), device.Read))
+	if near != spec.TransferTime(r.Bytes(), device.Read) {
+		t.Fatalf("contiguous estimate %v, want pure transfer %v", near, spec.TransferTime(r.Bytes(), device.Read))
 	}
 }
 

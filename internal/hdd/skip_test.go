@@ -12,18 +12,17 @@ import (
 // skipped sectors, while the same distance backward costs a seek plus
 // rotational miss.
 func TestForwardSkipCheaperThanBackwardSeek(t *testing.T) {
-	e := sim.New()
-	d := newDisk(e)
+	spec := DefaultSpec()
 	const start = 1 << 20
 	const hop = 40 // 20 KB in sectors
-	fwd := d.EstimateFrom(start, device.Request{Op: device.Read, LBN: start + hop, Sectors: 8})
-	bwd := d.EstimateFrom(start, device.Request{Op: device.Read, LBN: start - hop, Sectors: 8})
+	fwd := spec.Estimate(start, device.Request{Op: device.Read, LBN: start + hop, Sectors: 8})
+	bwd := spec.Estimate(start, device.Request{Op: device.Read, LBN: start - hop, Sectors: 8})
 	if fwd*4 > bwd {
 		t.Fatalf("forward hop %v not ≪ backward hop %v", fwd, bwd)
 	}
 	// The forward hop's positioning is about the read-through time.
-	xfer := d.TransferTime(8*device.SectorSize, device.Read)
-	skip := d.TransferTime(hop*device.SectorSize, device.Read)
+	xfer := spec.TransferTime(8*device.SectorSize, device.Read)
+	skip := spec.TransferTime(hop*device.SectorSize, device.Read)
 	if fwd < xfer+skip/2 || fwd > xfer+2*skip {
 		t.Fatalf("forward hop %v, want ≈ transfer %v + skip %v", fwd, xfer, skip)
 	}
@@ -33,12 +32,10 @@ func TestForwardSkipCheaperThanBackwardSeek(t *testing.T) {
 // disk seeks instead of reading through: the cost is capped by seek +
 // rotation.
 func TestLongForwardHopSeeks(t *testing.T) {
-	e := sim.New()
-	d := newDisk(e)
 	spec := DefaultSpec()
 	const start = 1 << 20
 	farHop := int64(4 << 20) // 2 GB forward: read-through would take seconds
-	got := d.EstimateFrom(start, device.Request{Op: device.Read, LBN: start + farHop, Sectors: 8})
+	got := spec.Estimate(start, device.Request{Op: device.Read, LBN: start + farHop, Sectors: 8})
 	cap := spec.MaxSeek + spec.RotationPeriod // generous bound
 	if got > cap {
 		t.Fatalf("far forward hop cost %v exceeds seek+rotation bound %v", got, cap)

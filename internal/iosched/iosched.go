@@ -51,6 +51,17 @@ func (p Policy) String() string {
 	}
 }
 
+// Device is the simulated block device a queue dispatches to
+// (internal/hdd, internal/ssd). Serve blocks the calling simulated
+// process for the virtual duration of r and returns that duration;
+// devices serialize internally, so concurrent Serve calls queue at the
+// medium.
+type Device interface {
+	Serve(p *sim.Proc, r device.Request) sim.Duration
+	// Name identifies the device in process names and traces.
+	Name() string
+}
+
 // Tracer observes dispatched block-level requests; implemented by
 // blktrace.Collector. A nil Tracer disables tracing.
 type Tracer interface {
@@ -143,7 +154,7 @@ type unit struct {
 // Queue is a scheduler instance bound to one device.
 type Queue struct {
 	e        *sim.Engine
-	dev      device.Device
+	dev      Device
 	name     string // of the drain process
 	cfg      Config
 	tracer   Tracer
@@ -173,7 +184,7 @@ type Queue struct {
 func (q *Queue) SetMetrics(m *obs.QueueMetrics) { q.m = m }
 
 // New returns a scheduler queue feeding dev.
-func New(e *sim.Engine, dev device.Device, cfg Config, tracer Tracer) *Queue {
+func New(e *sim.Engine, dev Device, cfg Config, tracer Tracer) *Queue {
 	if cfg.MaxSectors <= 0 {
 		cfg.MaxSectors = 256
 	}
@@ -184,9 +195,6 @@ func New(e *sim.Engine, dev device.Device, cfg Config, tracer Tracer) *Queue {
 
 // Stats returns accumulated scheduler statistics.
 func (q *Queue) Stats() *Stats { return &q.stats }
-
-// Device returns the device this queue feeds.
-func (q *Queue) Device() device.Device { return q.dev }
 
 // Pending returns the number of queued (not yet dispatched) requests.
 func (q *Queue) Pending() int { return len(q.pending) }

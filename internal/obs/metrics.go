@@ -2,7 +2,7 @@ package obs
 
 import (
 	"repro/internal/device"
-	"repro/internal/sim"
+	"repro/internal/vtime"
 )
 
 // This file defines the per-component metric bundles. Each bundle is a
@@ -36,7 +36,7 @@ func (s *Set) EngineMetrics() *EngineMetrics {
 }
 
 // OnEvent implements sim.Probe.
-func (m *EngineMetrics) OnEvent(now sim.Time, pending int) {
+func (m *EngineMetrics) OnEvent(now vtime.Time, pending int) {
 	m.Events.Inc()
 	m.Pending.Set(int64(pending))
 }
@@ -68,7 +68,7 @@ func (s *Set) DeviceMetrics(kind string) *DeviceMetrics {
 }
 
 // ObserveIO implements device.Probe.
-func (m *DeviceMetrics) ObserveIO(r device.Request, position, transfer sim.Duration) {
+func (m *DeviceMetrics) ObserveIO(r device.Request, position, transfer vtime.Duration) {
 	if r.Op == device.Read {
 		m.Reads.Inc()
 	} else {

@@ -28,7 +28,7 @@ import (
 	"io"
 	"sync/atomic"
 
-	"repro/internal/sim"
+	"repro/internal/vtime"
 )
 
 // Config selects which observability features are enabled.
@@ -39,7 +39,7 @@ type Config struct {
 	Trace bool
 	// SampleEvery throttles T_i sampling: samples closer together than
 	// this are dropped. 0 samples at every metadata broadcast tick.
-	SampleEvery sim.Duration
+	SampleEvery vtime.Duration
 }
 
 // Set is one observability instance: the registry, the tracer, and the

@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/device"
-	"repro/internal/sim"
+	"repro/internal/vtime"
 )
 
 func TestNewDisabledIsNil(t *testing.T) {
@@ -105,8 +105,8 @@ func TestRegistryRenderAndSnapshot(t *testing.T) {
 func TestDeviceMetricsObserve(t *testing.T) {
 	s := New(Config{Metrics: true})
 	m := s.DeviceMetrics("hdd")
-	m.ObserveIO(device.Request{Op: device.Read, Sectors: 8}, 2*sim.Millisecond, sim.Millisecond)
-	m.ObserveIO(device.Request{Op: device.Write, Sectors: 8}, 0, sim.Millisecond)
+	m.ObserveIO(device.Request{Op: device.Read, Sectors: 8}, 2*vtime.Millisecond, vtime.Millisecond)
+	m.ObserveIO(device.Request{Op: device.Write, Sectors: 8}, 0, vtime.Millisecond)
 	if m.Reads.Value() != 1 || m.Writes.Value() != 1 {
 		t.Errorf("ops = %d/%d, want 1/1", m.Reads.Value(), m.Writes.Value())
 	}
@@ -127,12 +127,12 @@ func TestSetAggregatesAcrossBundles(t *testing.T) {
 }
 
 func TestTiSampler(t *testing.T) {
-	s := New(Config{Metrics: true, SampleEvery: 10 * sim.Millisecond})
+	s := New(Config{Metrics: true, SampleEvery: 10 * vtime.Millisecond})
 	ts := s.TiSampler("run1")
 	view := []float64{0.001, 0.002}
 	ts.Sample(0, view, TiSnapshot{Hits: 1})
-	ts.Sample(5*sim.Time(sim.Millisecond), view, TiSnapshot{}) // inside rate limit: dropped
-	ts.Sample(10*sim.Time(sim.Millisecond), view, TiSnapshot{Hits: 3, BoostedOffloads: 2})
+	ts.Sample(5*vtime.Time(vtime.Millisecond), view, TiSnapshot{}) // inside rate limit: dropped
+	ts.Sample(10*vtime.Time(vtime.Millisecond), view, TiSnapshot{Hits: 3, BoostedOffloads: 2})
 	got := ts.Samples()
 	if len(got) != 2 {
 		t.Fatalf("samples = %d, want 2 (rate limit)", len(got))

@@ -7,8 +7,8 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/vtime"
 )
 
 // Registry holds named metrics. Components resolve their metrics by name
@@ -92,7 +92,7 @@ func (h *Hist) Observe(ms float64) {
 }
 
 // ObserveDur records one virtual duration.
-func (h *Hist) ObserveDur(d sim.Duration) { h.Observe(d.Milliseconds()) }
+func (h *Hist) ObserveDur(d vtime.Duration) { h.Observe(d.Milliseconds()) }
 
 // Snapshot returns a copy of the underlying histogram for reading.
 func (h *Hist) Snapshot() stats.Hist {

@@ -5,7 +5,7 @@ import (
 	"io"
 	"sync"
 
-	"repro/internal/sim"
+	"repro/internal/vtime"
 )
 
 // TiSnapshot is the cumulative iBridge decision state captured with each
@@ -21,7 +21,7 @@ type TiSnapshot struct {
 
 // TiSample is one observation of the broadcast T vector.
 type TiSample struct {
-	At   sim.Time
+	At   vtime.Time
 	T    []float64 // seconds, indexed by server id
 	Snap TiSnapshot
 }
@@ -35,8 +35,8 @@ const maxTiSamples = 4096
 type TiSampler struct {
 	mu      sync.Mutex
 	label   string
-	every   sim.Duration
-	last    sim.Time
+	every   vtime.Duration
+	last    vtime.Time
 	started bool
 	samples []TiSample
 	dropped int64
@@ -65,7 +65,7 @@ func (s *Set) TiSampler(label string) *TiSampler {
 // Sample records the broadcast T vector at virtual time now, subject to
 // the sampler's rate limit. The view slice is copied; snap carries the
 // cumulative decision counters at the same instant.
-func (ts *TiSampler) Sample(now sim.Time, view []float64, snap TiSnapshot) {
+func (ts *TiSampler) Sample(now vtime.Time, view []float64, snap TiSnapshot) {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
 	if ts.started && ts.every > 0 && now.Sub(ts.last) < ts.every {

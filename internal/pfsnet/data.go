@@ -132,12 +132,6 @@ func NewDataServer(addr string, bridge bool) (*DataServer, error) {
 	return NewDataServerConfig(addr, ServerConfig{Bridge: bridge})
 }
 
-// NewDataServerWithStore starts a data server over the given object
-// store (e.g. a FileStore for on-disk objects).
-func NewDataServerWithStore(addr string, bridge bool, store ObjectStore) (*DataServer, error) {
-	return NewDataServerConfig(addr, ServerConfig{Bridge: bridge, Store: store})
-}
-
 // NewDataServerConfig starts a data server with explicit configuration.
 func NewDataServerConfig(addr string, cfg ServerConfig) (*DataServer, error) {
 	ln, err := net.Listen("tcp", addr)

@@ -20,7 +20,7 @@ func TestClientSurvivesServerRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds, err := NewDataServerWithStore("127.0.0.1:0", false, fs1)
+	ds, err := NewDataServerConfig("127.0.0.1:0", ServerConfig{Store: fs1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestClientSurvivesServerRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds2, err := NewDataServerWithStore(addr, false, fs2)
+	ds2, err := NewDataServerConfig(addr, ServerConfig{Store: fs2})
 	if err != nil {
 		t.Fatalf("restart on %s: %v", addr, err)
 	}

@@ -80,7 +80,7 @@ func TestDataServerWithFileStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds, err := NewDataServerWithStore("127.0.0.1:0", true, fs)
+	ds, err := NewDataServerConfig("127.0.0.1:0", ServerConfig{Bridge: true, Store: fs})
 	if err != nil {
 		t.Fatal(err)
 	}

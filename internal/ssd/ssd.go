@@ -43,20 +43,44 @@ func DefaultSpec() Spec {
 	}
 }
 
+// latency returns the per-operation latency of r following an access of
+// the same op that ended at sector prev.
+func (s *Spec) latency(prev int64, r device.Request) sim.Duration {
+	if r.LBN == prev {
+		return s.SeqLat
+	}
+	if r.Op == device.Read {
+		return s.RandReadLat
+	}
+	return s.RandWriteLat
+}
+
+// TransferTime returns the media transfer time of bytes for op.
+func (s *Spec) TransferTime(bytes int64, op device.Op) sim.Duration {
+	bw := s.ReadBW
+	if op == device.Write {
+		bw = s.WriteBW
+	}
+	return sim.Duration(float64(bytes) / bw * float64(sim.Second))
+}
+
+// Estimate returns the model service time of r following an access of
+// the same op that ended at sector prev: the per-operation latency plus
+// the media transfer.
+func (s *Spec) Estimate(prev int64, r device.Request) sim.Duration {
+	return s.latency(prev, r) + s.TransferTime(r.Bytes(), r.Op)
+}
+
 // SSD is a simulated solid-state drive. Like the disk, the medium serves
 // one request at a time; schedulers (Noop for SSDs, per the paper's
 // evaluation setup) handle ordering.
 type SSD struct {
-	e    *sim.Engine
 	spec Spec
 	name string
 	mu   *sim.Semaphore
 
 	lastEnd [2]int64 // per-Op position after the previous access
 
-	stats        device.Stats
-	idleSince    sim.Time
-	inFlight     int
 	bytesWritten int64 // lifetime writes, for wear accounting (Fig. 13)
 	probe        device.Probe
 }
@@ -67,7 +91,6 @@ func (s *SSD) SetProbe(p device.Probe) { s.probe = p }
 // New returns an SSD with the given spec.
 func New(e *sim.Engine, name string, spec Spec) *SSD {
 	return &SSD{
-		e:       e,
 		spec:    spec,
 		name:    name,
 		mu:      sim.NewSemaphore(e, 1),
@@ -75,81 +98,27 @@ func New(e *sim.Engine, name string, spec Spec) *SSD {
 	}
 }
 
-// Name implements device.Device.
+// Name implements iosched.Device.
 func (s *SSD) Name() string { return s.name }
-
-// Spec returns the SSD's model parameters.
-func (s *SSD) Spec() Spec { return s.spec }
-
-// Stats implements device.Device.
-func (s *SSD) Stats() *device.Stats { return &s.stats }
-
-// Capacity implements device.Device.
-func (s *SSD) Capacity() int64 { return s.spec.CapacityBytes }
 
 // BytesWritten returns lifetime bytes written, the wear metric the paper's
 // threshold discussion (Section III-G) trades throughput against.
 func (s *SSD) BytesWritten() int64 { return s.bytesWritten }
 
-// IdleSince implements device.Device.
-func (s *SSD) IdleSince() sim.Time {
-	if s.inFlight > 0 {
-		return s.e.Now()
-	}
-	return s.idleSince
-}
-
-// serviceParts computes the model service time of r given the device's
-// current per-op position, split into the per-operation latency and the
-// media transfer time.
-func (s *SSD) serviceParts(r device.Request) (lat, xfer sim.Duration) {
-	lat = s.spec.SeqLat
-	if r.LBN != s.lastEnd[r.Op] {
-		if r.Op == device.Read {
-			lat = s.spec.RandReadLat
-		} else {
-			lat = s.spec.RandWriteLat
-		}
-	}
-	bw := s.spec.ReadBW
-	if r.Op == device.Write {
-		bw = s.spec.WriteBW
-	}
-	return lat, sim.Duration(float64(r.Bytes()) / bw * float64(sim.Second))
-}
-
-// serviceTime computes the model service time of r.
-func (s *SSD) serviceTime(r device.Request) sim.Duration {
-	lat, xfer := s.serviceParts(r)
-	return lat + xfer
-}
-
-// EstimateService implements device.Device.
-func (s *SSD) EstimateService(r device.Request) sim.Duration {
-	return s.serviceTime(r)
-}
-
-// Serve implements device.Device.
+// Serve implements iosched.Device.
 func (s *SSD) Serve(p *sim.Proc, r device.Request) sim.Duration {
 	if r.Sectors <= 0 {
 		return 0
 	}
-	s.inFlight++
 	s.mu.Acquire(p)
-	lat, xfer := s.serviceParts(r)
+	lat := s.spec.latency(s.lastEnd[r.Op], r)
+	xfer := s.spec.TransferTime(r.Bytes(), r.Op)
 	t := lat + xfer
 	p.Sleep(t)
 
 	s.lastEnd[r.Op] = r.End()
-	s.stats.Ops[r.Op]++
-	s.stats.Bytes[r.Op] += r.Bytes()
-	s.stats.BusyTime += t
 	if r.Op == device.Write {
 		s.bytesWritten += r.Bytes()
-	}
-	s.inFlight--
-	if s.inFlight == 0 {
-		s.idleSince = p.Now()
 	}
 	if s.probe != nil {
 		s.probe.ObserveIO(r, lat, xfer)

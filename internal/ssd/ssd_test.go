@@ -18,7 +18,7 @@ func bench(t *testing.T, op device.Op, random bool, sectors int64) float64 {
 		lbn := int64(0)
 		for i := 0; i < nReq; i++ {
 			if random {
-				lbn = rng.Range(0, s.Capacity()/device.SectorSize-sectors)
+				lbn = rng.Range(0, DefaultSpec().CapacityBytes/device.SectorSize-sectors)
 			}
 			s.Serve(p, device.Request{Op: op, LBN: lbn, Sectors: sectors})
 			lbn += sectors
@@ -117,17 +117,18 @@ func TestWearAccounting(t *testing.T) {
 func TestEstimateMatchesServe(t *testing.T) {
 	e := sim.New()
 	s := New(e, "ssd0", DefaultSpec())
+	spec := DefaultSpec()
 	e.Go("io", func(p *sim.Proc) {
 		r := device.Request{Op: device.Write, LBN: 4096, Sectors: 8}
-		est := s.EstimateService(r)
+		est := spec.Estimate(-1, r) // a fresh SSD has no previous write
 		got := s.Serve(p, r)
 		if est != got {
 			t.Errorf("estimate %v != served %v", est, got)
 		}
 		// Now contiguous: estimate must drop to sequential latency.
 		r2 := device.Request{Op: device.Write, LBN: r.End(), Sectors: 8}
-		if s.EstimateService(r2) >= est {
-			t.Errorf("contiguous estimate %v not cheaper than random %v", s.EstimateService(r2), est)
+		if spec.Estimate(r.End(), r2) >= est {
+			t.Errorf("contiguous estimate %v not cheaper than random %v", spec.Estimate(r.End(), r2), est)
 		}
 	})
 	if err := e.Run(); err != nil {
