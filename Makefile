@@ -63,19 +63,19 @@ lint:
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkEngine|BenchmarkDirtyAccounting' -benchmem ./internal/sim/ ./internal/core/
 
-# Chaos gate: the live TCP cluster under a canned fault plan (one server
-# crash+restart plus 1% connection resets) must complete with every byte
-# verified, and two runs of the same plan must print an identical chaos
-# summary — injected-fault and retry/breaker counts reproducible from
-# the seed. The first run also records per-process trace spans (span
-# counts are timing-dependent, so they print before the summary and stay
-# out of the reproducibility diff); the merged Chrome trace lands in
+# Chaos gate: the live TCP cluster on log-backed (crash-consistent)
+# servers under a canned fault plan (one server crash+restart plus 1%
+# connection resets) must complete with every byte verified, and two
+# runs of the same plan must print an identical chaos summary —
+# injected-fault, replay and retry/breaker counts reproducible from the
+# seed. The first run also records per-process trace spans (span counts
+# are timing-dependent, so they print before the summary and stay out of
+# the reproducibility diff); the merged Chrome trace lands in
 # chaos-trace.json for chrome://tracing and is uploaded as a CI artifact.
-# The same plan then runs against log-backed (crash-consistent) servers,
-# and the kill-at-every-Kth-op recovery loop (cmd/logstore-chaos) crashes
-# a logstore mid-append on every Kth write, reopens, replays, and
-# byte-verifies — its RECOVERY SUMMARY stays in recovery-summary.txt for
-# the CI artifact upload and must also be run-to-run identical.
+# Then the kill-at-every-Kth-op recovery loop (cmd/logstore-chaos)
+# crashes a logstore mid-append on every Kth write, reopens, replays,
+# and byte-verifies — its RECOVERY SUMMARY stays in recovery-summary.txt
+# for the CI artifact upload and must also be run-to-run identical.
 CHAOS_PLAN = seed=42; reset=1%; crash=srv1@60+60
 chaos-smoke:
 	$(GO) run ./examples/livecluster -faults '$(CHAOS_PLAN)' -spans-dir chaos-spans | sed -n '/CHAOS SUMMARY/,$$p' > chaos-run1.txt
@@ -83,15 +83,9 @@ chaos-smoke:
 	@grep -q 'chaos: completed, data verified' chaos-run1.txt || { echo "chaos-smoke: run did not complete"; exit 1; }
 	@diff chaos-run1.txt chaos-run2.txt || { echo "chaos-smoke: summaries differ across identical runs"; exit 1; }
 	$(GO) run ./cmd/ibridge-trace -merge -o chaos-trace.json chaos-spans/*.spans
-	@echo "chaos-smoke: completed, byte-verified, reproducible:"; cat chaos-run1.txt
+	@echo "chaos-smoke: log-store cluster byte-verified, reproducible:"; cat chaos-run1.txt
 	@echo "chaos-smoke: merged trace in chaos-trace.json (load in chrome://tracing)"
 	@rm -rf chaos-spans chaos-run1.txt chaos-run2.txt
-	$(GO) run ./examples/livecluster -faults '$(CHAOS_PLAN)' -store log | sed -n '/CHAOS SUMMARY/,$$p' > chaos-log-run1.txt
-	$(GO) run ./examples/livecluster -faults '$(CHAOS_PLAN)' -store log | sed -n '/CHAOS SUMMARY/,$$p' > chaos-log-run2.txt
-	@grep -q 'chaos: completed, data verified' chaos-log-run1.txt || { echo "chaos-smoke: log-store run did not complete"; exit 1; }
-	@diff chaos-log-run1.txt chaos-log-run2.txt || { echo "chaos-smoke: log-store summaries differ across identical runs"; exit 1; }
-	@echo "chaos-smoke: log-store cluster byte-verified, reproducible:"; cat chaos-log-run1.txt
-	@rm -f chaos-log-run1.txt chaos-log-run2.txt
 	$(GO) run ./cmd/logstore-chaos | sed -n '/RECOVERY SUMMARY/,$$p' > recovery-summary.txt
 	$(GO) run ./cmd/logstore-chaos | sed -n '/RECOVERY SUMMARY/,$$p' > recovery-run2.txt
 	@grep -q 'zero data loss' recovery-summary.txt || { echo "chaos-smoke: recovery loop did not complete"; exit 1; }

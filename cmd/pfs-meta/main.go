@@ -6,13 +6,15 @@
 //	    -servers 127.0.0.1:7001,127.0.0.1:7002
 //
 // The server speaks wire protocol v2 (tagged frames) and refuses any
-// other version at the hello. Metadata traffic is a handful of round
-// trips per file, so each connection is served by one sequential loop.
+// other version at the hello. Each connection is served by the same loop
+// as a data server's: requests run in arrival order and a pipelined
+// burst is answered with one writev. -servers must name each data
+// server once, with no empty entry. SIGINT or SIGTERM stops the server.
 //
 // With -debug-addr the server exposes its metrics registry over expvar:
 // GET http://<debug-addr>/debug/vars returns a JSON map holding the
 // standard expvar keys plus "pfs" (the "pfsnet.meta.*" wire metrics:
-// frames and bytes).
+// frames, bytes and writev batching).
 package main
 
 import (
@@ -24,6 +26,7 @@ import (
 	"os/signal"
 	"strconv"
 	"strings"
+	"syscall"
 	"time"
 
 	"repro/internal/faults"
@@ -92,7 +95,7 @@ func main() {
 		}()
 	}
 	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	log.Print("pfs-meta: shutting down")
 	ms.Close()

@@ -9,13 +9,15 @@
 //	pfs-server -listen 127.0.0.1:7001 -io-timeout 10s \
 //	    -faults 'seed=1; reset=1%; ssdfail=srv0@100' -fault-scope srv0
 //
-// -store selects the backing object store: "mem" (default, volatile),
-// "file" (one sparse file per object under -store-dir; durable only
-// after a clean shutdown), or "log" (internal/logstore: append-only
-// checksummed log under -store-dir with checkpointed journal replay —
-// survives kill -9 mid-write; see DESIGN §14). -checkpoint-bytes tunes
-// how much appended log triggers a mapping-table checkpoint for the
-// log store.
+// -store selects the backing object store: "mem" (default, volatile)
+// or "log" (internal/logstore: append-only checksummed log under
+// -store-dir with checkpointed journal replay — survives kill -9
+// mid-write; see DESIGN §14). -checkpoint-bytes tunes how much appended
+// log triggers a mapping-table checkpoint for the log store.
+//
+// SIGINT or SIGTERM shuts the server down cleanly: it drains the
+// fragment log into the store and closes the store, and exits non-zero
+// if either fails. A bad flag exits 2.
 //
 // The server speaks wire protocol v2 (pipelined, multiplexed tagged
 // frames) and refuses any other version at the hello. Each connection is
@@ -40,10 +42,12 @@ package main
 import (
 	"expvar"
 	"flag"
+	"fmt"
 	"log"
 	"net/http"
 	"os"
 	"os/signal"
+	"syscall"
 	"time"
 
 	"repro/internal/faults"
@@ -56,8 +60,8 @@ func main() {
 	var (
 		listen     = flag.String("listen", "127.0.0.1:7001", "address to listen on")
 		ibridge    = flag.Bool("ibridge", false, "enable the iBridge fragment log")
-		storeKind  = flag.String("store", "mem", "backing store: mem, file, or log (crash-consistent; see DESIGN §14)")
-		storeDir   = flag.String("store-dir", "", "directory for the file or log store")
+		storeKind  = flag.String("store", "mem", "backing store: mem or log (crash-consistent; see DESIGN §14)")
+		storeDir   = flag.String("store-dir", "", "directory for the log store")
 		ckptBytes  = flag.Int64("checkpoint-bytes", 0, "log store: install a mapping-table checkpoint after this many appended log bytes (0 = default 4MiB, <0 = only on open/close)")
 		stats      = flag.Duration("stats", 0, "print server statistics at this interval (0 = never)")
 		debugAddr  = flag.String("debug-addr", "", "serve expvar metrics over HTTP at this address (/debug/vars)")
@@ -93,15 +97,6 @@ func main() {
 	switch kind {
 	case "mem":
 		store = pfsnet.NewMemStore()
-	case "file":
-		if sdir == "" {
-			log.Fatal("pfs-server: -store file requires -store-dir")
-		}
-		fs, err := pfsnet.NewFileStore(sdir)
-		if err != nil {
-			log.Fatalf("pfs-server: %v", err)
-		}
-		store = fs
 	case "log":
 		if sdir == "" {
 			log.Fatal("pfs-server: -store log requires -store-dir")
@@ -120,7 +115,9 @@ func main() {
 			sdir, st.Generation, st.ReplayedRecords, st.TruncatedTails)
 		store, logStore = ls, ls
 	default:
-		log.Fatalf("pfs-server: unknown -store %q (want mem, file, or log)", kind)
+		fmt.Fprintf(os.Stderr, "pfs-server: unknown -store %q (want mem or log)\n", kind)
+		flag.Usage()
+		os.Exit(2)
 	}
 	ds, err := pfsnet.NewDataServerConfig(*listen, pfsnet.ServerConfig{
 		Bridge:     *ibridge,
@@ -168,10 +165,10 @@ func main() {
 		}()
 	}
 	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	log.Print("pfs-server: shutting down")
-	ds.Close()
+	closeErr := ds.Close()
 	if plan != nil {
 		log.Printf("pfs-server: faults injected: %s", plan.CountsString())
 	}
@@ -187,5 +184,8 @@ func main() {
 			log.Fatalf("pfs-server: span file %s: %v", *spanFile, err)
 		}
 		log.Printf("pfs-server: %d spans written to %s (dropped %d)", tracer.Len(), *spanFile, tracer.Dropped())
+	}
+	if closeErr != nil {
+		log.Fatalf("pfs-server: close: %v", closeErr)
 	}
 }

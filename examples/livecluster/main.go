@@ -11,8 +11,10 @@
 // operation indexes, and SSD-failure clauses (ssdfail=srvN@WRITES)
 // degrade a server's fragment log mid-run. The driver issues a fixed
 // sequence of writes, re-issues any that failed while a server was down,
-// and verifies every byte at the end; the chaos summary it prints is
-// reproducible from the plan seed:
+// and verifies every byte at the end. Each data server keeps its objects
+// in a crash-consistent log store (internal/logstore) that outlives its
+// crashes. The chaos summary it prints is reproducible from the plan
+// seed:
 //
 //	go run ./examples/livecluster -faults 'seed=42; reset=1%; crash=srv1@60+60'
 //
@@ -53,7 +55,6 @@ const (
 func main() {
 	faultSpec := flag.String("faults", "", "deterministic fault plan (see internal/faults); enables the chaos walkthrough")
 	ops := flag.Int("ops", 200, "chaos mode: number of sequential block writes")
-	storeKind := flag.String("store", "file", "chaos mode: per-server backing store, file or log (crash-consistent logstore; DESIGN §14)")
 	spansDir := flag.String("spans-dir", "", "chaos mode: write per-process span files (client.spans, srvN.spans) here; merge with 'ibridge-trace -merge'")
 	flag.Parse()
 	if *faultSpec == "" {
@@ -64,10 +65,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if *storeKind != "file" && *storeKind != "log" {
-		log.Fatalf("livecluster: unknown -store %q (want file or log)", *storeKind)
-	}
-	chaos(plan, *ops, *spansDir, *storeKind)
+	chaos(plan, *ops, *spansDir)
 }
 
 // demo is the original fault-free walkthrough.
@@ -139,44 +137,33 @@ func demo() {
 }
 
 // chaosServer is one data server slot the crash schedule can stop and
-// restart on a stable address with a persistent store.
+// restart on a stable address with its log store.
 type chaosServer struct {
 	scope string
 	addr  string
 	dir   string
-	store string // "file" or "log"
 	// tracer outlives crashes: a restarted server keeps appending spans
 	// to its slot's buffer, so the span file covers the whole run.
 	tracer *obs.XTracer
 	ds     *pfsnet.DataServer // nil while crashed
-	// Cumulative recovery counters across this slot's restarts (log
-	// store only): every restart replays the journal, and with the
-	// op-indexed crash schedule both totals are deterministic — they
-	// belong in the CHAOS SUMMARY.
+	// Cumulative recovery counters across this slot's restarts: every
+	// restart replays the journal, and with the op-indexed crash
+	// schedule both totals are deterministic — they belong in the CHAOS
+	// SUMMARY.
 	replays, tornTails int64
 }
 
 func (s *chaosServer) start(plan *faults.Plan) error {
-	var store pfsnet.ObjectStore
-	if s.store == "log" {
-		ls, err := logstore.Open(s.dir, logstore.Config{Scope: s.scope})
-		if err != nil {
-			return err
-		}
-		st := ls.Stats()
-		s.replays += st.Replays
-		s.tornTails += st.TruncatedTails
-		store = ls
-	} else {
-		fs, err := pfsnet.NewFileStore(s.dir)
-		if err != nil {
-			return err
-		}
-		store = fs
+	ls, err := logstore.Open(s.dir, logstore.Config{Scope: s.scope})
+	if err != nil {
+		return err
 	}
+	st := ls.Stats()
+	s.replays += st.Replays
+	s.tornTails += st.TruncatedTails
 	ds, err := pfsnet.NewDataServerConfig(s.addr, pfsnet.ServerConfig{
 		Bridge:     true,
-		Store:      store,
+		Store:      ls,
 		Tracer:     s.tracer,
 		FaultPlan:  plan,
 		FaultScope: s.scope,
@@ -192,7 +179,7 @@ func (s *chaosServer) start(plan *faults.Plan) error {
 // chaos runs the deterministic fault walkthrough: ops sequential
 // unaligned block writes while the plan injects faults, then full byte
 // verification and a reproducible summary.
-func chaos(plan *faults.Plan, ops int, spansDir, storeKind string) {
+func chaos(plan *faults.Plan, ops int, spansDir string) {
 	fmt.Printf("chaos plan: %s (seed %d)\n", plan.String(), plan.Seed())
 	root, err := os.MkdirTemp("", "livecluster-chaos-")
 	if err != nil {
@@ -200,7 +187,7 @@ func chaos(plan *faults.Plan, ops int, spansDir, storeKind string) {
 	}
 	defer os.RemoveAll(root)
 
-	// Data servers get stable scopes srv0..srvN-1 and file stores so a
+	// Data servers get stable scopes srv0..srvN-1 and log stores so a
 	// crashed server restarts on the same address with its data intact.
 	servers := make([]*chaosServer, nServers)
 	var dataAddrs []string
@@ -209,7 +196,6 @@ func chaos(plan *faults.Plan, ops int, spansDir, storeKind string) {
 			scope: fmt.Sprintf("srv%d", i),
 			addr:  "127.0.0.1:0",
 			dir:   filepath.Join(root, fmt.Sprintf("srv%d", i)),
-			store: storeKind,
 		}
 		if spansDir != "" {
 			servers[i].tracer = obs.NewXTracer(servers[i].scope, 0)
@@ -376,22 +362,19 @@ func chaos(plan *faults.Plan, ops int, spansDir, storeKind string) {
 	// timings deliberately excluded).
 	fmt.Println("\nCHAOS SUMMARY")
 	fmt.Printf("plan: %s\n", plan.String())
-	fmt.Printf("store: %s\n", storeKind)
 	fmt.Printf("faults injected: %s\n", plan.CountsString())
 	fmt.Printf("deferred-during-downtime: %d\n", len(failedOps))
-	if storeKind == "log" {
-		// Every restart replays the journal; with the op-indexed crash
-		// schedule the totals are deterministic. Torn tails stay 0 here
-		// because livecluster "crashes" close the process cleanly — the
-		// mid-write kill loop lives in cmd/logstore-chaos.
-		var replays, torn int64
-		for _, s := range servers {
-			replays += s.replays
-			torn += s.tornTails
-		}
-		fmt.Printf("logstore.replays: %d\n", replays)
-		fmt.Printf("logstore.truncated_tails: %d\n", torn)
+	// Every restart replays the journal; with the op-indexed crash
+	// schedule the totals are deterministic. Torn tails stay 0 here
+	// because livecluster "crashes" close the process cleanly — the
+	// mid-write kill loop lives in cmd/logstore-chaos.
+	var replays, torn int64
+	for _, s := range servers {
+		replays += s.replays
+		torn += s.tornTails
 	}
+	fmt.Printf("logstore.replays: %d\n", replays)
+	fmt.Printf("logstore.truncated_tails: %d\n", torn)
 	vals := reg.CounterValues()
 	keys := make([]string, 0, len(vals))
 	for k := range vals {

@@ -1,12 +1,8 @@
 package pfsnet
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
-	"log"
-	"net"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -37,23 +33,17 @@ type DurableStore interface {
 // log (bridge.go) — the functional analogue of iBridge's SSD cache — and
 // drained back to the object store on Flush.
 //
-// Each connection runs to completion on the one goroutine that reads
-// it: read a frame, execute it, queue the tagged reply, and put the
-// queued replies on the wire in one writev only when the next read could
-// block. Requests on one connection therefore execute in arrival order;
-// concurrency comes from connections. Server state is split so requests
-// on different connections do not serialize behind one lock: the
-// fragment log has its own (logMu, in the bridge), counters are atomic,
-// and object-store I/O runs outside both.
+// Connections are served by the embedded server's loop, so requests on
+// one connection execute in arrival order and concurrency comes from
+// connections. Server state is split so requests on different
+// connections do not serialize behind one lock: the fragment log has its
+// own (logMu, in the bridge), counters are atomic, and object-store I/O
+// runs outside both.
 type DataServer struct {
-	ln        net.Listener
-	bridge    *bridge // the fragment log; never nil, inert when the server runs without iBridge
-	store     ObjectStore
-	durable   DurableStore // non-nil when store is crash-consistent (logstore)
-	ioTimeout time.Duration
-	wm        *wireMetrics
-	tracer    *obs.XTracer
-	connSeq   atomic.Int64 // per-connection trace-scope numbering
+	server
+	bridge  *bridge // the fragment log; never nil, inert when the server runs without iBridge
+	store   ObjectStore
+	durable DurableStore // non-nil when store is crash-consistent (logstore)
 
 	// SSD-device failure: when the fault plan schedules a device failure
 	// for this server (or FailSSD is called), the fragment log is
@@ -63,13 +53,7 @@ type DataServer struct {
 	plan         *faults.Plan
 	ssdFailAfter int64 // fragment-log writes until the device fails; 0 = never
 
-	ctr       dataCounters
-	wg        sync.WaitGroup
-	quit      chan struct{}
-	closeOnce sync.Once
-
-	connMu sync.Mutex
-	conns  map[net.Conn]struct{}
+	ctr dataCounters
 }
 
 // ServerConfig configures a data server beyond the common defaults.
@@ -134,41 +118,33 @@ func NewDataServer(addr string, bridge bool) (*DataServer, error) {
 
 // NewDataServerConfig starts a data server with explicit configuration.
 func NewDataServerConfig(addr string, cfg ServerConfig) (*DataServer, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
 	store := cfg.Store
 	if store == nil {
 		store = NewMemStore()
 	}
 	s := &DataServer{
-		ln:        cfg.FaultPlan.WrapListener(ln, cfg.FaultScope),
-		bridge:    newBridge(cfg.Bridge),
-		store:     store,
-		ioTimeout: cfg.IOTimeout,
-		wm:        newWireMetrics(cfg.Obs, "pfsnet.server."),
-		tracer:    cfg.Tracer,
-		plan:      cfg.FaultPlan,
-		quit:      make(chan struct{}),
-		conns:     make(map[net.Conn]struct{}),
+		bridge: newBridge(cfg.Bridge),
+		store:  store,
+		plan:   cfg.FaultPlan,
 	}
-	if cfg.Obs != nil {
-		s.bridge.register(cfg.Obs, "pfsnet.server.bridge.")
-	}
+	s.ioTimeout = cfg.IOTimeout
+	s.wm = newWireMetrics(cfg.Obs, "pfsnet.server.")
+	s.tracer = cfg.Tracer
+	s.server.dispatch = s.dispatch
 	if ds, ok := store.(DurableStore); ok {
 		s.durable = ds
 	}
 	if n, ok := cfg.FaultPlan.SSDFailWrites(cfg.FaultScope); ok {
 		s.ssdFailAfter = n
 	}
-	s.wg.Add(1)
-	go s.accept()
+	if err := s.listen(addr, cfg.FaultPlan, cfg.FaultScope); err != nil {
+		return nil, err
+	}
+	if cfg.Obs != nil {
+		s.bridge.register(cfg.Obs, "pfsnet.server.bridge.")
+	}
 	return s, nil
 }
-
-// Addr returns the server's listen address.
-func (s *DataServer) Addr() string { return s.ln.Addr().String() }
 
 // Stats returns a copy of the server statistics.
 func (s *DataServer) Stats() DataStats {
@@ -193,25 +169,10 @@ func (s *DataServer) Stats() DataStats {
 // retry logic redial transparently). Close is idempotent: chaos drivers
 // crash servers that a deferred cleanup later closes again.
 func (s *DataServer) Close() error {
-	var first bool
-	s.closeOnce.Do(func() { close(s.quit); first = true })
+	first, err := s.stop()
 	if !first {
 		return nil
 	}
-	err := s.ln.Close()
-	// Snapshot under the lock, sever outside it: Close on a TCP conn
-	// can block, and handlers need connMu to unregister themselves.
-	s.connMu.Lock()
-	conns := make([]net.Conn, 0, len(s.conns))
-	for c := range s.conns {
-		//lint:allow detmaprange severing connections; close order is immaterial
-		conns = append(conns, c)
-	}
-	s.connMu.Unlock()
-	for _, c := range conns {
-		c.Close()
-	}
-	s.wg.Wait()
 	if ferr := s.FlushLog(); ferr != nil && err == nil {
 		err = ferr
 	}
@@ -237,148 +198,6 @@ func (s *DataServer) flush(file uint64, all bool) (int64, error) {
 		s.ctr.flushes.Add(1)
 	}
 	return n, err
-}
-
-func (s *DataServer) accept() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			select {
-			case <-s.quit:
-				return
-			default:
-				log.Printf("pfsnet data: accept: %v", err)
-				return
-			}
-		}
-		s.connMu.Lock()
-		s.conns[conn] = struct{}{}
-		s.connMu.Unlock()
-		s.wg.Add(1)
-		go s.serveConn(conn)
-	}
-}
-
-func (s *DataServer) serveConn(conn net.Conn) {
-	defer s.wg.Done()
-	defer func() {
-		s.connMu.Lock()
-		delete(s.conns, conn)
-		s.connMu.Unlock()
-		conn.Close()
-	}()
-	br := bufio.NewReaderSize(conn, connBufSize)
-	if serverHandshake(conn, br) != nil {
-		return
-	}
-	s.servePipelined(conn, br, fmt.Sprintf("conn%d", s.connSeq.Add(1)))
-}
-
-// servePipelined serves a connection to completion on this goroutine:
-// read a frame, dispatch it inline, queue its tagged reply, and put the
-// queued replies on the wire only when the next read could block. A
-// pipelined burst — a striped parent's chain, or many callers' requests
-// sharing the connection — is read with one read(2), executed in order
-// and answered with one writev.
-func (s *DataServer) servePipelined(conn net.Conn, br *bufio.Reader, scope string) {
-	vw := newVecWriter(conn, s.wm)
-	defer vw.abandon()
-	var pending []respCtx // traced replies queued since the last flush
-	for {
-		if !frameBuffered(br) {
-			if s.flushReplies(conn, vw) != nil {
-				return
-			}
-			pending = s.flushRespSpans(pending, scope)
-			if s.ioTimeout > 0 {
-				conn.SetReadDeadline(time.Now().Add(s.ioTimeout))
-			}
-		}
-		fr, err := readFrame(br)
-		if err != nil {
-			return
-		}
-		var parsed time.Time
-		if fr.tag&tagTraceFlag != 0 {
-			fr.tag &^= tagTraceFlag
-			if len(fr.payload) < traceCtxSize {
-				// A context too short to exist is a protocol violation,
-				// not a request — drop the connection.
-				fr.release()
-				return
-			}
-			fr.traced = true
-			fr.tcID = binary.BigEndian.Uint64(fr.payload[:8])
-			fr.tcSpan = binary.BigEndian.Uint64(fr.payload[8:16])
-			parsed = time.Now()
-		}
-		s.wm.onRx(len(fr.payload))
-		traced := s.tracer != nil && fr.traced
-		var t0 time.Time
-		if traced {
-			t0 = time.Now()
-			s.tracer.Span(fr.tcID, s.tracer.NewID(), fr.tcSpan, "queue-wait", scope, parsed, t0.Sub(parsed))
-		}
-		op, reply := s.dispatch(fr.op, fr.body())
-		fr.release()
-		if traced {
-			now := time.Now()
-			s.tracer.Span(fr.tcID, s.tracer.NewID(), fr.tcSpan, "store", scope, t0, now.Sub(t0))
-			pending = append(pending, respCtx{fr.tcID, fr.tcSpan, now})
-		}
-		n := len(reply)
-		if err := vw.writeFrame(fr.tag, op, reply); err != nil {
-			return
-		}
-		s.wm.onTx(n)
-	}
-}
-
-// frameBuffered reports whether br already holds the whole next frame,
-// so reading it cannot block on the socket. Part of a frame does not
-// count: its rest may be slow to arrive, and the replies queued so far
-// must not wait for it.
-func frameBuffered(br *bufio.Reader) bool {
-	n := br.Buffered()
-	if n < 4 {
-		return false
-	}
-	hdr, _ := br.Peek(4) // buffered: no I/O, no error
-	return n-4 >= int(binary.BigEndian.Uint32(hdr))
-}
-
-// flushReplies puts every reply queued on the connection on the wire in
-// one submission, under the per-flush write deadline. A no-op when
-// nothing is queued.
-func (s *DataServer) flushReplies(conn net.Conn, vw *vecWriter) error {
-	if vw.frames == 0 {
-		return nil
-	}
-	if s.ioTimeout > 0 {
-		conn.SetWriteDeadline(time.Now().Add(s.ioTimeout))
-	}
-	return vw.flush()
-}
-
-// respCtx is the trace context of a queued reply, held until the flush
-// that actually puts it on the wire.
-type respCtx struct {
-	tcID, tcSpan uint64
-	start        time.Time
-}
-
-// flushRespSpans closes one "respond" span per traced reply carried by
-// the flush that just completed.
-func (s *DataServer) flushRespSpans(pending []respCtx, scope string) []respCtx {
-	if len(pending) == 0 {
-		return pending
-	}
-	now := time.Now()
-	for _, rc := range pending {
-		s.tracer.Span(rc.tcID, s.tracer.NewID(), rc.tcSpan, "respond", scope, rc.start, now.Sub(rc.start))
-	}
-	return pending[:0]
 }
 
 // dispatch executes one request and returns the reply opcode and pooled

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/logstore"
 	"repro/internal/stripe"
 )
 
@@ -16,11 +17,11 @@ import (
 // redial must recover.
 func TestClientSurvivesServerRestart(t *testing.T) {
 	dir := t.TempDir()
-	fs1, err := NewFileStore(dir)
+	ls1, err := logstore.Open(dir, logstore.Config{NoCompactor: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds, err := NewDataServerConfig("127.0.0.1:0", ServerConfig{Store: fs1})
+	ds, err := NewDataServerConfig("127.0.0.1:0", ServerConfig{Store: ls1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,11 +48,11 @@ func TestClientSurvivesServerRestart(t *testing.T) {
 	if err := ds.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	fs2, err := NewFileStore(dir)
+	ls2, err := logstore.Open(dir, logstore.Config{NoCompactor: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds2, err := NewDataServerConfig(addr, ServerConfig{Store: fs2})
+	ds2, err := NewDataServerConfig(addr, ServerConfig{Store: ls2})
 	if err != nil {
 		t.Fatalf("restart on %s: %v", addr, err)
 	}

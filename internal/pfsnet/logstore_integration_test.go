@@ -150,8 +150,7 @@ func TestSSDFailBridgeAndLogstoreShareBudget(t *testing.T) {
 
 // TestLogBackedServerSurvivesRestart: the crash-consistency story the
 // logstore adds to pfsnet — close a log-backed server, reopen the same
-// directory, and every acknowledged byte is still there (FileStore
-// makes the same promise only after a clean Close; see its doc).
+// directory, and every acknowledged byte is still there.
 func TestLogBackedServerSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
 	open := func() (*DataServer, string) {
@@ -199,5 +198,60 @@ func TestLogBackedServerSurvivesRestart(t *testing.T) {
 	}
 	if !bytes.Equal(got, payload) {
 		t.Fatal("acknowledged bytes lost across server restart")
+	}
+}
+
+// TestLogBackedServerDrainsBridgeOnClose: with the bridge on, a flagged
+// write lives only in the heap fragment log until Close drains it into
+// the log store; a reopen of the store's directory finds it there.
+func TestLogBackedServerDrainsBridgeOnClose(t *testing.T) {
+	dir := t.TempDir()
+	ls, err := logstore.Open(dir, logstore.Config{NoCompactor: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, err := NewDataServerConfig("127.0.0.1:0", ServerConfig{Bridge: true, Store: ls})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms, err := NewMetaServer("127.0.0.1:0", 64*1024, []string{ds.Addr()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ms.Close()
+	c := NewIBridgeClient(ms.Addr(), 20*1024, 20*1024)
+	f, err := c.Create("data", 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := bytes.Repeat([]byte{0xC3}, 4096)
+	if err := c.WriteAt(f, 512, payload); err != nil { // random → log
+		t.Fatal(err)
+	}
+	got := make([]byte, len(payload))
+	if err := c.ReadAt(f, 512, got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, payload) {
+		t.Fatal("read mismatch before close")
+	}
+	c.Close()
+	if st := ds.Stats(); st.FragmentWrites != 1 {
+		t.Fatalf("FragmentWrites = %d, want 1: the write did not take the bridge", st.FragmentWrites)
+	}
+	if err := ds.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ls2, err := logstore.Open(dir, logstore.Config{NoCompactor: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ls2.Close()
+	onDisk := make([]byte, len(payload))
+	if err := ls2.ReadAt(uint64(f.ID), 512, onDisk); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(onDisk, payload) {
+		t.Fatal("Close did not drain the fragment into the log store")
 	}
 }

@@ -1,11 +1,8 @@
 package pfsnet
 
 import (
-	"bufio"
 	"fmt"
-	"log"
 	"math"
-	"net"
 	"sync"
 	"time"
 
@@ -16,12 +13,12 @@ import (
 
 // MetaServer is the metadata service: it owns the namespace and the
 // striping layout, and tells clients which data servers hold a file.
+// Connections are served by the embedded server's loop, like the data
+// server's.
 type MetaServer struct {
-	ln        net.Listener
-	unit      int64
-	servers   []string // data server addresses, in stripe order
-	ioTimeout time.Duration
-	wm        *wireMetrics
+	server
+	unit    int64
+	servers []string // data server addresses, in stripe order
 
 	mu     sync.Mutex
 	files  map[string]fileMeta
@@ -31,13 +28,6 @@ type MetaServer struct {
 	// replies carry it as trailing payload bytes old clients ignore;
 	// clients install it, which arms issue ordering (order.go).
 	loadHints []float64
-
-	wg        sync.WaitGroup
-	quit      chan struct{}
-	closeOnce sync.Once
-
-	connMu sync.Mutex
-	conns  map[net.Conn]struct{}
 }
 
 type fileMeta struct {
@@ -73,91 +63,38 @@ func NewMetaServerConfig(addr string, unit int64, dataServers []string, cfg Meta
 	if len(dataServers) == 0 {
 		return nil, fmt.Errorf("pfsnet meta: no data servers")
 	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
+	// Two stripe slots on one address would put different units at the
+	// same object offsets of one server, so each overwrites the other.
+	seen := make(map[string]bool, len(dataServers))
+	for i, a := range dataServers {
+		if a == "" {
+			return nil, fmt.Errorf("pfsnet meta: data server %d has an empty address", i)
+		}
+		if seen[a] {
+			return nil, fmt.Errorf("pfsnet meta: data server %s listed twice", a)
+		}
+		seen[a] = true
 	}
 	s := &MetaServer{
-		ln:        cfg.FaultPlan.WrapListener(ln, cfg.FaultScope),
-		unit:      unit,
-		servers:   append([]string(nil), dataServers...),
-		ioTimeout: cfg.IOTimeout,
-		wm:        newWireMetrics(cfg.Obs, "pfsnet.meta."),
-		files:     make(map[string]fileMeta),
-		nextID:    1,
-		quit:      make(chan struct{}),
-		conns:     make(map[net.Conn]struct{}),
+		unit:    unit,
+		servers: append([]string(nil), dataServers...),
+		files:   make(map[string]fileMeta),
+		nextID:  1,
 	}
-	s.wg.Add(1)
-	go s.accept()
+	s.ioTimeout = cfg.IOTimeout
+	s.wm = newWireMetrics(cfg.Obs, "pfsnet.meta.")
+	s.server.dispatch = s.dispatch
+	if err := s.listen(addr, cfg.FaultPlan, cfg.FaultScope); err != nil {
+		return nil, err
+	}
 	return s, nil
 }
-
-// Addr returns the server's listen address.
-func (s *MetaServer) Addr() string { return s.ln.Addr().String() }
 
 // Close stops the server, severing open client connections. It is
 // idempotent, like DataServer.Close.
 func (s *MetaServer) Close() error {
-	var first bool
-	s.closeOnce.Do(func() { close(s.quit); first = true })
-	if !first {
-		return nil
-	}
-	err := s.ln.Close()
-	// Snapshot under the lock, sever outside it: Close on a TCP conn
-	// can block, and handlers need connMu to unregister themselves.
-	s.connMu.Lock()
-	conns := make([]net.Conn, 0, len(s.conns))
-	for c := range s.conns {
-		//lint:allow detmaprange severing connections; close order is immaterial
-		conns = append(conns, c)
-	}
-	s.connMu.Unlock()
-	for _, c := range conns {
-		c.Close()
-	}
-	s.wg.Wait()
+	_, err := s.stop()
 	return err
-}
-
-func (s *MetaServer) accept() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			select {
-			case <-s.quit:
-				return
-			default:
-				log.Printf("pfsnet meta: accept: %v", err)
-				return
-			}
-		}
-		s.connMu.Lock()
-		s.conns[conn] = struct{}{}
-		s.connMu.Unlock()
-		s.wg.Add(1)
-		go s.serveConn(conn)
-	}
-}
-
-func (s *MetaServer) serveConn(conn net.Conn) {
-	defer s.wg.Done()
-	defer func() {
-		s.connMu.Lock()
-		delete(s.conns, conn)
-		s.connMu.Unlock()
-		conn.Close()
-	}()
-	br := bufio.NewReaderSize(conn, connBufSize)
-	if serverHandshake(conn, br) != nil {
-		return
-	}
-	// Metadata traffic is a handful of round trips per file, so one
-	// sequential loop serves it: replies go out tagged, in order. Clients
-	// never trace metadata frames, so the loop ignores trace contexts.
-	serveFrames(conn, br, s.wm, s.ioTimeout, s.dispatch)
 }
 
 // dispatch executes one metadata request.

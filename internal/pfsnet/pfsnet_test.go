@@ -55,6 +55,31 @@ func TestCreateOpenRoundTrip(t *testing.T) {
 	}
 }
 
+// TestMetaServerRejectsBadServerList: a repeated address would stripe two
+// slots onto the same object offsets of one server, and an empty one
+// names no server, so both are refused at construction.
+func TestMetaServerRejectsBadServerList(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		servers []string
+		ok      bool
+	}{
+		{"empty", []string{"127.0.0.1:7001", ""}, false},
+		{"duplicate", []string{"127.0.0.1:7001", "127.0.0.1:7002", "127.0.0.1:7001"}, false},
+		{"valid", []string{"127.0.0.1:7001", "127.0.0.1:7002"}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ms, err := NewMetaServer("127.0.0.1:0", 4096, tc.servers)
+			if err == nil {
+				ms.Close()
+			}
+			if (err == nil) != tc.ok {
+				t.Fatalf("servers %q: err = %v, want ok=%v", tc.servers, err, tc.ok)
+			}
+		})
+	}
+}
+
 func TestWriteReadAcrossServers(t *testing.T) {
 	meta := testCluster(t, 4, 4096, false)
 	c := NewClient(meta)

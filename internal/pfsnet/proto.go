@@ -39,7 +39,6 @@ import (
 	"math/bits"
 	"net"
 	"sync"
-	"time"
 )
 
 // Opcodes.
@@ -387,39 +386,4 @@ func wrapTimeout(err error) error {
 		return fmt.Errorf("%v (%w)", err, ErrDeadline)
 	}
 	return err
-}
-
-// serveFrames runs a sequential request loop: read a frame, dispatch
-// it, reply with the echoed tag, flush. This is the whole server for
-// low-rate services like the metadata server, where handler concurrency
-// buys nothing. ioTimeout, when positive, bounds each frame read and
-// each reply write so a stalled or half-open peer cannot pin the handler
-// goroutine forever.
-func serveFrames(nc net.Conn, br *bufio.Reader, wm *wireMetrics, ioTimeout time.Duration, dispatch func(op byte, payload []byte) (byte, []byte)) {
-	bw := bufio.NewWriterSize(nc, connBufSize)
-	for {
-		if ioTimeout > 0 {
-			nc.SetReadDeadline(time.Now().Add(ioTimeout))
-		}
-		fr, err := readFrame(br)
-		if err != nil {
-			return
-		}
-		wm.onRx(len(fr.payload))
-		op, reply := dispatch(fr.op, fr.payload)
-		fr.release()
-		n := len(reply)
-		if ioTimeout > 0 {
-			nc.SetWriteDeadline(time.Now().Add(ioTimeout))
-		}
-		err = writeFrame(bw, fr.tag, op, reply)
-		putBuf(reply)
-		if err != nil {
-			return
-		}
-		if err := bw.Flush(); err != nil {
-			return
-		}
-		wm.onTx(n)
-	}
 }

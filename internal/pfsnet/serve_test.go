@@ -99,43 +99,85 @@ func checkBlock(t *testing.T, reply []byte, i int) {
 	}
 }
 
-// TestServerCorksPipelinedBurst: N read frames that reach the server in
-// one write(2) are executed in order and answered by exactly one writev
-// carrying all N replies.
-func TestServerCorksPipelinedBurst(t *testing.T) {
-	reg := obs.NewRegistry()
-	ds, err := NewDataServerConfig("127.0.0.1:0", ServerConfig{Obs: reg})
-	if err != nil {
-		t.Fatal(err)
+// nameReq encodes an opOpen payload (and, with a size, an opCreate one).
+func nameReq(name string, size ...int64) []byte {
+	var e enc
+	e.str(name)
+	for _, n := range size {
+		e.i64(n)
 	}
-	defer ds.Close()
-	nc, br := dialV2(t, ds.Addr())
-	const n = 16
-	tag := seedBlocks(t, nc, br, 7, n)
+	return e.b
+}
 
-	calls := reg.Counter("pfsnet.server.writev_calls")
-	frames := reg.Counter("pfsnet.server.writev_frames")
-	// The seed writes' counts land after their replies are written; wait
-	// for the last one before taking the baseline.
+// TestServerCorksPipelinedBurst: N frames that reach a server in one
+// write(2) are executed in order and answered by exactly one writev
+// carrying all N replies — reads on a data server, opens on a metadata
+// server.
+func TestServerCorksPipelinedBurst(t *testing.T) {
+	const n = 16
+	t.Run("data", func(t *testing.T) {
+		reg := obs.NewRegistry()
+		ds, err := NewDataServerConfig("127.0.0.1:0", ServerConfig{Obs: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ds.Close()
+		nc, br := dialV2(t, ds.Addr())
+		tag := seedBlocks(t, nc, br, 7, n)
+		burst := make([][]byte, n)
+		for i := range burst {
+			burst[i] = rawFrame(tag+uint64(i), opRead, readReq(7, int64(i)*512, 512))
+		}
+		checkCorked(t, reg, "pfsnet.server.", nc, br, tag, burst, func(i int, reply []byte) { checkBlock(t, reply, i) })
+	})
+	t.Run("meta", func(t *testing.T) {
+		reg := obs.NewRegistry()
+		ms, err := NewMetaServerConfig("127.0.0.1:0", 4096, []string{"127.0.0.1:1"}, MetaConfig{Obs: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ms.Close()
+		nc, br := dialV2(t, ms.Addr())
+		if _, err := nc.Write(rawFrame(1, opCreate, nameReq("f", 1<<20))); err != nil {
+			t.Fatal(err)
+		}
+		created := expectReply(t, nc, br, 5*time.Second, 1)
+		burst := make([][]byte, n)
+		for i := range burst {
+			burst[i] = rawFrame(2+uint64(i), opOpen, nameReq("f"))
+		}
+		checkCorked(t, reg, "pfsnet.meta.", nc, br, 2, burst, func(i int, reply []byte) {
+			if !bytes.Equal(reply, created) {
+				t.Fatalf("open %d reply differs from the create reply", i)
+			}
+		})
+	})
+}
+
+// checkCorked sends burst (frames tagged tag, tag+1, ...) in one
+// write(2), checks each reply in order, and asserts that the server
+// answered with exactly one writev carrying every reply. Every request
+// before tag was answered by a writev of its own.
+func checkCorked(t *testing.T, reg *obs.Registry, prefix string, nc net.Conn, br *bufio.Reader, tag uint64, burst [][]byte, check func(i int, reply []byte)) {
+	t.Helper()
+	calls := reg.Counter(prefix + "writev_calls")
+	frames := reg.Counter(prefix + "writev_frames")
+	// The earlier replies' counts land after they are written; wait for
+	// the last one before taking the baseline.
 	waitCounter(t, calls, int64(tag-1))
 	calls0, frames0 := calls.Value(), frames.Value()
-
-	var burst []byte
-	for i := 0; i < n; i++ {
-		burst = append(burst, rawFrame(tag+uint64(i), opRead, readReq(7, int64(i)*512, 512))...)
-	}
-	if _, err := nc.Write(burst); err != nil {
+	if _, err := nc.Write(bytes.Join(burst, nil)); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < n; i++ {
-		checkBlock(t, expectReply(t, nc, br, 5*time.Second, tag+uint64(i)), i)
+	for i := range burst {
+		check(i, expectReply(t, nc, br, 5*time.Second, tag+uint64(i)))
 	}
 	waitCounter(t, calls, calls0+1)
 	if d := calls.Value() - calls0; d != 1 {
-		t.Fatalf("burst of %d reads answered by %d writev calls, want 1", n, d)
+		t.Fatalf("burst of %d frames answered by %d writev calls, want 1", len(burst), d)
 	}
-	if d := frames.Value() - frames0; d != n {
-		t.Fatalf("burst writev carried %d frames, want %d", d, n)
+	if d := frames.Value() - frames0; d != int64(len(burst)) {
+		t.Fatalf("burst writev carried %d frames, want %d", d, len(burst))
 	}
 }
 
@@ -155,6 +197,20 @@ func waitCounter(t *testing.T, c *obs.Counter, want int64) {
 // on a partially arrived frame. Frame A and the first half of frame B
 // arrive together; A's reply must come back while B is still incomplete.
 func TestServerNoHostageReply(t *testing.T) {
+	// hostage sends a and the first half of b, expects a's reply, then
+	// sends b's rest and returns b's reply.
+	hostage := func(t *testing.T, nc net.Conn, br *bufio.Reader, tag uint64, a, b []byte) (ra, rb []byte) {
+		t.Helper()
+		half := len(b) / 2 // past the length word: B's header is visible
+		if _, err := nc.Write(append(a, b[:half]...)); err != nil {
+			t.Fatal(err)
+		}
+		ra = expectReply(t, nc, br, 2*time.Second, tag)
+		if _, err := nc.Write(b[half:]); err != nil {
+			t.Fatal(err)
+		}
+		return ra, expectReply(t, nc, br, 5*time.Second, tag+1)
+	}
 	t.Run("noVectored=false", func(t *testing.T) {
 		ds, err := NewDataServerConfig("127.0.0.1:0", ServerConfig{})
 		if err != nil {
@@ -163,18 +219,25 @@ func TestServerNoHostageReply(t *testing.T) {
 		defer ds.Close()
 		nc, br := dialV2(t, ds.Addr())
 		tag := seedBlocks(t, nc, br, 3, 2)
-
-		a := rawFrame(tag, opRead, readReq(3, 0, 512))
-		b := rawFrame(tag+1, opRead, readReq(3, 512, 512))
-		half := len(b) / 2 // past the length word: B's header is visible
-		if _, err := nc.Write(append(a, b[:half]...)); err != nil {
+		ra, rb := hostage(t, nc, br, tag,
+			rawFrame(tag, opRead, readReq(3, 0, 512)),
+			rawFrame(tag+1, opRead, readReq(3, 512, 512)))
+		checkBlock(t, ra, 0)
+		checkBlock(t, rb, 1)
+	})
+	t.Run("meta", func(t *testing.T) {
+		ms, err := NewMetaServer("127.0.0.1:0", 4096, []string{"127.0.0.1:1"})
+		if err != nil {
 			t.Fatal(err)
 		}
-		checkBlock(t, expectReply(t, nc, br, 2*time.Second, tag), 0)
-		if _, err := nc.Write(b[half:]); err != nil {
-			t.Fatal(err)
+		defer ms.Close()
+		nc, br := dialV2(t, ms.Addr())
+		ra, rb := hostage(t, nc, br, 1,
+			rawFrame(1, opCreate, nameReq("a", 4096)),
+			rawFrame(2, opCreate, nameReq("b", 4096)))
+		if ida, idb := binary.BigEndian.Uint64(ra), binary.BigEndian.Uint64(rb); ida != 1 || idb != 2 {
+			t.Fatalf("created ids %d, %d, want 1, 2", ida, idb)
 		}
-		checkBlock(t, expectReply(t, nc, br, 5*time.Second, tag+1), 1)
 	})
 }
 

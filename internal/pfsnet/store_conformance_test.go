@@ -7,7 +7,7 @@ import (
 )
 
 // The storetest conformance suite pins the ObjectStore contract for
-// both in-tree pfsnet stores; logstore runs the same suite in its own
+// the in-tree pfsnet store; logstore runs the same suite in its own
 // package. A store that diverges on sparse reads, zero-fill, negative
 // offsets, or concurrent readers fails here, not in a data-server
 // integration test three layers up.
@@ -15,15 +15,5 @@ import (
 func TestMemStoreConformance(t *testing.T) {
 	storetest.Run(t, func(t *testing.T) storetest.Store {
 		return NewMemStore()
-	})
-}
-
-func TestFileStoreConformance(t *testing.T) {
-	storetest.Run(t, func(t *testing.T) storetest.Store {
-		s, err := NewFileStore(t.TempDir())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
 	})
 }

@@ -1,9 +1,8 @@
 // Package storetest is the shared conformance suite for object-store
-// implementations (pfsnet.MemStore, pfsnet.FileStore,
-// logstore.LogStore). It pins the semantic contract the data server
-// relies on — sparse zero-fill reads, rejected negative offsets,
-// monotone sizes, concurrent readers — so every store misbehaves in no
-// way the others don't.
+// implementations (pfsnet.MemStore, logstore.LogStore). It pins the
+// semantic contract the data server relies on — sparse zero-fill reads,
+// rejected negative offsets, monotone sizes, concurrent readers — so
+// every store misbehaves in no way the others don't.
 //
 // The suite takes a structural interface rather than
 // pfsnet.ObjectStore: pfsnet's own tests import this package, and an
@@ -228,7 +227,7 @@ func testConcurrentReaders(t *testing.T, factory Factory) {
 // has one writer cycling through four known patterns, so every byte a
 // reader observes must come from one of them — a byte from nowhere is
 // corruption. (Whole-buffer atomicity is deliberately NOT asserted:
-// FileStore's lockless preads may legally observe a write in
+// the contract lets a store serve a read that overlaps a write in
 // progress.)
 func testConcurrentMixed(t *testing.T, factory Factory) {
 	s := factory(t)
