@@ -58,10 +58,12 @@ lint:
 		echo "lint: govulncheck not installed; run 'make lint-tools' to install $(GOVULNCHECK_VERSION); skipping"; \
 	fi
 
-# Quick hot-path numbers: the engine (events/sec, allocs/op) and the
-# cache table's per-tick cost at 1,000 and 10,000 entries.
+# Quick hot-path numbers: the engine (events/sec, allocs/op), the
+# cache table's per-tick cost at 1,000 and 10,000 entries, and the live
+# wire path's MB/s and B/op for 8 MB striped reads and writes.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkEngine|BenchmarkDirtyAccounting' -benchmem ./internal/sim/ ./internal/core/
+	$(GO) test -run '^$$' -bench 'BenchmarkPfsnetLarge(Transfer|Write)$$' -benchtime=20x -benchmem ./internal/pfsnet/
 
 # Chaos gate: the live TCP cluster on log-backed (crash-consistent)
 # servers under a canned fault plan (one server crash+restart plus 1%

@@ -766,23 +766,32 @@ func (s *LogStore) appendLocked(file uint64, off int64, data []byte, user bool) 
 		}
 		s.rollLocked()
 	}
-	s.enc = appendRecord(s.enc[:0], s.active.seed, record{kind: recKindWrite, gen: s.gen, file: file, off: off, data: data})
-	frame := s.enc
+	s.enc = appendRecordHeader(s.enc[:0], s.active.seed, record{kind: recKindWrite, gen: s.gen, file: file, off: off, data: data})
+	frameLen := len(s.enc) + len(data)
+	n := frameLen // bytes of the frame that reach the log
 	if s.crashAfter > 0 {
 		if s.crashAfter--; s.crashAfter == 0 {
 			// The simulated kill lands mid-pwrite: a prefix of the frame
 			// reaches the log, the caller never gets its ack, and the
 			// store is dead until the next Open truncates the tear.
-			torn := int(float64(len(frame)) * s.crashFrac)
-			frame = frame[:min(max(torn, 0), len(frame))]
+			n = min(max(int(float64(frameLen)*s.crashFrac), 0), frameLen)
 			s.crashed = true
 		}
 	}
-	if len(frame) > 0 {
+	// The frame is the header then the data, written where they lie in
+	// it: the data goes to the file straight from the caller's buffer.
+	at := s.active.size
+	for _, part := range [2][]byte{s.enc, data} {
+		part = part[:min(len(part), n)]
+		if len(part) == 0 {
+			break
+		}
 		//lint:allow lockio the log append is the critical section: append order is replay order
-		if _, err := s.active.f.WriteAt(frame, s.active.size); err != nil {
+		if _, err := s.active.f.WriteAt(part, at); err != nil {
 			return false, err
 		}
+		at += int64(len(part))
+		n -= len(part)
 	}
 	if s.crashed {
 		return false, ErrCrashed
@@ -791,9 +800,9 @@ func (s *LogStore) appendLocked(file uint64, off int64, data []byte, user bool) 
 		Off: off, N: int64(len(data)),
 		Seg: s.active.seq, Pos: s.active.size + recOverhead, Gen: s.gen,
 	})
-	s.active.size += int64(len(frame))
-	s.frameBytes += int64(len(frame))
-	s.sinceCkpt += int64(len(frame))
+	s.active.size += int64(frameLen)
+	s.frameBytes += int64(frameLen)
+	s.sinceCkpt += int64(frameLen)
 	s.st.appendedBytes += int64(len(data))
 	if user {
 		s.appends.Add(1)

@@ -241,15 +241,31 @@ func TestTornTailTruncated(t *testing.T) {
 // TestCrashAppendEitherOr pins record atomicity around the simulated
 // kill: a torn fraction < 1 must vanish on replay, a fully-written
 // frame (frac 1.0, crash before the ack) may legitimately survive —
-// and with this store's ordering, always does.
+// and with this store's ordering, always does. The append writes the
+// record header and then the data, so the tears land once inside the
+// header and once inside the data; either way the log must hold exactly
+// that prefix of the single-buffer frame.
 func TestCrashAppendEitherOr(t *testing.T) {
+	const dataLen = 60
+	frameLen := recOverhead + dataLen
 	for _, tc := range []struct {
 		frac    float64
 		applied bool
 	}{
-		{0, false}, {0.5, false}, {1.0, true},
+		{0, false}, {0.2, false}, {0.5, false}, {1.0, true},
 	} {
 		t.Run(fmt.Sprintf("frac=%v", tc.frac), func(t *testing.T) {
+			torn := int(float64(frameLen) * tc.frac)
+			switch tc.frac {
+			case 0.2:
+				if torn <= 0 || torn >= recOverhead {
+					t.Fatalf("tear at byte %d is not inside the %d-byte header", torn, recOverhead)
+				}
+			case 0.5:
+				if torn <= recOverhead || torn >= frameLen {
+					t.Fatalf("tear at byte %d is not inside the data", torn)
+				}
+			}
 			dir := t.TempDir()
 			s, err := Open(dir, testConfig())
 			if err != nil {
@@ -257,15 +273,17 @@ func TestCrashAppendEitherOr(t *testing.T) {
 			}
 			sh := shadow{}
 			for i := range 5 {
-				data := fill(60, byte(i))
-				if err := s.WriteAt(3, int64(i*60), data); err != nil {
+				data := fill(dataLen, byte(i))
+				if err := s.WriteAt(3, int64(i*dataLen), data); err != nil {
 					t.Fatal(err)
 				}
-				sh.write(3, int64(i*60), data)
+				sh.write(3, int64(i*dataLen), data)
 			}
 			s.CrashAppend(1, tc.frac)
-			crashData := fill(60, 77)
-			if err := s.WriteAt(3, 300, crashData); err != ErrCrashed {
+			crashData := fill(dataLen, 77)
+			seg, at := s.active, s.active.size
+			want := appendRecord(nil, seg.seed, record{kind: recKindWrite, gen: s.gen, file: 3, off: 5 * dataLen, data: crashData})
+			if err := s.WriteAt(3, 5*dataLen, crashData); err != ErrCrashed {
 				t.Fatalf("crashed WriteAt err = %v, want ErrCrashed", err)
 			}
 			if !s.Crashed() {
@@ -273,6 +291,13 @@ func TestCrashAppendEitherOr(t *testing.T) {
 			}
 			if err := s.ReadAt(3, 0, make([]byte, 1)); err != ErrCrashed {
 				t.Fatalf("post-crash ReadAt err = %v, want ErrCrashed", err)
+			}
+			log, err := os.ReadFile(segPath(dir, seg.seq))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if end := at + int64(torn); int64(len(log)) < end || !bytes.Equal(log[at:end], want[:torn]) {
+				t.Fatalf("the log does not hold the frame's first %d bytes at %d", torn, at)
 			}
 			s.Close() // must NOT checkpoint or sync — the process is "dead"
 			s, err = Open(dir, testConfig())
@@ -283,7 +308,7 @@ func TestCrashAppendEitherOr(t *testing.T) {
 			if tc.applied {
 				// Fully durable frame: replay applies it even though the
 				// writer never saw the ack.
-				sh.write(3, 300, crashData)
+				sh.write(3, 5*dataLen, crashData)
 			}
 			sh.verify(t, s)
 			st := s.Stats()
@@ -294,6 +319,55 @@ func TestCrashAppendEitherOr(t *testing.T) {
 				t.Log("note: no records replayed (checkpoint covered log)")
 			}
 		})
+	}
+}
+
+// TestAppendBytesMatchFrame pins the on-disk bytes of the two-part
+// append (header, then the data from the caller's buffer) to the
+// single-buffer frame appendRecord encodes, for records of random
+// files, offsets and sizes — tiny, around the header size, and large.
+func TestAppendBytesMatchFrame(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Config{NoCompactor: true, CheckpointBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	rng := uint64(0x9E3779B97F4A7C15)
+	next := func(n uint64) uint64 {
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		return rng % n
+	}
+	seg := s.active
+	hdr := segHeader(seg.seq)
+	frames := hdr[:]
+	for i := range 40 {
+		var n int
+		switch i % 3 {
+		case 0:
+			n = 1 + int(next(64))
+		case 1:
+			n = 1 + int(next(4096))
+		default:
+			n = 1 + int(next(96<<10))
+		}
+		rec := record{kind: recKindWrite, gen: s.gen, file: 1 + next(4), off: int64(next(1 << 20)), data: fill(n, byte(i))}
+		if err := s.WriteAt(rec.file, rec.off, rec.data); err != nil {
+			t.Fatal(err)
+		}
+		frames = appendRecord(frames, seg.seed, rec)
+	}
+	if s.active != seg {
+		t.Fatal("the records rolled the segment; shrink them")
+	}
+	log, err := os.ReadFile(segPath(dir, seg.seq))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int64(len(frames)) != seg.size || len(log) < len(frames) || !bytes.Equal(log[:len(frames)], frames) {
+		t.Fatalf("segment holds %d bytes (size %d), want the %d bytes of the single-buffer frames", len(log), seg.size, len(frames))
 	}
 }
 

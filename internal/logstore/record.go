@@ -80,10 +80,13 @@ type record struct {
 // frameLen returns the on-disk size of rec's frame.
 func (r record) frameLen() int { return recOverhead + len(r.data) }
 
-// appendRecord appends rec's wire frame, checksummed from seed (the
-// crcSeed of the segment it goes to), to dst and returns the extended
-// slice.
-func appendRecord(dst []byte, seed uint32, rec record) []byte {
+// appendRecordHeader appends the recOverhead bytes of rec's frame that
+// come before its data — length, checksum (from seed, the crcSeed of
+// the segment it goes to, continued over the fixed body and rec.data),
+// kind, generation, file, offset — to dst and returns the extended
+// slice. The frame is this header followed by rec.data, so an append
+// can hand the data to the file as it is instead of staging a copy.
+func appendRecordHeader(dst []byte, seed uint32, rec record) []byte {
 	body := recBodyFixed + len(rec.data)
 	dst = binary.BigEndian.AppendUint32(dst, uint32(body))
 	crcAt := len(dst)
@@ -93,9 +96,15 @@ func appendRecord(dst []byte, seed uint32, rec record) []byte {
 	dst = binary.BigEndian.AppendUint64(dst, rec.gen)
 	dst = binary.BigEndian.AppendUint64(dst, rec.file)
 	dst = binary.BigEndian.AppendUint64(dst, uint64(rec.off))
-	dst = append(dst, rec.data...)
-	binary.BigEndian.PutUint32(dst[crcAt:], crc32.Update(seed, castagnoli, dst[bodyAt:]))
+	crc := crc32.Update(seed, castagnoli, dst[bodyAt:])
+	binary.BigEndian.PutUint32(dst[crcAt:], crc32.Update(crc, castagnoli, rec.data))
 	return dst
+}
+
+// appendRecord appends rec's whole frame, header then data, to dst and
+// returns the extended slice.
+func appendRecord(dst []byte, seed uint32, rec record) []byte {
+	return append(appendRecordHeader(dst, seed, rec), rec.data...)
 }
 
 // decodeRecord parses one record from the head of b, checking its

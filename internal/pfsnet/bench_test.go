@@ -143,3 +143,33 @@ func BenchmarkPfsnetMixedFragmentAligned(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkPfsnetLargeWrite writes 8 MB spans striped over 4 servers:
+// the write side of the bandwidth-bound regime, where each sub-request's
+// frame borrows the caller's bytes instead of copying them.
+func BenchmarkPfsnetLargeWrite(b *testing.B) {
+	const (
+		fileSize = 64 << 20
+		reqSize  = 8 << 20
+	)
+	meta := benchCluster(b, 4, 64*1024, false)
+	c := NewClient(meta)
+	defer c.Close()
+	f, err := c.Create("bench", fileSize)
+	if err != nil {
+		b.Fatal(err)
+	}
+	data := make([]byte, reqSize)
+	for i := range data {
+		data[i] = byte(i >> 8)
+	}
+	b.SetBytes(reqSize)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		off := int64(i%(fileSize/reqSize)) * reqSize
+		if err := c.WriteAt(f, off, data); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -36,7 +36,9 @@ import (
 // is what lets the corked writer batch concurrent requests into single
 // writev submissions. Payload buffers follow the wire ownership
 // contract (DESIGN §11): the caller encodes into a pooled buffer and
-// hands it to the connection, which releases it exactly once.
+// hands it to the connection, which releases it exactly once. A write's
+// data is not copied at all: its frame borrows the caller's buffer,
+// which WriteAt holds until no writev can still be reading it.
 type Client struct {
 	metaAddr string
 	// FragmentThreshold enables iBridge client-side flagging when > 0.
@@ -146,6 +148,7 @@ type conn struct {
 
 	sendq   chan *wireCall
 	dead    chan struct{}
+	wdone   chan struct{} // closed when writeLoop has exited
 	pendMu  sync.Mutex
 	pending map[uint64]*wireCall
 	nextTag uint64
@@ -160,6 +163,7 @@ type wireCall struct {
 	tag     uint64
 	op      byte
 	payload []byte    // pooled; owned by the conn once started
+	data    []byte    // borrowed; follows payload on the wire, never released
 	next    *wireCall // rest of the chain
 	enq     time.Time // for the queue-wait metric; zero when obs is off
 	done    chan struct{}
@@ -180,7 +184,11 @@ type wireCall struct {
 	err     error
 }
 
-const connBufSize = 64 << 10
+// connBufSize sizes both ends' frame readers. It is small on purpose:
+// a fill takes at most this much of a large payload, and bufio reads the
+// rest straight into the frame's destination (the pooled payload, or a
+// read's scatter buffer) instead of staging it here first.
+const connBufSize = 16 << 10
 
 // dialOpts carries the per-client connection settings into dialConn.
 type dialOpts struct {
@@ -217,15 +225,7 @@ func dialConn(addr string, o dialOpts) (*conn, error) {
 	if err != nil {
 		return nil, wrapTimeout(err)
 	}
-	c := &conn{
-		nc:        nc,
-		wm:        o.wm,
-		br:        bufio.NewReaderSize(nc, connBufSize),
-		ioTimeout: o.ioTimeout,
-		sendq:     make(chan *wireCall, 128),
-		dead:      make(chan struct{}),
-		pending:   make(map[uint64]*wireCall),
-	}
+	c := newConn(nc, o)
 	if c.ioTimeout > 0 {
 		nc.SetDeadline(time.Now().Add(c.ioTimeout))
 	}
@@ -236,9 +236,28 @@ func dialConn(addr string, o dialOpts) (*conn, error) {
 	if c.ioTimeout > 0 {
 		nc.SetDeadline(time.Time{})
 	}
+	c.run()
+	return c, nil
+}
+
+// newConn wraps a connected socket; run starts its pipeline.
+func newConn(nc net.Conn, o dialOpts) *conn {
+	return &conn{
+		nc:        nc,
+		wm:        o.wm,
+		br:        bufio.NewReaderSize(nc, connBufSize),
+		ioTimeout: o.ioTimeout,
+		sendq:     make(chan *wireCall, 128),
+		dead:      make(chan struct{}),
+		wdone:     make(chan struct{}),
+		pending:   make(map[uint64]*wireCall),
+	}
+}
+
+// run starts the writer and reader goroutines.
+func (c *conn) run() {
 	go c.writeLoop()
 	go c.readLoop()
-	return c, nil
 }
 
 // hello is the client half of the handshake: send opHello and wait for
@@ -286,9 +305,11 @@ func drainSendq(sendq chan *wireCall) {
 // each burst goes to the kernel in a single writev when the queue runs
 // dry. The loop owns each queued call's payload (ownership transferred
 // at start) and releases it exactly once — after the write,
-// or on exit for calls still queued when the conn dies.
+// or on exit for calls still queued when the conn dies. It closes wdone
+// last, once no write of its can be reading a call's borrowed data.
 func (c *conn) writeLoop() {
 	vw := newVecWriter(c.nc, c.wm)
+	defer close(c.wdone)
 	defer vw.abandon()
 	defer drainSendq(c.sendq)
 	for {
@@ -298,12 +319,12 @@ func (c *conn) writeLoop() {
 		case w := <-c.sendq:
 			for ; w != nil; w = w.next {
 				c.wm.observeQueueWait(w.enq)
-				n := len(w.payload)
+				n := len(w.payload) + len(w.data)
 				var err error
 				if w.tcID != 0 {
-					err = vw.writeFrameCtx(w.tag, w.op, w.tcID, w.tcSpan, w.payload)
+					err = vw.writeFrameCtx(w.tag, w.op, w.tcID, w.tcSpan, w.payload, w.data)
 				} else {
-					err = vw.writeFrame(w.tag, w.op, w.payload)
+					err = vw.writeFrame(w.tag, w.op, w.payload, w.data)
 				}
 				w.payload = nil
 				if err != nil {
@@ -952,12 +973,14 @@ func (c *Client) dropDataConn(addr string, cn *conn) {
 	cn.close()
 }
 
-// dataReq is one request of a server's group. A read's reply data lands
-// in dst; any other request's pooled reply is left in reply, which the
-// caller owns and releases whatever send returns. done marks a request
-// answered (or refused by the server), so no later attempt resends it.
+// dataReq is one request of a server's group. A write's data is src,
+// which its frame borrows; a read's reply data lands in dst; any other
+// request's pooled reply is left in reply, which the caller owns and
+// releases whatever send returns. done marks a request answered (or
+// refused by the server), so no later attempt resends it.
 type dataReq struct {
 	sub   stripe.Sub
+	src   []byte
 	dst   []byte
 	reply []byte
 	done  bool
@@ -978,7 +1001,11 @@ type dataReq struct {
 //
 // encode builds a request's payload; it runs once per attempt because
 // ownership of the payload transfers to the connection (DESIGN §11), so
-// a resend needs a fresh one.
+// a resend needs a fresh one. A write's src rides behind it borrowed,
+// and send keeps it borrowed only while it may be on the wire: a reply
+// proves the server read the whole frame, and after a transport failure
+// send waits for the connection's writer to exit before it resends or
+// returns.
 func (c *Client) send(addr string, op byte, reqs []dataReq, encode func(stripe.Sub) []byte, pr *parentReq) error {
 	rm := c.resMetrics()
 	b := c.breakerFor(addr)
@@ -1012,7 +1039,7 @@ func (c *Client) send(addr string, op byte, reqs []dataReq, encode func(stripe.S
 			var head *wireCall // the unanswered requests, in order
 			for i := len(reqs) - 1; i >= 0; i-- {
 				if !reqs[i].done {
-					head = &wireCall{op: op, payload: encode(reqs[i].sub), scatter: reqs[i].dst,
+					head = &wireCall{op: op, payload: encode(reqs[i].sub), data: reqs[i].src, scatter: reqs[i].dst,
 						tcID: tcID, tcSpan: tcSpan, next: head, done: make(chan struct{})}
 				}
 			}
@@ -1046,6 +1073,7 @@ func (c *Client) send(addr string, op byte, reqs []dataReq, encode func(stripe.S
 			}
 			if err != nil {
 				c.dropDataConn(addr, cn)
+				<-cn.wdone // the fence: no writev may still read a borrowed src
 			}
 		}
 		c.recordOutcome(b, rm, probe, err == nil)
@@ -1225,15 +1253,15 @@ func groupByServer(subs []stripe.Sub, nsrv int) [][]stripe.Sub {
 	return groups
 }
 
-// writeHdrSize is the encoded size of a write sub-request around its
+// writeHdrSize is the encoded size of a write sub-request ahead of its
 // data: file u64 + off i64 + flags u8 + blob length prefix u32.
 const writeHdrSize = 8 + 8 + 1 + 4
 
-// encodeWrite builds one write sub-request payload in a pooled buffer
-// sized for the whole message, so the single user-data copy lands
-// directly in the buffer the wire will own.
-func encodeWrite(f *File, off int64, p []byte, sub stripe.Sub, random bool) []byte {
-	e := newEncN(writeHdrSize + int(sub.Length))
+// encodeWrite builds the header of one write sub-request in a pooled
+// buffer. The sub-request's data is not copied: its frame carries the
+// caller's bytes right behind this header (wireCall.data).
+func encodeWrite(f *File, sub stripe.Sub, random bool) []byte {
+	e := newEncN(writeHdrSize)
 	e.u64(f.ID)
 	e.i64(sub.ServerOff)
 	var flags byte
@@ -1241,7 +1269,7 @@ func encodeWrite(f *File, off int64, p []byte, sub stripe.Sub, random bool) []by
 		flags |= 1
 	}
 	e.u8(flags)
-	e.bytes(p[sub.FileOff-off : sub.FileOff-off+sub.Length])
+	e.u32(uint32(sub.Length))
 	return e.b
 }
 
@@ -1309,7 +1337,8 @@ func (c *Client) do(f *File, op byte, off int64, p []byte, pr *parentReq) error 
 }
 
 // sendGroup sends one server's sub-requests of the ReadAt/WriteAt of p
-// at off: read replies scatter into p, write acks are released.
+// at off: write frames borrow their slice of p, read replies scatter
+// into p, write acks are released.
 func (c *Client) sendGroup(f *File, op byte, off int64, p []byte, subs []stripe.Sub, random bool, pr *parentReq) error {
 	var buf [4]dataReq
 	reqs := slices.Grow(buf[:0], len(subs))
@@ -1317,6 +1346,8 @@ func (c *Client) sendGroup(f *File, op byte, off int64, p []byte, subs []stripe.
 		r := dataReq{sub: sub}
 		if op == opRead {
 			r.dst = p[sub.FileOff-off : sub.FileOff-off+sub.Length]
+		} else {
+			r.src = p[sub.FileOff-off : sub.FileOff-off+sub.Length]
 		}
 		reqs = append(reqs, r)
 	}
@@ -1324,7 +1355,7 @@ func (c *Client) sendGroup(f *File, op byte, off int64, p []byte, subs []stripe.
 		if op == opRead {
 			return encodeRead(f, sub)
 		}
-		return encodeWrite(f, off, p, sub, random)
+		return encodeWrite(f, sub, random)
 	}, pr)
 	for _, r := range reqs {
 		if r.reply != nil { // reads leave none; putBuf(nil) would still allocate

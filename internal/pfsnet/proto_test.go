@@ -142,10 +142,10 @@ func TestWireGolden(t *testing.T) {
 		{"hello", hex.EncodeToString(hello.Bytes()), goldenHello},
 		{"hello reply", hex.EncodeToString(reply.Bytes()), goldenHelloReply},
 		{"read", vecBytes(t, func(vw *vecWriter) error {
-			return vw.writeFrame(0x0102030405060708, opRead, readReq(7, 512, 512))
+			return vw.writeFrame(0x0102030405060708, opRead, readReq(7, 512, 512), nil)
 		}), goldenRead},
 		{"traced read", vecBytes(t, func(vw *vecWriter) error {
-			return vw.writeFrameCtx(9, opRead, 0x1111111111111111, 0x2222222222222222, readReq(7, 512, 512))
+			return vw.writeFrameCtx(9, opRead, 0x1111111111111111, 0x2222222222222222, readReq(7, 512, 512), nil)
 		}), goldenTracedRead},
 	} {
 		if tc.got != tc.want {

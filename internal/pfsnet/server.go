@@ -174,7 +174,7 @@ func (s *server) servePipelined(conn net.Conn, br *bufio.Reader, scope string) {
 			pending = append(pending, respCtx{fr.tcID, fr.tcSpan, now})
 		}
 		n := len(reply)
-		if err := vw.writeFrame(fr.tag, op, reply); err != nil {
+		if err := vw.writeFrame(fr.tag, op, reply, nil); err != nil {
 			return
 		}
 		s.wm.onTx(n)

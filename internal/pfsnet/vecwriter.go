@@ -43,8 +43,11 @@ const (
 // Ownership: writeFrame takes ownership of its payload (the wire
 // ownership contract, DESIGN §11). Coalesced payloads are released
 // immediately after the copy; referenced payloads are released by the
-// flush (or abandon) that disposes of the iovec list. A vecWriter is
-// single-owner: exactly one goroutine may use it.
+// flush (or abandon) that disposes of the iovec list. A frame's data,
+// by contrast, is borrowed: it follows the payload on the wire, but the
+// writer never owns or releases it, and its owner must not reuse it
+// until the flush (or abandon) that carries it has returned. A
+// vecWriter is single-owner: exactly one goroutine may use it.
 type vecWriter struct {
 	nc     io.Writer
 	wm     *wireMetrics
@@ -80,38 +83,44 @@ func (w *vecWriter) ensure(n int) {
 	w.used, w.seg = 0, 0
 }
 
-// writeFrame queues one frame for the next flush. Ownership of payload
-// transfers to the writer on entry — error included — and the writer
-// releases it exactly once.
-func (w *vecWriter) writeFrame(tag uint64, op byte, payload []byte) error {
-	if len(payload)+9 > MaxMessage {
+// writeFrame queues one frame for the next flush: payload, then data,
+// as one frame body. Ownership of payload transfers to the writer on
+// entry — error included — and the writer releases it exactly once;
+// data stays borrowed (nil when the frame has none).
+func (w *vecWriter) writeFrame(tag uint64, op byte, payload, data []byte) error {
+	if len(payload)+len(data)+9 > MaxMessage {
 		putBuf(payload)
 		return ErrTooLarge
 	}
 	var hdr [13]byte
-	putHeader(hdr[:], len(payload), tag, op)
-	return w.enqueue(hdr[:], payload)
+	putHeader(hdr[:], len(payload)+len(data), tag, op)
+	w.enqueue(hdr[:], payload, data)
+	return nil
 }
 
 // writeFrameCtx queues one request frame carrying a trace context:
 // tagTraceFlag set on the tag, {traceID, parentSpanID} written into the
 // arena right behind the header so the context always travels in the
 // same iovec as the header. Same ownership contract as writeFrame.
-func (w *vecWriter) writeFrameCtx(tag uint64, op byte, tcID, tcSpan uint64, payload []byte) error {
-	if len(payload)+9+traceCtxSize > MaxMessage {
+func (w *vecWriter) writeFrameCtx(tag uint64, op byte, tcID, tcSpan uint64, payload, data []byte) error {
+	if len(payload)+len(data)+9+traceCtxSize > MaxMessage {
 		putBuf(payload)
 		return ErrTooLarge
 	}
 	var hdr [13 + traceCtxSize]byte
-	putHeader(hdr[:], len(payload)+traceCtxSize, tag|tagTraceFlag, op)
+	putHeader(hdr[:], len(payload)+len(data)+traceCtxSize, tag|tagTraceFlag, op)
 	binary.BigEndian.PutUint64(hdr[13:21], tcID)
 	binary.BigEndian.PutUint64(hdr[21:29], tcSpan)
-	return w.enqueue(hdr[:], payload)
+	w.enqueue(hdr[:], payload, data)
+	return nil
 }
 
-// enqueue adds one header+payload pair to the batch, coalescing small
-// payloads into the arena and referencing large ones zero-copy.
-func (w *vecWriter) enqueue(hdr, payload []byte) error {
+// enqueue adds one frame — header, owned payload, borrowed data — to the
+// batch, coalescing a small payload into the arena and referencing a
+// large one zero-copy. Data always rides as its own iovec, and only it
+// counts as a copy avoided: a large payload was filled by a copy of its
+// own before it got here.
+func (w *vecWriter) enqueue(hdr, payload, data []byte) {
 	if len(payload) <= smallPayloadMax {
 		w.ensure(len(hdr) + len(payload))
 		cur := w.chunks[len(w.chunks)-1]
@@ -125,10 +134,13 @@ func (w *vecWriter) enqueue(hdr, payload []byte) error {
 		w.closeSeg()
 		w.bufs = append(w.bufs, payload)
 		w.owned = append(w.owned, payload)
-		w.wm.onCopyAvoided(len(payload))
+	}
+	if len(data) > 0 {
+		w.closeSeg()
+		w.bufs = append(w.bufs, data)
+		w.wm.onCopyAvoided(len(data))
 	}
 	w.frames++
-	return nil
 }
 
 // flush submits every queued frame in one vectored write and releases

@@ -22,15 +22,16 @@ type wireMetrics struct {
 	inflight     *obs.Gauge   // requests issued and not yet completed
 	qwait        *obs.Hist    // ms from enqueue to wire write (send queue)
 	scatterReads *obs.Counter // replies scattered straight into caller buffers
+	// copyAvoided counts the data bytes that crossed the wire with no
+	// user-space copy at all: borrowed write data on the send side,
+	// scattered read data on the receive side.
+	copyAvoided *obs.Counter
 
 	// Vectored-path metrics: how well the writev batching amortizes
-	// syscalls, and how many payload bytes crossed the wire without an
-	// intermediate stream-buffer copy (large iovec payloads on the send
-	// side, scatter reads on the receive side).
+	// syscalls.
 	writevCalls  *obs.Counter // vectored flushes submitted
 	writevFrames *obs.Counter // frames carried by those flushes
 	writevBatch  *obs.Hist    // frames per vectored flush
-	copyAvoided  *obs.Counter // payload bytes moved with no intermediate copy
 }
 
 // newWireMetrics resolves a server endpoint's metrics in reg under
@@ -48,19 +49,19 @@ func newWireMetrics(reg *obs.Registry, prefix string) *wireMetrics {
 		writevCalls:  reg.Counter(prefix + "writev_calls"),
 		writevFrames: reg.Counter(prefix + "writev_frames"),
 		writevBatch:  reg.Hist(prefix + "writev_frames_per_call"),
-		copyAvoided:  reg.Counter(prefix + "copy_avoided_bytes"),
 	}
 }
 
 // newClientWireMetrics is newWireMetrics under "pfsnet.client." plus the
-// metrics only a client moves: in-flight depth, send-queue wait and
-// scatter reads.
+// metrics only a client moves: in-flight depth, send-queue wait,
+// scatter reads and the copies borrowing and scattering avoid.
 func newClientWireMetrics(reg *obs.Registry) *wireMetrics {
 	m := newWireMetrics(reg, "pfsnet.client.")
 	if m != nil {
 		m.inflight = reg.Gauge("pfsnet.client.inflight")
 		m.qwait = reg.Hist("pfsnet.client.queue_wait_ms")
 		m.scatterReads = reg.Counter("pfsnet.client.scatter_reads")
+		m.copyAvoided = reg.Counter("pfsnet.client.copy_avoided_bytes")
 	}
 	return m
 }
