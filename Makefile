@@ -59,11 +59,14 @@ lint:
 	fi
 
 # Quick hot-path numbers: the engine (events/sec, allocs/op), the
-# cache table's per-tick cost at 1,000 and 10,000 entries, and the live
-# wire path's MB/s and B/op for 8 MB striped reads and writes.
+# cache table's per-tick cost at 1,000 and 10,000 entries, the live
+# wire path's MB/s and B/op for 8 MB striped reads and writes, and its
+# cost per request with many concurrent callers on one client (32 small
+# reads, 8 mixed fragment/aligned), which pay one round trip each.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkEngine|BenchmarkDirtyAccounting' -benchmem ./internal/sim/ ./internal/core/
 	$(GO) test -run '^$$' -bench 'BenchmarkPfsnetLarge(Transfer|Write)$$' -benchtime=20x -benchmem ./internal/pfsnet/
+	$(GO) test -run '^$$' -bench 'BenchmarkPfsnet(SmallSubreqs|MixedFragmentAligned)$$' -benchtime=2s -benchmem ./internal/pfsnet/
 
 # Chaos gate: the live TCP cluster on log-backed (crash-consistent)
 # servers under a canned fault plan (one server crash+restart plus 1%

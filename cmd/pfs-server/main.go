@@ -19,8 +19,8 @@
 // fragment log into the store and closes the store, and exits non-zero
 // if either fails. A bad flag exits 2.
 //
-// The server speaks wire protocol v2 (pipelined, multiplexed tagged
-// frames) and refuses any other version at the hello. Each connection is
+// The server speaks wire protocol v2 (pipelined tagged frames) and
+// refuses any other version at the hello. Each connection is
 // served by one goroutine that executes its requests in arrival order
 // and answers a pipelined burst with one writev, so a server's
 // concurrency is its clients' connection count (DESIGN §8).
@@ -119,6 +119,11 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	// Catch the stop signals before the listener exists: once a client
+	// can reach the server, a SIGTERM must drain the bridge's
+	// acknowledged fragments, not kill the process with them.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	ds, err := pfsnet.NewDataServerConfig(*listen, pfsnet.ServerConfig{
 		Bridge:     *ibridge,
 		Store:      store,
@@ -164,8 +169,6 @@ func main() {
 			}
 		}()
 	}
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	log.Print("pfs-server: shutting down")
 	closeErr := ds.Close()

@@ -93,9 +93,10 @@ func demo() {
 	fmt.Printf("metadata server on %s\n\n", ms.Addr())
 
 	// An iBridge client: sub-requests below 20 KB that belong to larger
-	// striped parents are flagged as fragments on the wire. Sub-requests
-	// multiplex over pipelined connections; the obs registry collects the
-	// client-side wire metrics (frames, bytes, in-flight depth).
+	// striped parents are flagged as fragments on the wire. Each server's
+	// sub-requests go out pipelined on one pooled connection; the obs
+	// registry collects the client-side wire metrics (frames, bytes,
+	// in-flight depth).
 	reg := obs.NewRegistry()
 	client := pfsnet.NewIBridgeClient(ms.Addr(), 20*1024, 20*1024)
 	client.Obs = reg

@@ -35,6 +35,7 @@ var BufOwn = &Analyzer{
 var bufOwnMethods = map[[2]string]int{
 	{"vecWriter", "writeFrame"}: 2,
 	{"conn", "call"}:            1,
+	{"conn", "queue"}:           3,
 	{"Client", "metaCall"}:      1,
 }
 

@@ -90,8 +90,9 @@ type shutdownScan struct {
 	visited map[*types.Func]bool
 }
 
-// maxShutdownDepth bounds the callee chase: readLoop → kill →
-// close(c.dead) is depth 2; anything deeper should restructure.
+// maxShutdownDepth bounds the callee chase: a spawned loop that reaches
+// close(ch) through a helper that calls a teardown method is depth 2;
+// anything deeper should restructure.
 const maxShutdownDepth = 3
 
 func (sd *shutdownScan) funcHasShutdown(fn *types.Func, depth int) bool {

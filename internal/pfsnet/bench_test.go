@@ -26,11 +26,14 @@ func benchCluster(b *testing.B, n int, unit int64, bridge bool) string {
 	return ms.Addr()
 }
 
-// BenchmarkPfsnetSmallSubreqs is the many-small-sub-requests workload:
-// a high degree of concurrent 1 KB reads, each of which decomposes to a
-// single-server sub-request. Throughput here is dominated by per-request
-// wire overhead (round trips, allocations, syscalls), which is exactly
-// what pipelining and multiplexing attack.
+// BenchmarkPfsnetSmallSubreqs is the many-small-sub-requests workload
+// run by one client with 32 concurrent callers (16×GOMAXPROCS on two
+// cores): 1 KB reads, each a single-server sub-request. Throughput is
+// dominated by per-request wire overhead (syscalls, allocations). Each
+// caller runs its own round trip on its own pooled connection, so this
+// deep per-server concurrency — a shape no bench workload has, with two
+// callers — pays one writev and one reply read per request, with no
+// batching across callers (DESIGN §8).
 func BenchmarkPfsnetSmallSubreqs(b *testing.B) {
 	const (
 		fileSize = 64 << 20
@@ -104,7 +107,9 @@ func BenchmarkPfsnetLargeTransfer(b *testing.B) {
 // BenchmarkPfsnetMixedFragmentAligned alternates unaligned 65 KB writes
 // (whose 1 KB tails take the fragment-log path on bridge-enabled
 // servers) with aligned 64 KB reads — the paper's mixed unaligned
-// workload shape carried over the real wire.
+// workload shape carried over the real wire — from one client with 8
+// concurrent callers (4×GOMAXPROCS on two cores), more than any bench
+// workload runs.
 func BenchmarkPfsnetMixedFragmentAligned(b *testing.B) {
 	const fileSize = 64 << 20
 	meta := benchCluster(b, 4, 64*1024, true)

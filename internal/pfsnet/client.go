@@ -24,21 +24,22 @@ import (
 // Client accesses a pfsnet file system: it asks the metadata server for
 // file placement, decomposes reads and writes into per-server
 // sub-requests (flagging fragments when a threshold is configured), and
-// issues each server's sub-requests as one batch over the single
-// connection it keeps to that server, all servers concurrently.
+// issues each server's sub-requests as one group, all servers
+// concurrently.
 //
-// Every connection is pipelined: a single writer goroutine drains a
-// send queue into a vectored writer — frame headers and small payloads
-// packed into pooled arena chunks, large payloads referenced in place —
-// and submits each burst with one writev, while a single reader
-// goroutine demuxes tagged replies to the waiting callers (scattering
-// read data straight into the caller's buffer). Sharing the connection
-// is what lets the corked writer batch concurrent requests into single
-// writev submissions. Payload buffers follow the wire ownership
+// Each group runs to completion on one goroutine, the caller's own for
+// a request that reaches one server. It checks an idle connection to the
+// server out of a per-address pool (or dials one), writes the group's
+// frames with one writev — frame headers and small payloads packed into
+// pooled arena chunks, large payloads referenced in place — reads the
+// replies in order, scattering read data straight into the caller's
+// buffer, and hands the connection back. Concurrent callers use separate
+// connections, so a server's pool holds as many as the peak number of
+// groups in flight to it. Payload buffers follow the wire ownership
 // contract (DESIGN §11): the caller encodes into a pooled buffer and
 // hands it to the connection, which releases it exactly once. A write's
 // data is not copied at all: its frame borrows the caller's buffer,
-// which WriteAt holds until no writev can still be reading it.
+// which is free again once the caller's own writev has returned.
 type Client struct {
 	metaAddr string
 	// FragmentThreshold enables iBridge client-side flagging when > 0.
@@ -47,9 +48,9 @@ type Client struct {
 	RandomThreshold int64
 	// Obs, when set before the first request, receives wire-level
 	// metrics under "pfsnet.client.*" (frames, bytes, in-flight depth,
-	// send-queue wait, writev batching) and the resilience metrics
-	// (retries, deadline_exceeded, breaker state). It also arms the
-	// per-server latency sketches and their
+	// writev batching) and the resilience metrics (retries,
+	// deadline_exceeded, breaker state). It also arms the per-server
+	// latency sketches and their
 	// "pfsnet.client.server.<addr>.<class>.{p50,p95,p99}" gauges.
 	Obs *obs.Registry
 	// Tracer, when set before the first request, records a parent span
@@ -68,9 +69,10 @@ type Client struct {
 	// DialTimeout bounds connection establishment, including the hello
 	// (0 = no timeout).
 	DialTimeout time.Duration
-	// IOTimeout bounds each frame exchange on a connection: how long a
-	// pending reply may remain unanswered before the connection is
-	// declared dead with ErrDeadline. 0 disables I/O deadlines.
+	// IOTimeout bounds each flush of a group's frames and each reply
+	// read: a server that leaves a reply unanswered that long has its
+	// connection declared dead with ErrDeadline. 0 disables I/O
+	// deadlines.
 	IOTimeout time.Duration
 	// RequestTimeout bounds one server's share of a request across all
 	// retry attempts (0 = no bound beyond the per-attempt IOTimeout).
@@ -103,13 +105,15 @@ type Client struct {
 
 	attempts  atomic.Uint64 // retry-jitter sequence
 	openCount atomic.Int64  // breakers currently open, for the gauge
+	inflight  atomic.Int64  // requests inside a round trip, for the gauge
 
-	mu       sync.Mutex
-	wm       *wireMetrics
-	rm       *resilienceMetrics
-	meta     *conn
-	data     map[string]*conn
-	breakers map[string]*breaker
+	// mu guards the pool: one peer per server address, metadata server
+	// included, and the closed flag.
+	mu     sync.Mutex
+	wm     *wireMetrics
+	rm     *resilienceMetrics
+	peers  map[string]*peer
+	closed bool
 
 	// hintMu guards the T_i load-hint vector (server address → expected
 	// service time, milliseconds) the metadata server broadcasts on
@@ -136,52 +140,30 @@ const (
 	defaultBreakerThreshold = 4
 )
 
-var errConnClosed = errors.New("pfsnet: connection closed")
+// peer is the client's state for one server address: the breaker, the
+// metric sinks (both set when the peer is created) and the idle
+// connections, which Client.mu guards. A peer is never removed, so the
+// pool knows every address it has dialled.
+type peer struct {
+	br   *breaker
+	wm   *wireMetrics
+	rm   *resilienceMetrics
+	idle []*conn // the most recently returned goes out first
+}
 
-// conn is one client connection. After the hello it runs a writer and a
-// reader goroutine and multiplexes tagged calls.
+// conn is one pooled client connection. The caller that checked it out
+// owns it outright: it queues a chain of request frames, puts them on
+// the wire with one flush, and reads their replies, which the server
+// sends in request order.
 type conn struct {
 	nc        net.Conn
 	wm        *wireMetrics
 	br        *bufio.Reader
+	vw        *vecWriter
 	ioTimeout time.Duration
-
-	sendq   chan *wireCall
-	dead    chan struct{}
-	wdone   chan struct{} // closed when writeLoop has exited
-	pendMu  sync.Mutex
-	pending map[uint64]*wireCall
-	nextTag uint64
-	failed  error // set once, under pendMu, when the conn dies
-}
-
-// wireCall is one in-flight tagged request. start links calls through
-// next: the chain is registered as a unit and the head alone crosses
-// the send queue, so a server's group costs one channel operation and
-// one flush however many sub-requests it holds.
-type wireCall struct {
-	tag     uint64
-	op      byte
-	payload []byte    // pooled; owned by the conn once started
-	data    []byte    // borrowed; follows payload on the wire, never released
-	next    *wireCall // rest of the chain
-	enq     time.Time // for the queue-wait metric; zero when obs is off
-	done    chan struct{}
-
-	// tcID/tcSpan, when tcID is nonzero, make the writer emit this call
-	// as a traced frame (trace context behind the header).
-	tcID, tcSpan uint64
-
-	// scatter, when non-nil, asks the reader to deposit a successful
-	// read reply's data directly here instead of a pooled intermediate;
-	// scattered reports it did, scatterN how many bytes.
-	scatter   []byte
-	scattered bool
-	scatterN  int
-
-	replyOp byte
-	reply   []byte // pooled; the waiter releases it
-	err     error
+	sent      uint64   // tag of the last request queued
+	recvd     uint64   // tag of the last reply read
+	hdr       [13]byte // a reply's frame header, then a read reply's length word
 }
 
 // connBufSize sizes both ends' frame readers. It is small on purpose:
@@ -216,10 +198,9 @@ func (c *Client) dialOpts(wm *wireMetrics) dialOpts {
 	}
 }
 
-// dialConn connects to addr, runs the hello and starts the pipeline.
-// The dial is bounded by o.dialTimeout and the hello round trip by
-// o.ioTimeout; a fault plan, when armed, injects its dial refusals and
-// wraps the new connection.
+// dialConn connects to addr and runs the hello. The dial is bounded by
+// o.dialTimeout and the hello round trip by o.ioTimeout; a fault plan,
+// when armed, injects its dial refusals and wraps the new connection.
 func dialConn(addr string, o dialOpts) (*conn, error) {
 	nc, err := o.plan.Dial(o.scope, "tcp", addr, o.dialTimeout)
 	if err != nil {
@@ -236,28 +217,18 @@ func dialConn(addr string, o dialOpts) (*conn, error) {
 	if c.ioTimeout > 0 {
 		nc.SetDeadline(time.Time{})
 	}
-	c.run()
 	return c, nil
 }
 
-// newConn wraps a connected socket; run starts its pipeline.
+// newConn wraps a connected socket.
 func newConn(nc net.Conn, o dialOpts) *conn {
 	return &conn{
 		nc:        nc,
 		wm:        o.wm,
 		br:        bufio.NewReaderSize(nc, connBufSize),
+		vw:        newVecWriter(nc, o.wm),
 		ioTimeout: o.ioTimeout,
-		sendq:     make(chan *wireCall, 128),
-		dead:      make(chan struct{}),
-		wdone:     make(chan struct{}),
-		pending:   make(map[uint64]*wireCall),
 	}
-}
-
-// run starts the writer and reader goroutines.
-func (c *conn) run() {
-	go c.writeLoop()
-	go c.readLoop()
 }
 
 // hello is the client half of the handshake: send opHello and wait for
@@ -277,288 +248,115 @@ func (c *conn) hello() error {
 	return err
 }
 
-// releaseChain returns every payload of a call chain to the pool.
-func releaseChain(w *wireCall) {
-	for ; w != nil; w = w.next {
-		putBuf(w.payload)
-		w.payload = nil
+// queue adds one request frame to the next flush, tagged with the next
+// tag; a nonzero tcID makes it a traced frame. Ownership of payload
+// transfers on entry, error included; data stays borrowed until the
+// flush (or close) returns.
+func (c *conn) queue(op byte, tcID, tcSpan uint64, payload, data []byte) error {
+	c.sent++
+	n := len(payload) + len(data)
+	var err error
+	if tcID != 0 {
+		err = c.vw.writeFrameCtx(c.sent, op, tcID, tcSpan, payload, data)
+	} else {
+		err = c.vw.writeFrame(c.sent, op, payload, data)
 	}
+	if err == nil {
+		c.wm.onTx(n)
+	}
+	return err
 }
 
-// drainSendq releases the payloads of calls still queued when the conn
-// dies, so a killed conn cannot race a caller that has already been
-// failed by kill and moved on.
-func drainSendq(sendq chan *wireCall) {
-	for {
-		select {
-		case w := <-sendq:
-			releaseChain(w)
-		default:
-			return
-		}
+// flush puts every queued frame on the wire in one writev, under the
+// per-flush write deadline. Once it returns, no write can still read a
+// frame's borrowed data.
+func (c *conn) flush() error {
+	if c.ioTimeout > 0 {
+		c.nc.SetWriteDeadline(time.Now().Add(c.ioTimeout))
 	}
+	return wrapTimeout(c.vw.flush())
 }
 
-// writeLoop drains the send queue onto the wire through a vectored
-// writer: frames accumulate in the vecWriter (headers and small payloads
-// packed into arena chunks, large payloads referenced zero-copy) and
-// each burst goes to the kernel in a single writev when the queue runs
-// dry. The loop owns each queued call's payload (ownership transferred
-// at start) and releases it exactly once — after the write,
-// or on exit for calls still queued when the conn dies. It closes wdone
-// last, once no write of its can be reading a call's borrowed data.
-func (c *conn) writeLoop() {
-	vw := newVecWriter(c.nc, c.wm)
-	defer close(c.wdone)
-	defer vw.abandon()
-	defer drainSendq(c.sendq)
-	for {
-		select {
-		case <-c.dead:
-			return
-		case w := <-c.sendq:
-			for ; w != nil; w = w.next {
-				c.wm.observeQueueWait(w.enq)
-				n := len(w.payload) + len(w.data)
-				var err error
-				if w.tcID != 0 {
-					err = vw.writeFrameCtx(w.tag, w.op, w.tcID, w.tcSpan, w.payload, w.data)
-				} else {
-					err = vw.writeFrame(w.tag, w.op, w.payload, w.data)
-				}
-				w.payload = nil
-				if err != nil {
-					releaseChain(w.next)
-					c.kill(err)
-					return
-				}
-				c.wm.onTx(n)
-			}
-			if len(c.sendq) == 0 {
-				if c.ioTimeout > 0 {
-					c.nc.SetWriteDeadline(time.Now().Add(c.ioTimeout))
-				}
-				if err := vw.flush(); err != nil {
-					c.kill(wrapTimeout(err))
-					return
-				}
-			}
-		}
-	}
-}
-
-// pendingCount returns the number of registered in-flight calls.
-func (c *conn) pendingCount() int {
-	c.pendMu.Lock()
-	n := len(c.pending)
-	c.pendMu.Unlock()
-	return n
-}
-
-// readLoop demuxes tagged replies to their waiting callers, scattering
-// read data directly into caller buffers when the call asked for it.
-// With an I/O timeout configured it arms a read deadline whenever
-// replies are outstanding: a deadline expiring with calls pending means
-// the server has gone quiet mid-exchange, and the conn is killed with
-// ErrDeadline so every waiter unblocks promptly instead of stalling
-// forever.
-func (c *conn) readLoop() {
-	for {
-		if c.ioTimeout > 0 {
-			if c.pendingCount() > 0 {
-				c.nc.SetReadDeadline(time.Now().Add(c.ioTimeout))
-			} else {
-				c.nc.SetReadDeadline(time.Time{})
-			}
-		}
-		var hdr [13]byte
-		if nr, err := io.ReadFull(c.br, hdr[:]); err != nil {
-			if isTimeout(err) && nr == 0 && c.pendingCount() == 0 {
-				// The deadline outlived the exchange it guarded; the conn
-				// is idle and at a frame boundary, so keep serving it.
-				continue
-			}
-			c.kill(wrapTimeout(wrapTruncated(err)))
-			return
-		}
-		n := binary.BigEndian.Uint32(hdr[:4])
-		if n < 9 || n > MaxMessage {
-			c.kill(ErrTooLarge)
-			return
-		}
-		tag := binary.BigEndian.Uint64(hdr[4:12])
-		op := hdr[12]
-		plen := int(n) - 9
-		// Claim the waiter before touching the payload: once the tag is
-		// out of pending, kill can no longer race this goroutine for the
-		// call, so scattering into the caller's buffer is single-writer
-		// and done is closed exactly once.
-		c.pendMu.Lock()
-		w := c.pending[tag]
-		delete(c.pending, tag)
-		np := len(c.pending)
-		c.pendMu.Unlock()
-		if w != nil && w.scatter != nil && op == opOK && plen >= 4 && plen-4 <= len(w.scatter) {
-			if err := c.scatterInto(w, plen); err != nil {
-				w.err = err
-				close(w.done)
-				c.kill(err)
-				return
-			}
-			c.wm.onRx(plen)
-			c.wm.onScatter(w.scatterN)
-			c.wm.setInflight(np)
-			close(w.done)
-			continue
-		}
-		payload := getBuf(plen)
-		if _, err := io.ReadFull(c.br, payload); err != nil {
-			putBuf(payload)
-			err = wrapTimeout(wrapTruncated(err))
-			if w != nil {
-				w.err = err
-				close(w.done)
-			}
-			c.kill(err)
-			return
-		}
-		c.wm.onRx(plen)
-		if w == nil {
-			putBuf(payload) // reply to a tag nothing waits on
-			continue
-		}
-		c.wm.setInflight(np)
-		w.replyOp = op
-		w.reply = payload
-		close(w.done)
-	}
-}
-
-// scatterInto reads a read-reply payload (u32 length + data) of plen
-// bytes directly into w.scatter, bypassing the pooled intermediate. The
-// caller guarantees plen-4 fits the scatter buffer.
-func (c *conn) scatterInto(w *wireCall, plen int) error {
-	var lp [4]byte
-	if _, err := io.ReadFull(c.br, lp[:]); err != nil {
-		return wrapTimeout(wrapTruncated(err))
-	}
-	dn := int(binary.BigEndian.Uint32(lp[:]))
-	if dn != plen-4 {
-		return fmt.Errorf("pfsnet: read reply blob of %d bytes does not fill its frame (%w)", dn, ErrCorruptFrame)
-	}
-	if _, err := io.ReadFull(c.br, w.scatter[:dn]); err != nil {
-		return wrapTimeout(wrapTruncated(err))
-	}
-	w.replyOp = opOK
-	w.scattered = true
-	w.scatterN = dn
-	return nil
-}
-
-// kill marks the conn dead, closes the socket, and fails every pending
-// call so no waiter ever hangs on a broken connection.
-func (c *conn) kill(err error) {
-	c.pendMu.Lock()
-	if c.failed != nil {
-		c.pendMu.Unlock()
-		return
-	}
-	c.failed = err
-	close(c.dead)
-	waiters := make([]*wireCall, 0, len(c.pending))
-	for tag, w := range c.pending {
-		delete(c.pending, tag)
-		//lint:allow detmaprange waiters each unblock independently; completion order is unobservable
-		waiters = append(waiters, w)
-	}
-	c.pendMu.Unlock()
-	// Socket close and waiter wake-ups happen outside pendMu: Close can
-	// block in the kernel, and a woken waiter may immediately issue a
-	// follow-up call that needs the lock.
-	c.nc.Close()
-	for _, w := range waiters {
-		w.err = err
-		close(w.done)
-	}
-	c.wm.setInflight(0)
-}
-
-// close shuts the connection down. Pending calls fail with
-// errConnClosed.
-func (c *conn) close() { c.kill(errConnClosed) }
-
-// call performs one request/reply exchange. Ownership of payload (a
-// pooled buffer) transfers to the conn on entry — the conn releases it
-// exactly once, on every path. The pooled reply belongs to the caller,
-// who putBufs it once decoded.
-func (c *conn) call(op byte, payload []byte) ([]byte, error) {
-	w := &wireCall{op: op, payload: payload, done: make(chan struct{})}
-	c.start(w)
-	<-w.done
-	reply, _, err := finishCall(w)
-	return reply, err
-}
-
-// start registers a chain of calls (linked through next) and hands it to
-// the writer through a single send-queue operation, so every frame of a
-// server's group lands in one corked flush. Ownership of every payload
-// transfers on entry. Every call's done closes exactly once: on its
-// reply, or with the conn's terminal error — at once when the conn has
-// already failed.
-func (c *conn) start(head *wireCall) {
-	c.pendMu.Lock()
-	if err := c.failed; err != nil {
-		c.pendMu.Unlock()
-		releaseChain(head)
-		for w := head; w != nil; w = w.next {
-			w.err = err
-			close(w.done)
-		}
-		return
-	}
-	var enq time.Time
-	if c.wm != nil {
-		enq = time.Now()
-	}
-	for w := head; w != nil; w = w.next {
-		c.nextTag++
-		w.tag = c.nextTag
-		w.enq = enq
-		c.pending[w.tag] = w
-	}
-	n := len(c.pending)
-	c.pendMu.Unlock()
-	c.wm.setInflight(n)
-	select {
-	case c.sendq <- head:
-		// The writer (or its exit drain) now owns the payloads.
-	case <-c.dead:
-		// kill covers every registered call; the payloads never reached
-		// the writer.
-		releaseChain(head)
-	}
-	c.armReadDeadline()
-}
-
-// armReadDeadline pushes the reader's deadline out to cover a freshly
-// started exchange. SetReadDeadline interrupts a Read already blocked
-// with no deadline, so this re-arms a reader idling on a quiet conn.
-func (c *conn) armReadDeadline() {
+// recv reads the reply to the oldest unanswered request: a server
+// answers a connection's requests in order, so any other tag is a
+// corrupt frame. A successful read reply whose data fits scatter is read
+// straight into it and recv reports its length; any other reply comes
+// back pooled, for the caller to release. A server's error reply is its
+// remoteError; any other error leaves the connection unusable.
+func (c *conn) recv(scatter []byte) ([]byte, int, error) {
 	if c.ioTimeout > 0 {
 		c.nc.SetReadDeadline(time.Now().Add(c.ioTimeout))
 	}
+	hdr := c.hdr[:]
+	if _, err := io.ReadFull(c.br, hdr); err != nil {
+		return nil, 0, wrapTimeout(wrapTruncated(err))
+	}
+	n := binary.BigEndian.Uint32(hdr[:4])
+	if n < 9 || n > MaxMessage {
+		return nil, 0, ErrTooLarge
+	}
+	c.recvd++
+	if tag := binary.BigEndian.Uint64(hdr[4:12]); tag != c.recvd {
+		return nil, 0, fmt.Errorf("pfsnet: reply tag %d, want %d (%w)", tag, c.recvd, ErrCorruptFrame)
+	}
+	op := hdr[12]
+	plen := int(n) - 9
+	if scatter != nil && op == opOK && plen >= 4 && plen-4 <= len(scatter) {
+		dn, err := c.scatterInto(scatter, plen)
+		if err != nil {
+			return nil, 0, err
+		}
+		c.wm.onRx(plen)
+		c.wm.onScatter(dn)
+		return nil, dn, nil
+	}
+	payload := getBuf(plen)
+	if _, err := io.ReadFull(c.br, payload); err != nil {
+		putBuf(payload)
+		return nil, 0, wrapTimeout(wrapTruncated(err))
+	}
+	c.wm.onRx(plen)
+	reply, err := finishReply(op, payload)
+	return reply, 0, err
 }
 
-// finishCall maps a completed wireCall to (reply, scatteredBytes, error).
-func finishCall(w *wireCall) ([]byte, int, error) {
-	if w.err != nil {
-		return nil, 0, w.err
+// scatterInto reads a read-reply payload (u32 length + data) of plen
+// bytes directly into dst, bypassing the pooled intermediate, and
+// returns the data length. The caller guarantees plen-4 fits dst.
+func (c *conn) scatterInto(dst []byte, plen int) (int, error) {
+	lp := c.hdr[:4]
+	if _, err := io.ReadFull(c.br, lp); err != nil {
+		return 0, wrapTimeout(wrapTruncated(err))
 	}
-	if w.scattered {
-		return nil, w.scatterN, nil
+	dn := int(binary.BigEndian.Uint32(lp))
+	if dn != plen-4 {
+		return 0, fmt.Errorf("pfsnet: read reply blob of %d bytes does not fill its frame (%w)", dn, ErrCorruptFrame)
 	}
-	reply, err := finishReply(w.replyOp, w.reply)
-	return reply, 0, err
+	if _, err := io.ReadFull(c.br, dst[:dn]); err != nil {
+		return 0, wrapTimeout(wrapTruncated(err))
+	}
+	return dn, nil
+}
+
+// call performs one request/reply exchange. Ownership of payload (a
+// pooled buffer) transfers to the conn on entry. The pooled reply
+// belongs to the caller, who putBufs it once decoded.
+func (c *conn) call(op byte, payload []byte) ([]byte, error) {
+	err := c.queue(op, 0, 0, payload, nil)
+	if err == nil {
+		err = c.flush()
+	}
+	if err != nil {
+		return nil, err
+	}
+	reply, _, err := c.recv(nil)
+	return reply, err
+}
+
+// close shuts the connection down and releases any frames still queued.
+func (c *conn) close() {
+	c.nc.Close()
+	c.vw.abandon()
 }
 
 // finishReply maps a reply frame to (payload, error), releasing the
@@ -599,8 +397,7 @@ func NewClient(metaAddr string) *Client {
 		RetryBackoff:     defaultRetryBackoff,
 		RetryBackoffMax:  defaultRetryBackoffMax,
 		BreakerThreshold: defaultBreakerThreshold,
-		data:             make(map[string]*conn),
-		breakers:         make(map[string]*breaker),
+		peers:            make(map[string]*peer),
 	}
 }
 
@@ -613,71 +410,93 @@ func NewIBridgeClient(metaAddr string, fragmentThreshold, randomThreshold int64)
 	return c
 }
 
-// Close closes all connections. It always returns nil.
+// Close closes every idle connection at once; a connection checked out
+// at the time is closed when its caller hands it back, never re-pooled.
+// It always returns nil.
 func (c *Client) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.meta != nil {
-		c.meta.close()
-		c.meta = nil
-	}
-	for addr, cn := range c.data {
-		cn.close()
-		delete(c.data, addr)
+	c.closed = true
+	for _, p := range c.peers {
+		for _, cn := range p.idle {
+			cn.close()
+		}
+		p.idle = nil
 	}
 	return nil
 }
 
-// wireMetricsLocked lazily resolves the client's wire metrics (c.mu
-// held).
-func (c *Client) wireMetricsLocked() *wireMetrics {
-	if c.wm == nil && c.Obs != nil {
-		c.wm = newClientWireMetrics(c.Obs)
-	}
-	return c.wm
-}
-
-// resMetrics lazily resolves the client's resilience metrics; nil when
-// Obs is unset (all methods on a nil *resilienceMetrics are no-ops).
-func (c *Client) resMetrics() *resilienceMetrics {
+// checkout returns addr's peer and one of its idle connections (nil when
+// none is idle), resolving both under one acquisition of c.mu. The
+// first peer resolves the client's metric sinks, which every peer
+// shares.
+func (c *Client) checkout(addr string) (*peer, *conn) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.rm == nil && c.Obs != nil {
-		c.rm = newResilienceMetrics(c.Obs)
+	p := c.peers[addr]
+	if p == nil {
+		if c.wm == nil && c.Obs != nil {
+			c.wm = newClientWireMetrics(c.Obs)
+			c.rm = newResilienceMetrics(c.Obs)
+		}
+		p = &peer{wm: c.wm, rm: c.rm}
+		if th := c.BreakerThreshold; th >= 0 {
+			if th == 0 {
+				th = defaultBreakerThreshold
+			}
+			p.br = &breaker{threshold: th}
+		}
+		c.peers[addr] = p
 	}
-	return c.rm
+	n := len(p.idle)
+	if n == 0 {
+		return p, nil
+	}
+	cn := p.idle[n-1]
+	p.idle[n-1] = nil
+	p.idle = p.idle[:n-1]
+	return p, cn
 }
 
-// breakerFor returns addr's breaker, creating it lazily; nil when the
-// breaker is disabled (every method on a nil *breaker is a no-op).
-func (c *Client) breakerFor(addr string) *breaker {
-	if c.BreakerThreshold < 0 {
-		return nil
-	}
-	th := c.BreakerThreshold
-	if th == 0 {
-		th = defaultBreakerThreshold
+// checkin returns a healthy connection to its peer's idle pool, or
+// closes it when the client has been closed. A nil cn is a no-op.
+func (c *Client) checkin(p *peer, cn *conn) {
+	if cn == nil {
+		return
 	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.breakers == nil {
-		c.breakers = make(map[string]*breaker)
+	closed := c.closed
+	if !closed {
+		p.idle = append(p.idle, cn)
 	}
-	b := c.breakers[addr]
-	if b == nil {
-		b = &breaker{threshold: th}
-		c.breakers[addr] = b
+	c.mu.Unlock()
+	if closed {
+		cn.close()
 	}
-	return b
+}
+
+// discard closes a connection that failed, and every idle one to the
+// same server with it: they share its fate (a restarted server has
+// reset them all), and a retry must dial afresh instead of drawing
+// another stale one.
+func (c *Client) discard(p *peer, cn *conn) {
+	c.mu.Lock()
+	idle := p.idle
+	p.idle = nil
+	c.mu.Unlock()
+	cn.close()
+	for _, ic := range idle {
+		ic.close()
+	}
 }
 
 // ServerDegraded reports whether the client's breaker currently marks
 // the data server at addr degraded.
 func (c *Client) ServerDegraded(addr string) bool {
 	c.mu.Lock()
-	b := c.breakers[addr]
+	p := c.peers[addr]
 	c.mu.Unlock()
-	return b.isOpen()
+	return p != nil && p.br.isOpen()
 }
 
 // latKey identifies one per-server, per-op-class latency sketch.
@@ -915,64 +734,6 @@ func (c *Client) finishParent(pr *parentReq, off, length int64, err error) {
 	c.slowMu.Unlock()
 }
 
-func (c *Client) metaConn() (*conn, error) {
-	c.mu.Lock()
-	if c.meta != nil {
-		cn := c.meta
-		c.mu.Unlock()
-		return cn, nil
-	}
-	wm := c.wireMetricsLocked()
-	c.mu.Unlock()
-	// Dial outside the lock: the hello is a network round trip.
-	cn, err := dialConn(c.metaAddr, c.dialOpts(wm))
-	if err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.meta != nil { // lost a dial race; keep the winner
-		cn.close()
-		return c.meta, nil
-	}
-	c.meta = cn
-	return cn, nil
-}
-
-// dataConn returns the connection to data server addr, dialling it
-// lazily outside the lock (the hello is a network round trip).
-func (c *Client) dataConn(addr string) (*conn, error) {
-	c.mu.Lock()
-	if cn := c.data[addr]; cn != nil {
-		c.mu.Unlock()
-		return cn, nil
-	}
-	wm := c.wireMetricsLocked()
-	c.mu.Unlock()
-	cn, err := dialConn(addr, c.dialOpts(wm))
-	if err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if have := c.data[addr]; have != nil { // lost a dial race; keep the winner
-		cn.close()
-		return have, nil
-	}
-	c.data[addr] = cn
-	return cn, nil
-}
-
-// dropDataConn discards a broken connection so the next attempt redials.
-func (c *Client) dropDataConn(addr string, cn *conn) {
-	c.mu.Lock()
-	if c.data[addr] == cn {
-		delete(c.data, addr)
-	}
-	c.mu.Unlock()
-	cn.close()
-}
-
 // dataReq is one request of a server's group. A write's data is src,
 // which its frame borrows; a read's reply data lands in dst; any other
 // request's pooled reply is left in reply, which the caller owns and
@@ -988,12 +749,13 @@ type dataReq struct {
 
 // send issues one data server's group of requests — a lone request is a
 // group of one — under the client's resilience policy. Each attempt
-// registers every still-unanswered request as one chain on the server's
-// connection (one send-queue operation, one corked flush) and waits for
-// all of them. A transport failure drops the connection, backs off
-// (bounded exponential, deterministic jitter) and resends only the
-// requests it failed, up to MaxRetries resends within RequestTimeout;
-// read and write sub-requests are idempotent, so resending is safe.
+// checks a connection to the server out of the pool, writes every
+// still-unanswered request as one chain with one writev, and reads
+// their replies in order. A transport failure discards the connection
+// and the server's idle ones, backs off (bounded exponential,
+// deterministic jitter) and resends only the requests it left
+// unanswered, up to MaxRetries resends within RequestTimeout; read and
+// write sub-requests are idempotent, so resending is safe.
 // Server-reported (remote) errors are never resent: the server
 // answered, which proves it alive. The breaker sees one outcome per
 // attempt, so while it is open one caller's whole group is the probe
@@ -1002,13 +764,8 @@ type dataReq struct {
 // encode builds a request's payload; it runs once per attempt because
 // ownership of the payload transfers to the connection (DESIGN §11), so
 // a resend needs a fresh one. A write's src rides behind it borrowed,
-// and send keeps it borrowed only while it may be on the wire: a reply
-// proves the server read the whole frame, and after a transport failure
-// send waits for the connection's writer to exit before it resends or
-// returns.
+// and is free again once the attempt's flush has returned.
 func (c *Client) send(addr string, op byte, reqs []dataReq, encode func(stripe.Sub) []byte, pr *parentReq) error {
-	rm := c.resMetrics()
-	b := c.breakerFor(addr)
 	sk := c.sketchFor(addr, opClass(op))
 	retries := max(c.MaxRetries, 0)
 	var start, deadline time.Time
@@ -1024,9 +781,11 @@ func (c *Client) send(addr string, op byte, reqs []dataReq, encode func(stripe.S
 	}
 	var first, lastErr error // first remote or decode error; last transport failure
 	for attempt := 0; ; attempt++ {
-		probe, err := b.acquire(addr)
+		p, cn := c.checkout(addr)
+		probe, err := p.br.acquire(addr)
 		if err != nil {
-			rm.onFastFail()
+			c.checkin(p, cn)
+			p.rm.onFastFail()
 			lastErr = err
 			break
 		}
@@ -1034,23 +793,26 @@ func (c *Client) send(addr string, op byte, reqs []dataReq, encode func(stripe.S
 		if sk != nil {
 			t0 = time.Now()
 		}
-		cn, err := c.dataConn(addr)
+		if cn == nil {
+			cn, err = dialConn(addr, c.dialOpts(p.wm))
+		}
 		if err == nil {
-			var head *wireCall // the unanswered requests, in order
-			for i := len(reqs) - 1; i >= 0; i-- {
-				if !reqs[i].done {
-					head = &wireCall{op: op, payload: encode(reqs[i].sub), data: reqs[i].src, scatter: reqs[i].dst,
-						tcID: tcID, tcSpan: tcSpan, next: head, done: make(chan struct{})}
+			queued := 0
+			for i := range reqs {
+				if !reqs[i].done && err == nil {
+					err = cn.queue(op, tcID, tcSpan, encode(reqs[i].sub), reqs[i].src)
+					queued++
 				}
 			}
-			cn.start(head)
-			for i, w := 0, head; w != nil; i++ {
+			c.trackInflight(p.wm, queued)
+			if err == nil {
+				err = cn.flush()
+			}
+			for i := 0; err == nil && i < len(reqs); i++ {
 				if reqs[i].done {
 					continue
 				}
-				<-w.done
-				reply, n, cerr := finishCall(w)
-				w = w.next
+				reply, n, cerr := cn.recv(reqs[i].dst)
 				if _, isRemote := cerr.(remoteError); cerr != nil && !isRemote {
 					err = cerr // transport failure: resend on the next attempt
 					continue
@@ -1071,17 +833,19 @@ func (c *Client) send(addr string, op byte, reqs []dataReq, encode func(stripe.S
 					first = cerr
 				}
 			}
+			c.trackInflight(p.wm, -queued)
 			if err != nil {
-				c.dropDataConn(addr, cn)
-				<-cn.wdone // the fence: no writev may still read a borrowed src
+				c.discard(p, cn)
+			} else {
+				c.checkin(p, cn)
 			}
 		}
-		c.recordOutcome(b, rm, probe, err == nil)
+		c.recordOutcome(p.br, p.rm, probe, err == nil)
 		if err == nil {
 			return first
 		}
 		if errors.Is(err, ErrDeadline) {
-			rm.onDeadline()
+			p.rm.onDeadline()
 		}
 		lastErr = err
 		if attempt >= retries {
@@ -1089,12 +853,12 @@ func (c *Client) send(addr string, op byte, reqs []dataReq, encode func(stripe.S
 		}
 		d := c.backoffDelay(attempt)
 		if !deadline.IsZero() && time.Now().Add(d).After(deadline) {
-			rm.onDeadline()
+			p.rm.onDeadline()
 			lastErr = fmt.Errorf("pfsnet: %s: request budget exhausted after %d attempts (%w): %v",
 				addr, attempt+1, ErrDeadline, lastErr)
 			break
 		}
-		rm.onRetry()
+		p.rm.onRetry()
 		if d > 0 {
 			time.Sleep(d)
 		}
@@ -1105,6 +869,13 @@ func (c *Client) send(addr string, op byte, reqs []dataReq, encode func(stripe.S
 		}
 	}
 	return lastErr
+}
+
+// trackInflight moves the in-flight gauge by n requests.
+func (c *Client) trackInflight(wm *wireMetrics, n int) {
+	if wm != nil {
+		wm.setInflight(int(c.inflight.Add(int64(n))))
+	}
 }
 
 // recordOutcome feeds an attempt result to the breaker and keeps the
@@ -1177,29 +948,27 @@ func (c *Client) fileFromReply(name string, payload []byte) (*File, error) {
 	return f, f.layout.Validate()
 }
 
-// metaCall performs one metadata request; ownership of payload transfers
-// in (released here on the paths that never reach a connection). On a
-// transport failure the cached metadata connection is discarded so the
-// next call redials instead of failing forever against a dead socket.
+// metaCall performs one metadata request on a pooled connection to the
+// metadata server; ownership of payload transfers in (released here on
+// the paths that never reach a connection). A transport failure
+// discards the connection, so the next call redials instead of failing
+// forever against a dead socket.
 func (c *Client) metaCall(op byte, payload []byte) ([]byte, error) {
-	mc, err := c.metaConn()
-	if err != nil {
-		putBuf(payload)
-		return nil, err
-	}
-	reply, err := mc.call(op, payload)
-	if err != nil {
-		if _, isRemote := err.(remoteError); !isRemote {
-			c.mu.Lock()
-			if c.meta == mc {
-				c.meta = nil
-			}
-			c.mu.Unlock()
-			mc.close()
+	p, cn := c.checkout(c.metaAddr)
+	if cn == nil {
+		var err error
+		if cn, err = dialConn(c.metaAddr, c.dialOpts(p.wm)); err != nil {
+			putBuf(payload)
+			return nil, err
 		}
+	}
+	reply, err := cn.call(op, payload)
+	if _, isRemote := err.(remoteError); err != nil && !isRemote {
+		c.discard(p, cn)
 		return nil, err
 	}
-	return reply, nil
+	c.checkin(p, cn)
+	return reply, err
 }
 
 // Create creates a file of the given size.
@@ -1308,8 +1077,10 @@ func (c *Client) ReadAt(f *File, off int64, p []byte) error {
 }
 
 // do fans one ReadAt/WriteAt out: the request splits into per-server
-// groups, each group goes to its server as one send, the servers
-// proceed in parallel, and the parent waits for every group.
+// groups, each group goes to its server as one send, and the servers
+// proceed in parallel. The first group in issue order, the one predicted
+// slowest (orderGroups), runs on the calling goroutine, so it reaches
+// its writev without waiting for a goroutine to be scheduled.
 func (c *Client) do(f *File, op byte, off int64, p []byte, pr *parentReq) error {
 	random := op == opWrite && c.RandomThreshold > 0 && int64(len(p)) < c.RandomThreshold
 	subs := c.subs(f, off, int64(len(p)))
@@ -1321,14 +1092,14 @@ func (c *Client) do(f *File, op byte, off int64, p []byte, pr *parentReq) error 
 		return c.sendGroup(f, op, off, p, groups[0], random, pr)
 	}
 	c.orderGroups(f, groups, opClass(op))
-	errs := make(chan error, len(groups))
-	for _, g := range groups {
+	errs := make(chan error, len(groups)-1)
+	for _, g := range groups[1:] {
 		go func() {
 			errs <- c.sendGroup(f, op, off, p, g, random, pr)
 		}()
 	}
-	var first error
-	for range groups {
+	first := c.sendGroup(f, op, off, p, groups[0], random, pr)
+	for range len(groups) - 1 {
 		if err := <-errs; err != nil && first == nil {
 			first = err
 		}
@@ -1400,15 +1171,17 @@ func (c *Client) Flush(f *File) (int64, error) {
 		servers = f.servers
 		id = f.ID
 	} else {
-		// Without a file we have no server list; flush via the cached
-		// data connections.
+		// Without a file we have no server list; flush every data server
+		// the pool has dialled.
 		c.mu.Lock()
-		for addr := range c.data {
-			servers = append(servers, addr)
+		for addr := range c.peers {
+			if addr != c.metaAddr {
+				servers = append(servers, addr)
+			}
 		}
 		c.mu.Unlock()
 		// Flush in a stable order so multi-server error/byte totals do
-		// not depend on connection-map iteration order.
+		// not depend on map iteration order.
 		sort.Strings(servers)
 	}
 	var total int64

@@ -149,11 +149,12 @@ func TestFrameReadersBypassBuffer(t *testing.T) {
 		if _, err := io.ReadFull(c.br, hdr[:]); err != nil {
 			t.Fatal(err)
 		}
-		w := &wireCall{scatter: make([]byte, plen)}
-		if err := c.scatterInto(w, int(binary.BigEndian.Uint32(hdr[:4]))-9); err != nil {
+		dst := make([]byte, plen)
+		n, err := c.scatterInto(dst, int(binary.BigEndian.Uint32(hdr[:4]))-9)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if !w.scattered || !bytes.Equal(w.scatter, data) {
+		if n != plen || !bytes.Equal(dst, data) {
 			t.Fatal("scattered data differs")
 		}
 		check("scatterInto", cr)
@@ -220,11 +221,10 @@ func (s *stallConn) WriteBuffers(v *net.Buffers) (int64, error) {
 	return 0, errors.New("stalled write abandoned")
 }
 
-// TestWriteFenceWaitsForWriter kills a write's connection (its read
-// deadline expires) while the writer still holds the batch in
-// WriteBuffers, and requires that WriteAt neither returns nor resends
-// until WriteBuffers has returned: the caller's buffer stays borrowed
-// for as long as a write may read it.
+// TestWriteFenceWaitsForWriter holds a write's batch in WriteBuffers
+// well past the connection's I/O timeout, and requires that WriteAt
+// neither returns nor resends until WriteBuffers has returned: the
+// caller's buffer stays borrowed for as long as a write may read it.
 func TestWriteFenceWaitsForWriter(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -254,9 +254,8 @@ func TestWriteFenceWaitsForWriter(t *testing.T) {
 	client, peer := net.Pipe()
 	defer peer.Close()
 	sc.Conn = client
-	cn := newConn(sc, c.dialOpts(nil))
-	cn.run()
-	c.data[addr] = cn
+	pr, _ := c.checkout(addr)
+	c.checkin(pr, newConn(sc, c.dialOpts(nil)))
 	f := &File{ID: 1, Name: "fence", Size: 1 << 20,
 		layout: stripe.Layout{Unit: 64 << 10, Servers: 1}, servers: []string{addr}}
 
@@ -270,7 +269,6 @@ func TestWriteFenceWaitsForWriter(t *testing.T) {
 		done <- sc.returned.Load()
 	}()
 	<-sc.entered
-	<-cn.dead // the read deadline expired with the batch still in WriteBuffers
 	select {
 	case <-done:
 		t.Fatal("WriteAt returned while WriteBuffers still held its data")

@@ -85,9 +85,9 @@ func (s slowStore) ReadAt(file uint64, off int64, p []byte) error {
 	return s.ObjectStore.ReadAt(file, off, p)
 }
 
-// TestPipelinedInFlightFailure kills a data server while many tagged
-// requests are multiplexed in flight on pipelined connections. Every
-// waiter must get an answer promptly — a result or an error, never a
+// TestPipelinedInFlightFailure kills a data server while many requests
+// are in flight, each on its own pooled connection. Every caller must
+// get an answer promptly — a result or an error, never a
 // hang — and once the server is back on the same address the client's
 // transparent redial must restore service.
 func TestPipelinedInFlightFailure(t *testing.T) {
@@ -113,8 +113,8 @@ func TestPipelinedInFlightFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Fill the pipeline: far more concurrent reads than pooled
-	// connections, so many tags share each conn when the server dies.
+	// Many concurrent reads: the pool grows to one connection per
+	// caller, and all of them are in the server when it dies.
 	const inflight = 32
 	var wg sync.WaitGroup
 	results := make(chan error, inflight)
@@ -134,8 +134,8 @@ func TestPipelinedInFlightFailure(t *testing.T) {
 	closed := make(chan error, 1)
 	go func() { closed <- ds.Close() }()
 
-	// Every waiter must complete promptly: a hang here is exactly the
-	// bug the tagged-call bookkeeping exists to prevent.
+	// Every caller must complete promptly: a hang here would be a
+	// reply read that no socket error or close ever ends.
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
 	select {

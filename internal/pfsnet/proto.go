@@ -17,9 +17,10 @@
 // request tag, a 1-byte opcode and an opcode-specific payload. The
 // length counts the bytes after itself, so it is at least 9. Strings and
 // byte blobs are 4-byte-length-prefixed; all integers are big-endian.
-// The tag is chosen by the requester and echoed verbatim in the reply,
-// which lets many requests multiplex over one connection with
-// out-of-order replies — the wire-level analogue of getting many
+// The tag is chosen by the requester and echoed in the reply. A server
+// answers a connection's requests in order, so a requester can pipeline
+// many on one connection and match each reply to the oldest request
+// still unanswered — the wire-level analogue of getting many
 // independent sub-requests in flight per server at once.
 //
 // Handshake: a client opens every connection with an opHello frame (tag
@@ -372,15 +373,12 @@ func serverHandshake(nc net.Conn, br *bufio.Reader) error {
 	return err
 }
 
-// isTimeout reports whether err is a net-level deadline expiry.
-func isTimeout(err error) bool {
-	var ne net.Error
-	return errors.As(err, &ne) && ne.Timeout()
-}
-
 // wrapTimeout maps net-level timeout errors onto ErrDeadline so callers
 // can classify them with errors.Is; other errors pass through unchanged.
 func wrapTimeout(err error) error {
+	if err == nil {
+		return nil
+	}
 	var ne net.Error
 	if errors.As(err, &ne) && ne.Timeout() {
 		return fmt.Errorf("%v (%w)", err, ErrDeadline)

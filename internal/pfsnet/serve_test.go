@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"net"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -241,8 +242,8 @@ func TestServerNoHostageReply(t *testing.T) {
 	})
 }
 
-// TestServerMetricsOmitClientOnly: in-flight depth, send-queue wait and
-// scatter reads are client-side mechanisms, so neither a data server nor
+// TestServerMetricsOmitClientOnly: in-flight depth and scatter reads
+// are client-side mechanisms, so neither a data server nor
 // a metadata server publishes them, while a client does.
 func TestServerMetricsOmitClientOnly(t *testing.T) {
 	srvReg, cliReg := obs.NewRegistry(), obs.NewRegistry()
@@ -269,7 +270,7 @@ func TestServerMetricsOmitClientOnly(t *testing.T) {
 	if err := c.ReadAt(f, 0, make([]byte, 3*4096)); err != nil {
 		t.Fatal(err)
 	}
-	clientOnly := []string{"inflight", "queue_wait_ms", "scatter_reads"}
+	clientOnly := []string{"inflight", "scatter_reads"}
 	for name := range srvReg.Snapshot() {
 		for _, m := range clientOnly {
 			if strings.Contains(name, "."+m) {
@@ -278,9 +279,64 @@ func TestServerMetricsOmitClientOnly(t *testing.T) {
 		}
 	}
 	cli := cliReg.Snapshot()
-	for _, name := range []string{"pfsnet.client.inflight", "pfsnet.client.queue_wait_ms.count", "pfsnet.client.scatter_reads"} {
+	for _, name := range []string{"pfsnet.client.inflight", "pfsnet.client.scatter_reads"} {
 		if _, ok := cli[name]; !ok {
 			t.Errorf("client registry lacks %s", name)
+		}
+	}
+}
+
+// TestStopSeversConnAcceptedDuringStop closes a data server while
+// dialers keep connecting, many times over. A connection the listener
+// accepted just before it closed, but registered after stop severed the
+// open ones, used to be served on forever, and Close waited on it until
+// its client hung up. Pooled clients redial while a server stops, so
+// Close must return with such a connection still open at the client.
+func TestStopSeversConnAcceptedDuringStop(t *testing.T) {
+	for i := 0; i < 300; i++ {
+		ds, err := NewDataServer("127.0.0.1:0", false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		addr := ds.Addr()
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				var held []net.Conn // open until the dialer stops
+				defer func() {
+					for _, nc := range held {
+						nc.Close()
+					}
+				}()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					if nc, err := net.Dial("tcp", addr); err == nil {
+						held = append(held, nc)
+					}
+				}
+			}()
+		}
+		time.Sleep(time.Millisecond)
+		closed := make(chan struct{})
+		go func() { ds.Close(); close(closed) }()
+		var hung bool
+		select {
+		case <-closed:
+		case <-time.After(5 * time.Second):
+			hung = true
+		}
+		close(stop)
+		wg.Wait()
+		if hung {
+			<-closed
+			t.Fatalf("iteration %d: Close waited on a connection accepted during stop", i)
 		}
 	}
 }

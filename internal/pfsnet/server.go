@@ -98,7 +98,18 @@ func (s *server) accept() {
 				return
 			}
 		}
+		// Register under connMu, unless stop has begun: a connection
+		// accepted just before the listener closed but registered after
+		// stop's snapshot would never be severed, and stop would wait on
+		// its goroutine for as long as the client kept it open.
 		s.connMu.Lock()
+		select {
+		case <-s.quit:
+			s.connMu.Unlock()
+			conn.Close()
+			return
+		default:
+		}
 		s.conns[conn] = struct{}{}
 		s.connMu.Unlock()
 		s.wg.Add(1)

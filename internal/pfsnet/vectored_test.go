@@ -81,7 +81,7 @@ func partialSeed(t *testing.T) uint64 {
 // TestPartialWriteYieldsCorruptFrame injects a partial write into the
 // data server's vectored response path and asserts the client observes
 // ErrCorruptFrame promptly — a truncated frame must classify as
-// corruption, never hang a waiter and never pass as a short read.
+// corruption, never hang a caller and never pass as a short read.
 func TestPartialWriteYieldsCorruptFrame(t *testing.T) {
 	seed := partialSeed(t)
 	plan := faults.MustParse(fmt.Sprintf("seed=%d; partial=1/2", seed))

@@ -2,7 +2,6 @@ package pfsnet
 
 import (
 	"sync/atomic"
-	"time"
 
 	"repro/internal/obs"
 )
@@ -19,8 +18,7 @@ type wireMetrics struct {
 
 	// Client-only metrics (newClientWireMetrics); nil on a server, which
 	// never calls their hooks.
-	inflight     *obs.Gauge   // requests issued and not yet completed
-	qwait        *obs.Hist    // ms from enqueue to wire write (send queue)
+	inflight     *obs.Gauge   // requests inside a round trip
 	scatterReads *obs.Counter // replies scattered straight into caller buffers
 	// copyAvoided counts the data bytes that crossed the wire with no
 	// user-space copy at all: borrowed write data on the send side,
@@ -53,13 +51,12 @@ func newWireMetrics(reg *obs.Registry, prefix string) *wireMetrics {
 }
 
 // newClientWireMetrics is newWireMetrics under "pfsnet.client." plus the
-// metrics only a client moves: in-flight depth, send-queue wait,
-// scatter reads and the copies borrowing and scattering avoid.
+// metrics only a client moves: in-flight depth, scatter reads and the
+// copies borrowing and scattering avoid.
 func newClientWireMetrics(reg *obs.Registry) *wireMetrics {
 	m := newWireMetrics(reg, "pfsnet.client.")
 	if m != nil {
 		m.inflight = reg.Gauge("pfsnet.client.inflight")
-		m.qwait = reg.Hist("pfsnet.client.queue_wait_ms")
 		m.scatterReads = reg.Counter("pfsnet.client.scatter_reads")
 		m.copyAvoided = reg.Counter("pfsnet.client.copy_avoided_bytes")
 	}
@@ -139,13 +136,6 @@ func (m *wireMetrics) setInflight(n int) {
 		return
 	}
 	m.inflight.Set(int64(n))
-}
-
-func (m *wireMetrics) observeQueueWait(enq time.Time) {
-	if m == nil || enq.IsZero() {
-		return
-	}
-	m.qwait.Observe(float64(time.Since(enq)) / float64(time.Millisecond))
 }
 
 // resilienceMetrics mirrors the client's retry/breaker activity into the
