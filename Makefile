@@ -34,8 +34,8 @@ lint-tools:
 
 # Repo-specific invariants (wall clock and map order in the
 # deterministic packages, obs nil-sink discipline, no blocking I/O under
-# locks, pooled-buffer ownership, no sync/atomic package functions, lock
-# ordering, goroutine shutdown paths) enforced by the custom
+# locks, no sync/atomic package functions, lock ordering, goroutine
+# shutdown paths) enforced by the custom
 # multichecker, plus staticcheck and govulncheck when they are
 # installed (at the pinned versions above, via `make lint-tools`). The
 # multichecker is the hard gate; the external tools are best-effort so

@@ -6,7 +6,6 @@
 //	detmaprange  no map iteration order escaping unsorted
 //	obsnil       a nil check before every obs metric-bundle dereference
 //	lockio       no blocking I/O while a mutex is held
-//	bufown       no use of a pooled buffer after its ownership is handed off
 //	atomicmix    no sync/atomic package-level functions; typed wrappers only
 //	lockorder    no cycle in the lock-acquisition order
 //	gospawn      a shutdown path for every goroutine in the live packages

@@ -3,10 +3,9 @@
 // see — deterministic simulation time (detclock), map-iteration-order
 // hygiene (detmaprange), the observability nil-sink contract (obsnil),
 // the no-I/O-under-lock discipline of the concurrent pfsnet server
-// (lockio), pooled-buffer ownership (bufown), the ban on sync/atomic's
-// package-level functions (atomicmix), the interprocedural
-// lock-acquisition order (lockorder), and goroutine shutdown paths
-// (gospawn). lockio and lockorder share one lock sweep (lockset.go).
+// (lockio), the ban on sync/atomic's package-level functions
+// (atomicmix), the interprocedural lock-acquisition order (lockorder),
+// and goroutine shutdown paths (gospawn). lockio and lockorder share one lock sweep (lockset.go).
 // The Loader type-checks each package once and serves as the importer
 // for the module's own packages.
 //

@@ -70,20 +70,6 @@ func TestLockIO(t *testing.T) {
 	})
 }
 
-// TestBufOwn exercises the pooled-buffer ownership contract: uses
-// after putBuf / writeFrame / call / metaCall handoffs (including
-// branch joins and loop-carried uses) versus capture-before-handoff,
-// rebinding, deferred release, terminating branches, and a documented
-// waiver.
-func TestBufOwn(t *testing.T) {
-	t.Run("pos", func(t *testing.T) {
-		analysistest.Run(t, analyzers.BufOwn, "testdata/src/bufown/pos", "repro/internal/fixture/bufownfix")
-	})
-	t.Run("neg", func(t *testing.T) {
-		analysistest.Run(t, analyzers.BufOwn, "testdata/src/bufown/neg", "repro/internal/fixture/bufownfix")
-	})
-}
-
 // TestAtomicMix exercises the sync/atomic function ban: calls on
 // promoted and explicit fields and on package variables, loads, swaps,
 // compare-and-swaps and a function value, versus the typed wrappers, a
@@ -175,12 +161,12 @@ func TestStaleWaiverScopedToRunSet(t *testing.T) {
 // whose fields match the plain-text format field for field.
 func TestVetJSON(t *testing.T) {
 	var buf bytes.Buffer
-	n, err := analyzers.VetJSON(".", []string{"./internal/analyzers/testdata/src/bufown/pos"}, []*analyzers.Analyzer{analyzers.BufOwn}, &buf)
+	n, err := analyzers.VetJSON(".", []string{"./internal/analyzers/testdata/src/atomicmix/pos"}, []*analyzers.Analyzer{analyzers.AtomicMix}, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n == 0 {
-		t.Fatal("want findings from the bufown pos fixture, got none")
+		t.Fatal("want findings from the atomicmix pos fixture, got none")
 	}
 	var fs []analyzers.Finding
 	if err := json.Unmarshal(buf.Bytes(), &fs); err != nil {
@@ -190,7 +176,7 @@ func TestVetJSON(t *testing.T) {
 		t.Fatalf("returned count %d != decoded findings %d", n, len(fs))
 	}
 	for _, f := range fs {
-		if f.Analyzer != "bufown" || f.File == "" || f.Line <= 0 || f.Col <= 0 || f.Message == "" {
+		if f.Analyzer != "atomicmix" || f.File == "" || f.Line <= 0 || f.Col <= 0 || f.Message == "" {
 			t.Fatalf("incomplete finding: %+v", f)
 		}
 		if filepath.IsAbs(f.File) || strings.Contains(f.File, `\`) {
@@ -199,7 +185,7 @@ func TestVetJSON(t *testing.T) {
 	}
 	// A clean run must still emit a JSON array, not empty output.
 	buf.Reset()
-	n, err = analyzers.VetJSON(".", []string{"./internal/analyzers/testdata/src/bufown/neg"}, []*analyzers.Analyzer{analyzers.BufOwn}, &buf)
+	n, err = analyzers.VetJSON(".", []string{"./internal/analyzers/testdata/src/atomicmix/neg"}, []*analyzers.Analyzer{analyzers.AtomicMix}, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package pfsnet
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math/rand"
 	"sync"
 	"testing"
@@ -28,7 +29,7 @@ func newBridgeServer(t testing.TB, cfg ServerConfig) *DataServer {
 
 func srvWrite(t testing.TB, s *DataServer, file uint64, off int64, data []byte, flagged bool) {
 	t.Helper()
-	e := newEnc()
+	var e enc
 	e.u64(file)
 	e.i64(off)
 	if flagged {
@@ -37,44 +38,36 @@ func srvWrite(t testing.TB, s *DataServer, file uint64, off int64, data []byte, 
 		e.u8(0)
 	}
 	e.bytes(data)
-	_, err := s.handleWrite(e.b)
-	putBuf(e.b)
-	if err != nil {
+	if err := s.handleWrite(e.b); err != nil {
 		t.Errorf("write file %d [%d,+%d) flagged=%v: %v", file, off, len(data), flagged, err)
 	}
 }
 
 func srvRead(t testing.TB, s *DataServer, file uint64, off, n int64) []byte {
 	t.Helper()
-	e := newEnc()
+	var e enc
 	e.u64(file)
 	e.i64(off)
 	e.i64(n)
-	reply, err := s.handleRead(e.b)
-	putBuf(e.b)
+	reply, err := s.handleRead(newVecWriter(io.Discard, nil), e.b)
 	if err != nil {
 		t.Errorf("read file %d [%d,+%d): %v", file, off, n, err)
 		return make([]byte, n)
 	}
-	out := bytes.Clone(reply[4:])
-	putBuf(reply)
-	return out
+	return reply[4:]
 }
 
 func srvFlush(t testing.TB, s *DataServer, file uint64) int64 {
 	t.Helper()
-	e := newEnc()
+	var e enc
 	e.u64(file)
 	reply, err := s.handleFlush(e.b)
-	putBuf(e.b)
 	if err != nil {
 		t.Errorf("flush %d: %v", file, err)
 		return 0
 	}
 	d := dec{b: reply}
-	n := d.i64()
-	putBuf(reply)
-	return n
+	return d.i64()
 }
 
 // checkBridgeAccounting asserts that the bridge's counters agree with

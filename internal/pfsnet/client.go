@@ -2,6 +2,7 @@ package pfsnet
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -30,16 +31,17 @@ import (
 // Each group runs to completion on one goroutine, the caller's own for
 // a request that reaches one server. It checks an idle connection to the
 // server out of a per-address pool (or dials one), writes the group's
-// frames with one writev — frame headers and small payloads packed into
-// pooled arena chunks, large payloads referenced in place — reads the
+// frames with one writev — frame headers and payloads packed into the
+// connection's arena, write data referenced in place — reads the
 // replies in order, scattering read data straight into the caller's
 // buffer, and hands the connection back. Concurrent callers use separate
 // connections, so a server's pool holds as many as the peak number of
-// groups in flight to it. Payload buffers follow the wire ownership
-// contract (DESIGN §11): the caller encodes into a pooled buffer and
-// hands it to the connection, which releases it exactly once. A write's
-// data is not copied at all: its frame borrows the caller's buffer,
-// which is free again once the caller's own writev has returned.
+// groups in flight to it. Each connection owns its wire memory (DESIGN
+// §11): requests are encoded into its scratch buffer and copied into its
+// writer's arena, and replies are read into its own buffer, valid until
+// its next read. A write's data is not copied at all: its frame borrows
+// the caller's buffer, which is free again once the caller's own writev
+// has returned.
 type Client struct {
 	metaAddr string
 	// FragmentThreshold enables iBridge client-side flagging when > 0.
@@ -164,12 +166,14 @@ type conn struct {
 	sent      uint64   // tag of the last request queued
 	recvd     uint64   // tag of the last reply read
 	hdr       [13]byte // a reply's frame header, then a read reply's length word
+	scratch   []byte   // the request payload being encoded
+	buf       []byte   // the last reply payload read, valid until the next
 }
 
 // connBufSize sizes both ends' frame readers. It is small on purpose:
 // a fill takes at most this much of a large payload, and bufio reads the
-// rest straight into the frame's destination (the pooled payload, or a
-// read's scatter buffer) instead of staging it here first.
+// rest straight into the frame's destination (the connection's payload
+// buffer, or a read's scatter buffer) instead of staging it here first.
 const connBufSize = 16 << 10
 
 // dialOpts carries the per-client connection settings into dialConn.
@@ -239,19 +243,17 @@ func (c *conn) hello() error {
 	if err := writeHello(c.nc, opHello); err != nil {
 		return err
 	}
-	fr, err := readFrame(c.br)
+	fr, err := readFrame(c.br, &c.buf)
 	if err != nil {
 		return err
 	}
-	reply, err := finishReply(fr.op, fr.payload)
-	putBuf(reply)
+	_, err = finishReply(fr.op, fr.payload)
 	return err
 }
 
 // queue adds one request frame to the next flush, tagged with the next
-// tag; a nonzero tcID makes it a traced frame. Ownership of payload
-// transfers on entry, error included; data stays borrowed until the
-// flush (or close) returns.
+// tag; a nonzero tcID makes it a traced frame. The payload is copied
+// before it returns; data stays borrowed until the flush returns.
 func (c *conn) queue(op byte, tcID, tcSpan uint64, payload, data []byte) error {
 	c.sent++
 	n := len(payload) + len(data)
@@ -281,8 +283,9 @@ func (c *conn) flush() error {
 // answers a connection's requests in order, so any other tag is a
 // corrupt frame. A successful read reply whose data fits scatter is read
 // straight into it and recv reports its length; any other reply comes
-// back pooled, for the caller to release. A server's error reply is its
-// remoteError; any other error leaves the connection unusable.
+// back in the connection's buffer, valid until its next read. A server's
+// error reply is its remoteError; any other error leaves the connection
+// unusable.
 func (c *conn) recv(scatter []byte) ([]byte, int, error) {
 	if c.ioTimeout > 0 {
 		c.nc.SetReadDeadline(time.Now().Add(c.ioTimeout))
@@ -310,9 +313,8 @@ func (c *conn) recv(scatter []byte) ([]byte, int, error) {
 		c.wm.onScatter(dn)
 		return nil, dn, nil
 	}
-	payload := getBuf(plen)
+	payload := fit(&c.buf, plen)
 	if _, err := io.ReadFull(c.br, payload); err != nil {
-		putBuf(payload)
 		return nil, 0, wrapTimeout(wrapTruncated(err))
 	}
 	c.wm.onRx(plen)
@@ -321,7 +323,7 @@ func (c *conn) recv(scatter []byte) ([]byte, int, error) {
 }
 
 // scatterInto reads a read-reply payload (u32 length + data) of plen
-// bytes directly into dst, bypassing the pooled intermediate, and
+// bytes directly into dst, bypassing the connection's buffer, and
 // returns the data length. The caller guarantees plen-4 fits dst.
 func (c *conn) scatterInto(dst []byte, plen int) (int, error) {
 	lp := c.hdr[:4]
@@ -338,9 +340,8 @@ func (c *conn) scatterInto(dst []byte, plen int) (int, error) {
 	return dn, nil
 }
 
-// call performs one request/reply exchange. Ownership of payload (a
-// pooled buffer) transfers to the conn on entry. The pooled reply
-// belongs to the caller, who putBufs it once decoded.
+// call performs one request/reply exchange. The reply is valid until
+// the connection's next read.
 func (c *conn) call(op byte, payload []byte) ([]byte, error) {
 	err := c.queue(op, 0, 0, payload, nil)
 	if err == nil {
@@ -353,24 +354,17 @@ func (c *conn) call(op byte, payload []byte) ([]byte, error) {
 	return reply, err
 }
 
-// close shuts the connection down and releases any frames still queued.
-func (c *conn) close() {
-	c.nc.Close()
-	c.vw.abandon()
-}
+// close shuts the connection down.
+func (c *conn) close() { c.nc.Close() }
 
-// finishReply maps a reply frame to (payload, error), releasing the
-// pooled payload on the error paths.
+// finishReply maps a reply frame to (payload, error).
 func finishReply(op byte, payload []byte) ([]byte, error) {
 	switch op {
 	case opOK:
 		return payload, nil
 	case opError:
-		err := replyError(payload)
-		putBuf(payload)
-		return nil, err
+		return nil, replyError(payload)
 	default:
-		putBuf(payload)
 		return nil, fmt.Errorf("pfsnet: unexpected reply opcode %d (%w)", op, ErrCorruptFrame)
 	}
 }
@@ -736,9 +730,9 @@ func (c *Client) finishParent(pr *parentReq, off, length int64, err error) {
 
 // dataReq is one request of a server's group. A write's data is src,
 // which its frame borrows; a read's reply data lands in dst; any other
-// request's pooled reply is left in reply, which the caller owns and
-// releases whatever send returns. done marks a request answered (or
-// refused by the server), so no later attempt resends it.
+// request's non-empty reply is copied to reply before the connection
+// goes back to the pool. done marks a request answered (or refused by
+// the server), so no later attempt resends it.
 type dataReq struct {
 	sub   stripe.Sub
 	src   []byte
@@ -761,11 +755,11 @@ type dataReq struct {
 // attempt, so while it is open one caller's whole group is the probe
 // and the other callers fail fast with ErrServerDown.
 //
-// encode builds a request's payload; it runs once per attempt because
-// ownership of the payload transfers to the connection (DESIGN §11), so
-// a resend needs a fresh one. A write's src rides behind it borrowed,
+// encode appends a request's payload to the connection's scratch
+// buffer, which the writer copies at once, so one buffer serves every
+// request of the chain. A write's src rides behind the payload borrowed,
 // and is free again once the attempt's flush has returned.
-func (c *Client) send(addr string, op byte, reqs []dataReq, encode func(stripe.Sub) []byte, pr *parentReq) error {
+func (c *Client) send(addr string, op byte, reqs []dataReq, encode func(b []byte, sub stripe.Sub) []byte, pr *parentReq) error {
 	sk := c.sketchFor(addr, opClass(op))
 	retries := max(c.MaxRetries, 0)
 	var start, deadline time.Time
@@ -800,7 +794,8 @@ func (c *Client) send(addr string, op byte, reqs []dataReq, encode func(stripe.S
 			queued := 0
 			for i := range reqs {
 				if !reqs[i].done && err == nil {
-					err = cn.queue(op, tcID, tcSpan, encode(reqs[i].sub), reqs[i].src)
+					cn.scratch = encode(cn.scratch[:0], reqs[i].sub)
+					err = cn.queue(op, tcID, tcSpan, cn.scratch, reqs[i].src)
 					queued++
 				}
 			}
@@ -826,8 +821,8 @@ func (c *Client) send(addr string, op byte, reqs []dataReq, encode func(stripe.S
 				}
 				if cerr == nil && reqs[i].dst != nil {
 					cerr = finishRead(reply, n, reqs[i].dst, reqs[i].sub.Length)
-				} else if cerr == nil {
-					reqs[i].reply = reply
+				} else if cerr == nil && len(reply) > 0 {
+					reqs[i].reply = bytes.Clone(reply) // the connection's next read reuses reply
 				}
 				if cerr != nil && first == nil {
 					first = cerr
@@ -948,17 +943,16 @@ func (c *Client) fileFromReply(name string, payload []byte) (*File, error) {
 	return f, f.layout.Validate()
 }
 
-// metaCall performs one metadata request on a pooled connection to the
-// metadata server; ownership of payload transfers in (released here on
-// the paths that never reach a connection). A transport failure
-// discards the connection, so the next call redials instead of failing
-// forever against a dead socket.
-func (c *Client) metaCall(op byte, payload []byte) ([]byte, error) {
+// metaFile performs one Create or Open on a pooled connection to the
+// metadata server and decodes the file it replies with before the
+// connection goes back to the pool. A transport failure discards the
+// connection, so the next call redials instead of failing forever
+// against a dead socket.
+func (c *Client) metaFile(op byte, name string, payload []byte) (*File, error) {
 	p, cn := c.checkout(c.metaAddr)
 	if cn == nil {
 		var err error
 		if cn, err = dialConn(c.metaAddr, c.dialOpts(p.wm)); err != nil {
-			putBuf(payload)
 			return nil, err
 		}
 	}
@@ -967,35 +961,27 @@ func (c *Client) metaCall(op byte, payload []byte) ([]byte, error) {
 		c.discard(p, cn)
 		return nil, err
 	}
+	var f *File
+	if err == nil {
+		f, err = c.fileFromReply(name, reply)
+	}
 	c.checkin(p, cn)
-	return reply, err
+	return f, err
 }
 
 // Create creates a file of the given size.
 func (c *Client) Create(name string, size int64) (*File, error) {
-	e := newEnc()
+	var e enc
 	e.str(name)
 	e.i64(size)
-	reply, err := c.metaCall(opCreate, e.b)
-	if err != nil {
-		return nil, err
-	}
-	f, err := c.fileFromReply(name, reply)
-	putBuf(reply)
-	return f, err
+	return c.metaFile(opCreate, name, e.b)
 }
 
 // Open opens an existing file.
 func (c *Client) Open(name string) (*File, error) {
-	e := newEnc()
+	var e enc
 	e.str(name)
-	reply, err := c.metaCall(opOpen, e.b)
-	if err != nil {
-		return nil, err
-	}
-	f, err := c.fileFromReply(name, reply)
-	putBuf(reply)
-	return f, err
+	return c.metaFile(opOpen, name, e.b)
 }
 
 // subs decomposes a request, applying fragment flagging when configured.
@@ -1026,11 +1012,11 @@ func groupByServer(subs []stripe.Sub, nsrv int) [][]stripe.Sub {
 // data: file u64 + off i64 + flags u8 + blob length prefix u32.
 const writeHdrSize = 8 + 8 + 1 + 4
 
-// encodeWrite builds the header of one write sub-request in a pooled
-// buffer. The sub-request's data is not copied: its frame carries the
-// caller's bytes right behind this header (wireCall.data).
-func encodeWrite(f *File, sub stripe.Sub, random bool) []byte {
-	e := newEncN(writeHdrSize)
+// appendWrite appends the header of one write sub-request to b. The
+// sub-request's data is not copied: its frame carries the caller's
+// bytes right behind this header (dataReq.src).
+func appendWrite(b []byte, f *File, sub stripe.Sub, random bool) []byte {
+	e := enc{b: b}
 	e.u64(f.ID)
 	e.i64(sub.ServerOff)
 	var flags byte
@@ -1042,9 +1028,9 @@ func encodeWrite(f *File, sub stripe.Sub, random bool) []byte {
 	return e.b
 }
 
-// encodeRead builds one read sub-request payload.
-func encodeRead(f *File, sub stripe.Sub) []byte {
-	e := newEncN(24)
+// appendRead appends one read sub-request payload to b.
+func appendRead(b []byte, f *File, sub stripe.Sub) []byte {
+	e := enc{b: b}
 	e.u64(f.ID)
 	e.i64(sub.ServerOff)
 	e.i64(sub.Length)
@@ -1109,7 +1095,7 @@ func (c *Client) do(f *File, op byte, off int64, p []byte, pr *parentReq) error 
 
 // sendGroup sends one server's sub-requests of the ReadAt/WriteAt of p
 // at off: write frames borrow their slice of p, read replies scatter
-// into p, write acks are released.
+// into p.
 func (c *Client) sendGroup(f *File, op byte, off int64, p []byte, subs []stripe.Sub, random bool, pr *parentReq) error {
 	var buf [4]dataReq
 	reqs := slices.Grow(buf[:0], len(subs))
@@ -1122,23 +1108,17 @@ func (c *Client) sendGroup(f *File, op byte, off int64, p []byte, subs []stripe.
 		}
 		reqs = append(reqs, r)
 	}
-	err := c.send(f.servers[subs[0].Server], op, reqs, func(sub stripe.Sub) []byte {
+	return c.send(f.servers[subs[0].Server], op, reqs, func(b []byte, sub stripe.Sub) []byte {
 		if op == opRead {
-			return encodeRead(f, sub)
+			return appendRead(b, f, sub)
 		}
-		return encodeWrite(f, sub, random)
+		return appendWrite(b, f, sub, random)
 	}, pr)
-	for _, r := range reqs {
-		if r.reply != nil { // reads leave none; putBuf(nil) would still allocate
-			putBuf(r.reply)
-		}
-	}
-	return err
 }
 
 // finishRead validates a read result: either n bytes were already
-// scattered into dst (reply nil), or reply is the pooled payload to
-// decode and copy out — released here on every path.
+// scattered into dst (reply nil), or reply is the payload to decode and
+// copy out.
 func finishRead(reply []byte, n int, dst []byte, want int64) error {
 	if reply == nil {
 		if int64(n) != want {
@@ -1149,15 +1129,12 @@ func finishRead(reply []byte, n int, dst []byte, want int64) error {
 	d := dec{b: reply}
 	data := d.bytes()
 	if d.err != nil {
-		putBuf(reply)
 		return d.err
 	}
 	if int64(len(data)) != want {
-		putBuf(reply)
 		return fmt.Errorf("pfsnet: short read: %d of %d bytes", len(data), want)
 	}
 	copy(dst, data)
-	putBuf(reply)
 	return nil
 }
 
@@ -1187,17 +1164,14 @@ func (c *Client) Flush(f *File) (int64, error) {
 	var total int64
 	for _, addr := range servers {
 		var req [1]dataReq
-		err := c.send(addr, opFlush, req[:], func(stripe.Sub) []byte {
-			e := newEnc()
-			e.u64(id)
-			return e.b
+		err := c.send(addr, opFlush, req[:], func(b []byte, _ stripe.Sub) []byte {
+			return binary.BigEndian.AppendUint64(b, id)
 		}, nil)
 		if err != nil {
 			return total, err
 		}
 		d := dec{b: req[0].reply}
 		total += d.i64()
-		putBuf(req[0].reply)
 		if d.err != nil {
 			return total, d.err
 		}

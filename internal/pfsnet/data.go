@@ -200,16 +200,15 @@ func (s *DataServer) flush(file uint64, all bool) (int64, error) {
 	return n, err
 }
 
-// dispatch executes one request and returns the reply opcode and pooled
-// payload.
-func (s *DataServer) dispatch(op byte, payload []byte) (byte, []byte) {
-	var reply []byte
+// dispatch executes one request (server.dispatch).
+func (s *DataServer) dispatch(w *vecWriter, op byte, payload []byte) (byte, []byte, []byte) {
+	var reply, data []byte
 	var err error
 	switch op {
 	case opWrite:
-		reply, err = s.handleWrite(payload)
+		err = s.handleWrite(payload)
 	case opRead:
-		reply, err = s.handleRead(payload)
+		data, err = s.handleRead(w, payload)
 	case opStat:
 		reply, err = s.handleStat(payload)
 	case opFlush:
@@ -218,24 +217,24 @@ func (s *DataServer) dispatch(op byte, payload []byte) (byte, []byte) {
 		err = fmt.Errorf("pfsnet data: bad opcode %d", op)
 	}
 	if err != nil {
-		putBuf(reply)
-		return opError, errorPayload(err)
+		return opError, errorPayload(err), nil
 	}
-	return opOK, reply
+	return opOK, reply, data
 }
 
 // handleWrite payload: file u64, off i64, flags u8 (1 = fragment/random), data bytes.
-func (s *DataServer) handleWrite(payload []byte) ([]byte, error) {
+// Reply: empty.
+func (s *DataServer) handleWrite(payload []byte) error {
 	d := dec{b: payload}
 	file := d.u64()
 	off := d.i64()
 	flags := d.u8()
 	data := d.bytes()
 	if d.err != nil {
-		return nil, d.err
+		return d.err
 	}
 	if off < 0 {
-		return nil, fmt.Errorf("pfsnet data: negative offset %d", off)
+		return fmt.Errorf("pfsnet data: negative offset %d", off)
 	}
 	s.ctr.writes.Add(1)
 	s.ctr.wrBytes.Add(int64(len(data)))
@@ -247,27 +246,25 @@ func (s *DataServer) handleWrite(payload []byte) ([]byte, error) {
 		if s.ssdFailAfter > 0 && s.ssdWriteCount() >= s.ssdFailAfter {
 			// The scheduled device failure trips on this write: drain the
 			// log (this write included) and degrade to the direct path.
-			return nil, s.FailSSD()
+			return s.FailSSD()
 		}
-		return nil, nil
+		return nil
 	}
 	// Direct path: the write supersedes any fragment mapped in its range
 	// (and waits out a write-back of that range already in flight, so
 	// older bytes cannot land over it).
 	s.bridge.punch(file, off, int64(len(data)))
 	if err := s.store.WriteAt(file, off, data); err != nil {
-		return nil, err
+		return err
 	}
 	// Log-backed stores append a record per write, and those appends
 	// count toward the scheduled device failure exactly like legacy
 	// fragment-log writes — `ssdfail=srvN@K` fault specs apply
 	// unchanged whichever store backs the server.
 	if s.durable != nil && s.ssdFailAfter > 0 && !s.SSDFailed() && s.ssdWriteCount() >= s.ssdFailAfter {
-		if err := s.FailSSD(); err != nil {
-			return nil, err
-		}
+		return s.FailSSD()
 	}
-	return nil, nil
+	return nil
 }
 
 // ssdWriteCount is the write count the fault plan's ssdfail trigger
@@ -309,9 +306,14 @@ func (s *DataServer) FailSSD() error {
 // FailSSD) and the server is running degraded.
 func (s *DataServer) SSDFailed() bool { return s.bridge.down.Load() }
 
+// maxReadLen is the longest read whose reply frame — a length prefix and
+// the data — fits MaxMessage.
+const maxReadLen = MaxMessage - 9 - 4
+
 // handleRead payload: file u64, off i64, length i64.
-// Reply: data bytes.
-func (s *DataServer) handleRead(payload []byte) ([]byte, error) {
+// Reply: data bytes — a length prefix then the data, which the store
+// reads straight into memory the writer w lends until its flush.
+func (s *DataServer) handleRead(w *vecWriter, payload []byte) ([]byte, error) {
 	d := dec{b: payload}
 	file := d.u64()
 	off := d.i64()
@@ -319,15 +321,12 @@ func (s *DataServer) handleRead(payload []byte) ([]byte, error) {
 	if d.err != nil {
 		return nil, d.err
 	}
-	if off < 0 || length < 0 || length > MaxMessage-64 {
+	if off < 0 || length < 0 || length > maxReadLen {
 		return nil, fmt.Errorf("pfsnet data: bad read [%d,+%d)", off, length)
 	}
 	s.ctr.reads.Add(1)
 	s.ctr.readBytes.Add(length)
-	// The reply is built in place — length prefix then data — so the
-	// store reads straight into the pooled wire buffer with no
-	// intermediate copy.
-	reply := getBuf(4 + int(length))
+	reply := w.reserve(4 + int(length))
 	binary.BigEndian.PutUint32(reply[:4], uint32(length))
 	out := reply[4:]
 	// The mapped log extents are newer than the object. Their snapshot
@@ -336,7 +335,6 @@ func (s *DataServer) handleRead(payload []byte) ([]byte, error) {
 	var few [4]patch
 	patches := s.bridge.overlay(file, off, length, few[:0])
 	if err := s.store.ReadAt(file, off, out); err != nil {
-		putBuf(reply)
 		return nil, err
 	}
 	if len(patches) > 0 {
@@ -362,7 +360,7 @@ func (s *DataServer) handleStat(payload []byte) ([]byte, error) {
 		return nil, err
 	}
 	mapped, held := s.bridge.stats(file)
-	e := newEnc()
+	var e enc
 	e.i64(objLen)
 	e.u32(uint32(mapped))
 	e.i64(held)
@@ -380,7 +378,7 @@ func (s *DataServer) handleFlush(payload []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := newEnc()
+	var e enc
 	e.i64(flushed)
 	return e.b, nil
 }

@@ -266,8 +266,8 @@ func TestRemoteErrorNotRetried(t *testing.T) {
 	}
 	readsBefore := ds.Stats().Reads
 	// A negative-length read triggers a server-side error exactly once.
-	err = c.send(ds.Addr(), opRead, make([]dataReq, 1), func(stripe.Sub) []byte {
-		var e enc
+	err = c.send(ds.Addr(), opRead, make([]dataReq, 1), func(b []byte, _ stripe.Sub) []byte {
+		e := enc{b: b}
 		e.u64(1)
 		e.i64(0)
 		e.i64(-5)

@@ -5,16 +5,20 @@ import (
 	"bytes"
 	"io"
 	"net"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/faults"
 )
 
-// FuzzReadFrame feeds arbitrary byte streams through the frame reader:
-// it must return an error or a well-formed frame, never panic, and any
-// frame that survives a decode must re-encode to a stream the reader
-// accepts again.
+// FuzzReadFrame feeds arbitrary byte streams through the frame reader,
+// frame after frame into one reused buffer, as a connection reads them:
+// each read must return an error or a frame, never panic, and each
+// frame's payload must be its own bytes of the input, whatever frames
+// the buffer held before. A frame must also re-encode to exactly its
+// input bytes and decode again — into a second buffer, so a payload
+// aliasing the first cannot pass the check vacuously.
 func FuzzReadFrame(f *testing.F) {
 	var hello bytes.Buffer
 	writeHello(&hello, opHello)
@@ -30,21 +34,34 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add(plain.Bytes()[:plain.Len()-3])          // truncated payload
 	f.Add([]byte{0, 0, 0, 5, opHello, 0, 0, 0})   // length below 9
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, opRead}) // oversize length
+	// A stream whose frames shrink, then grow past the buffer.
+	stream := slices.Concat(traced.Bytes(), plain.Bytes(), hello.Bytes(), rawFrame(3, opOK, randBytes(600, 1)))
+	f.Add(stream)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fr, err := readFrame(bufio.NewReader(bytes.NewReader(data)))
-		if err != nil {
-			return
+		br := bufio.NewReader(bytes.NewReader(data))
+		var buf, second []byte
+		for start := 0; ; {
+			fr, err := readFrame(br, &buf)
+			if err != nil {
+				return
+			}
+			end := start + 13 + len(fr.payload)
+			if !bytes.Equal(fr.payload, data[start+13:end]) {
+				t.Fatalf("frame at byte %d: payload is not its input bytes", start)
+			}
+			var wire bytes.Buffer
+			if werr := writeFrame(&wire, fr.tag, fr.op, fr.payload); werr != nil {
+				t.Fatalf("decoded frame does not re-encode: %v", werr)
+			}
+			if !bytes.Equal(wire.Bytes(), data[start:end]) {
+				t.Fatalf("frame at byte %d re-encodes to other bytes", start)
+			}
+			again, rerr := readFrame(&wire, &second)
+			if rerr != nil || again.tag != fr.tag || again.op != fr.op || !bytes.Equal(again.payload, fr.payload) {
+				t.Fatalf("re-decode mismatch: %v", rerr)
+			}
+			start = end
 		}
-		defer fr.release()
-		var buf bytes.Buffer
-		if werr := writeFrame(&buf, fr.tag, fr.op, fr.payload); werr != nil {
-			t.Fatalf("decoded frame does not re-encode: %v", werr)
-		}
-		again, rerr := readFrame(&buf)
-		if rerr != nil || again.tag != fr.tag || again.op != fr.op || !bytes.Equal(again.payload, fr.payload) {
-			t.Fatalf("re-decode mismatch: %v", rerr)
-		}
-		again.release()
 	})
 }
 
@@ -89,7 +106,8 @@ func TestServerRejectsMalformedFrames(t *testing.T) {
 				nc.(*net.TCPConn).CloseWrite()
 			}
 			nc.SetReadDeadline(time.Now().Add(5 * time.Second))
-			fr, err := readFrame(br)
+			var buf []byte
+			fr, err := readFrame(br, &buf)
 			if tc.wantReply {
 				if err != nil {
 					t.Fatalf("want opError reply, got %v", err)
@@ -101,7 +119,7 @@ func TestServerRejectsMalformedFrames(t *testing.T) {
 				if _, err := nc.Write(rawFrame(2, opRead, readReq(1, 0, 512))); err != nil {
 					t.Fatalf("write after error: %v", err)
 				}
-				fr, err = readFrame(br)
+				fr, err = readFrame(br, &buf)
 				if err != nil || fr.tag != 2 || fr.op != opOK {
 					t.Fatalf("read after opError: %v tag=%d op=%d", err, fr.tag, fr.op)
 				}
@@ -170,7 +188,7 @@ func TestMalformedFramesThroughFaultyConns(t *testing.T) {
 			}
 			nc.Write(tc.raw) // may be cut short or mangled by the plan
 			nc.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
-			readFrame(nc) // drain a reply if one comes; errors are fine
+			readFrame(nc, new([]byte)) // drain a reply if one comes; errors are fine
 			nc.Close()
 		}
 	}
@@ -231,10 +249,11 @@ func TestMalformedHello(t *testing.T) {
 	}
 	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
 	br := bufio.NewReader(nc)
-	if fr, err := readFrame(br); err != nil || fr.op != opError {
+	var buf []byte
+	if fr, err := readFrame(br, &buf); err != nil || fr.op != opError {
 		t.Fatalf("corrupt hello: reply op %d (%v), want opError", fr.op, err)
 	}
-	if _, err := readFrame(br); err != io.EOF {
+	if _, err := readFrame(br, &buf); err != io.EOF {
 		t.Fatalf("corrupt hello: connection not closed after opError: %v", err)
 	}
 	// Server still accepts valid traffic.

@@ -48,6 +48,11 @@ type MetaConfig struct {
 	Obs *obs.Registry
 }
 
+// maxUnit is the largest stripe unit whose full-unit sub-request fits a
+// frame: a traced write (header, trace context, writeHdrSize, data) is
+// the largest frame a unit's sub-request makes.
+const maxUnit = MaxMessage - 9 - traceCtxSize - writeHdrSize
+
 // NewMetaServer starts a metadata server on addr for a file system
 // striped over the given data server addresses with the given unit.
 func NewMetaServer(addr string, unit int64, dataServers []string) (*MetaServer, error) {
@@ -59,6 +64,12 @@ func NewMetaServer(addr string, unit int64, dataServers []string) (*MetaServer, 
 func NewMetaServerConfig(addr string, unit int64, dataServers []string, cfg MetaConfig) (*MetaServer, error) {
 	if unit <= 0 {
 		unit = stripe.DefaultUnit
+	}
+	// A sub-request is at most one unit, so a unit whose traced write
+	// frame cannot fit MaxMessage would fail every full-unit write at the
+	// client before a byte left it.
+	if unit > maxUnit {
+		return nil, fmt.Errorf("pfsnet meta: stripe unit %d exceeds %d, the largest a write frame carries", unit, maxUnit)
 	}
 	if len(dataServers) == 0 {
 		return nil, fmt.Errorf("pfsnet meta: no data servers")
@@ -97,8 +108,8 @@ func (s *MetaServer) Close() error {
 	return err
 }
 
-// dispatch executes one metadata request.
-func (s *MetaServer) dispatch(op byte, payload []byte) (byte, []byte) {
+// dispatch executes one metadata request (dispatchFunc).
+func (s *MetaServer) dispatch(_ *vecWriter, op byte, payload []byte) (byte, []byte, []byte) {
 	var reply []byte
 	var err error
 	switch op {
@@ -110,10 +121,9 @@ func (s *MetaServer) dispatch(op byte, payload []byte) (byte, []byte) {
 		err = fmt.Errorf("pfsnet meta: bad opcode %d", op)
 	}
 	if err != nil {
-		putBuf(reply)
-		return opError, errorPayload(err)
+		return opError, errorPayload(err), nil
 	}
-	return opOK, reply
+	return opOK, reply, nil
 }
 
 // SetLoadHints installs the T_i broadcast vector: one expected service
@@ -136,7 +146,7 @@ func (s *MetaServer) SetLoadHints(hints []float64) error {
 // vector (count u32, float64 bits per server). Decoders ignore trailing
 // payload bytes, so pre-hint clients parse the reply unchanged.
 func (s *MetaServer) fileReplyLocked(m fileMeta) []byte {
-	e := newEnc()
+	var e enc
 	e.u64(m.id)
 	e.i64(m.size)
 	e.i64(s.unit)

@@ -2,10 +2,12 @@ package pfsnet
 
 import (
 	"bytes"
+	"io"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/sim"
+	"repro/internal/stripe"
 )
 
 // testCluster starts a meta server and n data servers on ephemeral ports
@@ -57,26 +59,43 @@ func TestCreateOpenRoundTrip(t *testing.T) {
 
 // TestMetaServerRejectsBadServerList: a repeated address would stripe two
 // slots onto the same object offsets of one server, and an empty one
-// names no server, so both are refused at construction.
+// names no server, so both are refused at construction. So is a stripe
+// unit whose full-unit traced write frame would not fit MaxMessage: the
+// client would fail every such write before sending it, as a transport
+// failure that feeds the breaker of a healthy server.
 func TestMetaServerRejectsBadServerList(t *testing.T) {
+	two := []string{"127.0.0.1:7001", "127.0.0.1:7002"}
 	for _, tc := range []struct {
 		name    string
+		unit    int64
 		servers []string
 		ok      bool
 	}{
-		{"empty", []string{"127.0.0.1:7001", ""}, false},
-		{"duplicate", []string{"127.0.0.1:7001", "127.0.0.1:7002", "127.0.0.1:7001"}, false},
-		{"valid", []string{"127.0.0.1:7001", "127.0.0.1:7002"}, true},
+		{"empty", 4096, []string{"127.0.0.1:7001", ""}, false},
+		{"duplicate", 4096, []string{"127.0.0.1:7001", "127.0.0.1:7002", "127.0.0.1:7001"}, false},
+		{"valid", 4096, two, true},
+		{"unit over frame limit", maxUnit + 1, two, false},
+		{"largest unit", maxUnit, two, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			ms, err := NewMetaServer("127.0.0.1:0", 4096, tc.servers)
+			ms, err := NewMetaServer("127.0.0.1:0", tc.unit, tc.servers)
 			if err == nil {
 				ms.Close()
 			}
 			if (err == nil) != tc.ok {
-				t.Fatalf("servers %q: err = %v, want ok=%v", tc.servers, err, tc.ok)
+				t.Fatalf("unit %d, servers %q: err = %v, want ok=%v", tc.unit, tc.servers, err, tc.ok)
 			}
 		})
+	}
+	// The largest unit's sub-requests fit their frames: a traced write
+	// of a whole unit and the reply to a read of one.
+	data := make([]byte, maxUnit)
+	hdr := appendWrite(nil, &File{}, stripe.Sub{Length: maxUnit}, false)
+	if err := newVecWriter(io.Discard, nil).writeFrameCtx(1, opWrite, 1, 1, hdr, data); err != nil {
+		t.Fatalf("traced write of the largest unit: %v", err)
+	}
+	if maxUnit > maxReadLen {
+		t.Fatalf("the largest unit %d exceeds the longest read %d", maxUnit, maxReadLen)
 	}
 }
 
@@ -334,26 +353,27 @@ func TestProtocolRejectsGarbage(t *testing.T) {
 	if err := writeFrame(&buf, 5, opRead, []byte{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
-	fr, err := readFrame(&buf)
+	var payload []byte
+	fr, err := readFrame(&buf, &payload)
 	if err != nil || fr.tag != 5 || fr.op != opRead || len(fr.payload) != 3 {
 		t.Fatalf("round trip: %v %+v", err, fr)
 	}
 	// Truncated frame.
 	buf.Reset()
 	buf.Write([]byte{0, 0, 0, 20, 0, 0, 0, 0, 0, 0, 0, 1, opRead, 1})
-	if _, err := readFrame(&buf); err == nil {
+	if _, err := readFrame(&buf, &payload); err == nil {
 		t.Fatal("truncated frame accepted")
 	}
 	// Oversized frame header.
 	buf.Reset()
 	buf.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF, opRead})
-	if _, err := readFrame(&buf); err == nil {
+	if _, err := readFrame(&buf, &payload); err == nil {
 		t.Fatal("oversized frame accepted")
 	}
 	// A length too short to hold a tag and an opcode.
 	buf.Reset()
 	buf.Write([]byte{0, 0, 0, 5, opStat, 0, 0, 0, 1})
-	if _, err := readFrame(&buf); err == nil {
+	if _, err := readFrame(&buf, &payload); err == nil {
 		t.Fatal("length below the header accepted")
 	}
 }

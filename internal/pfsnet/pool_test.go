@@ -253,16 +253,13 @@ func TestReplyTagMismatchIsCorrupt(t *testing.T) {
 	cn := newConn(client, dialOpts{})
 	defer cn.close()
 	go func() {
-		fr, err := readFrame(bufio.NewReader(srv))
+		fr, err := readFrame(bufio.NewReader(srv), new([]byte))
 		if err != nil {
 			return
 		}
-		fr.release()
 		writeFrame(srv, fr.tag+1, opOK, nil)
 	}()
-	e := newEnc()
-	e.u64(0)
-	if _, err := cn.call(opFlush, e.b); !errors.Is(err, ErrCorruptFrame) {
+	if _, err := cn.call(opFlush, make([]byte, 8)); !errors.Is(err, ErrCorruptFrame) {
 		t.Fatalf("reply under another tag: err = %v, want ErrCorruptFrame", err)
 	}
 }

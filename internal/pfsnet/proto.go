@@ -37,9 +37,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/bits"
 	"net"
-	"sync"
 )
 
 // Opcodes.
@@ -98,36 +96,18 @@ var (
 	ErrShort    = fmt.Errorf("pfsnet: short/corrupt message (%w)", ErrCorruptFrame)
 )
 
-// frame is one decoded wire frame. The payload is pool-backed: call
-// release (or putBuf) once the bytes have been consumed.
+// frame is one decoded wire frame. Its payload lies in the reading
+// connection's buffer and is valid until that connection's next read.
 type frame struct {
 	tag     uint64
 	op      byte
 	payload []byte
 
 	// Trace context carried by a tagTraceFlag-marked request; the server
-	// attributes its spans to it. The context bytes stay inside payload —
-	// body strips them as a view — because putBuf only accepts buffers
-	// with their original pooled capacity.
+	// strips it from payload and attributes its spans to it.
 	traced bool
 	tcID   uint64
 	tcSpan uint64
-}
-
-// release returns the payload buffer to the pool.
-func (f *frame) release() {
-	putBuf(f.payload)
-	f.payload = nil
-}
-
-// body returns the request payload with any trace-context prefix
-// stripped. The result aliases f.payload; release the frame, not the
-// body.
-func (f *frame) body() []byte {
-	if f.traced {
-		return f.payload[traceCtxSize:]
-	}
-	return f.payload
 }
 
 // putHeader encodes a frame header whose length word covers n payload
@@ -164,11 +144,13 @@ func writeHello(w io.Writer, op byte) error {
 	return err
 }
 
-// readFrame reads one frame into a pooled payload buffer. The length
-// word is checked before the rest of the header is read, so a frame too
+// readFrame reads one frame, its payload into *buf, which it grows when
+// the frame does not fit: a connection keeps its largest frame's buffer,
+// and the payload is valid until the next read into it. The length word
+// is checked before the rest of the header is read, so a frame too
 // short to hold a tag and an opcode — a legacy v1 frame, for one — is
 // refused at once instead of waiting for bytes that never come.
-func readFrame(r io.Reader) (frame, error) {
+func readFrame(r io.Reader, buf *[]byte) (frame, error) {
 	var hdr [13]byte
 	if _, err := io.ReadFull(r, hdr[:4]); err != nil {
 		return frame{}, err
@@ -180,13 +162,20 @@ func readFrame(r io.Reader) (frame, error) {
 	if _, err := io.ReadFull(r, hdr[4:]); err != nil {
 		return frame{}, wrapTruncated(err)
 	}
-	fr := frame{tag: binary.BigEndian.Uint64(hdr[4:12]), op: hdr[12]}
-	fr.payload = getBuf(int(n - 9))
+	fr := frame{tag: binary.BigEndian.Uint64(hdr[4:12]), op: hdr[12], payload: fit(buf, int(n-9))}
 	if _, err := io.ReadFull(r, fr.payload); err != nil {
-		fr.release()
 		return frame{}, wrapTruncated(err)
 	}
 	return fr, nil
+}
+
+// fit returns (*buf)[:n], first replacing *buf with a larger buffer when
+// its capacity is short.
+func fit(buf *[]byte, n int) []byte {
+	if cap(*buf) < n {
+		*buf = make([]byte, n)
+	}
+	return (*buf)[:n]
 }
 
 // wrapTruncated maps a mid-frame EOF onto ErrCorruptFrame: the stream
@@ -199,65 +188,6 @@ func wrapTruncated(err error) error {
 	}
 	return err
 }
-
-// Payload buffer pools, in power-of-two size classes from 1 KB to 64 MB
-// (≥ MaxMessage). Steady-state reads and writes recycle their payload and
-// encode buffers through these instead of allocating per message.
-const (
-	minBufClass = 10 // 1 KB
-	maxBufClass = 26 // 64 MB
-)
-
-var bufPools [maxBufClass - minBufClass + 1]sync.Pool
-
-// getBuf returns a length-n buffer with pooled backing storage.
-func getBuf(n int) []byte {
-	if n > 1<<maxBufClass {
-		return make([]byte, n)
-	}
-	c := minBufClass
-	if n > 1<<minBufClass {
-		c = bits.Len(uint(n - 1))
-	}
-	if p, _ := bufPools[c-minBufClass].Get().(*[]byte); p != nil {
-		return (*p)[:n]
-	}
-	return make([]byte, n, 1<<c)
-}
-
-// putBuf returns a buffer obtained from getBuf to its size-class pool.
-// nil, undersized, and oversized buffers are dropped silently (they are
-// the legitimate non-pooled paths: empty frames, tiny test encoders,
-// >64 MB one-offs). A buffer whose capacity falls in the pool's range
-// but is not an exact power-of-two size class is *foreign*: it was not
-// shaped by getBuf — typically an encoder that outgrew its class, or an
-// ownership-transfer bug handing the pool somebody else's memory.
-// Foreign buffers are rejected, not re-classed, and counted in
-// pfsnet.pool.foreign_put so the churn shows up in metrics instead of
-// as quiet heap garbage.
-func putBuf(b []byte) {
-	c := cap(b)
-	if c < 1<<minBufClass || c > 1<<maxBufClass {
-		return
-	}
-	if c&(c-1) != 0 {
-		notePoolForeignPut()
-		return
-	}
-	b = b[:0]
-	bufPools[bits.Len(uint(c))-1-minBufClass].Put(&b)
-}
-
-// newEnc returns an encoder writing into a pooled buffer; ownership of
-// the finished enc.b follows the wire ownership contract (DESIGN §11):
-// hand it to an owning sink exactly once, or putBuf it yourself.
-func newEnc() enc { return enc{b: getBuf(0)} }
-
-// newEncN is newEnc with a capacity hint: the encoder starts in the
-// size class that fits n bytes, so encoding n bytes never outgrows the
-// class (outgrowing reallocates to a foreign capacity the pool must
-// reject — see putBuf).
-func newEncN(n int) enc { return enc{b: getBuf(n)[:0]} }
 
 // enc is a tiny append-style encoder.
 type enc struct{ b []byte }
@@ -323,9 +253,9 @@ func (d *dec) bytes() []byte {
 
 func (d *dec) str() string { return string(d.bytes()) }
 
-// errorPayload encodes an error reply into a pooled buffer.
+// errorPayload encodes an error reply.
 func errorPayload(err error) []byte {
-	e := newEnc()
+	var e enc
 	e.str(err.Error())
 	return e.b
 }
@@ -350,26 +280,22 @@ func replyError(payload []byte) error {
 // answers it. An opHello carrying ProtoV2 gets opOK with the same
 // version; any other frame or version gets opError, and the returned
 // error tells the caller to close the connection.
-func serverHandshake(nc net.Conn, br *bufio.Reader) error {
-	fr, err := readFrame(br)
+func serverHandshake(nc net.Conn, br *bufio.Reader, buf *[]byte) error {
+	fr, err := readFrame(br, buf)
 	if err != nil {
 		return err
 	}
 	d := dec{b: fr.payload}
 	ver := d.u32()
-	tag, op := fr.tag, fr.op
-	fr.release()
 	switch {
-	case op != opHello:
-		err = fmt.Errorf("pfsnet: first frame has opcode %d, want a v%d hello", op, ProtoV2)
+	case fr.op != opHello:
+		err = fmt.Errorf("pfsnet: first frame has opcode %d, want a v%d hello", fr.op, ProtoV2)
 	case d.err != nil || ver != ProtoV2:
 		err = fmt.Errorf("pfsnet: hello for protocol version %d refused, this peer speaks only v%d", ver, ProtoV2)
 	default:
 		return writeHello(nc, opOK)
 	}
-	reply := errorPayload(err)
-	writeFrame(nc, tag, opError, reply)
-	putBuf(reply)
+	writeFrame(nc, fr.tag, opError, errorPayload(err))
 	return err
 }
 

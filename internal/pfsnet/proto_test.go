@@ -8,6 +8,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -72,11 +73,10 @@ func TestMessageRoundTripProperty(t *testing.T) {
 		if err := writeFrame(&buf, tag, op, payload); err != nil {
 			return false
 		}
-		fr, err := readFrame(&buf)
+		fr, err := readFrame(&buf, new([]byte))
 		if err != nil {
 			return false
 		}
-		defer fr.release()
 		return fr.tag == tag && fr.op == op && bytes.Equal(fr.payload, payload)
 	}, nil); err != nil {
 		t.Fatal(err)
@@ -147,6 +147,15 @@ func TestWireGolden(t *testing.T) {
 		{"traced read", vecBytes(t, func(vw *vecWriter) error {
 			return vw.writeFrameCtx(9, opRead, 0x1111111111111111, 0x2222222222222222, readReq(7, 512, 512), nil)
 		}), goldenTracedRead},
+		// A batch that outgrows the writer's first arena.
+		{"200 reads", vecBytes(t, func(vw *vecWriter) error {
+			for range 200 {
+				if err := vw.writeFrame(0x0102030405060708, opRead, readReq(7, 512, 512), nil); err != nil {
+					return err
+				}
+			}
+			return nil
+		}), strings.Repeat(goldenRead, 200)},
 	} {
 		if tc.got != tc.want {
 			t.Errorf("%s frame:\n got %s\nwant %s", tc.name, tc.got, tc.want)
@@ -172,7 +181,7 @@ func TestWireGolden(t *testing.T) {
 		t.Fatalf("hello reply %x (%v), want %s", got, err, goldenHelloReply)
 	}
 	br := bufio.NewReader(nc)
-	seedBlocks(t, nc, br, 7, 2)
+	seedBlocks(t, nc, br, 1, 7, 2, 512)
 	var burst []byte
 	for _, g := range []string{goldenRead, goldenTracedRead} {
 		burst = append(burst, unhex(t, g)...)
@@ -180,8 +189,8 @@ func TestWireGolden(t *testing.T) {
 	if _, err := nc.Write(burst); err != nil {
 		t.Fatal(err)
 	}
-	checkBlock(t, expectReply(t, nc, br, 5*time.Second, 0x0102030405060708), 1)
-	checkBlock(t, expectReply(t, nc, br, 5*time.Second, 9), 1)
+	checkBlock(t, expectReply(t, nc, br, 5*time.Second, 0x0102030405060708), 7, 1, 512)
+	checkBlock(t, expectReply(t, nc, br, 5*time.Second, 9), 7, 1, 512)
 }
 
 // helloFrame encodes a hello asking for protocol version ver.
@@ -229,12 +238,12 @@ func TestHelloRefusals(t *testing.T) {
 		}
 		nc.SetReadDeadline(time.Now().Add(5 * time.Second))
 		br := bufio.NewReader(nc)
-		fr, err := readFrame(br)
+		var buf []byte
+		fr, err := readFrame(br, &buf)
 		if err != nil || fr.op != opError {
 			t.Fatalf("hello v%d: reply op %d (%v), want opError", ver, fr.op, err)
 		}
-		fr.release()
-		if _, err := readFrame(br); err != io.EOF {
+		if _, err := readFrame(br, &buf); err != io.EOF {
 			t.Fatalf("hello v%d: after opError read %v, want EOF", ver, err)
 		}
 	}
@@ -265,7 +274,7 @@ func TestHelloRefusals(t *testing.T) {
 			return
 		}
 		defer nc.Close()
-		if fr, err := readFrame(nc); err == nil {
+		if fr, err := readFrame(nc, new([]byte)); err == nil {
 			writeFrame(nc, fr.tag, opError, errorPayload(errors.New("version refused")))
 		}
 	}()

@@ -27,11 +27,10 @@ func dialV2(t *testing.T, addr string) (net.Conn, *bufio.Reader) {
 	}
 	br := bufio.NewReader(nc)
 	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
-	fr, err := readFrame(br)
+	fr, err := readFrame(br, new([]byte))
 	if err != nil || fr.op != opOK {
 		t.Fatalf("hello: %v op=%d", err, fr.op)
 	}
-	defer fr.release()
 	d := dec{b: fr.payload}
 	if ver := d.u32(); d.err != nil || ver != ProtoV2 {
 		t.Fatalf("hello reply: version %d (%v), want %d", ver, d.err, ProtoV2)
@@ -60,28 +59,27 @@ func readReq(file uint64, off, n int64) []byte {
 func expectReply(t *testing.T, nc net.Conn, br *bufio.Reader, timeout time.Duration, tag uint64) []byte {
 	t.Helper()
 	nc.SetReadDeadline(time.Now().Add(timeout))
-	fr, err := readFrame(br)
+	fr, err := readFrame(br, new([]byte))
 	if err != nil {
 		t.Fatalf("reply for tag %d: %v", tag, err)
 	}
-	defer fr.release()
 	if fr.tag != tag || fr.op != opOK {
 		t.Fatalf("reply tag %d op %d, want tag %d opOK", fr.tag, fr.op, tag)
 	}
 	return append([]byte(nil), fr.payload...)
 }
 
-// seedBlocks writes n 512-byte blocks to file over nc, block i filled
-// with byte i+1, and returns the next free tag.
-func seedBlocks(t *testing.T, nc net.Conn, br *bufio.Reader, file uint64, n int) uint64 {
+// seedBlocks writes n blocks of size bytes to file over nc, under tags
+// from tag on, and returns the next free tag. Block i is filled with
+// blockByte(file, i).
+func seedBlocks(t *testing.T, nc net.Conn, br *bufio.Reader, tag, file uint64, n, size int) uint64 {
 	t.Helper()
-	tag := uint64(1)
 	for i := 0; i < n; i++ {
 		var e enc
 		e.u64(file)
-		e.i64(int64(i) * 512)
+		e.i64(int64(i * size))
 		e.u8(0)
-		e.bytes(bytes.Repeat([]byte{byte(i + 1)}, 512))
+		e.bytes(bytes.Repeat([]byte{blockByte(file, i)}, size))
 		if _, err := nc.Write(rawFrame(tag, opWrite, e.b)); err != nil {
 			t.Fatal(err)
 		}
@@ -91,12 +89,16 @@ func seedBlocks(t *testing.T, nc net.Conn, br *bufio.Reader, file uint64, n int)
 	return tag
 }
 
-// checkBlock asserts a read reply carries block i as seedBlocks wrote it.
-func checkBlock(t *testing.T, reply []byte, i int) {
+// blockByte is the fill byte of seedBlocks' block i of file.
+func blockByte(file uint64, i int) byte { return byte(file<<4) + byte(i+1) }
+
+// checkBlock asserts a read reply carries block i of file as seedBlocks
+// wrote it with blocks of size bytes.
+func checkBlock(t *testing.T, reply []byte, file uint64, i, size int) {
 	t.Helper()
-	want := append(binary.BigEndian.AppendUint32(nil, 512), bytes.Repeat([]byte{byte(i + 1)}, 512)...)
+	want := append(binary.BigEndian.AppendUint32(nil, uint32(size)), bytes.Repeat([]byte{blockByte(file, i)}, size)...)
 	if !bytes.Equal(reply, want) {
-		t.Fatalf("reply %d does not carry block %d", i, i)
+		t.Fatalf("reply does not carry block %d of file %d (%d bytes)", i, file, size)
 	}
 }
 
@@ -113,7 +115,10 @@ func nameReq(name string, size ...int64) []byte {
 // TestServerCorksPipelinedBurst: N frames that reach a server in one
 // write(2) are executed in order and answered by exactly one writev
 // carrying all N replies — reads on a data server, opens on a metadata
-// server.
+// server. The data server answers three bursts on one connection:
+// 512 B reads, 4 KiB reads that outgrow the memory the first burst left
+// the connection, and 512 B reads again into the memory the second
+// left, each reply checked against its own block.
 func TestServerCorksPipelinedBurst(t *testing.T) {
 	const n = 16
 	t.Run("data", func(t *testing.T) {
@@ -124,12 +129,21 @@ func TestServerCorksPipelinedBurst(t *testing.T) {
 		}
 		defer ds.Close()
 		nc, br := dialV2(t, ds.Addr())
-		tag := seedBlocks(t, nc, br, 7, n)
-		burst := make([][]byte, n)
-		for i := range burst {
-			burst[i] = rawFrame(tag+uint64(i), opRead, readReq(7, int64(i)*512, 512))
+		tag := seedBlocks(t, nc, br, 1, 7, n, 512)
+		tag = seedBlocks(t, nc, br, tag, 8, n, 4096)
+		prior := int64(tag - 1) // one writev per seeding write
+		for _, b := range []struct {
+			file uint64
+			size int
+		}{{7, 512}, {8, 4096}, {7, 512}} {
+			burst := make([][]byte, n)
+			for i := range burst {
+				burst[i] = rawFrame(tag+uint64(i), opRead, readReq(b.file, int64(i*b.size), int64(b.size)))
+			}
+			checkCorked(t, reg, "pfsnet.server.", nc, br, tag, prior, burst, func(i int, reply []byte) { checkBlock(t, reply, b.file, i, b.size) })
+			tag += n
+			prior++
 		}
-		checkCorked(t, reg, "pfsnet.server.", nc, br, tag, burst, func(i int, reply []byte) { checkBlock(t, reply, i) })
 	})
 	t.Run("meta", func(t *testing.T) {
 		reg := obs.NewRegistry()
@@ -147,7 +161,7 @@ func TestServerCorksPipelinedBurst(t *testing.T) {
 		for i := range burst {
 			burst[i] = rawFrame(2+uint64(i), opOpen, nameReq("f"))
 		}
-		checkCorked(t, reg, "pfsnet.meta.", nc, br, 2, burst, func(i int, reply []byte) {
+		checkCorked(t, reg, "pfsnet.meta.", nc, br, 2, 1, burst, func(i int, reply []byte) {
 			if !bytes.Equal(reply, created) {
 				t.Fatalf("open %d reply differs from the create reply", i)
 			}
@@ -157,15 +171,15 @@ func TestServerCorksPipelinedBurst(t *testing.T) {
 
 // checkCorked sends burst (frames tagged tag, tag+1, ...) in one
 // write(2), checks each reply in order, and asserts that the server
-// answered with exactly one writev carrying every reply. Every request
-// before tag was answered by a writev of its own.
-func checkCorked(t *testing.T, reg *obs.Registry, prefix string, nc net.Conn, br *bufio.Reader, tag uint64, burst [][]byte, check func(i int, reply []byte)) {
+// answered with exactly one writev carrying every reply. The server
+// made prior writevs on the connection before the burst.
+func checkCorked(t *testing.T, reg *obs.Registry, prefix string, nc net.Conn, br *bufio.Reader, tag uint64, prior int64, burst [][]byte, check func(i int, reply []byte)) {
 	t.Helper()
 	calls := reg.Counter(prefix + "writev_calls")
 	frames := reg.Counter(prefix + "writev_frames")
 	// The earlier replies' counts land after they are written; wait for
 	// the last one before taking the baseline.
-	waitCounter(t, calls, int64(tag-1))
+	waitCounter(t, calls, prior)
 	calls0, frames0 := calls.Value(), frames.Value()
 	if _, err := nc.Write(bytes.Join(burst, nil)); err != nil {
 		t.Fatal(err)
@@ -219,12 +233,12 @@ func TestServerNoHostageReply(t *testing.T) {
 		}
 		defer ds.Close()
 		nc, br := dialV2(t, ds.Addr())
-		tag := seedBlocks(t, nc, br, 3, 2)
+		tag := seedBlocks(t, nc, br, 1, 3, 2, 512)
 		ra, rb := hostage(t, nc, br, tag,
 			rawFrame(tag, opRead, readReq(3, 0, 512)),
 			rawFrame(tag+1, opRead, readReq(3, 512, 512)))
-		checkBlock(t, ra, 0)
-		checkBlock(t, rb, 1)
+		checkBlock(t, ra, 3, 0, 512)
+		checkBlock(t, rb, 3, 1, 512)
 	})
 	t.Run("meta", func(t *testing.T) {
 		ms, err := NewMetaServer("127.0.0.1:0", 4096, []string{"127.0.0.1:1"})

@@ -17,7 +17,7 @@ import (
 // server is the connection half shared by the metadata and data
 // servers: the listener, the registry of open connections, and the one
 // serve loop. The embedding server supplies dispatch, which executes one
-// request and returns the reply opcode and pooled payload.
+// request and returns the reply's opcode, payload and data.
 //
 // Each connection runs to completion on the one goroutine that reads
 // it: read a frame, execute it, queue the tagged reply, and put the
@@ -29,8 +29,12 @@ type server struct {
 	ioTimeout time.Duration
 	wm        *wireMetrics
 	tracer    *obs.XTracer
-	dispatch  func(op byte, payload []byte) (byte, []byte)
-	connSeq   atomic.Int64 // per-connection trace-scope numbering
+	// dispatch's request payload is valid only until it returns. The
+	// reply payload is copied when it is queued, so it may be any
+	// memory; reply data is borrowed until the flush, so a handler that
+	// builds data in place takes it from w.reserve.
+	dispatch func(w *vecWriter, op byte, payload []byte) (rop byte, reply, data []byte)
+	connSeq  atomic.Int64 // per-connection trace-scope numbering
 
 	wg        sync.WaitGroup
 	quit      chan struct{}
@@ -126,10 +130,11 @@ func (s *server) serveConn(conn net.Conn) {
 		conn.Close()
 	}()
 	br := bufio.NewReaderSize(conn, connBufSize)
-	if serverHandshake(conn, br) != nil {
+	var buf []byte // frame payloads, each valid until the next read
+	if serverHandshake(conn, br, &buf) != nil {
 		return
 	}
-	s.servePipelined(conn, br, fmt.Sprintf("conn%d", s.connSeq.Add(1)))
+	s.servePipelined(conn, br, &buf, fmt.Sprintf("conn%d", s.connSeq.Add(1)))
 }
 
 // servePipelined serves a connection to completion on this goroutine:
@@ -138,9 +143,8 @@ func (s *server) serveConn(conn net.Conn) {
 // pipelined burst — a striped parent's chain, or many callers' requests
 // sharing the connection — is read with one read(2), executed in order
 // and answered with one writev.
-func (s *server) servePipelined(conn net.Conn, br *bufio.Reader, scope string) {
+func (s *server) servePipelined(conn net.Conn, br *bufio.Reader, buf *[]byte, scope string) {
 	vw := newVecWriter(conn, s.wm)
-	defer vw.abandon()
 	var pending []respCtx // traced replies queued since the last flush
 	for {
 		if !frameBuffered(br) {
@@ -152,43 +156,41 @@ func (s *server) servePipelined(conn net.Conn, br *bufio.Reader, scope string) {
 				conn.SetReadDeadline(time.Now().Add(s.ioTimeout))
 			}
 		}
-		fr, err := readFrame(br)
+		fr, err := readFrame(br, buf)
 		if err != nil {
 			return
 		}
+		s.wm.onRx(len(fr.payload))
 		var parsed time.Time
 		if fr.tag&tagTraceFlag != 0 {
 			fr.tag &^= tagTraceFlag
 			if len(fr.payload) < traceCtxSize {
 				// A context too short to exist is a protocol violation,
 				// not a request — drop the connection.
-				fr.release()
 				return
 			}
 			fr.traced = true
 			fr.tcID = binary.BigEndian.Uint64(fr.payload[:8])
 			fr.tcSpan = binary.BigEndian.Uint64(fr.payload[8:16])
+			fr.payload = fr.payload[traceCtxSize:]
 			parsed = time.Now()
 		}
-		s.wm.onRx(len(fr.payload))
 		traced := s.tracer != nil && fr.traced
 		var t0 time.Time
 		if traced {
 			t0 = time.Now()
 			s.tracer.Span(fr.tcID, s.tracer.NewID(), fr.tcSpan, "queue-wait", scope, parsed, t0.Sub(parsed))
 		}
-		op, reply := s.dispatch(fr.op, fr.body())
-		fr.release()
+		op, reply, data := s.dispatch(vw, fr.op, fr.payload)
 		if traced {
 			now := time.Now()
 			s.tracer.Span(fr.tcID, s.tracer.NewID(), fr.tcSpan, "store", scope, t0, now.Sub(t0))
 			pending = append(pending, respCtx{fr.tcID, fr.tcSpan, now})
 		}
-		n := len(reply)
-		if err := vw.writeFrame(fr.tag, op, reply, nil); err != nil {
+		if err := vw.writeFrame(fr.tag, op, reply, data); err != nil {
 			return
 		}
-		s.wm.onTx(n)
+		s.wm.onTx(len(reply) + len(data))
 	}
 }
 

@@ -1,10 +1,6 @@
 package pfsnet
 
-import (
-	"sync/atomic"
-
-	"repro/internal/obs"
-)
+import "repro/internal/obs"
 
 // wireMetrics holds the wire-level observability hooks for one endpoint
 // (client or data server). A nil *wireMetrics disables everything at the
@@ -38,7 +34,6 @@ func newWireMetrics(reg *obs.Registry, prefix string) *wireMetrics {
 	if reg == nil {
 		return nil
 	}
-	armPoolMetrics(reg)
 	return &wireMetrics{
 		framesTx:     reg.Counter(prefix + "frames_tx"),
 		framesRx:     reg.Counter(prefix + "frames_rx"),
@@ -73,7 +68,7 @@ func (m *wireMetrics) onWritev(frames int) {
 }
 
 func (m *wireMetrics) onCopyAvoided(n int) {
-	if m == nil {
+	if m == nil || m.copyAvoided == nil { // a server's reply data is its own memory
 		return
 	}
 	m.copyAvoided.Add(int64(n))
@@ -86,34 +81,6 @@ func (m *wireMetrics) onScatter(n int) {
 	m.scatterReads.Inc()
 	m.copyAvoided.Add(int64(n))
 }
-
-// Pool ownership metrics. The buffer pool is package-global, so its
-// foreign-put count lives in a global atomic; armPoolMetrics mirrors it
-// into whichever registries are in play (idempotent per registry — the
-// counter is shared monotonic state, and every registry sees the same
-// process-wide total via the atomic).
-var (
-	poolForeignPuts atomic.Int64
-	poolObs         atomic.Pointer[obs.Counter]
-)
-
-// notePoolForeignPut records a rejected foreign-capacity putBuf.
-func notePoolForeignPut() {
-	poolForeignPuts.Add(1)
-	if c := poolObs.Load(); c != nil {
-		c.Inc()
-	}
-}
-
-// armPoolMetrics points the pool's foreign-put counter at reg.
-func armPoolMetrics(reg *obs.Registry) {
-	poolObs.Store(reg.Counter("pfsnet.pool.foreign_put"))
-}
-
-// PoolForeignPuts returns the process-wide count of foreign-capacity
-// buffers rejected by the wire pool — nonzero in steady state means an
-// ownership-transfer bug is churning heap somewhere.
-func PoolForeignPuts() int64 { return poolForeignPuts.Load() }
 
 func (m *wireMetrics) onTx(payloadBytes int) {
 	if m == nil {
