@@ -24,7 +24,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -43,7 +42,6 @@ func main() {
 		debugAddr  = flag.String("debug-addr", "", "serve expvar metrics over HTTP at this address (/debug/vars)")
 		faultSpec  = flag.String("faults", "", "deterministic fault-injection plan (see internal/faults)")
 		faultScope = flag.String("fault-scope", "meta", "this server's scope label in the fault plan")
-		loadHints  = flag.String("load-hints", "", "comma-separated expected service times (ms), one per data server in stripe order; broadcast to clients on Create/Open for cold-start issue ordering")
 	)
 	flag.Parse()
 	addrs := strings.Split(*servers, ",")
@@ -66,21 +64,6 @@ func main() {
 	})
 	if err != nil {
 		log.Fatalf("pfs-meta: %v", err)
-	}
-	if *loadHints != "" {
-		parts := strings.Split(*loadHints, ",")
-		hints := make([]float64, len(parts))
-		for i, p := range parts {
-			v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-			if err != nil {
-				log.Fatalf("pfs-meta: -load-hints[%d]: %v", i, err)
-			}
-			hints[i] = v
-		}
-		if err := ms.SetLoadHints(hints); err != nil {
-			log.Fatalf("pfs-meta: %v", err)
-		}
-		log.Printf("pfs-meta: broadcasting load hints %v", hints)
 	}
 	log.Printf("pfs-meta: serving on %s (unit %d, %d data servers)", ms.Addr(), *unit, len(addrs))
 	if *debugAddr != "" {

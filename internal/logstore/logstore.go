@@ -60,6 +60,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -707,6 +708,9 @@ func (s *LogStore) logDownLocked() error {
 func (s *LogStore) WriteAt(file uint64, off int64, data []byte) error {
 	if off < 0 {
 		return fmt.Errorf("logstore: negative offset %d", off)
+	}
+	if int64(len(data)) > math.MaxInt64-off {
+		return fmt.Errorf("logstore: write [%d,+%d) overflows int64", off, len(data))
 	}
 	if int64(len(data)) > MaxRecordData {
 		return fmt.Errorf("logstore: write of %d bytes exceeds record limit %d", len(data), int64(MaxRecordData))

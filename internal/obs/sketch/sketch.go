@@ -3,14 +3,14 @@
 // schedule, with quantiles computed by merging the live windows on
 // read. Old observations age out as their window is recycled, so the
 // estimate tracks "how slow is this server *now*", not cumulatively
-// since boot — the signal straggler-aware issue ordering ranks servers
-// by (Tavakoli et al., PAPERS.md).
+// since boot.
 //
-// The pfsnet client keeps one Sketch per (server, op class); see
-// pfsnet.Client.LatencySnapshot. Recording is a mutex plus a histogram
-// bucket increment; reading merges windows*buckets int64 counts into a
-// scratch histogram, so reads are cheap enough for scrape-time gauges
-// but recording stays the only operation on the request hot path.
+// The pfsnet client keeps one Sketch per (server, op class), read
+// through its pfsnet.client.server.<addr>.<class>.{p50,p95,p99}
+// gauges. Recording is a mutex plus a histogram bucket increment;
+// reading merges windows*buckets int64 counts into a scratch histogram,
+// so reads are cheap enough for scrape-time gauges but recording stays
+// the only operation on the request hot path.
 package sketch
 
 import (

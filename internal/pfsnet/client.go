@@ -4,11 +4,9 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net"
 	"slices"
 	"sort"
@@ -61,12 +59,6 @@ type Client struct {
 	// a tracer no frame carries a context. Nil costs one pointer test per
 	// request.
 	Tracer *obs.XTracer
-	// SlowLog, when set before the first request, receives one JSON
-	// line per ReadAt/WriteAt whose latency exceeds the op class's
-	// sketch-derived p99 (after slowLogMinSamples observations warm the
-	// sketch), with per-fragment server timings — a "wide event" for
-	// tail debugging.
-	SlowLog io.Writer
 
 	// DialTimeout bounds connection establishment, including the hello
 	// (0 = no timeout).
@@ -79,9 +71,9 @@ type Client struct {
 	// RequestTimeout bounds one server's share of a request across all
 	// retry attempts (0 = no bound beyond the per-attempt IOTimeout).
 	RequestTimeout time.Duration
-	// MaxRetries is the number of resends of a server's group of
-	// idempotent data sub-requests after transport failures. NewClient
-	// defaults it to 2; set -1 to disable retries.
+	// MaxRetries is the number of resends of a server's group of data
+	// sub-requests after transport failures (send says when a resend
+	// is safe). NewClient defaults it to 2; set -1 to disable retries.
 	MaxRetries int
 	// RetryBackoff is the base pause before the first retry; each
 	// further attempt doubles it up to RetryBackoffMax, plus
@@ -117,20 +109,9 @@ type Client struct {
 	peers  map[string]*peer
 	closed bool
 
-	// hintMu guards the T_i load-hint vector (server address → expected
-	// service time, milliseconds) the metadata server broadcasts on
-	// Create/Open replies; installed hints arm issue ordering, and cold
-	// sketches fall back to them for its cost estimate.
-	hintMu sync.Mutex
-	hints  map[string]float64
-
-	// latMu guards the lazily created latency sketches; slowMu
-	// serializes SlowLog writes so concurrent slow events cannot
-	// interleave JSON lines.
+	// latMu guards the lazily created latency sketches.
 	latMu    sync.Mutex
 	sketches map[latKey]*sketch.Sketch
-	parentSk map[string]*sketch.Sketch
-	slowMu   sync.Mutex
 }
 
 // Resilience defaults applied by NewClient. Overridable per client; -1
@@ -498,11 +479,6 @@ type latKey struct {
 	addr, class string
 }
 
-// slowLogMinSamples is the sketch warm-up before slow-request wide
-// events fire: below it the p99 estimate is noise and every early
-// request would log itself.
-const slowLogMinSamples = 20
-
 // opClass names the latency class of a data opcode.
 func opClass(op byte) string {
 	switch op {
@@ -548,184 +524,33 @@ func (c *Client) sketchFor(addr, class string) *sketch.Sketch {
 	return sk
 }
 
-// parentSketch returns the whole-request latency sketch for an op
-// class — the reference distribution slow-request events compare
-// against. Kept separate from the per-server sketches so fan-out
-// requests do not skew per-server tails.
-func (c *Client) parentSketch(class string) *sketch.Sketch {
-	c.latMu.Lock()
-	defer c.latMu.Unlock()
-	if c.parentSk == nil {
-		c.parentSk = make(map[string]*sketch.Sketch)
-	}
-	sk := c.parentSk[class]
-	if sk == nil {
-		sk = sketch.New(0, 0)
-		c.parentSk[class] = sk
-	}
-	return sk
-}
-
-// ServerLatency is one row of LatencySnapshot: the recent (windowed)
-// latency quantiles the client has observed against one data server
-// for one op class, in milliseconds.
-type ServerLatency struct {
-	Server string
-	Class  string
-	Count  int64
-	P50    float64
-	P95    float64
-	P99    float64
-}
-
-// LatencySnapshot returns the client's current per-server latency
-// estimates, sorted by (Server, Class): the same sketches issue
-// ordering ranks servers by. Tests use it to see a skewed
-// server separate from its peers.
-func (c *Client) LatencySnapshot() []ServerLatency {
-	c.latMu.Lock()
-	keys := make([]latKey, 0, len(c.sketches))
-	for k := range c.sketches {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].addr != keys[j].addr {
-			return keys[i].addr < keys[j].addr
-		}
-		return keys[i].class < keys[j].class
-	})
-	sks := make([]*sketch.Sketch, len(keys))
-	for i, k := range keys {
-		sks[i] = c.sketches[k]
-	}
-	c.latMu.Unlock()
-	rows := make([]ServerLatency, len(keys))
-	for i, k := range keys {
-		qs := sks[i].Quantiles(0.50, 0.95, 0.99)
-		rows[i] = ServerLatency{
-			Server: k.addr, Class: k.class,
-			Count: sks[i].Count(),
-			P50:   qs[0], P95: qs[1], P99: qs[2],
-		}
-	}
-	return rows
-}
-
-// FragTiming is one fragment (sub-request) line of a slow-request wide
-// event: which server it went to, where, how long it took.
-type FragTiming struct {
-	Server string  `json:"server"`
-	Off    int64   `json:"off"`
-	Len    int64   `json:"len"`
-	MS     float64 `json:"ms"`
-	Err    string  `json:"err,omitempty"`
-}
-
 // parentReq is the per-ReadAt/WriteAt context threaded through the
-// fan-out: the trace ids propagated to servers, and the per-fragment
-// timings a slow-request event reports. Nil when neither tracing nor
-// the slow log is armed — every touch point is pointer-guarded.
+// fan-out: the trace ids propagated to servers and the start of the
+// client's parent span. Nil without a tracer.
 type parentReq struct {
 	op    string
 	class string
 	trace uint64
 	span  uint64
 	start time.Time
-
-	mu    sync.Mutex
-	frags []FragTiming
-}
-
-func (pr *parentReq) addFrag(server string, sub stripe.Sub, d time.Duration, err error) {
-	if pr == nil {
-		return
-	}
-	ft := FragTiming{Server: server, Off: sub.ServerOff, Len: sub.Length, MS: float64(d) / 1e6}
-	if err != nil {
-		ft.Err = err.Error()
-	}
-	pr.mu.Lock()
-	pr.frags = append(pr.frags, ft)
-	pr.mu.Unlock()
 }
 
 // startParent opens the per-request context, or returns nil when no
-// observer wants it.
+// tracer is set.
 func (c *Client) startParent(op, class string) *parentReq {
-	if c.Tracer == nil && c.SlowLog == nil {
+	if c.Tracer == nil {
 		return nil
 	}
-	pr := &parentReq{op: op, class: class, start: time.Now()}
-	if c.Tracer != nil {
-		pr.trace = c.Tracer.NewID()
-		pr.span = c.Tracer.NewID()
-	}
-	return pr
+	return &parentReq{op: op, class: class, trace: c.Tracer.NewID(), span: c.Tracer.NewID(), start: time.Now()}
 }
 
-// slowEvent is the JSON shape of one slow-request wide event.
-type slowEvent struct {
-	TS    string       `json:"ts"`
-	Op    string       `json:"op"`
-	Trace string       `json:"trace,omitempty"`
-	Off   int64        `json:"off"`
-	Len   int64        `json:"len"`
-	MS    float64      `json:"ms"`
-	P99MS float64      `json:"p99_ms"`
-	Err   string       `json:"err,omitempty"`
-	Frags []FragTiming `json:"frags,omitempty"`
-}
-
-// finishParent closes the per-request context: it emits the client
-// parent span and, when the request ran past the op class's current
-// p99 (sampled before this request joins the distribution, so one
-// slow request cannot raise its own bar), one wide-event JSON line
-// with the per-fragment timings.
-func (c *Client) finishParent(pr *parentReq, off, length int64, err error) {
+// finishParent closes the per-request context by emitting the client's
+// parent span.
+func (c *Client) finishParent(pr *parentReq) {
 	if pr == nil {
 		return
 	}
-	dur := time.Since(pr.start)
-	c.Tracer.Span(pr.trace, pr.span, 0, pr.op, pr.class, pr.start, dur)
-	if c.SlowLog == nil {
-		return
-	}
-	sk := c.parentSketch(pr.class)
-	ms := float64(dur) / 1e6
-	n := sk.Count()
-	p99 := sk.Quantile(0.99)
-	sk.Observe(ms)
-	if n < slowLogMinSamples || ms <= p99 {
-		return
-	}
-	pr.mu.Lock()
-	frags := append([]FragTiming(nil), pr.frags...)
-	pr.mu.Unlock()
-	sort.Slice(frags, func(i, j int) bool {
-		if frags[i].Server != frags[j].Server {
-			return frags[i].Server < frags[j].Server
-		}
-		return frags[i].Off < frags[j].Off
-	})
-	ev := slowEvent{
-		TS: time.Now().UTC().Format(time.RFC3339Nano),
-		Op: pr.op, Off: off, Len: length,
-		MS: ms, P99MS: p99, Frags: frags,
-	}
-	if pr.trace != 0 {
-		ev.Trace = fmt.Sprintf("%016x", pr.trace)
-	}
-	if err != nil {
-		ev.Err = err.Error()
-	}
-	line, jerr := json.Marshal(ev)
-	if jerr != nil {
-		return
-	}
-	line = append(line, '\n')
-	c.slowMu.Lock()
-	c.SlowLog.Write(line) //lint:allow lockio slowMu exists only to keep wide-event lines atomic; cold path, past-p99 requests only
-	c.slowMu.Unlock()
+	c.Tracer.Span(pr.trace, pr.span, 0, pr.op, pr.class, pr.start, time.Since(pr.start))
 }
 
 // dataReq is one request of a server's group. A write's data is src,
@@ -748,8 +573,11 @@ type dataReq struct {
 // their replies in order. A transport failure discards the connection
 // and the server's idle ones, backs off (bounded exponential,
 // deterministic jitter) and resends only the requests it left
-// unanswered, up to MaxRetries resends within RequestTimeout; read and
-// write sub-requests are idempotent, so resending is safe.
+// unanswered, up to MaxRetries resends within RequestTimeout. A resent
+// read is always safe. A resent write is safe only while no other
+// writer touches its range: the server may have applied the first
+// attempt before the connection failed, and the resend then lands over
+// any later write to the range (ROADMAP item 19 will test this).
 // Server-reported (remote) errors are never resent: the server
 // answered, which proves it alive. The breaker sees one outcome per
 // attempt, so while it is open one caller's whole group is the probe
@@ -762,12 +590,9 @@ type dataReq struct {
 func (c *Client) send(addr string, op byte, reqs []dataReq, encode func(b []byte, sub stripe.Sub) []byte, pr *parentReq) error {
 	sk := c.sketchFor(addr, opClass(op))
 	retries := max(c.MaxRetries, 0)
-	var start, deadline time.Time
-	if pr != nil || c.RequestTimeout > 0 {
-		start = time.Now()
-	}
+	var deadline time.Time
 	if c.RequestTimeout > 0 {
-		deadline = start.Add(c.RequestTimeout)
+		deadline = time.Now().Add(c.RequestTimeout)
 	}
 	var tcID, tcSpan uint64
 	if pr != nil {
@@ -816,9 +641,6 @@ func (c *Client) send(addr string, op byte, reqs []dataReq, encode func(b []byte
 				if cerr == nil && sk != nil {
 					sk.Observe(float64(time.Since(t0)) / 1e6)
 				}
-				if pr != nil {
-					pr.addFrag(addr, reqs[i].sub, time.Since(start), cerr)
-				}
 				if cerr == nil && reqs[i].dst != nil {
 					cerr = finishRead(reply, n, reqs[i].dst, reqs[i].sub.Length)
 				} else if cerr == nil && len(reply) > 0 {
@@ -856,11 +678,6 @@ func (c *Client) send(addr string, op byte, reqs []dataReq, encode func(b []byte
 		p.rm.onRetry()
 		if d > 0 {
 			time.Sleep(d)
-		}
-	}
-	for i := range reqs {
-		if pr != nil && !reqs[i].done {
-			pr.addFrag(addr, reqs[i].sub, time.Since(start), lastErr)
 		}
 	}
 	return lastErr
@@ -908,7 +725,9 @@ func (c *Client) backoffDelay(attempt int) time.Duration {
 	return d + jitter
 }
 
-func (c *Client) fileFromReply(name string, payload []byte) (*File, error) {
+// fileFromReply decodes a Create/Open reply: id, size, unit and the
+// data server list.
+func fileFromReply(name string, payload []byte) (*File, error) {
 	d := dec{b: payload}
 	f := &File{Name: name}
 	f.ID = d.u64()
@@ -920,24 +739,6 @@ func (c *Client) fileFromReply(name string, payload []byte) (*File, error) {
 	}
 	if d.err != nil {
 		return nil, d.err
-	}
-	// Optional trailing T_i load-hint vector (count u32 + float64 bits
-	// per server, stripe order). Decoders ignore trailing payload bytes
-	// by protocol contract, so servers that predate hints send nothing
-	// and this block is skipped; a malformed vector is dropped rather
-	// than failing the open.
-	if len(d.b) >= 4 {
-		hd := dec{b: d.b}
-		hn := hd.u32()
-		if int(hn) == len(f.servers) {
-			hints := make(map[string]float64, hn)
-			for i := uint32(0); i < hn; i++ {
-				hints[f.servers[i]] = math.Float64frombits(hd.u64())
-			}
-			if hd.err == nil {
-				c.SetLoadHints(hints)
-			}
-		}
 	}
 	f.layout = stripe.Layout{Unit: unit, Servers: len(f.servers)}
 	return f, f.layout.Validate()
@@ -963,7 +764,7 @@ func (c *Client) metaFile(op byte, name string, payload []byte) (*File, error) {
 	}
 	var f *File
 	if err == nil {
-		f, err = c.fileFromReply(name, reply)
+		f, err = fileFromReply(name, reply)
 	}
 	c.checkin(p, cn)
 	return f, err
@@ -1046,7 +847,7 @@ func (c *Client) WriteAt(f *File, off int64, p []byte) error {
 	}
 	pr := c.startParent("WriteAt", "write")
 	err := c.do(f, opWrite, off, p, pr)
-	c.finishParent(pr, off, int64(len(p)), err)
+	c.finishParent(pr)
 	return err
 }
 
@@ -1058,15 +859,15 @@ func (c *Client) ReadAt(f *File, off int64, p []byte) error {
 	}
 	pr := c.startParent("ReadAt", "read")
 	err := c.do(f, opRead, off, p, pr)
-	c.finishParent(pr, off, int64(len(p)), err)
+	c.finishParent(pr)
 	return err
 }
 
 // do fans one ReadAt/WriteAt out: the request splits into per-server
 // groups, each group goes to its server as one send, and the servers
-// proceed in parallel. The first group in issue order, the one predicted
-// slowest (orderGroups), runs on the calling goroutine, so it reaches
-// its writev without waiting for a goroutine to be scheduled.
+// proceed in parallel. The first group runs on the calling goroutine,
+// so it reaches its writev without waiting for a goroutine to be
+// scheduled.
 func (c *Client) do(f *File, op byte, off int64, p []byte, pr *parentReq) error {
 	random := op == opWrite && c.RandomThreshold > 0 && int64(len(p)) < c.RandomThreshold
 	subs := c.subs(f, off, int64(len(p)))
@@ -1077,7 +878,6 @@ func (c *Client) do(f *File, op byte, off int64, p []byte, pr *parentReq) error 
 	if len(groups) == 1 {
 		return c.sendGroup(f, op, off, p, groups[0], random, pr)
 	}
-	c.orderGroups(f, groups, opClass(op))
 	errs := make(chan error, len(groups)-1)
 	for _, g := range groups[1:] {
 		go func() {
@@ -1180,7 +980,7 @@ func (c *Client) Flush(f *File) (int64, error) {
 }
 
 func (c *Client) checkRange(f *File, off, length int64) error {
-	if off < 0 || length < 0 || off+length > f.Size {
+	if off < 0 || length < 0 || length > f.Size-off {
 		return fmt.Errorf("pfsnet: request [%d,+%d) outside file %q of size %d", off, length, f.Name, f.Size)
 	}
 	return nil

@@ -3,6 +3,7 @@ package pfsnet
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"sync/atomic"
 	"time"
 
@@ -233,8 +234,8 @@ func (s *DataServer) handleWrite(payload []byte) error {
 	if d.err != nil {
 		return d.err
 	}
-	if off < 0 {
-		return fmt.Errorf("pfsnet data: negative offset %d", off)
+	if off < 0 || int64(len(data)) > math.MaxInt64-off {
+		return fmt.Errorf("pfsnet data: bad write [%d,+%d)", off, len(data))
 	}
 	s.ctr.writes.Add(1)
 	s.ctr.wrBytes.Add(int64(len(data)))
@@ -321,7 +322,7 @@ func (s *DataServer) handleRead(w *vecWriter, payload []byte) ([]byte, error) {
 	if d.err != nil {
 		return nil, d.err
 	}
-	if off < 0 || length < 0 || length > maxReadLen {
+	if off < 0 || length < 0 || length > maxReadLen || off > math.MaxInt64-length {
 		return nil, fmt.Errorf("pfsnet data: bad read [%d,+%d)", off, length)
 	}
 	s.ctr.reads.Add(1)

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"io"
+	"math"
 	"net"
 	"slices"
 	"testing"
@@ -66,8 +67,9 @@ func FuzzReadFrame(f *testing.F) {
 }
 
 // malformedFrames are byte streams no well-formed peer sends: bad
-// length words, a truncated frame, an unknown opcode and the two retired
-// opcodes, each carrying the body it once had.
+// length words, a truncated frame, an unknown opcode, the two retired
+// opcodes, each carrying the body it once had, and reads and writes
+// whose range ends past the largest int64 offset.
 var malformedFrames = []struct {
 	name      string
 	raw       []byte
@@ -80,13 +82,16 @@ var malformedFrames = []struct {
 	{"unknown opcode", rawFrame(1, 0xEE, []byte{9}), true},
 	{"retired opcode 10", rawFrame(1, 10, []byte{0, 0, 0, 0, 0, 0, 0, 1}), true},
 	{"retired opcode 11", rawFrame(1, 11, readReq(1, 0, 512)), true},
+	{"write past MaxInt64", rawFrame(1, opWrite, writeReq(1, math.MaxInt64-1, 0, []byte{1, 2, 3, 4})), true},
+	{"fragment write past MaxInt64", rawFrame(1, opWrite, writeReq(1, math.MaxInt64-1, 1, []byte{1, 2, 3, 4})), true},
+	{"read past MaxInt64", rawFrame(1, opRead, readReq(1, math.MaxInt64-1, 4)), true},
 }
 
 // TestServerRejectsMalformedFrames drives raw malformed byte streams at
 // a live data server: the server must reply opError (unknown or retired
-// opcode) and go on serving reads, or close the connection cleanly
-// (corrupt framing), never panic, and never leak the connection or wedge
-// the listener.
+// opcode, overflowing range) and go on serving reads, or close the
+// connection cleanly (corrupt framing), never panic, and never leak the
+// connection or wedge the listener.
 func TestServerRejectsMalformedFrames(t *testing.T) {
 	ds, err := NewDataServer("127.0.0.1:0", true)
 	if err != nil {
@@ -258,4 +263,53 @@ func TestMalformedHello(t *testing.T) {
 	}
 	// Server still accepts valid traffic.
 	dialV2(t, ds.Addr())
+}
+
+// discardStore is an ObjectStore that keeps nothing: writes vanish and
+// reads zero-fill, so a fuzzed offset costs no memory.
+type discardStore struct{}
+
+func (discardStore) WriteAt(uint64, int64, []byte) error      { return nil }
+func (discardStore) ReadAt(_ uint64, _ int64, p []byte) error { clear(p); return nil }
+func (discardStore) Size(uint64) (int64, error)               { return 0, nil }
+func (discardStore) Close() error                             { return nil }
+
+// FuzzDataDispatch feeds arbitrary requests to a data server's dispatch,
+// bridge on, over a store that keeps nothing. Each request must be
+// answered opOK or opError, never panic. A fragment write the server
+// acknowledges sits in the fragment log, so it must read back: a server
+// must not acknowledge a range it cannot serve.
+func FuzzDataDispatch(f *testing.F) {
+	f.Add(opWrite, writeReq(1, 4096, 1, []byte("fragment")))
+	f.Add(opWrite, writeReq(1, 0, 0, []byte("direct")))
+	f.Add(opWrite, writeReq(1, math.MaxInt64-1, 0, []byte{1, 2, 3, 4}))
+	f.Add(opWrite, writeReq(1, math.MaxInt64-1, 1, []byte{1, 2, 3, 4}))
+	f.Add(opWrite, writeReq(1, -1, 1, []byte{1}))
+	f.Add(opRead, readReq(1, 0, 512))
+	f.Add(opRead, readReq(1, math.MaxInt64-1, 4))
+	f.Add(opRead, readReq(1, 0, maxReadLen+1))
+	f.Add(opStat, []byte{0, 0, 0, 0, 0, 0, 0, 1})
+	f.Add(opFlush, []byte{0, 0, 0, 0, 0, 0, 0, 0})
+	f.Add(byte(0xEE), []byte{9})
+	f.Fuzz(func(t *testing.T, op byte, payload []byte) {
+		s := &DataServer{bridge: newBridge(true), store: discardStore{}}
+		w := newVecWriter(io.Discard, nil)
+		rop, _, _ := s.dispatch(w, op, payload)
+		if rop != opOK && rop != opError {
+			t.Fatalf("op %d answered with opcode %d", op, rop)
+		}
+		if op != opWrite || rop != opOK {
+			return
+		}
+		d := dec{b: payload}
+		file, off, flags, data := d.u64(), d.i64(), d.u8(), d.bytes()
+		if flags&1 == 0 || int64(len(data)) > maxReadLen {
+			return
+		}
+		rop, _, got := s.dispatch(w, opRead, readReq(file, off, int64(len(data))))
+		if rop != opOK || !bytes.Equal(got[4:], data) {
+			t.Fatalf("fragment write [%d,+%d) acknowledged, but its read back got op %d or other bytes",
+				off, len(data), rop)
+		}
+	})
 }

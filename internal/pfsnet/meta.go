@@ -2,7 +2,6 @@ package pfsnet
 
 import (
 	"fmt"
-	"math"
 	"sync"
 	"time"
 
@@ -23,11 +22,6 @@ type MetaServer struct {
 	mu     sync.Mutex
 	files  map[string]fileMeta
 	nextID uint64
-	// loadHints is the T_i broadcast vector (expected service time per
-	// data server, milliseconds, stripe order). When set, Create/Open
-	// replies carry it as trailing payload bytes old clients ignore;
-	// clients install it, which arms issue ordering (order.go).
-	loadHints []float64
 }
 
 type fileMeta struct {
@@ -126,26 +120,8 @@ func (s *MetaServer) dispatch(_ *vecWriter, op byte, payload []byte) (byte, []by
 	return opOK, reply, nil
 }
 
-// SetLoadHints installs the T_i broadcast vector: one expected service
-// time (milliseconds) per data server, in stripe order. A vector whose
-// length does not match the server list is rejected; nil clears the
-// broadcast. Subsequent Create/Open replies carry it to clients.
-func (s *MetaServer) SetLoadHints(hints []float64) error {
-	if hints != nil && len(hints) != len(s.servers) {
-		return fmt.Errorf("pfsnet meta: %d load hints for %d servers", len(hints), len(s.servers))
-	}
-	cp := append([]float64(nil), hints...)
-	s.mu.Lock()
-	s.loadHints = cp
-	s.mu.Unlock()
-	return nil
-}
-
-// fileReplyLocked encodes id, size, unit, and the data server list,
-// plus — when a T_i broadcast is installed — the trailing load-hint
-// vector (count u32, float64 bits per server). Decoders ignore trailing
-// payload bytes, so pre-hint clients parse the reply unchanged.
-func (s *MetaServer) fileReplyLocked(m fileMeta) []byte {
+// fileReply encodes id, size, unit, and the data server list.
+func (s *MetaServer) fileReply(m fileMeta) []byte {
 	var e enc
 	e.u64(m.id)
 	e.i64(m.size)
@@ -153,12 +129,6 @@ func (s *MetaServer) fileReplyLocked(m fileMeta) []byte {
 	e.u32(uint32(len(s.servers)))
 	for _, srv := range s.servers {
 		e.str(srv)
-	}
-	if len(s.loadHints) > 0 {
-		e.u32(uint32(len(s.loadHints)))
-		for _, h := range s.loadHints {
-			e.u64(math.Float64bits(h))
-		}
 	}
 	return e.b
 }
@@ -182,7 +152,7 @@ func (s *MetaServer) handleCreate(payload []byte) ([]byte, error) {
 	m := fileMeta{id: s.nextID, size: size}
 	s.nextID++
 	s.files[name] = m
-	return s.fileReplyLocked(m), nil
+	return s.fileReply(m), nil
 }
 
 // handleOpen payload: name str.
@@ -198,5 +168,5 @@ func (s *MetaServer) handleOpen(payload []byte) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("pfsnet meta: file %q not found", name)
 	}
-	return s.fileReplyLocked(m), nil
+	return s.fileReply(m), nil
 }

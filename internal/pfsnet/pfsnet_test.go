@@ -2,7 +2,9 @@ package pfsnet
 
 import (
 	"bytes"
+	"errors"
 	"io"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -272,6 +274,13 @@ func TestOutOfRangeRejected(t *testing.T) {
 	}
 	if err := c.ReadAt(f, -1, make([]byte, 10)); err == nil {
 		t.Fatal("negative-offset read accepted")
+	}
+	// off+len wraps past MaxInt64: the client must refuse the range
+	// itself, not send sub-requests at wrapped server offsets.
+	err = c.ReadAt(f, math.MaxInt64-4, make([]byte, 10))
+	var remote remoteError
+	if err == nil || errors.As(err, &remote) {
+		t.Fatalf("read whose end overflows int64: %v; want the client to refuse it", err)
 	}
 }
 

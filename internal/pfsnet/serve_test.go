@@ -54,6 +54,16 @@ func readReq(file uint64, off, n int64) []byte {
 	return e.b
 }
 
+// writeReq encodes an opWrite payload; flags 1 marks a fragment.
+func writeReq(file uint64, off int64, flags byte, data []byte) []byte {
+	var e enc
+	e.u64(file)
+	e.i64(off)
+	e.u8(flags)
+	e.bytes(data)
+	return e.b
+}
+
 // expectReply reads the next reply within timeout and checks its tag and
 // opcode, returning the payload.
 func expectReply(t *testing.T, nc net.Conn, br *bufio.Reader, timeout time.Duration, tag uint64) []byte {
@@ -75,12 +85,8 @@ func expectReply(t *testing.T, nc net.Conn, br *bufio.Reader, timeout time.Durat
 func seedBlocks(t *testing.T, nc net.Conn, br *bufio.Reader, tag, file uint64, n, size int) uint64 {
 	t.Helper()
 	for i := 0; i < n; i++ {
-		var e enc
-		e.u64(file)
-		e.i64(int64(i * size))
-		e.u8(0)
-		e.bytes(bytes.Repeat([]byte{blockByte(file, i)}, size))
-		if _, err := nc.Write(rawFrame(tag, opWrite, e.b)); err != nil {
+		req := writeReq(file, int64(i*size), 0, bytes.Repeat([]byte{blockByte(file, i)}, size))
+		if _, err := nc.Write(rawFrame(tag, opWrite, req)); err != nil {
 			t.Fatal(err)
 		}
 		expectReply(t, nc, br, 5*time.Second, tag)

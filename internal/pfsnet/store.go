@@ -2,6 +2,7 @@ package pfsnet
 
 import (
 	"fmt"
+	"math"
 	"sync"
 )
 
@@ -13,7 +14,8 @@ import (
 // implementation must pass.
 type ObjectStore interface {
 	// WriteAt writes data at off in the object for file, growing it as
-	// needed. Negative offsets are an error.
+	// needed. Negative offsets, and ranges whose end overflows int64,
+	// are an error.
 	WriteAt(file uint64, off int64, data []byte) error
 	// ReadAt fills p from the object at off; missing ranges read as
 	// zeros (sparse semantics). Negative offsets are an error.
@@ -41,6 +43,9 @@ func NewMemStore() *MemStore {
 func (s *MemStore) WriteAt(file uint64, off int64, data []byte) error {
 	if off < 0 {
 		return fmt.Errorf("pfsnet: negative offset %d", off)
+	}
+	if int64(len(data)) > math.MaxInt64-off {
+		return fmt.Errorf("pfsnet: write [%d,+%d) overflows int64", off, len(data))
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/obs"
-	"repro/internal/stripe"
 )
 
 // TestTracingInterop checks the trace context against a tracing server,
@@ -207,13 +206,12 @@ func TestLatencySketchSeparation(t *testing.T) {
 		}
 	}
 
-	p95 := map[string]float64{}
-	for _, row := range c.LatencySnapshot() {
-		if row.Class == "read" {
-			p95[row.Server] = row.P95
-		}
+	snap := c.Obs.Snapshot()
+	p95 := func(addr string) float64 {
+		v, _ := snap["pfsnet.client.server."+addr+".read.p95"].(float64)
+		return v
 	}
-	slow, fast := p95[addrs[1]], p95[addrs[0]]
+	slow, fast := p95(addrs[1]), p95(addrs[0])
 	if slow < 15.0 {
 		t.Fatalf("straggler p95 = %.2fms, want >= 15ms from the injected 25ms latency", slow)
 	}
@@ -222,57 +220,14 @@ func TestLatencySketchSeparation(t *testing.T) {
 	}
 }
 
-// TestSlowRequestLog drives the wide-event path directly: after the
-// warm-up samples, a request past the class p99 must emit one JSON line
-// carrying its fragment timings, and the fast requests none.
-func TestSlowRequestLog(t *testing.T) {
-	var buf bytes.Buffer
-	c := NewClient("127.0.0.1:1") // never dialed: the slow log needs no conns
-	c.SlowLog = &buf
-
-	finish := func(age time.Duration, frag bool) {
-		pr := c.startParent("ReadAt", "read")
-		if pr == nil {
-			t.Fatal("startParent returned nil with SlowLog set")
-		}
-		pr.start = time.Now().Add(-age)
-		if frag {
-			pr.addFrag("127.0.0.1:9", stripe.Sub{ServerOff: 4096, Length: 1024}, age, nil)
-		}
-		c.finishParent(pr, 0, 1024, nil)
-	}
-	for i := 0; i < 30; i++ {
-		finish(time.Millisecond, false)
-	}
-	if buf.Len() != 0 {
-		t.Fatalf("fast requests logged: %q", buf.String())
-	}
-	finish(250*time.Millisecond, true)
-	line := buf.Bytes()
-	if len(line) == 0 {
-		t.Fatal("slow request did not log a wide event")
-	}
-	var ev slowEvent
-	if err := json.Unmarshal(line, &ev); err != nil {
-		t.Fatalf("wide event is not one JSON line: %v (%q)", err, line)
-	}
-	if ev.Op != "ReadAt" || ev.MS <= ev.P99MS {
-		t.Fatalf("wide event = %+v, want op ReadAt slower than its p99", ev)
-	}
-	if len(ev.Frags) != 1 || ev.Frags[0].Server != "127.0.0.1:9" || ev.Frags[0].Len != 1024 {
-		t.Fatalf("wide event frags = %+v, want the recorded fragment", ev.Frags)
-	}
-}
-
 // TestTraceNilPathAllocs pins the zero-cost-when-nil contract for the
-// per-request observability hooks: with no tracer, slow log, or
-// registry, the parent-request and sketch paths must not allocate.
+// per-request observability hooks: with no tracer or registry, the
+// parent-request and sketch paths must not allocate.
 func TestTraceNilPathAllocs(t *testing.T) {
 	c := NewClient("127.0.0.1:1")
 	allocs := testing.AllocsPerRun(1000, func() {
 		pr := c.startParent("ReadAt", "read")
-		pr.addFrag("x", stripe.Sub{}, 0, nil)
-		c.finishParent(pr, 0, 0, nil)
+		c.finishParent(pr)
 		if c.sketchFor("x", "read") != nil {
 			t.Fatal("sketchFor armed without a registry")
 		}

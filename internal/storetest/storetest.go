@@ -1,7 +1,8 @@
 // Package storetest is the shared conformance suite for object-store
 // implementations (pfsnet.MemStore, logstore.LogStore). It pins the
 // semantic contract the data server relies on — sparse zero-fill reads,
-// rejected negative offsets, monotone sizes, concurrent readers — so
+// rejected negative offsets and overflowing writes, monotone sizes,
+// concurrent readers — so
 // every store misbehaves in no way the others don't.
 //
 // The suite takes a structural interface rather than
@@ -13,6 +14,7 @@ package storetest
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 )
@@ -40,6 +42,7 @@ func Run(t *testing.T, factory Factory) {
 	t.Run("ZeroFillPastEOF", func(t *testing.T) { testZeroFill(t, factory) })
 	t.Run("Overwrite", func(t *testing.T) { testOverwrite(t, factory) })
 	t.Run("NegativeOffsets", func(t *testing.T) { testNegativeOffsets(t, factory) })
+	t.Run("OverflowingWrite", func(t *testing.T) { testOverflowingWrite(t, factory) })
 	t.Run("ObjectIsolation", func(t *testing.T) { testIsolation(t, factory) })
 	t.Run("ConcurrentReaders", func(t *testing.T) { testConcurrentReaders(t, factory) })
 	t.Run("ConcurrentMixed", func(t *testing.T) { testConcurrentMixed(t, factory) })
@@ -170,6 +173,25 @@ func testNegativeOffsets(t *testing.T, factory Factory) {
 	// The failed calls must not have created state.
 	if n, err := s.Size(1); err != nil || n != 0 {
 		t.Fatalf("Size after rejected writes = %d, %v; want 0", n, err)
+	}
+}
+
+// testOverflowingWrite writes a range whose end lies past the largest
+// int64 offset: the store must refuse it, keep no state from it, and go
+// on serving.
+func testOverflowingWrite(t *testing.T, factory Factory) {
+	s := factory(t)
+	defer s.Close()
+	if err := s.WriteAt(1, math.MaxInt64-1, []byte{1, 2, 3, 4}); err == nil {
+		t.Fatal("WriteAt with an overflowing end accepted")
+	}
+	if n, err := s.Size(1); err != nil || n != 0 {
+		t.Fatalf("Size after rejected write = %d, %v; want 0", n, err)
+	}
+	want := pattern(64, 8)
+	mustWrite(t, s, 1, 0, want)
+	if got := mustRead(t, s, 1, 0, len(want)); !bytes.Equal(got, want) {
+		t.Fatal("store diverges after a rejected overflowing write")
 	}
 }
 
