@@ -111,7 +111,7 @@ func (s *LogStore) encodeCheckpointLocked() []byte {
 func (s *LogStore) checkpoint(drop []*segment) error {
 	start := time.Now()
 	s.mu.Lock()
-	if err := s.logDownLocked(); err != nil {
+	if err := s.deadLocked(); err != nil {
 		s.mu.Unlock()
 		return err
 	}

@@ -50,14 +50,14 @@ func (s *LogStore) maintainer() {
 
 // ckptDueLocked reports whether a periodic checkpoint is due (mu held).
 func (s *LogStore) ckptDueLocked() bool {
-	return s.cfg.CheckpointBytes > 0 && s.sinceCkpt >= s.cfg.CheckpointBytes && s.logDownLocked() == nil
+	return s.cfg.CheckpointBytes > 0 && s.sinceCkpt >= s.cfg.CheckpointBytes && s.deadLocked() == nil
 }
 
 // needCleanLocked reports whether the sealed segments' dead-byte ratio
 // warrants a cleaning cycle (mu held). The active segment stays out of
 // the ratio: its garbage cannot be reclaimed until it seals.
 func (s *LogStore) needCleanLocked() bool {
-	if s.logDownLocked() != nil || s.dataBytes < s.cfg.CompactMinBytes {
+	if s.deadLocked() != nil || s.dataBytes < s.cfg.CompactMinBytes {
 		return false
 	}
 	data := s.dataBytes - s.active.data
@@ -100,13 +100,13 @@ func (s *LogStore) maintain(clean bool) error {
 // Compact runs the cleaner to completion regardless of the garbage
 // ratio: the active segment is sealed if it holds garbage, and every
 // sealed segment that does has its live bytes re-appended and is
-// retired, in one cycle. No-op on a crashed or degraded store; a
+// retired, in one cycle. No-op on a crashed or closed store; a
 // simulated kill that fires on one of its copies returns ErrCrashed.
 func (s *LogStore) Compact() error {
 	s.maint <- struct{}{}
 	defer func() { <-s.maint }()
 	s.mu.RLock()
-	skip := s.logDownLocked() != nil
+	skip := s.deadLocked() != nil
 	seal := !skip && s.active.data > s.active.live
 	s.mu.RUnlock()
 	if skip {
@@ -117,15 +117,12 @@ func (s *LogStore) Compact() error {
 			return err
 		}
 		s.mu.Lock()
-		if s.spare != nil && s.logDownLocked() == nil {
+		if s.spare != nil && s.deadLocked() == nil {
 			s.rollLocked()
 		}
 		s.mu.Unlock()
 	}
 	_, err := s.cleanCycle(true)
-	if err == errDeviceDown {
-		err = nil
-	}
 	return err
 }
 
@@ -182,7 +179,7 @@ func (s *LogStore) cleanCycle(force bool) (int, error) {
 func (s *LogStore) pickVictims(force bool) (victims []*segment, first uint64) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if s.logDownLocked() != nil {
+	if s.deadLocked() != nil {
 		return nil, 0
 	}
 	first = s.active.seq
@@ -288,7 +285,7 @@ func (s *LogStore) evacuate(v *segment, work []liveExtent) (copied int64, err er
 // to back) that the mapping table still maps to v, and returns the
 // bytes it appended.
 func (s *LogStore) copyLocked(v *segment, batch []liveExtent, buf []byte) (copied int64, needSeg bool, err error) {
-	if err := s.logDownLocked(); err != nil {
+	if err := s.deadLocked(); err != nil {
 		return 0, false, err
 	}
 	var still []extent.Extent

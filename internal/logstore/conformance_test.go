@@ -19,19 +19,3 @@ func TestLogStoreConformance(t *testing.T) {
 		return s
 	})
 }
-
-// TestLogStoreConformanceDegraded re-runs the suite against a store
-// whose log device has already failed: degraded mode must keep the
-// exact ObjectStore semantics, just without durability.
-func TestLogStoreConformanceDegraded(t *testing.T) {
-	storetest.Run(t, func(t *testing.T) storetest.Store {
-		s, err := Open(t.TempDir(), Config{NoCompactor: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.FailDevice(); err != nil {
-			t.Fatal(err)
-		}
-		return s
-	})
-}

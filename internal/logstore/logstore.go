@@ -50,14 +50,12 @@
 // reproduces the store state, whatever instant a crash interrupts
 // cleaning at.
 //
-// The store degrades, never lies: a simulated SSD device failure
-// (FailDevice, driven by the fault plan's ssdfail clause) freezes the
-// log and serves all subsequent I/O from an in-memory snapshot —
-// losing durability and performance, not bytes, per DESIGN §10.
+// A data server's object store is its disk, not its SSD: the fault
+// plan's ssdfail clause fails the server's fragment log and never this
+// store, which keeps serving and stays durable (DESIGN §10, §14).
 package logstore
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -67,7 +65,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/extent"
@@ -78,10 +75,6 @@ import (
 // process kill (CrashAppend) has already fired: the store is dead
 // until the next Open replays the log.
 var ErrCrashed = fmt.Errorf("logstore: simulated crash; reopen to recover")
-
-// errDeviceDown aborts maintenance on a degraded store; it never
-// reaches a caller.
-var errDeviceDown = errors.New("logstore: log device failed")
 
 // Config tunes one store instance. The zero value gives usable
 // defaults.
@@ -143,8 +136,6 @@ type Stats struct {
 	RecycledSegments                                    int64
 	// Generation is the store generation stamped on new records.
 	Generation uint64
-	// DeviceFailed reports degraded (in-memory) mode.
-	DeviceFailed bool
 	// Crashed reports a fired simulated kill.
 	Crashed bool
 }
@@ -154,8 +145,7 @@ type Stats struct {
 type obsCounters struct {
 	appends, checkpoints, replays, replayedRecords *obs.Counter
 	truncatedTails, badGenerations, badCheckpoints *obs.Counter
-	compactionRuns, deviceFailures                 *obs.Counter
-	recycledSegments                               *obs.Counter
+	compactionRuns, recycledSegments               *obs.Counter
 	logBytes, liveBytes                            *obs.Gauge
 }
 
@@ -220,11 +210,6 @@ type LogStore struct {
 	enc        []byte
 	closed     bool
 
-	deviceDown  bool
-	overlay     map[uint64][]byte // degraded-mode in-memory objects
-	overlayFill sync.WaitGroup    // open while FailDevice drains the log into overlay
-	overlayErr  error             // the drain's read error; set before overlayFill closes
-
 	// Simulated-kill injection (CrashAppend): when crashAfter counts
 	// down to zero the append writes only a prefix of its frame and the
 	// store latches dead, exactly as if the process took SIGKILL
@@ -233,13 +218,11 @@ type LogStore struct {
 	crashFrac  float64
 	crashed    bool
 
-	appends atomic.Int64 // user record appends; read lock-free by pfsnet's ssdfail trigger
-
 	st struct {
 		appendedBytes, checkpoints, replays, replayedRecords int64
 		truncatedTails, badGenerations, badCheckpoints       int64
 		compactionRuns, cleanedSegments, copiedBytes, rolls  int64
-		deviceFailures, recycledSegments                     int64
+		appends, recycledSegments                            int64
 	}
 	oc *obsCounters
 
@@ -314,7 +297,6 @@ func Open(dir string, cfg Config) (*LogStore, error) {
 			badGenerations:   reg.Counter("logstore.bad_generations"),
 			badCheckpoints:   reg.Counter("logstore.bad_checkpoints"),
 			compactionRuns:   reg.Counter("logstore.compaction_runs"),
-			deviceFailures:   reg.Counter("logstore.device_failures"),
 			recycledSegments: reg.Counter("logstore.recycled_segments"),
 			logBytes:         reg.Gauge("logstore.log_bytes"),
 			liveBytes:        reg.Gauge("logstore.live_bytes"),
@@ -693,15 +675,6 @@ func (s *LogStore) deadLocked() error {
 	return nil
 }
 
-// logDownLocked reports why maintenance must leave the log alone: the
-// store is dead, or degraded to its in-memory overlay.
-func (s *LogStore) logDownLocked() error {
-	if s.deviceDown {
-		return errDeviceDown
-	}
-	return s.deadLocked()
-}
-
 // WriteAt implements pfsnet.ObjectStore: the write becomes one
 // checksummed record appended to the active segment, acknowledged only
 // after the log write returns, then published in the mapping table.
@@ -721,15 +694,6 @@ func (s *LogStore) WriteAt(file uint64, off int64, data []byte) error {
 	for {
 		s.mu.Lock()
 		if err := s.deadLocked(); err != nil {
-			s.mu.Unlock()
-			return err
-		}
-		if s.deviceDown {
-			s.overlayFill.Wait()
-			err := s.overlayErr
-			if err == nil {
-				s.overlayWriteLocked(file, off, data)
-			}
 			s.mu.Unlock()
 			return err
 		}
@@ -760,7 +724,7 @@ func (s *LogStore) WriteAt(file uint64, off int64, data []byte) error {
 
 // appendLocked appends one record to the active segment and publishes
 // it. user distinguishes an acknowledged caller write from a cleaner
-// copy: only the former counts toward RecordAppends. needSeg reports
+// copy: only the former counts in Stats.Appends. needSeg reports
 // that the active segment is full and no spare is ready — nothing was
 // written; the caller drops the lock, runs prepareSpare and retries.
 func (s *LogStore) appendLocked(file uint64, off int64, data []byte, user bool) (needSeg bool, err error) {
@@ -809,7 +773,7 @@ func (s *LogStore) appendLocked(file uint64, off int64, data []byte, user bool) 
 	s.sinceCkpt += int64(frameLen)
 	s.st.appendedBytes += int64(len(data))
 	if user {
-		s.appends.Add(1)
+		s.st.appends++
 		if s.oc != nil {
 			s.oc.appends.Inc()
 		}
@@ -875,23 +839,6 @@ func (s *LogStore) prepareSpare() error {
 	return err
 }
 
-// overlayWriteLocked applies a degraded-mode write to the in-memory
-// snapshot (MemStore growth semantics). mu held.
-func (s *LogStore) overlayWriteLocked(file uint64, off int64, data []byte) {
-	o := s.overlay[file]
-	if end := off + int64(len(data)); int64(len(o)) < end {
-		if end <= int64(cap(o)) {
-			o = o[:end]
-		} else {
-			grown := make([]byte, end, max(end, 2*int64(cap(o))))
-			copy(grown, o)
-			o = grown
-		}
-	}
-	copy(o[off:], data)
-	s.overlay[file] = o
-}
-
 // readOp is one pread a resolved read still owes: n bytes at pos of a
 // pinned segment into the caller's buffer at dst.
 type readOp struct {
@@ -912,17 +859,6 @@ func (s *LogStore) ReadAt(file uint64, off int64, p []byte) error {
 	s.mu.RLock()
 	if err := s.deadLocked(); err != nil {
 		s.mu.RUnlock()
-		return err
-	}
-	if s.deviceDown {
-		s.overlayFill.Wait()
-		var n int
-		if o := s.overlay[file]; off < int64(len(o)) {
-			n = copy(p, o[off:])
-		}
-		err := s.overlayErr
-		s.mu.RUnlock()
-		clear(p[n:])
 		return err
 	}
 	ops := s.resolveLocked(few[:0], file, off, int64(len(p)))
@@ -971,10 +907,6 @@ func (s *LogStore) Size(file uint64) (int64, error) {
 	if err := s.deadLocked(); err != nil {
 		return 0, err
 	}
-	if s.deviceDown {
-		s.overlayFill.Wait()
-		return int64(len(s.overlay[file])), s.overlayErr
-	}
 	if o := s.objects[file]; o != nil {
 		return o.size, nil
 	}
@@ -992,7 +924,7 @@ func (s *LogStore) Close() error {
 		s.maint <- struct{}{} // waits out a Compact in flight
 		defer func() { <-s.maint }()
 		s.mu.RLock()
-		flush := !s.crashed && !s.deviceDown
+		flush := !s.crashed
 		s.mu.RUnlock()
 		if flush {
 			if err := s.syncLog(0); err != nil {
@@ -1012,14 +944,14 @@ func (s *LogStore) Close() error {
 // closeSegments marks the store closed and closes every segment handle
 // in sequence order (so which close error wins is deterministic), each
 // once the reads pinning it have drained. Free files are closed and,
-// unless a simulated kill left the store for dead, deleted; and unless
-// the log is down, a segment that reused a retired file is first
-// truncated to its own length — with the store closed no append can
-// race that — so the next Open meets no earlier segment's records.
+// unless a simulated kill left the store for dead, deleted; and then a
+// segment that reused a retired file is first truncated to its own
+// length — with the store closed no append can race that — so the next
+// Open meets no earlier segment's records.
 func (s *LogStore) closeSegments() error {
 	s.mu.Lock()
 	s.closed = true
-	free, unlink, trim := s.free, !s.crashed, !s.crashed && !s.deviceDown
+	free, live := s.free, !s.crashed
 	s.free = nil
 	segs := make([]*segment, 0, len(s.segs)+1)
 	for _, seq := range sortedKeys(s.segs) {
@@ -1034,7 +966,7 @@ func (s *LogStore) closeSegments() error {
 	var first error
 	for _, seg := range segs {
 		seg.pins.Wait()
-		if trim && seg.reused {
+		if live && seg.reused {
 			if err := seg.f.Truncate(seg.size); err != nil && first == nil {
 				first = err
 			}
@@ -1045,64 +977,11 @@ func (s *LogStore) closeSegments() error {
 	}
 	for _, v := range free {
 		v.f.Close()
-		if unlink {
+		if live {
 			os.Remove(freePath(s.dir, v.seq))
 		}
 	}
 	return first
-}
-
-// FailDevice simulates the SSD log device failing under the store (the
-// fault plan's ssdfail clause): the current state is materialized into
-// memory while the device still answers, and every subsequent
-// operation is served from that snapshot — graceful degradation per
-// DESIGN §10, losing durability but never an acknowledged byte within
-// the process lifetime. The log freezes under the lock; the drain that
-// fills the snapshot runs outside it, and operations arriving meanwhile
-// wait for it (every one of them needs the snapshot). Safe to call more
-// than once.
-func (s *LogStore) FailDevice() error {
-	type drain struct {
-		ops []readOp
-		buf []byte
-	}
-	s.mu.Lock()
-	if s.logDownLocked() != nil {
-		s.mu.Unlock()
-		return nil
-	}
-	ids := sortedKeys(s.objects)
-	overlay := make(map[uint64][]byte, len(ids))
-	drains := make([]drain, 0, len(ids))
-	for _, id := range ids {
-		buf := make([]byte, s.objects[id].size)
-		overlay[id] = buf
-		drains = append(drains, drain{s.resolveLocked(nil, id, 0, int64(len(buf))), buf})
-	}
-	s.overlay = overlay
-	s.deviceDown = true
-	s.overlayFill.Add(1)
-	s.st.deviceFailures++
-	if s.oc != nil {
-		s.oc.deviceFailures.Inc()
-	}
-	s.mu.Unlock()
-	var err error
-	for _, d := range drains {
-		if rerr := readOps(d.ops, d.buf); rerr != nil && err == nil {
-			err = rerr
-		}
-	}
-	s.overlayErr = err
-	s.overlayFill.Done()
-	return err
-}
-
-// DeviceFailed reports degraded (in-memory) mode.
-func (s *LogStore) DeviceFailed() bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.deviceDown
 }
 
 // CrashAppend arms a simulated process kill: the n-th subsequent
@@ -1127,13 +1006,6 @@ func (s *LogStore) Crashed() bool {
 	return s.crashed
 }
 
-// RecordAppends returns the number of acknowledged user record appends
-// since Open (cleaner copies are not counted). pfsnet's data server
-// counts these toward the fault plan's ssdfail trigger, so write-count
-// fault specs apply to the logstore exactly as to the legacy fragment
-// log.
-func (s *LogStore) RecordAppends() int64 { return s.appends.Load() }
-
 // Generation returns the store generation stamped on new records.
 func (s *LogStore) Generation() uint64 {
 	s.mu.RLock()
@@ -1146,7 +1018,7 @@ func (s *LogStore) Stats() Stats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return Stats{
-		Appends:          s.appends.Load(),
+		Appends:          s.st.appends,
 		AppendedBytes:    s.st.appendedBytes,
 		LogBytes:         s.frameBytes,
 		LiveBytes:        s.liveBytes,
@@ -1162,7 +1034,6 @@ func (s *LogStore) Stats() Stats {
 		Rolls:            s.st.rolls,
 		RecycledSegments: s.st.recycledSegments,
 		Generation:       s.gen,
-		DeviceFailed:     s.deviceDown,
 		Crashed:          s.crashed,
 	}
 }

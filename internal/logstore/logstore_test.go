@@ -724,46 +724,6 @@ func TestSegmentMagic(t *testing.T) {
 	})
 }
 
-func TestFailDeviceDegradesGracefully(t *testing.T) {
-	dir := t.TempDir()
-	reg := obs.NewRegistry()
-	cfg := testConfig()
-	cfg.Obs = reg
-	s, err := Open(dir, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	sh := shadow{}
-	for i := range 10 {
-		data := fill(200, byte(i))
-		if err := s.WriteAt(uint64(i%2), int64(i*150), data); err != nil {
-			t.Fatal(err)
-		}
-		sh.write(uint64(i%2), int64(i*150), data)
-	}
-	if err := s.FailDevice(); err != nil {
-		t.Fatalf("FailDevice: %v", err)
-	}
-	if !s.DeviceFailed() {
-		t.Fatal("DeviceFailed = false")
-	}
-	// Acknowledged bytes survive within the process...
-	sh.verify(t, s)
-	// ...and the store keeps accepting I/O from the overlay.
-	if err := s.WriteAt(5, 10, fill(30, 50)); err != nil {
-		t.Fatal(err)
-	}
-	sh.write(5, 10, fill(30, 50))
-	sh.verify(t, s)
-	if err := s.FailDevice(); err != nil { // idempotent
-		t.Fatal(err)
-	}
-	if got := reg.CounterValues()["logstore.device_failures"]; got != 1 {
-		t.Fatalf("logstore.device_failures = %d, want 1", got)
-	}
-}
-
 func TestObsMetrics(t *testing.T) {
 	dir := t.TempDir()
 	reg := obs.NewRegistry()
@@ -788,23 +748,6 @@ func TestObsMetrics(t *testing.T) {
 	}
 }
 
-func TestRecordAppendsCounter(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	for i := range 7 {
-		if err := s.WriteAt(1, int64(i), []byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := s.RecordAppends(); got != 7 {
-		t.Fatalf("RecordAppends = %d, want 7", got)
-	}
-}
-
 func TestEmptyWriteIsNoop(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, testConfig())
@@ -818,8 +761,8 @@ func TestEmptyWriteIsNoop(t *testing.T) {
 	if n, err := s.Size(1); err != nil || n != 0 {
 		t.Fatalf("Size = %d, %v after empty write; want 0", n, err)
 	}
-	if got := s.RecordAppends(); got != 0 {
-		t.Fatalf("RecordAppends = %d after empty write, want 0", got)
+	if got := s.Stats().Appends; got != 0 {
+		t.Fatalf("Stats().Appends = %d after empty write, want 0", got)
 	}
 }
 

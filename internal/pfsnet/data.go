@@ -11,23 +11,6 @@ import (
 	"repro/internal/obs"
 )
 
-// DurableStore is the optional crash-consistency extension of
-// ObjectStore that logstore.LogStore implements. A data server whose
-// store satisfies it folds the store's record appends into the fault
-// plan's ssdfail write count (so `ssdfail=srvN@K` specs written against
-// the legacy fragment log apply unchanged to log-backed servers) and
-// fails the store's device together with the bridge log when the
-// scheduled failure trips.
-type DurableStore interface {
-	ObjectStore
-	// RecordAppends returns the number of acknowledged log-record
-	// appends since the store opened.
-	RecordAppends() int64
-	// FailDevice simulates the store's log device failing: the store
-	// degrades to serving from memory, losing durability but no bytes.
-	FailDevice() error
-}
-
 // DataServer stores the per-server striped objects and serves read/write
 // sub-requests over TCP. When Bridge is enabled, flagged sub-requests
 // (fragments and regular random requests) are appended to the fragment
@@ -42,9 +25,8 @@ type DurableStore interface {
 // runs outside both.
 type DataServer struct {
 	server
-	bridge  *bridge // the fragment log; never nil, inert when the server runs without iBridge
-	store   ObjectStore
-	durable DurableStore // non-nil when store is crash-consistent (logstore)
+	bridge *bridge // the fragment log; never nil, inert when the server runs without iBridge
+	store  ObjectStore
 
 	// SSD-device failure: when the fault plan schedules a device failure
 	// for this server (or FailSSD is called), the fragment log is
@@ -132,9 +114,6 @@ func NewDataServerConfig(addr string, cfg ServerConfig) (*DataServer, error) {
 	s.wm = newWireMetrics(cfg.Obs, "pfsnet.server.")
 	s.tracer = cfg.Tracer
 	s.server.dispatch = s.dispatch
-	if ds, ok := store.(DurableStore); ok {
-		s.durable = ds
-	}
 	if n, ok := cfg.FaultPlan.SSDFailWrites(cfg.FaultScope); ok {
 		s.ssdFailAfter = n
 	}
@@ -244,7 +223,7 @@ func (s *DataServer) handleWrite(payload []byte) error {
 		// whatever older fragments it overlapped.
 		s.ctr.fragmentWrites.Add(1)
 		s.ctr.logBytes.Add(int64(len(data)))
-		if s.ssdFailAfter > 0 && s.ssdWriteCount() >= s.ssdFailAfter {
+		if s.ssdFailAfter > 0 && s.ctr.fragmentWrites.Load() >= s.ssdFailAfter {
 			// The scheduled device failure trips on this write: drain the
 			// log (this write included) and degrade to the direct path.
 			return s.FailSSD()
@@ -255,52 +234,23 @@ func (s *DataServer) handleWrite(payload []byte) error {
 	// (and waits out a write-back of that range already in flight, so
 	// older bytes cannot land over it).
 	s.bridge.punch(file, off, int64(len(data)))
-	if err := s.store.WriteAt(file, off, data); err != nil {
-		return err
-	}
-	// Log-backed stores append a record per write, and those appends
-	// count toward the scheduled device failure exactly like legacy
-	// fragment-log writes — `ssdfail=srvN@K` fault specs apply
-	// unchanged whichever store backs the server.
-	if s.durable != nil && s.ssdFailAfter > 0 && !s.SSDFailed() && s.ssdWriteCount() >= s.ssdFailAfter {
-		return s.FailSSD()
-	}
-	return nil
-}
-
-// ssdWriteCount is the write count the fault plan's ssdfail trigger
-// compares against: bridge fragment-log writes plus — for a
-// crash-consistent store — the store's own record appends.
-func (s *DataServer) ssdWriteCount() int64 {
-	n := s.ctr.fragmentWrites.Load()
-	if s.durable != nil {
-		n += s.durable.RecordAppends()
-	}
-	return n
+	return s.store.WriteAt(file, off, data)
 }
 
 // FailSSD fails this server's SSD (fragment log) device immediately:
 // the log takes no more writes, is drained back to the object store
 // once, and all further flagged writes take the direct path — graceful
 // degradation, the pfsnet analogue of the sim bridge handing fragments
-// back to the HDD. Safe to call more than once.
+// back to the HDD. Only the fragment log fails: the object store (the
+// disk) keeps serving and stays as durable as it was. Safe to call more
+// than once.
 func (s *DataServer) FailSSD() error {
 	if !s.bridge.fail() {
 		return nil
 	}
 	s.plan.NoteSSDFail()
-	if _, err := s.flush(0, true); err != nil {
-		return err
-	}
-	if s.durable != nil {
-		// The same simulated device backs the bridge log and the
-		// durable store, so the store's log fails with it: the drained
-		// fragments above landed while the device still answered, and
-		// the store now degrades to its in-memory overlay (DESIGN §10 —
-		// durability lost, bytes kept).
-		return s.durable.FailDevice()
-	}
-	return nil
+	_, err := s.flush(0, true)
+	return err
 }
 
 // SSDFailed reports whether the SSD device has failed (by schedule or

@@ -265,20 +265,11 @@ func TestMalformedHello(t *testing.T) {
 	dialV2(t, ds.Addr())
 }
 
-// discardStore is an ObjectStore that keeps nothing: writes vanish and
-// reads zero-fill, so a fuzzed offset costs no memory.
-type discardStore struct{}
-
-func (discardStore) WriteAt(uint64, int64, []byte) error      { return nil }
-func (discardStore) ReadAt(_ uint64, _ int64, p []byte) error { clear(p); return nil }
-func (discardStore) Size(uint64) (int64, error)               { return 0, nil }
-func (discardStore) Close() error                             { return nil }
-
 // FuzzDataDispatch feeds arbitrary requests to a data server's dispatch,
-// bridge on, over a store that keeps nothing. Each request must be
-// answered opOK or opError, never panic. A fragment write the server
-// acknowledges sits in the fragment log, so it must read back: a server
-// must not acknowledge a range it cannot serve.
+// bridge on, over a MemStore. Each request must be answered opOK or
+// opError, never panic. A write the server acknowledges, into the
+// fragment log or the store, must read back: a server must not
+// acknowledge a range it cannot serve.
 func FuzzDataDispatch(f *testing.F) {
 	f.Add(opWrite, writeReq(1, 4096, 1, []byte("fragment")))
 	f.Add(opWrite, writeReq(1, 0, 0, []byte("direct")))
@@ -292,7 +283,7 @@ func FuzzDataDispatch(f *testing.F) {
 	f.Add(opFlush, []byte{0, 0, 0, 0, 0, 0, 0, 0})
 	f.Add(byte(0xEE), []byte{9})
 	f.Fuzz(func(t *testing.T, op byte, payload []byte) {
-		s := &DataServer{bridge: newBridge(true), store: discardStore{}}
+		s := &DataServer{bridge: newBridge(true), store: NewMemStore()}
 		w := newVecWriter(io.Discard, nil)
 		rop, _, _ := s.dispatch(w, op, payload)
 		if rop != opOK && rop != opError {
@@ -303,13 +294,13 @@ func FuzzDataDispatch(f *testing.F) {
 		}
 		d := dec{b: payload}
 		file, off, flags, data := d.u64(), d.i64(), d.u8(), d.bytes()
-		if flags&1 == 0 || int64(len(data)) > maxReadLen {
+		if int64(len(data)) > maxReadLen {
 			return
 		}
 		rop, _, got := s.dispatch(w, opRead, readReq(file, off, int64(len(data))))
 		if rop != opOK || !bytes.Equal(got[4:], data) {
-			t.Fatalf("fragment write [%d,+%d) acknowledged, but its read back got op %d or other bytes",
-				off, len(data), rop)
+			t.Fatalf("write [%d,+%d) flags %d acknowledged, but its read back got op %d or other bytes",
+				off, len(data), flags, rop)
 		}
 	})
 }

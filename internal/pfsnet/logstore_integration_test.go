@@ -2,21 +2,24 @@ package pfsnet
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"repro/internal/faults"
 	"repro/internal/logstore"
 )
 
-// These tests pin the DurableStore integration: a data server backed by
-// internal/logstore must honor `ssdfail=SCOPE@N` fault specs by
-// counting the store's record appends (not only legacy fragment-log
-// writes), fail the store's device together with the bridge log, and
-// keep serving every acknowledged byte afterwards.
+// These tests pin a data server over internal/logstore: the store is the
+// disk, so it keeps every acknowledged byte across a restart whatever
+// happens to the fragment log (the SSD), and `ssdfail=SCOPE@N` fails the
+// fragment log alone after N fragment-log writes.
 
-func newLogBackedServer(t *testing.T, bridge bool, plan *faults.Plan, scope string) (*DataServer, *logstore.LogStore) {
+// newLogBackedServer starts a data server over a log store in dir and a
+// metadata server striping over it, and returns them with a client
+// that flags writes under 20 KiB as fragments.
+func newLogBackedServer(t *testing.T, dir string, bridge bool, plan *faults.Plan) (*DataServer, *Client) {
 	t.Helper()
-	ls, err := logstore.Open(t.TempDir(), logstore.Config{NoCompactor: true})
+	ls, err := logstore.Open(dir, logstore.Config{NoCompactor: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,128 +27,142 @@ func newLogBackedServer(t *testing.T, bridge bool, plan *faults.Plan, scope stri
 		Bridge:     bridge,
 		Store:      ls,
 		FaultPlan:  plan,
-		FaultScope: scope,
+		FaultScope: "srv0",
 	})
 	if err != nil {
+		ls.Close()
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ds.Close() })
-	return ds, ls
-}
-
-// TestSSDFailCountsLogstoreAppends: with bridge off, every write is a
-// direct-path store append — the legacy fragment-write counter never
-// moves, so only the record-append accounting can trip the scheduled
-// failure.
-func TestSSDFailCountsLogstoreAppends(t *testing.T) {
-	plan, err := faults.Parse("seed=1; ssdfail=srv0@5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds, ls := newLogBackedServer(t, false, plan, "srv0")
-	ms, err := NewMetaServer("127.0.0.1:0", 4096, []string{ds.Addr()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ms.Close() })
-	c := NewClient(ms.Addr())
-	defer c.Close()
-	f, err := c.Create("data", 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	block := func(i int) []byte {
-		return bytes.Repeat([]byte{byte(i + 1)}, 512)
-	}
-	for i := 0; i < 8; i++ {
-		if err := c.WriteAt(f, int64(i)*512, block(i)); err != nil {
-			t.Fatalf("write %d: %v", i, err)
-		}
-	}
-	if !ds.SSDFailed() {
-		t.Fatal("server SSD not failed after 8 direct-path appends with ssdfail=srv0@5")
-	}
-	if !ls.DeviceFailed() {
-		t.Fatal("logstore device not failed with the server SSD")
-	}
-	if ds.Stats().FragmentWrites != 0 {
-		t.Fatalf("FragmentWrites = %d on a non-bridge server", ds.Stats().FragmentWrites)
-	}
-	// Degraded, not broken: every acknowledged byte still reads back,
-	// and new writes land in the overlay.
-	got := make([]byte, 512)
-	for i := 0; i < 8; i++ {
-		if err := c.ReadAt(f, int64(i)*512, got); err != nil {
-			t.Fatalf("read %d: %v", i, err)
-		}
-		if !bytes.Equal(got, block(i)) {
-			t.Fatalf("block %d corrupted after device failure", i)
-		}
-	}
-	if err := c.WriteAt(f, 8*512, block(8)); err != nil {
-		t.Fatalf("post-failure write: %v", err)
-	}
-	if err := c.ReadAt(f, 8*512, got); err != nil || !bytes.Equal(got, block(8)) {
-		t.Fatalf("post-failure write not readable: %v", err)
-	}
-}
-
-// TestSSDFailBridgeAndLogstoreShareBudget: on a bridge server the
-// fragment-log writes and the store's record appends share one ssdfail
-// budget, and tripping it drains the bridge log into the store before
-// the store's device fails — no acknowledged byte lost.
-func TestSSDFailBridgeAndLogstoreShareBudget(t *testing.T) {
-	plan, err := faults.Parse("seed=1; ssdfail=srv0@6")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds, ls := newLogBackedServer(t, true, plan, "srv0")
 	ms, err := NewMetaServer("127.0.0.1:0", 64*1024, []string{ds.Addr()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ms.Close() })
-	// Fragment threshold 20KB: small writes inside a striped parent are
-	// flagged and land in the bridge log; Flush drains them through the
-	// store (appending records that count toward the same budget).
 	c := NewIBridgeClient(ms.Addr(), 20*1024, 20*1024)
-	defer c.Close()
+	t.Cleanup(func() { c.Close() })
+	return ds, c
+}
+
+// TestSSDFailKeepsStoreDurable trips the scheduled SSD failure with
+// fragment writes, then overwrites a drained fragment, writes past it
+// and creates a new object on the direct path. Every acknowledged byte
+// must be in the log store after the server closes and the store
+// reopens: failing the SSD must not take the disk's durability with it.
+func TestSSDFailKeepsStoreDurable(t *testing.T) {
+	const k = 4
+	dir := t.TempDir()
+	ds, c := newLogBackedServer(t, dir, true, faults.MustParse(fmt.Sprintf("seed=1; ssdfail=srv0@%d", k)))
+	want := map[*File][]byte{} // each file's acknowledged bytes, from offset 0
+	write := func(f *File, off int64, data []byte) {
+		t.Helper()
+		if err := c.WriteAt(f, off, data); err != nil {
+			t.Fatalf("write [%d,+%d): %v", off, len(data), err)
+		}
+		w := want[f]
+		if end := off + int64(len(data)); int64(len(w)) < end {
+			w = append(w, make([]byte, end-int64(len(w)))...)
+		}
+		copy(w[off:], data)
+		want[f] = w
+	}
 	f, err := c.Create("data", 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload := bytes.Repeat([]byte{0xA5}, 1024)
-	for i := 0; i < 4; i++ {
-		if err := c.WriteAt(f, int64(i)*1024, payload); err != nil {
-			t.Fatalf("fragment write %d: %v", i, err)
+	for i := range k + 2 {
+		write(f, int64(i)*4096, bytes.Repeat([]byte{'A' + byte(i)}, 1024))
+	}
+	if !ds.SSDFailed() {
+		t.Fatalf("SSD not failed after %d fragment writes with ssdfail=srv0@%d", k+2, k)
+	}
+	if n := ds.Stats().FragmentWrites; n != k {
+		t.Fatalf("FragmentWrites = %d, want %d: writes past the trip must take the direct path", n, k)
+	}
+	write(f, 0, bytes.Repeat([]byte{'Z'}, 2048))           // over a drained fragment
+	write(f, 128*1024, bytes.Repeat([]byte{'D'}, 64*1024)) // a full stripe unit
+	g, err := c.Create("after", 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	write(g, 512, bytes.Repeat([]byte{'N'}, 3000))
+	if err := ds.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	ls, err := logstore.Open(dir, logstore.Config{NoCompactor: true})
+	if err != nil {
+		t.Fatalf("reopen store: %v", err)
+	}
+	defer ls.Close()
+	// With one data server, file f is object f.ID at the same offsets.
+	for _, file := range []*File{f, g} {
+		w := want[file]
+		if n, err := ls.Size(uint64(file.ID)); err != nil || n != int64(len(w)) {
+			t.Fatalf("%s: Size = %d, %v after reopen; want %d", file.Name, n, err, len(w))
+		}
+		got := make([]byte, len(w))
+		if err := ls.ReadAt(uint64(file.ID), 0, got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, w) {
+			t.Fatalf("%s: acknowledged bytes differ after reopen", file.Name)
 		}
 	}
-	if _, err := c.Flush(f); err != nil {
-		t.Fatalf("flush: %v", err)
-	}
-	if ds.Stats().FragmentWrites == 0 {
-		t.Fatal("no fragment writes recorded — bridge path not exercised")
-	}
-	// The drain's record appends plus the fragment writes crossed the
-	// budget of 6; keep writing until the trip is visible (the check
-	// happens on write paths).
-	for i := 4; i < 12 && !ds.SSDFailed(); i++ {
-		if err := c.WriteAt(f, int64(i)*1024, payload); err != nil {
-			t.Fatalf("write %d: %v", i, err)
+}
+
+// TestSSDFailCountsFragmentWritesOnly: `ssdfail=srv0@K` counts writes
+// into the fragment log, not writes to the store. K direct writes on a
+// bridge server, and any number on a server without the bridge, leave
+// the SSD up; the K-th fragment write fails it.
+func TestSSDFailCountsFragmentWritesOnly(t *testing.T) {
+	const k = 5
+	spec := fmt.Sprintf("seed=1; ssdfail=srv0@%d", k)
+	unit := bytes.Repeat([]byte{0x3C}, 64*1024)
+
+	t.Run("bridge", func(t *testing.T) {
+		ds, c := newLogBackedServer(t, t.TempDir(), true, faults.MustParse(spec))
+		f, err := c.Create("data", 1<<20)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if !ds.SSDFailed() || !ls.DeviceFailed() {
-		t.Fatalf("SSDFailed=%v DeviceFailed=%v after budget crossed", ds.SSDFailed(), ls.DeviceFailed())
-	}
-	got := make([]byte, 1024)
-	for i := 0; i < 4; i++ {
-		if err := c.ReadAt(f, int64(i)*1024, got); err != nil {
-			t.Fatalf("read %d: %v", i, err)
+		for i := range 2 * k {
+			if err := c.WriteAt(f, int64(i)*int64(len(unit)), unit); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if !bytes.Equal(got, payload) {
-			t.Fatalf("fragment %d lost across drain + device failure", i)
+		if st := ds.Stats(); st.FragmentWrites != 0 || ds.SSDFailed() {
+			t.Fatalf("after %d direct writes: FragmentWrites = %d, SSDFailed = %v; want 0, false", 2*k, st.FragmentWrites, ds.SSDFailed())
 		}
-	}
+		small := bytes.Repeat([]byte{0xA5}, 1024)
+		for i := range k {
+			if ds.SSDFailed() {
+				t.Fatalf("SSD failed after %d fragment writes, want %d", i, k)
+			}
+			if err := c.WriteAt(f, int64(i)*4096, small); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !ds.SSDFailed() {
+			t.Fatalf("SSD up after %d fragment writes with %s", k, spec)
+		}
+	})
+	t.Run("no-bridge", func(t *testing.T) {
+		ds, c := newLogBackedServer(t, t.TempDir(), false, faults.MustParse(spec))
+		f, err := c.Create("data", 1<<20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		small := bytes.Repeat([]byte{0x5A}, 1024)
+		for i := range 4 * k {
+			if err := c.WriteAt(f, int64(i)*4096, small); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if st := ds.Stats(); st.FragmentWrites != 0 || ds.SSDFailed() {
+			t.Fatalf("bridge off, %d writes: FragmentWrites = %d, SSDFailed = %v; want 0, false", 4*k, st.FragmentWrites, ds.SSDFailed())
+		}
+	})
 }
 
 // TestLogBackedServerSurvivesRestart: the crash-consistency story the

@@ -26,17 +26,29 @@ type ObjectStore interface {
 	Close() error
 }
 
-// MemStore is the default in-memory object store. Reads take the lock
-// shared, so server connections reading different (or the same) objects
-// concurrently do not serialize.
+// memPageBytes is the size of one MemStore page.
+const memPageBytes = 64 << 10
+
+// MemStore is the default in-memory object store. An object is a set of
+// fixed-size pages keyed by page index, plus its length, so memory
+// follows the bytes written, not the offsets they land at: a write far
+// past an object's end allocates only the pages it touches. Reads take
+// the lock shared, so server connections reading different (or the
+// same) objects concurrently do not serialize.
 type MemStore struct {
 	mu      sync.RWMutex
-	objects map[uint64][]byte
+	objects map[uint64]*memObject
+}
+
+// memObject is one object of a MemStore.
+type memObject struct {
+	size  int64                         // the furthest byte any write reached
+	pages map[int64]*[memPageBytes]byte // page index -> page; absent pages read as zeros
 }
 
 // NewMemStore returns an empty in-memory store.
 func NewMemStore() *MemStore {
-	return &MemStore{objects: make(map[uint64][]byte)}
+	return &MemStore{objects: make(map[uint64]*memObject)}
 }
 
 // WriteAt implements ObjectStore.
@@ -47,24 +59,28 @@ func (s *MemStore) WriteAt(file uint64, off int64, data []byte) error {
 	if int64(len(data)) > math.MaxInt64-off {
 		return fmt.Errorf("pfsnet: write [%d,+%d) overflows int64", off, len(data))
 	}
+	if len(data) == 0 {
+		return nil
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	o := s.objects[file]
-	if end := off + int64(len(data)); int64(len(o)) < end {
-		if end <= int64(cap(o)) {
-			o = o[:end]
-		} else {
-			// Grow geometrically: objects extend one sub-request at a
-			// time, and reallocating the whole object per write would
-			// make appending N bytes cost O(N²) copying.
-			newCap := max(end, 2*int64(cap(o)))
-			grown := make([]byte, end, newCap)
-			copy(grown, o)
-			o = grown
-		}
+	if o == nil {
+		o = &memObject{pages: make(map[int64]*[memPageBytes]byte)}
+		s.objects[file] = o
 	}
-	copy(o[off:], data)
-	s.objects[file] = o
+	o.size = max(o.size, off+int64(len(data)))
+	for len(data) > 0 {
+		idx, at := off/memPageBytes, off%memPageBytes
+		pg := o.pages[idx]
+		if pg == nil {
+			pg = new([memPageBytes]byte)
+			o.pages[idx] = pg
+		}
+		n := copy(pg[at:], data)
+		data = data[n:]
+		off += int64(n)
+	}
 	return nil
 }
 
@@ -76,8 +92,19 @@ func (s *MemStore) ReadAt(file uint64, off int64, p []byte) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	clear(p)
-	if o := s.objects[file]; off < int64(len(o)) {
-		copy(p, o[off:])
+	o := s.objects[file]
+	if o == nil || off >= o.size {
+		return nil
+	}
+	p = p[:min(int64(len(p)), o.size-off)]
+	for len(p) > 0 {
+		idx, at := off/memPageBytes, off%memPageBytes
+		n := min(int64(len(p)), memPageBytes-at)
+		if pg := o.pages[idx]; pg != nil {
+			copy(p, pg[at:at+n])
+		}
+		p = p[n:]
+		off += n
 	}
 	return nil
 }
@@ -86,7 +113,10 @@ func (s *MemStore) ReadAt(file uint64, off int64, p []byte) error {
 func (s *MemStore) Size(file uint64) (int64, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return int64(len(s.objects[file])), nil
+	if o := s.objects[file]; o != nil {
+		return o.size, nil
+	}
+	return 0, nil
 }
 
 // Close implements ObjectStore.

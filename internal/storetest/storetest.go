@@ -43,6 +43,7 @@ func Run(t *testing.T, factory Factory) {
 	t.Run("Overwrite", func(t *testing.T) { testOverwrite(t, factory) })
 	t.Run("NegativeOffsets", func(t *testing.T) { testNegativeOffsets(t, factory) })
 	t.Run("OverflowingWrite", func(t *testing.T) { testOverflowingWrite(t, factory) })
+	t.Run("FarOffset", func(t *testing.T) { testFarOffset(t, factory) })
 	t.Run("ObjectIsolation", func(t *testing.T) { testIsolation(t, factory) })
 	t.Run("ConcurrentReaders", func(t *testing.T) { testConcurrentReaders(t, factory) })
 	t.Run("ConcurrentMixed", func(t *testing.T) { testConcurrentMixed(t, factory) })
@@ -192,6 +193,28 @@ func testOverflowingWrite(t *testing.T, factory Factory) {
 	mustWrite(t, s, 1, 0, want)
 	if got := mustRead(t, s, 1, 0, len(want)); !bytes.Equal(got, want) {
 		t.Fatal("store diverges after a rejected overflowing write")
+	}
+}
+
+// testFarOffset writes a few bytes at an offset no memory or disk could
+// hold densely: the store must take them at the cost of the bytes
+// written, report the size they reach, read them back, and read the
+// hole below them as zeros.
+func testFarOffset(t *testing.T, factory Factory) {
+	s := factory(t)
+	defer s.Close()
+	const off = int64(1) << 62
+	want := []byte{0xDE, 0xAD, 0xBE, 0xEF}
+	mustWrite(t, s, 1, off, want)
+	if n, err := s.Size(1); err != nil || n != off+int64(len(want)) {
+		t.Fatalf("Size after a write at 1<<62 = %d, %v; want %d", n, err, off+int64(len(want)))
+	}
+	if got := mustRead(t, s, 1, off, len(want)); !bytes.Equal(got, want) {
+		t.Fatalf("read at 1<<62 = %x, want %x", got, want)
+	}
+	got := mustRead(t, s, 1, off-8, 8+len(want))
+	if !bytes.Equal(got[:8], make([]byte, 8)) || !bytes.Equal(got[8:], want) {
+		t.Fatalf("read across the hole below 1<<62 = %x, want 8 zero bytes then %x", got, want)
 	}
 }
 
