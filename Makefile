@@ -81,12 +81,16 @@ bench-smoke:
 # crashes a logstore mid-append on every Kth write, reopens, replays,
 # and byte-verifies — its RECOVERY SUMMARY stays in recovery-summary.txt
 # for the CI artifact upload and must also be run-to-run identical.
+# Both summaries must also equal their committed copies in testdata/, so
+# a change to any retry, breaker or recovery count updates a golden
+# file on purpose.
 CHAOS_PLAN = seed=42; reset=1%; crash=srv1@60+60
 chaos-smoke:
 	$(GO) run ./examples/livecluster -faults '$(CHAOS_PLAN)' -spans-dir chaos-spans | sed -n '/CHAOS SUMMARY/,$$p' > chaos-run1.txt
 	$(GO) run ./examples/livecluster -faults '$(CHAOS_PLAN)' | sed -n '/CHAOS SUMMARY/,$$p' > chaos-run2.txt
 	@grep -q 'chaos: completed, data verified' chaos-run1.txt || { echo "chaos-smoke: run did not complete"; exit 1; }
 	@diff chaos-run1.txt chaos-run2.txt || { echo "chaos-smoke: summaries differ across identical runs"; exit 1; }
+	@diff testdata/chaos-summary.golden chaos-run1.txt || { echo "chaos-smoke: summary differs from testdata/chaos-summary.golden"; exit 1; }
 	$(GO) run ./cmd/ibridge-trace -merge -o chaos-trace.json chaos-spans/*.spans
 	@echo "chaos-smoke: log-store cluster byte-verified, reproducible:"; cat chaos-run1.txt
 	@echo "chaos-smoke: merged trace in chaos-trace.json (load in chrome://tracing)"
@@ -95,6 +99,7 @@ chaos-smoke:
 	$(GO) run ./cmd/logstore-chaos | sed -n '/RECOVERY SUMMARY/,$$p' > recovery-run2.txt
 	@grep -q 'zero data loss' recovery-summary.txt || { echo "chaos-smoke: recovery loop did not complete"; exit 1; }
 	@diff recovery-summary.txt recovery-run2.txt || { echo "chaos-smoke: recovery summaries differ across identical runs"; exit 1; }
+	@diff testdata/recovery-summary.golden recovery-summary.txt || { echo "chaos-smoke: recovery summary differs from testdata/recovery-summary.golden"; exit 1; }
 	@echo "chaos-smoke: kill-at-every-Kth-op recovery loop byte-verified, reproducible:"; cat recovery-summary.txt
 	@rm -f recovery-run2.txt
 

@@ -12,8 +12,7 @@
 // -store selects the backing object store: "mem" (default, volatile)
 // or "log" (internal/logstore: append-only checksummed log under
 // -store-dir with checkpointed journal replay — survives kill -9
-// mid-write; see DESIGN §14). -checkpoint-bytes tunes how much appended
-// log triggers a mapping-table checkpoint for the log store.
+// mid-write; see DESIGN §14).
 //
 // SIGINT or SIGTERM shuts the server down cleanly: it drains the
 // fragment log into the store and closes the store, and exits non-zero
@@ -62,7 +61,6 @@ func main() {
 		ibridge    = flag.Bool("ibridge", false, "enable the iBridge fragment log")
 		storeKind  = flag.String("store", "mem", "backing store: mem or log (crash-consistent; see DESIGN §14)")
 		storeDir   = flag.String("store-dir", "", "directory for the log store")
-		ckptBytes  = flag.Int64("checkpoint-bytes", 0, "log store: install a mapping-table checkpoint after this many appended log bytes (0 = default 4MiB, <0 = only on open/close)")
 		stats      = flag.Duration("stats", 0, "print server statistics at this interval (0 = never)")
 		debugAddr  = flag.String("debug-addr", "", "serve expvar metrics over HTTP at this address (/debug/vars)")
 		spanFile   = flag.String("span-file", "", "write this server's trace spans (JSON lines) to this file at shutdown; merge with 'ibridge-trace -merge'")
@@ -102,10 +100,9 @@ func main() {
 			log.Fatal("pfs-server: -store log requires -store-dir")
 		}
 		ls, err := logstore.Open(sdir, logstore.Config{
-			CheckpointBytes: *ckptBytes,
-			Obs:             reg,
-			Tracer:          tracer,
-			Scope:           *faultScope,
+			Obs:    reg,
+			Tracer: tracer,
+			Scope:  *faultScope,
 		})
 		if err != nil {
 			log.Fatalf("pfs-server: %v", err)

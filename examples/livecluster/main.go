@@ -13,8 +13,10 @@
 // sequence of writes, re-issues any that failed while a server was down,
 // and verifies every byte at the end. Each data server keeps its objects
 // in a crash-consistent log store (internal/logstore) that outlives its
-// crashes. The chaos summary it prints is reproducible from the plan
-// seed:
+// crashes. The client injects the plan's connection faults under the
+// scope "client" and draws its retry jitter from the plan seed, so the
+// chaos summary it prints is reproducible from that seed; `make
+// chaos-smoke` compares it with testdata/chaos-summary.golden:
 //
 //	go run ./examples/livecluster -faults 'seed=42; reset=1%; crash=srv1@60+60'
 //
@@ -240,10 +242,7 @@ func chaos(plan *faults.Plan, ops int, spansDir string) {
 	client.Obs = reg
 	client.Tracer = clientTracer
 	client.FaultPlan = plan
-	client.FaultScope = "client"
-	client.Seed = plan.Seed()
 	client.IOTimeout = 5 * time.Second
-	client.RetryBackoff = time.Millisecond
 	defer client.Close()
 
 	f, err := client.Create("chaos", int64(ops)*blockLen+stripeUnit)

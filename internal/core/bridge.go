@@ -33,8 +33,6 @@ type Bridge struct {
 
 	stage []stageItem
 
-	journal journal
-
 	// ssdFailed latches after an injected SSD-device failure: the cache
 	// is drained and dropped once, and every later request takes the
 	// disk path — graceful degradation, never data loss.
@@ -286,7 +284,7 @@ func (b *Bridge) serveWrite(p *sim.Proc, r *pfs.IORequest) {
 func (b *Bridge) writeToSSD(p *sim.Proc, r *pfs.IORequest, ret float64, c Class) bool {
 	need := r.Sectors
 	if b.cfg.TablePersist {
-		need++ // journalled mapping-table record rides along
+		need++ // the mapping-table record rides along
 	}
 	if !b.makeRoom(p, c, need) {
 		return false
@@ -298,19 +296,17 @@ func (b *Bridge) writeToSSD(p *sim.Proc, r *pfs.IORequest, ret float64, c Class)
 		return false
 	}
 	b.ssdQ.Submit(p, device.Request{Op: device.Write, LBN: at, Sectors: need})
-	// The mapping covers the data sectors only; the journalled table
-	// record (if any) is allocator overhead owned by the entry's span.
+	// The mapping covers the data sectors only; the table record (if
+	// any) is allocator overhead owned by the entry's span.
 	// Admissions of the range that landed during the write are older
 	// than this one: the insert supersedes them.
 	b.admit(&entry{lbn: r.LBN, sectors: r.Sectors, dirty: true, class: c, ret: ret, spanAt: at, spanN: need})
 	return true
 }
 
-// admit links a fully initialized entry into the table and accounting,
-// journalling the mapping (the paper's immediate table persistence).
+// admit links a fully initialized entry into the table and accounting.
 func (b *Bridge) admit(e *entry) {
 	b.table.insert(e)
-	b.journal.insert(e)
 	b.stats.Admissions[e.class]++
 	u := (b.table.usage[0] + b.table.usage[1]) * device.SectorSize
 	if u > b.stats.PeakUsage {
@@ -338,7 +334,6 @@ func (b *Bridge) makeRoom(p *sim.Proc, c Class, need int64) bool {
 		}
 		// A write during the writeback may have superseded the victim.
 		if b.table.evict(victim) {
-			b.journal.mark(jEvict, victim)
 			b.stats.Evictions++
 			if b.m != nil {
 				b.m.Evictions.Inc()
@@ -353,9 +348,7 @@ func (b *Bridge) makeRoom(p *sim.Proc, c Class, need int64) bool {
 // allocator span until their last sector goes; the usage counters govern
 // partition pressure.
 func (b *Bridge) invalidate(lbn, sectors int64) {
-	if b.table.punch(lbn, sectors) {
-		b.journal.drop(lbn, sectors)
-	}
+	b.table.punch(lbn, sectors)
 }
 
 // writebackEntry copies the live pieces of one dirty entry from the SSD
@@ -372,9 +365,7 @@ func (b *Bridge) writebackEntry(p *sim.Proc, e *entry) {
 		b.diskQ.Submit(p, device.Request{Op: device.Write, LBN: x.Off, Sectors: x.N})
 		b.stats.WritebackBytes += x.N * device.SectorSize
 	}
-	if b.table.markClean(e) {
-		b.journal.mark(jClean, e)
-	}
+	b.table.markClean(e)
 	if b.m != nil {
 		b.m.Writebacks.Inc()
 	}
@@ -503,9 +494,7 @@ func (b *Bridge) FailSSD(p *sim.Proc) {
 	}
 	b.Flush(p)
 	for len(b.table.list) > 0 {
-		e := b.table.entries[b.table.list[0].Seg]
-		b.table.evict(e)
-		b.journal.mark(jEvict, e)
+		b.table.evict(b.table.entries[b.table.list[0].Seg])
 	}
 	b.stage = b.stage[:0]
 	b.ssdFailed = true
@@ -522,5 +511,39 @@ func (b *Bridge) SSDFailed() bool { return b.ssdFailed }
 // total the mapping table keeps, equal at every instant to the sum over
 // its dirty entries (Snapshot recomputes that sum the long way).
 func (b *Bridge) DirtySectors() int64 { return b.table.dirtySectors }
+
+// TableState is the mapping table as Snapshot reports it.
+type TableState struct {
+	// Extents is the mapping table in LBN order.
+	Extents []TableExtent
+	// DirtySectors counts sectors whose only copy is in the SSD.
+	DirtySectors int64
+}
+
+// TableExtent is one mapping-table extent.
+type TableExtent struct {
+	LBN     int64
+	Sectors int64
+	SSDLBN  int64
+	Dirty   bool
+	Class   Class
+}
+
+// Snapshot returns the mapping table extent by extent. Its DirtySectors
+// is summed over the extents: the reference the running total is
+// tested against.
+func (b *Bridge) Snapshot() TableState {
+	var out TableState
+	for _, x := range b.table.list {
+		e := b.table.entries[x.Seg]
+		out.Extents = append(out.Extents, TableExtent{
+			LBN: x.Off, Sectors: x.N, SSDLBN: x.Pos, Dirty: e.dirty, Class: e.class,
+		})
+		if e.dirty {
+			out.DirtySectors += x.N
+		}
+	}
+	return out
+}
 
 var _ pfs.Store = (*Bridge)(nil)

@@ -20,7 +20,7 @@ type entry struct {
 	class   Class
 	ret     float64 // recorded return value at admission
 	// spanAt/spanN record the allocator span the entry owns: its data
-	// at spanAt, plus any journalled table record.
+	// at spanAt, plus any persisted table record.
 	spanAt, spanN int64
 	// LRU links (nil-terminated, per class).
 	prev, next *entry
@@ -171,8 +171,7 @@ type table struct {
 	// extent: the place firstDirty resumes from. A dirty insert lowers
 	// it; firstDirty raises it to what it found.
 	dirtyFrom int64
-	// alloc takes back an entry's span when the entry goes; nil when
-	// the table is a journal replay.
+	// alloc takes back an entry's span when the entry goes.
 	alloc  *logAlloc
 	onDead extent.Dead     // t.unmapped, bound once
 	pieces []extent.Extent // evict's buffer
@@ -217,18 +216,11 @@ func (t *table) unmapped(id uint64, n int64) {
 	t.lru[e.class].remove(e)
 	t.retSum[e.class] -= e.ret
 	t.retCnt[e.class]--
-	if t.alloc != nil {
-		t.alloc.release(e.spanAt, e.spanN)
-	}
+	t.alloc.release(e.spanAt, e.spanN)
 }
 
-// punch unmaps [lbn, lbn+sectors) and reports whether anything was
-// mapped there.
-func (t *table) punch(lbn, sectors int64) bool {
-	before := t.usage[0] + t.usage[1]
-	t.list.Punch(lbn, sectors, t.onDead)
-	return t.usage[0]+t.usage[1] != before
-}
+// punch unmaps [lbn, lbn+sectors).
+func (t *table) punch(lbn, sectors int64) { t.list.Punch(lbn, sectors, t.onDead) }
 
 // livePieces appends to buf the extents still mapped to e, in disk
 // order.
@@ -248,15 +240,13 @@ func (t *table) evict(e *entry) bool {
 	return true
 }
 
-// markClean clears e's dirty flag and reports whether e was dirty and
-// still cached.
-func (t *table) markClean(e *entry) bool {
-	if !e.dirty || e.live == 0 {
-		return false
+// markClean clears e's dirty flag; its live sectors leave the dirty
+// total.
+func (t *table) markClean(e *entry) {
+	if e.dirty {
+		e.dirty = false
+		t.dirtySectors -= e.live
 	}
-	e.dirty = false
-	t.dirtySectors -= e.live
-	return true
 }
 
 // firstDirty returns the entry owning the dirty extent with the lowest

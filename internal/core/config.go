@@ -66,7 +66,7 @@ type Config struct {
 	// ablation), paying the SSD's random-write penalty.
 	LogStructured bool
 	// TablePersist models the mapping table's dirty-entry updates
-	// being journalled with each SSD write (one extra sector appended
+	// being persisted with each SSD write (one extra sector appended
 	// to the log record).
 	TablePersist bool
 	// ReportPeriod is how often each server reports its T value to the

@@ -2,9 +2,11 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/device"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -81,26 +83,13 @@ func dirtyOrder(m *table) []uint64 {
 	return out
 }
 
-// cleanedSince lists the entries named by the journal's clean records
-// from index from on: the order in which writeback visited them.
-func cleanedSince(j *journal, from int) []uint64 {
-	var out []uint64
-	for _, r := range j.records[from:] {
-		if r.op == jClean {
-			out = append(out, r.id)
-		}
-	}
-	return out
-}
-
 // TestDirtyAccountingProperty drives random admit / overwrite / bulk
 // write / read / writeback / evict / SSD-failure sequences against a
 // small bridge and asserts after every step that the running dirty total
 // and the firstDirty cursor agree with a full scan of the table, that the
 // per-class usage and LRU lists match the entries the table maps, that a
 // writeback pass visits exactly the dirty entries the scan lists, in the
-// order of their lowest extent, and that a journal replay arrives at the
-// same table.
+// order of their lowest extent.
 func TestDirtyAccountingProperty(t *testing.T) {
 	for seed := uint64(1); seed <= 12; seed++ {
 		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
@@ -144,13 +133,18 @@ func TestDirtyAccountingProperty(t *testing.T) {
 						step = "stage"
 					case k < 99:
 						batch := int(rng.Range(1, 6))
-						want := dirtyOrder(b.table)
-						want = want[:min(batch, len(want))]
-						from := b.journal.Len()
+						var order []*entry
+						for _, id := range dirtyOrder(b.table) {
+							order = append(order, b.table.entries[id])
+						}
 						b.writebackPass(p, batch)
 						step = fmt.Sprintf("writebackPass(%d)", batch)
-						if got := cleanedSince(&b.journal, from); fmt.Sprint(got) != fmt.Sprint(want) {
-							t.Fatalf("step %d %s visited %v, the scan order is %v", i, step, got, want)
+						// The pass visits the scan order's first batch
+						// entries, and only those.
+						for k, e := range order {
+							if visited := !e.dirty; visited != (k < batch) {
+								t.Fatalf("step %d %s: entry %d at %d of the scan order visited=%v", i, step, e.id, k, visited)
+							}
 						}
 					default:
 						step = "FailSSD"
@@ -158,9 +152,6 @@ func TestDirtyAccountingProperty(t *testing.T) {
 					}
 					b.trk.prevLBN = 0 // keep candidates' returns positive
 					checkDirty(t, b, fmt.Sprintf("step %d %s", i, step))
-					if !statesEqual(b.Snapshot(), b.Recover()) {
-						t.Fatalf("step %d %s: journal replay diverged from the live table", i, step)
-					}
 				}
 				b.Flush(p)
 				checkDirty(t, b, "flush")
@@ -190,6 +181,10 @@ func TestDirtyAccountingUnderConcurrency(t *testing.T) {
 		c.SSDCapacity = 64 * device.SectorSize
 		c.WritebackMinDirty = 0 // write back at every idle tick
 	})
+	// The tracer names each admission by its request id: a barrier
+	// round's writes carry the round's step number.
+	tr := obs.NewXTracer("sim", 0)
+	b.SetObs(nil, tr, 0)
 	const (
 		base    = 1 << 26
 		barrier = base + 1024 // above every other write's range
@@ -206,7 +201,9 @@ func TestDirtyAccountingUnderConcurrency(t *testing.T) {
 				switch {
 				case i%10 == 9:
 					meet.Wait(p)
-					b.Serve(p, frag(device.Write, barrier+int64(i)*32, 4))
+					r := frag(device.Write, barrier+int64(i)*32, 4)
+					r.ID = int64(i)
+					b.Serve(p, r)
 				case rng.Range(0, 10) == 0:
 					b.Serve(p, large(device.Write, lbn, 4*n))
 				default:
@@ -224,15 +221,15 @@ func TestDirtyAccountingUnderConcurrency(t *testing.T) {
 		b.Flush(p)
 		checkDirty(t, b, "flush")
 	})
-	if !statesEqual(b.Snapshot(), b.Recover()) {
-		t.Fatal("journal replay diverged from the live table")
+	if snap := b.Snapshot(); snap.DirtySectors != 0 {
+		t.Fatalf("%d dirty sectors mapped after Flush", snap.DirtySectors)
 	}
 	// Barrier rounds in which at least two same-instant admissions of
 	// the round's extent landed.
-	landed := map[int64]int{}
-	for _, r := range b.journal.records {
-		if r.op == jInsert && r.lbn >= barrier {
-			landed[r.lbn]++
+	landed := map[uint64]int{}
+	for _, ev := range tr.Events() {
+		if ev.Trace != 0 && strings.HasPrefix(ev.Name, "ssd-offload") {
+			landed[ev.Trace]++
 		}
 	}
 	overlapped := 0
@@ -250,8 +247,7 @@ func TestDirtyAccountingUnderConcurrency(t *testing.T) {
 // TestSameInstantAdmissionsLeaveOneMapping has eight processes write one
 // 4-sector fragment extent at the same instant. Every admission lands,
 // each superseding the one before, so the table keeps one mapping: 4
-// dirty sectors and 2 KiB of usage for 2 KiB of data, and a journal
-// replay rebuilds the same table.
+// dirty sectors and 2 KiB of usage for 2 KiB of data.
 func TestSameInstantAdmissionsLeaveOneMapping(t *testing.T) {
 	e := sim.New()
 	b, _ := testBridge(e, func(c *Config) { c.IdleCheck = sim.Second })
@@ -273,14 +269,12 @@ func TestSameInstantAdmissionsLeaveOneMapping(t *testing.T) {
 		t.Fatalf("%d of %d writes admitted", got, writers)
 	}
 	snap := b.Snapshot()
-	if len(snap.Extents) != 1 || b.DirtySectors() != 4 {
-		t.Fatalf("%d mappings, %d dirty sectors; want 1 and 4: %+v", len(snap.Extents), b.DirtySectors(), snap.Extents)
+	if len(snap.Extents) != 1 || snap.DirtySectors != 4 || b.DirtySectors() != 4 {
+		t.Fatalf("%d mappings, %d (running %d) dirty sectors; want 1 and 4: %+v",
+			len(snap.Extents), snap.DirtySectors, b.DirtySectors(), snap.Extents)
 	}
 	if random, fragment := b.Usage(); random != 0 || fragment != 2<<10 {
 		t.Fatalf("usage random %d fragment %d, want 0 and 2 KiB", random, fragment)
-	}
-	if !statesEqual(snap, b.Recover()) {
-		t.Fatalf("recovery diverged:\nlive:      %+v\nrecovered: %+v", snap, b.Recover())
 	}
 }
 
@@ -352,7 +346,7 @@ func TestStagingNeverSupersedesNewerWrite(t *testing.T) {
 	if b.alloc.Used() != 5 {
 		t.Fatalf("%d sectors allocated, want the write's 5", b.alloc.Used())
 	}
-	if !statesEqual(b.Snapshot(), b.Recover()) {
-		t.Fatal("journal replay diverged from the live table")
+	if snap := b.Snapshot(); len(snap.Extents) != 1 || !snap.Extents[0].Dirty {
+		t.Fatalf("mapping %+v, want the write's one dirty extent", snap.Extents)
 	}
 }

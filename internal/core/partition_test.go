@@ -107,7 +107,7 @@ func TestTablePersistAddsJournalSector(t *testing.T) {
 	}
 	with, without := used(true), used(false)
 	if with != without+5 {
-		t.Fatalf("journalled allocation %d, plain %d: want exactly one extra sector per entry", with, without)
+		t.Fatalf("persisted-table allocation %d, plain %d: want exactly one extra sector per entry", with, without)
 	}
 }
 

@@ -507,7 +507,10 @@ func TestRecycledSegmentStaleRecordsNeverReplay(t *testing.T) {
 // throughout; then it closes, reopens and byte-verifies the store. The
 // writers move in rounds: within one every write of a byte carries the
 // same value, so the model holds whatever order the writes landed in,
-// and a stale record replayed from an earlier round shows.
+// and a stale record replayed from an earlier round shows. A fifth
+// goroutine runs Compact once per round while the writers run, so
+// cleaning overlaps the writes whether or not the background cleaner
+// gets a turn.
 func TestConcurrentWritersAcrossRolls(t *testing.T) {
 	const (
 		writers  = 4
@@ -545,6 +548,13 @@ func TestConcurrentWritersAcrossRolls(t *testing.T) {
 			}
 		}
 		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := s.Compact(); err != nil {
+				t.Error(err)
+			}
+		}()
 		for g := range writers {
 			wg.Add(1)
 			go func() {
@@ -572,6 +582,9 @@ func TestConcurrentWritersAcrossRolls(t *testing.T) {
 	t.Logf("rolls %d, cleaning cycles %d, cleaned %d, recycled %d", st.Rolls, st.CompactionRuns, st.CleanedSegments, st.RecycledSegments)
 	if st.Rolls < 50 || st.RecycledSegments == 0 {
 		t.Fatalf("rolls=%d recycled=%d; want at least 50 rolls, some onto reused files", st.Rolls, st.RecycledSegments)
+	}
+	if st.CompactionRuns == 0 {
+		t.Fatal("no cleaning cycle ran during the writes")
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)

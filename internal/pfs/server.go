@@ -26,8 +26,6 @@ type Server struct {
 	nextLBN  int64
 	capacity int64
 
-	served int64
-
 	// Observability sinks, installed by FileSystem.SetObs (nil when off).
 	m     *obs.PFSMetrics
 	tr    *obs.XTracer
@@ -144,9 +142,6 @@ func (s *Server) ID() int { return s.id }
 // Store returns the server's storage stack.
 func (s *Server) Store() Store { return s.store }
 
-// Served returns the number of sub-requests this server has completed.
-func (s *Server) Served() int64 { return s.served }
-
 // allocate reserves a contiguous extent of the given byte length and
 // returns its first LBN.
 func (s *Server) allocate(bytes int64) (int64, error) {
@@ -175,7 +170,6 @@ func (s *Server) handle(p *sim.Proc) {
 		if s.tr != nil {
 			s.tr.Span(uint64(j.req.ID), 0, 0, flowName(&j.req), s.scope, time.Unix(0, int64(start)), time.Duration(p.Now().Sub(start)))
 		}
-		s.served++
 		// The reply travels back to the client.
 		j.served = true
 		s.e.After(j.replyDelay, j.step)

@@ -6,10 +6,10 @@ import (
 )
 
 // breaker is the client's per-server circuit breaker. It is count-based
-// and clock-free: threshold consecutive transport failures open it, and
-// while open exactly one caller at a time is admitted as a probe; every
-// other caller fails fast with ErrServerDown instead of queueing behind
-// a server that is known to be down. The first successful exchange (or
+// and clock-free: breakerThreshold consecutive transport failures open
+// it, and while open exactly one caller at a time is admitted as a
+// probe; every other caller fails fast with ErrServerDown instead of
+// queueing behind a server that is known to be down. The first successful exchange (or
 // any reply from the server, including an error reply — the server
 // answered, so it is alive) closes the breaker.
 //
@@ -19,11 +19,10 @@ import (
 // breaker's behaviour a pure function of the request/failure sequence,
 // which is what makes chaos runs reproducible from the fault-plan seed.
 type breaker struct {
-	mu        sync.Mutex
-	threshold int // consecutive failures to open; <= 0 disables
-	consec    int
-	open      bool
-	probing   bool
+	mu      sync.Mutex
+	consec  int
+	open    bool
+	probing bool
 }
 
 // acquire asks to attempt a request. It returns probe=true when the
@@ -31,9 +30,6 @@ type breaker struct {
 // in-flight probe; it returns an error wrapping ErrServerDown when the
 // breaker is open and a probe is already out.
 func (b *breaker) acquire(addr string) (probe bool, err error) {
-	if b == nil {
-		return false, nil
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if !b.open {
@@ -50,9 +46,6 @@ func (b *breaker) acquire(addr string) (probe bool, err error) {
 // returns the breaker's state transition, if any, so the caller can
 // maintain gauges without re-entering the lock.
 func (b *breaker) record(probe, ok bool) (opened, closed bool) {
-	if b == nil {
-		return false, false
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if probe {
@@ -67,19 +60,9 @@ func (b *breaker) record(probe, ok bool) (opened, closed bool) {
 		return false, false
 	}
 	b.consec++
-	if !b.open && b.threshold > 0 && b.consec >= b.threshold {
+	if !b.open && b.consec >= breakerThreshold {
 		b.open = true
 		return true, false
 	}
 	return false, false
-}
-
-// isOpen reports whether the breaker currently marks the server degraded.
-func (b *breaker) isOpen() bool {
-	if b == nil {
-		return false
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.open
 }

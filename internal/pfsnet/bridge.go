@@ -342,14 +342,3 @@ func (b *bridge) fail() bool {
 	defer b.logMu.Unlock()
 	return !b.down.Swap(true)
 }
-
-// stats returns the number of extents mapped for file and the bytes the
-// log holds.
-func (b *bridge) stats(file uint64) (mapped int, held int64) {
-	b.logMu.Lock()
-	defer b.logMu.Unlock()
-	if l := b.files[file]; l != nil {
-		mapped = len(*l)
-	}
-	return mapped, b.heldBytes.Load()
-}

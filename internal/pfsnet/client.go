@@ -59,43 +59,22 @@ type Client struct {
 	// a tracer no frame carries a context. Nil costs one pointer test per
 	// request.
 	Tracer *obs.XTracer
-
-	// DialTimeout bounds connection establishment, including the hello
-	// (0 = no timeout).
-	DialTimeout time.Duration
-	// IOTimeout bounds each flush of a group's frames and each reply
-	// read: a server that leaves a reply unanswered that long has its
-	// connection declared dead with ErrDeadline. 0 disables I/O
-	// deadlines.
+	// IOTimeout bounds each dial and the hello that follows it, each
+	// flush of a group's frames and each reply read: a server that
+	// leaves a reply unanswered that long has its connection declared
+	// dead with ErrDeadline. 0 disables I/O deadlines.
 	IOTimeout time.Duration
-	// RequestTimeout bounds one server's share of a request across all
-	// retry attempts (0 = no bound beyond the per-attempt IOTimeout).
-	RequestTimeout time.Duration
-	// MaxRetries is the number of resends of a server's group of data
-	// sub-requests after transport failures (send says when a resend
-	// is safe). NewClient defaults it to 2; set -1 to disable retries.
-	MaxRetries int
-	// RetryBackoff is the base pause before the first retry; each
-	// further attempt doubles it up to RetryBackoffMax, plus
-	// deterministic jitter drawn from Seed. NewClient defaults these to
-	// 2ms and 100ms.
-	RetryBackoff    time.Duration
-	RetryBackoffMax time.Duration
-	// BreakerThreshold is the run of consecutive transport failures
-	// after which a data server is marked degraded: further requests
-	// fail fast with ErrServerDown while a single probe per window
-	// checks for recovery. NewClient defaults it to 4; set -1 to
-	// disable the breaker.
-	BreakerThreshold int
-	// Seed feeds the deterministic retry jitter (and is the knob that
-	// makes two chaos runs sleep identically).
-	Seed uint64
 	// FaultPlan, when set before the first request, injects the plan's
-	// connection faults into every connection this client dials;
-	// FaultScope labels them (default "client"), so a scoped clause can
-	// target this client's connections and leave the servers' alone.
-	FaultPlan  *faults.Plan
-	FaultScope string
+	// connection faults into every connection this client dials, under
+	// the scope "client", so a scoped clause can target this client's
+	// connections and leave the servers' alone. Its seed also seeds the
+	// retry jitter, so two chaos runs sleep identically.
+	FaultPlan *faults.Plan
+
+	// retries is the number of resends of a server's group after
+	// transport failures (send says when a resend is safe): maxRetries,
+	// unless a test isolates one mechanism.
+	retries int
 
 	attempts  atomic.Uint64 // retry-jitter sequence
 	openCount atomic.Int64  // breakers currently open, for the gauge
@@ -114,13 +93,15 @@ type Client struct {
 	sketches map[latKey]*sketch.Sketch
 }
 
-// Resilience defaults applied by NewClient. Overridable per client; -1
-// disables the corresponding mechanism.
+// The resilience policy. A server's group is resent up to maxRetries
+// times after transport failures, the pause before each resend doubling
+// from retryBackoff up to retryBackoffMax; breakerThreshold consecutive
+// transport failures open the server's breaker.
 const (
-	defaultMaxRetries       = 2
-	defaultRetryBackoff     = 2 * time.Millisecond
-	defaultRetryBackoffMax  = 100 * time.Millisecond
-	defaultBreakerThreshold = 4
+	maxRetries       = 2
+	retryBackoff     = 2 * time.Millisecond
+	retryBackoffMax  = 100 * time.Millisecond
+	breakerThreshold = 4
 )
 
 // peer is the client's state for one server address: the breaker, the
@@ -157,62 +138,37 @@ type conn struct {
 // buffer, or a read's scatter buffer) instead of staging it here first.
 const connBufSize = 16 << 10
 
-// dialOpts carries the per-client connection settings into dialConn.
-type dialOpts struct {
-	wm          *wireMetrics
-	dialTimeout time.Duration
-	ioTimeout   time.Duration
-	plan        *faults.Plan
-	scope       string
-}
-
-// dialOpts snapshots the client's connection settings (set before the
-// first request, per the field contracts, so reading them unlocked is
-// race-free).
-func (c *Client) dialOpts(wm *wireMetrics) dialOpts {
-	scope := c.FaultScope
-	if scope == "" {
-		scope = "client"
-	}
-	return dialOpts{
-		wm:          wm,
-		dialTimeout: c.DialTimeout,
-		ioTimeout:   c.IOTimeout,
-		plan:        c.FaultPlan,
-		scope:       scope,
-	}
-}
-
-// dialConn connects to addr and runs the hello. The dial is bounded by
-// o.dialTimeout and the hello round trip by o.ioTimeout; a fault plan,
-// when armed, injects its dial refusals and wraps the new connection.
-func dialConn(addr string, o dialOpts) (*conn, error) {
-	nc, err := o.plan.Dial(o.scope, "tcp", addr, o.dialTimeout)
+// dial connects to addr and runs the hello, each within IOTimeout; the
+// fault plan, when armed, injects its dial refusals and wraps the new
+// connection. The settings are set before the first request, per the
+// field contracts, so reading them unlocked is race-free.
+func (c *Client) dial(addr string, wm *wireMetrics) (*conn, error) {
+	nc, err := c.FaultPlan.Dial("client", "tcp", addr, c.IOTimeout)
 	if err != nil {
 		return nil, wrapTimeout(err)
 	}
-	c := newConn(nc, o)
-	if c.ioTimeout > 0 {
-		nc.SetDeadline(time.Now().Add(c.ioTimeout))
+	cn := newConn(nc, wm, c.IOTimeout)
+	if cn.ioTimeout > 0 {
+		nc.SetDeadline(time.Now().Add(cn.ioTimeout))
 	}
-	if err := c.hello(); err != nil {
+	if err := cn.hello(); err != nil {
 		nc.Close()
 		return nil, wrapTimeout(err)
 	}
-	if c.ioTimeout > 0 {
+	if cn.ioTimeout > 0 {
 		nc.SetDeadline(time.Time{})
 	}
-	return c, nil
+	return cn, nil
 }
 
 // newConn wraps a connected socket.
-func newConn(nc net.Conn, o dialOpts) *conn {
+func newConn(nc net.Conn, wm *wireMetrics, ioTimeout time.Duration) *conn {
 	return &conn{
 		nc:        nc,
-		wm:        o.wm,
+		wm:        wm,
 		br:        bufio.NewReaderSize(nc, connBufSize),
-		vw:        newVecWriter(nc, o.wm),
-		ioTimeout: o.ioTimeout,
+		vw:        newVecWriter(nc, wm),
+		ioTimeout: ioTimeout,
 	}
 }
 
@@ -363,17 +319,10 @@ type File struct {
 func (f *File) Layout() stripe.Layout { return f.layout }
 
 // NewClient returns a client of the file system whose metadata server is
-// at metaAddr, with the default resilience policy armed (bounded retries
-// with backoff, per-server breaker; no deadlines unless configured).
+// at metaAddr, under the resilience policy (bounded retries with
+// backoff, per-server breaker; no deadlines unless IOTimeout is set).
 func NewClient(metaAddr string) *Client {
-	return &Client{
-		metaAddr:         metaAddr,
-		MaxRetries:       defaultMaxRetries,
-		RetryBackoff:     defaultRetryBackoff,
-		RetryBackoffMax:  defaultRetryBackoffMax,
-		BreakerThreshold: defaultBreakerThreshold,
-		peers:            make(map[string]*peer),
-	}
+	return &Client{metaAddr: metaAddr, retries: maxRetries, peers: make(map[string]*peer)}
 }
 
 // NewIBridgeClient returns a client with fragment flagging enabled at the
@@ -414,13 +363,7 @@ func (c *Client) checkout(addr string) (*peer, *conn) {
 			c.wm = newClientWireMetrics(c.Obs)
 			c.rm = newResilienceMetrics(c.Obs)
 		}
-		p = &peer{wm: c.wm, rm: c.rm}
-		if th := c.BreakerThreshold; th >= 0 {
-			if th == 0 {
-				th = defaultBreakerThreshold
-			}
-			p.br = &breaker{threshold: th}
-		}
+		p = &peer{br: &breaker{}, wm: c.wm, rm: c.rm}
 		c.peers[addr] = p
 	}
 	n := len(p.idle)
@@ -463,15 +406,6 @@ func (c *Client) discard(p *peer, cn *conn) {
 	for _, ic := range idle {
 		ic.close()
 	}
-}
-
-// ServerDegraded reports whether the client's breaker currently marks
-// the data server at addr degraded.
-func (c *Client) ServerDegraded(addr string) bool {
-	c.mu.Lock()
-	p := c.peers[addr]
-	c.mu.Unlock()
-	return p != nil && p.br.isOpen()
 }
 
 // latKey identifies one per-server, per-op-class latency sketch.
@@ -573,12 +507,11 @@ type dataReq struct {
 // their replies in order. A transport failure discards the connection
 // and the server's idle ones, backs off (bounded exponential,
 // deterministic jitter) and resends only the requests it left
-// unanswered, up to MaxRetries resends within RequestTimeout. A resent
-// read is always safe. A resent write is safe only while no other
-// writer touches its range: the server may have applied the first
-// attempt before the connection failed, and the resend then lands over
-// any later write to the range (ROADMAP item 19 will test this).
-// Server-reported (remote) errors are never resent: the server
+// unanswered, up to maxRetries resends. A resent read is always safe.
+// A resent write is safe only while no other writer touches its range:
+// the server may have applied the first attempt before the connection
+// failed, and the resend then lands over any later write to the range
+// (ROADMAP item 19 will test this). Server-reported (remote) errors are never resent: the server
 // answered, which proves it alive. The breaker sees one outcome per
 // attempt, so while it is open one caller's whole group is the probe
 // and the other callers fail fast with ErrServerDown.
@@ -589,11 +522,6 @@ type dataReq struct {
 // and is free again once the attempt's flush has returned.
 func (c *Client) send(addr string, op byte, reqs []dataReq, encode func(b []byte, sub stripe.Sub) []byte, pr *parentReq) error {
 	sk := c.sketchFor(addr, opClass(op))
-	retries := max(c.MaxRetries, 0)
-	var deadline time.Time
-	if c.RequestTimeout > 0 {
-		deadline = time.Now().Add(c.RequestTimeout)
-	}
 	var tcID, tcSpan uint64
 	if pr != nil {
 		tcID, tcSpan = pr.trace, pr.span
@@ -613,7 +541,7 @@ func (c *Client) send(addr string, op byte, reqs []dataReq, encode func(b []byte
 			t0 = time.Now()
 		}
 		if cn == nil {
-			cn, err = dialConn(addr, c.dialOpts(p.wm))
+			cn, err = c.dial(addr, p.wm)
 		}
 		if err == nil {
 			queued := 0
@@ -665,20 +593,11 @@ func (c *Client) send(addr string, op byte, reqs []dataReq, encode func(b []byte
 			p.rm.onDeadline()
 		}
 		lastErr = err
-		if attempt >= retries {
-			break
-		}
-		d := c.backoffDelay(attempt)
-		if !deadline.IsZero() && time.Now().Add(d).After(deadline) {
-			p.rm.onDeadline()
-			lastErr = fmt.Errorf("pfsnet: %s: request budget exhausted after %d attempts (%w): %v",
-				addr, attempt+1, ErrDeadline, lastErr)
+		if attempt >= c.retries {
 			break
 		}
 		p.rm.onRetry()
-		if d > 0 {
-			time.Sleep(d)
-		}
+		time.Sleep(c.backoffDelay(attempt))
 	}
 	return lastErr
 }
@@ -703,25 +622,15 @@ func (c *Client) recordOutcome(b *breaker, rm *resilienceMetrics, probe, ok bool
 }
 
 // backoffDelay computes the pause before the retry following attempt
-// (0-based): RetryBackoff·2^attempt capped at RetryBackoffMax, plus
-// deterministic jitter of up to half the step drawn from the client
-// Seed and a global attempt sequence — bounded exponential backoff
-// whose timing is a pure function of the client's failure history.
+// (0-based): retryBackoff·2^attempt capped at retryBackoffMax, plus
+// deterministic jitter of up to half the step drawn from the fault
+// plan's seed and a global attempt sequence — bounded exponential
+// backoff whose timing is a pure function of the client's failure
+// history.
 func (c *Client) backoffDelay(attempt int) time.Duration {
-	base := c.RetryBackoff
-	if base <= 0 {
-		return 0
-	}
-	maxd := c.RetryBackoffMax
-	if maxd <= 0 {
-		maxd = defaultRetryBackoffMax
-	}
-	d := base << uint(min(attempt, 20))
-	if d <= 0 || d > maxd {
-		d = maxd
-	}
+	d := min(retryBackoff<<min(attempt, 20), retryBackoffMax)
 	n := c.attempts.Add(1)
-	jitter := time.Duration(faults.Mix64(c.Seed^n) % uint64(d/2+1))
+	jitter := time.Duration(faults.Mix64(c.FaultPlan.Seed()^n) % uint64(d/2+1))
 	return d + jitter
 }
 
@@ -753,7 +662,7 @@ func (c *Client) metaFile(op byte, name string, payload []byte) (*File, error) {
 	p, cn := c.checkout(c.metaAddr)
 	if cn == nil {
 		var err error
-		if cn, err = dialConn(c.metaAddr, c.dialOpts(p.wm)); err != nil {
+		if cn, err = c.dial(c.metaAddr, p.wm); err != nil {
 			return nil, err
 		}
 	}

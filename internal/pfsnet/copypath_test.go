@@ -242,16 +242,14 @@ func TestWriteFenceWaitsForWriter(t *testing.T) {
 
 	c := NewClient("")
 	c.IOTimeout = 50 * time.Millisecond
-	c.MaxRetries = 1
-	c.RetryBackoff = time.Millisecond
-	c.BreakerThreshold = -1
+	c.retries = 1
 	defer c.Close()
 	addr := ln.Addr().String()
 	client, peer := net.Pipe()
 	defer peer.Close()
 	sc.Conn = client
 	pr, _ := c.checkout(addr)
-	c.checkin(pr, newConn(sc, c.dialOpts(nil)))
+	c.checkin(pr, newConn(sc, nil, c.IOTimeout))
 	f := &File{ID: 1, Name: "fence", Size: 1 << 20,
 		layout: stripe.Layout{Unit: 64 << 10, Servers: 1}, servers: []string{addr}}
 

@@ -189,8 +189,6 @@ func (s *DataServer) dispatch(w *vecWriter, op byte, payload []byte) (byte, []by
 		err = s.handleWrite(payload)
 	case opRead:
 		data, err = s.handleRead(w, payload)
-	case opStat:
-		reply, err = s.handleStat(payload)
 	case opFlush:
 		reply, err = s.handleFlush(payload)
 	default:
@@ -295,27 +293,6 @@ func (s *DataServer) handleRead(w *vecWriter, payload []byte) ([]byte, error) {
 		s.ctr.fragmentReads.Add(int64(len(patches)))
 	}
 	return reply, nil
-}
-
-// handleStat payload: file u64. Reply: objectLen i64, mappedExtents u32
-// (fragment-index entries of this file), logBytes i64 (bytes the
-// fragment log holds, across all files — what a full flush would free).
-func (s *DataServer) handleStat(payload []byte) ([]byte, error) {
-	d := dec{b: payload}
-	file := d.u64()
-	if d.err != nil {
-		return nil, d.err
-	}
-	objLen, err := s.store.Size(file)
-	if err != nil {
-		return nil, err
-	}
-	mapped, held := s.bridge.stats(file)
-	var e enc
-	e.i64(objLen)
-	e.u32(uint32(mapped))
-	e.i64(held)
-	return e.b, nil
 }
 
 // handleFlush payload: file u64 (0 = all files). Reply: flushed bytes i64.

@@ -157,7 +157,7 @@ func TestPipelinedInFlightFailure(t *testing.T) {
 	// The mass kill fed the breaker a run of transport failures well past
 	// its threshold: the server must be marked degraded before the
 	// restart, and the probe on the first post-restart call must clear it.
-	if !c.ServerDegraded(addr) {
+	if !degraded(c, addr) {
 		t.Fatal("breaker did not open after mass in-flight failure")
 	}
 
@@ -171,7 +171,7 @@ func TestPipelinedInFlightFailure(t *testing.T) {
 	if err := c.WriteAt(f, 0, payload); err != nil {
 		t.Fatalf("write after restart: %v", err)
 	}
-	if c.ServerDegraded(addr) {
+	if degraded(c, addr) {
 		t.Fatal("breaker still open after successful post-restart probe")
 	}
 	got := make([]byte, len(payload))

@@ -80,6 +80,7 @@ var malformedFrames = []struct {
 	{"zero-length frame", []byte{0, 0, 0, 0}, false},
 	{"short payload", []byte{0, 0, 0, 100, 0, 0, 0, 0, 0, 0, 0, 1, opRead, 1, 2, 3}, false},
 	{"unknown opcode", rawFrame(1, 0xEE, []byte{9}), true},
+	{"retired opcode 5", rawFrame(1, 5, []byte{0, 0, 0, 0, 0, 0, 0, 1}), true},
 	{"retired opcode 10", rawFrame(1, 10, []byte{0, 0, 0, 0, 0, 0, 0, 1}), true},
 	{"retired opcode 11", rawFrame(1, 11, readReq(1, 0, 512)), true},
 	{"write past MaxInt64", rawFrame(1, opWrite, writeReq(1, math.MaxInt64-1, 0, []byte{1, 2, 3, 4})), true},
@@ -279,7 +280,7 @@ func FuzzDataDispatch(f *testing.F) {
 	f.Add(opRead, readReq(1, 0, 512))
 	f.Add(opRead, readReq(1, math.MaxInt64-1, 4))
 	f.Add(opRead, readReq(1, 0, maxReadLen+1))
-	f.Add(opStat, []byte{0, 0, 0, 0, 0, 0, 0, 1})
+	f.Add(byte(5), []byte{0, 0, 0, 0, 0, 0, 0, 1}) // the retired opStat
 	f.Add(opFlush, []byte{0, 0, 0, 0, 0, 0, 0, 0})
 	f.Add(byte(0xEE), []byte{9})
 	f.Fuzz(func(t *testing.T, op byte, payload []byte) {

@@ -381,7 +381,7 @@ func TestProtocolRejectsGarbage(t *testing.T) {
 	}
 	// A length too short to hold a tag and an opcode.
 	buf.Reset()
-	buf.Write([]byte{0, 0, 0, 5, opStat, 0, 0, 0, 1})
+	buf.Write([]byte{0, 0, 0, 5, opRead, 0, 0, 0, 1})
 	if _, err := readFrame(&buf, &payload); err == nil {
 		t.Fatal("length below the header accepted")
 	}

@@ -94,7 +94,7 @@ func TestFlushAllAfterDroppedConn(t *testing.T) {
 	plan := faults.MustParse(fmt.Sprintf("seed=%d; reset=1/64", resetSeed(t, 6)))
 	c := NewIBridgeClient(ms.Addr(), 20<<10, 20<<10)
 	c.FaultPlan = plan
-	c.MaxRetries = -1
+	c.retries = 0
 	defer c.Close()
 	f, err := c.Create("flushall", 1<<20)
 	if err != nil {
@@ -190,7 +190,6 @@ func TestRestartWithWarmPool(t *testing.T) {
 	const callers = 4
 	reg := obs.NewRegistry()
 	c, ds, _ := resilienceCluster(t, ServerConfig{Store: newRendezvousStore(callers)}, func(c *Client) {
-		c.RetryBackoff = time.Millisecond
 		c.Obs = reg
 	})
 	addr := ds.Addr()
@@ -239,7 +238,7 @@ func TestRestartWithWarmPool(t *testing.T) {
 	if n := retries.Value(); n != 1 {
 		t.Fatalf("%d retries across the restart, want 1: the first failure drops every stale connection", n)
 	}
-	if c.ServerDegraded(addr) || reg.Counter("pfsnet.client.breaker_opens").Value() != 0 {
+	if degraded(c, addr) || reg.Counter("pfsnet.client.breaker_opens").Value() != 0 {
 		t.Fatal("the breaker opened across the restart")
 	}
 }
@@ -250,7 +249,7 @@ func TestRestartWithWarmPool(t *testing.T) {
 func TestReplyTagMismatchIsCorrupt(t *testing.T) {
 	client, srv := net.Pipe()
 	defer srv.Close()
-	cn := newConn(client, dialOpts{})
+	cn := newConn(client, nil, 0)
 	defer cn.close()
 	go func() {
 		fr, err := readFrame(bufio.NewReader(srv), new([]byte))

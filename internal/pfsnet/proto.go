@@ -46,12 +46,12 @@ const (
 	opOpen
 	opRead
 	opWrite
-	opStat
+	_ // 5, the retired opStat
 	opFlush
 	opOK
 	opError
 	opHello
-	// Values 10 and 11 are retired: a data server answers them with
+	// Values 5, 10 and 11 are retired: a data server answers them with
 	// opError, like any opcode it does not know.
 )
 

@@ -249,7 +249,7 @@ func TestHelloRefusals(t *testing.T) {
 	}
 
 	// What a legacy peer opens with, in v1 framing (4-byte length, opcode,
-	// payload): a bare opStat, and the hellos a client of the old version
+	// payload): a bare stat (opcode 5, now retired), and the hellos a client of the old version
 	// negotiation sent, with and without a features word.
 	for _, raw := range []string{
 		"00000009" + "05" + "0000000000000001",

@@ -48,20 +48,33 @@ func stripedCluster(t *testing.T, n int, cfg ServerConfig, tune func(*Client)) (
 	return c, dss, ms
 }
 
+// degraded reports whether c's breaker marks the server at addr open.
+func degraded(c *Client, addr string) bool {
+	c.mu.Lock()
+	p := c.peers[addr]
+	c.mu.Unlock()
+	if p == nil {
+		return false
+	}
+	p.br.mu.Lock()
+	defer p.br.mu.Unlock()
+	return p.br.open
+}
+
 // TestBreakerStateMachine unit-tests the count-based breaker: it opens
 // after the threshold run of failures, admits exactly one probe at a
 // time while open, fails other callers fast with ErrServerDown, and
 // closes on the first success.
 func TestBreakerStateMachine(t *testing.T) {
-	b := &breaker{threshold: 3}
-	for i := 0; i < 3; i++ {
+	b := &breaker{}
+	for i := 0; i < breakerThreshold; i++ {
 		probe, err := b.acquire("srv")
 		if probe || err != nil {
 			t.Fatalf("failure %d: acquire = (%v, %v), want closed pass", i, probe, err)
 		}
 		b.record(probe, false)
 	}
-	if !b.isOpen() {
+	if !b.open {
 		t.Fatal("breaker not open after threshold failures")
 	}
 	// First caller while open becomes the probe.
@@ -85,15 +98,9 @@ func TestBreakerStateMachine(t *testing.T) {
 	if _, closed := b.record(true, true); !closed {
 		t.Fatal("successful probe must close the breaker")
 	}
-	if b.isOpen() {
+	if b.open {
 		t.Fatal("breaker still open after success")
 	}
-	// A nil breaker (disabled) passes everything.
-	var nb *breaker
-	if probe, err := nb.acquire("x"); probe || err != nil {
-		t.Fatal("nil breaker must pass")
-	}
-	nb.record(false, false)
 }
 
 // TestIOTimeoutDeadline checks that a server that accepts requests but
@@ -103,7 +110,7 @@ func TestIOTimeoutDeadline(t *testing.T) {
 		store := slowStore{ObjectStore: NewMemStore(), delay: time.Second}
 		c, _, _ := resilienceCluster(t, ServerConfig{Store: store}, func(c *Client) {
 			c.IOTimeout = 100 * time.Millisecond
-			c.MaxRetries = -1
+			c.retries = 0
 			c.Obs = obs.NewRegistry()
 		})
 		f, err := c.Create("slow", 1<<20)
@@ -132,9 +139,7 @@ func TestIOTimeoutDeadline(t *testing.T) {
 // and the first call after a restart is the probe that un-degrades it.
 func TestBreakerOpensAndRecovers(t *testing.T) {
 	c, ds, _ := resilienceCluster(t, ServerConfig{}, func(c *Client) {
-		c.MaxRetries = -1 // one attempt per call: failures count singly
-		c.BreakerThreshold = 3
-		c.RetryBackoff = time.Millisecond
+		c.retries = 0 // one attempt per call: failures count singly
 		c.Obs = obs.NewRegistry()
 	})
 	addr := ds.Addr()
@@ -145,7 +150,7 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 	if err := c.WriteAt(f, 0, []byte("up")); err != nil {
 		t.Fatal(err)
 	}
-	if c.ServerDegraded(addr) {
+	if degraded(c, addr) {
 		t.Fatal("healthy server marked degraded")
 	}
 	if err := ds.Close(); err != nil {
@@ -153,12 +158,12 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 	}
 	// Each call is one recorded failure; the threshold run opens the
 	// breaker. Later calls are probes and keep failing.
-	for i := 0; i < 4; i++ {
+	for i := 0; i < breakerThreshold+1; i++ {
 		if err := c.WriteAt(f, 0, []byte("down")); err == nil {
 			t.Fatalf("write %d against dead server succeeded", i)
 		}
 	}
-	if !c.ServerDegraded(addr) {
+	if !degraded(c, addr) {
 		t.Fatal("server not degraded after consecutive failures")
 	}
 	if v := c.Obs.Counter("pfsnet.client.breaker_opens").Value(); v != 1 {
@@ -176,7 +181,7 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 	if err := c.WriteAt(f, 0, payload); err != nil {
 		t.Fatalf("probe write after restart: %v", err)
 	}
-	if c.ServerDegraded(addr) {
+	if degraded(c, addr) {
 		t.Fatal("server still degraded after successful probe")
 	}
 	got := make([]byte, len(payload))
@@ -206,8 +211,7 @@ func TestRetriesRecoverFromInjectedResets(t *testing.T) {
 			plan.SetObs(reg)
 			c, _, _ := stripedCluster(t, tc.servers, ServerConfig{}, func(c *Client) {
 				c.FaultPlan = plan
-				c.MaxRetries = 4
-				c.RetryBackoff = time.Millisecond
+				c.retries = 4
 				c.Obs = reg
 			})
 			const rounds = 40
@@ -253,8 +257,7 @@ func TestRetriesRecoverFromInjectedResets(t *testing.T) {
 func TestStripedProbeAfterRestart(t *testing.T) {
 	reg := obs.NewRegistry()
 	c, dss, _ := stripedCluster(t, 2, ServerConfig{}, func(c *Client) {
-		c.BreakerThreshold = 2
-		c.MaxRetries = -1
+		c.retries = 0
 		c.Obs = reg
 	})
 	const unit = 64 * 1024
@@ -266,12 +269,12 @@ func TestStripedProbeAfterRestart(t *testing.T) {
 	if err := dss[0].Close(); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 3; i++ { // unit 0 lives on server 0
+	for i := 0; i < breakerThreshold; i++ { // unit 0 lives on server 0
 		if err := c.WriteAt(f, 0, []byte("down")); err == nil {
 			t.Fatalf("write %d against dead server succeeded", i)
 		}
 	}
-	if !c.ServerDegraded(addr) {
+	if !degraded(c, addr) {
 		t.Fatal("breaker did not open")
 	}
 	ds, err := NewDataServerConfig(addr, ServerConfig{})
@@ -290,7 +293,7 @@ func TestStripedProbeAfterRestart(t *testing.T) {
 	if v := reg.Counter("pfsnet.client.breaker_fastfails").Value(); v != 0 {
 		t.Fatalf("breaker_fastfails = %d, want 0: the probe must carry the whole group", v)
 	}
-	if c.ServerDegraded(addr) {
+	if degraded(c, addr) {
 		t.Fatal("breaker still open after the successful probe")
 	}
 	got := make([]byte, len(payload))
@@ -313,9 +316,7 @@ func TestChaosDeterminism(t *testing.T) {
 		plan.SetObs(reg)
 		c, _, _ := resilienceCluster(t, ServerConfig{}, func(c *Client) {
 			c.FaultPlan = plan
-			c.MaxRetries = 4
-			c.RetryBackoff = time.Microsecond // keep the run fast
-			c.Seed = 42
+			c.retries = 4
 			c.Obs = reg
 		})
 		f, err := c.Create("det", 1<<20)
@@ -360,8 +361,7 @@ func TestFallbackNegotiationUnderResets(t *testing.T) {
 		plan := faults.MustParse("seed=5; reset=1/7")
 		c, _, _ := resilienceCluster(t, ServerConfig{}, func(c *Client) {
 			c.FaultPlan = plan
-			c.MaxRetries = 5
-			c.RetryBackoff = time.Millisecond
+			c.retries = 5
 		})
 		f, err := c.Create("handshake", 1<<20)
 		if err != nil {
@@ -398,8 +398,7 @@ func TestCorruptionRecovery(t *testing.T) {
 	c, _, _ := resilienceCluster(t, ServerConfig{}, func(c *Client) {
 		c.FaultPlan = plan
 		c.IOTimeout = 250 * time.Millisecond
-		c.MaxRetries = 6
-		c.RetryBackoff = time.Millisecond
+		c.retries = 6
 	})
 	f, err := c.Create("corrupt", 1<<20)
 	if err != nil {
@@ -425,36 +424,5 @@ func TestCorruptionRecovery(t *testing.T) {
 		if !bytes.Equal(got, payload) {
 			t.Fatalf("block %d corrupted at rest", i)
 		}
-	}
-}
-
-// TestRequestBudget bounds a request across retries: with the server
-// down and a tight RequestTimeout, the retry loop must give up with
-// ErrDeadline instead of burning all MaxRetries backoffs.
-func TestRequestBudget(t *testing.T) {
-	c, ds, _ := resilienceCluster(t, ServerConfig{}, func(c *Client) {
-		c.MaxRetries = 1000
-		c.RetryBackoff = 20 * time.Millisecond
-		c.RetryBackoffMax = 20 * time.Millisecond
-		c.RequestTimeout = 100 * time.Millisecond
-		c.BreakerThreshold = -1 // isolate the budget mechanism
-	})
-	f, err := c.Create("budget", 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ds.Close(); err != nil {
-		t.Fatal(err)
-	}
-	start := time.Now()
-	err = c.WriteAt(f, 0, []byte("x"))
-	if err == nil {
-		t.Fatal("write against dead server succeeded")
-	}
-	if !errors.Is(err, ErrDeadline) {
-		t.Fatalf("error = %v, want ErrDeadline budget exhaustion", err)
-	}
-	if el := time.Since(start); el > 2*time.Second {
-		t.Fatalf("budget of 100ms took %v", el)
 	}
 }

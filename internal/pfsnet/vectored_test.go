@@ -88,8 +88,7 @@ func TestPartialWriteYieldsCorruptFrame(t *testing.T) {
 		FaultPlan:  plan,
 		FaultScope: "srv0",
 	}, func(c *Client) {
-		c.MaxRetries = -1
-		c.BreakerThreshold = -1
+		c.retries = 0
 		// Backstop only: if truncation were to hang the reader, this
 		// deadline would surface as ErrDeadline and fail the Is check.
 		c.IOTimeout = 2 * time.Second

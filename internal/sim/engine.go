@@ -226,9 +226,6 @@ func (e *Engine) Now() Time { return e.now }
 // processes are then terminated by Run.
 func (e *Engine) Halt() { e.halted = true }
 
-// Halted reports whether Halt has been called.
-func (e *Engine) Halted() bool { return e.halted }
-
 // Procs returns the number of live simulated processes.
 func (e *Engine) Procs() int { return len(e.procs) }
 
@@ -400,14 +397,6 @@ func (e *Engine) Wake(p *Proc) {
 		return
 	}
 	e.schedule(e.now, p, nil)
-}
-
-// WakeAt schedules proc to resume at the given absolute time.
-func (e *Engine) WakeAt(at Time, p *Proc) {
-	if p.dead {
-		return
-	}
-	e.schedule(at, p, nil)
 }
 
 // next removes and returns the globally next event in (at, seq) order.
