@@ -23,10 +23,11 @@ const goldenFile = "testdata/golden.sha256"
 
 // goldenTables are the experiments whose rendered smoke-scale tables are
 // pinned: a write figure, a warmed-read figure with staging, the
-// writeback ablation (TablePersist and idle writeback active), the
-// eviction-heavy SSD capacity sweep, the SSD-failure drain, and the trace
-// replay (regular random requests).
-var goldenTables = []string{"fig13", "fig5", "ablation-writeback", "fig11", "ssdfail", "table3"}
+// writeback ablation (mapping-table sector and idle writeback active),
+// the eviction-heavy SSD capacity sweep, the SSD-failure drain, the trace
+// replay (regular random requests), and the disk-only / iBridge /
+// SSD-only comparison (the only SSD-only store path).
+var goldenTables = []string{"fig13", "fig5", "ablation-writeback", "fig11", "ssdfail", "table3", "fig10"}
 
 // goldenPoint runs grid point i of the benchmark's sim-eval workload
 // (bench/sim.go's simGrid: the six Fig. 4 cases × stock/iBridge ×
