@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all build test race vet lint lint-tools bench-smoke chaos-smoke cover ci
+.PHONY: all build test race vet lint lint-tools bench-smoke chaos-smoke sim-medium cover ci
 
 all: build test vet lint
 
@@ -102,6 +102,17 @@ chaos-smoke:
 	@diff testdata/recovery-summary.golden recovery-summary.txt || { echo "chaos-smoke: recovery summary differs from testdata/recovery-summary.golden"; exit 1; }
 	@echo "chaos-smoke: kill-at-every-Kth-op recovery loop byte-verified, reproducible:"; cat recovery-summary.txt
 	@rm -f recovery-run2.txt
+
+# Simulation gate: the whole evaluation at medium scale must print
+# exactly the recorded results_medium.txt (stdout only; host timings go
+# to stderr, and the bytes do not depend on -jobs). A change meant to
+# move simulated numbers regenerates the file in the same commit and
+# says which rows moved. About 40 s on 2 cores.
+sim-medium:
+	$(GO) run ./cmd/ibridge-bench -exp all -scale medium > sim-medium.txt
+	@diff results_medium.txt sim-medium.txt || { echo "sim-medium: output differs from results_medium.txt"; exit 1; }
+	@rm -f sim-medium.txt
+	@echo "sim-medium: -exp all -scale medium matches results_medium.txt"
 
 # Coverage across all packages, with an HTML report in cover.html.
 cover:

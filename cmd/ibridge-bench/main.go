@@ -34,7 +34,6 @@ import (
 	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/faults"
 	"repro/internal/hostprof"
 	"repro/internal/obs"
 	"repro/internal/runner"
@@ -53,7 +52,6 @@ func main() {
 		obsMS     = flag.Int("obs-sample-ms", 0, "minimum virtual ms between T_i samples (0: every broadcast tick)")
 		cpuProf   = flag.String("cpuprofile", "", "write a host CPU profile (go tool pprof) of the whole run to this file")
 		debugAddr = flag.String("debug-addr", "", "serve the live metrics registry over HTTP at this address (/debug/vars); implies -metrics")
-		faultArg  = flag.String("faults", "", "fault plan applied to every experiment cluster (see internal/faults; only ssdfail=srvN@DUR clauses act in simulation)")
 		verbose   = flag.Bool("v", false, "verbose: per-experiment host timings on stderr")
 	)
 	flag.Parse()
@@ -101,16 +99,6 @@ func main() {
 			}
 		}()
 	}
-	var plan *faults.Plan
-	if *faultArg != "" {
-		var err error
-		if plan, err = faults.Parse(*faultArg); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		experiments.SetFaults(plan)
-	}
-
 	runner.SetJobs(*jobs)
 	s, err := experiments.ScaleByName(*scale)
 	if err != nil {
@@ -165,9 +153,6 @@ func main() {
 	logger.Infof("%d experiments in %.1fs wall time, jobs=%d",
 		len(ids), time.Since(start).Seconds(), runner.Jobs())
 
-	if plan != nil {
-		logger.Infof("faults injected: %s", plan.CountsString())
-	}
 	if *metrics {
 		set.WriteMetrics(os.Stderr)
 	}

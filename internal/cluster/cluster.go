@@ -54,18 +54,13 @@ type Config struct {
 	Servers int
 	// StripeUnit is the striping unit in bytes (64 KB default).
 	StripeUnit int64
-	// Handlers bounds concurrent I/O jobs per server.
-	Handlers int
-	Mode     Mode
+	Mode       Mode
 	// IBridge configures the bridges when Mode == IBridge.
 	IBridge core.Config
 	// FragmentThreshold and RandomThreshold are the client-side
 	// thresholds (20 KB defaults); used only in IBridge mode.
 	FragmentThreshold int64
 	RandomThreshold   int64
-	HDD               hdd.Spec
-	SSD               ssd.Spec
-	Net               pfs.NetModel
 	// Readahead wraps every server's store with kernel-style
 	// sequential readahead (128 KB windows). Off by default: the
 	// calibrated experiments model the paper's flushed-cache
@@ -87,25 +82,30 @@ type Config struct {
 }
 
 // DefaultConfig mirrors the paper's evaluation platform: 8 data servers,
-// 64 KB striping unit, the Table II devices, and iBridge defaults.
+// 64 KB striping unit and iBridge defaults. The devices (Table II) and
+// the network are fixed: see New.
 func DefaultConfig() Config {
 	return Config{
-		Servers:    8,
-		StripeUnit: stripe.DefaultUnit,
-		// PVFS2's Trove layer performs synchronous file I/O with a
-		// small number of concurrent operations per server; the block
-		// queue never sees the whole client population at once.
-		Handlers:          4,
+		Servers:           8,
+		StripeUnit:        stripe.DefaultUnit,
 		Mode:              Stock,
 		IBridge:           core.DefaultConfig(),
 		FragmentThreshold: 20 * 1024,
 		RandomThreshold:   20 * 1024,
-		HDD:               hdd.DefaultSpec(),
-		SSD:               ssd.DefaultSpec(),
-		Net:               pfs.DefaultNet(),
 		Seed:              1,
 	}
 }
+
+const (
+	// handlers bounds concurrent I/O jobs per server: PVFS2's Trove
+	// layer performs synchronous file I/O with a small number of
+	// concurrent operations per server, so the block queue never sees
+	// the whole client population at once.
+	handlers = 4
+	// reportPeriod is how often each server reports its T value to the
+	// metadata server for broadcast (1 s in the paper).
+	reportPeriod = sim.Second
+)
 
 // Cluster is one assembled simulation instance. A Cluster runs exactly
 // one workload (engines are single-use); construct a fresh Cluster per
@@ -121,7 +121,8 @@ type Cluster struct {
 	cfg        Config
 }
 
-// New builds a cluster per cfg.
+// New builds a cluster per cfg, on the Table II devices
+// (hdd.DefaultSpec, ssd.DefaultSpec) and pfs.DefaultNet.
 func New(cfg Config) (*Cluster, error) {
 	if cfg.Servers <= 0 {
 		return nil, fmt.Errorf("cluster: %d servers", cfg.Servers)
@@ -155,7 +156,7 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	stores := make([]pfs.Store, cfg.Servers)
 	if cfg.Mode == IBridge {
-		c.Exchange = core.NewExchange(e, cfg.IBridge.ReportPeriod)
+		c.Exchange = core.NewExchange(e, reportPeriod)
 	}
 	for i := 0; i < cfg.Servers; i++ {
 		var tracer iosched.Tracer
@@ -164,31 +165,29 @@ func New(cfg Config) (*Cluster, error) {
 			c.Collectors = append(c.Collectors, col)
 			tracer = col
 		}
-		disk := hdd.New(e, fmt.Sprintf("hdd%d", i), cfg.HDD, componentRNG(1, i))
+		disk := hdd.New(e, fmt.Sprintf("hdd%d", i), hdd.DefaultSpec(), componentRNG(1, i))
 		if hddM != nil {
 			disk.SetProbe(hddM)
 		}
 		c.Disks = append(c.Disks, disk)
 		diskQ := iosched.New(e, disk, iosched.DiskDefaults(), tracer)
 		diskQ.SetMetrics(diskQM)
+		var sd *ssd.SSD
+		if cfg.Mode != Stock {
+			sd = ssd.New(e, fmt.Sprintf("ssd%d", i), ssd.DefaultSpec())
+			if ssdM != nil {
+				sd.SetProbe(ssdM)
+			}
+			c.SSDs = append(c.SSDs, sd)
+		}
 		switch cfg.Mode {
 		case Stock:
-			stores[i] = pfs.NewDiskStore(diskQ)
+			stores[i] = pfs.NewQueueStore(diskQ)
 		case SSDOnly:
-			sd := ssd.New(e, fmt.Sprintf("ssd%d", i), cfg.SSD)
-			if ssdM != nil {
-				sd.SetProbe(ssdM)
-			}
-			c.SSDs = append(c.SSDs, sd)
 			sq := iosched.New(e, sd, iosched.SSDDefaults(), tracer)
 			sq.SetMetrics(ssdQM)
-			stores[i] = pfs.NewSSDStore(sq)
+			stores[i] = pfs.NewQueueStore(sq)
 		case IBridge:
-			sd := ssd.New(e, fmt.Sprintf("ssd%d", i), cfg.SSD)
-			if ssdM != nil {
-				sd.SetProbe(ssdM)
-			}
-			c.SSDs = append(c.SSDs, sd)
 			ssdQ := iosched.New(e, sd, iosched.SSDDefaults(), nil)
 			ssdQ.SetMetrics(ssdQM)
 			b := core.NewBridge(e, cfg.IBridge, i, disk, diskQ, ssdQ, c.Exchange, componentRNG(2, i))
@@ -241,8 +240,8 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	fs, err := pfs.NewFileSystem(e, pfs.Config{
 		Layout:   stripe.Layout{Unit: cfg.StripeUnit, Servers: cfg.Servers},
-		Net:      cfg.Net,
-		Handlers: cfg.Handlers,
+		Net:      pfs.DefaultNet(),
+		Handlers: handlers,
 	}, stores)
 	if err != nil {
 		return nil, err

@@ -33,6 +33,11 @@ type Bridge struct {
 
 	stage []stageItem
 
+	// idleAfter and stageQueueMax are the constants of the same names;
+	// tests isolating one mechanism lower them.
+	idleAfter     sim.Duration
+	stageQueueMax int
+
 	// ssdFailed latches after an injected SSD-device failure: the cache
 	// is drained and dropped once, and every later request takes the
 	// disk path — graceful degradation, never data loss.
@@ -76,19 +81,21 @@ func (b *Bridge) capSectors() int64 { return b.cfg.SSDCapacity / device.SectorSi
 // be the pfs server index; exch may be nil for a standalone bridge (no
 // magnification data). diskQ must wrap disk; ssdQ must wrap the SSD.
 func NewBridge(e *sim.Engine, cfg Config, serverID int, disk *hdd.Disk, diskQ, ssdQ *iosched.Queue, exch *Exchange, rng *sim.RNG) *Bridge {
-	if cfg.EWMAOld+cfg.EWMANew == 0 {
-		panic("core: zero EWMA weights")
+	if !(cfg.EWMANew > 0 && cfg.EWMANew <= 1) {
+		panic(fmt.Sprintf("core: EWMA new-sample weight %v outside (0, 1]", cfg.EWMANew))
 	}
 	b := &Bridge{
-		e:      e,
-		cfg:    cfg,
-		server: serverID,
-		diskQ:  diskQ,
-		disk:   disk,
-		ssdQ:   ssdQ,
-		trk:    newTracker(disk.Spec(), cfg.EWMAOld, cfg.EWMANew),
-		exch:   exch,
-		alloc:  newLogAlloc(cfg.SSDCapacity/device.SectorSize, cfg.LogStructured, rng),
+		e:             e,
+		cfg:           cfg,
+		server:        serverID,
+		diskQ:         diskQ,
+		disk:          disk,
+		ssdQ:          ssdQ,
+		trk:           newTracker(disk.Spec(), cfg.EWMANew),
+		exch:          exch,
+		alloc:         newLogAlloc(cfg.SSDCapacity/device.SectorSize, cfg.LogStructured, rng),
+		idleAfter:     idleAfter,
+		stageQueueMax: stageQueueMax,
 	}
 	b.table = newTable(b.alloc)
 	if exch != nil {
@@ -232,7 +239,7 @@ func (b *Bridge) serveRead(p *sim.Proc, r *pfs.IORequest) {
 	// The data is now in memory; if redirecting it would have paid off,
 	// stage it into the SSD during the next idle period so future runs
 	// hit (Section II-B's read path).
-	if candidate && ret > 0 && len(b.stage) < b.cfg.StageQueueMax {
+	if candidate && ret > 0 && len(b.stage) < b.stageQueueMax {
 		b.stage = append(b.stage, stageItem{lbn: r.LBN, sectors: r.Sectors, ret: ret, class: classify(r)})
 		b.countOffload(ret, boost)
 		if b.tr != nil {
@@ -279,13 +286,12 @@ func (b *Bridge) serveWrite(p *sim.Proc, r *pfs.IORequest) {
 }
 
 // writeToSSD admits a write into the cache: evicts within the class
-// partition, appends to the SSD log, and records the mapping. Returns
-// false if space cannot be made.
+// partition, appends to the SSD log, and records the mapping. The log
+// record carries one extra sector, the mapping table's dirty-entry
+// update (Section II-B persists it with each SSD write). Returns false
+// if space cannot be made.
 func (b *Bridge) writeToSSD(p *sim.Proc, r *pfs.IORequest, ret float64, c Class) bool {
-	need := r.Sectors
-	if b.cfg.TablePersist {
-		need++ // the mapping-table record rides along
-	}
+	need := r.Sectors + 1
 	if !b.makeRoom(p, c, need) {
 		return false
 	}
@@ -296,8 +302,8 @@ func (b *Bridge) writeToSSD(p *sim.Proc, r *pfs.IORequest, ret float64, c Class)
 		return false
 	}
 	b.ssdQ.Submit(p, device.Request{Op: device.Write, LBN: at, Sectors: need})
-	// The mapping covers the data sectors only; the table record (if
-	// any) is allocator overhead owned by the entry's span.
+	// The mapping covers the data sectors only; the table record is
+	// allocator overhead owned by the entry's span.
 	// Admissions of the range that landed during the write are older
 	// than this one: the insert supersedes them.
 	b.admit(&entry{lbn: r.LBN, sectors: r.Sectors, dirty: true, class: c, ret: ret, spanAt: at, spanN: need})
@@ -374,7 +380,7 @@ func (b *Bridge) writebackEntry(p *sim.Proc, e *entry) {
 // idle reports whether both devices have been quiet long enough for
 // background work.
 func (b *Bridge) idle(now sim.Time) bool {
-	quiet := now.Add(-b.cfg.IdleAfter)
+	quiet := now.Add(-b.idleAfter)
 	return b.diskQ.Pending() == 0 && b.ssdQ.Pending() == 0 &&
 		b.disk.IdleSince() <= quiet
 }
@@ -412,7 +418,7 @@ func (b *Bridge) maintain(p *sim.Proc) {
 		// Write back only under dirty pressure; otherwise dirty data
 		// waits for eviction pressure or the final flush.
 		if float64(b.DirtySectors()) >= b.cfg.WritebackMinDirty*float64(b.capSectors()) {
-			b.writebackPass(p, b.cfg.WritebackBatch)
+			b.writebackPass(p, writebackBatch)
 		}
 	}
 }
@@ -422,10 +428,7 @@ func (b *Bridge) stageOne(p *sim.Proc, it stageItem) {
 	if _, ok := b.table.covered(it.lbn, it.sectors); ok {
 		return // already cached meanwhile
 	}
-	need := it.sectors
-	if b.cfg.TablePersist {
-		need++
-	}
+	need := it.sectors + 1 // with the table record, as in writeToSSD
 	if !b.makeRoom(p, it.class, need) {
 		return
 	}

@@ -240,17 +240,17 @@ func TestIdleWritebackRuns(t *testing.T) {
 
 func TestEvictionLRUWithinPartition(t *testing.T) {
 	e := sim.New()
-	// Tiny cache: 16 sectors total, fragments get half (static) = 8.
+	// Tiny cache: 20 sectors total, fragments get half (static) = 10.
 	b, _ := testBridge(e, func(c *Config) {
-		c.SSDCapacity = 16 * device.SectorSize
+		c.SSDCapacity = 20 * device.SectorSize
 		c.DynamicPartition = false
 		c.StaticFragShare = 0.5
-		c.TablePersist = false
 		c.IdleCheck = sim.Second
 	})
 	runSim(t, e, func(p *sim.Proc) {
 		driveT(p, b)
-		// Four 2-sector fragments fill the 8-sector fragment share.
+		// Four 2-sector fragments fill the 10-sector fragment share: each
+		// admission needs its 2 sectors plus the table sector.
 		for i := int64(0); i < 4; i++ {
 			b.Serve(p, frag(device.Write, 1<<27+i*100, 2))
 			b.trk.prevLBN = 0
@@ -278,7 +278,6 @@ func TestOversizedCandidateRejected(t *testing.T) {
 		c.SSDCapacity = 8 * device.SectorSize
 		c.DynamicPartition = false
 		c.StaticFragShare = 0.5
-		c.TablePersist = false
 	})
 	runSim(t, e, func(p *sim.Proc) {
 		driveT(p, b)
@@ -294,10 +293,7 @@ func TestOversizedCandidateRejected(t *testing.T) {
 
 func TestDynamicPartitionFollowsReturns(t *testing.T) {
 	e := sim.New()
-	b, _ := testBridge(e, func(c *Config) {
-		c.TablePersist = false
-		c.IdleCheck = sim.Second
-	})
+	b, _ := testBridge(e, func(c *Config) { c.IdleCheck = sim.Second })
 	runSim(t, e, func(p *sim.Proc) {
 		driveT(p, b)
 		// Admit fragments with large recorded returns by hand-tuning
@@ -375,7 +371,7 @@ func TestMagnificationChangesDecision(t *testing.T) {
 
 func TestPeakUsageTracked(t *testing.T) {
 	e := sim.New()
-	b, _ := testBridge(e, func(c *Config) { c.TablePersist = false; c.IdleCheck = sim.Second })
+	b, _ := testBridge(e, func(c *Config) { c.IdleCheck = sim.Second })
 	runSim(t, e, func(p *sim.Proc) {
 		driveT(p, b)
 		for i := int64(0); i < 5; i++ {
@@ -383,6 +379,7 @@ func TestPeakUsageTracked(t *testing.T) {
 			b.trk.prevLBN = 0
 		}
 	})
+	// Usage counts mapped sectors: the table sectors are not data.
 	if b.Stats().PeakUsage != 10*device.SectorSize {
 		t.Fatalf("peak usage = %d, want %d", b.Stats().PeakUsage, 10*device.SectorSize)
 	}

@@ -47,10 +47,11 @@ type Config struct {
 	// SSDCapacity is the size in bytes of the SSD cache partition
 	// (10 GB in the paper's evaluation).
 	SSDCapacity int64
-	// EWMAOld and EWMANew are the Eq. (1) weights for the previous
-	// average and the new sample (1/8 and 7/8, the values the paper
-	// borrows from Linux anticipatory scheduling).
-	EWMAOld, EWMANew float64
+	// EWMANew is the Eq. (1) weight of the new sample, in (0, 1]; the
+	// previous average gets 1 − EWMANew. The default puts 7/8 on the new
+	// sample, although the paper's text (and the Linux anticipatory
+	// scheduler it borrows from) puts 1/8 there: EXPERIMENTS.md D7.
+	EWMANew float64
 	// Magnification enables the Eq. (3) striping-magnification boost
 	// for fragments on the currently slowest sibling disk. Disabling
 	// it is the A1 ablation.
@@ -65,21 +66,8 @@ type Config struct {
 	// paper's design); false places them at scattered locations (A4
 	// ablation), paying the SSD's random-write penalty.
 	LogStructured bool
-	// TablePersist models the mapping table's dirty-entry updates
-	// being persisted with each SSD write (one extra sector appended
-	// to the log record).
-	TablePersist bool
-	// ReportPeriod is how often each server reports its T value to the
-	// metadata server for broadcast (1 s in the paper).
-	ReportPeriod sim.Duration
-	// IdleCheck is the maintenance daemon's polling period, and
-	// IdleAfter how long both devices must have been quiet before the
-	// daemon stages reads or writes back dirty data.
+	// IdleCheck is the maintenance daemon's polling period.
 	IdleCheck sim.Duration
-	IdleAfter sim.Duration
-	// WritebackBatch bounds how many dirty extents one idle pass
-	// writes back before re-checking for foreground traffic.
-	WritebackBatch int
 	// WritebackMinDirty is the dirty fraction of the cache above which
 	// idle writeback engages. Below it, dirty data waits for real
 	// pressure or program termination: under a continuously loaded
@@ -87,27 +75,31 @@ type Config struct {
 	// writeback write in one delays the next foreground request (the
 	// A5 ablation measures this).
 	WritebackMinDirty float64
-	// StageQueueMax bounds the pending read-staging queue.
-	StageQueueMax int
 }
+
+// Fixed parameters of the maintenance daemon.
+const (
+	// idleAfter is how long both devices must have been quiet before
+	// the daemon stages reads or writes back dirty data.
+	idleAfter = sim.Millisecond
+	// writebackBatch bounds how many dirty extents one idle pass writes
+	// back before re-checking for foreground traffic.
+	writebackBatch = 32
+	// stageQueueMax bounds the pending read-staging queue.
+	stageQueueMax = 4096
+)
 
 // DefaultConfig returns the paper's evaluation parameters.
 func DefaultConfig() Config {
 	return Config{
 		SSDCapacity:       10 << 30,
-		EWMAOld:           1.0 / 8.0,
 		EWMANew:           7.0 / 8.0,
 		Magnification:     true,
 		DynamicPartition:  true,
 		StaticFragShare:   0.5,
 		LogStructured:     true,
-		TablePersist:      true,
-		ReportPeriod:      sim.Second,
 		IdleCheck:         2 * sim.Millisecond,
-		IdleAfter:         sim.Millisecond,
-		WritebackBatch:    32,
 		WritebackMinDirty: 0.5,
-		StageQueueMax:     4096,
 	}
 }
 

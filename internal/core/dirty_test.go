@@ -288,7 +288,8 @@ func BenchmarkDirtyAccounting(b *testing.B) {
 		e := sim.New()
 		// IdleAfter 0: the devices count as idle at time zero, so the
 		// predicate runs through to the dirty-pressure comparison.
-		br, _ := testBridge(e, func(c *Config) { c.IdleAfter = 0 })
+		br, _ := testBridge(e, nil)
+		br.idleAfter = 0
 		if !br.idle(e.Now()) {
 			b.Fatal("bridge not idle: the tick would stop before the dirty check")
 		}

@@ -14,7 +14,7 @@ func newTestDisk(e *sim.Engine) *hdd.Disk {
 }
 
 func TestTrackerEq1Update(t *testing.T) {
-	trk := newTracker(hdd.DefaultSpec(), 1.0/8, 7.0/8)
+	trk := newTracker(hdd.DefaultSpec(), 7.0/8)
 	r := device.Request{Op: device.Read, LBN: 1 << 28, Sectors: 8}
 	sample := trk.sample(r)
 	want := 0*1.0/8 + sample*7.0/8
@@ -28,7 +28,7 @@ func TestTrackerEq1Update(t *testing.T) {
 }
 
 func TestTrackerEq2NoUpdate(t *testing.T) {
-	trk := newTracker(hdd.DefaultSpec(), 1.0/8, 7.0/8)
+	trk := newTracker(hdd.DefaultSpec(), 7.0/8)
 	trk.servedAtDisk(device.Request{Op: device.Read, LBN: 1 << 28, Sectors: 8})
 	tBefore, lBefore := trk.T(), trk.prevLBN
 	trk.servedAtSSD()
@@ -38,7 +38,7 @@ func TestTrackerEq2NoUpdate(t *testing.T) {
 }
 
 func TestTrackerSampleDependsOnSeekDistance(t *testing.T) {
-	trk := newTracker(hdd.DefaultSpec(), 1.0/8, 7.0/8)
+	trk := newTracker(hdd.DefaultSpec(), 7.0/8)
 	trk.prevLBN = 1 << 20
 	near := trk.sample(device.Request{Op: device.Read, LBN: 1 << 20, Sectors: 8})
 	far := trk.sample(device.Request{Op: device.Read, LBN: 1 << 30, Sectors: 8})
@@ -50,7 +50,7 @@ func TestTrackerSampleDependsOnSeekDistance(t *testing.T) {
 func TestTrackerConvergesToSteadySample(t *testing.T) {
 	// Feeding identical random-ish samples must converge T to the
 	// sample value, fast given the 7/8 new-sample weight.
-	trk := newTracker(hdd.DefaultSpec(), 1.0/8, 7.0/8)
+	trk := newTracker(hdd.DefaultSpec(), 7.0/8)
 	r := device.Request{Op: device.Read, LBN: 1 << 28, Sectors: 8}
 	var s float64
 	for i := 0; i < 10; i++ {

@@ -15,15 +15,15 @@ func TestPartitionSeparatesClasses(t *testing.T) {
 	// evict random-class entries.
 	e := sim.New()
 	b, _ := testBridge(e, func(c *Config) {
-		c.SSDCapacity = 32 * device.SectorSize
+		c.SSDCapacity = 40 * device.SectorSize
 		c.DynamicPartition = false
 		c.StaticFragShare = 0.5
-		c.TablePersist = false
 		c.IdleCheck = sim.Second
 	})
 	runSim(t, e, func(p *sim.Proc) {
 		driveT(p, b)
-		// Fill the random class.
+		// Fill the random class: four 4-sector entries fit its 20-sector
+		// share (each admission also needs its table sector).
 		for i := int64(0); i < 4; i++ {
 			b.Serve(p, random(device.Write, 1<<26+i*100, 4))
 			b.trk.prevLBN = 0
@@ -74,9 +74,9 @@ func TestDynamicPartitionFloors(t *testing.T) {
 func TestStageQueueBounded(t *testing.T) {
 	e := sim.New()
 	b, _ := testBridge(e, func(c *Config) {
-		c.StageQueueMax = 4
 		c.IdleCheck = sim.Second // no draining during the test
 	})
+	b.stageQueueMax = 4
 	runSim(t, e, func(p *sim.Proc) {
 		driveT(p, b)
 		for i := int64(0); i < 10; i++ {
@@ -90,24 +90,20 @@ func TestStageQueueBounded(t *testing.T) {
 }
 
 func TestTablePersistAddsJournalSector(t *testing.T) {
-	used := func(persist bool) int64 {
-		e := sim.New()
-		b, _ := testBridge(e, func(c *Config) {
-			c.TablePersist = persist
-			c.IdleCheck = sim.Second
-		})
-		runSim(t, e, func(p *sim.Proc) {
-			driveT(p, b)
-			for i := int64(0); i < 5; i++ {
-				b.Serve(p, frag(device.Write, 1<<27+i*1000, 2))
-				b.trk.prevLBN = 0
-			}
-		})
-		return b.alloc.Used()
+	e := sim.New()
+	b, _ := testBridge(e, func(c *Config) { c.IdleCheck = sim.Second })
+	runSim(t, e, func(p *sim.Proc) {
+		driveT(p, b)
+		for i := int64(0); i < 5; i++ {
+			b.Serve(p, frag(device.Write, 1<<27+i*1000, 2))
+			b.trk.prevLBN = 0
+		}
+	})
+	if n := b.Stats().Admissions[ClassFragment]; n != 5 {
+		t.Fatalf("%d fragment admissions, want 5", n)
 	}
-	with, without := used(true), used(false)
-	if with != without+5 {
-		t.Fatalf("persisted-table allocation %d, plain %d: want exactly one extra sector per entry", with, without)
+	if used := b.alloc.Used(); used != 5*(2+1) {
+		t.Fatalf("allocation %d sectors for five 2-sector entries: want exactly one extra sector per entry (15)", used)
 	}
 }
 
@@ -119,7 +115,6 @@ func TestStagingRespectsPartition(t *testing.T) {
 		c.SSDCapacity = 16 * device.SectorSize
 		c.DynamicPartition = false
 		c.StaticFragShare = 0.5
-		c.TablePersist = false
 		c.IdleCheck = sim.Millisecond
 	})
 	runSim(t, e, func(p *sim.Proc) {

@@ -17,7 +17,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/cluster"
-	"repro/internal/faults"
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -145,19 +144,6 @@ func SetObs(s *obs.Set) { currentObs.Store(s) }
 // CurrentObs returns the installed observability sink, or nil.
 func CurrentObs() *obs.Set { return currentObs.Load() }
 
-// currentFaults is the fault plan applied to all subsequently built
-// experiment clusters (nil = none); same atomic-pointer pattern as
-// currentObs, for the same parallel-runner reason. In the simulated
-// clusters only the device-level clauses (ssdfail=srvN@DUR) act.
-var currentFaults atomic.Pointer[faults.Plan]
-
-// SetFaults installs the fault plan used by all subsequently built
-// experiment clusters (nil disables).
-func SetFaults(p *faults.Plan) { currentFaults.Store(p) }
-
-// CurrentFaults returns the installed fault plan, or nil.
-func CurrentFaults() *faults.Plan { return currentFaults.Load() }
-
 // baseConfig returns the evaluation-platform cluster configuration at the
 // given mode and scale.
 func baseConfig(s Scale, mode cluster.Mode) cluster.Config {
@@ -165,7 +151,6 @@ func baseConfig(s Scale, mode cluster.Mode) cluster.Config {
 	cfg.Mode = mode
 	cfg.IBridge.SSDCapacity = s.SSDBytes
 	cfg.Obs = CurrentObs()
-	cfg.Faults = CurrentFaults()
 	return cfg
 }
 

@@ -14,7 +14,7 @@ func newCFQQueue(e *sim.Engine, cfg Config) (*Queue, *hdd.Disk) {
 }
 
 func cfqConfig() Config {
-	return Config{Policy: CFQ, Merge: true, MaxSectors: 256,
+	return Config{Policy: CFQ, MaxSectors: 256,
 		SliceIdle: 2 * sim.Millisecond, SliceQuantum: 4}
 }
 

@@ -17,7 +17,7 @@ func testWorld(t *testing.T, e *sim.Engine, ranks int) (*World, *pfs.FileSystem)
 	stores := make([]pfs.Store, 4)
 	for i := range stores {
 		d := hdd.New(e, "hdd", hdd.DefaultSpec(), rng.Fork())
-		stores[i] = pfs.NewDiskStore(iosched.New(e, d, iosched.DiskDefaults(), nil))
+		stores[i] = pfs.NewQueueStore(iosched.New(e, d, iosched.DiskDefaults(), nil))
 	}
 	fs, err := pfs.NewFileSystem(e, pfs.Config{
 		Layout: stripe.Layout{Unit: 64 * 1024, Servers: 4},

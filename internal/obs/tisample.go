@@ -91,9 +91,6 @@ func (ts *TiSampler) Samples() []TiSample {
 	return out
 }
 
-// Label returns the sampler's label.
-func (ts *TiSampler) Label() string { return ts.label }
-
 // summary formats one line: sample count and the final vector's range.
 func (ts *TiSampler) summary() string {
 	ts.mu.Lock()

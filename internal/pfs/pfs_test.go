@@ -19,7 +19,7 @@ func testFS(t *testing.T, e *sim.Engine, nServers int) (*FileSystem, []*hdd.Disk
 	stores := make([]Store, nServers)
 	for i := range stores {
 		disks[i] = hdd.New(e, "hdd", hdd.DefaultSpec(), rng.Fork())
-		stores[i] = NewDiskStore(iosched.New(e, disks[i], iosched.DiskDefaults(), nil))
+		stores[i] = NewQueueStore(iosched.New(e, disks[i], iosched.DiskDefaults(), nil))
 	}
 	fs, err := NewFileSystem(e, Config{
 		Layout: stripe.Layout{Unit: 64 * 1024, Servers: nServers},

@@ -13,7 +13,7 @@ import (
 func raFixture(t *testing.T, e *sim.Engine) (*ReadaheadStore, *hdd.Disk) {
 	t.Helper()
 	d := hdd.New(e, "hdd", hdd.DefaultSpec(), sim.NewRNG(1))
-	inner := NewDiskStore(iosched.New(e, d, iosched.DiskDefaults(), nil))
+	inner := NewQueueStore(iosched.New(e, d, iosched.DiskDefaults(), nil))
 	return NewReadaheadStore(inner), d
 }
 

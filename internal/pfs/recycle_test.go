@@ -68,7 +68,7 @@ func TestRecycledParentsNeverAlias(t *testing.T) {
 	var files []*File
 	for i := range stores {
 		d := hdd.New(e, "hdd", hdd.DefaultSpec(), rng.Fork())
-		stores[i] = &checkStore{t: t, inner: NewDiskStore(iosched.New(e, d, iosched.DiskDefaults(), nil))}
+		stores[i] = &checkStore{t: t, inner: NewQueueStore(iosched.New(e, d, iosched.DiskDefaults(), nil))}
 		stores[i].expect = func(r *IORequest) error {
 			f := files[r.FileID]
 			size := sizes[r.FileID]

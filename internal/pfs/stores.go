@@ -1,63 +1,29 @@
 package pfs
 
 import (
-	"repro/internal/device"
 	"repro/internal/iosched"
 	"repro/internal/sim"
 )
 
-// DiskStore is the stock storage stack: every request goes to the hard
-// disk behind a merging elevator queue (CFQ-style), as in the paper's
-// baseline system.
-type DiskStore struct {
+// QueueStore sends every request to one device through its scheduler
+// queue, unchanged. Over a hard disk behind CFQ it is the paper's stock
+// storage stack; over an SSD behind Noop it is Figure 10's "SSD-only"
+// configuration, where data lands at its file location on the SSD (so,
+// unlike iBridge's log, concurrent writes from many processes are
+// scattered and pay the SSD's random-write penalty).
+type QueueStore struct {
 	queue *iosched.Queue
 }
 
-// NewDiskStore wraps an elevator queue as a Store.
-func NewDiskStore(q *iosched.Queue) *DiskStore { return &DiskStore{queue: q} }
-
-// Queue exposes the underlying scheduler queue.
-func (d *DiskStore) Queue() *iosched.Queue { return d.queue }
+// NewQueueStore wraps a scheduler queue as a Store.
+func NewQueueStore(q *iosched.Queue) *QueueStore { return &QueueStore{queue: q} }
 
 // Serve implements Store.
-func (d *DiskStore) Serve(p *sim.Proc, r *IORequest) {
-	d.queue.Submit(p, r.Request())
-}
-
-// Flush implements Store: the stock stack is write-through.
-func (d *DiskStore) Flush(*sim.Proc) {}
-
-// SSDStore serves everything from an SSD behind a Noop queue — the
-// "SSD-only" configuration of the paper's Figure 10, where data lands at
-// its file location on the SSD (so unlike iBridge's log, concurrent
-// writes from many processes are scattered, paying the SSD's random-write
-// penalty).
-type SSDStore struct {
-	queue *iosched.Queue
-}
-
-// NewSSDStore wraps a Noop queue over an SSD as a Store.
-func NewSSDStore(q *iosched.Queue) *SSDStore { return &SSDStore{queue: q} }
-
-// Queue exposes the underlying scheduler queue.
-func (s *SSDStore) Queue() *iosched.Queue { return s.queue }
-
-// Serve implements Store.
-func (s *SSDStore) Serve(p *sim.Proc, r *IORequest) {
+func (s *QueueStore) Serve(p *sim.Proc, r *IORequest) {
 	s.queue.Submit(p, r.Request())
 }
 
-// Flush implements Store.
-func (s *SSDStore) Flush(*sim.Proc) {}
+// Flush implements Store: the stack is write-through.
+func (s *QueueStore) Flush(*sim.Proc) {}
 
-// Ensure interface satisfaction.
-var (
-	_ Store          = (*DiskStore)(nil)
-	_ Store          = (*SSDStore)(nil)
-	_ iosched.Tracer = nilTracer{}
-)
-
-// nilTracer exists only for the compile-time check above.
-type nilTracer struct{}
-
-func (nilTracer) Dispatch(sim.Time, device.Request) {}
+var _ Store = (*QueueStore)(nil)

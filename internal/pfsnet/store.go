@@ -20,8 +20,6 @@ type ObjectStore interface {
 	// ReadAt fills p from the object at off; missing ranges read as
 	// zeros (sparse semantics). Negative offsets are an error.
 	ReadAt(file uint64, off int64, p []byte) error
-	// Size returns the current object length for file.
-	Size(file uint64) (int64, error)
 	// Close releases resources.
 	Close() error
 }
@@ -107,16 +105,6 @@ func (s *MemStore) ReadAt(file uint64, off int64, p []byte) error {
 		off += n
 	}
 	return nil
-}
-
-// Size implements ObjectStore.
-func (s *MemStore) Size(file uint64) (int64, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if o := s.objects[file]; o != nil {
-		return o.size, nil
-	}
-	return 0, nil
 }
 
 // Close implements ObjectStore.

@@ -18,7 +18,7 @@ func testFS(t *testing.T, e *sim.Engine) (*pfs.FileSystem, []*hdd.Disk) {
 	stores := make([]pfs.Store, 4)
 	for i := range stores {
 		disks[i] = hdd.New(e, "hdd", hdd.DefaultSpec(), rng.Fork())
-		stores[i] = pfs.NewDiskStore(iosched.New(e, disks[i], iosched.DiskDefaults(), nil))
+		stores[i] = pfs.NewQueueStore(iosched.New(e, disks[i], iosched.DiskDefaults(), nil))
 	}
 	fs, err := pfs.NewFileSystem(e, pfs.Config{
 		Layout: stripe.Layout{Unit: 64 * 1024, Servers: 4},

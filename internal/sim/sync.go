@@ -61,12 +61,6 @@ func (s *Semaphore) Release() {
 	s.held--
 }
 
-// Held returns the number of units currently held.
-func (s *Semaphore) Held() int { return s.held }
-
-// Waiting returns the number of processes blocked in Acquire.
-func (s *Semaphore) Waiting() int { return len(s.waiters) }
-
 // Queue is an unbounded FIFO channel between simulated processes. Its
 // items and waiters live in rings, so a queue in steady use allocates
 // nothing.

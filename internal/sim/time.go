@@ -26,6 +26,3 @@ const (
 	Millisecond = vtime.Millisecond
 	Second      = vtime.Second
 )
-
-// DurationOf converts a floating-point number of seconds to a Duration.
-func DurationOf(seconds float64) Duration { return vtime.DurationOf(seconds) }

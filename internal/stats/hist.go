@@ -76,9 +76,6 @@ func (h *Hist) Observe(v float64) {
 // Count returns the number of observations.
 func (h *Hist) Count() int64 { return h.n }
 
-// Sum returns the sum of all observations.
-func (h *Hist) Sum() float64 { return h.sum }
-
 // Mean returns the arithmetic mean of all observations (0 when empty).
 func (h *Hist) Mean() float64 {
 	if h.n == 0 {

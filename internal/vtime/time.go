@@ -43,9 +43,6 @@ func (d Duration) Microseconds() float64 { return float64(d) / float64(Microseco
 // simulation start.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
-// DurationOf converts a floating-point number of seconds to a Duration.
-func DurationOf(seconds float64) Duration { return Duration(seconds * float64(Second)) }
-
 func (d Duration) String() string {
 	switch {
 	case d < Microsecond:
