@@ -74,11 +74,6 @@ func main() {
 			}
 		}()
 	}
-	logLevel := obs.LevelInfo
-	if *verbose {
-		logLevel = obs.LevelDebug
-	}
-	logger := obs.NewLogger(os.Stderr, logLevel)
 	set := obs.New(obs.Config{
 		Metrics:     *metrics || *debugAddr != "",
 		Trace:       *traceTo != "",
@@ -86,9 +81,8 @@ func main() {
 	})
 	experiments.SetObs(set)
 	if *debugAddr != "" {
-		// Scraping mid-run reads the live registry: simulation counters
-		// and any registered gauges (e.g. pfsnet client latency-sketch
-		// quantiles when a cluster experiment wires a registry through).
+		// Scraping mid-run reads the live registry: the simulation's
+		// counters, gauges and histograms.
 		expvar.Publish("bench", expvar.Func(func() any { return set.Registry().Snapshot() }))
 		go func() {
 			mux := http.NewServeMux()
@@ -142,15 +136,17 @@ func main() {
 			if _, err := fmt.Fprintf(sink, "%s\n", r.rendered); err != nil {
 				return err
 			}
-			logger.Debugf("%s completed in %.1fs host time at scale %s",
-				ids[i], r.elapsed.Seconds(), s.Name)
+			if *verbose {
+				fmt.Fprintf(os.Stderr, "%s completed in %.1fs host time at scale %s\n",
+					ids[i], r.elapsed.Seconds(), s.Name)
+			}
 			return nil
 		})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	logger.Infof("%d experiments in %.1fs wall time, jobs=%d",
+	fmt.Fprintf(os.Stderr, "%d experiments in %.1fs wall time, jobs=%d\n",
 		len(ids), time.Since(start).Seconds(), runner.Jobs())
 
 	if *metrics {
@@ -161,7 +157,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		logger.Infof("trace: %d events written to %s (load in chrome://tracing)",
+		fmt.Fprintf(os.Stderr, "trace: %d events written to %s (load in chrome://tracing)\n",
 			tr.Len(), *traceTo)
 	}
 }

@@ -29,7 +29,7 @@
 // standard expvar keys plus "pfs" (the live server counters and the
 // "pfsnet.server.*" wire metrics: frames, bytes, writev batching, and
 // the fragment log's pfsnet.server.bridge.{live_bytes,held_bytes,extents}
-// gauges). -stats prints the same three gauges next to the counters.
+// gauges).
 //
 // With -span-file the server arms an obs.XTracer named after its fault
 // scope: traced clients propagate {traceID, parentSpanID} on the
@@ -61,7 +61,6 @@ func main() {
 		ibridge    = flag.Bool("ibridge", false, "enable the iBridge fragment log")
 		storeKind  = flag.String("store", "mem", "backing store: mem or log (crash-consistent; see DESIGN §14)")
 		storeDir   = flag.String("store-dir", "", "directory for the log store")
-		stats      = flag.Duration("stats", 0, "print server statistics at this interval (0 = never)")
 		debugAddr  = flag.String("debug-addr", "", "serve expvar metrics over HTTP at this address (/debug/vars)")
 		spanFile   = flag.String("span-file", "", "write this server's trace spans (JSON lines) to this file at shutdown; merge with 'ibridge-trace -merge'")
 		ioTimeout  = flag.Duration("io-timeout", 30*time.Second, "per-frame read/write deadline on each connection (0 = off)")
@@ -153,16 +152,6 @@ func main() {
 			log.Printf("pfs-server: expvar metrics on http://%s/debug/vars", *debugAddr)
 			if err := http.ListenAndServe(*debugAddr, mux); err != nil {
 				log.Printf("pfs-server: debug server: %v", err)
-			}
-		}()
-	}
-	if *stats > 0 {
-		go func() {
-			for range time.Tick(*stats) {
-				s := ds.Stats()
-				log.Printf("pfs-server: reads=%d writes=%d fragWrites=%d fragReads=%d logBytes=%d bridge: live=%d held=%d extents=%d",
-					s.Reads, s.Writes, s.FragmentWrites, s.FragmentReads, s.LogBytes,
-					s.BridgeLiveBytes, s.BridgeHeldBytes, s.BridgeExtents)
 			}
 		}()
 	}

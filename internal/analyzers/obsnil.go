@@ -11,25 +11,25 @@ import (
 const obsPkgPath = "repro/internal/obs"
 
 // ObsNil enforces the nil-sink contract: a component holds a
-// possibly-nil pointer to an obs metric bundle (*obs.XxxMetrics), and
-// every probe site must be dominated by a nil check on that pointer.
-// (The tracer, *obs.XTracer, is nil-safe in every method and needs no
-// guard for correctness.) An unguarded dereference compiles fine, passes
-// every metrics-on test, and then panics the first time a user runs
-// with observability disabled — the exact regression this analyzer
-// pins down at build time.
+// possibly-nil pointer to a metric bundle (*obs.XxxMetrics, or an
+// xxxMetrics of its own package, whose methods are checked here and so
+// may be called unguarded), and every probe site must be dominated by a
+// nil check on that pointer. *obs.XTracer is nil-safe in every method.
+// An unguarded dereference compiles fine, passes every metrics-on test,
+// and then panics the first time a user runs with observability
+// disabled — the exact regression this analyzer pins down at build time.
 var ObsNil = &Analyzer{
 	Name: "obsnil",
 	Doc:  "require a dominating nil check before dereferencing obs metric bundles",
 	Run:  runObsNil,
 }
 
-// isObsBundlePtr reports whether t is a pointer to an obs metric bundle
-// (a type whose name ends in "Metrics"). *obs.Set, *obs.XTracer and the
-// leaf Counter/Gauge/Hist types are excluded — Set's and XTracer's
-// methods are internally nil-safe, and the leaves are only reachable
-// through an already-guarded bundle.
-func isObsBundlePtr(t types.Type) (string, bool) {
+// isObsBundlePtr reports whether t is a pointer to a metric bundle (a
+// type whose name ends in "Metrics") of obs or of pkg. *obs.Set,
+// *obs.XTracer and the leaf Counter/Gauge/Hist types are excluded —
+// Set's and XTracer's methods are internally nil-safe, and the leaves
+// are only reachable through an already-guarded bundle.
+func isObsBundlePtr(t types.Type, pkg *types.Package) (string, bool) {
 	ptr, ok := t.(*types.Pointer)
 	if !ok {
 		return "", false
@@ -39,11 +39,11 @@ func isObsBundlePtr(t types.Type) (string, bool) {
 		return "", false
 	}
 	obj := named.Obj()
-	if obj.Pkg() == nil || obj.Pkg().Path() != obsPkgPath {
+	if obj.Pkg() == nil || obj.Pkg().Path() != obsPkgPath && obj.Pkg() != pkg {
 		return "", false
 	}
 	name := obj.Name()
-	return name, strings.HasSuffix(name, "Metrics")
+	return obj.Pkg().Name() + "." + name, strings.HasSuffix(name, "Metrics")
 }
 
 func runObsNil(pass *Pass) error {
@@ -64,17 +64,17 @@ func runObsNil(pass *Pass) error {
 			if baseType == nil {
 				return true
 			}
-			name, ok := isObsBundlePtr(baseType)
-			if !ok {
+			name, ok := isObsBundlePtr(baseType, pass.Pkg)
+			if fn, isFn := pass.TypesInfo.Uses[sel.Sel].(*types.Func); !ok || isFn && fn.Pkg() == pass.Pkg {
 				return true
 			}
 			key := exprKey(sel.X)
 			if key == "" {
-				pass.Reportf(sel.Pos(), "dereference of *obs.%s obtained from an expression that cannot be nil-checked; bind it to a variable and guard it", name)
+				pass.Reportf(sel.Pos(), "dereference of *%s obtained from an expression that cannot be nil-checked; bind it to a variable and guard it", name)
 				return true
 			}
 			if !nilGuarded(pm, sel, key) {
-				pass.Reportf(sel.Pos(), "%s (*obs.%s) dereferenced without a dominating nil check; the nil-sink contract makes this panic when observability is off", key, name)
+				pass.Reportf(sel.Pos(), "%s (*%s) dereferenced without a dominating nil check; the nil-sink contract makes this panic when observability is off", key, name)
 			}
 			return true
 		})

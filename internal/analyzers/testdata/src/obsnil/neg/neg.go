@@ -55,6 +55,19 @@ func Bound(s *obs.Set) {
 	}
 }
 
+// localMetrics is a bundle of the component's own package. Its method
+// guards itself, so a caller needs no guard.
+type localMetrics struct{ hits *obs.Counter }
+
+func (m *localMetrics) inc() {
+	if m == nil {
+		return
+	}
+	m.hits.Inc()
+}
+
+func Local(m *localMetrics) { m.inc() }
+
 // Conjoined piggybacks the nil check onto another condition with &&.
 func Conjoined(c *comp, hot bool) {
 	if hot && c.m != nil {

@@ -22,6 +22,13 @@ func (c *comp) WrongGuard() {
 	}
 }
 
+// localMetrics is a bundle of the component's own package.
+type localMetrics struct{ hits *obs.Counter }
+
+func (m *localMetrics) inc() {
+	m.hits.Inc() // want "without a dominating nil check"
+}
+
 // Chain dereferences an accessor result that can never be nil-checked.
 func Chain(s *obs.Set) {
 	s.BridgeMetrics().Hits.Inc() // want "cannot be nil-checked"

@@ -69,10 +69,10 @@ type Exchange struct {
 // Start.
 func (x *Exchange) SetSampler(fn func(now sim.Time, view []float64)) { x.sampler = fn }
 
-// NewExchange returns an exchange with the given broadcast period.
+// NewExchange returns an exchange with the given positive broadcast period.
 func NewExchange(e *sim.Engine, period sim.Duration) *Exchange {
 	if period <= 0 {
-		period = sim.Second
+		panic("core: non-positive exchange period")
 	}
 	return &Exchange{e: e, period: period}
 }

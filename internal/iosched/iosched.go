@@ -93,28 +93,6 @@ type Stats struct {
 	BackMerges  int64
 	FrontMerges int64
 	Dispatches  int64
-	// DepthSum accumulates the pending-queue length at each dispatch;
-	// DepthSum/Dispatches is the average queue depth.
-	DepthSum int64
-	// WaitTime accumulates submit-to-completion latency over all
-	// submitted requests.
-	WaitTime sim.Duration
-}
-
-// AvgDepth returns the average pending-queue depth seen at dispatch.
-func (s *Stats) AvgDepth() float64 {
-	if s.Dispatches == 0 {
-		return 0
-	}
-	return float64(s.DepthSum) / float64(s.Dispatches)
-}
-
-// AvgWait returns the average submit-to-completion latency.
-func (s *Stats) AvgWait() sim.Duration {
-	if s.Submitted == 0 {
-		return 0
-	}
-	return s.WaitTime / sim.Duration(s.Submitted)
 }
 
 // unit is one queued block request, possibly the merge of several
@@ -162,9 +140,6 @@ func (q *Queue) SetMetrics(m *obs.QueueMetrics) { q.m = m }
 
 // New returns a scheduler queue feeding dev.
 func New(e *sim.Engine, dev Device, cfg Config, tracer Tracer) *Queue {
-	if cfg.MaxSectors <= 0 {
-		cfg.MaxSectors = 256
-	}
 	q := &Queue{e: e, dev: dev, name: "iosched:" + dev.Name(), cfg: cfg, tracer: tracer}
 	q.idleOver, q.drainFn = q.idleDone, q.drain
 	return q
@@ -193,7 +168,6 @@ func (q *Queue) Submit(p *sim.Proc, r device.Request) sim.Duration {
 	}
 	p.Block()
 	lat := p.Now().Sub(start)
-	q.stats.WaitTime += lat
 	if q.m != nil {
 		q.m.Submitted.Inc()
 		q.m.Wait.ObserveDur(lat)
@@ -276,7 +250,6 @@ func (q *Queue) drain(p *sim.Proc) {
 			q.draining = false
 			return
 		}
-		q.stats.DepthSum += int64(len(q.pending) + 1)
 		q.stats.Dispatches++
 		if q.m != nil {
 			q.m.Dispatches.Inc()

@@ -6,6 +6,7 @@ import (
 	"repro/internal/blktrace"
 	"repro/internal/device"
 	"repro/internal/hdd"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -217,16 +218,18 @@ func TestZeroLengthSubmitIsFree(t *testing.T) {
 func TestWaitAccounting(t *testing.T) {
 	e := sim.New()
 	q, _ := newQueue(e, DiskDefaults(), nil)
+	m := obs.New(obs.Config{Metrics: true}).QueueMetrics("iosched.hdd")
+	q.SetMetrics(m)
 	e.Go("io", func(p *sim.Proc) {
 		q.Submit(p, device.Request{Op: device.Read, LBN: 1 << 20, Sectors: 128})
 	})
 	if err := e.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if q.Stats().AvgWait() <= 0 {
-		t.Fatal("no wait time accounted")
+	if w := m.Wait.Snapshot(); w.Count() != 1 || w.Max() <= 0 {
+		t.Fatalf("wait histogram holds %d samples, max %gms; want one positive wait", w.Count(), w.Max())
 	}
-	if q.Stats().AvgDepth() != 1 {
-		t.Fatalf("avg depth = %v, want 1", q.Stats().AvgDepth())
+	if d := m.Depth.Max(); d != 1 {
+		t.Fatalf("max depth = %d, want 1", d)
 	}
 }

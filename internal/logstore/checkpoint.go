@@ -130,12 +130,7 @@ func (s *LogStore) checkpoint(drop []*segment) error {
 	if err := writeCheckpoint(s.dir, buf); err != nil {
 		return err
 	}
-	s.mu.Lock()
-	s.st.checkpoints++
-	s.mu.Unlock()
-	if s.oc != nil {
-		s.oc.checkpoints.Inc()
-	}
+	s.st.checkpoints.Inc()
 	if tr := s.cfg.Tracer; tr != nil {
 		tr.Span(tr.NewID(), tr.NewID(), 0, "logstore.checkpoint", s.cfg.Scope, start, time.Since(start))
 	}

@@ -158,12 +158,9 @@ func (s *LogStore) cleanCycle(force bool) (int, error) {
 	}
 	s.retire(victims)
 	s.mu.Lock()
-	s.st.compactionRuns++
+	s.st.compactionRuns.Inc()
 	s.st.cleanedSegments += int64(len(victims))
 	s.mu.Unlock()
-	if s.oc != nil {
-		s.oc.compactionRuns.Inc()
-	}
 	if tr := s.cfg.Tracer; tr != nil {
 		tr.Span(tr.NewID(), tr.NewID(), 0, "logstore.compact", s.cfg.Scope, start, time.Since(start))
 	}

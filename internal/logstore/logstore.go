@@ -100,6 +100,8 @@ type Config struct {
 	NoCompactor bool
 	// Obs, when set, receives "logstore.*" metrics (appends, log/live
 	// bytes, checkpoints, replays, truncated tails, cleaning cycles).
+	// Stats reads the same counters, so stores that share a registry,
+	// a store and its reopen included, see their sums there.
 	Obs *obs.Registry
 	// Tracer, when set, records replay/checkpoint/cleaning spans
 	// under Scope.
@@ -138,15 +140,6 @@ type Stats struct {
 	Generation uint64
 	// Crashed reports a fired simulated kill.
 	Crashed bool
-}
-
-// obsCounters are the pre-resolved registry instruments; nil when the
-// store runs without a registry (the zero-cost-when-off contract).
-type obsCounters struct {
-	appends, checkpoints, replays, replayedRecords *obs.Counter
-	truncatedTails, badGenerations, badCheckpoints *obs.Counter
-	compactionRuns, recycledSegments               *obs.Counter
-	logBytes, liveBytes                            *obs.Gauge
 }
 
 // segment is one log file. Only the active segment is appended to; a
@@ -218,13 +211,16 @@ type LogStore struct {
 	crashFrac  float64
 	crashed    bool
 
+	// st holds the counts behind Stats. The events and gauges named
+	// logstore.* are the registry's (Config.Obs, or a private one), so
+	// each event is counted once.
 	st struct {
-		appendedBytes, checkpoints, replays, replayedRecords int64
-		truncatedTails, badGenerations, badCheckpoints       int64
-		compactionRuns, cleanedSegments, copiedBytes, rolls  int64
-		appends, recycledSegments                            int64
+		appendedBytes, cleanedSegments, copiedBytes, rolls int64
+		appends, checkpoints, replays, replayedRecords     *obs.Counter
+		truncatedTails, badGenerations, badCheckpoints     *obs.Counter
+		compactionRuns, recycledSegments                   *obs.Counter
+		logBytes, liveBytes                                *obs.Gauge
 	}
-	oc *obsCounters
 
 	// maint is the maintenance token: whoever installs a checkpoint or
 	// runs a cleaning cycle holds it, so checkpoints install in the
@@ -287,21 +283,21 @@ func Open(dir string, cfg Config) (*LogStore, error) {
 	if s.segBytes < 0 {
 		s.segBytes = defaultSegBytes
 	}
-	if reg := cfg.Obs; reg != nil {
-		s.oc = &obsCounters{
-			appends:          reg.Counter("logstore.appends"),
-			checkpoints:      reg.Counter("logstore.checkpoints"),
-			replays:          reg.Counter("logstore.replays"),
-			replayedRecords:  reg.Counter("logstore.replayed_records"),
-			truncatedTails:   reg.Counter("logstore.truncated_tails"),
-			badGenerations:   reg.Counter("logstore.bad_generations"),
-			badCheckpoints:   reg.Counter("logstore.bad_checkpoints"),
-			compactionRuns:   reg.Counter("logstore.compaction_runs"),
-			recycledSegments: reg.Counter("logstore.recycled_segments"),
-			logBytes:         reg.Gauge("logstore.log_bytes"),
-			liveBytes:        reg.Gauge("logstore.live_bytes"),
-		}
+	reg := cfg.Obs
+	if reg == nil {
+		reg = obs.NewRegistry()
 	}
+	s.st.appends = reg.Counter("logstore.appends")
+	s.st.checkpoints = reg.Counter("logstore.checkpoints")
+	s.st.replays = reg.Counter("logstore.replays")
+	s.st.replayedRecords = reg.Counter("logstore.replayed_records")
+	s.st.truncatedTails = reg.Counter("logstore.truncated_tails")
+	s.st.badGenerations = reg.Counter("logstore.bad_generations")
+	s.st.badCheckpoints = reg.Counter("logstore.bad_checkpoints")
+	s.st.compactionRuns = reg.Counter("logstore.compaction_runs")
+	s.st.recycledSegments = reg.Counter("logstore.recycled_segments")
+	s.st.logBytes = reg.Gauge("logstore.log_bytes")
+	s.st.liveBytes = reg.Gauge("logstore.live_bytes")
 	if err := s.recover(); err != nil {
 		s.closeSegments()
 		return nil, err
@@ -387,10 +383,7 @@ func (s *LogStore) recover() error {
 		}
 	}
 	if !ckOK && hadState {
-		s.st.badCheckpoints++
-		if s.oc != nil {
-			s.oc.badCheckpoints.Inc()
-		}
+		s.st.badCheckpoints.Inc()
 	}
 	if ckOK {
 		// Under a valid checkpoint a segment older than the one it was
@@ -463,10 +456,7 @@ func (s *LogStore) recover() error {
 	s.nextSeq = s.active.seq + 1
 	s.gen++ // this run's generation
 	if hadState {
-		s.st.replays++
-		if s.oc != nil {
-			s.oc.replays.Inc()
-		}
+		s.st.replays.Inc()
 	}
 	// The recovery checkpoint stamps the new generation and makes the
 	// truncated, replayed state durable before the store serves.
@@ -598,10 +588,7 @@ func (s *LogStore) replaySegment(seg *segment, from int64, wantGen uint64, stric
 				err = fmt.Errorf("logstore: generation regressed %d -> %d", lastGen, rec.gen)
 			}
 			if err != nil {
-				s.st.badGenerations++
-				if s.oc != nil {
-					s.oc.badGenerations.Inc()
-				}
+				s.st.badGenerations.Inc()
 			}
 		}
 		if err != nil {
@@ -611,10 +598,7 @@ func (s *LogStore) replaySegment(seg *segment, from int64, wantGen uint64, stric
 			}
 			s.frameBytes -= seg.size - pos
 			seg.size = pos
-			s.st.truncatedTails++
-			if s.oc != nil {
-				s.oc.truncatedTails.Inc()
-			}
+			s.st.truncatedTails.Inc()
 			return nil
 		}
 		s.applyLocked(rec.file, extent.Extent{
@@ -625,10 +609,7 @@ func (s *LogStore) replaySegment(seg *segment, from int64, wantGen uint64, stric
 		if !strict && rec.gen > s.gen {
 			s.gen = rec.gen
 		}
-		s.st.replayedRecords++
-		if s.oc != nil {
-			s.oc.replayedRecords.Inc()
-		}
+		s.st.replayedRecords.Inc()
 		buf = buf[n:]
 		pos += int64(n)
 	}
@@ -773,10 +754,7 @@ func (s *LogStore) appendLocked(file uint64, off int64, data []byte, user bool) 
 	s.sinceCkpt += int64(frameLen)
 	s.st.appendedBytes += int64(len(data))
 	if user {
-		s.st.appends++
-		if s.oc != nil {
-			s.oc.appends.Inc()
-		}
+		s.st.appends.Inc()
 	} else {
 		s.st.copiedBytes += int64(len(data))
 	}
@@ -826,10 +804,7 @@ func (s *LogStore) prepareSpare() error {
 		s.spare.reused = old != nil
 		s.nextSeq++
 		if old != nil {
-			s.st.recycledSegments++
-			if s.oc != nil {
-				s.oc.recycledSegments.Inc()
-			}
+			s.st.recycledSegments.Inc()
 		}
 	}
 	s.mu.Unlock()
@@ -1018,31 +993,28 @@ func (s *LogStore) Stats() Stats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return Stats{
-		Appends:          s.st.appends,
+		Appends:          s.st.appends.Value(),
 		AppendedBytes:    s.st.appendedBytes,
 		LogBytes:         s.frameBytes,
 		LiveBytes:        s.liveBytes,
-		Checkpoints:      s.st.checkpoints,
-		Replays:          s.st.replays,
-		ReplayedRecords:  s.st.replayedRecords,
-		TruncatedTails:   s.st.truncatedTails,
-		BadGenerations:   s.st.badGenerations,
-		BadCheckpoints:   s.st.badCheckpoints,
-		CompactionRuns:   s.st.compactionRuns,
+		Checkpoints:      s.st.checkpoints.Value(),
+		Replays:          s.st.replays.Value(),
+		ReplayedRecords:  s.st.replayedRecords.Value(),
+		TruncatedTails:   s.st.truncatedTails.Value(),
+		BadGenerations:   s.st.badGenerations.Value(),
+		BadCheckpoints:   s.st.badCheckpoints.Value(),
+		CompactionRuns:   s.st.compactionRuns.Value(),
 		CleanedSegments:  s.st.cleanedSegments,
 		CopiedBytes:      s.st.copiedBytes,
 		Rolls:            s.st.rolls,
-		RecycledSegments: s.st.recycledSegments,
+		RecycledSegments: s.st.recycledSegments.Value(),
 		Generation:       s.gen,
 		Crashed:          s.crashed,
 	}
 }
 
-// setByteGauges publishes the log/live byte gauges (mu held; oc may be
-// nil).
+// setByteGauges publishes the log/live byte gauges (mu held).
 func (s *LogStore) setByteGauges() {
-	if s.oc != nil {
-		s.oc.logBytes.Set(s.frameBytes)
-		s.oc.liveBytes.Set(s.liveBytes)
-	}
+	s.st.logBytes.Set(s.frameBytes)
+	s.st.liveBytes.Set(s.liveBytes)
 }

@@ -743,6 +743,9 @@ func TestObsMetrics(t *testing.T) {
 	if cv["logstore.appends"] != 5 {
 		t.Fatalf("logstore.appends = %d, want 5", cv["logstore.appends"])
 	}
+	if st := s.Stats(); cv["logstore.appends"] != st.Appends {
+		t.Fatalf("logstore.appends = %d, Stats().Appends = %d", cv["logstore.appends"], st.Appends)
+	}
 	if cv["logstore.checkpoints"] < 2 { // Open + Close
 		t.Fatalf("logstore.checkpoints = %d, want >= 2", cv["logstore.checkpoints"])
 	}

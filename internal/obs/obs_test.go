@@ -111,7 +111,7 @@ func TestDeviceMetricsObserve(t *testing.T) {
 		t.Errorf("ops = %d/%d, want 1/1", m.Reads.Value(), m.Writes.Value())
 	}
 	if sn := m.Service.Snapshot(); sn.Count() != 2 || sn.Max() < 2.9 {
-		t.Errorf("service hist: %s", sn.Summary())
+		t.Errorf("service hist: n=%d max=%g", sn.Count(), sn.Max())
 	}
 }
 
@@ -155,23 +155,4 @@ func TestTiSampler(t *testing.T) {
 	if !strings.Contains(sb.String(), "T_i series [run1]") || !strings.Contains(sb.String(), "boosted=2") {
 		t.Errorf("WriteTiSeries output:\n%s", sb.String())
 	}
-}
-
-func TestLoggerLevels(t *testing.T) {
-	var sb strings.Builder
-	l := NewLogger(&sb, LevelInfo)
-	l.Infof("info %d", 1)
-	l.Debugf("debug %d", 2)
-	if got := sb.String(); got != "info 1\n" {
-		t.Errorf("info-level output = %q", got)
-	}
-	sb.Reset()
-	l = NewLogger(&sb, LevelDebug)
-	l.Infof("a")
-	l.Debugf("b")
-	if got := sb.String(); got != "a\nb\n" {
-		t.Errorf("debug-level output = %q", got)
-	}
-	var nilLogger *Logger
-	nilLogger.Infof("must not panic")
 }

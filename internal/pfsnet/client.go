@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/obs"
-	"repro/internal/obs/sketch"
 	"repro/internal/stripe"
 )
 
@@ -49,9 +48,8 @@ type Client struct {
 	// Obs, when set before the first request, receives wire-level
 	// metrics under "pfsnet.client.*" (frames, bytes, in-flight depth,
 	// writev batching) and the resilience metrics (retries,
-	// deadline_exceeded, breaker state). It also arms the per-server
-	// latency sketches and their
-	// "pfsnet.client.server.<addr>.<class>.{p50,p95,p99}" gauges.
+	// deadline_exceeded, breaker state), and each data server's latency
+	// histograms "pfsnet.client.server.<addr>.<read|write|flush>".
 	Obs *obs.Registry
 	// Tracer, when set before the first request, records a parent span
 	// per ReadAt/WriteAt and propagates its {traceID, parentSpanID}
@@ -87,10 +85,6 @@ type Client struct {
 	rm     *resilienceMetrics
 	peers  map[string]*peer
 	closed bool
-
-	// latMu guards the lazily created latency sketches.
-	latMu    sync.Mutex
-	sketches map[latKey]*sketch.Sketch
 }
 
 // The resilience policy. A server's group is resent up to maxRetries
@@ -105,14 +99,15 @@ const (
 )
 
 // peer is the client's state for one server address: the breaker, the
-// metric sinks (both set when the peer is created) and the idle
+// metric sinks (all set when the peer is created) and the idle
 // connections, which Client.mu guards. A peer is never removed, so the
 // pool knows every address it has dialled.
 type peer struct {
 	br   *breaker
 	wm   *wireMetrics
 	rm   *resilienceMetrics
-	idle []*conn // the most recently returned goes out first
+	lm   *latencyMetrics // nil without Obs and for the metadata server
+	idle []*conn         // the most recently returned goes out first
 }
 
 // conn is one pooled client connection. The caller that checked it out
@@ -353,7 +348,7 @@ func (c *Client) Close() error {
 // checkout returns addr's peer and one of its idle connections (nil when
 // none is idle), resolving both under one acquisition of c.mu. The
 // first peer resolves the client's metric sinks, which every peer
-// shares.
+// shares; each data server's peer resolves its own latency histograms.
 func (c *Client) checkout(addr string) (*peer, *conn) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -364,6 +359,9 @@ func (c *Client) checkout(addr string) (*peer, *conn) {
 			c.rm = newResilienceMetrics(c.Obs)
 		}
 		p = &peer{br: &breaker{}, wm: c.wm, rm: c.rm}
+		if addr != c.metaAddr {
+			p.lm = newLatencyMetrics(c.Obs, addr)
+		}
 		c.peers[addr] = p
 	}
 	n := len(p.idle)
@@ -406,56 +404,6 @@ func (c *Client) discard(p *peer, cn *conn) {
 	for _, ic := range idle {
 		ic.close()
 	}
-}
-
-// latKey identifies one per-server, per-op-class latency sketch.
-type latKey struct {
-	addr, class string
-}
-
-// opClass names the latency class of a data opcode.
-func opClass(op byte) string {
-	switch op {
-	case opRead:
-		return "read"
-	case opWrite:
-		return "write"
-	case opFlush:
-		return "flush"
-	default:
-		return "other"
-	}
-}
-
-// sketchFor returns the windowed latency sketch for (addr, class),
-// creating it and its three quantile gauges on first use. Nil without
-// a registry (Obs is set before the first request, so reading it
-// unlocked is race-free): the hot path pays a pointer test and nothing
-// else.
-func (c *Client) sketchFor(addr, class string) *sketch.Sketch {
-	if c.Obs == nil {
-		return nil
-	}
-	k := latKey{addr, class}
-	c.latMu.Lock()
-	defer c.latMu.Unlock()
-	if c.sketches == nil {
-		c.sketches = make(map[latKey]*sketch.Sketch)
-	}
-	sk := c.sketches[k]
-	if sk == nil {
-		sk = sketch.New(0, 0)
-		c.sketches[k] = sk
-		prefix := "pfsnet.client.server." + addr + "." + class + "."
-		for _, g := range []struct {
-			name string
-			q    float64
-		}{{"p50", 0.50}, {"p95", 0.95}, {"p99", 0.99}} {
-			q := g.q
-			c.Obs.RegisterFunc(prefix+g.name, func() float64 { return sk.Quantile(q) })
-		}
-	}
-	return sk
 }
 
 // parentReq is the per-ReadAt/WriteAt context threaded through the
@@ -521,7 +469,6 @@ type dataReq struct {
 // request of the chain. A write's src rides behind the payload borrowed,
 // and is free again once the attempt's flush has returned.
 func (c *Client) send(addr string, op byte, reqs []dataReq, encode func(b []byte, sub stripe.Sub) []byte, pr *parentReq) error {
-	sk := c.sketchFor(addr, opClass(op))
 	var tcID, tcSpan uint64
 	if pr != nil {
 		tcID, tcSpan = pr.trace, pr.span
@@ -537,7 +484,7 @@ func (c *Client) send(addr string, op byte, reqs []dataReq, encode func(b []byte
 			break
 		}
 		var t0 time.Time
-		if sk != nil {
+		if p.lm != nil {
 			t0 = time.Now()
 		}
 		if cn == nil {
@@ -566,8 +513,8 @@ func (c *Client) send(addr string, op byte, reqs []dataReq, encode func(b []byte
 					continue
 				}
 				reqs[i].done = true
-				if cerr == nil && sk != nil {
-					sk.Observe(float64(time.Since(t0)) / 1e6)
+				if cerr == nil {
+					p.lm.observe(op, t0)
 				}
 				if cerr == nil && reqs[i].dst != nil {
 					cerr = finishRead(reply, n, reqs[i].dst, reqs[i].sub.Length)

@@ -155,10 +155,10 @@ func TestTracingInterop(t *testing.T) {
 	}
 }
 
-// TestLatencySketchSeparation makes one of two data servers a straggler
-// with a scoped latency fault and checks the client's windowed sketches
-// tell the two servers apart.
-func TestLatencySketchSeparation(t *testing.T) {
+// TestServerLatencySeparation makes one of two data servers a straggler
+// with a scoped latency fault and checks the client's per-server latency
+// histograms tell the two servers apart.
+func TestServerLatencySeparation(t *testing.T) {
 	// 25ms of injected straggle: wide enough that scheduler jitter or
 	// race-detector overhead on the fast server cannot close the gap.
 	plan := faults.MustParse("seed=7; latency=srv1:25ms")
@@ -198,7 +198,7 @@ func TestLatencySketchSeparation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Aligned single-server reads: even offsets land on srv0, odd on the
-	// straggler. Enough of them to populate the sketch windows.
+	// straggler. Enough of them to fill both histograms.
 	got := make([]byte, 64*1024)
 	for i := 0; i < 50; i++ {
 		if err := c.ReadAt(f, int64(i%2)*64*1024, got); err != nil {
@@ -208,7 +208,7 @@ func TestLatencySketchSeparation(t *testing.T) {
 
 	snap := c.Obs.Snapshot()
 	p95 := func(addr string) float64 {
-		v, _ := snap["pfsnet.client.server."+addr+".read.p95"].(float64)
+		v, _ := snap["pfsnet.client.server."+addr+".read.p95_ms"].(float64)
 		return v
 	}
 	slow, fast := p95(addrs[1]), p95(addrs[0])
@@ -216,21 +216,58 @@ func TestLatencySketchSeparation(t *testing.T) {
 		t.Fatalf("straggler p95 = %.2fms, want >= 15ms from the injected 25ms latency", slow)
 	}
 	if slow <= fast*1.5 {
-		t.Fatalf("sketches do not separate the straggler: srv1 p95 %.2fms vs srv0 p95 %.2fms", slow, fast)
+		t.Fatalf("histograms do not separate the straggler: srv1 p95 %.2fms vs srv0 p95 %.2fms", slow, fast)
+	}
+}
+
+// TestServerLatencyCounts checks that each (server, class) latency
+// histogram counts exactly the requests that server answered: a striped
+// 192 KiB write and read put two sub-requests on one server and one on
+// the other, and a flush reaches each once.
+func TestServerLatencyCounts(t *testing.T) {
+	c, dss, _ := stripedCluster(t, 2, ServerConfig{}, func(c *Client) { c.Obs = obs.NewRegistry() })
+	f, err := c.Create("counts", 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := bytes.Repeat([]byte{0x5A}, 192*1024)
+	if err := c.WriteAt(f, 0, data); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.ReadAt(f, 0, data); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Flush(f); err != nil {
+		t.Fatal(err)
+	}
+	snap := c.Obs.Snapshot()
+	for i, ds := range dss {
+		st := ds.Stats()
+		if st.Reads != int64(2-i) || st.Writes != int64(2-i) || st.Flushes != 1 {
+			t.Fatalf("server %d answered %d reads, %d writes, %d flushes; want %d, %d, 1", i, st.Reads, st.Writes, st.Flushes, 2-i, 2-i)
+		}
+		for class, want := range map[string]int64{"read": st.Reads, "write": st.Writes, "flush": st.Flushes} {
+			key := "pfsnet.client.server." + ds.Addr() + "." + class + ".count"
+			if got, _ := snap[key].(float64); int64(got) != want {
+				t.Errorf("%s = %v, want the %d requests server %d answered", key, snap[key], want, i)
+			}
+		}
 	}
 }
 
 // TestTraceNilPathAllocs pins the zero-cost-when-nil contract for the
 // per-request observability hooks: with no tracer or registry, the
-// parent-request and sketch paths must not allocate.
+// parent-request and latency paths must not allocate.
 func TestTraceNilPathAllocs(t *testing.T) {
 	c := NewClient("127.0.0.1:1")
 	allocs := testing.AllocsPerRun(1000, func() {
 		pr := c.startParent("ReadAt", "read")
 		c.finishParent(pr)
-		if c.sketchFor("x", "read") != nil {
-			t.Fatal("sketchFor armed without a registry")
+		p, _ := c.checkout("x")
+		if p.lm != nil {
+			t.Fatal("latency histograms armed without a registry")
 		}
+		p.lm.observe(opRead, time.Time{})
 	})
 	if allocs != 0 {
 		t.Fatalf("nil-observability request path allocates %.1f/op, want 0", allocs)

@@ -1,6 +1,10 @@
 package pfsnet
 
-import "repro/internal/obs"
+import (
+	"time"
+
+	"repro/internal/obs"
+)
 
 // wireMetrics holds the wire-level observability hooks for one endpoint
 // (client or data server). A nil *wireMetrics disables everything at the
@@ -68,10 +72,12 @@ func (m *wireMetrics) onWritev(frames int) {
 }
 
 func (m *wireMetrics) onCopyAvoided(n int) {
-	if m == nil || m.copyAvoided == nil { // a server's reply data is its own memory
+	if m == nil {
 		return
 	}
-	m.copyAvoided.Add(int64(n))
+	if m.copyAvoided != nil { // a server's reply data is its own memory
+		m.copyAvoided.Add(int64(n))
+	}
 }
 
 func (m *wireMetrics) onScatter(n int) {
@@ -103,6 +109,42 @@ func (m *wireMetrics) setInflight(n int) {
 		return
 	}
 	m.inflight.Set(int64(n))
+}
+
+// latencyMetrics holds one data server's request latency histograms, one
+// per op class, under "pfsnet.client.server.<addr>.<read|write|flush>":
+// cumulative since the client's first request to the server. Same
+// nil-sink contract as wireMetrics.
+type latencyMetrics struct {
+	read, write, flush *obs.Hist
+}
+
+func newLatencyMetrics(reg *obs.Registry, addr string) *latencyMetrics {
+	if reg == nil {
+		return nil
+	}
+	prefix := "pfsnet.client.server." + addr + "."
+	return &latencyMetrics{
+		read:  reg.Hist(prefix + "read"),
+		write: reg.Hist(prefix + "write"),
+		flush: reg.Hist(prefix + "flush"),
+	}
+}
+
+// observe records the latency of one answered request of opcode op
+// (opRead, opWrite or opFlush) sent at t0.
+func (m *latencyMetrics) observe(op byte, t0 time.Time) {
+	if m == nil {
+		return
+	}
+	h := m.write
+	switch op {
+	case opRead:
+		h = m.read
+	case opFlush:
+		h = m.flush
+	}
+	h.Observe(float64(time.Since(t0)) / 1e6)
 }
 
 // resilienceMetrics mirrors the client's retry/breaker activity into the

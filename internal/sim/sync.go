@@ -5,8 +5,6 @@ package sim
 // primitives need no host-level locking; they only park and wake simulated
 // processes deterministically (FIFO order).
 
-import "slices"
-
 // Semaphore is a counting semaphore for simulated processes. Waiters are
 // served in FIFO order. A Semaphore with capacity 1 is a mutex.
 type Semaphore struct {
@@ -33,16 +31,6 @@ func (s *Semaphore) Acquire(p *Proc) {
 	s.waiters = append(s.waiters, p)
 	p.Block()
 	// Ownership was transferred by Release; held already accounts for us.
-}
-
-// TryAcquire acquires a unit without blocking and reports whether it
-// succeeded.
-func (s *Semaphore) TryAcquire() bool {
-	if s.held < s.cap && len(s.waiters) == 0 {
-		s.held++
-		return true
-	}
-	return false
 }
 
 // Release returns one unit to the semaphore, waking the oldest waiter if
@@ -85,20 +73,6 @@ func (q *Queue[T]) Push(v T) {
 	q.wakeOne()
 }
 
-// PushFront prepends v (used for re-queueing) and wakes one waiter.
-func (q *Queue[T]) PushFront(v T) {
-	if q.closed {
-		panic("sim: push on closed queue")
-	}
-	if it := &q.items; it.head > 0 {
-		it.head--
-		it.buf[it.head] = v
-	} else {
-		it.buf = slices.Insert(it.buf, 0, v)
-	}
-	q.wakeOne()
-}
-
 func (q *Queue[T]) wakeOne() {
 	if q.waiters.len() > 0 {
 		q.e.Wake(q.waiters.pop())
@@ -115,15 +89,6 @@ func (q *Queue[T]) Pop(p *Proc) (T, bool) {
 		}
 		q.waiters.push(p)
 		p.Block()
-	}
-	return q.items.pop(), true
-}
-
-// TryPop removes and returns the oldest item without blocking.
-func (q *Queue[T]) TryPop() (T, bool) {
-	if q.items.len() == 0 {
-		var zero T
-		return zero, false
 	}
 	return q.items.pop(), true
 }

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"slices"
-	"testing"
-)
+import "testing"
 
 func TestSemaphoreMutex(t *testing.T) {
 	e := New()
@@ -88,33 +85,6 @@ func TestSemaphoreFIFO(t *testing.T) {
 	}
 }
 
-func TestTryAcquireNoBarging(t *testing.T) {
-	e := New()
-	sem := NewSemaphore(e, 1)
-	var got bool
-	e.Go("holder", func(p *Proc) {
-		sem.Acquire(p)
-		p.Sleep(5 * Millisecond)
-		sem.Release()
-	})
-	e.Go("waiter", func(p *Proc) {
-		p.Sleep(Millisecond)
-		sem.Acquire(p)
-		p.Sleep(5 * Millisecond)
-		sem.Release()
-	})
-	e.Go("trier", func(p *Proc) {
-		p.Sleep(6 * Millisecond) // holder released, waiter owns it now
-		got = sem.TryAcquire()
-	})
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if got {
-		t.Fatal("TryAcquire barged past a queued waiter")
-	}
-}
-
 func TestQueueFIFO(t *testing.T) {
 	e := New()
 	q := NewQueue[int](e)
@@ -176,29 +146,6 @@ func TestQueueMultipleConsumers(t *testing.T) {
 	}
 	if count != 20 {
 		t.Fatalf("consumed %d, want 20", count)
-	}
-}
-
-func TestQueuePushFront(t *testing.T) {
-	e := New()
-	q := NewQueue[int](e)
-	q.Push(2)
-	q.Push(3)
-	q.PushFront(1) // onto an unread queue
-	first, _ := q.TryPop()
-	q.PushFront(0) // into the slot the pop freed
-	got := []int{first}
-	e.Go("c", func(p *Proc) {
-		for q.Len() > 0 {
-			v, _ := q.Pop(p)
-			got = append(got, v)
-		}
-	})
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if !slices.Equal(got, []int{1, 0, 2, 3}) {
-		t.Fatalf("got %v, want [1 0 2 3]", got)
 	}
 }
 

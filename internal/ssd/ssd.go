@@ -80,9 +80,7 @@ type SSD struct {
 	mu   *sim.Semaphore
 
 	lastEnd [2]int64 // per-Op position after the previous access
-
-	bytesWritten int64 // lifetime writes, for wear accounting (Fig. 13)
-	probe        device.Probe
+	probe   device.Probe
 }
 
 // SetProbe installs an observer for served requests (nil disables).
@@ -101,10 +99,6 @@ func New(e *sim.Engine, name string, spec Spec) *SSD {
 // Name implements iosched.Device.
 func (s *SSD) Name() string { return s.name }
 
-// BytesWritten returns lifetime bytes written, the wear metric the paper's
-// threshold discussion (Section III-G) trades throughput against.
-func (s *SSD) BytesWritten() int64 { return s.bytesWritten }
-
 // Serve implements iosched.Device.
 func (s *SSD) Serve(p *sim.Proc, r device.Request) sim.Duration {
 	if r.Sectors <= 0 {
@@ -117,9 +111,6 @@ func (s *SSD) Serve(p *sim.Proc, r device.Request) sim.Duration {
 	p.Sleep(t)
 
 	s.lastEnd[r.Op] = r.End()
-	if r.Op == device.Write {
-		s.bytesWritten += r.Bytes()
-	}
 	if s.probe != nil {
 		s.probe.ObserveIO(r, lat, xfer)
 	}

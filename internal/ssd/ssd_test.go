@@ -99,21 +99,6 @@ func TestPerOpSequentialityTracking(t *testing.T) {
 	}
 }
 
-func TestWearAccounting(t *testing.T) {
-	e := sim.New()
-	s := New(e, "ssd0", DefaultSpec())
-	e.Go("io", func(p *sim.Proc) {
-		s.Serve(p, device.Request{Op: device.Write, LBN: 0, Sectors: 16})
-		s.Serve(p, device.Request{Op: device.Read, LBN: 0, Sectors: 16})
-	})
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if s.BytesWritten() != 16*device.SectorSize {
-		t.Fatalf("BytesWritten = %d, want %d (reads must not count)", s.BytesWritten(), 16*device.SectorSize)
-	}
-}
-
 func TestEstimateMatchesServe(t *testing.T) {
 	e := sim.New()
 	s := New(e, "ssd0", DefaultSpec())

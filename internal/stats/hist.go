@@ -1,10 +1,8 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
-	"strings"
 )
 
 // Hist is a fixed-bucket histogram: bucket boundaries are chosen once at
@@ -161,74 +159,4 @@ func (h *Hist) bucketRange(i int) (lo, hi float64) {
 		hi = lo
 	}
 	return lo, hi
-}
-
-// Merge folds other into h. Both histograms must share identical
-// bounds; merging histograms with different bucket layouts would
-// silently misattribute counts, so a mismatch is reported as an error
-// and h is left unchanged.
-func (h *Hist) Merge(other *Hist) error {
-	if len(h.bounds) != len(other.bounds) {
-		return fmt.Errorf("stats: merging histograms with different bounds (%d vs %d buckets)",
-			len(h.bounds), len(other.bounds))
-	}
-	for i := range h.bounds {
-		if h.bounds[i] != other.bounds[i] {
-			return fmt.Errorf("stats: merging histograms with different bounds (bucket %d: %g vs %g)",
-				i, h.bounds[i], other.bounds[i])
-		}
-	}
-	for i, c := range other.counts {
-		h.counts[i] += c
-	}
-	h.n += other.n
-	h.sum += other.sum
-	if other.n > 0 {
-		if other.min < h.min {
-			h.min = other.min
-		}
-		if other.max > h.max {
-			h.max = other.max
-		}
-	}
-	return nil
-}
-
-// Reset clears all observations while keeping the bucket layout, so a
-// histogram can be recycled (e.g. as a ring window) without
-// reallocating its counts slice.
-func (h *Hist) Reset() {
-	for i := range h.counts {
-		h.counts[i] = 0
-	}
-	h.n = 0
-	h.sum = 0
-	h.min = math.Inf(1)
-	h.max = math.Inf(-1)
-}
-
-// Summary formats the histogram's headline statistics on one line:
-// count, mean, p50/p95/p99, and max.
-func (h *Hist) Summary() string {
-	if h.n == 0 {
-		return "n=0"
-	}
-	return fmt.Sprintf("n=%d mean=%.3g p50=%.3g p95=%.3g p99=%.3g max=%.3g",
-		h.n, h.Mean(), h.Quantile(0.50), h.Quantile(0.95), h.Quantile(0.99), h.Max())
-}
-
-// RenderBars formats the non-empty buckets as an ASCII bar chart (for
-// debugging and the observability text dumps).
-func (h *Hist) RenderBars() string {
-	var b strings.Builder
-	for i, c := range h.counts {
-		if c == 0 {
-			continue
-		}
-		lo, hi := h.bucketRange(i)
-		frac := float64(c) / float64(h.n)
-		bar := strings.Repeat("#", int(frac*50+0.5))
-		fmt.Fprintf(&b, "[%10.4g, %10.4g] %6.1f%% %s\n", lo, hi, frac*100, bar)
-	}
-	return b.String()
 }

@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"strings"
 	"testing"
 )
 
@@ -28,10 +27,7 @@ func TestExpBounds(t *testing.T) {
 func TestHistEmpty(t *testing.T) {
 	h := NewHist(ExpBounds(1, 100, 2))
 	if h.Count() != 0 || h.Mean() != 0 || h.Quantile(0.5) != 0 || h.Max() != 0 || h.Min() != 0 {
-		t.Errorf("empty histogram should report zeros: %s", h.Summary())
-	}
-	if h.Summary() != "n=0" {
-		t.Errorf("Summary = %q", h.Summary())
+		t.Error("empty histogram should report zeros")
 	}
 }
 
@@ -89,34 +85,10 @@ func TestHistOverflowBucket(t *testing.T) {
 	}
 }
 
-func TestHistMerge(t *testing.T) {
-	bounds := ExpBounds(1, 100, 2)
-	a, b := NewHist(bounds), NewHist(bounds)
-	for v := 1.0; v <= 50; v++ {
-		a.Observe(v)
-	}
-	for v := 51.0; v <= 100; v++ {
-		b.Observe(v)
-	}
-	if err := a.Merge(b); err != nil {
-		t.Fatalf("Merge: %v", err)
-	}
-	if a.Count() != 100 {
-		t.Fatalf("merged Count = %d", a.Count())
-	}
-	if math.Abs(a.Mean()-50.5) > 1e-9 {
-		t.Errorf("merged Mean = %g, want 50.5", a.Mean())
-	}
-	if a.Min() != 1 || a.Max() != 100 {
-		t.Errorf("merged Min/Max = %g/%g", a.Min(), a.Max())
-	}
-}
-
 // TestHistQuantileEdgeCases is the table form of the quantile contract:
 // empty histograms report zero, a single observation pins every
 // quantile, values beyond the last bound land in the overflow bucket
-// but stay clamped to the observed max, and merging incompatible
-// layouts is an error that leaves the receiver untouched.
+// but stay clamped to the observed max.
 func TestHistQuantileEdgeCases(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -155,56 +127,5 @@ func TestHistQuantileEdgeCases(t *testing.T) {
 				t.Errorf("Quantile(%g) = %g, want %g", c.q, got, c.want)
 			}
 		})
-	}
-}
-
-func TestHistMergeBoundsMismatch(t *testing.T) {
-	cases := []struct {
-		name string
-		a, b []float64
-	}{
-		{"different lengths", []float64{1, 2, 3}, []float64{1, 2}},
-		{"same length, different values", []float64{1, 2}, []float64{1, 3}},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			a, b := NewHist(c.a), NewHist(c.b)
-			a.Observe(1.5)
-			b.Observe(1.5)
-			if err := a.Merge(b); err == nil {
-				t.Fatal("Merge with mismatched bounds should return an error")
-			}
-			if a.Count() != 1 {
-				t.Errorf("failed Merge mutated receiver: Count = %d, want 1", a.Count())
-			}
-		})
-	}
-}
-
-func TestHistReset(t *testing.T) {
-	h := NewHist(ExpBounds(1, 100, 2))
-	for v := 1.0; v <= 10; v++ {
-		h.Observe(v)
-	}
-	h.Reset()
-	if h.Count() != 0 || h.Quantile(0.5) != 0 || h.Min() != 0 || h.Max() != 0 {
-		t.Errorf("Reset histogram should report zeros: %s", h.Summary())
-	}
-	h.Observe(3)
-	if h.Count() != 1 || h.Quantile(0.5) != 3 {
-		t.Errorf("histogram unusable after Reset: %s", h.Summary())
-	}
-}
-
-func TestHistRender(t *testing.T) {
-	h := NewHist(ExpBounds(1, 100, 1))
-	for i := 0; i < 10; i++ {
-		h.Observe(5)
-	}
-	if s := h.Summary(); !strings.Contains(s, "n=10") {
-		t.Errorf("Summary = %q, missing count", s)
-	}
-	if s := h.RenderBars(); !strings.Contains(s, "100.0%") {
-		t.Errorf("RenderBars = %q, missing single full bucket", s)
 	}
 }

@@ -26,22 +26,6 @@ func (t *Table) AddRow(cells ...string) {
 	t.Rows = append(t.Rows, cells)
 }
 
-// AddRowf appends a row, applying fmt.Sprint to each cell value.
-func (t *Table) AddRowf(cells ...interface{}) {
-	row := make([]string, len(cells))
-	for i, c := range cells {
-		switch v := c.(type) {
-		case float64:
-			row[i] = fmt.Sprintf("%.1f", v)
-		case string:
-			row[i] = v
-		default:
-			row[i] = fmt.Sprint(v)
-		}
-	}
-	t.Rows = append(t.Rows, row)
-}
-
 // Note appends a free-form note line.
 func (t *Table) Note(format string, args ...interface{}) {
 	t.Notes = append(t.Notes, fmt.Sprintf(format, args...))
@@ -101,22 +85,6 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// GeoMean returns the geometric mean of xs (0 for empty input; panics on
-// non-positive values).
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			panic("stats: GeoMean of non-positive value")
-		}
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(xs)))
 }
 
 // Percentile returns the p-th percentile (0..100) of xs by nearest-rank.

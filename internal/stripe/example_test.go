@@ -31,14 +31,3 @@ func ExampleLayout_DecomposeFlagged_offset() {
 	// srv0[10240+55296] siblings=[]
 	// srv1[0+10240] frag siblings=[0]
 }
-
-func ExampleLayout_Aligned() {
-	layout := stripe.Layout{Unit: 64 * 1024, Servers: 8}
-	fmt.Println(layout.Aligned(0, 64*1024))
-	fmt.Println(layout.Aligned(0, 65*1024))
-	fmt.Println(layout.Aligned(10*1024, 64*1024))
-	// Output:
-	// true
-	// false
-	// false
-}

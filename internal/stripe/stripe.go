@@ -189,16 +189,6 @@ func (l Layout) AppendDecomposeFlagged(dst []Sub, sibs []int, off, length int64,
 	return dst, sibs
 }
 
-// Aligned reports whether the request [off, off+length) is aligned with
-// the striping pattern: both endpoints fall on unit boundaries (or the
-// request fits entirely inside one unit, which produces no fragments).
-func (l Layout) Aligned(off, length int64) bool {
-	if off/l.Unit == (off+length-1)/l.Unit {
-		return true // single-unit request: no decomposition fragments
-	}
-	return off%l.Unit == 0 && (off+length)%l.Unit == 0
-}
-
 // Fragments returns the total number of fragment sub-requests the request
 // would produce at the given threshold.
 func (l Layout) Fragments(off, length, threshold int64) int {

@@ -288,27 +288,6 @@ func TestSingleSubNeverFlagged(t *testing.T) {
 	}
 }
 
-func TestAligned(t *testing.T) {
-	l := layout8()
-	cases := []struct {
-		off, length int64
-		want        bool
-	}{
-		{0, 64 * kb, true},
-		{64 * kb, 64 * kb, true},
-		{0, 65 * kb, false},
-		{1 * kb, 64 * kb, false},
-		{0, 128 * kb, true},
-		{100, 1 * kb, true}, // inside one unit
-		{10 * kb, 64 * kb, false},
-	}
-	for _, c := range cases {
-		if got := l.Aligned(c.off, c.length); got != c.want {
-			t.Errorf("Aligned(%d,%d) = %v, want %v", c.off, c.length, got, c.want)
-		}
-	}
-}
-
 func TestFragmentsCount(t *testing.T) {
 	l := layout8()
 	if n := l.Fragments(0, 65*kb, 20*kb); n != 1 {
