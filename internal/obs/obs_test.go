@@ -102,6 +102,38 @@ func TestRegistryRenderAndSnapshot(t *testing.T) {
 	}
 }
 
+// TestSnapshotWhileObserving scrapes a registry while a histogram is
+// being observed into: a snapshot must not share the buckets that
+// Observe writes (run with -race).
+func TestSnapshotWhileObserving(t *testing.T) {
+	r := NewRegistry()
+	h := r.Hist("client.read")
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 20000; i++ {
+			h.Observe(float64(i%100+1) / 10)
+		}
+	}()
+	for scrapes := 0; ; scrapes++ {
+		select {
+		case <-done:
+			if s := h.Snapshot(); s.Count() != 20000 {
+				t.Fatalf("hist count = %d, want 20000", s.Count())
+			}
+			return
+		default:
+		}
+		snap := r.Snapshot()
+		if n := snap["client.read.count"].(float64); n > 0 && snap["client.read.p99_ms"].(float64) <= 0 {
+			t.Fatalf("scrape %d: p99 %v over %v samples", scrapes, snap["client.read.p99_ms"], n)
+		}
+		if !strings.Contains(r.Render(), "client.read") {
+			t.Fatal("Render lost the histogram")
+		}
+	}
+}
+
 func TestDeviceMetricsObserve(t *testing.T) {
 	s := New(Config{Metrics: true})
 	m := s.DeviceMetrics("hdd")

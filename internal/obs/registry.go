@@ -94,12 +94,12 @@ func (h *Hist) Observe(ms float64) {
 // ObserveDur records one virtual duration.
 func (h *Hist) ObserveDur(d vtime.Duration) { h.Observe(d.Milliseconds()) }
 
-// Snapshot returns a copy of the underlying histogram for reading.
+// Snapshot returns a copy of the underlying histogram for reading,
+// which later observations do not touch.
 func (h *Hist) Snapshot() stats.Hist {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	cp := *h.h
-	return cp
+	return h.h.Clone()
 }
 
 // Counter returns the counter registered under name, creating it on

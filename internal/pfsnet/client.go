@@ -23,15 +23,19 @@ import (
 // file placement, decomposes reads and writes into per-server
 // sub-requests (flagging fragments when a threshold is configured), and
 // issues each server's sub-requests as one group, all servers
-// concurrently.
+// concurrently. Within a group, sub-requests that lie back to back in
+// the server's object go as one run, one frame of at most maxRun bytes,
+// so an aligned request sends each server one contiguous region, as
+// PVFS2 does; a flagged sub-request always goes alone.
 //
 // Each group runs to completion on one goroutine, the caller's own for
 // a request that reaches one server. It checks an idle connection to the
 // server out of a per-address pool (or dials one), writes the group's
 // frames with one writev — frame headers and payloads packed into the
-// connection's arena, write data referenced in place — reads the
-// replies in order, scattering read data straight into the caller's
-// buffer, and hands the connection back. Concurrent callers use separate
+// connection's arena, each run's pieces of write data referenced in
+// place — reads the replies in order, scattering read data straight
+// into the run's pieces of the caller's buffer, and hands the connection
+// back. Concurrent callers use separate
 // connections, so a server's pool holds as many as the peak number of
 // groups in flight to it. Each connection owns its wire memory (DESIGN
 // §11): requests are encoded into its scratch buffer and copied into its
@@ -185,20 +189,25 @@ func (c *conn) hello() error {
 
 // queue adds one request frame to the next flush, tagged with the next
 // tag; a nonzero tcID makes it a traced frame. The payload is copied
-// before it returns; data stays borrowed until the flush returns.
-func (c *conn) queue(op byte, tcID, tcSpan uint64, payload, data []byte) error {
+// before it returns. A write's frame carries the pieces of its run w
+// behind the payload, each borrowed until the flush returns; w is nil
+// for any other request.
+func (c *conn) queue(op byte, tcID, tcSpan uint64, payload []byte, w *dataReq) error {
 	c.sent++
-	n := len(payload) + len(data)
-	var err error
-	if tcID != 0 {
-		err = c.vw.writeFrameCtx(c.sent, op, tcID, tcSpan, payload, data)
-	} else {
-		err = c.vw.writeFrame(c.sent, op, payload, data)
+	n := 0
+	if w != nil {
+		n = int(w.length())
 	}
-	if err == nil {
-		c.wm.onTx(n)
+	if err := c.vw.beginFrame(c.sent, op, tcID, tcSpan, payload, n); err != nil {
+		return err
 	}
-	return err
+	if w != nil {
+		for i := range w.run {
+			c.vw.borrow(w.piece(i))
+		}
+	}
+	c.wm.onTx(len(payload) + n)
+	return nil
 }
 
 // flush puts every queued frame on the wire in one writev, under the
@@ -213,12 +222,12 @@ func (c *conn) flush() error {
 
 // recv reads the reply to the oldest unanswered request: a server
 // answers a connection's requests in order, so any other tag is a
-// corrupt frame. A successful read reply whose data fits scatter is read
-// straight into it and recv reports its length; any other reply comes
-// back in the connection's buffer, valid until its next read. A server's
-// error reply is its remoteError; any other error leaves the connection
-// unusable.
-func (c *conn) recv(scatter []byte) ([]byte, int, error) {
+// corrupt frame. A successful reply to the read r whose data fits r's
+// run is read straight into its pieces and recv reports its length; any
+// other reply comes back in the connection's buffer, valid until its
+// next read. r is nil for any request but a read. A server's error reply
+// is its remoteError; any other error leaves the connection unusable.
+func (c *conn) recv(r *dataReq) ([]byte, int, error) {
 	if c.ioTimeout > 0 {
 		c.nc.SetReadDeadline(time.Now().Add(c.ioTimeout))
 	}
@@ -236,8 +245,8 @@ func (c *conn) recv(scatter []byte) ([]byte, int, error) {
 	}
 	op := hdr[12]
 	plen := int(n) - 9
-	if scatter != nil && op == opOK && plen >= 4 && plen-4 <= len(scatter) {
-		dn, err := c.scatterInto(scatter, plen)
+	if r != nil && op == opOK && plen >= 4 && int64(plen-4) <= r.length() {
+		dn, err := c.scatterInto(r, plen)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -255,9 +264,10 @@ func (c *conn) recv(scatter []byte) ([]byte, int, error) {
 }
 
 // scatterInto reads a read-reply payload (u32 length + data) of plen
-// bytes directly into dst, bypassing the connection's buffer, and
-// returns the data length. The caller guarantees plen-4 fits dst.
-func (c *conn) scatterInto(dst []byte, plen int) (int, error) {
+// bytes directly into the pieces of r's run, in order, bypassing the
+// connection's buffer, and returns the data length. The caller
+// guarantees plen-4 fits the run.
+func (c *conn) scatterInto(r *dataReq, plen int) (int, error) {
 	lp := c.hdr[:4]
 	if _, err := io.ReadFull(c.br, lp); err != nil {
 		return 0, wrapTimeout(wrapTruncated(err))
@@ -266,8 +276,13 @@ func (c *conn) scatterInto(dst []byte, plen int) (int, error) {
 	if dn != plen-4 {
 		return 0, fmt.Errorf("pfsnet: read reply blob of %d bytes does not fill its frame (%w)", dn, ErrCorruptFrame)
 	}
-	if _, err := io.ReadFull(c.br, dst[:dn]); err != nil {
-		return 0, wrapTimeout(wrapTruncated(err))
+	for i, left := 0, dn; left > 0; i++ {
+		piece := r.piece(i)
+		piece = piece[:min(len(piece), left)]
+		if _, err := io.ReadFull(c.br, piece); err != nil {
+			return 0, wrapTimeout(wrapTruncated(err))
+		}
+		left -= len(piece)
 	}
 	return dn, nil
 }
@@ -435,17 +450,32 @@ func (c *Client) finishParent(pr *parentReq) {
 	c.Tracer.Span(pr.trace, pr.span, 0, pr.op, pr.class, pr.start, time.Since(pr.start))
 }
 
-// dataReq is one request of a server's group. A write's data is src,
-// which its frame borrows; a read's reply data lands in dst; any other
-// request's non-empty reply is copied to reply before the connection
-// goes back to the pool. done marks a request answered (or refused by
-// the server), so no later attempt resends it.
+// dataReq is one request of a server's group. A read or write covers a
+// run: sub-requests that lie back to back in the server's object (see
+// appendRuns). Each is a piece of buf, the caller's buffer from the
+// run's first file offset on; a write's frame borrows the pieces and a
+// read's reply scatters into them. Any other request's non-empty reply
+// is copied to reply before the connection goes back to the pool. done
+// marks a request answered (or refused by the server), so no later
+// attempt resends it.
 type dataReq struct {
-	sub   stripe.Sub
-	src   []byte
-	dst   []byte
+	run   []stripe.Sub
+	buf   []byte
 	reply []byte
 	done  bool
+}
+
+// piece returns the part of buf that run[i] covers.
+func (r *dataReq) piece(i int) []byte {
+	at := r.run[i].FileOff - r.run[0].FileOff
+	return r.buf[at : at+r.run[i].Length]
+}
+
+// length returns the run's length in bytes, which is also its extent in
+// the server's object.
+func (r *dataReq) length() int64 {
+	last := r.run[len(r.run)-1]
+	return last.ServerOff + last.Length - r.run[0].ServerOff
 }
 
 // send issues one data server's group of requests — a lone request is a
@@ -466,9 +496,11 @@ type dataReq struct {
 //
 // encode appends a request's payload to the connection's scratch
 // buffer, which the writer copies at once, so one buffer serves every
-// request of the chain. A write's src rides behind the payload borrowed,
-// and is free again once the attempt's flush has returned.
-func (c *Client) send(addr string, op byte, reqs []dataReq, encode func(b []byte, sub stripe.Sub) []byte, pr *parentReq) error {
+// request of the chain. It takes the request by value: a pointer passed
+// to a func value escapes, and the group's requests would leave the
+// caller's stack. A write's pieces ride behind the payload
+// borrowed, and are free again once the attempt's flush has returned.
+func (c *Client) send(addr string, op byte, reqs []dataReq, encode func(b []byte, r dataReq) []byte, pr *parentReq) error {
 	var tcID, tcSpan uint64
 	if pr != nil {
 		tcID, tcSpan = pr.trace, pr.span
@@ -494,8 +526,12 @@ func (c *Client) send(addr string, op byte, reqs []dataReq, encode func(b []byte
 			queued := 0
 			for i := range reqs {
 				if !reqs[i].done && err == nil {
-					cn.scratch = encode(cn.scratch[:0], reqs[i].sub)
-					err = cn.queue(op, tcID, tcSpan, cn.scratch, reqs[i].src)
+					var wr *dataReq // a write's frame carries its run's pieces
+					if op == opWrite {
+						wr = &reqs[i]
+					}
+					cn.scratch = encode(cn.scratch[:0], reqs[i])
+					err = cn.queue(op, tcID, tcSpan, cn.scratch, wr)
 					queued++
 				}
 			}
@@ -507,7 +543,11 @@ func (c *Client) send(addr string, op byte, reqs []dataReq, encode func(b []byte
 				if reqs[i].done {
 					continue
 				}
-				reply, n, cerr := cn.recv(reqs[i].dst)
+				var rd *dataReq // a read's reply fills its run's pieces
+				if op == opRead {
+					rd = &reqs[i]
+				}
+				reply, n, cerr := cn.recv(rd)
 				if _, isRemote := cerr.(remoteError); cerr != nil && !isRemote {
 					err = cerr // transport failure: resend on the next attempt
 					continue
@@ -516,8 +556,8 @@ func (c *Client) send(addr string, op byte, reqs []dataReq, encode func(b []byte
 				if cerr == nil {
 					p.lm.observe(op, t0)
 				}
-				if cerr == nil && reqs[i].dst != nil {
-					cerr = finishRead(reply, n, reqs[i].dst, reqs[i].sub.Length)
+				if cerr == nil && rd != nil {
+					cerr = finishRead(reply, n, rd)
 				} else if cerr == nil && len(reply) > 0 {
 					reqs[i].reply = bytes.Clone(reply) // the connection's next read reuses reply
 				}
@@ -649,48 +689,66 @@ func (c *Client) subs(f *File, off, length int64) []stripe.Sub {
 	return f.layout.Decompose(off, length)
 }
 
-// groupByServer splits subs into per-server groups, preserving the
-// sub-request order within each group.
-func groupByServer(subs []stripe.Sub, nsrv int) [][]stripe.Sub {
-	per := make([][]stripe.Sub, nsrv)
-	for _, sub := range subs {
-		per[sub.Server] = append(per[sub.Server], sub)
-	}
-	groups := per[:0]
-	for _, g := range per {
-		if len(g) > 0 {
-			groups = append(groups, g)
+// maxRun caps the bytes a run of several sub-requests carries. A run is
+// one frame and, on a log-backed server, one store record, so the cap
+// keeps both far below MaxMessage and logstore.MaxRecordData, and it
+// bounds the payload buffer of the server connection that reads it. A
+// lone sub-request is never split: one longer than the cap (a
+// single-server file's whole request) is a run of its own.
+const maxRun = 1 << 20
+
+// appendRuns appends one request per run of subs, one server's
+// sub-requests in file order, for the ReadAt/WriteAt of p at off. A
+// sub-request joins the run before it when it continues the run in the
+// server's object, the run stays within maxRun, and neither it nor the
+// run is flagged: a fragment, or any sub-request of a random write. So
+// the fragment log sees exactly the writes it would see if every
+// sub-request went alone, and the other servers' units between a run's
+// pieces are never touched.
+func appendRuns(dst []dataReq, subs []stripe.Sub, p []byte, off int64, random bool) []dataReq {
+	start := 0
+	for i := 1; i <= len(subs); i++ {
+		if i < len(subs) && !random && !subs[i-1].Fragment && !subs[i].Fragment &&
+			subs[i-1].ServerOff+subs[i-1].Length == subs[i].ServerOff &&
+			subs[i].ServerOff+subs[i].Length-subs[start].ServerOff <= maxRun {
+			continue
 		}
+		run := subs[start:i]
+		last := run[len(run)-1]
+		dst = append(dst, dataReq{run: run, buf: p[run[0].FileOff-off : last.FileOff+last.Length-off]})
+		start = i
 	}
-	return groups
+	return dst
 }
 
-// writeHdrSize is the encoded size of a write sub-request ahead of its
+// writeHdrSize is the encoded size of a write request ahead of its
 // data: file u64 + off i64 + flags u8 + blob length prefix u32.
 const writeHdrSize = 8 + 8 + 1 + 4
 
-// appendWrite appends the header of one write sub-request to b. The
-// sub-request's data is not copied: its frame carries the caller's
-// bytes right behind this header (dataReq.src).
-func appendWrite(b []byte, f *File, sub stripe.Sub, random bool) []byte {
+// appendWrite appends the header of a write of length bytes at the
+// server offset off to b; flagged sends it to the fragment log. The data
+// is not copied: the frame carries the caller's bytes right behind this
+// header (conn.queue).
+func appendWrite(b []byte, f *File, off, length int64, flagged bool) []byte {
 	e := enc{b: b}
 	e.u64(f.ID)
-	e.i64(sub.ServerOff)
+	e.i64(off)
 	var flags byte
-	if sub.Fragment || random {
+	if flagged {
 		flags |= 1
 	}
 	e.u8(flags)
-	e.u32(uint32(sub.Length))
+	e.u32(uint32(length))
 	return e.b
 }
 
-// appendRead appends one read sub-request payload to b.
-func appendRead(b []byte, f *File, sub stripe.Sub) []byte {
+// appendRead appends the payload of a read of length bytes at the
+// server offset off to b.
+func appendRead(b []byte, f *File, off, length int64) []byte {
 	e := enc{b: b}
 	e.u64(f.ID)
-	e.i64(sub.ServerOff)
-	e.i64(sub.Length)
+	e.i64(off)
+	e.i64(length)
 	return e.b
 }
 
@@ -719,63 +777,67 @@ func (c *Client) ReadAt(f *File, off int64, p []byte) error {
 	return err
 }
 
-// do fans one ReadAt/WriteAt out: the request splits into per-server
-// groups, each group goes to its server as one send, and the servers
+// do fans one ReadAt/WriteAt out: the request's sub-requests are
+// ordered by server, in place, so each server's group is a subslice of
+// them; each group goes to its server as one send, and the servers
 // proceed in parallel. The first group runs on the calling goroutine,
 // so it reaches its writev without waiting for a goroutine to be
 // scheduled.
 func (c *Client) do(f *File, op byte, off int64, p []byte, pr *parentReq) error {
 	random := op == opWrite && c.RandomThreshold > 0 && int64(len(p)) < c.RandomThreshold
 	subs := c.subs(f, off, int64(len(p)))
-	if len(subs) == 1 {
+	slices.SortStableFunc(subs, func(a, b stripe.Sub) int { return a.Server - b.Server })
+	first := serverGroup(subs)
+	if len(first) == len(subs) {
 		return c.sendGroup(f, op, off, p, subs, random, pr)
 	}
-	groups := groupByServer(subs, len(f.servers))
-	if len(groups) == 1 {
-		return c.sendGroup(f, op, off, p, groups[0], random, pr)
-	}
-	errs := make(chan error, len(groups)-1)
-	for _, g := range groups[1:] {
+	errs := make(chan error, len(f.servers)-1) // one per other server at most
+	spawned := 0
+	for rest := subs[len(first):]; len(rest) > 0; spawned++ {
+		g := serverGroup(rest)
+		rest = rest[len(g):]
 		go func() {
 			errs <- c.sendGroup(f, op, off, p, g, random, pr)
 		}()
 	}
-	first := c.sendGroup(f, op, off, p, groups[0], random, pr)
-	for range len(groups) - 1 {
-		if err := <-errs; err != nil && first == nil {
-			first = err
+	err := c.sendGroup(f, op, off, p, first, random, pr)
+	for range spawned {
+		if gerr := <-errs; gerr != nil && err == nil {
+			err = gerr
 		}
 	}
-	return first
+	return err
+}
+
+// serverGroup returns the leading sub-requests of subs, ordered by
+// server, that go to the first one's server.
+func serverGroup(subs []stripe.Sub) []stripe.Sub {
+	n := 1
+	for n < len(subs) && subs[n].Server == subs[0].Server {
+		n++
+	}
+	return subs[:n]
 }
 
 // sendGroup sends one server's sub-requests of the ReadAt/WriteAt of p
-// at off: write frames borrow their slice of p, read replies scatter
-// into p.
+// at off, one frame per run (appendRuns): write frames borrow their
+// pieces of p, read replies scatter into them.
 func (c *Client) sendGroup(f *File, op byte, off int64, p []byte, subs []stripe.Sub, random bool, pr *parentReq) error {
 	var buf [4]dataReq
-	reqs := slices.Grow(buf[:0], len(subs))
-	for _, sub := range subs {
-		r := dataReq{sub: sub}
+	reqs := appendRuns(buf[:0], subs, p, off, random)
+	return c.send(f.servers[subs[0].Server], op, reqs, func(b []byte, r dataReq) []byte {
 		if op == opRead {
-			r.dst = p[sub.FileOff-off : sub.FileOff-off+sub.Length]
-		} else {
-			r.src = p[sub.FileOff-off : sub.FileOff-off+sub.Length]
+			return appendRead(b, f, r.run[0].ServerOff, r.length())
 		}
-		reqs = append(reqs, r)
-	}
-	return c.send(f.servers[subs[0].Server], op, reqs, func(b []byte, sub stripe.Sub) []byte {
-		if op == opRead {
-			return appendRead(b, f, sub)
-		}
-		return appendWrite(b, f, sub, random)
+		return appendWrite(b, f, r.run[0].ServerOff, r.length(), random || r.run[0].Fragment)
 	}, pr)
 }
 
-// finishRead validates a read result: either n bytes were already
-// scattered into dst (reply nil), or reply is the payload to decode and
-// copy out.
-func finishRead(reply []byte, n int, dst []byte, want int64) error {
+// finishRead validates the result of the read r: either n bytes were
+// already scattered into its pieces (reply nil), or reply is the payload
+// to decode and copy out, piece by piece.
+func finishRead(reply []byte, n int, r *dataReq) error {
+	want := r.length()
 	if reply == nil {
 		if int64(n) != want {
 			return fmt.Errorf("pfsnet: short read: %d of %d bytes", n, want)
@@ -790,7 +852,9 @@ func finishRead(reply []byte, n int, dst []byte, want int64) error {
 	if int64(len(data)) != want {
 		return fmt.Errorf("pfsnet: short read: %d of %d bytes", len(data), want)
 	}
-	copy(dst, data)
+	for i := range r.run {
+		data = data[copy(r.piece(i), data):]
+	}
 	return nil
 }
 
@@ -820,7 +884,7 @@ func (c *Client) Flush(f *File) (int64, error) {
 	var total int64
 	for _, addr := range servers {
 		var req [1]dataReq
-		err := c.send(addr, opFlush, req[:], func(b []byte, _ stripe.Sub) []byte {
+		err := c.send(addr, opFlush, req[:], func(b []byte, _ dataReq) []byte {
 			return binary.BigEndian.AppendUint64(b, id)
 		}, nil)
 		if err != nil {

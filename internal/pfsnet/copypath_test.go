@@ -28,48 +28,57 @@ func randBytes(n int, seed uint64) []byte {
 	return b
 }
 
-// TestWriteFrameBorrowsData pins the client's write frame: its data
-// rides as an iovec that is the caller's own slice, not a copy, and the
-// bytes on the wire are those of the single-buffer frame, plain and
-// traced.
+// TestWriteFrameBorrowsData pins the client's write frame: each piece
+// of a run rides as an iovec that is the caller's own slice, not a copy,
+// and the bytes on the wire are those of the single-buffer frame, plain
+// and traced.
 func TestWriteFrameBorrowsData(t *testing.T) {
 	f := &File{ID: 7}
-	sub := stripe.Sub{ServerOff: 1 << 20, Length: 4096}
-	data := randBytes(4096, 1)
-	hdr := appendWrite(nil, f, sub, false)
-	whole := append(hdr[:len(hdr):len(hdr)], data...)
+	// Two units of server 0 on a two-server file: back to back in the
+	// server's object, one unit of server 1 apart in the caller's buffer.
+	p := randBytes(3*4096, 1)
+	run := []stripe.Sub{
+		{ServerOff: 1 << 20, FileOff: 0, Length: 4096},
+		{ServerOff: 1<<20 + 4096, FileOff: 2 * 4096, Length: 4096},
+	}
+	r := &dataReq{run: run, buf: p}
+	hdr := appendWrite(nil, f, 1<<20, 2*4096, false)
+	whole := append(append(hdr[:len(hdr):len(hdr)], p[:4096]...), p[2*4096:]...)
 	for _, traced := range []bool{false, true} {
 		var wire, want bytes.Buffer
 		reg := obs.NewRegistry()
-		vw := newVecWriter(&wire, newClientWireMetrics(reg))
+		wm := newClientWireMetrics(reg)
+		cn := &conn{wm: wm, vw: newVecWriter(&wire, wm)}
+		ref := newVecWriter(&want, nil)
 		var err error
 		if traced {
-			err = vw.writeFrameCtx(9, opWrite, 1, 2, hdr, data)
-			ref := newVecWriter(&want, nil)
-			ref.writeFrameCtx(9, opWrite, 1, 2, whole, nil)
-			ref.flush()
+			err = cn.queue(opWrite, 1, 2, hdr, r)
+			ref.beginFrame(1, opWrite, 1, 2, whole, 0)
 		} else {
-			err = vw.writeFrame(9, opWrite, hdr, data)
-			writeFrame(&want, 9, opWrite, whole)
+			err = cn.queue(opWrite, 0, 0, hdr, r)
+			ref.writeFrame(1, opWrite, whole, nil)
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
 		aliased := 0
-		for _, b := range vw.bufs {
-			if len(b) == len(data) && &b[0] == &data[0] {
-				aliased++
+		for _, b := range cn.vw.bufs {
+			for _, at := range []int{0, 2 * 4096} {
+				if len(b) == 4096 && &b[0] == &p[at] {
+					aliased++
+				}
 			}
 		}
-		if aliased != 1 {
-			t.Fatalf("traced=%v: %d queued iovecs alias the caller's data, want 1", traced, aliased)
+		if aliased != 2 {
+			t.Fatalf("traced=%v: %d queued iovecs alias the caller's data, want 2", traced, aliased)
 		}
-		if got := reg.Counter("pfsnet.client.copy_avoided_bytes").Value(); got != int64(len(data)) {
-			t.Fatalf("traced=%v: copy_avoided_bytes = %d, want %d", traced, got, len(data))
+		if got := reg.Counter("pfsnet.client.copy_avoided_bytes").Value(); got != 2*4096 {
+			t.Fatalf("traced=%v: copy_avoided_bytes = %d, want %d", traced, got, 2*4096)
 		}
-		if err := vw.flush(); err != nil {
+		if err := cn.vw.flush(); err != nil {
 			t.Fatal(err)
 		}
+		ref.flush()
 		if !bytes.Equal(wire.Bytes(), want.Bytes()) {
 			t.Fatalf("traced=%v: borrowed-data frame differs from the single-buffer frame", traced)
 		}
@@ -146,7 +155,8 @@ func TestFrameReadersBypassBuffer(t *testing.T) {
 			t.Fatal(err)
 		}
 		dst := make([]byte, plen)
-		n, err := c.scatterInto(dst, int(binary.BigEndian.Uint32(hdr[:4]))-9)
+		r := &dataReq{run: []stripe.Sub{{Length: plen}}, buf: dst}
+		n, err := c.scatterInto(r, int(binary.BigEndian.Uint32(hdr[:4]))-9)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/logstore"
-	"repro/internal/stripe"
 )
 
 // TestClientSurvivesServerRestart kills a data server mid-session and
@@ -266,7 +265,7 @@ func TestRemoteErrorNotRetried(t *testing.T) {
 	}
 	readsBefore := ds.Stats().Reads
 	// A negative-length read triggers a server-side error exactly once.
-	err = c.send(ds.Addr(), opRead, make([]dataReq, 1), func(b []byte, _ stripe.Sub) []byte {
+	err = c.send(ds.Addr(), opRead, make([]dataReq, 1), func(b []byte, _ dataReq) []byte {
 		e := enc{b: b}
 		e.u64(1)
 		e.i64(0)

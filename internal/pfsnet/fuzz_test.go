@@ -29,7 +29,7 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add(plain.Bytes())
 	var traced bytes.Buffer
 	vw := newVecWriter(&traced, nil)
-	vw.writeFrameCtx(7, opRead, 1, 2, readReq(1, 0, 512), nil)
+	vw.beginFrame(7, opRead, 1, 2, readReq(1, 0, 512), 0)
 	vw.flush()
 	f.Add(traced.Bytes())
 	f.Add(plain.Bytes()[:plain.Len()-3])          // truncated payload

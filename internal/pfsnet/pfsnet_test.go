@@ -9,7 +9,6 @@ import (
 	"testing/quick"
 
 	"repro/internal/sim"
-	"repro/internal/stripe"
 )
 
 // testCluster starts a meta server and n data servers on ephemeral ports
@@ -92,8 +91,9 @@ func TestMetaServerRejectsBadServerList(t *testing.T) {
 	// The largest unit's sub-requests fit their frames: a traced write
 	// of a whole unit and the reply to a read of one.
 	data := make([]byte, maxUnit)
-	hdr := appendWrite(nil, &File{}, stripe.Sub{Length: maxUnit}, false)
-	if err := newVecWriter(io.Discard, nil).writeFrameCtx(1, opWrite, 1, 1, hdr, data); err != nil {
+	hdr := appendWrite(nil, &File{}, 0, maxUnit, false)
+	vw := newVecWriter(io.Discard, nil)
+	if err := vw.beginFrame(1, opWrite, 1, 1, hdr, len(data)); err != nil {
 		t.Fatalf("traced write of the largest unit: %v", err)
 	}
 	if maxUnit > maxReadLen {

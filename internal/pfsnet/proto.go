@@ -149,9 +149,12 @@ func writeHello(w io.Writer, op byte) error {
 // and the payload is valid until the next read into it. The length word
 // is checked before the rest of the header is read, so a frame too
 // short to hold a tag and an opcode — a legacy v1 frame, for one — is
-// refused at once instead of waiting for bytes that never come.
+// refused at once instead of waiting for bytes that never come. The
+// header is read into *buf as well, ahead of the payload that overwrites
+// it: a local array would escape through r and cost an allocation per
+// frame.
 func readFrame(r io.Reader, buf *[]byte) (frame, error) {
-	var hdr [13]byte
+	hdr := fit(buf, 13)
 	if _, err := io.ReadFull(r, hdr[:4]); err != nil {
 		return frame{}, err
 	}
@@ -162,7 +165,8 @@ func readFrame(r io.Reader, buf *[]byte) (frame, error) {
 	if _, err := io.ReadFull(r, hdr[4:]); err != nil {
 		return frame{}, wrapTruncated(err)
 	}
-	fr := frame{tag: binary.BigEndian.Uint64(hdr[4:12]), op: hdr[12], payload: fit(buf, int(n-9))}
+	fr := frame{tag: binary.BigEndian.Uint64(hdr[4:12]), op: hdr[12]}
+	fr.payload = fit(buf, int(n-9))
 	if _, err := io.ReadFull(r, fr.payload); err != nil {
 		return frame{}, wrapTruncated(err)
 	}

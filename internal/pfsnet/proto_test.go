@@ -145,7 +145,7 @@ func TestWireGolden(t *testing.T) {
 			return vw.writeFrame(0x0102030405060708, opRead, readReq(7, 512, 512), nil)
 		}), goldenRead},
 		{"traced read", vecBytes(t, func(vw *vecWriter) error {
-			return vw.writeFrameCtx(9, opRead, 0x1111111111111111, 0x2222222222222222, readReq(7, 512, 512), nil)
+			return vw.beginFrame(9, opRead, 0x1111111111111111, 0x2222222222222222, readReq(7, 512, 512), 0)
 		}), goldenTracedRead},
 		// A batch that outgrows the writer's first arena.
 		{"200 reads", vecBytes(t, func(vw *vecWriter) error {

@@ -222,8 +222,9 @@ func TestServerLatencySeparation(t *testing.T) {
 
 // TestServerLatencyCounts checks that each (server, class) latency
 // histogram counts exactly the requests that server answered: a striped
-// 192 KiB write and read put two sub-requests on one server and one on
-// the other, and a flush reaches each once.
+// 192 KiB write and read put two units on one server and one on the
+// other, and the two units go as one run, so each server answers one
+// write, one read and one flush.
 func TestServerLatencyCounts(t *testing.T) {
 	c, dss, _ := stripedCluster(t, 2, ServerConfig{}, func(c *Client) { c.Obs = obs.NewRegistry() })
 	f, err := c.Create("counts", 1<<20)
@@ -243,8 +244,8 @@ func TestServerLatencyCounts(t *testing.T) {
 	snap := c.Obs.Snapshot()
 	for i, ds := range dss {
 		st := ds.Stats()
-		if st.Reads != int64(2-i) || st.Writes != int64(2-i) || st.Flushes != 1 {
-			t.Fatalf("server %d answered %d reads, %d writes, %d flushes; want %d, %d, 1", i, st.Reads, st.Writes, st.Flushes, 2-i, 2-i)
+		if st.Reads != 1 || st.Writes != 1 || st.Flushes != 1 {
+			t.Fatalf("server %d answered %d reads, %d writes, %d flushes; want 1, 1, 1", i, st.Reads, st.Writes, st.Flushes)
 		}
 		for class, want := range map[string]int64{"read": st.Reads, "write": st.Writes, "flush": st.Flushes} {
 			key := "pfsnet.client.server." + ds.Addr() + "." + class + ".count"

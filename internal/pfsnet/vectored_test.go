@@ -152,4 +152,40 @@ func TestV2HotPathAllocs(t *testing.T) {
 		t.Errorf("v2 read path: %.1f allocs/op, want <= %d", readAllocs, maxRead)
 	}
 	t.Logf("allocs/op: write=%.1f read=%.1f", writeAllocs, readAllocs)
+
+	// A striped request: 16 units on each of two servers go as one run
+	// per server, so the fan-out adds a goroutine, not a frame per unit.
+	meta = testCluster(t, 2, 4096, false)
+	sc := NewClient(meta)
+	defer sc.Close()
+	sf, err := sc.Create("allocs", 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sbuf := make([]byte, 2*16*4096)
+	for i := 0; i < 16; i++ {
+		if err := sc.WriteAt(sf, 0, sbuf); err != nil {
+			t.Fatal(err)
+		}
+		if err := sc.ReadAt(sf, 0, sbuf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	writeAllocs = testing.AllocsPerRun(200, func() {
+		if err := sc.WriteAt(sf, 0, sbuf); err != nil {
+			t.Fatal(err)
+		}
+	})
+	readAllocs = testing.AllocsPerRun(200, func() {
+		if err := sc.ReadAt(sf, 0, sbuf); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if writeAllocs > maxWrite {
+		t.Errorf("striped write path: %.1f allocs/op, want <= %d", writeAllocs, maxWrite)
+	}
+	if readAllocs > maxRead {
+		t.Errorf("striped read path: %.1f allocs/op, want <= %d", readAllocs, maxRead)
+	}
+	t.Logf("striped allocs/op: write=%.1f read=%.1f", writeAllocs, readAllocs)
 }

@@ -28,8 +28,9 @@ const arenaMin = 4 << 10
 // vecWriter accumulates wire frames and submits them to the connection
 // in one vectored write (writev on TCP). Each frame's header and payload
 // are copied into the writer's arena, so consecutive frames form one
-// iovec; a frame's data follows as an iovec of its own, zero-copy. A
-// flush hands the whole iovec list to the kernel in a single syscall.
+// iovec; a frame's data follows as iovecs of its own, one per piece,
+// zero-copy. A flush hands the whole iovec list to the kernel in a
+// single syscall.
 //
 // The writer belongs to one connection and owns its memory for life.
 // A payload is copied before writeFrame returns, so the caller may reuse
@@ -44,7 +45,8 @@ type vecWriter struct {
 	arena  []byte // this batch's headers, payloads and reserved data
 	seg    int    // start of the open (not yet queued) segment
 	bufs   net.Buffers
-	frames int // frames queued since the last flush
+	out    net.Buffers // bufs as the flush's write consumes them
+	frames int         // frames queued since the last flush
 }
 
 func newVecWriter(nc io.Writer, wm *wireMetrics) *vecWriter {
@@ -86,42 +88,50 @@ func (w *vecWriter) reserve(n int) []byte {
 // as one frame body. The payload is copied before it returns; data stays
 // borrowed until the flush (nil when the frame has none).
 func (w *vecWriter) writeFrame(tag uint64, op byte, payload, data []byte) error {
-	if len(payload)+len(data)+9 > MaxMessage {
-		return ErrTooLarge
+	if err := w.beginFrame(tag, op, 0, 0, payload, len(data)); err != nil {
+		return err
 	}
-	var hdr [13]byte
-	putHeader(hdr[:], len(payload)+len(data), tag, op)
-	w.enqueue(hdr[:], payload, data)
+	w.borrow(data)
 	return nil
 }
 
-// writeFrameCtx queues one request frame carrying a trace context:
-// tagTraceFlag set on the tag, {traceID, parentSpanID} written into the
-// arena right behind the header. Same contract as writeFrame.
-func (w *vecWriter) writeFrameCtx(tag uint64, op byte, tcID, tcSpan uint64, payload, data []byte) error {
-	if len(payload)+len(data)+9+traceCtxSize > MaxMessage {
+// beginFrame queues one frame's header and payload for the next flush
+// and announces dataLen bytes of data, which the caller adds right
+// after with borrow, in as many pieces as it has. A nonzero tcID makes
+// it a traced frame: tagTraceFlag set on the tag, {traceID,
+// parentSpanID} written into the arena right behind the header. The
+// payload is copied before it returns.
+func (w *vecWriter) beginFrame(tag uint64, op byte, tcID, tcSpan uint64, payload []byte, dataLen int) error {
+	var buf [13 + traceCtxSize]byte
+	hdr := buf[:13]
+	body := len(payload) + dataLen
+	if tcID != 0 {
+		hdr = buf[:]
+		body += traceCtxSize
+		tag |= tagTraceFlag
+		binary.BigEndian.PutUint64(hdr[13:21], tcID)
+		binary.BigEndian.PutUint64(hdr[21:29], tcSpan)
+	}
+	if body+9 > MaxMessage {
 		return ErrTooLarge
 	}
-	var hdr [13 + traceCtxSize]byte
-	putHeader(hdr[:], len(payload)+len(data)+traceCtxSize, tag|tagTraceFlag, op)
-	binary.BigEndian.PutUint64(hdr[13:21], tcID)
-	binary.BigEndian.PutUint64(hdr[21:29], tcSpan)
-	w.enqueue(hdr[:], payload, data)
-	return nil
-}
-
-// enqueue adds one frame — header and payload copied into the arena,
-// then borrowed data — to the batch. Data always rides as its own iovec,
-// and only a client's counts as a copy avoided.
-func (w *vecWriter) enqueue(hdr, payload, data []byte) {
+	putHeader(hdr, body, tag, op)
 	w.ensure(len(hdr) + len(payload))
 	w.arena = append(append(w.arena, hdr...), payload...)
-	if len(data) > 0 {
-		w.closeSeg()
-		w.bufs = append(w.bufs, data)
-		w.wm.onCopyAvoided(len(data))
-	}
 	w.frames++
+	return nil
+}
+
+// borrow adds a piece of the frame being queued as an iovec of its own,
+// borrowed until the flush; an empty piece adds nothing. Only a client's
+// borrowed bytes count as a copy avoided.
+func (w *vecWriter) borrow(data []byte) {
+	if len(data) == 0 {
+		return
+	}
+	w.closeSeg()
+	w.bufs = append(w.bufs, data)
+	w.wm.onCopyAvoided(len(data))
 }
 
 // flush submits every queued frame in one vectored write and empties the
@@ -134,12 +144,14 @@ func (w *vecWriter) flush() error {
 	// WriteTo consumes the iovec list, looping until everything is
 	// written or the conn errors; on error the conn is dead and the
 	// caller tears it down, so the batch is emptied either way.
+	// The consumed list is a field, not a local: a local's address
+	// would escape through the interface call, one allocation a flush.
 	var err error
-	bufs := w.bufs
+	w.out = w.bufs
 	if bw, ok := w.nc.(BuffersWriter); ok {
-		_, err = bw.WriteBuffers(&bufs)
+		_, err = bw.WriteBuffers(&w.out)
 	} else {
-		_, err = bufs.WriteTo(w.nc)
+		_, err = w.out.WriteTo(w.nc)
 	}
 	w.wm.onWritev(w.frames)
 	w.bufs = w.bufs[:0]

@@ -26,10 +26,9 @@ type wireMetrics struct {
 	copyAvoided *obs.Counter
 
 	// Vectored-path metrics: how well the writev batching amortizes
-	// syscalls.
+	// syscalls (frames per flush is their ratio).
 	writevCalls  *obs.Counter // vectored flushes submitted
 	writevFrames *obs.Counter // frames carried by those flushes
-	writevBatch  *obs.Hist    // frames per vectored flush
 }
 
 // newWireMetrics resolves a server endpoint's metrics in reg under
@@ -45,7 +44,6 @@ func newWireMetrics(reg *obs.Registry, prefix string) *wireMetrics {
 		bytesRx:      reg.Counter(prefix + "bytes_rx"),
 		writevCalls:  reg.Counter(prefix + "writev_calls"),
 		writevFrames: reg.Counter(prefix + "writev_frames"),
-		writevBatch:  reg.Hist(prefix + "writev_frames_per_call"),
 	}
 }
 
@@ -68,7 +66,6 @@ func (m *wireMetrics) onWritev(frames int) {
 	}
 	m.writevCalls.Inc()
 	m.writevFrames.Add(int64(frames))
-	m.writevBatch.Observe(float64(frames))
 }
 
 func (m *wireMetrics) onCopyAvoided(n int) {

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -69,6 +70,14 @@ func (h *Hist) Observe(v float64) {
 	if v > h.max {
 		h.max = v
 	}
+}
+
+// Clone returns a copy of h that shares no memory with it, so one
+// goroutine can read the copy while another observes into h.
+func (h *Hist) Clone() Hist {
+	cp := *h
+	cp.counts = slices.Clone(h.counts)
+	return cp
 }
 
 // Count returns the number of observations.

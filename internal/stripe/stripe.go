@@ -95,12 +95,15 @@ func (l Layout) ServerBytes(fileLen int64) []int64 {
 	return out
 }
 
-// Decompose splits the request [off, off+length) into per-server
-// sub-requests. Consecutive striping units on the same server within the
-// request are NOT coalesced: each unit crossing produces its own
-// sub-request only when the server changes, i.e. contiguous spans per
-// server are merged, matching how PVFS2 builds one contiguous region per
-// server per request when possible.
+// Decompose splits the request [off, off+length) into sub-requests in
+// file order, one per striping unit the request touches, except that a
+// unit is merged into the sub-request before it when that one is on the
+// same server and ends where the unit starts in the server's object.
+// That happens only when Servers == 1; with more servers a server's
+// units in one request stay separate sub-requests even though they lie
+// back to back in its object. Sending each server one contiguous region
+// per request, as PVFS2 does, is the live client's job: it coalesces a
+// server's consecutive sub-requests into runs (internal/pfsnet).
 func (l Layout) Decompose(off, length int64) []Sub {
 	return l.AppendDecompose(nil, off, length)
 }
@@ -113,6 +116,13 @@ func (l Layout) AppendDecompose(dst []Sub, off, length int64) []Sub {
 		panic(err)
 	}
 	first := len(dst)
+	if length > 0 {
+		n := 1 // a single server's units merge into one sub-request
+		if l.Servers > 1 {
+			n = int((off+length-1)/l.Unit - off/l.Unit + 1)
+		}
+		dst = slices.Grow(dst, n)
+	}
 	pos := off
 	remaining := length
 	for remaining > 0 {
@@ -123,9 +133,8 @@ func (l Layout) AppendDecompose(dst []Sub, off, length int64) []Sub {
 			n = remaining
 		}
 		// Merge with the previous sub if it is contiguous on the same
-		// server (happens when Servers == 1, or when a request wraps a
-		// full stripe and returns to the same server at the adjacent
-		// server-local offset).
+		// server, which happens only when Servers == 1: with more, the
+		// previous sub is always another server's.
 		if k := len(dst) - 1; k >= first && dst[k].Server == server &&
 			dst[k].ServerOff+dst[k].Length == serverOff {
 			dst[k].Length += n
