@@ -10,8 +10,10 @@ import (
 
 // Client issues file requests against a FileSystem. It performs the
 // PVFS2-style client-side decomposition of a request into per-server
-// sub-requests and, when a fragment threshold is configured (iBridge
-// mode), flags fragments and attaches sibling-server lists.
+// runs (stripe.Layout.AppendRuns), one contiguous region of each
+// server's object, and, when a fragment threshold is configured (iBridge
+// mode), flags fragments, each a run of its own, and attaches
+// sibling-server lists.
 //
 // Clients are cheap handles: create one per simulated MPI rank or share
 // one; they keep no per-request state.
@@ -69,12 +71,7 @@ func (c *Client) request(p *sim.Proc, f *File, op device.Op, off, length int64) 
 	}
 	start := p.Now()
 	par := c.fs.newParent(p)
-	layout := c.fs.layout
-	if c.FragmentThreshold > 0 {
-		par.subs, par.sibs = layout.AppendDecomposeFlagged(par.subs[:0], par.sibs[:0], off, length, c.FragmentThreshold)
-	} else {
-		par.subs = layout.AppendDecompose(par.subs[:0], off, length)
-	}
+	par.subs, par.sibs = c.fs.layout.AppendRuns(par.subs[:0], par.sibs[:0], off, length, c.FragmentThreshold)
 	subs := par.subs
 	random := c.RandomThreshold > 0 && length < c.RandomThreshold
 

@@ -104,6 +104,60 @@ func TestUnalignedRequestTwoServers(t *testing.T) {
 	}
 }
 
+// countStore counts the requests a server is handed, and their bytes.
+type countStore struct {
+	Store
+	requests, bytes int64
+}
+
+func (s *countStore) Serve(p *sim.Proc, r *IORequest) {
+	s.requests++
+	s.bytes += r.Bytes
+	s.Store.Serve(p, r)
+}
+
+// TestAlignedTwoStripesOneRequestPerServer: an aligned request of two
+// stripes on four servers reaches each server as one request for its
+// two units, which lie back to back in its object, from either client:
+// 4 requests where the decomposition has 8 units.
+func TestAlignedTwoStripesOneRequestPerServer(t *testing.T) {
+	e := sim.New()
+	rng := sim.NewRNG(99)
+	counts := make([]*countStore, 4)
+	stores := make([]Store, len(counts))
+	for i := range counts {
+		d := hdd.New(e, "hdd", hdd.DefaultSpec(), rng.Fork())
+		counts[i] = &countStore{Store: NewQueueStore(iosched.New(e, d, iosched.DiskDefaults(), nil))}
+		stores[i] = counts[i]
+	}
+	layout := stripe.Layout{Unit: 64 * 1024, Servers: len(stores)}
+	fs, err := NewFileSystem(e, Config{Layout: layout}, stores)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, _ := fs.Create("data", 10<<20)
+	const off, length = 1 << 20, 8 * 64 * 1024
+	if n := len(layout.Decompose(off, length)); n != 8 {
+		t.Fatalf("the request has %d units, want 8", n)
+	}
+	run(t, e, func(p *sim.Proc) {
+		for _, c := range []*Client{NewClient(fs), NewIBridgeClient(fs, 20*1024, 20*1024)} {
+			for _, s := range counts {
+				s.requests, s.bytes = 0, 0
+			}
+			c.Write(p, f, off, length)
+			for i, s := range counts {
+				if s.requests != 1 || s.bytes != length/4 {
+					t.Errorf("server %d served %d requests of %d bytes, want 1 of %d", i, s.requests, s.bytes, length/4)
+				}
+			}
+		}
+	})
+	if st := fs.Stats(); st.SubCount != 8 || st.Fragments != 0 {
+		t.Fatalf("SubCount = %d, Fragments = %d over two requests, want 8 and 0", st.SubCount, st.Fragments)
+	}
+}
+
 func TestFragmentFlaggingOnlyWithIBridgeClient(t *testing.T) {
 	e := sim.New()
 	fs, _ := testFS(t, e, 4)

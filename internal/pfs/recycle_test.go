@@ -49,7 +49,7 @@ func equalRequests(a, b IORequest) bool {
 // TestRecycledParentsNeverAlias: many ranks issue concurrent striped
 // iBridge requests of two sizes (so recycled parents change their
 // sub-request count both ways) with seeded think times in between. Every
-// sub-request a store sees must be exactly the one the layout derives
+// sub-request a store sees must be exactly the run the layout derives
 // from its parent, for as long as the store holds it.
 func TestRecycledParentsNeverAlias(t *testing.T) {
 	const (
@@ -78,7 +78,8 @@ func TestRecycledParentsNeverAlias(t *testing.T) {
 			if parent%ranks != int64(r.Origin) {
 				return fmt.Errorf("parent %d belongs to rank %d, not origin %d", parent, parent%ranks, r.Origin)
 			}
-			for _, sub := range layout.DecomposeFlagged(parent*size, size, threshold) {
+			runs, _ := layout.AppendRuns(nil, nil, parent*size, size, threshold)
+			for _, sub := range runs {
 				if sub.Server != r.Server {
 					continue
 				}

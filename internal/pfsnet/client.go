@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -20,13 +19,11 @@ import (
 )
 
 // Client accesses a pfsnet file system: it asks the metadata server for
-// file placement, decomposes reads and writes into per-server
-// sub-requests (flagging fragments when a threshold is configured), and
-// issues each server's sub-requests as one group, all servers
-// concurrently. Within a group, sub-requests that lie back to back in
-// the server's object go as one run, one frame of at most maxRun bytes,
-// so an aligned request sends each server one contiguous region, as
-// PVFS2 does; a flagged sub-request always goes alone.
+// file placement, splits reads and writes into per-server runs
+// (stripe.Layout.AppendRuns: each server's region of the request, cut
+// only at flagged fragments when a threshold is configured and at
+// stripe.MaxRun), and issues each server's runs as one group, one frame
+// per run, all servers concurrently.
 //
 // Each group runs to completion on one goroutine, the caller's own for
 // a request that reaches one server. It checks an idle connection to the
@@ -196,15 +193,15 @@ func (c *conn) queue(op byte, tcID, tcSpan uint64, payload []byte, w *dataReq) e
 	c.sent++
 	n := 0
 	if w != nil {
-		n = int(w.length())
+		n = int(w.run.Length)
 	}
 	if err := c.vw.beginFrame(c.sent, op, tcID, tcSpan, payload, n); err != nil {
 		return err
 	}
-	if w != nil {
-		for i := range w.run {
-			c.vw.borrow(w.piece(i))
-		}
+	for at := 0; at < n; {
+		piece := w.piece(int64(at))
+		c.vw.borrow(piece)
+		at += len(piece)
 	}
 	c.wm.onTx(len(payload) + n)
 	return nil
@@ -245,7 +242,7 @@ func (c *conn) recv(r *dataReq) ([]byte, int, error) {
 	}
 	op := hdr[12]
 	plen := int(n) - 9
-	if r != nil && op == opOK && plen >= 4 && int64(plen-4) <= r.length() {
+	if r != nil && op == opOK && plen >= 4 && int64(plen-4) <= r.run.Length {
 		dn, err := c.scatterInto(r, plen)
 		if err != nil {
 			return nil, 0, err
@@ -276,13 +273,13 @@ func (c *conn) scatterInto(r *dataReq, plen int) (int, error) {
 	if dn != plen-4 {
 		return 0, fmt.Errorf("pfsnet: read reply blob of %d bytes does not fill its frame (%w)", dn, ErrCorruptFrame)
 	}
-	for i, left := 0, dn; left > 0; i++ {
-		piece := r.piece(i)
-		piece = piece[:min(len(piece), left)]
+	for at := 0; at < dn; {
+		piece := r.piece(int64(at))
+		piece = piece[:min(len(piece), dn-at)]
 		if _, err := io.ReadFull(c.br, piece); err != nil {
 			return 0, wrapTimeout(wrapTruncated(err))
 		}
-		left -= len(piece)
+		at += len(piece)
 	}
 	return dn, nil
 }
@@ -451,31 +448,29 @@ func (c *Client) finishParent(pr *parentReq) {
 }
 
 // dataReq is one request of a server's group. A read or write covers a
-// run: sub-requests that lie back to back in the server's object (see
-// appendRuns). Each is a piece of buf, the caller's buffer from the
-// run's first file offset on; a write's frame borrows the pieces and a
-// read's reply scatters into them. Any other request's non-empty reply
-// is copied to reply before the connection goes back to the pool. done
-// marks a request answered (or refused by the server), so no later
-// attempt resends it.
+// run (stripe.Layout.AppendRuns), a range of the server's object whose
+// bytes lie in buf, the caller's buffer from the run's first file offset
+// on, a unit at a time: each piece ends at a unit boundary, and the next
+// starts Unit·Servers bytes after the one before in the file. A write's
+// frame borrows the pieces and a read's reply scatters into them. Any
+// other request's non-empty reply is copied to reply before the
+// connection goes back to the pool. done marks a request answered (or
+// refused by the server), so no later attempt resends it.
 type dataReq struct {
-	run   []stripe.Sub
-	buf   []byte
-	reply []byte
-	done  bool
+	run    stripe.Sub
+	layout stripe.Layout
+	buf    []byte
+	reply  []byte
+	done   bool
 }
 
-// piece returns the part of buf that run[i] covers.
-func (r *dataReq) piece(i int) []byte {
-	at := r.run[i].FileOff - r.run[0].FileOff
-	return r.buf[at : at+r.run[i].Length]
-}
-
-// length returns the run's length in bytes, which is also its extent in
-// the server's object.
-func (r *dataReq) length() int64 {
-	last := r.run[len(r.run)-1]
-	return last.ServerOff + last.Length - r.run[0].ServerOff
+// piece returns the caller's bytes of the run from its byte at on, to
+// the end of the unit they lie in or of the run.
+func (r *dataReq) piece(at int64) []byte {
+	unit := r.layout.Unit
+	pos := r.run.ServerOff%unit + at // from the start of the run's first unit
+	from := at + pos/unit*unit*int64(r.layout.Servers-1)
+	return r.buf[from : from+min(unit-pos%unit, r.run.Length-at)]
 }
 
 // send issues one data server's group of requests — a lone request is a
@@ -681,46 +676,6 @@ func (c *Client) Open(name string) (*File, error) {
 	return c.metaFile(opOpen, name, e.b)
 }
 
-// subs decomposes a request, applying fragment flagging when configured.
-func (c *Client) subs(f *File, off, length int64) []stripe.Sub {
-	if c.FragmentThreshold > 0 {
-		return f.layout.DecomposeFlagged(off, length, c.FragmentThreshold)
-	}
-	return f.layout.Decompose(off, length)
-}
-
-// maxRun caps the bytes a run of several sub-requests carries. A run is
-// one frame and, on a log-backed server, one store record, so the cap
-// keeps both far below MaxMessage and logstore.MaxRecordData, and it
-// bounds the payload buffer of the server connection that reads it. A
-// lone sub-request is never split: one longer than the cap (a
-// single-server file's whole request) is a run of its own.
-const maxRun = 1 << 20
-
-// appendRuns appends one request per run of subs, one server's
-// sub-requests in file order, for the ReadAt/WriteAt of p at off. A
-// sub-request joins the run before it when it continues the run in the
-// server's object, the run stays within maxRun, and neither it nor the
-// run is flagged: a fragment, or any sub-request of a random write. So
-// the fragment log sees exactly the writes it would see if every
-// sub-request went alone, and the other servers' units between a run's
-// pieces are never touched.
-func appendRuns(dst []dataReq, subs []stripe.Sub, p []byte, off int64, random bool) []dataReq {
-	start := 0
-	for i := 1; i <= len(subs); i++ {
-		if i < len(subs) && !random && !subs[i-1].Fragment && !subs[i].Fragment &&
-			subs[i-1].ServerOff+subs[i-1].Length == subs[i].ServerOff &&
-			subs[i].ServerOff+subs[i].Length-subs[start].ServerOff <= maxRun {
-			continue
-		}
-		run := subs[start:i]
-		last := run[len(run)-1]
-		dst = append(dst, dataReq{run: run, buf: p[run[0].FileOff-off : last.FileOff+last.Length-off]})
-		start = i
-	}
-	return dst
-}
-
 // writeHdrSize is the encoded size of a write request ahead of its
 // data: file u64 + off i64 + flags u8 + blob length prefix u32.
 const writeHdrSize = 8 + 8 + 1 + 4
@@ -777,23 +732,21 @@ func (c *Client) ReadAt(f *File, off int64, p []byte) error {
 	return err
 }
 
-// do fans one ReadAt/WriteAt out: the request's sub-requests are
-// ordered by server, in place, so each server's group is a subslice of
-// them; each group goes to its server as one send, and the servers
-// proceed in parallel. The first group runs on the calling goroutine,
-// so it reaches its writev without waiting for a goroutine to be
-// scheduled.
+// do fans one ReadAt/WriteAt out: the request's runs come grouped by
+// server, so each server's group is a subslice of them; each group goes
+// to its server as one send, and the servers proceed in parallel. The
+// first group runs on the calling goroutine, so it reaches its writev
+// without waiting for a goroutine to be scheduled.
 func (c *Client) do(f *File, op byte, off int64, p []byte, pr *parentReq) error {
 	random := op == opWrite && c.RandomThreshold > 0 && int64(len(p)) < c.RandomThreshold
-	subs := c.subs(f, off, int64(len(p)))
-	slices.SortStableFunc(subs, func(a, b stripe.Sub) int { return a.Server - b.Server })
-	first := serverGroup(subs)
-	if len(first) == len(subs) {
-		return c.sendGroup(f, op, off, p, subs, random, pr)
+	runs, _ := f.layout.AppendRuns(nil, nil, off, int64(len(p)), c.FragmentThreshold)
+	first := serverGroup(runs)
+	if len(first) == len(runs) {
+		return c.sendGroup(f, op, off, p, runs, random, pr)
 	}
 	errs := make(chan error, len(f.servers)-1) // one per other server at most
 	spawned := 0
-	for rest := subs[len(first):]; len(rest) > 0; spawned++ {
+	for rest := runs[len(first):]; len(rest) > 0; spawned++ {
 		g := serverGroup(rest)
 		rest = rest[len(g):]
 		go func() {
@@ -809,27 +762,30 @@ func (c *Client) do(f *File, op byte, off int64, p []byte, pr *parentReq) error 
 	return err
 }
 
-// serverGroup returns the leading sub-requests of subs, ordered by
-// server, that go to the first one's server.
-func serverGroup(subs []stripe.Sub) []stripe.Sub {
+// serverGroup returns the leading runs, grouped by server, that go to
+// the first one's server.
+func serverGroup(runs []stripe.Sub) []stripe.Sub {
 	n := 1
-	for n < len(subs) && subs[n].Server == subs[0].Server {
+	for n < len(runs) && runs[n].Server == runs[0].Server {
 		n++
 	}
-	return subs[:n]
+	return runs[:n]
 }
 
-// sendGroup sends one server's sub-requests of the ReadAt/WriteAt of p
-// at off, one frame per run (appendRuns): write frames borrow their
-// pieces of p, read replies scatter into them.
-func (c *Client) sendGroup(f *File, op byte, off int64, p []byte, subs []stripe.Sub, random bool, pr *parentReq) error {
+// sendGroup sends one server's runs of the ReadAt/WriteAt of p at off,
+// one frame per run: write frames borrow their pieces of p, read replies
+// scatter into them.
+func (c *Client) sendGroup(f *File, op byte, off int64, p []byte, runs []stripe.Sub, random bool, pr *parentReq) error {
 	var buf [4]dataReq
-	reqs := appendRuns(buf[:0], subs, p, off, random)
-	return c.send(f.servers[subs[0].Server], op, reqs, func(b []byte, r dataReq) []byte {
+	reqs := buf[:0]
+	for _, run := range runs {
+		reqs = append(reqs, dataReq{run: run, layout: f.layout, buf: p[run.FileOff-off:]})
+	}
+	return c.send(f.servers[runs[0].Server], op, reqs, func(b []byte, r dataReq) []byte {
 		if op == opRead {
-			return appendRead(b, f, r.run[0].ServerOff, r.length())
+			return appendRead(b, f, r.run.ServerOff, r.run.Length)
 		}
-		return appendWrite(b, f, r.run[0].ServerOff, r.length(), random || r.run[0].Fragment)
+		return appendWrite(b, f, r.run.ServerOff, r.run.Length, random || r.run.Fragment)
 	}, pr)
 }
 
@@ -837,7 +793,7 @@ func (c *Client) sendGroup(f *File, op byte, off int64, p []byte, subs []stripe.
 // already scattered into its pieces (reply nil), or reply is the payload
 // to decode and copy out, piece by piece.
 func finishRead(reply []byte, n int, r *dataReq) error {
-	want := r.length()
+	want := r.run.Length
 	if reply == nil {
 		if int64(n) != want {
 			return fmt.Errorf("pfsnet: short read: %d of %d bytes", n, want)
@@ -852,8 +808,8 @@ func finishRead(reply []byte, n int, r *dataReq) error {
 	if int64(len(data)) != want {
 		return fmt.Errorf("pfsnet: short read: %d of %d bytes", len(data), want)
 	}
-	for i := range r.run {
-		data = data[copy(r.piece(i), data):]
+	for at := 0; at < len(data); {
+		at += copy(r.piece(int64(at)), data[at:])
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"slices"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/logstore"
@@ -11,10 +12,10 @@ import (
 	"repro/internal/stripe"
 )
 
-// These tests pin the client's runs (appendRuns): a server's
-// consecutive sub-requests of one request that lie back to back in its
-// object go as one frame, fragments go alone, and no run of several
-// sub-requests exceeds maxRun.
+// These tests pin the frames the servers see for the client's runs
+// (stripe.Layout.AppendRuns): a server's region of one request goes as
+// one frame, fragments go alone, and no frame carries more than
+// stripe.MaxRun bytes of data.
 
 // serverCounts sums the servers' answered writes, reads and fragment
 // writes.
@@ -79,7 +80,12 @@ func TestUnalignedRunsKeepFragments(t *testing.T) {
 	if !bytes.Equal(got, data) {
 		t.Fatal("read back differs from the write")
 	}
-	want := f.Layout().Fragments(off, length, threshold)
+	want := 0
+	for _, s := range f.Layout().DecomposeFlagged(off, length, threshold) {
+		if s.Fragment {
+			want++
+		}
+	}
 	if want == 0 {
 		t.Fatal("the request has no fragments to keep")
 	}
@@ -140,7 +146,7 @@ func TestCoalescedReadbackMatchesShadow(t *testing.T) {
 }
 
 // TestRunCapSplitsShare writes and reads 5 MiB over two servers of
-// 64 KiB units: each server's 2.5 MiB share is ⌈2.5 MiB / maxRun⌉ = 3
+// 64 KiB units: each server's 2.5 MiB share is ⌈2.5 MiB / MaxRun⌉ = 3
 // frames each way.
 func TestRunCapSplitsShare(t *testing.T) {
 	c, dss, _ := stripedCluster(t, 2, ServerConfig{}, nil)
@@ -160,7 +166,7 @@ func TestRunCapSplitsShare(t *testing.T) {
 		t.Fatal("read back differs from the write")
 	}
 	share := int64(len(data) / len(dss))
-	want := (share + maxRun - 1) / maxRun
+	want := (share + stripe.MaxRun - 1) / stripe.MaxRun
 	writes, reads, _ := serverCounts(dss)
 	for i := range dss {
 		if writes[i] != want || reads[i] != want {
@@ -171,7 +177,8 @@ func TestRunCapSplitsShare(t *testing.T) {
 
 // TestLogBackedLargeWrite writes 64 MiB in one WriteAt over two data
 // servers on log stores: each server's 32 MiB share goes as runs of at
-// most maxRun, each one store record well within logstore.MaxRecordData.
+// most stripe.MaxRun, each one store record well within
+// logstore.MaxRecordData.
 func TestLogBackedLargeWrite(t *testing.T) {
 	var addrs []string
 	for i := 0; i < 2; i++ {
@@ -218,10 +225,9 @@ func TestLogBackedLargeWrite(t *testing.T) {
 // order, and the caller's bytes between the pieces stay untouched.
 func TestFinishReadCopiesIntoPieces(t *testing.T) {
 	p := bytes.Repeat([]byte{0xEE}, 30)
-	r := &dataReq{run: []stripe.Sub{
-		{ServerOff: 100, FileOff: 0, Length: 10},
-		{ServerOff: 110, FileOff: 20, Length: 10},
-	}, buf: p}
+	// Two 10-byte units of server 0 on a two-server file: back to back
+	// in its object, a unit of server 1 apart in p.
+	r := &dataReq{run: stripe.Sub{ServerOff: 100, FileOff: 0, Length: 20}, layout: stripe.Layout{Unit: 10, Servers: 2}, buf: p}
 	data := bytes.Repeat([]byte{1}, 20)
 	copy(data[10:], bytes.Repeat([]byte{2}, 10))
 	var e enc
@@ -240,88 +246,107 @@ func TestFinishReadCopiesIntoPieces(t *testing.T) {
 	}
 }
 
-// FuzzStripeRuns checks the run builder over random requests and
-// layouts, grouped by server the way Client.do groups them: the runs
-// partition each group in order; each run's pieces are the caller's
-// bytes at their file offsets and fill its server range back to back;
-// a fragment, or any sub-request of a random write, is a run of its
-// own; no run of several sub-requests exceeds maxRun; and two
-// neighbouring runs could not have been one.
-func FuzzStripeRuns(f *testing.F) {
-	f.Add(int64(0), int64(4<<20), uint8(4), int64(64<<10), int64(0), false)
-	f.Add(int64(10<<10), int64(1<<20+5<<10), uint8(4), int64(64<<10), int64(20<<10), false)
-	f.Add(int64(65<<10), int64(65<<10), uint8(8), int64(64<<10), int64(20<<10), false)
-	f.Add(int64(3), int64(5000), uint8(2), int64(1000), int64(400), true)
-	f.Add(int64(0), int64(3<<20), uint8(1), int64(96<<10), int64(0), false)
-	f.Add(int64(12345), int64(5<<20), uint8(2), int64(96<<10), int64(0), false)
-	f.Fuzz(func(t *testing.T, off, length int64, servers uint8, unit, threshold int64, random bool) {
-		l := stripe.Layout{Unit: 1 + abs64(unit)%(2<<20), Servers: 1 + int(servers)%6}
-		off = abs64(off) % (1 << 30)
-		length = 1 + abs64(length)%min(8<<20, 4096*l.Unit) // at most ~4096 sub-requests
-		var subs []stripe.Sub
-		if threshold = abs64(threshold) % (l.Unit + 1); threshold > 0 {
-			subs = l.DecomposeFlagged(off, length, threshold)
-		} else {
-			subs = l.Decompose(off, length)
-		}
-		slices.SortStableFunc(subs, func(a, b stripe.Sub) int { return a.Server - b.Server })
-		p := make([]byte, length)
-		var total int64
-		for rest := subs; len(rest) > 0; {
-			g := serverGroup(rest)
-			rest = rest[len(g):]
-			runs := appendRuns(nil, g, p, off, random)
-			next := 0 // index in g of the next run's first sub-request
-			for k := range runs {
-				r := &runs[k]
-				if len(r.run) == 0 || &r.run[0] != &g[next] {
-					t.Fatalf("run %d does not start at sub-request %d of its group", k, next)
-				}
-				next += len(r.run)
-				srvOff := r.run[0].ServerOff
-				for i, s := range r.run {
-					if s.ServerOff != srvOff {
-						t.Fatalf("run %d piece %d at server offset %d, want %d", k, i, s.ServerOff, srvOff)
-					}
-					srvOff += s.Length
-					piece := r.piece(i)
-					if int64(len(piece)) != s.Length || &piece[0] != &p[s.FileOff-off] {
-						t.Fatalf("run %d piece %d is not the caller's bytes [%d,+%d)", k, i, s.FileOff-off, s.Length)
-					}
-					if len(r.run) > 1 && (s.Fragment || random) {
-						t.Fatalf("run %d merges a flagged sub-request %v", k, s)
-					}
-				}
-				if srvOff-r.run[0].ServerOff != r.length() {
-					t.Fatalf("run %d: pieces fill %d bytes, length says %d", k, srvOff-r.run[0].ServerOff, r.length())
-				}
-				if len(r.run) > 1 && r.length() > maxRun {
-					t.Fatalf("run %d of %d sub-requests carries %d bytes, over the cap", k, len(r.run), r.length())
-				}
-				total += r.length()
-				if k == 0 {
-					continue
-				}
-				prev, s := runs[k-1], r.run[0]
-				last := prev.run[len(prev.run)-1]
-				if !random && !last.Fragment && !s.Fragment && last.ServerOff+last.Length == s.ServerOff &&
-					prev.length()+s.Length <= maxRun {
-					t.Fatalf("runs %d and %d could have been one", k-1, k)
-				}
-			}
-			if next != len(g) {
-				t.Fatalf("runs cover %d of the group's %d sub-requests", next, len(g))
-			}
-		}
-		if total != length {
-			t.Fatalf("runs carry %d bytes of a %d-byte request", total, length)
-		}
-	})
+// largestCalls is an object store that records the longest write and
+// the longest read its data server asks of it: one frame's data each.
+type largestCalls struct {
+	ObjectStore
+	write, read atomic.Int64
 }
 
-func abs64(v int64) int64 {
-	if v < 0 {
-		return -(v + 1)
+func (s *largestCalls) WriteAt(file uint64, off int64, data []byte) error {
+	raise(&s.write, int64(len(data)))
+	return s.ObjectStore.WriteAt(file, off, data)
+}
+
+func (s *largestCalls) ReadAt(file uint64, off int64, p []byte) error {
+	raise(&s.read, int64(len(p)))
+	return s.ObjectStore.ReadAt(file, off, p)
+}
+
+func raise(v *atomic.Int64, n int64) {
+	for {
+		if old := v.Load(); n <= old || v.CompareAndSwap(old, n) {
+			return
+		}
 	}
-	return v
+}
+
+// TestRunBoundaries writes and reads back one request at each length
+// around a size limit, at offset 0 over 1, 2 and 4 servers of 64 KiB
+// units on mem and log stores: just under and over stripe.MaxRun and
+// logstore.MaxRecordData, and 64 MiB, MaxMessage itself. Each server
+// answers ⌈share/MaxRun⌉ writes and as many reads, and no store call,
+// so no data frame, exceeds MaxRun, one server or many.
+func TestRunBoundaries(t *testing.T) {
+	lengths := []int64{stripe.MaxRun - 1, stripe.MaxRun + 1, logstore.MaxRecordData - 1, logstore.MaxRecordData + 1, 64 << 20}
+	src := randBytes(1<<20, 15)
+	data := make([]byte, 64<<20+len(lengths))
+	for at := 0; at < len(data); at += len(src) {
+		copy(data[at:], src)
+	}
+	got := make([]byte, 64<<20)
+	for _, servers := range []int{1, 2, 4} {
+		for _, kind := range []string{"mem", "log"} {
+			t.Run(fmt.Sprintf("servers=%d/%s", servers, kind), func(t *testing.T) {
+				var dss []*DataServer
+				var stores []*largestCalls
+				var addrs []string
+				for range servers {
+					var store ObjectStore = NewMemStore()
+					if kind == "log" {
+						ls, err := logstore.Open(t.TempDir(), logstore.Config{NoCompactor: true, CheckpointBytes: -1})
+						if err != nil {
+							t.Fatal(err)
+						}
+						store = ls
+					}
+					lc := &largestCalls{ObjectStore: store}
+					ds, err := NewDataServerConfig("127.0.0.1:0", ServerConfig{Store: lc})
+					if err != nil {
+						store.Close()
+						t.Fatal(err)
+					}
+					t.Cleanup(func() { ds.Close() })
+					dss, stores, addrs = append(dss, ds), append(stores, lc), append(addrs, ds.Addr())
+				}
+				ms, err := NewMetaServer("127.0.0.1:0", 64<<10, addrs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { ms.Close() })
+				c := NewClient(ms.Addr())
+				defer c.Close()
+				f, err := c.Create("bounds", 64<<20)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for k, n := range lengths {
+					w0, r0, _ := serverCounts(dss)
+					want := data[k : int64(k)+n] // a different shift each time: no stale byte reads back right
+					if err := c.WriteAt(f, 0, want); err != nil {
+						t.Fatalf("%d-byte WriteAt: %v", n, err)
+					}
+					if err := c.ReadAt(f, 0, got[:n]); err != nil {
+						t.Fatalf("%d-byte ReadAt: %v", n, err)
+					}
+					if !bytes.Equal(got[:n], want) {
+						t.Fatalf("%d-byte read back differs from the write", n)
+					}
+					w1, r1, _ := serverCounts(dss)
+					for i, share := range f.Layout().ServerBytes(n) {
+						frames := (share + stripe.MaxRun - 1) / stripe.MaxRun
+						if w1[i]-w0[i] != frames || r1[i]-r0[i] != frames {
+							t.Errorf("%d bytes: server %d answered %d writes and %d reads of its %d-byte share, want %d each",
+								n, i, w1[i]-w0[i], r1[i]-r0[i], share, frames)
+						}
+					}
+				}
+				for i, s := range stores {
+					if w, r := s.write.Load(), s.read.Load(); w > stripe.MaxRun || r > stripe.MaxRun {
+						t.Errorf("server %d stored a %d-byte write and read a %d-byte range, over MaxRun", i, w, r)
+					}
+				}
+			})
+		}
+	}
 }

@@ -37,11 +37,11 @@ func TestWriteFrameBorrowsData(t *testing.T) {
 	// Two units of server 0 on a two-server file: back to back in the
 	// server's object, one unit of server 1 apart in the caller's buffer.
 	p := randBytes(3*4096, 1)
-	run := []stripe.Sub{
-		{ServerOff: 1 << 20, FileOff: 0, Length: 4096},
-		{ServerOff: 1<<20 + 4096, FileOff: 2 * 4096, Length: 4096},
+	r := &dataReq{
+		run:    stripe.Sub{ServerOff: 1 << 20, FileOff: 0, Length: 2 * 4096},
+		layout: stripe.Layout{Unit: 4096, Servers: 2},
+		buf:    p,
 	}
-	r := &dataReq{run: run, buf: p}
 	hdr := appendWrite(nil, f, 1<<20, 2*4096, false)
 	whole := append(append(hdr[:len(hdr):len(hdr)], p[:4096]...), p[2*4096:]...)
 	for _, traced := range []bool{false, true} {
@@ -155,7 +155,7 @@ func TestFrameReadersBypassBuffer(t *testing.T) {
 			t.Fatal(err)
 		}
 		dst := make([]byte, plen)
-		r := &dataReq{run: []stripe.Sub{{Length: plen}}, buf: dst}
+		r := &dataReq{run: stripe.Sub{Length: plen}, layout: stripe.Layout{Unit: plen, Servers: 1}, buf: dst}
 		n, err := c.scatterInto(r, int(binary.BigEndian.Uint32(hdr[:4]))-9)
 		if err != nil {
 			t.Fatal(err)

@@ -1,6 +1,6 @@
 // Package stripe implements the round-robin file striping used by PVFS2
 // and the client-side decomposition of file requests into per-server
-// sub-requests, including the fragment identification that iBridge adds in
+// requests, including the fragment identification that iBridge adds in
 // the client (the paper instruments io_datafile_setup_msgpairs for this).
 //
 // A file's logical byte space is divided into fixed-size striping units;
@@ -8,6 +8,12 @@
 // intra-unit offset. A request that is not aligned to unit boundaries
 // yields first/last sub-requests smaller than the unit — the *fragments*
 // whose inefficient disk service the paper measures and iBridge repairs.
+//
+// Decompose gives a request's units; AppendRuns gives what a client
+// sends: each server one contiguous region of its object per request,
+// as PVFS2 does, cut only at flagged fragments and at MaxRun. Both the
+// simulated client (internal/pfs) and the live one (internal/pfsnet)
+// send AppendRuns' runs.
 package stripe
 
 import (
@@ -96,97 +102,117 @@ func (l Layout) ServerBytes(fileLen int64) []int64 {
 }
 
 // Decompose splits the request [off, off+length) into sub-requests in
-// file order, one per striping unit the request touches, except that a
-// unit is merged into the sub-request before it when that one is on the
-// same server and ends where the unit starts in the server's object.
-// That happens only when Servers == 1; with more servers a server's
-// units in one request stay separate sub-requests even though they lie
-// back to back in its object. Sending each server one contiguous region
-// per request, as PVFS2 does, is the live client's job: it coalesces a
-// server's consecutive sub-requests into runs (internal/pfsnet).
+// file order, one per striping unit the request touches, whatever the
+// number of servers. A client sends runs of them instead (AppendRuns).
 func (l Layout) Decompose(off, length int64) []Sub {
-	return l.AppendDecompose(nil, off, length)
-}
-
-// AppendDecompose is Decompose appending the sub-requests to dst, so a
-// caller that decomposes request after request can reuse one buffer
-// (pass dst[:0]).
-func (l Layout) AppendDecompose(dst []Sub, off, length int64) []Sub {
-	if err := l.Validate(); err != nil {
-		panic(err)
-	}
-	first := len(dst)
-	if length > 0 {
-		n := 1 // a single server's units merge into one sub-request
-		if l.Servers > 1 {
-			n = int((off+length-1)/l.Unit - off/l.Unit + 1)
-		}
-		dst = slices.Grow(dst, n)
-	}
-	pos := off
-	remaining := length
-	for remaining > 0 {
-		server, serverOff := l.Locate(pos)
-		inUnit := l.Unit - pos%l.Unit
-		n := inUnit
-		if n > remaining {
-			n = remaining
-		}
-		// Merge with the previous sub if it is contiguous on the same
-		// server, which happens only when Servers == 1: with more, the
-		// previous sub is always another server's.
-		if k := len(dst) - 1; k >= first && dst[k].Server == server &&
-			dst[k].ServerOff+dst[k].Length == serverOff {
-			dst[k].Length += n
-		} else {
-			dst = append(dst, Sub{
-				Server:    server,
-				ServerOff: serverOff,
-				FileOff:   pos,
-				Length:    n,
-			})
-		}
-		pos += n
-		remaining -= n
-	}
-	return dst
+	return l.DecomposeFlagged(off, length, 0)
 }
 
 // DecomposeFlagged decomposes like Decompose and additionally applies the
-// iBridge client-side fragment rule: a sub-request is flagged as a
-// fragment when the parent spans more than one server and the sub-request
-// is smaller than threshold bytes. Flagged subs carry the identifiers of
-// the servers holding their siblings.
+// iBridge client-side fragment rule: with threshold > 0, a sub-request is
+// flagged as a fragment when the parent touches two or more servers and
+// the sub-request is smaller than threshold bytes. Flagged subs carry the
+// identifiers of the servers holding their siblings.
 func (l Layout) DecomposeFlagged(off, length int64, threshold int64) []Sub {
-	subs, _ := l.AppendDecomposeFlagged(nil, nil, off, length, threshold)
+	if err := l.Validate(); err != nil {
+		panic(err)
+	}
+	var subs []Sub
+	if length > 0 {
+		subs = make([]Sub, 0, (off+length-1)/l.Unit-off/l.Unit+1)
+	}
+	flagging := l.flagging(off, length, threshold)
+	for pos, end := off, off+length; pos < end; {
+		n := min(l.Unit-pos%l.Unit, end-pos)
+		server, serverOff := l.Locate(pos)
+		subs = append(subs, Sub{Server: server, ServerOff: serverOff, FileOff: pos, Length: n,
+			Fragment: flagging && n < threshold})
+		pos += n
+	}
+	appendSiblings(subs, nil)
 	return subs
 }
 
-// AppendDecomposeFlagged is DecomposeFlagged appending the sub-requests
-// to dst and every fragment's sibling list to sibs; it returns both
-// grown buffers for the caller to reuse (pass dst[:0], sibs[:0]). Each
-// fragment's Siblings is a capacity-clipped window of sibs, so appending
-// to one never writes into another's; they stay valid until the caller
-// reuses sibs.
-func (l Layout) AppendDecomposeFlagged(dst []Sub, sibs []int, off, length int64, threshold int64) ([]Sub, []int) {
-	first := len(dst)
-	dst = l.AppendDecompose(dst, off, length)
-	subs := dst[first:]
-	if len(subs) < 2 {
+// MaxRun caps the bytes of one run. A run is one request frame on the
+// wire and, on a log-backed data server, one store record, so the cap
+// keeps both far below their limits and bounds the payload buffer of
+// the server connection that reads it.
+const MaxRun = 1 << 20
+
+// AppendRuns appends the runs of the request [off, off+length) to dst,
+// one Sub per run: a contiguous range of one server's object, which a
+// client sends the server as one request. Servers come in the order the
+// request first touches them, and each server's runs in object order.
+//
+// A server's units of one request lie back to back in its object, so
+// its share of the request is one region, and a run carries as much of
+// it as it can. A flagged fragment (as DecomposeFlagged flags it) is
+// always a run of its own, and no run is longer than MaxRun, however
+// many servers the file has. A run's FileOff is the file offset of its
+// first byte; its later bytes follow in the file a unit at a time, each
+// unit Unit·Servers past the one before.
+//
+// Each fragment's Siblings lists the servers of the request's other
+// runs; the lists are appended to sibs. Both grown buffers are returned
+// for the caller to reuse (pass dst[:0], sibs[:0]). Each Siblings is a
+// capacity-clipped window of sibs, so appending to one never writes into
+// another's; they stay valid until the caller reuses sibs.
+func (l Layout) AppendRuns(dst []Sub, sibs []int, off, length, threshold int64) ([]Sub, []int) {
+	if err := l.Validate(); err != nil {
+		panic(err)
+	}
+	if length <= 0 {
 		return dst, sibs
 	}
+	first := len(dst)
+	flagging := l.flagging(off, length, threshold)
+	firstUnit, lastUnit := off/l.Unit, (off+length-1)/l.Unit
+	touched := min(lastUnit-firstUnit+1, int64(l.Servers))
+	dst = slices.Grow(dst, int(touched))
+	for u0 := firstUnit; u0 < firstUnit+touched; u0++ {
+		own := len(dst) // this server's first run
+		for u := u0; u <= lastUnit; u += int64(l.Servers) {
+			pos := max(off, u*l.Unit)
+			n := min(off+length, (u+1)*l.Unit) - pos
+			frag := flagging && n < threshold
+			for n > 0 {
+				// The server's previous run ends where this unit starts
+				// in its object; a new run starts only where it must.
+				k := len(dst) - 1
+				if k < own || frag || dst[k].Fragment || dst[k].Length >= MaxRun {
+					server, serverOff := l.Locate(pos)
+					dst = append(dst, Sub{Server: server, ServerOff: serverOff, FileOff: pos, Fragment: frag})
+					k++
+				}
+				add := min(n, MaxRun-dst[k].Length)
+				dst[k].Length += add
+				pos, n = pos+add, n-add
+			}
+		}
+	}
+	return dst, appendSiblings(dst[first:], sibs)
+}
+
+// flagging reports whether the request [off, off+length) has its short
+// pieces flagged at threshold: it must touch two or more servers.
+func (l Layout) flagging(off, length, threshold int64) bool {
+	return threshold > 0 && l.Servers > 1 && (off+length-1)/l.Unit > off/l.Unit
+}
+
+// appendSiblings gives each fragment of subs, one request's pieces, the
+// servers of the other pieces as its Siblings, appended to sibs.
+func appendSiblings(subs []Sub, sibs []int) []int {
 	frags := 0
 	for _, s := range subs {
-		if s.Length < threshold {
+		if s.Fragment {
 			frags++
 		}
 	}
 	sibs = slices.Grow(sibs, frags*(len(subs)-1))
 	for i := range subs {
-		if subs[i].Length >= threshold {
+		if !subs[i].Fragment {
 			continue
 		}
-		subs[i].Fragment = true
 		from := len(sibs)
 		for j, s := range subs {
 			if j != i {
@@ -195,17 +221,5 @@ func (l Layout) AppendDecomposeFlagged(dst []Sub, sibs []int, off, length int64,
 		}
 		subs[i].Siblings = sibs[from:len(sibs):len(sibs)]
 	}
-	return dst, sibs
-}
-
-// Fragments returns the total number of fragment sub-requests the request
-// would produce at the given threshold.
-func (l Layout) Fragments(off, length, threshold int64) int {
-	n := 0
-	for _, s := range l.DecomposeFlagged(off, length, threshold) {
-		if s.Fragment {
-			n++
-		}
-	}
-	return n
+	return sibs
 }

@@ -95,21 +95,11 @@ func TestDecomposeLargeRequest(t *testing.T) {
 	}
 }
 
-func TestDecomposeSingleServerMergesUnits(t *testing.T) {
-	l := Layout{Unit: 64 * kb, Servers: 1}
-	subs := l.Decompose(0, 256*kb)
-	if len(subs) != 1 || subs[0].Length != 256*kb {
-		t.Fatalf("single-server decomposition = %v", subs)
-	}
-}
-
 func TestDecomposeFullStripeWrap(t *testing.T) {
-	// 2 servers: units 0,2 on server 0 are contiguous locally; a
-	// request covering units 0..3 yields exactly one sub per server.
-	// Units interleave in file order: srv0(0-64K), srv1(64-128K),
-	// srv0(128-192K at local 64K), srv1(192-256K at local 64K).
-	// File-order traversal merges only consecutive subs on the same
-	// server, which never happens with 2 servers: 4 subs.
+	// 2 servers: units 0,2 on server 0 are contiguous locally, but the
+	// decomposition is by unit. Units interleave in file order:
+	// srv0(0-64K), srv1(64-128K), srv0(128-192K at local 64K),
+	// srv1(192-256K at local 64K): 4 subs.
 	l := Layout{Unit: 64 * kb, Servers: 2}
 	subs := l.Decompose(0, 4*64*kb)
 	if len(subs) != 4 {
@@ -158,8 +148,7 @@ func TestDecomposeSubsWithinUnitBounds(t *testing.T) {
 			if s.Length <= 0 {
 				return false
 			}
-			// A non-merged sub must not cross a unit boundary in file
-			// space when servers > 1.
+			// A sub never crosses a unit boundary in file space.
 			if s.Length > l.Unit {
 				return false
 			}
@@ -179,11 +168,11 @@ func equalSubs(a, b []Sub) bool {
 	})
 }
 
-// TestAppendDecomposeReusesDirtyBuffers: decomposing into buffers left
+// TestAppendRunsReusesDirtyBuffers: building runs into buffers left
 // over from earlier requests — fragments, sibling lists and all — gives
-// exactly what Decompose and DecomposeFlagged give, leaves a kept prefix
-// untouched, and no fragment's Siblings shares room with another's.
-func TestAppendDecomposeReusesDirtyBuffers(t *testing.T) {
+// exactly what fresh buffers give, leaves a kept prefix untouched, and no
+// fragment's Siblings shares room with another's.
+func TestAppendRunsReusesDirtyBuffers(t *testing.T) {
 	var dst []Sub
 	var sibs []int
 	if err := quick.Check(func(unit uint32, servers uint8, off, length, threshold int64, keep uint8, reuse bool) bool {
@@ -203,24 +192,20 @@ func TestAppendDecomposeReusesDirtyBuffers(t *testing.T) {
 			prefix[i].Siblings = slices.Clone(prefix[i].Siblings)
 		}
 
-		plain := l.AppendDecompose(slices.Clone(dst[:k]), off, length)
-		if !equalSubs(plain[:k], prefix) || !equalSubs(plain[k:], l.Decompose(off, length)) {
-			t.Logf("AppendDecompose(%+v, %d, %d) = %v", l, off, length, plain[k:])
-			return false
-		}
-		// A kept sub that ends where the new request starts, on the
-		// same server, stays a separate sub.
-		before := l.Decompose(off-min(off, 512), min(off, 512))
-		joined := l.AppendDecompose(slices.Clone(before), off, length)
-		if !equalSubs(joined[:len(before)], before) || !equalSubs(joined[len(before):], l.Decompose(off, length)) {
-			t.Logf("AppendDecompose after %v = %v", before, joined)
+		// A kept run that ends where the new request starts, on the
+		// same server, stays a separate run.
+		before, _ := l.AppendRuns(nil, nil, off-min(off, 512), min(off, 512), 0)
+		joined, _ := l.AppendRuns(slices.Clone(before), nil, off, length, 0)
+		fresh, _ := l.AppendRuns(nil, nil, off, length, 0)
+		if !equalSubs(joined[:len(before)], before) || !equalSubs(joined[len(before):], fresh) {
+			t.Logf("AppendRuns after %v = %v", before, joined)
 			return false
 		}
 
-		want := l.DecomposeFlagged(off, length, threshold)
-		dst, sibs = l.AppendDecomposeFlagged(dst[:k], sibs[:j], off, length, threshold)
+		want, _ := l.AppendRuns(nil, nil, off, length, threshold)
+		dst, sibs = l.AppendRuns(dst[:k], sibs[:j], off, length, threshold)
 		if !equalSubs(dst[:k], prefix) || !equalSubs(dst[k:], want) {
-			t.Logf("AppendDecomposeFlagged(%+v, %d, %d, %d) = %v, want %v", l, off, length, threshold, dst[k:], want)
+			t.Logf("AppendRuns(%+v, %d, %d, %d) = %v, want %v", l, off, length, threshold, dst[k:], want)
 			return false
 		}
 		for i := k; i < len(dst); i++ {
@@ -229,13 +214,56 @@ func TestAppendDecomposeReusesDirtyBuffers(t *testing.T) {
 			}
 			_ = append(dst[i].Siblings, -1)
 			if !equalSubs(dst[:k], prefix) || !equalSubs(dst[k:], want) {
-				t.Logf("appending to sub %d's Siblings changed another sub", i-k)
+				t.Logf("appending to run %d's Siblings changed another run", i-k)
 				return false
 			}
 		}
 		return true
 	}, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAppendRunsOneServer: on a one-server file a request's units all
+// lie back to back in the server's object, so they go as one run, cut
+// only at MaxRun, and nothing is flagged.
+func TestAppendRunsOneServer(t *testing.T) {
+	l := Layout{Unit: 64 * kb, Servers: 1}
+	cases := []struct {
+		off, length int64
+		want        []Sub
+	}{
+		{0, 256 * kb, []Sub{{ServerOff: 0, FileOff: 0, Length: 256 * kb}}},
+		{10 * kb, 65 * kb, []Sub{{ServerOff: 10 * kb, FileOff: 10 * kb, Length: 65 * kb}}},
+		{kb, 2*MaxRun + 1, []Sub{
+			{ServerOff: kb, FileOff: kb, Length: MaxRun},
+			{ServerOff: kb + MaxRun, FileOff: kb + MaxRun, Length: MaxRun},
+			{ServerOff: kb + 2*MaxRun, FileOff: kb + 2*MaxRun, Length: 1},
+		}},
+	}
+	for _, c := range cases {
+		got, sibs := l.AppendRuns(nil, nil, c.off, c.length, 20*kb)
+		if !equalSubs(got, c.want) || len(sibs) != 0 {
+			t.Errorf("AppendRuns(%d, %d) = %v, want %v", c.off, c.length, got, c.want)
+		}
+	}
+}
+
+// TestAppendRunsTwoStripes: an aligned request of two stripes on four
+// servers is one run per server, in the order the request reaches them,
+// where the decomposition has two units per server.
+func TestAppendRunsTwoStripes(t *testing.T) {
+	l := Layout{Unit: 64 * kb, Servers: 4}
+	off := int64(6 * 64 * kb) // starts on server 2
+	runs, _ := l.AppendRuns(nil, nil, off, 8*64*kb, 20*kb)
+	want := []Sub{
+		{Server: 2, ServerOff: 64 * kb, FileOff: off, Length: 128 * kb},
+		{Server: 3, ServerOff: 64 * kb, FileOff: off + 64*kb, Length: 128 * kb},
+		{Server: 0, ServerOff: 128 * kb, FileOff: off + 128*kb, Length: 128 * kb},
+		{Server: 1, ServerOff: 128 * kb, FileOff: off + 192*kb, Length: 128 * kb},
+	}
+	if !equalSubs(runs, want) || len(l.Decompose(off, 8*64*kb)) != 8 {
+		t.Fatalf("runs = %v, want %v", runs, want)
 	}
 }
 
@@ -290,15 +318,32 @@ func TestSingleSubNeverFlagged(t *testing.T) {
 
 func TestFragmentsCount(t *testing.T) {
 	l := layout8()
-	if n := l.Fragments(0, 65*kb, 20*kb); n != 1 {
-		t.Fatalf("Fragments(0,65KB) = %d, want 1", n)
+	fragments := func(off, length int64) int {
+		n := 0
+		for _, s := range l.DecomposeFlagged(off, length, 20*kb) {
+			if s.Fragment {
+				n++
+			}
+		}
+		return n
 	}
-	if n := l.Fragments(10*kb, 64*kb, 20*kb); n != 1 {
+	if n := fragments(0, 65*kb); n != 1 {
+		t.Fatalf("fragments(0,65KB) = %d, want 1", n)
+	}
+	if n := fragments(10*kb, 64*kb); n != 1 {
 		// 54KB + 10KB: only the 10KB piece is under the threshold.
-		t.Fatalf("Fragments(10KB,64KB) = %d, want 1", n)
+		t.Fatalf("fragments(10KB,64KB) = %d, want 1", n)
 	}
-	if n := l.Fragments(0, 64*kb, 20*kb); n != 0 {
+	if n := fragments(0, 64*kb); n != 0 {
 		t.Fatalf("aligned request has %d fragments", n)
+	}
+	// One server: the request touches a single server, so nothing is a
+	// fragment however short its pieces.
+	one := Layout{Unit: 64 * kb, Servers: 1}
+	for _, s := range one.DecomposeFlagged(10*kb, 64*kb, 20*kb) {
+		if s.Fragment {
+			t.Fatalf("one-server piece %v flagged", s)
+		}
 	}
 }
 
@@ -340,4 +385,107 @@ func abs(x int64) int64 {
 		return -x
 	}
 	return x
+}
+
+// FuzzStripeRuns checks AppendRuns against the unit decomposition over
+// random requests and layouts: cutting the runs at unit boundaries, and
+// joining what the cap cut inside a unit, gives back exactly Decompose's
+// units; each run is contiguous in its server's object and at most
+// MaxRun long; a flagged run lies within one unit, and every piece is
+// flagged exactly when DecomposeFlagged flags its unit; servers come in
+// the order the request first touches them, each one's runs together
+// and in object order; two neighbouring runs could not have been one;
+// and a fragment's siblings are the servers of the other runs.
+func FuzzStripeRuns(f *testing.F) {
+	f.Add(int64(0), int64(4<<20), uint8(4), int64(64<<10), int64(0))
+	f.Add(int64(10<<10), int64(1<<20+5<<10), uint8(4), int64(64<<10), int64(20<<10))
+	f.Add(int64(65<<10), int64(65<<10), uint8(8), int64(64<<10), int64(20<<10))
+	f.Add(int64(3), int64(5000), uint8(2), int64(1000), int64(400))
+	f.Add(int64(0), int64(3<<20), uint8(1), int64(96<<10), int64(0))
+	f.Add(int64(12345), int64(5<<20), uint8(2), int64(96<<10), int64(0))
+	f.Add(int64(10<<10), int64(64<<20), uint8(1), int64(64<<10), int64(20<<10)) // one server
+	f.Add(int64(100), int64(3<<19), uint8(4), int64(2<<20), int64(0))           // a lone run over MaxRun
+	f.Add(int64(0), int64(3<<20+5), uint8(2), int64(2<<20), int64(2<<20))       // a fragment over MaxRun
+	f.Add(int64(60<<10), int64(1<<20), uint8(3), int64(64<<10), int64(20<<10))  // a fragment, then its server's units
+	f.Fuzz(func(t *testing.T, off, length int64, servers uint8, unit, threshold int64) {
+		const maxUnit = 2 << 20
+		l := Layout{Unit: 1 + (abs(unit)+maxUnit-1)%maxUnit, Servers: 1 + int(servers)%6} // a seed's unit as it is
+		off = abs(off) % (1 << 30)
+		length = 1 + abs(length)%min(80<<20, 4096*l.Unit) // at most ~4096 units
+		threshold = abs(threshold) % (l.Unit + 1)
+		units := l.DecomposeFlagged(off, length, threshold)
+		runs, _ := l.AppendRuns(nil, nil, off, length, threshold)
+
+		var pieces []Sub // the runs cut at unit boundaries
+		done := map[int]bool{}
+		for k, r := range runs {
+			if r.Length <= 0 || r.Length > MaxRun {
+				t.Fatalf("run %d %v: length out of (0, MaxRun]", k, r)
+			}
+			if k > 0 {
+				prev := runs[k-1]
+				switch {
+				case prev.Server != r.Server && done[r.Server]:
+					t.Fatalf("run %d %v: its server's runs are not together", k, r)
+				case prev.Server == r.Server && prev.ServerOff+prev.Length != r.ServerOff:
+					t.Fatalf("runs %d and %d of server %d are not back to back", k-1, k, r.Server)
+				case prev.Server == r.Server && !prev.Fragment && !r.Fragment && prev.Length < MaxRun:
+					t.Fatalf("runs %d and %d could have been one", k-1, k)
+				}
+				done[prev.Server] = true
+			}
+			n0 := len(pieces)
+			for pos, at := r.FileOff, int64(0); at < r.Length; {
+				n := min(l.Unit-pos%l.Unit, r.Length-at)
+				if srv, srvOff := l.Locate(pos); srv != r.Server || srvOff != r.ServerOff+at {
+					t.Fatalf("run %d %v: byte %d at file offset %d is not in its object range", k, r, at, pos)
+				}
+				pieces = append(pieces, Sub{Server: r.Server, ServerOff: r.ServerOff + at, FileOff: pos, Length: n, Fragment: r.Fragment})
+				pos += n + l.Unit*int64(l.Servers-1) // the start of the server's next unit
+				at += n
+			}
+			if r.Fragment && len(pieces)-n0 != 1 {
+				t.Fatalf("flagged run %d %v spans %d units", k, r, len(pieces)-n0)
+			}
+			var want []int
+			for j, o := range runs {
+				if j != k && r.Fragment {
+					want = append(want, o.Server)
+				}
+			}
+			if !slices.Equal(r.Siblings, want) {
+				t.Fatalf("run %d %v: siblings %v, want %v", k, r, r.Siblings, want)
+			}
+		}
+		slices.SortFunc(pieces, func(a, b Sub) int { return int(a.FileOff - b.FileOff) })
+		var joined []Sub
+		for _, p := range pieces {
+			if k := len(joined) - 1; k >= 0 && joined[k].FileOff/l.Unit == p.FileOff/l.Unit {
+				if joined[k].Fragment != p.Fragment {
+					t.Fatalf("unit at %d is flagged in part", joined[k].FileOff)
+				}
+				joined[k].Length += p.Length
+				continue
+			}
+			joined = append(joined, p)
+		}
+		for i := range units {
+			units[i].Siblings = nil
+		}
+		if !equalSubs(joined, units) {
+			t.Fatalf("runs cut into units give %v, want %v", joined, units)
+		}
+		var order []int // servers by first touch, in file order
+		for _, u := range units {
+			if !slices.Contains(order, u.Server) {
+				order = append(order, u.Server)
+			}
+		}
+		got := slices.CompactFunc(slices.Clone(runs), func(a, b Sub) bool { return a.Server == b.Server })
+		for i := range got {
+			if got[i].Server != order[i] {
+				t.Fatalf("runs reach servers in the order %v, want %v", got, order)
+			}
+		}
+	})
 }
