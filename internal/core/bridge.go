@@ -25,6 +25,10 @@ type Bridge struct {
 	disk  *hdd.Disk
 	ssdQ  *iosched.Queue
 
+	// daemon is the maintenance process (maintain), kicked whenever
+	// the bridge changes what its wait reads.
+	daemon *sim.Proc
+
 	trk  *tracker
 	exch *Exchange
 
@@ -101,7 +105,7 @@ func NewBridge(e *sim.Engine, cfg Config, serverID int, disk *hdd.Disk, diskQ, s
 	if exch != nil {
 		exch.Register(b)
 	}
-	e.Go(fmt.Sprintf("ibridge-maint:srv%d", serverID), b.maintain)
+	b.daemon = e.Go(fmt.Sprintf("ibridge-maint:srv%d", serverID), b.maintain)
 	return b
 }
 
@@ -187,20 +191,30 @@ func (b *Bridge) countOffload(ret, boost float64) {
 	}
 }
 
-// Serve implements pfs.Store.
+// Serve implements pfs.Store. The closing Kick covers the stage queue
+// and dirty total, which a request grows after its last Submit.
 func (b *Bridge) Serve(p *sim.Proc, r *pfs.IORequest) {
 	if r.Op == device.Read {
 		b.serveRead(p, r)
 	} else {
 		b.serveWrite(p, r)
 	}
+	b.e.Kick(b.daemon)
+}
+
+// submit issues r on q, blocking p until it is served, and then kicks
+// the daemon: the queue and the disk's idle time have moved. The bridge
+// is its devices' only submitter, so these kicks see every completion.
+func (b *Bridge) submit(p *sim.Proc, q *iosched.Queue, r device.Request) {
+	q.Submit(p, r)
+	b.e.Kick(b.daemon)
 }
 
 func (b *Bridge) serveRead(p *sim.Proc, r *pfs.IORequest) {
 	// Cache lookup: fully covered reads are served from the SSD.
 	if segs, ok := b.table.covered(r.LBN, r.Sectors); ok && !b.ssdFailed {
 		for _, x := range segs {
-			b.ssdQ.Submit(p, device.Request{Op: device.Read, LBN: x.Pos, Sectors: x.N})
+			b.submit(p, b.ssdQ, device.Request{Op: device.Read, LBN: x.Pos, Sectors: x.N})
 			if e := b.table.entries[x.Seg]; e != nil { // not gone during the read
 				b.table.lru[e.class].touch(e)
 			}
@@ -222,7 +236,7 @@ func (b *Bridge) serveRead(p *sim.Proc, r *pfs.IORequest) {
 	}
 	// Any dirty cached pieces must come from the SSD even on a miss.
 	for _, x := range b.table.dirtyOverlaps(r.LBN, r.Sectors) {
-		b.ssdQ.Submit(p, device.Request{Op: device.Read, LBN: x.Pos, Sectors: x.N})
+		b.submit(p, b.ssdQ, device.Request{Op: device.Read, LBN: x.Pos, Sectors: x.N})
 	}
 	candidate := (r.Fragment || r.Random) && !b.ssdFailed
 	var ret, boost float64
@@ -230,7 +244,7 @@ func (b *Bridge) serveRead(p *sim.Proc, r *pfs.IORequest) {
 		ret, boost = b.evalReturn(r)
 	}
 	req := r.Request()
-	b.diskQ.Submit(p, req)
+	b.submit(p, b.diskQ, req)
 	b.trk.servedAtDisk(req)
 	b.stats.DiskReadBytes += r.Bytes
 	if b.tr != nil {
@@ -277,7 +291,7 @@ func (b *Bridge) serveWrite(p *sim.Proc, r *pfs.IORequest) {
 	// Disk path: anything cached for this range is now stale.
 	b.invalidate(r.LBN, r.Sectors)
 	req := r.Request()
-	b.diskQ.Submit(p, req)
+	b.submit(p, b.diskQ, req)
 	b.trk.servedAtDisk(req)
 	b.stats.DiskWriteBytes += r.Bytes
 	if b.tr != nil {
@@ -301,7 +315,7 @@ func (b *Bridge) writeToSSD(p *sim.Proc, r *pfs.IORequest, ret float64, c Class)
 	if !ok {
 		return false
 	}
-	b.ssdQ.Submit(p, device.Request{Op: device.Write, LBN: at, Sectors: need})
+	b.submit(p, b.ssdQ, device.Request{Op: device.Write, LBN: at, Sectors: need})
 	// The mapping covers the data sectors only; the table record is
 	// allocator overhead owned by the entry's span.
 	// Admissions of the range that landed during the write are older
@@ -367,8 +381,8 @@ func (b *Bridge) writebackEntry(p *sim.Proc, e *entry) {
 	// block reuse it.
 	var buf [2]extent.Extent
 	for _, x := range b.table.livePieces(e, buf[:0]) {
-		b.ssdQ.Submit(p, device.Request{Op: device.Read, LBN: x.Pos, Sectors: x.N})
-		b.diskQ.Submit(p, device.Request{Op: device.Write, LBN: x.Off, Sectors: x.N})
+		b.submit(p, b.ssdQ, device.Request{Op: device.Read, LBN: x.Pos, Sectors: x.N})
+		b.submit(p, b.diskQ, device.Request{Op: device.Write, LBN: x.Off, Sectors: x.N})
 		b.stats.WritebackBytes += x.N * device.SectorSize
 	}
 	b.table.markClean(e)
@@ -385,27 +399,50 @@ func (b *Bridge) idle(now sim.Time) bool {
 		b.disk.IdleSince() <= quiet
 }
 
-// maintenanceDue reports whether a maintenance tick at the current
+// maintenanceDue reports whether a maintenance check at the current
 // instant has anything to do: the SSD is alive, both devices are idle,
 // and read data is queued for staging or dirty pressure calls for
-// writeback. It reads state only, so the engine can evaluate it without
+// writeback. It reads state only, so the engine evaluates it without
 // waking the daemon.
 func (b *Bridge) maintenanceDue() bool {
 	if b.ssdFailed || !b.idle(b.e.Now()) {
 		return false
 	}
+	return b.maintenanceWork()
+}
+
+// maintenanceWork reports whether read data is queued for staging or
+// dirty pressure calls for writeback.
+func (b *Bridge) maintenanceWork() bool {
 	return len(b.stage) > 0 ||
 		float64(b.DirtySectors()) >= b.cfg.WritebackMinDirty*float64(b.capSectors())
 }
 
+// maintenanceFrom is the earliest instant maintenanceDue can hold if
+// only time passes: idleAfter past the disk's last completion (past now
+// while it is busy), or Never without work, with a request queued for
+// the disk, or after an SSD failure. A queued disk request must be
+// dispatched, occupying the disk, before the queue empties, and its
+// completion is followed by a kick. A queued SSD request is not waited
+// for: the SSD queue also empties when its dispatcher starts, a moment
+// no kick follows.
+func (b *Bridge) maintenanceFrom() sim.Time {
+	if b.ssdFailed || b.diskQ.Pending() > 0 || !b.maintenanceWork() {
+		return sim.Never
+	}
+	return b.disk.IdleSince().Add(b.idleAfter)
+}
+
 // maintain is the background daemon: during idle device periods it first
 // stages queued read data into the SSD, then writes dirty data back to
-// the disk in LBN order (long sequential runs). It polls every IdleCheck
-// and is resumed only at a tick that finds work.
+// the disk in LBN order (long sequential runs). It checks for work on an
+// IdleCheck grid, but only from the instant work can first be due
+// (maintenanceFrom); the bridge kicks it when that instant moves, and it
+// is resumed only at a check that finds work.
 func (b *Bridge) maintain(p *sim.Proc) {
-	due := b.maintenanceDue
+	due, from := b.maintenanceDue, b.maintenanceFrom
 	for {
-		p.Poll(b.cfg.IdleCheck, due)
+		p.Await(b.cfg.IdleCheck, due, from)
 		// Stage queued read data while the devices stay quiet.
 		for len(b.stage) > 0 && b.idle(p.Now()) {
 			it := b.stage[0]
@@ -437,7 +474,7 @@ func (b *Bridge) stageOne(p *sim.Proc, it stageItem) {
 	if !ok {
 		return
 	}
-	b.ssdQ.Submit(p, device.Request{Op: device.Write, LBN: at, Sectors: need})
+	b.submit(p, b.ssdQ, device.Request{Op: device.Write, LBN: at, Sectors: need})
 	if len(b.table.dirtyOverlaps(it.lbn, it.sectors)) > 0 {
 		// A write admitted during the staging write is newer than the
 		// staged data; the insert must not supersede it.

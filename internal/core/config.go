@@ -66,7 +66,9 @@ type Config struct {
 	// paper's design); false places them at scattered locations (A4
 	// ablation), paying the SSD's random-write penalty.
 	LogStructured bool
-	// IdleCheck is the maintenance daemon's polling period.
+	// IdleCheck is the spacing of the maintenance daemon's check
+	// instants: it looks for work at the first one after the devices
+	// have been idle for idleAfter (see Bridge.maintain).
 	IdleCheck sim.Duration
 	// WritebackMinDirty is the dirty fraction of the cache above which
 	// idle writeback engages. Below it, dirty data waits for real

@@ -179,7 +179,7 @@ func TestDirtyAccountingUnderConcurrency(t *testing.T) {
 	e := sim.New()
 	b, _ := testBridge(e, func(c *Config) {
 		c.SSDCapacity = 64 * device.SectorSize
-		c.WritebackMinDirty = 0 // write back at every idle tick
+		c.WritebackMinDirty = 0 // write back at every idle check
 	})
 	// The tracer names each admission by its request id: a barrier
 	// round's writes carry the round's step number.
@@ -278,7 +278,7 @@ func TestSameInstantAdmissionsLeaveOneMapping(t *testing.T) {
 	}
 }
 
-// BenchmarkDirtyAccounting times what every maintenance tick evaluates —
+// BenchmarkDirtyAccounting times what every maintenance check evaluates —
 // DirtySectors and the whole maintenanceDue predicate — and the
 // writeback cursor, over a clean table and a 10× larger one. Neither
 // does per-entry work, so ns/op must not grow with the table (the scan

@@ -1,0 +1,86 @@
+package experiments
+
+import (
+	"encoding/json"
+	"fmt"
+	"maps"
+	"os"
+	"slices"
+	"testing"
+
+	"repro/internal/obs"
+	"repro/internal/runner"
+)
+
+const workCountsFile = "testdata/workcounts.json"
+
+// workCountPoints are the sim-eval grid points (goldenPoint's indices)
+// with a row of their own: 33 KB stock write, 65 KB iBridge warmed read,
+// 129 KB stock warmed read and +10 KB iBridge write.
+var workCountPoints = []int{0, 7, 9, 22}
+
+// TestWorkCounts is a ratchet on the simulator's work: the engine events
+// (obs's engine.events counter) of each of workCountPoints, and summed
+// over all 24 grid points, must not exceed the counts committed in
+// testdata. Unlike host time these counts are exact, so a change that
+// makes the simulator do more per simulated request fails here whatever
+// the machine. A change that lowers a count rewrites the file with
+// -update and lists the moved counts.
+func TestWorkCounts(t *testing.T) {
+	events, err := runner.Map(24, func(i int) (int64, error) {
+		set := obs.New(obs.Config{Metrics: true})
+		if _, _, _, err := runGridPoint(i, set); err != nil {
+			return 0, err
+		}
+		return set.Registry().CounterValues()["engine.events"], nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]map[string]int64{}
+	var total int64
+	for i, n := range events {
+		total += n
+		if slices.Contains(workCountPoints, i) {
+			got[fmt.Sprintf("%s seed=%d", gridPointName(i), 1000+i)] = map[string]int64{"engine.events": n}
+		}
+	}
+	got["grid/24 points seeds=1000-1023"] = map[string]int64{"engine.events": total}
+
+	if *updateGolden {
+		data, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(workCountsFile, append(data, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %d rows to %s", len(got), workCountsFile)
+		return
+	}
+
+	data, err := os.ReadFile(workCountsFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want map[string]map[string]int64
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatalf("%s: %v", workCountsFile, err)
+	}
+	if len(want) != len(got) {
+		t.Errorf("%s holds %d rows, this build counts %d", workCountsFile, len(want), len(got))
+	}
+	for _, name := range slices.Sorted(maps.Keys(got)) {
+		for k, v := range got[name] {
+			w, ok := want[name][k]
+			switch {
+			case !ok:
+				t.Errorf("%s: %s = %d has no committed count", name, k, v)
+			case v > w:
+				t.Errorf("%s: %s rose from %d to %d", name, k, w, v)
+			case v < w:
+				t.Logf("%s: %s fell from %d to %d; rewrite %s with -update", name, k, w, v, workCountsFile)
+			}
+		}
+	}
+}

@@ -119,13 +119,16 @@ type Queue struct {
 	pos      int64  // LBN after the last dispatched request
 	seq      uint64 // arrival sequence for FIFO dispatch
 	// CFQ slice state. idleFrom is when the current anticipation
-	// window opened; idleOver is idleDone bound once, the predicate
-	// the drain process polls through the window.
+	// window opened, and idler the drain process while it waits the
+	// window out (nil otherwise); idleOver and idleEnd are idleDone
+	// and windowEnd bound once, the Await the window is.
 	active     int32
 	sliceCount int
 	idled      bool
 	idleFrom   sim.Time
+	idler      *sim.Proc
 	idleOver   func() bool
+	idleEnd    func() sim.Time
 	// drainFn is drain bound once, for starting the drain process.
 	drainFn func(*sim.Proc)
 	stats   Stats
@@ -141,7 +144,7 @@ func (q *Queue) SetMetrics(m *obs.QueueMetrics) { q.m = m }
 // New returns a scheduler queue feeding dev.
 func New(e *sim.Engine, dev Device, cfg Config, tracer Tracer) *Queue {
 	q := &Queue{e: e, dev: dev, name: "iosched:" + dev.Name(), cfg: cfg, tracer: tracer}
-	q.idleOver, q.drainFn = q.idleDone, q.drain
+	q.idleOver, q.idleEnd, q.drainFn = q.idleDone, q.windowEnd, q.drain
 	return q
 }
 
@@ -162,6 +165,9 @@ func (q *Queue) Submit(p *sim.Proc, r device.Request) sim.Duration {
 	q.stats.Submitted++
 	u := q.place(r)
 	u.waiters = append(u.waiters, p)
+	if q.idler != nil && u.origin == q.active {
+		q.e.Kick(q.idler) // the anticipated request: end the window
+	}
 	if !q.draining {
 		q.draining = true
 		q.e.Go(q.name, q.drainFn)
@@ -307,15 +313,17 @@ func (q *Queue) selectCFQ(p *sim.Proc) *unit {
 		if best < 0 && !q.idled && q.cfg.SliceIdle > 0 {
 			// End of the active origin's queue: anticipate its next
 			// request before giving the disk away (cfq slice_idle).
-			// Check in sub-window steps so an early arrival is picked
-			// up promptly; the engine runs the checks inline.
+			// The window ends at the first sub-window step at or after
+			// the origin's next arrival (Submit kicks) or its full
+			// length; the engine arms only that step.
 			q.idled = true
 			step := q.cfg.SliceIdle / 8
 			if step <= 0 {
 				step = q.cfg.SliceIdle
 			}
-			q.idleFrom = p.Now()
-			p.Poll(step, q.idleOver)
+			q.idleFrom, q.idler = p.Now(), p
+			p.Await(step, q.idleOver, q.idleEnd)
+			q.idler = nil
 			continue
 		}
 		// Slice over: rotate to the origin that has waited longest,
@@ -346,6 +354,16 @@ func (q *Queue) selectCFQ(p *sim.Proc) *unit {
 // the drain process.
 func (q *Queue) idleDone() bool {
 	return q.hasPending(q.active) || q.e.Now().Sub(q.idleFrom) >= q.cfg.SliceIdle
+}
+
+// windowEnd is the earliest instant idleDone can hold: now once the
+// active origin has a request pending, else the end of the window. Only
+// an arrival of the active origin moves it, and Submit kicks then.
+func (q *Queue) windowEnd() sim.Time {
+	if q.hasPending(q.active) {
+		return q.e.Now()
+	}
+	return q.idleFrom.Add(q.cfg.SliceIdle)
 }
 
 // hasPending reports whether any pending unit belongs to origin.

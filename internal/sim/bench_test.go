@@ -81,33 +81,47 @@ func procPingPong(ops int) (*Engine, func() int) {
 	return e, func() int { return 4 * rounds }
 }
 
-// BenchmarkEnginePoll measures an anticipation-style poll: one process
-// polls every microsecond for a predicate that turns true four ticks
-// later, the shape of the CFQ idle window. Each op is four inline
-// predicate evaluations and one resume.
-func BenchmarkEnginePoll(b *testing.B) { benchEngine(b, enginePoll) }
+// BenchmarkEngineAwait measures an armed wait: one process awaits work
+// on a microsecond grid, with nothing armed while there is none, and a
+// producer that adds work every 3.5 µs kicks it. Each op is the
+// producer's wake, its Kick, and the one armed check that resumes the
+// waiter inline: two events.
+func BenchmarkEngineAwait(b *testing.B) { benchEngine(b, engineAwait) }
 
-func enginePoll(ops int) (*Engine, func() int) {
-	const ticks = 4
+func engineAwait(ops int) (*Engine, func() int) {
 	e := New()
-	var deadline Time
-	due := func() bool { return e.Now() >= deadline }
-	polls := 0
-	e.Go("poller", func(p *Proc) {
-		for polls < ops {
-			polls++
-			deadline = p.Now().Add(ticks * Microsecond)
-			p.Poll(Microsecond, due)
+	work := 0
+	ready := func() bool { return work > 0 }
+	earliest := func() Time {
+		if work > 0 {
+			return e.Now()
+		}
+		return Never
+	}
+	waits := 0
+	waiter := e.Go("waiter", func(p *Proc) {
+		for waits < ops {
+			waits++
+			p.Await(Microsecond, ready, earliest)
+			work--
 		}
 		e.Halt()
 	})
-	return e, func() int { return ticks * polls }
+	e.Go("producer", func(p *Proc) {
+		for {
+			p.Sleep(3500 * Nanosecond)
+			work++
+			e.Kick(waiter)
+		}
+	})
+	return e, func() int { return 2 * waits }
 }
 
 // TestEngineHotPathAllocFree is the alloc regression guard for the
 // zero-cost-when-off observability contract: with no probe installed the
 // event loop must not allocate per event, and neither may a process
-// switch — Sleep (many-procs), Wake/Block (ping-pong), Yield or Poll. It
+// switch — Sleep (many-procs), Wake/Block (ping-pong), Yield, or an
+// Await re-armed by Kick. It
 // runs each benchmark's load at a fixed operation count and fails on any
 // allocation per operation (mallocs over the run divided by the count,
 // rounded down as testing.B reports it).
@@ -121,7 +135,7 @@ func TestEngineHotPathAllocFree(t *testing.T) {
 		{"ManyProcs", manyProcs},
 		{"ProcPingPong", procPingPong},
 		{"Yield", engineYield},
-		{"Poll", enginePoll},
+		{"Await+Kick", engineAwait},
 	} {
 		// AllocsPerRun makes one warm-up run before the measured one, and
 		// an engine runs once, so build both up front.

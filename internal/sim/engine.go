@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"iter"
+	"math"
 	"runtime/debug"
 	"sort"
 )
@@ -42,6 +43,9 @@ type Engine struct {
 	idle    []*coro
 	halted  bool
 	started bool
+	// cur is the seq of the event being run, which tells whether the
+	// current instant's armed check has had its turn (see arm).
+	cur uint64
 	// probe, when non-nil, observes each event (see Probe). The nil
 	// check is the entire disabled-path cost.
 	probe Probe
@@ -182,12 +186,23 @@ type coro struct {
 	// its next resume.
 	p  *Proc
 	fn func(*Proc)
-	// period and ready are the arguments of the Poll the process is
-	// parked in, and tick is pollTick bound once, so that a poll
-	// allocates nothing.
-	period Duration
-	ready  func() bool
-	tick   func()
+	// aw is the Await the process is parked in; check is checkAwait
+	// bound once, so that a wait allocates nothing.
+	aw    await
+	check func()
+}
+
+// await is a parked Await: its predicate, the instant the predicate
+// could first hold, the grid of check instants from + k·period (k ≥ 1),
+// its place in (at, seq) order, and the one armed check. ready is nil
+// when the coroutine is not parked in an Await.
+type await struct {
+	ready    func() bool
+	earliest func() Time
+	period   Duration
+	from     Time
+	seq      uint64
+	at       Time // the armed check's instant, or Never
 }
 
 // killed is the panic sentinel used to unwind a parked process when the
@@ -251,7 +266,7 @@ func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
 
 func (e *Engine) newCoro() *coro {
 	c := &coro{}
-	c.tick = c.pollTick
+	c.check = func() { e.checkAwait(c) }
 	c.next, c.stop = iter.Pull(func(yield func(struct{}) bool) {
 		c.yield = yield
 		for c.run() {
@@ -342,9 +357,13 @@ func (p *Proc) Sleep(d Duration) {
 	p.park()
 }
 
-// Poll suspends the process and evaluates ready after every period of
-// virtual time, returning at the first evaluation that reports true. It
-// is, event for event,
+// Never is the instant of an event that is not coming: what an Await's
+// earliest reports when only a Kick can make its predicate hold.
+const Never Time = math.MaxInt64
+
+// Await suspends the process until ready holds at one of the instants
+// from + k·period (k ≥ 1, from the current time) and returns at the
+// first such instant. It wakes as
 //
 //	for {
 //		p.Sleep(period)
@@ -353,31 +372,82 @@ func (p *Proc) Sleep(d Duration) {
 //		}
 //	}
 //
-// except that the engine evaluates ready inline, as a timer callback,
-// and switches into the process only when it reports true: an idle poll
-// costs one callback instead of two switches, and no allocation. ready
-// reads simulation state only — it may not block, schedule or mutate —
-// so it may be a method value bound once and passed to every Poll.
-func (p *Proc) Poll(period Duration, ready func() bool) {
-	if period < 0 {
-		period = 0
+// does, except that ready is evaluated inline, as a timer callback, and
+// only at the instant the engine has armed: the first grid instant at or
+// after earliest(), the instant ready could first hold if nothing but
+// time changes (Never: not until something else changes). Code that
+// changes what ready or earliest read must call Engine.Kick on the
+// process, which re-arms. Instants before earliest are skipped unseen:
+// they cost no event.
+//
+// Every check is ordered as if all of them had been scheduled when the
+// wait began: after the events scheduled before the Await, before those
+// scheduled after it. The Sleep loop differs only for an event scheduled
+// during the wait at exactly a check instant, which it runs first.
+//
+// ready and earliest read simulation state only — they may not block,
+// schedule or mutate — so they may be method values bound once and
+// passed to every Await. period must be positive.
+func (p *Proc) Await(period Duration, ready func() bool, earliest func() Time) {
+	if period <= 0 {
+		panic(fmt.Sprintf("sim: Await with non-positive period %v", period))
 	}
-	c := p.c
-	c.period, c.ready = period, ready
-	p.e.schedule(p.e.now.Add(period), nil, c.tick)
+	e := p.e
+	e.seq++
+	p.c.aw = await{ready: ready, earliest: earliest, period: period, from: e.now, seq: e.seq, at: Never}
+	e.arm(p.c)
 	p.park()
 }
 
-// pollTick is one evaluation of the parked Poll's predicate: resume the
-// process if it holds, otherwise check again a period later.
-func (c *coro) pollTick() {
-	if c.ready() {
-		c.ready = nil
+// Kick re-arms p's Await after a change to what its predicate reads. A
+// process that is not parked in an Await, or is dead, is left alone.
+func (e *Engine) Kick(p *Proc) {
+	if c := p.c; !p.dead && c.p == p && c.aw.ready != nil {
+		e.arm(c)
+	}
+}
+
+// arm sets c's check to the first grid instant at or after earliest()
+// that the current event does not already follow in (at, seq) order,
+// and schedules it unless it is already armed. The superseded check
+// stays queued and is skipped when it comes up.
+func (e *Engine) arm(c *coro) {
+	w := &c.aw
+	t := w.earliest()
+	if t == Never {
+		w.at = Never
+		return
+	}
+	k := max(1, (max(t, e.now).Sub(w.from)+w.period-1)/w.period)
+	at := w.from.Add(k * w.period)
+	if at == e.now && e.cur >= w.seq {
+		at = at.Add(w.period) // this instant's check has had its turn
+	}
+	if at == w.at {
+		return
+	}
+	w.at = at
+	// Straight onto the heap, at the wait's seq: taken before the
+	// current instant, it precedes every event in the same-instant ring,
+	// as next() assumes of the heap's events at now.
+	e.events.push(event{at: at, seq: w.seq, fn: c.check})
+}
+
+// checkAwait runs an armed check of c's Await: it resumes the process if
+// ready holds, and otherwise arms the next one. A check that is not the
+// armed one — superseded by a Kick, or left over from a finished wait —
+// does nothing.
+func (e *Engine) checkAwait(c *coro) {
+	w := &c.aw
+	if w.ready == nil || w.seq != e.cur || w.at != e.now {
+		return
+	}
+	if w.ready() {
+		*w = await{}
 		c.next()
 		return
 	}
-	e := c.p.e
-	e.schedule(e.now.Add(c.period), nil, c.tick)
+	e.arm(c)
 }
 
 // Yield gives other processes scheduled at the current instant a chance to
@@ -423,7 +493,7 @@ func (e *Engine) Run() error {
 	defer e.killAll()
 	for !e.halted && e.pending() > 0 {
 		ev := e.next()
-		e.now = ev.at
+		e.now, e.cur = ev.at, ev.seq
 		if e.probe != nil {
 			e.probe.OnEvent(e.now, e.pending())
 		}

@@ -62,7 +62,7 @@ func waitGoroutines(t *testing.T, base int) {
 // TestRunLeavesNoGoroutines: however Run ends — Halt, a drained queue, a
 // deadlock — every coroutine is gone when it returns, whether its process
 // never started, finished (and was pooled), sits in a primitive, or is
-// mid-Sleep or mid-Poll.
+// mid-Sleep or mid-Await (with a check armed or with none).
 func TestRunLeavesNoGoroutines(t *testing.T) {
 	// populate starts one process in every state a shutdown can find.
 	populate := func(e *Engine) {
@@ -77,6 +77,9 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 		e.Go("barrier", func(p *Proc) { bar.Wait(p) })
 		e.Go("counter", func(p *Proc) { cnt.Wait(p) })
 		e.Go("event", func(p *Proc) { ev.Wait(p) })
+		e.Go("awaiter-unarmed", func(p *Proc) {
+			p.Await(Millisecond, func() bool { return false }, func() Time { return Never })
+		})
 		e.Go("finished", func(p *Proc) {})
 		e.Go("reuser", func(p *Proc) {
 			p.Sleep(Microsecond) // runs on a fresh coroutine; its child reuses "finished"'s
@@ -90,7 +93,9 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 	}{
 		{"halt", func(e *Engine) {
 			e.Go("sleeper", func(p *Proc) { p.Sleep(Second) })
-			e.Go("poller", func(p *Proc) { p.Poll(Millisecond, func() bool { return false }) })
+			e.Go("awaiter-armed", func(p *Proc) {
+				p.Await(Millisecond, func() bool { return false }, e.Now)
+			})
 			e.Go("halter", func(p *Proc) {
 				p.Sleep(10 * Millisecond)
 				for i := 0; i < 2; i++ { // one on a reused coroutine, one on a fresh one
@@ -164,88 +169,5 @@ func TestGoStartsAtCurrentInstantInCreationOrder(t *testing.T) {
 		"callback@2.000ms c@2.000ms d@2.000ms"
 	if got := strings.Join(log, " "); got != want {
 		t.Errorf("order:\n got %s\nwant %s", got, want)
-	}
-}
-
-// TestPollIsTheSleepLoop: Poll must be indistinguishable, event for
-// event, from the Sleep loop it replaces — same wake instant, same order
-// among same-instant events — while evaluating its predicate without
-// running the process. Two predicate shapes: plain "work arrived", and
-// the deadline-bounded one of an anticipation window (CFQ's slice idle),
-// "work arrived or the window has passed", against the bounded loop
-// `for waited < window { Sleep(step); if work { break } }`.
-func TestPollIsTheSleepLoop(t *testing.T) {
-	const (
-		step   = 2 * Millisecond
-		window = 7 * Millisecond // not a multiple of step: the last tick overshoots
-	)
-	run := func(poll, bounded bool) (string, uint64) {
-		e := New()
-		var log []string
-		note := func(who string) { log = append(log, fmt.Sprintf("%s@%v", who, e.Now())) }
-		work := 0
-		for i := 0; i < 3; i++ {
-			name := fmt.Sprintf("daemon%d", i)
-			e.Go(name, func(p *Proc) {
-				var start Time
-				ready := func() bool { return work > 0 }
-				if bounded {
-					ready = func() bool { return work > 0 || e.Now().Sub(start) >= window }
-				}
-				for {
-					start = p.Now()
-					switch {
-					case poll:
-						p.Poll(step, ready)
-					case bounded:
-						for waited := Duration(0); waited < window; waited += step {
-							p.Sleep(step)
-							if work > 0 {
-								break
-							}
-						}
-					default:
-						for p.Sleep(step); !ready(); p.Sleep(step) {
-						}
-					}
-					if work == 0 {
-						note(name + "-idle")
-						continue
-					}
-					work--
-					note(name)
-					p.Sleep(500 * Microsecond)
-				}
-			})
-		}
-		e.Go("producer", func(p *Proc) {
-			// Gaps both shorter and longer than the window; every other
-			// one lands on a poll tick.
-			for _, gap := range []Duration{3, 9, 1, 12, 3, 8} {
-				p.Sleep(gap * Millisecond)
-				work += 2
-				note("produce")
-			}
-			p.Sleep(10 * Millisecond)
-			e.Halt()
-		})
-		if err := e.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return strings.Join(log, " "), e.seq
-	}
-	for _, bounded := range []bool{false, true} {
-		sleepLog, sleepSeq := run(false, bounded)
-		pollLog, pollSeq := run(true, bounded)
-		if sleepLog != pollLog || sleepSeq != pollSeq {
-			t.Errorf("bounded=%v: Poll diverged from the Sleep loop (seq %d vs %d):\nsleep: %s\n poll: %s",
-				bounded, sleepSeq, pollSeq, sleepLog, pollLog)
-		}
-		if !strings.Contains(sleepLog, "daemon2@") {
-			t.Fatalf("bounded=%v: scenario never ran a daemon: %s", bounded, sleepLog)
-		}
-		if bounded && !strings.Contains(sleepLog, "-idle@") {
-			t.Fatalf("scenario never let a window expire: %s", sleepLog)
-		}
 	}
 }
