@@ -19,33 +19,43 @@ const workCountsFile = "testdata/workcounts.json"
 // 129 KB stock warmed read and +10 KB iBridge write.
 var workCountPoints = []int{0, 7, 9, 22}
 
-// TestWorkCounts is a ratchet on the simulator's work: the engine events
-// (obs's engine.events counter) of each of workCountPoints, and summed
-// over all 24 grid points, must not exceed the counts committed in
-// testdata. Unlike host time these counts are exact, so a change that
+// workCounters are the engine counters each row pins: events run,
+// switches into a process, and processes created.
+var workCounters = []string{"engine.events", "engine.resumes", "engine.procs_started"}
+
+// TestWorkCounts is a ratchet on the simulator's work: the engine
+// counters (workCounters) of each of workCountPoints, and summed over
+// all 24 grid points, must not exceed the counts committed in testdata. Unlike host time these counts are exact, so a change that
 // makes the simulator do more per simulated request fails here whatever
 // the machine. A change that lowers a count rewrites the file with
 // -update and lists the moved counts.
 func TestWorkCounts(t *testing.T) {
-	events, err := runner.Map(24, func(i int) (int64, error) {
+	counts, err := runner.Map(24, func(i int) (map[string]int64, error) {
 		set := obs.New(obs.Config{Metrics: true})
 		if _, _, _, err := runGridPoint(i, set); err != nil {
-			return 0, err
+			return nil, err
 		}
-		return set.Registry().CounterValues()["engine.events"], nil
+		all := set.Registry().CounterValues()
+		row := map[string]int64{}
+		for _, k := range workCounters {
+			row[k] = all[k]
+		}
+		return row, nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := map[string]map[string]int64{}
-	var total int64
-	for i, n := range events {
-		total += n
+	total := map[string]int64{}
+	for i, row := range counts {
+		for k, n := range row {
+			total[k] += n
+		}
 		if slices.Contains(workCountPoints, i) {
-			got[fmt.Sprintf("%s seed=%d", gridPointName(i), 1000+i)] = map[string]int64{"engine.events": n}
+			got[fmt.Sprintf("%s seed=%d", gridPointName(i), 1000+i)] = row
 		}
 	}
-	got["grid/24 points seeds=1000-1023"] = map[string]int64{"engine.events": total}
+	got["grid/24 points seeds=1000-1023"] = total
 
 	if *updateGolden {
 		data, err := json.MarshalIndent(got, "", "  ")

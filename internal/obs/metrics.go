@@ -21,6 +21,10 @@ import (
 type EngineMetrics struct {
 	Events  *Counter
 	Pending *Gauge
+	// Resumes counts switches into a process, and ProcsStarted the
+	// processes created.
+	Resumes      *Counter
+	ProcsStarted *Counter
 }
 
 // EngineMetrics returns the engine bundle, or nil when metrics are off.
@@ -30,8 +34,10 @@ func (s *Set) EngineMetrics() *EngineMetrics {
 		return nil
 	}
 	return &EngineMetrics{
-		Events:  r.Counter("engine.events"),
-		Pending: r.Gauge("engine.pending"),
+		Events:       r.Counter("engine.events"),
+		Pending:      r.Gauge("engine.pending"),
+		Resumes:      r.Counter("engine.resumes"),
+		ProcsStarted: r.Counter("engine.procs_started"),
 	}
 }
 
@@ -40,6 +46,12 @@ func (m *EngineMetrics) OnEvent(now vtime.Time, pending int) {
 	m.Events.Inc()
 	m.Pending.Set(int64(pending))
 }
+
+// OnResume implements sim.Probe.
+func (m *EngineMetrics) OnResume() { m.Resumes.Inc() }
+
+// OnStart implements sim.Probe.
+func (m *EngineMetrics) OnStart() { m.ProcsStarted.Inc() }
 
 // DeviceMetrics instruments one class of device ("hdd" or "ssd") with
 // per-request service-time histograms split into positioning and

@@ -14,6 +14,11 @@ type Probe interface {
 	// OnEvent fires after the clock advances to an event's timestamp,
 	// with the number of events still pending.
 	OnEvent(now Time, pending int)
+	// OnResume fires each time the engine switches into a process: its
+	// start, and every return from a park.
+	OnResume()
+	// OnStart fires when Go creates a process.
+	OnStart()
 }
 
 // SetProbe installs p (nil removes it). Call before Run.
