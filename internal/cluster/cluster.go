@@ -165,7 +165,7 @@ func New(cfg Config) (*Cluster, error) {
 			c.Collectors = append(c.Collectors, col)
 			tracer = col
 		}
-		disk := hdd.New(e, fmt.Sprintf("hdd%d", i), hdd.DefaultSpec(), componentRNG(1, i))
+		disk := hdd.New(e, hdd.DefaultSpec(), componentRNG(1, i))
 		if hddM != nil {
 			disk.SetProbe(hddM)
 		}
@@ -174,7 +174,7 @@ func New(cfg Config) (*Cluster, error) {
 		diskQ.SetMetrics(diskQM)
 		var sd *ssd.SSD
 		if cfg.Mode != Stock {
-			sd = ssd.New(e, fmt.Sprintf("ssd%d", i), ssd.DefaultSpec())
+			sd = ssd.New(ssd.DefaultSpec())
 			if ssdM != nil {
 				sd.SetProbe(ssdM)
 			}

@@ -424,8 +424,8 @@ func (b *Bridge) maintenanceWork() bool {
 // the disk, or after an SSD failure. A queued disk request must be
 // dispatched, occupying the disk, before the queue empties, and its
 // completion is followed by a kick. A queued SSD request is not waited
-// for: the SSD queue also empties when its dispatcher starts, a moment
-// no kick follows.
+// for: the SSD queue also empties when its dispatch callback starts the
+// request, a moment no kick follows.
 func (b *Bridge) maintenanceFrom() sim.Time {
 	if b.ssdFailed || b.diskQ.Pending() > 0 || !b.maintenanceWork() {
 		return sim.Never

@@ -17,9 +17,8 @@ func newDiskQueue(e *sim.Engine, d *hdd.Disk) *iosched.Queue {
 	return iosched.New(e, d, iosched.DiskDefaults(), nil)
 }
 
-func newSSDQueue(e *sim.Engine, name string) *iosched.Queue {
-	dev := ssd.New(e, name, ssd.DefaultSpec())
-	return iosched.New(e, dev, iosched.SSDDefaults(), nil)
+func newSSDQueue(e *sim.Engine) *iosched.Queue {
+	return iosched.New(e, ssd.New(ssd.DefaultSpec()), iosched.SSDDefaults(), nil)
 }
 
 // testBridge builds a standalone bridge (no exchange) with the given
@@ -29,8 +28,8 @@ func testBridge(e *sim.Engine, mod func(*Config)) (*Bridge, *hdd.Disk) {
 	if mod != nil {
 		mod(&cfg)
 	}
-	d := hdd.New(e, "hdd0", hdd.DefaultSpec(), sim.NewRNG(1))
-	b := NewBridge(e, cfg, 0, d, newDiskQueue(e, d), newSSDQueue(e, "ssd0"), nil, sim.NewRNG(2))
+	d := hdd.New(e, hdd.DefaultSpec(), sim.NewRNG(1))
+	b := NewBridge(e, cfg, 0, d, newDiskQueue(e, d), newSSDQueue(e), nil, sim.NewRNG(2))
 	return b, d
 }
 
@@ -333,8 +332,8 @@ func TestMagnificationChangesDecision(t *testing.T) {
 	x := NewExchange(e, 10*sim.Millisecond)
 	cfg := DefaultConfig()
 	mk := func(i int) *Bridge {
-		d := hdd.New(e, "hdd", hdd.DefaultSpec(), sim.NewRNG(uint64(i)))
-		return NewBridge(e, cfg, i, d, newDiskQueue(e, d), newSSDQueue(e, "ssd"), x, sim.NewRNG(uint64(10+i)))
+		d := hdd.New(e, hdd.DefaultSpec(), sim.NewRNG(uint64(i)))
+		return NewBridge(e, cfg, i, d, newDiskQueue(e, d), newSSDQueue(e), x, sim.NewRNG(uint64(10+i)))
 	}
 	b0, b1 := mk(0), mk(1)
 	_ = b1 // stays at T = 0: the fast sibling

@@ -10,7 +10,7 @@ import (
 )
 
 func newTestDisk(e *sim.Engine) *hdd.Disk {
-	return hdd.New(e, "hdd0", hdd.DefaultSpec(), sim.NewRNG(1))
+	return hdd.New(e, hdd.DefaultSpec(), sim.NewRNG(1))
 }
 
 func TestTrackerEq1Update(t *testing.T) {
@@ -109,7 +109,7 @@ func TestExchangeBroadcastStaleness(t *testing.T) {
 	d := newTestDisk(e)
 	rng := sim.NewRNG(2)
 	diskQ := newDiskQueue(e, d)
-	ssdQ := newSSDQueue(e, "ssd0")
+	ssdQ := newSSDQueue(e)
 	cfg := DefaultConfig()
 	b := NewBridge(e, cfg, 0, d, diskQ, ssdQ, x, rng)
 	x.Start()

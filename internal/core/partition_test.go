@@ -137,7 +137,7 @@ func TestExchangeViewIndexesMatchServers(t *testing.T) {
 	var bridges []*Bridge
 	for i := 0; i < 3; i++ {
 		d := newTestDisk(e)
-		b := NewBridge(e, DefaultConfig(), i, d, newDiskQueue(e, d), newSSDQueue(e, "ssd"), x, sim.NewRNG(uint64(i)))
+		b := NewBridge(e, DefaultConfig(), i, d, newDiskQueue(e, d), newSSDQueue(e), x, sim.NewRNG(uint64(i)))
 		bridges = append(bridges, b)
 	}
 	x.Start()

@@ -88,10 +88,10 @@ func table2(Scale) (*stats.Table, error) {
 		e := sim.New()
 		if i%2 == 0 {
 			spec := ssd.DefaultSpec()
-			return deviceBench(e, ssd.New(e, "ssd", spec), pt.op, pt.random, spec.CapacityBytes), nil
+			return deviceBench(e, ssd.New(spec), pt.op, pt.random, spec.CapacityBytes), nil
 		}
 		spec := hdd.DefaultSpec()
-		return deviceBench(e, hdd.New(e, "hdd", spec, sim.NewRNG(1)), pt.op, pt.random, spec.CapacityBytes), nil
+		return deviceBench(e, hdd.New(e, spec, sim.NewRNG(1)), pt.op, pt.random, spec.CapacityBytes), nil
 	})
 	if err != nil {
 		return nil, err
@@ -106,7 +106,8 @@ func table2(Scale) (*stats.Table, error) {
 	return t, nil
 }
 
-// deviceBench runs 500 4KB requests on a device and returns MB/s.
+// deviceBench runs 500 4KB requests back to back on a device, as its
+// scheduler would at queue depth 1, and returns MB/s.
 func deviceBench(e *sim.Engine, dev iosched.Device, op device.Op, random bool, capacity int64) float64 {
 	rng := sim.NewRNG(7)
 	const n = 500
@@ -116,7 +117,9 @@ func deviceBench(e *sim.Engine, dev iosched.Device, op device.Op, random bool, c
 			if random {
 				lbn = rng.Range(0, capacity/device.SectorSize-8)
 			}
-			dev.Serve(p, device.Request{Op: op, LBN: lbn, Sectors: 8})
+			r := device.Request{Op: op, LBN: lbn, Sectors: 8}
+			p.Sleep(dev.Start(r))
+			dev.Finish(r)
 			lbn += 8
 		}
 	})

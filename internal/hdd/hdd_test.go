@@ -9,7 +9,16 @@ import (
 )
 
 func newDisk(e *sim.Engine) *Disk {
-	return New(e, "hdd0", DefaultSpec(), sim.NewRNG(1))
+	return New(e, DefaultSpec(), sim.NewRNG(1))
+}
+
+// serve runs r on d as its scheduler does: it starts r, lets its service
+// time pass and finishes it. It returns the service time.
+func serve(p *sim.Proc, d *Disk, r device.Request) sim.Duration {
+	t := d.Start(r)
+	p.Sleep(t)
+	d.Finish(r)
+	return t
 }
 
 func TestSequentialReadBandwidth(t *testing.T) {
@@ -20,7 +29,7 @@ func TestSequentialReadBandwidth(t *testing.T) {
 	e.Go("reader", func(p *sim.Proc) {
 		lbn := int64(0)
 		for i := 0; i < nReq; i++ {
-			d.Serve(p, device.Request{Op: device.Read, LBN: lbn, Sectors: sectors})
+			serve(p, d, device.Request{Op: device.Read, LBN: lbn, Sectors: sectors})
 			lbn += sectors
 		}
 	})
@@ -42,7 +51,7 @@ func TestSequentialWriteBandwidth(t *testing.T) {
 	e.Go("writer", func(p *sim.Proc) {
 		lbn := int64(0)
 		for i := 0; i < nReq; i++ {
-			d.Serve(p, device.Request{Op: device.Write, LBN: lbn, Sectors: 128})
+			serve(p, d, device.Request{Op: device.Write, LBN: lbn, Sectors: 128})
 			lbn += 128
 		}
 	})
@@ -67,7 +76,7 @@ func TestRandomMuchSlowerThanSequential(t *testing.T) {
 				if random {
 					lbn = rng.Range(0, DefaultSpec().CapacityBytes/device.SectorSize-8)
 				}
-				d.Serve(p, device.Request{Op: device.Read, LBN: lbn, Sectors: 8})
+				serve(p, d, device.Request{Op: device.Read, LBN: lbn, Sectors: 8})
 				lbn += 8
 			}
 		})
@@ -92,7 +101,7 @@ func TestRandomWriteSlowerThanRandomRead(t *testing.T) {
 		e.Go("io", func(p *sim.Proc) {
 			for i := 0; i < nReq; i++ {
 				lbn := rng.Range(0, DefaultSpec().CapacityBytes/device.SectorSize-8)
-				d.Serve(p, device.Request{Op: op, LBN: lbn, Sectors: 8})
+				serve(p, d, device.Request{Op: op, LBN: lbn, Sectors: 8})
 			}
 		})
 		if err := e.Run(); err != nil {
@@ -139,7 +148,7 @@ func TestSeekTimeSymmetric(t *testing.T) {
 }
 
 func TestEstimateMatchesAvgServe(t *testing.T) {
-	// Estimate uses average rotation; actual Serve draws uniform
+	// Estimate uses average rotation; Start draws uniform
 	// rotation. Over many requests the mean service time must agree.
 	e := sim.New()
 	d := newDisk(e)
@@ -153,7 +162,7 @@ func TestEstimateMatchesAvgServe(t *testing.T) {
 			lbn := rng.Range(0, spec.CapacityBytes/device.SectorSize-128)
 			r := device.Request{Op: device.Read, LBN: lbn, Sectors: 128}
 			estimated += spec.Estimate(prev, r)
-			actual += d.Serve(p, r)
+			actual += serve(p, d, r)
 			prev = r.End()
 		}
 	})
@@ -179,31 +188,13 @@ func TestEstimateFromUsesGivenLocation(t *testing.T) {
 	}
 }
 
-func TestConcurrentCallersSerialize(t *testing.T) {
-	e := sim.New()
-	d := newDisk(e)
-	var totalService sim.Duration
-	for i := 0; i < 4; i++ {
-		e.Go("io", func(p *sim.Proc) {
-			totalService += d.Serve(p, device.Request{Op: device.Read, LBN: 0, Sectors: 128})
-		})
-	}
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	// The medium serves one at a time, so elapsed == sum of service times.
-	if sim.Duration(e.Now()) != totalService {
-		t.Fatalf("elapsed %v != total service %v", sim.Duration(e.Now()), totalService)
-	}
-}
-
 func TestStatsAccounting(t *testing.T) {
 	e := sim.New()
 	d := newDisk(e)
 	e.Go("io", func(p *sim.Proc) {
-		d.Serve(p, device.Request{Op: device.Read, LBN: 0, Sectors: 128})
-		d.Serve(p, device.Request{Op: device.Read, LBN: 128, Sectors: 128}) // sequential
-		d.Serve(p, device.Request{Op: device.Write, LBN: 1 << 25, Sectors: 64})
+		serve(p, d, device.Request{Op: device.Read, LBN: 0, Sectors: 128})
+		serve(p, d, device.Request{Op: device.Read, LBN: 128, Sectors: 128}) // sequential
+		serve(p, d, device.Request{Op: device.Write, LBN: 1 << 25, Sectors: 64})
 	})
 	if err := e.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -231,7 +222,7 @@ func TestZeroLengthRequestFree(t *testing.T) {
 	e := sim.New()
 	d := newDisk(e)
 	e.Go("io", func(p *sim.Proc) {
-		if got := d.Serve(p, device.Request{Op: device.Read, LBN: 5, Sectors: 0}); got != 0 {
+		if got := serve(p, d, device.Request{Op: device.Read, LBN: 5, Sectors: 0}); got != 0 {
 			t.Errorf("zero-length request cost %v", got)
 		}
 	})
@@ -243,11 +234,21 @@ func TestZeroLengthRequestFree(t *testing.T) {
 	}
 }
 
+// TestIdleSince: a disk reads as busy (IdleSince is now) from Start to
+// Finish, and afterwards as idle since the completion instant.
 func TestIdleSince(t *testing.T) {
 	e := sim.New()
 	d := newDisk(e)
 	e.Go("io", func(p *sim.Proc) {
-		d.Serve(p, device.Request{Op: device.Read, LBN: 0, Sectors: 128})
+		r := device.Request{Op: device.Read, LBN: 0, Sectors: 128}
+		svc := d.Start(r)
+		for _, step := range []sim.Duration{0, svc / 2, svc - svc/2} {
+			p.Sleep(step)
+			if got := d.IdleSince(); got != p.Now() {
+				t.Errorf("in service at %v: IdleSince = %v, want now", p.Now(), got)
+			}
+		}
+		d.Finish(r)
 		done := p.Now()
 		p.Sleep(10 * sim.Millisecond)
 		if d.IdleSince() != done {

@@ -56,7 +56,7 @@ func TestHoleTilingStreamsNearMediaRate(t *testing.T) {
 	e.Go("io", func(p *sim.Proc) {
 		lbn := int64(0)
 		for i := 0; i < pieces; i++ {
-			d.Serve(p, device.Request{Op: device.Write, LBN: lbn, Sectors: pieceSectors})
+			serve(p, d, device.Request{Op: device.Write, LBN: lbn, Sectors: pieceSectors})
 			useful += pieceSectors * device.SectorSize
 			lbn += pieceSectors + holeSectors
 		}

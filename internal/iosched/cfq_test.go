@@ -9,7 +9,7 @@ import (
 )
 
 func newCFQQueue(e *sim.Engine, cfg Config) (*Queue, *hdd.Disk) {
-	d := hdd.New(e, "hdd0", hdd.DefaultSpec(), sim.NewRNG(1))
+	d := hdd.New(e, hdd.DefaultSpec(), sim.NewRNG(1))
 	return New(e, d, cfg, nil), d
 }
 
@@ -125,7 +125,7 @@ func TestCFQIdleWindowExpires(t *testing.T) {
 	e := sim.New()
 	cfg := cfqConfig()
 	log := dispatches{}
-	q := New(e, hdd.New(e, "hdd0", hdd.DefaultSpec(), sim.NewRNG(1)), cfg, log)
+	q := New(e, hdd.New(e, hdd.DefaultSpec(), sim.NewRNG(1)), cfg, log)
 	var done1 sim.Time
 	e.Go("o1", func(p *sim.Proc) {
 		q.Submit(p, device.Request{Op: device.Read, LBN: 1 << 20, Sectors: 8, Origin: 1})
@@ -154,7 +154,7 @@ func TestCFQIdleWindowEndsAtTickBoundary(t *testing.T) {
 	cfg := cfqConfig()
 	step := cfg.SliceIdle / 8
 	log := dispatches{}
-	q := New(e, hdd.New(e, "hdd0", hdd.DefaultSpec(), sim.NewRNG(1)), cfg, log)
+	q := New(e, hdd.New(e, hdd.DefaultSpec(), sim.NewRNG(1)), cfg, log)
 	var done1 sim.Time
 	e.Go("o1", func(p *sim.Proc) {
 		q.Submit(p, device.Request{Op: device.Read, LBN: 1 << 20, Sectors: 8, Origin: 1})

@@ -5,10 +5,13 @@
 // The scheduler queues concurrently submitted requests, merges physically
 // contiguous ones (the mechanism behind the 128 KB peaks in the paper's
 // Figure 2(c) block-size distribution), and dispatches in CFQ order (per
-// origin slices) or FIFO order (Noop). Dispatch is work-conserving: a drain
-// process runs whenever requests are pending and exits when the queue
-// empties, so merging opportunities arise exactly when the device is the
-// bottleneck — the same dynamics as the Linux block layer.
+// origin slices) or FIFO order (Noop). Dispatch is work-conserving: the
+// queue starts a request on its device whenever the device is idle and
+// requests are pending, so merging opportunities arise exactly when the
+// device is the bottleneck — the same dynamics as the Linux block layer.
+// The dispatcher is not a process: it runs from engine callbacks, one
+// when a busy period opens, one at each completion and one at the end of
+// each CFQ anticipation window.
 package iosched
 
 import (
@@ -37,14 +40,16 @@ const (
 )
 
 // Device is the simulated block device a queue dispatches to
-// (internal/hdd, internal/ssd). Serve blocks the calling simulated
-// process for the virtual duration of r and returns that duration;
-// devices serialize internally, so concurrent Serve calls queue at the
-// medium.
+// (internal/hdd, internal/ssd). Its medium serves one request at a
+// time, and its queue is its only dispatcher: Start is called only
+// while the device is idle, and Finish once per Start.
 type Device interface {
-	Serve(p *sim.Proc, r device.Request) sim.Duration
-	// Name identifies the device in process names and traces.
-	Name() string
+	// Start begins serving r and returns its service time. It does not
+	// block.
+	Start(r device.Request) sim.Duration
+	// Finish completes the request Start began, when its service time
+	// has passed.
+	Finish(r device.Request)
 }
 
 // Tracer observes dispatched block-level requests; implemented by
@@ -108,30 +113,31 @@ type unit struct {
 
 // Queue is a scheduler instance bound to one device.
 type Queue struct {
-	e        *sim.Engine
-	dev      Device
-	name     string // of the drain process
-	cfg      Config
-	tracer   Tracer
-	pending  []*unit // sorted by LBN
-	free     []*unit // served units, for place to reuse
-	draining bool
-	pos      int64  // LBN after the last dispatched request
-	seq      uint64 // arrival sequence for FIFO dispatch
+	e         *sim.Engine
+	dev       Device
+	cfg       Config
+	tracer    Tracer
+	pending   []*unit // sorted by LBN
+	free      []*unit // served units, for place to reuse
+	draining  bool    // a busy period is open: dispatch is due, in service or idling
+	inService *unit   // the unit the device is serving
+	pos       int64   // LBN after the last dispatched request
+	seq       uint64  // arrival sequence for FIFO dispatch
 	// CFQ slice state. idleFrom is when the current anticipation
-	// window opened, and idler the drain process while it waits the
-	// window out (nil otherwise); idleOver and idleEnd are idleDone
-	// and windowEnd bound once, the Await the window is.
+	// window opened, and window the wait it is, whose continuation
+	// dispatches; idleOver and idleEnd are idleDone and windowEnd
+	// bound once, its predicate and earliest instant.
 	active     int32
 	sliceCount int
 	idled      bool
 	idleFrom   sim.Time
-	idler      *sim.Proc
+	window     *sim.Wait
 	idleOver   func() bool
 	idleEnd    func() sim.Time
-	// drainFn is drain bound once, for starting the drain process.
-	drainFn func(*sim.Proc)
-	stats   Stats
+	// dispatchFn and doneFn are dispatch and done bound once, for the
+	// engine to call back.
+	dispatchFn, doneFn func()
+	stats              Stats
 	// m, when non-nil, mirrors the scheduler statistics into the
 	// observability registry (latency histogram, depth gauge). The nil
 	// check per update is the entire disabled-path cost.
@@ -143,8 +149,10 @@ func (q *Queue) SetMetrics(m *obs.QueueMetrics) { q.m = m }
 
 // New returns a scheduler queue feeding dev.
 func New(e *sim.Engine, dev Device, cfg Config, tracer Tracer) *Queue {
-	q := &Queue{e: e, dev: dev, name: "iosched:" + dev.Name(), cfg: cfg, tracer: tracer}
-	q.idleOver, q.idleEnd, q.drainFn = q.idleDone, q.windowEnd, q.drain
+	q := &Queue{e: e, dev: dev, cfg: cfg, tracer: tracer}
+	q.idleOver, q.idleEnd = q.idleDone, q.windowEnd
+	q.dispatchFn, q.doneFn = q.dispatch, q.done
+	q.window = e.NewWait(q.dispatchFn)
 	return q
 }
 
@@ -165,12 +173,12 @@ func (q *Queue) Submit(p *sim.Proc, r device.Request) sim.Duration {
 	q.stats.Submitted++
 	u := q.place(r)
 	u.waiters = append(u.waiters, p)
-	if q.idler != nil && u.origin == q.active {
-		q.e.Kick(q.idler) // the anticipated request: end the window
+	if u.origin == q.active {
+		q.window.Kick() // the anticipated request: end the window
 	}
 	if !q.draining {
 		q.draining = true
-		q.e.Go(q.name, q.drainFn)
+		q.e.After(0, q.dispatchFn)
 	}
 	p.Block()
 	lat := p.Now().Sub(start)
@@ -243,42 +251,53 @@ func (q *Queue) pick() *unit {
 	return u
 }
 
-// drain dispatches pending requests until the queue empties, then exits.
-func (q *Queue) drain(p *sim.Proc) {
-	for {
-		var u *unit
-		if q.cfg.Policy == CFQ {
-			u = q.selectCFQ(p)
-		} else if len(q.pending) > 0 {
-			u = q.pick()
-		}
-		if u == nil {
-			q.draining = false
-			return
-		}
-		q.stats.Dispatches++
-		if q.m != nil {
-			q.m.Dispatches.Inc()
-			q.m.Depth.Set(int64(len(q.pending) + 1))
-		}
-		if q.tracer != nil {
-			q.tracer.Dispatch(p.Now(), u.req)
-		}
-		q.dev.Serve(p, u.req)
-		q.pos = u.req.End()
-		for _, w := range u.waiters {
-			q.e.Wake(w)
-		}
-		clear(u.waiters)
-		u.waiters = u.waiters[:0]
-		q.free = append(q.free, u)
+// dispatch starts the next unit on the device, or closes the busy
+// period when the queue is empty. Under CFQ it may instead open an
+// anticipation window, whose end calls it again.
+func (q *Queue) dispatch() {
+	var u *unit
+	if q.cfg.Policy == CFQ {
+		u = q.selectCFQ()
+	} else if len(q.pending) > 0 {
+		u = q.pick()
 	}
+	if u == nil {
+		// Empty, unless a window opened: the busy period outlasts it.
+		q.draining = q.window.Waiting()
+		return
+	}
+	q.stats.Dispatches++
+	if q.m != nil {
+		q.m.Dispatches.Inc()
+		q.m.Depth.Set(int64(len(q.pending) + 1))
+	}
+	if q.tracer != nil {
+		q.tracer.Dispatch(q.e.Now(), u.req)
+	}
+	q.inService = u
+	q.e.After(q.dev.Start(u.req), q.doneFn)
 }
 
-// selectCFQ removes and returns the next unit under the CFQ policy,
-// possibly idling in anticipation; it returns nil when the queue is empty
-// and the drain process should exit.
-func (q *Queue) selectCFQ(p *sim.Proc) *unit {
+// done completes the unit in service, wakes its submitters and
+// dispatches the next.
+func (q *Queue) done() {
+	u := q.inService
+	q.inService = nil
+	q.dev.Finish(u.req)
+	q.pos = u.req.End()
+	for _, w := range u.waiters {
+		q.e.Wake(w)
+	}
+	clear(u.waiters)
+	u.waiters = u.waiters[:0]
+	q.free = append(q.free, u)
+	q.dispatch()
+}
+
+// selectCFQ removes and returns the next unit under the CFQ policy. It
+// returns nil when the queue is empty, or when it opened an anticipation
+// window instead.
+func (q *Queue) selectCFQ() *unit {
 	for {
 		if len(q.pending) == 0 {
 			return nil
@@ -321,10 +340,9 @@ func (q *Queue) selectCFQ(p *sim.Proc) *unit {
 			if step <= 0 {
 				step = q.cfg.SliceIdle
 			}
-			q.idleFrom, q.idler = p.Now(), p
-			p.Await(step, q.idleOver, q.idleEnd)
-			q.idler = nil
-			continue
+			q.idleFrom = q.e.Now()
+			q.window.Await(step, q.idleOver, q.idleEnd)
+			return nil
 		}
 		// Slice over: rotate to the origin that has waited longest,
 		// preferring a *different* origin (round-robin fairness); if
@@ -350,8 +368,8 @@ func (q *Queue) selectCFQ(p *sim.Proc) *unit {
 
 // idleDone reports whether the anticipation window is over: the active
 // origin has a request pending, or the window has run its full length.
-// It reads state only, so the engine evaluates it without switching into
-// the drain process.
+// It reads state only, so the engine evaluates it inline at the
+// window's armed check.
 func (q *Queue) idleDone() bool {
 	return q.hasPending(q.active) || q.e.Now().Sub(q.idleFrom) >= q.cfg.SliceIdle
 }

@@ -11,7 +11,7 @@ import (
 )
 
 func newQueue(e *sim.Engine, cfg Config, tr Tracer) (*Queue, *hdd.Disk) {
-	d := hdd.New(e, "hdd0", hdd.DefaultSpec(), sim.NewRNG(1))
+	d := hdd.New(e, hdd.DefaultSpec(), sim.NewRNG(1))
 	return New(e, d, cfg, tr), d
 }
 

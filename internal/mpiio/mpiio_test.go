@@ -16,7 +16,7 @@ func testWorld(t *testing.T, e *sim.Engine, ranks int) (*World, *pfs.FileSystem)
 	rng := sim.NewRNG(1)
 	stores := make([]pfs.Store, 4)
 	for i := range stores {
-		d := hdd.New(e, "hdd", hdd.DefaultSpec(), rng.Fork())
+		d := hdd.New(e, hdd.DefaultSpec(), rng.Fork())
 		stores[i] = pfs.NewQueueStore(iosched.New(e, d, iosched.DiskDefaults(), nil))
 	}
 	fs, err := pfs.NewFileSystem(e, pfs.Config{

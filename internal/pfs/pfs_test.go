@@ -18,7 +18,7 @@ func testFS(t *testing.T, e *sim.Engine, nServers int) (*FileSystem, []*hdd.Disk
 	disks := make([]*hdd.Disk, nServers)
 	stores := make([]Store, nServers)
 	for i := range stores {
-		disks[i] = hdd.New(e, "hdd", hdd.DefaultSpec(), rng.Fork())
+		disks[i] = hdd.New(e, hdd.DefaultSpec(), rng.Fork())
 		stores[i] = NewQueueStore(iosched.New(e, disks[i], iosched.DiskDefaults(), nil))
 	}
 	fs, err := NewFileSystem(e, Config{
@@ -126,7 +126,7 @@ func TestAlignedTwoStripesOneRequestPerServer(t *testing.T) {
 	counts := make([]*countStore, 4)
 	stores := make([]Store, len(counts))
 	for i := range counts {
-		d := hdd.New(e, "hdd", hdd.DefaultSpec(), rng.Fork())
+		d := hdd.New(e, hdd.DefaultSpec(), rng.Fork())
 		counts[i] = &countStore{Store: NewQueueStore(iosched.New(e, d, iosched.DiskDefaults(), nil))}
 		stores[i] = counts[i]
 	}

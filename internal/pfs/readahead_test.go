@@ -12,7 +12,7 @@ import (
 // raFixture builds a readahead store over a disk.
 func raFixture(t *testing.T, e *sim.Engine) (*ReadaheadStore, *hdd.Disk) {
 	t.Helper()
-	d := hdd.New(e, "hdd", hdd.DefaultSpec(), sim.NewRNG(1))
+	d := hdd.New(e, hdd.DefaultSpec(), sim.NewRNG(1))
 	inner := NewQueueStore(iosched.New(e, d, iosched.DiskDefaults(), nil))
 	return NewReadaheadStore(inner), d
 }

@@ -67,7 +67,7 @@ func TestRecycledParentsNeverAlias(t *testing.T) {
 	fsStores := make([]Store, servers)
 	var files []*File
 	for i := range stores {
-		d := hdd.New(e, "hdd", hdd.DefaultSpec(), rng.Fork())
+		d := hdd.New(e, hdd.DefaultSpec(), rng.Fork())
 		stores[i] = &checkStore{t: t, inner: NewQueueStore(iosched.New(e, d, iosched.DiskDefaults(), nil))}
 		stores[i].expect = func(r *IORequest) error {
 			f := files[r.FileID]
@@ -148,10 +148,10 @@ func TestRecycledParentsNeverAlias(t *testing.T) {
 // TestWarmRequestAllocations bounds what a striped 65 KB iBridge request
 // allocates once the file system is warm: its parent, sub-requests,
 // sibling lists, scheduler units and job queue slots are all recycled,
-// so what is left is the engine's Proc for each device queue's busy
-// period: one per server the request touches, two here.
+// and the device queues dispatch from callbacks bound once, so nothing
+// is left.
 func TestWarmRequestAllocations(t *testing.T) {
-	const maxAllocs = 2
+	const maxAllocs = 0
 	e := sim.New()
 	fs, _ := testFS(t, e, 8)
 	const size = 65 * 1024

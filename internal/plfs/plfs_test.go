@@ -17,7 +17,7 @@ func testFS(t *testing.T, e *sim.Engine) (*pfs.FileSystem, []*hdd.Disk) {
 	disks := make([]*hdd.Disk, 4)
 	stores := make([]pfs.Store, 4)
 	for i := range stores {
-		disks[i] = hdd.New(e, "hdd", hdd.DefaultSpec(), rng.Fork())
+		disks[i] = hdd.New(e, hdd.DefaultSpec(), rng.Fork())
 		stores[i] = pfs.NewQueueStore(iosched.New(e, disks[i], iosched.DiskDefaults(), nil))
 	}
 	fs, err := pfs.NewFileSystem(e, pfs.Config{

@@ -6,45 +6,41 @@ import (
 	"testing"
 )
 
-// A waitImpl is one implementation of the armed wait: wait parks p until
-// ready holds at a check instant of the grid now + k·period, and kick is
-// what code that changed ready's inputs calls.
-type waitImpl struct {
-	wait func(p *Proc, period Duration, ready func() bool, earliest func() Time)
-	kick func(e *Engine, p *Proc)
+// A waiterMode is how a scenario's daemons wait.
+type waiterMode int
+
+const (
+	// eagerProcess is the reference the armed wait must match: when the
+	// wait begins it schedules, with After, a check at every grid
+	// instant up to the run's horizon, each of which resumes the
+	// process inline at the first one to find ready true. Those checks
+	// are ordered as the armed wait's rule says — after every event
+	// scheduled before the wait, before every event scheduled after it
+	// — and nothing is skipped, so it needs no earliest and no kicks.
+	eagerProcess waiterMode = iota
+	// armedProcess parks a process in Proc.Await, kicked by Engine.Kick.
+	armedProcess
+	// armedCallback runs the daemon as callbacks: a Wait whose
+	// continuation does the work, kicked by Wait.Kick.
+	armedCallback
+)
+
+func (m waiterMode) String() string {
+	return [...]string{"eager", "process", "callback"}[m]
 }
 
-// armed is the engine's Await and Kick.
-var armed = waitImpl{
-	wait: func(p *Proc, period Duration, ready func() bool, earliest func() Time) {
-		p.Await(period, ready, earliest)
-	},
-	kick: func(e *Engine, p *Proc) { e.Kick(p) },
-}
-
-// eager is the reference the armed wait must match: when the wait begins
-// it schedules, with After, a check at every grid instant up to horizon,
-// each of which resumes the process inline at the first one to find
-// ready true. Those checks are ordered as the armed wait's rule says —
-// after every event scheduled before the wait, before every event
-// scheduled after it — and nothing is skipped, so it needs no earliest
-// and no kicks.
-func eager(horizon Time) waitImpl {
-	return waitImpl{
-		wait: func(p *Proc, period Duration, ready func() bool, _ func() Time) {
-			e, done := p.e, false
-			for t := e.now.Add(period); t <= horizon; t = t.Add(period) {
-				e.After(t.Sub(e.now), func() {
-					if !done && ready() {
-						done = true
-						p.c.next()
-					}
-				})
+// eagerAwait is eagerProcess's wait.
+func eagerAwait(p *Proc, horizon Time, period Duration, ready func() bool) {
+	e, done := p.e, false
+	for t := e.now.Add(period); t <= horizon; t = t.Add(period) {
+		e.After(t.Sub(e.now), func() {
+			if !done && ready() {
+				done = true
+				p.c.next()
 			}
-			p.park()
-		},
-		kick: func(*Engine, *Proc) {},
+		})
 	}
+	p.park()
 }
 
 // awaitScenario is a run of daemons that wait for work on a grid, and of
@@ -67,10 +63,10 @@ type awaitCoverage struct {
 	unarmed, beforeCheck, afterCheck int
 }
 
-// run plays s, with the eager reference or else the armed wait, and
-// returns the log of every wake and production. cov, if not nil, counts
-// the armed run's kicks.
-func (s awaitScenario) run(t testing.TB, reference bool, cov *awaitCoverage) string {
+// run plays s with its daemons waiting in the given mode, and returns
+// the log of every wake and production. cov, if not nil, counts an
+// armed run's kicks.
+func (s awaitScenario) run(t testing.TB, mode waiterMode, cov *awaitCoverage) string {
 	var end Duration
 	for _, gaps := range append(append([][]Duration{}, s.early...), s.late...) {
 		var sum Duration
@@ -80,20 +76,20 @@ func (s awaitScenario) run(t testing.TB, reference bool, cov *awaitCoverage) str
 		end = max(end, sum)
 	}
 	end += s.window + 4*s.period + s.busy
-	impl := armed
-	if reference {
-		impl = eager(Time(0).Add(end + s.period))
-	}
+	horizon := Time(0).Add(end + s.period)
 
 	e := New()
 	var log []string
 	note := func(who string) { log = append(log, fmt.Sprintf("%s@%d", who, e.Now())) }
 	work := 0
-	var daemons []*Proc
+	// waits are the armed daemons' waits, and kicks what a production
+	// calls for each daemon.
+	var waits []*Wait
+	var kicks []func()
 	kickAll := func() {
-		for _, d := range daemons {
+		for i, kick := range kicks {
 			if cov != nil {
-				if w := &d.c.aw; w.ready != nil {
+				if w := waits[i]; w.ready != nil {
 					switch {
 					case w.at == Never:
 						cov.unarmed++
@@ -104,7 +100,7 @@ func (s awaitScenario) run(t testing.TB, reference bool, cov *awaitCoverage) str
 					}
 				}
 			}
-			impl.kick(e, d)
+			kick()
 		}
 	}
 	producer := func(name string, gaps []Duration) {
@@ -122,30 +118,60 @@ func (s awaitScenario) run(t testing.TB, reference bool, cov *awaitCoverage) str
 	}
 	for i := 0; i < s.daemons; i++ {
 		name := fmt.Sprint("daemon", i)
-		daemons = append(daemons, e.Go(name, func(p *Proc) {
-			var start Time
-			ready := func() bool { return work > 0 || s.window > 0 && e.Now().Sub(start) >= s.window }
-			earliest := func() Time {
-				switch {
-				case work > 0:
-					return e.Now()
-				case s.window > 0:
-					return start.Add(s.window)
-				}
-				return Never
+		var start Time
+		ready := func() bool { return work > 0 || s.window > 0 && e.Now().Sub(start) >= s.window }
+		earliest := func() Time {
+			switch {
+			case work > 0:
+				return e.Now()
+			case s.window > 0:
+				return start.Add(s.window)
 			}
+			return Never
+		}
+		// woke takes a unit of work after a wait, if there is one.
+		woke := func() bool {
+			if work == 0 {
+				note(name + "-idle")
+				return false
+			}
+			work--
+			note(name)
+			return true
+		}
+		if mode == armedCallback {
+			var w *Wait
+			begin := func() {
+				start = e.Now()
+				w.Await(s.period, ready, earliest)
+			}
+			w = e.NewWait(func() {
+				if woke() {
+					e.After(s.busy, begin)
+					return
+				}
+				begin()
+			})
+			e.After(0, begin) // where a process would start
+			waits, kicks = append(waits, w), append(kicks, w.Kick)
+			continue
+		}
+		d := e.Go(name, func(p *Proc) {
 			for {
 				start = p.Now()
-				impl.wait(p, s.period, ready, earliest)
-				if work == 0 {
-					note(name + "-idle")
-					continue
+				if mode == eagerProcess {
+					eagerAwait(p, horizon, s.period, ready)
+				} else {
+					p.Await(s.period, ready, earliest)
 				}
-				work--
-				note(name)
-				p.Sleep(s.busy)
+				if woke() {
+					p.Sleep(s.busy)
+				}
 			}
-		}))
+		})
+		if mode == armedProcess {
+			waits, kicks = append(waits, &d.c.aw), append(kicks, func() { e.Kick(d) })
+		}
 	}
 	for i, gaps := range s.late {
 		producer(fmt.Sprint("late", i), gaps)
@@ -160,18 +186,22 @@ func (s awaitScenario) run(t testing.TB, reference bool, cov *awaitCoverage) str
 	return strings.Join(log, " ")
 }
 
-// check fails t unless the armed and eager runs of s log the same.
+// check fails t unless the armed runs of s, with the daemons as
+// processes and as callbacks, log the same as the eager reference.
 func (s awaitScenario) check(t testing.TB, cov *awaitCoverage) {
 	t.Helper()
-	want := s.run(t, true, nil)
-	if got := s.run(t, false, cov); got != want {
-		t.Fatalf("%+v: Await diverged from eager checks:\n eager: %s\n armed: %s", s, want, got)
+	want := s.run(t, eagerProcess, nil)
+	for _, mode := range []waiterMode{armedProcess, armedCallback} {
+		if got := s.run(t, mode, cov); got != want {
+			t.Fatalf("%+v: %v Await diverged from eager checks:\n eager: %s\n armed: %s", s, mode, want, got)
+		}
 	}
 }
 
-// TestAwaitMatchesEagerChecks: an armed wait resumes its process at the
-// same instant, in the same order among that instant's events, as checks
-// scheduled at every grid instant when the wait begins. Both predicate
+// TestAwaitMatchesEagerChecks: an armed wait runs its continuation — a
+// parked process's resume, or a callback — at the same instant, in the
+// same order among that instant's events, as checks scheduled at every
+// grid instant when the wait begins resume a process. Both predicate
 // shapes run — "work arrived", with nothing armed while there is none,
 // and the deadline-bounded anticipation window (7 ms on a 2 ms grid, so
 // the last check overshoots) — with productions landing on check
@@ -193,7 +223,7 @@ func TestAwaitMatchesEagerChecks(t *testing.T) {
 			late:  [][]Duration{ms(3, 9, 1, 12, 3, 8), ms(2, 2, 2, 16)},
 		}
 		s.check(t, &cov)
-		idle := strings.Contains(s.run(t, false, nil), "-idle@")
+		idle := strings.Contains(s.run(t, armedProcess, nil), "-idle@")
 		if window > 0 && !idle {
 			t.Errorf("window %v: no window ran out", window)
 		}
@@ -206,8 +236,8 @@ func TestAwaitMatchesEagerChecks(t *testing.T) {
 	}
 }
 
-// FuzzAwait drives the same comparison over random grids, windows, busy
-// times and production gaps.
+// FuzzAwait drives the same comparison, for both continuations, over
+// random grids, windows, busy times and production gaps.
 func FuzzAwait(f *testing.F) {
 	f.Add(uint8(8), uint8(0), uint8(2), uint8(3), []byte{16, 24, 4, 48, 8, 32})
 	f.Add(uint8(8), uint8(28), uint8(2), uint8(3), []byte{12, 36, 4, 48, 12, 32, 0, 8})
@@ -235,17 +265,21 @@ func FuzzAwait(f *testing.F) {
 
 // TestKickLeavesOthersAlone: a Kick to a process that is not parked in
 // an Await — running, asleep, blocked, finished, or finished with its
-// coroutine reused by an awaiting process — schedules nothing. The
-// awaiting process's earliest moves without a kick of its own, so a
-// Kick that reached it through the finished one would arm it.
+// coroutine reused by an awaiting process — or to a callback wait that
+// is not waiting — never begun, or past its continuation — schedules
+// nothing. The awaiting process's earliest moves without a kick of its
+// own, so a Kick that reached it through the finished one would arm it.
 func TestKickLeavesOthersAlone(t *testing.T) {
 	e := New()
 	from := Never
+	fresh := e.NewWait(func() { t.Error("a wait never begun ran its continuation") })
+	finished := e.NewWait(func() {})
+	finished.Await(Millisecond, func() bool { return true }, e.Now)
 	done := e.Go("done", func(p *Proc) {})
 	sleeper := e.Go("sleeper", func(p *Proc) { p.Sleep(Second) })
 	blocked := e.Go("blocked", func(p *Proc) { p.Block() })
 	e.Go("main", func(p *Proc) {
-		p.Yield()
+		p.Sleep(2 * Millisecond) // past finished's continuation
 		// done's coroutine went back to the pool: this process gets it.
 		reuser := e.Go("reuser", func(p *Proc) {
 			p.Await(Millisecond, func() bool { return false }, func() Time { return from })
@@ -254,13 +288,18 @@ func TestKickLeavesOthersAlone(t *testing.T) {
 		if done.c != reuser.c {
 			t.Fatal("the awaiting process did not reuse the finished one's coroutine")
 		}
+		if fresh.Waiting() || finished.Waiting() {
+			t.Fatal("a callback wait reads as waiting")
+		}
 		from = p.Now().Add(Millisecond)
 		before := e.pending()
 		for _, q := range []*Proc{done, sleeper, blocked, p} {
 			e.Kick(q)
 		}
+		fresh.Kick()
+		finished.Kick()
 		if got := e.pending(); got != before {
-			t.Errorf("kicks of processes not awaiting scheduled %d events", got-before)
+			t.Errorf("kicks of processes and waits not awaiting scheduled %d events", got-before)
 		}
 		e.Halt()
 	})
@@ -270,45 +309,77 @@ func TestKickLeavesOthersAlone(t *testing.T) {
 }
 
 // TestStaleCheckIsSkipped: a check superseded by a Kick stays queued, and
-// when it comes up after the process has begun another wait it does
-// nothing — even though the new wait's predicate holds at that instant,
-// the process resumes only on its own grid.
+// when it comes up it does nothing: not while the wait has ended, and not
+// after a new wait has begun — even though the predicate holds at that
+// instant, the waiter wakes only on its new grid. The waiter is a process
+// and, in turn, a callback wait.
 func TestStaleCheckIsSkipped(t *testing.T) {
-	e := New()
-	var wakes []Time
-	ok := false
-	ready := func() bool { return ok }
-	// ready holds from a kick, or else from 10 ms.
-	first := func() Time {
-		if ok {
-			return e.Now()
+	for _, c := range []struct {
+		// gap is the time between the first wake (2 ms) and the second
+		// wait, which either spans the stale check at 10 ms or begins
+		// after it.
+		gap    Duration
+		second Time
+	}{
+		{Millisecond, 12 * Time(Millisecond)},      // grid 6, 9, 12 ms
+		{11 * Millisecond, 16 * Time(Millisecond)}, // grid 16 ms
+	} {
+		for _, mode := range []waiterMode{armedProcess, armedCallback} {
+			e := New()
+			var wakes []Time
+			ok := false
+			ready := func() bool { return ok }
+			// ready holds from a kick, or else from 10 ms.
+			first := func() Time {
+				if ok {
+					return e.Now()
+				}
+				return 10 * Time(Millisecond)
+			}
+			// Scheduled before either wait begins, so at 10 ms it runs
+			// before the stale check.
+			e.After(10*Millisecond, func() { ok = true })
+			// The first wait is armed at 10 ms; the kick at 1 ms re-arms
+			// it for 2 ms.
+			var kick func()
+			if mode == armedCallback {
+				var w *Wait
+				w = e.NewWait(func() {
+					wakes = append(wakes, e.Now())
+					if len(wakes) == 2 {
+						e.Halt()
+						return
+					}
+					ok = false
+					e.After(c.gap, func() { w.Await(3*Millisecond, ready, e.Now) })
+				})
+				e.After(0, func() { w.Await(2*Millisecond, ready, first) })
+				kick = w.Kick
+			} else {
+				waiter := e.Go("waiter", func(p *Proc) {
+					p.Await(2*Millisecond, ready, first)
+					wakes = append(wakes, p.Now())
+					ok = false
+					p.Sleep(c.gap)
+					p.Await(3*Millisecond, ready, e.Now)
+					wakes = append(wakes, p.Now())
+					e.Halt()
+				})
+				kick = func() { e.Kick(waiter) }
+			}
+			e.Go("kicker", func(p *Proc) {
+				p.Sleep(Millisecond)
+				ok = true
+				kick()
+			})
+			if err := e.Run(); err != nil {
+				t.Fatal(err)
+			}
+			want := []Time{2 * Time(Millisecond), c.second}
+			if fmt.Sprint(wakes) != fmt.Sprint(want) {
+				t.Errorf("%v, gap %v: woke at %v, want %v", mode, c.gap, wakes, want)
+			}
 		}
-		return 10 * Time(Millisecond)
-	}
-	// Scheduled before either wait begins, so at 10 ms it runs before
-	// the stale check.
-	e.After(10*Millisecond, func() { ok = true })
-	waiter := e.Go("waiter", func(p *Proc) {
-		// Armed at 10 ms; the kick at 1 ms re-arms it for 2 ms.
-		p.Await(2*Millisecond, ready, first)
-		wakes = append(wakes, p.Now())
-		ok = false
-		p.Sleep(Millisecond) // 3 ms: the new grid is 6, 9, 12 ms
-		p.Await(3*Millisecond, ready, e.Now)
-		wakes = append(wakes, p.Now())
-		e.Halt()
-	})
-	e.Go("kicker", func(p *Proc) {
-		p.Sleep(Millisecond)
-		ok = true
-		e.Kick(waiter)
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	want := []Time{2 * Time(Millisecond), 12 * Time(Millisecond)}
-	if fmt.Sprint(wakes) != fmt.Sprint(want) {
-		t.Errorf("woke at %v, want %v", wakes, want)
 	}
 }
 
@@ -350,4 +421,19 @@ func TestAwaitRejectsNonPositivePeriod(t *testing.T) {
 			t.Errorf("period %v: Run panicked with %v, want a non-positive period panic", period, got)
 		}
 	}
+}
+
+// TestAwaitRejectsWaitingWait: a wait has one armed check and one
+// continuation, so beginning it again before its continuation has run
+// panics.
+func TestAwaitRejectsWaitingWait(t *testing.T) {
+	e := New()
+	w := e.NewWait(func() {})
+	w.Await(Millisecond, func() bool { return false }, e.Now)
+	defer func() {
+		if r := recover(); !strings.Contains(fmt.Sprint(r), "already waiting") {
+			t.Errorf("a second Await panicked with %v, want an already-waiting panic", r)
+		}
+	}()
+	w.Await(Millisecond, func() bool { return false }, e.Now)
 }

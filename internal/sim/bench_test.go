@@ -117,11 +117,50 @@ func engineAwait(ops int) (*Engine, func() int) {
 	return e, func() int { return 2 * waits }
 }
 
+// BenchmarkEngineAwaitCallback is BenchmarkEngineAwait with the waiter
+// as a callback wait: each check that finds work runs the continuation
+// inline, which takes the work and waits again, with no process to
+// switch into.
+func BenchmarkEngineAwaitCallback(b *testing.B) { benchEngine(b, engineAwaitCallback) }
+
+func engineAwaitCallback(ops int) (*Engine, func() int) {
+	e := New()
+	work := 0
+	ready := func() bool { return work > 0 }
+	earliest := func() Time {
+		if work > 0 {
+			return e.Now()
+		}
+		return Never
+	}
+	waits := 0
+	var w *Wait
+	w = e.NewWait(func() {
+		work--
+		if waits == ops {
+			e.Halt()
+			return
+		}
+		waits++
+		w.Await(Microsecond, ready, earliest)
+	})
+	waits++
+	w.Await(Microsecond, ready, earliest)
+	e.Go("producer", func(p *Proc) {
+		for {
+			p.Sleep(3500 * Nanosecond)
+			work++
+			w.Kick()
+		}
+	})
+	return e, func() int { return 2 * waits }
+}
+
 // TestEngineHotPathAllocFree is the alloc regression guard for the
 // zero-cost-when-off observability contract: with no probe installed the
 // event loop must not allocate per event, and neither may a process
 // switch — Sleep (many-procs), Wake/Block (ping-pong), Yield, or an
-// Await re-armed by Kick. It
+// Await re-armed by Kick, whether a process or a callback waits. It
 // runs each benchmark's load at a fixed operation count and fails on any
 // allocation per operation (mallocs over the run divided by the count,
 // rounded down as testing.B reports it).
@@ -136,6 +175,7 @@ func TestEngineHotPathAllocFree(t *testing.T) {
 		{"ProcPingPong", procPingPong},
 		{"Yield", engineYield},
 		{"Await+Kick", engineAwait},
+		{"callback Await+Kick", engineAwaitCallback},
 	} {
 		// AllocsPerRun makes one warm-up run before the measured one, and
 		// an engine runs once, so build both up front.

@@ -66,13 +66,10 @@ func waitGoroutines(t *testing.T, base int) {
 func TestRunLeavesNoGoroutines(t *testing.T) {
 	// populate starts one process in every state a shutdown can find.
 	populate := func(e *Engine) {
-		sem := NewSemaphore(e, 1)
 		q := NewQueue[int](e)
 		bar := NewBarrier(e, 2)
 		cnt := NewCounter(e, 1)
 		ev := NewEvent(e)
-		e.Go("holder", func(p *Proc) { sem.Acquire(p); p.Block() })
-		e.Go("sem", func(p *Proc) { sem.Acquire(p) })
 		e.Go("queue", func(p *Proc) { q.Pop(p) })
 		e.Go("barrier", func(p *Proc) { bar.Wait(p) })
 		e.Go("counter", func(p *Proc) { cnt.Wait(p) })

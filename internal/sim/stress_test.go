@@ -8,7 +8,11 @@ func TestStressManyProcs(t *testing.T) {
 	run := func() (Time, int) {
 		e := New()
 		rng := NewRNG(2024)
-		sem := NewSemaphore(e, 4)
+		// Four tokens in a queue: a resource at most four producers hold.
+		tokens := NewQueue[struct{}](e)
+		for i := 0; i < 4; i++ {
+			tokens.Push(struct{}{})
+		}
 		q := NewQueue[int](e)
 		total := 0
 		const producers = 50
@@ -19,9 +23,9 @@ func TestStressManyProcs(t *testing.T) {
 			e.Go("producer", func(p *Proc) {
 				for k := 0; k < perProducer; k++ {
 					p.Sleep(r.Duration(0, Millisecond))
-					sem.Acquire(p)
+					tokens.Pop(p)
 					p.Sleep(r.Duration(0, 100*Microsecond))
-					sem.Release()
+					tokens.Push(struct{}{})
 					q.Push(1)
 				}
 				done.Done()

@@ -5,50 +5,6 @@ package sim
 // primitives need no host-level locking; they only park and wake simulated
 // processes deterministically (FIFO order).
 
-// Semaphore is a counting semaphore for simulated processes. Waiters are
-// served in FIFO order. A Semaphore with capacity 1 is a mutex.
-type Semaphore struct {
-	e       *Engine
-	cap     int
-	held    int
-	waiters []*Proc
-}
-
-// NewSemaphore returns a semaphore with the given capacity.
-func NewSemaphore(e *Engine, capacity int) *Semaphore {
-	if capacity <= 0 {
-		panic("sim: semaphore capacity must be positive")
-	}
-	return &Semaphore{e: e, cap: capacity}
-}
-
-// Acquire blocks p until a unit of the semaphore is available.
-func (s *Semaphore) Acquire(p *Proc) {
-	if s.held < s.cap && len(s.waiters) == 0 {
-		s.held++
-		return
-	}
-	s.waiters = append(s.waiters, p)
-	p.Block()
-	// Ownership was transferred by Release; held already accounts for us.
-}
-
-// Release returns one unit to the semaphore, waking the oldest waiter if
-// any. Ownership transfers directly to the woken waiter so no other
-// process can barge in between.
-func (s *Semaphore) Release() {
-	if len(s.waiters) > 0 {
-		w := s.waiters[0]
-		s.waiters = s.waiters[1:]
-		s.e.Wake(w)
-		return
-	}
-	if s.held == 0 {
-		panic("sim: semaphore released more times than acquired")
-	}
-	s.held--
-}
-
 // Queue is an unbounded FIFO channel between simulated processes. Its
 // items and waiters live in rings, so a queue in steady use allocates
 // nothing.

@@ -2,89 +2,6 @@ package sim
 
 import "testing"
 
-func TestSemaphoreMutex(t *testing.T) {
-	e := New()
-	mu := NewSemaphore(e, 1)
-	inside := 0
-	maxInside := 0
-	for i := 0; i < 8; i++ {
-		e.Go("worker", func(p *Proc) {
-			mu.Acquire(p)
-			inside++
-			if inside > maxInside {
-				maxInside = inside
-			}
-			p.Sleep(Millisecond)
-			inside--
-			mu.Release()
-		})
-	}
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if maxInside != 1 {
-		t.Fatalf("mutual exclusion violated: %d inside", maxInside)
-	}
-	if e.Now() != Time(8*Millisecond) {
-		t.Fatalf("serialized section took %v, want 8ms", e.Now())
-	}
-}
-
-func TestSemaphoreCapacity(t *testing.T) {
-	e := New()
-	sem := NewSemaphore(e, 3)
-	maxInside, inside := 0, 0
-	for i := 0; i < 9; i++ {
-		e.Go("w", func(p *Proc) {
-			sem.Acquire(p)
-			inside++
-			if inside > maxInside {
-				maxInside = inside
-			}
-			p.Sleep(Millisecond)
-			inside--
-			sem.Release()
-		})
-	}
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if maxInside != 3 {
-		t.Fatalf("max concurrency %d, want 3", maxInside)
-	}
-	if e.Now() != Time(3*Millisecond) {
-		t.Fatalf("took %v, want 3ms", e.Now())
-	}
-}
-
-func TestSemaphoreFIFO(t *testing.T) {
-	e := New()
-	sem := NewSemaphore(e, 1)
-	var order []int
-	e.Go("holder", func(p *Proc) {
-		sem.Acquire(p)
-		p.Sleep(10 * Millisecond)
-		sem.Release()
-	})
-	for i := 0; i < 5; i++ {
-		i := i
-		e.Go("w", func(p *Proc) {
-			p.Sleep(Duration(i+1) * Millisecond) // arrive in index order
-			sem.Acquire(p)
-			order = append(order, i)
-			sem.Release()
-		})
-	}
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("FIFO violated: order %v", order)
-		}
-	}
-}
-
 func TestQueueFIFO(t *testing.T) {
 	e := New()
 	q := NewQueue[int](e)

@@ -3,11 +3,13 @@
 // time.
 //
 // Simulated processes are coroutines that run one at a time under control
-// of an Engine: a process runs until it blocks (Sleep, semaphore, queue,
+// of an Engine: a process runs until it blocks (Sleep, Await, queue,
 // barrier, ...), at which point it switches back to the engine, which
 // advances the virtual clock to the next scheduled event and switches
-// into the process that event resumes. Runs are fully deterministic:
-// events with equal timestamps fire in scheduling order.
+// into the process that event resumes. Callbacks (After, and a Wait's
+// continuation) run inline in the engine loop, with no process to switch
+// into. Runs are fully deterministic: events with equal timestamps fire
+// in scheduling order.
 package sim
 
 import "repro/internal/vtime"

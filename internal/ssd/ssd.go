@@ -72,12 +72,13 @@ func (s *Spec) Estimate(prev int64, r device.Request) sim.Duration {
 }
 
 // SSD is a simulated solid-state drive. Like the disk, the medium serves
-// one request at a time; schedulers (Noop for SSDs, per the paper's
-// evaluation setup) handle ordering.
+// one request at a time, started by its scheduler (Noop for SSDs, per
+// the paper's evaluation setup), which handles ordering.
 type SSD struct {
 	spec Spec
-	name string
-	mu   *sim.Semaphore
+	// lat and xfer are the per-operation latency and transfer time of
+	// the request in service.
+	lat, xfer sim.Duration
 
 	lastEnd [2]int64 // per-Op position after the previous access
 	probe   device.Probe
@@ -87,33 +88,27 @@ type SSD struct {
 func (s *SSD) SetProbe(p device.Probe) { s.probe = p }
 
 // New returns an SSD with the given spec.
-func New(e *sim.Engine, name string, spec Spec) *SSD {
-	return &SSD{
-		spec:    spec,
-		name:    name,
-		mu:      sim.NewSemaphore(e, 1),
-		lastEnd: [2]int64{-1, -1},
-	}
+func New(spec Spec) *SSD {
+	return &SSD{spec: spec, lastEnd: [2]int64{-1, -1}}
 }
 
-// Name implements iosched.Device.
-func (s *SSD) Name() string { return s.name }
-
-// Serve implements iosched.Device.
-func (s *SSD) Serve(p *sim.Proc, r device.Request) sim.Duration {
+// Start implements iosched.Device. It returns the service time of r.
+func (s *SSD) Start(r device.Request) sim.Duration {
 	if r.Sectors <= 0 {
 		return 0
 	}
-	s.mu.Acquire(p)
-	lat := s.spec.latency(s.lastEnd[r.Op], r)
-	xfer := s.spec.TransferTime(r.Bytes(), r.Op)
-	t := lat + xfer
-	p.Sleep(t)
+	s.lat = s.spec.latency(s.lastEnd[r.Op], r)
+	s.xfer = s.spec.TransferTime(r.Bytes(), r.Op)
+	return s.lat + s.xfer
+}
 
+// Finish implements iosched.Device. It records where r ended.
+func (s *SSD) Finish(r device.Request) {
+	if r.Sectors <= 0 {
+		return
+	}
 	s.lastEnd[r.Op] = r.End()
 	if s.probe != nil {
-		s.probe.ObserveIO(r, lat, xfer)
+		s.probe.ObserveIO(r, s.lat, s.xfer)
 	}
-	s.mu.Release()
-	return t
 }

@@ -7,27 +7,30 @@ import (
 	"repro/internal/sim"
 )
 
+// serve runs r on s as its scheduler does, back to back with the
+// previous request, and returns its service time.
+func serve(s *SSD, r device.Request) sim.Duration {
+	t := s.Start(r)
+	s.Finish(r)
+	return t
+}
+
 // bench runs n requests of the given op and pattern and returns MB/s.
 func bench(t *testing.T, op device.Op, random bool, sectors int64) float64 {
 	t.Helper()
-	e := sim.New()
-	s := New(e, "ssd0", DefaultSpec())
+	s := New(DefaultSpec())
 	rng := sim.NewRNG(5)
 	const nReq = 500
-	e.Go("io", func(p *sim.Proc) {
-		lbn := int64(0)
-		for i := 0; i < nReq; i++ {
-			if random {
-				lbn = rng.Range(0, DefaultSpec().CapacityBytes/device.SectorSize-sectors)
-			}
-			s.Serve(p, device.Request{Op: op, LBN: lbn, Sectors: sectors})
-			lbn += sectors
+	var elapsed sim.Duration
+	lbn := int64(0)
+	for i := 0; i < nReq; i++ {
+		if random {
+			lbn = rng.Range(0, DefaultSpec().CapacityBytes/device.SectorSize-sectors)
 		}
-	})
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
+		elapsed += serve(s, device.Request{Op: op, LBN: lbn, Sectors: sectors})
+		lbn += sectors
 	}
-	return float64(nReq*sectors*device.SectorSize) / sim.Duration(e.Now()).Seconds() / 1e6
+	return float64(nReq*sectors*device.SectorSize) / elapsed.Seconds() / 1e6
 }
 
 // TestTableIICalibration checks all four SSD rows of the paper's Table II
@@ -73,20 +76,14 @@ func TestSequentialWriteAdvantage(t *testing.T) {
 func TestPerOpSequentialityTracking(t *testing.T) {
 	// Interleaved reads and writes to two separate sequential streams
 	// must both count as sequential: the model tracks position per op.
-	e := sim.New()
-	s := New(e, "ssd0", DefaultSpec())
+	s := New(DefaultSpec())
 	var total sim.Duration
-	e.Go("io", func(p *sim.Proc) {
-		rl, wl := int64(0), int64(1<<20)
-		for i := 0; i < 50; i++ {
-			total += s.Serve(p, device.Request{Op: device.Read, LBN: rl, Sectors: 8})
-			total += s.Serve(p, device.Request{Op: device.Write, LBN: wl, Sectors: 8})
-			rl += 8
-			wl += 8
-		}
-	})
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
+	rl, wl := int64(0), int64(1<<20)
+	for i := 0; i < 50; i++ {
+		total += serve(s, device.Request{Op: device.Read, LBN: rl, Sectors: 8})
+		total += serve(s, device.Request{Op: device.Write, LBN: wl, Sectors: 8})
+		rl += 8
+		wl += 8
 	}
 	spec := DefaultSpec()
 	// After the first pair, every op should pay only SeqLat.
@@ -100,36 +97,29 @@ func TestPerOpSequentialityTracking(t *testing.T) {
 }
 
 func TestEstimateMatchesServe(t *testing.T) {
-	e := sim.New()
-	s := New(e, "ssd0", DefaultSpec())
+	s := New(DefaultSpec())
 	spec := DefaultSpec()
-	e.Go("io", func(p *sim.Proc) {
-		r := device.Request{Op: device.Write, LBN: 4096, Sectors: 8}
-		est := spec.Estimate(-1, r) // a fresh SSD has no previous write
-		got := s.Serve(p, r)
-		if est != got {
-			t.Errorf("estimate %v != served %v", est, got)
-		}
-		// Now contiguous: estimate must drop to sequential latency.
-		r2 := device.Request{Op: device.Write, LBN: r.End(), Sectors: 8}
-		if spec.Estimate(r.End(), r2) >= est {
-			t.Errorf("contiguous estimate %v not cheaper than random %v", spec.Estimate(r.End(), r2), est)
-		}
-	})
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
+	r := device.Request{Op: device.Write, LBN: 4096, Sectors: 8}
+	est := spec.Estimate(-1, r) // a fresh SSD has no previous write
+	if got := serve(s, r); est != got {
+		t.Errorf("estimate %v != served %v", est, got)
+	}
+	// Now contiguous: estimate must drop to sequential latency.
+	r2 := device.Request{Op: device.Write, LBN: r.End(), Sectors: 8}
+	if spec.Estimate(r.End(), r2) >= est {
+		t.Errorf("contiguous estimate %v not cheaper than random %v", spec.Estimate(r.End(), r2), est)
 	}
 }
 
 func TestZeroLengthRequestFree(t *testing.T) {
-	e := sim.New()
-	s := New(e, "ssd0", DefaultSpec())
-	e.Go("io", func(p *sim.Proc) {
-		if d := s.Serve(p, device.Request{Op: device.Read, LBN: 0, Sectors: 0}); d != 0 {
-			t.Errorf("zero-length request cost %v", d)
-		}
-	})
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
+	spec := DefaultSpec()
+	s := New(spec)
+	if d := serve(s, device.Request{Op: device.Read, LBN: 0, Sectors: 0}); d != 0 {
+		t.Errorf("zero-length request cost %v", d)
+	}
+	// It left no position behind: the next read is a random one.
+	r := device.Request{Op: device.Read, LBN: 0, Sectors: 8}
+	if got, want := serve(s, r), spec.Estimate(-1, r); got != want {
+		t.Errorf("read after a zero-length one cost %v, want %v", got, want)
 	}
 }
