@@ -174,17 +174,22 @@ func TestTraceFlag(t *testing.T) {
 	t.Errorf("no bridge instant shares its trace arg with a client span")
 }
 
-// TestNoNetHTTP: the simulator serves nothing over the network, so it
-// must not link net/http (and with it crypto/tls), which would double
-// the binary and the start-up memory every simulation child pays. It
-// walks the command's transitive non-test imports with go/build.
-func TestNoNetHTTP(t *testing.T) {
+// TestNoNetOrCgo: the simulator serves nothing over the network, so it
+// must link neither net (nor net/http and crypto/tls above it) nor cgo.
+// net brings in runtime/cgo, and a binary with cgo in it is linked
+// dynamically: every simulation child would then start through the
+// dynamic loader and libc, and the launch would cost a third of a
+// small grid point's wall time. The test walks the command's transitive
+// non-test imports with go/build and names the import chain to net,
+// runtime/cgo, or any package with cgo files.
+func TestNoNetOrCgo(t *testing.T) {
 	const module = "repro/"
 	root, err := filepath.Abs(filepath.Join("..", ".."))
 	if err != nil {
 		t.Fatal(err)
 	}
 	seen := map[string]string{} // import path -> an importer
+	var cgo []string            // walked packages with cgo files
 	var walk func(dir string, pkg *build.Package)
 	walk = func(dir string, pkg *build.Package) {
 		for _, path := range pkg.Imports {
@@ -203,6 +208,9 @@ func TestNoNetHTTP(t *testing.T) {
 				t.Fatalf("import %s (from %s): %v", path, pkg.ImportPath, err)
 			}
 			dep.ImportPath = path
+			if len(dep.CgoFiles) > 0 {
+				cgo = append(cgo, path)
+			}
 			walk(dep.Dir, dep)
 		}
 	}
@@ -215,11 +223,19 @@ func TestNoNetHTTP(t *testing.T) {
 	if len(seen) < 20 {
 		t.Fatalf("walked only %d imports: %v", len(seen), seen)
 	}
-	if by, ok := seen["net/http"]; ok {
-		chain := []string{"net/http"}
-		for p := by; p != ""; p = seen[p] {
-			chain = append(chain, p)
+	chain := func(path string) string {
+		links := []string{path}
+		for p := seen[path]; p != ""; p = seen[p] {
+			links = append(links, p)
 		}
-		t.Errorf("ibridge-sim links net/http: imported via %s", strings.Join(chain, " <- "))
+		return strings.Join(links, " <- ")
+	}
+	for _, path := range []string{"net", "runtime/cgo"} {
+		if _, ok := seen[path]; ok {
+			t.Errorf("ibridge-sim links %s: imported via %s", path, chain(path))
+		}
+	}
+	for _, path := range cgo {
+		t.Errorf("ibridge-sim links cgo code in %s: imported via %s", path, chain(path))
 	}
 }

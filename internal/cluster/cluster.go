@@ -6,12 +6,13 @@ package cluster
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"time"
 
 	"repro/internal/blktrace"
 	"repro/internal/core"
 	"repro/internal/device"
-	"repro/internal/faults"
 	"repro/internal/hdd"
 	"repro/internal/iosched"
 	"repro/internal/obs"
@@ -73,12 +74,11 @@ type Config struct {
 	// one run (metrics registry, request-flow tracer, T_i telemetry).
 	// nil disables instrumentation entirely — the zero-cost path.
 	Obs *obs.Set
-	// Faults, when set, applies the plan's simulated-device clauses:
-	// duration-triggered `ssdfail=srvN@DUR` clauses schedule an SSD
-	// failure on server N's bridge at virtual time DUR (IBridge mode
-	// only; the bridge degrades to the disk path). Wire-level clauses
-	// are ignored here — the simulated cluster has no sockets.
-	Faults *faults.Plan
+	// SSDFails schedules simulated SSD-device failures: server index →
+	// virtual time at which that server's bridge fails its SSD and
+	// degrades to the disk path. IBridge mode only; New rejects an
+	// index outside [0, Servers) or a time ≤ 0.
+	SSDFails map[int]sim.Duration
 }
 
 // DefaultConfig mirrors the paper's evaluation platform: 8 data servers,
@@ -129,6 +129,16 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	if cfg.StripeUnit <= 0 {
 		cfg.StripeUnit = stripe.DefaultUnit
+	}
+	for _, i := range slices.Sorted(maps.Keys(cfg.SSDFails)) {
+		switch at := cfg.SSDFails[i]; {
+		case cfg.Mode != IBridge:
+			return nil, fmt.Errorf("cluster: SSD failure on srv%d in %s mode; only %s bridges fail their SSD", i, cfg.Mode, IBridge)
+		case i < 0 || i >= cfg.Servers:
+			return nil, fmt.Errorf("cluster: SSD failure on srv%d, outside %d servers", i, cfg.Servers)
+		case at <= 0:
+			return nil, fmt.Errorf("cluster: SSD failure on srv%d at %v; want a time > 0", i, at)
+		}
 	}
 	e := sim.New()
 	c := &Cluster{Engine: e, cfg: cfg}
@@ -194,18 +204,16 @@ func New(cfg Config) (*Cluster, error) {
 			b.SetObs(bridgeM, tr, run)
 			c.Bridges = append(c.Bridges, b)
 			stores[i] = b
-			if at, ok := cfg.Faults.SSDFailAt(fmt.Sprintf("srv%d", i)); ok {
-				br, plan, srv := b, cfg.Faults, i
+			if at, ok := cfg.SSDFails[i]; ok {
 				e.Go(fmt.Sprintf("ssdfail%d", i), func(p *sim.Proc) {
-					p.Sleep(sim.Duration(at))
-					br.FailSSD(p)
-					plan.NoteSSDFail()
+					p.Sleep(at)
+					b.FailSSD(p)
 					if tr != nil {
 						// Mirror the injection into the sim trace at its
 						// virtual fire time, so the Chrome timeline shows
 						// the failure instant amid the request spans it
 						// degrades.
-						tr.Instant(0, 0, "fault.ssdfail", fmt.Sprintf("run%d/srv%d", run, srv), time.Unix(0, int64(p.Now())))
+						tr.Instant(0, 0, "fault.ssdfail", fmt.Sprintf("run%d/srv%d", run, i), time.Unix(0, int64(p.Now())))
 					}
 				})
 			}

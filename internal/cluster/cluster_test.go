@@ -201,6 +201,69 @@ func TestClusterRejectsBadConfig(t *testing.T) {
 	}
 }
 
+// TestSSDFailsSchedule: an SSDFails entry fails exactly the named
+// server's SSD at its virtual time, and the run still completes.
+func TestSSDFailsSchedule(t *testing.T) {
+	run := func(fails map[int]sim.Duration) (*Cluster, Result) {
+		t.Helper()
+		cfg := DefaultConfig()
+		cfg.Servers = 2
+		cfg.Mode = IBridge
+		cfg.SSDFails = fails
+		c, err := New(cfg)
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		res, err := c.Run(workload.MPIIOTest(workload.MPIIOTestConfig{
+			Procs:       8,
+			RequestSize: 33 * workload.KB,
+			FileBytes:   16 * workload.MB,
+			Write:       true,
+			Jitter:      workload.DefaultJitter,
+		}))
+		if err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		return c, res
+	}
+	_, healthy := run(nil)
+	if healthy.Bridge.SSDFailures != 0 {
+		t.Fatalf("healthy run: %d SSD failures", healthy.Bridge.SSDFailures)
+	}
+	c, res := run(map[int]sim.Duration{1: healthy.Elapsed / 2})
+	if c.Bridges[0].SSDFailed() || !c.Bridges[1].SSDFailed() {
+		t.Fatalf("SSDFailed = %v, %v; want false, true", c.Bridges[0].SSDFailed(), c.Bridges[1].SSDFailed())
+	}
+	if res.Bridge.SSDFailures != 1 {
+		t.Fatalf("SSDFailures = %d, want 1", res.Bridge.SSDFailures)
+	}
+}
+
+// TestSSDFailsRejected: an SSD failure the cluster cannot apply is a
+// configuration error, not a no-op.
+func TestSSDFailsRejected(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		mode  Mode
+		fails map[int]sim.Duration
+	}{
+		{"index past the servers", IBridge, map[int]sim.Duration{2: sim.Millisecond}},
+		{"negative index", IBridge, map[int]sim.Duration{-1: sim.Millisecond}},
+		{"zero time", IBridge, map[int]sim.Duration{0: 0}},
+		{"negative time", IBridge, map[int]sim.Duration{1: -sim.Millisecond}},
+		{"stock mode", Stock, map[int]sim.Duration{0: sim.Millisecond}},
+		{"ssd-only mode", SSDOnly, map[int]sim.Duration{0: sim.Millisecond}},
+	} {
+		cfg := DefaultConfig()
+		cfg.Servers = 2
+		cfg.Mode = tc.mode
+		cfg.SSDFails = tc.fails
+		if _, err := New(cfg); err == nil {
+			t.Errorf("%s: %v accepted in %s mode", tc.name, tc.fails, tc.mode)
+		}
+	}
+}
+
 func TestBTIOWorkloadRuns(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Mode = IBridge

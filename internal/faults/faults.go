@@ -26,7 +26,6 @@
 //	                           server a straggler
 //	crash=SCOPE@OP+DOWN        sever SCOPE before driver op OP, restart DOWN ops later
 //	ssdfail=SCOPE@N            fail SCOPE's SSD after N fragment-log writes
-//	ssdfail=SCOPE@DUR          fail SCOPE's SSD at simulated time DUR (sim clusters)
 //
 // RATE is a percentage ("1%", "0.5%") or a ratio ("1/200"). SCOPE names
 // the wrapped endpoint ("srv0", "client", ...); rate clauses apply to
@@ -41,10 +40,10 @@
 // conn *writes* (whose count is a pure function of the protocol traffic),
 // never reads (whose count depends on TCP segmentation). Crash events are
 // indexed by driver operation number and SSD failures by fragment-write
-// count or simulated time. Wall-clock time therefore never influences
-// *which* faults fire — two runs of a sequential workload under the same
-// plan inject identical fault counts — while injected latency (the one
-// real-timer effect) changes only when things happen, not what happens.
+// count. Wall-clock time therefore never influences *which* faults fire
+// — two runs of a sequential workload under the same plan inject
+// identical fault counts — while injected latency (the one real-timer
+// effect) changes only when things happen, not what happens.
 package faults
 
 import (
@@ -123,13 +122,11 @@ type Event struct {
 	Kind  EventKind
 }
 
-// ssdFailRule is one armed SSD-device failure.
+// ssdFailRule is one armed SSD-device failure: scope's SSD fails after
+// writes fragment-log writes.
 type ssdFailRule struct {
-	scope string
-	// writes, when > 0, triggers after that many fragment-log writes.
+	scope  string
 	writes int64
-	// at, when > 0, triggers at that simulated time (sim clusters).
-	at time.Duration
 }
 
 // Plan is an armed, seeded fault schedule. The zero value is not useful;
@@ -297,24 +294,14 @@ func (p *Plan) parseCrash(val string) error {
 	return nil
 }
 
-// parseSSDFail parses SCOPE@N (fragment writes) or SCOPE@DUR (sim time).
+// parseSSDFail parses SCOPE@N (fragment writes).
 func (p *Plan) parseSSDFail(val string) error {
 	scope, trigger, ok := strings.Cut(val, "@")
-	if !ok {
-		return fmt.Errorf("ssdfail %q: want SCOPE@N or SCOPE@DUR", val)
+	n, err := strconv.ParseInt(trigger, 10, 64)
+	if !ok || err != nil || n <= 0 {
+		return fmt.Errorf("ssdfail %q: want SCOPE@N, N a positive fragment-write count", val)
 	}
-	if n, err := strconv.ParseInt(trigger, 10, 64); err == nil {
-		if n <= 0 {
-			return fmt.Errorf("ssdfail %q: want a positive write count", val)
-		}
-		p.ssdFails = append(p.ssdFails, ssdFailRule{scope: scope, writes: n})
-		return nil
-	}
-	d, err := time.ParseDuration(trigger)
-	if err != nil || d <= 0 {
-		return fmt.Errorf("ssdfail %q: trigger is neither a count nor a duration", val)
-	}
-	p.ssdFails = append(p.ssdFails, ssdFailRule{scope: scope, at: d})
+	p.ssdFails = append(p.ssdFails, ssdFailRule{scope: scope, writes: n})
 	return nil
 }
 
@@ -405,28 +392,14 @@ func (p *Plan) NoteCrash() {
 }
 
 // SSDFailWrites returns the fragment-write count at which scope's SSD
-// fails, if a count-triggered ssdfail clause targets it.
+// fails, if an ssdfail clause targets it.
 func (p *Plan) SSDFailWrites(scope string) (int64, bool) {
 	if p == nil {
 		return 0, false
 	}
 	for _, r := range p.ssdFails {
-		if r.scope == scope && r.writes > 0 {
+		if r.scope == scope {
 			return r.writes, true
-		}
-	}
-	return 0, false
-}
-
-// SSDFailAt returns the simulated time at which scope's SSD fails, if a
-// duration-triggered ssdfail clause targets it.
-func (p *Plan) SSDFailAt(scope string) (time.Duration, bool) {
-	if p == nil {
-		return 0, false
-	}
-	for _, r := range p.ssdFails {
-		if r.scope == scope && r.at > 0 {
-			return r.at, true
 		}
 	}
 	return 0, false

@@ -28,6 +28,7 @@ func TestParseErrors(t *testing.T) {
 		"ssdfail=srv0",
 		"ssdfail=srv0@-3",
 		"ssdfail=srv0@soon",
+		"ssdfail=srv1@250ms",
 	}
 	for _, spec := range bad {
 		if _, err := Parse(spec); err == nil {
@@ -42,7 +43,7 @@ func TestParseErrors(t *testing.T) {
 		"latency=1ms",
 		"latency=1ms-3ms@5%",
 		"crash=srv0@10+4;crash=srv1@2+2",
-		"ssdfail=srv0@100;ssdfail=srv1@250ms",
+		"ssdfail=srv0@100;ssdfail=srv1@7",
 	}
 	for _, spec := range ok {
 		if _, err := Parse(spec); err != nil {
@@ -336,18 +337,15 @@ func TestCrashSchedule(t *testing.T) {
 }
 
 func TestSSDFailTriggers(t *testing.T) {
-	p := MustParse("ssdfail=srv0@3;ssdfail=srv2@250ms")
+	p := MustParse("ssdfail=srv0@3;ssdfail=srv2@250")
 	if n, ok := p.SSDFailWrites("srv0"); !ok || n != 3 {
 		t.Fatalf("SSDFailWrites(srv0) = %d,%v", n, ok)
 	}
 	if _, ok := p.SSDFailWrites("srv1"); ok {
 		t.Fatalf("srv1 has no schedule")
 	}
-	if d, ok := p.SSDFailAt("srv2"); !ok || d != 250*time.Millisecond {
-		t.Fatalf("SSDFailAt(srv2) = %v,%v", d, ok)
-	}
-	if _, ok := p.SSDFailAt("srv0"); ok {
-		t.Fatalf("srv0 schedule is count-based, not time-based")
+	if n, ok := p.SSDFailWrites("srv2"); !ok || n != 250 {
+		t.Fatalf("SSDFailWrites(srv2) = %d,%v", n, ok)
 	}
 }
 
