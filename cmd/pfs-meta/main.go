@@ -10,6 +10,8 @@
 // as a data server's: requests run in arrival order and a pipelined
 // burst is answered with one writev. -servers must name each data
 // server once, with no empty entry. SIGINT or SIGTERM stops the server.
+// A usage error (a bad flag, no -servers, a malformed -faults plan)
+// exits 2 with the usage text.
 //
 // With -debug-addr the server exposes its metrics registry over expvar:
 // GET http://<debug-addr>/debug/vars returns a JSON map holding the
@@ -20,6 +22,7 @@ package main
 import (
 	"expvar"
 	"flag"
+	"fmt"
 	"log"
 	"net/http"
 	"os"
@@ -46,13 +49,13 @@ func main() {
 	flag.Parse()
 	addrs := strings.Split(*servers, ",")
 	if *servers == "" || len(addrs) == 0 {
-		log.Fatal("pfs-meta: -servers is required")
+		usageError("-servers is required")
 	}
 	var plan *faults.Plan
 	if *faultSpec != "" {
 		var err error
 		if plan, err = faults.Parse(*faultSpec); err != nil {
-			log.Fatalf("pfs-meta: %v", err)
+			usageError("-faults: %v", err)
 		}
 	}
 	reg := obs.NewRegistry()
@@ -82,4 +85,12 @@ func main() {
 	<-sig
 	log.Print("pfs-meta: shutting down")
 	ms.Close()
+}
+
+// usageError reports a bad command line, prints the usage text and exits
+// 2.
+func usageError(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "pfs-meta: "+format+"\n", args...)
+	flag.Usage()
+	os.Exit(2)
 }

@@ -16,7 +16,9 @@
 //
 // SIGINT or SIGTERM shuts the server down cleanly: it drains the
 // fragment log into the store and closes the store, and exits non-zero
-// if either fails. A bad flag exits 2.
+// if either fails. A usage error (a bad flag, an unknown -store, -store
+// log without -store-dir, a malformed -faults plan) exits 2 with the
+// usage text.
 //
 // The server speaks wire protocol v2 (pipelined tagged frames) and
 // refuses any other version at the hello. Each connection is
@@ -72,7 +74,7 @@ func main() {
 	if *faultSpec != "" {
 		var err error
 		if plan, err = faults.Parse(*faultSpec); err != nil {
-			log.Fatalf("pfs-server: %v", err)
+			usageError("-faults: %v", err)
 		}
 	}
 	// The registry is shared: the wire layer updates its
@@ -96,7 +98,7 @@ func main() {
 		store = pfsnet.NewMemStore()
 	case "log":
 		if sdir == "" {
-			log.Fatal("pfs-server: -store log requires -store-dir")
+			usageError("-store log requires -store-dir")
 		}
 		ls, err := logstore.Open(sdir, logstore.Config{
 			Obs:    reg,
@@ -111,9 +113,7 @@ func main() {
 			sdir, st.Generation, st.ReplayedRecords, st.TruncatedTails)
 		store, logStore = ls, ls
 	default:
-		fmt.Fprintf(os.Stderr, "pfs-server: unknown -store %q (want mem or log)\n", kind)
-		flag.Usage()
-		os.Exit(2)
+		usageError("unknown -store %q (want mem or log)", kind)
 	}
 	// Catch the stop signals before the listener exists: once a client
 	// can reach the server, a SIGTERM must drain the bridge's
@@ -177,4 +177,12 @@ func main() {
 	if closeErr != nil {
 		log.Fatalf("pfs-server: close: %v", closeErr)
 	}
+}
+
+// usageError reports a bad command line, prints the usage text and exits
+// 2.
+func usageError(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "pfs-server: "+format+"\n", args...)
+	flag.Usage()
+	os.Exit(2)
 }

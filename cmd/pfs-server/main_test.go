@@ -65,6 +65,30 @@ func TestStoreFlagRejected(t *testing.T) {
 	}
 }
 
+// TestUsageErrors: a malformed -faults plan and -store log without
+// -store-dir are usage errors, like an unknown -store: a message naming
+// the problem, the usage text, exit 2.
+func TestUsageErrors(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-faults", "ssdfail=srv0@250ms"}, "-faults: "},
+		{[]string{"-faults", "bogus"}, "-faults: "},
+		{[]string{"-store", "log"}, "-store log requires -store-dir"},
+	} {
+		var stderr bytes.Buffer
+		cmd := serverCmd(append([]string{"-listen", "127.0.0.1:0"}, c.args...)...)
+		cmd.Stderr = &stderr
+		if code := exitCode(t, cmd.Run()); code != 2 {
+			t.Errorf("%q: exit %d, want 2\nstderr: %s", c.args, code, stderr.String())
+		}
+		if !strings.Contains(stderr.String(), c.want) || !strings.Contains(stderr.String(), "Usage of") {
+			t.Errorf("%q: stderr lacks %q or the usage text:\n%s", c.args, c.want, stderr.String())
+		}
+	}
+}
+
 // TestSIGTERMDrainsBridge: SIGTERM, the signal kill and service managers
 // send, shuts the server down like SIGINT. A flagged write acknowledged
 // from the heap fragment log is drained into the log store, so a reopen

@@ -205,16 +205,16 @@ func New(cfg Config) (*Cluster, error) {
 			c.Bridges = append(c.Bridges, b)
 			stores[i] = b
 			if at, ok := cfg.SSDFails[i]; ok {
-				e.Go(fmt.Sprintf("ssdfail%d", i), func(p *sim.Proc) {
-					p.Sleep(at)
-					b.FailSSD(p)
-					if tr != nil {
-						// Mirror the injection into the sim trace at its
-						// virtual fire time, so the Chrome timeline shows
-						// the failure instant amid the request spans it
-						// degrades.
-						tr.Instant(0, 0, "fault.ssdfail", fmt.Sprintf("run%d/srv%d", run, i), time.Unix(0, int64(p.Now())))
-					}
+				e.After(at, func() {
+					b.FailSSD(func() {
+						if tr != nil {
+							// Mirror the injection into the sim trace at
+							// the instant the bridge has degraded, so the
+							// Chrome timeline shows the failure amid the
+							// request spans it degrades.
+							tr.Instant(0, 0, "fault.ssdfail", fmt.Sprintf("run%d/srv%d", run, i), time.Unix(0, int64(e.Now())))
+						}
+					})
 				})
 			}
 		}

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/device"
-	"repro/internal/extent"
 	"repro/internal/hdd"
 	"repro/internal/iosched"
 	"repro/internal/obs"
@@ -25,9 +24,16 @@ type Bridge struct {
 	disk  *hdd.Disk
 	ssdQ  *iosched.Queue
 
-	// daemon is the maintenance process (maintain), kicked whenever
-	// the bridge changes what its wait reads.
-	daemon *sim.Proc
+	// maint is the maintenance wait, kicked whenever the bridge changes
+	// what it reads; its continuation runs a maintenance pass on mop.
+	// dueFn and fromFn are maintenanceDue and maintenanceFrom bound
+	// once, its predicate and earliest instant.
+	maint  *sim.Wait
+	mop    *op
+	dueFn  func() bool
+	fromFn func() sim.Time
+	// free holds ops whose chain has ended, for the next to reuse.
+	free []*op
 
 	trk  *tracker
 	exch *Exchange
@@ -67,8 +73,8 @@ func (b *Bridge) SetObs(m *obs.BridgeMetrics, tr *obs.XTracer, run int32) {
 
 // instant records a decision at the current virtual time under parent
 // request id (0: not request-scoped). Callers guard on b.tr != nil.
-func (b *Bridge) instant(p *sim.Proc, name string, id int64) {
-	b.tr.Instant(uint64(id), 0, name, b.scope, time.Unix(0, int64(p.Now())))
+func (b *Bridge) instant(name string, id int64) {
+	b.tr.Instant(uint64(id), 0, name, b.scope, time.Unix(0, int64(b.e.Now())))
 }
 
 type stageItem struct {
@@ -105,7 +111,12 @@ func NewBridge(e *sim.Engine, cfg Config, serverID int, disk *hdd.Disk, diskQ, s
 	if exch != nil {
 		exch.Register(b)
 	}
-	b.daemon = e.Go(fmt.Sprintf("ibridge-maint:srv%d", serverID), b.maintain)
+	// The wait begins at construction, at time zero, so its checks
+	// take their (at, seq) place before any event of the workload.
+	b.dueFn, b.fromFn = b.maintenanceDue, b.maintenanceFrom
+	b.mop = b.newOp()
+	b.maint = e.NewWait(b.mop.maintainFn)
+	b.mop.rearm()
 	return b
 }
 
@@ -191,137 +202,15 @@ func (b *Bridge) countOffload(ret, boost float64) {
 	}
 }
 
-// Serve implements pfs.Store. The closing Kick covers the stage queue
-// and dirty total, which a request grows after its last Submit.
-func (b *Bridge) Serve(p *sim.Proc, r *pfs.IORequest) {
-	if r.Op == device.Read {
-		b.serveRead(p, r)
-	} else {
-		b.serveWrite(p, r)
-	}
-	b.e.Kick(b.daemon)
-}
-
-// submit issues r on q, blocking p until it is served, and then kicks
-// the daemon: the queue and the disk's idle time have moved. The bridge
-// is its devices' only submitter, so these kicks see every completion.
-func (b *Bridge) submit(p *sim.Proc, q *iosched.Queue, r device.Request) {
-	q.Submit(p, r)
-	b.e.Kick(b.daemon)
-}
-
-func (b *Bridge) serveRead(p *sim.Proc, r *pfs.IORequest) {
-	// Cache lookup: fully covered reads are served from the SSD.
-	if segs, ok := b.table.covered(r.LBN, r.Sectors); ok && !b.ssdFailed {
-		for _, x := range segs {
-			b.submit(p, b.ssdQ, device.Request{Op: device.Read, LBN: x.Pos, Sectors: x.N})
-			if e := b.table.entries[x.Seg]; e != nil { // not gone during the read
-				b.table.lru[e.class].touch(e)
-			}
-		}
-		b.stats.Hits++
-		b.stats.SSDReadBytes += r.Bytes
-		b.trk.servedAtSSD()
+// evict drops what is left of e from the cache, counting an eviction if
+// anything was.
+func (b *Bridge) evict(e *entry) {
+	if b.table.evict(e) {
+		b.stats.Evictions++
 		if b.m != nil {
-			b.m.Hits.Inc()
-		}
-		if b.tr != nil {
-			b.instant(p, "ssd-hit", r.ID)
-		}
-		return
-	}
-	b.stats.Misses++
-	if b.m != nil {
-		b.m.Misses.Inc()
-	}
-	// Any dirty cached pieces must come from the SSD even on a miss.
-	for _, x := range b.table.dirtyOverlaps(r.LBN, r.Sectors) {
-		b.submit(p, b.ssdQ, device.Request{Op: device.Read, LBN: x.Pos, Sectors: x.N})
-	}
-	candidate := (r.Fragment || r.Random) && !b.ssdFailed
-	var ret, boost float64
-	if candidate {
-		ret, boost = b.evalReturn(r)
-	}
-	req := r.Request()
-	b.submit(p, b.diskQ, req)
-	b.trk.servedAtDisk(req)
-	b.stats.DiskReadBytes += r.Bytes
-	if b.tr != nil {
-		b.instant(p, "disk-read", r.ID)
-	}
-	// The data is now in memory; if redirecting it would have paid off,
-	// stage it into the SSD during the next idle period so future runs
-	// hit (Section II-B's read path).
-	if candidate && ret > 0 && len(b.stage) < b.stageQueueMax {
-		b.stage = append(b.stage, stageItem{lbn: r.LBN, sectors: r.Sectors, ret: ret, class: classify(r)})
-		b.countOffload(ret, boost)
-		if b.tr != nil {
-			b.instant(p, "stage-queued", r.ID)
+			b.m.Evictions.Inc()
 		}
 	}
-}
-
-func (b *Bridge) serveWrite(p *sim.Proc, r *pfs.IORequest) {
-	candidate := (r.Fragment || r.Random) && !b.ssdFailed
-	if candidate {
-		if ret, boost := b.evalReturn(r); ret > 0 {
-			if b.writeToSSD(p, r, ret, classify(r)) {
-				b.trk.servedAtSSD()
-				b.stats.SSDWriteBytes += r.Bytes
-				b.countOffload(ret, boost)
-				if b.tr != nil {
-					name := "ssd-offload"
-					if boost > 0 {
-						name = "ssd-offload-boosted"
-					}
-					b.instant(p, name, r.ID)
-				}
-				return
-			}
-			b.stats.Rejections++
-			if b.m != nil {
-				b.m.Rejections.Inc()
-			}
-			if b.tr != nil {
-				b.instant(p, "ssd-reject", r.ID)
-			}
-		}
-	}
-	// Disk path: anything cached for this range is now stale.
-	b.invalidate(r.LBN, r.Sectors)
-	req := r.Request()
-	b.submit(p, b.diskQ, req)
-	b.trk.servedAtDisk(req)
-	b.stats.DiskWriteBytes += r.Bytes
-	if b.tr != nil {
-		b.instant(p, "disk-write", r.ID)
-	}
-}
-
-// writeToSSD admits a write into the cache: evicts within the class
-// partition, appends to the SSD log, and records the mapping. The log
-// record carries one extra sector, the mapping table's dirty-entry
-// update (Section II-B persists it with each SSD write). Returns false
-// if space cannot be made.
-func (b *Bridge) writeToSSD(p *sim.Proc, r *pfs.IORequest, ret float64, c Class) bool {
-	need := r.Sectors + 1
-	if !b.makeRoom(p, c, need) {
-		return false
-	}
-	// Overwritten cached data is superseded.
-	b.invalidate(r.LBN, r.Sectors)
-	at, ok := b.alloc.alloc(need)
-	if !ok {
-		return false
-	}
-	b.submit(p, b.ssdQ, device.Request{Op: device.Write, LBN: at, Sectors: need})
-	// The mapping covers the data sectors only; the table record is
-	// allocator overhead owned by the entry's span.
-	// Admissions of the range that landed during the write are older
-	// than this one: the insert supersedes them.
-	b.admit(&entry{lbn: r.LBN, sectors: r.Sectors, dirty: true, class: c, ret: ret, spanAt: at, spanN: need})
-	return true
 }
 
 // admit links a fully initialized entry into the table and accounting.
@@ -337,58 +226,12 @@ func (b *Bridge) admit(e *entry) {
 	}
 }
 
-// makeRoom evicts LRU entries of class c until need sectors fit within
-// the class partition. Dirty victims are written back first.
-func (b *Bridge) makeRoom(p *sim.Proc, c Class, need int64) bool {
-	limit := b.allocFor(c)
-	if need > limit {
-		return false
-	}
-	for b.table.usage[c]+need > limit {
-		victim := b.table.lru[c].head
-		if victim == nil {
-			return false
-		}
-		if victim.dirty {
-			b.writebackEntry(p, victim)
-		}
-		// A write during the writeback may have superseded the victim.
-		if b.table.evict(victim) {
-			b.stats.Evictions++
-			if b.m != nil {
-				b.m.Evictions.Inc()
-			}
-		}
-	}
-	return true
-}
-
 // invalidate punches [lbn, lbn+sectors) out of the cache, dropping
 // superseded data without writeback. Trimmed entries keep their whole
 // allocator span until their last sector goes; the usage counters govern
 // partition pressure.
 func (b *Bridge) invalidate(lbn, sectors int64) {
 	b.table.punch(lbn, sectors)
-}
-
-// writebackEntry copies the live pieces of one dirty entry from the SSD
-// back to the disk (SSD read + disk write each) and marks it clean.
-// Writeback traffic does not update the tracker: the paper's T averages
-// over requests *arriving* at the server, not the internal cache
-// maintenance.
-func (b *Bridge) writebackEntry(p *sim.Proc, e *entry) {
-	// Not the table's buffer: evictions made while the Submits below
-	// block reuse it.
-	var buf [2]extent.Extent
-	for _, x := range b.table.livePieces(e, buf[:0]) {
-		b.submit(p, b.ssdQ, device.Request{Op: device.Read, LBN: x.Pos, Sectors: x.N})
-		b.submit(p, b.diskQ, device.Request{Op: device.Write, LBN: x.Off, Sectors: x.N})
-		b.stats.WritebackBytes += x.N * device.SectorSize
-	}
-	b.table.markClean(e)
-	if b.m != nil {
-		b.m.Writebacks.Inc()
-	}
 }
 
 // idle reports whether both devices have been quiet long enough for
@@ -402,8 +245,8 @@ func (b *Bridge) idle(now sim.Time) bool {
 // maintenanceDue reports whether a maintenance check at the current
 // instant has anything to do: the SSD is alive, both devices are idle,
 // and read data is queued for staging or dirty pressure calls for
-// writeback. It reads state only, so the engine evaluates it without
-// waking the daemon.
+// writeback. It reads state only, so the engine evaluates it inline at
+// the wait's armed check.
 func (b *Bridge) maintenanceDue() bool {
 	if b.ssdFailed || !b.idle(b.e.Now()) {
 		return false
@@ -431,117 +274,6 @@ func (b *Bridge) maintenanceFrom() sim.Time {
 		return sim.Never
 	}
 	return b.disk.IdleSince().Add(b.idleAfter)
-}
-
-// maintain is the background daemon: during idle device periods it first
-// stages queued read data into the SSD, then writes dirty data back to
-// the disk in LBN order (long sequential runs). It checks for work on an
-// IdleCheck grid, but only from the instant work can first be due
-// (maintenanceFrom); the bridge kicks it when that instant moves, and it
-// is resumed only at a check that finds work.
-func (b *Bridge) maintain(p *sim.Proc) {
-	due, from := b.maintenanceDue, b.maintenanceFrom
-	for {
-		p.Await(b.cfg.IdleCheck, due, from)
-		// Stage queued read data while the devices stay quiet.
-		for len(b.stage) > 0 && b.idle(p.Now()) {
-			it := b.stage[0]
-			b.stage = b.stage[1:]
-			b.stageOne(p, it)
-		}
-		if !b.idle(p.Now()) {
-			continue
-		}
-		// Write back only under dirty pressure; otherwise dirty data
-		// waits for eviction pressure or the final flush.
-		if float64(b.DirtySectors()) >= b.cfg.WritebackMinDirty*float64(b.capSectors()) {
-			b.writebackPass(p, writebackBatch)
-		}
-	}
-}
-
-// stageOne admits one read-staged extent into the cache as clean data.
-func (b *Bridge) stageOne(p *sim.Proc, it stageItem) {
-	if _, ok := b.table.covered(it.lbn, it.sectors); ok {
-		return // already cached meanwhile
-	}
-	need := it.sectors + 1 // with the table record, as in writeToSSD
-	if !b.makeRoom(p, it.class, need) {
-		return
-	}
-	b.invalidate(it.lbn, it.sectors)
-	at, ok := b.alloc.alloc(need)
-	if !ok {
-		return
-	}
-	b.submit(p, b.ssdQ, device.Request{Op: device.Write, LBN: at, Sectors: need})
-	if len(b.table.dirtyOverlaps(it.lbn, it.sectors)) > 0 {
-		// A write admitted during the staging write is newer than the
-		// staged data; the insert must not supersede it.
-		b.alloc.release(at, need)
-		return
-	}
-	b.admit(&entry{lbn: it.lbn, sectors: it.sectors, class: it.class, ret: it.ret, spanAt: at, spanN: need})
-	b.stats.StagedBytes += it.sectors * device.SectorSize
-	if b.m != nil {
-		b.m.Stages.Inc()
-	}
-	if b.tr != nil {
-		b.instant(p, "staged", 0)
-	}
-}
-
-// writebackPass writes back up to batch dirty extents in ascending LBN
-// order, forming sequential disk runs. It yields as soon as foreground
-// requests arrive so cache maintenance never blocks application I/O.
-// Returns the number written back.
-func (b *Bridge) writebackPass(p *sim.Proc, batch int) int {
-	n := 0
-	for n < batch {
-		victim := b.table.firstDirty()
-		if victim == nil {
-			return n
-		}
-		b.writebackEntry(p, victim)
-		n++
-		if b.diskQ.Pending() > 0 || b.ssdQ.Pending() > 0 {
-			return n // foreground traffic arrived: yield
-		}
-	}
-	return n
-}
-
-// Flush implements pfs.Store: write back all dirty cached data. The
-// paper includes this in measured execution time.
-func (b *Bridge) Flush(p *sim.Proc) {
-	for {
-		if b.writebackPass(p, 1<<30) == 0 {
-			return
-		}
-	}
-}
-
-// FailSSD simulates an SSD-device failure at the current simulated time:
-// dirty data is written back once (a controlled firmware degrade, not
-// torn metadata), every mapping is dropped, staged work is discarded,
-// and from then on the bridge serves everything from the disk. Eq. (2)'s
-// observation that the SSD leaves the disk's T unchanged is what makes
-// this a clean fallback: the cluster loses the acceleration, never the
-// bytes.
-func (b *Bridge) FailSSD(p *sim.Proc) {
-	if b.ssdFailed {
-		return
-	}
-	b.Flush(p)
-	for len(b.table.list) > 0 {
-		b.table.evict(b.table.entries[b.table.list[0].Seg])
-	}
-	b.stage = b.stage[:0]
-	b.ssdFailed = true
-	b.stats.SSDFailures++
-	if b.tr != nil {
-		b.instant(p, "ssd-failed", 0)
-	}
 }
 
 // SSDFailed reports whether this bridge's SSD device has failed.
@@ -585,5 +317,3 @@ func (b *Bridge) Snapshot() TableState {
 	}
 	return out
 }
-
-var _ pfs.Store = (*Bridge)(nil)

@@ -9,6 +9,7 @@ import (
 	"repro/internal/pfs"
 	"repro/internal/sim"
 	"repro/internal/ssd"
+	"repro/internal/stripe"
 )
 
 // Test helpers shared with model_test.go.
@@ -45,6 +46,25 @@ func runSim(t *testing.T, e *sim.Engine, fn func(p *sim.Proc)) {
 	}
 }
 
+// serve runs r through b from process p, blocking p until it completes.
+func serve(p *sim.Proc, b *Bridge, r *pfs.IORequest) {
+	p.Call(func(done func()) { b.Start(r, done) })
+}
+
+// flush and failSSD run b's Flush and FailSSD from process p.
+func flush(p *sim.Proc, b *Bridge)   { p.Call(b.Flush) }
+func failSSD(p *sim.Proc, b *Bridge) { p.Call(b.FailSSD) }
+
+// stageOne and writebackPass run one maintenance step on an op of its
+// own from process p.
+func stageOne(p *sim.Proc, b *Bridge, it stageItem) {
+	p.Call(func(done func()) { b.newOp().stageOne(it, done) })
+}
+
+func writebackPass(p *sim.Proc, b *Bridge, batch int) {
+	p.Call(func(done func()) { b.newOp().writebackPass(batch, done) })
+}
+
 // frag builds a fragment write/read request.
 func frag(op device.Op, lbn, sectors int64) *pfs.IORequest {
 	return &pfs.IORequest{
@@ -69,7 +89,7 @@ func large(op device.Op, lbn, sectors int64) *pfs.IORequest {
 // driveT initializes the bridge's T with a cheap sequential request, so
 // that a subsequent far-seeking candidate shows a clearly positive return.
 func driveT(p *sim.Proc, b *Bridge) {
-	b.Serve(p, large(device.Read, 0, 128)) // contiguous with head at 0
+	serve(p, b, large(device.Read, 0, 128)) // contiguous with head at 0
 }
 
 func TestFragmentWriteRedirectedToSSD(t *testing.T) {
@@ -78,7 +98,7 @@ func TestFragmentWriteRedirectedToSSD(t *testing.T) {
 	runSim(t, e, func(p *sim.Proc) {
 		driveT(p, b)
 		before := d.Stats().Bytes[device.Write]
-		b.Serve(p, frag(device.Write, 1<<27, 2)) // 1 KB fragment, far away
+		serve(p, b, frag(device.Write, 1<<27, 2)) // 1 KB fragment, far away
 		if d.Stats().Bytes[device.Write] != before {
 			t.Error("fragment write reached the disk")
 		}
@@ -96,7 +116,7 @@ func TestLargeSubRequestNeverRedirected(t *testing.T) {
 	b, d := testBridge(e, nil)
 	runSim(t, e, func(p *sim.Proc) {
 		driveT(p, b)
-		b.Serve(p, large(device.Write, 1<<27, 128))
+		serve(p, b, large(device.Write, 1<<27, 128))
 	})
 	if b.Stats().SSDWriteBytes != 0 {
 		t.Fatal("bulk sub-request went to SSD")
@@ -114,11 +134,11 @@ func TestNegativeReturnStaysOnDisk(t *testing.T) {
 	b, d := testBridge(e, nil)
 	runSim(t, e, func(p *sim.Proc) {
 		// Raise T with an expensive far request.
-		b.Serve(p, large(device.Read, 1<<28, 128))
+		serve(p, b, large(device.Read, 1<<28, 128))
 		// Now a random request exactly at the disk's last location:
 		// near-zero positioning cost, sample ≪ T → negative return.
 		before := b.Stats().SSDWriteBytes
-		b.Serve(p, random(device.Write, b.trk.prevLBN, 2))
+		serve(p, b, random(device.Write, b.trk.prevLBN, 2))
 		if b.Stats().SSDWriteBytes != before {
 			t.Error("cheap-on-disk request was redirected")
 		}
@@ -133,9 +153,9 @@ func TestReadHitServedFromSSD(t *testing.T) {
 	b, d := testBridge(e, nil)
 	runSim(t, e, func(p *sim.Proc) {
 		driveT(p, b)
-		b.Serve(p, frag(device.Write, 1<<27, 2))
+		serve(p, b, frag(device.Write, 1<<27, 2))
 		diskReads := d.Stats().Ops[device.Read]
-		b.Serve(p, frag(device.Read, 1<<27, 2))
+		serve(p, b, frag(device.Read, 1<<27, 2))
 		if d.Stats().Ops[device.Read] != diskReads {
 			t.Error("read hit went to disk")
 		}
@@ -153,7 +173,7 @@ func TestReadMissGoesToDiskAndStages(t *testing.T) {
 	b, d := testBridge(e, nil)
 	runSim(t, e, func(p *sim.Proc) {
 		driveT(p, b)
-		b.Serve(p, frag(device.Read, 1<<27, 2))
+		serve(p, b, frag(device.Read, 1<<27, 2))
 		if d.Stats().Ops[device.Read] != 2 { // driveT + miss
 			t.Errorf("disk reads = %d", d.Stats().Ops[device.Read])
 		}
@@ -166,7 +186,7 @@ func TestReadMissGoesToDiskAndStages(t *testing.T) {
 			t.Error("staging did not run during idle period")
 		}
 		// A repeat of the same read now hits.
-		b.Serve(p, frag(device.Read, 1<<27, 2))
+		serve(p, b, frag(device.Read, 1<<27, 2))
 		if b.Stats().Hits != 1 {
 			t.Errorf("hits = %d after staging", b.Stats().Hits)
 		}
@@ -178,15 +198,15 @@ func TestWriteInvalidatesStaleCache(t *testing.T) {
 	b, _ := testBridge(e, nil)
 	runSim(t, e, func(p *sim.Proc) {
 		driveT(p, b)
-		b.Serve(p, frag(device.Write, 1<<27, 2)) // cached dirty
+		serve(p, b, frag(device.Write, 1<<27, 2)) // cached dirty
 		// Overwrite the same range with a bulk (non-candidate) write:
 		// the cached copy must be dropped.
-		b.Serve(p, large(device.Write, 1<<27, 2))
-		if _, ok := b.table.covered(1<<27, 2); ok {
+		serve(p, b, large(device.Write, 1<<27, 2))
+		if _, ok := b.table.covered(1<<27, 2, nil); ok {
 			t.Error("stale cached extent survived an overwrite")
 		}
 		// A read now must miss.
-		b.Serve(p, frag(device.Read, 1<<27, 2))
+		serve(p, b, frag(device.Read, 1<<27, 2))
 		if b.Stats().Hits != 0 {
 			t.Error("read hit on invalidated data")
 		}
@@ -201,14 +221,14 @@ func TestFlushWritesBackAllDirty(t *testing.T) {
 	runSim(t, e, func(p *sim.Proc) {
 		driveT(p, b)
 		for i := int64(0); i < 10; i++ {
-			b.Serve(p, frag(device.Write, 1<<27+i*1000, 2))
+			serve(p, b, frag(device.Write, 1<<27+i*1000, 2))
 			b.trk.prevLBN = 0
 		}
 		if b.DirtySectors() != 20 {
 			t.Fatalf("dirty sectors = %d, want 20", b.DirtySectors())
 		}
 		diskWritesBefore := d.Stats().Ops[device.Write]
-		b.Flush(p)
+		flush(p, b)
 		if b.DirtySectors() != 0 {
 			t.Error("dirty data survived Flush")
 		}
@@ -226,7 +246,7 @@ func TestIdleWritebackRuns(t *testing.T) {
 	b, _ := testBridge(e, func(c *Config) { c.WritebackMinDirty = 0 })
 	runSim(t, e, func(p *sim.Proc) {
 		driveT(p, b)
-		b.Serve(p, frag(device.Write, 1<<27, 2))
+		serve(p, b, frag(device.Write, 1<<27, 2))
 		p.Sleep(100 * sim.Millisecond) // idle
 		if b.DirtySectors() != 0 {
 			t.Error("idle writeback did not clean dirty data")
@@ -251,21 +271,21 @@ func TestEvictionLRUWithinPartition(t *testing.T) {
 		// Four 2-sector fragments fill the 10-sector fragment share: each
 		// admission needs its 2 sectors plus the table sector.
 		for i := int64(0); i < 4; i++ {
-			b.Serve(p, frag(device.Write, 1<<27+i*100, 2))
+			serve(p, b, frag(device.Write, 1<<27+i*100, 2))
 			b.trk.prevLBN = 0
 		}
 		if b.Stats().Evictions != 0 {
 			t.Fatalf("premature evictions: %d", b.Stats().Evictions)
 		}
 		// A fifth must evict the LRU (first) entry.
-		b.Serve(p, frag(device.Write, 1<<27+400, 2))
+		serve(p, b, frag(device.Write, 1<<27+400, 2))
 		if b.Stats().Evictions != 1 {
 			t.Fatalf("evictions = %d, want 1", b.Stats().Evictions)
 		}
-		if _, ok := b.table.covered(1<<27, 2); ok {
+		if _, ok := b.table.covered(1<<27, 2, nil); ok {
 			t.Error("LRU entry still cached")
 		}
-		if _, ok := b.table.covered(1<<27+400, 2); !ok {
+		if _, ok := b.table.covered(1<<27+400, 2, nil); !ok {
 			t.Error("newest entry not cached")
 		}
 	})
@@ -280,7 +300,7 @@ func TestOversizedCandidateRejected(t *testing.T) {
 	})
 	runSim(t, e, func(p *sim.Proc) {
 		driveT(p, b)
-		b.Serve(p, frag(device.Write, 1<<27, 32)) // larger than partition
+		serve(p, b, frag(device.Write, 1<<27, 32)) // larger than partition
 	})
 	if b.Stats().Rejections != 1 {
 		t.Fatalf("rejections = %d, want 1", b.Stats().Rejections)
@@ -340,7 +360,7 @@ func TestMagnificationChangesDecision(t *testing.T) {
 	x.Start()
 	runSim(t, e, func(p *sim.Proc) {
 		// Make server 0 slow (high T) and let a broadcast happen.
-		b0.Serve(p, large(device.Read, 1<<30, 128))
+		serve(p, b0, large(device.Read, 1<<30, 128))
 		p.Sleep(20 * sim.Millisecond)
 		// A fragment contiguous with the previous location: raw return
 		// is negative (serving it on disk is cheap).
@@ -374,7 +394,7 @@ func TestPeakUsageTracked(t *testing.T) {
 	runSim(t, e, func(p *sim.Proc) {
 		driveT(p, b)
 		for i := int64(0); i < 5; i++ {
-			b.Serve(p, frag(device.Write, 1<<27+i*100, 2))
+			serve(p, b, frag(device.Write, 1<<27+i*100, 2))
 			b.trk.prevLBN = 0
 		}
 	})
@@ -389,13 +409,79 @@ func TestSSDFractionStat(t *testing.T) {
 	b, _ := testBridge(e, nil)
 	runSim(t, e, func(p *sim.Proc) {
 		driveT(p, b)
-		b.Serve(p, frag(device.Write, 1<<27, 2))    // SSD: 1 KB
-		b.Serve(p, large(device.Write, 1<<26, 126)) // disk: 63 KB
+		serve(p, b, frag(device.Write, 1<<27, 2))    // SSD: 1 KB
+		serve(p, b, large(device.Write, 1<<26, 126)) // disk: 63 KB
 	})
 	st := b.Stats()
 	// driveT read 64 KB from disk; total = 64+63+1 = 128 KB, SSD = 1 KB.
 	want := 1.0 / 128.0
 	if got := st.SSDFraction(); got < want*0.9 || got > want*1.1 {
 		t.Fatalf("SSD fraction = %v, want ≈%v", got, want)
+	}
+}
+
+// TestWarmBridgeRequestAllocations bounds what a warm striped 65 KB
+// request allocates through two bridges: a write whose 1 KB fragment is
+// admitted into the SSD cache, and a read that misses (a 64 KB piece and
+// a 1 KB fragment, both from the disk). The serve path is a chain of
+// continuations on recycled ops with steps bound once, so the only
+// allocation left is the admitted write's cache entry.
+func TestWarmBridgeRequestAllocations(t *testing.T) {
+	const size = 65 * 1024
+	for _, c := range []struct {
+		name      string
+		maxAllocs float64
+		req       func(c *pfs.Client, f *pfs.File, p *sim.Proc, k int)
+		progress  func(st *Stats) int64
+	}{
+		{"fragment write", 1,
+			func(c *pfs.Client, f *pfs.File, p *sim.Proc, k int) { c.Write(p, f, 0, size) },
+			func(st *Stats) int64 { return st.Admissions[ClassFragment] }},
+		{"read miss", 0,
+			func(c *pfs.Client, f *pfs.File, p *sim.Proc, k int) { c.Read(p, f, int64(1+k)*128*1024, size) },
+			func(st *Stats) int64 { return st.Misses }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			e := sim.New()
+			bridges := make([]*Bridge, 2)
+			stores := make([]pfs.Store, len(bridges))
+			for i := range bridges {
+				d := hdd.New(e, hdd.DefaultSpec(), sim.NewRNG(uint64(1+i)))
+				bridges[i] = NewBridge(e, DefaultConfig(), i, d, newDiskQueue(e, d), newSSDQueue(e), nil, sim.NewRNG(uint64(10+i)))
+				stores[i] = bridges[i]
+			}
+			fs, err := pfs.NewFileSystem(e, pfs.Config{Layout: stripe.Layout{Unit: 64 * 1024, Servers: len(stores)}}, stores)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f, _ := fs.Create("data", 1<<30)
+			client := pfs.NewIBridgeClient(fs, 20*1024, 20*1024)
+			progress := func() (n int64) {
+				for _, b := range bridges {
+					n += c.progress(b.Stats())
+				}
+				return n
+			}
+			k := 0
+			var allocs float64
+			var before int64
+			runSim(t, e, func(p *sim.Proc) {
+				for ; k < 64; k++ {
+					c.req(client, f, p, k)
+				}
+				before = progress()
+				allocs = testing.AllocsPerRun(200, func() {
+					c.req(client, f, p, k)
+					k++
+				})
+			})
+			if progress()-before < 200 {
+				t.Fatalf("%d of 201 requests took the path under test", progress()-before)
+			}
+			t.Logf("%.1f allocs per warm request", allocs)
+			if allocs > c.maxAllocs {
+				t.Errorf("%.1f allocs per warm 65 KB %s, want <= %.0f", allocs, c.name, c.maxAllocs)
+			}
+		})
 	}
 }

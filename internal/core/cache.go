@@ -266,9 +266,9 @@ func (t *table) firstDirty() *entry {
 }
 
 // covered reports whether [lbn, lbn+sectors) is fully mapped, and if so
-// returns the extents to read from the SSD, in disk order.
-func (t *table) covered(lbn, sectors int64) ([]extent.Extent, bool) {
-	var segs []extent.Extent
+// returns the extents to read from the SSD, in disk order, appended to
+// segs.
+func (t *table) covered(lbn, sectors int64, segs []extent.Extent) ([]extent.Extent, bool) {
 	next := lbn
 	t.list.Each(lbn, sectors, func(x extent.Extent, _ int64) {
 		if x.Off == next { // past a gap, next stays short of the end
@@ -277,16 +277,15 @@ func (t *table) covered(lbn, sectors int64) ([]extent.Extent, bool) {
 		}
 	})
 	if next != lbn+sectors {
-		return nil, false
+		return segs[:0], false
 	}
 	return segs, true
 }
 
-// dirtyOverlaps returns the extents of dirty entries intersecting
-// [lbn, lbn+sectors) (a partially cached read must still fetch dirty
-// pieces from the SSD for correctness).
-func (t *table) dirtyOverlaps(lbn, sectors int64) []extent.Extent {
-	var segs []extent.Extent
+// dirtyOverlaps appends to segs the extents of dirty entries
+// intersecting [lbn, lbn+sectors) (a partially cached read must still
+// fetch dirty pieces from the SSD for correctness).
+func (t *table) dirtyOverlaps(lbn, sectors int64, segs []extent.Extent) []extent.Extent {
 	t.list.Each(lbn, sectors, func(x extent.Extent, _ int64) {
 		if t.entries[x.Seg].dirty {
 			segs = append(segs, x)

@@ -123,7 +123,7 @@ func mkTable(exts ...[2]int64) *table {
 
 func TestCoveredExact(t *testing.T) {
 	m := mkTable([2]int64{100, 50})
-	segs, ok := m.covered(100, 50)
+	segs, ok := m.covered(100, 50, nil)
 	if !ok || len(segs) != 1 || segs[0].Pos != 0 || segs[0].N != 50 {
 		t.Fatalf("covered = %v, %v", segs, ok)
 	}
@@ -131,7 +131,7 @@ func TestCoveredExact(t *testing.T) {
 
 func TestCoveredSubRange(t *testing.T) {
 	m := mkTable([2]int64{100, 50})
-	segs, ok := m.covered(110, 20)
+	segs, ok := m.covered(110, 20, nil)
 	if !ok || segs[0].Pos != 10 || segs[0].N != 20 {
 		t.Fatalf("sub-range coverage = %v, %v", segs, ok)
 	}
@@ -139,7 +139,7 @@ func TestCoveredSubRange(t *testing.T) {
 
 func TestCoveredAcrossEntries(t *testing.T) {
 	m := mkTable([2]int64{100, 50}, [2]int64{150, 50})
-	segs, ok := m.covered(120, 60)
+	segs, ok := m.covered(120, 60, nil)
 	if !ok || len(segs) != 2 {
 		t.Fatalf("cross-entry coverage = %v, %v", segs, ok)
 	}
@@ -153,13 +153,13 @@ func TestCoveredAcrossEntries(t *testing.T) {
 
 func TestNotCoveredWithGap(t *testing.T) {
 	m := mkTable([2]int64{100, 50}, [2]int64{160, 50})
-	if _, ok := m.covered(120, 60); ok {
+	if _, ok := m.covered(120, 60, nil); ok {
 		t.Fatal("gap reported as covered")
 	}
-	if _, ok := m.covered(0, 10); ok {
+	if _, ok := m.covered(0, 10, nil); ok {
 		t.Fatal("empty region reported as covered")
 	}
-	if _, ok := m.covered(140, 30); ok {
+	if _, ok := m.covered(140, 30, nil); ok {
 		t.Fatal("trailing gap reported as covered")
 	}
 }
@@ -226,14 +226,14 @@ func TestPunchSplit(t *testing.T) {
 		t.Fatalf("live %d usage %d, want 40 (10 punched)", e.live, m.usage[e.class])
 	}
 	// Coverage across the split must now fail.
-	if _, ok := m.covered(100, 50); ok {
+	if _, ok := m.covered(100, 50, nil); ok {
 		t.Fatal("punched range still covered")
 	}
 	// But the remnants must still be covered.
-	if _, ok := m.covered(100, 10); !ok {
+	if _, ok := m.covered(100, 10, nil); !ok {
 		t.Fatal("left remnant lost")
 	}
-	if _, ok := m.covered(120, 30); !ok {
+	if _, ok := m.covered(120, 30, nil); !ok {
 		t.Fatal("right remnant lost")
 	}
 }
@@ -290,10 +290,10 @@ func TestTrimAndSplitKeepEntry(t *testing.T) {
 	if got := m.livePieces(e, nil); fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("remnants = %v, want %v", got, want)
 	}
-	if _, ok := m.covered(110, 30); ok {
+	if _, ok := m.covered(110, 30, nil); ok {
 		t.Fatal("punched range still covered")
 	}
-	if _, ok := m.covered(125, 15); !ok {
+	if _, ok := m.covered(125, 15, nil); !ok {
 		t.Fatal("right remnant lost")
 	}
 	m.punch(110, 10)
@@ -320,7 +320,7 @@ func TestDirtyOverlaps(t *testing.T) {
 	m := testTable()
 	m.insert(&entry{lbn: 100, sectors: 50, dirty: true})
 	m.insert(&entry{lbn: 200, sectors: 50, dirty: false})
-	segs := m.dirtyOverlaps(120, 150)
+	segs := m.dirtyOverlaps(120, 150, nil)
 	if len(segs) != 1 || segs[0].N != 30 {
 		t.Fatalf("dirtyOverlaps = %v", segs)
 	}
@@ -343,7 +343,7 @@ func TestCoverageMatchesReference(t *testing.T) {
 			}
 		}
 		qn := int64(qSectors%32) + 1
-		_, got := m.covered(int64(qLbn), qn)
+		_, got := m.covered(int64(qLbn), qn, nil)
 		want := true
 		for s := int64(qLbn); s < int64(qLbn)+qn; s++ {
 			if !ref[s] {

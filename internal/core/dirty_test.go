@@ -112,23 +112,23 @@ func TestDirtyAccountingProperty(t *testing.T) {
 					switch k := rng.Range(0, 100); {
 					case k < 45:
 						step = fmt.Sprintf("frag write [%d,+%d)", lbn, n)
-						b.Serve(p, frag(device.Write, lbn, n))
+						serve(p, b, frag(device.Write, lbn, n))
 					case k < 60:
 						step = fmt.Sprintf("random write [%d,+%d)", lbn, n)
-						b.Serve(p, random(device.Write, lbn, n))
+						serve(p, b, random(device.Write, lbn, n))
 					case k < 70:
 						// Not a candidate: takes the disk path and punches
 						// whatever it overlaps out of the cache.
 						step = fmt.Sprintf("bulk write [%d,+%d)", lbn, 4*n)
-						b.Serve(p, large(device.Write, lbn, 4*n))
+						serve(p, b, large(device.Write, lbn, 4*n))
 					case k < 82:
 						step = fmt.Sprintf("read [%d,+%d)", lbn, n)
-						b.Serve(p, frag(device.Read, lbn, n))
+						serve(p, b, frag(device.Read, lbn, n))
 					case k < 90:
 						for len(b.stage) > 0 {
 							it := b.stage[0]
 							b.stage = b.stage[1:]
-							b.stageOne(p, it)
+							stageOne(p, b, it)
 						}
 						step = "stage"
 					case k < 99:
@@ -137,7 +137,7 @@ func TestDirtyAccountingProperty(t *testing.T) {
 						for _, id := range dirtyOrder(b.table) {
 							order = append(order, b.table.entries[id])
 						}
-						b.writebackPass(p, batch)
+						writebackPass(p, b, batch)
 						step = fmt.Sprintf("writebackPass(%d)", batch)
 						// The pass visits the scan order's first batch
 						// entries, and only those.
@@ -148,12 +148,12 @@ func TestDirtyAccountingProperty(t *testing.T) {
 						}
 					default:
 						step = "FailSSD"
-						b.FailSSD(p)
+						failSSD(p, b)
 					}
 					b.trk.prevLBN = 0 // keep candidates' returns positive
 					checkDirty(t, b, fmt.Sprintf("step %d %s", i, step))
 				}
-				b.Flush(p)
+				flush(p, b)
 				checkDirty(t, b, "flush")
 				if b.DirtySectors() != 0 {
 					t.Fatalf("%d dirty sectors after Flush", b.DirtySectors())
@@ -203,11 +203,11 @@ func TestDirtyAccountingUnderConcurrency(t *testing.T) {
 					meet.Wait(p)
 					r := frag(device.Write, barrier+int64(i)*32, 4)
 					r.ID = int64(i)
-					b.Serve(p, r)
+					serve(p, b, r)
 				case rng.Range(0, 10) == 0:
-					b.Serve(p, large(device.Write, lbn, 4*n))
+					serve(p, b, large(device.Write, lbn, 4*n))
 				default:
-					b.Serve(p, frag(device.Write, lbn, n))
+					serve(p, b, frag(device.Write, lbn, n))
 				}
 				b.trk.prevLBN = 0
 				checkDirty(t, b, fmt.Sprintf("writer step %d", i))
@@ -218,7 +218,7 @@ func TestDirtyAccountingUnderConcurrency(t *testing.T) {
 	}
 	runSim(t, e, func(p *sim.Proc) {
 		done.Wait(p)
-		b.Flush(p)
+		flush(p, b)
 		checkDirty(t, b, "flush")
 	})
 	if snap := b.Snapshot(); snap.DirtySectors != 0 {
@@ -259,7 +259,7 @@ func TestSameInstantAdmissionsLeaveOneMapping(t *testing.T) {
 		for w := 0; w < writers; w++ {
 			e.Go(fmt.Sprint("writer", w), func(p *sim.Proc) {
 				meet.Wait(p)
-				b.Serve(p, frag(device.Write, 1<<27, 4))
+				serve(p, b, frag(device.Write, 1<<27, 4))
 				done.Done()
 			})
 		}
@@ -328,7 +328,7 @@ func TestStagingNeverSupersedesNewerWrite(t *testing.T) {
 	const lbn = 1 << 27
 	runSim(t, e, func(p *sim.Proc) {
 		driveT(p, b)
-		b.Serve(p, frag(device.Read, lbn, 4)) // a miss worth staging
+		serve(p, b, frag(device.Read, lbn, 4)) // a miss worth staging
 		b.trk.prevLBN = 0
 		if len(b.stage) != 1 {
 			t.Fatalf("%d items queued for staging, want 1", len(b.stage))
@@ -337,8 +337,8 @@ func TestStagingNeverSupersedesNewerWrite(t *testing.T) {
 		b.stage = b.stage[:0]
 		done := sim.NewCounter(e, 2)
 		// Same instant, writer first: its SSD write completes first.
-		e.Go("writer", func(p *sim.Proc) { b.Serve(p, frag(device.Write, lbn, 4)); done.Done() })
-		e.Go("stager", func(p *sim.Proc) { b.stageOne(p, it); done.Done() })
+		e.Go("writer", func(p *sim.Proc) { serve(p, b, frag(device.Write, lbn, 4)); done.Done() })
+		e.Go("stager", func(p *sim.Proc) { stageOne(p, b, it); done.Done() })
 		done.Wait(p)
 	})
 	if b.Stats().SSDWriteBytes == 0 || b.DirtySectors() != 4 {

@@ -60,6 +60,7 @@ type Exchange struct {
 	bridges []*Bridge
 	view    []float64
 	started bool
+	tickFn  func() // tick bound once
 	// sampler, when non-nil, observes each broadcast (the T_i telemetry
 	// hook); it must not mutate the view or block.
 	sampler func(now sim.Time, view []float64)
@@ -88,24 +89,27 @@ func (x *Exchange) Register(b *Bridge) {
 	x.view = append(x.view, 0)
 }
 
-// Start launches the collection/broadcast daemon.
+// Start begins the periodic collection and broadcast: a chain of engine
+// callbacks, one per period.
 func (x *Exchange) Start() {
 	if x.started || len(x.bridges) == 0 {
 		x.started = true
 		return
 	}
 	x.started = true
-	x.e.Go("ibridge-exchange", func(p *sim.Proc) {
-		for {
-			p.Sleep(x.period)
-			for i, b := range x.bridges {
-				x.view[i] = b.T()
-			}
-			if x.sampler != nil {
-				x.sampler(p.Now(), x.view)
-			}
-		}
-	})
+	x.tickFn = x.tick
+	x.e.After(x.period, x.tickFn)
+}
+
+// tick is one collection and broadcast; it schedules the next.
+func (x *Exchange) tick() {
+	for i, b := range x.bridges {
+		x.view[i] = b.T()
+	}
+	if x.sampler != nil {
+		x.sampler(x.e.Now(), x.view)
+	}
+	x.e.After(x.period, x.tickFn)
 }
 
 // View returns the last broadcast T vector, indexed by server id. The

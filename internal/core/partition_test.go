@@ -25,13 +25,13 @@ func TestPartitionSeparatesClasses(t *testing.T) {
 		// Fill the random class: four 4-sector entries fit its 20-sector
 		// share (each admission also needs its table sector).
 		for i := int64(0); i < 4; i++ {
-			b.Serve(p, random(device.Write, 1<<26+i*100, 4))
+			serve(p, b, random(device.Write, 1<<26+i*100, 4))
 			b.trk.prevLBN = 0
 		}
 		randomUsage, _ := b.Usage()
 		// Flood fragments: they may evict each other, never randoms.
 		for i := int64(0); i < 20; i++ {
-			b.Serve(p, frag(device.Write, 1<<27+i*100, 4))
+			serve(p, b, frag(device.Write, 1<<27+i*100, 4))
 			b.trk.prevLBN = 0
 		}
 		after, _ := b.Usage()
@@ -40,7 +40,7 @@ func TestPartitionSeparatesClasses(t *testing.T) {
 		}
 		// All random entries still readable from the SSD.
 		for i := int64(0); i < 4; i++ {
-			if _, ok := b.table.covered(1<<26+i*100, 4); !ok {
+			if _, ok := b.table.covered(1<<26+i*100, 4, nil); !ok {
 				t.Errorf("random entry %d evicted by fragment pressure", i)
 			}
 		}
@@ -80,7 +80,7 @@ func TestStageQueueBounded(t *testing.T) {
 	runSim(t, e, func(p *sim.Proc) {
 		driveT(p, b)
 		for i := int64(0); i < 10; i++ {
-			b.Serve(p, frag(device.Read, 1<<27+i*1000, 2))
+			serve(p, b, frag(device.Read, 1<<27+i*1000, 2))
 			b.trk.prevLBN = 0
 		}
 		if len(b.stage) > 4 {
@@ -95,7 +95,7 @@ func TestTablePersistAddsJournalSector(t *testing.T) {
 	runSim(t, e, func(p *sim.Proc) {
 		driveT(p, b)
 		for i := int64(0); i < 5; i++ {
-			b.Serve(p, frag(device.Write, 1<<27+i*1000, 2))
+			serve(p, b, frag(device.Write, 1<<27+i*1000, 2))
 			b.trk.prevLBN = 0
 		}
 	})
@@ -120,7 +120,7 @@ func TestStagingRespectsPartition(t *testing.T) {
 	runSim(t, e, func(p *sim.Proc) {
 		driveT(p, b)
 		for i := int64(0); i < 10; i++ {
-			b.Serve(p, frag(device.Read, 1<<27+i*1000, 2))
+			serve(p, b, frag(device.Read, 1<<27+i*1000, 2))
 			b.trk.prevLBN = 0
 		}
 		p.Sleep(200 * sim.Millisecond) // let staging drain

@@ -25,7 +25,7 @@ func TestCFQServesActiveOriginFirst(t *testing.T) {
 	submit := func(origin int32, lbn int64, delay sim.Duration) {
 		e.Go("io", func(p *sim.Proc) {
 			p.Sleep(delay)
-			q.Submit(p, device.Request{Op: device.Read, LBN: lbn, Sectors: 8, Origin: origin})
+			submit(p, q, device.Request{Op: device.Read, LBN: lbn, Sectors: 8, Origin: origin})
 			order = append(order, origin)
 		})
 	}
@@ -58,13 +58,13 @@ func TestCFQQuantumRotatesOrigins(t *testing.T) {
 		i := i
 		e.Go("o1", func(p *sim.Proc) {
 			p.Sleep(sim.Duration(i) * sim.Microsecond)
-			q.Submit(p, device.Request{Op: device.Read, LBN: int64(1<<20 + i*1024), Sectors: 8, Origin: 1})
+			submit(p, q, device.Request{Op: device.Read, LBN: int64(1<<20 + i*1024), Sectors: 8, Origin: 1})
 			order = append(order, 1)
 		})
 	}
 	e.Go("o2", func(p *sim.Proc) {
 		p.Sleep(10 * sim.Microsecond)
-		q.Submit(p, device.Request{Op: device.Read, LBN: 1 << 25, Sectors: 8, Origin: 2})
+		submit(p, q, device.Request{Op: device.Read, LBN: 1 << 25, Sectors: 8, Origin: 2})
 		order = append(order, 2)
 	})
 	if err := e.Run(); err != nil {
@@ -89,17 +89,17 @@ func TestCFQAnticipationWaitsForActiveOrigin(t *testing.T) {
 	q, _ := newCFQQueue(e, cfqConfig())
 	var order []int32
 	e.Go("o1-first", func(p *sim.Proc) {
-		q.Submit(p, device.Request{Op: device.Read, LBN: 1 << 20, Sectors: 8, Origin: 1})
+		submit(p, q, device.Request{Op: device.Read, LBN: 1 << 20, Sectors: 8, Origin: 1})
 		order = append(order, 1)
 		// Issue the follow-up shortly after completion, well inside
 		// the 2ms idle window.
 		p.Sleep(200 * sim.Microsecond)
-		q.Submit(p, device.Request{Op: device.Read, LBN: 1<<20 + 8, Sectors: 8, Origin: 1})
+		submit(p, q, device.Request{Op: device.Read, LBN: 1<<20 + 8, Sectors: 8, Origin: 1})
 		order = append(order, 1)
 	})
 	e.Go("o2", func(p *sim.Proc) {
 		p.Sleep(sim.Microsecond)
-		q.Submit(p, device.Request{Op: device.Read, LBN: 1 << 25, Sectors: 8, Origin: 2})
+		submit(p, q, device.Request{Op: device.Read, LBN: 1 << 25, Sectors: 8, Origin: 2})
 		order = append(order, 2)
 	})
 	if err := e.Run(); err != nil {
@@ -128,12 +128,12 @@ func TestCFQIdleWindowExpires(t *testing.T) {
 	q := New(e, hdd.New(e, hdd.DefaultSpec(), sim.NewRNG(1)), cfg, log)
 	var done1 sim.Time
 	e.Go("o1", func(p *sim.Proc) {
-		q.Submit(p, device.Request{Op: device.Read, LBN: 1 << 20, Sectors: 8, Origin: 1})
+		submit(p, q, device.Request{Op: device.Read, LBN: 1 << 20, Sectors: 8, Origin: 1})
 		done1 = p.Now()
 	})
 	e.Go("o2", func(p *sim.Proc) {
 		p.Sleep(sim.Microsecond)
-		q.Submit(p, device.Request{Op: device.Read, LBN: 1 << 25, Sectors: 8, Origin: 2})
+		submit(p, q, device.Request{Op: device.Read, LBN: 1 << 25, Sectors: 8, Origin: 2})
 	})
 	if err := e.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -157,14 +157,14 @@ func TestCFQIdleWindowEndsAtTickBoundary(t *testing.T) {
 	q := New(e, hdd.New(e, hdd.DefaultSpec(), sim.NewRNG(1)), cfg, log)
 	var done1 sim.Time
 	e.Go("o1", func(p *sim.Proc) {
-		q.Submit(p, device.Request{Op: device.Read, LBN: 1 << 20, Sectors: 8, Origin: 1})
+		submit(p, q, device.Request{Op: device.Read, LBN: 1 << 20, Sectors: 8, Origin: 1})
 		done1 = p.Now()
 		p.Sleep(step + step/5)
-		q.Submit(p, device.Request{Op: device.Read, LBN: 1<<20 + 8, Sectors: 8, Origin: 1})
+		submit(p, q, device.Request{Op: device.Read, LBN: 1<<20 + 8, Sectors: 8, Origin: 1})
 	})
 	e.Go("o2", func(p *sim.Proc) {
 		p.Sleep(sim.Microsecond)
-		q.Submit(p, device.Request{Op: device.Read, LBN: 1 << 25, Sectors: 8, Origin: 2})
+		submit(p, q, device.Request{Op: device.Read, LBN: 1 << 25, Sectors: 8, Origin: 2})
 	})
 	if err := e.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -195,7 +195,7 @@ func TestCFQAnticipationPreservesLocality(t *testing.T) {
 			o := o
 			e.Go("io", func(p *sim.Proc) {
 				for k := 0; k < 8; k++ {
-					q.Submit(p, device.Request{
+					submit(p, q, device.Request{
 						Op: device.Read, LBN: int64(o)<<24 + int64(k*8), Sectors: 8, Origin: o,
 					})
 				}
@@ -218,13 +218,13 @@ func TestCFQCrossOriginMergeStillWorks(t *testing.T) {
 	// Block the device with origin 9, then two contiguous requests
 	// from different origins arrive and must merge.
 	e.Go("blocker", func(p *sim.Proc) {
-		q.Submit(p, device.Request{Op: device.Read, LBN: 1 << 30, Sectors: 128, Origin: 9})
+		submit(p, q, device.Request{Op: device.Read, LBN: 1 << 30, Sectors: 128, Origin: 9})
 	})
 	for i := 0; i < 2; i++ {
 		i := i
 		e.Go("io", func(p *sim.Proc) {
 			p.Sleep(sim.Duration(i+1) * sim.Microsecond)
-			q.Submit(p, device.Request{
+			submit(p, q, device.Request{
 				Op: device.Read, LBN: int64(128 * i), Sectors: 128, Origin: int32(i + 1),
 			})
 		})
@@ -251,7 +251,7 @@ func TestCFQDeterministic(t *testing.T) {
 			e.Go("io", func(p *sim.Proc) {
 				for k := 0; k < 10; k++ {
 					p.Sleep(r.Duration(0, sim.Millisecond))
-					q.Submit(p, device.Request{
+					submit(p, q, device.Request{
 						Op: device.Read, LBN: r.Range(0, 1<<28), Sectors: 8, Origin: o,
 					})
 				}

@@ -80,7 +80,7 @@ func TestDeviceServesOneRequestAtATime(t *testing.T) {
 							lbn = r.Range(0, 1<<30) // a new run elsewhere
 						}
 						p.Sleep(r.Duration(0, 3*sim.Millisecond))
-						q.Submit(p, device.Request{Op: device.Op(i % 2), LBN: lbn, Sectors: 8 * (1 + r.Range(0, 16)), Origin: int32(o)})
+						submit(p, q, device.Request{Op: device.Op(i % 2), LBN: lbn, Sectors: 8 * (1 + r.Range(0, 16)), Origin: int32(o)})
 						served++
 						lbn += 256
 					}
@@ -114,11 +114,11 @@ type fixedDevice sim.Duration
 func (d fixedDevice) Start(device.Request) sim.Duration { return sim.Duration(d) }
 func (fixedDevice) Finish(device.Request)               {}
 
-// BenchmarkQueueDispatch measures the scheduler's cost per request: one
-// submitter issues sequential requests to a queue whose device takes a
-// fixed time, so each op is a busy period of one request — the Submit,
-// the callback that dispatches it, the completion callback and the
-// submitter's wake.
+// BenchmarkQueueDispatch measures the scheduler's cost per request: a
+// chain of sequential requests, each started by its predecessor's
+// continuation, to a queue whose device takes a fixed time, so each op
+// is a busy period of one request — the Start, the callback that
+// dispatches it, the completion callback and the continuation's event.
 func BenchmarkQueueDispatch(b *testing.B) {
 	for _, c := range []struct {
 		name string
@@ -130,12 +130,15 @@ func BenchmarkQueueDispatch(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			e := sim.New()
 			q := New(e, fixedDevice(100*sim.Microsecond), c.cfg, nil)
-			n := b.N
-			e.Go("submitter", func(p *sim.Proc) {
-				for i := 0; i < n; i++ {
-					q.Submit(p, device.Request{Op: device.Read, LBN: int64(i) * 8, Sectors: 8, Origin: 1})
+			n, i := b.N, 0
+			var next func()
+			next = func() {
+				if i < n {
+					i++
+					q.Start(device.Request{Op: device.Read, LBN: int64(i) * 8, Sectors: 8, Origin: 1}, next)
 				}
-			})
+			}
+			next()
 			b.ReportAllocs()
 			b.ResetTimer()
 			if err := e.Run(); err != nil {

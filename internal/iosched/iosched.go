@@ -9,9 +9,10 @@
 // queue starts a request on its device whenever the device is idle and
 // requests are pending, so merging opportunities arise exactly when the
 // device is the bottleneck — the same dynamics as the Linux block layer.
-// The dispatcher is not a process: it runs from engine callbacks, one
-// when a busy period opens, one at each completion and one at the end of
-// each CFQ anticipation window.
+// Neither the dispatcher nor a submitter is a process: Start takes a
+// continuation, and the queue runs from engine callbacks, one when a busy
+// period opens, one at each completion and one at the end of each CFQ
+// anticipation window.
 package iosched
 
 import (
@@ -101,14 +102,21 @@ type Stats struct {
 }
 
 // unit is one queued block request, possibly the merge of several
-// submitted requests; every submitter parks on the unit until it is
+// submitted requests; every submitter waits on the unit until it is
 // served. A served unit goes back on its queue's free list, waiters
 // backing array and all.
 type unit struct {
 	req     device.Request
-	waiters []*sim.Proc
+	waiters []waiter
 	seq     uint64 // arrival order, for FIFO dispatch and fairness
 	origin  int32  // issuing process context, for CFQ grouping
+}
+
+// waiter is a submitter waiting on a unit: its continuation, and when it
+// submitted, for the wait histogram.
+type waiter struct {
+	done  func()
+	start sim.Time
 }
 
 // Queue is a scheduler instance bound to one device.
@@ -134,10 +142,14 @@ type Queue struct {
 	window     *sim.Wait
 	idleOver   func() bool
 	idleEnd    func() sim.Time
-	// dispatchFn and doneFn are dispatch and done bound once, for the
-	// engine to call back.
-	dispatchFn, doneFn func()
-	stats              Stats
+	// woken holds the submitters of served units whose continuations
+	// are due: one resume event each, scheduled where the unit
+	// completed, and they run in the order they were scheduled.
+	woken sim.Ring[waiter]
+	// dispatchFn, doneFn and resumeFn are dispatch, done and resume
+	// bound once, for the engine to call back.
+	dispatchFn, doneFn, resumeFn func()
+	stats                        Stats
 	// m, when non-nil, mirrors the scheduler statistics into the
 	// observability registry (latency histogram, depth gauge). The nil
 	// check per update is the entire disabled-path cost.
@@ -151,7 +163,7 @@ func (q *Queue) SetMetrics(m *obs.QueueMetrics) { q.m = m }
 func New(e *sim.Engine, dev Device, cfg Config, tracer Tracer) *Queue {
 	q := &Queue{e: e, dev: dev, cfg: cfg, tracer: tracer}
 	q.idleOver, q.idleEnd = q.idleDone, q.windowEnd
-	q.dispatchFn, q.doneFn = q.dispatch, q.done
+	q.dispatchFn, q.doneFn, q.resumeFn = q.dispatch, q.done, q.resume
 	q.window = e.NewWait(q.dispatchFn)
 	return q
 }
@@ -162,17 +174,18 @@ func (q *Queue) Stats() *Stats { return &q.stats }
 // Pending returns the number of queued (not yet dispatched) requests.
 func (q *Queue) Pending() int { return len(q.pending) }
 
-// Submit enqueues r and blocks p until the request (or the merged request
-// containing it) has been served. It returns the submit-to-completion
-// latency.
-func (q *Queue) Submit(p *sim.Proc, r device.Request) sim.Duration {
+// Start enqueues r and runs done once the request (or the merged request
+// containing it) has been served: from an event of its own at the
+// completion instant, scheduled when the unit completes. A request of no
+// sectors needs no device, and done runs inline.
+func (q *Queue) Start(r device.Request, done func()) {
 	if r.Sectors <= 0 {
-		return 0
+		done()
+		return
 	}
-	start := p.Now()
 	q.stats.Submitted++
 	u := q.place(r)
-	u.waiters = append(u.waiters, p)
+	u.waiters = append(u.waiters, waiter{done: done, start: q.e.Now()})
 	if u.origin == q.active {
 		q.window.Kick() // the anticipated request: end the window
 	}
@@ -180,13 +193,17 @@ func (q *Queue) Submit(p *sim.Proc, r device.Request) sim.Duration {
 		q.draining = true
 		q.e.After(0, q.dispatchFn)
 	}
-	p.Block()
-	lat := p.Now().Sub(start)
+}
+
+// resume runs the continuation of the submitter whose resume event this
+// is, the oldest in woken.
+func (q *Queue) resume() {
+	w := q.woken.Pop()
 	if q.m != nil {
 		q.m.Submitted.Inc()
-		q.m.Wait.ObserveDur(lat)
+		q.m.Wait.ObserveDur(q.e.Now().Sub(w.start))
 	}
-	return lat
+	w.done()
 }
 
 // place merges r into a pending unit if possible, otherwise inserts a new
@@ -278,15 +295,16 @@ func (q *Queue) dispatch() {
 	q.e.After(q.dev.Start(u.req), q.doneFn)
 }
 
-// done completes the unit in service, wakes its submitters and
-// dispatches the next.
+// done completes the unit in service, schedules its submitters'
+// continuations and dispatches the next.
 func (q *Queue) done() {
 	u := q.inService
 	q.inService = nil
 	q.dev.Finish(u.req)
 	q.pos = u.req.End()
 	for _, w := range u.waiters {
-		q.e.Wake(w)
+		q.woken.Push(w)
+		q.e.After(0, q.resumeFn)
 	}
 	clear(u.waiters)
 	u.waiters = u.waiters[:0]
@@ -333,7 +351,7 @@ func (q *Queue) selectCFQ() *unit {
 			// End of the active origin's queue: anticipate its next
 			// request before giving the disk away (cfq slice_idle).
 			// The window ends at the first sub-window step at or after
-			// the origin's next arrival (Submit kicks) or its full
+			// the origin's next arrival (Start kicks) or its full
 			// length; the engine arms only that step.
 			q.idled = true
 			step := q.cfg.SliceIdle / 8
@@ -376,7 +394,7 @@ func (q *Queue) idleDone() bool {
 
 // windowEnd is the earliest instant idleDone can hold: now once the
 // active origin has a request pending, else the end of the window. Only
-// an arrival of the active origin moves it, and Submit kicks then.
+// an arrival of the active origin moves it, and Start kicks then.
 func (q *Queue) windowEnd() sim.Time {
 	if q.hasPending(q.active) {
 		return q.e.Now()

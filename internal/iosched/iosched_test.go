@@ -15,12 +15,20 @@ func newQueue(e *sim.Engine, cfg Config, tr Tracer) (*Queue, *hdd.Disk) {
 	return New(e, d, cfg, tr), d
 }
 
+// submit starts r on q from process p, blocks p until r has been
+// served, and returns the submit-to-completion latency.
+func submit(p *sim.Proc, q *Queue, r device.Request) sim.Duration {
+	start := p.Now()
+	p.Call(func(done func()) { q.Start(r, done) })
+	return p.Now().Sub(start)
+}
+
 func TestSingleRequestPassThrough(t *testing.T) {
 	e := sim.New()
 	q, d := newQueue(e, DiskDefaults(), nil)
 	var lat sim.Duration
 	e.Go("io", func(p *sim.Proc) {
-		lat = q.Submit(p, device.Request{Op: device.Read, LBN: 1 << 20, Sectors: 128})
+		lat = submit(p, q, device.Request{Op: device.Read, LBN: 1 << 20, Sectors: 128})
 	})
 	if err := e.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -39,13 +47,13 @@ func TestBackMerge(t *testing.T) {
 	q, d := newQueue(e, DiskDefaults(), tr)
 	// Occupy the device so the two mergeable requests queue together.
 	e.Go("blocker", func(p *sim.Proc) {
-		q.Submit(p, device.Request{Op: device.Read, LBN: 1 << 30, Sectors: 128})
+		submit(p, q, device.Request{Op: device.Read, LBN: 1 << 30, Sectors: 128})
 	})
 	for i := 0; i < 2; i++ {
 		i := i
 		e.Go("io", func(p *sim.Proc) {
 			p.Sleep(sim.Duration(i+1) * sim.Microsecond)
-			q.Submit(p, device.Request{Op: device.Read, LBN: int64(128 * i), Sectors: 128})
+			submit(p, q, device.Request{Op: device.Read, LBN: int64(128 * i), Sectors: 128})
 		})
 	}
 	if err := e.Run(); err != nil {
@@ -73,15 +81,15 @@ func TestFrontMerge(t *testing.T) {
 	e := sim.New()
 	q, d := newQueue(e, DiskDefaults(), nil)
 	e.Go("blocker", func(p *sim.Proc) {
-		q.Submit(p, device.Request{Op: device.Read, LBN: 1 << 30, Sectors: 128})
+		submit(p, q, device.Request{Op: device.Read, LBN: 1 << 30, Sectors: 128})
 	})
 	e.Go("later", func(p *sim.Proc) {
 		p.Sleep(sim.Microsecond)
-		q.Submit(p, device.Request{Op: device.Read, LBN: 128, Sectors: 128})
+		submit(p, q, device.Request{Op: device.Read, LBN: 128, Sectors: 128})
 	})
 	e.Go("earlier", func(p *sim.Proc) {
 		p.Sleep(2 * sim.Microsecond)
-		q.Submit(p, device.Request{Op: device.Read, LBN: 0, Sectors: 128})
+		submit(p, q, device.Request{Op: device.Read, LBN: 0, Sectors: 128})
 	})
 	if err := e.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -98,15 +106,15 @@ func TestNoMergeAcrossOps(t *testing.T) {
 	e := sim.New()
 	q, d := newQueue(e, DiskDefaults(), nil)
 	e.Go("blocker", func(p *sim.Proc) {
-		q.Submit(p, device.Request{Op: device.Read, LBN: 1 << 30, Sectors: 128})
+		submit(p, q, device.Request{Op: device.Read, LBN: 1 << 30, Sectors: 128})
 	})
 	e.Go("r", func(p *sim.Proc) {
 		p.Sleep(sim.Microsecond)
-		q.Submit(p, device.Request{Op: device.Read, LBN: 0, Sectors: 128})
+		submit(p, q, device.Request{Op: device.Read, LBN: 0, Sectors: 128})
 	})
 	e.Go("w", func(p *sim.Proc) {
 		p.Sleep(2 * sim.Microsecond)
-		q.Submit(p, device.Request{Op: device.Write, LBN: 128, Sectors: 128})
+		submit(p, q, device.Request{Op: device.Write, LBN: 128, Sectors: 128})
 	})
 	if err := e.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -125,13 +133,13 @@ func TestMergeCapRespected(t *testing.T) {
 	e := sim.New()
 	q, d := newQueue(e, cfg, nil)
 	e.Go("blocker", func(p *sim.Proc) {
-		q.Submit(p, device.Request{Op: device.Read, LBN: 1 << 30, Sectors: 128})
+		submit(p, q, device.Request{Op: device.Read, LBN: 1 << 30, Sectors: 128})
 	})
 	for i := 0; i < 4; i++ {
 		i := i
 		e.Go("io", func(p *sim.Proc) {
 			p.Sleep(sim.Duration(i+1) * sim.Microsecond)
-			q.Submit(p, device.Request{Op: device.Read, LBN: int64(128 * i), Sectors: 128})
+			submit(p, q, device.Request{Op: device.Read, LBN: int64(128 * i), Sectors: 128})
 		})
 	}
 	if err := e.Run(); err != nil {
@@ -148,7 +156,7 @@ func TestFIFOOrdersByArrival(t *testing.T) {
 	q, _ := newQueue(e, Config{Policy: FIFO, MaxSectors: 256}, nil)
 	var order []int64
 	e.Go("blocker", func(p *sim.Proc) {
-		q.Submit(p, device.Request{Op: device.Read, LBN: 0, Sectors: 128})
+		submit(p, q, device.Request{Op: device.Read, LBN: 0, Sectors: 128})
 	})
 	// Arrival order: high LBN first. FIFO must preserve it.
 	positions := []int64{1 << 30, 1 << 10, 1 << 20}
@@ -156,7 +164,7 @@ func TestFIFOOrdersByArrival(t *testing.T) {
 		lbn := lbn
 		e.Go("io", func(p *sim.Proc) {
 			p.Sleep(sim.Duration(i+1) * sim.Microsecond)
-			q.Submit(p, device.Request{Op: device.Read, LBN: lbn, Sectors: 8})
+			submit(p, q, device.Request{Op: device.Read, LBN: lbn, Sectors: 8})
 			order = append(order, lbn)
 		})
 	}
@@ -184,7 +192,7 @@ func TestConcurrencyEnablesMerging(t *testing.T) {
 			e.Go("stream", func(p *sim.Proc) {
 				for k := 0; k < perProc; k++ {
 					lbn := int64((k*nProcs + i) * 128)
-					q.Submit(p, device.Request{Op: device.Read, LBN: lbn, Sectors: 128})
+					submit(p, q, device.Request{Op: device.Read, LBN: lbn, Sectors: 128})
 				}
 			})
 		}
@@ -203,7 +211,7 @@ func TestZeroLengthSubmitIsFree(t *testing.T) {
 	e := sim.New()
 	q, d := newQueue(e, DiskDefaults(), nil)
 	e.Go("io", func(p *sim.Proc) {
-		if lat := q.Submit(p, device.Request{Op: device.Read, LBN: 0, Sectors: 0}); lat != 0 {
+		if lat := submit(p, q, device.Request{Op: device.Read, LBN: 0, Sectors: 0}); lat != 0 {
 			t.Errorf("zero-length submit latency %v", lat)
 		}
 	})
@@ -221,7 +229,7 @@ func TestWaitAccounting(t *testing.T) {
 	m := obs.New(obs.Config{Metrics: true}).QueueMetrics("iosched.hdd")
 	q.SetMetrics(m)
 	e.Go("io", func(p *sim.Proc) {
-		q.Submit(p, device.Request{Op: device.Read, LBN: 1 << 20, Sectors: 128})
+		submit(p, q, device.Request{Op: device.Read, LBN: 1 << 20, Sectors: 128})
 	})
 	if err := e.Run(); err != nil {
 		t.Fatalf("Run: %v", err)

@@ -63,19 +63,23 @@ func (r *IORequest) String() string {
 	return fmt.Sprintf("srv%d %s lbn=%d sectors=%d%s", r.Server, r.Op, r.LBN, r.Sectors, tag)
 }
 
-// Store is a data server's storage stack: it serves block-level requests,
-// blocking the calling process in virtual time.
+// Store is a data server's storage stack: it serves block-level requests
+// in virtual time and reports each completion through a continuation.
+// No process waits on it: a store runs from engine callbacks.
 type Store interface {
-	// Serve executes r to completion. r and its Siblings belong to the
+	// Start begins serving r and runs done when r has completed: from
+	// a later event, or inline, before Start returns, when r needs no
+	// device (a readahead cache hit). r and its Siblings belong to the
 	// client's request state, which is reused once the request
-	// completes: a store must not retain r, or r.Siblings, after Serve
-	// returns (copy what it needs to keep).
-	Serve(p *sim.Proc, r *IORequest)
-	// Flush writes out any buffered dirty state (iBridge's SSD cache);
-	// the stock stores are write-through and Flush is a no-op. The
-	// paper includes this flush in measured execution time "to make
-	// our comparison fair and conservative".
-	Flush(p *sim.Proc)
+	// completes: a store must not retain r, or r.Siblings, after it
+	// has run done (copy what it needs to keep).
+	Start(r *IORequest, done func())
+	// Flush writes out any buffered dirty state (iBridge's SSD cache)
+	// and then runs done; the stock stores are write-through, and their
+	// Flush runs done inline. The paper includes this flush in
+	// measured execution time "to make our comparison fair and
+	// conservative".
+	Flush(done func())
 }
 
 // NetModel is the interconnect model: per-message latency plus a byte
@@ -171,7 +175,7 @@ func (s *Stats) TotalBytes() int64 { return s.Bytes[device.Read] + s.Bytes[devic
 type Config struct {
 	Layout   stripe.Layout
 	Net      NetModel
-	Handlers int // concurrent I/O jobs per data server
+	Handlers int // concurrent I/O jobs (slots) per data server
 }
 
 // NewFileSystem builds the file system over the given per-server stores.
@@ -247,15 +251,12 @@ func (fs *FileSystem) Open(name string) (*File, error) {
 }
 
 // Flush flushes every server's store (dirty SSD cache data), blocking p
-// until all servers complete.
+// until all servers complete. The servers' flushes start together, each
+// from an event of its own at the current instant.
 func (fs *FileSystem) Flush(p *sim.Proc) {
 	done := sim.NewCounter(fs.e, len(fs.servers))
 	for _, srv := range fs.servers {
-		srv := srv
-		fs.e.Go(fmt.Sprintf("flush:srv%d", srv.id), func(fp *sim.Proc) {
-			srv.store.Flush(fp)
-			done.Done()
-		})
+		fs.e.After(0, func() { srv.store.Flush(done.Done) })
 	}
 	done.Wait(p)
 }

@@ -110,10 +110,10 @@ type countStore struct {
 	requests, bytes int64
 }
 
-func (s *countStore) Serve(p *sim.Proc, r *IORequest) {
+func (s *countStore) Start(r *IORequest, done func()) {
 	s.requests++
 	s.bytes += r.Bytes
-	s.Store.Serve(p, r)
+	s.Store.Start(r, done)
 }
 
 // TestAlignedTwoStripesOneRequestPerServer: an aligned request of two

@@ -1,9 +1,6 @@
 package pfs
 
-import (
-	"repro/internal/device"
-	"repro/internal/sim"
-)
+import "repro/internal/device"
 
 // ReadaheadStore wraps a Store with kernel-style sequential readahead:
 // when the reads against a server-local file object advance monotonically
@@ -31,6 +28,8 @@ type ReadaheadStore struct {
 	streams map[int]*raStream
 	order   []int
 	stats   ReadaheadStats
+	// free holds completed reads, for the next read to reuse.
+	free []*raRead
 }
 
 // ReadaheadStats counts the wrapper's behaviour.
@@ -48,6 +47,60 @@ type raStream struct {
 	covFrom, covTo int64 // region already read ahead ("page cache")
 }
 
+// raRead is one read the wrapper has started in its inner store: what
+// the stream learns when it completes, and, for a read extended to a
+// window, the extended request, which the inner store holds until then.
+// Reads are recycled through the wrapper's free list, so a warm read
+// allocates nothing.
+type raRead struct {
+	s        *ReadaheadStore
+	st       *raStream
+	extended IORequest
+	// covFrom and covTo are the window an extended read covers (both 0
+	// for a plain read); next is the stream's next expected position.
+	covFrom, covTo, next int64
+	done                 func()
+	// finished is finish bound once: the inner store's continuation.
+	finished func()
+}
+
+// finish records a completed read in its stream, returns the read to
+// the free list and runs the caller's continuation.
+func (rd *raRead) finish() {
+	st, done := rd.st, rd.done
+	if rd.covTo > 0 {
+		st.covFrom, st.covTo = rd.covFrom, rd.covTo
+	}
+	st.nextLBN = rd.next
+	rd.st, rd.done, rd.extended.Siblings = nil, nil, nil
+	rd.s.free = append(rd.s.free, rd)
+	done()
+}
+
+// read starts r, or its extension to [covFrom, covTo) when covTo > 0,
+// in the inner store.
+func (s *ReadaheadStore) read(st *raStream, r *IORequest, covFrom, covTo int64, done func()) {
+	var rd *raRead
+	if n := len(s.free); n > 0 {
+		rd, s.free = s.free[n-1], s.free[:n-1]
+	} else {
+		rd = &raRead{s: s}
+		rd.finished = rd.finish
+	}
+	rd.st, rd.covFrom, rd.covTo, rd.next, rd.done = st, covFrom, covTo, r.LBN+r.Sectors, done
+	if covTo == 0 {
+		s.inner.Start(r, rd.finished)
+		return
+	}
+	rd.extended = *r
+	rd.extended.LBN = covFrom
+	rd.extended.Sectors = covTo - covFrom
+	rd.extended.Bytes = rd.extended.Sectors * device.SectorSize
+	s.stats.Extended++
+	s.stats.ExtraBytes += (rd.extended.Sectors - r.Sectors) * device.SectorSize
+	s.inner.Start(&rd.extended, rd.finished)
+}
+
 // NewReadaheadStore wraps inner with a 128 KB readahead window.
 func NewReadaheadStore(inner Store) *ReadaheadStore {
 	return &ReadaheadStore{
@@ -61,10 +114,11 @@ func NewReadaheadStore(inner Store) *ReadaheadStore {
 // Stats returns the wrapper's counters.
 func (s *ReadaheadStore) Stats() *ReadaheadStats { return &s.stats }
 
-// Serve implements Store.
-func (s *ReadaheadStore) Serve(p *sim.Proc, r *IORequest) {
+// Start implements Store. A read fully covered by an earlier window
+// completes inline.
+func (s *ReadaheadStore) Start(r *IORequest, done func()) {
 	if r.Op != device.Read {
-		s.inner.Serve(p, r)
+		s.inner.Start(r, done)
 		return
 	}
 	s.stats.Reads++
@@ -79,6 +133,7 @@ func (s *ReadaheadStore) Serve(p *sim.Proc, r *IORequest) {
 		if end := r.LBN + r.Sectors; end > st.nextLBN {
 			st.nextLBN = end
 		}
+		done()
 		return
 	}
 	// Sequential-ish: the read starts at or slightly past the expected
@@ -94,25 +149,14 @@ func (s *ReadaheadStore) Serve(p *sim.Proc, r *IORequest) {
 	if seq && st.streak >= 2 {
 		// Extend to a window-aligned read covering the request plus
 		// one lookahead window.
-		startLBN := st.nextLBN
-		endLBN := (r.LBN + r.Sectors + winSectors) / winSectors * winSectors
-		extended := *r
-		extended.LBN = startLBN
-		extended.Sectors = endLBN - startLBN
-		extended.Bytes = extended.Sectors * device.SectorSize
-		s.stats.Extended++
-		s.stats.ExtraBytes += (extended.Sectors - r.Sectors) * device.SectorSize
-		s.inner.Serve(p, &extended)
-		st.covFrom, st.covTo = startLBN, endLBN
-		st.nextLBN = r.LBN + r.Sectors
+		s.read(st, r, st.nextLBN, (r.LBN+r.Sectors+winSectors)/winSectors*winSectors, done)
 		return
 	}
-	s.inner.Serve(p, r)
-	st.nextLBN = r.LBN + r.Sectors
+	s.read(st, r, 0, 0, done)
 }
 
 // Flush implements Store.
-func (s *ReadaheadStore) Flush(p *sim.Proc) { s.inner.Flush(p) }
+func (s *ReadaheadStore) Flush(done func()) { s.inner.Flush(done) }
 
 // stream returns (creating if needed) the tracking state for a file
 // object, evicting the oldest stream at the table cap.

@@ -17,6 +17,11 @@ func raFixture(t *testing.T, e *sim.Engine) (*ReadaheadStore, *hdd.Disk) {
 	return NewReadaheadStore(inner), d
 }
 
+// serve runs r through s from process p, blocking p until it completes.
+func serve(p *sim.Proc, s Store, r *IORequest) {
+	p.Call(func(done func()) { s.Start(r, done) })
+}
+
 func read(file int, lbn, sectors int64) *IORequest {
 	return &IORequest{Op: device.Read, LBN: lbn, Sectors: sectors,
 		Bytes: sectors * device.SectorSize, FileID: file}
@@ -29,7 +34,7 @@ func TestReadaheadExtendsSequentialStream(t *testing.T) {
 		// Three sequential 8KB reads: by the third, readahead kicks in
 		// and extends to the 128KB window.
 		for i := int64(0); i < 3; i++ {
-			ra.Serve(p, read(1, i*16, 16))
+			serve(p, ra, read(1, i*16, 16))
 		}
 		e.Halt()
 	})
@@ -49,7 +54,7 @@ func TestReadaheadIgnoresRandomAccess(t *testing.T) {
 	ra, d := raFixture(t, e)
 	e.Go("main", func(p *sim.Proc) {
 		for _, lbn := range []int64{1 << 20, 5, 1 << 24, 900} {
-			ra.Serve(p, read(1, lbn, 16))
+			serve(p, ra, read(1, lbn, 16))
 		}
 		e.Halt()
 	})
@@ -72,8 +77,8 @@ func TestReadaheadReadsThroughSmallHoles(t *testing.T) {
 	e.Go("main", func(p *sim.Proc) {
 		lbn := int64(0)
 		for i := 0; i < 5; i++ {
-			ra.Serve(p, read(1, lbn, 108)) // 54 KB
-			lbn += 108 + 20                // 10 KB hole
+			serve(p, ra, read(1, lbn, 108)) // 54 KB
+			lbn += 108 + 20                 // 10 KB hole
 		}
 		e.Halt()
 	})
@@ -96,8 +101,8 @@ func TestReadaheadTracksFilesIndependently(t *testing.T) {
 		// region; together they alternate. Per-file tracking must
 		// still detect both streams.
 		for i := int64(0); i < 4; i++ {
-			ra.Serve(p, read(1, i*16, 16))
-			ra.Serve(p, read(2, 1<<20+i*16, 16))
+			serve(p, ra, read(1, i*16, 16))
+			serve(p, ra, read(2, 1<<20+i*16, 16))
 		}
 		e.Halt()
 	})
@@ -114,7 +119,7 @@ func TestReadaheadPassesWritesThrough(t *testing.T) {
 	ra, d := raFixture(t, e)
 	e.Go("main", func(p *sim.Proc) {
 		for i := int64(0); i < 4; i++ {
-			ra.Serve(p, &IORequest{Op: device.Write, LBN: i * 16, Sectors: 16,
+			serve(p, ra, &IORequest{Op: device.Write, LBN: i * 16, Sectors: 16,
 				Bytes: 16 * device.SectorSize, FileID: 1})
 		}
 		e.Halt()
@@ -136,7 +141,7 @@ func TestReadaheadStreamTableBounded(t *testing.T) {
 	ra.MaxStreams = 8
 	e.Go("main", func(p *sim.Proc) {
 		for o := 1; o <= 50; o++ {
-			ra.Serve(p, read(o, int64(o)*1000, 8))
+			serve(p, ra, read(o, int64(o)*1000, 8))
 		}
 		e.Halt()
 	})

@@ -19,25 +19,28 @@ import (
 // reply fails one of the two.
 type checkStore struct {
 	t      *testing.T
+	e      *sim.Engine
 	inner  Store
 	expect func(r *IORequest) error
 	served int
 }
 
-func (s *checkStore) Serve(p *sim.Proc, r *IORequest) {
+func (s *checkStore) Start(r *IORequest, done func()) {
 	if err := s.expect(r); err != nil {
-		s.t.Errorf("at %v: %v: %v", p.Now(), r, err)
+		s.t.Errorf("at %v: %v: %v", s.e.Now(), r, err)
 	}
 	before := *r
 	before.Siblings = slices.Clone(r.Siblings)
-	s.inner.Serve(p, r)
-	if !equalRequests(*r, before) {
-		s.t.Errorf("at %v: request changed while in flight: %+v, was %+v", p.Now(), *r, before)
-	}
-	s.served++
+	s.inner.Start(r, func() {
+		if !equalRequests(*r, before) {
+			s.t.Errorf("at %v: request changed while in flight: %+v, was %+v", s.e.Now(), *r, before)
+		}
+		s.served++
+		done()
+	})
 }
 
-func (s *checkStore) Flush(*sim.Proc) {}
+func (s *checkStore) Flush(done func()) { done() }
 
 func equalRequests(a, b IORequest) bool {
 	return a.Op == b.Op && a.FileID == b.FileID && a.ID == b.ID && a.LBN == b.LBN &&
@@ -68,7 +71,7 @@ func TestRecycledParentsNeverAlias(t *testing.T) {
 	var files []*File
 	for i := range stores {
 		d := hdd.New(e, hdd.DefaultSpec(), rng.Fork())
-		stores[i] = &checkStore{t: t, inner: NewQueueStore(iosched.New(e, d, iosched.DiskDefaults(), nil))}
+		stores[i] = &checkStore{t: t, e: e, inner: NewQueueStore(iosched.New(e, d, iosched.DiskDefaults(), nil))}
 		stores[i].expect = func(r *IORequest) error {
 			f := files[r.FileID]
 			size := sizes[r.FileID]
@@ -172,5 +175,57 @@ func TestWarmRequestAllocations(t *testing.T) {
 	t.Logf("%.1f allocs per warm request", allocs)
 	if allocs > maxAllocs {
 		t.Errorf("%.1f allocs per warm 65 KB request, want <= %d", allocs, maxAllocs)
+	}
+}
+
+// TestWarmReadaheadRequestAllocations is TestWarmRequestAllocations for
+// sequential 65 KB reads through readahead: a read extended to a window
+// keeps its extended request in recycled storage, so warm requests
+// allocate nothing, those a server extends included.
+func TestWarmReadaheadRequestAllocations(t *testing.T) {
+	const maxAllocs = 0
+	e := sim.New()
+	rng := sim.NewRNG(99)
+	ras := make([]*ReadaheadStore, 8)
+	stores := make([]Store, len(ras))
+	for i := range stores {
+		d := hdd.New(e, hdd.DefaultSpec(), rng.Fork())
+		ras[i] = NewReadaheadStore(NewQueueStore(iosched.New(e, d, iosched.DiskDefaults(), nil)))
+		stores[i] = ras[i]
+	}
+	fs, err := NewFileSystem(e, Config{Layout: stripe.Layout{Unit: 64 * 1024, Servers: len(stores)}}, stores)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const size = 65 * 1024
+	f, _ := fs.Create("data", 1024*size)
+	c := NewClient(fs)
+	k := 0
+	request := func(p *sim.Proc) {
+		c.Read(p, f, int64(k%1024)*size, size)
+		k++
+	}
+	extended := func() (n int64) {
+		for _, ra := range ras {
+			n += ra.Stats().Extended
+		}
+		return n
+	}
+	var allocs float64
+	run(t, e, func(p *sim.Proc) {
+		for i := 0; i < 64; i++ {
+			request(p)
+		}
+		// One run is the requests up to and including the next one a
+		// server extends, so a per-extension allocation counts whole.
+		allocs = testing.AllocsPerRun(100, func() {
+			for n := extended(); extended() == n; {
+				request(p)
+			}
+		})
+	})
+	t.Logf("%.1f allocs per warm run of requests up to an extended read (%d requests, %d extended)", allocs, k, extended())
+	if allocs > maxAllocs {
+		t.Errorf("%.1f allocs per warm run of 65 KB readahead requests, want <= %d", allocs, maxAllocs)
 	}
 }

@@ -10,16 +10,28 @@ import (
 	"repro/internal/stripe"
 )
 
-// Server is one data server: a job queue drained by a pool of handler
-// processes (modelling the pvfs2-server daemon's concurrent I/O jobs),
-// each of which pushes the job's block request into the server's storage
-// stack.
+// Server is one data server: a FIFO of jobs and a fixed number of slots
+// (modelling the pvfs2-server daemon's concurrent I/O jobs), each of
+// which starts one job's block request in the server's storage stack at
+// a time. No process runs a slot: a job advances when its store runs
+// its continuation, as a pvfs2-server job advances when its Trove I/O
+// completes.
+//
+// The slots behave exactly as a pool of handler processes draining a
+// job queue would, event for event: a push that finds a parked slot
+// schedules one wake at the current instant; the wake starts the head
+// job, or parks the slot again if another slot took it first; a slot
+// whose job completes sends the reply and starts the next queued job
+// at once, or parks.
 type Server struct {
-	e        *sim.Engine
-	id       int
-	store    Store
-	jobs     *sim.Queue[*job]
-	handlers int
+	e     *sim.Engine
+	id    int
+	store Store
+	// jobs holds the jobs waiting for a slot; parked counts the slots
+	// with no job and no wake due. wakeFn is wake bound once.
+	jobs   sim.Ring[*job]
+	parked int
+	wakeFn func()
 
 	// Extent allocation: files receive contiguous LBN ranges with an
 	// allocation-group gap between them, like Ext2 block groups.
@@ -69,16 +81,15 @@ func (fs *FileSystem) freeParent(par *parent) {
 }
 
 // setJobs sizes the job slots for n sub-requests and arms the reply
-// countdown. A slot keeps its parent link and bound step callback for
-// the parent's lifetime; the slots are replaced only when n outgrows
-// them.
+// countdown. A slot keeps its parent link and bound callbacks for the
+// parent's lifetime; the slots are replaced only when n outgrows them.
 func (par *parent) setJobs(n int) []job {
 	if cap(par.jobs) < n {
 		par.jobs = make([]job, n)
 		for i := range par.jobs {
 			j := &par.jobs[i]
 			j.parent = par
-			j.step = j.advance
+			j.step, j.finished = j.advance, j.finish
 		}
 	}
 	par.jobs = par.jobs[:n]
@@ -96,9 +107,14 @@ type job struct {
 	srv        *Server
 	replyDelay sim.Duration
 	served     bool
+	// start is when the store began the job; starting is set while
+	// the store's Start is on the stack, to tell an inline completion.
+	start    sim.Time
+	starting bool
 	// step is advance bound once per slot, reused for both network
-	// legs of every sub-request the slot carries.
-	step func()
+	// legs of every sub-request the slot carries; finished is finish,
+	// the store's continuation.
+	step, finished func()
 }
 
 // advance is the engine callback of both network legs: the request
@@ -106,7 +122,7 @@ type job struct {
 // the client (count it; the last one resumes the waiting process).
 func (j *job) advance() {
 	if !j.served {
-		j.srv.jobs.Push(j)
+		j.srv.push(j)
 		return
 	}
 	par := j.parent
@@ -120,19 +136,16 @@ func (j *job) advance() {
 // so that distinct files are not artificially adjacent on disk.
 const allocGap = 1 << 16 // 32 MB
 
-func newServer(e *sim.Engine, id int, store Store, handlers int) *Server {
+func newServer(e *sim.Engine, id int, store Store, slots int) *Server {
 	s := &Server{
 		e:        e,
 		id:       id,
 		store:    store,
-		jobs:     sim.NewQueue[*job](e),
-		handlers: handlers,
+		parked:   slots,
 		nextLBN:  allocGap,
 		capacity: 1 << 31, // sectors; 1 TB per server
 	}
-	for h := 0; h < handlers; h++ {
-		e.Go(fmt.Sprintf("srv%d-h%d", id, h), s.handle)
-	}
+	s.wakeFn = s.wake
 	return s
 }
 
@@ -154,26 +167,64 @@ func (s *Server) allocate(bytes int64) (int64, error) {
 	return base, nil
 }
 
-// handle is one handler process: it drains the job queue forever (the
-// process is terminated by the engine at the end of the simulation).
-func (s *Server) handle(p *sim.Proc) {
-	for {
-		j, ok := s.jobs.Pop(p)
-		if !ok {
+// push queues a job that has reached the server and, if a slot is
+// parked, schedules its wake.
+func (s *Server) push(j *job) {
+	s.jobs.Push(j)
+	if s.parked > 0 {
+		s.parked--
+		s.e.After(0, s.wakeFn)
+	}
+}
+
+// wake is a parked slot's wake: it starts the head job, or parks again
+// when another slot has taken it meanwhile.
+func (s *Server) wake() { s.serve(s.next()) }
+
+// next takes the head job for a slot that has none, or parks the slot
+// and returns nil when the FIFO is empty.
+func (s *Server) next() *job {
+	if s.jobs.Len() == 0 {
+		s.parked++
+		return nil
+	}
+	return s.jobs.Pop()
+}
+
+// serve starts j on its slot, and then each next job whose predecessor
+// completed inline, until the store keeps one (its continuation comes
+// from a later event) or the slot parks.
+func (s *Server) serve(j *job) {
+	for j != nil {
+		j.start, j.starting = s.e.Now(), true
+		s.store.Start(&j.req, j.finished)
+		if j.starting {
+			j.starting = false // the store completes it later
 			return
 		}
-		start := p.Now()
-		s.store.Serve(p, &j.req)
-		if s.m != nil {
-			s.m.SubServe.ObserveDur(p.Now().Sub(start))
-		}
-		if s.tr != nil {
-			s.tr.Span(uint64(j.req.ID), 0, 0, flowName(&j.req), s.scope, time.Unix(0, int64(start)), time.Duration(p.Now().Sub(start)))
-		}
-		// The reply travels back to the client.
-		j.served = true
-		s.e.After(j.replyDelay, j.step)
+		j = s.next()
 	}
+}
+
+// finish is the store's continuation for j: the reply travels back to
+// the client, and the slot takes the next job — in serve's loop if j
+// completed inline, here otherwise.
+func (j *job) finish() {
+	s := j.srv
+	now := s.e.Now()
+	if s.m != nil {
+		s.m.SubServe.ObserveDur(now.Sub(j.start))
+	}
+	if s.tr != nil {
+		s.tr.Span(uint64(j.req.ID), 0, 0, flowName(&j.req), s.scope, time.Unix(0, int64(j.start)), time.Duration(now.Sub(j.start)))
+	}
+	j.served = true
+	s.e.After(j.replyDelay, j.step)
+	if j.starting {
+		j.starting = false
+		return
+	}
+	s.serve(s.next())
 }
 
 // flowName labels a sub-request's serve span with a static string (no

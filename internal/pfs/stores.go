@@ -1,9 +1,6 @@
 package pfs
 
-import (
-	"repro/internal/iosched"
-	"repro/internal/sim"
-)
+import "repro/internal/iosched"
 
 // QueueStore sends every request to one device through its scheduler
 // queue, unchanged. Over a hard disk behind CFQ it is the paper's stock
@@ -18,12 +15,12 @@ type QueueStore struct {
 // NewQueueStore wraps a scheduler queue as a Store.
 func NewQueueStore(q *iosched.Queue) *QueueStore { return &QueueStore{queue: q} }
 
-// Serve implements Store.
-func (s *QueueStore) Serve(p *sim.Proc, r *IORequest) {
-	s.queue.Submit(p, r.Request())
+// Start implements Store.
+func (s *QueueStore) Start(r *IORequest, done func()) {
+	s.queue.Start(r.Request(), done)
 }
 
 // Flush implements Store: the stack is write-through.
-func (s *QueueStore) Flush(*sim.Proc) {}
+func (s *QueueStore) Flush(done func()) { done() }
 
 var _ Store = (*QueueStore)(nil)

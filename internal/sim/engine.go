@@ -31,7 +31,7 @@ type Engine struct {
 	// FIFO order preserves the global (at, seq) order without paying a
 	// heap sift for the common Wake/Yield/After(0) case. The ring's
 	// backing array is reused across drains — the event freelist.
-	nowq   ring[event]
+	nowq   Ring[event]
 	seq    uint64
 	procs  map[int]*Proc
 	nextID int
@@ -120,18 +120,19 @@ func (h *eventHeap) pop() event {
 	return top
 }
 
-// ring is a FIFO backed by a reusable slice: the read index walks the
+// Ring is a FIFO backed by a reusable slice: the read index walks the
 // array and rewinds to zero whenever the ring drains, and a push that
 // finds the array full moves the unread tail to the front before it
 // would grow, so steady-state operation performs no allocation at all.
-// It carries the engine's same-instant events and Queue's items and
-// waiters.
-type ring[T any] struct {
+// It carries the engine's same-instant events, a data server's queued
+// jobs and a block queue's completed submitters. The zero Ring is empty.
+type Ring[T any] struct {
 	buf  []T
 	head int
 }
 
-func (r *ring[T]) push(v T) {
+// Push appends v.
+func (r *Ring[T]) Push(v T) {
 	if r.head > 0 && len(r.buf) == cap(r.buf) {
 		n := copy(r.buf, r.buf[r.head:])
 		clear(r.buf[n:])
@@ -140,9 +141,11 @@ func (r *ring[T]) push(v T) {
 	r.buf = append(r.buf, v)
 }
 
-func (r *ring[T]) len() int { return len(r.buf) - r.head }
+// Len returns the number of queued values.
+func (r *Ring[T]) Len() int { return len(r.buf) - r.head }
 
-func (r *ring[T]) pop() T {
+// Pop removes and returns the oldest value. The ring must not be empty.
+func (r *Ring[T]) Pop() T {
 	var zero T
 	v := r.buf[r.head]
 	r.buf[r.head] = zero // release references
@@ -231,7 +234,7 @@ func (e *Engine) Halt() { e.halted = true }
 func (e *Engine) Procs() int { return len(e.procs) }
 
 // pending returns the number of schedulable events.
-func (e *Engine) pending() int { return len(e.events) + e.nowq.len() }
+func (e *Engine) pending() int { return len(e.events) + e.nowq.Len() }
 
 // Go creates a new simulated process named name and schedules it to start
 // at the current virtual time. It may be called before Run, from within
@@ -312,7 +315,7 @@ func (e *Engine) schedule(at Time, p *Proc, fn func()) {
 	e.seq++
 	ev := event{at: at, seq: e.seq, p: p, fn: fn}
 	if at == e.now {
-		e.nowq.push(ev)
+		e.nowq.Push(ev)
 		return
 	}
 	e.events.push(ev)
@@ -386,6 +389,26 @@ func (p *Proc) Yield() { p.Sleep(0) }
 // foundation for the synchronization primitives in this package.
 func (p *Proc) Block() { p.park() }
 
+// Call runs a callback-style operation from p: start begins it, handing
+// it the continuation to run when it completes, and p blocks until that
+// continuation has run. An operation that completes inline (start runs
+// the continuation before it returns) costs p no switch. Call is how a
+// process drives the simulated storage stack, which runs on callbacks
+// (iosched.Queue.Start, pfs.Store.Start).
+func (p *Proc) Call(start func(done func())) {
+	waiting, finished := false, false
+	start(func() {
+		finished = true
+		if waiting {
+			p.e.Wake(p)
+		}
+	})
+	if !finished {
+		waiting = true
+		p.Block()
+	}
+}
+
 // Wake schedules proc to resume at the current virtual time. Waking a
 // process that is not blocked via Block results in undefined behaviour;
 // the primitives in this package guarantee one wake per block.
@@ -401,10 +424,10 @@ func (e *Engine) Wake(p *Proc) {
 // were scheduled before the clock reached now, hence carry smaller seqs);
 // ring events precede any strictly later heap event.
 func (e *Engine) next() event {
-	if len(e.events) > 0 && (e.nowq.len() == 0 || e.events[0].at == e.now) {
+	if len(e.events) > 0 && (e.nowq.Len() == 0 || e.events[0].at == e.now) {
 		return e.events.pop()
 	}
-	return e.nowq.pop()
+	return e.nowq.Pop()
 }
 
 // Run processes events until the engine is halted or the event queue

@@ -61,16 +61,15 @@ func waitGoroutines(t *testing.T, base int) {
 
 // TestRunLeavesNoGoroutines: however Run ends — Halt, a drained queue, a
 // deadlock — every coroutine is gone when it returns, whether its process
-// never started, finished (and was pooled), sits in a primitive, or is
-// mid-Sleep or mid-Await (with a check armed or with none).
+// never started, finished (and was pooled), sits in a primitive or a
+// Call, or is mid-Sleep or mid-Await (with a check armed or with none).
 func TestRunLeavesNoGoroutines(t *testing.T) {
 	// populate starts one process in every state a shutdown can find.
 	populate := func(e *Engine) {
-		q := NewQueue[int](e)
 		bar := NewBarrier(e, 2)
 		cnt := NewCounter(e, 1)
 		ev := NewEvent(e)
-		e.Go("queue", func(p *Proc) { q.Pop(p) })
+		e.Go("call", func(p *Proc) { p.Call(func(func()) {}) })
 		e.Go("barrier", func(p *Proc) { bar.Wait(p) })
 		e.Go("counter", func(p *Proc) { cnt.Wait(p) })
 		e.Go("event", func(p *Proc) { ev.Wait(p) })

@@ -8,44 +8,36 @@ func TestStressManyProcs(t *testing.T) {
 	run := func() (Time, int) {
 		e := New()
 		rng := NewRNG(2024)
-		// Four tokens in a queue: a resource at most four producers hold.
-		tokens := NewQueue[struct{}](e)
-		for i := 0; i < 4; i++ {
-			tokens.Push(struct{}{})
-		}
-		q := NewQueue[int](e)
-		total := 0
-		const producers = 50
-		const perProducer = 20
+		// Four tokens: a resource at most four producers hold.
+		tokens := &semaphore{e: e, free: 4}
+		total, holders := 0, 0
 		done := NewCounter(e, producers)
 		for i := 0; i < producers; i++ {
 			r := rng.Fork()
 			e.Go("producer", func(p *Proc) {
 				for k := 0; k < perProducer; k++ {
 					p.Sleep(r.Duration(0, Millisecond))
-					tokens.Pop(p)
+					tokens.acquire(p)
+					if holders++; holders > 4 {
+						t.Errorf("%d holders of 4 tokens", holders)
+					}
 					p.Sleep(r.Duration(0, 100*Microsecond))
-					tokens.Push(struct{}{})
-					q.Push(1)
+					holders--
+					tokens.release()
+					// Hand the item to a callback consumer and wait for it.
+					p.Call(func(consumed func()) {
+						e.After(10*Microsecond, func() {
+							total++
+							consumed()
+						})
+					})
 				}
 				done.Done()
 			})
 		}
-		for c := 0; c < 3; c++ {
-			e.Go("consumer", func(p *Proc) {
-				for {
-					v, ok := q.Pop(p)
-					if !ok {
-						return
-					}
-					total += v
-					p.Sleep(10 * Microsecond)
-				}
-			})
-		}
 		e.Go("closer", func(p *Proc) {
 			done.Wait(p)
-			q.Close()
+			e.Halt()
 		})
 		if err := e.Run(); err != nil {
 			t.Fatalf("Run: %v", err)
@@ -60,6 +52,31 @@ func TestStressManyProcs(t *testing.T) {
 	if t1 != t2 || total1 != total2 {
 		t.Fatalf("stress run not deterministic: (%v,%d) vs (%v,%d)", t1, total1, t2, total2)
 	}
+}
+
+// semaphore is a counting semaphore over Block and Wake: release hands
+// a token straight to the longest waiter.
+type semaphore struct {
+	e       *Engine
+	free    int
+	waiters Ring[*Proc]
+}
+
+func (s *semaphore) acquire(p *Proc) {
+	if s.free > 0 {
+		s.free--
+		return
+	}
+	s.waiters.Push(p)
+	p.Block()
+}
+
+func (s *semaphore) release() {
+	if s.waiters.Len() > 0 {
+		s.e.Wake(s.waiters.Pop())
+		return
+	}
+	s.free++
 }
 
 const (

@@ -5,65 +5,6 @@ package sim
 // primitives need no host-level locking; they only park and wake simulated
 // processes deterministically (FIFO order).
 
-// Queue is an unbounded FIFO channel between simulated processes. Its
-// items and waiters live in rings, so a queue in steady use allocates
-// nothing.
-type Queue[T any] struct {
-	e       *Engine
-	items   ring[T]
-	waiters ring[*Proc]
-	closed  bool
-}
-
-// NewQueue returns an empty queue.
-func NewQueue[T any](e *Engine) *Queue[T] {
-	return &Queue[T]{e: e}
-}
-
-// Push appends v and wakes one waiting consumer, if any.
-func (q *Queue[T]) Push(v T) {
-	if q.closed {
-		panic("sim: push on closed queue")
-	}
-	q.items.push(v)
-	q.wakeOne()
-}
-
-func (q *Queue[T]) wakeOne() {
-	if q.waiters.len() > 0 {
-		q.e.Wake(q.waiters.pop())
-	}
-}
-
-// Pop removes and returns the oldest item, blocking p while the queue is
-// empty. The second result is false if the queue was closed and drained.
-func (q *Queue[T]) Pop(p *Proc) (T, bool) {
-	for q.items.len() == 0 {
-		if q.closed {
-			var zero T
-			return zero, false
-		}
-		q.waiters.push(p)
-		p.Block()
-	}
-	return q.items.pop(), true
-}
-
-// Len returns the number of queued items.
-func (q *Queue[T]) Len() int { return q.items.len() }
-
-// Close marks the queue closed and wakes all waiting consumers, whose Pop
-// calls will return ok=false once the queue drains.
-func (q *Queue[T]) Close() {
-	if q.closed {
-		return
-	}
-	q.closed = true
-	for q.waiters.len() > 0 {
-		q.e.Wake(q.waiters.pop())
-	}
-}
-
 // Barrier synchronizes a fixed group of n processes, as the MPI_Barrier of
 // the simulated MPI ranks. It is reusable across generations.
 type Barrier struct {

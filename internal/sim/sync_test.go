@@ -1,70 +1,10 @@
 package sim
 
-import "testing"
-
-func TestQueueFIFO(t *testing.T) {
-	e := New()
-	q := NewQueue[int](e)
-	var got []int
-	e.Go("consumer", func(p *Proc) {
-		for {
-			v, ok := q.Pop(p)
-			if !ok {
-				return
-			}
-			got = append(got, v)
-		}
-	})
-	e.Go("producer", func(p *Proc) {
-		for i := 0; i < 10; i++ {
-			p.Sleep(Millisecond)
-			q.Push(i)
-		}
-		q.Close()
-	})
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if len(got) != 10 {
-		t.Fatalf("got %d items, want 10", len(got))
-	}
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("out of order: %v", got)
-		}
-	}
-}
-
-func TestQueueMultipleConsumers(t *testing.T) {
-	e := New()
-	q := NewQueue[int](e)
-	count := 0
-	for i := 0; i < 4; i++ {
-		e.Go("consumer", func(p *Proc) {
-			for {
-				_, ok := q.Pop(p)
-				if !ok {
-					return
-				}
-				count++
-				p.Sleep(Millisecond)
-			}
-		})
-	}
-	e.Go("producer", func(p *Proc) {
-		for i := 0; i < 20; i++ {
-			q.Push(i)
-			p.Sleep(100 * Microsecond)
-		}
-		q.Close()
-	})
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if count != 20 {
-		t.Fatalf("consumed %d, want 20", count)
-	}
-}
+import (
+	"fmt"
+	"strings"
+	"testing"
+)
 
 func TestBarrierSynchronizes(t *testing.T) {
 	e := New()
@@ -183,25 +123,26 @@ func TestEventBroadcast(t *testing.T) {
 	}
 }
 
-// TestRingStaysBoundedAndFIFO: a ring that never drains — a queue with a
-// standing backlog, or the same-instant ring under a run of yields —
+// TestRingStaysBoundedAndFIFO: a ring that never drains — a server's job
+// FIFO with a standing backlog, or the same-instant ring under a run of
+// yields —
 // keeps FIFO order and reuses its array instead of growing without end.
 func TestRingStaysBoundedAndFIFO(t *testing.T) {
-	var r ring[int]
+	var r Ring[int]
 	next, want := 0, 0
 	for i := 0; i < 4; i++ {
-		r.push(next)
+		r.Push(next)
 		next++
 	}
 	for round := 0; round < 10000; round++ {
 		// Push one or two, pop one or two: the backlog wanders between
 		// 1 and 8 and never reaches zero.
-		for n := round%2 + 1; n > 0 && r.len() < 8; n-- {
-			r.push(next)
+		for n := round%2 + 1; n > 0 && r.Len() < 8; n-- {
+			r.Push(next)
 			next++
 		}
-		for n := (round/3)%2 + 1; n > 0 && r.len() > 1; n-- {
-			if got := r.pop(); got != want {
+		for n := (round/3)%2 + 1; n > 0 && r.Len() > 1; n-- {
+			if got := r.Pop(); got != want {
 				t.Fatalf("round %d: popped %d, want %d", round, got, want)
 			}
 			want++
@@ -209,5 +150,29 @@ func TestRingStaysBoundedAndFIFO(t *testing.T) {
 	}
 	if c := cap(r.buf); c > 16 {
 		t.Fatalf("backing array grew to %d for a backlog of at most 8", c)
+	}
+}
+
+// TestCallInlineAndDeferred: a process calling an operation that
+// completes inline continues without a switch, before anything else
+// scheduled for the instant; one whose continuation comes from a later
+// event resumes at that event's instant.
+func TestCallInlineAndDeferred(t *testing.T) {
+	e := New()
+	var log []string
+	note := func(s string) { log = append(log, fmt.Sprintf("%s@%v", s, e.Now())) }
+	e.Go("caller", func(p *Proc) {
+		e.After(0, func() { note("queued") })
+		p.Call(func(done func()) { done() })
+		note("inline")
+		p.Call(func(done func()) { e.After(Millisecond, done) })
+		note("deferred")
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := "inline@0ns queued@0ns deferred@1.000ms"
+	if got := strings.Join(log, " "); got != want {
+		t.Errorf("order:\n got %s\nwant %s", got, want)
 	}
 }

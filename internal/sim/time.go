@@ -3,13 +3,15 @@
 // time.
 //
 // Simulated processes are coroutines that run one at a time under control
-// of an Engine: a process runs until it blocks (Sleep, Await, queue,
+// of an Engine: a process runs until it blocks (Sleep, Await, Call,
 // barrier, ...), at which point it switches back to the engine, which
 // advances the virtual clock to the next scheduled event and switches
 // into the process that event resumes. Callbacks (After, and a Wait's
 // continuation) run inline in the engine loop, with no process to switch
-// into. Runs are fully deterministic: events with equal timestamps fire
-// in scheduling order.
+// into. In the cluster only the workload's ranks (and the driver that
+// starts them) are processes; the storage stack beneath them runs on
+// callbacks. Runs are fully deterministic: events with equal timestamps
+// fire in scheduling order.
 package sim
 
 import "repro/internal/vtime"
