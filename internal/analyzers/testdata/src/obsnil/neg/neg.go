@@ -10,13 +10,13 @@ type comp struct {
 }
 
 // Guarded is the canonical probe site: one branch per bundle.
-func (c *comp) Guarded(n int64) {
+func (c *comp) Guarded(ms float64) {
 	if c.m != nil {
-		c.m.Requests.Inc()
-		c.m.SubRequests.Add(n)
+		c.m.Parent.Observe(1)
+		c.m.SubServe.Observe(ms)
 	}
 	if c.bm != nil {
-		c.bm.Hits.Inc()
+		c.bm.Stages.Inc()
 	}
 }
 
@@ -27,8 +27,8 @@ func (c *comp) EarlyReturn() {
 	if c.m == nil || c.bm == nil {
 		return
 	}
-	c.m.Requests.Inc()
-	c.bm.Misses.Inc()
+	c.m.Parent.Observe(1)
+	c.bm.Writebacks.Inc()
 }
 
 // ElseBranch guards through the else arm of an == nil test.
@@ -36,7 +36,7 @@ func (c *comp) ElseBranch() {
 	if c.m == nil {
 		// disabled: nothing to record
 	} else {
-		c.m.Fragments.Inc()
+		c.m.SubServe.Observe(1)
 	}
 }
 
@@ -45,7 +45,7 @@ func Param(m *obs.PFSMetrics) {
 	if m == nil {
 		return
 	}
-	m.Requests.Inc()
+	m.Parent.Observe(1)
 }
 
 // Bound binds an accessor result and guards it in the if-init form.
@@ -71,6 +71,6 @@ func Local(m *localMetrics) { m.inc() }
 // Conjoined piggybacks the nil check onto another condition with &&.
 func Conjoined(c *comp, hot bool) {
 	if hot && c.m != nil {
-		c.m.Requests.Inc()
+		c.m.Parent.Observe(1)
 	}
 }

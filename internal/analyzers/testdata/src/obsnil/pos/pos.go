@@ -11,14 +11,14 @@ type comp struct {
 
 // Bad probes without guarding either sink.
 func (c *comp) Bad() {
-	c.m.Requests.Inc() // want "without a dominating nil check"
-	c.bm.Hits.Inc()    // want "without a dominating nil check"
+	c.m.Parent.Observe(1) // want "without a dominating nil check"
+	c.bm.Stages.Inc()     // want "without a dominating nil check"
 }
 
 // WrongGuard checks a different field than the one dereferenced.
 func (c *comp) WrongGuard() {
 	if c.bm != nil {
-		c.m.Requests.Inc() // want "without a dominating nil check"
+		c.m.Parent.Observe(1) // want "without a dominating nil check"
 	}
 }
 
@@ -31,7 +31,7 @@ func (m *localMetrics) inc() {
 
 // Chain dereferences an accessor result that can never be nil-checked.
 func Chain(s *obs.Set) {
-	s.BridgeMetrics().Hits.Inc() // want "cannot be nil-checked"
+	s.BridgeMetrics().Stages.Inc() // want "cannot be nil-checked"
 }
 
 // Closure shows that a guard outside a function literal does not
@@ -40,7 +40,7 @@ func Chain(s *obs.Set) {
 func Closure(c *comp) func() {
 	if c.m != nil {
 		return func() {
-			c.m.Requests.Inc() // want "without a dominating nil check"
+			c.m.Parent.Observe(1) // want "without a dominating nil check"
 		}
 	}
 	return nil

@@ -118,7 +118,10 @@ type Cluster struct {
 	Bridges    []*core.Bridge
 	Collectors []*blktrace.Collector
 	Exchange   *core.Exchange
-	cfg        Config
+	// diskQs and ssdQs are the block queues of the disks and the SSDs,
+	// whose Stats fold adds to the registry.
+	diskQs, ssdQs []*iosched.Queue
+	cfg           Config
 }
 
 // New builds a cluster per cfg, on the Table II devices
@@ -154,9 +157,6 @@ func New(cfg Config) (*Cluster, error) {
 	diskQM := cfg.Obs.QueueMetrics("iosched.hdd")
 	ssdQM := cfg.Obs.QueueMetrics("iosched.ssd")
 	bridgeM := cfg.Obs.BridgeMetrics()
-	if em := cfg.Obs.EngineMetrics(); em != nil {
-		e.SetProbe(em)
-	}
 	// Per-component generators are derived independently of cluster
 	// mode so that e.g. disk i draws the same rotational latencies in
 	// stock and iBridge runs — A/B comparisons differ only in
@@ -182,6 +182,7 @@ func New(cfg Config) (*Cluster, error) {
 		c.Disks = append(c.Disks, disk)
 		diskQ := iosched.New(e, disk, iosched.DiskDefaults(), tracer)
 		diskQ.SetMetrics(diskQM)
+		c.diskQs = append(c.diskQs, diskQ)
 		var sd *ssd.SSD
 		if cfg.Mode != Stock {
 			sd = ssd.New(ssd.DefaultSpec())
@@ -196,10 +197,12 @@ func New(cfg Config) (*Cluster, error) {
 		case SSDOnly:
 			sq := iosched.New(e, sd, iosched.SSDDefaults(), tracer)
 			sq.SetMetrics(ssdQM)
+			c.ssdQs = append(c.ssdQs, sq)
 			stores[i] = pfs.NewQueueStore(sq)
 		case IBridge:
 			ssdQ := iosched.New(e, sd, iosched.SSDDefaults(), nil)
 			ssdQ.SetMetrics(ssdQM)
+			c.ssdQs = append(c.ssdQs, ssdQ)
 			b := core.NewBridge(e, cfg.IBridge, i, disk, diskQ, ssdQ, c.Exchange, componentRNG(2, i))
 			b.SetObs(bridgeM, tr, run)
 			c.Bridges = append(c.Bridges, b)
@@ -323,7 +326,9 @@ func (c *Cluster) Run(w Workload) (Result, error) {
 		res.FlushTime = sim.Duration(p.Now()) - res.Elapsed
 		c.Engine.Halt()
 	})
-	if err := c.Engine.Run(); err != nil {
+	err := c.Engine.Run()
+	c.fold()
+	if err != nil {
 		return res, err
 	}
 	st := c.FS.Stats()
@@ -345,6 +350,57 @@ func (c *Cluster) Run(w Workload) (Result, error) {
 		res.Blocks = merged
 	}
 	return res, nil
+}
+
+// fold adds the run's counts, which the engine and the components keep
+// in their Stats, to the metrics registry (a no-op with metrics off).
+// Every name is added, zero or not, so a stock run lists the bridge and
+// SSD-queue rows too.
+func (c *Cluster) fold() {
+	r := c.cfg.Obs.Registry()
+	if r == nil {
+		return
+	}
+	add := func(name string, n int64) { r.Counter(name).Add(n) }
+	es := c.Engine.Stats()
+	add("engine.events", es.Events)
+	add("engine.resumes", es.Resumes)
+	add("engine.procs_started", es.ProcsStarted)
+	// The maximum first, so that the value left is the last event's.
+	pending := r.Gauge("engine.pending")
+	pending.Set(int64(es.MaxPending))
+	pending.Set(int64(es.Pending))
+	for _, class := range []struct {
+		name   string
+		queues []*iosched.Queue
+	}{{"iosched.hdd", c.diskQs}, {"iosched.ssd", c.ssdQs}} {
+		var qs iosched.Stats
+		for _, q := range class.queues {
+			st := q.Stats()
+			qs.Submitted += st.Submitted
+			qs.Dispatches += st.Dispatches
+			qs.BackMerges += st.BackMerges
+			qs.FrontMerges += st.FrontMerges
+		}
+		add(class.name+".submitted", qs.Submitted)
+		add(class.name+".dispatches", qs.Dispatches)
+		add(class.name+".back_merges", qs.BackMerges)
+		add(class.name+".front_merges", qs.FrontMerges)
+	}
+	var bs core.Stats
+	for _, b := range c.Bridges {
+		bs.Add(b.Stats())
+	}
+	add("bridge.hits", bs.Hits)
+	add("bridge.misses", bs.Misses)
+	add("bridge.evictions", bs.Evictions)
+	add("bridge.rejections", bs.Rejections)
+	add("bridge.offloads_boosted", bs.BoostedOffloads)
+	add("bridge.offloads_plain", bs.PlainOffloads)
+	fs := c.FS.Stats()
+	add("pfs.requests", fs.Requests)
+	add("pfs.sub_requests", fs.SubCount)
+	add("pfs.fragments", fs.Fragments)
 }
 
 // DiskStats aggregates device statistics across all disks.

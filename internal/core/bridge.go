@@ -193,11 +193,6 @@ func (b *Bridge) countOffload(ret, boost float64) {
 		b.stats.PlainOffloads++
 	}
 	if b.m != nil {
-		if boost > 0 {
-			b.m.BoostedOffloads.Inc()
-		} else {
-			b.m.PlainOffloads.Inc()
-		}
 		b.m.Return.Observe(ret * 1e3)
 	}
 }
@@ -207,9 +202,6 @@ func (b *Bridge) countOffload(ret, boost float64) {
 func (b *Bridge) evict(e *entry) {
 	if b.table.evict(e) {
 		b.stats.Evictions++
-		if b.m != nil {
-			b.m.Evictions.Inc()
-		}
 	}
 }
 

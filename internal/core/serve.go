@@ -141,9 +141,6 @@ func (o *op) read() {
 		return
 	}
 	b.stats.Misses++
-	if b.m != nil {
-		b.m.Misses.Inc()
-	}
 	// Any dirty cached pieces must come from the SSD even on a miss.
 	o.segs, o.i = b.table.dirtyOverlaps(r.LBN, r.Sectors, o.segs[:0]), 0
 	o.overlapNext()
@@ -160,9 +157,6 @@ func (o *op) hitNext() {
 	b.stats.Hits++
 	b.stats.SSDReadBytes += r.Bytes
 	b.trk.servedAtSSD()
-	if b.m != nil {
-		b.m.Hits.Inc()
-	}
 	if b.tr != nil {
 		b.instant("ssd-hit", r.ID)
 	}
@@ -279,9 +273,6 @@ func (o *op) ssdWritten() {
 func (o *op) rejected() {
 	b := o.b
 	b.stats.Rejections++
-	if b.m != nil {
-		b.m.Rejections.Inc()
-	}
 	if b.tr != nil {
 		b.instant("ssd-reject", o.r.ID)
 	}

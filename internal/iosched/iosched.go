@@ -150,9 +150,9 @@ type Queue struct {
 	// bound once, for the engine to call back.
 	dispatchFn, doneFn, resumeFn func()
 	stats                        Stats
-	// m, when non-nil, mirrors the scheduler statistics into the
-	// observability registry (latency histogram, depth gauge). The nil
-	// check per update is the entire disabled-path cost.
+	// m, when non-nil, observes what stats does not keep: the wait
+	// histogram and the depth gauge. The nil check per update is the
+	// entire disabled-path cost.
 	m *obs.QueueMetrics
 }
 
@@ -200,7 +200,6 @@ func (q *Queue) Start(r device.Request, done func()) {
 func (q *Queue) resume() {
 	w := q.woken.Pop()
 	if q.m != nil {
-		q.m.Submitted.Inc()
 		q.m.Wait.ObserveDur(q.e.Now().Sub(w.start))
 	}
 	w.done()
@@ -216,18 +215,12 @@ func (q *Queue) place(r device.Request) *unit {
 		if u.req.Contiguous(r) { // back merge: r extends u
 			u.req.Sectors += r.Sectors
 			q.stats.BackMerges++
-			if q.m != nil {
-				q.m.BackMerges.Inc()
-			}
 			return u
 		}
 		if r.Contiguous(u.req) { // front merge: r precedes u
 			u.req.LBN = r.LBN
 			u.req.Sectors += r.Sectors
 			q.stats.FrontMerges++
-			if q.m != nil {
-				q.m.FrontMerges.Inc()
-			}
 			return u
 		}
 	}
@@ -285,7 +278,6 @@ func (q *Queue) dispatch() {
 	}
 	q.stats.Dispatches++
 	if q.m != nil {
-		q.m.Dispatches.Inc()
 		q.m.Depth.Set(int64(len(q.pending) + 1))
 	}
 	if q.tracer != nil {

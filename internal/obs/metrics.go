@@ -12,46 +12,14 @@ import (
 // a Set without metrics) yields a nil bundle, and the component's
 // instrumentation reduces to one branch on that nil pointer.
 //
+// A bundle holds only what must be observed per event: histograms,
+// gauges, and counts no component Stats keeps. A count a component
+// keeps in its Stats is not mirrored here; cluster.Run adds the Stats
+// to the registry under the count's name when the run ends.
+//
 // Bundles from different cluster instances built against the same Set
 // resolve to the same named metrics, so a parallel experiment grid
 // aggregates into one registry.
-
-// EngineMetrics instruments the simulation engine's event loop. It
-// implements sim.Probe.
-type EngineMetrics struct {
-	Events  *Counter
-	Pending *Gauge
-	// Resumes counts switches into a process, and ProcsStarted the
-	// processes created.
-	Resumes      *Counter
-	ProcsStarted *Counter
-}
-
-// EngineMetrics returns the engine bundle, or nil when metrics are off.
-func (s *Set) EngineMetrics() *EngineMetrics {
-	r := s.Registry()
-	if r == nil {
-		return nil
-	}
-	return &EngineMetrics{
-		Events:       r.Counter("engine.events"),
-		Pending:      r.Gauge("engine.pending"),
-		Resumes:      r.Counter("engine.resumes"),
-		ProcsStarted: r.Counter("engine.procs_started"),
-	}
-}
-
-// OnEvent implements sim.Probe.
-func (m *EngineMetrics) OnEvent(now vtime.Time, pending int) {
-	m.Events.Inc()
-	m.Pending.Set(int64(pending))
-}
-
-// OnResume implements sim.Probe.
-func (m *EngineMetrics) OnResume() { m.Resumes.Inc() }
-
-// OnStart implements sim.Probe.
-func (m *EngineMetrics) OnStart() { m.ProcsStarted.Inc() }
 
 // DeviceMetrics instruments one class of device ("hdd" or "ssd") with
 // per-request service-time histograms split into positioning and
@@ -93,12 +61,8 @@ func (m *DeviceMetrics) ObserveIO(r device.Request, position, transfer vtime.Dur
 
 // QueueMetrics instruments one class of I/O scheduler queue.
 type QueueMetrics struct {
-	Submitted   *Counter
-	Dispatches  *Counter
-	BackMerges  *Counter
-	FrontMerges *Counter
-	Wait        *Hist  // submit-to-completion latency
-	Depth       *Gauge // pending-queue length at dispatch
+	Wait  *Hist  // submit-to-completion latency
+	Depth *Gauge // pending-queue length at dispatch
 }
 
 // QueueMetrics returns the bundle for the scheduler class kind (e.g.
@@ -109,26 +73,17 @@ func (s *Set) QueueMetrics(kind string) *QueueMetrics {
 		return nil
 	}
 	return &QueueMetrics{
-		Submitted:   r.Counter(kind + ".submitted"),
-		Dispatches:  r.Counter(kind + ".dispatches"),
-		BackMerges:  r.Counter(kind + ".back_merges"),
-		FrontMerges: r.Counter(kind + ".front_merges"),
-		Wait:        r.Hist(kind + ".wait_ms"),
-		Depth:       r.Gauge(kind + ".depth"),
+		Wait:  r.Hist(kind + ".wait_ms"),
+		Depth: r.Gauge(kind + ".depth"),
 	}
 }
 
 // BridgeMetrics instruments the iBridge decision engine and SSD cache.
 type BridgeMetrics struct {
-	Hits, Misses    *Counter
-	Evictions       *Counter
-	Rejections      *Counter
-	BoostedOffloads *Counter // Eq. (3) magnification applied
-	PlainOffloads   *Counter // positive return without boost
-	Stages          *Counter // read data staged during idle
-	Writebacks      *Counter
-	Return          *Hist  // accepted T_ret values
-	Occupancy       *Gauge // cache occupancy in bytes
+	Stages     *Counter // read data staged during idle
+	Writebacks *Counter
+	Return     *Hist  // accepted T_ret values
+	Occupancy  *Gauge // cache occupancy in bytes
 }
 
 // BridgeMetrics returns the bridge bundle, or nil when metrics are off.
@@ -138,27 +93,18 @@ func (s *Set) BridgeMetrics() *BridgeMetrics {
 		return nil
 	}
 	return &BridgeMetrics{
-		Hits:            r.Counter("bridge.hits"),
-		Misses:          r.Counter("bridge.misses"),
-		Evictions:       r.Counter("bridge.evictions"),
-		Rejections:      r.Counter("bridge.rejections"),
-		BoostedOffloads: r.Counter("bridge.offloads_boosted"),
-		PlainOffloads:   r.Counter("bridge.offloads_plain"),
-		Stages:          r.Counter("bridge.stages"),
-		Writebacks:      r.Counter("bridge.writebacks"),
-		Return:          r.Hist("bridge.return_ms"),
-		Occupancy:       r.Gauge("bridge.occupancy_bytes"),
+		Stages:     r.Counter("bridge.stages"),
+		Writebacks: r.Counter("bridge.writebacks"),
+		Return:     r.Hist("bridge.return_ms"),
+		Occupancy:  r.Gauge("bridge.occupancy_bytes"),
 	}
 }
 
 // PFSMetrics instruments the parallel file system's request flow: the
-// client-observed parent requests and the per-server sub-request fan-out.
+// client-observed parent requests and the per-server sub-requests.
 type PFSMetrics struct {
-	Requests    *Counter
-	SubRequests *Counter
-	Fragments   *Counter
-	Parent      *Hist // parent request completion latency
-	SubServe    *Hist // per-sub-request store service time
+	Parent   *Hist // parent request completion latency
+	SubServe *Hist // per-sub-request store service time
 }
 
 // PFSMetrics returns the file-system bundle, or nil when metrics are
@@ -169,10 +115,7 @@ func (s *Set) PFSMetrics() *PFSMetrics {
 		return nil
 	}
 	return &PFSMetrics{
-		Requests:    r.Counter("pfs.requests"),
-		SubRequests: r.Counter("pfs.sub_requests"),
-		Fragments:   r.Counter("pfs.fragments"),
-		Parent:      r.Hist("pfs.parent_ms"),
-		SubServe:    r.Hist("pfs.sub_serve_ms"),
+		Parent:   r.Hist("pfs.parent_ms"),
+		SubServe: r.Hist("pfs.sub_serve_ms"),
 	}
 }

@@ -9,8 +9,14 @@
 // disables everything: components receive nil metric structs and a nil
 // tracer, and every instrumentation point in the simulator reduces to a
 // single branch on a nil pointer — no interface dispatch, no map lookup,
-// no allocation. The hot-path microbenchmarks in internal/sim assert
-// that the disabled path stays at 0 allocs/op.
+// no allocation.
+//
+// Each simulated event is counted once. A count lives in its
+// component's Stats (the engine's, a block queue's, a bridge's, the
+// file system's), and cluster.Run adds those Stats to the registry
+// when the run ends. Only what no Stats keeps is observed per event,
+// through the bundles of metrics.go: histograms, gauges, the tracer and
+// a few counts (device reads and writes, bridge stages and writebacks).
 //
 // When enabled, components register their metrics once at construction
 // (the only point where names are resolved) and thereafter update them

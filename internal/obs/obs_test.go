@@ -20,7 +20,7 @@ func TestNilSetAccessorsAreSafe(t *testing.T) {
 	if s.Registry() != nil || s.Tracer() != nil {
 		t.Error("nil Set accessors must return nil sinks")
 	}
-	if s.EngineMetrics() != nil || s.DeviceMetrics("hdd") != nil ||
+	if s.DeviceMetrics("hdd") != nil ||
 		s.QueueMetrics("q") != nil || s.BridgeMetrics() != nil || s.PFSMetrics() != nil {
 		t.Error("nil Set metric bundles must be nil")
 	}
@@ -151,10 +151,10 @@ func TestSetAggregatesAcrossBundles(t *testing.T) {
 	s := New(Config{Metrics: true})
 	// Two "clusters" resolving the same names share the counters.
 	a, b := s.BridgeMetrics(), s.BridgeMetrics()
-	a.Hits.Inc()
-	b.Hits.Inc()
-	if got := s.Registry().Counter("bridge.hits").Value(); got != 2 {
-		t.Errorf("aggregated hits = %d, want 2", got)
+	a.Stages.Inc()
+	b.Stages.Inc()
+	if got := s.Registry().Counter("bridge.stages").Value(); got != 2 {
+		t.Errorf("aggregated stages = %d, want 2", got)
 	}
 }
 

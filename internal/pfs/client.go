@@ -127,17 +127,12 @@ func (c *Client) request(p *sim.Proc, f *File, op device.Op, off, length int64) 
 	st.Bytes[op] += length
 	st.Latency += lat
 	st.SubCount += int64(len(subs))
-	frags := int64(0)
 	for _, s := range subs {
 		if s.Fragment {
-			frags++
+			st.Fragments++
 		}
 	}
-	st.Fragments += frags
 	if c.fs.m != nil {
-		c.fs.m.Requests.Inc()
-		c.fs.m.SubRequests.Add(int64(len(subs)))
-		c.fs.m.Fragments.Add(frags)
 		c.fs.m.Parent.ObserveDur(lat)
 	}
 	if c.fs.tr != nil {

@@ -128,7 +128,7 @@ type FileSystem struct {
 	// to reuse (the engine is single-threaded: a plain list suffices).
 	free []*parent
 
-	// Observability (nil when off): request counters/latency histograms,
+	// Observability (nil when off): request latency histograms,
 	// request-flow tracer, and the client's trace lane ("run<N>/client").
 	m       *obs.PFSMetrics
 	tr      *obs.XTracer

@@ -81,46 +81,12 @@ func procPingPong(ops int) (*Engine, func() int) {
 	return e, func() int { return 4 * rounds }
 }
 
-// BenchmarkEngineAwait measures an armed wait: one process awaits work
-// on a microsecond grid, with nothing armed while there is none, and a
-// producer that adds work every 3.5 µs kicks it. Each op is the
-// producer's wake, its Kick, and the one armed check that resumes the
-// waiter inline: two events.
-func BenchmarkEngineAwait(b *testing.B) { benchEngine(b, engineAwait) }
-
-func engineAwait(ops int) (*Engine, func() int) {
-	e := New()
-	work := 0
-	ready := func() bool { return work > 0 }
-	earliest := func() Time {
-		if work > 0 {
-			return e.Now()
-		}
-		return Never
-	}
-	waits := 0
-	waiter := e.Go("waiter", func(p *Proc) {
-		for waits < ops {
-			waits++
-			p.Await(Microsecond, ready, earliest)
-			work--
-		}
-		e.Halt()
-	})
-	e.Go("producer", func(p *Proc) {
-		for {
-			p.Sleep(3500 * Nanosecond)
-			work++
-			e.Kick(waiter)
-		}
-	})
-	return e, func() int { return 2 * waits }
-}
-
-// BenchmarkEngineAwaitCallback is BenchmarkEngineAwait with the waiter
-// as a callback wait: each check that finds work runs the continuation
-// inline, which takes the work and waits again, with no process to
-// switch into.
+// BenchmarkEngineAwaitCallback measures an armed wait: a callback wait
+// awaits work on a microsecond grid, with nothing armed while there is
+// none, and a producer process that adds work every 3.5 µs kicks it.
+// Each check that finds work runs the continuation inline, which takes
+// the work and waits again. Each op is the producer's wake, its Kick,
+// and the one armed check: two events.
 func BenchmarkEngineAwaitCallback(b *testing.B) { benchEngine(b, engineAwaitCallback) }
 
 func engineAwaitCallback(ops int) (*Engine, func() int) {
@@ -156,14 +122,13 @@ func engineAwaitCallback(ops int) (*Engine, func() int) {
 	return e, func() int { return 2 * waits }
 }
 
-// TestEngineHotPathAllocFree is the alloc regression guard for the
-// zero-cost-when-off observability contract: with no probe installed the
-// event loop must not allocate per event, and neither may a process
-// switch — Sleep (many-procs), Wake/Block (ping-pong), Yield, or an
-// Await re-armed by Kick, whether a process or a callback waits. It
-// runs each benchmark's load at a fixed operation count and fails on any
-// allocation per operation (mallocs over the run divided by the count,
-// rounded down as testing.B reports it).
+// TestEngineHotPathAllocFree is the engine's alloc regression guard: the
+// event loop, which counts its work in plain fields (Stats), must not
+// allocate per event, and neither may a process switch — Sleep
+// (many-procs), Wake/Block (ping-pong), Sleep(0) — or a callback wait
+// re-armed by Kick. It runs each benchmark's load at a fixed operation
+// count and fails on any allocation per operation (mallocs over the run
+// divided by the count, rounded down as testing.B reports it).
 func TestEngineHotPathAllocFree(t *testing.T) {
 	const ops = 1 << 14
 	for _, l := range []struct {
@@ -174,7 +139,6 @@ func TestEngineHotPathAllocFree(t *testing.T) {
 		{"ManyProcs", manyProcs},
 		{"ProcPingPong", procPingPong},
 		{"Yield", engineYield},
-		{"Await+Kick", engineAwait},
 		{"callback Await+Kick", engineAwaitCallback},
 	} {
 		// AllocsPerRun makes one warm-up run before the measured one, and
@@ -191,7 +155,7 @@ func TestEngineHotPathAllocFree(t *testing.T) {
 			next++
 		})
 		if perOp := int(mallocs) / ops; perOp != 0 {
-			t.Errorf("%s: %d allocs/op, want 0 (engine hot path must stay allocation-free with observability off)",
+			t.Errorf("%s: %d allocs/op, want 0 (engine hot path must stay allocation-free)",
 				l.name, perOp)
 		}
 	}
@@ -221,7 +185,8 @@ func manyProcs(ops int) (*Engine, func() int) {
 }
 
 // BenchmarkEngineYield measures the same-instant switch: four processes
-// yielding to each other in turn, every resume through the now-ring.
+// yielding to each other in turn with Sleep(0), every resume through the
+// now-ring.
 func BenchmarkEngineYield(b *testing.B) { benchEngine(b, engineYield) }
 
 func engineYield(ops int) (*Engine, func() int) {
@@ -232,7 +197,7 @@ func engineYield(ops int) (*Engine, func() int) {
 	for i := 0; i < procs; i++ {
 		e.Go("y", func(p *Proc) {
 			for j := 0; j < perProc; j++ {
-				p.Yield()
+				p.Sleep(0)
 				total++
 			}
 		})

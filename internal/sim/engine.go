@@ -29,7 +29,7 @@ type Engine struct {
 	// in nowq was scheduled after every heap entry with the same
 	// timestamp, so draining the heap's now-events first and then nowq in
 	// FIFO order preserves the global (at, seq) order without paying a
-	// heap sift for the common Wake/Yield/After(0) case. The ring's
+	// heap sift for the common Wake/Sleep(0)/After(0) case. The ring's
 	// backing array is reused across drains — the event freelist.
 	nowq   Ring[event]
 	seq    uint64
@@ -44,10 +44,20 @@ type Engine struct {
 	started bool
 	// cur is the seq of the event being run, which tells whether the
 	// current instant's armed check has had its turn (see arm).
-	cur uint64
-	// probe, when non-nil, observes each event (see Probe). The nil
-	// check is the entire disabled-path cost.
-	probe Probe
+	cur   uint64
+	stats Stats
+}
+
+// Stats counts an engine's work. The engine keeps it always, in plain
+// fields; a caller reads it once Run has returned.
+type Stats struct {
+	// Events counts the events run, Resumes the switches into a
+	// process (its start and every return from a park), and
+	// ProcsStarted the processes Go created.
+	Events, Resumes, ProcsStarted int64
+	// Pending is the number of events still pending when the last
+	// event ran, and MaxPending the most pending when any event ran.
+	Pending, MaxPending int
 }
 
 // event is stored by value in the heap and ring; scheduling an event
@@ -188,10 +198,6 @@ type coro struct {
 	// its next resume.
 	p  *Proc
 	fn func(*Proc)
-	// aw is the wait the process parks in for Await; its continuation
-	// resumes the process. The first Await on the coroutine binds it,
-	// so that a process that never awaits pays nothing for it.
-	aw Wait
 }
 
 // killed is the panic sentinel used to unwind a parked process when the
@@ -230,6 +236,9 @@ func (e *Engine) Now() Time { return e.now }
 // processes are then terminated by Run.
 func (e *Engine) Halt() { e.halted = true }
 
+// Stats returns the engine's work counts so far.
+func (e *Engine) Stats() Stats { return e.stats }
+
 // Procs returns the number of live simulated processes.
 func (e *Engine) Procs() int { return len(e.procs) }
 
@@ -249,9 +258,7 @@ func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
 		p.c = e.newCoro()
 	}
 	p.c.p, p.c.fn = p, fn
-	if e.probe != nil {
-		e.probe.OnStart()
-	}
+	e.stats.ProcsStarted++
 	e.schedule(e.now, p, nil)
 	return p
 }
@@ -339,7 +346,8 @@ func (p *Proc) park() {
 }
 
 // Sleep suspends the process for duration d of virtual time. Negative
-// durations sleep zero time (yield).
+// durations sleep zero time: Sleep(0) lets the events already scheduled
+// for the current instant run before p continues.
 func (p *Proc) Sleep(d Duration) {
 	if d < 0 {
 		d = 0
@@ -347,42 +355,6 @@ func (p *Proc) Sleep(d Duration) {
 	p.e.schedule(p.e.now.Add(d), p, nil)
 	p.park()
 }
-
-// Await suspends the process until ready holds at one of the instants
-// now + k·period (k ≥ 1) and returns at the first such instant: it is
-// a Wait (see Wait.Await) whose continuation resumes the process, and
-// Engine.Kick on the process kicks it. It wakes as
-//
-//	for {
-//		p.Sleep(period)
-//		if ready() {
-//			return
-//		}
-//	}
-//
-// does, except that ready is evaluated inline, only at the instant the
-// engine has armed, and the Sleep loop runs an event scheduled during
-// the wait at exactly a check instant before that check.
-func (p *Proc) Await(period Duration, ready func() bool, earliest func() Time) {
-	e, c := p.e, p.c
-	if c.aw.e == nil {
-		c.aw.init(e, func() { e.resume(c) })
-	}
-	c.aw.Await(period, ready, earliest)
-	p.park()
-}
-
-// Kick re-arms p's Await after a change to what its predicate reads. A
-// process that is not parked in an Await, or is dead, is left alone.
-func (e *Engine) Kick(p *Proc) {
-	if c := p.c; !p.dead && c.p == p {
-		c.aw.Kick()
-	}
-}
-
-// Yield gives other processes scheduled at the current instant a chance to
-// run before p continues.
-func (p *Proc) Yield() { p.Sleep(0) }
 
 // Block parks the process with no scheduled wake-up. Another process (or
 // an engine callback) must call Engine.Wake to resume it. Block is the
@@ -444,9 +416,9 @@ func (e *Engine) Run() error {
 	for !e.halted && e.pending() > 0 {
 		ev := e.next()
 		e.now, e.cur = ev.at, ev.seq
-		if e.probe != nil {
-			e.probe.OnEvent(e.now, e.pending())
-		}
+		e.stats.Events++
+		e.stats.Pending = e.pending()
+		e.stats.MaxPending = max(e.stats.MaxPending, e.stats.Pending)
 		if ev.fn != nil {
 			ev.fn()
 			continue
@@ -454,20 +426,13 @@ func (e *Engine) Run() error {
 		if ev.p.dead {
 			continue
 		}
-		e.resume(ev.p.c)
+		e.stats.Resumes++
+		ev.p.c.next()
 	}
 	if !e.halted && len(e.procs) > 0 {
 		return ErrDeadlock
 	}
 	return nil
-}
-
-// resume switches into c until its process parks or returns.
-func (e *Engine) resume(c *coro) {
-	if e.probe != nil {
-		e.probe.OnResume()
-	}
-	c.next()
 }
 
 // killAll terminates every remaining live process by unwinding its

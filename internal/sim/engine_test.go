@@ -191,3 +191,27 @@ func TestNegativeSleepIsYield(t *testing.T) {
 		t.Fatalf("done=%v now=%v", done, e.Now())
 	}
 }
+
+// TestEngineStats: the engine counts every event it runs, every switch
+// into a process and every process Go starts, and keeps the number of
+// events pending when the last event ran and the most at any event.
+func TestEngineStats(t *testing.T) {
+	e := New()
+	e.After(5*Millisecond, func() {})
+	e.Go("a", func(p *Proc) {
+		p.Sleep(Millisecond)
+		p.Sleep(Millisecond)
+	})
+	e.Go("b", func(p *Proc) { p.Sleep(Millisecond) })
+	if got := e.Stats(); got != (Stats{ProcsStarted: 2}) {
+		t.Fatalf("before Run: %+v, want the two starts alone", got)
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	// Events: a's and b's starts, their three wakes, the callback.
+	want := Stats{Events: 6, Resumes: 5, ProcsStarted: 2, Pending: 0, MaxPending: 2}
+	if got := e.Stats(); got != want {
+		t.Errorf("Stats = %+v, want %+v", got, want)
+	}
+}

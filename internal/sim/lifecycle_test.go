@@ -61,20 +61,22 @@ func waitGoroutines(t *testing.T, base int) {
 
 // TestRunLeavesNoGoroutines: however Run ends — Halt, a drained queue, a
 // deadlock — every coroutine is gone when it returns, whether its process
-// never started, finished (and was pooled), sits in a primitive or a
-// Call, or is mid-Sleep or mid-Await (with a check armed or with none).
+// never started, finished (and was pooled), sits in a primitive, Block or
+// a Call, or is mid-Sleep or in a Call on a wait (with a check armed or
+// with none).
 func TestRunLeavesNoGoroutines(t *testing.T) {
 	// populate starts one process in every state a shutdown can find.
 	populate := func(e *Engine) {
 		bar := NewBarrier(e, 2)
 		cnt := NewCounter(e, 1)
-		ev := NewEvent(e)
 		e.Go("call", func(p *Proc) { p.Call(func(func()) {}) })
 		e.Go("barrier", func(p *Proc) { bar.Wait(p) })
 		e.Go("counter", func(p *Proc) { cnt.Wait(p) })
-		e.Go("event", func(p *Proc) { ev.Wait(p) })
+		e.Go("blocked", func(p *Proc) { p.Block() })
 		e.Go("awaiter-unarmed", func(p *Proc) {
-			p.Await(Millisecond, func() bool { return false }, func() Time { return Never })
+			p.Call(func(done func()) {
+				e.NewWait(done).Await(Millisecond, func() bool { return false }, func() Time { return Never })
+			})
 		})
 		e.Go("finished", func(p *Proc) {})
 		e.Go("reuser", func(p *Proc) {
@@ -90,7 +92,9 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 		{"halt", func(e *Engine) {
 			e.Go("sleeper", func(p *Proc) { p.Sleep(Second) })
 			e.Go("awaiter-armed", func(p *Proc) {
-				p.Await(Millisecond, func() bool { return false }, e.Now)
+				p.Call(func(done func()) {
+					e.NewWait(done).Await(Millisecond, func() bool { return false }, e.Now)
+				})
 			})
 			e.Go("halter", func(p *Proc) {
 				p.Sleep(10 * Millisecond)
@@ -122,7 +126,7 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 		for i := 0; i < 8; i++ {
 			e.Go("worker", func(p *Proc) {
 				p.Sleep(Millisecond)
-				e.Go("short", func(p *Proc) { p.Yield() })
+				e.Go("short", func(p *Proc) { p.Sleep(0) })
 			})
 		}
 		if err := e.Run(); err != nil {
@@ -150,7 +154,7 @@ func TestGoStartsAtCurrentInstantInCreationOrder(t *testing.T) {
 		spawn("a") // reuses early's coroutine
 		spawn("b") // fresh coroutine
 		note("parent")
-		p.Yield()
+		p.Sleep(0)
 		note("parent-after-yield")
 	})
 	e.After(2*Millisecond, func() {

@@ -83,40 +83,3 @@ func (c *Counter) release() {
 	}
 	c.waiters = nil
 }
-
-// Event is a one-shot broadcast signal: processes wait until it fires.
-type Event struct {
-	e       *Engine
-	fired   bool
-	waiters []*Proc
-}
-
-// NewEvent returns an unfired event.
-func NewEvent(e *Engine) *Event {
-	return &Event{e: e}
-}
-
-// Fire releases all current and future waiters. Firing twice is a no-op.
-func (ev *Event) Fire() {
-	if ev.fired {
-		return
-	}
-	ev.fired = true
-	for _, w := range ev.waiters {
-		ev.e.Wake(w)
-	}
-	ev.waiters = nil
-}
-
-// Fired reports whether the event has fired.
-func (ev *Event) Fired() bool { return ev.fired }
-
-// Wait blocks p until the event fires (returns immediately if already
-// fired).
-func (ev *Event) Wait(p *Proc) {
-	if ev.fired {
-		return
-	}
-	ev.waiters = append(ev.waiters, p)
-	p.Block()
-}

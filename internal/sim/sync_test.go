@@ -96,23 +96,25 @@ func TestCounterWaitZero(t *testing.T) {
 	}
 }
 
-func TestEventBroadcast(t *testing.T) {
+// TestCounterBroadcast: a counter reaching zero releases every waiter at
+// once, and a wait on a counter already at zero returns at once.
+func TestCounterBroadcast(t *testing.T) {
 	e := New()
-	ev := NewEvent(e)
+	c := NewCounter(e, 1)
 	released := 0
 	for i := 0; i < 5; i++ {
 		e.Go("w", func(p *Proc) {
-			ev.Wait(p)
+			c.Wait(p)
 			released++
 		})
 	}
 	e.Go("firer", func(p *Proc) {
 		p.Sleep(Millisecond)
-		ev.Fire()
+		c.Done()
 	})
 	e.Go("late", func(p *Proc) {
 		p.Sleep(2 * Millisecond)
-		ev.Wait(p) // already fired: returns immediately
+		c.Wait(p) // already zero: returns immediately
 		released++
 	})
 	if err := e.Run(); err != nil {

@@ -3,7 +3,7 @@
 // time.
 //
 // Simulated processes are coroutines that run one at a time under control
-// of an Engine: a process runs until it blocks (Sleep, Await, Call,
+// of an Engine: a process runs until it blocks (Sleep, Call, Block,
 // barrier, ...), at which point it switches back to the engine, which
 // advances the virtual clock to the next scheduled event and switches
 // into the process that event resumes. Callbacks (After, and a Wait's

@@ -10,10 +10,9 @@ import (
 const Never Time = math.MaxInt64
 
 // Wait is an armed wait. Between Await and the check that finds its
-// predicate true it is waiting; that check runs its continuation
-// inline. The continuation is a parked process's resume (Proc.Await) or
-// a callback (NewWait), so a callback wait costs no process. A Wait is
-// reusable: it may Await again once its continuation has begun.
+// predicate true it is waiting; that check runs its continuation, a
+// callback, inline, so a wait costs no process. A Wait is reusable: it
+// may Await again once its continuation has begun.
 type Wait struct {
 	e *Engine
 	// then is the continuation, and check is fire bound once, so that
@@ -34,13 +33,9 @@ type Wait struct {
 // NewWait returns a wait that is not waiting, whose continuation is
 // then. then runs inline in the engine loop and must not block.
 func (e *Engine) NewWait(then func()) *Wait {
-	w := &Wait{}
-	w.init(e, then)
+	w := &Wait{e: e, then: then}
+	w.check = w.fire
 	return w
-}
-
-func (w *Wait) init(e *Engine, then func()) {
-	w.e, w.then, w.check = e, then, w.fire
 }
 
 // Await starts w at the current instant: its continuation runs at the

@@ -358,7 +358,7 @@ func Fig3(cfg Fig3Config) cluster.Workload {
 		// Interference: a separate file whose data lives on server K
 		// (single-server layout trick: use offsets mapping to server K
 		// of the shared file's address space).
-		interferenceDone := sim.NewEvent(c.Engine)
+		interferenceDone := false
 		ifile, err := c.FS.Create("fig3-interference", fileBytes)
 		if err != nil {
 			panic(err)
@@ -367,7 +367,7 @@ func Fig3(cfg Fig3Config) cluster.Workload {
 		c.Engine.Go("fig3-interference", func(ip *sim.Proc) {
 			rng := sim.NewRNG(c.Config().Seed + 77)
 			srvK := cfg.K % c.Config().Servers
-			for !interferenceDone.Fired() {
+			for !interferenceDone {
 				// A 64 KB-aligned unit on server K of the
 				// interference file.
 				stripes := fileBytes / stripeBytes
@@ -391,7 +391,7 @@ func Fig3(cfg Fig3Config) cluster.Workload {
 			}
 		})
 		done.Wait(p)
-		interferenceDone.Fire()
+		interferenceDone = true
 	}
 }
 
