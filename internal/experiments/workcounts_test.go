@@ -8,8 +8,10 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/obs"
 	"repro/internal/runner"
+	"repro/internal/workload"
 )
 
 const workCountsFile = "testdata/workcounts.json"
@@ -19,20 +21,39 @@ const workCountsFile = "testdata/workcounts.json"
 // 129 KB stock warmed read and +10 KB iBridge write.
 var workCountPoints = []int{0, 7, 9, 22}
 
+// iorWorkPoint names the Fig. 8 ior-mpi-io point with a row of its own
+// (runIORPoint): the only run of the ior-mpi-io benchmark the tests make
+// outside table/fig8.
+const iorWorkPoint = "ior/65KB/ibridge/read smoke"
+
+// runIORPoint runs Fig. 8's 65 KB iBridge warmed-read point at smoke
+// scale, which takes the benchmark through its warm pass, the idle
+// window and both barriers, with the observability sinks set.
+func runIORPoint(set *obs.Set) error {
+	cfg := baseConfig(Smoke, cluster.IBridge)
+	cfg.Obs = set
+	_, _, err := iorRun(Smoke, cfg, workload.IORConfig{Procs: 64, RequestSize: 65 * kb, Warm: true})
+	return err
+}
+
 // workCounters are the engine counters each row pins: events run,
 // switches into a process, and processes created.
 var workCounters = []string{"engine.events", "engine.resumes", "engine.procs_started"}
 
 // TestWorkCounts is a ratchet on the simulator's work: the engine
-// counters (workCounters) of each of workCountPoints, and summed over
-// all 24 grid points, must not exceed the counts committed in testdata. Unlike host time these counts are exact, so a change that
+// counters (workCounters) of each of workCountPoints, summed over all 24
+// grid points, and of iorWorkPoint must not exceed the counts committed in testdata. Unlike host time these counts are exact, so a change that
 // makes the simulator do more per simulated request fails here whatever
 // the machine. A change that lowers a count rewrites the file with
 // -update and lists the moved counts.
 func TestWorkCounts(t *testing.T) {
-	counts, err := runner.Map(24, func(i int) (map[string]int64, error) {
+	counts, err := runner.Map(25, func(i int) (map[string]int64, error) {
 		set := obs.New(obs.Config{Metrics: true})
-		if _, _, _, err := runGridPoint(i, set); err != nil {
+		if i == 24 {
+			if err := runIORPoint(set); err != nil {
+				return nil, err
+			}
+		} else if _, _, _, err := runGridPoint(i, set); err != nil {
 			return nil, err
 		}
 		all := set.Registry().CounterValues()
@@ -47,7 +68,7 @@ func TestWorkCounts(t *testing.T) {
 	}
 	got := map[string]map[string]int64{}
 	total := map[string]int64{}
-	for i, row := range counts {
+	for i, row := range counts[:24] {
 		for k, n := range row {
 			total[k] += n
 		}
@@ -56,6 +77,7 @@ func TestWorkCounts(t *testing.T) {
 		}
 	}
 	got["grid/24 points seeds=1000-1023"] = total
+	got[iorWorkPoint] = counts[24]
 
 	if *updateGolden {
 		data, err := json.MarshalIndent(got, "", "  ")
