@@ -95,37 +95,23 @@ func fig5(s Scale) (*stats.Table, error) {
 		if err != nil {
 			return cluster.Result{}, err
 		}
-		// Custom workload: warm pass, idle, collector reset, measured pass.
+		// mpi-io-test's loop with the collectors reset as the measured
+		// pass begins, so that they count only its requests.
 		w := func(cl *cluster.Cluster, p *sim.Proc) {
 			f, err := cl.FS.Create("fig5", s.MPIIOBytes+16*kb)
 			if err != nil {
 				panic(err)
 			}
-			world := mpiio.NewWorld(cl.Engine, cl.Client(), f, 64)
-			iters := s.MPIIOBytes / (64 * 64 * kb)
-			rng := sim.NewRNG(3)
-			rngs := make([]*sim.RNG, 64)
-			for i := range rngs {
-				rngs[i] = rng.Fork()
-			}
-			pass := func(r *mpiio.Rank) {
-				for k := int64(0); k < iters; k++ {
-					r.Compute(rngs[r.ID].Duration(0, workload.DefaultJitter))
-					r.ReadAt(k*64*64*kb+int64(r.ID)*64*kb+10*kb, 64*kb)
-				}
-			}
-			done := world.Spawn("fig5", func(r *mpiio.Rank) {
-				pass(r) // warm
-				r.Barrier()
-				r.Compute(5 * sim.Second) // idle: staging happens
-				r.Barrier()
-				if r.ID == 0 {
+			done := mpiio.NewWorld(cl.Engine, cl.Client(), f, 64).Strided(mpiio.Strided{
+				Iters: s.MPIIOBytes / (64 * 64 * kb), Length: 64 * kb,
+				Offset: func(rank int, k int64) int64 { return k*64*64*kb + int64(rank)*64*kb + 10*kb },
+				Jitter: workload.DefaultJitter, Think: sim.NewRNG(3),
+				WarmIdle: 5 * sim.Second,
+				Measured: func() {
 					for _, col := range cl.Collectors {
 						col.Reset()
 					}
-				}
-				r.Barrier()
-				pass(r) // measured
+				},
 			})
 			done.Wait(p)
 		}

@@ -1,6 +1,8 @@
 // Package mpiio provides a minimal MPI-IO-style programming layer over
 // the simulated parallel file system: a World of ranks, barriers, and
-// independent file reads/writes. The paper's benchmarks (mpi-io-test,
+// independent file reads/writes. A rank is a process (Spawn), or a
+// chain of engine callbacks running the strided loop of mpi-io-test and
+// ior-mpi-io (World.Strided). The paper's benchmarks (mpi-io-test,
 // ior-mpi-io, BTIO) are expressed against this layer in
 // internal/workload.
 package mpiio
@@ -35,7 +37,7 @@ func (w *World) Size() int { return w.n }
 // File returns the world's shared file.
 func (w *World) File() *pfs.File { return w.file }
 
-// Rank is one MPI process.
+// Rank is one MPI rank run as a process (Spawn).
 type Rank struct {
 	ID     int
 	P      *sim.Proc

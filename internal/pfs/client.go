@@ -62,37 +62,64 @@ func (c *Client) Write(p *sim.Proc, f *File, off, length int64) sim.Duration {
 	return c.request(p, f, device.Write, off, length)
 }
 
+// Start issues a request for [off, off+length) with op and runs done
+// once every sub-request has completed, from an event of its own at the
+// instant of the last reply: the event in which Read or Write would
+// resume their process. done runs after the request's accounting, and
+// inline, before Start returns, when length is not positive. Start is how
+// a callback chain (mpiio.World.Strided's ranks) issues requests; done
+// is best bound once, so that a request allocates nothing.
+func (c *Client) Start(f *File, op device.Op, off, length int64, done func()) {
+	if length <= 0 {
+		done()
+		return
+	}
+	c.issue(f, op, off, length).then = done
+}
+
 func (c *Client) request(p *sim.Proc, f *File, op device.Op, off, length int64) sim.Duration {
 	if length <= 0 {
 		return 0
 	}
+	par := c.issue(f, op, off, length)
+	par.waiter = p
+	p.Block() // until the last reply wakes us
+	return par.complete()
+}
+
+// issue decomposes a request and sends its sub-requests, each from an
+// event of its own when its request message reaches its server. The
+// caller names who completes it (parent.waiter or parent.then) before
+// any event runs.
+func (c *Client) issue(f *File, op device.Op, off, length int64) *parent {
 	if off < 0 || off+length > f.Size {
 		panic(fmt.Sprintf("pfs: request [%d,%d) outside file %q of size %d", off, off+length, f.Name, f.Size))
 	}
-	start := p.Now()
-	par := c.fs.newParent(p)
-	par.subs, par.sibs = c.fs.layout.AppendRuns(par.subs[:0], par.sibs[:0], off, length, c.FragmentThreshold)
+	fs := c.fs
+	par := fs.newParent()
+	par.op, par.length, par.start = op, length, fs.e.Now()
+	par.subs, par.sibs = fs.layout.AppendRuns(par.subs[:0], par.sibs[:0], off, length, c.FragmentThreshold)
 	subs := par.subs
 	random := c.RandomThreshold > 0 && length < c.RandomThreshold
 
-	var reqID int64
-	if c.fs.tr != nil {
-		c.fs.nextReq++
-		reqID = c.fs.nextReq
+	par.reqID = 0
+	if fs.tr != nil {
+		fs.nextReq++
+		par.reqID = fs.nextReq
 	}
 
 	// Each sub-request carries its own completion state (see job).
 	jobs := par.setJobs(len(subs))
-	net := c.fs.net
+	net := fs.net
 	for i := range subs {
 		sub := &subs[i]
 		j := &jobs[i]
-		j.srv = c.fs.servers[sub.Server]
+		j.srv = fs.servers[sub.Server]
 		j.served = false
 		j.req = IORequest{
 			Op:       op,
 			FileID:   f.ID,
-			ID:       reqID,
+			ID:       par.reqID,
 			Bytes:    sub.Length,
 			Fragment: sub.Fragment,
 			Siblings: sub.Siblings,
@@ -117,28 +144,42 @@ func (c *Client) request(p *sim.Proc, f *File, op device.Op, off, length int64) 
 			replyPayload += sub.Length
 		}
 		j.replyDelay = net.Delay(replyPayload)
-		c.fs.e.After(net.Delay(sendPayload), j.step)
+		fs.e.After(net.Delay(sendPayload), j.step)
 	}
-	p.Block() // until the last reply wakes us
+	return par
+}
 
-	lat := p.Now().Sub(start)
-	st := &c.fs.stats
+// finish is the completion event of a request issued by Start: it
+// accounts for the request and runs the continuation.
+func (par *parent) finish() {
+	then := par.then
+	par.complete()
+	then()
+}
+
+// complete accounts for a request whose last reply has come — the
+// client's statistics, the parent histogram and the request's trace
+// span — frees its parent, and returns its service time.
+func (par *parent) complete() sim.Duration {
+	fs := par.fs
+	lat := fs.e.Now().Sub(par.start)
+	st := &fs.stats
 	st.Requests++
-	st.Bytes[op] += length
+	st.Bytes[par.op] += par.length
 	st.Latency += lat
-	st.SubCount += int64(len(subs))
-	for _, s := range subs {
+	st.SubCount += int64(len(par.subs))
+	for _, s := range par.subs {
 		if s.Fragment {
 			st.Fragments++
 		}
 	}
-	if c.fs.m != nil {
-		c.fs.m.Parent.ObserveDur(lat)
+	if fs.m != nil {
+		fs.m.Parent.ObserveDur(lat)
 	}
-	if c.fs.tr != nil {
-		c.fs.tr.Span(uint64(reqID), 0, 0, opName(op), c.fs.scope, time.Unix(0, int64(start)), time.Duration(lat))
+	if fs.tr != nil {
+		fs.tr.Span(uint64(par.reqID), 0, 0, opName(par.op), fs.scope, time.Unix(0, int64(par.start)), time.Duration(lat))
 	}
-	c.fs.freeParent(par)
+	fs.freeParent(par)
 	return lat
 }
 

@@ -1,6 +1,7 @@
 package pfs
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/device"
@@ -254,6 +255,62 @@ func TestZeroLengthRequestFree(t *testing.T) {
 	})
 	if fs.Stats().Requests != 0 {
 		t.Fatal("zero-length request counted")
+	}
+	inline := false
+	NewClient(fs).Start(f, device.Write, 0, 0, func() { inline = true })
+	if !inline || fs.Stats().Requests != 0 {
+		t.Fatalf("zero-length Start: continuation ran inline %v, %d requests counted", inline, fs.Stats().Requests)
+	}
+}
+
+// TestStartCompletesLikeRead: a request issued with Start completes in
+// the event, and with the accounting, of the same request issued by a
+// process with Read: its continuation sees the instant and the statistics
+// Read's return would.
+func TestStartCompletesLikeRead(t *testing.T) {
+	type seen struct {
+		at     sim.Time
+		events int64
+		stats  Stats
+	}
+	sizes := []int64{65 * 1024, 3 * 1024, 200 * 1024}
+	trial := func(issue func(e *sim.Engine, c *Client, f *File, log func())) []seen {
+		e := sim.New()
+		fs, _ := testFS(t, e, 4)
+		f, _ := fs.Create("data", 10<<20)
+		var out []seen
+		issue(e, NewIBridgeClient(fs, 40*1024, 20*1024), f, func() {
+			out = append(out, seen{e.Now(), e.Stats().Events, *fs.Stats()})
+		})
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	want := trial(func(e *sim.Engine, c *Client, f *File, log func()) {
+		e.Go("reader", func(p *sim.Proc) {
+			for _, n := range sizes {
+				c.Read(p, f, 1000, n)
+				log()
+			}
+		})
+	})
+	got := trial(func(e *sim.Engine, c *Client, f *File, log func()) {
+		i := 0
+		var next func()
+		next = func() {
+			if i > 0 {
+				log()
+			}
+			if i < len(sizes) {
+				i++
+				c.Start(f, device.Read, 1000, sizes[i-1], next)
+			}
+		}
+		e.After(0, next)
+	})
+	if len(want) != len(sizes) || !slices.Equal(got, want) {
+		t.Errorf("Start completions %+v,\nRead's %+v", got, want)
 	}
 }
 

@@ -149,32 +149,43 @@ func TestRecycledParentsNeverAlias(t *testing.T) {
 }
 
 // TestWarmRequestAllocations bounds what a striped 65 KB iBridge request
-// allocates once the file system is warm: its parent, sub-requests,
-// sibling lists, scheduler units and job queue slots are all recycled,
-// and the device queues dispatch from callbacks bound once, so nothing
-// is left.
+// allocates once the file system is warm, issued by a process (Write)
+// and with a continuation (Start): its parent, sub-requests, sibling
+// lists, scheduler units and job queue slots are all recycled, and the
+// device queues dispatch from callbacks bound once, so nothing is left.
 func TestWarmRequestAllocations(t *testing.T) {
 	const maxAllocs = 0
-	e := sim.New()
-	fs, _ := testFS(t, e, 8)
-	const size = 65 * 1024
-	f, _ := fs.Create("data", 64*size)
-	c := NewIBridgeClient(fs, 40*1024, 20*1024)
-	k := 0
-	request := func(p *sim.Proc) {
-		c.Write(p, f, int64(k%64)*size, size)
-		k++
-	}
-	var allocs float64
-	run(t, e, func(p *sim.Proc) {
-		for i := 0; i < 64; i++ {
-			request(p)
-		}
-		allocs = testing.AllocsPerRun(200, func() { request(p) })
-	})
-	t.Logf("%.1f allocs per warm request", allocs)
-	if allocs > maxAllocs {
-		t.Errorf("%.1f allocs per warm 65 KB request, want <= %d", allocs, maxAllocs)
+	for _, path := range []string{"Write", "Start"} {
+		t.Run(path, func(t *testing.T) {
+			e := sim.New()
+			fs, _ := testFS(t, e, 8)
+			const size = 65 * 1024
+			f, _ := fs.Create("data", 64*size)
+			c := NewIBridgeClient(fs, 40*1024, 20*1024)
+			k := 0
+			var allocs float64
+			run(t, e, func(p *sim.Proc) {
+				wake := func() { e.Wake(p) }
+				request := func() {
+					off := int64(k%64) * size
+					if path == "Write" {
+						c.Write(p, f, off, size)
+					} else {
+						c.Start(f, device.Write, off, size, wake)
+						p.Block()
+					}
+					k++
+				}
+				for i := 0; i < 64; i++ {
+					request()
+				}
+				allocs = testing.AllocsPerRun(200, request)
+			})
+			t.Logf("%.1f allocs per warm request", allocs)
+			if allocs > maxAllocs {
+				t.Errorf("%.1f allocs per warm 65 KB request, want <= %d", allocs, maxAllocs)
+			}
+		})
 	}
 }
 

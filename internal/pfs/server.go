@@ -44,39 +44,50 @@ type Server struct {
 	scope string
 }
 
-// parent is the client's view of one file request in flight: the
-// process blocked on it and how many sub-request replies are still due.
-// It owns the request's decomposition (subs, and the sibling lists of
-// its fragments in sibs) and one job per sub-request. Parents are
-// recycled through the FileSystem's free list, so a request in steady
-// state allocates nothing.
+// parent is the client's view of one file request in flight: what the
+// request is, who completes when it does — a process blocked on it
+// (Client.Read/Write) or a continuation (Client.Start) — and how many
+// sub-request replies are still due. It owns the request's decomposition
+// (subs, and the sibling lists of its fragments in sibs) and one job per
+// sub-request. Parents are recycled through the FileSystem's free list,
+// so a request in steady state allocates nothing.
 type parent struct {
+	fs        *FileSystem
 	waiter    *sim.Proc
+	then      func()
 	remaining int
 	subs      []stripe.Sub
 	sibs      []int
 	jobs      []job
+	// The request, for its accounting at completion.
+	op     device.Op
+	length int64
+	start  sim.Time
+	reqID  int64
+	// finishFn is finish bound once: the completion event of a
+	// request with a continuation.
+	finishFn func()
 }
 
-// newParent returns a parent for a request issued by p, off the free
-// list when one is there.
-func (fs *FileSystem) newParent(p *sim.Proc) *parent {
-	var par *parent
+// newParent returns a parent for a request, off the free list when one
+// is there.
+func (fs *FileSystem) newParent() *parent {
 	if n := len(fs.free); n > 0 {
-		par, fs.free = fs.free[n-1], fs.free[:n-1]
-	} else {
-		par = &parent{}
+		par := fs.free[n-1]
+		fs.free = fs.free[:n-1]
+		return par
 	}
-	par.waiter = p
+	par := &parent{fs: fs}
+	par.finishFn = par.finish
 	return par
 }
 
-// freeParent puts par back on the free list. Only after its waiter has
-// been woken by the last reply: by then no job of par is in a server
-// queue, a store or the event queue, and no store still holds one of
-// its IORequests (see Store).
+// freeParent puts par back on the free list. Only after its last reply
+// has come: by then no job of par is in a server queue, a store or the
+// event queue, and no store still holds one of its IORequests (see
+// Store).
 func (fs *FileSystem) freeParent(par *parent) {
-	par.waiter = nil
+	par.waiter, par.then = nil, nil
 	fs.free = append(fs.free, par)
 }
 
@@ -119,7 +130,8 @@ type job struct {
 
 // advance is the engine callback of both network legs: the request
 // message reaching the server (queue the job), then the reply reaching
-// the client (count it; the last one resumes the waiting process).
+// the client (count it). The last reply resumes the waiting process, or
+// schedules the continuation's completion event in the same place.
 func (j *job) advance() {
 	if !j.served {
 		j.srv.push(j)
@@ -128,7 +140,11 @@ func (j *job) advance() {
 	par := j.parent
 	par.remaining--
 	if par.remaining == 0 {
-		j.srv.e.Wake(par.waiter)
+		if par.waiter != nil {
+			j.srv.e.Wake(par.waiter)
+		} else {
+			j.srv.e.After(0, par.finishFn)
+		}
 	}
 }
 

@@ -37,8 +37,8 @@ type Engine struct {
 	nextID int
 	// idle holds coroutines whose process body has returned, for Go to
 	// reuse: starting a process on one costs no coroutine creation,
-	// which processes started after others have finished (each
-	// phase's MPI ranks) would otherwise pay.
+	// which processes started after others have finished would
+	// otherwise pay.
 	idle    []*coro
 	halted  bool
 	started bool

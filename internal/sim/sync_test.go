@@ -57,6 +57,64 @@ func TestBarrierReusable(t *testing.T) {
 	}
 }
 
+// TestBarrierArriveMatchesWait: continuations arriving at a barrier
+// pass it in the event, and the order, in which processes waiting there
+// would resume — the last arrival inline, the others from the release in
+// arrival order — across generations and with both kinds mixed.
+func TestBarrierArriveMatchesWait(t *testing.T) {
+	const n, rounds = 5, 4
+	// Party i's think time before round r, so that the arrival order
+	// changes from round to round.
+	think := func(i, r int) Duration { return Duration((i*3+r*2)%n+1) * Millisecond }
+	run := func(callback func(i int) bool) string {
+		e := New()
+		b := NewBarrier(e, n)
+		var log []string
+		pass := func(i, r int) {
+			log = append(log, fmt.Sprintf("%d.%d@%v#%d", i, r, e.Now(), e.Stats().Events))
+		}
+		for i := 0; i < n; i++ {
+			if !callback(i) {
+				e.Go("party", func(p *Proc) {
+					for r := 0; r < rounds; r++ {
+						p.Sleep(think(i, r))
+						b.Wait(p)
+						pass(i, r)
+					}
+				})
+				continue
+			}
+			r := 0
+			var arrive, passed func()
+			arrive = func() { b.Arrive(passed) }
+			passed = func() {
+				pass(i, r)
+				if r++; r < rounds {
+					e.After(think(i, r), arrive)
+				}
+			}
+			e.After(0, func() { e.After(think(i, 0), arrive) })
+		}
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if len(log) != n*rounds {
+			t.Fatalf("%d passes, want %d", len(log), n*rounds)
+		}
+		return strings.Join(log, " ")
+	}
+	want := run(func(int) bool { return false })
+	for name, callback := range map[string]func(int) bool{
+		"all":  func(int) bool { return true },
+		"odd":  func(i int) bool { return i%2 == 1 },
+		"last": func(i int) bool { return i == n-1 },
+	} {
+		if got := run(callback); got != want {
+			t.Errorf("%s parties on callbacks:\n got %s\nwant %s", name, got, want)
+		}
+	}
+}
+
 func TestCounter(t *testing.T) {
 	e := New()
 	c := NewCounter(e, 3)

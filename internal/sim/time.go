@@ -8,10 +8,10 @@
 // advances the virtual clock to the next scheduled event and switches
 // into the process that event resumes. Callbacks (After, and a Wait's
 // continuation) run inline in the engine loop, with no process to switch
-// into. In the cluster only the workload's ranks (and the driver that
-// starts them) are processes; the storage stack beneath them runs on
-// callbacks. Runs are fully deterministic: events with equal timestamps
-// fire in scheduling order.
+// into. In the cluster only some workloads' ranks (and the drivers that
+// start them) are processes; mpi-io-test's and ior-mpi-io's ranks and
+// the storage stack beneath them run on callbacks. Runs are fully
+// deterministic: events with equal timestamps fire in scheduling order.
 package sim
 
 import "repro/internal/vtime"

@@ -85,64 +85,26 @@ func (r *Report) ThroughputMBps() float64 {
 	return float64(r.Bytes) / r.Elapsed().Seconds() / 1e6
 }
 
-// MPIIOTest returns the benchmark as a cluster workload.
+// MPIIOTest returns the benchmark as a cluster workload. Its ranks run
+// the strided loop of mpiio.World.Strided.
 func MPIIOTest(cfg MPIIOTestConfig) cluster.Workload {
 	return func(c *cluster.Cluster, p *sim.Proc) {
 		f, err := c.FS.Create("mpi-io-test", cfg.FileBytes+cfg.Shift+cfg.RequestSize)
 		if err != nil {
 			panic(err)
 		}
-		w := mpiio.NewWorld(c.Engine, c.Client(), f, cfg.Procs)
 		n := int64(cfg.Procs)
 		s := cfg.RequestSize
-		iters := cfg.FileBytes / (n * s)
-		if iters == 0 {
-			iters = 1
-		}
-		rootRNG := sim.NewRNG(cfg.Seed + 0x9E37)
-		rngs := make([]*sim.RNG, cfg.Procs)
-		for i := range rngs {
-			rngs[i] = rootRNG.Fork()
-		}
-		passes := 1
-		if cfg.Warm {
-			passes = 2
-		}
-		warmIdle := cfg.WarmIdle
-		if warmIdle <= 0 {
-			warmIdle = 5 * sim.Second
-		}
+		iters := max(cfg.FileBytes/(n*s), 1)
 		var measuredStart sim.Time
-		done := w.Spawn("mpi-io-test", func(r *mpiio.Rank) {
-			rng := rngs[r.ID]
-			for pass := 0; pass < passes; pass++ {
-				if pass == passes-1 {
-					if cfg.Warm {
-						// Quiet period between program runs: iBridge
-						// stages fragments identified in the warm run.
-						r.Barrier()
-						r.Compute(warmIdle)
-						r.Barrier()
-					}
-					if r.ID == 0 {
-						measuredStart = r.P.Now()
-					}
-				}
-				for k := int64(0); k < iters; k++ {
-					if cfg.Jitter > 0 {
-						r.Compute(rng.Duration(0, cfg.Jitter))
-					}
-					off := k*n*s + int64(r.ID)*s + cfg.Shift
-					if cfg.Write {
-						r.WriteAt(off, s)
-					} else {
-						r.ReadAt(off, s)
-					}
-					if cfg.Barrier {
-						r.Barrier()
-					}
-				}
-			}
+		done := mpiio.NewWorld(c.Engine, c.Client(), f, cfg.Procs).Strided(mpiio.Strided{
+			Iters: iters, Length: s, Write: cfg.Write,
+			Offset:   func(rank int, k int64) int64 { return k*n*s + int64(rank)*s + cfg.Shift },
+			Jitter:   cfg.Jitter,
+			Think:    sim.NewRNG(cfg.Seed + 0x9E37),
+			Barrier:  cfg.Barrier,
+			WarmIdle: warmIdle(cfg.Warm, cfg.WarmIdle),
+			Measured: func() { measuredStart = c.Engine.Now() },
 		})
 		done.Wait(p)
 		if cfg.Report != nil {
@@ -151,6 +113,18 @@ func MPIIOTest(cfg MPIIOTestConfig) cluster.Workload {
 			cfg.Report.Bytes = iters * n * s
 		}
 	}
+}
+
+// warmIdle returns the idle window of a warmed run (default 5 s), or
+// zero for a run with no warm pass.
+func warmIdle(warm bool, idle sim.Duration) sim.Duration {
+	if !warm {
+		return 0
+	}
+	if idle <= 0 {
+		return 5 * sim.Second
+	}
+	return idle
 }
 
 // IORConfig parameterizes the ior-mpi-io benchmark of Section III-C: the
@@ -171,60 +145,24 @@ type IORConfig struct {
 	Report   *Report
 }
 
-// IOR returns the benchmark as a cluster workload.
+// IOR returns the benchmark as a cluster workload. Its ranks run the
+// strided loop of mpiio.World.Strided, each over its own chunk.
 func IOR(cfg IORConfig) cluster.Workload {
 	return func(c *cluster.Cluster, p *sim.Proc) {
 		f, err := c.FS.Create("ior-mpi-io", cfg.FileBytes+cfg.RequestSize)
 		if err != nil {
 			panic(err)
 		}
-		w := mpiio.NewWorld(c.Engine, c.Client(), f, cfg.Procs)
 		chunk := cfg.FileBytes / int64(cfg.Procs)
-		iters := chunk / cfg.RequestSize
-		if iters == 0 {
-			iters = 1
-		}
-		rootRNG := sim.NewRNG(cfg.Seed + 0x51D3)
-		rngs := make([]*sim.RNG, cfg.Procs)
-		for i := range rngs {
-			rngs[i] = rootRNG.Fork()
-		}
-		passes := 1
-		if cfg.Warm {
-			passes = 2
-		}
-		warmIdle := cfg.WarmIdle
-		if warmIdle <= 0 {
-			warmIdle = 5 * sim.Second
-		}
-		barrier := sim.NewBarrier(c.Engine, cfg.Procs)
+		iters := max(chunk/cfg.RequestSize, 1)
 		var measuredStart sim.Time
-		done := w.Spawn("ior", func(r *mpiio.Rank) {
-			rng := rngs[r.ID]
-			base := int64(r.ID) * chunk
-			for pass := 0; pass < passes; pass++ {
-				if pass == passes-1 {
-					if cfg.Warm {
-						barrier.Wait(r.P)
-						r.Compute(warmIdle)
-						barrier.Wait(r.P)
-					}
-					if r.ID == 0 {
-						measuredStart = r.P.Now()
-					}
-				}
-				for k := int64(0); k < iters; k++ {
-					if cfg.Jitter > 0 {
-						r.Compute(rng.Duration(0, cfg.Jitter))
-					}
-					off := base + k*cfg.RequestSize
-					if cfg.Write {
-						r.WriteAt(off, cfg.RequestSize)
-					} else {
-						r.ReadAt(off, cfg.RequestSize)
-					}
-				}
-			}
+		done := mpiio.NewWorld(c.Engine, c.Client(), f, cfg.Procs).Strided(mpiio.Strided{
+			Iters: iters, Length: cfg.RequestSize, Write: cfg.Write,
+			Offset:   func(rank int, k int64) int64 { return int64(rank)*chunk + k*cfg.RequestSize },
+			Jitter:   cfg.Jitter,
+			Think:    sim.NewRNG(cfg.Seed + 0x51D3),
+			WarmIdle: warmIdle(cfg.Warm, cfg.WarmIdle),
+			Measured: func() { measuredStart = c.Engine.Now() },
 		})
 		done.Wait(p)
 		if cfg.Report != nil {
