@@ -28,9 +28,13 @@ const goldenFile = "testdata/golden.sha256"
 // replay (regular random requests), the disk-only / iBridge / SSD-only
 // comparison (the only SSD-only store path), and mpi-io-test beside
 // BTIO under static and dynamic partitions (fragments and random writes
-// sharing the daemon and the disks' anticipation windows), and
-// ior-mpi-io (per-rank chunks, warmed reads).
-var goldenTables = []string{"fig13", "fig5", "ablation-writeback", "fig11", "ssdfail", "table3", "fig10", "fig12", "fig8"}
+// sharing the daemon and the disks' anticipation windows), ior-mpi-io
+// (per-rank chunks, warmed reads), the striping-magnification grid
+// (barriers after every request, an interference reader), Fig. 5's
+// workload with server readahead, and the checkpoint/restart comparison
+// with PLFS (shuffled writes, a restart read, the log mount).
+var goldenTables = []string{"fig13", "fig5", "ablation-writeback", "fig11", "ssdfail", "table3", "fig10", "fig12", "fig8",
+	"fig3", "ext-readahead", "ext-plfs"}
 
 // goldenPoint runs grid point i of the benchmark's sim-eval workload
 // (bench/sim.go's simGrid: the six Fig. 4 cases × stock/iBridge ×

@@ -21,19 +21,32 @@ const workCountsFile = "testdata/workcounts.json"
 // 129 KB stock warmed read and +10 KB iBridge write.
 var workCountPoints = []int{0, 7, 9, 22}
 
-// iorWorkPoint names the Fig. 8 ior-mpi-io point with a row of its own
-// (runIORPoint): the only run of the ior-mpi-io benchmark the tests make
-// outside table/fig8.
-const iorWorkPoint = "ior/65KB/ibridge/read smoke"
-
-// runIORPoint runs Fig. 8's 65 KB iBridge warmed-read point at smoke
-// scale, which takes the benchmark through its warm pass, the idle
-// window and both barriers, with the observability sinks set.
-func runIORPoint(set *obs.Set) error {
-	cfg := baseConfig(Smoke, cluster.IBridge)
-	cfg.Obs = set
-	_, _, err := iorRun(Smoke, cfg, workload.IORConfig{Procs: 64, RequestSize: 65 * kb, Warm: true})
-	return err
+// workPoints are the runs outside the sim-eval grid with a row of their
+// own: Fig. 8's 65 KB iBridge warmed-read ior-mpi-io point, which takes
+// the benchmark through its warm pass, the idle window and both
+// barriers, and Fig. 3's k=2 run with a fragment and a barrier after
+// every request (the interference reader still running when the ranks
+// finish). Each runs at smoke scale with the observability sinks set.
+var workPoints = []struct {
+	name string
+	run  func(set *obs.Set) error
+}{
+	{"ior/65KB/ibridge/read smoke", func(set *obs.Set) error {
+		cfg := baseConfig(Smoke, cluster.IBridge)
+		cfg.Obs = set
+		_, _, err := iorRun(Smoke, cfg, workload.IORConfig{Procs: 64, RequestSize: 65 * kb, Warm: true})
+		return err
+	}},
+	{"fig3/k=2/frag/barrier smoke", func(set *obs.Set) error {
+		cfg := baseConfig(Smoke, cluster.Stock)
+		cfg.Obs = set
+		c, err := cluster.New(cfg)
+		if err != nil {
+			return err
+		}
+		_, err = c.Run(workload.Fig3(workload.Fig3Config{Procs: 16, K: 2, Fragment: true, Barrier: true, Iters: 6}))
+		return err
+	}},
 }
 
 // workCounters are the engine counters each row pins: events run,
@@ -42,15 +55,15 @@ var workCounters = []string{"engine.events", "engine.resumes", "engine.procs_sta
 
 // TestWorkCounts is a ratchet on the simulator's work: the engine
 // counters (workCounters) of each of workCountPoints, summed over all 24
-// grid points, and of iorWorkPoint must not exceed the counts committed in testdata. Unlike host time these counts are exact, so a change that
+// grid points, and of each of workPoints must not exceed the counts committed in testdata. Unlike host time these counts are exact, so a change that
 // makes the simulator do more per simulated request fails here whatever
 // the machine. A change that lowers a count rewrites the file with
 // -update and lists the moved counts.
 func TestWorkCounts(t *testing.T) {
-	counts, err := runner.Map(25, func(i int) (map[string]int64, error) {
+	counts, err := runner.Map(24+len(workPoints), func(i int) (map[string]int64, error) {
 		set := obs.New(obs.Config{Metrics: true})
-		if i == 24 {
-			if err := runIORPoint(set); err != nil {
+		if i >= 24 {
+			if err := workPoints[i-24].run(set); err != nil {
 				return nil, err
 			}
 		} else if _, _, _, err := runGridPoint(i, set); err != nil {
@@ -77,7 +90,9 @@ func TestWorkCounts(t *testing.T) {
 		}
 	}
 	got["grid/24 points seeds=1000-1023"] = total
-	got[iorWorkPoint] = counts[24]
+	for i, wp := range workPoints {
+		got[wp.name] = counts[24+i]
+	}
 
 	if *updateGolden {
 		data, err := json.MarshalIndent(got, "", "  ")
