@@ -50,9 +50,11 @@ func main() {
 	flag.Parse()
 	// mpi-io-test gives every process one request per iteration, so the
 	// volume must hold at least one iteration.
-	if *procs < 1 || *size < 1 || *shift < 0 || *fileMB<<20 < int64(*procs)**size {
-		fmt.Fprintf(os.Stderr, "ibridge-sim: invalid geometry -procs %d -size %d -shift %d -file %d: need procs >= 1, size >= 1, shift >= 0 and a -file volume of at least procs*size = %d bytes (one request per process)\n",
-			*procs, *size, *shift, *fileMB, int64(*procs)**size)
+	if *servers < 1 || *unit < 1 || *procs < 1 || *size < 1 || *shift < 0 || *fileMB<<20 < int64(*procs)**size ||
+		*ssdBytes < 0 || *threshold < 0 || *jitterUS < 0 {
+		fmt.Fprintf(os.Stderr, "ibridge-sim: invalid geometry -servers %d -unit %d -procs %d -size %d -shift %d -file %d -ssd %d -threshold %d -jitter %d: "+
+			"need servers, unit, procs and size >= 1; shift, ssd, threshold and jitter >= 0; and a -file volume of at least procs*size = %d bytes (one request per process)\n",
+			*servers, *unit, *procs, *size, *shift, *fileMB, *ssdBytes, *threshold, *jitterUS, int64(*procs)**size)
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -132,7 +134,7 @@ func main() {
 	if cfg.Mode == cluster.IBridge {
 		fmt.Printf("iBridge:        %.1f%% of bytes served at SSD; admissions %v; hits %d; writeback %d MB; peak usage %d MB\n",
 			res.SSDFraction*100, res.Bridge.Admissions, res.Bridge.Hits,
-			res.Bridge.WritebackBytes>>20, res.PeakSSDUsage>>20)
+			res.Bridge.WritebackBytes>>20, res.Bridge.PeakUsage>>20)
 	}
 	ds := c.DiskStats()
 	fmt.Printf("disks:          %d ops, %d repositionings, busy %.0f%%\n",

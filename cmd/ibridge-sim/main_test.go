@@ -45,13 +45,22 @@ func runSim(t *testing.T, args ...string) (code int, stdout, stderr string) {
 
 // TestGeometryRejected: a volume smaller than one request per process
 // used to panic in pfs.(*Client).request ("request … outside file"); it
-// is a usage error.
+// is a usage error. So are a stripe unit ≤ 0 (once silently run as
+// 64 KiB), no servers (once a log.Fatal, exit 1) and a negative SSD
+// size, threshold or think time (once accepted).
 func TestGeometryRejected(t *testing.T) {
+	small := []string{"-file", "1", "-procs", "16", "-size", "65536"}
 	for _, args := range [][]string{
 		{"-file", "1", "-procs", "64"},
 		{"-file", "1", "-procs", "0"},
 		{"-file", "1", "-size", "0"},
 		{"-file", "1", "-procs", "2", "-shift", "-1"},
+		append([]string{"-unit", "0"}, small...),
+		append([]string{"-unit", "-5"}, small...),
+		append([]string{"-servers", "0"}, small...),
+		append([]string{"-ssd", "-1"}, small...),
+		append([]string{"-threshold", "-1"}, small...),
+		append([]string{"-jitter", "-1"}, small...),
 	} {
 		code, stdout, stderr := runSim(t, args...)
 		if code != 2 {

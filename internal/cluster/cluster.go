@@ -53,7 +53,8 @@ func (m Mode) String() string {
 type Config struct {
 	// Servers is the number of data servers (8 on the paper's testbed).
 	Servers int
-	// StripeUnit is the striping unit in bytes (64 KB default).
+	// StripeUnit is the striping unit in bytes (64 KB default); New
+	// rejects a unit ≤ 0.
 	StripeUnit int64
 	Mode       Mode
 	// IBridge configures the bridges when Mode == IBridge.
@@ -131,7 +132,7 @@ func New(cfg Config) (*Cluster, error) {
 		return nil, fmt.Errorf("cluster: %d servers", cfg.Servers)
 	}
 	if cfg.StripeUnit <= 0 {
-		cfg.StripeUnit = stripe.DefaultUnit
+		return nil, fmt.Errorf("cluster: stripe unit %d must be positive", cfg.StripeUnit)
 	}
 	for _, i := range slices.Sorted(maps.Keys(cfg.SSDFails)) {
 		switch at := cfg.SSDFails[i]; {
@@ -296,9 +297,8 @@ type Result struct {
 	AvgServiceTime sim.Duration
 	// SSDFraction is the fraction of server bytes served at the SSD.
 	SSDFraction float64
-	// PeakSSDUsage is cluster-wide peak cache occupancy in bytes.
-	PeakSSDUsage int64
-	// Bridge aggregates iBridge statistics across servers.
+	// Bridge aggregates iBridge statistics across servers (its
+	// PeakUsage is the cluster-wide peak cache occupancy).
 	Bridge core.Stats
 	// Blocks is the merged block-level dispatch distribution (nil
 	// unless Config.Trace).
@@ -340,7 +340,6 @@ func (c *Cluster) Run(w Workload) (Result, error) {
 	}
 	if len(c.Bridges) > 0 {
 		res.SSDFraction = res.Bridge.SSDFraction()
-		res.PeakSSDUsage = res.Bridge.PeakUsage
 	}
 	if len(c.Collectors) > 0 {
 		merged := blktrace.New("cluster")

@@ -194,10 +194,19 @@ func TestResultMetricsSane(t *testing.T) {
 }
 
 func TestClusterRejectsBadConfig(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Servers = 0
-	if _, err := New(cfg); err == nil {
-		t.Fatal("zero-server cluster accepted")
+	for _, tc := range []struct {
+		name string
+		bad  func(*Config)
+	}{
+		{"zero servers", func(c *Config) { c.Servers = 0 }},
+		{"zero stripe unit", func(c *Config) { c.StripeUnit = 0 }},
+		{"negative stripe unit", func(c *Config) { c.StripeUnit = -5 }},
+	} {
+		cfg := DefaultConfig()
+		tc.bad(&cfg)
+		if _, err := New(cfg); err == nil {
+			t.Errorf("%s: cluster accepted", tc.name)
+		}
 	}
 }
 

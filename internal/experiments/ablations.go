@@ -30,7 +30,7 @@ func ablationMagnification(s Scale) (*stats.Table, error) {
 		on := variants[i]
 		cfg := baseConfig(s, cluster.IBridge)
 		cfg.IBridge.Magnification = on
-		res, rep, err := mpiioRun(s, cfg, workload.MPIIOTestConfig{
+		res, rep, err := mpiioRun(s, cfg, workload.MPIIOTest, workload.MPIIOTestConfig{
 			Procs: 64, RequestSize: 64 * kb, Shift: 10 * kb, Write: true,
 		})
 		if err != nil {
@@ -75,7 +75,7 @@ func ablationEWMA(s Scale) (*stats.Table, error) {
 		wNew := weights[i]
 		cfg := baseConfig(s, cluster.IBridge)
 		cfg.IBridge.EWMANew = wNew
-		res, rep, err := mpiioRun(s, cfg, workload.MPIIOTestConfig{
+		res, rep, err := mpiioRun(s, cfg, workload.MPIIOTest, workload.MPIIOTestConfig{
 			Procs: 64, RequestSize: 65 * kb, Write: true,
 		})
 		if err != nil {
@@ -144,7 +144,7 @@ func ablationWriteback(s Scale) (*stats.Table, error) {
 			// all writeback happens in the final flush.
 			cfg.IBridge.IdleCheck = 1 << 40
 		}
-		res, rep, err := mpiioRun(s, cfg, workload.MPIIOTestConfig{
+		res, rep, err := mpiioRun(s, cfg, workload.MPIIOTest, workload.MPIIOTestConfig{
 			Procs: 64, RequestSize: 64 * kb, Shift: 10 * kb, Write: true,
 		})
 		if err != nil {

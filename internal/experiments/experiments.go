@@ -154,9 +154,11 @@ func baseConfig(s Scale, mode cluster.Mode) cluster.Config {
 	return cfg
 }
 
-// mpiioRun is the shared mpi-io-test runner: it builds a fresh cluster
-// and returns the cluster result plus the measured-window report.
-func mpiioRun(s Scale, cfg cluster.Config, w workload.MPIIOTestConfig) (cluster.Result, *workload.Report, error) {
+// mpiioRun is the shared runner of the strided benchmarks: it builds a
+// fresh cluster, runs the workload build makes of w (workload.MPIIOTest
+// or workload.IOR) and returns the cluster result plus the
+// measured-window report.
+func mpiioRun(s Scale, cfg cluster.Config, build func(workload.MPIIOTestConfig) cluster.Workload, w workload.MPIIOTestConfig) (cluster.Result, *workload.Report, error) {
 	c, err := cluster.New(cfg)
 	if err != nil {
 		return cluster.Result{}, nil, err
@@ -169,39 +171,13 @@ func mpiioRun(s Scale, cfg cluster.Config, w workload.MPIIOTestConfig) (cluster.
 	}
 	rep := &workload.Report{}
 	w.Report = rep
-	res, err := c.Run(workload.MPIIOTest(w))
+	res, err := c.Run(build(w))
 	if err != nil {
 		return res, rep, err
 	}
 	if !w.Warm {
 		// Whole-run throughput (including flush) is the headline
 		// number for unwarmed runs; align the report with it.
-		rep.Start = 0
-		rep.End = sim.Time(res.Elapsed + res.FlushTime)
-		rep.Bytes = res.Bytes
-	}
-	return res, rep, nil
-}
-
-// iorRun is the shared ior-mpi-io runner.
-func iorRun(s Scale, cfg cluster.Config, w workload.IORConfig) (cluster.Result, *workload.Report, error) {
-	c, err := cluster.New(cfg)
-	if err != nil {
-		return cluster.Result{}, nil, err
-	}
-	if w.FileBytes == 0 {
-		w.FileBytes = s.MPIIOBytes
-	}
-	if w.Jitter == 0 {
-		w.Jitter = workload.DefaultJitter
-	}
-	rep := &workload.Report{}
-	w.Report = rep
-	res, err := c.Run(workload.IOR(w))
-	if err != nil {
-		return res, rep, err
-	}
-	if !w.Warm {
 		rep.Start = 0
 		rep.End = sim.Time(res.Elapsed + res.FlushTime)
 		rep.Bytes = res.Bytes

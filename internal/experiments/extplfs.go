@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/mpiio"
+	"repro/internal/pfs"
 	"repro/internal/plfs"
 	"repro/internal/runner"
 	"repro/internal/sim"
@@ -37,21 +38,44 @@ func extPLFS(s Scale) (*stats.Table, error) {
 	const shift = 10 * kb
 	fileBytes := s.MPIIOBytes
 
-	// Stock and iBridge: the mpi-io-test pattern writes the file with a
-	// +10KB displacement, then every rank reads its share sequentially.
-	runPFS := func(mode cluster.Mode) (write, read sim.Duration, err error) {
-		cfg := baseConfig(s, mode)
-		c, cerr := cluster.New(cfg)
-		if cerr != nil {
-			return 0, 0, cerr
+	// run writes the checkpoint, the mpi-io-test pattern with a +10KB
+	// displacement in shuffled iteration order, then every rank reads
+	// its share back sequentially. Stock and iBridge issue both to a
+	// file of the cluster's mode; PLFS issues the same logical writes
+	// through the log mount on a stock cluster, and the restart reads
+	// resolve through the index.
+	run := func(mode cluster.Mode, viaPLFS bool) (write, read sim.Duration, err error) {
+		c, err := cluster.New(baseConfig(s, mode))
+		if err != nil {
+			return 0, 0, err
 		}
 		var writeEnd, readEnd sim.Time
-		w := func(cl *cluster.Cluster, p *sim.Proc) {
-			f, ferr := cl.FS.Create("ckpt", fileBytes+shift+req)
-			if ferr != nil {
-				panic(ferr)
+		res, err := c.Run(func(cl *cluster.Cluster, p *sim.Proc) {
+			var f *pfs.File
+			var m *plfs.Mount
+			var err error
+			if viaPLFS {
+				m, err = plfs.Create(cl.FS, "ckpt", fileBytes+shift+req, procs)
+			} else {
+				f, err = cl.FS.Create("ckpt", fileBytes+shift+req)
 			}
-			world := mpiio.NewWorld(cl.Engine, cl.Client(), f, procs)
+			if err != nil {
+				panic(err)
+			}
+			writeAt := func(r *mpiio.Rank, off int64) {
+				if m == nil {
+					r.WriteAt(off, req)
+				} else if err := m.WriteAt(r.P, r.ID, off, req); err != nil {
+					panic(err)
+				}
+			}
+			readAt := func(r *mpiio.Rank, off int64) {
+				if m == nil {
+					r.ReadAt(off, req)
+				} else if _, err := m.ReadAt(r.P, off, req); err != nil {
+					panic(err)
+				}
+			}
 			rng := sim.NewRNG(11)
 			rngs := make([]*sim.RNG, procs)
 			for i := range rngs {
@@ -59,11 +83,10 @@ func extPLFS(s Scale) (*stats.Table, error) {
 			}
 			iters := fileBytes / (procs * req)
 			perm := sim.NewRNG(99).Perm(int(iters))
-			done := world.Spawn("ckpt", func(r *mpiio.Rank) {
+			mpiio.NewWorld(cl.Engine, cl.Client(), f, procs).Spawn("ckpt", func(r *mpiio.Rank) {
 				for _, ki := range perm {
-					k := int64(ki)
 					r.Compute(rngs[r.ID].Duration(0, workload.DefaultJitter))
-					r.WriteAt(k*procs*req+int64(r.ID)*req+shift, req)
+					writeAt(r, int64(ki)*procs*req+int64(r.ID)*req+shift)
 				}
 				r.Barrier()
 				if r.ID == 0 {
@@ -74,94 +97,32 @@ func extPLFS(s Scale) (*stats.Table, error) {
 				chunk := fileBytes / procs
 				for off := int64(0); off+req <= chunk; off += req {
 					r.Compute(rngs[r.ID].Duration(0, workload.DefaultJitter))
-					r.ReadAt(int64(r.ID)*chunk+off+shift, req)
+					readAt(r, int64(r.ID)*chunk+off+shift)
 				}
 				r.Barrier()
 				if r.ID == 0 {
 					readEnd = r.P.Now()
 				}
-			})
-			done.Wait(p)
-		}
-		res, rerr := c.Run(w)
-		if rerr != nil {
-			return 0, 0, rerr
+			}).Wait(p)
+		})
+		if err != nil {
+			return 0, 0, err
 		}
 		// Charge the flush (dirty SSD data) to the write phase.
 		return sim.Duration(writeEnd) + res.FlushTime, readEnd.Sub(writeEnd), nil
 	}
 
-	// PLFS: the same logical writes go through the log mount; the
-	// restart reads resolve through the index.
-	runPLFS := func() (write, read sim.Duration, err error) {
-		cfg := baseConfig(s, cluster.Stock)
-		c, cerr := cluster.New(cfg)
-		if cerr != nil {
-			return 0, 0, cerr
-		}
-		var writeEnd, readEnd sim.Time
-		w := func(cl *cluster.Cluster, p *sim.Proc) {
-			m, merr := plfs.Create(cl.FS, "ckpt", fileBytes+shift+req, procs)
-			if merr != nil {
-				panic(merr)
-			}
-			barrier := sim.NewBarrier(cl.Engine, procs)
-			rng := sim.NewRNG(11)
-			rngs := make([]*sim.RNG, procs)
-			for i := range rngs {
-				rngs[i] = rng.Fork()
-			}
-			iters := fileBytes / (procs * req)
-			perm := sim.NewRNG(99).Perm(int(iters))
-			done := sim.NewCounter(cl.Engine, procs)
-			for rank := 0; rank < procs; rank++ {
-				rank := rank
-				cl.Engine.Go(fmt.Sprintf("plfs-rank%d", rank), func(p *sim.Proc) {
-					for _, ki := range perm {
-						k := int64(ki)
-						p.Sleep(rngs[rank].Duration(0, workload.DefaultJitter))
-						if err := m.WriteAt(p, rank, k*procs*req+int64(rank)*req+shift, req); err != nil {
-							panic(err)
-						}
-					}
-					barrier.Wait(p)
-					if rank == 0 {
-						writeEnd = p.Now()
-					}
-					barrier.Wait(p)
-					chunk := fileBytes / procs
-					for off := int64(0); off+req <= chunk; off += req {
-						p.Sleep(rngs[rank].Duration(0, workload.DefaultJitter))
-						if _, err := m.ReadAt(p, int64(rank)*chunk+off+shift, req); err != nil {
-							panic(err)
-						}
-					}
-					barrier.Wait(p)
-					if rank == 0 {
-						readEnd = p.Now()
-					}
-					done.Done()
-				})
-			}
-			done.Wait(p)
-		}
-		if _, rerr := c.Run(w); rerr != nil {
-			return 0, 0, rerr
-		}
-		return sim.Duration(writeEnd), readEnd.Sub(writeEnd), nil
-	}
-
-	type row struct {
-		name string
-		f    func() (sim.Duration, sim.Duration, error)
-	}
-	rows := []row{
-		{"stock", func() (sim.Duration, sim.Duration, error) { return runPFS(cluster.Stock) }},
-		{"PLFS (mini)", runPLFS},
-		{"iBridge", func() (sim.Duration, sim.Duration, error) { return runPFS(cluster.IBridge) }},
+	rows := []struct {
+		name    string
+		mode    cluster.Mode
+		viaPLFS bool
+	}{
+		{"stock", cluster.Stock, false},
+		{"PLFS (mini)", cluster.Stock, true},
+		{"iBridge", cluster.IBridge, false},
 	}
 	cells, err := runner.Map(len(rows), func(i int) ([]string, error) {
-		w, rd, err := rows[i].f()
+		w, rd, err := run(rows[i].mode, rows[i].viaPLFS)
 		if err != nil {
 			return nil, err
 		}

@@ -3,12 +3,8 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/cluster"
-	"repro/internal/mpiio"
 	"repro/internal/runner"
-	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/workload"
 )
 
 func init() {
@@ -16,10 +12,11 @@ func init() {
 }
 
 // extReadahead reruns the Figure 5 measurement (64KB+10KB-offset reads
-// with a warmed iBridge) with kernel-style readahead at the servers. The
-// paper's testbed had readahead enabled, which is why its Figure 5 shows
-// 128/256-sector dispatches; our default pipeline models the flushed-cache
-// device path, so Fig 5 shows the raw 54KB pieces (EXPERIMENTS.md D3).
+// with a warmed iBridge, fig5Run) with kernel-style readahead at the
+// servers; its default row is Figure 5's run. The paper's testbed had
+// readahead enabled, which is why its Figure 5 shows 128/256-sector
+// dispatches; our default pipeline models the flushed-cache device path,
+// so Fig 5 shows the raw 54KB pieces (EXPERIMENTS.md D3).
 // With readahead on, the dispatch distribution shifts to full windows —
 // closing that gap — and throughput rises further because the hole-y
 // piece stream becomes pure sequential device reads.
@@ -32,54 +29,7 @@ func extReadahead(s Scale) (*stats.Table, error) {
 	variants := []bool{false, true}
 	rows, err := runner.Map(len(variants), func(i int) ([]string, error) {
 		ra := variants[i]
-		cfg := baseConfig(s, cluster.IBridge)
-		cfg.Readahead = ra
-		cfg.Trace = true
-		c, err := cluster.New(cfg)
-		if err != nil {
-			return nil, err
-		}
-		rep := &workload.Report{}
-		w := func(cl *cluster.Cluster, p *sim.Proc) {
-			f, ferr := cl.FS.Create("ra", s.MPIIOBytes+16*kb)
-			if ferr != nil {
-				panic(ferr)
-			}
-			world := mpiio.NewWorld(cl.Engine, cl.Client(), f, 64)
-			iters := s.MPIIOBytes / (64 * 64 * kb)
-			rng := sim.NewRNG(3)
-			rngs := make([]*sim.RNG, 64)
-			for i := range rngs {
-				rngs[i] = rng.Fork()
-			}
-			pass := func(r *mpiio.Rank) {
-				for k := int64(0); k < iters; k++ {
-					r.Compute(rngs[r.ID].Duration(0, workload.DefaultJitter))
-					r.ReadAt(k*64*64*kb+int64(r.ID)*64*kb+10*kb, 64*kb)
-				}
-			}
-			done := world.Spawn("ra", func(r *mpiio.Rank) {
-				pass(r) // warm
-				r.Barrier()
-				r.Compute(5 * sim.Second)
-				r.Barrier()
-				if r.ID == 0 {
-					for _, col := range cl.Collectors {
-						col.Reset()
-					}
-					rep.Start = r.P.Now()
-				}
-				r.Barrier()
-				pass(r)
-				r.Barrier()
-				if r.ID == 0 {
-					rep.End = r.P.Now()
-					rep.Bytes = iters * 64 * 64 * kb
-				}
-			})
-			done.Wait(p)
-		}
-		res, err := c.Run(w)
+		res, rep, err := fig5Run(s, ra)
 		if err != nil {
 			return nil, err
 		}

@@ -121,7 +121,7 @@ func fig13(s Scale) (*stats.Table, error) {
 	pts, err := runner.Map(1+len(thresholds), func(i int) (point, error) {
 		if i == 0 {
 			// Aligned reference.
-			_, rep, err := mpiioRun(s, baseConfig(s, cluster.Stock), workload.MPIIOTestConfig{
+			_, rep, err := mpiioRun(s, baseConfig(s, cluster.Stock), workload.MPIIOTest, workload.MPIIOTestConfig{
 				Procs: 64, RequestSize: 64 * kb, Write: true,
 			})
 			if err != nil {
@@ -133,13 +133,13 @@ func fig13(s Scale) (*stats.Table, error) {
 		cfg := baseConfig(s, cluster.IBridge)
 		cfg.FragmentThreshold = th
 		cfg.RandomThreshold = th
-		res, rep, err := mpiioRun(s, cfg, workload.MPIIOTestConfig{
+		res, rep, err := mpiioRun(s, cfg, workload.MPIIOTest, workload.MPIIOTestConfig{
 			Procs: 64, RequestSize: 65 * kb, Write: true,
 		})
 		if err != nil {
 			return point{}, err
 		}
-		return point{mbps: rep.ThroughputMBps(), usage: float64(res.PeakSSDUsage) / float64(res.Bytes)}, nil
+		return point{mbps: rep.ThroughputMBps(), usage: float64(res.Bridge.PeakUsage) / float64(res.Bytes)}, nil
 	})
 	if err != nil {
 		return nil, err

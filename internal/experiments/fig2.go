@@ -43,7 +43,7 @@ func fig2a(s Scale) (*stats.Table, error) {
 		t.Columns = append(t.Columns, fmt.Sprintf("%dKB", sz/kb))
 	}
 	cells, err := runner.Map(len(procs)*len(sizes), func(i int) (string, error) {
-		_, rep, err := mpiioRun(s, baseConfig(s, cluster.Stock), workload.MPIIOTestConfig{
+		_, rep, err := mpiioRun(s, baseConfig(s, cluster.Stock), workload.MPIIOTest, workload.MPIIOTestConfig{
 			Procs: procs[i/len(sizes)], RequestSize: sizes[i%len(sizes)],
 		})
 		if err != nil {
@@ -76,7 +76,7 @@ func fig2b(s Scale) (*stats.Table, error) {
 		t.Columns = append(t.Columns, fmt.Sprintf("+%dKB", off/kb))
 	}
 	cells, err := runner.Map(len(procs)*len(offsets), func(i int) (string, error) {
-		_, rep, err := mpiioRun(s, baseConfig(s, cluster.Stock), workload.MPIIOTestConfig{
+		_, rep, err := mpiioRun(s, baseConfig(s, cluster.Stock), workload.MPIIOTest, workload.MPIIOTestConfig{
 			Procs: procs[i/len(offsets)], RequestSize: 64 * kb, Shift: offsets[i%len(offsets)],
 		})
 		if err != nil {

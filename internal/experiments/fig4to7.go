@@ -57,7 +57,7 @@ func fig4(s Scale) (*stats.Table, error) {
 		cs := cases[i/4]
 		write := (i/2)%2 == 0
 		mode := modes[i%2]
-		res, rep, err := mpiioRun(s, baseConfig(s, mode), workload.MPIIOTestConfig{
+		res, rep, err := mpiioRun(s, baseConfig(s, mode), workload.MPIIOTest, workload.MPIIOTestConfig{
 			Procs: 64, RequestSize: cs.size, Shift: cs.shift,
 			Write: write, Warm: !write, // reads are warmed
 		})
@@ -89,33 +89,8 @@ func fig4(s Scale) (*stats.Table, error) {
 // data point.
 func fig5(s Scale) (*stats.Table, error) {
 	results, err := runner.Map(1, func(int) (cluster.Result, error) {
-		cfg := baseConfig(s, cluster.IBridge)
-		cfg.Trace = true
-		c, err := cluster.New(cfg)
-		if err != nil {
-			return cluster.Result{}, err
-		}
-		// mpi-io-test's loop with the collectors reset as the measured
-		// pass begins, so that they count only its requests.
-		w := func(cl *cluster.Cluster, p *sim.Proc) {
-			f, err := cl.FS.Create("fig5", s.MPIIOBytes+16*kb)
-			if err != nil {
-				panic(err)
-			}
-			done := mpiio.NewWorld(cl.Engine, cl.Client(), f, 64).Strided(mpiio.Strided{
-				Iters: s.MPIIOBytes / (64 * 64 * kb), Length: 64 * kb,
-				Offset: func(rank int, k int64) int64 { return k*64*64*kb + int64(rank)*64*kb + 10*kb },
-				Jitter: workload.DefaultJitter, Think: sim.NewRNG(3),
-				WarmIdle: 5 * sim.Second,
-				Measured: func() {
-					for _, col := range cl.Collectors {
-						col.Reset()
-					}
-				},
-			})
-			done.Wait(p)
-		}
-		return c.Run(w)
+		res, _, err := fig5Run(s, false)
+		return res, err
 	})
 	if err != nil {
 		return nil, err
@@ -135,6 +110,44 @@ func fig5(s Scale) (*stats.Table, error) {
 	return t, nil
 }
 
+// fig5Run runs Figure 5's workload on a warmed iBridge cluster with
+// blktrace collectors, with or without server readahead: 64 ranks read
+// 64 KB at a +10 KB offset in mpi-io-test's loop, and the collectors are
+// reset as the measured pass begins, so that they count only its
+// requests. The report is the measured pass.
+func fig5Run(s Scale, readahead bool) (cluster.Result, workload.Report, error) {
+	var rep workload.Report
+	cfg := baseConfig(s, cluster.IBridge)
+	cfg.Trace = true
+	cfg.Readahead = readahead
+	c, err := cluster.New(cfg)
+	if err != nil {
+		return cluster.Result{}, rep, err
+	}
+	iters := s.MPIIOBytes / (64 * 64 * kb)
+	res, err := c.Run(func(cl *cluster.Cluster, p *sim.Proc) {
+		f, err := cl.FS.Create("fig5", s.MPIIOBytes+16*kb)
+		if err != nil {
+			panic(err)
+		}
+		mpiio.NewWorld(cl.Engine, cl.Client(), f, 64).Strided(mpiio.Strided{
+			Iters: iters, Length: 64 * kb,
+			Offset: func(rank int, k int64) int64 { return k*64*64*kb + int64(rank)*64*kb + 10*kb },
+			Jitter: workload.DefaultJitter, Think: sim.NewRNG(3),
+			WarmIdle: 5 * sim.Second,
+			Measured: func() {
+				for _, col := range cl.Collectors {
+					col.Reset()
+				}
+				rep.Start = cl.Engine.Now()
+			},
+		}).Wait(p)
+		rep.End = p.Now()
+		rep.Bytes = iters * 64 * 64 * kb
+	})
+	return res, rep, err
+}
+
 // fig6 reproduces Figure 6: throughput scaling with process count for
 // 65 KB requests, stock vs iBridge, reads and writes.
 func fig6(s Scale) (*stats.Table, error) {
@@ -148,7 +161,7 @@ func fig6(s Scale) (*stats.Table, error) {
 	// Grid layout: procs-major, then write/read, then stock/iBridge.
 	cells, err := runner.Map(len(procs)*4, func(i int) (string, error) {
 		write := (i/2)%2 == 0
-		_, rep, err := mpiioRun(s, baseConfig(s, modes[i%2]), workload.MPIIOTestConfig{
+		_, rep, err := mpiioRun(s, baseConfig(s, modes[i%2]), workload.MPIIOTest, workload.MPIIOTestConfig{
 			Procs: procs[i/4], RequestSize: 65 * kb, Write: write, Warm: !write,
 		})
 		if err != nil {
@@ -190,7 +203,7 @@ func fig7(s Scale) (*stats.Table, error) {
 		write := (i/len(cfgCases))%2 == 0
 		cfg := baseConfig(s, cc.mode)
 		cfg.Servers = serverCounts[i/(2*len(cfgCases))]
-		_, rep, err := mpiioRun(s, cfg, workload.MPIIOTestConfig{
+		_, rep, err := mpiioRun(s, cfg, workload.MPIIOTest, workload.MPIIOTestConfig{
 			Procs: 64, RequestSize: cc.size, Write: write,
 			Warm: !write && cc.mode == cluster.IBridge,
 		})

@@ -29,7 +29,7 @@ func fig8(s Scale) (*stats.Table, error) {
 	// Grid layout: size-major, then write/read, then stock/iBridge.
 	vals, err := runner.Map(len(sizes)*4, func(i int) (float64, error) {
 		write := (i/2)%2 == 0
-		_, rep, err := iorRun(s, baseConfig(s, modes[i%2]), workload.IORConfig{
+		_, rep, err := mpiioRun(s, baseConfig(s, modes[i%2]), workload.IOR, workload.MPIIOTestConfig{
 			Procs: 64, RequestSize: sizes[i/4], Write: write, Warm: !write,
 		})
 		if err != nil {

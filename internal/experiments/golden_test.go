@@ -95,7 +95,7 @@ func renderRun(c *cluster.Cluster, res cluster.Result, rep *workload.Report) str
 		"measured: start=%d end=%d bytes=%d\nbridge: %+v\n"+
 		"disks: ops=%v bytes=%v seq=%v busy=%d seek=%d seeks=%d\n",
 		int64(res.Elapsed), int64(res.FlushTime), res.Bytes, res.Requests, int64(res.AvgServiceTime),
-		res.SSDFraction, res.PeakSSDUsage, int64(rep.Start), int64(rep.End), rep.Bytes, res.Bridge,
+		res.SSDFraction, res.Bridge.PeakUsage, int64(rep.Start), int64(rep.End), rep.Bytes, res.Bridge,
 		ds.Ops, ds.Bytes, ds.SeqOps, int64(ds.BusyTime), int64(ds.SeekTime), ds.Seeks)
 }
 

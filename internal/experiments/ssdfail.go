@@ -33,7 +33,7 @@ func ssdFail(s Scale) (*stats.Table, error) {
 	run := func(mode cluster.Mode, fails map[int]sim.Duration) (cluster.Result, error) {
 		cfg := baseConfig(s, mode)
 		cfg.SSDFails = fails
-		res, _, err := mpiioRun(s, cfg, workload.MPIIOTestConfig{Procs: 16, RequestSize: reqSize, Write: true})
+		res, _, err := mpiioRun(s, cfg, workload.MPIIOTest, workload.MPIIOTestConfig{Procs: 16, RequestSize: reqSize, Write: true})
 		return res, err
 	}
 

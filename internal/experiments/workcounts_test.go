@@ -34,7 +34,7 @@ var workPoints = []struct {
 	{"ior/65KB/ibridge/read smoke", func(set *obs.Set) error {
 		cfg := baseConfig(Smoke, cluster.IBridge)
 		cfg.Obs = set
-		_, _, err := iorRun(Smoke, cfg, workload.IORConfig{Procs: 64, RequestSize: 65 * kb, Warm: true})
+		_, _, err := mpiioRun(Smoke, cfg, workload.IOR, workload.MPIIOTestConfig{Procs: 64, RequestSize: 65 * kb, Warm: true})
 		return err
 	}},
 	{"fig3/k=2/frag/barrier smoke", func(set *obs.Set) error {

@@ -1,10 +1,12 @@
 // Package mpiio provides a minimal MPI-IO-style programming layer over
 // the simulated parallel file system: a World of ranks, barriers, and
 // independent file reads/writes. A rank is a process (Spawn), or a
-// chain of engine callbacks running the strided loop of mpi-io-test and
-// ior-mpi-io (World.Strided). The paper's benchmarks (mpi-io-test,
-// ior-mpi-io, BTIO) are expressed against this layer in
-// internal/workload.
+// chain of engine callbacks running a strided loop (World.Strided): one
+// request per step at an offset of the rank and the step, with optional
+// think time, barrier and warm pass — the loop of mpi-io-test,
+// ior-mpi-io, the Figure 3 microbenchmark and Figure 5's warmed reads.
+// The paper's benchmarks (mpi-io-test, ior-mpi-io, BTIO) are expressed
+// against this layer in internal/workload.
 package mpiio
 
 import (

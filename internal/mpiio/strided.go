@@ -7,9 +7,10 @@ import (
 )
 
 // Strided is the loop of the paper's strided benchmarks, mpi-io-test and
-// ior-mpi-io: every rank issues Iters independent requests of Length
-// bytes per pass, each after an optional think time and followed by an
-// optional barrier. The benchmarks differ only in Offset.
+// ior-mpi-io, and of the Figure 3 microbenchmark: every rank issues Iters
+// independent requests of Length bytes per pass, each after an optional
+// think time and followed by an optional barrier. The benchmarks differ
+// only in Offset.
 type Strided struct {
 	// Iters is each rank's request count per pass, Length and Write
 	// each request's size and direction.

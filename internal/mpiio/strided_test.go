@@ -138,12 +138,15 @@ func referenceStrided(w *World, s Strided) *sim.Counter {
 // processes it replaced: every request is issued, and every sub-request
 // begun at its store, in the same event, and the client statistics and
 // the engine's event count agree. The cases cover think time, the warm
-// pass and a barrier after every request, the last of which no
-// experiment uses.
+// pass and a barrier after every request; the last is Fig. 3's shape:
+// no think time, a barrier after each request, and a request of k units
+// plus 1 KB at the start of a rank's own stripe, spanning servers.
 func TestStridedMatchesProcessRanks(t *testing.T) {
 	const ranks, size = 6, 65 * 1024
+	const stripe = 4 * 64 * 1024 // runStrided's 4 servers' units
 	strided := func(rank int, k int64) int64 { return (k*ranks + int64(rank)) * size }
 	chunked := func(rank int, k int64) int64 { return int64(rank)*(4<<20) + k*size }
+	stripes := func(rank int, k int64) int64 { return (k*ranks + int64(rank)) * stripe }
 	cases := []struct {
 		name string
 		s    Strided
@@ -155,11 +158,14 @@ func TestStridedMatchesProcessRanks(t *testing.T) {
 		{"read/barrier/jitter", Strided{Iters: 10, Offset: chunked, Barrier: true, Jitter: 500 * sim.Microsecond}},
 		{"write/warm/barrier/jitter", Strided{Iters: 6, Write: true, Offset: chunked, Barrier: true,
 			Jitter: sim.Millisecond, WarmIdle: 20 * sim.Millisecond}},
+		{"read/barrier/fig3", Strided{Iters: 8, Length: 2*64*1024 + 1024, Offset: stripes, Barrier: true}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			s := c.s
-			s.Length = size
+			if s.Length == 0 {
+				s.Length = size
+			}
 			run := func(start func(*World, Strided) *sim.Counter) stridedRun {
 				s := s
 				if s.Jitter > 0 {

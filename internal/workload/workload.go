@@ -1,9 +1,11 @@
 // Package workload implements the paper's benchmark programs and trace
 // replay against the simulated cluster: mpi-io-test (strided sequential
-// access with configurable size/offset), ior-mpi-io (per-rank chunks,
-// effectively random at the servers), a BTIO model (tiny strided records
-// interleaved with computation), the Figure 3 striping-magnification
-// microbenchmark, and single-process trace replay.
+// access with configurable size/offset) and ior-mpi-io (per-rank chunks,
+// effectively random at the servers), two wrappers of one builder that
+// differ only in where each request lands; the Figure 3
+// striping-magnification microbenchmark, whose ranks run the same loop
+// (mpiio.World.Strided); a BTIO model (tiny strided records interleaved
+// with computation); and single-process trace replay.
 package workload
 
 import (
@@ -23,9 +25,11 @@ const (
 	GB = 1024 * MB
 )
 
-// MPIIOTestConfig parameterizes the mpi-io-test benchmark of Sections I
-// and III-B: N processes iterate over a shared file; at iteration k,
-// process i accesses one segment at offset k·N·s + i·s (+ Shift).
+// MPIIOTestConfig parameterizes the paper's strided benchmarks,
+// mpi-io-test (Sections I and III-B) and ior-mpi-io (Section III-C): N
+// processes each issue independent requests of one size over a shared
+// file. The benchmarks differ only in where a process's k-th request
+// lands (see MPIIOTest and IOR).
 type MPIIOTestConfig struct {
 	Procs       int
 	RequestSize int64
@@ -49,14 +53,13 @@ type MPIIOTestConfig struct {
 	// Seed feeds the per-rank jitter streams.
 	Seed uint64
 	// Warm runs one unmeasured pass over the file first, followed by
-	// an idle window long enough for iBridge to stage identified
-	// fragments into the SSD. This reproduces the paper's observation
-	// that production MPI programs run repeatedly with consistent
-	// access patterns, so fragments cached in one run serve the next
-	// (Section II-B). Use Report to read the measured pass's timing.
+	// an idle window (5 s) long enough for iBridge to stage
+	// identified fragments into the SSD. This reproduces the paper's
+	// observation that production MPI programs run repeatedly with
+	// consistent access patterns, so fragments cached in one run serve
+	// the next (Section II-B). Use Report to read the measured pass's
+	// timing.
 	Warm bool
-	// WarmIdle is the idle window after the warm pass (default 5 s).
-	WarmIdle sim.Duration
 	// Report, when non-nil, receives the measured window (the second
 	// pass when Warm, otherwise the whole run).
 	Report *Report
@@ -64,6 +67,9 @@ type MPIIOTestConfig struct {
 
 // DefaultJitter is the think-time bound used by the experiments.
 const DefaultJitter = 2 * sim.Millisecond
+
+// warmIdle is the idle window between a warm pass and the measured pass.
+const warmIdle = 5 * sim.Second
 
 // Report is the measured window of a workload run, for runs whose
 // interesting phase is narrower than the whole simulation (warm-up runs,
@@ -85,83 +91,45 @@ func (r *Report) ThroughputMBps() float64 {
 	return float64(r.Bytes) / r.Elapsed().Seconds() / 1e6
 }
 
-// MPIIOTest returns the benchmark as a cluster workload. Its ranks run
-// the strided loop of mpiio.World.Strided.
+// MPIIOTest returns the mpi-io-test benchmark as a cluster workload: at
+// iteration k, process i accesses the segment at k·N·s + i·s + Shift.
 func MPIIOTest(cfg MPIIOTestConfig) cluster.Workload {
-	return func(c *cluster.Cluster, p *sim.Proc) {
-		f, err := c.FS.Create("mpi-io-test", cfg.FileBytes+cfg.Shift+cfg.RequestSize)
-		if err != nil {
-			panic(err)
-		}
-		n := int64(cfg.Procs)
-		s := cfg.RequestSize
-		iters := max(cfg.FileBytes/(n*s), 1)
-		var measuredStart sim.Time
-		done := mpiio.NewWorld(c.Engine, c.Client(), f, cfg.Procs).Strided(mpiio.Strided{
-			Iters: iters, Length: s, Write: cfg.Write,
-			Offset:   func(rank int, k int64) int64 { return k*n*s + int64(rank)*s + cfg.Shift },
-			Jitter:   cfg.Jitter,
-			Think:    sim.NewRNG(cfg.Seed + 0x9E37),
-			Barrier:  cfg.Barrier,
-			WarmIdle: warmIdle(cfg.Warm, cfg.WarmIdle),
-			Measured: func() { measuredStart = c.Engine.Now() },
-		})
-		done.Wait(p)
-		if cfg.Report != nil {
-			cfg.Report.Start = measuredStart
-			cfg.Report.End = p.Now()
-			cfg.Report.Bytes = iters * n * s
-		}
-	}
+	n, s := int64(cfg.Procs), cfg.RequestSize
+	return strided(cfg, "mpi-io-test", 0x9E37, max(cfg.FileBytes/(n*s), 1),
+		func(rank int, k int64) int64 { return k*n*s + int64(rank)*s + cfg.Shift })
 }
 
-// warmIdle returns the idle window of a warmed run (default 5 s), or
-// zero for a run with no warm pass.
-func warmIdle(warm bool, idle sim.Duration) sim.Duration {
-	if !warm {
-		return 0
-	}
-	if idle <= 0 {
-		return 5 * sim.Second
-	}
-	return idle
-}
-
-// IORConfig parameterizes the ior-mpi-io benchmark of Section III-C: the
-// file is split into Procs equal chunks; each process accesses its chunk
+// IOR returns the ior-mpi-io benchmark as a cluster workload: the file
+// is split into Procs equal chunks and each process accesses its chunk
 // sequentially, but because all processes issue requests for the same
 // relative offset concurrently, the servers see a random pattern.
-type IORConfig struct {
-	Procs       int
-	RequestSize int64
-	FileBytes   int64
-	Write       bool
-	// Jitter and Seed: per-rank think time as in MPIIOTestConfig.
-	Jitter sim.Duration
-	Seed   uint64
-	// Warm, WarmIdle, Report: as in MPIIOTestConfig.
-	Warm     bool
-	WarmIdle sim.Duration
-	Report   *Report
+func IOR(cfg MPIIOTestConfig) cluster.Workload {
+	chunk := cfg.FileBytes / int64(cfg.Procs)
+	return strided(cfg, "ior-mpi-io", 0x51D3, max(chunk/cfg.RequestSize, 1),
+		func(rank int, k int64) int64 { return int64(rank)*chunk + k*cfg.RequestSize + cfg.Shift })
 }
 
-// IOR returns the benchmark as a cluster workload. Its ranks run the
-// strided loop of mpiio.World.Strided, each over its own chunk.
-func IOR(cfg IORConfig) cluster.Workload {
+// strided is the one builder of the strided benchmarks: cfg's ranks run
+// iters requests each per pass on mpiio.World.Strided over a file name,
+// rank i's k-th at offset(i, k), their think times drawn from a stream
+// seeded with cfg.Seed + salt.
+func strided(cfg MPIIOTestConfig, name string, salt uint64, iters int64, offset func(rank int, k int64) int64) cluster.Workload {
 	return func(c *cluster.Cluster, p *sim.Proc) {
-		f, err := c.FS.Create("ior-mpi-io", cfg.FileBytes+cfg.RequestSize)
+		f, err := c.FS.Create(name, cfg.FileBytes+cfg.Shift+cfg.RequestSize)
 		if err != nil {
 			panic(err)
 		}
-		chunk := cfg.FileBytes / int64(cfg.Procs)
-		iters := max(chunk/cfg.RequestSize, 1)
+		var idle sim.Duration
+		if cfg.Warm {
+			idle = warmIdle
+		}
 		var measuredStart sim.Time
 		done := mpiio.NewWorld(c.Engine, c.Client(), f, cfg.Procs).Strided(mpiio.Strided{
-			Iters: iters, Length: cfg.RequestSize, Write: cfg.Write,
-			Offset:   func(rank int, k int64) int64 { return int64(rank)*chunk + k*cfg.RequestSize },
+			Iters: iters, Length: cfg.RequestSize, Write: cfg.Write, Offset: offset,
 			Jitter:   cfg.Jitter,
-			Think:    sim.NewRNG(cfg.Seed + 0x51D3),
-			WarmIdle: warmIdle(cfg.Warm, cfg.WarmIdle),
+			Think:    sim.NewRNG(cfg.Seed + salt),
+			Barrier:  cfg.Barrier,
+			WarmIdle: idle,
 			Measured: func() { measuredStart = c.Engine.Now() },
 		})
 		done.Wait(p)
@@ -183,8 +151,6 @@ type BTIOConfig struct {
 	Steps     int   // solver steps, each: compute then collective write
 	// ComputePerStep is each rank's computation time per step.
 	ComputePerStep sim.Duration
-	// FinalRead re-reads the solution for verification, as BTIO does.
-	FinalRead bool
 }
 
 // RecordSize returns the BTIO request size for a process count,
@@ -240,17 +206,6 @@ func BTIO(cfg BTIOConfig, res *BTIOResult) cluster.Workload {
 					ioTime += r.P.Now().Sub(ioStart)
 				}
 			}
-			if cfg.FinalRead {
-				r.Barrier()
-				ioStart := r.P.Now()
-				chunk := cfg.DataBytes / int64(cfg.Procs)
-				for off := int64(0); off+64*KB <= chunk; off += 64 * KB {
-					r.ReadAt(int64(r.ID)*chunk+off, 64*KB)
-				}
-				if r.ID == 0 {
-					ioTime += r.P.Now().Sub(ioStart)
-				}
-			}
 		})
 		done.Wait(p)
 		if res != nil {
@@ -263,7 +218,7 @@ func BTIO(cfg BTIOConfig, res *BTIOResult) cluster.Workload {
 // Fig3Config parameterizes the striping-magnification microbenchmark of
 // Section I-A (Figure 3): Procs processes collectively issue synchronous
 // requests of size K striping units (plus a 1 KB fragment when Fragment),
-// while an interference program reads random 64 KB segments from the
+// while an interference program reads random striping units from the
 // fragment's server (server K).
 type Fig3Config struct {
 	Procs    int
@@ -271,16 +226,14 @@ type Fig3Config struct {
 	Fragment bool
 	Barrier  bool
 	Iters    int
-	Unit     int64
 }
 
-// Fig3 returns the microbenchmark as a cluster workload.
+// Fig3 returns the microbenchmark as a cluster workload. Its ranks run
+// mpiio.World.Strided with no think time; the interference program is a
+// process.
 func Fig3(cfg Fig3Config) cluster.Workload {
 	return func(c *cluster.Cluster, p *sim.Proc) {
-		unit := cfg.Unit
-		if unit == 0 {
-			unit = 64 * KB
-		}
+		unit := c.Config().StripeUnit
 		size := int64(cfg.K) * unit
 		if cfg.Fragment {
 			size += 1 * KB
@@ -306,7 +259,7 @@ func Fig3(cfg Fig3Config) cluster.Workload {
 			rng := sim.NewRNG(c.Config().Seed + 77)
 			srvK := cfg.K % c.Config().Servers
 			for !interferenceDone {
-				// A 64 KB-aligned unit on server K of the
+				// A striping unit on server K of the
 				// interference file.
 				stripes := fileBytes / stripeBytes
 				k := rng.Range(0, stripes-1)
@@ -315,18 +268,13 @@ func Fig3(cfg Fig3Config) cluster.Workload {
 			}
 		})
 
-		done := w.Spawn("fig3", func(r *mpiio.Rank) {
-			n := int64(cfg.Procs)
-			for k := int64(0); k < int64(cfg.Iters); k++ {
-				// Each process accesses its own stripe-aligned region
-				// so non-fragment sub-requests go to servers 0..K-1
-				// and the 1 KB fragment to server K.
-				off := (k*n + int64(r.ID)) * stripeBytes
-				r.ReadAt(off, size)
-				if cfg.Barrier {
-					r.Barrier()
-				}
-			}
+		// Each process accesses its own stripe-aligned region so
+		// non-fragment sub-requests go to servers 0..K-1 and the 1 KB
+		// fragment to server K.
+		n := int64(cfg.Procs)
+		done := w.Strided(mpiio.Strided{
+			Iters: int64(cfg.Iters), Length: size, Barrier: cfg.Barrier,
+			Offset: func(rank int, k int64) int64 { return (k*n + int64(rank)) * stripeBytes },
 		})
 		done.Wait(p)
 		interferenceDone = true

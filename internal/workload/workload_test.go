@@ -39,22 +39,29 @@ func TestMPIIOTestCoversFile(t *testing.T) {
 	}
 }
 
+// TestMPIIOTestBarrierSlowsButCompletes: both strided benchmarks,
+// mpi-io-test and ior-mpi-io, honour Barrier.
 func TestMPIIOTestBarrierSlowsButCompletes(t *testing.T) {
-	run := func(barrier bool) cluster.Result {
-		c := newCluster(t, cluster.Stock)
-		res, err := c.Run(workload.MPIIOTest(workload.MPIIOTestConfig{
-			Procs: 16, RequestSize: 64 * workload.KB, FileBytes: 8 * workload.MB,
-			Barrier: barrier, Jitter: workload.DefaultJitter,
-		}))
-		if err != nil {
-			t.Fatalf("Run: %v", err)
+	for _, b := range []struct {
+		name  string
+		build func(workload.MPIIOTestConfig) cluster.Workload
+	}{{"mpi-io-test", workload.MPIIOTest}, {"ior-mpi-io", workload.IOR}} {
+		run := func(barrier bool) cluster.Result {
+			c := newCluster(t, cluster.Stock)
+			res, err := c.Run(b.build(workload.MPIIOTestConfig{
+				Procs: 16, RequestSize: 64 * workload.KB, FileBytes: 8 * workload.MB,
+				Barrier: barrier, Jitter: workload.DefaultJitter,
+			}))
+			if err != nil {
+				t.Fatalf("%s: Run: %v", b.name, err)
+			}
+			return res
 		}
-		return res
-	}
-	free := run(false)
-	synced := run(true)
-	if synced.Elapsed < free.Elapsed {
-		t.Fatalf("barrier run faster (%v) than free run (%v)", synced.Elapsed, free.Elapsed)
+		free := run(false)
+		synced := run(true)
+		if synced.Elapsed < free.Elapsed {
+			t.Errorf("%s: barrier run faster (%v) than free run (%v)", b.name, synced.Elapsed, free.Elapsed)
+		}
 	}
 }
 
@@ -63,7 +70,7 @@ func TestMPIIOTestWarmReportWindow(t *testing.T) {
 	rep := &workload.Report{}
 	res, err := c.Run(workload.MPIIOTest(workload.MPIIOTestConfig{
 		Procs: 16, RequestSize: 65 * workload.KB, FileBytes: 8 * workload.MB,
-		Warm: true, WarmIdle: sim.Second, Report: rep,
+		Warm: true, Report: rep,
 	}))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -82,7 +89,7 @@ func TestMPIIOTestWarmReportWindow(t *testing.T) {
 
 func TestIORAccessesDisjointChunks(t *testing.T) {
 	c := newCluster(t, cluster.Stock)
-	res, err := c.Run(workload.IOR(workload.IORConfig{
+	res, err := c.Run(workload.IOR(workload.MPIIOTestConfig{
 		Procs: 8, RequestSize: 64 * workload.KB, FileBytes: 8 * workload.MB,
 	}))
 	if err != nil {
@@ -90,6 +97,31 @@ func TestIORAccessesDisjointChunks(t *testing.T) {
 	}
 	if res.Bytes != 8*workload.MB {
 		t.Fatalf("accessed %d bytes", res.Bytes)
+	}
+}
+
+// TestIORAppliesShift: ior-mpi-io displaces its requests by Shift as
+// mpi-io-test does, so 64 KB requests at +10 KB leave a fragment each
+// while aligned ones leave none.
+func TestIORAppliesShift(t *testing.T) {
+	fragments := func(shift int64) int64 {
+		c := newCluster(t, cluster.IBridge)
+		res, err := c.Run(workload.IOR(workload.MPIIOTestConfig{
+			Procs: 8, RequestSize: 64 * workload.KB, Shift: shift, FileBytes: 8 * workload.MB, Write: true,
+		}))
+		if err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		if res.Bytes != 8*workload.MB {
+			t.Fatalf("shift %d: accessed %d bytes", shift, res.Bytes)
+		}
+		return c.FS.Stats().Fragments
+	}
+	if n := fragments(0); n != 0 {
+		t.Errorf("aligned ior-mpi-io made %d fragments", n)
+	}
+	if n := fragments(10 * workload.KB); n != 8*workload.MB/(64*workload.KB) {
+		t.Errorf("+10 KB ior-mpi-io made %d fragments, want one per request", n)
 	}
 }
 
@@ -155,7 +187,7 @@ func TestCombineRunsBothToCompletion(t *testing.T) {
 	a := workload.MPIIOTest(workload.MPIIOTestConfig{
 		Procs: 4, RequestSize: 64 * workload.KB, FileBytes: 4 * workload.MB, Report: repA,
 	})
-	b := workload.IOR(workload.IORConfig{
+	b := workload.IOR(workload.MPIIOTestConfig{
 		Procs: 4, RequestSize: 64 * workload.KB, FileBytes: 4 * workload.MB, Report: repB,
 	})
 	if _, err := c.Run(workload.Combine(a, b)); err != nil {
