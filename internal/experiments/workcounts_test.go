@@ -11,6 +11,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/obs"
 	"repro/internal/runner"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -26,7 +27,9 @@ var workCountPoints = []int{0, 7, 9, 22}
 // the benchmark through its warm pass, the idle window and both
 // barriers, and Fig. 3's k=2 run with a fragment and a barrier after
 // every request (the interference reader still running when the ranks
-// finish). Each runs at smoke scale with the observability sinks set.
+// finish); a BTIO point, ext-collective's collective case, ext-sieving's
+// sieved reads, ext-plfs's PLFS row and a Table III replay. Each runs at
+// smoke scale with the observability sinks set.
 var workPoints = []struct {
 	name string
 	run  func(set *obs.Set) error
@@ -47,6 +50,39 @@ var workPoints = []struct {
 		_, err = c.Run(workload.Fig3(workload.Fig3Config{Procs: 16, K: 2, Fragment: true, Barrier: true, Iters: 6}))
 		return err
 	}},
+	{"btio/16 procs/ibridge smoke", func(set *obs.Set) error {
+		_, _, err := btioRun(Smoke, obsConfig(cluster.IBridge, set), 16, Smoke.SSDBytes)
+		return err
+	}},
+	{"ext-collective/collective, stock smoke", func(set *obs.Set) error {
+		_, _, err := extCollectiveRun(Smoke, obsConfig(cluster.Stock, set), true)
+		return err
+	}},
+	{"ext-sieving/data sieving smoke", func(set *obs.Set) error {
+		_, _, err := extSievingRun(Smoke, obsConfig(cluster.Stock, set), true)
+		return err
+	}},
+	{"ext-plfs/PLFS smoke", func(set *obs.Set) error {
+		_, _, err := extPLFSRun(Smoke, obsConfig(cluster.Stock, set), true)
+		return err
+	}},
+	{"table3/CTH/ibridge smoke", func(set *obs.Set) error {
+		c, err := cluster.New(obsConfig(cluster.IBridge, set))
+		if err != nil {
+			return err
+		}
+		tr := trace.Generate(trace.Workloads(Smoke.TraceRecords, Smoke.TraceBytes, 42)[2])
+		_, err = c.Run(workload.Replay(tr, Smoke.TraceBytes))
+		return err
+	}},
+}
+
+// obsConfig is the smoke-scale cluster configuration of mode with the
+// observability sinks set.
+func obsConfig(mode cluster.Mode, set *obs.Set) cluster.Config {
+	cfg := baseConfig(Smoke, mode)
+	cfg.Obs = set
+	return cfg
 }
 
 // workCounters are the engine counters each row pins: events run,
