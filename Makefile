@@ -108,7 +108,7 @@ chaos-smoke:
 # exactly the recorded results_medium.txt (stdout only; host timings go
 # to stderr, and the bytes do not depend on -jobs). A change meant to
 # move simulated numbers regenerates the file in the same commit and
-# says which rows moved. About 30 s on 2 cores.
+# says which rows moved. About 20 s on 2 cores.
 sim-medium:
 	$(GO) run ./cmd/ibridge-bench -exp all -scale medium > sim-medium.txt
 	@diff results_medium.txt sim-medium.txt || { echo "sim-medium: output differs from results_medium.txt"; exit 1; }

@@ -431,14 +431,15 @@ func TestWarmBridgeRequestAllocations(t *testing.T) {
 	for _, c := range []struct {
 		name      string
 		maxAllocs float64
-		req       func(c *pfs.Client, f *pfs.File, p *sim.Proc, k int)
+		op        device.Op
+		off       func(k int) int64
 		progress  func(st *Stats) int64
 	}{
-		{"fragment write", 1,
-			func(c *pfs.Client, f *pfs.File, p *sim.Proc, k int) { c.Write(p, f, 0, size) },
+		{"fragment write", 1, device.Write,
+			func(k int) int64 { return 0 },
 			func(st *Stats) int64 { return st.Admissions[ClassFragment] }},
-		{"read miss", 0,
-			func(c *pfs.Client, f *pfs.File, p *sim.Proc, k int) { c.Read(p, f, int64(1+k)*128*1024, size) },
+		{"read miss", 0, device.Read,
+			func(k int) int64 { return int64(1+k) * 128 * 1024 },
 			func(st *Stats) int64 { return st.Misses }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
@@ -466,12 +467,17 @@ func TestWarmBridgeRequestAllocations(t *testing.T) {
 			var allocs float64
 			var before int64
 			runSim(t, e, func(p *sim.Proc) {
+				wake := func() { e.Wake(p) }
+				req := func() {
+					client.Start(f, c.op, c.off(k), size, wake)
+					p.Block()
+				}
 				for ; k < 64; k++ {
-					c.req(client, f, p, k)
+					req()
 				}
 				before = progress()
 				allocs = testing.AllocsPerRun(200, func() {
-					c.req(client, f, p, k)
+					req()
 					k++
 				})
 			})

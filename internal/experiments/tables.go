@@ -107,22 +107,30 @@ func table2(Scale) (*stats.Table, error) {
 }
 
 // deviceBench runs 500 4KB requests back to back on a device, as its
-// scheduler would at queue depth 1, and returns MB/s.
+// scheduler would at queue depth 1, and returns MB/s: a callback loop
+// that starts each request when the one before has finished.
 func deviceBench(e *sim.Engine, dev iosched.Device, op device.Op, random bool, capacity int64) float64 {
 	rng := sim.NewRNG(7)
 	const n = 500
-	e.Go("bench", func(p *sim.Proc) {
-		lbn := int64(0)
-		for i := 0; i < n; i++ {
-			if random {
-				lbn = rng.Range(0, capacity/device.SectorSize-8)
-			}
-			r := device.Request{Op: op, LBN: lbn, Sectors: 8}
-			p.Sleep(dev.Start(r))
+	var r device.Request
+	lbn, i := int64(0), 0
+	var next func()
+	next = func() {
+		if i > 0 {
 			dev.Finish(r)
 			lbn += 8
 		}
-	})
+		if i == n {
+			return
+		}
+		i++
+		if random {
+			lbn = rng.Range(0, capacity/device.SectorSize-8)
+		}
+		r = device.Request{Op: op, LBN: lbn, Sectors: 8}
+		e.After(dev.Start(r), next)
+	}
+	e.After(0, next)
 	if err := e.Run(); err != nil {
 		panic(err)
 	}

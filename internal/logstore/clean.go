@@ -14,9 +14,11 @@ const (
 	// waits behind the cleaner is one such batch, not a cycle.
 	cleanBatchBytes = 256 << 10
 	// cleanCycleSegments bounds the victims one background cycle takes,
-	// so its fsync and checkpoint are amortized over several segments
-	// while the space a cycle holds back stays a few segments. It bounds
-	// the free list of retired files awaiting reuse the same way.
+	// so the space a cycle holds back stays a few segments. A cycle stops
+	// once the garbage ratio is back under its bound, which in steady
+	// state is after one victim: each cycle's fsync and checkpoint then
+	// serve a single segment. It bounds the free list of retired files
+	// awaiting reuse the same way.
 	cleanCycleSegments = 8
 )
 
@@ -235,9 +237,11 @@ func (s *LogStore) liveExtents(victims []*segment) map[uint64][]liveExtent {
 // read outside mu; each batch is then appended under mu through the
 // ordinary append path, which re-validates that the range still points
 // at v (a user write may have superseded it since the scan; nothing can
-// newly point into a sealed segment).
+// newly point into a sealed segment). Its batch buffer is the store's
+// cleanBuf, which the maintenance token's holder owns.
 func (s *LogStore) evacuate(v *segment, work []liveExtent) (copied int64, err error) {
-	var buf []byte
+	buf := s.cleanBuf
+	defer func() { s.cleanBuf = buf }()
 	for len(work) > 0 {
 		n, size := 0, int64(0)
 		for n < len(work) && (n == 0 || size+work[n].e.N <= cleanBatchBytes) {

@@ -227,7 +227,10 @@ type LogStore struct {
 	// order they were encoded and one cleaner owns the sealed segments.
 	// A channel, not a mutex, because its holder fsyncs and renames; no
 	// request path takes it (NoCompactor's inline checkpoint aside).
-	maint     chan struct{}
+	maint chan struct{}
+	// cleanBuf is the cleaner's batch buffer (up to cleanBatchBytes),
+	// kept across cycles; the maintenance token's holder owns it.
+	cleanBuf  []byte
 	quit      chan struct{}
 	kickC     chan struct{}
 	wg        sync.WaitGroup

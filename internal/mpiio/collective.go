@@ -1,8 +1,11 @@
 package mpiio
 
 import (
+	"fmt"
+	"slices"
 	"sort"
 
+	"repro/internal/device"
 	"repro/internal/sim"
 )
 
@@ -45,169 +48,132 @@ func DefaultCollective() CollectiveConfig {
 	}
 }
 
-// collectiveState carries one collective operation across the ranks.
-// Rank 0 acts as the coordinator: it gathers every rank's pieces at the
-// first barrier and computes the aggregated, aligned file domains.
-type collectiveState struct {
-	pieces  [][]Piece
-	domains []Piece // one contiguous aligned domain per aggregator rank
-	total   int64
-}
-
-// Collective provides two-phase I/O over a World. Create one per world;
-// it is reusable across operations.
-type Collective struct {
-	w     *World
-	cfg   CollectiveConfig
-	state *collectiveState
-}
-
-// NewCollective returns a collective I/O context for w.
-func NewCollective(w *World, cfg CollectiveConfig) *Collective {
-	if cfg.DomainAlign <= 0 {
-		cfg.DomainAlign = 64 * 1024
-	}
-	return &Collective{w: w, cfg: cfg}
-}
-
-// Write performs a collective write: every rank contributes its pieces;
-// after an all-to-all exchange, aggregator ranks issue large aligned
-// writes covering the union of all pieces. All ranks must call Write.
-func (c *Collective) Write(r *Rank, pieces []Piece) {
-	c.run(r, pieces, true)
-}
-
-// Read performs a collective read (two-phase in reverse): aggregators
-// read the aligned domains, then the exchange distributes the pieces.
-func (c *Collective) Read(r *Rank, pieces []Piece) {
-	c.run(r, pieces, false)
-}
-
-func (c *Collective) run(r *Rank, pieces []Piece, write bool) {
-	// Phase 0: gather piece lists (coordinator = rank 0's entry into
-	// the barrier; the engine runs one process at a time, so plain
-	// shared state with barrier ordering is race-free).
-	if c.state == nil {
-		c.state = &collectiveState{pieces: make([][]Piece, c.w.n)}
-	}
-	c.state.pieces[r.ID] = pieces
-	r.Barrier()
-	if r.ID == 0 {
-		c.plan()
-	}
-	r.Barrier()
-
-	st := c.state
-	// Phase 1/2: the data exchange. Every byte crosses the interconnect
-	// once; each rank is delayed by its share of the shuffle.
-	perRank := sim.Duration(float64(st.total) / float64(c.w.n) / c.cfg.ExchangeBW * float64(sim.Second))
-	r.Compute(c.cfg.ExchangeLatency + perRank)
-
-	// Aggregators issue the file I/O for their domains.
-	if r.ID < len(st.domains) {
-		d := st.domains[r.ID]
-		if d.Len > 0 {
-			if write {
-				r.WriteAt(d.Off, d.Len)
-			} else {
-				r.ReadAt(d.Off, d.Len)
-			}
-		}
-	}
-	if !write {
-		// Reads pay the exchange after the file access.
-		r.Compute(c.cfg.ExchangeLatency)
-	}
-	r.Barrier()
-	if r.ID == 0 {
-		c.state = nil // ready for the next operation
-	}
-	r.Barrier()
-}
-
-// plan merges all pieces into contiguous covering extents, aligns them,
-// and splits the result into per-aggregator domains.
-func (c *Collective) plan() {
-	st := c.state
+// Plan is the two-phase plan of one collective access, pieces[i] being
+// rank i's pieces: the covering extents of all pieces, aligned outward
+// to cfg.DomainAlign and split into at most one contiguous domain per
+// aggregator (domains[i] is rank i's), and the exchange step every rank
+// computes for before the file access — the synchronization cost plus
+// its share of moving every piece's bytes across the interconnect once.
+func Plan(pieces [][]Piece, cfg CollectiveConfig) (domains []Piece, exchange Step) {
+	n := len(pieces)
 	var all []Piece
-	for _, ps := range st.pieces {
+	for _, ps := range pieces {
 		all = append(all, ps...)
 	}
+	var total int64
+	for _, p := range all {
+		total += p.Len
+	}
+	perRank := sim.Duration(float64(total) / float64(n) / cfg.ExchangeBW * float64(sim.Second))
+	exchange = Step{Kind: Compute, D: cfg.ExchangeLatency + perRank}
 	if len(all) == 0 {
-		st.domains = nil
-		return
+		return nil, exchange
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].Off < all[j].Off })
-	// Merge into covering extents and total the bytes.
-	var merged []Piece
-	st.total = 0
-	for _, p := range all {
-		st.total += p.Len
-		if n := len(merged) - 1; n >= 0 && p.Off <= merged[n].Off+merged[n].Len {
-			if end := p.Off + p.Len; end > merged[n].Off+merged[n].Len {
-				merged[n].Len = end - merged[n].Off
-			}
-			continue
-		}
-		merged = append(merged, p)
-	}
-	// Align each extent outward to the domain alignment.
-	a := c.cfg.DomainAlign
+	// Align each covering extent outward, then merge extents that now
+	// touch.
+	a := cfg.alignment()
+	merged := cover(all, 0)
 	for i := range merged {
 		start := merged[i].Off / a * a
 		end := (merged[i].Off + merged[i].Len + a - 1) / a * a
 		merged[i] = Piece{Off: start, Len: end - start}
 	}
-	// Re-merge after alignment (extents may now touch).
-	var aligned []Piece
-	for _, p := range merged {
-		if n := len(aligned) - 1; n >= 0 && p.Off <= aligned[n].Off+aligned[n].Len {
-			if end := p.Off + p.Len; end > aligned[n].Off+aligned[n].Len {
-				aligned[n].Len = end - aligned[n].Off
-			}
-			continue
-		}
-		aligned = append(aligned, p)
-	}
+	aligned := cover(merged, 0)
 	// Split the covered space into per-aggregator domains: contiguous
 	// aligned slices of roughly equal size, at most one per rank.
 	var covered int64
 	for _, p := range aligned {
 		covered += p.Len
 	}
-	perDomain := (covered/int64(c.w.n) + a - 1) / a * a
-	if perDomain < a {
-		perDomain = a
-	}
-	st.domains = st.domains[:0]
+	perDomain := max((covered/int64(n)+a-1)/a*a, a)
 	for _, p := range aligned {
 		for off := p.Off; off < p.Off+p.Len; off += perDomain {
-			n := perDomain
-			if off+n > p.Off+p.Len {
-				n = p.Off + p.Len - off
-			}
-			st.domains = append(st.domains, Piece{Off: off, Len: n})
+			domains = append(domains, Piece{Off: off, Len: min(perDomain, p.Off+p.Len-off)})
 		}
 	}
-	if len(st.domains) > c.w.n {
-		// More extents than ranks: concatenate the tail onto the last
-		// aggregator (it issues them as one larger span if contiguous,
-		// otherwise sequentially — approximate with per-extent I/O by
-		// the last rank; rare in the benchmarks).
-		tail := st.domains[c.w.n-1:]
-		var last Piece
-		last = tail[0]
-		for _, p := range tail[1:] {
-			if p.Off == last.Off+last.Len {
-				last.Len += p.Len
-			} else {
-				// Non-contiguous: fold length anyway; the aggregate
-				// I/O volume is what matters for the model.
-				last.Len += p.Len
+	if len(domains) > n {
+		// More domains than ranks: the last aggregator takes the tail
+		// as one span of the tail's total length. Non-contiguous tails
+		// are rare in the benchmarks; the aggregate I/O volume is what
+		// the model needs.
+		last := domains[n-1]
+		for _, p := range domains[n:] {
+			last.Len += p.Len
+		}
+		domains = append(domains[:n-1], last)
+	}
+	return domains, exchange
+}
+
+// cover merges sorted pieces whose gaps are at most maxHole into
+// covering extents.
+func cover(sorted []Piece, maxHole int64) []Piece {
+	var out []Piece
+	for _, p := range sorted {
+		if n := len(out) - 1; n >= 0 && p.Off-(out[n].Off+out[n].Len) <= maxHole {
+			out[n].Len = max(out[n].Len, p.Off+p.Len-out[n].Off)
+			continue
+		}
+		out = append(out, p)
+	}
+	return out
+}
+
+func (cfg CollectiveConfig) alignment() int64 {
+	if cfg.DomainAlign <= 0 {
+		return 64 * 1024
+	}
+	return cfg.DomainAlign
+}
+
+// Collective rewrites the programs as two-phase collective I/O: the
+// k-th Read or Write step of every rank together are one collective
+// access (every program must have as many), which Plan turns into each
+// rank's steps. Every rank meets the others twice (the plan is made
+// between the two barriers), computes its exchange, issues its domain
+// if it is an aggregator with one, for a read computes the exchange
+// latency again (the shuffle follows the file access), and meets the
+// others twice more.
+func Collective(progs []Program, cfg CollectiveConfig) []Program {
+	ios := make([][]int, len(progs)) // each rank's I/O step indices
+	for i, prog := range progs {
+		for pc, s := range prog {
+			if s.Kind == Read || s.Kind == Write {
+				ios[i] = append(ios[i], pc)
 			}
 		}
-		st.domains = append(st.domains[:c.w.n-1], last)
+		if len(ios[i]) != len(ios[0]) {
+			panic(fmt.Sprintf("mpiio: rank %d has %d I/O steps, rank 0 %d", i, len(ios[i]), len(ios[0])))
+		}
 	}
+	out := make([]Program, len(progs))
+	from := make([]int, len(progs)) // the next step of progs[i] to copy
+	pieces := make([][]Piece, len(progs))
+	for k := range ios[0] {
+		for i, prog := range progs {
+			pieces[i] = prog[ios[i][k]].Pieces(pieces[i][:0])
+		}
+		domains, exchange := Plan(pieces, cfg)
+		for i, prog := range progs {
+			pc := ios[i][k]
+			s := prog[pc]
+			out[i] = append(out[i], prog[from[i]:pc]...)
+			out[i] = append(out[i], Step{Kind: Barrier}, Step{Kind: Barrier}, exchange)
+			if i < len(domains) && domains[i].Len > 0 {
+				out[i] = append(out[i], Step{Kind: s.Kind, Off: domains[i].Off, Len: domains[i].Len, Count: 1})
+			}
+			if s.Kind == Read {
+				out[i] = append(out[i], Step{Kind: Compute, D: cfg.ExchangeLatency})
+			}
+			out[i] = append(out[i], Step{Kind: Barrier}, Step{Kind: Barrier})
+			from[i] = pc + 1
+		}
+	}
+	for i, prog := range progs {
+		out[i] = append(out[i], prog[from[i]:]...)
+	}
+	return out
 }
 
 // SieveConfig tunes data sieving.
@@ -218,43 +184,22 @@ type SieveConfig struct {
 	MaxHole int64
 }
 
-// Sieve issues the given strided pieces of one rank as covering extents:
-// for reads, one large read per covering extent; for writes, a
-// read-modify-write of the covering extent. Returns the number of bytes
-// actually transferred (including the holes).
-func Sieve(r *Rank, pieces []Piece, write bool, cfg SieveConfig) int64 {
-	if len(pieces) == 0 {
-		return 0
-	}
+// Sieve returns the steps that access one rank's pieces by data
+// sieving: one request per covering extent (pieces whose gaps are at
+// most cfg.MaxHole, 512 KiB when unset, share one), a read for a read
+// and a read-modify-write for a write.
+func Sieve(pieces []Piece, op device.Op, cfg SieveConfig) []Step {
 	if cfg.MaxHole <= 0 {
 		cfg.MaxHole = 512 * 1024
 	}
-	sorted := append([]Piece(nil), pieces...)
+	sorted := slices.Clone(pieces)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Off < sorted[j].Off })
-	var moved int64
-	cur := sorted[0]
-	flush := func(p Piece) {
-		if write {
-			// Read-modify-write of the covering extent.
-			r.ReadAt(p.Off, p.Len)
-			r.WriteAt(p.Off, p.Len)
-			moved += 2 * p.Len
-		} else {
-			r.ReadAt(p.Off, p.Len)
-			moved += p.Len
+	var steps []Step
+	for _, p := range cover(sorted, cfg.MaxHole) {
+		steps = append(steps, IO(device.Read, p.Off, p.Len))
+		if op == device.Write {
+			steps = append(steps, IO(device.Write, p.Off, p.Len))
 		}
 	}
-	for _, p := range sorted[1:] {
-		gap := p.Off - (cur.Off + cur.Len)
-		if gap <= cfg.MaxHole {
-			if end := p.Off + p.Len; end > cur.Off+cur.Len {
-				cur.Len = end - cur.Off
-			}
-			continue
-		}
-		flush(cur)
-		cur = p
-	}
-	flush(cur)
-	return moved
+	return steps
 }

@@ -1,125 +1,71 @@
 package mpiio
 
 import (
+	"slices"
 	"testing"
 
-	"repro/internal/pfs"
+	"repro/internal/device"
 	"repro/internal/sim"
 )
 
-// collectiveWorld builds a world with access to the FS stats for
-// verifying what reached the servers.
-func collectiveWorld(t *testing.T, e *sim.Engine, ranks int) (*World, *pfs.FileSystem) {
-	return testWorld(t, e, ranks)
+// runPrograms runs progs on a fresh testWorld and returns the world's
+// file system statistics' requests and bytes and the instant the last
+// rank finished.
+func runPrograms(t *testing.T, progs []Program) (requests, bytes int64, end sim.Time) {
+	t.Helper()
+	e := sim.New()
+	w, fs := testWorld(t, e, len(progs))
+	runWorld(t, e, func() *sim.Counter { return w.Run(progs, nil) })
+	return fs.Stats().Requests, fs.Stats().TotalBytes(), e.Now()
 }
 
 func TestCollectiveWriteAggregatesAligned(t *testing.T) {
-	e := sim.New()
-	w, fs := collectiveWorld(t, e, 4)
-	col := NewCollective(w, DefaultCollective())
-	const unit = 64 * 1024
-	e.Go("driver", func(p *sim.Proc) {
-		done := w.Spawn("col", func(r *Rank) {
-			// Each rank contributes 4 small strided pieces; together
-			// they tile [0, 16*4KB*4) sparsely... use contiguous tiling:
-			// rank i piece j at (j*4 + i) * 4KB.
-			var pieces []Piece
-			for j := 0; j < 4; j++ {
-				pieces = append(pieces, Piece{Off: int64(j*4+r.ID) * 4096, Len: 4096})
-			}
-			col.Write(r, pieces)
-		})
-		done.Wait(p)
-		e.Halt()
-	})
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
+	// Rank i's j-th 4 KB piece at (j*4 + i) * 4KB: 16 pieces tiling
+	// [0, 64KB), one aligned 64 KB write from one aggregator.
+	progs := make([]Program, 4)
+	for i := range progs {
+		progs[i] = Program{{Kind: Write, Off: int64(i) * 4096, Len: 4096, Stride: 4 * 4096, Count: 4}}
 	}
-	st := fs.Stats()
-	// 16 pieces of 4KB tile [0, 64KB): one aligned 64KB aggregated
-	// write from one aggregator.
-	if st.Requests != 1 {
-		t.Fatalf("aggregated requests = %d, want 1", st.Requests)
-	}
-	if st.Fragments != 0 {
-		t.Fatalf("collective write produced %d fragments", st.Fragments)
-	}
-	if st.TotalBytes() != unit {
-		t.Fatalf("aggregated bytes = %d, want %d", st.TotalBytes(), unit)
+	requests, bytes, _ := runPrograms(t, Collective(progs, DefaultCollective()))
+	if requests != 1 || bytes != 64*1024 {
+		t.Fatalf("%d aggregated requests of %d bytes, want 1 of %d", requests, bytes, 64*1024)
 	}
 }
 
 func TestCollectiveReadCoversPieces(t *testing.T) {
-	e := sim.New()
-	w, fs := collectiveWorld(t, e, 4)
-	col := NewCollective(w, DefaultCollective())
-	e.Go("driver", func(p *sim.Proc) {
-		done := w.Spawn("col", func(r *Rank) {
-			col.Read(r, []Piece{{Off: int64(r.ID) * 100 * 1024, Len: 8 * 1024}})
-		})
-		done.Wait(p)
-		e.Halt()
-	})
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
+	// Four scattered 8 KB pieces: four aligned 64 KB domain reads.
+	progs := make([]Program, 4)
+	for i := range progs {
+		progs[i] = Program{IO(device.Read, int64(i)*100*1024, 8*1024)}
 	}
-	st := fs.Stats()
-	// Four scattered 8KB pieces → four aligned 64KB domain reads.
-	if st.Requests == 0 {
-		t.Fatal("no aggregated reads issued")
-	}
-	if st.TotalBytes() < 4*8*1024 {
-		t.Fatalf("aggregated reads cover %d bytes, less than the pieces", st.TotalBytes())
-	}
-	for _, s := range []int64{st.TotalBytes()} {
-		if s%(64*1024) != 0 {
-			t.Fatalf("aggregated read bytes %d not unit-aligned", s)
-		}
+	requests, bytes, _ := runPrograms(t, Collective(progs, DefaultCollective()))
+	if requests != 4 || bytes != 4*64*1024 {
+		t.Fatalf("%d aggregated reads of %d bytes, want 4 of %d", requests, bytes, 4*64*1024)
 	}
 }
 
 func TestCollectiveReusable(t *testing.T) {
-	e := sim.New()
-	w, fs := collectiveWorld(t, e, 2)
-	col := NewCollective(w, DefaultCollective())
-	e.Go("driver", func(p *sim.Proc) {
-		done := w.Spawn("col", func(r *Rank) {
-			for round := 0; round < 3; round++ {
-				off := int64(round)*1<<20 + int64(r.ID)*32*1024
-				col.Write(r, []Piece{{Off: off, Len: 32 * 1024}})
-			}
-		})
-		done.Wait(p)
-		e.Halt()
-	})
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
+	progs := make([]Program, 2)
+	for i := range progs {
+		for round := int64(0); round < 3; round++ {
+			progs[i] = append(progs[i], IO(device.Write, round<<20+int64(i)*32*1024, 32*1024))
+		}
 	}
-	if fs.Stats().Requests != 3 {
-		t.Fatalf("requests = %d, want 3 (one aggregated write per round)", fs.Stats().Requests)
+	if requests, _, _ := runPrograms(t, Collective(progs, DefaultCollective())); requests != 3 {
+		t.Fatalf("requests = %d, want 3 (one aggregated write per round)", requests)
 	}
 }
 
 func TestCollectiveExchangeCostsTime(t *testing.T) {
-	run := func(bw float64) sim.Duration {
-		e := sim.New()
-		w, _ := collectiveWorld(t, e, 4)
+	run := func(bw float64) sim.Time {
 		cfg := DefaultCollective()
 		cfg.ExchangeBW = bw
-		col := NewCollective(w, cfg)
-		var elapsed sim.Duration
-		e.Go("driver", func(p *sim.Proc) {
-			done := w.Spawn("col", func(r *Rank) {
-				col.Write(r, []Piece{{Off: int64(r.ID) * 16 * 1024, Len: 16 * 1024}})
-			})
-			done.Wait(p)
-			elapsed = sim.Duration(p.Now())
-			e.Halt()
-		})
-		if err := e.Run(); err != nil {
-			t.Fatalf("Run: %v", err)
+		progs := make([]Program, 4)
+		for i := range progs {
+			progs[i] = Program{IO(device.Write, int64(i)*16*1024, 16*1024)}
 		}
-		return elapsed
+		_, _, end := runPrograms(t, Collective(progs, cfg))
+		return end
 	}
 	fast, slow := run(3.2e9), run(1e6)
 	if slow <= fast {
@@ -127,87 +73,114 @@ func TestCollectiveExchangeCostsTime(t *testing.T) {
 	}
 }
 
-func TestSieveRead(t *testing.T) {
-	e := sim.New()
-	w, fs := collectiveWorld(t, e, 1)
-	e.Go("driver", func(p *sim.Proc) {
-		done := w.Spawn("sieve", func(r *Rank) {
-			// Four 2KB pieces 14KB apart: one covering read.
-			var pieces []Piece
-			for j := 0; j < 4; j++ {
-				pieces = append(pieces, Piece{Off: int64(j) * 16 * 1024, Len: 2 * 1024})
+// TestCollectiveSteps: a collective access becomes four barriers around
+// the exchange, the aggregator's domain access, and for a read the
+// exchange latency after it; the steps around the access stay.
+func TestCollectiveSteps(t *testing.T) {
+	cfg := DefaultCollective()
+	mark, barrier := Step{Kind: Mark}, Step{Kind: Barrier}
+	progs := []Program{
+		{mark, IO(device.Read, 0, 4096), mark},
+		{mark, IO(device.Read, 4096, 4096), mark},
+	}
+	_, exchange := Plan([][]Piece{{{0, 4096}}, {{4096, 4096}}}, cfg)
+	tail := []Step{{Kind: Compute, D: cfg.ExchangeLatency}, barrier, barrier, mark}
+	want := []Program{
+		append(Program{mark, barrier, barrier, exchange, IO(device.Read, 0, 64*1024)}, tail...),
+		append(Program{mark, barrier, barrier, exchange}, tail...),
+	}
+	got := Collective(progs, cfg)
+	for i := range want {
+		if !slices.Equal(got[i], want[i]) {
+			t.Errorf("rank %d: %+v, want %+v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestPlan table-tests the two-phase plan as a pure function.
+func TestPlan(t *testing.T) {
+	const a = 64 * 1024
+	cfg := DefaultCollective()
+	cases := []struct {
+		name    string
+		pieces  [][]Piece
+		domains []Piece
+		bytes   int64 // moved by the exchange
+	}{
+		{"empty", [][]Piece{nil, nil}, nil, 0},
+		{"tiling", [][]Piece{{{0, 4096}, {8192, 4096}}, {{4096, 4096}, {12288, 4096}}},
+			[]Piece{{0, a}}, 4 * 4096},
+		{"one domain per rank", [][]Piece{{{0, 100}}, {{3 * a, 100}}},
+			[]Piece{{0, a}, {3 * a, a}}, 200},
+		{"overlap counted once in the cover", [][]Piece{{{0, 3 * a}}, {{a, 3 * a}}},
+			[]Piece{{0, 2 * a}, {2 * a, 2 * a}}, 6 * a},
+		{"tail folds onto the last aggregator", [][]Piece{{{0, 10}}, {{2 * a, 10}, {4 * a, 10}}},
+			[]Piece{{0, a}, {2 * a, 2 * a}}, 30},
+		{"unsorted pieces", [][]Piece{{{5 * a, 10}, {0, 10}}, {{a / 2, 10}}},
+			[]Piece{{0, a}, {5 * a, a}}, 30},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			domains, exchange := Plan(c.pieces, cfg)
+			if !slices.Equal(domains, c.domains) {
+				t.Errorf("domains %v, want %v", domains, c.domains)
 			}
-			moved := Sieve(r, pieces, false, SieveConfig{MaxHole: 64 * 1024})
-			want := int64(3*16*1024 + 2*1024)
-			if moved != want {
-				t.Errorf("sieve moved %d bytes, want %d", moved, want)
+			perRank := sim.Duration(float64(c.bytes) / float64(len(c.pieces)) / cfg.ExchangeBW * float64(sim.Second))
+			if want := (Step{Kind: Compute, D: cfg.ExchangeLatency + perRank}); exchange != want {
+				t.Errorf("exchange %+v, want %+v", exchange, want)
 			}
 		})
-		done.Wait(p)
-		e.Halt()
-	})
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
 	}
-	if fs.Stats().Requests != 1 {
-		t.Fatalf("requests = %d, want 1 covering read", fs.Stats().Requests)
+}
+
+func TestSieveRead(t *testing.T) {
+	// Four 2KB pieces 14KB apart: one covering read.
+	var pieces []Piece
+	for j := 0; j < 4; j++ {
+		pieces = append(pieces, Piece{Off: int64(j) * 16 * 1024, Len: 2 * 1024})
+	}
+	got := Sieve(pieces, device.Read, SieveConfig{MaxHole: 64 * 1024})
+	if want := []Step{IO(device.Read, 0, 3*16*1024+2*1024)}; !slices.Equal(got, want) {
+		t.Fatalf("sieve %+v, want %+v", got, want)
 	}
 }
 
 func TestSieveWriteIsReadModifyWrite(t *testing.T) {
-	e := sim.New()
-	w, fs := collectiveWorld(t, e, 1)
-	e.Go("driver", func(p *sim.Proc) {
-		done := w.Spawn("sieve", func(r *Rank) {
-			pieces := []Piece{{Off: 0, Len: 1024}, {Off: 8192, Len: 1024}}
-			Sieve(r, pieces, true, SieveConfig{MaxHole: 64 * 1024})
-		})
-		done.Wait(p)
-		e.Halt()
-	})
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if fs.Stats().Requests != 2 {
-		t.Fatalf("requests = %d, want 2 (read + write of the cover)", fs.Stats().Requests)
+	got := Sieve([]Piece{{Off: 8192, Len: 1024}, {Off: 0, Len: 1024}}, device.Write, SieveConfig{MaxHole: 64 * 1024})
+	if want := []Step{IO(device.Read, 0, 9216), IO(device.Write, 0, 9216)}; !slices.Equal(got, want) {
+		t.Fatalf("sieve %+v, want %+v", got, want)
 	}
 }
 
 func TestSieveRespectsMaxHole(t *testing.T) {
-	e := sim.New()
-	w, fs := collectiveWorld(t, e, 1)
-	e.Go("driver", func(p *sim.Proc) {
-		done := w.Spawn("sieve", func(r *Rank) {
-			pieces := []Piece{{Off: 0, Len: 1024}, {Off: 10 << 20, Len: 1024}}
-			Sieve(r, pieces, false, SieveConfig{MaxHole: 4096})
+	cases := []struct {
+		name   string
+		pieces []Piece
+		hole   int64
+		want   []Step
+	}{
+		{"hole too wide", []Piece{{0, 1024}, {10 << 20, 1024}}, 4096,
+			[]Step{IO(device.Read, 0, 1024), IO(device.Read, 10<<20, 1024)}},
+		{"hole exactly MaxHole", []Piece{{0, 1024}, {5120, 1024}}, 4096,
+			[]Step{IO(device.Read, 0, 6144)}},
+		{"hole one past MaxHole", []Piece{{0, 1024}, {5121, 1024}}, 4096,
+			[]Step{IO(device.Read, 0, 1024), IO(device.Read, 5121, 1024)}},
+		{"default MaxHole 512 KiB", []Piece{{0, 1}, {512*1024 + 1, 1}}, 0,
+			[]Step{IO(device.Read, 0, 512*1024+2)}},
+		{"nested piece", []Piece{{0, 8192}, {1024, 10}}, 0,
+			[]Step{IO(device.Read, 0, 8192)}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if got := Sieve(c.pieces, device.Read, SieveConfig{MaxHole: c.hole}); !slices.Equal(got, c.want) {
+				t.Errorf("sieve %+v, want %+v", got, c.want)
+			}
 		})
-		done.Wait(p)
-		e.Halt()
-	})
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if fs.Stats().Requests != 2 {
-		t.Fatalf("requests = %d, want 2 separate extents", fs.Stats().Requests)
-	}
-	if fs.Stats().TotalBytes() != 2048 {
-		t.Fatalf("moved %d bytes, want 2048 (no hole read)", fs.Stats().TotalBytes())
 	}
 }
 
 func TestSieveEmpty(t *testing.T) {
-	e := sim.New()
-	w, _ := collectiveWorld(t, e, 1)
-	e.Go("driver", func(p *sim.Proc) {
-		done := w.Spawn("sieve", func(r *Rank) {
-			if moved := Sieve(r, nil, false, SieveConfig{}); moved != 0 {
-				t.Errorf("empty sieve moved %d", moved)
-			}
-		})
-		done.Wait(p)
-		e.Halt()
-	})
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
+	if got := Sieve(nil, device.Write, SieveConfig{}); len(got) != 0 {
+		t.Errorf("empty sieve gave %+v", got)
 	}
 }

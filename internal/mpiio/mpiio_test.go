@@ -1,6 +1,7 @@
 package mpiio
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/device"
@@ -32,41 +33,125 @@ func testWorld(t *testing.T, e *sim.Engine, ranks int) (*World, *pfs.FileSystem)
 	return NewWorld(e, pfs.NewClient(fs), f, ranks), fs
 }
 
-func TestSpawnRunsAllRanks(t *testing.T) {
-	e := sim.New()
-	w, _ := testWorld(t, e, 8)
-	seen := make([]bool, 8)
-	e.Go("driver", func(p *sim.Proc) {
-		done := w.Spawn("job", func(r *Rank) {
-			seen[r.ID] = true
+// procRank is one MPI rank run as a process, the way ranks were written
+// before they became programs: the reference the runners are held to.
+// Its requests go through the world's Issuer by Proc.Call, so a rank
+// resumes one event after the completion event the runners go on from,
+// at the same instant; hops counts those extra events.
+type procRank struct {
+	ID   int
+	P    *sim.Proc
+	w    *World
+	hops *int64
+}
+
+// spawn starts fn as every rank's body, each a process, and returns a
+// counter that reaches zero when all have returned and the count of
+// the ranks' resumes from a request so far.
+func spawn(w *World, fn func(r *procRank)) (*sim.Counter, *int64) {
+	done := sim.NewCounter(w.e, w.n)
+	hops := new(int64)
+	for i := 0; i < w.n; i++ {
+		w.e.Go(fmt.Sprintf("rank%d", i), func(p *sim.Proc) {
+			fn(&procRank{ID: i, P: p, w: w, hops: hops})
+			done.Done()
 		})
-		done.Wait(p)
+	}
+	return done, hops
+}
+
+func (r *procRank) Barrier()               { r.w.barrier.Wait(r.P) }
+func (r *procRank) Compute(d sim.Duration) { r.P.Sleep(d) }
+func (r *procRank) ReadAt(off, n int64)    { r.io(device.Read, off, n) }
+func (r *procRank) WriteAt(off, n int64)   { r.io(device.Write, off, n) }
+
+func (r *procRank) io(op device.Op, off, n int64) {
+	r.P.Call(func(done func()) {
+		issued := false
+		r.w.issue(r.ID, op, off, n, func() {
+			if issued {
+				*r.hops++ // Call wakes the process: one event more
+			}
+			done()
+		})
+		issued = true
+	})
+}
+
+// referenceRun runs progs with a process per rank, step by step as the
+// process API spells them, calling mark as World.Run does, and returns
+// the count of the ranks' resumes from a request too.
+func referenceRun(w *World, progs []Program, mark func(rank int)) (*sim.Counter, *int64) {
+	return spawn(w, func(r *procRank) {
+		for _, s := range progs[r.ID] {
+			switch s.Kind {
+			case Compute:
+				r.Compute(s.D)
+			case Barrier:
+				r.Barrier()
+			case Mark:
+				mark(r.ID)
+			default:
+				for _, pc := range s.Pieces(nil) {
+					if s.Kind == Write {
+						r.WriteAt(pc.Off, pc.Len)
+					} else {
+						r.ReadAt(pc.Off, pc.Len)
+					}
+				}
+			}
+		}
+	})
+}
+
+// recordMarks returns a mark callback that appends the instant of each
+// of rank i's marks to marks[i].
+func recordMarks(e *sim.Engine, n int) (func(rank int), [][]sim.Time) {
+	marks := make([][]sim.Time, n)
+	return func(rank int) { marks[rank] = append(marks[rank], e.Now()) }, marks
+}
+
+// runWorld runs start on w from a driver process and halts the engine
+// once every rank has finished.
+func runWorld(t *testing.T, e *sim.Engine, start func() *sim.Counter) {
+	t.Helper()
+	e.Go("driver", func(p *sim.Proc) {
+		start().Wait(p)
 		e.Halt()
 	})
 	if err := e.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	for i, s := range seen {
-		if !s {
-			t.Fatalf("rank %d did not run", i)
+}
+
+func TestRunRunsAllRanks(t *testing.T) {
+	e := sim.New()
+	w, _ := testWorld(t, e, 8)
+	progs := make([]Program, 8)
+	for i := range progs {
+		progs[i] = Program{{Kind: Compute, D: sim.Duration(i) * sim.Millisecond}, {Kind: Mark}}
+	}
+	mark, marks := recordMarks(e, len(progs))
+	runWorld(t, e, func() *sim.Counter { return w.Run(progs, mark) })
+	for i, m := range marks {
+		if len(m) != 1 || m[0] != sim.Time(sim.Duration(i)*sim.Millisecond) {
+			t.Fatalf("rank %d marked %v, want [%v]", i, m, sim.Duration(i)*sim.Millisecond)
 		}
 	}
 }
 
 func TestRanksHaveDistinctOrigins(t *testing.T) {
 	e := sim.New()
-	w, fs := testWorld(t, e, 4)
-	_ = fs
-	origins := map[int32]bool{}
-	e.Go("driver", func(p *sim.Proc) {
-		done := w.Spawn("job", func(r *Rank) {
-			origins[r.client.Origin] = true
-		})
-		done.Wait(p)
-		e.Halt()
-	})
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
+	var log []opLog
+	w, _ := logWorld(t, e, 4, &log, func() int64 { return 0 })
+	progs := make([]Program, 4)
+	for i := range progs {
+		progs[i] = Program{IO(device.Write, int64(i)*64*1024, 64*1024)}
+	}
+	runWorld(t, e, func() *sim.Counter { return w.Run(progs, nil) })
+	origins := map[int]bool{}
+	for _, l := range log {
+		origins[l.who] = true
 	}
 	if len(origins) != 4 {
 		t.Fatalf("%d distinct origins, want 4", len(origins))
@@ -79,22 +164,15 @@ func TestRanksHaveDistinctOrigins(t *testing.T) {
 func TestBarrierAcrossRanks(t *testing.T) {
 	e := sim.New()
 	w, _ := testWorld(t, e, 4)
-	var after []sim.Time
-	e.Go("driver", func(p *sim.Proc) {
-		done := w.Spawn("job", func(r *Rank) {
-			r.Compute(sim.Duration(r.ID) * sim.Millisecond)
-			r.Barrier()
-			after = append(after, r.P.Now())
-		})
-		done.Wait(p)
-		e.Halt()
-	})
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
+	progs := make([]Program, 4)
+	for i := range progs {
+		progs[i] = Program{{Kind: Compute, D: sim.Duration(i) * sim.Millisecond}, {Kind: Barrier}, {Kind: Mark}}
 	}
-	for _, at := range after {
-		if at != sim.Time(3*sim.Millisecond) {
-			t.Fatalf("rank passed barrier at %v, want 3ms", at)
+	mark, marks := recordMarks(e, len(progs))
+	runWorld(t, e, func() *sim.Counter { return w.Run(progs, mark) })
+	for _, m := range marks {
+		if m[0] != sim.Time(3*sim.Millisecond) {
+			t.Fatalf("rank passed barrier at %v, want 3ms", m[0])
 		}
 	}
 }
@@ -102,21 +180,17 @@ func TestBarrierAcrossRanks(t *testing.T) {
 func TestReadWriteThroughRanks(t *testing.T) {
 	e := sim.New()
 	w, fs := testWorld(t, e, 2)
-	e.Go("driver", func(p *sim.Proc) {
-		done := w.Spawn("job", func(r *Rank) {
-			off := int64(r.ID) * 64 * 1024
-			if d := r.WriteAt(off, 64*1024); d <= 0 {
-				t.Errorf("rank %d write latency %v", r.ID, d)
-			}
-			if d := r.ReadAt(off, 64*1024); d <= 0 {
-				t.Errorf("rank %d read latency %v", r.ID, d)
-			}
-		})
-		done.Wait(p)
-		e.Halt()
-	})
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
+	progs := make([]Program, 2)
+	for i := range progs {
+		off := int64(i) * 64 * 1024
+		progs[i] = Program{{Kind: Mark}, IO(device.Write, off, 64*1024), {Kind: Mark}, IO(device.Read, off, 64*1024), {Kind: Mark}}
+	}
+	mark, marks := recordMarks(e, len(progs))
+	runWorld(t, e, func() *sim.Counter { return w.Run(progs, mark) })
+	for i, m := range marks {
+		if !(m[0] < m[1] && m[1] < m[2]) {
+			t.Errorf("rank %d: write and read took no time: marks %v", i, m)
+		}
 	}
 	st := fs.Stats()
 	if st.Requests != 4 {
@@ -124,6 +198,30 @@ func TestReadWriteThroughRanks(t *testing.T) {
 	}
 	if st.Bytes[device.Read] != 2*64*1024 || st.Bytes[device.Write] != 2*64*1024 {
 		t.Fatalf("bytes = %v", st.Bytes)
+	}
+}
+
+// TestRunInlineStepsDoNotNest: steps that complete inline — zero-length
+// requests, a one-rank barrier, marks — run on in the rank's loop, not
+// in nested calls, so a long run of them neither grows the stack nor
+// costs an event.
+func TestRunInlineStepsDoNotNest(t *testing.T) {
+	e := sim.New()
+	w, fs := testWorld(t, e, 1)
+	var prog Program
+	for range 100000 {
+		prog = append(prog, IO(device.Read, 0, 0), Step{Kind: Barrier}, Step{Kind: Mark})
+	}
+	prog = append(prog, Step{Kind: Write, Off: 0, Len: 4096, Stride: 4096, Count: 3})
+	mark, marks := recordMarks(e, 1)
+	runWorld(t, e, func() *sim.Counter { return w.Run([]Program{prog}, mark) })
+	if len(marks[0]) != 100000 || fs.Stats().Requests != 3 {
+		t.Fatalf("%d marks, %d requests; want 100000 and 3", len(marks[0]), fs.Stats().Requests)
+	}
+	// The driver's start, the rank's start, three requests' network
+	// legs, disk service and completions, and the driver's wake.
+	if ev := e.Stats().Events; ev > 40 {
+		t.Errorf("%d events for 3 requests", ev)
 	}
 }
 

@@ -2,7 +2,6 @@ package mpiio
 
 import (
 	"repro/internal/device"
-	"repro/internal/pfs"
 	"repro/internal/sim"
 )
 
@@ -36,114 +35,58 @@ type Strided struct {
 }
 
 // Strided starts every rank of w on the loop s and returns a counter
-// that reaches zero when all ranks have finished. A rank is no process
-// but a chain of engine callbacks, each step an event in the place the
-// same step of a rank process would take: a rank starts from an event
-// at the current instant, thinks by After, issues its requests with
-// pfs.Client.Start and meets the others with Barrier.Arrive. Each rank
-// has its own origin-tagged client, as with Spawn.
+// that reaches zero when all ranks have finished: the programs of s on
+// World.Run, Measured the mark rank 0's program makes.
 func (w *World) Strided(s Strided) *sim.Counter {
+	return w.Run(s.programs(w.n), func(int) { s.Measured() })
+}
+
+// programs returns the rank programs of the loop s for n ranks. Per
+// pass, rank i thinks before its k-th request for a time drawn from its
+// fork of Think (forked in rank order), issues it at Offset(i, k), and
+// meets the others if Barrier. The measured pass follows the warm
+// phase, if any, and rank 0 marks its start if Measured is set.
+func (s Strided) programs(n int) []Program {
 	if s.Jitter > 0 && s.Think == nil {
 		panic("mpiio: Strided with a Jitter and no Think")
-	}
-	done := sim.NewCounter(w.e, w.n)
-	passes := 1
-	if s.WarmIdle > 0 {
-		passes = 2
 	}
 	op := device.Read
 	if s.Write {
 		op = device.Write
 	}
-	for i := 0; i < w.n; i++ {
-		r := &stridedRank{s: &s, w: w, id: i, client: w.client.WithOrigin(int32(i + 1)),
-			op: op, passes: passes, done: done}
+	// One array holds every rank's steps, rank after rank, so a point
+	// allocates them once; its capacity bounds two passes of at most
+	// three steps a request, the warm phase and the mark.
+	steps := make([]Step, 0, int64(n)*(2*3*s.Iters+4))
+	progs := make([]Program, n)
+	for i := range progs {
+		var think *sim.RNG
 		if s.Think != nil {
-			r.rng = s.Think.Fork()
+			think = s.Think.Fork()
 		}
-		r.warmIdleFn, r.warmEndFn, r.loopFn = r.warmIdle, r.warmEnd, r.loop
-		r.requestFn, r.repliedFn, r.nextFn = r.request, r.replied, r.next
-		w.e.After(0, r.beginPass)
-	}
-	return done
-}
-
-// stridedRank is one rank of a Strided loop: where it is in the loop,
-// and its steps bound once, so that a step allocates nothing.
-type stridedRank struct {
-	s      *Strided
-	w      *World
-	id     int
-	client *pfs.Client
-	rng    *sim.RNG
-	op     device.Op
-	done   *sim.Counter
-	passes int
-	pass   int
-	k      int64
-
-	warmIdleFn, warmEndFn, loopFn, requestFn, repliedFn, nextFn func()
-}
-
-// beginPass opens a pass, the rank's first step: the measured pass with
-// the warm phase's first barrier when there is one.
-func (r *stridedRank) beginPass() {
-	if r.pass == r.passes-1 && r.s.WarmIdle > 0 {
-		r.w.barrier.Arrive(r.warmIdleFn)
-		return
-	}
-	r.loop()
-}
-
-// warmIdle is the quiet period between program runs in which iBridge
-// stages the fragments the warm pass identified.
-func (r *stridedRank) warmIdle() { r.w.e.After(r.s.WarmIdle, r.warmEndFn) }
-
-// warmEnd meets the others at the warm phase's second barrier.
-func (r *stridedRank) warmEnd() { r.w.barrier.Arrive(r.loopFn) }
-
-// loop runs a pass's requests from the first.
-func (r *stridedRank) loop() {
-	if r.pass == r.passes-1 && r.id == 0 && r.s.Measured != nil {
-		r.s.Measured()
-	}
-	r.k = 0
-	r.step()
-}
-
-// step thinks before request k, or ends the pass.
-func (r *stridedRank) step() {
-	if r.k == r.s.Iters {
-		r.pass++
-		if r.pass == r.passes {
-			r.done.Done()
-			return
+		pass := func() {
+			for k := int64(0); k < s.Iters; k++ {
+				if s.Jitter > 0 {
+					steps = append(steps, Step{Kind: Compute, D: think.Duration(0, s.Jitter)})
+				}
+				steps = append(steps, IO(op, s.Offset(i, k), s.Length))
+				if s.Barrier {
+					steps = append(steps, Step{Kind: Barrier})
+				}
+			}
 		}
-		r.beginPass()
-		return
+		start := len(steps)
+		if s.WarmIdle > 0 {
+			// The warm pass, and the quiet period between program runs
+			// in which iBridge stages the fragments it identified.
+			pass()
+			steps = append(steps, Step{Kind: Barrier}, Step{Kind: Compute, D: s.WarmIdle}, Step{Kind: Barrier})
+		}
+		if i == 0 && s.Measured != nil {
+			steps = append(steps, Step{Kind: Mark})
+		}
+		pass()
+		progs[i] = steps[start:len(steps):len(steps)]
 	}
-	if r.s.Jitter > 0 {
-		r.w.e.After(r.rng.Duration(0, r.s.Jitter), r.requestFn)
-		return
-	}
-	r.request()
-}
-
-func (r *stridedRank) request() {
-	r.client.Start(r.w.file, r.op, r.s.Offset(r.id, r.k), r.s.Length, r.repliedFn)
-}
-
-// replied follows request k's completion: the barrier, if any, then the
-// next request.
-func (r *stridedRank) replied() {
-	if r.s.Barrier {
-		r.w.barrier.Arrive(r.nextFn)
-		return
-	}
-	r.next()
-}
-
-func (r *stridedRank) next() {
-	r.k++
-	r.step()
+	return progs
 }

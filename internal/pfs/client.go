@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/device"
-	"repro/internal/sim"
 )
 
 // Client issues file requests against a FileSystem. It performs the
@@ -50,25 +49,12 @@ func NewIBridgeClient(fs *FileSystem, fragmentThreshold, randomThreshold int64) 
 	return &Client{fs: fs, FragmentThreshold: fragmentThreshold, RandomThreshold: randomThreshold}
 }
 
-// Read issues a synchronous read of [off, off+length) and blocks p until
-// every sub-request completes. It returns the request service time.
-func (c *Client) Read(p *sim.Proc, f *File, off, length int64) sim.Duration {
-	return c.request(p, f, device.Read, off, length)
-}
-
-// Write issues a synchronous write of [off, off+length) and blocks p
-// until every sub-request completes. It returns the request service time.
-func (c *Client) Write(p *sim.Proc, f *File, off, length int64) sim.Duration {
-	return c.request(p, f, device.Write, off, length)
-}
-
 // Start issues a request for [off, off+length) with op and runs done
 // once every sub-request has completed, from an event of its own at the
-// instant of the last reply: the event in which Read or Write would
-// resume their process. done runs after the request's accounting, and
-// inline, before Start returns, when length is not positive. Start is how
-// a callback chain (mpiio.World.Strided's ranks) issues requests; done
-// is best bound once, so that a request allocates nothing.
+// instant of the last reply. done runs after the request's accounting,
+// and inline, before Start returns, when length is not positive. done
+// is best bound once, so that a request allocates nothing; a process
+// issues a request with Proc.Call.
 func (c *Client) Start(f *File, op device.Op, off, length int64, done func()) {
 	if length <= 0 {
 		done()
@@ -77,20 +63,9 @@ func (c *Client) Start(f *File, op device.Op, off, length int64, done func()) {
 	c.issue(f, op, off, length).then = done
 }
 
-func (c *Client) request(p *sim.Proc, f *File, op device.Op, off, length int64) sim.Duration {
-	if length <= 0 {
-		return 0
-	}
-	par := c.issue(f, op, off, length)
-	par.waiter = p
-	p.Block() // until the last reply wakes us
-	return par.complete()
-}
-
 // issue decomposes a request and sends its sub-requests, each from an
 // event of its own when its request message reaches its server. The
-// caller names who completes it (parent.waiter or parent.then) before
-// any event runs.
+// caller sets the continuation (parent.then) before any event runs.
 func (c *Client) issue(f *File, op device.Op, off, length int64) *parent {
 	if off < 0 || off+length > f.Size {
 		panic(fmt.Sprintf("pfs: request [%d,%d) outside file %q of size %d", off, off+length, f.Name, f.Size))
@@ -149,18 +124,10 @@ func (c *Client) issue(f *File, op device.Op, off, length int64) *parent {
 	return par
 }
 
-// finish is the completion event of a request issued by Start: it
-// accounts for the request and runs the continuation.
+// finish is the completion event of a request: it accounts for the
+// request — the client's statistics, the parent histogram and the
+// request's trace span — frees its parent, and runs the continuation.
 func (par *parent) finish() {
-	then := par.then
-	par.complete()
-	then()
-}
-
-// complete accounts for a request whose last reply has come — the
-// client's statistics, the parent histogram and the request's trace
-// span — frees its parent, and returns its service time.
-func (par *parent) complete() sim.Duration {
 	fs := par.fs
 	lat := fs.e.Now().Sub(par.start)
 	st := &fs.stats
@@ -179,8 +146,9 @@ func (par *parent) complete() sim.Duration {
 	if fs.tr != nil {
 		fs.tr.Span(uint64(par.reqID), 0, 0, opName(par.op), fs.scope, time.Unix(0, int64(par.start)), time.Duration(lat))
 	}
+	then := par.then
 	fs.freeParent(par)
-	return lat
+	then()
 }
 
 // opName returns a static label for op (no per-request formatting).

@@ -44,6 +44,15 @@ func run(t *testing.T, e *sim.Engine, fn func(p *sim.Proc)) {
 	}
 }
 
+// call issues op over [off, off+n) of f on c from p, the way a process
+// issues a request (Proc.Call of Client.Start), and returns its service
+// time.
+func call(p *sim.Proc, c *Client, f *File, op device.Op, off, n int64) sim.Duration {
+	start := p.Now()
+	p.Call(func(done func()) { c.Start(f, op, off, n, done) })
+	return p.Now().Sub(start)
+}
+
 func TestCreateAndOpen(t *testing.T) {
 	e := sim.New()
 	fs, _ := testFS(t, e, 4)
@@ -73,7 +82,7 @@ func TestAlignedRequestSingleServer(t *testing.T) {
 	f, _ := fs.Create("data", 10<<20)
 	c := NewClient(fs)
 	run(t, e, func(p *sim.Proc) {
-		c.Read(p, f, 0, 64*1024)
+		call(p, c, f, device.Read, 0, 64*1024)
 	})
 	// Only server 0 should have seen I/O.
 	if disks[0].Stats().TotalOps() == 0 {
@@ -95,7 +104,7 @@ func TestUnalignedRequestTwoServers(t *testing.T) {
 	f, _ := fs.Create("data", 10<<20)
 	c := NewClient(fs)
 	run(t, e, func(p *sim.Proc) {
-		c.Read(p, f, 0, 65*1024)
+		call(p, c, f, device.Read, 0, 65*1024)
 	})
 	if disks[0].Stats().TotalOps() == 0 || disks[1].Stats().TotalOps() == 0 {
 		t.Fatal("65KB request did not touch servers 0 and 1")
@@ -146,7 +155,7 @@ func TestAlignedTwoStripesOneRequestPerServer(t *testing.T) {
 			for _, s := range counts {
 				s.requests, s.bytes = 0, 0
 			}
-			c.Write(p, f, off, length)
+			call(p, c, f, device.Write, off, length)
 			for i, s := range counts {
 				if s.requests != 1 || s.bytes != length/4 {
 					t.Errorf("server %d served %d requests of %d bytes, want 1 of %d", i, s.requests, s.bytes, length/4)
@@ -166,11 +175,11 @@ func TestFragmentFlaggingOnlyWithIBridgeClient(t *testing.T) {
 	stock := NewClient(fs)
 	ib := NewIBridgeClient(fs, 20*1024, 20*1024)
 	run(t, e, func(p *sim.Proc) {
-		stock.Read(p, f, 0, 65*1024)
+		call(p, stock, f, device.Read, 0, 65*1024)
 		if fs.Stats().Fragments != 0 {
 			t.Errorf("stock client flagged %d fragments", fs.Stats().Fragments)
 		}
-		ib.Read(p, f, 0, 65*1024)
+		call(p, ib, f, device.Read, 0, 65*1024)
 		if fs.Stats().Fragments != 1 {
 			t.Errorf("iBridge client flagged %d fragments, want 1", fs.Stats().Fragments)
 		}
@@ -184,7 +193,7 @@ func TestRequestServiceTimeAccounting(t *testing.T) {
 	c := NewClient(fs)
 	var lat sim.Duration
 	run(t, e, func(p *sim.Proc) {
-		lat = c.Write(p, f, 0, 128*1024)
+		lat = call(p, c, f, device.Write, 0, 128*1024)
 	})
 	if lat <= 0 {
 		t.Fatal("no latency")
@@ -219,7 +228,7 @@ func measureRequest(t *testing.T, servers int, size int64) sim.Duration {
 	c := NewClient(fs)
 	var lat sim.Duration
 	run(t, e, func(p *sim.Proc) {
-		lat = c.Read(p, f, 0, size)
+		lat = call(p, c, f, device.Read, 0, size)
 	})
 	return lat
 }
@@ -235,7 +244,7 @@ func TestOutOfRangeRequestPanics(t *testing.T) {
 			panicked = recover() != nil
 			e.Halt()
 		}()
-		c.Read(p, f, 1<<20-10, 100)
+		call(p, c, f, device.Read, 1<<20-10, 100)
 	})
 	e.Run()
 	if !panicked {
@@ -249,7 +258,7 @@ func TestZeroLengthRequestFree(t *testing.T) {
 	f, _ := fs.Create("data", 1<<20)
 	c := NewClient(fs)
 	run(t, e, func(p *sim.Proc) {
-		if lat := c.Read(p, f, 0, 0); lat != 0 {
+		if lat := call(p, c, f, device.Read, 0, 0); lat != 0 {
 			t.Errorf("zero-length read latency %v", lat)
 		}
 	})
@@ -263,11 +272,11 @@ func TestZeroLengthRequestFree(t *testing.T) {
 	}
 }
 
-// TestStartCompletesLikeRead: a request issued with Start completes in
-// the event, and with the accounting, of the same request issued by a
-// process with Read: its continuation sees the instant and the statistics
-// Read's return would.
-func TestStartCompletesLikeRead(t *testing.T) {
+// TestStartCompletesLikeCall: a request issued with Start completes at
+// the instant, and with the accounting, of the same request issued by a
+// process with Proc.Call, one event sooner: the process resumes from a
+// wake its continuation schedules.
+func TestStartCompletesLikeCall(t *testing.T) {
 	type seen struct {
 		at     sim.Time
 		events int64
@@ -290,11 +299,14 @@ func TestStartCompletesLikeRead(t *testing.T) {
 	want := trial(func(e *sim.Engine, c *Client, f *File, log func()) {
 		e.Go("reader", func(p *sim.Proc) {
 			for _, n := range sizes {
-				c.Read(p, f, 1000, n)
+				call(p, c, f, device.Read, 1000, n)
 				log()
 			}
 		})
 	})
+	for i := range want {
+		want[i].events -= int64(i + 1)
+	}
 	got := trial(func(e *sim.Engine, c *Client, f *File, log func()) {
 		i := 0
 		var next func()
@@ -310,7 +322,7 @@ func TestStartCompletesLikeRead(t *testing.T) {
 		e.After(0, next)
 	})
 	if len(want) != len(sizes) || !slices.Equal(got, want) {
-		t.Errorf("Start completions %+v,\nRead's %+v", got, want)
+		t.Errorf("Start completions %+v,\nCall's %+v", got, want)
 	}
 }
 
@@ -335,7 +347,7 @@ func TestSectorRoundingForTinyRequests(t *testing.T) {
 	f, _ := fs.Create("data", 1<<20)
 	c := NewClient(fs)
 	run(t, e, func(p *sim.Proc) {
-		c.Write(p, f, 1000, 2160) // bytes [1000, 3160) → sectors [1, 7)
+		call(p, c, f, device.Write, 1000, 2160) // bytes [1000, 3160) → sectors [1, 7)
 	})
 	st := disks[0].Stats()
 	if st.Bytes[device.Write] != 6*device.SectorSize {

@@ -117,11 +117,11 @@ func TestRecycledParentsNeverAlias(t *testing.T) {
 			for k := 0; k < perRank; k++ {
 				i := (k + r) % len(sizes)
 				off := int64(k*ranks+r) * sizes[i]
+				op := device.Write
 				if k%3 == 0 {
-					c.Read(p, files[i], off, sizes[i])
-				} else {
-					c.Write(p, files[i], off, sizes[i])
+					op = device.Read
 				}
+				call(p, c, files[i], op, off, sizes[i])
 				p.Sleep(think.Duration(0, 2*sim.Millisecond))
 			}
 			done.Done()
@@ -148,15 +148,19 @@ func TestRecycledParentsNeverAlias(t *testing.T) {
 	}
 }
 
-// TestWarmRequestAllocations bounds what a striped 65 KB iBridge request
-// allocates once the file system is warm, issued by a process (Write)
-// and with a continuation (Start): its parent, sub-requests, sibling
-// lists, scheduler units and job queue slots are all recycled, and the
-// device queues dispatch from callbacks bound once, so nothing is left.
+// TestWarmRequestAllocations bounds what a striped 65 KB iBridge write
+// or read allocates once the file system is warm: its parent,
+// sub-requests, sibling lists, scheduler units and job queue slots are
+// all recycled, and the device queues dispatch from callbacks bound
+// once, so nothing is left.
 func TestWarmRequestAllocations(t *testing.T) {
 	const maxAllocs = 0
-	for _, path := range []string{"Write", "Start"} {
-		t.Run(path, func(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		op   device.Op
+	}{{"Write", device.Write}, {"Read", device.Read}} {
+		op := c.op
+		t.Run(c.name, func(t *testing.T) {
 			e := sim.New()
 			fs, _ := testFS(t, e, 8)
 			const size = 65 * 1024
@@ -167,13 +171,8 @@ func TestWarmRequestAllocations(t *testing.T) {
 			run(t, e, func(p *sim.Proc) {
 				wake := func() { e.Wake(p) }
 				request := func() {
-					off := int64(k%64) * size
-					if path == "Write" {
-						c.Write(p, f, off, size)
-					} else {
-						c.Start(f, device.Write, off, size, wake)
-						p.Block()
-					}
+					c.Start(f, op, int64(k%64)*size, size, wake)
+					p.Block()
 					k++
 				}
 				for i := 0; i < 64; i++ {
@@ -212,8 +211,10 @@ func TestWarmReadaheadRequestAllocations(t *testing.T) {
 	f, _ := fs.Create("data", 1024*size)
 	c := NewClient(fs)
 	k := 0
+	var wake func()
 	request := func(p *sim.Proc) {
-		c.Read(p, f, int64(k%1024)*size, size)
+		c.Start(f, device.Read, int64(k%1024)*size, size, wake)
+		p.Block()
 		k++
 	}
 	extended := func() (n int64) {
@@ -224,6 +225,7 @@ func TestWarmReadaheadRequestAllocations(t *testing.T) {
 	}
 	var allocs float64
 	run(t, e, func(p *sim.Proc) {
+		wake = func() { e.Wake(p) }
 		for i := 0; i < 64; i++ {
 			request(p)
 		}

@@ -45,15 +45,13 @@ type Server struct {
 }
 
 // parent is the client's view of one file request in flight: what the
-// request is, who completes when it does — a process blocked on it
-// (Client.Read/Write) or a continuation (Client.Start) — and how many
-// sub-request replies are still due. It owns the request's decomposition
-// (subs, and the sibling lists of its fragments in sibs) and one job per
-// sub-request. Parents are recycled through the FileSystem's free list,
+// request is, the continuation to run when it completes (Client.Start's
+// done), and how many sub-request replies are still due. It owns the
+// request's decomposition (subs, and the sibling lists of its fragments
+// in sibs) and one job per sub-request. Parents are recycled through the FileSystem's free list,
 // so a request in steady state allocates nothing.
 type parent struct {
 	fs        *FileSystem
-	waiter    *sim.Proc
 	then      func()
 	remaining int
 	subs      []stripe.Sub
@@ -64,8 +62,7 @@ type parent struct {
 	length int64
 	start  sim.Time
 	reqID  int64
-	// finishFn is finish bound once: the completion event of a
-	// request with a continuation.
+	// finishFn is finish bound once: the completion event.
 	finishFn func()
 }
 
@@ -87,7 +84,7 @@ func (fs *FileSystem) newParent() *parent {
 // event queue, and no store still holds one of its IORequests (see
 // Store).
 func (fs *FileSystem) freeParent(par *parent) {
-	par.waiter, par.then = nil, nil
+	par.then = nil
 	fs.free = append(fs.free, par)
 }
 
@@ -130,8 +127,8 @@ type job struct {
 
 // advance is the engine callback of both network legs: the request
 // message reaching the server (queue the job), then the reply reaching
-// the client (count it). The last reply resumes the waiting process, or
-// schedules the continuation's completion event in the same place.
+// the client (count it). The last reply schedules the request's
+// completion event.
 func (j *job) advance() {
 	if !j.served {
 		j.srv.push(j)
@@ -140,11 +137,7 @@ func (j *job) advance() {
 	par := j.parent
 	par.remaining--
 	if par.remaining == 0 {
-		if par.waiter != nil {
-			j.srv.e.Wake(par.waiter)
-		} else {
-			j.srv.e.After(0, par.finishFn)
-		}
+		j.srv.e.After(0, par.finishFn)
 	}
 }
 

@@ -17,22 +17,22 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/device"
 	"repro/internal/pfs"
-	"repro/internal/sim"
 )
 
 // Mount is one PLFS container: a logical file backed by per-rank logs.
 type Mount struct {
-	fs     *pfs.FileSystem
-	client *pfs.Client
-	name   string
-	size   int64
-	ranks  int
+	// client reads the logs; writers[r] appends to rank r's log, tagged
+	// with origin r+1.
+	client  *pfs.Client
+	writers []*pfs.Client
+	size    int64
+	ranks   int
 
-	logs    []*pfs.File
-	logPos  []int64
-	index   []indexEntry // sorted by logical offset, non-overlapping
-	entries int64
+	logs   []*pfs.File
+	logPos []int64
+	index  []indexEntry // sorted by logical offset, non-overlapping
 }
 
 // indexEntry maps a logical extent to a position in one rank's log.
@@ -53,9 +53,7 @@ func Create(fs *pfs.FileSystem, name string, size int64, ranks int) (*Mount, err
 		return nil, fmt.Errorf("plfs: ranks must be positive")
 	}
 	m := &Mount{
-		fs:     fs,
 		client: pfs.NewClient(fs),
-		name:   name,
 		size:   size,
 		ranks:  ranks,
 		logPos: make([]int64, ranks),
@@ -67,6 +65,7 @@ func Create(fs *pfs.FileSystem, name string, size int64, ranks int) (*Mount, err
 			return nil, err
 		}
 		m.logs = append(m.logs, f)
+		m.writers = append(m.writers, m.client.WithOrigin(int32(r+1)))
 	}
 	return m, nil
 }
@@ -79,9 +78,12 @@ func (m *Mount) Size() int64 { return m.size }
 func (m *Mount) IndexEntries() int { return len(m.index) }
 
 // WriteAt appends a write by rank at logical offset off to the rank's
-// log and records the index entry. The log append is sequential no matter
-// how unaligned the logical write is — PLFS's whole point.
-func (m *Mount) WriteAt(p *sim.Proc, rank int, off, length int64) error {
+// log, records the index entry, and runs done once the append has
+// completed. The log append is sequential no matter how unaligned the
+// logical write is — PLFS's whole point. The log position and the index
+// entry are taken at once, so a rank may have several appends in
+// flight. On an error nothing is issued and done does not run.
+func (m *Mount) WriteAt(rank int, off, length int64, done func()) error {
 	if rank < 0 || rank >= m.ranks {
 		return fmt.Errorf("plfs: rank %d out of range", rank)
 	}
@@ -89,16 +91,16 @@ func (m *Mount) WriteAt(p *sim.Proc, rank int, off, length int64) error {
 		return fmt.Errorf("plfs: write [%d,+%d) outside logical size %d", off, length, m.size)
 	}
 	if length == 0 {
+		done()
 		return nil
 	}
 	logOff := m.logPos[rank]
 	if logOff+length > m.logs[rank].Size {
 		return fmt.Errorf("plfs: rank %d log full", rank)
 	}
-	m.client.WithOrigin(int32(rank+1)).Write(p, m.logs[rank], logOff, length)
 	m.logPos[rank] += length
 	m.insert(indexEntry{off: off, length: length, rank: rank, logOff: logOff})
-	m.entries++
+	m.writers[rank].Start(m.logs[rank], device.Write, logOff, length, done)
 	return nil
 }
 
@@ -134,22 +136,36 @@ func (m *Mount) punch(off, n int64) {
 	m.index = out
 }
 
-// ReadAt reads the logical extent [off, off+length): the index resolves
-// it into (possibly many) log pieces, each read from its rank log.
-// Unwritten gaps read as zeros (they cost no I/O). Returns the number of
-// log pieces touched — the locality loss the paper points at.
-func (m *Mount) ReadAt(p *sim.Proc, off, length int64) (pieces int, err error) {
+// ReadAt reads the logical extent [off, off+length) and runs done once
+// it has completed: the index resolves it into (possibly many) log
+// pieces, read one after another from their rank logs. Unwritten gaps
+// read as zeros and cost no I/O; a read of no log piece runs done
+// inline. Returns the number of log pieces touched — the locality loss
+// the paper points at. On an error nothing is issued and done does not
+// run.
+func (m *Mount) ReadAt(off, length int64, done func()) (pieces int, err error) {
 	if off < 0 || off+length > m.size {
 		return 0, fmt.Errorf("plfs: read [%d,+%d) outside logical size %d", off, length, m.size)
 	}
 	i := sort.Search(len(m.index), func(i int) bool { return m.index[i].end() > off })
 	end := off + length
+	var parts []indexEntry
 	for ; i < len(m.index) && m.index[i].off < end; i++ {
 		e := m.index[i]
-		from := max(e.off, off)
-		to := min(e.end(), end)
-		m.client.Read(p, m.logs[e.rank], e.logOff+(from-e.off), to-from)
-		pieces++
+		from, to := max(e.off, off), min(e.end(), end)
+		parts = append(parts, indexEntry{off: from, length: to - from, rank: e.rank, logOff: e.logOff + (from - e.off)})
 	}
+	pieces = len(parts)
+	var next func()
+	next = func() {
+		if len(parts) == 0 {
+			done()
+			return
+		}
+		e := parts[0]
+		parts = parts[1:]
+		m.client.Start(m.logs[e.rank], device.Read, e.logOff, e.length, next)
+	}
+	next()
 	return pieces, nil
 }

@@ -40,6 +40,27 @@ func run(t *testing.T, e *sim.Engine, fn func(p *sim.Proc)) {
 	}
 }
 
+// write is Mount.WriteAt from a process: p blocks until the append has
+// completed.
+func write(p *sim.Proc, m *Mount, rank int, off, n int64) (err error) {
+	p.Call(func(done func()) {
+		if err = m.WriteAt(rank, off, n, done); err != nil {
+			done()
+		}
+	})
+	return err
+}
+
+// read is Mount.ReadAt from a process.
+func read(p *sim.Proc, m *Mount, off, n int64) (pieces int, err error) {
+	p.Call(func(done func()) {
+		if pieces, err = m.ReadAt(off, n, done); err != nil {
+			done()
+		}
+	})
+	return pieces, err
+}
+
 func TestWritesAppendSequentially(t *testing.T) {
 	e := sim.New()
 	fs, _ := testFS(t, e)
@@ -52,7 +73,7 @@ func TestWritesAppendSequentially(t *testing.T) {
 		// append-only.
 		offs := []int64{65537, 5, 999999, 300000}
 		for _, off := range offs {
-			if err := m.WriteAt(p, 0, off, 10*1024); err != nil {
+			if err := write(p, m, 0, off, 10*1024); err != nil {
 				t.Fatalf("WriteAt(%d): %v", off, err)
 			}
 		}
@@ -67,9 +88,9 @@ func TestReadResolvesLatestWrite(t *testing.T) {
 	fs, _ := testFS(t, e)
 	m, _ := Create(fs, "ckpt", 10<<20, 2)
 	run(t, e, func(p *sim.Proc) {
-		m.WriteAt(p, 0, 1000, 4096)
-		m.WriteAt(p, 1, 2000, 4096) // overlaps the tail of rank 0's write
-		pieces, err := m.ReadAt(p, 1000, 5096)
+		write(p, m, 0, 1000, 4096)
+		write(p, m, 1, 2000, 4096) // overlaps the tail of rank 0's write
+		pieces, err := read(p, m, 1000, 5096)
 		if err != nil {
 			t.Fatalf("ReadAt: %v", err)
 		}
@@ -88,12 +109,12 @@ func TestIndexPunchSplits(t *testing.T) {
 	fs, _ := testFS(t, e)
 	m, _ := Create(fs, "ckpt", 10<<20, 1)
 	run(t, e, func(p *sim.Proc) {
-		m.WriteAt(p, 0, 0, 10000)
-		m.WriteAt(p, 0, 4000, 2000) // punches the middle
+		write(p, m, 0, 0, 10000)
+		write(p, m, 0, 4000, 2000) // punches the middle
 		if m.IndexEntries() != 3 {
 			t.Fatalf("index entries = %d, want 3 (left, new, right)", m.IndexEntries())
 		}
-		pieces, _ := m.ReadAt(p, 0, 10000)
+		pieces, _ := read(p, m, 0, 10000)
 		if pieces != 3 {
 			t.Fatalf("read pieces = %d, want 3", pieces)
 		}
@@ -107,7 +128,7 @@ func TestUnwrittenGapsAreFree(t *testing.T) {
 	run(t, e, func(p *sim.Proc) {
 		before := disks[0].Stats().TotalOps() + disks[1].Stats().TotalOps() +
 			disks[2].Stats().TotalOps() + disks[3].Stats().TotalOps()
-		pieces, err := m.ReadAt(p, 0, 1<<20)
+		pieces, err := read(p, m, 0, 1<<20)
 		if err != nil || pieces != 0 {
 			t.Fatalf("empty read: %d pieces, %v", pieces, err)
 		}
@@ -126,13 +147,13 @@ func TestBoundsChecked(t *testing.T) {
 	fs, _ := testFS(t, e)
 	m, _ := Create(fs, "ckpt", 1<<20, 1)
 	run(t, e, func(p *sim.Proc) {
-		if err := m.WriteAt(p, 0, 1<<20-10, 100); err == nil {
+		if err := write(p, m, 0, 1<<20-10, 100); err == nil {
 			t.Error("out-of-range write accepted")
 		}
-		if err := m.WriteAt(p, 5, 0, 100); err == nil {
+		if err := write(p, m, 5, 0, 100); err == nil {
 			t.Error("bad rank accepted")
 		}
-		if _, err := m.ReadAt(p, -1, 10); err == nil {
+		if _, err := read(p, m, -1, 10); err == nil {
 			t.Error("negative read accepted")
 		}
 	})
@@ -161,7 +182,7 @@ func TestIndexMatchesReference(t *testing.T) {
 				rank := int(o.Rank % 4)
 				off := int64(o.Off) % (logical - 256)
 				n := int64(o.Len%64) + 1
-				if err := m.WriteAt(p, rank, off, n); err != nil {
+				if err := write(p, m, rank, off, n); err != nil {
 					ok = false
 					break
 				}

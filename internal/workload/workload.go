@@ -4,14 +4,16 @@
 // effectively random at the servers), two wrappers of one builder that
 // differ only in where each request lands; the Figure 3
 // striping-magnification microbenchmark, whose ranks run the same loop
-// (mpiio.World.Strided); a BTIO model (tiny strided records interleaved
-// with computation); and single-process trace replay.
+// (mpiio.Strided); a BTIO model (tiny strided records interleaved with
+// computation); and single-rank trace replay. Every rank is an
+// mpiio.Program; only Combine starts processes, one per workload.
 package workload
 
 import (
 	"fmt"
 
 	"repro/internal/cluster"
+	"repro/internal/device"
 	"repro/internal/mpiio"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -110,7 +112,7 @@ func IOR(cfg MPIIOTestConfig) cluster.Workload {
 }
 
 // strided is the one builder of the strided benchmarks: cfg's ranks run
-// iters requests each per pass on mpiio.World.Strided over a file name,
+// iters requests each per pass of mpiio.Strided over a file name,
 // rank i's k-th at offset(i, k), their think times drawn from a stream
 // seeded with cfg.Seed + salt.
 func strided(cfg MPIIOTestConfig, name string, salt uint64, iters int64, offset func(rank int, k int64) int64) cluster.Workload {
@@ -180,39 +182,61 @@ func BTIO(cfg BTIOConfig, res *BTIOResult) cluster.Workload {
 		if err != nil {
 			panic(err)
 		}
-		w := mpiio.NewWorld(c.Engine, c.Client(), f, cfg.Procs)
-		rec := RecordSize(cfg.Procs)
-		perStep := cfg.DataBytes / int64(cfg.Steps)
-		recsPerRank := perStep / int64(cfg.Procs) / rec
-		if recsPerRank == 0 {
-			recsPerRank = 1
-		}
-		var ioTime sim.Duration
 		start := p.Now()
-		done := w.Spawn("btio", func(r *mpiio.Rank) {
-			for step := 0; step < cfg.Steps; step++ {
-				r.Compute(cfg.ComputePerStep)
-				r.Barrier()
-				ioStart := r.P.Now()
-				base := int64(step) * perStep
-				for j := int64(0); j < recsPerRank; j++ {
-					// Interleaved strided records: rank r's j-th
-					// record is adjacent to other ranks' j-th records.
-					off := base + (j*int64(cfg.Procs)+int64(r.ID))*rec
-					r.WriteAt(off, rec)
-				}
-				r.Barrier()
-				if r.ID == 0 {
-					ioTime += r.P.Now().Sub(ioStart)
-				}
-			}
-		})
-		done.Wait(p)
+		var marks []sim.Time
+		mpiio.NewWorld(c.Engine, c.Client(), f, cfg.Procs).Run(BTIOPrograms(cfg), RankZeroMarks(c.Engine, &marks)).Wait(p)
 		if res != nil {
-			res.IOTime = ioTime
+			res.IOTime = MarkedTime(marks)
 			res.TotalTime = p.Now().Sub(start)
 		}
 	}
+}
+
+// BTIOPrograms returns the rank programs of BTIO: each solver step
+// computes (a zero ComputePerStep is no step), meets the others, and
+// writes the rank's records of the step between two marks and a
+// barrier. The records are interleaved: rank r's j-th record of a step
+// is adjacent to the other ranks' j-th records.
+func BTIOPrograms(cfg BTIOConfig) []mpiio.Program {
+	rec := RecordSize(cfg.Procs)
+	perStep := cfg.DataBytes / int64(cfg.Steps)
+	recsPerRank := max(perStep/int64(cfg.Procs)/rec, 1)
+	progs := make([]mpiio.Program, cfg.Procs)
+	for r := range progs {
+		for step := 0; step < cfg.Steps; step++ {
+			if cfg.ComputePerStep > 0 {
+				progs[r] = append(progs[r], mpiio.Step{Kind: mpiio.Compute, D: cfg.ComputePerStep})
+			}
+			progs[r] = append(progs[r],
+				mpiio.Step{Kind: mpiio.Barrier},
+				mpiio.Step{Kind: mpiio.Mark},
+				mpiio.Step{Kind: mpiio.Write, Off: int64(step)*perStep + int64(r)*rec, Len: rec,
+					Stride: int64(cfg.Procs) * rec, Count: recsPerRank},
+				mpiio.Step{Kind: mpiio.Barrier},
+				mpiio.Step{Kind: mpiio.Mark})
+		}
+	}
+	return progs
+}
+
+// RankZeroMarks returns a mark callback for World.Run that appends the
+// instant of each of rank 0's marks to *at.
+func RankZeroMarks(e *sim.Engine, at *[]sim.Time) func(rank int) {
+	return func(rank int) {
+		if rank == 0 {
+			*at = append(*at, e.Now())
+		}
+	}
+}
+
+// MarkedTime sums the windows between marks taken in pairs:
+// marks[1]-marks[0], marks[3]-marks[2], and so on.
+func MarkedTime(marks []sim.Time) sim.Duration {
+	var d sim.Duration
+	for i := 0; i+1 < len(marks); i += 2 {
+		d += marks[i+1].Sub(marks[i])
+	}
+	return d
 }
 
 // Fig3Config parameterizes the striping-magnification microbenchmark of
@@ -229,8 +253,8 @@ type Fig3Config struct {
 }
 
 // Fig3 returns the microbenchmark as a cluster workload. Its ranks run
-// mpiio.World.Strided with no think time; the interference program is a
-// process.
+// mpiio.Strided with no think time; the interference program is a
+// callback loop of one read at a time until the ranks finish.
 func Fig3(cfg Fig3Config) cluster.Workload {
 	return func(c *cluster.Cluster, p *sim.Proc) {
 		unit := c.Config().StripeUnit
@@ -255,18 +279,18 @@ func Fig3(cfg Fig3Config) cluster.Workload {
 			panic(err)
 		}
 		iclient := c.Client()
-		c.Engine.Go("fig3-interference", func(ip *sim.Proc) {
-			rng := sim.NewRNG(c.Config().Seed + 77)
-			srvK := cfg.K % c.Config().Servers
-			for !interferenceDone {
-				// A striping unit on server K of the
-				// interference file.
-				stripes := fileBytes / stripeBytes
-				k := rng.Range(0, stripes-1)
-				off := k*stripeBytes + int64(srvK)*unit
-				iclient.Read(ip, ifile, off, unit)
+		rng := sim.NewRNG(c.Config().Seed + 77)
+		srvK := cfg.K % c.Config().Servers
+		var read func()
+		read = func() {
+			if interferenceDone {
+				return
 			}
-		})
+			// A striping unit on server K of the interference file.
+			k := rng.Range(0, fileBytes/stripeBytes-1)
+			iclient.Start(ifile, device.Read, k*stripeBytes+int64(srvK)*unit, unit, read)
+		}
+		c.Engine.After(0, read)
 
 		// Each process accesses its own stripe-aligned region so
 		// non-fragment sub-requests go to servers 0..K-1 and the 1 KB
@@ -281,7 +305,9 @@ func Fig3(cfg Fig3Config) cluster.Workload {
 	}
 }
 
-// Replay replays a trace with a single process, as in Section III-E.
+// Replay replays a trace with a single process, as in Section III-E: a
+// one-rank program of the trace's records, issued in order on one
+// untagged client.
 func Replay(tr *trace.Trace, fileBytes int64) cluster.Workload {
 	return func(c *cluster.Cluster, p *sim.Proc) {
 		f, err := c.FS.Create("replay:"+tr.Name, fileBytes)
@@ -290,18 +316,18 @@ func Replay(tr *trace.Trace, fileBytes int64) cluster.Workload {
 		}
 		client := c.Client()
 		tr.Clamp(fileBytes)
-		done := sim.NewCounter(c.Engine, 1)
-		c.Engine.Go("replay", func(rp *sim.Proc) {
-			for _, rec := range tr.Records {
-				if rec.Op == trace.Read {
-					client.Read(rp, f, rec.Offset, rec.Size)
-				} else {
-					client.Write(rp, f, rec.Offset, rec.Size)
-				}
+		prog := make(mpiio.Program, len(tr.Records))
+		for i, rec := range tr.Records {
+			op := device.Write
+			if rec.Op == trace.Read {
+				op = device.Read
 			}
-			done.Done()
+			prog[i] = mpiio.IO(op, rec.Offset, rec.Size)
+		}
+		w := mpiio.NewWorldOn(c.Engine, 1, func(_ int, op device.Op, off, n int64, done func()) {
+			client.Start(f, op, off, n, done)
 		})
-		done.Wait(p)
+		w.Run([]mpiio.Program{prog}, nil).Wait(p)
 	}
 }
 

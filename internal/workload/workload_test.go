@@ -1,9 +1,12 @@
 package workload_test
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/device"
+	"repro/internal/mpiio"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -223,5 +226,122 @@ func TestReportThroughput(t *testing.T) {
 	empty := &workload.Report{}
 	if empty.ThroughputMBps() != 0 {
 		t.Fatal("empty report throughput not 0")
+	}
+}
+
+// btioRanks runs BTIO's rank programs, each with a mark at its end, and
+// reports each rank's completion instant (its last mark) and rank 0's
+// I/O time.
+func btioRanks(cfg workload.BTIOConfig, finished []sim.Time, ioTime *sim.Duration) cluster.Workload {
+	return func(c *cluster.Cluster, p *sim.Proc) {
+		f, err := c.FS.Create("btio", cfg.DataBytes+64*workload.KB)
+		if err != nil {
+			panic(err)
+		}
+		progs := workload.BTIOPrograms(cfg)
+		for i := range progs {
+			progs[i] = append(progs[i], mpiio.Step{Kind: mpiio.Mark})
+		}
+		var marks []sim.Time
+		zero := workload.RankZeroMarks(c.Engine, &marks)
+		mpiio.NewWorld(c.Engine, c.Client(), f, cfg.Procs).Run(progs, func(rank int) {
+			zero(rank)
+			finished[rank] = c.Engine.Now()
+		}).Wait(p)
+		*ioTime = workload.MarkedTime(marks[:len(marks)-1])
+	}
+}
+
+// btioReference is BTIO's rank body as it ran before its ranks became
+// programs: a process per rank, on a client tagged with the rank's
+// origin, issuing each record by Proc.Call.
+func btioReference(cfg workload.BTIOConfig, finished []sim.Time, ioTime *sim.Duration) cluster.Workload {
+	return func(c *cluster.Cluster, p *sim.Proc) {
+		f, err := c.FS.Create("btio", cfg.DataBytes+64*workload.KB)
+		if err != nil {
+			panic(err)
+		}
+		rec := workload.RecordSize(cfg.Procs)
+		perStep := cfg.DataBytes / int64(cfg.Steps)
+		recsPerRank := max(perStep/int64(cfg.Procs)/rec, 1)
+		barrier := sim.NewBarrier(c.Engine, cfg.Procs)
+		left := sim.NewCounter(c.Engine, cfg.Procs)
+		for id := 0; id < cfg.Procs; id++ {
+			client := c.Client().WithOrigin(int32(id + 1))
+			c.Engine.Go("btio", func(rp *sim.Proc) {
+				for step := 0; step < cfg.Steps; step++ {
+					rp.Sleep(cfg.ComputePerStep)
+					barrier.Wait(rp)
+					ioStart := rp.Now()
+					base := int64(step) * perStep
+					for j := int64(0); j < recsPerRank; j++ {
+						off := base + (j*int64(cfg.Procs)+int64(id))*rec
+						rp.Call(func(done func()) { client.Start(f, device.Write, off, rec, done) })
+					}
+					barrier.Wait(rp)
+					if id == 0 {
+						*ioTime += rp.Now().Sub(ioStart)
+					}
+				}
+				finished[id] = rp.Now()
+				left.Done()
+			})
+		}
+		left.Wait(p)
+	}
+}
+
+// TestBTIOProgramMatchesProcessRanks holds BTIO's rank programs to the
+// process body they replaced, at smoke scale on both systems and on the
+// golden digests' BTIO configuration (medium scale, an SSD an eighth of
+// the data): every rank finishes at the same instant, rank 0's I/O time,
+// the client's statistics and the disks' agree.
+func TestBTIOProgramMatchesProcessRanks(t *testing.T) {
+	type run struct {
+		finished []sim.Time
+		ioTime   sim.Duration
+		res      cluster.Result
+		disks    device.Stats
+	}
+	cases := []struct {
+		name string
+		mode cluster.Mode
+		ssd  int64
+		cfg  workload.BTIOConfig
+	}{
+		{"smoke/stock", cluster.Stock, 0, workload.BTIOConfig{Procs: 16, DataBytes: 24 * workload.MB, Steps: 4, ComputePerStep: 9 * sim.Second / 4}},
+		{"smoke/ibridge", cluster.IBridge, 512 * workload.MB, workload.BTIOConfig{Procs: 16, DataBytes: 24 * workload.MB, Steps: 4, ComputePerStep: 9 * sim.Second / 4}},
+		{"golden", cluster.IBridge, 128 * workload.MB / 8, workload.BTIOConfig{Procs: 64, DataBytes: 128 * workload.MB, Steps: 8, ComputePerStep: 48 * sim.Second / 8}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			exec := func(build func(workload.BTIOConfig, []sim.Time, *sim.Duration) cluster.Workload) run {
+				cfg := cluster.DefaultConfig()
+				cfg.Mode = tc.mode
+				cfg.IBridge.SSDCapacity = tc.ssd
+				c, err := cluster.New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				r := run{finished: make([]sim.Time, tc.cfg.Procs)}
+				if r.res, err = c.Run(build(tc.cfg, r.finished, &r.ioTime)); err != nil {
+					t.Fatal(err)
+				}
+				r.disks = c.DiskStats()
+				return r
+			}
+			want, got := exec(btioReference), exec(btioRanks)
+			if !slices.Equal(got.finished, want.finished) {
+				t.Errorf("ranks finished at %v, reference %v", got.finished, want.finished)
+			}
+			if got.ioTime != want.ioTime || got.disks != want.disks {
+				t.Errorf("I/O time %v, disks %+v; reference %v, %+v", got.ioTime, got.disks, want.ioTime, want.disks)
+			}
+			if got.res.Elapsed != want.res.Elapsed || got.res.FlushTime != want.res.FlushTime ||
+				got.res.Requests != want.res.Requests || got.res.AvgServiceTime != want.res.AvgServiceTime ||
+				got.res.Bridge != want.res.Bridge {
+				t.Errorf("result %+v, reference %+v", got.res, want.res)
+			}
+		})
 	}
 }
