@@ -40,11 +40,6 @@ func fig12(s Scale) (*stats.Table, error) {
 		{"static 1:2", cluster.IBridge, false, 2.0 / 3.0},
 		{"dynamic", cluster.IBridge, true, 0},
 	}
-	// The paper sizes the SSD (8 GB against 10+6.8 GB of data) below
-	// the combined candidate working set so that partitioning matters:
-	// roughly half of (mpi-io-test fragments ≈ 10% of its data) plus
-	// BTIO's dirty set, split across the servers.
-	ssdPerServer := (s.MPIIOBytes/10 + s.BTIOBytes) / 8 / 2
 	// Average *times* over seeds (rate averages let one fast outlier run
 	// dominate): the partition effect (paper: 5–13%) is of the same order
 	// as run-to-run variation.
@@ -56,31 +51,13 @@ func fig12(s Scale) (*stats.Table, error) {
 		pc := configs[i/seeds]
 		seed := uint64(i%seeds) + 1
 		cfg := baseConfig(s, pc.mode)
-		cfg.IBridge.SSDCapacity = ssdPerServer
 		cfg.IBridge.DynamicPartition = pc.dynamic
 		if !pc.dynamic {
 			cfg.IBridge.StaticFragShare = pc.fragShare
 		}
 		cfg.Seed = seed
-		c, err := cluster.New(cfg)
-		if err != nil {
-			return point{}, err
-		}
-		mpiRep := &workload.Report{}
-		var bt workload.BTIOResult
-		mpi := workload.MPIIOTest(workload.MPIIOTestConfig{
-			Procs: 64, RequestSize: 65 * kb, Write: true,
-			FileBytes: s.MPIIOBytes, Jitter: workload.DefaultJitter,
-			Seed: seed, Report: mpiRep,
-		})
-		btio := workload.BTIO(workload.BTIOConfig{
-			Procs: 64, DataBytes: s.BTIOBytes, Steps: s.BTIOSteps,
-			ComputePerStep: s.BTIOCompute / sim64(s.BTIOSteps),
-		}, &bt)
-		if _, err := c.Run(workload.Combine(mpi, btio)); err != nil {
-			return point{}, err
-		}
-		return point{mpiTime: mpiRep.Elapsed().Seconds(), btioTime: bt.IOTime.Seconds()}, nil
+		mpiTime, btioTime, err := fig12Run(s, cfg)
+		return point{mpiTime: mpiTime, btioTime: btioTime}, err
 	})
 	if err != nil {
 		return nil, err
@@ -100,6 +77,36 @@ func fig12(s Scale) (*stats.Table, error) {
 	t.Note("paper: dynamic partitioning beats static 1:1 by 13%% and 1:2 by 5%% in aggregate; iBridge aggregate is 53%% above stock")
 	t.Note("expected shape: stock < static 1:1 <= static 1:2 <= dynamic in aggregate throughput")
 	return t, nil
+}
+
+// fig12Run runs one Figure 12 point on a cluster of cfg: mpi-io-test's
+// 65 KB writes and BTIO combined, seeded with cfg.Seed. It returns
+// mpi-io-test's measured time and BTIO's I/O time, in seconds.
+func fig12Run(s Scale, cfg cluster.Config) (mpiTime, btioTime float64, err error) {
+	// The paper sizes the SSD (8 GB against 10+6.8 GB of data) below
+	// the combined candidate working set so that partitioning matters:
+	// roughly half of (mpi-io-test fragments ≈ 10% of its data) plus
+	// BTIO's dirty set, split across the servers.
+	cfg.IBridge.SSDCapacity = (s.MPIIOBytes/10 + s.BTIOBytes) / 8 / 2
+	c, err := cluster.New(cfg)
+	if err != nil {
+		return 0, 0, err
+	}
+	mpiRep := &workload.Report{}
+	var bt workload.BTIOResult
+	mpi := workload.MPIIOTest(workload.MPIIOTestConfig{
+		Procs: 64, RequestSize: 65 * kb, Write: true,
+		FileBytes: s.MPIIOBytes, Jitter: workload.DefaultJitter,
+		Seed: cfg.Seed, Report: mpiRep,
+	})
+	btio := workload.BTIO(workload.BTIOConfig{
+		Procs: 64, DataBytes: s.BTIOBytes, Steps: s.BTIOSteps,
+		ComputePerStep: s.BTIOCompute / sim64(s.BTIOSteps),
+	}, &bt)
+	if _, err := c.Run(workload.Combine(mpi, btio)); err != nil {
+		return 0, 0, err
+	}
+	return mpiRep.Elapsed().Seconds(), bt.IOTime.Seconds(), nil
 }
 
 // fig13 reproduces Figure 13: the request-size threshold sweep for

@@ -28,7 +28,8 @@ var workCountPoints = []int{0, 7, 9, 22}
 // barriers, and Fig. 3's k=2 run with a fragment and a barrier after
 // every request (the interference reader still running when the ranks
 // finish); a BTIO point, ext-collective's collective case, ext-sieving's
-// sieved reads, ext-plfs's PLFS row and a Table III replay. Each runs at
+// sieved reads, ext-plfs's PLFS row, Fig. 12's dynamic-partition point
+// (mpi-io-test and BTIO under workload.Combine) and a Table III replay. Each runs at
 // smoke scale with the observability sinks set.
 var workPoints = []struct {
 	name string
@@ -64,6 +65,12 @@ var workPoints = []struct {
 	}},
 	{"ext-plfs/PLFS smoke", func(set *obs.Set) error {
 		_, _, err := extPLFSRun(Smoke, obsConfig(cluster.Stock, set), true)
+		return err
+	}},
+	{"fig12/dynamic/seed=1 smoke", func(set *obs.Set) error {
+		cfg := obsConfig(cluster.IBridge, set)
+		cfg.IBridge.DynamicPartition = true
+		_, _, err := fig12Run(Smoke, cfg)
 		return err
 	}},
 	{"table3/CTH/ibridge smoke", func(set *obs.Set) error {
