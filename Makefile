@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all build test race vet lint lint-tools bench-smoke chaos-smoke sim-medium cover ci
+.PHONY: all build test race vet lint lint-tools bench-smoke chaos-smoke sim-medium examples-smoke cover ci
 
 all: build test vet lint
 
@@ -115,6 +115,19 @@ sim-medium:
 	@rm -f sim-medium.txt
 	@echo "sim-medium: -exp all -scale medium matches results_medium.txt"
 
+# Example gate: the four simulator examples, the public callers of
+# cluster.Run and workload.Combine, must print exactly their recorded
+# stdout in testdata/examples (their output is deterministic). Well
+# under a second together.
+EXAMPLES = quickstart unaligned heterogeneous tracereplay
+examples-smoke:
+	@for ex in $(EXAMPLES); do \
+		$(GO) run ./examples/$$ex > examples-$$ex.txt || exit 1; \
+		cmp testdata/examples/$$ex.txt examples-$$ex.txt || { echo "examples-smoke: $$ex differs from testdata/examples/$$ex.txt"; exit 1; }; \
+		rm -f examples-$$ex.txt; \
+	done
+	@echo "examples-smoke: $(EXAMPLES) match testdata/examples"
+
 # Coverage across all packages, with an HTML report in cover.html.
 cover:
 	$(GO) test -coverprofile=cover.out ./...
@@ -123,8 +136,8 @@ cover:
 
 # The full gate: vet, the invariant lint suite, race on the
 # concurrency-bearing packages, the test suite (it includes the engine
-# alloc-regression guard), the hot-path bench smoke
-# and the chaos smoke (fault-injected live cluster, reproducible
-# summary). Performance is measured by bench/ (see bench/README.md), in
+# alloc-regression guard), the hot-path bench smoke, the chaos smoke
+# (fault-injected live cluster, reproducible summary) and the examples'
+# recorded output. Performance is measured by bench/ (see bench/README.md), in
 # paired runs against the parent commit, not by this gate.
-ci: vet lint race test bench-smoke chaos-smoke
+ci: vet lint race test bench-smoke chaos-smoke examples-smoke

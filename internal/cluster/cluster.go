@@ -277,10 +277,11 @@ func (c *Cluster) Client() *pfs.Client {
 	return pfs.NewClient(c.FS)
 }
 
-// Workload is the body of one experiment: it runs inside a driver
-// process, spawning rank processes as needed, and returns when all
-// application I/O has completed.
-type Workload func(c *Cluster, p *sim.Proc)
+// Workload is the body of one experiment: it starts its ranks on the
+// cluster and runs done, from an event of its own, once all application
+// I/O has completed. It runs on engine callbacks, like everything
+// beneath it.
+type Workload func(c *Cluster, done func())
 
 // Result carries the metrics of one run.
 type Result struct {
@@ -316,18 +317,28 @@ func (r Result) ThroughputMBps() float64 {
 }
 
 // Run executes w on the cluster and gathers metrics. It may be called
-// once per Cluster.
+// once per Cluster. w starts from an event at time zero; once it is
+// done, the file system flushes and the engine halts. It returns
+// sim.ErrDeadlock if the engine runs out of events before then.
 func (c *Cluster) Run(w Workload) (Result, error) {
 	var res Result
-	c.Engine.Go("driver", func(p *sim.Proc) {
-		w(c, p)
-		res.Elapsed = sim.Duration(p.Now())
-		c.FS.Flush(p)
-		res.FlushTime = sim.Duration(p.Now()) - res.Elapsed
-		c.Engine.Halt()
+	e := c.Engine
+	finished := false
+	e.After(0, func() {
+		w(c, func() {
+			res.Elapsed = sim.Duration(e.Now())
+			c.FS.Flush(func() {
+				res.FlushTime = sim.Duration(e.Now()) - res.Elapsed
+				finished = true
+				e.Halt()
+			})
+		})
 	})
-	err := c.Engine.Run()
+	err := e.Run()
 	c.fold()
+	if err == nil && !finished {
+		err = sim.ErrDeadlock
+	}
 	if err != nil {
 		return res, err
 	}

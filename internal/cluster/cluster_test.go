@@ -1,9 +1,12 @@
 package cluster_test
 
 import (
+	"errors"
 	"testing"
 
 	. "repro/internal/cluster"
+	"repro/internal/device"
+	"repro/internal/mpiio"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -293,5 +296,43 @@ func TestBTIOWorkloadRuns(t *testing.T) {
 	}
 	if btres.IOTime <= 0 || btres.TotalTime <= btres.IOTime {
 		t.Fatalf("BTIO timing: io %v, total %v", btres.IOTime, btres.TotalTime)
+	}
+}
+
+// TestStalledWorkloadIsDeadlock: a workload that never runs its done
+// leaves Run with sim.ErrDeadlock once the engine runs out of events,
+// not with an empty result as if it had finished. One that does no I/O
+// and never calls done stalls, and so do ranks of which one skips the
+// barrier the others wait at.
+func TestStalledWorkloadIsDeadlock(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		w    Workload
+	}{
+		{"no done", func(c *Cluster, done func()) {}},
+		{"barrier one short", func(c *Cluster, done func()) {
+			f, err := c.FS.Create("stall", 1<<20)
+			if err != nil {
+				panic(err)
+			}
+			progs := make([]mpiio.Program, 4)
+			for i := range progs {
+				progs[i] = mpiio.Program{mpiio.IO(device.Write, int64(i)*4096, 4096)}
+				if i < len(progs)-1 {
+					progs[i] = append(progs[i], mpiio.Step{Kind: mpiio.Barrier})
+				}
+			}
+			mpiio.NewWorld(c.Engine, c.Client(), f, len(progs)).Run(progs, nil, done)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := New(DefaultConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.Run(tc.w); !errors.Is(err, sim.ErrDeadlock) {
+				t.Fatalf("Run: %v, want %v", err, sim.ErrDeadlock)
+			}
+		})
 	}
 }

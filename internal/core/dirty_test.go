@@ -191,7 +191,7 @@ func TestDirtyAccountingUnderConcurrency(t *testing.T) {
 		writers = 8
 	)
 	meet := sim.NewBarrier(e, writers)
-	done := sim.NewCounter(e, writers)
+	left, joined := writers, func() {}
 	for w := 0; w < writers; w++ {
 		rng := sim.NewRNG(uint64(100 + w))
 		e.Go(fmt.Sprint("writer", w), func(p *sim.Proc) {
@@ -213,11 +213,13 @@ func TestDirtyAccountingUnderConcurrency(t *testing.T) {
 				checkDirty(t, b, fmt.Sprintf("writer step %d", i))
 				p.Sleep(rng.Duration(0, 6*sim.Millisecond)) // idle gaps let the daemon in
 			}
-			done.Done()
+			if left--; left == 0 {
+				joined()
+			}
 		})
 	}
 	runSim(t, e, func(p *sim.Proc) {
-		done.Wait(p)
+		p.Call(func(done func()) { joined = done }) // the writers run for a while
 		flush(p, b)
 		checkDirty(t, b, "flush")
 	})
@@ -253,17 +255,20 @@ func TestSameInstantAdmissionsLeaveOneMapping(t *testing.T) {
 	b, _ := testBridge(e, func(c *Config) { c.IdleCheck = sim.Second })
 	const writers = 8
 	meet := sim.NewBarrier(e, writers)
-	done := sim.NewCounter(e, writers)
 	runSim(t, e, func(p *sim.Proc) {
 		driveT(p, b)
-		for w := 0; w < writers; w++ {
-			e.Go(fmt.Sprint("writer", w), func(p *sim.Proc) {
-				meet.Wait(p)
-				serve(p, b, frag(device.Write, 1<<27, 4))
-				done.Done()
-			})
-		}
-		done.Wait(p)
+		p.Call(func(joined func()) {
+			left := writers
+			for w := 0; w < writers; w++ {
+				e.Go(fmt.Sprint("writer", w), func(p *sim.Proc) {
+					meet.Wait(p)
+					serve(p, b, frag(device.Write, 1<<27, 4))
+					if left--; left == 0 {
+						joined()
+					}
+				})
+			}
+		})
 	})
 	if got := b.Stats().Admissions[ClassFragment]; got != writers {
 		t.Fatalf("%d of %d writes admitted", got, writers)
@@ -335,11 +340,17 @@ func TestStagingNeverSupersedesNewerWrite(t *testing.T) {
 		}
 		it := b.stage[0]
 		b.stage = b.stage[:0]
-		done := sim.NewCounter(e, 2)
-		// Same instant, writer first: its SSD write completes first.
-		e.Go("writer", func(p *sim.Proc) { serve(p, b, frag(device.Write, lbn, 4)); done.Done() })
-		e.Go("stager", func(p *sim.Proc) { stageOne(p, b, it); done.Done() })
-		done.Wait(p)
+		p.Call(func(joined func()) {
+			left := 2
+			join := func() {
+				if left--; left == 0 {
+					joined()
+				}
+			}
+			// Same instant, writer first: its SSD write completes first.
+			e.Go("writer", func(p *sim.Proc) { serve(p, b, frag(device.Write, lbn, 4)); join() })
+			e.Go("stager", func(p *sim.Proc) { stageOne(p, b, it); join() })
+		})
 	})
 	if b.Stats().SSDWriteBytes == 0 || b.DirtySectors() != 4 {
 		t.Fatalf("written %d bytes to the SSD, %d dirty sectors cached; want the 4 written", b.Stats().SSDWriteBytes, b.DirtySectors())

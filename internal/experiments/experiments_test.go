@@ -1,9 +1,14 @@
 package experiments
 
 import (
+	"errors"
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/cluster"
+	"repro/internal/runner"
+	"repro/internal/workload"
 )
 
 // cell parses a numeric table cell, stripping %, x, and unit suffixes.
@@ -196,5 +201,38 @@ func TestShapeAblationSSDLog(t *testing.T) {
 	logIO, scatterIO := cell(t, tbl.Rows, 0, 2), cell(t, tbl.Rows, 1, 2)
 	if logIO >= scatterIO {
 		t.Errorf("log-structured I/O time %.1f not below scattered %.1f", logIO, scatterIO)
+	}
+}
+
+// TestCallbackPanicIsUnitError: a workload runs on engine callbacks, on
+// the goroutine that runs the cluster, so a panic inside one (here in
+// the completion of mpi-io-test's ranks, deep in a run) leaves Run and
+// reaches runner.Map as the error of the unit that raised it, wrapping
+// the panic value; the other units still finish.
+func TestCallbackPanicIsUnitError(t *testing.T) {
+	cause := errors.New("model invariant broken")
+	finished := make([]bool, 3)
+	_, err := runner.Map(len(finished), func(i int) (cluster.Result, error) {
+		c, err := cluster.New(baseConfig(Smoke, cluster.Stock))
+		if err != nil {
+			return cluster.Result{}, err
+		}
+		w := workload.MPIIOTest(workload.MPIIOTestConfig{Procs: 4, RequestSize: 65 * kb, FileBytes: 4 * 65 * kb, Write: true})
+		res, err := c.Run(func(c *cluster.Cluster, done func()) {
+			w(c, func() {
+				if i == 1 {
+					panic(cause)
+				}
+				done()
+			})
+		})
+		finished[i] = err == nil
+		return res, err
+	})
+	if err == nil || !errors.Is(err, cause) || !strings.Contains(err.Error(), "unit 1 panicked") {
+		t.Fatalf("Map err = %v, want unit 1's panic wrapping the cause", err)
+	}
+	if !finished[0] || !finished[2] {
+		t.Errorf("units 0 and 2 finished: %v, %v; want both", finished[0], finished[2])
 	}
 }

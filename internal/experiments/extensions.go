@@ -69,12 +69,12 @@ func extCollectiveRun(s Scale, cfg cluster.Config, collective bool) (sim.Duratio
 		progs = mpiio.Collective(progs, mpiio.DefaultCollective())
 	}
 	var marks []sim.Time
-	res, err := c.Run(func(cl *cluster.Cluster, p *sim.Proc) {
+	res, err := c.Run(func(cl *cluster.Cluster, done func()) {
 		f, err := cl.FS.Create("ext", s.BTIOBytes+64*kb)
 		if err != nil {
 			panic(err)
 		}
-		mpiio.NewWorld(cl.Engine, cl.Client(), f, procs).Run(progs, workload.RankZeroMarks(cl.Engine, &marks)).Wait(p)
+		mpiio.NewWorld(cl.Engine, cl.Client(), f, procs).Run(progs, workload.RankZeroMarks(cl.Engine, &marks), done)
 	})
 	if err != nil {
 		return 0, 0, err
@@ -141,12 +141,12 @@ func extSievingRun(s Scale, cfg cluster.Config, sieve bool) (sim.Duration, int64
 	if err != nil {
 		return 0, 0, err
 	}
-	res, err := c.Run(func(cl *cluster.Cluster, p *sim.Proc) {
+	res, err := c.Run(func(cl *cluster.Cluster, done func()) {
 		f, err := cl.FS.Create("sieve", int64(rows)*rowBytes)
 		if err != nil {
 			panic(err)
 		}
-		mpiio.NewWorld(cl.Engine, cl.Client(), f, procs).Run(progs, nil).Wait(p)
+		mpiio.NewWorld(cl.Engine, cl.Client(), f, procs).Run(progs, nil, done)
 	})
 	if err != nil {
 		return 0, 0, err

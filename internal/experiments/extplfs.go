@@ -80,8 +80,8 @@ func extPLFSRun(s Scale, cfg cluster.Config, viaPLFS bool) (write, read sim.Dura
 		return 0, 0, err
 	}
 	var marks []sim.Time
-	res, err := c.Run(func(cl *cluster.Cluster, p *sim.Proc) {
-		ckptWorld(cl, s.MPIIOBytes, viaPLFS).Run(progs, workload.RankZeroMarks(cl.Engine, &marks)).Wait(p)
+	res, err := c.Run(func(cl *cluster.Cluster, done func()) {
+		ckptWorld(cl, s.MPIIOBytes, viaPLFS).Run(progs, workload.RankZeroMarks(cl.Engine, &marks), done)
 	})
 	if err != nil {
 		return 0, 0, err

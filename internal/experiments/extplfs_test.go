@@ -16,9 +16,10 @@ import (
 // ckptReference is ext-plfs's rank body as it ran before its ranks
 // became programs: a process per rank, each request by Proc.Call on the
 // rank's origin-tagged client or on the PLFS mount, and each rank's
-// completion instant into finished.
+// completion instant into finished. It is done from an event of its own
+// after the last rank returns, as a World is.
 func ckptReference(fileBytes int64, viaPLFS bool, finished []sim.Time) cluster.Workload {
-	return func(cl *cluster.Cluster, p *sim.Proc) {
+	return func(cl *cluster.Cluster, allDone func()) {
 		const procs, req, shift = ckptProcs, ckptReq, ckptShift
 		var f *pfs.File
 		var m *plfs.Mount
@@ -40,7 +41,7 @@ func ckptReference(fileBytes int64, viaPLFS bool, finished []sim.Time) cluster.W
 		iters := fileBytes / (procs * req)
 		perm := sim.NewRNG(99).Perm(int(iters))
 		barrier := sim.NewBarrier(cl.Engine, procs)
-		left := sim.NewCounter(cl.Engine, procs)
+		left := procs
 		for id := 0; id < procs; id++ {
 			rc := client.WithOrigin(int32(id + 1))
 			call := func(rp *sim.Proc, op device.Op, off int64) {
@@ -72,10 +73,11 @@ func ckptReference(fileBytes int64, viaPLFS bool, finished []sim.Time) cluster.W
 				}
 				barrier.Wait(rp)
 				finished[id] = rp.Now()
-				left.Done()
+				if left--; left == 0 {
+					cl.Engine.After(0, allDone)
+				}
 			})
 		}
-		left.Wait(p)
 	}
 }
 
@@ -113,12 +115,12 @@ func TestCkptProgramMatchesProcessRanks(t *testing.T) {
 				return ckptReference(fileBytes, tc.viaPLFS, finished)
 			})
 			got := exec(func(finished []sim.Time) cluster.Workload {
-				return func(cl *cluster.Cluster, p *sim.Proc) {
+				return func(cl *cluster.Cluster, done func()) {
 					progs := ckptPrograms(fileBytes)
 					for i := range progs {
 						progs[i] = append(progs[i], mpiio.Step{Kind: mpiio.Mark})
 					}
-					ckptWorld(cl, fileBytes, tc.viaPLFS).Run(progs, func(rank int) { finished[rank] = cl.Engine.Now() }).Wait(p)
+					ckptWorld(cl, fileBytes, tc.viaPLFS).Run(progs, func(rank int) { finished[rank] = cl.Engine.Now() }, done)
 				}
 			})
 			if !slices.Equal(got.finished, want.finished) {

@@ -125,7 +125,7 @@ func fig5Run(s Scale, readahead bool) (cluster.Result, workload.Report, error) {
 		return cluster.Result{}, rep, err
 	}
 	iters := s.MPIIOBytes / (64 * 64 * kb)
-	res, err := c.Run(func(cl *cluster.Cluster, p *sim.Proc) {
+	res, err := c.Run(func(cl *cluster.Cluster, done func()) {
 		f, err := cl.FS.Create("fig5", s.MPIIOBytes+16*kb)
 		if err != nil {
 			panic(err)
@@ -141,9 +141,11 @@ func fig5Run(s Scale, readahead bool) (cluster.Result, workload.Report, error) {
 				}
 				rep.Start = cl.Engine.Now()
 			},
-		}).Wait(p)
-		rep.End = p.Now()
-		rep.Bytes = iters * 64 * 64 * kb
+		}, func() {
+			rep.End = cl.Engine.Now()
+			rep.Bytes = iters * 64 * 64 * kb
+			done()
+		})
 	})
 	return res, rep, err
 }

@@ -70,6 +70,9 @@ func runGridPoint(i int, set *obs.Set) (*cluster.Cluster, cluster.Result, *workl
 	return runGridPointWith(i, func(cfg *cluster.Config) { cfg.Obs = set })
 }
 
+// gridFileBytes is the file every grid point accesses.
+const gridFileBytes = 48 * workload.MB
+
 // runGridPointWith runs grid point i at seed 1000+i on its cluster
 // configuration as edit leaves it.
 func runGridPointWith(i int, edit func(*cluster.Config)) (*cluster.Cluster, cluster.Result, *workload.Report, error) {
@@ -88,7 +91,7 @@ func runGridPointWith(i int, edit func(*cluster.Config)) (*cluster.Cluster, clus
 	}
 	rep := &workload.Report{}
 	res, err := c.Run(workload.MPIIOTest(workload.MPIIOTestConfig{
-		Procs: 64, RequestSize: cs.size, Shift: cs.shift, FileBytes: 48 * workload.MB,
+		Procs: 64, RequestSize: cs.size, Shift: cs.shift, FileBytes: gridFileBytes,
 		Write: write, Warm: !write, Jitter: workload.DefaultJitter, Seed: seed, Report: rep,
 	}))
 	return c, res, rep, err

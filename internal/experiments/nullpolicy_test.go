@@ -87,3 +87,41 @@ func TestNullPoliciesEqualStock(t *testing.T) {
 		t.Errorf("%d runs, want 12 stock points, 36 null-policy rows and 12 default iBridge rows", len(jobs))
 	}
 }
+
+// TestRoomyCacheNeverRefusesOrEvicts: with an SSD of at least twice a
+// point's file bytes at every server, none of the 12 iBridge grid
+// points refuses an admission for space or evicts a cached extent. A
+// refusal or eviction here is a bug in the cache's space accounting,
+// not a capacity to raise.
+func TestRoomyCacheNeverRefusesOrEvicts(t *testing.T) {
+	const ssd = 2 * gridFileBytes
+	var points []int
+	for i := 0; i < 24; i++ {
+		if gridPointMode(i) == cluster.IBridge {
+			points = append(points, i)
+		}
+	}
+	results, err := runner.Map(len(points), func(k int) (cluster.Result, error) {
+		_, res, _, err := runGridPointWith(points[k], func(cfg *cluster.Config) {
+			cfg.IBridge.SSDCapacity = ssd
+		})
+		return res, err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	admitted := int64(0)
+	for k, res := range results {
+		b := res.Bridge
+		if b.Rejections != 0 || b.Evictions != 0 {
+			t.Errorf("%s: %d rejections, %d evictions with a %d-byte SSD per server",
+				gridPointName(points[k]), b.Rejections, b.Evictions, ssd)
+		}
+		for _, n := range b.Admissions {
+			admitted += n
+		}
+	}
+	if admitted == 0 {
+		t.Error("no point admitted anything: the relation holds vacuously")
+	}
+}

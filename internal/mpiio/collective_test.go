@@ -15,7 +15,7 @@ func runPrograms(t *testing.T, progs []Program) (requests, bytes int64, end sim.
 	t.Helper()
 	e := sim.New()
 	w, fs := testWorld(t, e, len(progs))
-	runWorld(t, e, func() *sim.Counter { return w.Run(progs, nil) })
+	runWorld(t, e, func(done func()) { w.Run(progs, nil, done) })
 	return fs.Stats().Requests, fs.Stats().TotalBytes(), e.Now()
 }
 

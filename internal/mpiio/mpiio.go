@@ -23,6 +23,10 @@ type World struct {
 	n       int
 	barrier *sim.Barrier
 	issue   Issuer
+	// left counts the ranks still running their programs, and done
+	// runs once none is (see Run).
+	left int
+	done func()
 }
 
 // Issuer issues one request of rank — op over [off, off+n) — and runs

@@ -45,19 +45,21 @@ type procRank struct {
 	hops *int64
 }
 
-// spawn starts fn as every rank's body, each a process, and returns a
-// counter that reaches zero when all have returned and the count of
-// the ranks' resumes from a request so far.
-func spawn(w *World, fn func(r *procRank)) (*sim.Counter, *int64) {
-	done := sim.NewCounter(w.e, w.n)
+// spawn starts fn as every rank's body, each a process, runs done from
+// an event of its own once all have returned, as World.Run does, and
+// returns the count of the ranks' resumes from a request so far.
+func spawn(w *World, fn func(r *procRank), done func()) *int64 {
+	left := w.n
 	hops := new(int64)
 	for i := 0; i < w.n; i++ {
 		w.e.Go(fmt.Sprintf("rank%d", i), func(p *sim.Proc) {
 			fn(&procRank{ID: i, P: p, w: w, hops: hops})
-			done.Done()
+			if left--; left == 0 {
+				w.e.After(0, done)
+			}
 		})
 	}
-	return done, hops
+	return hops
 }
 
 func (r *procRank) Barrier()               { r.w.barrier.Wait(r.P) }
@@ -79,9 +81,9 @@ func (r *procRank) io(op device.Op, off, n int64) {
 }
 
 // referenceRun runs progs with a process per rank, step by step as the
-// process API spells them, calling mark as World.Run does, and returns
-// the count of the ranks' resumes from a request too.
-func referenceRun(w *World, progs []Program, mark func(rank int)) (*sim.Counter, *int64) {
+// process API spells them, calling mark and done as World.Run does, and
+// returns the count of the ranks' resumes from a request.
+func referenceRun(w *World, progs []Program, mark func(rank int), done func()) *int64 {
 	return spawn(w, func(r *procRank) {
 		for _, s := range progs[r.ID] {
 			switch s.Kind {
@@ -101,7 +103,7 @@ func referenceRun(w *World, progs []Program, mark func(rank int)) (*sim.Counter,
 				}
 			}
 		}
-	})
+	}, done)
 }
 
 // recordMarks returns a mark callback that appends the instant of each
@@ -111,16 +113,20 @@ func recordMarks(e *sim.Engine, n int) (func(rank int), [][]sim.Time) {
 	return func(rank int) { marks[rank] = append(marks[rank], e.Now()) }, marks
 }
 
-// runWorld runs start on w from a driver process and halts the engine
-// once every rank has finished.
-func runWorld(t *testing.T, e *sim.Engine, start func() *sim.Counter) {
+// runWorld starts the ranks with start, runs the engine and halts it
+// once the ranks are done, and fails t if they never are.
+func runWorld(t testing.TB, e *sim.Engine, start func(done func())) {
 	t.Helper()
-	e.Go("driver", func(p *sim.Proc) {
-		start().Wait(p)
+	finished := false
+	start(func() {
+		finished = true
 		e.Halt()
 	})
 	if err := e.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
+	}
+	if !finished {
+		t.Fatal("the ranks never finished")
 	}
 }
 
@@ -132,7 +138,7 @@ func TestRunRunsAllRanks(t *testing.T) {
 		progs[i] = Program{{Kind: Compute, D: sim.Duration(i) * sim.Millisecond}, {Kind: Mark}}
 	}
 	mark, marks := recordMarks(e, len(progs))
-	runWorld(t, e, func() *sim.Counter { return w.Run(progs, mark) })
+	runWorld(t, e, func(done func()) { w.Run(progs, mark, done) })
 	for i, m := range marks {
 		if len(m) != 1 || m[0] != sim.Time(sim.Duration(i)*sim.Millisecond) {
 			t.Fatalf("rank %d marked %v, want [%v]", i, m, sim.Duration(i)*sim.Millisecond)
@@ -148,7 +154,7 @@ func TestRanksHaveDistinctOrigins(t *testing.T) {
 	for i := range progs {
 		progs[i] = Program{IO(device.Write, int64(i)*64*1024, 64*1024)}
 	}
-	runWorld(t, e, func() *sim.Counter { return w.Run(progs, nil) })
+	runWorld(t, e, func(done func()) { w.Run(progs, nil, done) })
 	origins := map[int]bool{}
 	for _, l := range log {
 		origins[l.who] = true
@@ -169,7 +175,7 @@ func TestBarrierAcrossRanks(t *testing.T) {
 		progs[i] = Program{{Kind: Compute, D: sim.Duration(i) * sim.Millisecond}, {Kind: Barrier}, {Kind: Mark}}
 	}
 	mark, marks := recordMarks(e, len(progs))
-	runWorld(t, e, func() *sim.Counter { return w.Run(progs, mark) })
+	runWorld(t, e, func(done func()) { w.Run(progs, mark, done) })
 	for _, m := range marks {
 		if m[0] != sim.Time(3*sim.Millisecond) {
 			t.Fatalf("rank passed barrier at %v, want 3ms", m[0])
@@ -186,7 +192,7 @@ func TestReadWriteThroughRanks(t *testing.T) {
 		progs[i] = Program{{Kind: Mark}, IO(device.Write, off, 64*1024), {Kind: Mark}, IO(device.Read, off, 64*1024), {Kind: Mark}}
 	}
 	mark, marks := recordMarks(e, len(progs))
-	runWorld(t, e, func() *sim.Counter { return w.Run(progs, mark) })
+	runWorld(t, e, func(done func()) { w.Run(progs, mark, done) })
 	for i, m := range marks {
 		if !(m[0] < m[1] && m[1] < m[2]) {
 			t.Errorf("rank %d: write and read took no time: marks %v", i, m)
@@ -214,12 +220,12 @@ func TestRunInlineStepsDoNotNest(t *testing.T) {
 	}
 	prog = append(prog, Step{Kind: Write, Off: 0, Len: 4096, Stride: 4096, Count: 3})
 	mark, marks := recordMarks(e, 1)
-	runWorld(t, e, func() *sim.Counter { return w.Run([]Program{prog}, mark) })
+	runWorld(t, e, func(done func()) { w.Run([]Program{prog}, mark, done) })
 	if len(marks[0]) != 100000 || fs.Stats().Requests != 3 {
 		t.Fatalf("%d marks, %d requests; want 100000 and 3", len(marks[0]), fs.Stats().Requests)
 	}
-	// The driver's start, the rank's start, three requests' network
-	// legs, disk service and completions, and the driver's wake.
+	// The rank's start, three requests' network legs, disk service and
+	// completions, and the world's done.
 	if ev := e.Stats().Events; ev > 40 {
 		t.Errorf("%d events for 3 requests", ev)
 	}

@@ -50,25 +50,24 @@ func (s Step) Pieces(dst []Piece) []Piece {
 	return dst
 }
 
-// Run starts rank i of w on progs[i] and returns a counter that reaches
-// zero when every rank has finished; a rank runs mark(rank) at each of
-// its Mark steps. A rank is no process but a chain of engine callbacks,
-// each step an event in the place the same step of a rank process would
-// take: a rank starts from an event at the current instant, computes by
-// After, meets the others with Barrier.Arrive and issues each request
-// through w's Issuer, going on from its completion. A step allocates
-// nothing.
-func (w *World) Run(progs []Program, mark func(rank int)) *sim.Counter {
+// Run starts rank i of w on progs[i] and runs done, from an event of
+// its own, once every rank has finished; a rank runs mark(rank) at each
+// of its Mark steps. A rank is no process but a chain of engine
+// callbacks, each step an event in the place the same step of a rank
+// process would take: a rank starts from an event at the current
+// instant, computes by After, meets the others with Barrier.Arrive and
+// issues each request through w's Issuer, going on from its completion.
+// A step allocates nothing. A world runs one set of programs.
+func (w *World) Run(progs []Program, mark func(rank int), done func()) {
 	if len(progs) != w.n {
 		panic(fmt.Sprintf("mpiio: %d programs for %d ranks", len(progs), w.n))
 	}
-	done := sim.NewCounter(w.e, w.n)
+	w.left, w.done = w.n, done
 	for i, prog := range progs {
-		r := &rank{w: w, id: i, prog: prog, mark: mark, done: done}
+		r := &rank{w: w, id: i, prog: prog, mark: mark}
 		r.runFn, r.resumeFn = r.run, r.resume
 		w.e.After(0, r.runFn)
 	}
-	return done
 }
 
 // rank is one rank running its program: where it is, and its
@@ -80,7 +79,6 @@ type rank struct {
 	pc   int   // the current step
 	k    int64 // requests of the current I/O step issued
 	mark func(rank int)
-	done *sim.Counter
 	// waiting is set while a barrier's Arrive or a request's issue is
 	// on the stack, to tell a continuation that runs inline.
 	waiting bool
@@ -129,7 +127,9 @@ func (r *rank) run() {
 			return
 		}
 	}
-	r.done.Done()
+	if r.w.left--; r.w.left == 0 {
+		r.w.e.After(0, r.w.done)
+	}
 }
 
 // resume is the continuation of a barrier or request: run on from an

@@ -27,7 +27,7 @@ type programRun struct {
 // runProgramsOn runs progs, each with a completion mark appended, on a
 // fresh 4-server world of iBridge-flagged clients through start:
 // World.Run or referenceRun.
-func runProgramsOn(t testing.TB, progs []Program, start func(*World, []Program, func(int)) (*sim.Counter, *int64)) programRun {
+func runProgramsOn(t testing.TB, progs []Program, start func(*World, []Program, func(int), func()) *int64) programRun {
 	e := sim.New()
 	rng := sim.NewRNG(3)
 	disks := make([]*hdd.Disk, 4)
@@ -53,15 +53,7 @@ func runProgramsOn(t testing.TB, progs []Program, start func(*World, []Program, 
 	var hops *int64
 	var mark func(int)
 	mark, out.marks = recordMarks(e, len(progs))
-	e.Go("driver", func(p *sim.Proc) {
-		var done *sim.Counter
-		done, hops = start(w, marked, mark)
-		done.Wait(p)
-		e.Halt()
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
+	runWorld(t, e, func(done func()) { hops = start(w, marked, mark, done) })
 	for _, d := range disks {
 		out.disks = append(out.disks, *d.Stats())
 	}
@@ -72,8 +64,9 @@ func runProgramsOn(t testing.TB, progs []Program, start func(*World, []Program, 
 	return out
 }
 
-func runnerRun(w *World, progs []Program, mark func(int)) (*sim.Counter, *int64) {
-	return w.Run(progs, mark), nil
+func runnerRun(w *World, progs []Program, mark func(int), done func()) *int64 {
+	w.Run(progs, mark, done)
+	return nil
 }
 
 // checkProgramsMatch holds World.Run to the process reference on progs:
@@ -171,7 +164,7 @@ func TestProgramStepAllocations(t *testing.T) {
 		p.Sleep(300 * sim.Millisecond)
 		mallocs, requests = testingMallocs()-mallocs, fs.Stats().Requests-requests
 	})
-	runWorld(t, e, func() *sim.Counter { return w.Run(progs, func(int) {}) })
+	runWorld(t, e, func(done func()) { w.Run(progs, func(int) {}, done) })
 	if requests < 50 {
 		t.Fatalf("only %d requests completed in the window", requests)
 	}

@@ -34,11 +34,11 @@ type Strided struct {
 	Measured func()
 }
 
-// Strided starts every rank of w on the loop s and returns a counter
-// that reaches zero when all ranks have finished: the programs of s on
-// World.Run, Measured the mark rank 0's program makes.
-func (w *World) Strided(s Strided) *sim.Counter {
-	return w.Run(s.programs(w.n), func(int) { s.Measured() })
+// Strided starts every rank of w on the loop s and runs done once all
+// ranks have finished: the programs of s on World.Run, Measured the
+// mark rank 0's program makes.
+func (w *World) Strided(s Strided, done func()) {
+	w.Run(s.programs(w.n), func(int) { s.Measured() }, done)
 }
 
 // programs returns the rank programs of the loop s for n ranks. Per

@@ -74,7 +74,7 @@ func logWorld(t *testing.T, e *sim.Engine, n int, served *[]opLog, events func()
 // runStrided runs the loop s on a logWorld of n ranks through start:
 // World.Strided or referenceStrided, which returns the count of extra
 // events its ranks cost (nil for none).
-func runStrided(t *testing.T, n int, s Strided, start func(*World, Strided) (*sim.Counter, *int64)) stridedRun {
+func runStrided(t *testing.T, n int, s Strided, start func(*World, Strided, func()) *int64) stridedRun {
 	t.Helper()
 	var out stridedRun
 	e := sim.New()
@@ -92,10 +92,7 @@ func runStrided(t *testing.T, n int, s Strided, start func(*World, Strided) (*si
 		issue(rank, op, off, n, done)
 	}
 	s.Measured = func() { out.measured = append(out.measured, e.Now()) }
-	runWorld(t, e, func() (done *sim.Counter) {
-		done, hops = start(w, s)
-		return done
-	})
+	runWorld(t, e, func(done func()) { hops = start(w, s, done) })
 	out.stats, out.engine = *fs.Stats(), e.Stats()
 	out.engine.Events = events()
 	return out
@@ -104,7 +101,7 @@ func runStrided(t *testing.T, n int, s Strided, start func(*World, Strided) (*si
 // referenceStrided runs s with a process per rank: the rank body
 // mpi-io-test and ior-mpi-io ran before their ranks became callback
 // chains, the reference World.Strided must match step for step.
-func referenceStrided(w *World, s Strided) (*sim.Counter, *int64) {
+func referenceStrided(w *World, s Strided, done func()) *int64 {
 	passes := 1
 	if s.WarmIdle > 0 {
 		passes = 2
@@ -142,7 +139,7 @@ func referenceStrided(w *World, s Strided) (*sim.Counter, *int64) {
 				}
 			}
 		}
-	})
+	}, done)
 }
 
 // TestStridedMatchesProcessRanks holds the callback runner to the rank
@@ -178,14 +175,17 @@ func TestStridedMatchesProcessRanks(t *testing.T) {
 			if s.Length == 0 {
 				s.Length = size
 			}
-			run := func(start func(*World, Strided) (*sim.Counter, *int64)) stridedRun {
+			run := func(start func(*World, Strided, func()) *int64) stridedRun {
 				s := s
 				if s.Jitter > 0 {
 					s.Think = sim.NewRNG(7)
 				}
 				return runStrided(t, ranks, s, start)
 			}
-			want, got := run(referenceStrided), run(func(w *World, s Strided) (*sim.Counter, *int64) { return w.Strided(s), nil })
+			want, got := run(referenceStrided), run(func(w *World, s Strided, done func()) *int64 {
+				w.Strided(s, done)
+				return nil
+			})
 			passes := int64(1)
 			if s.WarmIdle > 0 {
 				passes = 2
@@ -204,8 +204,8 @@ func TestStridedMatchesProcessRanks(t *testing.T) {
 			if got.engine.Events != want.engine.Events {
 				t.Errorf("%d events, reference %d", got.engine.Events, want.engine.Events)
 			}
-			if got.engine.ProcsStarted != 1 || got.engine.Resumes != 2 {
-				t.Errorf("%d processes started, %d resumes; want only the driver's 1 and 2", got.engine.ProcsStarted, got.engine.Resumes)
+			if got.engine.ProcsStarted != 0 || got.engine.Resumes != 0 {
+				t.Errorf("%d processes started, %d resumes; want none", got.engine.ProcsStarted, got.engine.Resumes)
 			}
 		})
 	}
@@ -247,17 +247,13 @@ func TestStridedStepAllocations(t *testing.T) {
 	e := sim.New()
 	w, fs := testWorld(t, e, ranks)
 	window(e, fs)
-	e.Go("driver", func(p *sim.Proc) {
+	runWorld(t, e, func(done func()) {
 		w.Strided(Strided{
 			Iters: 200, Length: size, Write: true,
 			Offset: func(rank int, k int64) int64 { return (k*ranks + int64(rank)) * size },
 			Jitter: 2 * sim.Millisecond, Think: sim.NewRNG(5),
-		}).Wait(p)
-		e.Halt()
+		}, done)
 	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
 	if requests < 50 {
 		t.Fatalf("only %d requests completed in the window", requests)
 	}
@@ -278,16 +274,13 @@ func ExampleWorld_Strided() {
 	fs, _ := pfs.NewFileSystem(e, pfs.Config{Layout: stripe.Layout{Unit: 64 * 1024, Servers: 2}}, stores)
 	f, _ := fs.Create("data", 8<<20)
 	w := NewWorld(e, pfs.NewClient(fs), f, 4)
-	e.Go("driver", func(p *sim.Proc) {
-		w.Strided(Strided{
-			Iters: 8, Length: 64 * 1024, Write: true,
-			Offset: func(rank int, k int64) int64 { return (k*4 + int64(rank)) * 64 * 1024 },
-		}).Wait(p)
-		e.Halt()
-	})
+	w.Strided(Strided{
+		Iters: 8, Length: 64 * 1024, Write: true,
+		Offset: func(rank int, k int64) int64 { return (k*4 + int64(rank)) * 64 * 1024 },
+	}, e.Halt)
 	if err := e.Run(); err != nil {
 		panic(err)
 	}
-	fmt.Println(fs.Stats().Requests, "requests;", e.Stats().ProcsStarted, "process started")
-	// Output: 32 requests; 1 process started
+	fmt.Println(fs.Stats().Requests, "requests;", e.Stats().ProcsStarted, "processes started")
+	// Output: 32 requests; 0 processes started
 }

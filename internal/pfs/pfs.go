@@ -250,13 +250,19 @@ func (fs *FileSystem) Open(name string) (*File, error) {
 	return f, nil
 }
 
-// Flush flushes every server's store (dirty SSD cache data), blocking p
-// until all servers complete. The servers' flushes start together, each
-// from an event of its own at the current instant.
-func (fs *FileSystem) Flush(p *sim.Proc) {
-	done := sim.NewCounter(fs.e, len(fs.servers))
+// Flush flushes every server's store (dirty SSD cache data) and runs
+// done, from an event of its own, once all servers have completed. The
+// servers' flushes start together, each from an event of its own at the
+// current instant.
+func (fs *FileSystem) Flush(done func()) {
+	left := len(fs.servers)
 	for _, srv := range fs.servers {
-		fs.e.After(0, func() { srv.store.Flush(done.Done) })
+		fs.e.After(0, func() {
+			srv.store.Flush(func() {
+				if left--; left == 0 {
+					fs.e.After(0, done)
+				}
+			})
+		})
 	}
-	done.Wait(p)
 }

@@ -361,7 +361,7 @@ func TestFlushIsNoOpOnStockStores(t *testing.T) {
 	var took sim.Duration
 	run(t, e, func(p *sim.Proc) {
 		start := p.Now()
-		fs.Flush(p)
+		p.Call(fs.Flush)
 		took = p.Now().Sub(start)
 	})
 	if took != 0 {

@@ -110,7 +110,7 @@ func TestRecycledParentsNeverAlias(t *testing.T) {
 		files = append(files, f)
 	}
 	base := NewIBridgeClient(fs, threshold, 20*1024)
-	done := sim.NewCounter(e, ranks)
+	left := ranks
 	for r := 0; r < ranks; r++ {
 		c, think := base.WithOrigin(int32(r)), rng.Fork()
 		e.Go("rank", func(p *sim.Proc) {
@@ -124,13 +124,11 @@ func TestRecycledParentsNeverAlias(t *testing.T) {
 				call(p, c, files[i], op, off, sizes[i])
 				p.Sleep(think.Duration(0, 2*sim.Millisecond))
 			}
-			done.Done()
+			if left--; left == 0 {
+				e.Halt()
+			}
 		})
 	}
-	e.Go("main", func(p *sim.Proc) {
-		done.Wait(p)
-		e.Halt()
-	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}

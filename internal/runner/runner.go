@@ -93,9 +93,11 @@ func Map[T any](n int, fn func(i int) (T, error)) ([]T, error) {
 // call runs one unit, turning a panic into that unit's error: a panic on
 // a worker goroutine would otherwise kill the process without saying
 // which of the grid's points blew up, and the other units' results with
-// it. A simulated process that panics reaches here as a *sim.PanicError
-// (it is re-raised on the goroutine that called Run), which the returned
-// error wraps; any other value is reported with the stack it came from.
+// it. A simulation's callbacks run on the goroutine that called the
+// engine's Run, so a panic in one arrives here as its own value (a
+// process's as a *sim.PanicError). An error value is wrapped by the
+// returned error; any other value is reported with the stack it came
+// from.
 func call[T any](i int, fn func(i int) (T, error)) (v T, err error) {
 	defer func() {
 		switch r := recover().(type) {

@@ -30,7 +30,7 @@ func eagerAwait(p *Proc, horizon Time, period Duration, ready func() bool) {
 		e.After(t.Sub(e.now), func() {
 			if !done && ready() {
 				done = true
-				p.c.next()
+				p.next()
 			}
 		})
 	}

@@ -9,8 +9,10 @@ import (
 )
 
 // ErrDeadlock is returned by Run when the event queue drains while live
-// processes remain blocked and the engine was not explicitly halted.
-var ErrDeadlock = errors.New("sim: deadlock: no pending events but processes remain blocked")
+// processes remain blocked and the engine was not explicitly halted. A
+// caller whose callback chain never finished before the queue drained
+// reports it too (cluster.Run does).
+var ErrDeadlock = errors.New("sim: deadlock: no pending events but work remains blocked")
 
 // Engine is a deterministic discrete-event simulation engine. It owns the
 // virtual clock and orchestrates the simulated processes so that exactly
@@ -31,15 +33,10 @@ type Engine struct {
 	// FIFO order preserves the global (at, seq) order without paying a
 	// heap sift for the common Wake/Sleep(0)/After(0) case. The ring's
 	// backing array is reused across drains — the event freelist.
-	nowq   Ring[event]
-	seq    uint64
-	procs  map[int]*Proc
-	nextID int
-	// idle holds coroutines whose process body has returned, for Go to
-	// reuse: starting a process on one costs no coroutine creation,
-	// which processes started after others have finished would
-	// otherwise pay.
-	idle    []*coro
+	nowq    Ring[event]
+	seq     uint64
+	procs   map[int]*Proc
+	nextID  int
 	halted  bool
 	started bool
 	// cur is the seq of the event being run, which tells whether the
@@ -179,14 +176,7 @@ type Proc struct {
 	e    *Engine
 	id   int
 	name string
-	c    *coro
 	dead bool
-}
-
-// coro is the coroutine a process runs on. It outlives the process: when
-// a body returns, the coroutine parks on the engine's idle list until Go
-// hands it the next one.
-type coro struct {
 	// next switches into the coroutine until it parks; stop unwinds a
 	// parked one, or finishes one that never started without running
 	// anything. yield is the coroutine's side of the switch: it parks,
@@ -194,10 +184,6 @@ type coro struct {
 	next  func() (struct{}, bool)
 	stop  func()
 	yield func(struct{}) bool
-	// p and fn are the process the coroutine is running or will run at
-	// its next resume.
-	p  *Proc
-	fn func(*Proc)
 }
 
 // killed is the panic sentinel used to unwind a parked process when the
@@ -232,7 +218,7 @@ func New() *Engine {
 func (e *Engine) Now() Time { return e.now }
 
 // Halt requests that Run return after the current event completes.
-// Typically called by a workload-completion process; any remaining daemon
+// Typically called by a workload's completion callback; any remaining
 // processes are then terminated by Run.
 func (e *Engine) Halt() { e.halted = true }
 
@@ -252,49 +238,29 @@ func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
 	p := &Proc{e: e, id: e.nextID, name: name}
 	e.nextID++
 	e.procs[p.id] = p
-	if n := len(e.idle); n > 0 {
-		p.c, e.idle = e.idle[n-1], e.idle[:n-1]
-	} else {
-		p.c = e.newCoro()
-	}
-	p.c.p, p.c.fn = p, fn
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		p.run(fn)
+	})
 	e.stats.ProcsStarted++
 	e.schedule(e.now, p, nil)
 	return p
 }
 
-func (e *Engine) newCoro() *coro {
-	c := &coro{}
-	c.next, c.stop = iter.Pull(func(yield func(struct{}) bool) {
-		c.yield = yield
-		for c.run() {
-			e.idle = append(e.idle, c)
-			if !yield(struct{}{}) {
-				return
-			}
-		}
-	})
-	return c
-}
-
-// run executes the process the coroutine was handed and reports whether
-// the body returned, leaving the coroutine reusable. It swallows the
+// run executes the process body fn on p's coroutine. It swallows the
 // killed sentinel of an engine-initiated shutdown; any other panic
 // leaves through next (or stop) on the goroutine that called Run,
 // labelled with the process.
-func (c *coro) run() (returned bool) {
-	p := c.p
+func (p *Proc) run(fn func(*Proc)) {
 	defer func() {
 		p.retire()
-		c.p, c.fn = nil, nil
 		if r := recover(); r != nil {
 			if _, ok := r.(killed); !ok {
 				panic(&PanicError{Proc: p.name, Value: r, Stack: debug.Stack()})
 			}
 		}
 	}()
-	c.fn(p)
-	return true
+	fn(p)
 }
 
 // retire removes p from the live set.
@@ -302,12 +268,6 @@ func (p *Proc) retire() {
 	p.dead = true
 	delete(p.e.procs, p.id)
 }
-
-// Name returns the process name given to Go.
-func (p *Proc) Name() string { return p.name }
-
-// Engine returns the engine that owns p.
-func (p *Proc) Engine() *Engine { return p.e }
 
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.e.now }
@@ -340,7 +300,7 @@ func (e *Engine) After(d Duration, fn func()) {
 // park switches back to the engine until the process is resumed. A false
 // yield means the engine is shutting down: unwind the process.
 func (p *Proc) park() {
-	if !p.c.yield(struct{}{}) {
+	if !p.yield(struct{}{}) {
 		panic(killed{})
 	}
 }
@@ -427,7 +387,7 @@ func (e *Engine) Run() error {
 			continue
 		}
 		e.stats.Resumes++
-		ev.p.c.next()
+		ev.p.next()
 	}
 	if !e.halted && len(e.procs) > 0 {
 		return ErrDeadlock
@@ -454,12 +414,8 @@ func (e *Engine) killAll() {
 				// Already unwound by a side effect of a prior kill.
 				continue
 			}
-			victim.c.stop()
+			victim.stop()
 			victim.retire()
 		}
 	}
-	for _, c := range e.idle {
-		c.stop()
-	}
-	e.idle = nil
 }

@@ -61,17 +61,14 @@ func waitGoroutines(t *testing.T, base int) {
 
 // TestRunLeavesNoGoroutines: however Run ends — Halt, a drained queue, a
 // deadlock — every coroutine is gone when it returns, whether its process
-// never started, finished (and was pooled), sits in a primitive, Block or
-// a Call, or is mid-Sleep or in a Call on a wait (with a check armed or
-// with none).
+// never started, finished, sits in a barrier, Block or a Call, or is
+// mid-Sleep or in a Call on a wait (with a check armed or with none).
 func TestRunLeavesNoGoroutines(t *testing.T) {
 	// populate starts one process in every state a shutdown can find.
 	populate := func(e *Engine) {
 		bar := NewBarrier(e, 2)
-		cnt := NewCounter(e, 1)
 		e.Go("call", func(p *Proc) { p.Call(func(func()) {}) })
 		e.Go("barrier", func(p *Proc) { bar.Wait(p) })
-		e.Go("counter", func(p *Proc) { cnt.Wait(p) })
 		e.Go("blocked", func(p *Proc) { p.Block() })
 		e.Go("awaiter-unarmed", func(p *Proc) {
 			p.Call(func(done func()) {
@@ -79,8 +76,8 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 			})
 		})
 		e.Go("finished", func(p *Proc) {})
-		e.Go("reuser", func(p *Proc) {
-			p.Sleep(Microsecond) // runs on a fresh coroutine; its child reuses "finished"'s
+		e.Go("parent", func(p *Proc) {
+			p.Sleep(Microsecond) // starts a child after "finished" has finished
 			e.Go("child", func(p *Proc) { p.Block() })
 		})
 	}
@@ -98,7 +95,7 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 			})
 			e.Go("halter", func(p *Proc) {
 				p.Sleep(10 * Millisecond)
-				for i := 0; i < 2; i++ { // one on a reused coroutine, one on a fresh one
+				for i := 0; i < 2; i++ {
 					e.Go("never-started", func(p *Proc) { t.Error("a process created at the halting instant ran") })
 				}
 				e.Halt()
@@ -139,7 +136,7 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 // TestGoStartsAtCurrentInstantInCreationOrder: a process created from
 // inside a running process or an After callback starts at the instant of
 // its creation, after everything already scheduled for that instant and
-// in creation order — on a fresh coroutine or a reused one alike.
+// in creation order, whether or not other processes have finished.
 func TestGoStartsAtCurrentInstantInCreationOrder(t *testing.T) {
 	e := New()
 	var log []string
@@ -147,12 +144,12 @@ func TestGoStartsAtCurrentInstantInCreationOrder(t *testing.T) {
 	spawn := func(name string) {
 		e.Go(name, func(p *Proc) { note(name) })
 	}
-	e.Go("early", func(p *Proc) {}) // finishes at 0: leaves a coroutine to reuse
+	e.Go("early", func(p *Proc) {}) // finishes at 0
 	e.Go("parent", func(p *Proc) {
 		p.Sleep(Millisecond)
 		e.After(0, func() { note("queued-before") })
-		spawn("a") // reuses early's coroutine
-		spawn("b") // fresh coroutine
+		spawn("a")
+		spawn("b")
 		note("parent")
 		p.Sleep(0)
 		note("parent-after-yield")

@@ -11,7 +11,7 @@ func TestStressManyProcs(t *testing.T) {
 		// Four tokens: a resource at most four producers hold.
 		tokens := &semaphore{e: e, free: 4}
 		total, holders := 0, 0
-		done := NewCounter(e, producers)
+		left := producers
 		for i := 0; i < producers; i++ {
 			r := rng.Fork()
 			e.Go("producer", func(p *Proc) {
@@ -32,13 +32,11 @@ func TestStressManyProcs(t *testing.T) {
 						})
 					})
 				}
-				done.Done()
+				if left--; left == 0 {
+					e.Halt()
+				}
 			})
 		}
-		e.Go("closer", func(p *Proc) {
-			done.Wait(p)
-			e.Halt()
-		})
 		if err := e.Run(); err != nil {
 			t.Fatalf("Run: %v", err)
 		}

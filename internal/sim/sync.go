@@ -1,10 +1,9 @@
 package sim
 
-// This file provides the synchronization primitives used by simulated
-// processes and callback chains. Because the engine runs exactly one
-// process or callback at a time, the primitives need no host-level
-// locking; they only park and wake their parties deterministically
-// (FIFO order).
+// This file provides the barrier used by callback chains and simulated
+// processes. Because the engine runs exactly one process or callback at
+// a time, it needs no host-level locking; it only releases its parties
+// deterministically (FIFO order).
 
 // Barrier synchronizes a fixed group of n parties, as the MPI_Barrier of
 // the simulated MPI ranks. A party is a process (Wait) or a callback
@@ -68,50 +67,4 @@ func (b *Barrier) arrive(p *Proc, fn func()) bool {
 	clear(b.waiters)
 	b.waiters = b.waiters[:0]
 	return true
-}
-
-// Counter is a completion counter analogous to sync.WaitGroup for
-// simulated processes.
-type Counter struct {
-	e       *Engine
-	n       int
-	waiters []*Proc
-}
-
-// NewCounter returns a counter with initial count n.
-func NewCounter(e *Engine, n int) *Counter {
-	return &Counter{e: e, n: n}
-}
-
-// Add increments the count by k (k may be negative).
-func (c *Counter) Add(k int) {
-	c.n += k
-	if c.n < 0 {
-		panic("sim: negative counter")
-	}
-	if c.n == 0 {
-		c.release()
-	}
-}
-
-// Done decrements the count by one.
-func (c *Counter) Done() { c.Add(-1) }
-
-// Count returns the current count.
-func (c *Counter) Count() int { return c.n }
-
-// Wait blocks p until the count reaches zero.
-func (c *Counter) Wait(p *Proc) {
-	if c.n == 0 {
-		return
-	}
-	c.waiters = append(c.waiters, p)
-	p.Block()
-}
-
-func (c *Counter) release() {
-	for _, w := range c.waiters {
-		c.e.Wake(w)
-	}
-	c.waiters = nil
 }

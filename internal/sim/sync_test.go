@@ -115,74 +115,6 @@ func TestBarrierArriveMatchesWait(t *testing.T) {
 	}
 }
 
-func TestCounter(t *testing.T) {
-	e := New()
-	c := NewCounter(e, 3)
-	var doneAt Time = -1
-	e.Go("waiter", func(p *Proc) {
-		c.Wait(p)
-		doneAt = p.Now()
-	})
-	for i := 1; i <= 3; i++ {
-		i := i
-		e.Go("w", func(p *Proc) {
-			p.Sleep(Duration(i) * Millisecond)
-			c.Done()
-		})
-	}
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if doneAt != Time(3*Millisecond) {
-		t.Fatalf("counter released at %v, want 3ms", doneAt)
-	}
-}
-
-func TestCounterWaitZero(t *testing.T) {
-	e := New()
-	c := NewCounter(e, 0)
-	ran := false
-	e.Go("w", func(p *Proc) {
-		c.Wait(p) // must not block
-		ran = true
-	})
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if !ran {
-		t.Fatal("Wait on zero counter blocked")
-	}
-}
-
-// TestCounterBroadcast: a counter reaching zero releases every waiter at
-// once, and a wait on a counter already at zero returns at once.
-func TestCounterBroadcast(t *testing.T) {
-	e := New()
-	c := NewCounter(e, 1)
-	released := 0
-	for i := 0; i < 5; i++ {
-		e.Go("w", func(p *Proc) {
-			c.Wait(p)
-			released++
-		})
-	}
-	e.Go("firer", func(p *Proc) {
-		p.Sleep(Millisecond)
-		c.Done()
-	})
-	e.Go("late", func(p *Proc) {
-		p.Sleep(2 * Millisecond)
-		c.Wait(p) // already zero: returns immediately
-		released++
-	})
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if released != 6 {
-		t.Fatalf("released %d, want 6", released)
-	}
-}
-
 // TestRingStaysBoundedAndFIFO: a ring that never drains — a server's job
 // FIFO with a standing backlog, or the same-instant ring under a run of
 // yields —

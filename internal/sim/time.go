@@ -1,17 +1,17 @@
-// Package sim provides a deterministic, process-oriented discrete-event
-// simulation engine used to model the iBridge storage cluster in virtual
-// time.
+// Package sim provides a deterministic discrete-event simulation engine
+// used to model the iBridge storage cluster in virtual time.
 //
-// Simulated processes are coroutines that run one at a time under control
-// of an Engine: a process runs until it blocks (Sleep, Call, Block,
-// barrier, ...), at which point it switches back to the engine, which
-// advances the virtual clock to the next scheduled event and switches
-// into the process that event resumes. Callbacks (After, and a Wait's
-// continuation) run inline in the engine loop, with no process to switch
-// into. In the cluster only some workloads' ranks (and the drivers that
-// start them) are processes; mpi-io-test's and ior-mpi-io's ranks and
-// the storage stack beneath them run on callbacks. Runs are fully
-// deterministic: events with equal timestamps fire in scheduling order.
+// The engine advances the virtual clock from event to event and runs
+// each event's callback (After, a Wait's continuation, a barrier's
+// release) inline. The whole cluster — every workload and rank, and the
+// storage stack beneath them — is chains of such callbacks. The engine
+// also runs processes: coroutines that run one at a time until they
+// block (Sleep, Call, Block, Barrier.Wait), switching back to the
+// engine, which switches into the process the next event resumes. No
+// production code starts one; they remain for the tests' reference
+// ranks, which the callback ranks are held to, and the benchmark's
+// engine probe. Runs are fully deterministic: events with equal
+// timestamps fire in scheduling order.
 package sim
 
 import "repro/internal/vtime"

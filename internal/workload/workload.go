@@ -6,12 +6,11 @@
 // striping-magnification microbenchmark, whose ranks run the same loop
 // (mpiio.Strided); a BTIO model (tiny strided records interleaved with
 // computation); and single-rank trace replay. Every rank is an
-// mpiio.Program; only Combine starts processes, one per workload.
+// mpiio.Program and every workload a chain of engine callbacks, Combine
+// included: no workload starts a process.
 package workload
 
 import (
-	"fmt"
-
 	"repro/internal/cluster"
 	"repro/internal/device"
 	"repro/internal/mpiio"
@@ -116,7 +115,7 @@ func IOR(cfg MPIIOTestConfig) cluster.Workload {
 // rank i's k-th at offset(i, k), their think times drawn from a stream
 // seeded with cfg.Seed + salt.
 func strided(cfg MPIIOTestConfig, name string, salt uint64, iters int64, offset func(rank int, k int64) int64) cluster.Workload {
-	return func(c *cluster.Cluster, p *sim.Proc) {
+	return func(c *cluster.Cluster, done func()) {
 		f, err := c.FS.Create(name, cfg.FileBytes+cfg.Shift+cfg.RequestSize)
 		if err != nil {
 			panic(err)
@@ -126,20 +125,21 @@ func strided(cfg MPIIOTestConfig, name string, salt uint64, iters int64, offset 
 			idle = warmIdle
 		}
 		var measuredStart sim.Time
-		done := mpiio.NewWorld(c.Engine, c.Client(), f, cfg.Procs).Strided(mpiio.Strided{
+		mpiio.NewWorld(c.Engine, c.Client(), f, cfg.Procs).Strided(mpiio.Strided{
 			Iters: iters, Length: cfg.RequestSize, Write: cfg.Write, Offset: offset,
 			Jitter:   cfg.Jitter,
 			Think:    sim.NewRNG(cfg.Seed + salt),
 			Barrier:  cfg.Barrier,
 			WarmIdle: idle,
 			Measured: func() { measuredStart = c.Engine.Now() },
+		}, func() {
+			if cfg.Report != nil {
+				cfg.Report.Start = measuredStart
+				cfg.Report.End = c.Engine.Now()
+				cfg.Report.Bytes = iters * cfg.RequestSize * int64(cfg.Procs)
+			}
+			done()
 		})
-		done.Wait(p)
-		if cfg.Report != nil {
-			cfg.Report.Start = measuredStart
-			cfg.Report.End = p.Now()
-			cfg.Report.Bytes = iters * cfg.RequestSize * int64(cfg.Procs)
-		}
 	}
 }
 
@@ -177,18 +177,20 @@ type BTIOResult struct {
 // BTIO returns the benchmark as a cluster workload, recording its split
 // timing into res (which must outlive the run).
 func BTIO(cfg BTIOConfig, res *BTIOResult) cluster.Workload {
-	return func(c *cluster.Cluster, p *sim.Proc) {
+	return func(c *cluster.Cluster, done func()) {
 		f, err := c.FS.Create("btio", cfg.DataBytes+64*KB)
 		if err != nil {
 			panic(err)
 		}
-		start := p.Now()
+		start := c.Engine.Now()
 		var marks []sim.Time
-		mpiio.NewWorld(c.Engine, c.Client(), f, cfg.Procs).Run(BTIOPrograms(cfg), RankZeroMarks(c.Engine, &marks)).Wait(p)
-		if res != nil {
-			res.IOTime = MarkedTime(marks)
-			res.TotalTime = p.Now().Sub(start)
-		}
+		mpiio.NewWorld(c.Engine, c.Client(), f, cfg.Procs).Run(BTIOPrograms(cfg), RankZeroMarks(c.Engine, &marks), func() {
+			if res != nil {
+				res.IOTime = MarkedTime(marks)
+				res.TotalTime = c.Engine.Now().Sub(start)
+			}
+			done()
+		})
 	}
 }
 
@@ -256,7 +258,7 @@ type Fig3Config struct {
 // mpiio.Strided with no think time; the interference program is a
 // callback loop of one read at a time until the ranks finish.
 func Fig3(cfg Fig3Config) cluster.Workload {
-	return func(c *cluster.Cluster, p *sim.Proc) {
+	return func(c *cluster.Cluster, done func()) {
 		unit := c.Config().StripeUnit
 		size := int64(cfg.K) * unit
 		if cfg.Fragment {
@@ -296,12 +298,13 @@ func Fig3(cfg Fig3Config) cluster.Workload {
 		// non-fragment sub-requests go to servers 0..K-1 and the 1 KB
 		// fragment to server K.
 		n := int64(cfg.Procs)
-		done := w.Strided(mpiio.Strided{
+		w.Strided(mpiio.Strided{
 			Iters: int64(cfg.Iters), Length: size, Barrier: cfg.Barrier,
 			Offset: func(rank int, k int64) int64 { return (k*n + int64(rank)) * stripeBytes },
+		}, func() {
+			interferenceDone = true
+			done()
 		})
-		done.Wait(p)
-		interferenceDone = true
 	}
 }
 
@@ -309,7 +312,7 @@ func Fig3(cfg Fig3Config) cluster.Workload {
 // one-rank program of the trace's records, issued in order on one
 // untagged client.
 func Replay(tr *trace.Trace, fileBytes int64) cluster.Workload {
-	return func(c *cluster.Cluster, p *sim.Proc) {
+	return func(c *cluster.Cluster, done func()) {
 		f, err := c.FS.Create("replay:"+tr.Name, fileBytes)
 		if err != nil {
 			panic(err)
@@ -327,22 +330,24 @@ func Replay(tr *trace.Trace, fileBytes int64) cluster.Workload {
 		w := mpiio.NewWorldOn(c.Engine, 1, func(_ int, op device.Op, off, n int64, done func()) {
 			client.Start(f, op, off, n, done)
 		})
-		w.Run([]mpiio.Program{prog}, nil).Wait(p)
+		w.Run([]mpiio.Program{prog}, nil, done)
 	}
 }
 
-// Combine runs several workloads concurrently on one cluster, returning
-// when all complete (the Section III-F heterogeneous experiment).
+// Combine runs several workloads concurrently on one cluster, each
+// started from an event of its own, and is done when all are (the
+// Section III-F heterogeneous experiment).
 func Combine(ws ...cluster.Workload) cluster.Workload {
-	return func(c *cluster.Cluster, p *sim.Proc) {
-		done := sim.NewCounter(c.Engine, len(ws))
-		for i, w := range ws {
-			w := w
-			c.Engine.Go(fmt.Sprintf("combined-%d", i), func(wp *sim.Proc) {
-				w(c, wp)
-				done.Done()
+	return func(c *cluster.Cluster, done func()) {
+		left := len(ws)
+		for _, w := range ws {
+			c.Engine.After(0, func() {
+				w(c, func() {
+					if left--; left == 0 {
+						c.Engine.After(0, done)
+					}
+				})
 			})
 		}
-		done.Wait(p)
 	}
 }

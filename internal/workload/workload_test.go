@@ -233,7 +233,7 @@ func TestReportThroughput(t *testing.T) {
 // reports each rank's completion instant (its last mark) and rank 0's
 // I/O time.
 func btioRanks(cfg workload.BTIOConfig, finished []sim.Time, ioTime *sim.Duration) cluster.Workload {
-	return func(c *cluster.Cluster, p *sim.Proc) {
+	return func(c *cluster.Cluster, done func()) {
 		f, err := c.FS.Create("btio", cfg.DataBytes+64*workload.KB)
 		if err != nil {
 			panic(err)
@@ -247,16 +247,19 @@ func btioRanks(cfg workload.BTIOConfig, finished []sim.Time, ioTime *sim.Duratio
 		mpiio.NewWorld(c.Engine, c.Client(), f, cfg.Procs).Run(progs, func(rank int) {
 			zero(rank)
 			finished[rank] = c.Engine.Now()
-		}).Wait(p)
-		*ioTime = workload.MarkedTime(marks[:len(marks)-1])
+		}, func() {
+			*ioTime = workload.MarkedTime(marks[:len(marks)-1])
+			done()
+		})
 	}
 }
 
 // btioReference is BTIO's rank body as it ran before its ranks became
 // programs: a process per rank, on a client tagged with the rank's
-// origin, issuing each record by Proc.Call.
+// origin, issuing each record by Proc.Call. It is done from an event of
+// its own after the last rank returns, as a World is.
 func btioReference(cfg workload.BTIOConfig, finished []sim.Time, ioTime *sim.Duration) cluster.Workload {
-	return func(c *cluster.Cluster, p *sim.Proc) {
+	return func(c *cluster.Cluster, done func()) {
 		f, err := c.FS.Create("btio", cfg.DataBytes+64*workload.KB)
 		if err != nil {
 			panic(err)
@@ -265,7 +268,7 @@ func btioReference(cfg workload.BTIOConfig, finished []sim.Time, ioTime *sim.Dur
 		perStep := cfg.DataBytes / int64(cfg.Steps)
 		recsPerRank := max(perStep/int64(cfg.Procs)/rec, 1)
 		barrier := sim.NewBarrier(c.Engine, cfg.Procs)
-		left := sim.NewCounter(c.Engine, cfg.Procs)
+		left := cfg.Procs
 		for id := 0; id < cfg.Procs; id++ {
 			client := c.Client().WithOrigin(int32(id + 1))
 			c.Engine.Go("btio", func(rp *sim.Proc) {
@@ -284,10 +287,11 @@ func btioReference(cfg workload.BTIOConfig, finished []sim.Time, ioTime *sim.Dur
 					}
 				}
 				finished[id] = rp.Now()
-				left.Done()
+				if left--; left == 0 {
+					c.Engine.After(0, done)
+				}
 			})
 		}
-		left.Wait(p)
 	}
 }
 
